@@ -16,6 +16,31 @@ cargo build --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> cargo test -p midway-sim --release"
+# The coroutine switch (crates/sim/src/coro.rs) is hand-written assembly
+# under Rust frames: it has to be right with and without frame pointers
+# and inlining, so the simulator's tests run in both profiles.
+cargo test -p midway-sim --release -q
+
+echo "==> one-execution-path guard"
+# `unsafe` lives in the coroutine module (and the pinned benchmark's
+# sched_setaffinity call) and nowhere else; the scheduler and the cluster
+# driver stay single-threaded outside their tests.
+# (Comment lines may say the word; code may not.)
+if grep -rn --include='*.rs' -w unsafe crates/*/src |
+    grep -v -e '^crates/sim/src/coro\.rs:' -e '^crates/bench/src/bin/benchmark/' \
+        -e '^[^:]*:[0-9]*:[[:space:]]*//'; then
+    echo "unsafe outside crates/sim/src/coro.rs" >&2
+    exit 1
+fi
+for f in crates/sim/src/sched.rs crates/sim/src/cluster.rs; do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -E 'Condvar|Mutex|thread::scope|thread::spawn'; then
+        echo "thread machinery in non-test code of $f" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
@@ -67,6 +92,12 @@ echo "==> crash sweep smoke"
 # (premium row + claim row), convergence asserted inside the harness.
 cargo run --release -q -p midway-bench --bin crash_sweep -- \
     --smoke --trace "$smoke/traces" --out "$smoke/crash_sweep.json"
+
+echo "==> benchmark smoke"
+# The pinned benchmark (BENCHMARK.json) at smoke size: every workload once
+# against golden.json plus every per-layer probe, so a change that breaks
+# what the driver will run fails here first.
+cargo run --release -q -p midway-bench --bin benchmark -- --smoke
 
 echo "==> hostperf smoke"
 # The host-performance basket at smoke size: exercises the chunked diff /

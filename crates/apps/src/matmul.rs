@@ -134,6 +134,23 @@ pub fn run_real(
     Midway::run_real(cfg, real, &spec, |proc| session(proc, p, &h))
 }
 
+/// The MAC loop: `sum(a[k] * b[k])`, accumulated left to right from 0.0 so
+/// the sum is the same bit pattern whatever surrounds the call.
+///
+/// Kept out of line on purpose. Inlined into [`session`], whether `acc`
+/// stays in a register or is spilled to the stack on every iteration
+/// (a load-add-store chain, ~2x slower) depended on the shape of unrelated
+/// code up the inlining chain — the same fragility the `midway-apps`
+/// profile override in the workspace `Cargo.toml` documents.
+#[inline(never)]
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        acc += x * y;
+    }
+    acc
+}
+
 fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Handles) -> Outcome {
     let n = h.n;
     {
@@ -166,11 +183,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
             }
             let row_a: Vec<f64> = proc.read_vec(&h.a, i * n..(i + 1) * n);
             for j in 0..n {
-                let mut acc = 0.0;
-                let bcol = &bt[j * n..(j + 1) * n];
-                for (k, aik) in row_a.iter().enumerate() {
-                    acc += aik * bcol[k];
-                }
+                let acc = dot(&row_a, &bt[j * n..(j + 1) * n]);
                 proc.write(&h.c, i * n + j, acc);
             }
             proc.work((n * n) as u64 * CYCLES_PER_MAC);

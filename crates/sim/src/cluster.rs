@@ -1,9 +1,11 @@
 //! Public cluster API: configuration, processor handles, run outcomes.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::rc::Rc;
 
 use crate::clock::{Category, CpuClock, CATEGORY_COUNT};
+use crate::coro::Coroutine;
 use crate::event::Event;
 use crate::fault::{FaultDecision, FaultPlan, FaultStats};
 use crate::net::NetModel;
@@ -164,13 +166,16 @@ pub struct RunOutcome<R> {
 
 /// A simulated processor, handed to the per-processor closure.
 ///
-/// All methods take `&mut self`; each handle is owned by exactly one thread.
+/// All methods take `&mut self`. The handle lives on its processor's own
+/// coroutine stack for the whole run and shares the scheduler with its
+/// peers through an `Rc`, so it is neither `Send` nor `Sync`: the closure
+/// must use it where it was given it, not from a thread of its own.
 pub struct ProcHandle<M> {
     id: usize,
     procs: usize,
     net: NetModel,
     faults: FaultPlan,
-    sched: Arc<Scheduler<M>>,
+    sched: Rc<Scheduler<M>>,
     clock: CpuClock,
     seq: u64,
     msgs_sent: u64,
@@ -293,8 +298,8 @@ impl<M: Send + Clone> ProcHandle<M> {
     /// back off (poll a condition later) posts a tick to itself and blocks
     /// in `recv`, which lets the scheduler deliver other processors'
     /// messages in the meantime. Spinning without blocking would starve
-    /// the conservative scheduler, which only delivers when every thread
-    /// is blocked.
+    /// the conservative scheduler, which only delivers once the running
+    /// processor has suspended.
     pub fn post_self(&mut self, msg: M, delay: u64) {
         let seq = self.seq;
         self.seq += 1;
@@ -310,10 +315,13 @@ impl<M: Send + Clone> ProcHandle<M> {
     /// Receives the next message addressed to this processor, advancing the
     /// clock to its delivery time. Returns `(delivery time, src, msg)`.
     ///
-    /// # Panics
-    ///
-    /// Panics (aborting the whole simulation) on deadlock: every processor
-    /// blocked in `recv` with nothing in flight indicates a protocol bug.
+    /// Suspends this processor until the message is due. If the run fails
+    /// while it waits — every processor stuck in `recv` with nothing in
+    /// flight (a protocol bug), a message to a finished processor, a panic
+    /// or a violation on any processor — the call does not return: this
+    /// processor unwinds, its locals are dropped, and [`Cluster::run`]
+    /// returns the matching [`SimError`]. The caller of `Cluster::run`
+    /// never sees a panic.
     pub fn recv(&mut self) -> (VirtualTime, usize, M) {
         self.recv_inner(false)
             .expect("recv cannot observe quiescence")
@@ -324,7 +332,29 @@ impl<M: Send + Clone> ProcHandle<M> {
     ///
     /// Used by the DSM runtime's end-of-run service loop: a processor that
     /// has finished its application work keeps serving protocol messages
-    /// until the cluster agrees nothing more can arrive.
+    /// until the cluster agrees nothing more can arrive. After `None` the
+    /// processor must return without receiving again.
+    ///
+    /// ```
+    /// use midway_sim::{Cluster, ClusterConfig, NetModel};
+    ///
+    /// // Processor 0 hands out work; everyone serves until nothing is left
+    /// // in flight, then the whole cluster is released together.
+    /// let cfg = ClusterConfig::new(3).net(NetModel::ideal());
+    /// let outcome = Cluster::run(cfg, |p| {
+    ///     if p.id() == 0 {
+    ///         p.send(1, 10u32, 4);
+    ///         p.send(2, 20u32, 4);
+    ///     }
+    ///     let mut served = 0;
+    ///     while let Some((_t, _src, job)) = p.drain_recv() {
+    ///         served += job;
+    ///     }
+    ///     served
+    /// })
+    /// .unwrap();
+    /// assert_eq!(outcome.results, vec![0, 10, 20]);
+    /// ```
     pub fn drain_recv(&mut self) -> Option<(VirtualTime, usize, M)> {
         self.recv_inner(true)
     }
@@ -352,8 +382,9 @@ impl<M: Send + Clone> ProcHandle<M> {
     /// message, a malformed exchange): instead of panicking — which would
     /// surface as an opaque [`SimError::ProcPanicked`] — this poisons the
     /// cluster with [`SimError::ProtocolViolation`] carrying this
-    /// processor's id and `message`, wakes every other thread, and unwinds
-    /// this one. It never returns.
+    /// processor's id and `message` and unwinds this processor; every other
+    /// processor then unwinds out of its `recv` in turn, and
+    /// [`Cluster::run`] returns the error. It never returns.
     pub fn protocol_violation(&mut self, message: String) -> ! {
         std::panic::panic_any(SimAbort(Poison::Protocol {
             proc: self.id,
@@ -398,10 +429,19 @@ impl Cluster {
     /// call returns when every closure has returned (and, for processors
     /// that use [`ProcHandle::drain_recv`], the cluster has quiesced).
     ///
+    /// Everything runs on the calling thread: each processor is a
+    /// coroutine with a stack of its own (2 MiB, as a spawned thread would
+    /// have), and this call is the event loop that resumes them one at a
+    /// time. The `Send`/`Sync` bounds are kept so that one closure serves
+    /// this and the thread-per-processor real-socket transport alike.
+    /// Independent runs may be in flight on different threads at once, and
+    /// a closure may itself call `Cluster::run`.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError`] if the simulation deadlocks, a message is sent
-    /// to a finished processor, or any closure panics.
+    /// to a finished processor, or any closure panics. In every case each
+    /// processor has unwound and dropped its locals before this returns.
     pub fn run<M, R, F>(cfg: ClusterConfig, f: F) -> Result<RunOutcome<R>, SimError>
     where
         M: Send + Clone + 'static,
@@ -409,24 +449,20 @@ impl Cluster {
         F: Fn(&mut ProcHandle<M>) -> R + Send + Sync,
     {
         assert!(cfg.procs > 0, "cluster needs at least one processor");
-        let sched: Arc<Scheduler<M>> = Arc::new(Scheduler::new(cfg.procs));
-        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..cfg.procs).map(|_| None).collect());
-        let reports: Mutex<Vec<Option<ProcReport>>> =
-            Mutex::new((0..cfg.procs).map(|_| None).collect());
+        let sched: Rc<Scheduler<M>> = Rc::new(Scheduler::new(cfg.procs));
+        let finished: Vec<Cell<Option<(R, ProcReport)>>> =
+            (0..cfg.procs).map(|_| Cell::new(None)).collect();
 
-        std::thread::scope(|scope| {
-            for id in 0..cfg.procs {
-                let sched = Arc::clone(&sched);
-                let f = &f;
-                let results = &results;
-                let reports = &reports;
-                scope.spawn(move || {
+        let mut procs: Vec<Coroutine<'_>> = (0..cfg.procs)
+            .map(|id| {
+                let (sched, f, finished) = (&sched, &f, &finished[id]);
+                Coroutine::new(move || {
                     let mut handle = ProcHandle {
                         id,
                         procs: cfg.procs,
                         net: cfg.net,
                         faults: cfg.faults,
-                        sched: Arc::clone(&sched),
+                        sched: Rc::clone(sched),
                         clock: CpuClock::new(),
                         seq: 0,
                         msgs_sent: 0,
@@ -434,62 +470,48 @@ impl Cluster {
                         msgs_received: 0,
                         fault_stats: FaultStats::default(),
                     };
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut handle)));
-                    match outcome {
+                    // Caught here, on the processor's own stack, so its
+                    // frames unwind and its locals drop before the event
+                    // loop gets control back.
+                    match catch_unwind(AssertUnwindSafe(|| f(&mut handle))) {
                         Ok(val) => {
-                            lock_vec(reports)[id] = Some(handle.report());
-                            lock_vec(results)[id] = Some(val);
+                            finished.set(Some((val, handle.report())));
                             sched.finish(id);
                         }
-                        Err(payload) => {
-                            if let Some(abort) = payload.downcast_ref::<SimAbort>() {
-                                // The cluster is already poisoned; just make
-                                // sure everyone is awake.
-                                sched.set_poison(abort.0.clone());
-                            } else {
-                                let message = panic_message(&*payload);
-                                sched.abandon(id, message);
-                            }
-                        }
+                        Err(payload) => match payload.downcast::<SimAbort>() {
+                            // Usually the poison this processor was just
+                            // handed; new only for a violation it raised.
+                            Ok(abort) => sched.set_poison(abort.0),
+                            Err(payload) => sched.abandon(id, panic_message(&*payload)),
+                        },
                     }
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        sched.run(&mut procs);
+        drop(procs);
 
         if let Some(poison) = sched.poison() {
             return Err(poison.into());
         }
-        let results: Vec<R> = into_vec(results)
+        let (results, reports): (Vec<R>, Vec<ProcReport>) = finished
             .into_iter()
-            .map(|r| r.expect("every processor finished"))
-            .collect();
-        let reports: Vec<ProcReport> = into_vec(reports)
-            .into_iter()
-            .map(|r| r.expect("every processor reported"))
-            .collect();
+            .map(|slot| slot.into_inner().expect("every processor finished"))
+            .unzip();
         let finish_time = reports
             .iter()
             .map(|r| r.final_time)
             .max()
             .unwrap_or(VirtualTime::ZERO);
+        let stats = sched.stats();
         Ok(RunOutcome {
             results,
             reports,
             finish_time,
-            messages_delivered: sched.delivered(),
-            sched: sched.stats(),
+            messages_delivered: stats.delivered,
+            sched: stats,
         })
     }
-}
-
-/// Locks a result-collection mutex. These are only held for a single slot
-/// assignment, never across a panic, so a poisoned guard is recovered.
-fn lock_vec<T>(m: &Mutex<Vec<Option<T>>>) -> std::sync::MutexGuard<'_, Vec<Option<T>>> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn into_vec<T>(m: Mutex<Vec<Option<T>>>) -> Vec<Option<T>> {
-    m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -837,5 +859,211 @@ mod tests {
         .unwrap();
         assert_eq!(out.results[1], 100, "delay must never lose a message");
         assert!(out.reports[0].fault_stats.delayed > 0);
+    }
+
+    /// A fixed 8-processor program touching every scheduler path: fan-in
+    /// rounds to the highest id with same-instant arrivals (batches), self
+    /// timers inside and beyond the calendar ring's horizon, and a drained
+    /// tail.
+    fn fixed_eight_proc_run() -> RunOutcome<u64> {
+        Cluster::run(ClusterConfig::new(8), |p: &mut ProcHandle<Msg>| {
+            for round in 0..40u64 {
+                if p.id() == 7 {
+                    for _ in 0..7 {
+                        p.recv();
+                    }
+                    for dst in 0..7 {
+                        p.send(dst, round, 8);
+                    }
+                } else {
+                    // Odd and even processors pair up on arrival times.
+                    p.work(100 * (p.id() as u64 / 2));
+                    p.send(7, round, 8);
+                    let delay = if round % 8 == 0 { 3_000_000 } else { 50 };
+                    p.post_self(round, delay);
+                    p.recv();
+                    p.recv();
+                }
+            }
+            if p.id() == 0 {
+                for dst in 1..8 {
+                    p.send(dst, 99, 64);
+                }
+            }
+            let mut drained = 0;
+            while p.drain_recv().is_some() {
+                drained += 1;
+            }
+            p.now().cycles() + drained
+        })
+        .unwrap()
+    }
+
+    /// The counters are host-side only, but they pin the dispatch and
+    /// batching decisions: these are the values the thread-per-processor
+    /// engine recorded for the same program.
+    #[test]
+    fn sched_stats_match_the_thread_engine() {
+        let out = fixed_eight_proc_run();
+        assert_eq!(
+            out.sched,
+            crate::sched::SchedStats {
+                delivered: 847,
+                dispatches: 841,
+                batched: 6,
+                near_pops: 812,
+                far_pops: 35,
+                deques_recycled: 840,
+            }
+        );
+        assert_eq!(out.finish_time.cycles(), 18_630_612);
+        assert_eq!(
+            out.results,
+            vec![
+                18_622_520, 18_585_613, 18_593_113, 18_600_613, 18_608_113, 18_615_613, 18_623_113,
+                18_630_613
+            ]
+        );
+    }
+
+    #[test]
+    fn panic_unwinds_every_processor_and_drops_its_locals() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Guard<'a>(&'a AtomicUsize);
+        impl Drop for Guard<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let (started, dropped) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let err = Cluster::run(ClusterConfig::new(5), |p: &mut ProcHandle<Msg>| {
+            started.fetch_add(1, Ordering::Relaxed);
+            let _local = Guard(&dropped);
+            match p.id() {
+                // Suspended in recv, and in drain_recv, when 2 panics...
+                0 => drop(p.recv()),
+                1 => while p.drain_recv().is_some() {},
+                2 => panic!("boom on 2"),
+                // ...not yet started: these still run up to their first recv.
+                3 => drop(p.recv()),
+                _ => while p.drain_recv().is_some() {},
+            }
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::ProcPanicked {
+                proc: 2,
+                message: "boom on 2".to_string()
+            }
+        );
+        assert_eq!(started.load(Ordering::Relaxed), 5);
+        assert_eq!(dropped.load(Ordering::Relaxed), 5, "every stack unwound");
+    }
+
+    #[test]
+    fn five_hundred_twelve_processors_ping_the_root() {
+        let out = Cluster::run(ClusterConfig::new(512), |p: &mut ProcHandle<Msg>| {
+            if p.id() == 0 {
+                (1..p.procs()).map(|_| p.recv().2).sum()
+            } else {
+                p.send(0, p.id() as u64, 8);
+                0
+            }
+        })
+        .unwrap();
+        assert_eq!(out.results[0], 511 * 512 / 2);
+        assert_eq!(out.messages_delivered, 511);
+    }
+
+    #[test]
+    fn a_body_may_use_a_megabyte_and_a_half_of_stack() {
+        // Recurses until the frames span 1.5 MiB, however large this
+        // build makes each one, suspending at the bottom so the switch
+        // happens with the stack that deep.
+        fn dive(p: &mut ProcHandle<Msg>, top: usize, depth: u64) -> u64 {
+            let pad = std::hint::black_box([depth as u8; 256]);
+            if top - (pad.as_ptr() as usize) < 3 << 19 {
+                dive(p, top, depth + 1) + u64::from(pad[17])
+            } else {
+                p.post_self(depth, 10);
+                p.recv().2
+            }
+        }
+        let out = Cluster::run(ClusterConfig::new(2), |p: &mut ProcHandle<Msg>| {
+            let top = 0u8;
+            dive(p, std::ptr::addr_of!(top) as usize, 0)
+        })
+        .unwrap();
+        assert!(out.results[0] > 0);
+        assert_eq!(out.results[0], out.results[1]);
+    }
+
+    /// A token ring with per-processor work: enough traffic that a run
+    /// sharing state with another would show it.
+    fn ring(procs: usize, laps: u64, mid_run: &(dyn Fn() + Sync)) -> (Vec<u64>, u64, u64) {
+        let out = Cluster::run(ClusterConfig::new(procs), |p: &mut ProcHandle<Msg>| {
+            let next = (p.id() + 1) % p.procs();
+            let mut seen = 0;
+            for lap in 0..laps {
+                if p.id() == 0 {
+                    p.send(next, lap, 8);
+                    seen += p.recv().2;
+                    if lap == laps / 2 {
+                        mid_run();
+                    }
+                } else {
+                    let (_, _, token) = p.recv();
+                    p.work(17 * p.id() as u64);
+                    seen += token;
+                    p.send(next, token + 1, 8);
+                }
+            }
+            seen ^ p.now().cycles()
+        })
+        .unwrap();
+        (
+            out.results,
+            out.finish_time.cycles(),
+            out.messages_delivered,
+        )
+    }
+
+    #[test]
+    fn runs_in_flight_on_two_threads_match_running_them_in_turn() {
+        let alone = [ring(5, 200, &|| ()), ring(3, 300, &|| ())];
+        // Each run stops halfway until the other has got there too, so
+        // both are mid-flight, on different threads, at the same time.
+        let halfway = std::sync::Barrier::new(2);
+        let meet = || {
+            halfway.wait();
+        };
+        let together = std::thread::scope(|s| {
+            let a = s.spawn(|| ring(5, 200, &meet));
+            let b = s.spawn(|| ring(3, 300, &meet));
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        assert_eq!(alone, together);
+    }
+
+    #[test]
+    fn a_processor_body_may_run_a_cluster_of_its_own() {
+        let flat = ring(3, 20, &|| ());
+        let out = Cluster::run(ClusterConfig::new(2), |p: &mut ProcHandle<Msg>| {
+            if p.id() == 0 {
+                p.send(1, 1, 8);
+            } else {
+                p.recv();
+            }
+            // The inner loop runs on this processor's stack, while the
+            // peer sits suspended in the outer run.
+            let inner = ring(3, 20, &|| ());
+            p.send(1 - p.id(), 2, 8);
+            p.recv();
+            inner
+        })
+        .unwrap();
+        assert_eq!(out.results, vec![flat.clone(), flat]);
+        assert_eq!(out.messages_delivered, 3);
     }
 }

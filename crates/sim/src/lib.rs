@@ -7,14 +7,37 @@
 //!
 //! # Determinism
 //!
-//! Each simulated processor runs on its own OS thread, but the scheduler
-//! delivers a pending message only when *every* processor thread is blocked
-//! (waiting to receive) or finished, and it always delivers the globally
-//! minimal event under the total order `(delivery time, source, per-source
-//! sequence number)`. A woken processor advances its clock to the delivery
-//! time before it can send again, so deliveries are nondecreasing in virtual
-//! time and the entire execution — every clock value, counter, and message —
-//! is a pure function of the program being simulated.
+//! The scheduler delivers a pending message only when *every* processor is
+//! suspended (waiting to receive) or finished, and it always delivers the
+//! globally minimal event under the total order `(delivery time, source,
+//! per-source sequence number)`. A resumed processor advances its clock to
+//! the delivery time before it can send again, so deliveries are
+//! nondecreasing in virtual time and the entire execution — every clock
+//! value, counter, and message — is a pure function of the program being
+//! simulated.
+//!
+//! # Execution model
+//!
+//! Since only one processor ever runs at a time, the processors are not
+//! threads. Each is a *stackful coroutine* — the closure given to
+//! [`Cluster::run`] on a 2 MiB stack of its own — and `Cluster::run` is a
+//! plain loop on the calling thread: pop the minimal event, put it in the
+//! destination's slot, switch to that coroutine until it suspends in
+//! [`ProcHandle::recv`]/[`ProcHandle::drain_recv`] or returns. A switch
+//! saves six registers and swaps the stack pointer; there is no lock, no
+//! condition variable and no system call on the event path. The closures
+//! stay ordinary blocking code (`p.recv()` anywhere, at any call depth),
+//! which is why the coroutines are stackful and not `async`: the same
+//! closures also run, unchanged, one OS thread each on the real-socket
+//! transport in `midway-net`.
+//!
+//! The switch and the stacks are the crate's only `unsafe`, confined to
+//! the private `coro` module behind a safe interface: a panic is caught on
+//! the stack that raised it and never crosses a switch; when a run fails,
+//! every suspended processor is resumed once to unwind and drop its locals
+//! before its stack is unmapped; every stack ends in a guard page, so an
+//! overflow faults instead of corrupting memory. The switch is written for
+//! x86-64 Linux, and the crate refuses to compile anywhere else.
 //!
 //! # Examples
 //!
@@ -41,6 +64,7 @@
 
 mod clock;
 mod cluster;
+mod coro;
 mod event;
 mod fault;
 mod net;

@@ -1,11 +1,20 @@
 //! The conservative virtual-time scheduler.
 //!
-//! Invariant: a pending event is delivered only when no processor thread is
-//! `Running`, and the event chosen is the global minimum under
-//! `(delivery time, src, seq)`. Because a woken processor first advances its
-//! clock to the delivery time, every event it subsequently posts is later
-//! than anything already delivered, so deliveries are nondecreasing in
-//! virtual time and the execution is deterministic.
+//! Invariant: a pending event is delivered only when no processor is
+//! runnable, and the event chosen is the global minimum under
+//! `(delivery time, src, seq)`. Because a resumed processor first advances
+//! its clock to the delivery time, every event it subsequently posts is
+//! later than anything already delivered, so deliveries are nondecreasing
+//! in virtual time and the execution is deterministic.
+//!
+//! Every simulated processor is a [`Coroutine`] and [`Scheduler::run`] is
+//! the one event loop that resumes them, on the thread that called
+//! [`Cluster::run`](crate::Cluster::run). A processor runs until it
+//! suspends in [`Scheduler::block_recv`] or returns; only then does the
+//! loop look at the queue, so the invariant holds by construction — there
+//! is no count of running processors to keep, and nothing here is shared
+//! between threads: the state sits in a `RefCell` that is never borrowed
+//! across a switch.
 //!
 //! Two scale-out refinements keep the dispatch path O(log queue) instead of
 //! O(procs):
@@ -16,14 +25,14 @@
 //!   report is built lazily from the index only after a deadlock has been
 //!   detected, and quiescence walks exactly the drainers instead of
 //!   scanning every processor's state.
-//! * Event batching. When consecutive heap minima are addressed to the
+//! * Event batching. When consecutive queue minima are addressed to the
 //!   same processor at the same instant, they are delivered as one batch
 //!   and drained by the destination across successive `recv`s without
-//!   rendezvousing with the scheduler in between. Batching only events
-//!   with `src <= dst` keeps the schedule identical to one-at-a-time
-//!   delivery: anything the woken processor posts sorts at
-//!   `(t', dst, fresh seq)` with `t' >= t`, which the heap orders after
-//!   every batched `(t, src <= dst, older seq)` entry.
+//!   going back to the loop in between. Batching only events with
+//!   `src <= dst` keeps the schedule identical to one-at-a-time delivery:
+//!   anything the resumed processor posts sorts at `(t', dst, fresh seq)`
+//!   with `t' >= t`, which the queue orders after every batched
+//!   `(t, src <= dst, older seq)` entry.
 //!
 //! Two host-allocation refinements ride along (see [`crate::queue`] for the
 //! event store itself): pending events live in a calendar ring instead of a
@@ -32,9 +41,10 @@
 //! [`SchedStats`] counts what each path did, purely for host-side perf
 //! attribution — none of it feeds virtual time.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
+use crate::coro::{self, Coroutine};
 use crate::event::Event;
 use crate::queue::EventQueue;
 use crate::time::VirtualTime;
@@ -48,10 +58,11 @@ const SPARE_CAP: usize = 64;
 pub struct SchedStats {
     /// Events delivered to destination slots.
     pub delivered: u64,
-    /// Scheduler rendezvous (dispatch calls that delivered something).
+    /// Dispatches that delivered something (one resume of the destination
+    /// each).
     pub dispatches: u64,
     /// Events delivered as batch extras — beyond the first of each batch,
-    /// so consumed without a scheduler rendezvous.
+    /// so consumed without going back to the event loop.
     pub batched: u64,
     /// Queue pops served by the calendar ring.
     pub near_pops: u64,
@@ -63,22 +74,22 @@ pub struct SchedStats {
 
 /// Lifecycle state of a simulated processor.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ProcState {
-    /// The processor's thread is executing (compute or sends).
+enum ProcState {
+    /// Runnable: executing now, or about to be resumed with a delivery.
     Running,
-    /// Blocked in `recv`: it must receive a message to make progress.
+    /// Suspended in `recv`: it must receive a message to make progress.
     Blocked,
-    /// Blocked in `drain_recv`: it accepts messages but may also be released
-    /// when the whole cluster quiesces.
+    /// Suspended in `drain_recv`: it accepts messages but may also be
+    /// released when the whole cluster quiesces.
     Draining,
-    /// The processor's thread has finished.
+    /// The processor's closure has returned or unwound.
     Done,
 }
 
 /// An indexed set of processor ids: O(1) insert, O(1) remove, O(members)
 /// iteration. `pos[p]` is `p`'s index in `members`, or `usize::MAX` when
 /// absent; removal swap-removes, so iteration order is arbitrary.
-pub(crate) struct ProcSet {
+struct ProcSet {
     members: Vec<usize>,
     pos: Vec<usize>,
 }
@@ -122,9 +133,9 @@ impl ProcSet {
     }
 }
 
-/// What the scheduler left in a processor's mailbox: a batch of
+/// What the event loop left in a processor's mailbox: a batch of
 /// ready-to-consume deliveries, drained front-to-back.
-pub(crate) enum Slot<M> {
+enum Slot<M> {
     Empty,
     Msgs(VecDeque<(VirtualTime, usize, M)>),
     /// The cluster has quiesced; a draining processor may finish.
@@ -149,14 +160,13 @@ pub(crate) enum Poison {
     App { proc: usize, message: String },
 }
 
-pub(crate) struct SchedInner<M> {
-    pub procs: Vec<ProcState>,
-    pub running: usize,
-    pub queue: EventQueue<M>,
-    pub slots: Vec<Slot<M>>,
-    pub poison: Option<Poison>,
-    pub delivered: u64,
-    /// Dispatches that delivered a batch (scheduler rendezvous count).
+struct SchedInner<M> {
+    procs: Vec<ProcState>,
+    queue: EventQueue<M>,
+    slots: Vec<Slot<M>>,
+    poison: Option<Poison>,
+    delivered: u64,
+    /// Dispatches that delivered a batch.
     dispatches: u64,
     /// Events delivered beyond the first of their batch.
     batched: u64,
@@ -170,39 +180,20 @@ pub(crate) struct SchedInner<M> {
     draining: ProcSet,
 }
 
-/// The scheduler: one shared state mutex plus **one condvar per
-/// processor**. Exactly one thread ever waits on `cvs[i]` — processor
-/// `i`'s own — so delivering an event wakes only its destination
-/// (`notify_one` on that slot) instead of storming every blocked thread
-/// through a global condvar. On a host with fewer cores than simulated
-/// processors the global-notify design made every delivery pay `procs`
-/// wakeups and `procs` mutex reacquisitions; the per-processor slots cut
-/// that to one.
+/// The scheduler: the cluster's state plus the event loop that owns the
+/// processors' coroutines. Processors reach it through a shared `Rc`;
+/// every method borrows the state for the length of the call only and
+/// never across [`coro::suspend`], so the loop and the one running
+/// processor never hold it at once.
 pub(crate) struct Scheduler<M> {
-    pub inner: Mutex<SchedInner<M>>,
-    cvs: Vec<Condvar>,
+    inner: RefCell<SchedInner<M>>,
 }
 
 impl<M> Scheduler<M> {
-    /// Locks the shared state. An application panic unwinds through
-    /// `catch_unwind` without holding this mutex (the guard is released
-    /// before the closure runs), so std's poison flag carries no
-    /// information here — application failures are reported through
-    /// [`Poison`] instead, and a poisoned guard is simply recovered.
-    fn lock(&self) -> MutexGuard<'_, SchedInner<M>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Snapshot of the abort condition, if any (for the driver thread).
-    pub fn poison(&self) -> Option<Poison> {
-        self.lock().poison.clone()
-    }
-
     pub fn new(procs: usize) -> Scheduler<M> {
         Scheduler {
-            inner: Mutex::new(SchedInner {
+            inner: RefCell::new(SchedInner {
                 procs: vec![ProcState::Running; procs],
-                running: procs,
                 queue: EventQueue::new(),
                 slots: (0..procs).map(|_| Slot::Empty).collect(),
                 poison: None,
@@ -214,144 +205,142 @@ impl<M> Scheduler<M> {
                 blocked: ProcSet::new(procs),
                 draining: ProcSet::new(procs),
             }),
-            cvs: (0..procs).map(|_| Condvar::new()).collect(),
         }
     }
 
-    /// Queues an in-flight message. Called only by a `Running` thread, so no
-    /// dispatch can be due yet.
-    pub fn post(&self, ev: Event<M>) {
-        let mut inner = self.lock();
-        inner.queue.push(ev);
+    /// The event loop. `procs[i]` is processor `i`'s coroutine, not yet
+    /// started; returns once every one of them has finished.
+    ///
+    /// Processors are started in id order and each runs to its first
+    /// suspension before the next starts. No event is delivered until all
+    /// have, so the start order cannot reach the results. From then on:
+    /// pick the next delivery, resume its destination, repeat — until the
+    /// cluster quiesces or is poisoned. Either way every processor that is
+    /// still suspended is then resumed exactly once, in id order. After
+    /// quiescence those are the drainers, each finding `Slot::Quiesce`.
+    /// After poison its `block_recv` returns the poison, the caller
+    /// unwinds its own stack and its locals drop. (A processor never
+    /// suspends once the poison is set — `block_recv` checks first — and
+    /// must not receive again after quiescence, so one resume each
+    /// finishes everyone.)
+    pub fn run(&self, procs: &mut [Coroutine<'_>]) {
+        for p in procs.iter_mut() {
+            p.resume();
+        }
+        loop {
+            // A statement of its own: the borrow must end before a resume.
+            let next = self.inner.borrow_mut().dispatch();
+            let Some(dst) = next else { break };
+            procs[dst].resume();
+        }
+        for p in procs.iter_mut().filter(|p| !p.is_done()) {
+            p.resume();
+        }
+        debug_assert!(procs.iter().all(Coroutine::is_done));
     }
 
-    /// Blocks processor `me` until a message arrives (or, when `draining`,
-    /// until the cluster quiesces). Returns `Ok(None)` only on quiescence.
+    /// Snapshot of the abort condition, if any.
+    pub fn poison(&self) -> Option<Poison> {
+        self.inner.borrow().poison.clone()
+    }
+
+    /// Queues an in-flight message. Called only by the running processor,
+    /// so no dispatch can be due yet.
+    pub fn post(&self, ev: Event<M>) {
+        self.inner.borrow_mut().queue.push(ev);
+    }
+
+    /// Suspends processor `me` until a message arrives (or, when
+    /// `draining`, until the cluster quiesces). Returns `Ok(None)` only on
+    /// quiescence. Must be called from `me`'s own coroutine.
     ///
     /// When a prior dispatch left a batch in this processor's slot, the
-    /// next delivery is consumed immediately — the thread stays `Running`
-    /// and never rendezvouses with the scheduler.
+    /// next delivery is consumed immediately — the processor stays
+    /// `Running` and never goes back to the event loop.
     pub fn block_recv(
         &self,
         me: usize,
         draining: bool,
     ) -> Result<Option<(VirtualTime, usize, M)>, Poison> {
-        let mut inner = self.lock();
-        debug_assert_eq!(inner.procs[me], ProcState::Running);
-        if let Some(p) = &inner.poison {
-            return Err(p.clone());
-        }
-        if let Some(m) = Self::take_from_slot(&mut inner, me) {
-            return Ok(Some(m));
-        }
-        inner.running -= 1;
-        if draining {
-            inner.procs[me] = ProcState::Draining;
-            inner.draining.insert(me);
-        } else {
-            inner.procs[me] = ProcState::Blocked;
-            inner.blocked.insert(me);
-        }
-        if inner.running == 0 {
-            self.dispatch(&mut inner);
-        }
-        loop {
+        {
+            let mut inner = self.inner.borrow_mut();
+            debug_assert_eq!(inner.procs[me], ProcState::Running);
             if let Some(p) = &inner.poison {
                 return Err(p.clone());
             }
-            if let Slot::Quiesce = inner.slots[me] {
-                debug_assert!(draining);
-                inner.slots[me] = Slot::Empty;
-                return Ok(None);
-            }
-            if let Some(m) = Self::take_from_slot(&mut inner, me) {
-                debug_assert_eq!(inner.procs[me], ProcState::Running);
+            if let Some(m) = inner.take_from_slot(me) {
                 return Ok(Some(m));
             }
-            // Waiting on this processor's own slot: only a delivery
-            // addressed here (or poison/quiesce) wakes this thread.
-            inner = self.cvs[me]
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Pops the next delivery from `me`'s slot batch, normalizing an
-    /// emptied batch back to `Empty` and parking its deque on the
-    /// freelist for the next dispatch.
-    fn take_from_slot(inner: &mut SchedInner<M>, me: usize) -> Option<(VirtualTime, usize, M)> {
-        let Slot::Msgs(q) = &mut inner.slots[me] else {
-            return None;
-        };
-        let m = q.pop_front();
-        if q.is_empty() {
-            let Slot::Msgs(q) = std::mem::replace(&mut inner.slots[me], Slot::Empty) else {
-                unreachable!("slot kind checked above")
-            };
-            if inner.spare.len() < SPARE_CAP {
-                inner.spare.push(q);
+            if draining {
+                inner.procs[me] = ProcState::Draining;
+                inner.draining.insert(me);
+            } else {
+                inner.procs[me] = ProcState::Blocked;
+                inner.blocked.insert(me);
             }
         }
-        m
+        // The loop resumes this coroutine for exactly one of three
+        // reasons, checked in this order below.
+        coro::suspend();
+        let mut inner = self.inner.borrow_mut();
+        if let Some(p) = &inner.poison {
+            return Err(p.clone());
+        }
+        if let Slot::Quiesce = inner.slots[me] {
+            debug_assert!(draining);
+            inner.slots[me] = Slot::Empty;
+            return Ok(None);
+        }
+        debug_assert_eq!(inner.procs[me], ProcState::Running);
+        let m = inner.take_from_slot(me);
+        Ok(Some(m.expect(
+            "resumed with neither delivery, quiesce nor poison",
+        )))
     }
 
     /// Marks `me` finished. Valid from `Running` (closure returned without
     /// draining) or `Draining` (released by quiescence).
     pub fn finish(&self, me: usize) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         match inner.procs[me] {
             ProcState::Running => {
                 // A leftover batched delivery is a message to a finished
-                // processor, exactly as if it were still in the heap.
+                // processor, exactly as if it were still in the queue.
                 if let Slot::Msgs(q) = &inner.slots[me] {
-                    if let Some(&(_, src, _)) = q.front() {
-                        self.poison_locked(&mut inner, Poison::MessageToFinished { src, dst: me });
-                        return;
+                    if let Some(src) = q.front().map(|m| m.1) {
+                        inner.set_poison(Poison::MessageToFinished { src, dst: me });
                     }
                 }
-                inner.running -= 1;
-                inner.procs[me] = ProcState::Done;
-                if inner.running == 0 {
-                    self.dispatch(&mut inner);
-                }
             }
-            ProcState::Draining => {
-                // Already excluded from `running` by `block_recv`. The
-                // quiescence decision does not need re-evaluation: it fires
-                // only once all drainers are released together.
-                inner.draining.remove(me);
-                inner.procs[me] = ProcState::Done;
-            }
+            // Released by quiescence: the decision is not re-evaluated,
+            // all drainers are released together.
+            ProcState::Draining => inner.draining.remove(me),
             s => panic!("finish() from invalid state {s:?}"),
         }
+        inner.procs[me] = ProcState::Done;
     }
 
-    /// Records a fatal condition and wakes every waiter.
+    /// Records a fatal condition; the first one wins. The event loop
+    /// notices once the calling processor hands control back.
     pub fn set_poison(&self, p: Poison) {
-        let mut inner = self.lock();
-        self.poison_locked(&mut inner, p);
+        self.inner.borrow_mut().set_poison(p);
     }
 
     /// Marks `me` dead after a panic and poisons the cluster.
     pub fn abandon(&self, me: usize, message: String) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         match inner.procs[me] {
-            ProcState::Running => inner.running -= 1,
             ProcState::Blocked => inner.blocked.remove(me),
             ProcState::Draining => inner.draining.remove(me),
-            ProcState::Done => {}
+            ProcState::Running | ProcState::Done => {}
         }
         inner.procs[me] = ProcState::Done;
-        self.poison_locked(&mut inner, Poison::Panic { proc: me, message });
-    }
-
-    pub fn delivered(&self) -> u64 {
-        self.lock().delivered
+        inner.set_poison(Poison::Panic { proc: me, message });
     }
 
     /// Snapshot of the host-side attribution counters.
     pub fn stats(&self) -> SchedStats {
-        let inner = self.lock();
+        let inner = self.inner.borrow();
         SchedStats {
             delivered: inner.delivered,
             dispatches: inner.dispatches,
@@ -361,108 +350,102 @@ impl<M> Scheduler<M> {
             deques_recycled: inner.recycled,
         }
     }
+}
 
-    /// Records a fatal condition (first poison wins) and wakes every
-    /// waiter — each processor's condvar is notified exactly once, not
-    /// `procs` redundant broadcasts.
-    fn poison_locked(&self, inner: &mut SchedInner<M>, p: Poison) {
-        if inner.poison.is_none() {
-            inner.poison = Some(p);
-        }
-        for cv in &self.cvs {
-            cv.notify_one();
+impl<M> SchedInner<M> {
+    fn set_poison(&mut self, p: Poison) {
+        if self.poison.is_none() {
+            self.poison = Some(p);
         }
     }
 
-    /// Delivers the minimal pending event — plus every consecutive heap
-    /// minimum for the same destination at the same instant — or detects
-    /// deadlock/quiescence. Must be called with `running == 0`.
+    /// Pops the next delivery from `me`'s slot batch, normalizing an
+    /// emptied batch back to `Empty` and parking its deque on the
+    /// freelist for the next dispatch.
+    fn take_from_slot(&mut self, me: usize) -> Option<(VirtualTime, usize, M)> {
+        let Slot::Msgs(q) = &mut self.slots[me] else {
+            return None;
+        };
+        let m = q.pop_front();
+        if q.is_empty() {
+            let Slot::Msgs(q) = std::mem::replace(&mut self.slots[me], Slot::Empty) else {
+                unreachable!("slot kind checked above")
+            };
+            if self.spare.len() < SPARE_CAP {
+                self.spare.push(q);
+            }
+        }
+        m
+    }
+
+    /// Delivers the minimal pending event — plus every consecutive queue
+    /// minimum for the same destination at the same instant — and returns
+    /// the destination to resume; or detects deadlock/quiescence and
+    /// returns `None`: the run is over bar resuming whoever is still
+    /// suspended. Called by the loop only, so no processor is runnable.
     ///
-    /// The hot path — a batch delivered to a blocked destination —
-    /// allocates only the batch deque and wakes exactly one thread. The
-    /// deadlock report (which allocates and sorts) is built from the
-    /// blocked index only in the empty-queue arm, after the deadlock has
-    /// actually been detected.
-    fn dispatch(&self, inner: &mut SchedInner<M>) {
-        debug_assert_eq!(inner.running, 0);
-        if inner.poison.is_some() {
-            for cv in &self.cvs {
-                cv.notify_one();
-            }
-            return;
+    /// The hot path — a batch delivered to a suspended destination —
+    /// allocates at most the batch deque. The deadlock report (which
+    /// allocates and sorts) is built from the blocked index only in the
+    /// empty-queue arm, after the deadlock has actually been detected.
+    fn dispatch(&mut self) -> Option<usize> {
+        if self.poison.is_some() {
+            return None;
         }
-        match inner.queue.pop() {
-            Some(ev) => match inner.procs[ev.dst] {
-                ProcState::Blocked | ProcState::Draining => {
-                    let dst = ev.dst;
-                    let at = ev.deliver_at;
-                    let mut batch = if let Some(q) = inner.spare.pop() {
-                        inner.recycled += 1;
-                        q
-                    } else {
-                        VecDeque::with_capacity(1)
-                    };
-                    batch.push_back((ev.deliver_at, ev.src, ev.msg));
-                    // Batch every consecutive minimum bound for the same
-                    // slot at the same instant. `src <= dst` keeps the
-                    // order identical to one-at-a-time delivery: whatever
-                    // the destination posts once woken carries a fresh
-                    // (higher) sequence number from `src == dst` at a time
-                    // `>= at`, which sorts after everything taken here.
-                    while let Some(next) = inner.queue.peek() {
-                        if next.dst != dst || next.deliver_at != at || next.src > dst {
-                            break;
-                        }
-                        let Some(n) = inner.queue.pop() else {
-                            unreachable!("peeked event vanished")
-                        };
-                        batch.push_back((n.deliver_at, n.src, n.msg));
-                    }
-                    inner.delivered += batch.len() as u64;
-                    inner.dispatches += 1;
-                    inner.batched += batch.len() as u64 - 1;
-                    inner.slots[dst] = Slot::Msgs(batch);
-                    if inner.procs[dst] == ProcState::Blocked {
-                        inner.blocked.remove(dst);
-                    } else {
-                        inner.draining.remove(dst);
-                    }
-                    inner.procs[dst] = ProcState::Running;
-                    inner.running = 1;
-                    // Targeted wakeup: only the destination has anything
-                    // to do. If the destination is the caller itself it
-                    // has not started waiting yet; it re-checks its slot
-                    // before sleeping, so the notify is not needed there.
-                    self.cvs[dst].notify_one();
-                }
-                ProcState::Done => {
-                    self.poison_locked(
-                        inner,
-                        Poison::MessageToFinished {
-                            src: ev.src,
-                            dst: ev.dst,
-                        },
-                    );
-                }
-                // `running == 0` rules this out.
-                ProcState::Running => unreachable!("running proc while dispatching"),
-            },
-            None => {
-                if !inner.blocked.is_empty() {
-                    // Stuck: build the report lazily, off the index.
-                    let blocked = inner.blocked.sorted();
-                    self.poison_locked(inner, Poison::Deadlock { blocked });
-                } else {
-                    // Everyone is Draining or Done and nothing is in
-                    // flight: release the drainers — and wake only them.
-                    for i in 0..inner.draining.members.len() {
-                        let p = inner.draining.members[i];
-                        inner.slots[p] = Slot::Quiesce;
-                        self.cvs[p].notify_one();
-                    }
+        let Some(ev) = self.queue.pop() else {
+            if !self.blocked.is_empty() {
+                // Stuck: build the report lazily, off the index.
+                let blocked = self.blocked.sorted();
+                self.set_poison(Poison::Deadlock { blocked });
+            } else {
+                // Everyone is Draining or Done and nothing is in flight:
+                // release the drainers.
+                for &p in &self.draining.members {
+                    self.slots[p] = Slot::Quiesce;
                 }
             }
+            return None;
+        };
+        let dst = ev.dst;
+        match self.procs[dst] {
+            ProcState::Blocked => self.blocked.remove(dst),
+            ProcState::Draining => self.draining.remove(dst),
+            ProcState::Done => {
+                self.set_poison(Poison::MessageToFinished { src: ev.src, dst });
+                return None;
+            }
+            // The loop dispatches only once every processor has suspended.
+            ProcState::Running => unreachable!("runnable proc while dispatching"),
         }
+        let at = ev.deliver_at;
+        let mut batch = if let Some(q) = self.spare.pop() {
+            self.recycled += 1;
+            q
+        } else {
+            VecDeque::with_capacity(1)
+        };
+        batch.push_back((ev.deliver_at, ev.src, ev.msg));
+        // Batch every consecutive minimum bound for the same slot at the
+        // same instant. `src <= dst` keeps the order identical to
+        // one-at-a-time delivery: whatever the destination posts once
+        // resumed carries a fresh (higher) sequence number from
+        // `src == dst` at a time `>= at`, which sorts after everything
+        // taken here.
+        while let Some(next) = self.queue.peek() {
+            if next.dst != dst || next.deliver_at != at || next.src > dst {
+                break;
+            }
+            let Some(n) = self.queue.pop() else {
+                unreachable!("peeked event vanished")
+            };
+            batch.push_back((n.deliver_at, n.src, n.msg));
+        }
+        self.delivered += batch.len() as u64;
+        self.dispatches += 1;
+        self.batched += batch.len() as u64 - 1;
+        self.slots[dst] = Slot::Msgs(batch);
+        self.procs[dst] = ProcState::Running;
+        Some(dst)
     }
 }
 
@@ -470,6 +453,9 @@ impl<M> Scheduler<M> {
 mod tests {
     use super::*;
     use crate::time::VirtualTime;
+    use std::cell::Cell;
+
+    type Recv = Result<Option<(u64, usize, u32)>, Poison>;
 
     fn ev(src: usize, dst: usize, at: u64, seq: u64, msg: u32) -> Event<u32> {
         Event {
@@ -481,24 +467,58 @@ mod tests {
         }
     }
 
-    /// Deadlock through the per-proc wakeup path: the report lists only
-    /// the processors stuck in `recv`, not the drainers, and *every*
-    /// waiter — blocked and draining alike — is woken with the poison.
+    /// What one test processor does: a list of steps, then `finish`
+    /// unless a `recv` returned poison (the cluster body does the same:
+    /// an unwound processor never reports itself finished).
+    #[derive(Clone, Copy)]
+    enum Step {
+        Recv,
+        Drain,
+        Abandon(&'static str),
+    }
+
+    /// Runs one coroutine per script on the scheduler's own event loop and
+    /// returns what every `block_recv` returned, per processor.
+    fn run(sched: &Scheduler<u32>, scripts: &[&[Step]]) -> Vec<Vec<Recv>> {
+        let logs: Vec<RefCell<Vec<Recv>>> = scripts.iter().map(|_| RefCell::default()).collect();
+        let mut procs: Vec<Coroutine<'_>> = scripts
+            .iter()
+            .enumerate()
+            .map(|(me, script)| {
+                let log = &logs[me];
+                Coroutine::new(move || {
+                    for step in script.iter() {
+                        let got = match *step {
+                            Step::Recv => sched.block_recv(me, false),
+                            Step::Drain => sched.block_recv(me, true),
+                            Step::Abandon(why) => return sched.abandon(me, why.to_string()),
+                        };
+                        let got = got.map(|m| m.map(|(at, src, msg)| (at.cycles(), src, msg)));
+                        let poisoned = got.is_err();
+                        log.borrow_mut().push(got);
+                        if poisoned {
+                            return;
+                        }
+                    }
+                    sched.finish(me);
+                })
+            })
+            .collect();
+        sched.run(&mut procs);
+        drop(procs);
+        logs.into_iter().map(RefCell::into_inner).collect()
+    }
+
+    /// The report lists only the processors stuck in `recv`, not the
+    /// drainers, and *every* suspended processor — blocked and draining
+    /// alike — is resumed with the poison.
     #[test]
-    fn deadlock_wakes_blocked_and_draining_and_lists_only_blocked() {
-        let sched: Scheduler<u32> = Scheduler::new(3);
-        std::thread::scope(|s| {
-            let blocked = s.spawn(|| sched.block_recv(0, false));
-            let draining = s.spawn(|| sched.block_recv(1, true));
-            // Proc 2 finishes last: its transition to running == 0 with an
-            // empty queue is what detects the deadlock.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            sched.finish(2);
-            let b = blocked.join().unwrap();
-            let d = draining.join().unwrap();
-            assert_eq!(b, Err(Poison::Deadlock { blocked: vec![0] }));
-            assert_eq!(d, Err(Poison::Deadlock { blocked: vec![0] }));
-        });
+    fn deadlock_reaches_blocked_and_draining_and_lists_only_blocked() {
+        let sched = Scheduler::new(3);
+        // Proc 2 finishes at once: with it gone, nothing is in flight.
+        let got = run(&sched, &[&[Step::Recv], &[Step::Drain], &[]]);
+        let deadlock = Err(Poison::Deadlock { blocked: vec![0] });
+        assert_eq!(got, vec![vec![deadlock.clone()], vec![deadlock], vec![]]);
     }
 
     /// The deadlock report is sorted ascending no matter the order the
@@ -506,177 +526,176 @@ mod tests {
     /// order is arbitrary).
     #[test]
     fn deadlock_report_is_sorted() {
-        let sched: Scheduler<u32> = Scheduler::new(4);
-        std::thread::scope(|s| {
-            // Block in descending order so the raw index is reversed.
-            let w2 = s.spawn(|| sched.block_recv(2, false));
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            let w0 = s.spawn(|| sched.block_recv(0, false));
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            let w1 = s.spawn(|| sched.block_recv(1, false));
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            sched.finish(3);
-            for w in [w0, w1, w2] {
-                assert_eq!(
-                    w.join().unwrap(),
-                    Err(Poison::Deadlock {
-                        blocked: vec![0, 1, 2]
-                    })
-                );
-            }
+        let sched = Scheduler::new(4);
+        // All three block in id order; the one delivery takes 0 out of the
+        // index (swap-remove: [2, 1]) and 0 blocks again behind the others.
+        sched.post(ev(3, 0, 10, 0, 1));
+        let got = run(
+            &sched,
+            &[&[Step::Recv, Step::Recv], &[Step::Recv], &[Step::Recv], &[]],
+        );
+        assert_eq!(
+            sched.inner.borrow().blocked.members,
+            vec![2, 1, 0],
+            "the raw index is unsorted, so the report had to sort"
+        );
+        let deadlock = Err(Poison::Deadlock {
+            blocked: vec![0, 1, 2],
         });
+        assert_eq!(got[0], vec![Ok(Some((10, 3, 1))), deadlock.clone()]);
+        assert_eq!(got[1], vec![deadlock.clone()]);
+        assert_eq!(got[2], vec![deadlock]);
     }
 
-    /// Quiescence through the per-proc wakeup path: when every processor
-    /// is draining or done and nothing is in flight, the drainers are
-    /// released with `Ok(None)`.
+    /// When every processor is draining or done and nothing is in flight,
+    /// every drainer is released with `Ok(None)`.
     #[test]
     fn quiesce_releases_all_drainers() {
-        let sched: Scheduler<u32> = Scheduler::new(3);
-        std::thread::scope(|s| {
-            let a = s.spawn(|| sched.block_recv(0, true));
-            let b = s.spawn(|| sched.block_recv(1, true));
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            sched.finish(2);
-            assert_eq!(a.join().unwrap(), Ok(None));
-            assert_eq!(b.join().unwrap(), Ok(None));
-        });
+        let sched = Scheduler::new(3);
+        let got = run(&sched, &[&[Step::Drain], &[Step::Drain], &[]]);
+        assert_eq!(got, vec![vec![Ok(None)], vec![Ok(None)], vec![]]);
+        assert_eq!(sched.poison(), None);
     }
 
-    /// A delivery wakes only its destination: the other blocked processor
-    /// keeps waiting until its own message arrives, and delivery order
-    /// follows the `(time, src, seq)` queue order.
+    /// A delivery resumes only its destination: the other blocked
+    /// processor stays suspended until its own message is due, and
+    /// delivery order follows the `(time, src, seq)` queue order.
     #[test]
     fn delivery_targets_the_destination_slot() {
         let sched: Scheduler<u32> = Scheduler::new(3);
-        sched.post(ev(2, 0, 100, 0, 7));
         sched.post(ev(2, 1, 200, 1, 8));
-        std::thread::scope(|s| {
-            let p0 = s.spawn(|| {
-                let got = sched.block_recv(0, false);
-                sched.finish(0);
-                got
-            });
-            let p1 = s.spawn(|| {
-                let got = sched.block_recv(1, false);
-                sched.finish(1);
-                got
-            });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            sched.finish(2);
-            let (at0, src0, msg0) = p0.join().unwrap().unwrap().unwrap();
-            let (at1, src1, msg1) = p1.join().unwrap().unwrap().unwrap();
-            assert_eq!((at0.cycles(), src0, msg0), (100, 2, 7));
-            assert_eq!((at1.cycles(), src1, msg1), (200, 2, 8));
-        });
+        sched.post(ev(2, 0, 100, 0, 7));
+        // Each processor notes the order in which it got control back.
+        let order = RefCell::new(Vec::new());
+        let mut procs: Vec<Coroutine<'_>> = (0..3)
+            .map(|me| {
+                let (sched, order) = (&sched, &order);
+                Coroutine::new(move || {
+                    if me < 2 {
+                        let (at, src, msg) = sched.block_recv(me, false).unwrap().unwrap();
+                        order.borrow_mut().push((me, at.cycles(), src, msg));
+                    }
+                    sched.finish(me);
+                })
+            })
+            .collect();
+        sched.run(&mut procs);
+        assert_eq!(*order.borrow(), vec![(0, 100, 2, 7), (1, 200, 2, 8)]);
+        assert_eq!(sched.stats().dispatches, 2, "one resume per delivery");
+        assert_eq!(sched.poison(), None);
     }
 
     /// Same destination, same instant, `src <= dst`: the events are
     /// delivered as one batch and drained across successive `recv`s in
-    /// `(time, src, seq)` order, without the destination rendezvousing
-    /// with the scheduler in between.
+    /// `(time, src, seq)` order, without the destination going back to
+    /// the event loop in between.
     #[test]
     fn same_instant_events_drain_as_one_batch() {
-        let sched: Scheduler<u32> = Scheduler::new(3);
+        let sched = Scheduler::new(3);
         sched.post(ev(1, 2, 100, 0, 10));
         sched.post(ev(0, 2, 100, 1, 20));
         sched.post(ev(2, 2, 100, 2, 30)); // self-post: src == dst batches too
-        std::thread::scope(|s| {
-            let p2 = s.spawn(|| {
-                let mut got = Vec::new();
-                for _ in 0..3 {
-                    let (at, src, msg) = sched.block_recv(2, false).unwrap().unwrap();
-                    got.push((at.cycles(), src, msg));
-                }
-                sched.finish(2);
-                got
-            });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            sched.finish(0);
-            sched.finish(1);
-            let got = p2.join().unwrap();
-            // Heap order: (100, src 0) before (100, src 1) before (100, src 2).
-            assert_eq!(got, vec![(100, 0, 20), (100, 1, 10), (100, 2, 30)]);
-            assert_eq!(sched.delivered(), 3);
-            let stats = sched.stats();
-            assert_eq!(stats.delivered, 3);
-            assert_eq!(stats.dispatches, 1, "one rendezvous for the batch");
-            assert_eq!(stats.batched, 2, "two deliveries rode along");
-        });
+        let got = run(&sched, &[&[], &[], &[Step::Recv; 3]]);
+        // Queue order: (100, src 0) before (100, src 1) before (100, src 2).
+        assert_eq!(
+            got[2],
+            vec![
+                Ok(Some((100, 0, 20))),
+                Ok(Some((100, 1, 10))),
+                Ok(Some((100, 2, 30)))
+            ]
+        );
+        let stats = sched.stats();
+        assert_eq!(stats.delivered, 3);
+        assert_eq!(stats.dispatches, 1, "one resume for the batch");
+        assert_eq!(stats.batched, 2, "two deliveries rode along");
     }
 
     /// An emptied batch deque is parked on the freelist and reused by the
     /// next dispatch instead of being reallocated.
     #[test]
     fn drained_batch_deques_are_recycled() {
-        let sched: Scheduler<u32> = Scheduler::new(2);
+        let sched = Scheduler::new(2);
         sched.post(ev(0, 1, 50, 0, 1));
         sched.post(ev(0, 1, 150, 1, 2));
-        std::thread::scope(|s| {
-            let p1 = s.spawn(|| {
-                let a = sched.block_recv(1, false).unwrap().unwrap();
-                let b = sched.block_recv(1, false).unwrap().unwrap();
-                sched.finish(1);
-                (a.2, b.2)
-            });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            sched.finish(0);
-            assert_eq!(p1.join().unwrap(), (1, 2));
-            let stats = sched.stats();
-            assert_eq!(stats.dispatches, 2, "distinct instants: two dispatches");
-            assert_eq!(
-                stats.deques_recycled, 1,
-                "second dispatch reuses the first batch's deque"
-            );
-        });
+        let got = run(&sched, &[&[], &[Step::Recv; 2]]);
+        assert_eq!(got[1], vec![Ok(Some((50, 0, 1))), Ok(Some((150, 0, 2)))]);
+        let stats = sched.stats();
+        assert_eq!(stats.dispatches, 2, "distinct instants: two dispatches");
+        assert_eq!(
+            stats.deques_recycled, 1,
+            "second dispatch reuses the first batch's deque"
+        );
     }
 
     /// A processor that finishes with a batched delivery still pending is
     /// a message-to-finished fault, exactly as if the event were still in
-    /// the heap.
+    /// the queue.
     #[test]
     fn leftover_batch_at_finish_poisons() {
-        let sched: Scheduler<u32> = Scheduler::new(2);
+        let sched = Scheduler::new(2);
         sched.post(ev(0, 1, 50, 0, 1));
         sched.post(ev(0, 1, 50, 1, 2));
-        std::thread::scope(|s| {
-            let p1 = s.spawn(|| {
-                // Consume one of the two batched deliveries, then finish.
-                let _ = sched.block_recv(1, false).unwrap();
-                sched.finish(1);
-            });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            sched.finish(0);
-            p1.join().unwrap();
-            assert_eq!(
-                sched.poison(),
-                Some(Poison::MessageToFinished { src: 0, dst: 1 })
-            );
-        });
+        // Consume one of the two batched deliveries, then finish.
+        let got = run(&sched, &[&[], &[Step::Recv]]);
+        assert_eq!(got[1], vec![Ok(Some((50, 0, 1)))]);
+        assert_eq!(
+            sched.poison(),
+            Some(Poison::MessageToFinished { src: 0, dst: 1 })
+        );
     }
 
-    /// Poison set while waiters sit on their per-proc condvars reaches
-    /// every one of them (the no-notify-storm replacement for the old
-    /// global broadcast).
+    /// Poison set while processors sit suspended reaches every one of
+    /// them, blocked or draining, exactly once — and the processors that
+    /// had not started yet see it at their first `recv`.
     #[test]
-    fn poison_wakes_every_waiter_once() {
-        let sched: Scheduler<u32> = Scheduler::new(4);
-        std::thread::scope(|s| {
-            let sched = &sched;
-            let waiters: Vec<_> = (0..3)
-                .map(|me| s.spawn(move || sched.block_recv(me, me == 2)))
-                .collect();
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            sched.abandon(3, "unit-test poison".to_string());
-            for w in waiters {
-                match w.join().unwrap() {
-                    Err(Poison::Panic { proc: 3, message }) => {
-                        assert!(message.contains("unit-test poison"));
-                    }
-                    other => panic!("expected panic poison, got {other:?}"),
-                }
-            }
+    fn poison_reaches_every_suspended_processor_once() {
+        let sched = Scheduler::new(5);
+        let got = run(
+            &sched,
+            &[
+                &[Step::Recv, Step::Recv],
+                &[Step::Recv],
+                &[Step::Drain, Step::Drain],
+                &[Step::Abandon("unit-test poison")],
+                &[Step::Recv], // starts after 3 has poisoned the run
+            ],
+        );
+        let poison = Err(Poison::Panic {
+            proc: 3,
+            message: "unit-test poison".to_string(),
         });
+        for me in [0, 1, 2, 4] {
+            assert_eq!(got[me], vec![poison.clone()], "processor {me}");
+        }
+    }
+
+    /// The loop keeps no coroutine suspended: whatever ended the run,
+    /// every body has returned by the time `run` does, so every stack can
+    /// be unmapped.
+    #[test]
+    fn every_coroutine_has_finished_when_run_returns() {
+        let sched: Scheduler<u32> = Scheduler::new(3);
+        let live = Cell::new(0);
+        let mut procs: Vec<Coroutine<'_>> = (0..3)
+            .map(|me| {
+                let (sched, live) = (&sched, &live);
+                Coroutine::new(move || {
+                    live.set(live.get() + 1);
+                    let _ = sched.block_recv(me, me == 1);
+                    live.set(live.get() - 1);
+                })
+            })
+            .collect();
+        sched.run(&mut procs);
+        assert!(procs.iter().all(Coroutine::is_done));
+        assert_eq!(live.get(), 0);
+        assert_eq!(
+            sched.poison(),
+            Some(Poison::Deadlock {
+                blocked: vec![0, 2]
+            })
+        );
     }
 
     /// The indexed waiter set stays consistent through arbitrary

@@ -1,7 +1,7 @@
 //! Blast detector: the §3.5 strawman with no write detection at all.
 
 use midway_mem::Addr;
-use midway_proto::{blast, Binding, SeenToken, UpdateSet};
+use midway_proto::{blast, Binding, SeenToken, Unskipped, UpdateSet};
 use midway_sim::Category;
 
 use crate::msg::GrantPayload;
@@ -71,8 +71,8 @@ impl WriteDetector for BlastDetector {
         set
     }
 
-    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, set: &UpdateSet) {
-        let bytes = blast::apply(cx.store, set);
+    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
+        let bytes = blast::apply_items(cx.store, items);
         (cx.charge)(
             Category::WriteCollect,
             cx.cost.copy_cycles(bytes as usize, true),

@@ -11,7 +11,7 @@
 //! update sets, whatever mechanism detected the writes.
 
 use midway_mem::{Addr, MemClass, PageTable, EPOCH, PAGE_SHIFT, PAGE_SIZE};
-use midway_proto::{rt, vm, Binding, SeenToken, UpdateSet};
+use midway_proto::{rt, vm, Binding, SeenToken, Unskipped, UpdateItem, UpdateSet};
 use midway_sim::Category;
 
 use crate::msg::GrantPayload;
@@ -90,10 +90,14 @@ impl HybridDetector {
         }
     }
 
-    /// Applies an RT update set, additionally patching the twins of
+    /// Applies RT update items, additionally patching the twins of
     /// locally-dirty VM-mechanism pages so incoming data is not re-diffed
     /// as a local modification. Returns (RT apply result, twin bytes).
-    fn apply_set(&mut self, cx: &mut DetectCx<'_>, set: &UpdateSet) -> (rt::RtApply, u64) {
+    fn apply_set<'a>(
+        &mut self,
+        cx: &mut DetectCx<'_>,
+        items: impl IntoIterator<Item = &'a UpdateItem>,
+    ) -> (rt::RtApply, u64) {
         let pages = &mut self.pages;
         let policy = &self.policy;
         let mut twin_bytes = 0u64;
@@ -101,22 +105,27 @@ impl HybridDetector {
             cx.store,
             &mut self.dirty,
             &cx.spec.layout,
-            set,
+            items,
             |addr, data| {
                 let region = addr.region_index();
                 if policy[region] != Mechanism::Paging {
                     return;
                 }
-                // A chunk never crosses a cache line, and lines never cross
-                // pages, so one twin covers the whole chunk.
-                let page = addr.page_in_region();
-                if let Some(twin) = pages.twin_mut(region, page) {
-                    let start = addr.page_offset();
-                    let end = (start + data.len()).min(twin.len());
-                    if start < end {
-                        twin[start..end].copy_from_slice(&data[..end - start]);
-                        twin_bytes += (end - start) as u64;
+                // A run never leaves its region but may cross pages: patch
+                // twin by twin.
+                let mut pos = 0usize;
+                while pos < data.len() {
+                    let at = Addr(addr.raw() + pos as u64);
+                    let start = at.page_offset();
+                    let chunk = (PAGE_SIZE - start).min(data.len() - pos);
+                    if let Some(twin) = pages.twin_mut(region, at.page_in_region()) {
+                        let end = (start + chunk).min(twin.len());
+                        if start < end {
+                            twin[start..end].copy_from_slice(&data[pos..pos + (end - start)]);
+                            twin_bytes += (end - start) as u64;
+                        }
                     }
+                    pos += chunk;
                 }
             },
         );
@@ -211,7 +220,7 @@ impl WriteDetector for HybridDetector {
         else {
             panic!("non-RT grant on hybrid node");
         };
-        let (res, twin_bytes) = self.apply_set(cx, &set);
+        let (res, twin_bytes) = self.apply_set(cx, &set.items);
         (cx.charge)(
             Category::WriteCollect,
             res.dirtybits_updated * cx.cost.dirtybit_update
@@ -253,8 +262,8 @@ impl WriteDetector for HybridDetector {
         res.set
     }
 
-    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, set: &UpdateSet) {
-        let (res, twin_bytes) = self.apply_set(cx, set);
+    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
+        let (res, twin_bytes) = self.apply_set(cx, items);
         (cx.charge)(
             Category::WriteCollect,
             res.dirtybits_updated * cx.cost.dirtybit_update

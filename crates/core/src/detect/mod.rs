@@ -41,7 +41,7 @@
 //! routes through the registry and picks the new backend up for free.
 
 use midway_mem::{Addr, LocalStore};
-use midway_proto::{Binding, LamportClock, SeenToken, UpdateSet};
+use midway_proto::{Binding, LamportClock, SeenToken, Unskipped, UpdateSet};
 use midway_sim::Category;
 use midway_stats::CostModel;
 
@@ -150,8 +150,10 @@ pub trait WriteDetector {
         partitioned: bool,
     ) -> UpdateSet;
 
-    /// Applies the merged updates received at a barrier release.
-    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, set: &UpdateSet);
+    /// Applies the updates received at a barrier release: the items of
+    /// the episode's shared merged set that this processor did not
+    /// contribute itself, borrowed in place.
+    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>);
 
     /// Buffer-pool accounting: `(hits, misses)` — item buffers recycled
     /// from the detector's freelist vs. freshly allocated. Purely host-side

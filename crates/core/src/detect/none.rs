@@ -2,7 +2,7 @@
 //! consistency, no data motion.
 
 use midway_mem::Addr;
-use midway_proto::{Binding, SeenToken, UpdateSet};
+use midway_proto::{Binding, SeenToken, Unskipped, UpdateSet};
 
 use crate::msg::GrantPayload;
 
@@ -44,5 +44,5 @@ impl WriteDetector for NoneDetector {
         UpdateSet::new()
     }
 
-    fn apply_barrier(&mut self, _cx: &mut DetectCx<'_>, _set: &UpdateSet) {}
+    fn apply_barrier(&mut self, _cx: &mut DetectCx<'_>, _items: Unskipped<'_>) {}
 }

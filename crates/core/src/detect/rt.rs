@@ -1,7 +1,7 @@
 //! RT-DSM detector: compiler/runtime dirtybit templates (paper §3.1–§3.2).
 
 use midway_mem::{Addr, EPOCH};
-use midway_proto::{rt, Binding, SeenToken, UpdateSet};
+use midway_proto::{rt, Binding, SeenToken, Unskipped, UpdateSet};
 use midway_sim::Category;
 
 use crate::msg::GrantPayload;
@@ -149,8 +149,8 @@ impl WriteDetector for RtDetector {
         res.set
     }
 
-    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, set: &UpdateSet) {
-        let res = rt::apply(cx.store, &mut self.dirty, &cx.spec.layout, set);
+    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
+        let res = rt::apply_with(cx.store, &mut self.dirty, &cx.spec.layout, items, |_, _| {});
         (cx.charge)(
             Category::WriteCollect,
             res.dirtybits_updated * cx.cost.dirtybit_update

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use midway_mem::{Addr, LocalStore, PAGE_SHIFT, PAGE_SIZE};
-use midway_proto::{vm, Binding, SeenToken, Update, UpdateItem, UpdateSet};
+use midway_proto::{vm, Binding, SeenToken, Unskipped, Update, UpdateItem, UpdateSet};
 use midway_sim::Category;
 
 use crate::config::MidwayConfig;
@@ -127,7 +127,7 @@ impl WriteDetector for TwinAllDetector {
                     .map(|u| &u.set)
                     .chain(updates.iter().map(|u| &u.set))
                 {
-                    bytes += twin_all_apply(&mut self.twins, cx.store, cx.spec, set);
+                    bytes += twin_all_apply(&mut self.twins, cx.store, cx.spec, &set.items);
                 }
                 (cx.charge)(
                     Category::WriteCollect,
@@ -147,7 +147,7 @@ impl WriteDetector for TwinAllDetector {
                 }
             }
             GrantPayload::Flat { set, binding: sent } => {
-                let bytes = twin_all_apply(&mut self.twins, cx.store, cx.spec, &set);
+                let bytes = twin_all_apply(&mut self.twins, cx.store, cx.spec, &set.items);
                 (cx.charge)(
                     Category::WriteCollect,
                     cx.cost.copy_cycles(bytes as usize, true),
@@ -168,8 +168,8 @@ impl WriteDetector for TwinAllDetector {
         self.collect(cx, scan)
     }
 
-    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, set: &UpdateSet) {
-        let bytes = twin_all_apply(&mut self.twins, cx.store, cx.spec, set);
+    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
+        let bytes = twin_all_apply(&mut self.twins, cx.store, cx.spec, items);
         (cx.charge)(
             Category::WriteCollect,
             cx.cost.copy_cycles(bytes as usize, true),
@@ -247,14 +247,14 @@ fn twin_all_collect(
     set
 }
 
-fn twin_all_apply(
+fn twin_all_apply<'a>(
     twins: &mut HashMap<(usize, usize), Box<[u8]>>,
     store: &mut LocalStore,
     spec: &SystemSpec,
-    set: &UpdateSet,
+    items: impl IntoIterator<Item = &'a UpdateItem>,
 ) -> u64 {
     let mut bytes = 0;
-    for item in &set.items {
+    for item in items {
         store.write_bytes(Addr(item.addr), &item.data);
         bytes += item.data.len() as u64;
         // Patch twins so incoming data is not re-shipped as a local change

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use midway_mem::{Addr, MemClass, PageTable, PAGE_SHIFT, PAGE_SIZE};
-use midway_proto::{vm, Binding, SeenToken, Update, UpdateSet};
+use midway_proto::{vm, Binding, SeenToken, Unskipped, Update, UpdateSet};
 use midway_sim::Category;
 
 use crate::config::MidwayConfig;
@@ -243,8 +243,8 @@ impl WriteDetector for VmDetector {
         col.update
     }
 
-    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, set: &UpdateSet) {
-        let a = vm::apply(cx.store, &mut self.pages, set);
+    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
+        let a = vm::apply_items(cx.store, &mut self.pages, items);
         (cx.charge)(
             Category::WriteCollect,
             cx.cost.copy_cycles(a.bytes_applied as usize, true)

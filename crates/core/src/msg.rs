@@ -3,7 +3,8 @@
 use std::sync::Arc;
 
 use midway_proto::{
-    BarrierId, Binding, LockId, Mode, Update, UpdateSet, MSG_HEADER_BYTES, RELIABLE_HEADER_BYTES,
+    BarrierId, Binding, LockId, MaskedSet, Mode, Update, UpdateSet, MSG_HEADER_BYTES,
+    RELIABLE_HEADER_BYTES,
 };
 
 /// The data a grant carries, per backend.
@@ -133,18 +134,21 @@ pub enum DsmMsg {
     },
     /// Manager → processor: everyone arrived; here is everyone else's data.
     ///
-    /// Flat barriers ship each receiver its personalized set (merged minus
-    /// its own contribution); tree barriers ship every node the same fully
-    /// merged set, which each node filters locally. The `Arc` makes the
-    /// tree's fan-down — the same payload forwarded to up-to-`arity`
-    /// children per node — a pointer copy in the simulator's shared
-    /// address space; wire-size accounting still charges the full set per
-    /// hop.
+    /// Every release of an episode — flat or tree, to any receiver — shares
+    /// one merged set behind an `Arc`; "everyone else's" is a view, not a
+    /// copy. A flat manager sends each receiver the shared set masked by
+    /// that receiver's own addresses. A tree node forwards the whole set
+    /// (its children need all of it to forward in turn) and masks its own
+    /// addresses locally. Sizes, byte counters and copy charges are those
+    /// of the visible items only, so a flat release costs exactly what the
+    /// personalized set it stands for would; the socket codec writes only
+    /// the visible items, so that personalized set is also what travels on
+    /// a real wire, and a decoded release has nothing left to skip.
     BarrierRelease {
         /// The barrier.
         barrier: BarrierId,
-        /// The update payload (see above for flat vs tree contents).
-        set: Arc<UpdateSet>,
+        /// The shared merged set and the receiver's skip list.
+        set: MaskedSet,
         /// The sender's logical time.
         time: u64,
     },

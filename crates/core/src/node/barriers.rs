@@ -5,17 +5,26 @@
 //! [`BarrierShape`](crate::BarrierShape)):
 //!
 //! * **Flat** — every processor ships its updates to the manager, which
-//!   merges P arrivals and sends each processor a personalized release
-//!   (merged minus its own contribution). The historical protocol.
+//!   merges P arrivals and sends each processor a release. The historical
+//!   protocol.
 //! * **Tree** — processors form a combining tree rooted at the manager:
-//!   subtree contributions merge upward, the fully merged set fans
-//!   downward, and each node filters out its own contribution locally.
-//!   No node handles more than `arity` barrier messages per episode.
+//!   subtree contributions merge upward and the fully merged set fans
+//!   downward. No node handles more than `arity` barrier messages per
+//!   episode.
+//!
+//! Either way an episode's releases all share one merged set
+//! ([`MaskedSet`]): contributions move into the merge, only their
+//! *addresses* are kept, and each receiver applies the shared set in place
+//! while skipping the addresses it contributed itself. The flat manager
+//! attaches the receiver's skip list to the message (so the release is
+//! sized, charged and — on a real wire — encoded as the personalized set
+//! it stands for); a tree node takes the skip list from its own site.
+//! "Merged minus own" is never copied per processor.
 
 use std::sync::Arc;
 
 use midway_net::Transport;
-use midway_proto::{BarrierId, TreeStep, UpdateSet};
+use midway_proto::{BarrierId, MaskedSet, TreeStep, UpdateSet};
 use midway_sim::Category;
 
 use crate::detect::DetectCx;
@@ -33,7 +42,8 @@ impl DsmNode {
         let time = self.clock.now();
         match self.sites[idx] {
             BarrierCoord::Flat(_) => {
-                self.counters.data_bytes_sent += set.data_bytes();
+                let bytes = set.data_bytes();
+                self.counters.data_bytes_sent += bytes;
                 let mgr = self.cfg.home_map.barrier_manager(barrier, self.procs);
                 if mgr == self.me {
                     self.handle_barrier_arrive(h, barrier, self.me, set, time);
@@ -41,7 +51,7 @@ impl DsmNode {
                     // Packet construction for the shipped data.
                     h.charge(
                         Category::Protocol,
-                        self.cfg.cost.copy_cycles(set.data_bytes() as usize, true),
+                        self.cfg.cost.copy_cycles(bytes as usize, true),
                     );
                     self.link
                         .send(h, mgr, DsmMsg::BarrierArrive { barrier, set, time });
@@ -76,12 +86,20 @@ impl DsmNode {
             return UpdateSet::new();
         }
         let last_consist = b.last_consist;
-        with_detector!(self, h, |det, cx| det.collect_barrier(
+        let set = with_detector!(self, h, |det, cx| det.collect_barrier(
             &mut cx,
             &scan,
             last_consist,
             partitioned
-        ))
+        ));
+        // Not needed for correctness (merge and exclusion both cope with
+        // any order) but what keeps them on their linear paths.
+        debug_assert!(
+            set.items.windows(2).all(|w| w[0].addr < w[1].addr),
+            "{:?} collected a barrier set that is not strictly address-sorted",
+            self.cfg.backend
+        );
+        set
     }
 
     pub(super) fn handle_barrier_arrive<T: Transport<Msg = NetMsg>>(
@@ -108,24 +126,28 @@ impl DsmNode {
                 };
                 if let Some(release) = release {
                     let now = self.clock.tick();
-                    let mut own = UpdateSet::new();
-                    for (q, set) in release.per_proc.into_iter().enumerate() {
+                    let merged = Arc::new(release.merged);
+                    let mut own = None;
+                    for (q, skip) in release.own_addrs.into_iter().enumerate() {
+                        let set = MaskedSet::new(Arc::clone(&merged), skip);
                         if q == self.me {
-                            own = set;
+                            own = Some(set);
                         } else {
-                            self.counters.data_bytes_sent += set.data_bytes();
+                            let bytes = set.data_bytes();
+                            self.counters.data_bytes_sent += bytes;
                             h.charge(
                                 Category::Protocol,
-                                self.cfg.cost.copy_cycles(set.data_bytes() as usize, true),
+                                self.cfg.cost.copy_cycles(bytes as usize, true),
                             );
                             let msg = DsmMsg::BarrierRelease {
                                 barrier,
-                                set: Arc::new(set),
+                                set,
                                 time: now,
                             };
                             self.link.send(h, q, msg);
                         }
                     }
+                    let own = own.expect("the manager is one of the barrier's processors");
                     self.finish_barrier(h, barrier, &own, now);
                 }
             }
@@ -151,10 +173,11 @@ impl DsmNode {
         match step {
             TreeStep::Wait => {}
             TreeStep::SendUp { parent, set } => {
-                self.counters.data_bytes_sent += set.data_bytes();
+                let bytes = set.data_bytes();
+                self.counters.data_bytes_sent += bytes;
                 h.charge(
                     Category::Protocol,
-                    self.cfg.cost.copy_cycles(set.data_bytes() as usize, true),
+                    self.cfg.cost.copy_cycles(bytes as usize, true),
                 );
                 let time = self.clock.now();
                 self.link
@@ -164,18 +187,19 @@ impl DsmNode {
                 // The root: the whole cluster has arrived; start the
                 // fan-down with the fully merged set.
                 let now = self.clock.tick();
-                self.tree_fan_down(h, barrier, Arc::new(merged), now);
+                self.tree_fan_down(h, barrier, MaskedSet::whole(Arc::new(merged)), now);
             }
         }
     }
 
     /// One hop of the release fan-down: advance this node's site, forward
-    /// the merged set to its children, and apply the non-own subset.
+    /// the merged set to its children, and apply it minus this node's own
+    /// addresses.
     fn tree_fan_down<T: Transport<Msg = NetMsg>>(
         &mut self,
         h: &mut T,
         barrier: BarrierId,
-        set: Arc<UpdateSet>,
+        set: MaskedSet,
         time: u64,
     ) {
         let BarrierCoord::Tree(ref mut site) = self.sites[barrier.0 as usize] else {
@@ -184,28 +208,28 @@ impl DsmNode {
                 self.me
             ));
         };
-        let (children, local) = site.on_release(&set);
+        let (children, own_addrs) = site.release();
+        // Every child gets the same set: one size, one charge, reused.
+        let bytes = set.data_bytes();
+        let cycles = self.cfg.cost.copy_cycles(bytes as usize, true);
         for child in children {
-            self.counters.data_bytes_sent += set.data_bytes();
-            h.charge(
-                Category::Protocol,
-                self.cfg.cost.copy_cycles(set.data_bytes() as usize, true),
-            );
+            self.counters.data_bytes_sent += bytes;
+            h.charge(Category::Protocol, cycles);
             let msg = DsmMsg::BarrierRelease {
                 barrier,
-                set: Arc::clone(&set),
+                set: set.clone(),
                 time,
             };
             self.link.send(h, child, msg);
         }
-        self.finish_barrier(h, barrier, &local, time);
+        self.finish_barrier(h, barrier, &set.with_skip(own_addrs), time);
     }
 
     pub(super) fn handle_barrier_release<T: Transport<Msg = NetMsg>>(
         &mut self,
         h: &mut T,
         barrier: BarrierId,
-        set: Arc<UpdateSet>,
+        set: MaskedSet,
         time: u64,
     ) {
         match self.sites[barrier.0 as usize] {
@@ -220,11 +244,13 @@ impl DsmNode {
         }
     }
 
+    /// Applies a release's visible items — in place, out of the set every
+    /// receiver of the episode shares — and completes the episode.
     pub(super) fn finish_barrier<T: Transport<Msg = NetMsg>>(
         &mut self,
         h: &mut T,
         barrier: BarrierId,
-        set: &UpdateSet,
+        set: &MaskedSet,
         time: u64,
     ) {
         let idx = barrier.0 as usize;
@@ -232,12 +258,14 @@ impl DsmNode {
         if let Some(log) = &mut self.check {
             log.apply(h.now().cycles(), set.data_bytes());
         }
-        with_detector!(self, h, |det, cx| det.apply_barrier(&mut cx, set));
-        // Post-images of everything the detector just applied, read back
-        // from the store so replay reproduces exactly what memory holds.
-        for i in 0..set.items.len() {
-            let (addr, len) = (set.items[i].addr, set.items[i].data.len());
-            self.wal_write(h, midway_mem::Addr(addr), len);
+        with_detector!(self, h, |det, cx| det.apply_barrier(&mut cx, set.iter()));
+        if self.recovery.is_some() {
+            // Post-images of everything the detector just applied, read
+            // back from the store so replay reproduces exactly what memory
+            // holds.
+            for item in set.iter() {
+                self.wal_write(h, midway_mem::Addr(item.addr), item.data.len());
+            }
         }
         let node = &mut self.barriers[idx];
         node.episode += 1;
@@ -255,9 +283,144 @@ mod tests {
 
     use crate::api::Proc;
     use crate::config::{BackendKind, MidwayConfig};
+    use crate::counters::Counters;
     use crate::msg::DsmMsg;
-    use crate::run::Midway;
+    use crate::run::{Midway, MidwayRun};
     use crate::setup::SystemBuilder;
+
+    /// A barrier-phased program over a partitioned barrier: each
+    /// processor owns a chunk of a doubleword-line array (every other
+    /// element written, so lines never coalesce into one item) and of a
+    /// 64-byte-line array (a contiguous run, so they do), and reads its
+    /// neighbours' chunks between barriers.
+    fn run_partitioned(cfg: MidwayConfig) -> MidwayRun<u64> {
+        const CHUNK: usize = 128;
+        let procs = cfg.procs;
+        let mut b = SystemBuilder::new();
+        let fine = b.shared_array::<u64>("fine", procs * CHUNK, 1);
+        let wide = b.shared_array::<u64>("wide", procs * CHUNK, 8);
+        let parts = (0..procs)
+            .map(|p| {
+                let chunk = p * CHUNK..(p + 1) * CHUNK;
+                vec![fine.range(chunk.clone()), wide.range(chunk)]
+            })
+            .collect();
+        let bar = b.barrier_partitioned(vec![fine.full_range(), wide.full_range()], parts);
+        let spec = b.build();
+        Midway::run(cfg, &spec, |p: &mut Proc| {
+            let me = p.id();
+            let (left, right) = ((me + procs - 1) % procs, (me + 1) % procs);
+            let mut acc = 0u64;
+            for it in 1..=3u64 {
+                for i in (it as usize % 2..CHUNK).step_by(2) {
+                    p.write(&fine, me * CHUNK + i, (me as u64 + 1) * it + i as u64);
+                }
+                for i in 0..24 {
+                    p.write(&wide, me * CHUNK + 8 * it as usize + i, it ^ i as u64);
+                }
+                p.barrier(bar);
+                acc = acc
+                    .wrapping_mul(31)
+                    .wrapping_add(p.read(&fine, left * CHUNK + it as usize))
+                    .wrapping_add(p.read(&fine, right * CHUNK + CHUNK - 1 - it as usize % 2))
+                    .wrapping_add(p.read(&wide, left * CHUNK + 8 * it as usize + 3));
+                p.barrier(bar);
+            }
+            acc
+        })
+        .expect("partitioned-barrier run completes")
+    }
+
+    /// FNV-1a over the words' little-endian bytes.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let bytes: Vec<u8> = words.into_iter().flat_map(u64::to_le_bytes).collect();
+        crate::node::recover::fnv1a(&bytes)
+    }
+
+    /// (finish cycles, messages, FNV of the application results, of the
+    /// cluster-summed counters, of the per-processor store digests).
+    fn fingerprint(run: &MidwayRun<u64>) -> [u64; 5] {
+        let mut t = Counters::default();
+        for c in &run.counters {
+            t.add(c);
+        }
+        [
+            run.finish_time.cycles(),
+            run.messages,
+            fnv(run.results.iter().copied()),
+            fnv([
+                t.dirtybits_set,
+                t.dirtybits_misclassified,
+                t.clean_dirtybits_read,
+                t.dirty_dirtybits_read,
+                t.dirtybits_updated,
+                t.write_faults,
+                t.pages_diffed,
+                t.pages_write_protected,
+                t.twin_bytes_updated,
+                t.data_bytes_sent,
+                t.data_bytes_received,
+                t.redundant_bytes_received,
+                t.full_data_sends,
+                t.barrier_waits,
+                t.checkpoints_written,
+                t.checkpoint_bytes,
+                t.wal_bytes_logged,
+            ]),
+            fnv(run.store_digests.iter().copied()),
+        ]
+    }
+
+    /// The release path shares one merged set and skips own addresses in
+    /// place; virtual time, every counter and final memory must be what
+    /// the per-processor materialized sets gave. The values were recorded
+    /// by this same test at the commit before the change (8e7ced2).
+    #[test]
+    fn barrier_fingerprints_match_the_materializing_release() {
+        use BackendKind::*;
+        let flat = |b| MidwayConfig::new(8, b);
+        let tree = |b| MidwayConfig::new(64, b).tree_barriers(4);
+        // The two "logged" cells turn the write-ahead log on: it walks the
+        // applied items a second time.
+        #[rustfmt::skip]
+        let cells: [(&str, MidwayConfig, [u64; 5]); 14] = [
+            ("none flat 1p", MidwayConfig::standalone(),
+             [0x0, 0x0, 0x90e9ae28f3d01c05, 0xce45a120aa45c2c3, 0xd633aa5b278df3a6]),
+            ("none tree 1p", MidwayConfig::standalone().tree_barriers(4),
+             [0x0, 0x0, 0x90e9ae28f3d01c05, 0xce45a120aa45c2c3, 0xd633aa5b278df3a6]),
+            ("rt flat 8p", flat(Rt),
+             [0xb32a0, 0x54, 0x885ca74625827d14, 0x96e79468a252a49e, 0xcac1df87ef224145]),
+            ("vm flat 8p", flat(Vm),
+             [0xe7802, 0x54, 0x885ca74625827d14, 0xcc2f52309c80050d, 0xcac1df87ef224145]),
+            ("blast flat 8p", flat(Blast),
+             [0x10e89d, 0x54, 0x885ca74625827d14, 0xfbcecf724e488d35, 0xcac1df87ef224145]),
+            ("twinall flat 8p", flat(TwinAll),
+             [0xc5428, 0x54, 0x885ca74625827d14, 0x8d2760d94fc0f47d, 0xcac1df87ef224145]),
+            ("hybrid flat 8p", flat(Hybrid),
+             [0xb32a0, 0x54, 0x885ca74625827d14, 0x96e79468a252a49e, 0xcac1df87ef224145]),
+            ("rt tree 64p", tree(Rt),
+             [0x3a6691, 0x2f4, 0x4eee5f256a9f284, 0x4a154415beee678b, 0x3399aba4b06cbe25]),
+            ("vm tree 64p", tree(Vm),
+             [0x37d87b, 0x2f4, 0x4eee5f256a9f284, 0x7fbd4ab5d45cd12c, 0x3399aba4b06cbe25]),
+            ("blast tree 64p", tree(Blast),
+             [0xa0e8e8, 0x2f4, 0x4eee5f256a9f284, 0x275f25d7d92ebd48, 0x3399aba4b06cbe25]),
+            ("twinall tree 64p", tree(TwinAll),
+             [0x35b4a1, 0x2f4, 0x4eee5f256a9f284, 0x15e80caeed0926e, 0x3399aba4b06cbe25]),
+            ("hybrid tree 64p", tree(Hybrid),
+             [0x3e5aa2, 0x2f4, 0x4eee5f256a9f284, 0x4b1bf92ba40c8852, 0x3399aba4b06cbe25]),
+            ("rt flat 8p logged", flat(Rt).checkpoint_every(2),
+             [0xd94e7, 0x54, 0x885ca74625827d14, 0xf3b0abee1343b05b, 0xcac1df87ef224145]),
+            ("vm tree 64p logged", tree(Vm).checkpoint_every(2),
+             [0x49946e, 0x2f4, 0x4eee5f256a9f284, 0xc97893e4abd32a4e, 0x3399aba4b06cbe25]),
+        ];
+        let got: Vec<[u64; 5]> = cells
+            .iter()
+            .map(|(_, cfg, _)| fingerprint(&run_partitioned(*cfg)))
+            .collect();
+        for ((label, _, want), got_row) in cells.iter().zip(&got) {
+            assert_eq!(got_row, want, "{label}; all rows now: {got:#x?}");
+        }
+    }
 
     // These tests forge raw protocol messages through the node's link
     // layer — something no correct application can do through the public

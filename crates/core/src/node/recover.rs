@@ -423,7 +423,7 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);

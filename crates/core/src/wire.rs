@@ -13,7 +13,7 @@
 //! This encoding is merely how the bytes travel on the host.
 
 use midway_net::{put_bytes, put_u32, put_u64, Wire, WireError, WireReader};
-use midway_proto::{BarrierId, Binding, LockId, Mode, Update, UpdateItem, UpdateSet};
+use midway_proto::{BarrierId, Binding, LockId, MaskedSet, Mode, Update, UpdateItem, UpdateSet};
 
 use crate::msg::{DsmMsg, GrantPayload, NetMsg};
 
@@ -57,8 +57,18 @@ fn decode_binding(r: &mut WireReader) -> Result<Binding, WireError> {
 // about the `Wire` trait; the orphan rule keeps the impls out, so they
 // encode through free functions here.
 fn encode_set(set: &UpdateSet, out: &mut Vec<u8>) {
-    put_u32(out, set.items.len() as u32);
-    for item in &set.items {
+    encode_items(set.items.len(), &set.items, out);
+}
+
+/// Encodes `count` items as a set. A barrier release passes its visible
+/// items here, so what travels is the personalized set, skip list spent.
+fn encode_items<'a>(
+    count: usize,
+    items: impl IntoIterator<Item = &'a UpdateItem>,
+    out: &mut Vec<u8>,
+) {
+    put_u32(out, count as u32);
+    for item in items {
         put_u64(out, item.addr);
         put_u64(out, item.ts);
         put_bytes(out, &item.data);
@@ -238,7 +248,7 @@ impl Wire for DsmMsg {
                 out.push(5);
                 put_u32(out, barrier.0);
                 put_u64(out, *time);
-                encode_set(set, out);
+                encode_items(set.len(), set.iter(), out);
             }
         }
     }
@@ -273,7 +283,7 @@ impl Wire for DsmMsg {
             5 => Ok(DsmMsg::BarrierRelease {
                 barrier: BarrierId(r.u32("barrier")?),
                 time: r.u64("time")?,
-                set: std::sync::Arc::new(decode_set(r)?),
+                set: MaskedSet::whole(std::sync::Arc::new(decode_set(r)?)),
             }),
             t => Err(WireError(format!("unknown dsm tag {t}"))),
         }
@@ -406,7 +416,7 @@ mod tests {
                 epoch: 1,
                 msg: DsmMsg::BarrierRelease {
                     barrier: BarrierId(0),
-                    set: std::sync::Arc::new(UpdateSet::new()),
+                    set: MaskedSet::whole(std::sync::Arc::new(UpdateSet::new())),
                     time: 100,
                 },
             },
@@ -417,6 +427,49 @@ mod tests {
             // every field.
             assert_eq!(format!("{msg:?}"), format!("{back:?}"));
         }
+    }
+
+    #[test]
+    fn masked_release_travels_as_the_personalized_set() {
+        let shared = std::sync::Arc::new(UpdateSet {
+            items: (0..6u64)
+                .map(|i| UpdateItem {
+                    addr: 0x40_0000 + 8 * i,
+                    data: vec![i as u8; 1 + i as usize],
+                    ts: 10 + i,
+                })
+                .collect(),
+        });
+        let own = UpdateSet {
+            items: vec![shared.items[1].clone(), shared.items[4].clone()],
+        };
+        let release = |set: MaskedSet| {
+            NetMsg::Raw(DsmMsg::BarrierRelease {
+                barrier: BarrierId(3),
+                set,
+                time: 77,
+            })
+        };
+        let masked = release(MaskedSet::new(
+            std::sync::Arc::clone(&shared),
+            own.sorted_addrs(),
+        ));
+        let personalized = release(MaskedSet::whole(std::sync::Arc::new(
+            shared.excluding_addrs_of(&own),
+        )));
+        // Same bytes on the wire, same modelled sizes.
+        let bytes = encode_to_vec(&masked);
+        assert_eq!(bytes, encode_to_vec(&personalized));
+        assert_eq!(masked.wire_size(), personalized.wire_size());
+        // The receiver gets exactly the visible items and nothing to skip.
+        let NetMsg::Raw(DsmMsg::BarrierRelease { set, .. }) =
+            decode_exact::<NetMsg>(&bytes).expect("decodes")
+        else {
+            panic!("decoded to another variant");
+        };
+        assert!(set.skip().is_empty());
+        assert_eq!(set.len(), 4);
+        assert!(set.iter().eq(shared.excluding(&own.sorted_addrs())));
     }
 
     #[test]

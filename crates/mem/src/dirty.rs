@@ -92,6 +92,12 @@ impl DirtyBits {
         self.bits[line] = ts;
     }
 
+    /// The raw dirtybit values of `lines`, for a caller that tests and
+    /// stamps a run of lines in one pass (applying a multi-line update).
+    pub fn range_mut(&mut self, lines: std::ops::Range<usize>) -> &mut [u64] {
+        &mut self.bits[lines]
+    }
+
     /// Scans lines `range` on behalf of a requester that last saw time
     /// `last_seen`, lazily stamping freshly dirty lines with `now`.
     ///

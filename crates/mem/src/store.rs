@@ -39,6 +39,22 @@ impl LocalStore {
         self.regions.get(id).and_then(|r| r.as_deref())
     }
 
+    /// The used bytes of region `id`, materialized (zero-filled) on first
+    /// touch. A caller writing many pieces of one region resolves it once
+    /// here instead of once per piece through [`bytes_mut`](Self::bytes_mut).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout has no region `id`.
+    pub fn region_mut(&mut self, id: usize) -> &mut [u8] {
+        let used = self
+            .layout
+            .region(id)
+            .unwrap_or_else(|| panic!("no region {id}"))
+            .used;
+        self.regions[id].get_or_insert_with(|| vec![0u8; used].into_boxed_slice())
+    }
+
     /// Immutable bytes at `[addr, addr + len)`.
     ///
     /// # Panics

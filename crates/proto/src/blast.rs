@@ -10,7 +10,7 @@
 use midway_mem::{Addr, LocalStore};
 
 use crate::binding::Binding;
-use crate::update::UpdateSet;
+use crate::update::{UpdateItem, UpdateSet};
 
 /// Reads the full bound data (the entire payload of a blast transfer).
 pub fn snapshot(store: &mut LocalStore, binding: &Binding) -> UpdateSet {
@@ -19,8 +19,17 @@ pub fn snapshot(store: &mut LocalStore, binding: &Binding) -> UpdateSet {
 
 /// Applies a blast payload: plain writes, no bookkeeping.
 pub fn apply(store: &mut LocalStore, set: &UpdateSet) -> u64 {
+    apply_items(store, &set.items)
+}
+
+/// [`apply`] over any run of items (a whole set, or a barrier release's
+/// shared set minus the receiver's own addresses).
+pub fn apply_items<'a>(
+    store: &mut LocalStore,
+    items: impl IntoIterator<Item = &'a UpdateItem>,
+) -> u64 {
     let mut bytes = 0;
-    for item in &set.items {
+    for item in items {
         store.write_bytes(Addr(item.addr), &item.data);
         bytes += item.data.len() as u64;
     }

@@ -179,14 +179,32 @@ impl std::fmt::Display for BarrierError {
     }
 }
 
-/// What the barrier manager hands back when the last processor arrives.
+/// What the barrier manager hands back when the last processor arrives:
+/// one merged set for everyone, plus each processor's skip list.
 #[derive(Debug, PartialEq)]
 pub struct BarrierRelease {
     /// The episode that just completed.
     pub episode: u64,
-    /// Per-processor release payloads: the merged updates minus each
-    /// processor's own contribution.
-    pub per_proc: Vec<UpdateSet>,
+    /// Every processor's contribution, merged in arrival order.
+    pub merged: UpdateSet,
+    /// Per processor: the sorted addresses of its own contribution, which
+    /// its release skips ([`UpdateSet::excluding`]).
+    pub own_addrs: Vec<Vec<u64>>,
+}
+
+impl BarrierRelease {
+    /// Per-processor release payloads, materialized: the merged updates
+    /// minus each processor's own contribution. The oracle the skip-based
+    /// release is tested against.
+    #[cfg(test)]
+    pub(crate) fn per_proc(&self) -> Vec<UpdateSet> {
+        self.own_addrs
+            .iter()
+            .map(|skip| UpdateSet {
+                items: self.merged.excluding(skip).cloned().collect(),
+            })
+            .collect()
+    }
 }
 
 /// Manager-side state of one barrier.
@@ -197,7 +215,9 @@ pub struct BarrierSite {
     arrived: Vec<bool>,
     arrivals: usize,
     merged: UpdateSet,
-    contributions: Vec<UpdateSet>,
+    /// Per processor: the addresses it contributed this episode. The
+    /// contributions themselves move into `merged`.
+    own_addrs: Vec<Vec<u64>>,
 }
 
 impl BarrierSite {
@@ -209,7 +229,7 @@ impl BarrierSite {
             arrived: vec![false; procs],
             arrivals: 0,
             merged: UpdateSet::new(),
-            contributions: (0..procs).map(|_| UpdateSet::new()).collect(),
+            own_addrs: vec![Vec::new(); procs],
         }
     }
 
@@ -234,26 +254,23 @@ impl BarrierSite {
         }
         self.arrived[from] = true;
         self.arrivals += 1;
-        self.merged.merge_newer(update.clone());
-        self.contributions[from] = update;
+        self.own_addrs[from] = update.sorted_addrs();
+        self.merged.merge_newer(update);
         if self.arrivals < self.procs {
             return Ok(None);
         }
-        // Episode complete: build per-processor payloads and reset.
+        // Episode complete: hand out the merged set and reset.
         let merged = std::mem::take(&mut self.merged);
-        let contributions = std::mem::replace(
-            &mut self.contributions,
-            (0..self.procs).map(|_| UpdateSet::new()).collect(),
-        );
-        let per_proc = contributions
-            .iter()
-            .map(|own| merged.excluding_addrs_of(own))
-            .collect();
+        let own_addrs = std::mem::replace(&mut self.own_addrs, vec![Vec::new(); self.procs]);
         let episode = self.episode;
         self.episode += 1;
         self.arrived.fill(false);
         self.arrivals = 0;
-        Ok(Some(BarrierRelease { episode, per_proc }))
+        Ok(Some(BarrierRelease {
+            episode,
+            merged,
+            own_addrs,
+        }))
     }
 }
 
@@ -471,10 +488,11 @@ mod tests {
             .expect("last arrival releases");
         assert_eq!(rel.episode, 0);
         // Each processor receives the others' updates, not its own.
-        assert_eq!(rel.per_proc[0].items.len(), 1);
-        assert_eq!(rel.per_proc[0].items[0].addr, 8);
-        assert_eq!(rel.per_proc[1].items.len(), 2);
-        assert_eq!(rel.per_proc[2].items[0].addr, 0);
+        let per_proc = rel.per_proc();
+        assert_eq!(per_proc[0].items.len(), 1);
+        assert_eq!(per_proc[0].items[0].addr, 8);
+        assert_eq!(per_proc[1].items.len(), 2);
+        assert_eq!(per_proc[2].items[0].addr, 0);
         // Ready for the next episode.
         assert_eq!(b.episode(), 1);
         assert!(b
@@ -508,10 +526,11 @@ mod tests {
             .arrive(2, UpdateSet::new())
             .expect("clean arrival")
             .expect("last arrival releases");
-        assert!(rel.per_proc[0].items.is_empty());
-        assert!(rel.per_proc[1].items.is_empty());
-        assert_eq!(rel.per_proc[2].items.len(), 1);
-        assert_eq!(rel.per_proc[2].items[0].ts, 9, "newest write wins");
+        let per_proc = rel.per_proc();
+        assert!(per_proc[0].items.is_empty());
+        assert!(per_proc[1].items.is_empty());
+        assert_eq!(per_proc[2].items.len(), 1);
+        assert_eq!(per_proc[2].items[0].ts, 9, "newest write wins");
     }
 
     #[test]

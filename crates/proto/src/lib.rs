@@ -50,4 +50,6 @@ pub use clock::LamportClock;
 pub use home::{BarrierError, BarrierSite, HomeLock, SeenToken, Transfer};
 pub use sync_id::{BarrierId, HomeMap, LockId, Mode};
 pub use tree::{TreeSite, TreeStep, TreeTopology};
-pub use update::{Update, UpdateItem, UpdateSet, ITEM_HEADER_BYTES, MSG_HEADER_BYTES};
+pub use update::{
+    MaskedSet, Unskipped, Update, UpdateItem, UpdateSet, ITEM_HEADER_BYTES, MSG_HEADER_BYTES,
+};

@@ -137,49 +137,86 @@ pub fn apply(
     layout: &Layout,
     set: &UpdateSet,
 ) -> RtApply {
-    apply_with(store, dirty, layout, set, |_, _| {})
+    apply_with(store, dirty, layout, &set.items, |_, _| {})
 }
 
-/// [`apply`] with a hook: `on_applied(addr, data)` runs for every chunk
-/// actually written (skipped lines never reach it). Detectors that keep
-/// secondary write-detection state — e.g. a hybrid backend patching page
-/// twins so applied updates are not re-diffed as local modifications —
-/// observe exactly the bytes that landed.
-pub fn apply_with(
+/// What applying into one region needs, resolved once per run of items
+/// that stay in it rather than once per line.
+struct RegionCursor<'a> {
+    id: usize,
+    line_shift: u32,
+    bits: &'a mut DirtyBits,
+    slab: &'a mut [u8],
+}
+
+/// [`apply`] over any run of items (a whole set, or a barrier release's
+/// shared set minus the receiver's own addresses), with a hook:
+/// `on_applied(addr, data)` runs for every run of bytes actually written
+/// (skipped lines never reach it; a run may cross lines and pages but
+/// never leaves its region). Detectors that keep secondary
+/// write-detection state — e.g. a hybrid backend patching page twins so
+/// applied updates are not re-diffed as local modifications — observe
+/// exactly the bytes that landed.
+pub fn apply_with<'a>(
     store: &mut LocalStore,
     dirty: &mut DirtyMap,
     layout: &Layout,
-    set: &UpdateSet,
+    items: impl IntoIterator<Item = &'a UpdateItem>,
     mut on_applied: impl FnMut(Addr, &[u8]),
 ) -> RtApply {
     let mut out = RtApply::default();
-    for item in &set.items {
-        // Items may span several cache lines (coalesced runs); exactly-once
-        // filtering stays per line, the coherency unit.
+    let mut cur: Option<RegionCursor<'_>> = None;
+    for item in items {
+        // A locally-dirty line is never overwritten by a remote update (an
+        // entry-consistency program never races here); otherwise a line
+        // takes only strictly newer data — the exactly-once property.
+        let takes = |stamp: u64| stamp != midway_mem::DIRTY && item.ts > stamp;
         let mut pos = 0usize;
         while pos < item.data.len() {
             let addr = Addr(item.addr + pos as u64);
             let region_id = addr.region_index();
-            let desc = layout.region(region_id).expect("update region exists");
-            let line_size = desc.line_size();
-            let line = addr.line_in_region(desc.line_shift);
-            let in_line = line_size - (addr.region_offset() & (line_size - 1));
-            let chunk = in_line.min(item.data.len() - pos);
-            let bits = dirty.bits_mut(layout, region_id);
-            let current = bits.get(line);
-            // A locally-dirty line is never overwritten by a remote update
-            // (an entry-consistency program never races here); otherwise
-            // apply only strictly newer data — the exactly-once property.
-            if current != midway_mem::DIRTY && item.ts > current {
-                store.write_bytes(addr, &item.data[pos..pos + chunk]);
-                dirty.bits_mut(layout, region_id).stamp(line, item.ts);
-                on_applied(addr, &item.data[pos..pos + chunk]);
-                out.dirtybits_updated += 1;
-                out.bytes_applied += chunk as u64;
-            } else {
-                out.bytes_redundant += chunk as u64;
+            if cur.as_ref().is_none_or(|c| c.id != region_id) {
+                let desc = layout.region(region_id).expect("update region exists");
+                cur = Some(RegionCursor {
+                    id: region_id,
+                    line_shift: desc.line_shift,
+                    bits: dirty.bits_mut(layout, region_id),
+                    slab: store.region_mut(region_id),
+                });
             }
-            pos += chunk;
+            let c = cur.as_mut().expect("resolved above");
+            // The piece of the item inside this region and the lines it
+            // touches. Items may span many lines (coalesced runs);
+            // filtering stays per line, the coherency unit, and each
+            // maximal run of lines that take the update is one copy.
+            let shift = c.line_shift;
+            let offset = addr.region_offset();
+            let end = offset + (item.data.len() - pos).min(midway_mem::REGION_SIZE - offset);
+            let first = offset >> shift;
+            let stamps = c.bits.range_mut(first..((end - 1) >> shift) + 1);
+            let mut line = 0usize;
+            while line < stamps.len() {
+                let run = line;
+                let take = takes(stamps[line]);
+                while line < stamps.len() && takes(stamps[line]) == take {
+                    if take {
+                        stamps[line] = item.ts;
+                    }
+                    line += 1;
+                }
+                let lo = ((first + run) << shift).max(offset);
+                let hi = ((first + line) << shift).min(end);
+                if take {
+                    let data = &item.data[pos + lo - offset..pos + hi - offset];
+                    c.slab[lo..hi].copy_from_slice(data);
+                    on_applied(Addr(addr.region_base().raw() + lo as u64), data);
+                    out.dirtybits_updated += (line - run) as u64;
+                    out.bytes_applied += (hi - lo) as u64;
+                } else {
+                    out.bytes_redundant += (hi - lo) as u64;
+                }
+            }
+            pos += end - offset;
         }
     }
     out
@@ -292,6 +329,150 @@ mod tests {
         };
         apply(&mut f.store, &mut f.dirty, &f.layout, &set);
         assert_eq!(f.store.read_u64(f.base), 99);
+    }
+
+    /// The line-at-a-time application the run-copying [`apply_with`] must
+    /// match: every line chunk resolved, tested and copied on its own.
+    fn apply_line_by_line(
+        store: &mut LocalStore,
+        dirty: &mut DirtyMap,
+        layout: &Layout,
+        set: &UpdateSet,
+        written: &mut Vec<(u64, u8)>,
+    ) -> RtApply {
+        let mut out = RtApply::default();
+        for item in &set.items {
+            let mut pos = 0usize;
+            while pos < item.data.len() {
+                let addr = Addr(item.addr + pos as u64);
+                let desc = layout.region_of(addr);
+                let line_size = desc.line_size();
+                let line = addr.line_in_region(desc.line_shift);
+                let in_line = line_size - (addr.region_offset() & (line_size - 1));
+                let chunk = in_line.min(item.data.len() - pos);
+                let current = dirty.bits_mut(layout, desc.id).get(line);
+                if current != midway_mem::DIRTY && item.ts > current {
+                    store.write_bytes(addr, &item.data[pos..pos + chunk]);
+                    dirty.bits_mut(layout, desc.id).stamp(line, item.ts);
+                    written.extend((0..chunk).map(|i| (addr.raw() + i as u64, item.data[pos + i])));
+                    out.dirtybits_updated += 1;
+                    out.bytes_applied += chunk as u64;
+                } else {
+                    out.bytes_redundant += chunk as u64;
+                }
+                pos += chunk;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn run_copying_apply_matches_line_by_line() {
+        // Two contiguous regions of 64-byte lines, so items can straddle
+        // lines, pages and the region boundary; a second allocation with
+        // doubleword lines for the common case.
+        let mut b = LayoutBuilder::new();
+        let big = b.alloc("big", midway_mem::REGION_SIZE + 8192, MemClass::Shared, 6);
+        let fine = b.alloc("fine", 4096, MemClass::Shared, 3);
+        let layout = b.build();
+        let mut s = 0x5eed_u64;
+        let mut next = move || {
+            s = s.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        };
+        let seam = big.addr.raw() + midway_mem::REGION_SIZE as u64;
+        let (mut straddlers, mut skipped, mut applied) = (0, 0, 0);
+        for round in 0..60 {
+            let mut fast = (LocalStore::new(Arc::clone(&layout)), DirtyMap::new(&layout));
+            let mut slow = (LocalStore::new(Arc::clone(&layout)), DirtyMap::new(&layout));
+            // Local state: some lines dirty, some already stamped newer.
+            for _ in 0..40 {
+                let (addr, ts) = match next() % 3 {
+                    0 => (seam - 2048 + next() % 4096, next() % 12),
+                    1 => (fine.addr.raw() + next() % 4096, next() % 12),
+                    _ => (big.addr.raw() + next() % 4096, next() % 12),
+                };
+                for (_, d) in [&mut fast, &mut slow] {
+                    let desc = layout.region_of(Addr(addr));
+                    let line = Addr(addr).line_in_region(desc.line_shift);
+                    d.bits_mut(&layout, desc.id).stamp(line, ts); // 0 is DIRTY
+                }
+            }
+            // Unaligned, multi-line items around the seam and elsewhere.
+            let items = (0..20)
+                .map(|_| {
+                    let (base, span) = match next() % 3 {
+                        0 => (seam - 1024, 2048),
+                        1 => (fine.addr.raw(), 4096),
+                        _ => (big.addr.raw(), 4096),
+                    };
+                    let len = 1 + next() % 700;
+                    let addr = base + next() % (span - len);
+                    UpdateItem {
+                        addr,
+                        data: (0..len).map(|i| (i ^ addr ^ round) as u8 | 1).collect(),
+                        ts: 2 + next() % 10,
+                    }
+                })
+                .collect();
+            let set = UpdateSet { items };
+            straddlers += set
+                .items
+                .iter()
+                .filter(|i| i.addr < seam && i.addr + i.data.len() as u64 > seam)
+                .count();
+            let (mut hooked, mut written) = (Vec::new(), Vec::new());
+            let got = apply_with(
+                &mut fast.0,
+                &mut fast.1,
+                &layout,
+                &set.items,
+                |addr, data| {
+                    assert_eq!(
+                        addr.region_index(),
+                        Addr(addr.raw() + data.len() as u64 - 1).region_index(),
+                        "a run stays in its region"
+                    );
+                    hooked.extend(
+                        data.iter()
+                            .enumerate()
+                            .map(|(i, &b)| (addr.raw() + i as u64, b)),
+                    );
+                },
+            );
+            let want = apply_line_by_line(&mut slow.0, &mut slow.1, &layout, &set, &mut written);
+            assert_eq!(
+                (
+                    got.dirtybits_updated,
+                    got.bytes_applied,
+                    got.bytes_redundant
+                ),
+                (
+                    want.dirtybits_updated,
+                    want.bytes_applied,
+                    want.bytes_redundant
+                ),
+                "round {round}"
+            );
+            skipped += got.bytes_redundant;
+            applied += got.bytes_applied;
+            assert_eq!(hooked, written, "round {round}: bytes seen by the hook");
+            assert_eq!(fast.0.digest(), slow.0.digest(), "round {round}: memory");
+            for desc in layout.regions() {
+                for line in 0..desc.lines() {
+                    assert_eq!(
+                        fast.1.bits_mut(&layout, desc.id).get(line),
+                        slow.1.bits_mut(&layout, desc.id).get(line),
+                        "round {round}: stamp of line {line} in region {}",
+                        desc.id
+                    );
+                }
+            }
+        }
+        assert!(straddlers > 20 && skipped > 10_000 && applied > 100_000);
     }
 
     #[test]

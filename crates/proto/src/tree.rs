@@ -110,6 +110,7 @@ pub enum TreeStep {
 }
 
 /// Per-node, per-barrier combining-tree state.
+#[cfg_attr(test, derive(Clone))]
 pub struct TreeSite {
     me: usize,
     topo: TreeTopology,
@@ -119,8 +120,9 @@ pub struct TreeSite {
     /// Whether the own contribution arrived this episode (`own` itself is
     /// consumed on subtree completion, so it cannot double as the flag).
     own_arrived: bool,
-    /// A copy of `own` kept for the release-time self-exclusion.
-    own_exclude: UpdateSet,
+    /// The sorted addresses of `own`, kept as the release-time skip list
+    /// (`own` itself moves into the merge).
+    own_addrs: Vec<u64>,
     /// Stashed child subtree sets, indexed by child slot. Stash-then-merge
     /// (rather than merge-on-arrival) is what pins the canonical order.
     child_sets: Vec<Option<UpdateSet>>,
@@ -143,7 +145,7 @@ impl TreeSite {
             episode: 0,
             own: None,
             own_arrived: false,
-            own_exclude: UpdateSet::new(),
+            own_addrs: Vec::new(),
             child_sets: (0..children).map(|_| None).collect(),
             fanin: 0,
             max_fanin: 0,
@@ -182,7 +184,7 @@ impl TreeSite {
             });
         }
         self.own_arrived = true;
-        self.own_exclude = set.clone();
+        self.own_addrs = set.sorted_addrs();
         self.own = Some(set);
         Ok(self.try_complete())
     }
@@ -231,15 +233,23 @@ impl TreeSite {
     }
 
     /// The release reaches this node: advance the episode and return the
-    /// children to forward it to plus the locally applicable subset (the
-    /// merged set minus this processor's own contribution).
-    pub fn on_release(&mut self, merged: &UpdateSet) -> (Vec<usize>, UpdateSet) {
+    /// children to forward the merged set to plus this node's skip list —
+    /// the sorted addresses of its own contribution, which it passes over
+    /// when applying the merged set ([`UpdateSet::excluding`]).
+    pub fn release(&mut self) -> (Vec<usize>, Vec<u64>) {
         self.episode += 1;
         self.releases += 1;
         self.own_arrived = false;
-        let local = merged.excluding_addrs_of(&self.own_exclude);
-        self.own_exclude = UpdateSet::new();
-        (self.topo.children(self.me), local)
+        let skip = std::mem::take(&mut self.own_addrs);
+        (self.topo.children(self.me), skip)
+    }
+
+    /// [`release`](Self::release) with the locally applicable subset (the
+    /// merged set minus this processor's own contribution) materialized.
+    pub fn on_release(&mut self, merged: &UpdateSet) -> (Vec<usize>, UpdateSet) {
+        let (children, skip) = self.release();
+        let items = merged.excluding(&skip).cloned().collect();
+        (children, UpdateSet { items })
     }
 }
 
@@ -247,7 +257,8 @@ impl TreeSite {
 mod tests {
     use super::*;
     use crate::home::BarrierSite;
-    use crate::update::UpdateItem;
+    use crate::update::{MaskedSet, UpdateItem};
+    use std::sync::Arc;
 
     const PROCS: [usize; 4] = [3, 7, 65, 513];
     const ARITIES: [usize; 3] = [2, 4, 16];
@@ -312,10 +323,9 @@ mod tests {
         let mut sites: Vec<TreeSite> = (0..procs).map(|p| TreeSite::new(p, topo)).collect();
 
         for episode in 0..episodes {
-            // Pending messages: (dst, src, set) arrivals and (dst, set)
-            // releases.
+            // Pending messages: (dst, src, set) arrivals and releases (dst).
             let mut ups: Vec<(usize, usize, UpdateSet)> = Vec::new();
-            let mut downs: Vec<(usize, UpdateSet)> = Vec::new();
+            let mut downs: Vec<usize> = Vec::new();
             let mut released = vec![0usize; procs];
             let mut locals: Vec<Option<UpdateSet>> = (0..procs).map(|_| None).collect();
             let mut root_merged: Option<UpdateSet> = None;
@@ -376,24 +386,47 @@ mod tests {
                     oracle = Some(rel);
                 }
             }
-            let oracle = oracle.expect("flat released");
+            let oracle = oracle.expect("flat released").per_proc();
 
-            // Fan the release down.
-            downs.push((root, merged.clone()));
-            while let Some((dst, set)) = downs.pop() {
-                let (kids, local) = sites[dst].on_release(&set);
+            // Fan the release down the way the engine does: one shared
+            // merged set, each node viewing it through its own skip list.
+            // The view must show exactly what `on_release` materializes,
+            // and what a hash-set filter over the node's contribution
+            // says it should.
+            let shared = MaskedSet::whole(Arc::new(merged.clone()));
+            downs.push(root);
+            while let Some(dst) = downs.pop() {
+                let (_, want) = sites[dst].clone().on_release(&merged);
+                let (kids, skip) = sites[dst].release();
+                let view = shared.with_skip(skip);
+                let local = UpdateSet {
+                    items: view.iter().cloned().collect(),
+                };
+                assert_eq!(local, want, "episode {episode}: view at {dst}");
+                assert_eq!(view.len(), want.len());
+                assert_eq!(view.data_bytes(), want.data_bytes());
+                assert_eq!(view.wire_size(), want.wire_size());
+                let own: std::collections::HashSet<u64> = contribution(dst, procs, episode)
+                    .items
+                    .iter()
+                    .map(|i| i.addr)
+                    .collect();
+                let by_hash: Vec<&UpdateItem> = merged
+                    .items
+                    .iter()
+                    .filter(|i| !own.contains(&i.addr))
+                    .collect();
+                assert_eq!(local.items.iter().collect::<Vec<_>>(), by_hash);
                 released[dst] += 1;
                 locals[dst] = Some(local);
-                for c in kids {
-                    downs.push((c, set.clone()));
-                }
+                downs.extend(kids);
             }
 
             for p in 0..procs {
                 assert_eq!(released[p], 1, "episode {episode}: releases at {p}");
                 assert_eq!(
                     locals[p].as_ref().expect("released"),
-                    &oracle.per_proc[p],
+                    &oracle[p],
                     "episode {episode}: local set at {p} diverges from flat oracle"
                 );
                 assert!(

@@ -1,5 +1,7 @@
 //! Consistency updates and their wire-size accounting.
 
+use std::sync::Arc;
+
 /// Fixed per-message protocol header, in bytes.
 pub const MSG_HEADER_BYTES: u64 = 32;
 
@@ -101,36 +103,160 @@ impl UpdateSet {
         self.items.sort_by_key(|i| i.addr);
     }
 
-    /// The subset of items whose address is not in `exclude` (used when a
-    /// barrier release avoids echoing a processor's own contribution).
-    /// Self order is preserved; a sorted `exclude` takes a two-pointer
-    /// walk instead of a hash lookup per item.
+    /// This set's item addresses as a skip list for
+    /// [`excluding`](Self::excluding): sorted and deduplicated here, where
+    /// the list is built, whatever order the items are in.
+    pub fn sorted_addrs(&self) -> Vec<u64> {
+        let mut addrs: Vec<u64> = self.items.iter().map(|i| i.addr).collect();
+        if !addrs.windows(2).all(|w| w[0] < w[1]) {
+            addrs.sort_unstable();
+            addrs.dedup();
+        }
+        addrs
+    }
+
+    /// The items whose address is not in `skip`, in self order, borrowed:
+    /// the single exclusion primitive a barrier release uses to keep a
+    /// processor's own contribution from echoing back to it.
+    ///
+    /// `skip` must be sorted ascending (see
+    /// [`sorted_addrs`](Self::sorted_addrs)); the set itself need not be.
+    pub fn excluding<'a>(&'a self, skip: &'a [u64]) -> Unskipped<'a> {
+        debug_assert!(skip.windows(2).all(|w| w[0] <= w[1]), "unsorted skip list");
+        Unskipped {
+            items: self.items.iter(),
+            skip,
+            cursor: 0,
+            floor: Some(0),
+        }
+    }
+
+    /// The subset of items whose address is not in `exclude`, materialized
+    /// (self order preserved). The barrier path applies
+    /// [`excluding`](Self::excluding) in place instead; this copy remains
+    /// for callers that need an owned set.
     pub fn excluding_addrs_of(&self, exclude: &UpdateSet) -> UpdateSet {
-        if exclude.addr_sorted() && self.addr_sorted() {
-            let ex = &exclude.items;
-            let mut k = 0usize;
-            let items = self
-                .items
-                .iter()
-                .filter(|i| {
-                    while k < ex.len() && ex[k].addr < i.addr {
-                        k += 1;
+        let items = self.excluding(&exclude.sorted_addrs()).cloned().collect();
+        UpdateSet { items }
+    }
+}
+
+/// Iterator over the items of an [`UpdateSet`] whose address is not in a
+/// sorted skip list; see [`UpdateSet::excluding`].
+///
+/// While the set's addresses come in non-decreasing order the skip list is
+/// walked by a second pointer, O(items + skip) in all. A set is never
+/// trusted to be sorted (one decoded from a socket need not be): the first
+/// address that steps backwards switches the remaining items to a binary
+/// search each, so the answers stay those of a hash-set lookup and no
+/// input takes quadratic time.
+#[derive(Clone, Debug)]
+pub struct Unskipped<'a> {
+    items: std::slice::Iter<'a, UpdateItem>,
+    skip: &'a [u64],
+    /// First skip entry not yet passed by the two-pointer walk.
+    cursor: usize,
+    /// Highest address seen so far; `None` once the set proved unsorted.
+    floor: Option<u64>,
+}
+
+impl<'a> Iterator for Unskipped<'a> {
+    type Item = &'a UpdateItem;
+
+    fn next(&mut self) -> Option<&'a UpdateItem> {
+        for item in self.items.by_ref() {
+            let skipped = match self.floor {
+                Some(floor) if item.addr >= floor => {
+                    self.floor = Some(item.addr);
+                    while self.skip.get(self.cursor).is_some_and(|&a| a < item.addr) {
+                        self.cursor += 1;
                     }
-                    !(k < ex.len() && ex[k].addr == i.addr)
-                })
-                .cloned()
-                .collect();
-            return UpdateSet { items };
+                    self.skip.get(self.cursor) == Some(&item.addr)
+                }
+                _ => {
+                    self.floor = None;
+                    self.skip.binary_search(&item.addr).is_ok()
+                }
+            };
+            if !skipped {
+                return Some(item);
+            }
         }
-        let addrs: std::collections::HashSet<u64> = exclude.items.iter().map(|i| i.addr).collect();
-        UpdateSet {
-            items: self
-                .items
-                .iter()
-                .filter(|i| !addrs.contains(&i.addr))
-                .cloned()
-                .collect(),
+        None
+    }
+}
+
+/// A shared [`UpdateSet`] seen through one receiver's skip list: what a
+/// barrier release delivers. Every receiver borrows the same merged set
+/// and differs only in the addresses it skips (its own contribution), so
+/// "merged minus own" is never materialized per processor.
+///
+/// The sizes of the visible part are computed once, at construction, and
+/// are what every byte counter, copy charge and wire size on the release
+/// path reads.
+#[derive(Clone, Debug)]
+pub struct MaskedSet {
+    set: Arc<UpdateSet>,
+    skip: Vec<u64>,
+    len: usize,
+    data_bytes: u64,
+}
+
+impl MaskedSet {
+    /// `set` minus the items at the addresses in `skip`, which must be
+    /// sorted ascending (see [`UpdateSet::sorted_addrs`]).
+    pub fn new(set: Arc<UpdateSet>, skip: Vec<u64>) -> MaskedSet {
+        let (mut len, mut data_bytes) = (0usize, 0u64);
+        for item in set.excluding(&skip) {
+            len += 1;
+            data_bytes += item.data.len() as u64;
         }
+        MaskedSet {
+            set,
+            skip,
+            len,
+            data_bytes,
+        }
+    }
+
+    /// All of `set`: an empty skip list.
+    pub fn whole(set: Arc<UpdateSet>) -> MaskedSet {
+        MaskedSet::new(set, Vec::new())
+    }
+
+    /// The same shared set behind a different skip list.
+    pub fn with_skip(&self, skip: Vec<u64>) -> MaskedSet {
+        MaskedSet::new(Arc::clone(&self.set), skip)
+    }
+
+    /// The visible items, in set order.
+    pub fn iter(&self) -> Unskipped<'_> {
+        self.set.excluding(&self.skip)
+    }
+
+    /// The skip list.
+    pub fn skip(&self) -> &[u64] {
+        &self.skip
+    }
+
+    /// Number of visible items.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no item is visible.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Application data bytes of the visible items.
+    pub fn data_bytes(&self) -> u64 {
+        self.data_bytes
+    }
+
+    /// Bytes the visible items take on the wire, per-item headers included.
+    pub fn wire_size(&self) -> u64 {
+        self.data_bytes + ITEM_HEADER_BYTES * self.len as u64
     }
 }
 
@@ -263,22 +389,87 @@ mod tests {
         }
     }
 
+    /// The hash-set filter every exclusion must agree with.
+    fn reference_exclusion(a: &UpdateSet, skip: &UpdateSet) -> UpdateSet {
+        let addrs: std::collections::HashSet<u64> = skip.items.iter().map(|i| i.addr).collect();
+        UpdateSet {
+            items: a
+                .items
+                .iter()
+                .filter(|i| !addrs.contains(&i.addr))
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// Checks every face of the exclusion primitive on one input pair: the
+    /// borrowing iterator, its materializing wrapper, and the sizes a
+    /// `MaskedSet` caches.
+    fn check_exclusion(a: &UpdateSet, skip: &UpdateSet, what: &str) {
+        let want = reference_exclusion(a, skip);
+        let addrs = skip.sorted_addrs();
+        assert!(addrs.windows(2).all(|w| w[0] < w[1]), "{what}: skip list");
+        let got: Vec<&UpdateItem> = a.excluding(&addrs).collect();
+        assert_eq!(got, want.items.iter().collect::<Vec<_>>(), "{what}");
+        assert_eq!(a.excluding_addrs_of(skip), want, "{what}: wrapper");
+        let view = MaskedSet::new(Arc::new(a.clone()), addrs);
+        assert_eq!(view.len(), want.len(), "{what}: len");
+        assert_eq!(view.is_empty(), want.is_empty(), "{what}: is_empty");
+        assert_eq!(view.data_bytes(), want.data_bytes(), "{what}: data bytes");
+        assert_eq!(view.wire_size(), want.wire_size(), "{what}: wire size");
+        assert!(view.iter().eq(want.items.iter()), "{what}: view");
+    }
+
     #[test]
-    fn two_pointer_exclusion_matches_reference() {
+    fn exclusion_matches_hash_set_reference() {
+        // A deterministic shuffle, to take the sorted generators' output
+        // out of order.
+        fn scramble(set: &mut UpdateSet, seed: u64) {
+            let n = set.items.len();
+            for i in 0..n {
+                let j = (seed.wrapping_mul(0x9e3779b97f4a7c15) >> 17) as usize % n.max(1);
+                set.items.swap(i, (i + j) % n);
+            }
+        }
         for seed in 0..200u64 {
             let a = random_sorted_set(seed * 3 + 1, 24);
+            // Draws from the same address lattice as `a` without being a
+            // subset of it: a skip list may name addresses the merge lost.
             let b = random_sorted_set(seed * 3 + 2, 24);
-            let addrs: std::collections::HashSet<u64> = b.items.iter().map(|i| i.addr).collect();
-            let want = UpdateSet {
-                items: a
-                    .items
-                    .iter()
-                    .filter(|i| !addrs.contains(&i.addr))
-                    .cloned()
-                    .collect(),
-            };
-            assert_eq!(a.excluding_addrs_of(&b), want, "seed {seed}");
+            check_exclusion(&a, &b, &format!("seed {seed}: sorted"));
+            check_exclusion(&a, &UpdateSet::new(), &format!("seed {seed}: empty skip"));
+            check_exclusion(&a, &a, &format!("seed {seed}: skip everything"));
+
+            let mut unsorted = a.clone();
+            scramble(&mut unsorted, seed);
+            let mut unsorted_skip = b.clone();
+            scramble(&mut unsorted_skip, seed + 1);
+            check_exclusion(&unsorted, &b, &format!("seed {seed}: unsorted set"));
+            check_exclusion(&a, &unsorted_skip, &format!("seed {seed}: unsorted skip"));
+
+            // Duplicate addresses on both sides, adjacent and apart.
+            let mut dup = a.clone();
+            dup.items.extend(a.items.iter().step_by(3).cloned());
+            let mut dup_skip = b.clone();
+            dup_skip.items.extend(b.items.iter().step_by(2).cloned());
+            check_exclusion(&dup, &dup_skip, &format!("seed {seed}: dups apart"));
+            dup.items.sort_by_key(|i| i.addr);
+            check_exclusion(&dup, &dup_skip, &format!("seed {seed}: dups adjacent"));
         }
+    }
+
+    #[test]
+    fn unsorted_set_costs_a_binary_search_per_item_not_a_rescan() {
+        // Alternating low/high addresses against a long skip list: a
+        // cursor that rewound would walk the list once per item, 2e10
+        // steps here — minutes, where this takes milliseconds.
+        let n = 200_000u64;
+        let skip: Vec<u64> = (0..n).map(|i| i * 8).collect();
+        let items = (0..n)
+            .map(|i| item(if i % 2 == 0 { i * 8 } else { (n - i) * 8 + 4 }, 1, 1))
+            .collect();
+        let set = UpdateSet { items };
+        assert_eq!(set.excluding(&skip).count(), n as usize / 2);
     }
 
     #[test]

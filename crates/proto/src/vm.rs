@@ -147,19 +147,50 @@ pub fn snapshot(store: &mut LocalStore, binding: &Binding) -> UpdateSet {
 /// dirty page are also applied to its twin, "so the update will not be
 /// treated as a new modification by the local processor".
 pub fn apply(store: &mut LocalStore, pages: &mut PageTable, set: &UpdateSet) -> VmApply {
+    apply_items(store, pages, &set.items)
+}
+
+/// One page's twin (if the page is dirty), looked up once per run of
+/// chunks that land on the page.
+struct TwinCursor<'a> {
+    page: (usize, usize),
+    twin: Option<&'a mut [u8]>,
+}
+
+/// [`apply`] over any run of items (a whole set, or a barrier release's
+/// shared set minus the receiver's own addresses). The store slab is
+/// resolved once per run of same-region items and the twin once per run
+/// of same-page chunks, not once per item.
+pub fn apply_items<'a>(
+    store: &mut LocalStore,
+    pages: &mut PageTable,
+    items: impl IntoIterator<Item = &'a UpdateItem>,
+) -> VmApply {
     let mut out = VmApply::default();
-    for item in &set.items {
-        store.write_bytes(Addr(item.addr), &item.data);
+    let mut slab: Option<(usize, &mut [u8])> = None;
+    let mut cur: Option<TwinCursor<'_>> = None;
+    for item in items {
+        let start = Addr(item.addr);
+        let region = start.region_index();
+        if slab.as_ref().is_none_or(|s| s.0 != region) {
+            slab = Some((region, store.region_mut(region)));
+        }
+        let (_, bytes) = slab.as_mut().expect("resolved above");
+        let offset = start.region_offset();
+        bytes[offset..offset + item.data.len()].copy_from_slice(&item.data);
         out.bytes_applied += item.data.len() as u64;
         // Patch the twin page by page (items may span page boundaries).
         let mut pos = 0usize;
         while pos < item.data.len() {
             let addr = Addr(item.addr + pos as u64);
-            let region = addr.region_index();
-            let page = addr.page_in_region();
+            let page = (region, addr.page_in_region());
             let in_page = (1usize << PAGE_SHIFT) - addr.page_offset();
             let chunk = in_page.min(item.data.len() - pos);
-            if let Some(twin) = pages.twin_mut(region, page) {
+            if cur.as_ref().is_none_or(|c| c.page != page) {
+                let twin = pages.twin_mut(page.0, page.1);
+                cur = Some(TwinCursor { page, twin });
+            }
+            if let Some(twin) = cur.as_mut().and_then(|c| c.twin.as_deref_mut()) {
                 let start = addr.page_offset();
                 let end = (start + chunk).min(twin.len());
                 if start < end {

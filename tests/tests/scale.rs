@@ -174,3 +174,26 @@ fn sharded_homes_match_modulo_semantics() {
         }
     }
 }
+
+/// Every detector hands the barrier a strictly address-sorted set — the
+/// invariant that keeps the merge and the release's skip walk on their
+/// linear paths. The engine asserts it on every collection in debug
+/// builds (`DsmNode::collect_barrier`); this drives that assertion
+/// through the five paper applications on every data backend, under both
+/// barrier shapes.
+#[cfg(debug_assertions)]
+#[test]
+fn barrier_collections_are_address_sorted_on_every_app_and_backend() {
+    use midway_apps::{run_app, AppKind, Scale};
+    for backend in DATA_BACKENDS {
+        for kind in AppKind::all() {
+            for cfg in [
+                MidwayConfig::new(4, backend),
+                MidwayConfig::new(5, backend).tree_barriers(2),
+            ] {
+                let out = run_app(kind, cfg, Scale::Small);
+                assert!(out.verified, "{kind:?} on {backend:?} failed verification");
+            }
+        }
+    }
+}

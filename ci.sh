@@ -33,9 +33,11 @@ if grep -rn --include='*.rs' -w unsafe crates/*/src |
     echo "unsafe outside crates/sim/src/coro.rs" >&2
     exit 1
 fi
-for f in crates/sim/src/sched.rs crates/sim/src/cluster.rs; do
+# So does the whole real-socket transport: processors are coroutines
+# there too, and there is no second execution model to keep in step.
+for f in crates/sim/src/sched.rs crates/sim/src/cluster.rs crates/net/src/*.rs; do
     if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
-        grep -E 'Condvar|Mutex|thread::scope|thread::spawn'; then
+        grep -E 'Condvar|Mutex|Atomic|thread::scope|thread::spawn'; then
         echo "thread machinery in non-test code of $f" >&2
         exit 1
     fi
@@ -112,34 +114,12 @@ echo "==> benchmark smoke"
 # what the driver will run fails here first.
 cargo run --release -q -p midway-bench --bin benchmark -- --smoke
 
-echo "==> hostperf smoke"
-# The host-performance basket at smoke size: exercises the chunked diff /
-# dirtybit-scan / digest hot paths and both backends end to end, and
-# emits the wall-clock JSON with the per-layer attribution counters
-# (scheduler dispatches/batching, calendar-ring vs heap pops, deque and
-# buffer-pool recycling). No baseline comparison at smoke scale.
-cargo run --release -q -p midway-bench --bin hostperf -- \
-    --smoke --out "$smoke/hostperf.json"
-
-echo "==> hostperf regression gate (vs committed BENCH_hostperf.json)"
-# Full-scale basket, one rep, gated against the committed numbers: if
-# the geometric-mean speedup over the committed host_secs drops below
-# the gate threshold (0.7), the gate exits nonzero. The committed
-# numbers are min-of-reps on a quiet host while this is one rep mid-CI,
-# and host speed drifts between sessions, so the threshold is set to
-# catch structural hot-path regressions (2-5x on event-dense cells)
-# rather than measurement noise; it only runs when the committed JSON
-# exists.
-if [ -f BENCH_hostperf.json ]; then
-    cargo run --release -q -p midway-bench --bin hostperf -- \
-        --reps 1 --gate BENCH_hostperf.json --out "$smoke/hostperf_gate.json"
-fi
-
 echo "==> real-transport loopback smoke"
-# sor under RT and VM over actual loopback TCP sockets (one OS thread per
-# processor), each run recorded and cross-validated against the simulator
-# digest oracle; then the same cells over UDP with 1% injected loss, so
-# the reliable channel masks a genuinely lossy socket end to end.
+# sor under RT and VM over actual loopback TCP sockets (processors are
+# coroutines on one thread, as on the simulator), each run recorded and
+# cross-validated against the simulator digest oracle; then the same
+# cells over UDP with 1% injected loss, so the reliable channel masks a
+# genuinely lossy socket end to end.
 cargo run --release -q -p midway-bench --bin realrun -- \
     --smoke --trace "$smoke/traces" --out "$smoke/realrun.json"
 cargo run --release -q -p midway-bench --bin realrun -- \
@@ -154,12 +134,12 @@ echo "==> scale sweep smoke (64 processors, tree barriers, sharded homes)"
 cargo run --release -q -p midway-bench --bin scale_sweep -- \
     --smoke --out "$smoke/scale.json"
 
-echo "==> paper gate: table2 and fig2, live, byte for byte"
-# The first slice of regenerating the paper's artefacts in CI: both run
-# every application live on the flat 8-processor configuration (~2 s
-# each) and must print exactly the committed results/*.txt. Stdout only
-# differs by where the JSON went; progress lines go to stderr.
-for artefact in table2 fig2; do
+echo "==> paper gate: table2-table5 and fig2, live, byte for byte"
+# Regenerating the paper's artefacts in CI: each runs every application
+# live on the flat 8-processor configuration (~2 s each) and must print
+# exactly the committed results/*.txt. Stdout only differs by where the
+# JSON went; progress lines go to stderr.
+for artefact in table2 table3 table4 table5 fig2; do
     cargo run --release -q -p midway-bench --bin "$artefact" -- \
         --live --out "$smoke/$artefact.json" |
         sed -e '/^running .* (live/d' -e '/^results written to /d' |
@@ -171,11 +151,18 @@ echo "==> replay determinism gate over committed traces"
 # Every cached trace in results/traces/ must still replay bit-for-bit —
 # the end-to-end oracle that host-perf changes cannot have altered any
 # simulation result (results/traces/ is gitignored, so this runs on a
-# warmed checkout and is a no-op on a fresh one).
+# warmed checkout and is a no-op on a fresh one). The cache may hold files
+# an older recorder wrote: those are cache misses, not failures — the next
+# harness run re-records them — so they are skipped, out loud.
 if compgen -G "results/traces/*.mwt" >/dev/null; then
     for t in results/traces/*.mwt; do
-        cargo run --release -q -p midway-replay --bin trace -- \
-            replay "$t" --check >/dev/null
+        if ! out=$(cargo run --release -q -p midway-replay --bin trace -- \
+            replay "$t" --check 2>&1); then
+            case "$out" in
+            *"unsupported trace version"*) echo "skipping $t: $out" ;;
+            *) echo "$out" >&2; exit 1 ;;
+            esac
+        fi
     done
 fi
 

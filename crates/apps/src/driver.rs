@@ -159,12 +159,6 @@ pub struct AppOutcome {
     /// The dynamic checker's report (present when the run was configured
     /// with `MidwayConfig::check`).
     pub check: Option<midway_core::CheckReport>,
-    /// Host-side scheduler counters (event-engine perf attribution; all
-    /// zeros on real transports).
-    pub sched: midway_core::SchedStats,
-    /// Per-processor detector buffer-pool `(hits, misses)` — host-side
-    /// allocation attribution, never part of the modelled cost.
-    pub alloc: Vec<(u64, u64)>,
 }
 
 impl AppOutcome {
@@ -202,8 +196,6 @@ fn erase<R>(kind: AppKind, run: MidwayRun<R>, verified: bool) -> AppOutcome {
         traces: run.traces,
         blueprint: run.blueprint,
         check: run.check,
-        sched: run.sched,
-        alloc: run.alloc,
     }
 }
 

@@ -154,13 +154,6 @@ pub trait WriteDetector {
     /// the episode's shared merged set that this processor did not
     /// contribute itself, borrowed in place.
     fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>);
-
-    /// Buffer-pool accounting: `(hits, misses)` — item buffers recycled
-    /// from the detector's freelist vs. freshly allocated. Purely host-side
-    /// attribution; never feeds the cost model or the Table 2 counters.
-    fn alloc_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
 }
 
 impl BackendKind {

@@ -159,8 +159,4 @@ impl WriteDetector for RtDetector {
         cx.counters.dirtybits_updated += res.dirtybits_updated;
         cx.counters.redundant_bytes_received += res.bytes_redundant;
     }
-
-    fn alloc_stats(&self) -> (u64, u64) {
-        (self.pool.hits, self.pool.misses)
-    }
 }

@@ -63,6 +63,5 @@ pub use midway_check::{ApplyStats, CheckReport, CheckSpec, Finding, FindingKind,
 pub use midway_mem::AddrRange;
 pub use midway_net::{RealConfig, RealError, RealMode, RealTransport, Transport};
 pub use midway_proto::{BarrierId, HomeMap, LinkStats, LockId, Mode, ReliableParams};
-pub use midway_sim::SchedStats;
 pub use midway_sim::{FaultPlan, FaultStats, NetModel, SimError, SplitMix64, VirtualTime};
 pub use midway_stats::CostModel;

@@ -222,12 +222,6 @@ impl DsmNode {
         &self.locks[lock.0 as usize].binding
     }
 
-    /// The detector's buffer-pool `(hits, misses)` — host-side allocation
-    /// attribution only.
-    pub fn alloc_stats(&self) -> (u64, u64) {
-        self.detect.alloc_stats()
-    }
-
     /// Serves protocol messages until `done` holds.
     fn pump_until<T: Transport<Msg = NetMsg>>(
         &mut self,

@@ -1,5 +1,6 @@
-//! Running a Midway program: on the simulated cluster, or on OS threads
-//! and real sockets.
+//! Running a Midway program: on the simulated cluster, or over real
+//! sockets. Either way every processor is a coroutine on the calling
+//! thread.
 
 use std::sync::Arc;
 
@@ -47,12 +48,6 @@ pub struct MidwayRun<R> {
     /// strictly off-clock, so every other field is bit-for-bit identical
     /// with it on or off.
     pub check: Option<midway_check::CheckReport>,
-    /// Host-side scheduler counters (event-engine perf attribution; all
-    /// zeros on real transports, which have no virtual-time scheduler).
-    pub sched: midway_sim::SchedStats,
-    /// Per-processor detector buffer-pool `(hits, misses)` — host-side
-    /// allocation attribution, never part of the modelled cost.
-    pub alloc: Vec<(u64, u64)>,
 }
 
 impl<R> MidwayRun<R> {
@@ -101,7 +96,6 @@ type SessionOut<R> = (
     u64,
     Option<Vec<TraceOp>>,
     Option<midway_check::CheckLog>,
-    (u64, u64),
 );
 
 /// One processor's whole life, on any transport: build the node, run the
@@ -127,7 +121,6 @@ where
     proc.node.finalize(proc.h);
     let digest = proc.node.store.digest();
     let check_log = proc.node.check.take();
-    let alloc = proc.node.alloc_stats();
     (
         r,
         proc.node.counters,
@@ -135,29 +128,19 @@ where
         digest,
         proc.rec.take(),
         check_log,
-        alloc,
     )
 }
 
-/// Cluster-level accounting carried from a finished cluster run into
-/// [`assemble`]: the virtual finish time, the delivered-message count,
-/// and the host-side scheduler statistics (zeroed on the real
-/// transport, which has no simulator scheduler).
-struct ClusterAccounting {
-    finish_time: VirtualTime,
-    messages: u64,
-    sched: midway_sim::SchedStats,
-}
-
-/// Assembles per-processor session outputs plus cluster-level accounting
-/// into a [`MidwayRun`].
+/// Assembles per-processor session outputs plus the cluster's finish time
+/// and delivered-message count into a [`MidwayRun`].
 fn assemble<R>(
     cfg: MidwayConfig,
     spec: &Arc<SystemSpec>,
     blueprint: Option<SpecBlueprint>,
     raw: Vec<SessionOut<R>>,
     reports: Vec<ProcReport>,
-    acct: ClusterAccounting,
+    finish_time: VirtualTime,
+    messages: u64,
 ) -> MidwayRun<R> {
     let mut results = Vec::with_capacity(raw.len());
     let mut counters = Vec::with_capacity(raw.len());
@@ -165,8 +148,7 @@ fn assemble<R>(
     let mut store_digests = Vec::with_capacity(raw.len());
     let mut traces = Vec::new();
     let mut check_logs = Vec::new();
-    let mut alloc = Vec::with_capacity(raw.len());
-    for (r, c, l, d, t, k, a) in raw {
+    for (r, c, l, d, t, k) in raw {
         results.push(r);
         counters.push(c);
         link.push(l);
@@ -177,7 +159,6 @@ fn assemble<R>(
         if let Some(k) = k {
             check_logs.push(k.into_events());
         }
-        alloc.push(a);
     }
     let check = cfg
         .check
@@ -186,16 +167,14 @@ fn assemble<R>(
         results,
         counters,
         reports,
-        finish_time: acct.finish_time,
-        messages: acct.messages,
+        finish_time,
+        messages,
         link,
         store_digests,
         cfg,
         traces,
         blueprint,
         check,
-        sched: acct.sched,
-        alloc,
     }
 }
 
@@ -225,14 +204,43 @@ impl Midway {
     ///
     /// Panics if `cfg.backend` is [`BackendKind::None`] with more than one
     /// processor: the standalone build has no consistency machinery.
+    ///
+    /// # Examples
+    ///
+    /// Everything runs on the calling thread, so the closure may capture
+    /// (and return) values that are neither `Send` nor `Sync`:
+    ///
+    /// ```
+    /// use std::cell::Cell;
+    /// use std::rc::Rc;
+    ///
+    /// use midway_core::{BackendKind, Midway, MidwayConfig, SystemBuilder};
+    ///
+    /// let mut b = SystemBuilder::new();
+    /// let cell = b.shared_array::<u64>("cell", 1, 1);
+    /// let lock = b.lock(vec![cell.full_range()]);
+    /// let spec = b.build();
+    ///
+    /// let holds = Rc::new(Cell::new(0));
+    /// let run = Midway::run(MidwayConfig::new(2, BackendKind::Rt), &spec, |p| {
+    ///     p.acquire(lock);
+    ///     let seen = p.read(&cell, 0);
+    ///     p.write(&cell, 0, seen + 1);
+    ///     p.release(lock);
+    ///     holds.set(holds.get() + 1);
+    ///     Rc::clone(&holds)
+    /// })
+    /// .unwrap();
+    /// assert_eq!(holds.get(), 2);
+    /// assert_eq!(run.results.len(), 2);
+    /// ```
     pub fn run<R, F>(
         cfg: MidwayConfig,
         spec: &Arc<SystemSpec>,
         f: F,
     ) -> Result<MidwayRun<R>, SimError>
     where
-        R: Send,
-        F: Fn(&mut Proc<'_>) -> R + Send + Sync,
+        F: Fn(&mut Proc<'_>) -> R,
     {
         assert_backend_supported(&cfg);
         let blueprint = cfg.record.then(|| SpecBlueprint::capture(spec));
@@ -251,17 +259,15 @@ impl Midway {
             blueprint,
             out.results,
             out.reports,
-            ClusterAccounting {
-                finish_time: out.finish_time,
-                messages: out.messages_delivered,
-                sched: out.sched,
-            },
+            out.finish_time,
+            out.messages_delivered,
         ))
     }
 
-    /// Runs `f` once per processor over real sockets: one OS thread per
-    /// processor, loopback TCP or UDP per `real.mode`, wall-clock time
-    /// standing in for the virtual clock.
+    /// Runs `f` once per processor over real sockets: loopback TCP or UDP
+    /// per `real.mode`, wall-clock time standing in for the virtual
+    /// clock, every processor a coroutine on the calling thread as in
+    /// [`Midway::run`].
     ///
     /// The protocol engine is the same code [`Midway::run`] executes; only
     /// the [`Transport`] differs. Two configuration knobs are interpreted
@@ -286,8 +292,7 @@ impl Midway {
         f: F,
     ) -> Result<MidwayRun<R>, RealError>
     where
-        R: Send,
-        F: Fn(&mut Proc<'_, RealTransport<NetMsg>>) -> R + Send + Sync,
+        F: Fn(&mut Proc<'_, RealTransport<NetMsg>>) -> R,
     {
         assert_backend_supported(&cfg);
         assert!(
@@ -310,11 +315,8 @@ impl Midway {
             blueprint,
             out.results,
             out.reports,
-            ClusterAccounting {
-                finish_time: out.finish_time,
-                messages: out.messages_delivered,
-                sched: midway_sim::SchedStats::default(),
-            },
+            out.finish_time,
+            out.messages_delivered,
         ))
     }
 }

@@ -12,7 +12,7 @@ use midway_mem::{Addr, AddrRange, Layout, LayoutBuilder, LocalStore, MemClass, T
 use midway_proto::{BarrierId, Binding, LockId};
 
 /// Scalar element types storable in a [`SharedArray`].
-pub trait Scalar: Copy + Send + Sync + 'static {
+pub trait Scalar: Copy + 'static {
     /// Element size in bytes (a power of two).
     const SIZE: usize;
     /// Reads one element from a local store.

@@ -4,8 +4,10 @@
 //! virtual-time simulator's `ProcHandle`. This crate extracts that
 //! surface into the [`Transport`] trait and provides the second
 //! implementation the paper's real 8-node cluster calls for:
-//! [`RealTransport`], which runs one OS thread per processor over real
-//! loopback sockets with a wall clock standing in for the virtual clock.
+//! [`RealTransport`], which moves the same messages over real loopback
+//! sockets with a wall clock standing in for the virtual clock. Both run
+//! every processor as a `midway-sim` coroutine under one loop on the
+//! calling thread — over an event queue there, non-blocking sockets here.
 //!
 //! ```text
 //!                    protocol engine (midway-core)
@@ -15,7 +17,7 @@
 //!                        ┌──────┴────────┐
 //!             ProcHandle<M>          RealTransport<M: Wire>
 //!          (midway-sim, impl #1)      (this crate, impl #2)
-//!          virtual time, exactly     wall clock, OS threads,
+//!          virtual time, exactly     wall clock, non-blocking
 //!          reproducible              TCP or lossy UDP loopback
 //! ```
 //!
@@ -23,7 +25,6 @@
 //! [`RealCluster::run`] is the socket-backed counterpart of the
 //! simulator's `Cluster::run`.
 
-mod hub;
 mod real;
 mod transport;
 mod wire;

@@ -1,58 +1,84 @@
-//! Impl #2: a real transport over loopback sockets, one OS thread per
-//! processor.
+//! Impl #2: a real transport over loopback sockets, on the simulator's
+//! coroutines.
 //!
-//! Where the simulator interleaves processors deterministically under a
-//! virtual clock, this transport runs them as genuinely concurrent OS
-//! threads exchanging length-prefixed frames over `std::net` sockets —
-//! TCP by default, or UDP with optional deterministic loss injection so
-//! the DSM's go-back-N reliable channel has real packet loss to recover
-//! from. The wall clock (scaled by a configurable cycles-per-microsecond
-//! rate) stands in for the virtual clock.
+//! Where the simulator delivers messages from an event queue under a
+//! virtual clock, this transport moves them as length-prefixed frames over
+//! `std::net` sockets — TCP by default, or UDP with optional deterministic
+//! loss injection so the DSM's go-back-N reliable channel has real packet
+//! loss to recover from. The wall clock (scaled by a configurable
+//! cycles-per-microsecond rate) stands in for the virtual clock.
 //!
-//! The concurrency architecture per processor:
+//! The execution model is the simulator's: every processor is a
+//! [`Coroutine`] and [`RealCluster::run`] is one loop, on the calling
+//! thread, that owns every socket — all of them non-blocking — and resumes
+//! whichever processors can make progress. Nothing is shared between
+//! threads, so nothing is locked. `recv` suspends when its inbox and the
+//! kernel are both empty; `send` never suspends (see `Hub::write_all`);
+//! when no processor can run the loop sleeps to the earliest self-timer
+//! or the watchdog deadline.
 //!
-//! * the processor thread itself runs the application closure and owns
-//!   the transport handle (lazily dialed write sockets, local timer heap);
-//! * a listener/accept thread (TCP) or a socket reader thread (UDP)
-//!   decodes inbound frames and pushes them into the processor's inbox
-//!   in the shared [`Hub`];
-//! * an optional watchdog thread aborts a hung run at a wall-clock
-//!   deadline with a per-processor state dump.
+//! # Quiescence
 //!
-//! Each direction of each processor pair gets its own TCP stream (dialed
-//! on first send), so per-pair FIFO follows directly from TCP's byte
-//! ordering. UDP datagrams on loopback are also delivered in order in
-//! practice, but the transport makes no such promise — the reliable
-//! channel above handles loss, duplication, and reordering.
+//! `drain_recv` must return `None` exactly when nothing can ever arrive
+//! again. The loop decides that between rounds, when no processor is
+//! running and none is runnable, so it is a comparison of values only its
+//! own thread changes: every processor is draining or finished, no
+//! self-timer is pending, every inbox is empty and — on TCP, where the
+//! wire is lossless — a pump has just brought `frames_received` up to
+//! `frames_sent`. Every message originates from a running processor, a
+//! timer or a frame in flight, and there are none, so the state is
+//! permanent.
+//!
+//! On UDP the frame counts are skipped (datagrams may be genuinely lost,
+//! so `sent == received` may never hold); two substitutes apply. First, a
+//! settle window: no quiescence until nothing has been sent, received or
+//! delivered for [`UDP_SETTLE_NANOS`], which dwarfs loopback delivery
+//! latency. Second, for the DSM the reliable channel above carries the
+//! real guarantee: its retransmit timer is armed exactly while data is
+//! unacknowledged, so "no timers pending anywhere" already implies every
+//! data frame was delivered. Stray duplicate or ack datagrams may land
+//! after quiescence and are simply never read — they carry no protocol
+//! obligations.
 
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, VecDeque};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::sync::atomic::Ordering::SeqCst;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 use midway_sim::{
-    Category, FaultDecision, FaultPlan, FaultStats, ProcReport, VirtualTime, CATEGORY_COUNT,
+    panic_message, suspend, Category, Coroutine, FaultDecision, FaultPlan, ProcReport, VirtualTime,
 };
 
-use crate::hub::{status, Hub, RealAbort, RealPoison, TimerEntry};
 use crate::transport::Transport;
 use crate::wire::{decode_exact, Wire};
 
-/// Largest frame a TCP reader will accept (a corrupt length prefix must
-/// not trigger a giant allocation).
+/// Largest frame a TCP stream may announce (a corrupt length prefix must
+/// not be believed).
 const MAX_TCP_FRAME: usize = 1 << 28;
 
 /// Largest payload sent in one UDP datagram. Loopback accepts datagrams
 /// up to 64 KiB; anything bigger must use TCP.
 pub const MAX_UDP_PAYLOAD: usize = 60_000;
 
-/// How long a draining processor sleeps between quiescence probes.
-const DRAIN_POLL: Duration = Duration::from_micros(500);
+/// Minimum global inactivity before a UDP-mode run may quiesce. Loopback
+/// datagram delivery is microseconds; anything still "in flight" after
+/// this long is genuinely lost and the reliable layer's timers (which
+/// block quiescence on their own) are responsible for it.
+const UDP_SETTLE_NANOS: u64 = 5_000_000;
 
-/// Condvar-wait cap for blocking receives (a guard against lost wakeups,
-/// not a polling interval: pushes and poisons notify immediately).
-const RECV_WAIT: Duration = Duration::from_millis(25);
+/// How long the loop sleeps between pumps while something is in flight:
+/// a TCP frame written but not yet readable, or a UDP settle window.
+const IN_FLIGHT_POLL: Duration = Duration::from_micros(50);
+
+/// Cap on any one idle sleep, so a run that is waiting on nothing but a
+/// far-off deadline still looks at its sockets now and then.
+const IDLE_NAP: Duration = Duration::from_millis(25);
+
+/// Bytes asked of a socket per read; no datagram is larger.
+const READ_CHUNK: usize = 65_536;
 
 /// Which socket flavor a real-transport run uses.
 #[derive(Clone, Debug)]
@@ -198,18 +224,6 @@ impl std::fmt::Display for RealError {
 
 impl std::error::Error for RealError {}
 
-impl From<RealPoison> for RealError {
-    fn from(p: RealPoison) -> RealError {
-        match p {
-            RealPoison::Protocol { proc, message } => RealError::Protocol { proc, message },
-            RealPoison::App { proc, message } => RealError::App { proc, message },
-            RealPoison::Panic { proc, message } => RealError::Panic { proc, message },
-            RealPoison::Io { proc, message } => RealError::Io { proc, message },
-            RealPoison::Watchdog { secs, dumps } => RealError::Watchdog { secs, dumps },
-        }
-    }
-}
-
 /// The result of a successful real-transport run. Mirrors the simulator's
 /// `RunOutcome`, but times are wall-clock-derived and therefore vary from
 /// run to run.
@@ -225,193 +239,514 @@ pub struct RealOutcome<R> {
     pub messages_delivered: u64,
 }
 
-/// Per-processor socket state.
-enum Links {
+/// Panic payload that unwinds a processor out of a poisoned run. The
+/// poison itself is already recorded when this is thrown.
+struct RealAbort;
+
+/// What a processor is doing: decides whether the loop may resume it, and
+/// labels it in watchdog dumps.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Status {
+    /// Not started yet.
+    App,
+    /// In `recv`.
+    Recv,
+    /// In `drain_recv`.
+    Drain,
+    /// Its closure has returned or unwound.
+    Finished,
+}
+
+/// One processor's share of the run state.
+struct Slot<M> {
+    status: Status,
+    /// Decoded network messages not yet handed to the closure.
+    inbox: VecDeque<(usize, M)>,
+    /// Self-posted timers by `(deadline in run nanoseconds, post order)`.
+    timers: BTreeMap<(u64, u64), M>,
+    /// Reliable-channel incarnation epoch (0 = never crashed) and sequence
+    /// number of the last stable checkpoint (0 = none yet), as published
+    /// through `Transport::note_recovery_status`; dumps only.
+    epoch: u32,
+    last_ckpt: u64,
+}
+
+impl<M> Slot<M> {
+    fn new() -> Slot<M> {
+        Slot {
+            status: Status::App,
+            inbox: VecDeque::new(),
+            timers: BTreeMap::new(),
+            epoch: 0,
+            last_ckpt: 0,
+        }
+    }
+
+    /// When the earliest self-timer is due.
+    fn next_timer(&self) -> Option<u64> {
+        self.timers.keys().next().map(|&(at, _)| at)
+    }
+}
+
+/// One human-readable line per processor, for watchdog abort reports.
+/// Includes the processor's last published crash-tolerance status —
+/// incarnation epoch and last stable checkpoint ("none" before the first)
+/// — so a hang after a recovery is attributable from the dump alone.
+fn dump<M>(slots: &[Slot<M>]) -> Vec<String> {
+    let line = |(p, s): (usize, &Slot<M>)| {
+        let status = match s.status {
+            Status::App => "app",
+            Status::Recv => "recv",
+            Status::Drain => "drain",
+            Status::Finished => "finished",
+        };
+        let ckpt = match s.last_ckpt {
+            0 => "none".to_string(),
+            seq => format!("#{seq}"),
+        };
+        format!(
+            "proc {p}: status={status} inbox={} pending_self={} epoch={} ckpt={ckpt}",
+            s.inbox.len(),
+            s.timers.len(),
+            s.epoch,
+        )
+    };
+    slots.iter().enumerate().map(line).collect()
+}
+
+/// The bytes of one inbound TCP stream, cut back into what the dialer
+/// wrote: a 4-byte hello naming the dialing processor, then
+/// `[u32 len][payload]` frames. Reads land here in whatever pieces the
+/// kernel hands over; the buffer only ever grows by bytes that actually
+/// arrived, never by what a length prefix claims.
+#[derive(Default)]
+struct Reassembly {
+    buf: Vec<u8>,
+    /// Bytes of `buf` already handed out.
+    pos: usize,
+    /// The dialing processor, once the hello is complete.
+    src: Option<usize>,
+}
+
+impl Reassembly {
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The little-endian word at the read position, if four bytes are in.
+    fn peek_u32(&self) -> Option<usize> {
+        let word = self.buf.get(self.pos..self.pos + 4)?;
+        Some(u32::from_le_bytes(word.try_into().expect("4 bytes")) as usize)
+    }
+
+    /// The next complete frame and the processor it came from, or `None`
+    /// until more bytes arrive. Rejects a hello outside `0..procs` and a
+    /// length prefix above [`MAX_TCP_FRAME`] as soon as it is readable.
+    fn next_frame(&mut self, procs: usize) -> Result<Option<(usize, &[u8])>, String> {
+        if self.src.is_none() {
+            let Some(src) = self.peek_u32() else {
+                return Ok(None);
+            };
+            if src >= procs {
+                return Err(format!("hello from out-of-range processor {src}"));
+            }
+            self.pos += 4;
+            self.src = Some(src);
+        }
+        let (Some(src), Some(len)) = (self.src, self.peek_u32()) else {
+            return Ok(None);
+        };
+        if len > MAX_TCP_FRAME {
+            return Err(format!(
+                "frame of {len} bytes from proc {src} exceeds the frame cap"
+            ));
+        }
+        let start = self.pos + 4;
+        if self.buf.len() < start + len {
+            return Ok(None);
+        }
+        self.pos = start + len;
+        Ok(Some((src, &self.buf[start..self.pos])))
+    }
+}
+
+/// Every socket of the run.
+enum Net {
     Tcp {
-        addrs: Arc<Vec<SocketAddr>>,
-        /// Outbound stream per destination, dialed on first send.
-        writers: Vec<Option<TcpStream>>,
+        listeners: Vec<TcpListener>,
+        /// `writers[src][dst]`, dialed on `src`'s first send to `dst` and
+        /// kept open until the run ends. A stream per direction of each
+        /// pair: per-pair FIFO follows from TCP's byte ordering.
+        writers: Vec<Vec<Option<TcpStream>>>,
+        /// Accepted streams: the processor each carries frames to, and its
+        /// bytes so far.
+        inbound: Vec<(usize, TcpStream, Reassembly)>,
     },
-    Udp {
-        sock: UdpSocket,
-        addrs: Arc<Vec<SocketAddr>>,
-        loss: Box<FaultPlan>,
-        /// Per-destination datagram sequence numbers feeding the loss plan.
-        seqs: Vec<u64>,
-    },
+    /// One socket per processor, for both directions.
+    Udp { socks: Vec<UdpSocket> },
+}
+
+/// Per-run state, shared by the loop and the processors' transports
+/// through an `Rc<RefCell<_>>` that is never borrowed across a `suspend`.
+struct Hub<M> {
+    start: Instant,
+    addrs: Vec<SocketAddr>,
+    net: Net,
+    slots: Vec<Slot<M>>,
+    /// TCP frames written and messages decoded into inboxes. On TCP the
+    /// two meet exactly when nothing is in flight.
+    frames_sent: u64,
+    frames_received: u64,
+    /// Messages handed to processor closures (network + self timers).
+    delivered: u64,
+    /// When anything was last sent, received or delivered (UDP settling).
+    last_activity: u64,
+    quiesced: bool,
+    /// The first failure; set once, ends the run.
+    poison: Option<RealError>,
+    chunk: Vec<u8>,
+}
+
+fn io_error(proc: usize, message: String) -> RealError {
+    RealError::Io { proc, message }
+}
+
+fn as_nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Opens one non-blocking loopback endpoint per processor.
+fn endpoints<S>(
+    procs: usize,
+    open: impl Fn() -> std::io::Result<(SocketAddr, S)>,
+) -> Result<(Vec<S>, Vec<SocketAddr>), RealError> {
+    let all: std::io::Result<Vec<_>> = (0..procs).map(|_| open()).collect();
+    let all = all.map_err(|e| io_error(0, format!("binding loopback socket: {e}")))?;
+    Ok(all.into_iter().map(|(addr, s)| (s, addr)).unzip())
+}
+
+/// Makes a call on a non-blocking socket: `None` where a blocking socket
+/// would have blocked.
+fn nonblocking<T>(mut call: impl FnMut() -> std::io::Result<T>) -> std::io::Result<Option<T>> {
+    loop {
+        match call() {
+            Ok(v) => return Ok(Some(v)),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+impl<M> Hub<M> {
+    /// Binds every endpoint up front, so first sends can dial without a
+    /// handshake barrier.
+    fn bind(mode: &RealMode, procs: usize) -> Result<Hub<M>, RealError> {
+        let (net, addrs) = match mode {
+            RealMode::Tcp => {
+                let (listeners, addrs) = endpoints(procs, || {
+                    let l = TcpListener::bind("127.0.0.1:0")?;
+                    l.set_nonblocking(true)?;
+                    Ok((l.local_addr()?, l))
+                })?;
+                let unconnected = || (0..procs).map(|_| None).collect();
+                let writers = (0..procs).map(|_| unconnected()).collect();
+                let inbound = Vec::new();
+                let tcp = Net::Tcp {
+                    listeners,
+                    writers,
+                    inbound,
+                };
+                (tcp, addrs)
+            }
+            RealMode::Udp { .. } => {
+                let (socks, addrs) = endpoints(procs, || {
+                    let s = UdpSocket::bind("127.0.0.1:0")?;
+                    s.set_nonblocking(true)?;
+                    Ok((s.local_addr()?, s))
+                })?;
+                (Net::Udp { socks }, addrs)
+            }
+        };
+        Ok(Hub {
+            start: Instant::now(),
+            addrs,
+            net,
+            slots: (0..procs).map(|_| Slot::new()).collect(),
+            frames_sent: 0,
+            frames_received: 0,
+            delivered: 0,
+            last_activity: 0,
+            quiesced: false,
+            poison: None,
+            chunk: vec![0; READ_CHUNK],
+        })
+    }
+
+    /// Nanoseconds since the run started (shared epoch for all clocks).
+    fn nanos(&self) -> u64 {
+        as_nanos(self.start.elapsed())
+    }
+
+    /// Whether resuming `id`, which has not finished, would get it anywhere.
+    fn runnable(&self, id: usize) -> bool {
+        let s = &self.slots[id];
+        s.status == Status::App
+            || !s.inbox.is_empty()
+            || (self.quiesced && s.status == Status::Drain)
+            || s.next_timer().is_some_and(|at| at <= self.nanos())
+    }
+
+    /// The next delivery for `me` — a due self-timer first, then the
+    /// inbox — as `(now, src, msg)`.
+    fn take(&mut self, me: usize) -> Option<(u64, usize, M)> {
+        let now = self.nanos();
+        let slot = &mut self.slots[me];
+        let (src, msg) = if slot.next_timer().is_some_and(|at| at <= now) {
+            slot.timers.pop_first().map(|(_, msg)| (me, msg))
+        } else {
+            slot.inbox.pop_front()
+        }?;
+        self.delivered += 1;
+        self.last_activity = now;
+        Some((now, src, msg))
+    }
+}
+
+impl<M: Wire> Hub<M> {
+    /// Moves everything the kernel holds for this run into the inboxes:
+    /// accepts pending connections, reads every readable socket, cuts TCP
+    /// bytes back into frames and decodes them. Never blocks. A failure
+    /// poisons the run; callers look at `poison` afterwards.
+    fn pump(&mut self) {
+        if let Err(e) = self.try_pump() {
+            self.poison.get_or_insert(e);
+        }
+    }
+
+    fn try_pump(&mut self) -> Result<(), RealError> {
+        let procs = self.slots.len();
+        let now = self.nanos();
+        let (net, slots, chunk) = (&mut self.net, &mut self.slots, &mut self.chunk[..]);
+        let (received, last_activity) = (&mut self.frames_received, &mut self.last_activity);
+        let mut deliver = |owner: usize, src: usize, msg: M| {
+            slots[owner].inbox.push_back((src, msg));
+            *received += 1;
+            *last_activity = now;
+        };
+        let io = |owner, what: &str, e: std::io::Error| io_error(owner, format!("{what}: {e}"));
+        match net {
+            Net::Tcp {
+                listeners, inbound, ..
+            } => {
+                for (owner, listener) in listeners.iter().enumerate() {
+                    while let Some((stream, _)) = nonblocking(|| listener.accept())
+                        .map_err(|e| io(owner, "accept failed", e))?
+                    {
+                        let nb = stream.set_nonblocking(true);
+                        nb.map_err(|e| io(owner, "accept failed", e))?;
+                        inbound.push((owner, stream, Reassembly::default()));
+                    }
+                }
+                for (owner, stream, bytes) in inbound.iter_mut() {
+                    let owner = *owner;
+                    while let Some(n) =
+                        nonblocking(|| stream.read(chunk)).map_err(|e| io(owner, "tcp read", e))?
+                    {
+                        // Write halves stay open until the run is over, so
+                        // an end of stream is never the normal one.
+                        if n == 0 {
+                            let peer = bytes.src.map_or("?".into(), |src| src.to_string());
+                            let message = format!("stream from proc {peer} closed mid-run");
+                            return Err(io_error(owner, message));
+                        }
+                        bytes.push(&chunk[..n]);
+                        while let Some((src, frame)) = bytes
+                            .next_frame(procs)
+                            .map_err(|message| io_error(owner, message))?
+                        {
+                            let msg = decode_exact::<M>(frame).map_err(|e| {
+                                io_error(owner, format!("bad frame from proc {src}: {e}"))
+                            })?;
+                            deliver(owner, src, msg);
+                        }
+                        // A short read emptied the kernel's buffer.
+                        if n < chunk.len() {
+                            break;
+                        }
+                    }
+                }
+            }
+            Net::Udp { socks } => {
+                for (owner, sock) in socks.iter().enumerate() {
+                    while let Some((n, _)) = nonblocking(|| sock.recv_from(chunk))
+                        .map_err(|e| io(owner, "udp recv", e))?
+                    {
+                        // `[u32 src][payload]`. Malformed datagrams are
+                        // dropped silently — on a lossy link they are
+                        // indistinguishable from loss, and the reliable
+                        // channel above recovers either way.
+                        let Some((src, payload)) = chunk[..n].split_first_chunk::<4>() else {
+                            continue;
+                        };
+                        let src = u32::from_le_bytes(*src) as usize;
+                        if let (true, Ok(msg)) = (src < procs, decode_exact::<M>(payload)) {
+                            deliver(owner, src, msg);
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Sends `frame` — a whole TCP frame or a whole datagram — from `me`
+    /// to `dst`, dialing the stream first if it is the pair's first.
+    fn transmit(&mut self, me: usize, dst: usize, frame: &[u8]) -> Result<(), RealError> {
+        if let Net::Tcp { writers, .. } = &mut self.net {
+            if writers[me][dst].is_none() {
+                let dialed = TcpStream::connect(self.addrs[dst]).and_then(|s| {
+                    s.set_nodelay(true)?;
+                    s.set_nonblocking(true)?;
+                    Ok(s)
+                });
+                let dialed =
+                    dialed.map_err(|e| io_error(me, format!("dialing proc {dst}: {e}")))?;
+                writers[me][dst] = Some(dialed);
+                // The hello tells the acceptor which processor this
+                // stream carries traffic from.
+                let hello = u32::try_from(me).expect("proc id fits u32").to_le_bytes();
+                self.write_all(me, dst, &hello)?;
+            }
+            self.frames_sent += 1;
+        }
+        self.write_all(me, dst, frame)?;
+        self.last_activity = self.nanos();
+        Ok(())
+    }
+
+    /// Where a blocking socket would block on a full kernel buffer this
+    /// pumps instead: the receiver's side drains into its reassembly
+    /// buffer and the write goes on, so the one thread cannot wedge itself
+    /// on a payload larger than the loopback buffer.
+    fn write_all(&mut self, me: usize, dst: usize, mut bytes: &[u8]) -> Result<(), RealError> {
+        let io = |e: std::io::Error| io_error(me, format!("writing to proc {dst}: {e}"));
+        while !bytes.is_empty() {
+            let (net, to) = (&mut self.net, self.addrs[dst]);
+            let written = nonblocking(|| match net {
+                Net::Tcp { writers, .. } => {
+                    let stream = writers[me][dst].as_mut().expect("dialed by transmit");
+                    stream.write(bytes)
+                }
+                Net::Udp { socks } => socks[me].send_to(bytes, to),
+            });
+            match written.map_err(io)? {
+                Some(0) => return Err(io(ErrorKind::WriteZero.into())),
+                Some(n) => bytes = &bytes[n..],
+                None => {
+                    self.pump();
+                    if let Some(poison) = &self.poison {
+                        return Err(poison.clone());
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A round of the loop resumed nobody. Pumps; if that brought nothing
+    /// either, the run is waiting on the kernel, on a self-timer or on
+    /// nothing at all: polls shortly, sleeps to the timer (or the watchdog
+    /// `deadline`), or commits quiescence (see the module docs).
+    fn idle(&mut self, deadline: Option<Duration>) {
+        let before = self.frames_received;
+        self.pump();
+        if self.poison.is_some() || self.frames_received != before {
+            return;
+        }
+        let now = self.nanos();
+        let in_flight = match self.net {
+            Net::Tcp { .. } => self.frames_sent != self.frames_received,
+            Net::Udp { .. } => now.saturating_sub(self.last_activity) < UDP_SETTLE_NANOS,
+        };
+        let quiet = |s: &Slot<M>| {
+            matches!(s.status, Status::Drain | Status::Finished)
+                && s.timers.is_empty()
+                && s.inbox.is_empty()
+        };
+        let nap = if in_flight {
+            IN_FLIGHT_POLL
+        } else if self.slots.iter().all(quiet) {
+            self.quiesced = true;
+            return;
+        } else {
+            let timers = self.slots.iter().filter_map(Slot::next_timer);
+            let wake = timers.chain(deadline.map(as_nanos)).min();
+            wake.map_or(IDLE_NAP, |at| Duration::from_nanos(at.saturating_sub(now)))
+        };
+        std::thread::sleep(nap.min(IDLE_NAP));
+    }
 }
 
 /// A real processor's transport handle: impl #2 of
-/// [`Transport`](crate::Transport). Owned by exactly one OS thread.
+/// [`Transport`](crate::Transport). Lives on its processor's coroutine stack
+/// and shares the run's state through an `Rc`: neither `Send` nor `Sync`.
 pub struct RealTransport<M> {
     me: usize,
     procs: usize,
     cycles_per_micro: u64,
-    hub: Arc<Hub<M>>,
-    links: Links,
-    timers: std::collections::BinaryHeap<TimerEntry<M>>,
+    hub: Rc<RefCell<Hub<M>>>,
+    /// UDP mode: the loss plan, and per-destination datagram sequence
+    /// numbers feeding it.
+    loss: Option<(Box<FaultPlan>, Vec<u64>)>,
     timer_seq: u64,
-    charged: [u64; CATEGORY_COUNT],
-    msgs_sent: u64,
-    bytes_sent: u64,
-    msgs_received: u64,
-    fault_stats: FaultStats,
+    /// This processor's accounting so far (`final_time` is set at the end).
+    report: ProcReport,
     scratch: Vec<u8>,
-    busy_marked: bool,
-    idle_marked: bool,
 }
 
-impl<M: Wire + Send> RealTransport<M> {
-    fn cycles_to_nanos(&self, cycles: u64) -> u64 {
-        cycles.saturating_mul(1_000) / self.cycles_per_micro
+impl<M: Wire> RealTransport<M> {
+    fn nanos_to_cycles(&self, nanos: u64) -> VirtualTime {
+        VirtualTime(nanos.saturating_mul(self.cycles_per_micro) / 1_000)
     }
 
-    /// Poisons the run and unwinds this thread. Free of `&mut self` so it
-    /// can be called while socket state is mutably borrowed.
-    fn die(hub: &Hub<M>, poison: RealPoison) -> ! {
-        hub.fail_soft(poison);
+    /// Poisons the run and unwinds this processor. The hub must not be
+    /// borrowed by the caller.
+    fn die(&self, e: RealError) -> ! {
+        self.hub.borrow_mut().poison.get_or_insert(e);
         panic_any(RealAbort)
     }
 
-    fn clear_busy(&mut self) {
-        if self.busy_marked {
-            self.hub.busy[self.me].store(false, SeqCst);
-            self.hub.bump();
-            self.busy_marked = false;
-        }
-    }
-
-    fn mark_active(&mut self) {
-        if self.idle_marked {
-            self.hub.idle_drain[self.me].store(false, SeqCst);
-            self.hub.bump();
-            self.idle_marked = false;
-        }
-        self.hub.busy[self.me].store(true, SeqCst);
-        self.busy_marked = true;
-        self.hub.delivered.fetch_add(1, SeqCst);
-        self.hub.touch(self.me);
-        self.hub.status[self.me].store(status::APP, SeqCst);
-    }
-
-    fn recv_inner(&mut self, draining: bool) -> Option<(VirtualTime, usize, M)> {
-        self.hub.status[self.me].store(
-            if draining {
-                status::DRAIN
-            } else {
-                status::RECV
-            },
-            SeqCst,
-        );
-        // Returning from the previous recv marked this processor busy;
-        // coming back for the next message ends that handler span.
-        self.clear_busy();
+    fn recv_inner(&mut self, waiting: Status) -> Option<(VirtualTime, usize, M)> {
         loop {
-            if self.hub.is_poisoned() {
-                panic_any(RealAbort);
-            }
-            if draining && self.hub.quiesced() {
-                return None;
-            }
-            let now_ns = self.hub.nanos();
-            if self.timers.peek().is_some_and(|e| e.at_nanos <= now_ns) {
-                let e = self.timers.pop().expect("peeked entry");
-                self.hub.pending_self[self.me].fetch_sub(1, SeqCst);
-                self.hub.bump();
-                self.mark_active();
-                return Some((self.now(), self.me, e.msg));
-            }
-            if let Some((src, msg)) = self.hub.try_pop(self.me) {
-                self.msgs_received += 1;
-                self.mark_active();
-                return Some((self.now(), src, msg));
-            }
-            let wait = match self.timers.peek() {
-                // Sleep until the earliest timer (capped: a push still
-                // wakes us immediately via the inbox condvar).
-                Some(e) => {
-                    Duration::from_nanos(e.at_nanos.saturating_sub(now_ns).max(1)).min(RECV_WAIT)
+            {
+                let mut hub = self.hub.borrow_mut();
+                if hub.poison.is_some() {
+                    panic_any(RealAbort);
                 }
-                None if draining => {
-                    if !self.idle_marked {
-                        self.hub.idle_drain[self.me].store(true, SeqCst);
-                        self.idle_marked = true;
-                    }
-                    if self.hub.try_quiesce() {
-                        return None;
-                    }
-                    DRAIN_POLL
+                hub.slots[self.me].status = waiting;
+                if waiting == Status::Drain && hub.quiesced {
+                    return None;
                 }
-                None => RECV_WAIT,
-            };
-            self.hub.wait(self.me, wait);
-        }
-    }
-
-    fn send_tcp(
-        hub: &Hub<M>,
-        me: usize,
-        addrs: &[SocketAddr],
-        writers: &mut [Option<TcpStream>],
-        dst: usize,
-        payload: &[u8],
-    ) {
-        use std::io::Write;
-        if writers[dst].is_none() {
-            let stream = TcpStream::connect(addrs[dst])
-                .and_then(|s| {
-                    s.set_nodelay(true)?;
-                    Ok(s)
-                })
-                .and_then(|mut s| {
-                    // The hello frame tells the acceptor which processor
-                    // this stream carries traffic from.
-                    s.write_all(&u32::try_from(me).expect("proc id fits u32").to_le_bytes())?;
-                    Ok(s)
+                let got = hub.take(self.me).or_else(|| {
+                    hub.pump();
+                    hub.take(self.me)
                 });
-            match stream {
-                Ok(s) => writers[dst] = Some(s),
-                Err(e) => Self::die(
-                    hub,
-                    RealPoison::Io {
-                        proc: me,
-                        message: format!("dialing proc {dst}: {e}"),
-                    },
-                ),
+                if let Some((now, src, msg)) = got {
+                    self.report.msgs_received += u64::from(src != self.me);
+                    return Some((self.nanos_to_cycles(now), src, msg));
+                }
             }
-        }
-        let w = writers[dst].as_mut().expect("just dialed");
-        // Counted before the write so the quiescence check errs toward
-        // "still in flight" if it races the push on the receiver side.
-        hub.frames_sent.fetch_add(1, SeqCst);
-        let len = u32::try_from(payload.len()).expect("frame fits u32");
-        let io = w
-            .write_all(&len.to_le_bytes())
-            .and_then(|()| w.write_all(payload));
-        if let Err(e) = io {
-            Self::die(
-                hub,
-                RealPoison::Io {
-                    proc: me,
-                    message: format!("writing to proc {dst}: {e}"),
-                },
-            );
-        }
-    }
-
-    fn report(&self) -> ProcReport {
-        ProcReport {
-            final_time: self.now(),
-            breakdown: self.charged,
-            msgs_sent: self.msgs_sent,
-            bytes_sent: self.bytes_sent,
-            msgs_received: self.msgs_received,
-            fault_stats: self.fault_stats,
+            // Resumed once a message or timer is due, the run has
+            // quiesced, or it is poisoned: all checked from the top.
+            suspend();
         }
     }
 }
 
-impl<M: Wire + Send> Transport for RealTransport<M> {
+impl<M: Wire> Transport for RealTransport<M> {
     type Msg = M;
 
     fn id(&self) -> usize {
@@ -426,11 +761,11 @@ impl<M: Wire + Send> Transport for RealTransport<M> {
     /// clock runs whether or not anything is charged; the per-category
     /// breakdown is purely observational here.
     fn now(&self) -> VirtualTime {
-        VirtualTime(self.hub.nanos().saturating_mul(self.cycles_per_micro) / 1_000)
+        self.nanos_to_cycles(self.hub.borrow().nanos())
     }
 
     fn charge(&mut self, cat: Category, cycles: u64) {
-        self.charged[cat as usize] += cycles;
+        self.report.breakdown[cat as usize] += cycles;
     }
 
     fn send(&mut self, dst: usize, msg: M, bytes: u64) {
@@ -439,127 +774,104 @@ impl<M: Wire + Send> Transport for RealTransport<M> {
             dst, self.me,
             "self-send: local operations must not use the network"
         );
-        self.msgs_sent += 1;
-        self.bytes_sent += bytes;
+        self.report.msgs_sent += 1;
+        self.report.bytes_sent += bytes;
+        // Both wire formats are a 4-byte header and the encoded message:
+        // `[u32 len]` on a TCP stream, `[u32 src]` in a UDP datagram.
         self.scratch.clear();
-        match &mut self.links {
-            Links::Tcp { addrs, writers } => {
-                msg.encode(&mut self.scratch);
-                Self::send_tcp(&self.hub, self.me, addrs, writers, dst, &self.scratch);
-            }
-            Links::Udp {
-                sock,
-                addrs,
-                loss,
-                seqs,
-            } => {
-                // Datagram layout: [u32 src][payload]. The loss plan sees
-                // the same (src, dst, seq) identity the simulator's fault
-                // layer would, so a given plan drops "the same" messages.
-                self.scratch
-                    .extend_from_slice(&u32::try_from(self.me).expect("id fits u32").to_le_bytes());
-                msg.encode(&mut self.scratch);
-                if self.scratch.len() - 4 > MAX_UDP_PAYLOAD {
-                    Self::die(
-                        &self.hub,
-                        RealPoison::Io {
-                            proc: self.me,
-                            message: format!(
-                                "message of {} bytes exceeds the {MAX_UDP_PAYLOAD}-byte UDP \
-                                 payload limit; use the TCP mode",
-                                self.scratch.len() - 4
-                            ),
-                        },
-                    );
-                }
+        self.scratch.extend_from_slice(&[0; 4]);
+        msg.encode(&mut self.scratch);
+        let len = self.scratch.len() - 4;
+        let (header, copies) = match &mut self.loss {
+            None => (len, 1),
+            Some(_) if len > MAX_UDP_PAYLOAD => self.die(io_error(
+                self.me,
+                format!(
+                    "message of {len} bytes exceeds the {MAX_UDP_PAYLOAD}-byte UDP payload \
+                     limit; use the TCP mode"
+                ),
+            )),
+            Some((loss, seqs)) => {
+                // The loss plan sees the same (src, dst, seq) identity the
+                // simulator's fault layer would, so a given plan drops
+                // "the same" messages.
                 let seq = seqs[dst];
                 seqs[dst] += 1;
                 let copies = match loss.decide(self.me, dst, seq) {
-                    FaultDecision::Drop => {
-                        self.fault_stats.dropped += 1;
-                        0
-                    }
-                    FaultDecision::Duplicate { .. } => {
-                        self.fault_stats.duplicated += 1;
-                        2
-                    }
+                    FaultDecision::Drop => 0,
+                    FaultDecision::Duplicate { .. } => 2,
                     // Real sockets offer no delay hook; these deliver
                     // normally and are not counted as injected.
                     FaultDecision::Deliver
                     | FaultDecision::Reorder { .. }
                     | FaultDecision::Delay { .. } => 1,
                 };
-                for _ in 0..copies {
-                    if let Err(e) = sock.send_to(&self.scratch, addrs[dst]) {
-                        Self::die(
-                            &self.hub,
-                            RealPoison::Io {
-                                proc: self.me,
-                                message: format!("udp send to proc {dst}: {e}"),
-                            },
-                        );
-                    }
-                }
+                self.report.fault_stats.dropped += u64::from(copies == 0);
+                self.report.fault_stats.duplicated += u64::from(copies == 2);
+                (self.me, copies)
+            }
+        };
+        let header = u32::try_from(header).expect("frame length and proc id fit u32");
+        self.scratch[..4].copy_from_slice(&header.to_le_bytes());
+        for _ in 0..copies {
+            let sent = self.hub.borrow_mut().transmit(self.me, dst, &self.scratch);
+            if let Err(e) = sent {
+                self.die(e);
             }
         }
-        self.hub.bump();
-        self.hub.touch(self.me);
     }
 
     fn post_self(&mut self, msg: M, delay: u64) {
-        let at_nanos = self.hub.nanos().saturating_add(self.cycles_to_nanos(delay));
-        self.timers.push(TimerEntry {
-            at_nanos,
-            seq: self.timer_seq,
-            msg,
-        });
+        let mut hub = self.hub.borrow_mut();
+        let at = hub
+            .nanos()
+            .saturating_add(delay.saturating_mul(1_000) / self.cycles_per_micro);
+        hub.slots[self.me].timers.insert((at, self.timer_seq), msg);
         self.timer_seq += 1;
-        self.hub.pending_self[self.me].fetch_add(1, SeqCst);
     }
 
     fn recv(&mut self) -> (VirtualTime, usize, M) {
-        self.recv_inner(false)
+        self.recv_inner(Status::Recv)
             .expect("blocking recv cannot observe quiescence")
     }
 
     fn drain_recv(&mut self) -> Option<(VirtualTime, usize, M)> {
-        self.recv_inner(true)
+        self.recv_inner(Status::Drain)
     }
 
     fn protocol_violation(&mut self, message: String) -> ! {
-        Self::die(
-            &self.hub,
-            RealPoison::Protocol {
-                proc: self.me,
-                message,
-            },
-        )
+        self.die(RealError::Protocol {
+            proc: self.me,
+            message,
+        })
     }
 
     fn app_violation(&mut self, message: String) -> ! {
-        Self::die(
-            &self.hub,
-            RealPoison::App {
-                proc: self.me,
-                message,
-            },
-        )
+        self.die(RealError::App {
+            proc: self.me,
+            message,
+        })
     }
 
     fn note_recovery_status(&mut self, epoch: u32, checkpoint_seq: u64) {
-        self.hub.epoch[self.me].store(u64::from(epoch), SeqCst);
-        self.hub.last_ckpt[self.me].store(checkpoint_seq, SeqCst);
+        let slot = &mut self.hub.borrow_mut().slots[self.me];
+        slot.epoch = epoch;
+        slot.last_ckpt = checkpoint_seq;
     }
 }
 
-/// Entry point: runs one closure per processor, each on its own OS
-/// thread, over real loopback sockets.
+/// Entry point: runs one closure per processor over real loopback
+/// sockets, every processor a coroutine on the calling thread.
 pub struct RealCluster;
 
 impl RealCluster {
     /// Runs `f` on every processor of a real-transport cluster and
     /// collects the results. The counterpart of the simulator's
-    /// `Cluster::run`.
+    /// `Cluster::run`, and like it a plain loop on the calling thread:
+    /// nothing has to be `Send` or `Sync`.
+    ///
+    /// The watchdog is checked between rounds of that loop: it cannot
+    /// interrupt a closure that computes without touching the transport.
     ///
     /// # Errors
     ///
@@ -568,371 +880,170 @@ impl RealCluster {
     /// passes.
     pub fn run<M, R, F>(cfg: &RealConfig, procs: usize, f: F) -> Result<RealOutcome<R>, RealError>
     where
-        M: Wire + Send + 'static,
-        R: Send,
-        F: Fn(&mut RealTransport<M>) -> R + Send + Sync,
+        M: Wire,
+        F: Fn(&mut RealTransport<M>) -> R,
     {
         assert!(procs > 0, "cluster needs at least one processor");
-        let hub: Arc<Hub<M>> = Arc::new(Hub::new(procs, matches!(cfg.mode, RealMode::Tcp)));
-        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..procs).map(|_| None).collect());
-        let reports: Mutex<Vec<Option<ProcReport>>> =
-            Mutex::new((0..procs).map(|_| None).collect());
+        let hub = Rc::new(RefCell::new(Hub::<M>::bind(&cfg.mode, procs)?));
+        let finished: Vec<Cell<Option<(R, ProcReport)>>> =
+            (0..procs).map(|_| Cell::new(None)).collect();
 
-        // Bind every endpoint before any thread starts, so first sends
-        // can dial without a handshake barrier.
-        enum Sockets {
-            Tcp(Vec<TcpListener>),
-            Udp(Vec<UdpSocket>),
-        }
-        let bind_err = |e: std::io::Error| RealError::Io {
-            proc: 0,
-            message: format!("binding loopback socket: {e}"),
-        };
-        let (sockets, addrs) = match &cfg.mode {
-            RealMode::Tcp => {
-                let mut ls = Vec::with_capacity(procs);
-                let mut addrs = Vec::with_capacity(procs);
-                for _ in 0..procs {
-                    let l = TcpListener::bind("127.0.0.1:0").map_err(bind_err)?;
-                    addrs.push(l.local_addr().map_err(bind_err)?);
-                    ls.push(l);
-                }
-                (Sockets::Tcp(ls), Arc::new(addrs))
-            }
-            RealMode::Udp { .. } => {
-                let mut socks = Vec::with_capacity(procs);
-                let mut addrs = Vec::with_capacity(procs);
-                for _ in 0..procs {
-                    let s = UdpSocket::bind("127.0.0.1:0").map_err(bind_err)?;
-                    addrs.push(s.local_addr().map_err(bind_err)?);
-                    socks.push(s);
-                }
-                (Sockets::Udp(socks), Arc::new(addrs))
-            }
-        };
-
-        std::thread::scope(|s| {
-            // Inbound plumbing: accept threads (TCP) or reader threads
-            // (UDP), one per processor.
-            match &sockets {
-                Sockets::Tcp(listeners) => {
-                    for (owner, listener) in listeners.iter().enumerate() {
-                        let hub = Arc::clone(&hub);
-                        let listener = listener
-                            .try_clone()
-                            .expect("cloning a bound listener cannot fail in practice");
-                        s.spawn(move || accept_loop(s, hub, listener, owner));
-                    }
-                }
-                Sockets::Udp(socks) => {
-                    for (owner, sock) in socks.iter().enumerate() {
-                        let hub = Arc::clone(&hub);
-                        let sock = sock
-                            .try_clone()
-                            .expect("cloning a bound socket cannot fail in practice");
-                        s.spawn(move || udp_reader(hub, sock, owner));
-                    }
-                }
-            }
-
-            // Processor threads.
-            let handles: Vec<_> = (0..procs)
-                .map(|id| {
-                    let hub = Arc::clone(&hub);
-                    let links = match (&cfg.mode, &sockets) {
-                        (RealMode::Tcp, _) => Links::Tcp {
-                            addrs: Arc::clone(&addrs),
-                            writers: (0..procs).map(|_| None).collect(),
+        let mut cos: Vec<Coroutine<'_>> = (0..procs)
+            .map(|id| {
+                let (hub, f, finished) = (&hub, &f, &finished[id]);
+                Coroutine::new(move || {
+                    let mut t = RealTransport {
+                        me: id,
+                        procs,
+                        cycles_per_micro: cfg.cycles_per_micro,
+                        hub: Rc::clone(hub),
+                        loss: match &cfg.mode {
+                            RealMode::Tcp => None,
+                            RealMode::Udp { loss } => Some((loss.clone(), vec![0; procs])),
                         },
-                        (RealMode::Udp { loss }, Sockets::Udp(socks)) => Links::Udp {
-                            sock: socks[id]
-                                .try_clone()
-                                .expect("cloning a bound socket cannot fail in practice"),
-                            addrs: Arc::clone(&addrs),
-                            loss: loss.clone(),
-                            seqs: vec![0; procs],
-                        },
-                        (RealMode::Udp { .. }, Sockets::Tcp(_)) => unreachable!(),
+                        timer_seq: 0,
+                        report: ProcReport::default(),
+                        scratch: Vec::new(),
                     };
-                    let cycles_per_micro = cfg.cycles_per_micro;
-                    let f = &f;
-                    let results = &results;
-                    let reports = &reports;
-                    s.spawn(move || {
-                        let mut t = RealTransport {
-                            me: id,
-                            procs,
-                            cycles_per_micro,
-                            hub,
-                            links,
-                            timers: std::collections::BinaryHeap::new(),
-                            timer_seq: 0,
-                            charged: [0; CATEGORY_COUNT],
-                            msgs_sent: 0,
-                            bytes_sent: 0,
-                            msgs_received: 0,
-                            fault_stats: FaultStats::default(),
-                            scratch: Vec::new(),
-                            busy_marked: false,
-                            idle_marked: false,
-                        };
-                        let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut t)));
-                        // FINISHED before the transport (and its sockets)
-                        // drops, so peer readers treat the EOF as expected.
-                        t.hub.status[id].store(status::FINISHED, SeqCst);
-                        match outcome {
-                            Ok(val) => {
-                                lock_vec(reports)[id] = Some(t.report());
-                                lock_vec(results)[id] = Some(val);
-                            }
-                            Err(payload) => {
-                                if payload.downcast_ref::<RealAbort>().is_none() {
-                                    t.hub.fail_soft(RealPoison::Panic {
-                                        proc: id,
-                                        message: panic_message(&*payload),
-                                    });
-                                }
-                            }
+                    // Caught here, on the processor's own stack, so its
+                    // frames unwind and its locals drop before the loop
+                    // gets control back.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut t)));
+                    t.report.final_time = t.now();
+                    let mut hub = hub.borrow_mut();
+                    hub.slots[id].status = Status::Finished;
+                    match outcome {
+                        Ok(val) => finished.set(Some((val, t.report))),
+                        Err(payload) if payload.is::<RealAbort>() => {}
+                        Err(payload) => {
+                            let message = panic_message(&*payload);
+                            hub.poison
+                                .get_or_insert(RealError::Panic { proc: id, message });
                         }
-                    })
+                    }
                 })
-                .collect();
+            })
+            .collect();
 
-            // Watchdog.
-            if let Some(deadline) = cfg.watchdog {
-                let hub = Arc::clone(&hub);
-                s.spawn(move || watchdog(hub, deadline));
-            }
-
-            for h in handles {
-                let _ = h.join();
-            }
-            hub.done.store(true, SeqCst);
-
-            // Wake the inbound plumbing so the scope can close: a dummy
-            // hello (TCP) or datagram (UDP) tagged u32::MAX per endpoint.
-            // Reader threads on dialed streams have already seen EOF (the
-            // processor transports just dropped their write sockets).
-            use std::io::Write;
-            let wake = u32::MAX.to_le_bytes();
-            match &sockets {
-                Sockets::Tcp(_) => {
-                    for addr in addrs.iter() {
-                        if let Ok(mut s) = TcpStream::connect(addr) {
-                            let _ = s.write_all(&wake);
-                        }
-                    }
-                }
-                Sockets::Udp(_) => {
-                    if let Ok(s) = UdpSocket::bind("127.0.0.1:0") {
-                        for addr in addrs.iter() {
-                            let _ = s.send_to(&wake, addr);
-                        }
-                    }
+        loop {
+            let mut progressed = false;
+            for (id, co) in cos.iter_mut().enumerate() {
+                // The borrow ends with the condition, before the resume.
+                if !co.is_done() && hub.borrow().runnable(id) {
+                    co.resume();
+                    progressed = true;
                 }
             }
-        });
-
-        if let Some(poison) = hub.take_poison() {
-            return Err(poison.into());
+            let mut hub = hub.borrow_mut();
+            if hub.poison.is_some() || cos.iter().all(Coroutine::is_done) {
+                break;
+            }
+            match cfg.watchdog {
+                Some(limit) if hub.nanos() >= as_nanos(limit) => {
+                    let dumps = dump(&hub.slots);
+                    let secs = limit.as_secs();
+                    hub.poison = Some(RealError::Watchdog { secs, dumps });
+                    break;
+                }
+                _ if !progressed => hub.idle(cfg.watchdog),
+                _ => {}
+            }
         }
-        let results: Vec<R> = into_vec(results)
+        // Poisoned: the first round started everyone and only a receive
+        // suspends, so whoever is not done is resumed once, finds the poison
+        // there and unwinds its own stack.
+        for co in cos.iter_mut().filter(|co| !co.is_done()) {
+            co.resume();
+        }
+        drop(cos);
+
+        let mut hub = hub.borrow_mut();
+        if let Some(poison) = hub.poison.take() {
+            return Err(poison);
+        }
+        let (results, reports): (Vec<R>, Vec<ProcReport>) = finished
             .into_iter()
-            .map(|r| r.expect("every processor finished"))
-            .collect();
-        let reports: Vec<ProcReport> = into_vec(reports)
-            .into_iter()
-            .map(|r| r.expect("every processor reported"))
-            .collect();
-        let finish_time = reports
-            .iter()
-            .map(|r| r.final_time)
-            .max()
-            .unwrap_or(VirtualTime::ZERO);
+            .map(|slot| slot.into_inner().expect("every processor finished"))
+            .unzip();
+        let finish_time = reports.iter().map(|r| r.final_time).max();
         Ok(RealOutcome {
             results,
             reports,
-            finish_time,
-            messages_delivered: hub.delivered.load(SeqCst),
+            finish_time: finish_time.unwrap_or_default(),
+            messages_delivered: hub.delivered,
         })
     }
 }
 
-/// TCP accept loop for processor `owner`: every inbound stream opens with
-/// a 4-byte hello naming the dialing processor, then carries that pair's
-/// frames for the rest of the run.
-fn accept_loop<'scope, M: Wire + Send + 'static>(
-    s: &'scope std::thread::Scope<'scope, '_>,
-    hub: Arc<Hub<M>>,
-    listener: TcpListener,
-    owner: usize,
-) {
-    use std::io::Read;
-    loop {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let mut hello = [0u8; 4];
-                if stream.read_exact(&mut hello).is_err() {
-                    continue;
-                }
-                let src = u32::from_le_bytes(hello);
-                if src == u32::MAX {
-                    // Shutdown wake-up from the end of the run.
-                    if hub.done.load(SeqCst) || hub.is_poisoned() {
-                        return;
-                    }
-                    continue;
-                }
-                let src = src as usize;
-                if src >= hub.procs {
-                    hub.fail_soft(RealPoison::Io {
-                        proc: owner,
-                        message: format!("hello from out-of-range processor {src}"),
-                    });
-                    return;
-                }
-                let hub = Arc::clone(&hub);
-                s.spawn(move || tcp_reader(hub, stream, src, owner));
-            }
-            Err(e) => {
-                if !hub.done.load(SeqCst) && !hub.is_poisoned() {
-                    hub.fail_soft(RealPoison::Io {
-                        proc: owner,
-                        message: format!("accept failed: {e}"),
-                    });
-                }
-                return;
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dump_reports_recovery_status_per_proc() {
+        let mut slots: Vec<Slot<()>> = vec![Slot::new(), Slot::new()];
+        slots[1].epoch = 3;
+        slots[1].last_ckpt = 7;
+        let lines = dump(&slots);
+        assert_eq!(lines.len(), 2);
+        // A never-crashed, never-checkpointed processor reads epoch 0 and
+        // "none" — the dump must not invent a checkpoint sequence.
+        assert!(
+            lines[0].starts_with("proc 0: status=app"),
+            "unexpected line: {}",
+            lines[0]
+        );
+        assert!(lines[0].contains("epoch=0 ckpt=none"), "{}", lines[0]);
+        assert!(lines[1].contains("epoch=3 ckpt=#7"), "{}", lines[1]);
+        // The whole line keeps the fixed key=value shape the watchdog
+        // report parser-by-eyeball relies on.
+        for key in ["status=", "inbox=", "pending_self=", "epoch=", "ckpt="] {
+            assert!(lines[1].contains(key), "missing {key} in {}", lines[1]);
         }
     }
-}
 
-/// Decodes `[u32 len][payload]` frames from one inbound TCP stream and
-/// pushes them into `owner`'s inbox.
-fn tcp_reader<M: Wire + Send>(hub: Arc<Hub<M>>, mut stream: TcpStream, src: usize, owner: usize) {
-    use std::io::Read;
-    let mut lenbuf = [0u8; 4];
-    loop {
-        if stream.read_exact(&mut lenbuf).is_err() {
-            // EOF is the normal end of a stream: the peer finished and
-            // dropped its write socket. Anything else is a failure.
-            let expected = hub.status[src].load(SeqCst) == status::FINISHED
-                || hub.done.load(SeqCst)
-                || hub.quiesced()
-                || hub.is_poisoned();
-            if !expected {
-                hub.fail_soft(RealPoison::Io {
-                    proc: owner,
-                    message: format!("stream from proc {src} closed mid-run"),
-                });
+    /// Everything `bytes` yields, fed `step` bytes at a time.
+    fn frames(bytes: &[u8], step: usize) -> Vec<(usize, Vec<u8>)> {
+        let mut r = Reassembly::default();
+        let mut out = Vec::new();
+        for piece in bytes.chunks(step) {
+            r.push(piece);
+            while let Some((src, frame)) = r.next_frame(4).expect("well-formed stream") {
+                out.push((src, frame.to_vec()));
             }
-            return;
         }
-        let len = u32::from_le_bytes(lenbuf) as usize;
-        if len > MAX_TCP_FRAME {
-            hub.fail_soft(RealPoison::Io {
-                proc: owner,
-                message: format!("frame of {len} bytes from proc {src} exceeds the frame cap"),
-            });
-            return;
+        out
+    }
+
+    #[test]
+    fn reassembly_is_indifferent_to_how_the_bytes_arrive() {
+        let payloads: [&[u8]; 4] = [b"first", b"", &[0xab; 300], b"last"];
+        let mut stream = 2u32.to_le_bytes().to_vec();
+        for p in payloads {
+            stream.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            stream.extend_from_slice(p);
         }
-        let mut payload = vec![0u8; len];
-        if stream.read_exact(&mut payload).is_err() {
-            hub.fail_soft(RealPoison::Io {
-                proc: owner,
-                message: format!("truncated frame from proc {src}"),
-            });
-            return;
-        }
-        match decode_exact::<M>(&payload) {
-            Ok(msg) => hub.push(owner, src, msg),
-            Err(e) => {
-                hub.fail_soft(RealPoison::Io {
-                    proc: owner,
-                    message: format!("bad frame from proc {src}: {e}"),
-                });
-                return;
-            }
+        let whole = frames(&stream, stream.len());
+        let expect: Vec<(usize, Vec<u8>)> = payloads.iter().map(|p| (2, p.to_vec())).collect();
+        assert_eq!(whole, expect);
+        for step in [1, 3, 7] {
+            assert_eq!(frames(&stream, step), whole, "{step} bytes at a time");
         }
     }
-}
 
-/// Decodes `[u32 src][payload]` datagrams from `owner`'s UDP socket and
-/// pushes them into its inbox. Malformed datagrams are dropped silently —
-/// on a lossy link they are indistinguishable from loss, and the reliable
-/// channel above recovers either way.
-fn udp_reader<M: Wire + Send>(hub: Arc<Hub<M>>, sock: UdpSocket, owner: usize) {
-    let mut buf = vec![0u8; 65_536];
-    loop {
-        match sock.recv_from(&mut buf) {
-            Ok((n, _)) => {
-                if n < 4 {
-                    continue;
-                }
-                let src = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
-                if src == u32::MAX {
-                    // Shutdown wake-up from the end of the run.
-                    if hub.done.load(SeqCst) || hub.is_poisoned() {
-                        return;
-                    }
-                    continue;
-                }
-                let src = src as usize;
-                if src >= hub.procs {
-                    continue;
-                }
-                if let Ok(msg) = decode_exact::<M>(&buf[4..n]) {
-                    hub.push(owner, src, msg);
-                }
-            }
-            Err(e) => {
-                if !hub.done.load(SeqCst) && !hub.is_poisoned() {
-                    hub.fail_soft(RealPoison::Io {
-                        proc: owner,
-                        message: format!("udp recv: {e}"),
-                    });
-                }
-                return;
-            }
-        }
-    }
-}
+    #[test]
+    fn reassembly_rejects_bad_headers_without_buffering_for_them() {
+        let mut r = Reassembly::default();
+        r.push(&1u32.to_le_bytes());
+        r.push(&u32::try_from(MAX_TCP_FRAME + 1).unwrap().to_le_bytes());
+        let err = r.next_frame(4).unwrap_err();
+        assert!(err.contains("exceeds the frame cap"), "{err}");
+        // Nothing was reserved on the strength of the claimed length.
+        assert!(r.buf.capacity() < 1024, "capacity {}", r.buf.capacity());
 
-/// Aborts the run with per-processor state dumps if the wall-clock
-/// deadline passes. Exits quietly once the run finishes, quiesces, or is
-/// already poisoned. Note the limit shared with the simulator: a closure
-/// spinning in pure compute without touching the transport can only be
-/// observed, not interrupted — the dump will show it stuck in `app`.
-fn watchdog<M: Send>(hub: Arc<Hub<M>>, deadline: Duration) {
-    loop {
-        if hub.done.load(SeqCst) || hub.is_poisoned() || hub.quiesced() {
-            return;
-        }
-        if hub.start.elapsed() >= deadline {
-            hub.fail_soft(RealPoison::Watchdog {
-                secs: deadline.as_secs(),
-                dumps: hub.dump(),
-            });
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn lock_vec<T>(m: &Mutex<Vec<Option<T>>>) -> std::sync::MutexGuard<'_, Vec<Option<T>>> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn into_vec<T>(m: Mutex<Vec<Option<T>>>) -> Vec<Option<T>> {
-    m.into_inner().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        let mut r = Reassembly::default();
+        r.push(&4u32.to_le_bytes());
+        let err = r.next_frame(4).unwrap_err();
+        assert!(err.contains("out-of-range processor 4"), "{err}");
     }
 }

@@ -14,8 +14,10 @@ use midway_sim::{Category, ProcHandle, VirtualTime};
 /// unchanged; the repo ships two implementations:
 ///
 /// * the virtual-time simulator's `ProcHandle` (deterministic, impl #1),
-/// * [`RealTransport`](crate::RealTransport) over loopback TCP or UDP
-///   sockets with one OS thread per processor (wall-clock, impl #2).
+/// * [`RealTransport`](crate::RealTransport) over non-blocking loopback
+///   TCP or UDP sockets (wall-clock, impl #2).
+///
+/// Both run every processor as a coroutine on the calling thread.
 ///
 /// # Contract
 ///
@@ -95,10 +97,10 @@ pub trait Transport {
 
 /// Impl #1: the virtual-time simulator's processor handle.
 ///
-/// Every method forwards to the inherent `ProcHandle` method of the same
-/// name, so code generic over [`Transport`] behaves bit-for-bit like code
-/// written directly against the simulator.
-impl<M: Send + Clone> Transport for ProcHandle<M> {
+/// Every method is the inherent `ProcHandle` method of the same name (`work`
+/// by way of `charge`, as there), so code generic over [`Transport`] behaves
+/// bit-for-bit like code written directly against the simulator.
+impl<M: Clone> Transport for ProcHandle<M> {
     type Msg = M;
 
     fn id(&self) -> usize {
@@ -115,10 +117,6 @@ impl<M: Send + Clone> Transport for ProcHandle<M> {
 
     fn charge(&mut self, cat: Category, cycles: u64) {
         ProcHandle::charge(self, cat, cycles);
-    }
-
-    fn work(&mut self, cycles: u64) {
-        ProcHandle::work(self, cycles);
     }
 
     fn send(&mut self, dst: usize, msg: M, bytes: u64) {

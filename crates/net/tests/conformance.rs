@@ -391,3 +391,82 @@ fn tcp_report_counts_messages() {
     assert_eq!(out.reports[1].msgs_received, 25);
     assert!(out.messages_delivered >= 25);
 }
+
+// ------------------------------------------------- one thread, many peers
+
+/// A frame far larger than any loopback socket buffer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Bulk(Vec<u8>);
+
+impl Wire for Bulk {
+    fn encode(&self, out: &mut Vec<u8>) {
+        midway_net::put_bytes(out, &self.0);
+    }
+
+    fn decode(r: &mut midway_net::WireReader<'_>) -> Result<Bulk, WireError> {
+        Ok(Bulk(r.bytes("bulk")?))
+    }
+}
+
+/// Both processors send 8 MiB before either receives. With every
+/// processor on one thread, a `send` that could block on a full kernel
+/// buffer would never let the peer run to empty it.
+fn bulk_exchange_body<T: Transport<Msg = Bulk>>(t: &mut T) -> bool {
+    const LEN: usize = 8 << 20;
+    let fill = t.id() as u8 + 1;
+    let peer = 1 - t.id();
+    t.send(peer, Bulk(vec![fill; LEN]), LEN as u64);
+    let (_, src, Bulk(got)) = t.recv();
+    src == peer && got.len() == LEN && got.iter().all(|&b| b == peer as u8 + 1)
+}
+
+#[test]
+fn bulk_exchange_sim() {
+    let out = Cluster::run(ClusterConfig::new(2), |h: &mut ProcHandle<Bulk>| {
+        bulk_exchange_body(h)
+    })
+    .unwrap();
+    assert_eq!(out.results, vec![true, true]);
+}
+
+#[test]
+fn bulk_exchange_tcp() {
+    let out = RealCluster::run(&tcp(), 2, bulk_exchange_body).unwrap();
+    assert_eq!(out.results, vec![true, true]);
+}
+
+/// Eight processors each send a burst to every peer, then drain. Returns
+/// how many network messages this processor saw before quiescence.
+fn all_to_all_body<T: Transport<Msg = TMsg>>(t: &mut T, burst: u64) -> u64 {
+    for dst in 0..t.procs() {
+        for n in 0..burst {
+            if dst != t.id() {
+                t.send(dst, TMsg(n), 8);
+            }
+        }
+    }
+    let mut seen = 0;
+    while t.drain_recv().is_some() {
+        seen += 1;
+    }
+    seen
+}
+
+#[test]
+fn all_to_all_burst_quiesces_tcp() {
+    let out = RealCluster::run(&tcp(), 8, |t| all_to_all_body(t, 50)).unwrap();
+    assert_eq!(out.results, vec![7 * 50; 8]);
+    assert_eq!(out.messages_delivered, 8 * 7 * 50);
+    for r in &out.reports {
+        assert_eq!((r.msgs_sent, r.msgs_received), (7 * 50, 7 * 50));
+    }
+}
+
+#[test]
+fn all_to_all_burst_quiesces_udp() {
+    // Small enough that the kernel's receive buffers hold a whole burst:
+    // nothing is injected and nothing is shed, so every datagram counts.
+    let out = RealCluster::run(&udp(), 8, |t| all_to_all_body(t, 10)).unwrap();
+    assert_eq!(out.results, vec![7 * 10; 8]);
+    assert_eq!(out.messages_delivered, 8 * 7 * 10);
+}

@@ -4,24 +4,20 @@
 //!
 //! ```text
 //! magic   b"MWTR"                      (4 raw bytes)
-//! version 3                            (decoder accepts 1 through 3)
+//! version 5                            (the only one the decoder accepts)
 //! meta    app, scale (strings: length + UTF-8 bytes), verified (1 byte),
 //!         backend (1 byte: `BackendKind::wire_tag`), procs, history_cap,
 //!         cost model (Table 1 fields; µs fields as f64 bit patterns),
 //!         net model (4 varints),
-//!         fault plan (v3+: enabled (1 byte) + 7 varints) and reliable
-//!         channel params (v3+: 3 varints) — absent in v1/v2, which
-//!         decode as "perfect network, default channel",
-//!         home map (v4+: tag (1 byte), sharded adds a seed varint) and
-//!         barrier shape (v4+: tag (1 byte), tree adds an arity varint)
-//!         — absent before v4, which decodes as "modulo homes, flat
-//!         barriers",
-//!         crash plan (v5+: count + count × (proc, at, down) varints) and
-//!         checkpoint_every (v5+: 1 varint) — absent before v5, which
-//!         decodes as "no crashes, checkpointing off",
+//!         fault plan (enabled (1 byte) + 7 varints),
+//!         reliable channel params (3 varints),
+//!         home map (tag (1 byte), sharded adds a seed varint),
+//!         barrier shape (tag (1 byte), tree adds an arity varint),
+//!         crash plan (count + count × (proc, at, down) varints),
+//!         checkpoint_every (1 varint),
 //!         finish_cycles, messages,
-//!         counters: procs × 16 varints (Table 2 field order), plus 8
-//!         crash/recovery varints in v5+
+//!         counters: procs × 24 varints (Table 2 field order, then the
+//!         crash/recovery counters)
 //! blueprint
 //!         allocs: n × (name, addr, len, private (1 byte), line_shift)
 //!         locks: n × ranges           (ranges: n × (start, len))
@@ -54,21 +50,10 @@ use crate::{Trace, TraceMeta};
 
 /// File magic: "MWTR" (MidWay TRace).
 pub const MAGIC: [u8; 4] = *b"MWTR";
-/// Current format version. Version 2 added the `hybrid` backend tag (the
-/// byte layout is unchanged — backend tags are append-only); version 3
-/// added the fault plan and reliable-channel parameters to the header so
-/// faulty runs replay deterministically; version 4 added the sync-home
-/// placement map and barrier shape so scale-out runs (sharded homes,
-/// combining-tree barriers) replay bit-for-bit; version 5 added the
-/// processor-crash plan, the checkpoint interval, and the crash/recovery
-/// counters so crashed-and-recovered runs replay bit-for-bit. Older files
-/// still decode: v1/v2 as fault-free, anything before v4 as modulo homes
-/// with flat barriers, and anything before v5 as crash-free with
-/// checkpointing off — exactly the configuration those traces ran under.
+/// The format version, and the only one the decoder accepts. Trace files
+/// are a re-recordable cache, not an archive: a file at any other version
+/// is [`TraceError::BadVersion`], which callers treat as a cache miss.
 pub const VERSION: u64 = 5;
-
-/// The oldest format version the decoder accepts.
-pub const MIN_VERSION: u64 = 1;
 
 /// Why a trace file was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -243,7 +228,7 @@ impl Writer {
         }
     }
 
-    fn counters(&mut self, c: &Counters, version: u64) {
+    fn counters(&mut self, c: &Counters) {
         for v in [
             c.dirtybits_set,
             c.dirtybits_misclassified,
@@ -261,22 +246,16 @@ impl Writer {
             c.lock_transfers_served,
             c.full_data_sends,
             c.barrier_waits,
+            c.crashes,
+            c.downtime_cycles,
+            c.fenced_messages,
+            c.checkpoints_written,
+            c.checkpoint_bytes,
+            c.wal_bytes_logged,
+            c.recovery_replay_bytes,
+            c.recovery_cycles,
         ] {
             self.varint(v);
-        }
-        if version >= 5 {
-            for v in [
-                c.crashes,
-                c.downtime_cycles,
-                c.fenced_messages,
-                c.checkpoints_written,
-                c.checkpoint_bytes,
-                c.wal_bytes_logged,
-                c.recovery_replay_bytes,
-                c.recovery_cycles,
-            ] {
-                self.varint(v);
-            }
         }
     }
 
@@ -319,28 +298,11 @@ impl Writer {
     }
 }
 
-/// Encodes a trace into the `MWTR` byte format at the current version.
+/// Encodes a trace into the `MWTR` byte format.
 pub fn encode(trace: &Trace) -> Vec<u8> {
-    encode_version(trace, VERSION)
-}
-
-/// Encodes a trace at an *older* format version, omitting every section
-/// that version lacked. This exists so compatibility tests can synthesize
-/// genuine old-version files without keeping binary fixtures in the repo;
-/// the trace must not rely on features the target version cannot express
-/// (the caller is responsible — nothing here checks).
-///
-/// # Panics
-///
-/// Panics if `version` is outside the decoder's accepted range.
-pub fn encode_version(trace: &Trace, version: u64) -> Vec<u8> {
-    assert!(
-        (MIN_VERSION..=VERSION).contains(&version),
-        "cannot encode unknown version {version}"
-    );
     let mut w = Writer { buf: Vec::new() };
     w.raw(&MAGIC);
-    w.varint(version);
+    w.varint(VERSION);
 
     let m = &trace.meta;
     w.string(&m.app);
@@ -351,18 +313,12 @@ pub fn encode_version(trace: &Trace, version: u64) -> Vec<u8> {
     w.varint(m.cfg.history_cap as u64);
     w.cost(&m.cfg.cost);
     w.net(&m.cfg.net);
-    if version >= 3 {
-        w.faults(&m.cfg.faults);
-        w.reliable(&m.cfg.reliable);
-    }
-    if version >= 4 {
-        w.home_map(m.cfg.home_map);
-        w.barrier_shape(m.cfg.barrier);
-    }
-    if version >= 5 {
-        w.crash_plan(&m.cfg.faults);
-        w.varint(u64::from(m.cfg.checkpoint_every));
-    }
+    w.faults(&m.cfg.faults);
+    w.reliable(&m.cfg.reliable);
+    w.home_map(m.cfg.home_map);
+    w.barrier_shape(m.cfg.barrier);
+    w.crash_plan(&m.cfg.faults);
+    w.varint(u64::from(m.cfg.checkpoint_every));
     w.varint(m.finish_cycles);
     w.varint(m.messages);
     assert_eq!(
@@ -371,7 +327,7 @@ pub fn encode_version(trace: &Trace, version: u64) -> Vec<u8> {
         "one counter set per processor"
     );
     for c in &m.counters {
-        w.counters(c, version);
+        w.counters(c);
     }
 
     let bp = &trace.blueprint;
@@ -589,7 +545,7 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    fn counters(&mut self, version: u64) -> Result<Counters, TraceError> {
+    fn counters(&mut self) -> Result<Counters, TraceError> {
         let mut c = Counters::default();
         for f in [
             &mut c.dirtybits_set,
@@ -608,22 +564,16 @@ impl<'a> Reader<'a> {
             &mut c.lock_transfers_served,
             &mut c.full_data_sends,
             &mut c.barrier_waits,
+            &mut c.crashes,
+            &mut c.downtime_cycles,
+            &mut c.fenced_messages,
+            &mut c.checkpoints_written,
+            &mut c.checkpoint_bytes,
+            &mut c.wal_bytes_logged,
+            &mut c.recovery_replay_bytes,
+            &mut c.recovery_cycles,
         ] {
             *f = self.varint()?;
-        }
-        if version >= 5 {
-            for f in [
-                &mut c.crashes,
-                &mut c.downtime_cycles,
-                &mut c.fenced_messages,
-                &mut c.checkpoints_written,
-                &mut c.checkpoint_bytes,
-                &mut c.wal_bytes_logged,
-                &mut c.recovery_replay_bytes,
-                &mut c.recovery_cycles,
-            ] {
-                *f = self.varint()?;
-            }
         }
         Ok(c)
     }
@@ -683,7 +633,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
         pos: MAGIC.len(),
     };
     let version = r.varint()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(TraceError::BadVersion(version));
     }
 
@@ -699,30 +649,16 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
     let history_cap = r.varint()? as usize;
     let cost = r.cost()?;
     let net = r.net()?;
-    let (mut faults, reliable) = if version >= 3 {
-        (r.faults()?, r.reliable()?)
-    } else {
-        // v1/v2 traces predate fault injection: perfect network.
-        (FaultPlan::none(), ReliableParams::atm_cluster())
-    };
-    let (home_map, barrier) = if version >= 4 {
-        (r.home_map()?, r.barrier_shape()?)
-    } else {
-        // Pre-v4 traces ran with the only placement that existed.
-        (HomeMap::Modulo, BarrierShape::Flat)
-    };
-    let checkpoint_every = if version >= 5 {
-        r.crash_plan(&mut faults)?;
-        r.u32field()?
-    } else {
-        // Pre-v5 traces predate crash fault tolerance: no crashes and no
-        // checkpointing, which is exactly what those runs did.
-        0
-    };
+    let mut faults = r.faults()?;
+    let reliable = r.reliable()?;
+    let home_map = r.home_map()?;
+    let barrier = r.barrier_shape()?;
+    r.crash_plan(&mut faults)?;
+    let checkpoint_every = r.u32field()?;
     let finish_cycles = r.varint()?;
     let messages = r.varint()?;
     let counters = (0..procs)
-        .map(|_| r.counters(version))
+        .map(|_| r.counters())
         .collect::<Result<Vec<_>, _>>()?;
     let cfg = MidwayConfig {
         procs,

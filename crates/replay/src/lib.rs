@@ -32,7 +32,7 @@ use midway_core::{
 
 mod format;
 
-pub use format::{decode, encode, encode_version, TraceError, MAGIC, MIN_VERSION, VERSION};
+pub use format::{decode, encode, TraceError, MAGIC, VERSION};
 
 /// Everything known about the recorded run, stored in the trace header.
 ///

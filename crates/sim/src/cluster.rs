@@ -133,7 +133,7 @@ impl From<Poison> for SimError {
 struct SimAbort(Poison);
 
 /// Per-processor accounting published at the end of a run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ProcReport {
     /// The processor's final virtual time.
     pub final_time: VirtualTime,
@@ -184,7 +184,7 @@ pub struct ProcHandle<M> {
     fault_stats: FaultStats,
 }
 
-impl<M: Send + Clone> ProcHandle<M> {
+impl<M: Clone> ProcHandle<M> {
     /// This processor's id, in `0..procs()`.
     pub fn id(&self) -> usize {
         self.id
@@ -432,10 +432,10 @@ impl Cluster {
     /// Everything runs on the calling thread: each processor is a
     /// coroutine with a stack of its own (2 MiB, as a spawned thread would
     /// have), and this call is the event loop that resumes them one at a
-    /// time. The `Send`/`Sync` bounds are kept so that one closure serves
-    /// this and the thread-per-processor real-socket transport alike.
-    /// Independent runs may be in flight on different threads at once, and
-    /// a closure may itself call `Cluster::run`.
+    /// time, so neither the closure nor anything it captures or returns
+    /// has to be `Send` or `Sync`. Independent runs may be in flight on
+    /// different threads at once, and a closure may itself call
+    /// `Cluster::run`.
     ///
     /// # Errors
     ///
@@ -444,9 +444,8 @@ impl Cluster {
     /// processor has unwound and dropped its locals before this returns.
     pub fn run<M, R, F>(cfg: ClusterConfig, f: F) -> Result<RunOutcome<R>, SimError>
     where
-        M: Send + Clone + 'static,
-        R: Send,
-        F: Fn(&mut ProcHandle<M>) -> R + Send + Sync,
+        M: Clone,
+        F: Fn(&mut ProcHandle<M>) -> R,
     {
         assert!(cfg.procs > 0, "cluster needs at least one processor");
         let sched: Rc<Scheduler<M>> = Rc::new(Scheduler::new(cfg.procs));
@@ -514,7 +513,8 @@ impl Cluster {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// A caught panic's payload as text, where it is a string.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -186,7 +186,7 @@ thread_local! {
 }
 
 /// A closure on its own stack, run in slices by [`resume`](Self::resume).
-pub(crate) struct Coroutine<'a> {
+pub struct Coroutine<'a> {
     /// Heap-allocated and only ever touched through this raw pointer, so
     /// the coroutine's own accesses (through `CURRENT` and `entry`'s
     /// argument) never alias a Rust reference held by the resumer.
@@ -196,7 +196,7 @@ pub(crate) struct Coroutine<'a> {
 
 impl<'a> Coroutine<'a> {
     /// Prepares `body` to run on a fresh stack; nothing runs yet.
-    pub(crate) fn new(body: impl FnOnce() + 'a) -> Coroutine<'a> {
+    pub fn new(body: impl FnOnce() + 'a) -> Coroutine<'a> {
         let stack = Stack::new();
         let ctx = Box::into_raw(Box::new(Ctx {
             sp: ptr::null_mut(),
@@ -235,7 +235,7 @@ impl<'a> Coroutine<'a> {
     }
 
     /// Whether the closure has returned (or unwound).
-    pub(crate) fn is_done(&self) -> bool {
+    pub fn is_done(&self) -> bool {
         // SAFETY: `ctx` is live until `drop`, and the coroutine is not
         // running (it runs only inside `resume`, which holds `&mut self`).
         unsafe { (*self.ctx).done }
@@ -247,7 +247,7 @@ impl<'a> Coroutine<'a> {
     /// # Panics
     ///
     /// Panics if the closure has already returned.
-    pub(crate) fn resume(&mut self) {
+    pub fn resume(&mut self) {
         assert!(!self.is_done(), "resumed a finished coroutine");
         let ctx = self.ctx;
         let outer = CURRENT.replace(ctx.cast());
@@ -307,7 +307,7 @@ extern "C" fn entry(arg: *mut u8) {
 /// # Panics
 ///
 /// Panics when no coroutine is running on this thread.
-pub(crate) fn suspend() {
+pub fn suspend() {
     let ctx = CURRENT.get();
     assert!(!ctx.is_null(), "coro::suspend called outside a coroutine");
     // SAFETY: `CURRENT` is non-null only between a `resume`'s switch in

@@ -27,12 +27,13 @@
 //! saves six registers and swaps the stack pointer; there is no lock, no
 //! condition variable and no system call on the event path. The closures
 //! stay ordinary blocking code (`p.recv()` anywhere, at any call depth),
-//! which is why the coroutines are stackful and not `async`: the same
-//! closures also run, unchanged, one OS thread each on the real-socket
-//! transport in `midway-net`.
+//! which is why the coroutines are stackful and not `async`. The same
+//! closures also run, unchanged, on the real-socket transport in
+//! `midway-net`, whose one loop drives the same [`Coroutine`]s over
+//! non-blocking sockets instead of an event queue.
 //!
 //! The switch and the stacks are the crate's only `unsafe`, confined to
-//! the private `coro` module behind a safe interface: a panic is caught on
+//! the `coro` module behind a safe interface: a panic is caught on
 //! the stack that raised it and never crosses a switch; when a run fails,
 //! every suspended processor is resumed once to unwind and drop its locals
 //! before its stack is unmapped; every stack ends in a guard page, so an
@@ -74,7 +75,10 @@ mod sched;
 mod time;
 
 pub use clock::{Category, CpuClock, CATEGORY_COUNT};
-pub use cluster::{Cluster, ClusterConfig, ProcHandle, ProcReport, RunOutcome, SimError};
+pub use cluster::{
+    panic_message, Cluster, ClusterConfig, ProcHandle, ProcReport, RunOutcome, SimError,
+};
+pub use coro::{suspend, Coroutine};
 pub use fault::{CrashEvent, FaultDecision, FaultPlan, FaultStats, MAX_CRASHES};
 pub use net::NetModel;
 pub use rng::SplitMix64;

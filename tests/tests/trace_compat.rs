@@ -1,136 +1,42 @@
-//! Trace-format backward compatibility: every version the decoder ever
-//! shipped must still decode, and still replay bit for bit.
-//!
-//! Old-version files are *synthesized* with `encode_version` rather than
-//! kept as binary fixtures: the version-gated encoder writes exactly the
-//! byte layout the old encoder wrote (the layout is append-only — each
-//! version adds sections, never reshapes earlier ones), so encoding a
-//! modern trace "at version 3" produces the same bytes a version-3
-//! recorder would have. Fields a version lacked must decode to the
-//! defaults those runs actually used: fault-free before v3, modulo homes
-//! and flat barriers before v4, no crashes and no checkpointing before
-//! v5.
+//! The trace format has exactly one version. Trace files are a
+//! re-recordable cache, so a file written by any other version of the
+//! recorder — older or newer — is rejected with `BadVersion` (which the
+//! bench harnesses treat as a cache miss), never half-understood.
 
 use midway_apps::{AppKind, Scale};
-use midway_core::{BackendKind, BarrierShape, HomeMap, MidwayConfig};
-use midway_replay::{
-    encode_version, record_app, verify_replay, Trace, TraceError, MIN_VERSION, VERSION,
-};
+use midway_core::{BackendKind, MidwayConfig};
+use midway_replay::{record_app, Trace, TraceError, VERSION};
 
-/// A recorded run expressible at every format version: fault-free,
-/// modulo homes, flat barriers, no crash plan.
-fn vanilla_trace() -> Trace {
+/// A valid trace re-labelled as `version` and re-sealed, so the version
+/// check is the only thing left to reject it.
+fn relabelled(bytes: &[u8], version: u64) -> Vec<u8> {
+    // The version sits right after the 4-byte magic; every version ever
+    // shipped is below 0x80, a single-byte varint to overwrite in place.
+    let mut out = bytes.to_vec();
+    out[4] = u8::try_from(version).expect("single-byte version");
+    let end = out.len() - 8;
+    // FNV-1a 64, as in the format's footer.
+    let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &out[..end] {
+        sum ^= u64::from(b);
+        sum = sum.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    out[end..].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+#[test]
+fn past_and_future_versions_are_rejected_as_bad_version() {
     let cfg = MidwayConfig::new(4, BackendKind::Rt);
     let (outcome, trace) = record_app(AppKind::Sor, cfg, Scale::Small);
     assert!(outcome.verified);
-    trace
-}
+    let bytes = trace.encode();
+    assert_eq!(Trace::decode(&relabelled(&bytes, VERSION)), Ok(trace));
 
-/// Every supported version of the same run decodes, agrees on the parts
-/// that version could express, defaults the rest, and replays bit for
-/// bit against the recorded baseline.
-#[test]
-fn all_versions_decode_and_replay_bit_for_bit() {
-    let trace = vanilla_trace();
-    for version in MIN_VERSION..=VERSION {
-        let bytes = encode_version(&trace, version);
-        let decoded =
-            Trace::decode(&bytes).unwrap_or_else(|e| panic!("version {version} must decode: {e}"));
-
-        // What every version carries.
-        assert_eq!(decoded.meta.app, trace.meta.app, "v{version}");
-        assert_eq!(decoded.ops, trace.ops, "v{version}");
-        assert_eq!(decoded.blueprint, trace.blueprint, "v{version}");
-        assert_eq!(decoded.meta.counters, trace.meta.counters, "v{version}");
+    for version in [VERSION - 1, VERSION + 1] {
         assert_eq!(
-            decoded.meta.finish_cycles, trace.meta.finish_cycles,
-            "v{version}"
+            Trace::decode(&relabelled(&bytes, version)),
+            Err(TraceError::BadVersion(version))
         );
-
-        // What old versions must default.
-        assert!(!decoded.meta.cfg.faults.enabled, "v{version}: fault-free");
-        assert_eq!(decoded.meta.cfg.home_map, HomeMap::Modulo, "v{version}");
-        assert_eq!(decoded.meta.cfg.barrier, BarrierShape::Flat, "v{version}");
-        assert!(
-            !decoded.meta.cfg.faults.has_crashes(),
-            "v{version}: crash plans did not exist before v5"
-        );
-        assert_eq!(
-            decoded.meta.cfg.checkpoint_every, 0,
-            "v{version}: checkpointing did not exist before v5"
-        );
-        assert_eq!(
-            decoded.meta.cfg.effective_checkpoint_every(),
-            None,
-            "v{version}: recovery machinery must stay inert"
-        );
-
-        // The acid test: the old-format file still replays bit for bit.
-        verify_replay(&decoded)
-            .unwrap_or_else(|e| panic!("version {version} must replay bit for bit: {e}"));
     }
-}
-
-/// v5's additions round-trip: the crash plan and checkpoint interval
-/// survive encode/decode, and pre-v5 encodings of the same run simply
-/// drop them (decoding as the crash-free configuration).
-#[test]
-fn v5_crash_fields_round_trip_and_downgrade_cleanly() {
-    let cfg = MidwayConfig::new(4, BackendKind::Rt)
-        .crash(1, 300_000, 60_000)
-        .crash(3, 900_000, 60_000)
-        .checkpoint_every(2);
-    let (outcome, trace) = record_app(AppKind::Sor, cfg, Scale::Small);
-    assert!(outcome.verified);
-
-    let v5 = Trace::decode(&encode_version(&trace, 5)).expect("v5 decodes");
-    assert_eq!(v5.meta.cfg.faults.crashes(), cfg.faults.crashes());
-    assert_eq!(v5.meta.cfg.checkpoint_every, 2);
-    assert_eq!(v5.meta.counters, trace.meta.counters);
-
-    let v4 = Trace::decode(&encode_version(&trace, 4)).expect("v4 decodes");
-    assert!(!v4.meta.cfg.faults.has_crashes());
-    assert_eq!(v4.meta.cfg.checkpoint_every, 0);
-    // The crash/recovery counters are a v5 section; a v4 file of a
-    // crashed run zeroes them but keeps every Table 2 field.
-    for (v4c, origc) in v4.meta.counters.iter().zip(&trace.meta.counters) {
-        assert_eq!(v4c, &origc.sans_recovery());
-    }
-}
-
-/// Unknown future versions and corrupt v5 crash sections are rejected,
-/// not misread.
-#[test]
-fn bad_versions_and_corrupt_crash_plans_are_rejected() {
-    let trace = vanilla_trace();
-
-    let bytes = encode_version(&trace, VERSION);
-    // Version byte sits right after the 4-byte magic; VERSION < 0x80 so
-    // it is a single-byte varint we can bump in place.
-    let mut future = bytes.clone();
-    future[4] = (VERSION + 1) as u8;
-    let end = future.len() - 8;
-    let sum = fnv_fixup(&future[..end]);
-    future[end..].copy_from_slice(&sum.to_le_bytes());
-    assert_eq!(
-        Trace::decode(&future),
-        Err(TraceError::BadVersion(VERSION + 1))
-    );
-
-    // Flip a byte without fixing the checksum: rejected as corrupt.
-    let mut corrupt = bytes;
-    let mid = corrupt.len() / 2;
-    corrupt[mid] ^= 0xff;
-    assert_eq!(Trace::decode(&corrupt), Err(TraceError::BadChecksum));
-}
-
-/// FNV-1a 64, duplicated here so the test can re-seal a deliberately
-/// altered header.
-fn fnv_fixup(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }

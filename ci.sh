@@ -22,6 +22,12 @@ echo "==> cargo test -p midway-sim --release"
 # and inlining, so the simulator's tests run in both profiles.
 cargo test -p midway-sim --release -q
 
+echo "==> cargo test -p midway-mem --release"
+# The page-diff and dirtybit-scan kernels are written for the
+# autovectorizer: the code that runs in the harnesses is the optimized
+# build, so their reference-equivalence tests run against that too.
+cargo test -p midway-mem --release -q
+
 echo "==> one-execution-path guard"
 # `unsafe` lives in the coroutine module (and the pinned benchmark's
 # sched_setaffinity call) and nowhere else; the scheduler and the cluster
@@ -52,6 +58,17 @@ for f in $(find crates/core/src -name '*.rs'); do
         grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
         grep -E 'excluding_addrs_of|\.on_release\('; then
         echo "materializing barrier release in non-test code of $f" >&2
+        exit 1
+    fi
+done
+# Likewise the collectors borrow the pieces of a diff that fall inside the
+# binding (`PageDiff::restricted`); the materializing `restrict` is for
+# the benchmark's probe and the tests.
+for f in crates/proto/src/vm.rs $(find crates/core/src/detect -name '*.rs'); do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
+        grep -F '.restrict('; then
+        echo "materializing diff restriction in non-test code of $f" >&2
         exit 1
     fi
 done

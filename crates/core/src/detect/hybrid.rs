@@ -10,13 +10,14 @@
 //! wire protocol is exactly RT-DSM's — peers only ever see timestamped
 //! update sets, whatever mechanism detected the writes.
 
-use midway_mem::{Addr, MemClass, PageTable, EPOCH, PAGE_SHIFT, PAGE_SIZE};
-use midway_proto::{rt, vm, Binding, SeenToken, Unskipped, UpdateItem, UpdateSet};
+use midway_mem::{Addr, MemClass, PageTable, EPOCH, PAGE_SIZE};
+use midway_proto::{rt, Binding, SeenToken, Unskipped, UpdateItem, UpdateSet};
 use midway_sim::Category;
 
 use crate::msg::GrantPayload;
 use crate::setup::SystemSpec;
 
+use super::vm::{collect_charged, fault_in_pages};
 use super::{DetectCx, WriteDetector};
 
 /// Shared regions at least this big (four pages) trap through the VM
@@ -65,29 +66,12 @@ impl HybridDetector {
     /// Folds the VM-side modifications under `binding` into the dirtybit
     /// map, so the RT timestamp scan that follows sees them. Pages fully
     /// covered by the binding are cleaned (re-protected); the update data
-    /// itself is discarded — the RT scan re-reads it from the store.
+    /// itself is never copied — the RT scan re-reads it from the store.
     fn harvest_paged_writes(&mut self, cx: &mut DetectCx<'_>, binding: &Binding) {
-        let col = vm::collect(cx.store, &mut self.pages, &cx.spec.layout, binding);
-        for (runs, words) in &col.diff_runs {
-            (cx.charge)(
-                Category::WriteCollect,
-                cx.cost.page_diff_cycles(*runs, *words),
-            );
-        }
-        (cx.charge)(
-            Category::WriteCollect,
-            col.pages_cleaned * cx.cost.protect_ro,
-        );
-        cx.counters.pages_diffed += col.pages_diffed;
-        cx.counters.pages_write_protected += col.pages_cleaned;
-        for item in &col.update.items {
-            rt::mark_write(
-                &mut self.dirty,
-                &cx.spec.layout,
-                Addr(item.addr),
-                item.data.len(),
-            );
-        }
+        let (dirty, layout) = (&mut self.dirty, &cx.spec.layout);
+        collect_charged(cx, &mut self.pages, binding, |addr, data| {
+            rt::mark_write(dirty, layout, Addr(addr), data.len());
+        });
     }
 
     /// Applies RT update items, additionally patching the twins of
@@ -149,18 +133,7 @@ impl WriteDetector for HybridDetector {
                 }
             }
             Mechanism::Paging => {
-                let first = addr.page_in_region();
-                let last = Addr(addr.raw() + len.max(1) as u64 - 1).page_in_region();
-                for page in first..=last {
-                    if self.pages.store_probe(desc.id, page) == midway_mem::WriteAccess::Fault {
-                        let offset = page << PAGE_SHIFT;
-                        let plen = PAGE_SIZE.min(desc.used - offset);
-                        let snapshot = cx.store.bytes(desc.base() + offset as u64, plen).to_vec();
-                        self.pages.fault_in(desc.id, page, &snapshot);
-                        (cx.charge)(Category::WriteTrap, cx.cost.page_write_fault);
-                        cx.counters.write_faults += 1;
-                    }
-                }
+                fault_in_pages(cx, &mut self.pages, desc, addr, len);
             }
         }
     }

@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use midway_mem::diff::{DiffScratch, PageDiff};
 use midway_mem::{Addr, LocalStore, PAGE_SHIFT, PAGE_SIZE};
 use midway_proto::{vm, Binding, SeenToken, Unskipped, Update, UpdateItem, UpdateSet};
 use midway_sim::Category;
@@ -24,6 +25,8 @@ pub struct TwinAllDetector {
     /// Twin of each (region, page) ever collected or updated.
     twins: HashMap<(usize, usize), Box<[u8]>>,
     locks: Vec<LockState>,
+    /// The collection pass's buffers, kept from one transfer to the next.
+    scratch: DiffScratch,
 }
 
 impl TwinAllDetector {
@@ -32,11 +35,12 @@ impl TwinAllDetector {
         TwinAllDetector {
             twins: HashMap::new(),
             locks: LockState::fresh(cfg, spec),
+            scratch: DiffScratch::default(),
         }
     }
 
     fn collect(&mut self, cx: &mut DetectCx<'_>, binding: &Binding) -> UpdateSet {
-        twin_all_collect(&mut self.twins, cx, binding)
+        twin_all_collect(&mut self.twins, &mut self.scratch, cx, binding)
     }
 }
 
@@ -179,11 +183,11 @@ impl WriteDetector for TwinAllDetector {
 
 fn twin_all_collect(
     twins: &mut HashMap<(usize, usize), Box<[u8]>>,
+    DiffScratch { diff, bound }: &mut DiffScratch,
     cx: &mut DetectCx<'_>,
     binding: &Binding,
 ) -> UpdateSet {
     let mut set = UpdateSet::new();
-    let mut diff = midway_mem::diff::PageDiff::default();
     for (region_id, page_range) in binding.page_spans(&cx.spec.layout) {
         let desc = cx
             .spec
@@ -204,46 +208,20 @@ fn twin_all_collect(
                 charge(Category::WriteCollect, cost.copy_cycles(len, false));
                 vec![0u8; len].into_boxed_slice()
             });
-            midway_mem::diff::PageDiff::compute_into(&mut diff, current, twin);
+            PageDiff::compute_into(diff, current, twin);
             (cx.charge)(
                 Category::WriteCollect,
                 cx.cost.page_diff_cycles(diff.run_count(), len / 4),
             );
             cx.counters.pages_diffed += 1;
-            // Intersect the diff runs with the bound ranges in place,
-            // emitting items directly and refreshing the twin as we go —
-            // no intermediate restricted `PageDiff` (see `vm::collect`).
-            let bound = binding.ranges_in_page(region_id, page);
-            let mut j = 0usize;
-            for run in &diff.runs {
-                let run_end = run.offset + run.data.len();
-                while j < bound.len() && bound[j].end <= run.offset {
-                    j += 1;
-                }
-                for range in &bound[j..] {
-                    if range.start >= run_end {
-                        break;
-                    }
-                    let lo = run.offset.max(range.start);
-                    let hi = run_end.min(range.end);
-                    if lo < hi {
-                        let data = &run.data[lo - run.offset..hi - run.offset];
-                        set.items.push(UpdateItem {
-                            addr: page_base.raw() + lo as u64,
-                            data: data.to_vec(),
-                            ts: 0,
-                        });
-                        // Refresh the twin so the next diff is incremental.
-                        let end = hi.min(twin.len());
-                        if lo < end {
-                            twin[lo..end].copy_from_slice(&data[..end - lo]);
-                        }
-                    }
-                }
+            binding.ranges_in_page(region_id, page, bound);
+            for (lo, data) in diff.restricted(bound) {
+                set.push_copy(page_base.raw() + lo as u64, data);
+                // Refresh the twin so the next diff is incremental.
+                twin[lo..lo + data.len()].copy_from_slice(data);
             }
         }
     }
-    set.items.sort_by_key(|i| i.addr);
     set
 }
 

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use midway_mem::{Addr, MemClass, PageTable, PAGE_SHIFT, PAGE_SIZE};
+use midway_mem::{Addr, MemClass, PageTable, RegionDesc, WriteAccess, PAGE_SHIFT, PAGE_SIZE};
 use midway_proto::{vm, Binding, SeenToken, Unskipped, Update, UpdateSet};
 use midway_sim::Category;
 
@@ -36,6 +36,56 @@ impl LockState {
     }
 }
 
+/// Services the write faults of a store of `len` bytes at `addr`: each
+/// still-protected page under it is twinned straight from the store and
+/// made writable.
+pub(super) fn fault_in_pages(
+    cx: &mut DetectCx<'_>,
+    pages: &mut PageTable,
+    desc: &RegionDesc,
+    addr: Addr,
+    len: usize,
+) {
+    let first = addr.page_in_region();
+    let last = Addr(addr.raw() + len.max(1) as u64 - 1).page_in_region();
+    for page in first..=last {
+        if pages.store_probe(desc.id, page) == WriteAccess::Fault {
+            let offset = page << PAGE_SHIFT;
+            let plen = PAGE_SIZE.min(desc.used - offset);
+            pages.fault_in(
+                desc.id,
+                page,
+                cx.store.bytes(desc.base() + offset as u64, plen),
+            );
+            (cx.charge)(Category::WriteTrap, cx.cost.page_write_fault);
+            cx.counters.write_faults += 1;
+        }
+    }
+}
+
+/// Runs the VM collection pass over `binding`, charging every page diff
+/// and re-protection and counting them for Table 2; `on_item` sees each
+/// piece to ship, borrowed from the diff.
+pub(super) fn collect_charged(
+    cx: &mut DetectCx<'_>,
+    pages: &mut PageTable,
+    binding: &Binding,
+    on_item: impl FnMut(u64, &[u8]),
+) {
+    let (charge, cost) = (&mut *cx.charge, cx.cost);
+    let (diffed, cleaned) = vm::collect_with(
+        cx.store,
+        pages,
+        &cx.spec.layout,
+        binding,
+        |runs, words| charge(Category::WriteCollect, cost.page_diff_cycles(runs, words)),
+        on_item,
+    );
+    charge(Category::WriteCollect, cleaned * cost.protect_ro);
+    cx.counters.pages_diffed += diffed;
+    cx.counters.pages_write_protected += cleaned;
+}
+
 /// The VM-DSM backend: write-protected pages fault in twins, collection
 /// diffs dirty pages, updates travel as incarnation chains.
 pub struct VmDetector {
@@ -50,6 +100,15 @@ impl VmDetector {
             pages: PageTable::new(std::sync::Arc::clone(&spec.layout)),
             locks: LockState::fresh(cfg, spec),
         }
+    }
+
+    /// Collects the modifications under `binding` into an update set.
+    fn collect(&mut self, cx: &mut DetectCx<'_>, binding: &Binding) -> UpdateSet {
+        let mut set = UpdateSet::new();
+        collect_charged(cx, &mut self.pages, binding, |addr, data| {
+            set.push_copy(addr, data);
+        });
+        set
     }
 
     /// Reads the full bound data, bumps the counters and history: the
@@ -87,18 +146,7 @@ impl WriteDetector for VmDetector {
         if desc.class == MemClass::Private {
             return;
         }
-        let first = addr.page_in_region();
-        let last = Addr(addr.raw() + len.max(1) as u64 - 1).page_in_region();
-        for page in first..=last {
-            if self.pages.store_probe(desc.id, page) == midway_mem::WriteAccess::Fault {
-                let offset = page << PAGE_SHIFT;
-                let plen = PAGE_SIZE.min(desc.used - offset);
-                let snapshot = cx.store.bytes(desc.base() + offset as u64, plen).to_vec();
-                self.pages.fault_in(desc.id, page, &snapshot);
-                (cx.charge)(Category::WriteTrap, cx.cost.page_write_fault);
-                cx.counters.write_faults += 1;
-            }
-        }
+        fault_in_pages(cx, &mut self.pages, desc, addr, len);
     }
 
     fn seen_token(&self, lock: usize, _binding: &Binding) -> SeenToken {
@@ -121,23 +169,11 @@ impl WriteDetector for VmDetector {
             // (paper §4, quicksort).
             return self.full_send(cx, lock, binding);
         }
-        let col = vm::collect(cx.store, &mut self.pages, &cx.spec.layout, binding);
-        for (runs, words) in &col.diff_runs {
-            (cx.charge)(
-                Category::WriteCollect,
-                cx.cost.page_diff_cycles(*runs, *words),
-            );
-        }
-        (cx.charge)(
-            Category::WriteCollect,
-            col.pages_cleaned * cx.cost.protect_ro,
-        );
-        cx.counters.pages_diffed += col.pages_diffed;
-        cx.counters.pages_write_protected += col.pages_cleaned;
+        let set = self.collect(cx, binding);
         let st = &mut self.locks[lock];
         st.history.push(Arc::new(Update {
             incarnation: st.incarnation,
-            set: col.update,
+            set,
             full: false,
         }));
 
@@ -227,20 +263,7 @@ impl WriteDetector for VmDetector {
         _last_consist: u64,
         _partitioned: bool,
     ) -> UpdateSet {
-        let col = vm::collect(cx.store, &mut self.pages, &cx.spec.layout, scan);
-        for (runs, words) in &col.diff_runs {
-            (cx.charge)(
-                Category::WriteCollect,
-                cx.cost.page_diff_cycles(*runs, *words),
-            );
-        }
-        (cx.charge)(
-            Category::WriteCollect,
-            col.pages_cleaned * cx.cost.protect_ro,
-        );
-        cx.counters.pages_diffed += col.pages_diffed;
-        cx.counters.pages_write_protected += col.pages_cleaned;
-        col.update
+        self.collect(cx, scan)
     }
 
     fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {

@@ -11,42 +11,58 @@ use std::ops::Range;
 /// Comparison granularity: the paper diffs in words.
 pub const WORD: usize = 4;
 
-/// One maximal run of changed bytes within a page.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One maximal run of changed bytes within a page: an index entry over
+/// its [`PageDiff`]'s byte buffer, not a buffer of its own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DiffRun {
     /// Byte offset of the run within the page.
     pub offset: usize,
-    /// The new bytes.
-    pub data: Vec<u8>,
+    /// Length of the run in bytes.
+    pub len: usize,
 }
 
 impl DiffRun {
     /// The byte range this run covers.
     pub fn range(&self) -> Range<usize> {
-        self.offset..self.offset + self.data.len()
+        self.offset..self.offset + self.len
     }
 }
 
 /// All modifications to one page, relative to its twin.
+///
+/// Flat: the runs index one contiguous buffer holding every run's new
+/// bytes back to back, so computing a diff allocates nothing once the two
+/// vectors have grown to a page's worth, and readers borrow the bytes
+/// ([`iter`](Self::iter), [`restricted`](Self::restricted)) instead of
+/// owning a copy per run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PageDiff {
     /// Maximal changed runs, in increasing offset order, non-adjacent.
-    pub runs: Vec<DiffRun>,
+    runs: Vec<DiffRun>,
+    /// The runs' new bytes, concatenated in run order.
+    bytes: Vec<u8>,
 }
 
 /// Wire overhead per run: offset + length descriptors.
 pub const RUN_HEADER_BYTES: usize = 8;
 
+/// Block width of the chunked scan: sixteen words per step.
+const BLOCK: usize = 64;
+
+/// Whether two 64-byte blocks differ anywhere. XORed as eight `u64` lanes
+/// — a shape the autovectorizer turns into vector compares — so an equal
+/// block, the overwhelmingly common case on a mostly-clean page, costs one
+/// combined test.
+#[inline]
+fn blocks_differ(current: &[u8; BLOCK], twin: &[u8; BLOCK]) -> bool {
+    let lane = |block: &[u8; BLOCK], l: usize| {
+        u64::from_le_bytes(block[l * 8..l * 8 + 8].try_into().expect("8 bytes"))
+    };
+    (0..BLOCK / 8).fold(0, |any, l| any | (lane(current, l) ^ lane(twin, l))) != 0
+}
+
 impl PageDiff {
     /// Compares `current` against `twin` word by word.
-    ///
-    /// The scan runs 64 bytes (sixteen words) at a time: the block is
-    /// XORed as eight `u64` lanes — a shape the autovectorizer turns into
-    /// two 32-byte vector compares — and equal blocks, the overwhelmingly
-    /// common case on a mostly-clean page, are skipped with one combined
-    /// test. Only mismatching lanes fall back to word-granularity run
-    /// extraction. The result is identical to
-    /// [`compute_reference`](Self::compute_reference) (property-tested).
     ///
     /// # Panics
     ///
@@ -59,7 +75,15 @@ impl PageDiff {
 
     /// [`compute`](Self::compute) into a caller-owned buffer: clears
     /// `out` and fills it. Collection loops diff page after page; reusing
-    /// one `PageDiff` avoids an allocation per page.
+    /// one `PageDiff` allocates nothing in the steady state.
+    ///
+    /// The scan runs 64 bytes at a time. An equal block costs one test; a
+    /// differing one yields a 16-bit changed-word mask, whose runs of ones
+    /// are the block's changed runs (`trailing_zeros` / `trailing_ones`).
+    /// A run reaching the end of a block stays open and grows into the
+    /// next one, and each finished run is copied out once, whole. The
+    /// result is identical to [`compute_reference`](Self::compute_reference)
+    /// (property-tested).
     ///
     /// # Panics
     ///
@@ -67,100 +91,111 @@ impl PageDiff {
     pub fn compute_into(out: &mut PageDiff, current: &[u8], twin: &[u8]) {
         assert_eq!(current.len(), twin.len(), "page and twin must match");
         out.runs.clear();
-        /// Block width: sixteen words compared per step in the fast path.
-        const BLOCK: usize = 64;
-        /// `u64` lanes per block.
-        const LANES: usize = BLOCK / 8;
-        let len = current.len();
-        let mut i = 0;
-        while i + BLOCK <= len {
-            // Fixed-size array views let the compiler drop every bounds
-            // check inside the lane loops.
-            let ca: &[u8; BLOCK] = current[i..i + BLOCK].try_into().expect("block");
-            let ct: &[u8; BLOCK] = twin[i..i + BLOCK].try_into().expect("block");
-            let mut x = [0u64; LANES];
-            for l in 0..LANES {
-                let a = u64::from_le_bytes(ca[l * 8..l * 8 + 8].try_into().expect("8 bytes"));
-                let b = u64::from_le_bytes(ct[l * 8..l * 8 + 8].try_into().expect("8 bytes"));
-                x[l] = a ^ b;
+        out.bytes.clear();
+        // The run still growing. Empty until the first changed word; an
+        // empty run at 0 is extended by a change at offset 0 like any
+        // other adjacent one.
+        let mut open = 0..0;
+        let (blocks, twin_blocks) = (current.chunks_exact(BLOCK), twin.chunks_exact(BLOCK));
+        let (tail, twin_tail) = (blocks.remainder(), twin_blocks.remainder());
+        for (i, (a, b)) in blocks.zip(twin_blocks).enumerate() {
+            let (a, b) = (a.try_into().expect("block"), b.try_into().expect("block"));
+            // Equal blocks stay in this loop; everything else is out of line.
+            if blocks_differ(a, b) {
+                out.push_block(&mut open, current, i * BLOCK, a, b);
             }
-            let mut any = 0u64;
-            for &v in &x {
-                any |= v;
-            }
-            if any != 0 {
-                // Extract the changed words lane by lane, in order (lanes
-                // ascend in address, words ascend within a lane).
-                for (l, &v) in x.iter().enumerate() {
-                    if v == 0 {
-                        continue;
-                    }
-                    if v & 0xFFFF_FFFF != 0 {
-                        Self::push_word(out, current, i + l * 8, WORD);
-                    }
-                    if v >> 32 != 0 {
-                        Self::push_word(out, current, i + l * 8 + WORD, WORD);
-                    }
-                }
-            }
-            i += BLOCK;
         }
-        // Tail: fewer than BLOCK bytes left, word-at-a-time like the
-        // reference (BLOCK is a multiple of WORD, so `i` is word-aligned).
-        while i < len {
-            let w = WORD.min(len - i);
-            if current[i..i + w] != twin[i..i + w] {
-                Self::push_word(out, current, i, w);
+        // The tail, fewer than sixteen words and the last one possibly
+        // partial, is a block once both sides are padded alike; a run in
+        // it is clipped to the page.
+        if !tail.is_empty() {
+            let (mut a, mut b) = ([0; BLOCK], [0; BLOCK]);
+            a[..tail.len()].copy_from_slice(tail);
+            b[..tail.len()].copy_from_slice(twin_tail);
+            out.push_block(&mut open, current, current.len() - tail.len(), &a, &b);
+        }
+        out.push_run(open.start, &current[open]);
+    }
+
+    /// Adds the changed words of block `a` at `base`, `b` its twin: builds
+    /// the changed-word mask (bit `w` set when word `w` differs) and turns
+    /// each run of ones into a run that either grows the `open` one or
+    /// finishes it and opens the next.
+    #[inline(never)]
+    fn push_block(
+        &mut self,
+        open: &mut Range<usize>,
+        current: &[u8],
+        base: usize,
+        a: &[u8; BLOCK],
+        b: &[u8; BLOCK],
+    ) {
+        let word = |block: &[u8; BLOCK], w: usize| {
+            u32::from_le_bytes(block[w * WORD..(w + 1) * WORD].try_into().expect("a word"))
+        };
+        let mut mask =
+            (0..BLOCK / WORD).fold(0u32, |m, w| m | u32::from(word(a, w) != word(b, w)) << w);
+        let mut at = base;
+        while mask != 0 {
+            let skip = mask.trailing_zeros() as usize;
+            let ones = (mask >> skip).trailing_ones() as usize;
+            let start = at + skip * WORD;
+            at = start + ones * WORD;
+            if start == open.end {
+                open.end = at.min(current.len());
+            } else {
+                self.push_run(open.start, &current[open.clone()]);
+                *open = start..at.min(current.len());
             }
-            i += w;
+            // `skip + ones` is at most 16: the mask's high half is zero.
+            mask >>= skip + ones;
         }
     }
 
-    /// Appends the changed word at `offset` to the run list, coalescing
-    /// with the previous run when adjacent.
-    #[inline]
-    fn push_word(out: &mut PageDiff, current: &[u8], offset: usize, w: usize) {
-        match out.runs.last_mut() {
-            Some(run) if run.offset + run.data.len() == offset => {
-                run.data.extend_from_slice(&current[offset..offset + w]);
-            }
-            _ => out.runs.push(DiffRun {
+    /// Appends a run (after every run already there); empty runs are
+    /// dropped.
+    fn push_run(&mut self, offset: usize, data: &[u8]) {
+        if !data.is_empty() {
+            self.runs.push(DiffRun {
                 offset,
-                data: current[offset..offset + w].to_vec(),
-            }),
+                len: data.len(),
+            });
+            self.bytes.extend_from_slice(data);
         }
     }
 
-    /// The byte-at-a-time reference implementation of [`PageDiff::compute`]
-    /// (`PageDiff::compute`): one word compared per step, exactly the
-    /// paper's description. Kept as the equivalence oracle for the
-    /// chunked hot path — property tests assert `compute ==
-    /// compute_reference` on random inputs, and `hostperf` times both.
+    /// The word-at-a-time reference implementation of
+    /// [`compute`](Self::compute): one word compared per step, exactly the
+    /// paper's description. Kept as the equivalence oracle for the chunked
+    /// hot path — property tests assert `compute == compute_reference` on
+    /// random inputs, and the pinned benchmark times it as
+    /// `calib.diff_reference_mbps`.
     pub fn compute_reference(current: &[u8], twin: &[u8]) -> PageDiff {
         assert_eq!(current.len(), twin.len(), "page and twin must match");
-        let mut runs: Vec<DiffRun> = Vec::new();
+        let mut out = PageDiff::default();
         let mut i = 0;
         while i < current.len() {
             let w = WORD.min(current.len() - i);
             if current[i..i + w] != twin[i..i + w] {
-                match runs.last_mut() {
-                    Some(run) if run.offset + run.data.len() == i => {
-                        run.data.extend_from_slice(&current[i..i + w]);
-                    }
-                    _ => runs.push(DiffRun {
-                        offset: i,
-                        data: current[i..i + w].to_vec(),
-                    }),
+                match out.runs.last_mut() {
+                    Some(run) if run.offset + run.len == i => run.len += w,
+                    _ => out.runs.push(DiffRun { offset: i, len: w }),
                 }
+                out.bytes.extend_from_slice(&current[i..i + w]);
             }
             i += w;
         }
-        PageDiff { runs }
+        out
     }
 
     /// True when nothing changed.
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
+    }
+
+    /// The maximal changed runs, in increasing offset order.
+    pub fn runs(&self) -> &[DiffRun] {
+        &self.runs
     }
 
     /// Number of maximal changed runs (the diff cost model's fragmentation
@@ -171,12 +206,22 @@ impl PageDiff {
 
     /// Total changed bytes.
     pub fn changed_bytes(&self) -> usize {
-        self.runs.iter().map(|r| r.data.len()).sum()
+        self.bytes.len()
     }
 
     /// Bytes this diff occupies on the wire.
     pub fn wire_size(&self) -> usize {
         self.changed_bytes() + self.runs.len() * RUN_HEADER_BYTES
+    }
+
+    /// Each run as `(page offset, new bytes)`, in increasing offset order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        let mut rest = &self.bytes[..];
+        self.runs.iter().map(move |run| {
+            let (data, tail) = rest.split_at(run.len);
+            rest = tail;
+            (run.offset, data)
+        })
     }
 
     /// Applies the diff to `page`.
@@ -185,54 +230,71 @@ impl PageDiff {
     ///
     /// Panics if a run falls outside `page`.
     pub fn apply(&self, page: &mut [u8]) {
-        for run in &self.runs {
-            page[run.range()].copy_from_slice(&run.data);
+        for (offset, data) in self.iter() {
+            page[offset..offset + data.len()].copy_from_slice(data);
         }
     }
 
-    /// Restricts the diff to the byte `ranges` (sorted, non-overlapping,
-    /// page-relative): the part of the page's modifications that belongs to
-    /// the synchronization object being transferred.
+    /// The diff cut to the byte `ranges` (sorted, non-overlapping,
+    /// page-relative) — the part of the page's modifications that belongs
+    /// to the synchronization object being transferred — as borrowed
+    /// `(page offset, new bytes)` pieces in increasing offset order.
     ///
     /// Both the runs and the ranges are sorted and non-overlapping, so
-    /// this is a two-pointer merge: O(runs + ranges + output), with the
-    /// output produced already in offset order (the old implementation
-    /// intersected every run with every range and sorted afterwards).
+    /// this is a two-pointer merge: O(runs + ranges + output).
+    pub fn restricted<'a>(
+        &'a self,
+        ranges: &'a [Range<usize>],
+    ) -> impl Iterator<Item = (usize, &'a [u8])> {
+        let mut runs = self.iter();
+        let mut run = runs.next();
+        let mut ranges = ranges.iter();
+        let mut range = ranges.next();
+        std::iter::from_fn(move || loop {
+            let ((offset, data), bound) = (run?, range?);
+            let end = offset + data.len();
+            let (lo, hi) = (offset.max(bound.start), end.min(bound.end));
+            // Whichever ends first cannot meet anything later on the other
+            // side; the other one may.
+            if bound.end <= end {
+                range = ranges.next();
+            } else {
+                run = runs.next();
+            }
+            if lo < hi {
+                return Some((lo, &data[lo - offset..hi - offset]));
+            }
+        })
+    }
+
+    /// [`restricted`](Self::restricted), materialized as a diff of its
+    /// own.
     pub fn restrict(&self, ranges: &[Range<usize>]) -> PageDiff {
-        let mut out = Vec::new();
-        let mut j = 0;
-        for run in &self.runs {
-            let run_end = run.offset + run.data.len();
-            // Ranges wholly before this run are wholly before every later
-            // run too (runs ascend), so the cursor only moves forward.
-            while j < ranges.len() && ranges[j].end <= run.offset {
-                j += 1;
-            }
-            // A range reaching past this run's end may still intersect
-            // the next run, so scan ahead without consuming.
-            for range in &ranges[j..] {
-                if range.start >= run_end {
-                    break;
-                }
-                let lo = run.offset.max(range.start);
-                let hi = run_end.min(range.end);
-                if lo < hi {
-                    out.push(DiffRun {
-                        offset: lo,
-                        data: run.data[lo - run.offset..hi - run.offset].to_vec(),
-                    });
-                }
-            }
+        let mut out = PageDiff::default();
+        for (offset, data) in self.restricted(ranges) {
+            out.push_run(offset, data);
         }
-        PageDiff { runs: out }
+        out
     }
 
     /// True when every changed byte lies inside `ranges` — i.e. shipping
     /// the restricted diff ships *all* modified data on the page, so the
     /// page may be cleaned afterwards.
     pub fn covered_by(&self, ranges: &[Range<usize>]) -> bool {
-        self.changed_bytes() == self.restrict(ranges).changed_bytes()
+        let inside: usize = self.restricted(ranges).map(|(_, data)| data.len()).sum();
+        inside == self.changed_bytes()
     }
+}
+
+/// What a collection pass keeps from one call to the next, so that in the
+/// steady state it allocates only the items it ships: the diff of the page
+/// in hand and the bound ranges that fall on that page.
+#[derive(Debug, Default)]
+pub struct DiffScratch {
+    /// The page's diff against its twin.
+    pub diff: PageDiff,
+    /// The binding's ranges within the page, page-relative.
+    pub bound: Vec<Range<usize>>,
 }
 
 #[cfg(test)]
@@ -258,7 +320,7 @@ mod tests {
         cur[8..16].copy_from_slice(&[1; 8]);
         let d = PageDiff::compute(&cur, &twin);
         assert_eq!(d.run_count(), 1);
-        assert_eq!(d.runs[0].offset, 8);
+        assert_eq!(d.runs()[0].range(), 8..16);
         assert_eq!(d.changed_bytes(), 8);
     }
 
@@ -293,8 +355,7 @@ mod tests {
         cur[9] = 5;
         let d = PageDiff::compute(&cur, &twin);
         assert_eq!(d.run_count(), 1);
-        assert_eq!(d.runs[0].offset, 8);
-        assert_eq!(d.runs[0].data.len(), 2);
+        assert_eq!(d.runs()[0].range(), 8..10);
     }
 
     #[test]
@@ -304,8 +365,8 @@ mod tests {
         let d = PageDiff::compute(&cur, &twin);
         let r = d.restrict(&[8..16, 24..28]);
         assert_eq!(r.run_count(), 2);
-        assert_eq!(r.runs[0].range(), 8..16);
-        assert_eq!(r.runs[1].range(), 24..28);
+        assert_eq!(r.runs()[0].range(), 8..16);
+        assert_eq!(r.runs()[1].range(), 24..28);
         assert_eq!(r.changed_bytes(), 12);
         assert!(!d.covered_by(&[8..16, 24..28]));
         assert!(d.covered_by(&[0..32]));
@@ -329,7 +390,7 @@ mod tests {
         // the head of B; range 3 covers C exactly; nothing covers D.
         let ranges = [4..8, 12..36, 64..72];
         let r = d.restrict(&ranges);
-        let got: Vec<Range<usize>> = r.runs.iter().map(DiffRun::range).collect();
+        let got: Vec<Range<usize>> = r.runs().iter().map(DiffRun::range).collect();
         assert_eq!(got, vec![4..8, 12..16, 32..36, 64..72]);
         // Offsets strictly ascend without any sort step.
         assert!(got.windows(2).all(|w| w[0].end <= w[1].start));
@@ -362,7 +423,7 @@ mod tests {
         cur2[100] = 9;
         PageDiff::compute_into(&mut diff, &cur2, &twin2);
         assert_eq!(diff.run_count(), 1);
-        assert_eq!(diff.runs[0].offset, 100);
+        assert_eq!(diff.runs()[0].range(), 100..104);
         assert_eq!(diff, PageDiff::compute(&cur2, &twin2));
     }
 

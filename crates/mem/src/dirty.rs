@@ -176,7 +176,8 @@ impl DirtyBits {
     /// The line-at-a-time reference implementation of [`DirtyBits::scan`]
     /// (`DirtyBits::scan`), kept as the equivalence oracle for the
     /// chunked hot path: property tests assert the two agree on random
-    /// arrays, and `hostperf` times both.
+    /// arrays, and the pinned benchmark times it as
+    /// `calib.scan_reference_mlps`.
     pub fn scan_reference(
         &mut self,
         range: std::ops::Range<usize>,

@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use crate::addr::PAGE_SIZE;
+use crate::diff::DiffScratch;
 use crate::layout::Layout;
 
 /// Result of probing a store against the page protection.
@@ -39,6 +40,11 @@ struct RegionPages {
 pub struct PageTable {
     layout: Arc<Layout>,
     regions: Vec<Option<RegionPages>>,
+    /// The collection pass's buffers. They live here because the page
+    /// table is what every pass over this processor's pages is handed; a
+    /// pass takes them out (`std::mem::take`) while it borrows twins and
+    /// puts them back when it is done.
+    pub scratch: DiffScratch,
 }
 
 impl PageTable {
@@ -48,6 +54,7 @@ impl PageTable {
         PageTable {
             layout,
             regions: (0..slots).map(|_| None).collect(),
+            scratch: DiffScratch::default(),
         }
     }
 
@@ -99,13 +106,6 @@ impl PageTable {
         let meta = self.meta(region, page);
         meta.twin = None;
         meta.writable = false;
-    }
-
-    /// The dirty pages among `pages` (within one region), in order.
-    pub fn dirty_pages_in(&mut self, region: usize, pages: std::ops::Range<usize>) -> Vec<usize> {
-        pages
-            .filter(|p| self.meta(region, *p).twin.is_some())
-            .collect()
     }
 
     fn meta(&mut self, region: usize, page: usize) -> &mut PageMeta {
@@ -177,8 +177,9 @@ mod tests {
         let (mut pt, r) = table();
         pt.fault_in(r, 0, &[0u8; PAGE_SIZE]);
         pt.fault_in(r, 3, &[0u8; 100]); // final partial page
-        assert_eq!(pt.dirty_pages_in(r, 0..4), vec![0, 3]);
-        assert_eq!(pt.dirty_pages_in(r, 1..3), Vec::<usize>::new());
+        let dirty: Vec<usize> = (0..4).filter(|&p| pt.is_dirty(r, p)).collect();
+        assert_eq!(dirty, vec![0, 3]);
+        assert_eq!(pt.twin(r, 3).unwrap().len(), 100);
     }
 
     #[test]

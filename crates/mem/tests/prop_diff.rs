@@ -36,14 +36,19 @@ fn runs_are_canonical() {
         let (cur, twin) = page_pair(&mut rng);
         let diff = PageDiff::compute(&cur, &twin);
         let mut prev_end = None;
-        for run in &diff.runs {
+        for run in diff.runs() {
             assert_eq!(run.offset % WORD, 0, "runs start on word boundaries");
-            assert!(!run.data.is_empty(), "case {case}");
+            assert!(run.len > 0, "case {case}");
             if let Some(end) = prev_end {
                 assert!(run.offset > end, "runs are ordered and non-adjacent");
             }
-            prev_end = Some(run.offset + run.data.len());
+            prev_end = Some(run.range().end);
         }
+        // The flat buffer holds exactly the runs' bytes, in run order.
+        assert!(diff
+            .iter()
+            .all(|(at, data)| data == &cur[at..at + data.len()]));
+        assert_eq!(diff.iter().count(), diff.run_count(), "case {case}");
     }
 }
 
@@ -60,8 +65,8 @@ fn restrict_is_an_intersection() {
         let ranges = vec![prefix];
         let diff = PageDiff::compute(&cur, &twin);
         let restricted = diff.restrict(&ranges);
-        for run in &restricted.runs {
-            assert!(run.offset + run.data.len() <= cut.min(len), "case {case}");
+        for run in restricted.runs() {
+            assert!(run.range().end <= cut.min(len), "case {case}");
         }
         let lossless = restricted.changed_bytes() == diff.changed_bytes();
         assert_eq!(diff.covered_by(&ranges), lossless, "case {case}");
@@ -215,5 +220,113 @@ fn wire_size_accounting() {
             diff.changed_bytes() + diff.run_count() * midway_mem::diff::RUN_HEADER_BYTES,
             "case {case}"
         );
+    }
+}
+
+/// The bitmask run extraction against the reference, on the shapes it has
+/// to get right — spans that cross 64-byte seams, a block changed in every
+/// word (mask `0xFFFF`), lengths that are no multiple of 64 or of 4 — all
+/// through one `PageDiff`, a large page alternating with a small one, so
+/// a run or byte left over from the larger page would show. Applying the
+/// diff, read back out of the flat buffer, reproduces the page.
+#[test]
+fn bitmask_extraction_matches_reference_through_a_reused_buffer() {
+    let mut rng = SplitMix64::new(0xd1ff_0008);
+    let mut diff = PageDiff::default();
+    let (mut seam_runs, mut full_blocks, mut ragged) = (0, 0, 0);
+    for case in 0..512 {
+        let len = match case % 2 {
+            0 => 2048 + rng.next_below(2049) as usize,
+            _ => 1 + rng.next_below(200) as usize,
+        };
+        let twin: Vec<u8> = (0..len).map(|_| rng.next_below(256) as u8).collect();
+        let mut cur = twin.clone();
+        // Spans starting just before a seam; every byte of a span changes.
+        for _ in 0..rng.next_below(6) {
+            let seam = 64 * rng.next_below(len as u64 / 64 + 1) as usize;
+            let start = seam
+                .saturating_sub(rng.next_below(12) as usize)
+                .min(len - 1);
+            let end = (start + 1 + rng.next_below(200) as usize).min(len);
+            for b in &mut cur[start..end] {
+                *b ^= 0xFF;
+            }
+        }
+        if case % 3 == 0 && len >= 64 {
+            let block = 64 * rng.next_below(len as u64 / 64) as usize;
+            for (i, b) in cur[block..block + 64].iter_mut().enumerate() {
+                *b = twin[block + i] ^ 0xA5;
+            }
+            full_blocks += 1;
+        }
+        PageDiff::compute_into(&mut diff, &cur, &twin);
+        assert_eq!(
+            diff,
+            PageDiff::compute_reference(&cur, &twin),
+            "case {case}, len {len}"
+        );
+        let mut rebuilt = twin.clone();
+        diff.apply(&mut rebuilt);
+        assert_eq!(rebuilt, cur, "case {case}, len {len}");
+        seam_runs += diff
+            .runs()
+            .iter()
+            .filter(|r| r.offset / 64 != (r.range().end - 1) / 64)
+            .count();
+        ragged += usize::from(len % 64 != 0 && len % WORD != 0);
+    }
+    assert!(seam_runs > 500 && full_blocks > 100 && ragged > 100);
+    // The two fixed shapes: one block changed in every word is one run,
+    // and so are two such blocks side by side (the run grows over the seam).
+    let twin = vec![0u8; 256];
+    let mut cur = twin.clone();
+    cur[64..128].fill(1);
+    PageDiff::compute_into(&mut diff, &cur, &twin);
+    assert_eq!(diff.runs().len(), 1);
+    assert_eq!(diff.runs()[0].range(), 64..128);
+    cur[128..192].fill(1);
+    PageDiff::compute_into(&mut diff, &cur, &twin);
+    assert_eq!(diff.runs()[0].range(), 64..192);
+    assert_eq!(diff.changed_bytes(), 128);
+}
+
+/// `restricted` yields exactly the bytes a per-byte intersection picks —
+/// changed words cut to the ranges, in increasing order — over random
+/// sorted ranges that may touch or be empty; `restrict` is the same thing
+/// materialized and `covered_by` the same thing counted.
+#[test]
+fn restricted_is_the_per_byte_intersection() {
+    let mut rng = SplitMix64::new(0xd1ff_0009);
+    for case in 0..256 {
+        let (cur, twin) = page_pair(&mut rng);
+        let len = cur.len();
+        let mut cuts: Vec<usize> = (0..2 * (1 + rng.next_below(5)))
+            .map(|_| rng.next_below(len as u64 + 1) as usize)
+            .collect();
+        cuts.sort_unstable();
+        let ranges: Vec<_> = cuts.chunks(2).map(|c| c[0]..c[1]).collect();
+        let word_changed = |i: usize| {
+            let w = i / WORD * WORD;
+            cur[w..(w + WORD).min(len)] != twin[w..(w + WORD).min(len)]
+        };
+        let want: Vec<(usize, u8)> = (0..len)
+            .filter(|&i| word_changed(i) && ranges.iter().any(|r| r.contains(&i)))
+            .map(|i| (i, cur[i]))
+            .collect();
+        let diff = PageDiff::compute(&cur, &twin);
+        let got: Vec<(usize, u8)> = diff
+            .restricted(&ranges)
+            .flat_map(|(at, data)| data.iter().enumerate().map(move |(k, &b)| (at + k, b)))
+            .collect();
+        assert_eq!(got, want, "case {case}");
+        assert!(diff.restricted(&ranges).all(|(_, data)| !data.is_empty()));
+        let restricted = diff.restrict(&ranges);
+        assert!(
+            restricted.iter().eq(diff.restricted(&ranges)),
+            "case {case}"
+        );
+        assert_eq!(restricted.changed_bytes(), want.len(), "case {case}");
+        let all = (0..len).filter(|&i| word_changed(i)).count();
+        assert_eq!(diff.covered_by(&ranges), want.len() == all, "case {case}");
     }
 }

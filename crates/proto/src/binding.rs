@@ -111,19 +111,29 @@ impl Binding {
         merge_spans(spans)
     }
 
-    /// The bound byte ranges that fall within one page, page-relative.
-    pub fn ranges_in_page(&self, region: usize, page: usize) -> Vec<std::ops::Range<usize>> {
+    /// The bound byte ranges that fall within one page, page-relative,
+    /// written over `out` (a collection pass asks once per page and keeps
+    /// one vector for all of them).
+    pub fn ranges_in_page(
+        &self,
+        region: usize,
+        page: usize,
+        out: &mut Vec<std::ops::Range<usize>>,
+    ) {
         let page_base = ((region as u64) << midway_mem::REGION_SHIFT) + (page << PAGE_SHIFT) as u64;
         let page_end = page_base + PAGE_SIZE as u64;
-        let mut out = Vec::new();
-        for r in &self.ranges {
-            let lo = r.start.max(page_base);
-            let hi = r.end.min(page_end);
-            if lo < hi {
-                out.push((lo - page_base) as usize..(hi - page_base) as usize);
-            }
+        out.clear();
+        // The ranges are sorted and disjoint: search for the first one
+        // reaching into the page, stop at the first one past it.
+        let first = self.ranges.partition_point(|r| r.end <= page_base);
+        for r in self.ranges[first..]
+            .iter()
+            .take_while(|r| r.start < page_end)
+        {
+            let lo = r.start.max(page_base) - page_base;
+            let hi = r.end.min(page_end) - page_base;
+            out.push(lo as usize..hi as usize);
         }
-        out
     }
 }
 
@@ -222,9 +232,37 @@ mod tests {
         let spans = b.page_spans(&layout);
         assert_eq!(spans, vec![(a.addr.region_index(), 0..2)]);
         let region = a.addr.region_index();
-        assert_eq!(b.ranges_in_page(region, 0), vec![100..PAGE_SIZE]);
-        assert_eq!(b.ranges_in_page(region, 1), vec![0..200]);
-        assert!(b.ranges_in_page(region, 2).is_empty());
+        let mut in_page = vec![7..9]; // overwritten, not appended to
+        b.ranges_in_page(region, 0, &mut in_page);
+        assert_eq!(in_page, vec![100..PAGE_SIZE]);
+        b.ranges_in_page(region, 1, &mut in_page);
+        assert_eq!(in_page, vec![0..200]);
+        b.ranges_in_page(region, 2, &mut in_page);
+        assert!(in_page.is_empty());
+    }
+
+    #[test]
+    fn ranges_in_page_finds_its_page_among_many_ranges() {
+        // A 300-byte range every 1000 bytes over five pages — some inside
+        // a page, some across a page boundary: each page sees exactly the
+        // ranges that reach into it, cut to the page.
+        let base = 7u64 << midway_mem::REGION_SHIFT;
+        let ranges: Vec<AddrRange> = (0..20u64)
+            .map(|i| base + i * 1000 + 50..base + i * 1000 + 350)
+            .collect();
+        let b = Binding::new(ranges.clone());
+        let mut got = Vec::new();
+        for page in 0..6 {
+            let (lo, hi) = ((page * PAGE_SIZE) as u64, ((page + 1) * PAGE_SIZE) as u64);
+            let want: Vec<std::ops::Range<usize>> = ranges
+                .iter()
+                .map(|r| r.start - base..r.end - base)
+                .filter(|r| r.start < hi && r.end > lo)
+                .map(|r| (r.start.max(lo) - lo) as usize..(r.end.min(hi) - lo) as usize)
+                .collect();
+            b.ranges_in_page(7, page, &mut got);
+            assert_eq!(got, want, "page {page}");
+        }
     }
 
     #[test]

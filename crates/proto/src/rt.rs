@@ -87,37 +87,40 @@ pub fn collect_pooled(
     pool: &mut midway_mem::BufPool,
 ) -> RtScan {
     let mut out = RtScan::default();
-    // One scan buffer reused across regions, and the dirtybit array borrow
-    // held across the line loop — no per-line region re-lookup, no per-line
-    // copy of the shipped bytes.
+    // One scan buffer reused across regions; the dirtybit array and the
+    // region's bytes are resolved once per span, not once per line.
     let mut scan = midway_mem::ScanOutcome::default();
     for (region_id, lines) in binding.line_spans(layout) {
         let desc = layout.region(region_id).expect("bound region exists");
         let shift = desc.line_shift;
-        let used = desc.used;
-        let base = desc.base();
         let bits = dirty.bits_mut(layout, region_id);
         bits.scan_into(&mut scan, lines, last_seen, now);
         out.clean_reads += scan.clean_reads;
         out.dirty_reads += scan.dirty_reads;
-        for &line in &scan.lines {
-            let offset = line << shift;
-            let len = (1usize << shift).min(used - offset);
-            let addr = base + offset as u64;
-            let ts = bits.get(line);
-            let data = store.bytes(addr, len);
-            // Coalesce runs of adjacent lines with equal timestamps into
-            // one item (Midway's update format packs runs; per-line items
-            // would waste five bytes of header per word line).
+        let slab = store.region_mut(region_id);
+        // Each maximal run of adjacent lines with equal timestamps is one
+        // item, copied once (Midway's update format packs runs; per-line
+        // items would waste five bytes of header per word line).
+        let mut rest = &scan.lines[..];
+        while let Some(&first) = rest.first() {
+            let ts = bits.get(first);
+            let n = (1..rest.len())
+                .find(|&k| rest[k] != first + k || bits.get(rest[k]) != ts)
+                .unwrap_or(rest.len());
+            rest = &rest[n..];
+            let data = &slab[first << shift..((first + n) << shift).min(desc.used)];
+            let addr = desc.base().raw() + (first << shift) as u64;
             match out.set.items.last_mut() {
-                Some(prev) if prev.ts == ts && prev.addr + prev.data.len() as u64 == addr.raw() => {
+                // A run can continue the previous span's last item (a
+                // region used to its end, followed by the next region).
+                Some(prev) if prev.ts == ts && prev.addr + prev.data.len() as u64 == addr => {
                     prev.data.extend_from_slice(data);
                 }
                 _ => {
-                    let mut buf = pool.get_with_capacity(len);
+                    let mut buf = pool.get_with_capacity(data.len());
                     buf.extend_from_slice(data);
                     out.set.items.push(UpdateItem {
-                        addr: addr.raw(),
+                        addr,
                         data: buf,
                         ts,
                     });
@@ -331,6 +334,17 @@ mod tests {
         assert_eq!(f.store.read_u64(f.base), 99);
     }
 
+    /// A seeded SplitMix64 stream for the randomized oracle tests.
+    fn splitmix(mut s: u64) -> impl FnMut() -> u64 {
+        move || {
+            s = s.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        }
+    }
+
     /// The line-at-a-time application the run-copying [`apply_with`] must
     /// match: every line chunk resolved, tested and copied on its own.
     fn apply_line_by_line(
@@ -375,14 +389,7 @@ mod tests {
         let big = b.alloc("big", midway_mem::REGION_SIZE + 8192, MemClass::Shared, 6);
         let fine = b.alloc("fine", 4096, MemClass::Shared, 3);
         let layout = b.build();
-        let mut s = 0x5eed_u64;
-        let mut next = move || {
-            s = s.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        };
+        let mut next = splitmix(0x5eed);
         let seam = big.addr.raw() + midway_mem::REGION_SIZE as u64;
         let (mut straddlers, mut skipped, mut applied) = (0, 0, 0);
         for round in 0..60 {
@@ -473,6 +480,112 @@ mod tests {
             }
         }
         assert!(straddlers > 20 && skipped > 10_000 && applied > 100_000);
+    }
+
+    /// The line-at-a-time collection the run-copying [`collect_pooled`]
+    /// must match: every scan line located and copied on its own, joined
+    /// to the previous item when adjacent with the same timestamp.
+    fn collect_line_by_line(
+        store: &mut LocalStore,
+        dirty: &mut DirtyMap,
+        layout: &Layout,
+        binding: &Binding,
+        last_seen: u64,
+        now: u64,
+    ) -> UpdateSet {
+        let mut set = UpdateSet::new();
+        for (region_id, lines) in binding.line_spans(layout) {
+            let desc = layout.region(region_id).unwrap();
+            let scan = dirty
+                .bits_mut(layout, region_id)
+                .scan(lines, last_seen, now);
+            for line in scan.lines {
+                let offset = line << desc.line_shift;
+                let len = desc.line_size().min(desc.used - offset);
+                let addr = desc.base().raw() + offset as u64;
+                let ts = dirty.bits_mut(layout, region_id).get(line);
+                let data = store.bytes(Addr(addr), len);
+                match set.items.last_mut() {
+                    Some(prev) if prev.ts == ts && prev.addr + prev.data.len() as u64 == addr => {
+                        prev.data.extend_from_slice(data);
+                    }
+                    _ => set.items.push(UpdateItem {
+                        addr,
+                        data: data.to_vec(),
+                        ts,
+                    }),
+                }
+            }
+        }
+        set
+    }
+
+    #[test]
+    fn run_copying_collect_matches_line_by_line() {
+        // An allocation spilling over a region boundary (so a run can
+        // continue across spans) with a clipped last line, and one of
+        // doubleword lines; runs of marked lines, some restamped so
+        // neighbours differ in timestamp.
+        let mut b = LayoutBuilder::new();
+        let big = b.alloc(
+            "big",
+            midway_mem::REGION_SIZE + 8192 + 20,
+            MemClass::Shared,
+            6,
+        );
+        let fine = b.alloc("fine", 4096, MemClass::Shared, 3);
+        let layout = b.build();
+        let seam = big.addr.raw() + midway_mem::REGION_SIZE as u64;
+        let binding = Binding::new(vec![
+            seam - 4096..seam + 8192 + 20,
+            fine.addr.raw() + 64..fine.addr.raw() + 4000,
+        ]);
+        let mut next = splitmix(0xc011_ec70);
+        let (mut items, mut joined, mut over_seam) = (0, 0, 0);
+        for round in 0..40u64 {
+            let mut fast = (LocalStore::new(Arc::clone(&layout)), DirtyMap::new(&layout));
+            let mut slow = (LocalStore::new(Arc::clone(&layout)), DirtyMap::new(&layout));
+            for _ in 0..30 {
+                let (addr, len) = match next() % 3 {
+                    0 => (seam - 512 + next() % 1024, 1 + next() % 700),
+                    1 => (seam + 7000 + next() % 1100, 1 + next() % 100),
+                    _ => (fine.addr.raw() + next() % 3900, 1 + next() % 90),
+                };
+                let stamp = next() % 4; // 0: leave DIRTY, else an old time
+                for (st, d) in [&mut fast, &mut slow] {
+                    for piece in midway_mem::split_by_region(addr..addr + len) {
+                        let (at, n) = (Addr(piece.start), (piece.end - piece.start) as usize);
+                        st.write_bytes(at, &vec![(addr ^ round) as u8 | 1; n]);
+                        mark_write(d, &layout, at, n);
+                        if stamp != 0 {
+                            let desc = layout.region_of(at);
+                            let line = at.line_in_region(desc.line_shift);
+                            d.bits_mut(&layout, desc.id).stamp(line, 10 + stamp);
+                        }
+                    }
+                }
+            }
+            let mut pool = midway_mem::BufPool::new();
+            let got = collect_pooled(
+                &mut fast.0,
+                &mut fast.1,
+                &layout,
+                &binding,
+                5,
+                50,
+                &mut pool,
+            );
+            let want = collect_line_by_line(&mut slow.0, &mut slow.1, &layout, &binding, 5, 50);
+            assert_eq!(got.set, want, "round {round}");
+            items += want.len();
+            joined += want.items.iter().filter(|i| i.data.len() > 64).count();
+            over_seam += want
+                .items
+                .iter()
+                .filter(|i| i.addr < seam && i.addr + i.data.len() as u64 > seam)
+                .count();
+        }
+        assert!(items > 400 && joined > 100 && over_seam > 5);
     }
 
     #[test]

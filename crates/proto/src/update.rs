@@ -34,6 +34,16 @@ impl UpdateSet {
         UpdateSet::default()
     }
 
+    /// Appends an item holding a copy of `data`, without a timestamp (the
+    /// VM-style backends order updates by incarnation instead).
+    pub fn push_copy(&mut self, addr: u64, data: &[u8]) {
+        self.items.push(UpdateItem {
+            addr,
+            data: data.to_vec(),
+            ts: 0,
+        });
+    }
+
     /// True when nothing is carried.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()

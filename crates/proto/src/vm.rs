@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use midway_mem::diff::PageDiff;
+use midway_mem::diff::{DiffScratch, PageDiff};
 use midway_mem::{Addr, Layout, LocalStore, PageTable, PAGE_SHIFT};
 
 use crate::binding::Binding;
@@ -22,9 +22,6 @@ pub struct VmCollect {
     pub update: UpdateSet,
     /// Pages diffed (Table 2: "pages diffed").
     pub pages_diffed: u64,
-    /// Run count of each full-page diff, for the cost model's
-    /// fragmentation-sensitive charging.
-    pub diff_runs: Vec<(usize, usize)>,
     /// Pages cleaned — twin freed and page write-protected (Table 2:
     /// "pages write protected").
     pub pages_cleaned: u64,
@@ -41,88 +38,89 @@ pub struct VmApply {
 }
 
 /// Diffs the dirty pages covered by `binding` and builds the update for
-/// the current incarnation.
-///
-/// A page whose modifications all fall inside the binding is *cleaned*
-/// afterwards (twin freed, write-protected): its data now lives in the
-/// lock's update history, so the twin is no longer needed.
+/// the current incarnation: [`collect_with`], its pieces copied into
+/// items.
 pub fn collect(
     store: &mut LocalStore,
     pages: &mut PageTable,
     layout: &Layout,
     binding: &Binding,
 ) -> VmCollect {
-    let mut out = VmCollect {
-        update: UpdateSet::new(),
-        pages_diffed: 0,
-        diff_runs: Vec::new(),
-        pages_cleaned: 0,
-    };
-    // One diff buffer reused across every page of the pass — the hot loop
-    // neither copies the page out of the store nor allocates per diff.
-    let mut diff = PageDiff::default();
+    let mut update = UpdateSet::new();
+    let (pages_diffed, pages_cleaned) = collect_with(
+        store,
+        pages,
+        layout,
+        binding,
+        |_, _| {},
+        |addr, data| {
+            update.push_copy(addr, data);
+        },
+    );
+    VmCollect {
+        update,
+        pages_diffed,
+        pages_cleaned,
+    }
+}
+
+/// The collection pass itself. Every dirty page under `binding` is diffed
+/// against its twin; `on_page(runs, words)` reports each diff's run count
+/// and the page's size in words (the cost model charges by
+/// fragmentation), and `on_item(addr, bytes)` sees each piece of a diff
+/// that falls inside the binding, borrowed from the diff buffer, in
+/// increasing address order. Returns (pages diffed, pages cleaned).
+///
+/// A page whose modifications all fall inside the binding is *cleaned*
+/// afterwards (twin freed, write-protected): its data now lives in the
+/// lock's update history, so the twin is no longer needed.
+///
+/// The diff buffer and the per-page bound ranges are `pages.scratch`, so
+/// a pass allocates nothing of its own per run or per page.
+pub fn collect_with(
+    store: &mut LocalStore,
+    pages: &mut PageTable,
+    layout: &Layout,
+    binding: &Binding,
+    mut on_page: impl FnMut(usize, usize),
+    mut on_item: impl FnMut(u64, &[u8]),
+) -> (u64, u64) {
+    let (mut pages_diffed, mut pages_cleaned) = (0, 0);
+    let mut scratch = std::mem::take(&mut pages.scratch);
+    let DiffScratch { diff, bound } = &mut scratch;
     for (region_id, page_range) in binding.page_spans(layout) {
         let desc = layout.region(region_id).expect("bound region exists");
-        let used = desc.used;
-        for page in pages.dirty_pages_in(region_id, page_range) {
-            let offset = page << PAGE_SHIFT;
-            let len = (1usize << PAGE_SHIFT).min(used - offset);
-            let page_base = desc.base() + offset as u64;
-            let current = store.bytes(page_base, len);
-            let twin = pages.twin(region_id, page).expect("dirty page has twin");
-            PageDiff::compute_into(&mut diff, current, twin);
-            out.pages_diffed += 1;
-            out.diff_runs.push((diff.run_count(), len / 4));
-            // Intersect the diff runs with the bound ranges in place —
-            // emitting `UpdateItem`s directly instead of materialising an
-            // intermediate restricted `PageDiff` (which would copy every
-            // run once into the restriction and once more into the item).
-            let bound = binding.ranges_in_page(region_id, page);
-            let first_item = out.update.items.len();
-            let mut restricted_bytes = 0usize;
-            let mut j = 0usize;
-            for run in &diff.runs {
-                let run_end = run.offset + run.data.len();
-                while j < bound.len() && bound[j].end <= run.offset {
-                    j += 1;
-                }
-                for range in &bound[j..] {
-                    if range.start >= run_end {
-                        break;
-                    }
-                    let lo = run.offset.max(range.start);
-                    let hi = run_end.min(range.end);
-                    if lo < hi {
-                        restricted_bytes += hi - lo;
-                        out.update.items.push(UpdateItem {
-                            addr: page_base.raw() + lo as u64,
-                            data: run.data[lo - run.offset..hi - run.offset].to_vec(),
-                            ts: 0,
-                        });
-                    }
-                }
+        for page in page_range {
+            let Some(twin) = pages.twin(region_id, page) else {
+                continue;
+            };
+            let page_base = desc.base() + (page << PAGE_SHIFT) as u64;
+            let current = store.bytes(page_base, twin.len());
+            PageDiff::compute_into(diff, current, twin);
+            pages_diffed += 1;
+            on_page(diff.run_count(), current.len() / 4);
+            binding.ranges_in_page(region_id, page, bound);
+            let mut shipped = 0;
+            for (lo, data) in diff.restricted(bound) {
+                shipped += data.len();
+                on_item(page_base.raw() + lo as u64, data);
             }
-            if diff.changed_bytes() == restricted_bytes {
+            if shipped == diff.changed_bytes() {
                 pages.clean(region_id, page);
-                out.pages_cleaned += 1;
-            } else if restricted_bytes > 0 {
+                pages_cleaned += 1;
+            } else if shipped > 0 {
                 // Some modified words belong to other synchronization
                 // objects; fold the shipped part into the twin so it is not
                 // shipped again, and leave the page dirty.
-                if let Some(twin) = pages.twin_mut(region_id, page) {
-                    for item in &out.update.items[first_item..] {
-                        let start = (item.addr - page_base.raw()) as usize;
-                        let end = (start + item.data.len()).min(twin.len());
-                        if start < end {
-                            twin[start..end].copy_from_slice(&item.data[..end - start]);
-                        }
-                    }
+                let twin = pages.twin_mut(region_id, page).expect("still dirty");
+                for (lo, data) in diff.restricted(bound) {
+                    twin[lo..lo + data.len()].copy_from_slice(data);
                 }
             }
         }
     }
-    out.update.items.sort_by_key(|i| i.addr);
-    out
+    pages.scratch = scratch;
+    (pages_diffed, pages_cleaned)
 }
 
 /// Reads the full bound data: the fallback when the incarnation history
@@ -132,12 +130,7 @@ pub fn snapshot(store: &mut LocalStore, binding: &Binding) -> UpdateSet {
     for range in binding.ranges() {
         for piece in midway_mem::split_by_region(range.clone()) {
             let len = (piece.end - piece.start) as usize;
-            let data = store.bytes(Addr(piece.start), len).to_vec();
-            set.items.push(UpdateItem {
-                addr: piece.start,
-                data,
-                ts: 0,
-            });
+            set.push_copy(piece.start, store.bytes(Addr(piece.start), len));
         }
     }
     set
@@ -332,11 +325,8 @@ mod tests {
         if !f.pages.is_writable(f.region, page) {
             let offset = page << PAGE_SHIFT;
             let len = PAGE_SIZE.min(f.layout.region(f.region).unwrap().used - offset);
-            let snapshot = f
-                .store
-                .bytes(f.base.region_base() + offset as u64, len)
-                .to_vec();
-            f.pages.fault_in(f.region, page, &snapshot);
+            let current = f.store.bytes(f.base.region_base() + offset as u64, len);
+            f.pages.fault_in(f.region, page, current);
         }
         f.store.write_u64(addr, v);
     }

@@ -122,8 +122,14 @@ cargo run --release -q -p midway-replay --bin trace -- \
 echo "==> crash sweep smoke"
 # One RT cell at small scale: checkpoint-interval pricing end to end
 # (premium row + claim row), convergence asserted inside the harness.
-cargo run --release -q -p midway-bench --bin crash_sweep -- \
-    --smoke --trace "$smoke/traces" --out "$smoke/crash_sweep.json"
+cargo run --release -q -p midway-bench --bin sweep -- \
+    crash --smoke --out "$smoke/crash_sweep.json"
+
+echo "==> fault sweep smoke"
+# sor at small scale under every backend × six loss rates, each point
+# asserted to converge to the trusted-network final memory.
+cargo run --release -q -p midway-bench --bin sweep -- \
+    fault --smoke --out "$smoke/fault_sweep.json"
 
 echo "==> benchmark smoke"
 # The pinned benchmark (BENCHMARK.json) at smoke size: every workload once
@@ -137,10 +143,10 @@ echo "==> real-transport loopback smoke"
 # cross-validated against the simulator digest oracle; then the same
 # cells over UDP with 1% injected loss, so the reliable channel masks a
 # genuinely lossy socket end to end.
-cargo run --release -q -p midway-bench --bin realrun -- \
-    --smoke --trace "$smoke/traces" --out "$smoke/realrun.json"
-cargo run --release -q -p midway-bench --bin realrun -- \
-    --smoke --mode udp --loss 10000 \
+cargo run --release -q -p midway-bench --bin sweep -- \
+    real --smoke --trace "$smoke/traces" --out "$smoke/realrun.json"
+cargo run --release -q -p midway-bench --bin sweep -- \
+    real --smoke --mode udp --loss 10000 \
     --trace "$smoke/traces" --out "$smoke/realrun-udp.json"
 
 echo "==> scale sweep smoke (64 processors, tree barriers, sharded homes)"
@@ -148,40 +154,36 @@ echo "==> scale sweep smoke (64 processors, tree barriers, sharded homes)"
 # configuration — combining-tree barriers (arity 4) plus sharded sync
 # homes — with peak-RSS sampling. Verifies the machinery end to end at a
 # processor count far beyond the unit tests.
-cargo run --release -q -p midway-bench --bin scale_sweep -- \
-    --smoke --out "$smoke/scale.json"
+cargo run --release -q -p midway-bench --bin sweep -- \
+    scale --smoke --out "$smoke/scale.json"
 
-echo "==> paper gate: table2-table5 and fig2, live, byte for byte"
-# Regenerating the paper's artefacts in CI: each runs every application
-# live on the flat 8-processor configuration (~2 s each) and must print
-# exactly the committed results/*.txt. Stdout only differs by where the
-# JSON went; progress lines go to stderr.
-for artefact in table2 table3 table4 table5 fig2; do
-    cargo run --release -q -p midway-bench --bin "$artefact" -- \
-        --live --out "$smoke/$artefact.json" |
-        sed -e '/^running .* (live/d' -e '/^results written to /d' |
-        sed -e '${/^$/d;}' >"$smoke/$artefact.txt"
-    cmp "$smoke/$artefact.txt" "results/$artefact.txt"
+echo "==> paper gate: every artefact, byte for byte"
+# Regenerating the paper's artefacts in CI: each runs its applications
+# live on the flat 8-processor configuration (seconds each) and its
+# stdout must be exactly the committed results/<artefact>.txt. `paper
+# --list` and results/*.txt are held in bijection by a unit test, so a
+# new artefact cannot skip this loop. Progress and the JSON path go to
+# stderr.
+for artefact in $(cargo run --release -q -p midway-bench --bin paper -- --list); do
+    cargo run --release -q -p midway-bench --bin paper -- \
+        "$artefact" --out "$smoke/$artefact.json" |
+        cmp - "results/$artefact.txt"
 done
 
-echo "==> replay determinism gate over committed traces"
-# Every cached trace in results/traces/ must still replay bit-for-bit —
-# the end-to-end oracle that host-perf changes cannot have altered any
-# simulation result (results/traces/ is gitignored, so this runs on a
-# warmed checkout and is a no-op on a fresh one). The cache may hold files
-# an older recorder wrote: those are cache misses, not failures — the next
-# harness run re-records them — so they are skipped, out loud.
-if compgen -G "results/traces/*.mwt" >/dev/null; then
-    for t in results/traces/*.mwt; do
-        if ! out=$(cargo run --release -q -p midway-replay --bin trace -- \
-            replay "$t" --check 2>&1); then
-            case "$out" in
-            *"unsupported trace version"*) echo "skipping $t: $out" ;;
-            *) echo "$out" >&2; exit 1 ;;
-            esac
-        fi
+echo "==> record/replay determinism smoke (the other paper applications)"
+# The bit-for-bit oracle beyond sor (recorded and checked on every
+# backend above): the other four paper applications recorded under RT-DSM
+# and VM-DSM at small scale must replay to the identical counters, finish
+# time and message count.
+for app in water quicksort matrix cholesky; do
+    for backend in rt vm; do
+        cargo run --release -q -p midway-replay --bin trace -- \
+            record --app "$app" --scale small --procs 4 --backend "$backend" \
+            --out "$smoke/$app-$backend.mwt"
+        cargo run --release -q -p midway-replay --bin trace -- \
+            replay "$smoke/$app-$backend.mwt" --check
     done
-fi
+done
 
 echo "==> service workload smoke (sweep + record/replay)"
 # The three service apps (kvstore, socialgraph, taskqueue) at small
@@ -189,8 +191,8 @@ echo "==> service workload smoke (sweep + record/replay)"
 # knee search (binary search on clients/proc to the 2x-latency point);
 # every cell self-verifies inside the harness. Then one recorded
 # kvstore run must replay bit-for-bit like any batch kernel.
-cargo run --release -q -p midway-bench --bin svc_sweep -- \
-    --smoke --out "$smoke/svc.json"
+cargo run --release -q -p midway-bench --bin sweep -- \
+    svc --smoke --out "$smoke/svc.json"
 cargo run --release -q -p midway-replay --bin trace -- \
     record --app kvstore --scale small --procs 4 --backend rt \
     --out "$smoke/kvstore-rt.mwt"
@@ -205,22 +207,16 @@ echo "==> differential fuzz smoke (all six backends + planted mutants)"
 # reruns. Then each planted-mutant kind must be caught by the checker
 # and shrunk to a minimal reproducer. Failures print the seed and the
 # minimized schedule; the bin exits nonzero.
-cargo run --release -q -p midway-bench --bin fuzz -- --smoke
+cargo run --release -q -p midway-bench --bin sweep -- fuzz --smoke
 
 echo "==> racecheck smoke"
 # Clean apps must report zero findings and every seeded mutant must be
 # detected (the harness exits nonzero otherwise)...
-cargo run --release -q -p midway-bench --bin racecheck -- \
-    --scale small --procs 4 --backend rt --out "$smoke/racecheck.json"
+cargo run --release -q -p midway-bench --bin sweep -- \
+    racecheck --scale small --procs 4 --backends rt --out "$smoke/racecheck.json"
 # ...and a trace recorded without the checker must replay bit-for-bit
 # with it attached (the off-clock guarantee against a file on disk).
 cargo run --release -q -p midway-replay --bin trace -- \
     racecheck "$smoke/sor-rt.mwt"
-# Same check against a pre-existing cached trace when one is around
-# (results/traces/ is gitignored, so only on a warmed checkout).
-if [ -f results/traces/cholesky-small-4p-rt.mwt ]; then
-    cargo run --release -q -p midway-replay --bin trace -- \
-        racecheck results/traces/cholesky-small-4p-rt.mwt
-fi
 
 echo "==> ci.sh: all green"

@@ -2,9 +2,6 @@
 //! and report generators can read back — machine-readable results
 //! without an external serialization crate.
 
-use std::io;
-use std::path::Path;
-
 use midway_stats::TextTable;
 
 /// A JSON value built by the harnesses.
@@ -393,19 +390,6 @@ impl Parser<'_> {
             .map(Json::F64)
             .map_err(|_| self.err("malformed number"))
     }
-}
-
-/// Writes `json` to `path`, creating parent directories as needed.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating directories or writing the file.
-pub fn write_json(path: impl AsRef<Path>, json: &Json) -> io::Result<()> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, json.render())
 }
 
 #[cfg(test)]

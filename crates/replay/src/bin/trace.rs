@@ -3,17 +3,13 @@
 //!
 //! ```text
 //! trace record --app sor [--backend rt] [--scale small] [--procs 8] [--out FILE]
-//! trace replay FILE [--backend rt|vm|blast|twinall|hybrid] [--fault-us N] [--check]
+//! trace replay FILE [--backend rt|vm|blast|twinall|hybrid] [--check]
 //! trace racecheck FILE
 //! trace info FILE
 //! trace diff A B
-//! trace sweep FILE [--points N] [--live]
 //! ```
 //!
-//! `sweep` runs the Figure 3/4 page-fault-cost sweep from one trace,
-//! and with `--live` also re-executes the application at every sweep
-//! point to measure the wall-clock advantage of replaying. `racecheck`
-//! replays a trace bit-for-bit with the dynamic entry-consistency
+//! `racecheck` replays a trace bit-for-bit with the dynamic entry-consistency
 //! checker attached and reports its findings (write and synchronization
 //! rules only — reads are local and never recorded).
 
@@ -21,29 +17,26 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use midway_apps::{run_app, AppKind, Scale};
+use midway_apps::{AppKind, Scale};
 use midway_core::{report, BackendKind, Counters, FaultPlan, MidwayConfig, MidwayRun};
 use midway_replay::{
     racecheck_replay, record_app, replay, verify_crash_determinism, verify_crash_determinism_at,
     verify_crash_replay, verify_crash_replay_at, verify_fault_determinism, verify_fault_replay,
     verify_replay, Trace,
 };
-use midway_stats::{FaultSweep, TextTable};
+use midway_stats::TextTable;
 
 const USAGE: &str = "usage:
   trace record --app <water|quicksort|matrix|sor|cholesky|all>
                [--backend rt|vm|blast|twinall|hybrid|none] [--scale paper|medium|small]
                [--procs N] [--out FILE]
-  trace replay <FILE> [--backend rt|vm|blast|twinall|hybrid] [--fault-us N] [--check]
-               [--loss PPM] [--dup PPM] [--reorder PPM] [--delay PPM] [--fault-seed N]
-  trace faultcheck <FILE> [--loss PPM] [--dup PPM] [--reorder PPM] [--delay PPM]
-               [--fault-seed N] [--lenient]
-  trace crashcheck <FILE> [--crash-proc N] [--at CYCLES] [--down CYCLES]
-               [--interval BOUNDARIES] [--lenient]
+  trace replay <FILE> [--backend rt|vm|blast|twinall|hybrid] [--check]
+               [--loss PPM] [--fault-seed N]
+  trace faultcheck <FILE> [--loss PPM] [--fault-seed N] [--lenient]
+  trace crashcheck <FILE> [--interval BOUNDARIES] [--loss PPM] [--fault-seed N] [--lenient]
   trace racecheck <FILE>
   trace info   <FILE>
-  trace diff   <A> <B>
-  trace sweep  <FILE> [--points N] [--live]";
+  trace diff   <A> <B>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -55,7 +48,6 @@ fn main() -> ExitCode {
         Some("racecheck") => cmd_racecheck(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
         _ => Err(USAGE.to_string()),
     };
     match result {
@@ -88,7 +80,7 @@ fn positional(args: &[String]) -> Vec<&String> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        if args[i] == "--check" || args[i] == "--live" || args[i] == "--lenient" {
+        if args[i] == "--check" || args[i] == "--lenient" {
             i += 1;
         } else if args[i].starts_with("--") {
             i += 2;
@@ -100,39 +92,21 @@ fn positional(args: &[String]) -> Vec<&String> {
     out
 }
 
-fn ppm_value(args: &[String], name: &str) -> Result<Option<u32>, String> {
+/// The number following flag `name`, if the flag was given.
+fn number<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
     value(args, name)?
-        .map(|s| {
-            s.parse()
-                .map_err(|_| format!("{name} takes a rate in parts per million"))
-        })
+        .map(|s| s.parse().map_err(|_| format!("{name} takes a number")))
         .transpose()
 }
 
-/// Builds the fault plan the `--loss`/`--dup`/`--reorder`/`--delay`/
-/// `--fault-seed` flags describe; `None` when no fault flag was given.
-/// `--loss` is shorthand for `--drop`.
+/// Builds the lossy-network plan `--loss PPM` / `--fault-seed N`
+/// describe; `None` when neither flag was given.
 fn fault_plan_from_args(args: &[String]) -> Result<Option<FaultPlan>, String> {
-    let drop = ppm_value(args, "--loss")?.or(ppm_value(args, "--drop")?);
-    let dup = ppm_value(args, "--dup")?;
-    let reorder = ppm_value(args, "--reorder")?;
-    let delay = ppm_value(args, "--delay")?;
-    let seed = value(args, "--fault-seed")?
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--fault-seed takes a number".to_string())
-        })
-        .transpose()?;
-    if drop.is_none() && dup.is_none() && reorder.is_none() && delay.is_none() && seed.is_none() {
+    let (loss, seed) = (number(args, "--loss")?, number(args, "--fault-seed")?);
+    if loss.is_none() && seed.is_none() {
         return Ok(None);
     }
-    Ok(Some(
-        FaultPlan::seeded(seed.unwrap_or(1))
-            .drop_ppm(drop.unwrap_or(0))
-            .dup_ppm(dup.unwrap_or(0))
-            .reorder_ppm(reorder.unwrap_or(0))
-            .delay_ppm(delay.unwrap_or(0)),
-    ))
+    Ok(Some(FaultPlan::lossy(seed.unwrap_or(1), loss.unwrap_or(0))))
 }
 
 fn parse_app(s: &str) -> Result<AppKind, String> {
@@ -200,10 +174,7 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
         .map(parse_scale)
         .transpose()?
         .unwrap_or(Scale::Small);
-    let procs: usize = value(args, "--procs")?
-        .map(|s| s.parse().map_err(|_| "--procs takes a number".to_string()))
-        .transpose()?
-        .unwrap_or(8);
+    let procs: usize = number(args, "--procs")?.unwrap_or(8);
     let out = value(args, "--out")?;
     if out.is_some() && apps.len() > 1 {
         return Err("--out only makes sense with a single --app".to_string());
@@ -254,13 +225,6 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
         cfg.backend = BackendKind::from_cli_name(&b)?;
         exact = cfg.backend == trace.meta.cfg.backend;
     }
-    if let Some(us) = value(args, "--fault-us")? {
-        let us: f64 = us
-            .parse()
-            .map_err(|_| "--fault-us takes a number".to_string())?;
-        cfg.cost = cfg.cost.with_fault_micros(us);
-        exact = false;
-    }
     if let Some(plan) = fault_plan_from_args(args)? {
         cfg.faults = plan;
         exact = false;
@@ -299,8 +263,8 @@ fn cmd_faultcheck(args: &[String]) -> Result<ExitCode, String> {
         trace.meta.cfg.backend.label()
     );
     println!(
-        "plan:         seed {}, drop {} dup {} reorder {} delay {} (ppm)",
-        plan.seed, plan.drop_ppm, plan.dup_ppm, plan.reorder_ppm, plan.delay_ppm
+        "plan:         seed {}, drop {} ppm",
+        plan.seed, plan.drop_ppm
     );
     let lenient = flag(args, "--lenient");
     let t0 = Instant::now();
@@ -341,40 +305,16 @@ fn cmd_crashcheck(args: &[String]) -> Result<ExitCode, String> {
         return Err("crashcheck takes exactly one trace file".to_string());
     };
     let trace = load(path)?;
-    let parse_u64 = |name: &str| -> Result<Option<u64>, String> {
-        value(args, name)?
-            .map(|s| {
-                s.parse::<u64>()
-                    .map_err(|_| format!("{name} takes a cycle count"))
-            })
-            .transpose()
-    };
-    // Defaults scale with the recorded run so the crash always lands
+    // The crash scales with the recorded run so it always lands
     // mid-computation: fail at a third of the run, stay down for 5%.
-    let proc = match value(args, "--crash-proc")? {
-        Some(s) => s
-            .parse::<usize>()
-            .map_err(|_| "--crash-proc takes a processor id".to_string())?,
-        None => 1 % trace.meta.cfg.procs,
-    };
-    let at = parse_u64("--at")?.unwrap_or(trace.meta.finish_cycles / 3);
-    let down = parse_u64("--down")?.unwrap_or(trace.meta.finish_cycles / 20);
-    let mut plan = FaultPlan::none().with_crash(proc, at, down);
-    if let Some(base) = fault_plan_from_args(args)? {
-        plan.seed = base.seed;
-        plan.drop_ppm = base.drop_ppm;
-        plan.dup_ppm = base.dup_ppm;
-        plan.reorder_ppm = base.reorder_ppm;
-        plan.delay_ppm = base.delay_ppm;
-    }
+    let proc = 1 % trace.meta.cfg.procs;
+    let (at, down) = (trace.meta.finish_cycles / 3, trace.meta.finish_cycles / 20);
+    let plan = fault_plan_from_args(args)?
+        .unwrap_or_else(FaultPlan::none)
+        .with_crash(proc, at, down);
     // The interval applies to the *crashed* replays only — the crash-free
     // baseline must stay bit-for-bit identical to the recording.
-    let interval: Option<u32> = value(args, "--interval")?
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--interval takes a boundary count".to_string())
-        })
-        .transpose()?;
+    let interval: Option<u32> = number(args, "--interval")?;
 
     println!(
         "== crash-recovery check: {} ({} on {}) ==",
@@ -632,81 +572,4 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     Ok(ExitCode::FAILURE)
-}
-
-fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
-    let [path] = pos.as_slice() else {
-        return Err("sweep takes exactly one trace file".to_string());
-    };
-    let trace = load(path)?;
-    let points: usize = value(args, "--points")?
-        .map(|s| s.parse().map_err(|_| "--points takes a number".to_string()))
-        .transpose()?
-        .unwrap_or(7);
-    let backend = value(args, "--backend")?
-        .as_deref()
-        .map(BackendKind::from_cli_name)
-        .transpose()?
-        .unwrap_or(trace.meta.cfg.backend);
-    let models = FaultSweep::paper(points).models(trace.recorded_cfg().cost);
-    println!(
-        "== page-fault-cost sweep from {} ({} on {}) ==\n",
-        path,
-        trace.meta.app,
-        backend.label()
-    );
-
-    // Invocation counts do not depend on the fault cost (the premise of
-    // the paper's Figures 3 and 4), so the whole sweep derives from ONE
-    // replay under the target backend: each point reprices that replay's
-    // counters under its cost model.
-    let t0 = Instant::now();
-    let run = if backend == trace.meta.cfg.backend {
-        verify_replay(&trace).map_err(|d| format!("replay diverged from recording: {d}"))?
-    } else {
-        let mut cfg = trace.recorded_cfg();
-        cfg.backend = backend;
-        replay(&trace, cfg).map_err(|e| format!("replay failed: {e}"))?
-    };
-    let replay_secs = t0.elapsed().as_secs_f64();
-    let avg = Counters::average(&run.counters);
-
-    let mut t = TextTable::new(&["fault (us)", "trap (ms)", "collect (ms)", "total (ms)"]);
-    for m in &models {
-        let trap = report::trapping_millis(backend, &avg, m);
-        let collect = report::collection_millis(backend, &avg, m).total();
-        t.row(&[
-            format!("{:.0}", m.fault_micros()),
-            format!("{trap:.1}"),
-            format!("{collect:.1}"),
-            format!("{:.1}", trap + collect),
-        ]);
-    }
-    println!("{t}");
-    println!("{points} sweep points derived from one replay in {replay_secs:.2} s host time");
-
-    if flag(args, "--live") {
-        let app = parse_app(&trace.meta.app).map_err(|_| {
-            format!(
-                "--live: trace app {:?} is not a named application",
-                trace.meta.app
-            )
-        })?;
-        let scale = parse_scale(&trace.meta.scale)?;
-        let t1 = Instant::now();
-        for m in &models {
-            let mut cfg = trace.recorded_cfg().cost(*m);
-            cfg.backend = backend;
-            let out = run_app(app, cfg, scale);
-            assert!(out.verified, "live run failed verification");
-        }
-        let live_secs = t1.elapsed().as_secs_f64();
-        println!(
-            "re-executing the application at each of the {points} points took \
-             {live_secs:.2} s host time ({:.1}x slower than the trace-driven sweep)",
-            live_secs / replay_secs.max(1e-9)
-        );
-    }
-    Ok(ExitCode::SUCCESS)
 }

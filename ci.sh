@@ -28,6 +28,13 @@ echo "==> cargo test -p midway-mem --release"
 # build, so their reference-equivalence tests run against that too.
 cargo test -p midway-mem --release -q
 
+echo "==> cargo test --release: the byte codec and the three formats on it"
+# Wrapping arithmetic on a hostile length or range is a panic in the debug
+# profile and a silently wrong value in this one, so the decoders' hostile
+# input tests and mutation sweeps run in both.
+cargo test -p midway-net -p midway-replay --release -q
+cargo test -p midway-core --release -q --lib
+
 echo "==> one-execution-path guard"
 # `unsafe` lives in the coroutine module (and the pinned benchmark's
 # sched_setaffinity call) and nowhere else; the scheduler and the cluster
@@ -69,6 +76,21 @@ for f in crates/proto/src/vm.rs $(find crates/core/src/detect -name '*.rs'); do
         grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
         grep -F '.restrict('; then
         echo "materializing diff restriction in non-test code of $f" >&2
+        exit 1
+    fi
+done
+
+# One byte codec: the LEB128 loops and the byte-wise FNV-1a-64 are
+# crates/net/src/wire.rs's, and socket frames, trace files and recovery
+# storage are layouts over its bounds-checked Reader. The one exception
+# is the store digest in crates/mem/src/store.rs, a different (chunked)
+# algorithm kept beside its reference oracle.
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/benchmark/*' \
+    -not -path crates/net/src/wire.rs -not -path crates/mem/src/store.rs); do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
+        grep -E '0xcbf2_9ce4_8422_2325|& 0x7f'; then
+        echo "a second varint loop or FNV-1a outside crates/net/src/wire.rs, in $f" >&2
         exit 1
     fi
 done

@@ -147,12 +147,8 @@ mod tests {
         let sound = sor_trace().encode();
         let mut stale = sound.clone();
         stale[4] = u8::try_from(VERSION - 1).expect("single-byte version");
-        let end = stale.len() - 8;
-        let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &stale[..end] {
-            sum = (sum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        stale[end..].copy_from_slice(&sum.to_le_bytes());
+        stale.truncate(stale.len() - 8);
+        midway_core::codec::seal(&mut stale);
         assert_eq!(
             Trace::decode(&stale),
             Err(TraceError::BadVersion(VERSION - 1))

@@ -1,117 +1,112 @@
 //! Per-processor invocation counters (the rows of the paper's Table 2).
 
-/// Counts of every primitive operation a processor performed, plus general
-/// protocol activity. Tables 2–5 and Figures 3–4 are derived from these.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counters {
+/// Declares [`Counters`] from one field list, so the struct, its
+/// element-wise operations and the order a trace file stores the fields
+/// in cannot drift apart. Fields after `@recovery` are the
+/// crash-tolerance counters [`Counters::sans_recovery`] zeroes.
+macro_rules! counters {
+    (
+        $( $(#[$doc:meta])* $field:ident, )*
+        @recovery
+        $( $(#[$rdoc:meta])* $rfield:ident, )*
+    ) => {
+        /// Counts of every primitive operation a processor performed, plus
+        /// general protocol activity. Tables 2–5 and Figures 3–4 are
+        /// derived from these.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct Counters {
+            $( $(#[$doc])* pub $field: u64, )*
+            $( $(#[$rdoc])* pub $rfield: u64, )*
+        }
+
+        impl Counters {
+            /// Every counter in declaration order: Table 2's rows, the
+            /// shared protocol counters, then the crash-tolerance ones.
+            /// Both directions of the trace codec walk this.
+            pub fn fields_mut(&mut self) -> [&mut u64; 24] {
+                [ $( &mut self.$field, )* $( &mut self.$rfield, )* ]
+            }
+
+            /// Element-wise sum (for cluster-wide aggregation).
+            pub fn add(&mut self, other: &Counters) {
+                $( self.$field += other.$field; )*
+                $( self.$rfield += other.$rfield; )*
+            }
+
+            /// A copy with every crash-tolerance counter zeroed: what the
+            /// processor did at the *application and protocol* level,
+            /// comparable across runs that differ only in crash schedule
+            /// or checkpoint interval.
+            pub fn sans_recovery(&self) -> Counters {
+                Counters { $( $rfield: 0, )* ..*self }
+            }
+        }
+    };
+}
+
+counters! {
     // --- RT-DSM (Table 2, upper half) ---
     /// Dirtybits set by the write-trapping templates.
-    pub dirtybits_set: u64,
+    dirtybits_set,
     /// Writes to private memory that went through a shared-path template.
-    pub dirtybits_misclassified: u64,
+    dirtybits_misclassified,
     /// Clean dirtybits read during collection scans.
-    pub clean_dirtybits_read: u64,
+    clean_dirtybits_read,
     /// Dirty dirtybits read during collection scans.
-    pub dirty_dirtybits_read: u64,
+    dirty_dirtybits_read,
     /// Dirtybits stamped with a new timestamp at the requesting processor.
-    pub dirtybits_updated: u64,
+    dirtybits_updated,
 
     // --- VM-DSM (Table 2, lower half) ---
     /// Page write faults serviced (includes twin + protection).
-    pub write_faults: u64,
+    write_faults,
     /// Pages diffed against their twins.
-    pub pages_diffed: u64,
+    pages_diffed,
     /// Pages write-protected after cleaning.
-    pub pages_write_protected: u64,
+    pages_write_protected,
     /// Bytes of incoming updates applied to twins of dirty pages.
-    pub twin_bytes_updated: u64,
+    twin_bytes_updated,
 
     // --- shared ---
     /// Application data bytes this processor sent in consistency traffic.
-    pub data_bytes_sent: u64,
+    data_bytes_sent,
     /// Application data bytes received.
-    pub data_bytes_received: u64,
+    data_bytes_received,
     /// Received bytes that were already current locally (RT's exactly-once
     /// filter dropped them).
-    pub redundant_bytes_received: u64,
+    redundant_bytes_received,
     /// Lock acquisitions completed.
-    pub lock_acquires: u64,
+    lock_acquires,
     /// Lock data transfers performed as the releasing side.
-    pub lock_transfers_served: u64,
+    lock_transfers_served,
     /// Transfers that shipped the full bound data instead of a diff/history
     /// (VM incarnation fallback, rebinding, or blast).
-    pub full_data_sends: u64,
+    full_data_sends,
     /// Barrier episodes completed.
-    pub barrier_waits: u64,
+    barrier_waits,
 
-    // --- crash tolerance ---
+    @recovery
     /// Crashes this processor suffered (and recovered from).
-    pub crashes: u64,
+    crashes,
     /// Cycles spent dark across all crashes (restart downtime).
-    pub downtime_cycles: u64,
+    downtime_cycles,
     /// Messages and timers discarded because they were in flight to this
     /// processor while it was down (its NIC was dark).
-    pub fenced_messages: u64,
+    fenced_messages,
     /// Checkpoint images written to stable storage.
-    pub checkpoints_written: u64,
+    checkpoints_written,
     /// Total bytes of checkpoint images written.
-    pub checkpoint_bytes: u64,
+    checkpoint_bytes,
     /// Bytes appended to the stable-storage write-ahead log.
-    pub wal_bytes_logged: u64,
+    wal_bytes_logged,
     /// Bytes read back (checkpoint image + log) during recoveries.
-    pub recovery_replay_bytes: u64,
+    recovery_replay_bytes,
     /// Cycles charged for recovery work itself (decode + log replay),
     /// excluding the downtime.
-    pub recovery_cycles: u64,
+    recovery_cycles,
 }
 
 impl Counters {
-    /// Element-wise sum (for cluster-wide aggregation).
-    pub fn add(&mut self, other: &Counters) {
-        self.dirtybits_set += other.dirtybits_set;
-        self.dirtybits_misclassified += other.dirtybits_misclassified;
-        self.clean_dirtybits_read += other.clean_dirtybits_read;
-        self.dirty_dirtybits_read += other.dirty_dirtybits_read;
-        self.dirtybits_updated += other.dirtybits_updated;
-        self.write_faults += other.write_faults;
-        self.pages_diffed += other.pages_diffed;
-        self.pages_write_protected += other.pages_write_protected;
-        self.twin_bytes_updated += other.twin_bytes_updated;
-        self.data_bytes_sent += other.data_bytes_sent;
-        self.data_bytes_received += other.data_bytes_received;
-        self.redundant_bytes_received += other.redundant_bytes_received;
-        self.lock_acquires += other.lock_acquires;
-        self.lock_transfers_served += other.lock_transfers_served;
-        self.full_data_sends += other.full_data_sends;
-        self.barrier_waits += other.barrier_waits;
-        self.crashes += other.crashes;
-        self.downtime_cycles += other.downtime_cycles;
-        self.fenced_messages += other.fenced_messages;
-        self.checkpoints_written += other.checkpoints_written;
-        self.checkpoint_bytes += other.checkpoint_bytes;
-        self.wal_bytes_logged += other.wal_bytes_logged;
-        self.recovery_replay_bytes += other.recovery_replay_bytes;
-        self.recovery_cycles += other.recovery_cycles;
-    }
-
-    /// A copy with every crash-tolerance counter zeroed: what the
-    /// processor did at the *application and protocol* level, comparable
-    /// across runs that differ only in crash schedule or checkpoint
-    /// interval.
-    pub fn sans_recovery(&self) -> Counters {
-        Counters {
-            crashes: 0,
-            downtime_cycles: 0,
-            fenced_messages: 0,
-            checkpoints_written: 0,
-            checkpoint_bytes: 0,
-            wal_bytes_logged: 0,
-            recovery_replay_bytes: 0,
-            recovery_cycles: 0,
-            ..*self
-        }
-    }
-
     /// The per-processor average of a set of counters, as the paper's
     /// Table 2 reports ("averages for all processors in an 8-way run").
     pub fn average(all: &[Counters]) -> AvgCounters {
@@ -218,6 +213,22 @@ mod tests {
                 ..Counters::default()
             }
         );
+    }
+
+    #[test]
+    fn field_walk_visits_every_counter_once_in_declaration_order() {
+        let mut c = Counters::default();
+        for (i, f) in c.fields_mut().into_iter().enumerate() {
+            *f = i as u64 + 1;
+        }
+        assert_eq!((c.dirtybits_set, c.barrier_waits), (1, 16));
+        assert_eq!((c.crashes, c.recovery_cycles), (17, 24));
+        let mut doubled = c;
+        doubled.add(&c);
+        let sum: u64 = doubled.fields_mut().into_iter().map(|f| *f).sum();
+        assert_eq!(sum, 2 * (1..=24).sum::<u64>());
+        let sum: u64 = c.sans_recovery().fields_mut().into_iter().map(|f| *f).sum();
+        assert_eq!(sum, (1..=16).sum::<u64>());
     }
 
     #[test]

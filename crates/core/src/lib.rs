@@ -49,6 +49,11 @@ mod setup;
 pub mod trace;
 mod wire;
 
+/// The hostile-bytes sweep shared by every decoder built on the codec.
+#[cfg(test)]
+#[path = "../../net/tests/support/mutate.rs"]
+mod mutate;
+
 pub use api::Proc;
 pub use config::{BackendKind, BarrierShape, MidwayConfig};
 pub use counters::{AvgCounters, Counters};
@@ -61,6 +66,7 @@ pub use trace::{AllocSpec, BarrierSpec, SpecBlueprint, TraceOp};
 // Re-export the identifiers applications need.
 pub use midway_check::{ApplyStats, CheckReport, CheckSpec, Finding, FindingKind, Staleness};
 pub use midway_mem::AddrRange;
+pub use midway_net::wire as codec;
 pub use midway_net::{RealConfig, RealError, RealMode, RealTransport, Transport};
 pub use midway_proto::{BarrierId, HomeMap, LinkStats, LockId, Mode, ReliableParams};
 pub use midway_sim::{FaultPlan, FaultStats, NetModel, SimError, SplitMix64, VirtualTime};

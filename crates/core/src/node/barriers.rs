@@ -334,7 +334,7 @@ mod tests {
     /// FNV-1a over the words' little-endian bytes.
     fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
         let bytes: Vec<u8> = words.into_iter().flat_map(u64::to_le_bytes).collect();
-        crate::node::recover::fnv1a(&bytes)
+        midway_net::wire::fnv1a64(&bytes)
     }
 
     /// (finish cycles, messages, FNV of the application results, of the

@@ -33,8 +33,29 @@
 //! `wal_prev` between the previous image and the latest, so a corrupt
 //! latest image degrades to `prev + wal_prev + wal` instead of data
 //! loss. A checkpoint that fails its checksum is *never* applied.
+//!
+//! Layout, over the primitives of the workspace codec (`midway_net::wire`:
+//! LEB128 varints, varint-prefixed byte strings, the sealed FNV footer):
+//!
+//! ```text
+//! image   b"MWCK", seq, link epoch,
+//!         regions: n × (id, used bytes),
+//!         locks: n × (held (1 byte), ranges),  ranges: n × (start, end)
+//!         barriers: n × (episode, last_consist),
+//!         footer (8 bytes)
+//! log     records, unsealed, each a tag byte + payload:
+//!           0 write    addr, bytes
+//!           1 lock     index, held (1 byte), ranges
+//!           2 barrier  index, episode, last_consist
+//! ```
+//!
+//! Only the image is sealed; a log segment is read back through the
+//! codec's bounded reader and every index and address it names is
+//! checked against the layout, so a damaged segment is an error from
+//! [`RecoveryLog::reconstruct`], never a panic or a guess.
 
 use midway_mem::{Addr, AddrRange, Layout, LocalStore};
+use midway_net::wire::{seal, unseal, Reader, WireError, Writer};
 use midway_proto::Mode;
 use std::sync::Arc;
 
@@ -146,9 +167,8 @@ impl RecoveryLog {
     pub fn log_write(&mut self, addr: u64, bytes: &[u8]) -> u64 {
         let before = self.wal.len();
         self.wal.push(REC_WRITE);
-        put_varint(&mut self.wal, addr);
-        put_varint(&mut self.wal, bytes.len() as u64);
-        self.wal.extend_from_slice(bytes);
+        self.wal.varint(addr);
+        self.wal.bytes(bytes);
         (self.wal.len() - before) as u64
     }
 
@@ -156,13 +176,9 @@ impl RecoveryLog {
     pub fn log_lock(&mut self, idx: usize, held: u8, ranges: &[AddrRange]) -> u64 {
         let before = self.wal.len();
         self.wal.push(REC_LOCK);
-        put_varint(&mut self.wal, idx as u64);
+        self.wal.varint(idx as u64);
         self.wal.push(held);
-        put_varint(&mut self.wal, ranges.len() as u64);
-        for r in ranges {
-            put_varint(&mut self.wal, r.start);
-            put_varint(&mut self.wal, r.end);
-        }
+        put_ranges(&mut self.wal, ranges);
         (self.wal.len() - before) as u64
     }
 
@@ -170,9 +186,9 @@ impl RecoveryLog {
     pub fn log_barrier(&mut self, idx: usize, episode: u64, last_consist: u64) -> u64 {
         let before = self.wal.len();
         self.wal.push(REC_BARRIER);
-        put_varint(&mut self.wal, idx as u64);
-        put_varint(&mut self.wal, episode);
-        put_varint(&mut self.wal, last_consist);
+        self.wal.varint(idx as u64);
+        self.wal.varint(episode);
+        self.wal.varint(last_consist);
         (self.wal.len() - before) as u64
     }
 
@@ -244,7 +260,7 @@ impl RecoveryLog {
         };
         for seg in segments {
             replay_bytes += seg.len() as u64;
-            replay_log(seg, &mut store, &mut sync)?;
+            replay_log(seg, &mut store, &mut sync).map_err(|e| format!("write-ahead log: {e}"))?;
         }
         Ok(Recovered {
             store,
@@ -261,6 +277,23 @@ impl RecoveryLog {
     }
 }
 
+fn put_ranges(out: &mut Vec<u8>, ranges: &[AddrRange]) {
+    out.varint(ranges.len() as u64);
+    for r in ranges {
+        out.varint(r.start);
+        out.varint(r.end);
+    }
+}
+
+fn ranges(r: &mut Reader) -> Result<Vec<AddrRange>, WireError> {
+    let n = r.count(2)?;
+    let mut ranges = Vec::with_capacity(n);
+    for _ in 0..n {
+        ranges.push(r.varint()?..r.varint()?);
+    }
+    Ok(ranges)
+}
+
 /// Serializes a checkpoint image: store content, synchronization state,
 /// sequence number and link epoch, with an FNV-1a 64 checksum footer.
 pub(crate) fn encode_checkpoint(
@@ -271,35 +304,28 @@ pub(crate) fn encode_checkpoint(
 ) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
-    put_varint(&mut out, seq);
-    put_varint(&mut out, u64::from(epoch));
+    out.varint(seq);
+    out.varint(u64::from(epoch));
     let layout = store.layout();
     let materialized: Vec<usize> = (0..layout.region_slots())
         .filter(|&id| store.region_data(id).is_some())
         .collect();
-    put_varint(&mut out, materialized.len() as u64);
+    out.varint(materialized.len() as u64);
     for id in materialized {
-        let data = store.region_data(id).expect("filtered to materialized");
-        put_varint(&mut out, id as u64);
-        put_varint(&mut out, data.len() as u64);
-        out.extend_from_slice(data);
+        out.varint(id as u64);
+        out.bytes(store.region_data(id).expect("filtered to materialized"));
     }
-    put_varint(&mut out, sync.locks.len() as u64);
+    out.varint(sync.locks.len() as u64);
     for (held, ranges) in &sync.locks {
         out.push(*held);
-        put_varint(&mut out, ranges.len() as u64);
-        for r in ranges {
-            put_varint(&mut out, r.start);
-            put_varint(&mut out, r.end);
-        }
+        put_ranges(&mut out, ranges);
     }
-    put_varint(&mut out, sync.barriers.len() as u64);
+    out.varint(sync.barriers.len() as u64);
     for (episode, last_consist) in &sync.barriers {
-        put_varint(&mut out, *episode);
-        put_varint(&mut out, *last_consist);
+        out.varint(*episode);
+        out.varint(*last_consist);
     }
-    let sum = fnv1a(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
+    seal(&mut out);
     out
 }
 
@@ -307,179 +333,84 @@ pub(crate) fn encode_checkpoint(
 pub(crate) fn decode_checkpoint(
     img: &[u8],
     layout: &Arc<Layout>,
-) -> Result<(LocalStore, SyncSnapshot), String> {
-    if img.len() < MAGIC.len() + 8 {
-        return Err(format!("image truncated to {} bytes", img.len()));
+) -> Result<(LocalStore, SyncSnapshot), WireError> {
+    let body = unseal(img).ok_or(WireError::malformed(
+        "image checksum mismatch",
+        img.len() as u64,
+    ))?;
+    let mut r = Reader::new(body);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(WireError::malformed("bad image magic", u64::from(body[0])));
     }
-    let (body, footer) = img.split_at(img.len() - 8);
-    let stored = u64::from_le_bytes(footer.try_into().expect("8 bytes"));
-    let actual = fnv1a(body);
-    if stored != actual {
-        return Err(format!(
-            "checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
-        ));
-    }
-    let mut cur = Cursor::new(body);
-    if cur.take(MAGIC.len())? != MAGIC {
-        return Err("bad image magic".to_string());
-    }
-    let _seq = cur.varint()?;
-    let _epoch = cur.varint()?;
+    let _seq = r.varint()?;
+    let _epoch = r.varint_u32()?;
     let mut store = LocalStore::new(Arc::clone(layout));
-    let nregions = cur.varint()?;
-    for _ in 0..nregions {
-        let id = cur.varint()? as usize;
-        let len = cur.varint()? as usize;
-        let data = cur.take(len)?;
-        let desc = layout
-            .region(id)
-            .ok_or_else(|| format!("image references unknown region {id}"))?;
-        if desc.used != len {
-            return Err(format!(
-                "region {id} image is {len} bytes but the layout uses {}",
-                desc.used
-            ));
+    for _ in 0..r.count(2)? {
+        let id = r.varint()?;
+        let data = r.bytes()?;
+        let desc = usize::try_from(id).ok().and_then(|id| layout.region(id));
+        let desc = desc.ok_or(WireError::malformed("image references unknown region", id))?;
+        if desc.used != data.len() {
+            let what = "region image length differs from the layout's";
+            return Err(WireError::malformed(what, data.len() as u64));
         }
         store.write_bytes(desc.base(), data);
     }
     let mut sync = SyncSnapshot::default();
-    let nlocks = cur.varint()?;
-    for _ in 0..nlocks {
-        let held = cur.u8()?;
-        let nranges = cur.varint()?;
-        let mut ranges = Vec::with_capacity(nranges as usize);
-        for _ in 0..nranges {
-            let start = cur.varint()?;
-            let end = cur.varint()?;
-            ranges.push(start..end);
-        }
-        sync.locks.push((held, ranges));
+    for _ in 0..r.count(2)? {
+        sync.locks.push((r.u8()?, ranges(&mut r)?));
     }
-    let nbarriers = cur.varint()?;
-    for _ in 0..nbarriers {
-        let episode = cur.varint()?;
-        let last_consist = cur.varint()?;
-        sync.barriers.push((episode, last_consist));
+    for _ in 0..r.count(2)? {
+        sync.barriers.push((r.varint()?, r.varint()?));
     }
-    if !cur.at_end() {
-        return Err("trailing bytes after image".to_string());
-    }
+    r.finish()?;
     Ok((store, sync))
 }
 
 /// Replays one log segment's records, in order, into the store and
 /// synchronization state.
-fn replay_log(seg: &[u8], store: &mut LocalStore, sync: &mut SyncSnapshot) -> Result<(), String> {
-    let mut cur = Cursor::new(seg);
-    while !cur.at_end() {
-        match cur.u8()? {
+fn replay_log(
+    seg: &[u8],
+    store: &mut LocalStore,
+    sync: &mut SyncSnapshot,
+) -> Result<(), WireError> {
+    let mut r = Reader::new(seg);
+    while r.remaining() > 0 {
+        match r.u8()? {
             REC_WRITE => {
-                let addr = cur.varint()?;
-                let len = cur.varint()? as usize;
-                let data = cur.take(len)?;
-                store.write_bytes(Addr(addr), data);
+                let addr = r.varint()?;
+                let data = r.bytes()?;
+                // The segment carries no checksum, so the address is as
+                // untrusted as the length: it must name used bytes.
+                let a = Addr(addr);
+                let region = store.layout().region(a.region_index());
+                let fits = region.is_some_and(|d| a.region_offset() + data.len() <= d.used);
+                if !fits {
+                    return Err(WireError::malformed("log write outside its region", addr));
+                }
+                store.write_bytes(a, data);
             }
             REC_LOCK => {
-                let idx = cur.varint()? as usize;
-                let held = cur.u8()?;
-                let nranges = cur.varint()?;
-                let mut ranges = Vec::with_capacity(nranges as usize);
-                for _ in 0..nranges {
-                    let start = cur.varint()?;
-                    let end = cur.varint()?;
-                    ranges.push(start..end);
-                }
-                let slot = sync
-                    .locks
-                    .get_mut(idx)
-                    .ok_or_else(|| format!("log references unknown lock {idx}"))?;
-                *slot = (held, ranges);
+                let idx = r.varint()?;
+                let slot = usize::try_from(idx)
+                    .ok()
+                    .and_then(|i| sync.locks.get_mut(i));
+                let slot = slot.ok_or(WireError::malformed("log references unknown lock", idx))?;
+                *slot = (r.u8()?, ranges(&mut r)?);
             }
             REC_BARRIER => {
-                let idx = cur.varint()? as usize;
-                let episode = cur.varint()?;
-                let last_consist = cur.varint()?;
-                let slot = sync
-                    .barriers
-                    .get_mut(idx)
-                    .ok_or_else(|| format!("log references unknown barrier {idx}"))?;
-                *slot = (episode, last_consist);
+                let idx = r.varint()?;
+                let slot = usize::try_from(idx)
+                    .ok()
+                    .and_then(|i| sync.barriers.get_mut(i));
+                let slot =
+                    slot.ok_or(WireError::malformed("log references unknown barrier", idx))?;
+                *slot = (r.varint()?, r.varint()?);
             }
-            tag => return Err(format!("unknown log record tag {tag}")),
+            tag => return Err(WireError::malformed("unknown log record tag", tag.into())),
         }
     }
     Ok(())
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Bounds-checked decode cursor over a byte slice.
-struct Cursor<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(b: &'a [u8]) -> Cursor<'a> {
-        Cursor { b, i: 0 }
-    }
-
-    fn at_end(&self) -> bool {
-        self.i >= self.b.len()
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        let v = *self
-            .b
-            .get(self.i)
-            .ok_or_else(|| "record truncated".to_string())?;
-        self.i += 1;
-        Ok(v)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.i + n > self.b.len() {
-            return Err("record truncated".to_string());
-        }
-        let s = &self.b[self.i..self.i + n];
-        self.i += n;
-        Ok(s)
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err("varint overflows u64".to_string());
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -488,6 +419,7 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
     use midway_mem::{LayoutBuilder, MemClass};
+    use midway_net::wire::fnv1a64;
 
     fn layout_with(sizes: &[usize]) -> (Arc<Layout>, Vec<Addr>) {
         let mut b = LayoutBuilder::new();
@@ -595,8 +527,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reconstruct_replays_log_over_checkpoint() {
+    /// One write and a checkpoint image, then a write, a lock record and a
+    /// barrier record in the log after it. Returns the live store too.
+    fn image_plus_log() -> (Arc<Layout>, LocalStore, RecoveryLog) {
         let (layout, addrs) = layout_with(&[256]);
         let mut live = LocalStore::new(Arc::clone(&layout));
         let initial = SyncSnapshot {
@@ -619,12 +552,96 @@ mod tests {
         log.log_write((addrs[0] + 8).raw(), live.bytes(addrs[0] + 8, 8));
         log.log_lock(0, 0, &[]);
         log.log_barrier(0, 2, 30);
+        (layout, live, log)
+    }
+
+    #[test]
+    fn reconstruct_replays_log_over_checkpoint() {
+        let (layout, live, log) = image_plus_log();
         let out = log.reconstruct(&layout).expect("reconstructs");
         assert!(!out.used_fallback);
         assert_eq!(out.store.digest(), live.digest());
         assert_eq!(out.sync.locks, vec![(0, vec![])]);
         assert_eq!(out.sync.barriers, vec![(2, 30)]);
         assert!(out.replay_bytes > 0);
+    }
+
+    /// What is on stable storage is what a node restarted from another
+    /// commit reads back: lengths and FNVs of the fixture's image and log
+    /// segments, captured from the encoders as they stood before the
+    /// shared codec. (`BENCH_crash.json`'s byte counters are these sizes.)
+    #[test]
+    fn stored_bytes_are_the_parent_commits() {
+        let (_, _, log) = image_plus_log();
+        let image = log.latest.as_deref().expect("has image");
+        for (bytes, len, sum) in [
+            (image, 288, 0xfb2b_e35a_4932_7c34_u64),
+            (&log.wal, 22, 0xe1a7_8b93_1850_8fae),
+            (&log.wal_prev, 14, 0x87f9_0fb6_3753_d766),
+        ] {
+            assert_eq!((bytes.len(), fnv1a64(bytes)), (len, sum));
+        }
+    }
+
+    /// The log has no checksum: a damaged length, range count, index or
+    /// address must surface as `Err` from `reconstruct` (which then hands
+    /// back no store at all), never as a panic or an allocation.
+    #[test]
+    fn corrupt_log_segment_is_an_error_never_a_panic() {
+        let (layout, _, sound) = image_plus_log();
+        // wal = write(tag, addr × 4, len, 8 bytes) lock(tag, idx, held, n)
+        // barrier(tag, idx, episode, last_consist)
+        let lock_at = sound
+            .wal
+            .iter()
+            .rposition(|&b| b == REC_LOCK)
+            .expect("lock record");
+        let huge = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        let damage: [(&str, usize, &[u8]); 5] = [
+            ("write length", 5, &huge),
+            ("write address", 1, &huge),
+            ("range count", lock_at + 3, &huge),
+            ("lock index", lock_at + 1, &[9]),
+            ("record tag", lock_at, &[7]),
+        ];
+        for (what, at, with) in damage {
+            let (_, _, mut log) = image_plus_log();
+            log.wal.splice(at..at + 1, with.iter().copied());
+            let err = log
+                .reconstruct(&layout)
+                .err()
+                .unwrap_or_else(|| panic!("{what} accepted"));
+            assert!(err.contains("write-ahead log"), "{what}: {err}");
+        }
+        // Cut anywhere inside a record: truncation, reported.
+        for keep in 1..sound.wal.len() {
+            let (_, _, mut log) = image_plus_log();
+            log.wal.truncate(keep);
+            let complete = [lock_at, lock_at + 4].contains(&keep);
+            assert_eq!(log.reconstruct(&layout).is_ok(), complete, "cut to {keep}");
+        }
+    }
+
+    /// The recovery slice of the hostile-bytes sweep: mutants of a
+    /// re-sealed image (so the decoder proper sees them, not just the
+    /// checksum) and of a raw log segment.
+    #[test]
+    fn mutated_storage_decodes_or_fails_but_never_panics() {
+        let (layout, _, log) = image_plus_log();
+        let image = log.latest.as_deref().expect("has image");
+        let body = unseal(image).expect("sound image");
+        let accepted = crate::mutate::sweep(0xc4ec_0001, body, 10_000, |b| {
+            let mut img = b.to_vec();
+            seal(&mut img);
+            decode_checkpoint(&img, &layout).is_ok()
+        });
+        assert!(accepted > 0 && accepted < 10_000, "image: {accepted}");
+        let accepted = crate::mutate::sweep(0xc4ec_0002, &log.wal, 10_000, |b| {
+            let mut store = LocalStore::new(Arc::clone(&layout));
+            let mut sync = log.initial.clone();
+            replay_log(b, &mut store, &mut sync).is_ok()
+        });
+        assert!(accepted > 0 && accepted < 10_000, "log: {accepted}");
     }
 
     #[test]

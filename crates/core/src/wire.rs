@@ -2,17 +2,22 @@
 //!
 //! The simulator moves messages as in-memory values; sockets move bytes.
 //! This module gives [`NetMsg`] (and everything it carries) a
-//! [`Wire`] encoding: little-endian scalars, length-prefixed vectors, one
-//! tag byte per enum variant. The encoding is exact — decoding an encoded
-//! message reproduces it field for field, which the roundtrip tests below
-//! pin down — so a protocol engine behind a socket sees the same values
-//! one behind the simulator does.
+//! [`Wire`] encoding out of the workspace codec's primitives
+//! (`midway_net::wire`): little-endian scalars, `u32`-counted vectors,
+//! one tag byte per enum variant. The encoding is exact — decoding an
+//! encoded message reproduces it field for field, which the roundtrip
+//! tests below pin down — so a protocol engine behind a socket sees the
+//! same values one behind the simulator does. Decoding is total: every
+//! count goes through the codec's bounded `count_le32`, so a hostile
+//! frame is an error in the poison report, never an allocation.
 //!
 //! Note the encoded length is *not* [`DsmMsg::wire_size`]: that models the
 //! paper machine's packet sizes and stays authoritative for accounting.
 //! This encoding is merely how the bytes travel on the host.
 
-use midway_net::{put_bytes, put_u32, put_u64, Wire, WireError, WireReader};
+use std::sync::Arc;
+
+use midway_net::{Reader, Wire, WireError, Writer};
 use midway_proto::{BarrierId, Binding, LockId, MaskedSet, Mode, Update, UpdateItem, UpdateSet};
 
 use crate::msg::{DsmMsg, GrantPayload, NetMsg};
@@ -24,31 +29,29 @@ fn encode_mode(mode: Mode, out: &mut Vec<u8>) {
     });
 }
 
-fn decode_mode(r: &mut WireReader) -> Result<Mode, WireError> {
-    match r.u8("mode")? {
+fn decode_mode(r: &mut Reader) -> Result<Mode, WireError> {
+    match r.u8()? {
         0 => Ok(Mode::Exclusive),
         1 => Ok(Mode::Shared),
-        t => Err(WireError(format!("unknown mode tag {t}"))),
+        t => Err(WireError::malformed("unknown mode tag", t.into())),
     }
 }
 
 fn encode_binding(b: &Binding, out: &mut Vec<u8>) {
-    put_u64(out, b.version());
-    put_u32(out, b.ranges().len() as u32);
+    out.u64(b.version());
+    out.u32(b.ranges().len() as u32);
     for r in b.ranges() {
-        put_u64(out, r.start);
-        put_u64(out, r.end);
+        out.u64(r.start);
+        out.u64(r.end);
     }
 }
 
-fn decode_binding(r: &mut WireReader) -> Result<Binding, WireError> {
-    let version = r.u64("binding version")?;
-    let n = r.u32("binding range count")? as usize;
+fn decode_binding(r: &mut Reader) -> Result<Binding, WireError> {
+    let version = r.u64()?;
+    let n = r.count_le32(16)?;
     let mut ranges = Vec::with_capacity(n);
     for _ in 0..n {
-        let start = r.u64("range start")?;
-        let end = r.u64("range end")?;
-        ranges.push(start..end);
+        ranges.push(r.u64()?..r.u64()?);
     }
     Ok(Binding::from_parts(ranges, version))
 }
@@ -67,40 +70,37 @@ fn encode_items<'a>(
     items: impl IntoIterator<Item = &'a UpdateItem>,
     out: &mut Vec<u8>,
 ) {
-    put_u32(out, count as u32);
+    out.u32(count as u32);
     for item in items {
-        put_u64(out, item.addr);
-        put_u64(out, item.ts);
-        put_bytes(out, &item.data);
+        out.u64(item.addr);
+        out.u64(item.ts);
+        out.bytes_le32(&item.data);
     }
 }
 
-fn decode_set(r: &mut WireReader) -> Result<UpdateSet, WireError> {
-    let n = r.u32("update count")? as usize;
-    let mut items = Vec::with_capacity(n.min(1 << 16));
+fn decode_set(r: &mut Reader) -> Result<UpdateSet, WireError> {
+    let n = r.count_le32(20)?;
+    let mut items = Vec::with_capacity(n);
     for _ in 0..n {
-        let addr = r.u64("update addr")?;
-        let ts = r.u64("update ts")?;
-        let data = r.bytes("update data")?;
+        let addr = r.u64()?;
+        let ts = r.u64()?;
+        let data = r.bytes_le32()?.to_vec();
         items.push(UpdateItem { addr, data, ts });
     }
     Ok(UpdateSet { items })
 }
 
 fn encode_update(u: &Update, out: &mut Vec<u8>) {
-    put_u64(out, u.incarnation);
+    out.u64(u.incarnation);
     out.push(u.full as u8);
     encode_set(&u.set, out);
 }
 
-fn decode_update(r: &mut WireReader) -> Result<Update, WireError> {
-    let incarnation = r.u64("update incarnation")?;
-    let full = r.u8("update full flag")? != 0;
-    let set = decode_set(r)?;
+fn decode_update(r: &mut Reader) -> Result<Update, WireError> {
     Ok(Update {
-        incarnation,
-        set,
-        full,
+        incarnation: r.u64()?,
+        full: r.u8()? != 0,
+        set: decode_set(r)?,
     })
 }
 
@@ -115,7 +115,7 @@ impl Wire for GrantPayload {
             } => {
                 out.push(1);
                 encode_set(set, out);
-                put_u64(out, *consist_time);
+                out.u64(*consist_time);
                 encode_binding(binding, out);
             }
             GrantPayload::Vm {
@@ -125,7 +125,7 @@ impl Wire for GrantPayload {
                 binding,
             } => {
                 out.push(2);
-                put_u32(out, updates.len() as u32);
+                out.u32(updates.len() as u32);
                 for u in updates {
                     encode_update(u.as_ref(), out);
                 }
@@ -139,7 +139,7 @@ impl Wire for GrantPayload {
                         encode_set(&u.set, out);
                     }
                 }
-                put_u64(out, *incarnation);
+                out.u64(*incarnation);
                 encode_binding(binding, out);
             }
             GrantPayload::Flat { set, binding } => {
@@ -150,34 +150,29 @@ impl Wire for GrantPayload {
         }
     }
 
-    fn decode(r: &mut WireReader) -> Result<GrantPayload, WireError> {
-        match r.u8("grant payload tag")? {
+    fn decode(r: &mut Reader) -> Result<GrantPayload, WireError> {
+        match r.u8()? {
             0 => Ok(GrantPayload::Current),
-            1 => {
-                let set = decode_set(r)?;
-                let consist_time = r.u64("consist time")?;
-                let binding = decode_binding(r)?;
-                Ok(GrantPayload::Rt {
-                    set,
-                    consist_time,
-                    binding,
-                })
-            }
+            1 => Ok(GrantPayload::Rt {
+                set: decode_set(r)?,
+                consist_time: r.u64()?,
+                binding: decode_binding(r)?,
+            }),
             2 => {
-                let n = r.u32("vm update count")? as usize;
-                let mut updates = Vec::with_capacity(n.min(1 << 16));
+                let n = r.count_le32(13)?;
+                let mut updates = Vec::with_capacity(n);
                 for _ in 0..n {
-                    updates.push(std::sync::Arc::new(decode_update(r)?));
+                    updates.push(Arc::new(decode_update(r)?));
                 }
-                let full_set = match r.u8("vm full flag")? {
+                let full_set = match r.u8()? {
                     0 => None,
                     1 => Some(decode_set(r)?),
-                    t => return Err(WireError(format!("bad vm full flag {t}"))),
+                    t => return Err(WireError::malformed("bad vm full flag", t.into())),
                 };
-                let incarnation = r.u64("vm incarnation")?;
+                let incarnation = r.u64()?;
                 let binding = decode_binding(r)?;
                 let full = full_set.map(|set| {
-                    std::sync::Arc::new(Update {
+                    Arc::new(Update {
                         incarnation,
                         set,
                         full: true,
@@ -190,12 +185,11 @@ impl Wire for GrantPayload {
                     binding,
                 })
             }
-            3 => {
-                let set = decode_set(r)?;
-                let binding = decode_binding(r)?;
-                Ok(GrantPayload::Flat { set, binding })
-            }
-            t => Err(WireError(format!("unknown grant payload tag {t}"))),
+            3 => Ok(GrantPayload::Flat {
+                set: decode_set(r)?,
+                binding: decode_binding(r)?,
+            }),
+            t => Err(WireError::malformed("unknown grant payload tag", t.into())),
         }
     }
 }
@@ -205,10 +199,10 @@ impl Wire for DsmMsg {
         match self {
             DsmMsg::AcquireReq { lock, mode, seen } => {
                 out.push(0);
-                put_u32(out, lock.0);
+                out.u32(lock.0);
                 encode_mode(*mode, out);
-                put_u64(out, seen.0);
-                put_u64(out, seen.1);
+                out.u64(seen.0);
+                out.u64(seen.1);
             }
             DsmMsg::TransferReq {
                 lock,
@@ -217,11 +211,11 @@ impl Wire for DsmMsg {
                 seen,
             } => {
                 out.push(1);
-                put_u32(out, lock.0);
-                put_u32(out, *requester as u32);
+                out.u32(lock.0);
+                out.u32(*requester as u32);
                 encode_mode(*mode, out);
-                put_u64(out, seen.0);
-                put_u64(out, seen.1);
+                out.u64(seen.0);
+                out.u64(seen.1);
             }
             DsmMsg::Grant {
                 lock,
@@ -229,63 +223,63 @@ impl Wire for DsmMsg {
                 payload,
             } => {
                 out.push(2);
-                put_u32(out, lock.0);
+                out.u32(lock.0);
                 encode_mode(*mode, out);
                 payload.encode(out);
             }
             DsmMsg::ReleaseNotify { lock, mode } => {
                 out.push(3);
-                put_u32(out, lock.0);
+                out.u32(lock.0);
                 encode_mode(*mode, out);
             }
             DsmMsg::BarrierArrive { barrier, set, time } => {
                 out.push(4);
-                put_u32(out, barrier.0);
-                put_u64(out, *time);
+                out.u32(barrier.0);
+                out.u64(*time);
                 encode_set(set, out);
             }
             DsmMsg::BarrierRelease { barrier, set, time } => {
                 out.push(5);
-                put_u32(out, barrier.0);
-                put_u64(out, *time);
+                out.u32(barrier.0);
+                out.u64(*time);
                 encode_items(set.len(), set.iter(), out);
             }
         }
     }
 
-    fn decode(r: &mut WireReader) -> Result<DsmMsg, WireError> {
-        match r.u8("dsm tag")? {
+    fn decode(r: &mut Reader) -> Result<DsmMsg, WireError> {
+        match r.u8()? {
             0 => Ok(DsmMsg::AcquireReq {
-                lock: LockId(r.u32("lock")?),
+                lock: LockId(r.u32()?),
                 mode: decode_mode(r)?,
-                seen: (r.u64("seen.0")?, r.u64("seen.1")?),
+                seen: (r.u64()?, r.u64()?),
             }),
             1 => Ok(DsmMsg::TransferReq {
-                lock: LockId(r.u32("lock")?),
-                requester: r.u32("requester")? as usize,
+                lock: LockId(r.u32()?),
+                requester: r.u32()? as usize,
                 mode: decode_mode(r)?,
-                seen: (r.u64("seen.0")?, r.u64("seen.1")?),
+                seen: (r.u64()?, r.u64()?),
             }),
             2 => Ok(DsmMsg::Grant {
-                lock: LockId(r.u32("lock")?),
+                lock: LockId(r.u32()?),
                 mode: decode_mode(r)?,
                 payload: GrantPayload::decode(r)?,
             }),
             3 => Ok(DsmMsg::ReleaseNotify {
-                lock: LockId(r.u32("lock")?),
+                lock: LockId(r.u32()?),
                 mode: decode_mode(r)?,
             }),
             4 => Ok(DsmMsg::BarrierArrive {
-                barrier: BarrierId(r.u32("barrier")?),
-                time: r.u64("time")?,
+                barrier: BarrierId(r.u32()?),
+                time: r.u64()?,
                 set: decode_set(r)?,
             }),
             5 => Ok(DsmMsg::BarrierRelease {
-                barrier: BarrierId(r.u32("barrier")?),
-                time: r.u64("time")?,
-                set: MaskedSet::whole(std::sync::Arc::new(decode_set(r)?)),
+                barrier: BarrierId(r.u32()?),
+                time: r.u64()?,
+                set: MaskedSet::whole(Arc::new(decode_set(r)?)),
             }),
-            t => Err(WireError(format!("unknown dsm tag {t}"))),
+            t => Err(WireError::malformed("unknown dsm tag", t.into())),
         }
     }
 }
@@ -304,49 +298,47 @@ impl Wire for NetMsg {
                 msg,
             } => {
                 out.push(1);
-                put_u64(out, *seq);
-                put_u64(out, *ack);
-                put_u32(out, *epoch);
+                out.u64(*seq);
+                out.u64(*ack);
+                out.u32(*epoch);
                 msg.encode(out);
             }
             NetMsg::Ack { ack, epoch } => {
                 out.push(2);
-                put_u64(out, *ack);
-                put_u32(out, *epoch);
+                out.u64(*ack);
+                out.u32(*epoch);
             }
             NetMsg::Tick => out.push(3),
             NetMsg::RetxCheck { peer } => {
                 out.push(4);
-                put_u32(out, *peer as u32);
+                out.u32(*peer as u32);
             }
             NetMsg::Crash { down } => {
                 out.push(5);
-                put_u64(out, *down);
+                out.u64(*down);
             }
         }
     }
 
-    fn decode(r: &mut WireReader) -> Result<NetMsg, WireError> {
-        match r.u8("net tag")? {
+    fn decode(r: &mut Reader) -> Result<NetMsg, WireError> {
+        match r.u8()? {
             0 => Ok(NetMsg::Raw(DsmMsg::decode(r)?)),
             1 => Ok(NetMsg::Data {
-                seq: r.u64("seq")?,
-                ack: r.u64("ack")?,
-                epoch: r.u32("epoch")?,
+                seq: r.u64()?,
+                ack: r.u64()?,
+                epoch: r.u32()?,
                 msg: DsmMsg::decode(r)?,
             }),
             2 => Ok(NetMsg::Ack {
-                ack: r.u64("ack")?,
-                epoch: r.u32("epoch")?,
+                ack: r.u64()?,
+                epoch: r.u32()?,
             }),
             3 => Ok(NetMsg::Tick),
             4 => Ok(NetMsg::RetxCheck {
-                peer: r.u32("peer")? as usize,
+                peer: r.u32()? as usize,
             }),
-            5 => Ok(NetMsg::Crash {
-                down: r.u64("down")?,
-            }),
-            t => Err(WireError(format!("unknown net tag {t}"))),
+            5 => Ok(NetMsg::Crash { down: r.u64()? }),
+            t => Err(WireError::malformed("unknown net tag", t.into())),
         }
     }
 }
@@ -354,6 +346,7 @@ impl Wire for NetMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use midway_net::wire::fnv1a64;
     use midway_net::{decode_exact, encode_to_vec};
 
     fn roundtrip(msg: &NetMsg) -> NetMsg {
@@ -382,9 +375,8 @@ mod tests {
         Binding::from_parts(vec![0x40_0000..0x40_0100, 0x41_0000..0x41_0040], 3)
     }
 
-    #[test]
-    fn every_variant_roundtrips() {
-        let msgs = vec![
+    fn variant_fixtures() -> Vec<NetMsg> {
+        vec![
             NetMsg::Tick,
             NetMsg::RetxCheck { peer: 5 },
             NetMsg::Crash { down: 12_345 },
@@ -420,8 +412,12 @@ mod tests {
                     time: 100,
                 },
             },
-        ];
-        for msg in &msgs {
+        ]
+    }
+
+    #[test]
+    fn every_variant_roundtrips() {
+        for msg in &variant_fixtures() {
             let back = roundtrip(msg);
             // NetMsg has no PartialEq; compare debug forms, which show
             // every field.
@@ -472,8 +468,7 @@ mod tests {
         assert!(set.iter().eq(shared.excluding(&own.sorted_addrs())));
     }
 
-    #[test]
-    fn grant_payloads_roundtrip() {
+    fn grant_fixtures() -> Vec<NetMsg> {
         let payloads = vec![
             GrantPayload::Current,
             GrantPayload::Rt {
@@ -513,14 +508,35 @@ mod tests {
                 binding: sample_binding(),
             },
         ];
-        for payload in payloads {
-            let msg = NetMsg::Raw(DsmMsg::Grant {
+        let grant = |payload| {
+            NetMsg::Raw(DsmMsg::Grant {
                 lock: LockId(4),
                 mode: Mode::Exclusive,
                 payload,
-            });
-            let back = roundtrip(&msg);
+            })
+        };
+        payloads.into_iter().map(grant).collect()
+    }
+
+    #[test]
+    fn grant_payloads_roundtrip() {
+        for msg in &grant_fixtures() {
+            let back = roundtrip(msg);
             assert_eq!(format!("{msg:?}"), format!("{back:?}"));
+        }
+    }
+
+    /// The frame layout is what a peer built from another commit speaks:
+    /// the FNV of both fixtures' concatenated encodings, captured by
+    /// running the encoder as it stood before the shared codec.
+    #[test]
+    fn encoded_bytes_are_the_parent_commits() {
+        for (fixtures, len, sum) in [
+            (variant_fixtures(), 198, 0x6ed2_2aff_ebaf_04cb_u64),
+            (grant_fixtures(), 432, 0x5e16_1d89_8c11_9c69),
+        ] {
+            let bytes: Vec<u8> = fixtures.iter().flat_map(encode_to_vec).collect();
+            assert_eq!((bytes.len(), fnv1a64(&bytes)), (len, sum));
         }
     }
 
@@ -533,7 +549,51 @@ mod tests {
         }));
         for cut in 0..bytes.len() {
             let err = decode_exact::<NetMsg>(&bytes[..cut]).unwrap_err();
-            assert!(!err.0.is_empty());
+            assert!(matches!(err, WireError::Truncated { .. }), "{err}");
         }
+    }
+
+    /// `Raw · Grant · lock 1 · Exclusive · Flat · 0 items · version 0 ·
+    /// 0xFFFF_FFFF ranges`: 24 bytes that used to reserve 64 GiB for the
+    /// ranges they announce and abort the process from a socket.
+    #[test]
+    fn hostile_range_count_is_an_error_not_an_allocation() {
+        let mut frame = vec![0, 2, 1, 0, 0, 0, 0, 3];
+        frame.extend_from_slice(&[0; 4 + 8]);
+        frame.extend_from_slice(&[0xff; 4]);
+        assert_eq!(frame.len(), 24);
+        let err = decode_exact::<NetMsg>(&frame).unwrap_err();
+        assert!(matches!(err, WireError::Truncated { left: 0, .. }), "{err}");
+        // The same claim for update items and VM update lists.
+        for frame in [
+            vec![
+                0, 4, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff,
+            ],
+            vec![0, 2, 1, 0, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff],
+        ] {
+            assert!(decode_exact::<NetMsg>(&frame).is_err());
+        }
+    }
+
+    /// First slice of the hostile-bytes sweep: every variant and grant
+    /// payload, mutated; the decoder answers and never panics.
+    #[test]
+    fn mutated_frames_decode_or_fail_but_never_panic() {
+        let fixtures: Vec<NetMsg> = variant_fixtures()
+            .into_iter()
+            .chain(grant_fixtures())
+            .collect();
+        let each = 10_000usize.div_ceil(fixtures.len());
+        let (mut accepted, mut total) = (0, 0);
+        for (i, msg) in fixtures.iter().enumerate() {
+            let decode = |b: &[u8]| decode_exact::<NetMsg>(b).is_ok();
+            accepted +=
+                crate::mutate::sweep(0x51ce_0000 + i as u64, &encode_to_vec(msg), each, decode);
+            total += each;
+        }
+        assert!(
+            total >= 10_000 && accepted > 0 && accepted < total,
+            "{accepted} of {total}"
+        );
     }
 }

@@ -21,18 +21,17 @@
 //!          reproducible              TCP or lossy UDP loopback
 //! ```
 //!
-//! Real frames are serialized with the dependency-free [`Wire`] codec;
-//! [`RealCluster::run`] is the socket-backed counterpart of the
+//! Real frames are serialized with the dependency-free [`Wire`] codec
+//! ([`wire`], which trace files and crash-recovery storage are built on
+//! too); [`RealCluster::run`] is the socket-backed counterpart of the
 //! simulator's `Cluster::run`.
 
 mod real;
 mod transport;
-mod wire;
+pub mod wire;
 
 pub use real::{
     RealCluster, RealConfig, RealError, RealMode, RealOutcome, RealTransport, MAX_UDP_PAYLOAD,
 };
 pub use transport::Transport;
-pub use wire::{
-    decode_exact, encode_to_vec, put_bytes, put_u32, put_u64, Wire, WireError, WireReader,
-};
+pub use wire::{decode_exact, encode_to_vec, Reader, Wire, WireError, Writer};

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use midway_net::{put_u64, RealCluster, RealConfig, RealError, Transport, Wire, WireError};
+use midway_net::{Reader, RealCluster, RealConfig, RealError, Transport, Wire, WireError, Writer};
 use midway_sim::{Cluster, ClusterConfig, FaultPlan, ProcHandle, SimError};
 
 /// The suite's message type: a bare payload word.
@@ -17,11 +17,11 @@ struct TMsg(u64);
 
 impl Wire for TMsg {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.0);
+        out.u64(self.0);
     }
 
-    fn decode(r: &mut midway_net::WireReader<'_>) -> Result<TMsg, WireError> {
-        Ok(TMsg(r.u64("payload")?))
+    fn decode(r: &mut Reader<'_>) -> Result<TMsg, WireError> {
+        Ok(TMsg(r.u64()?))
     }
 }
 
@@ -400,11 +400,11 @@ struct Bulk(Vec<u8>);
 
 impl Wire for Bulk {
     fn encode(&self, out: &mut Vec<u8>) {
-        midway_net::put_bytes(out, &self.0);
+        out.bytes_le32(&self.0);
     }
 
-    fn decode(r: &mut midway_net::WireReader<'_>) -> Result<Bulk, WireError> {
-        Ok(Bulk(r.bytes("bulk")?))
+    fn decode(r: &mut Reader<'_>) -> Result<Bulk, WireError> {
+        Ok(Bulk(r.bytes_le32()?.to_vec()))
     }
 }
 

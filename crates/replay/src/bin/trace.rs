@@ -9,6 +9,10 @@
 //! trace diff A B
 //! ```
 //!
+//! Each subcommand declares the flags it takes (`COMMANDS`); any other
+//! flag, or a value flag with no value, is a usage error: exit 2 and the
+//! accepted list, never a run that silently ignored a typo.
+//!
 //! `racecheck` replays a trace bit-for-bit with the dynamic entry-consistency
 //! checker attached and reports its findings (write and synchronization
 //! rules only — reads are local and never recorded).
@@ -26,31 +30,92 @@ use midway_replay::{
 };
 use midway_stats::TextTable;
 
-const USAGE: &str = "usage:
-  trace record --app <water|quicksort|matrix|sor|cholesky|all>
-               [--backend rt|vm|blast|twinall|hybrid|none] [--scale paper|medium|small]
-               [--procs N] [--out FILE]
-  trace replay <FILE> [--backend rt|vm|blast|twinall|hybrid] [--check]
-               [--loss PPM] [--fault-seed N]
-  trace faultcheck <FILE> [--loss PPM] [--fault-seed N] [--lenient]
-  trace crashcheck <FILE> [--interval BOUNDARIES] [--loss PPM] [--fault-seed N] [--lenient]
-  trace racecheck <FILE>
-  trace info   <FILE>
-  trace diff   <A> <B>";
+/// A subcommand: its name, its operands, the flags it takes (`--name
+/// VALUE`, or bare `--name` for a switch) and its body. The usage text is
+/// printed from this table, so it cannot list a flag the parser rejects.
+type Command = (
+    &'static str,
+    &'static str,
+    &'static [&'static str],
+    fn(&Args) -> Result<ExitCode, String>,
+);
+
+const COMMANDS: &[Command] = &[
+    (
+        "record",
+        "",
+        &[
+            "--app NAME|all|service",
+            "--backend rt|vm|blast|twinall|hybrid|none",
+            "--scale paper|medium|small|dc",
+            "--procs N",
+            "--out FILE",
+        ],
+        cmd_record,
+    ),
+    (
+        "replay",
+        "<FILE>",
+        &[
+            "--backend rt|vm|blast|twinall|hybrid",
+            "--check",
+            "--loss PPM",
+            "--fault-seed N",
+        ],
+        cmd_replay,
+    ),
+    (
+        "faultcheck",
+        "<FILE>",
+        &["--loss PPM", "--fault-seed N", "--lenient"],
+        cmd_faultcheck,
+    ),
+    (
+        "crashcheck",
+        "<FILE>",
+        &[
+            "--interval BOUNDARIES",
+            "--loss PPM",
+            "--fault-seed N",
+            "--lenient",
+        ],
+        cmd_crashcheck,
+    ),
+    ("racecheck", "<FILE>", &[], cmd_racecheck),
+    ("info", "<FILE>", &[], cmd_info),
+    ("diff", "<A> <B>", &[], cmd_diff),
+];
+
+fn usage() -> String {
+    let mut out = "usage:".to_string();
+    for (name, operands, flags, _) in COMMANDS {
+        out += format!("\n  trace {name} {operands}").trim_end();
+        for flag in *flags {
+            out += &format!(" [{flag}]");
+        }
+    }
+    out
+}
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("record") => cmd_record(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("faultcheck") => cmd_faultcheck(&args[1..]),
-        Some("crashcheck") => cmd_crashcheck(&args[1..]),
-        Some("racecheck") => cmd_racecheck(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        _ => Err(USAGE.to_string()),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let command = argv
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|(n, ..)| n == name));
+    let Some((name, _, accepted, run)) = command else {
+        eprintln!("{}", usage());
+        return ExitCode::from(2);
     };
-    match result {
+    // A misspelt flag is a usage error, never a silent run without it.
+    let args = match Args::parse(&argv[1..], accepted) {
+        Ok(args) => args,
+        Err(what) => {
+            eprintln!("trace {name}: {what}");
+            eprintln!("accepted flags: {}", accepted.join(", "));
+            return ExitCode::from(2);
+        }
+    };
+    match run(&args) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("{msg}");
@@ -59,54 +124,72 @@ fn main() -> ExitCode {
     }
 }
 
-fn value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .cloned()
-            .map(Some)
-            .ok_or_else(|| format!("{name} needs a value")),
-    }
+/// One subcommand's parsed command line.
+struct Args {
+    /// Arguments that are neither a flag nor a flag's value, in order.
+    positional: Vec<String>,
+    given: Vec<(&'static str, Option<String>)>,
 }
 
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn positional(args: &[String]) -> Vec<&String> {
-    // Skip flags and their values; every flag of this tool except the
-    // bare ones takes a value.
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--check" || args[i] == "--lenient" {
-            i += 1;
-        } else if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            out.push(&args[i]);
-            i += 1;
+impl Args {
+    /// Accepts exactly the flags in `accepted`; anything else starting
+    /// with `--`, or a value flag with no value (or another flag where
+    /// its value should be), is an error.
+    fn parse(argv: &[String], accepted: &[&'static str]) -> Result<Args, String> {
+        let mut args = Args {
+            positional: Vec::new(),
+            given: Vec::new(),
+        };
+        let mut it = argv.iter().peekable();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                args.positional.push(arg.clone());
+                continue;
+            }
+            let spec = accepted.iter().find(|s| s.split(' ').next() == Some(arg));
+            let Some((name, hint)) = spec.map(|s| s.split_once(' ').unwrap_or((s, ""))) else {
+                return Err(format!("unknown flag {arg:?}"));
+            };
+            let value = match hint {
+                "" => None,
+                _ => Some(
+                    it.next_if(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("{name} needs a value ({hint})"))?
+                        .clone(),
+                ),
+            };
+            args.given.push((name, value));
         }
+        Ok(args)
     }
-    out
-}
 
-/// The number following flag `name`, if the flag was given.
-fn number<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    value(args, name)?
-        .map(|s| s.parse().map_err(|_| format!("{name} takes a number")))
-        .transpose()
-}
-
-/// Builds the lossy-network plan `--loss PPM` / `--fault-seed N`
-/// describe; `None` when neither flag was given.
-fn fault_plan_from_args(args: &[String]) -> Result<Option<FaultPlan>, String> {
-    let (loss, seed) = (number(args, "--loss")?, number(args, "--fault-seed")?);
-    if loss.is_none() && seed.is_none() {
-        return Ok(None);
+    /// Whether a bare switch was passed.
+    fn flag(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == name)
     }
-    Ok(Some(FaultPlan::lossy(seed.unwrap_or(1), loss.unwrap_or(0))))
+
+    /// The value passed with a flag, if it was.
+    fn value(&self, name: &str) -> Option<&str> {
+        let (_, v) = self.given.iter().find(|(n, _)| *n == name)?;
+        v.as_deref()
+    }
+
+    /// The number following flag `name`, if the flag was given.
+    fn number<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|s| s.parse().map_err(|_| format!("{name} takes a number")))
+            .transpose()
+    }
+
+    /// Builds the lossy-network plan `--loss PPM` / `--fault-seed N`
+    /// describe; `None` when neither flag was given.
+    fn fault_plan(&self) -> Result<Option<FaultPlan>, String> {
+        let (loss, seed) = (self.number("--loss")?, self.number("--fault-seed")?);
+        if loss.is_none() && seed.is_none() {
+            return Ok(None);
+        }
+        Ok(Some(FaultPlan::lossy(seed.unwrap_or(1), loss.unwrap_or(0))))
+    }
 }
 
 fn parse_app(s: &str) -> Result<AppKind, String> {
@@ -157,25 +240,25 @@ fn summarize(run: &MidwayRun<()>, cfg: &MidwayConfig) {
     }
 }
 
-fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
-    let apps = match value(args, "--app")?.as_deref() {
+fn cmd_record(args: &Args) -> Result<ExitCode, String> {
+    let apps = match args.value("--app") {
         Some("all") => AppKind::all().to_vec(),
         Some("service") => AppKind::service().to_vec(),
         Some(s) => vec![parse_app(s)?],
         None => return Err("record needs --app (or --app all|service)".to_string()),
     };
-    let backend = value(args, "--backend")?
-        .as_deref()
+    let backend = args
+        .value("--backend")
         .map(BackendKind::from_cli_name)
         .transpose()?
         .unwrap_or(BackendKind::Rt);
-    let scale = value(args, "--scale")?
-        .as_deref()
+    let scale = args
+        .value("--scale")
         .map(parse_scale)
         .transpose()?
         .unwrap_or(Scale::Small);
-    let procs: usize = number(args, "--procs")?.unwrap_or(8);
-    let out = value(args, "--out")?;
+    let procs: usize = args.number("--procs")?.unwrap_or(8);
+    let out = args.value("--out");
     if out.is_some() && apps.len() > 1 {
         return Err("--out only makes sense with a single --app".to_string());
     }
@@ -186,7 +269,7 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
         if !outcome.verified {
             return Err(format!("{} failed verification; not saving", app.label()));
         }
-        let path = out.clone().map(PathBuf::from).unwrap_or_else(|| {
+        let path = out.map(PathBuf::from).unwrap_or_else(|| {
             PathBuf::from(format!(
                 "results/traces/{}-{}-{}p-{}.mwt",
                 app.label(),
@@ -213,19 +296,18 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
-    let [path] = pos.as_slice() else {
+fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
+    let [path] = args.positional.as_slice() else {
         return Err("replay takes exactly one trace file".to_string());
     };
     let trace = load(path)?;
     let mut cfg = trace.recorded_cfg();
     let mut exact = true;
-    if let Some(b) = value(args, "--backend")? {
-        cfg.backend = BackendKind::from_cli_name(&b)?;
+    if let Some(b) = args.value("--backend") {
+        cfg.backend = BackendKind::from_cli_name(b)?;
         exact = cfg.backend == trace.meta.cfg.backend;
     }
-    if let Some(plan) = fault_plan_from_args(args)? {
+    if let Some(plan) = args.fault_plan()? {
         cfg.faults = plan;
         exact = false;
     }
@@ -234,7 +316,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
         // Identical configuration: always run the equivalence oracle.
         verify_replay(&trace).map_err(|d| format!("replay diverged from recording: {d}"))?
     } else {
-        if flag(args, "--check") {
+        if args.flag("--check") {
             return Err("--check requires the recorded configuration (no overrides)".to_string());
         }
         replay(&trace, cfg).map_err(|e| format!("replay failed: {e}"))?
@@ -248,14 +330,15 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_faultcheck(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
-    let [path] = pos.as_slice() else {
+fn cmd_faultcheck(args: &Args) -> Result<ExitCode, String> {
+    let [path] = args.positional.as_slice() else {
         return Err("faultcheck takes exactly one trace file".to_string());
     };
     let trace = load(path)?;
     // Default plan: 1% loss, seed 1 — overridable by the fault flags.
-    let plan = fault_plan_from_args(args)?.unwrap_or_else(|| FaultPlan::lossy(1, 10_000));
+    let plan = args
+        .fault_plan()?
+        .unwrap_or_else(|| FaultPlan::lossy(1, 10_000));
     println!(
         "== fault-tolerance check: {} ({} on {}) ==",
         path,
@@ -266,7 +349,7 @@ fn cmd_faultcheck(args: &[String]) -> Result<ExitCode, String> {
         "plan:         seed {}, drop {} ppm",
         plan.seed, plan.drop_ppm
     );
-    let lenient = flag(args, "--lenient");
+    let lenient = args.flag("--lenient");
     let t0 = Instant::now();
     let check = if lenient {
         verify_fault_determinism(&trace, plan)?
@@ -299,9 +382,8 @@ fn cmd_faultcheck(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_crashcheck(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
-    let [path] = pos.as_slice() else {
+fn cmd_crashcheck(args: &Args) -> Result<ExitCode, String> {
+    let [path] = args.positional.as_slice() else {
         return Err("crashcheck takes exactly one trace file".to_string());
     };
     let trace = load(path)?;
@@ -309,12 +391,13 @@ fn cmd_crashcheck(args: &[String]) -> Result<ExitCode, String> {
     // mid-computation: fail at a third of the run, stay down for 5%.
     let proc = 1 % trace.meta.cfg.procs;
     let (at, down) = (trace.meta.finish_cycles / 3, trace.meta.finish_cycles / 20);
-    let plan = fault_plan_from_args(args)?
+    let plan = args
+        .fault_plan()?
         .unwrap_or_else(FaultPlan::none)
         .with_crash(proc, at, down);
     // The interval applies to the *crashed* replays only — the crash-free
     // baseline must stay bit-for-bit identical to the recording.
-    let interval: Option<u32> = number(args, "--interval")?;
+    let interval: Option<u32> = args.number("--interval")?;
 
     println!(
         "== crash-recovery check: {} ({} on {}) ==",
@@ -333,7 +416,7 @@ fn cmd_crashcheck(args: &[String]) -> Result<ExitCode, String> {
             .effective_checkpoint_every()
             .expect("crash plans imply checkpointing")
     );
-    let lenient = flag(args, "--lenient");
+    let lenient = args.flag("--lenient");
     let t0 = Instant::now();
     let check = match (lenient, interval) {
         (false, None) => verify_crash_replay(&trace, plan)?,
@@ -375,9 +458,8 @@ fn cmd_crashcheck(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_racecheck(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
-    let [path] = pos.as_slice() else {
+fn cmd_racecheck(args: &Args) -> Result<ExitCode, String> {
+    let [path] = args.positional.as_slice() else {
         return Err("racecheck takes exactly one trace file".to_string());
     };
     let trace = load(path)?;
@@ -413,9 +495,8 @@ fn cmd_racecheck(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::FAILURE)
 }
 
-fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
-    let [path] = pos.as_slice() else {
+fn cmd_info(args: &Args) -> Result<ExitCode, String> {
+    let [path] = args.positional.as_slice() else {
         return Err("info takes exactly one trace file".to_string());
     };
     let trace = load(path)?;
@@ -509,9 +590,8 @@ fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
-    let [a_path, b_path] = pos.as_slice() else {
+fn cmd_diff(args: &Args) -> Result<ExitCode, String> {
+    let [a_path, b_path] = args.positional.as_slice() else {
         return Err("diff takes exactly two trace files".to_string());
     };
     let a = load(a_path)?;

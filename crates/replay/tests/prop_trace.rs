@@ -3,6 +3,10 @@
 //! offline). Every case derives from a fixed seed and is exactly
 //! reproducible.
 
+#[path = "../../net/tests/support/mutate.rs"]
+mod mutate;
+
+use midway_core::codec::{seal, unseal};
 use midway_core::{
     AllocSpec, BackendKind, BarrierSpec, Counters, FaultPlan, MidwayConfig, ReliableParams,
     SpecBlueprint, TraceOp,
@@ -230,6 +234,14 @@ fn corruption_is_rejected() {
     }
 }
 
+/// `bytes` with its footer recomputed, so a tampered payload reaches the
+/// decoder proper instead of stopping at the checksum.
+fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+    bytes.truncate(bytes.len() - 8);
+    seal(&mut bytes);
+    bytes
+}
+
 /// Unknown versions are rejected (preserving the checksum so the version
 /// check itself is what fires).
 #[test]
@@ -243,16 +255,88 @@ fn future_versions_are_rejected() {
         "version varint directly follows the magic"
     );
     bytes[4] = 99;
-    let payload_len = bytes.len() - 8;
-    let sum = {
-        // Recompute FNV-1a 64 over the tampered payload.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &bytes[..payload_len] {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+    assert_eq!(
+        Trace::decode(&resealed(bytes)),
+        Err(TraceError::BadVersion(99))
+    );
+}
+
+/// A one-processor trace whose only content is `lock_range` bound to its
+/// one lock and `op` as its one operation.
+fn tiny_trace(lock_range: std::ops::Range<u64>, op: TraceOp) -> Trace {
+    let mut trace = random_trace(&mut SplitMix64::new(0x7ace_0005));
+    trace.meta.cfg.procs = 1;
+    trace.meta.counters.truncate(1);
+    trace.blueprint = SpecBlueprint {
+        allocs: vec![],
+        locks: vec![vec![lock_range]],
+        barriers: vec![],
     };
-    bytes[payload_len..].copy_from_slice(&sum.to_le_bytes());
-    assert_eq!(Trace::decode(&bytes), Err(TraceError::BadVersion(99)));
+    trace.ops = vec![vec![op]];
+    trace
+}
+
+/// A sealed file whose lock range is `start = u64::MAX - 1, len = 0x7f`
+/// used to panic on the addition in debug builds and decode to the
+/// inverted range `18446744073709551614..125` in release builds.
+#[test]
+fn sealed_range_overflow_is_malformed_in_every_profile() {
+    let trace = tiny_trace(u64::MAX - 1..u64::MAX, TraceOp::Barrier { barrier: 0 });
+    let mut bytes = trace.encode();
+    assert_eq!(Trace::decode(&bytes), Ok(trace));
+    // start (ten varint bytes), then len = 1: make it 0x7f.
+    let start = [
+        0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x01,
+    ];
+    let at = bytes
+        .windows(start.len())
+        .position(|w| w == start)
+        .expect("the lock's range is in the file");
+    bytes[at + start.len() - 1] = 0x7f;
+    assert_eq!(
+        Trace::decode(&resealed(bytes)),
+        Err(TraceError::Malformed("range end overflows"))
+    );
+}
+
+/// Lock id `2^32 + 3` is an error, not lock 3: ids are narrowed with a
+/// check, never with `as`.
+#[test]
+fn ids_past_u32_are_malformed_not_truncated() {
+    let acquire = TraceOp::Acquire {
+        lock: 3,
+        exclusive: true,
+    };
+    let mut bytes = tiny_trace(0..8, acquire).encode();
+    // The payload ends `1 op · tag 3 · lock 3 · exclusive 1`.
+    let at = bytes.len() - 8 - 2;
+    assert_eq!(bytes[at - 2..at + 2], [1, 3, 3, 1]);
+    bytes.splice(at..=at, [0x83, 0x80, 0x80, 0x80, 0x10]);
+    assert_eq!(
+        Trace::decode(&resealed(bytes)),
+        Err(TraceError::Malformed("field exceeds u32"))
+    );
+}
+
+/// The trace slice of the hostile-bytes sweep: mutants of re-sealed
+/// traces, so the decoder proper sees them. It answers; it never panics,
+/// overflows or sizes an allocation from a spliced count.
+#[test]
+fn mutated_resealed_traces_decode_or_fail_but_never_panic() {
+    let mut rng = SplitMix64::new(0x7ace_0006);
+    let (mut accepted, mut total) = (0, 0);
+    for seed in 0..8 {
+        let sound = random_trace(&mut rng).encode();
+        let body = unseal(&sound).expect("encoder seals");
+        accepted += mutate::sweep(0x7ace_1000 + seed, body, 1_500, |b| {
+            let mut file = b.to_vec();
+            seal(&mut file);
+            Trace::decode(&file).is_ok()
+        });
+        total += 1_500;
+    }
+    assert!(
+        total >= 10_000 && accepted > 0 && accepted < total,
+        "{accepted} of {total}"
+    );
 }

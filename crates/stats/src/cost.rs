@@ -109,6 +109,41 @@ impl CostModel {
         }
     }
 
+    /// The sixteen cycle costs a recorded trace carries, in the order the
+    /// trace format stores them (`two_level_l1_read` is not among them: a
+    /// decoded model keeps this build's value). Both directions of the
+    /// trace codec walk this, so the order is spelled once.
+    pub fn cycle_fields_mut(&mut self) -> [&mut u64; 16] {
+        [
+            &mut self.dirtybit_set_word,
+            &mut self.dirtybit_set_double,
+            &mut self.dirtybit_set_private,
+            &mut self.dirtybit_set_area_base,
+            &mut self.dirtybit_read_clean,
+            &mut self.dirtybit_read_dirty,
+            &mut self.dirtybit_update,
+            &mut self.dirtybit_set_queue,
+            &mut self.dirtybit_set_two_level,
+            &mut self.page_write_fault,
+            &mut self.page_diff_uniform,
+            &mut self.page_diff_alternating,
+            &mut self.protect_rw,
+            &mut self.protect_ro,
+            &mut self.copy_per_kb_cold,
+            &mut self.copy_per_kb_warm,
+        ]
+    }
+
+    /// The four measured-microsecond costs, likewise in trace-format order.
+    pub fn us_fields_mut(&mut self) -> [&mut f64; 4] {
+        [
+            &mut self.dirtybit_read_clean_us,
+            &mut self.dirtybit_read_dirty_us,
+            &mut self.dirtybit_update_us,
+            &mut self.page_diff_uniform_us,
+        ]
+    }
+
     /// Returns this model with the page-fault service time replaced by
     /// `micros` microseconds (the Figure 3/4 sweep axis).
     pub fn with_fault_micros(mut self, micros: f64) -> CostModel {
@@ -201,6 +236,36 @@ mod tests {
         assert_eq!(c.page_diff_cycles(512, words), 46_750);
         // More runs than possible is clamped.
         assert_eq!(c.page_diff_cycles(10_000, words), 46_750);
+    }
+
+    #[test]
+    fn field_walks_cover_every_cost_but_the_three_stored_apart() {
+        let mut c = CostModel::r3000_mach();
+        for (i, f) in c.cycle_fields_mut().into_iter().enumerate() {
+            *f = 1_000_000 + i as u64;
+        }
+        for (i, f) in c.us_fields_mut().into_iter().enumerate() {
+            *f = 1e9 + i as f64;
+        }
+        // No field is listed twice (a later store would have overwritten
+        // an earlier one), and the order is the trace format's.
+        let cycles = c.cycle_fields_mut().map(|f| *f);
+        assert!(cycles.iter().copied().eq(1_000_000..1_000_016));
+        assert_eq!(
+            c.us_fields_mut().map(|f| *f),
+            [1e9, 1e9 + 1.0, 1e9 + 2.0, 1e9 + 3.0]
+        );
+        assert_eq!(
+            (c.dirtybit_set_word, c.copy_per_kb_warm),
+            (1_000_000, 1_000_015)
+        );
+        assert_eq!(
+            (c.dirtybit_read_clean_us, c.page_diff_uniform_us),
+            (1e9, 1e9 + 3.0)
+        );
+        // A new field has to be put in a walk or beside mhz, page_size and
+        // two_level_l1_read, which the trace stores (or skips) on their own.
+        assert_eq!(format!("{c:?}").matches(": ").count(), 16 + 4 + 3);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! bench harnesses treat as a cache miss), never half-understood.
 
 use midway_apps::{AppKind, Scale};
+use midway_core::codec::{fnv1a64, seal};
 use midway_core::{BackendKind, MidwayConfig};
 use midway_replay::{record_app, Trace, TraceError, VERSION};
 
@@ -14,14 +15,8 @@ fn relabelled(bytes: &[u8], version: u64) -> Vec<u8> {
     // shipped is below 0x80, a single-byte varint to overwrite in place.
     let mut out = bytes.to_vec();
     out[4] = u8::try_from(version).expect("single-byte version");
-    let end = out.len() - 8;
-    // FNV-1a 64, as in the format's footer.
-    let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &out[..end] {
-        sum ^= u64::from(b);
-        sum = sum.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    out[end..].copy_from_slice(&sum.to_le_bytes());
+    out.truncate(out.len() - 8);
+    seal(&mut out);
     out
 }
 
@@ -31,6 +26,12 @@ fn past_and_future_versions_are_rejected_as_bad_version() {
     let (outcome, trace) = record_app(AppKind::Sor, cfg, Scale::Small);
     assert!(outcome.verified);
     let bytes = trace.encode();
+    // The file a recorder built from the parent commit wrote for this run,
+    // by length and FNV: the layout did not move when the codec did.
+    assert_eq!(
+        (bytes.len(), fnv1a64(&bytes)),
+        (19_326, 0xae92_ef77_b44f_2611)
+    );
     assert_eq!(Trace::decode(&relabelled(&bytes, VERSION)), Ok(trace));
 
     for version in [VERSION - 1, VERSION + 1] {

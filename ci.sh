@@ -80,6 +80,20 @@ for f in crates/proto/src/vm.rs $(find crates/core/src/detect -name '*.rs'); do
     fi
 done
 
+# The detector layer speaks the live seams: the compatibility wrappers
+# only the frozen benchmark still calls (`rt::apply`, `vm::apply`, the
+# four-argument `vm::collect`; the unpooled `rt::collect` is gone) stay
+# out of it, and a grant a detector cannot apply goes back to the engine
+# as a protocol violation — no `panic!` there.
+for f in $(find crates/core/src/detect -name '*.rs'); do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
+        grep -E '\b(rt|vm)::(apply|collect)\(|panic!\('; then
+        echo "a compatibility wrapper or panic! in non-test code of $f" >&2
+        exit 1
+    fi
+done
+
 # One byte codec: the LEB128 loops and the byte-wise FNV-1a-64 are
 # crates/net/src/wire.rs's, and socket frames, trace files and recovery
 # storage are layouts over its bounds-checked Reader. The one exception

@@ -1,8 +1,9 @@
-//! Blast detector: the §3.5 strawman with no write detection at all.
+//! Blast detector: the §3.5 strawman with no write detection at all —
+//! entry consistency "by simply blasting all data associated with a
+//! synchronization object during interprocessor synchronization".
 
-use midway_mem::Addr;
-use midway_proto::{blast, Binding, SeenToken, Unskipped, UpdateSet};
-use midway_sim::Category;
+use midway_mem::{Addr, LocalStore};
+use midway_proto::{vm, Binding, SeenToken, Unskipped, UpdateItem, UpdateSet};
 
 use crate::msg::GrantPayload;
 
@@ -12,6 +13,17 @@ use super::{DetectCx, WriteDetector};
 /// bound data, "unnecessarily when synchronization objects guard large
 /// data objects being sparsely written".
 pub struct BlastDetector;
+
+/// Writes `items` into the store: no bookkeeping. Returns the bytes
+/// written.
+fn copy_items<'a>(store: &mut LocalStore, items: impl IntoIterator<Item = &'a UpdateItem>) -> u64 {
+    let mut bytes = 0;
+    for item in items {
+        store.write_bytes(Addr(item.addr), &item.data);
+        bytes += item.data.len() as u64;
+    }
+    bytes
+}
 
 impl WriteDetector for BlastDetector {
     fn trap_write(&mut self, _cx: &mut DetectCx<'_>, _addr: Addr, _len: usize) {}
@@ -23,14 +35,8 @@ impl WriteDetector for BlastDetector {
         binding: &Binding,
         _seen: SeenToken,
     ) -> GrantPayload {
-        let set = blast::snapshot(cx.store, binding);
-        cx.counters.full_data_sends += 1;
-        (cx.charge)(
-            Category::Protocol,
-            cx.cost.copy_cycles(set.data_bytes() as usize, false),
-        );
         GrantPayload::Flat {
-            set,
+            set: cx.full_send(binding),
             binding: binding.clone(),
         }
     }
@@ -41,16 +47,14 @@ impl WriteDetector for BlastDetector {
         _lock: usize,
         binding: &mut Binding,
         payload: GrantPayload,
-    ) {
+    ) -> Result<(), GrantPayload> {
         let GrantPayload::Flat { set, binding: sent } = payload else {
-            panic!("non-flat grant on blast node");
+            return Err(payload);
         };
-        let bytes = blast::apply(cx.store, &set);
-        (cx.charge)(
-            Category::WriteCollect,
-            cx.cost.copy_cycles(bytes as usize, true),
-        );
+        let bytes = copy_items(cx.store, &set.items);
+        cx.charge_vm_apply(bytes, 0);
         binding.install(sent);
+        Ok(())
     }
 
     fn collect_barrier(
@@ -66,16 +70,13 @@ impl WriteDetector for BlastDetector {
              without write detection it cannot know what this \
              processor modified"
         );
-        let set = blast::snapshot(cx.store, scan);
+        let set = vm::snapshot(cx.store, scan);
         cx.counters.full_data_sends += 1;
         set
     }
 
     fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
-        let bytes = blast::apply_items(cx.store, items);
-        (cx.charge)(
-            Category::WriteCollect,
-            cx.cost.copy_cycles(bytes as usize, true),
-        );
+        let bytes = copy_items(cx.store, items);
+        cx.charge_vm_apply(bytes, 0);
     }
 }

@@ -3,10 +3,24 @@
 //! The paper's central claim is that write *detection* is a policy
 //! separable from the entry-consistency *protocol* (§3; §5 even sketches
 //! a hybrid compiler+VM scheme). This module is that seam: the protocol
-//! engine in `node` speaks only [`WriteDetector`], and one
-//! implementation per backend owns all backend-specific state — the RT
-//! dirtybit map, the VM page table / twins / incarnation histories, the
-//! twin-everything twins, and the hybrid's per-region mix of both.
+//! engine in `node` speaks only [`WriteDetector`], and every detector
+//! owns all of its backend-specific state.
+//!
+//! There are two update protocols, and each detector speaks one of them
+//! over one or more trapping mechanisms:
+//!
+//! ```text
+//!   protocol                     mechanism(s)                  detector
+//!   RT: timestamped lines        dirtybit templates            RtDetector (rt)
+//!       (§3.1–3.2)               + page faults on big regions  RtDetector (hybrid, §5)
+//!   VM: per-incarnation diffs    page faults + twins           VmDetector (vm)
+//!       (§3.3–3.4)               twin everything, no trap      TwinAllDetector (§3.5)
+//!   none (whole bound data)      no trap                       BlastDetector (§3.5)
+//! ```
+//!
+//! The RT protocol's pieces are `rt.rs`'s; the VM protocol's per-lock
+//! incarnation bookkeeping is `vm.rs`'s `LockState`, which TwinAll
+//! shares.
 //!
 //! A detector is driven through five moments of the protocol:
 //!
@@ -22,11 +36,17 @@
 //!   [`apply_barrier`](WriteDetector::apply_barrier) — the barrier-bound
 //!   variants of the same.
 //!
-//! Per-line and per-page costs are charged through [`DetectCx`], so the
-//! engine — and the tests — never need to know which primitives a backend
-//! consumes.
+//! Per-line and per-page costs are charged through [`DetectCx`], whose
+//! helpers write each Table 2 charge once, so the engine — and the tests
+//! — never need to know which primitives a backend consumes.
 //!
 //! # How to add a backend
+//!
+//! A new trapping mechanism under an existing protocol is not a new
+//! detector: it is a `Mechanism` arm of the RT detector's per-region
+//! table (as the §5 hybrid's paging is), or a collection pass feeding
+//! `LockState` under the VM protocol (as TwinAll's diff-everything is).
+//! A backend that needs a detector of its own:
 //!
 //! 1. Add a variant to [`BackendKind`] and extend its registry methods
 //!    (`label`, `cli_name`, `wire_tag` — the compiler walks you through
@@ -41,6 +61,7 @@
 //! routes through the registry and picks the new backend up for free.
 
 use midway_mem::{Addr, LocalStore};
+use midway_proto::rt::{RtApply, RtScan};
 use midway_proto::{Binding, LamportClock, SeenToken, Unskipped, UpdateSet};
 use midway_sim::Category;
 use midway_stats::CostModel;
@@ -51,14 +72,12 @@ use crate::msg::GrantPayload;
 use crate::setup::SystemSpec;
 
 mod blast;
-mod hybrid;
 mod none;
 mod rt;
 mod twin_all;
 mod vm;
 
 pub use blast::BlastDetector;
-pub use hybrid::HybridDetector;
 pub use none::NoneDetector;
 pub use rt::RtDetector;
 pub use twin_all::TwinAllDetector;
@@ -85,6 +104,58 @@ pub struct DetectCx<'a> {
     /// Charges virtual cycles to this processor, by category. Invoke as
     /// `(cx.charge)(Category::WriteTrap, cycles)`.
     pub charge: &'a mut dyn FnMut(Category, u64),
+}
+
+/// The Table 2 charges, each written once: every helper charges the
+/// cycles and bumps the counters of one primitive.
+impl DetectCx<'_> {
+    /// A dirtybit scan: clean and dirty dirtybits read.
+    fn charge_scan(&mut self, scan: &RtScan) {
+        (self.charge)(
+            Category::WriteCollect,
+            scan.clean_reads * self.cost.dirtybit_read_clean
+                + scan.dirty_reads * self.cost.dirtybit_read_dirty,
+        );
+        self.counters.clean_dirtybits_read += scan.clean_reads;
+        self.counters.dirty_dirtybits_read += scan.dirty_reads;
+    }
+
+    /// An RT application: dirtybits stamped, bytes written, and the bytes
+    /// patched into the twins of paged regions (hybrid only, else 0).
+    fn charge_rt_apply(&mut self, res: &RtApply, twin_bytes: u64) {
+        (self.charge)(
+            Category::WriteCollect,
+            res.dirtybits_updated * self.cost.dirtybit_update
+                + self.cost.copy_cycles(res.bytes_applied as usize, true)
+                + self.cost.copy_cycles(twin_bytes as usize, true),
+        );
+        self.counters.dirtybits_updated += res.dirtybits_updated;
+        self.counters.redundant_bytes_received += res.bytes_redundant;
+        self.counters.twin_bytes_updated += twin_bytes;
+    }
+
+    /// A VM-protocol (or blast) application: bytes written and bytes
+    /// patched into twins.
+    fn charge_vm_apply(&mut self, bytes: u64, twin_bytes: u64) {
+        (self.charge)(
+            Category::WriteCollect,
+            self.cost.copy_cycles(bytes as usize, true)
+                + self.cost.copy_cycles(twin_bytes as usize, true),
+        );
+        self.counters.twin_bytes_updated += twin_bytes;
+    }
+
+    /// Reads the full bound data for a grant (a full data send), charged
+    /// as a cold copy.
+    fn full_send(&mut self, binding: &Binding) -> UpdateSet {
+        let set = midway_proto::vm::snapshot(self.store, binding);
+        self.counters.full_data_sends += 1;
+        (self.charge)(
+            Category::Protocol,
+            self.cost.copy_cycles(set.data_bytes() as usize, false),
+        );
+        set
+    }
 }
 
 /// One write-detection backend: the trapping mechanism, the collection
@@ -122,13 +193,19 @@ pub trait WriteDetector {
     /// Applies a grant's payload at the requester. The detector installs
     /// the payload's binding into `binding` (the engine's record for the
     /// lock) and advances its own last-seen state.
+    ///
+    /// # Errors
+    ///
+    /// A payload of a kind this backend does not speak (possible only
+    /// from a forged or foreign grant) is handed back untouched, with
+    /// nothing applied, for the engine to report.
     fn apply_update(
         &mut self,
         cx: &mut DetectCx<'_>,
         lock: usize,
         binding: &mut Binding,
         payload: GrantPayload,
-    );
+    ) -> Result<(), GrantPayload>;
 
     /// Notifies the detector that `lock` was rebound (its binding version
     /// bumped). Only VM-DSM reacts: old incarnation updates describe
@@ -163,10 +240,10 @@ impl BackendKind {
         match self {
             BackendKind::None => Box::new(NoneDetector),
             BackendKind::Rt => Box::new(RtDetector::new(spec)),
+            BackendKind::Hybrid => Box::new(RtDetector::hybrid(spec)),
             BackendKind::Vm => Box::new(VmDetector::new(cfg, spec)),
             BackendKind::Blast => Box::new(BlastDetector),
             BackendKind::TwinAll => Box::new(TwinAllDetector::new(cfg, spec)),
-            BackendKind::Hybrid => Box::new(HybridDetector::new(spec)),
         }
     }
 }

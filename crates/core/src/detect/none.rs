@@ -29,9 +29,10 @@ impl WriteDetector for NoneDetector {
         _cx: &mut DetectCx<'_>,
         _lock: usize,
         _binding: &mut Binding,
-        _payload: GrantPayload,
-    ) {
-        unreachable!("standalone runs never transfer data")
+        payload: GrantPayload,
+    ) -> Result<(), GrantPayload> {
+        // Standalone runs never transfer data: any grant is foreign.
+        Err(payload)
     }
 
     fn collect_barrier(

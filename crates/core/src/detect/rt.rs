@@ -1,16 +1,95 @@
-//! RT-DSM detector: compiler/runtime dirtybit templates (paper §3.1–§3.2).
+//! The RT protocol's detector: compiler/runtime dirtybit templates (paper
+//! §3.1–§3.2) and, for the §5 hybrid, page faults on large regions.
+//!
+//! The hybrid is "virtual memory support to detect writes to large
+//! objects, and software dirty bits for small objects" speaking the RT
+//! protocol. Each region picks its trapping [`Mechanism`] at startup from
+//! the layout: small or private regions run the templates (cheap per
+//! store, line-granular), large shared regions fault and twin pages (free
+//! stores after the first fault per page). Collection *harvests* the page
+//! diffs into the dirtybit map and then runs the ordinary timestamp scan,
+//! so peers only ever see timestamped update sets, whatever mechanism
+//! detected the writes. Plain RT has no paged part and no page table.
 
-use midway_mem::{Addr, EPOCH};
-use midway_proto::{rt, Binding, SeenToken, Unskipped, UpdateSet};
+use midway_mem::{Addr, BufPool, MemClass, PageTable, EPOCH, PAGE_SIZE};
+use midway_proto::{rt, Binding, SeenToken, Unskipped, UpdateItem, UpdateSet};
 use midway_sim::Category;
 
 use crate::msg::GrantPayload;
 use crate::setup::SystemSpec;
 
+use super::vm::{collect_charged, fault_in_pages};
 use super::{DetectCx, WriteDetector};
 
-/// The RT-DSM backend: every shared store runs a dirtybit-setting template,
-/// collection scans timestamped dirtybits, application is exactly-once.
+/// Shared regions at least this big (four pages) trap through page faults
+/// under the hybrid; everything smaller — and all private data — runs
+/// templates.
+const PAGING_THRESHOLD: usize = 4 * PAGE_SIZE;
+
+/// How a region's stores are trapped.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Mechanism {
+    /// The RT dirtybit template on every store.
+    Template,
+    /// A write fault + twin on the first store per page.
+    Paging,
+}
+
+/// The hybrid's paged-region part: the per-region mechanism table and the
+/// page table its paged regions fault into.
+struct Paged {
+    /// Mechanism per region slot (indexed by region id).
+    policy: Vec<Mechanism>,
+    pages: PageTable,
+}
+
+impl Paged {
+    fn new(spec: &SystemSpec) -> Paged {
+        let policy = (0..spec.layout.region_slots())
+            .map(|id| match spec.layout.region(id) {
+                Some(desc) if desc.class == MemClass::Shared && desc.used >= PAGING_THRESHOLD => {
+                    Mechanism::Paging
+                }
+                _ => Mechanism::Template,
+            })
+            .collect();
+        Paged {
+            policy,
+            pages: PageTable::new(std::sync::Arc::clone(&spec.layout)),
+        }
+    }
+
+    /// Patches applied bytes into the twins of locally-dirty paged pages,
+    /// so incoming data is not re-diffed as a local modification. Returns
+    /// the bytes patched.
+    fn patch_twins(&mut self, addr: Addr, data: &[u8]) -> u64 {
+        let region = addr.region_index();
+        if self.policy[region] != Mechanism::Paging {
+            return 0;
+        }
+        // A run never leaves its region but may cross pages: patch twin by
+        // twin.
+        let (mut pos, mut patched) = (0usize, 0u64);
+        while pos < data.len() {
+            let at = Addr(addr.raw() + pos as u64);
+            let start = at.page_offset();
+            let chunk = (PAGE_SIZE - start).min(data.len() - pos);
+            if let Some(twin) = self.pages.twin_mut(region, at.page_in_region()) {
+                let end = (start + chunk).min(twin.len());
+                if start < end {
+                    twin[start..end].copy_from_slice(&data[pos..pos + (end - start)]);
+                    patched += (end - start) as u64;
+                }
+            }
+            pos += chunk;
+        }
+        patched
+    }
+}
+
+/// The RT-protocol backend: stores run dirtybit-setting templates (or, in
+/// paged regions of the hybrid, fault in twins), collection scans
+/// timestamped dirtybits, application is exactly-once.
 pub struct RtDetector {
     dirty: rt::DirtyMap,
     /// Per lock: the logical time as of which this processor's cache of the
@@ -18,23 +97,92 @@ pub struct RtDetector {
     last_seen: Vec<u64>,
     /// Item-buffer freelist: buffers of applied grants feed the next
     /// collection, so steady-state transfers allocate nothing.
-    pool: midway_mem::BufPool,
+    pool: BufPool,
+    /// The hybrid's paged regions; `None` for plain RT.
+    paged: Option<Paged>,
 }
 
 impl RtDetector {
-    /// A fresh detector for one processor of `spec`'s system.
+    /// A fresh RT-DSM detector for one processor of `spec`'s system.
     pub fn new(spec: &SystemSpec) -> RtDetector {
         RtDetector {
             dirty: rt::DirtyMap::new(&spec.layout),
             last_seen: vec![EPOCH; spec.locks.len()],
-            pool: midway_mem::BufPool::new(),
+            pool: BufPool::new(),
+            paged: None,
         }
+    }
+
+    /// A fresh hybrid detector: the mechanism choice is made here, per
+    /// region.
+    pub fn hybrid(spec: &SystemSpec) -> RtDetector {
+        RtDetector {
+            paged: Some(Paged::new(spec)),
+            ..RtDetector::new(spec)
+        }
+    }
+
+    /// Scans `binding` for a requester last consistent at `last_seen`,
+    /// stamping fresh modifications with `now`. Paged modifications are
+    /// first folded into the dirtybit map (the pages fully covered by the
+    /// binding are cleaned); their data is never copied — the scan re-reads
+    /// it from the store.
+    fn collect(
+        &mut self,
+        cx: &mut DetectCx<'_>,
+        binding: &Binding,
+        last_seen: u64,
+        now: u64,
+    ) -> UpdateSet {
+        if let Some(paged) = &mut self.paged {
+            let (dirty, layout) = (&mut self.dirty, &cx.spec.layout);
+            collect_charged(cx, &mut paged.pages, binding, |addr, data| {
+                rt::mark_write(dirty, layout, Addr(addr), data.len());
+            });
+        }
+        let scan = rt::collect_pooled(
+            cx.store,
+            &mut self.dirty,
+            &cx.spec.layout,
+            binding,
+            last_seen,
+            now,
+            &mut self.pool,
+        );
+        cx.charge_scan(&scan);
+        scan.set
+    }
+
+    /// Applies update items, patching paged twins when there are any.
+    fn apply<'a>(
+        &mut self,
+        cx: &mut DetectCx<'_>,
+        items: impl IntoIterator<Item = &'a UpdateItem>,
+    ) {
+        let (paged, mut twin_bytes) = (&mut self.paged, 0);
+        let res = rt::apply_with(
+            cx.store,
+            &mut self.dirty,
+            &cx.spec.layout,
+            items,
+            |addr, data| {
+                if let Some(paged) = paged {
+                    twin_bytes += paged.patch_twins(addr, data);
+                }
+            },
+        );
+        cx.charge_rt_apply(&res, twin_bytes);
     }
 }
 
 impl WriteDetector for RtDetector {
     fn trap_write(&mut self, cx: &mut DetectCx<'_>, addr: Addr, len: usize) {
         let desc = cx.spec.layout.region_of(addr);
+        if let Some(paged) = &mut self.paged {
+            if paged.policy[desc.id] == Mechanism::Paging {
+                return fault_in_pages(cx, &mut paged.pages, desc, addr, len);
+            }
+        }
         let template = cx.spec.templates[desc.id].expect("allocated region has template");
         let bits = self.dirty.bits_mut(&cx.spec.layout, desc.id);
         let hit = template.invoke(bits, addr, midway_mem::StoreKind::of_len(len), &cx.cost);
@@ -66,24 +214,8 @@ impl WriteDetector for RtDetector {
         } else {
             EPOCH
         };
-        let scan = rt::collect_pooled(
-            cx.store,
-            &mut self.dirty,
-            &cx.spec.layout,
-            binding,
-            last_seen,
-            now,
-            &mut self.pool,
-        );
-        (cx.charge)(
-            Category::WriteCollect,
-            scan.clean_reads * cx.cost.dirtybit_read_clean
-                + scan.dirty_reads * cx.cost.dirtybit_read_dirty,
-        );
-        cx.counters.clean_dirtybits_read += scan.clean_reads;
-        cx.counters.dirty_dirtybits_read += scan.dirty_reads;
         GrantPayload::Rt {
-            set: scan.set,
+            set: self.collect(cx, binding, last_seen, now),
             consist_time: now,
             binding: binding.clone(),
         }
@@ -95,23 +227,16 @@ impl WriteDetector for RtDetector {
         lock: usize,
         binding: &mut Binding,
         payload: GrantPayload,
-    ) {
+    ) -> Result<(), GrantPayload> {
         let GrantPayload::Rt {
             set,
             consist_time,
             binding: sent,
         } = payload
         else {
-            panic!("non-RT grant on RT node");
+            return Err(payload);
         };
-        let res = rt::apply(cx.store, &mut self.dirty, &cx.spec.layout, &set);
-        (cx.charge)(
-            Category::WriteCollect,
-            res.dirtybits_updated * cx.cost.dirtybit_update
-                + cx.cost.copy_cycles(res.bytes_applied as usize, true),
-        );
-        cx.counters.dirtybits_updated += res.dirtybits_updated;
-        cx.counters.redundant_bytes_received += res.bytes_redundant;
+        self.apply(cx, &set.items);
         self.last_seen[lock] = consist_time;
         binding.install(sent);
         cx.clock.observe(consist_time);
@@ -120,6 +245,7 @@ impl WriteDetector for RtDetector {
         for item in set.items {
             self.pool.put(item.data);
         }
+        Ok(())
     }
 
     fn collect_barrier(
@@ -130,33 +256,10 @@ impl WriteDetector for RtDetector {
         _partitioned: bool,
     ) -> UpdateSet {
         let now = cx.clock.tick();
-        let res = rt::collect_pooled(
-            cx.store,
-            &mut self.dirty,
-            &cx.spec.layout,
-            scan,
-            last_consist,
-            now,
-            &mut self.pool,
-        );
-        (cx.charge)(
-            Category::WriteCollect,
-            res.clean_reads * cx.cost.dirtybit_read_clean
-                + res.dirty_reads * cx.cost.dirtybit_read_dirty,
-        );
-        cx.counters.clean_dirtybits_read += res.clean_reads;
-        cx.counters.dirty_dirtybits_read += res.dirty_reads;
-        res.set
+        self.collect(cx, scan, last_consist, now)
     }
 
     fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
-        let res = rt::apply_with(cx.store, &mut self.dirty, &cx.spec.layout, items, |_, _| {});
-        (cx.charge)(
-            Category::WriteCollect,
-            res.dirtybits_updated * cx.cost.dirtybit_update
-                + cx.cost.copy_cycles(res.bytes_applied as usize, true),
-        );
-        cx.counters.dirtybits_updated += res.dirtybits_updated;
-        cx.counters.redundant_bytes_received += res.bytes_redundant;
+        self.apply(cx, items);
     }
 }

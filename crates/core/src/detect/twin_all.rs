@@ -2,11 +2,10 @@
 //! at every transfer, never fault.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use midway_mem::diff::{DiffScratch, PageDiff};
 use midway_mem::{Addr, LocalStore, PAGE_SHIFT, PAGE_SIZE};
-use midway_proto::{vm, Binding, SeenToken, Unskipped, Update, UpdateItem, UpdateSet};
+use midway_proto::{Binding, SeenToken, Unskipped, UpdateItem, UpdateSet};
 use midway_sim::Category;
 
 use crate::config::MidwayConfig;
@@ -38,10 +37,6 @@ impl TwinAllDetector {
             scratch: DiffScratch::default(),
         }
     }
-
-    fn collect(&mut self, cx: &mut DetectCx<'_>, binding: &Binding) -> UpdateSet {
-        twin_all_collect(&mut self.twins, &mut self.scratch, cx, binding)
-    }
 }
 
 impl WriteDetector for TwinAllDetector {
@@ -58,54 +53,13 @@ impl WriteDetector for TwinAllDetector {
         binding: &Binding,
         seen: SeenToken,
     ) -> GrantPayload {
+        // Collect, then decide: a stale requester's full send comes out of
+        // `grant`, after the diff has refreshed the twins and entered the
+        // history (VM-DSM decides first and skips the diff).
         let st = &mut self.locks[lock];
-        st.incarnation = st.history.newest().unwrap_or(st.incarnation) + 1;
-        let set = self.collect(cx, binding);
-        let st = &mut self.locks[lock];
-        st.history.push(Arc::new(Update {
-            incarnation: st.incarnation,
-            set,
-            full: false,
-        }));
-        let bound_bytes = binding.data_bytes();
-        let chain = if seen.1 == binding.version() {
-            st.history.since(seen.0)
-        } else {
-            None
-        };
-        let updates_ok = chain
-            .as_ref()
-            .is_some_and(|us| us.iter().map(|u| u.set.data_bytes()).sum::<u64>() <= bound_bytes);
-        if updates_ok {
-            GrantPayload::Vm {
-                updates: chain.expect("checked above"),
-                full: None,
-                incarnation: st.incarnation,
-                binding: binding.clone(),
-            }
-        } else {
-            let incarnation = self.locks[lock].incarnation;
-            // Shared between history and payload — see `VmDetector::full_send`.
-            let full = Arc::new(Update {
-                incarnation,
-                set: vm::snapshot(cx.store, binding),
-                full: true,
-            });
-            cx.counters.full_data_sends += 1;
-            (cx.charge)(
-                Category::Protocol,
-                cx.cost.copy_cycles(full.set.data_bytes() as usize, false),
-            );
-            let st = &mut self.locks[lock];
-            st.history.clear();
-            st.history.push(Arc::clone(&full));
-            GrantPayload::Vm {
-                updates: Vec::new(),
-                full: Some(full),
-                incarnation,
-                binding: binding.clone(),
-            }
-        }
+        st.next_incarnation();
+        let set = twin_all_collect(&mut self.twins, &mut self.scratch, cx, binding);
+        st.grant(cx, set, binding, seen)
     }
 
     fn apply_update(
@@ -114,52 +68,23 @@ impl WriteDetector for TwinAllDetector {
         lock: usize,
         binding: &mut Binding,
         payload: GrantPayload,
-    ) {
-        match payload {
-            GrantPayload::Vm {
-                updates,
-                full,
-                incarnation,
-                binding: sent,
-            } => {
-                // TwinAll manages incarnations the same way as VM-DSM
-                // (§3.5); incoming bytes are both applied and patched into
-                // the always-present twins.
-                let mut bytes = 0;
-                for set in full
-                    .iter()
-                    .map(|u| &u.set)
-                    .chain(updates.iter().map(|u| &u.set))
-                {
-                    bytes += twin_all_apply(&mut self.twins, cx.store, cx.spec, &set.items);
-                }
-                (cx.charge)(
-                    Category::WriteCollect,
-                    cx.cost.copy_cycles(bytes as usize, true)
-                        + cx.cost.copy_cycles(bytes as usize, true),
-                );
-                cx.counters.twin_bytes_updated += bytes;
-                binding.install(sent);
-                let st = &mut self.locks[lock];
-                st.last_seen = (incarnation, binding.version());
-                st.incarnation = incarnation;
-                if let Some(full) = full {
-                    st.history.clear();
-                    st.history.push(full);
-                } else {
-                    st.history.absorb(&updates);
-                }
-            }
-            GrantPayload::Flat { set, binding: sent } => {
-                let bytes = twin_all_apply(&mut self.twins, cx.store, cx.spec, &set.items);
-                (cx.charge)(
-                    Category::WriteCollect,
-                    cx.cost.copy_cycles(bytes as usize, true),
-                );
-                binding.install(sent);
-            }
-            _ => panic!("incompatible grant on twin-all node"),
-        }
+    ) -> Result<(), GrantPayload> {
+        let GrantPayload::Vm {
+            updates,
+            full,
+            incarnation,
+            binding: sent,
+        } = payload
+        else {
+            return Err(payload);
+        };
+        // Incoming bytes are both applied and patched into the
+        // always-present twins.
+        let items = full.iter().chain(&updates).flat_map(|u| &u.set.items);
+        let bytes = twin_all_apply(&mut self.twins, cx.store, cx.spec, items);
+        cx.charge_vm_apply(bytes, bytes);
+        self.locks[lock].install(binding, sent, incarnation, full, &updates);
+        Ok(())
     }
 
     fn collect_barrier(
@@ -169,15 +94,14 @@ impl WriteDetector for TwinAllDetector {
         _last_consist: u64,
         _partitioned: bool,
     ) -> UpdateSet {
-        self.collect(cx, scan)
+        twin_all_collect(&mut self.twins, &mut self.scratch, cx, scan)
     }
 
     fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
+        // Charged as the bytes written only, with no twin bytes counted —
+        // unlike a grant (results/ablation_protocols.txt pins this).
         let bytes = twin_all_apply(&mut self.twins, cx.store, cx.spec, items);
-        (cx.charge)(
-            Category::WriteCollect,
-            cx.cost.copy_cycles(bytes as usize, true),
-        );
+        cx.charge_vm_apply(bytes, 0);
     }
 }
 

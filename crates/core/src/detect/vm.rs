@@ -13,19 +13,21 @@ use crate::setup::SystemSpec;
 
 use super::{DetectCx, WriteDetector};
 
-/// Per-lock state the VM-style backends (VM-DSM and TwinAll) keep: the
-/// last-seen token, the current incarnation, and the update history.
+/// Per-lock state of the VM protocol (VM-DSM and TwinAll): the last-seen
+/// token, the current incarnation, and the update history — and the
+/// pieces of the protocol built on them, which each detector calls in its
+/// own order.
 pub(super) struct LockState {
     /// (incarnation, binding version) last seen by this processor.
     pub last_seen: (u64, u64),
     /// Current incarnation (meaningful at the owner of record).
-    pub incarnation: u64,
+    incarnation: u64,
     /// The update history this processor knows.
-    pub history: vm::LockHistory,
+    history: vm::LockHistory,
 }
 
 impl LockState {
-    pub fn fresh(cfg: &MidwayConfig, spec: &SystemSpec) -> Vec<LockState> {
+    pub(super) fn fresh(cfg: &MidwayConfig, spec: &SystemSpec) -> Vec<LockState> {
         (0..spec.locks.len())
             .map(|_| LockState {
                 last_seen: (0, 0),
@@ -33,6 +35,87 @@ impl LockState {
                 history: vm::LockHistory::new(cfg.history_cap),
             })
             .collect()
+    }
+
+    /// Starts a transfer at the owner of record: a new incarnation.
+    pub(super) fn next_incarnation(&mut self) {
+        self.incarnation = self.history.newest().unwrap_or(self.incarnation) + 1;
+    }
+
+    /// Records `set` as this incarnation's update and grants the requester
+    /// the chain it is missing — or the full bound data when the history
+    /// cannot serve it (stale binding, pruned chain) or the chain would
+    /// outweigh the data.
+    pub(super) fn grant(
+        &mut self,
+        cx: &mut DetectCx<'_>,
+        set: UpdateSet,
+        binding: &Binding,
+        seen: SeenToken,
+    ) -> GrantPayload {
+        self.history.push(Arc::new(Update {
+            incarnation: self.incarnation,
+            set,
+            full: false,
+        }));
+        let chain = (seen.1 == binding.version())
+            .then(|| self.history.since(seen.0))
+            .flatten()
+            .filter(|us| {
+                us.iter().map(|u| u.set.data_bytes()).sum::<u64>() <= binding.data_bytes()
+            });
+        match chain {
+            Some(updates) => GrantPayload::Vm {
+                updates,
+                full: None,
+                incarnation: self.incarnation,
+                binding: binding.clone(),
+            },
+            None => self.full_send(cx, binding),
+        }
+    }
+
+    /// Grants the full bound data. The snapshot subsumes all earlier
+    /// incarnations, so it also becomes the base of this owner's history —
+    /// otherwise one full send would beget full sends forever. One `Arc`'d
+    /// snapshot is shared between the history and the payload.
+    pub(super) fn full_send(&mut self, cx: &mut DetectCx<'_>, binding: &Binding) -> GrantPayload {
+        let full = Arc::new(Update {
+            incarnation: self.incarnation,
+            set: cx.full_send(binding),
+            full: true,
+        });
+        self.history.clear();
+        self.history.push(Arc::clone(&full));
+        GrantPayload::Vm {
+            updates: Vec::new(),
+            full: Some(full),
+            incarnation: self.incarnation,
+            binding: binding.clone(),
+        }
+    }
+
+    /// Installs an applied grant at the requester: its binding, its
+    /// incarnation, and its updates as this processor's known history (a
+    /// full snapshot stands in for the whole history; the `Arc`s it
+    /// arrived in are shared, not copied).
+    pub(super) fn install(
+        &mut self,
+        binding: &mut Binding,
+        sent: Binding,
+        incarnation: u64,
+        full: Option<Arc<Update>>,
+        updates: &[Arc<Update>],
+    ) {
+        binding.install(sent);
+        self.last_seen = (incarnation, binding.version());
+        self.incarnation = incarnation;
+        if let Some(full) = full {
+            self.history.clear();
+            self.history.push(full);
+        } else {
+            self.history.absorb(updates);
+        }
     }
 }
 
@@ -97,47 +180,19 @@ impl VmDetector {
     /// A fresh detector for one processor of `spec`'s system.
     pub fn new(cfg: &MidwayConfig, spec: &SystemSpec) -> VmDetector {
         VmDetector {
-            pages: PageTable::new(std::sync::Arc::clone(&spec.layout)),
+            pages: PageTable::new(Arc::clone(&spec.layout)),
             locks: LockState::fresh(cfg, spec),
         }
     }
+}
 
-    /// Collects the modifications under `binding` into an update set.
-    fn collect(&mut self, cx: &mut DetectCx<'_>, binding: &Binding) -> UpdateSet {
-        let mut set = UpdateSet::new();
-        collect_charged(cx, &mut self.pages, binding, |addr, data| {
-            set.push_copy(addr, data);
-        });
-        set
-    }
-
-    /// Reads the full bound data, bumps the counters and history: the
-    /// fallback when the incarnation history cannot serve a requester.
-    fn full_send(&mut self, cx: &mut DetectCx<'_>, lock: usize, binding: &Binding) -> GrantPayload {
-        let incarnation = self.locks[lock].incarnation;
-        // One Arc'd snapshot is shared between this owner's history and the
-        // outgoing payload — the old deep copy of the full bound data is
-        // now a reference-count bump.
-        let full = Arc::new(Update {
-            incarnation,
-            set: vm::snapshot(cx.store, binding),
-            full: true,
-        });
-        cx.counters.full_data_sends += 1;
-        (cx.charge)(
-            Category::Protocol,
-            cx.cost.copy_cycles(full.set.data_bytes() as usize, false),
-        );
-        let st = &mut self.locks[lock];
-        st.history.clear();
-        st.history.push(Arc::clone(&full));
-        GrantPayload::Vm {
-            updates: Vec::new(),
-            full: Some(full),
-            incarnation,
-            binding: binding.clone(),
-        }
-    }
+/// Collects the modifications under `binding` into an update set.
+fn collect(cx: &mut DetectCx<'_>, pages: &mut PageTable, binding: &Binding) -> UpdateSet {
+    let mut set = UpdateSet::new();
+    collect_charged(cx, pages, binding, |addr, data| {
+        set.push_copy(addr, data);
+    });
+    set
 }
 
 impl WriteDetector for VmDetector {
@@ -161,46 +216,16 @@ impl WriteDetector for VmDetector {
         seen: SeenToken,
     ) -> GrantPayload {
         let st = &mut self.locks[lock];
-        st.incarnation = st.history.newest().unwrap_or(st.incarnation) + 1;
+        st.next_incarnation();
         if seen.1 != binding.version() {
             // The requester's binding is stale (the lock was rebound):
             // "the incarnation number is incremented which causes all data
             // bound to the lock to be sent without performing a diff"
             // (paper §4, quicksort).
-            return self.full_send(cx, lock, binding);
+            return st.full_send(cx, binding);
         }
-        let set = self.collect(cx, binding);
-        let st = &mut self.locks[lock];
-        st.history.push(Arc::new(Update {
-            incarnation: st.incarnation,
-            set,
-            full: false,
-        }));
-
-        let bound_bytes = binding.data_bytes();
-        let chain = if seen.1 == binding.version() {
-            st.history.since(seen.0)
-        } else {
-            None
-        };
-        let updates_ok = chain
-            .as_ref()
-            .is_some_and(|us| us.iter().map(|u| u.set.data_bytes()).sum::<u64>() <= bound_bytes);
-        if updates_ok {
-            GrantPayload::Vm {
-                updates: chain.expect("checked above"),
-                full: None,
-                incarnation: st.incarnation,
-                binding: binding.clone(),
-            }
-        } else {
-            // History cannot serve this requester (or the concatenated
-            // updates exceed the data): full send. The snapshot subsumes
-            // all earlier incarnations, so it also becomes the base of
-            // this owner's history — otherwise one full send would beget
-            // full sends forever.
-            self.full_send(cx, lock, binding)
-        }
+        let set = collect(cx, &mut self.pages, binding);
+        st.grant(cx, set, binding, seen)
     }
 
     fn apply_update(
@@ -209,7 +234,7 @@ impl WriteDetector for VmDetector {
         lock: usize,
         binding: &mut Binding,
         payload: GrantPayload,
-    ) {
+    ) -> Result<(), GrantPayload> {
         let GrantPayload::Vm {
             updates,
             full,
@@ -217,37 +242,13 @@ impl WriteDetector for VmDetector {
             binding: sent,
         } = payload
         else {
-            panic!("non-VM grant on VM node");
+            return Err(payload);
         };
-        let mut applied = vm::VmApply::default();
-        for set in full
-            .iter()
-            .map(|u| &u.set)
-            .chain(updates.iter().map(|u| &u.set))
-        {
-            let a = vm::apply(cx.store, &mut self.pages, set);
-            applied.bytes_applied += a.bytes_applied;
-            applied.twin_bytes_updated += a.twin_bytes_updated;
-        }
-        (cx.charge)(
-            Category::WriteCollect,
-            cx.cost.copy_cycles(applied.bytes_applied as usize, true)
-                + cx.cost
-                    .copy_cycles(applied.twin_bytes_updated as usize, true),
-        );
-        cx.counters.twin_bytes_updated += applied.twin_bytes_updated;
-        binding.install(sent);
-        let st = &mut self.locks[lock];
-        st.last_seen = (incarnation, binding.version());
-        st.incarnation = incarnation;
-        if let Some(full) = full {
-            // The full snapshot stands in for the whole history; the Arc
-            // it arrived in is shared, not copied.
-            st.history.clear();
-            st.history.push(full);
-        } else {
-            st.history.absorb(&updates);
-        }
+        let items = full.iter().chain(&updates).flat_map(|u| &u.set.items);
+        let applied = vm::apply_items(cx.store, &mut self.pages, items);
+        cx.charge_vm_apply(applied.bytes_applied, applied.twin_bytes_updated);
+        self.locks[lock].install(binding, sent, incarnation, full, &updates);
+        Ok(())
     }
 
     fn on_rebind(&mut self, lock: usize) {
@@ -263,16 +264,11 @@ impl WriteDetector for VmDetector {
         _last_consist: u64,
         _partitioned: bool,
     ) -> UpdateSet {
-        self.collect(cx, scan)
+        collect(cx, &mut self.pages, scan)
     }
 
     fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
-        let a = vm::apply_items(cx.store, &mut self.pages, items);
-        (cx.charge)(
-            Category::WriteCollect,
-            cx.cost.copy_cycles(a.bytes_applied as usize, true)
-                + cx.cost.copy_cycles(a.twin_bytes_updated as usize, true),
-        );
-        cx.counters.twin_bytes_updated += a.twin_bytes_updated;
+        let applied = vm::apply_items(cx.store, &mut self.pages, items);
+        cx.charge_vm_apply(applied.bytes_applied, applied.twin_bytes_updated);
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! This crate implements the system of *"Software Write Detection for a
 //! Distributed Shared Memory"* (Zekauskas, Sawdon & Bershad, OSDI '94):
-//! an entry-consistency DSM with pluggable write-detection backends —
-//! RT-DSM (compiler/runtime dirtybits, the paper's contribution), VM-DSM
-//! (page protection, twins and diffs), plus the §3.5 alternatives (blast
-//! and twin-everything) — running on a deterministic virtual-time cluster
-//! simulator.
+//! an entry-consistency DSM with pluggable write-detection backends under
+//! two update protocols — RT-DSM (compiler/runtime dirtybits, the paper's
+//! contribution; its detector also runs the §5 hybrid, which pages large
+//! regions) and VM-DSM (page protection, twins and diffs; twin-everything
+//! shares its incarnation protocol), plus the §3.5 blast strawman —
+//! running on a deterministic virtual-time cluster simulator.
 //!
 //! # Examples
 //!
@@ -53,6 +54,11 @@ mod wire;
 #[cfg(test)]
 #[path = "../../net/tests/support/mutate.rs"]
 mod mutate;
+
+/// The run fingerprint the barrier and lock pins share.
+#[cfg(test)]
+#[path = "../../../tests/tests/support/fingerprint.rs"]
+mod fingerprint;
 
 pub use api::Proc;
 pub use config::{BackendKind, BarrierShape, MidwayConfig};

@@ -40,7 +40,7 @@ pub enum GrantPayload {
         /// The lock's current binding.
         binding: Binding,
     },
-    /// Blast / TwinAll: one update set (full data or whole-binding diff).
+    /// Blast: the full bound data, with no write detection behind it.
     Flat {
         /// The data.
         set: UpdateSet,

@@ -283,7 +283,7 @@ mod tests {
 
     use crate::api::Proc;
     use crate::config::{BackendKind, MidwayConfig};
-    use crate::counters::Counters;
+    use crate::fingerprint::fingerprint;
     use crate::msg::DsmMsg;
     use crate::run::{Midway, MidwayRun};
     use crate::setup::SystemBuilder;
@@ -331,46 +331,6 @@ mod tests {
         .expect("partitioned-barrier run completes")
     }
 
-    /// FNV-1a over the words' little-endian bytes.
-    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
-        let bytes: Vec<u8> = words.into_iter().flat_map(u64::to_le_bytes).collect();
-        midway_net::wire::fnv1a64(&bytes)
-    }
-
-    /// (finish cycles, messages, FNV of the application results, of the
-    /// cluster-summed counters, of the per-processor store digests).
-    fn fingerprint(run: &MidwayRun<u64>) -> [u64; 5] {
-        let mut t = Counters::default();
-        for c in &run.counters {
-            t.add(c);
-        }
-        [
-            run.finish_time.cycles(),
-            run.messages,
-            fnv(run.results.iter().copied()),
-            fnv([
-                t.dirtybits_set,
-                t.dirtybits_misclassified,
-                t.clean_dirtybits_read,
-                t.dirty_dirtybits_read,
-                t.dirtybits_updated,
-                t.write_faults,
-                t.pages_diffed,
-                t.pages_write_protected,
-                t.twin_bytes_updated,
-                t.data_bytes_sent,
-                t.data_bytes_received,
-                t.redundant_bytes_received,
-                t.full_data_sends,
-                t.barrier_waits,
-                t.checkpoints_written,
-                t.checkpoint_bytes,
-                t.wal_bytes_logged,
-            ]),
-            fnv(run.store_digests.iter().copied()),
-        ]
-    }
-
     /// The release path shares one merged set and skips own addresses in
     /// place; virtual time, every counter and final memory must be what
     /// the per-processor materialized sets gave. The values were recorded
@@ -415,7 +375,7 @@ mod tests {
         ];
         let got: Vec<[u64; 5]> = cells
             .iter()
-            .map(|(_, cfg, _)| fingerprint(&run_partitioned(*cfg)))
+            .map(|(_, cfg, _)| fingerprint(&run_partitioned(*cfg), |&r| r))
             .collect();
         for ((label, _, want), got_row) in cells.iter().zip(&got) {
             assert_eq!(got_row, want, "{label}; all rows now: {got:#x?}");

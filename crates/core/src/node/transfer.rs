@@ -107,12 +107,22 @@ impl DsmNode {
             // Temporarily detach the binding so the detector can install
             // the payload's binding without aliasing the node.
             let mut binding = std::mem::take(&mut self.locks[idx].binding);
-            with_detector!(self, h, |det, cx| det.apply_update(
+            let applied = with_detector!(self, h, |det, cx| det.apply_update(
                 &mut cx,
                 idx,
                 &mut binding,
                 payload
             ));
+            if let Err(payload) = applied {
+                // Well-formed on the wire, so a peer can send it; only this
+                // backend cannot read it.
+                h.protocol_violation(format!(
+                    "processor {} cannot apply a grant for {lock:?}: payload kind {}, backend {}",
+                    self.me,
+                    payload_kind(&payload),
+                    self.cfg.backend.label()
+                ));
+            }
             self.locks[idx].binding = binding;
         }
         if let Some(ranges) = logged {
@@ -121,6 +131,16 @@ impl DsmNode {
             }
         }
         self.locks[idx].held = Some(mode);
+    }
+}
+
+/// A grant payload's kind, for violation reports.
+fn payload_kind(payload: &GrantPayload) -> &'static str {
+    match payload {
+        GrantPayload::Current => "data-less",
+        GrantPayload::Rt { .. } => "RT",
+        GrantPayload::Vm { .. } => "VM",
+        GrantPayload::Flat { .. } => "flat",
     }
 }
 
@@ -145,4 +165,67 @@ fn payload_ranges(payload: &GrantPayload) -> Vec<(u64, usize)> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use midway_proto::{Binding, Mode, UpdateSet};
+    use midway_sim::SimError;
+
+    use crate::api::Proc;
+    use crate::config::{BackendKind, MidwayConfig};
+    use crate::msg::{DsmMsg, GrantPayload};
+    use crate::run::Midway;
+    use crate::setup::SystemBuilder;
+
+    /// Forges a grant from processor 1 to processor 0 through the node's
+    /// link layer — something no correct application can do through the
+    /// public API — and returns the violation processor 0 reports.
+    fn forged_grant(backend: BackendKind, payload: fn(Binding) -> GrantPayload) -> String {
+        let mut b = SystemBuilder::new();
+        let data = b.shared_array::<u64>("data", 4, 1);
+        let lock = b.lock(vec![data.full_range()]);
+        let bar = b.barrier(vec![data.full_range()]);
+        let spec = b.build();
+        let err = Midway::run(MidwayConfig::new(2, backend), &spec, |p: &mut Proc| {
+            if p.id() == 1 {
+                let msg = DsmMsg::Grant {
+                    lock,
+                    mode: Mode::Exclusive,
+                    payload: payload(Binding::new(vec![data.full_range()])),
+                };
+                p.node.link.send(p.h, 0, msg);
+            }
+            p.barrier(bar);
+        })
+        .unwrap_err();
+        match err {
+            SimError::ProtocolViolation { proc, message } => {
+                assert_eq!(proc, 0, "the receiver reports the violation");
+                message
+            }
+            other => panic!("expected protocol violation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wrong_kind_grant_is_a_protocol_violation() {
+        let flat = forged_grant(BackendKind::Rt, |binding| GrantPayload::Flat {
+            set: UpdateSet::new(),
+            binding,
+        });
+        assert_eq!(
+            flat,
+            "processor 0 cannot apply a grant for LockId(0): payload kind flat, backend RT-DSM"
+        );
+        let rt = forged_grant(BackendKind::Vm, |binding| GrantPayload::Rt {
+            set: UpdateSet::new(),
+            consist_time: 1,
+            binding,
+        });
+        assert_eq!(
+            rt,
+            "processor 0 cannot apply a grant for LockId(0): payload kind RT, backend VM-DSM"
+        );
+    }
 }

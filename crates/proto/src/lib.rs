@@ -16,9 +16,8 @@
 //! * [`rt`] — RT-DSM write collection: timestamp dirtybit scans and update
 //!   application (§3.2).
 //! * [`vm`] — VM-DSM write collection: twins, diffs, and the per-lock
-//!   incarnation history (§3.4).
-//! * [`blast`] — the §3.5 strawman that ships all bound data with no write
-//!   detection at all.
+//!   incarnation history (§3.4); its `snapshot` of the full bound data is
+//!   also the whole payload of the §3.5 "blast" strawman.
 //! * [`HomeLock`] — the home-node lock state machine (exclusive and
 //!   non-exclusive modes).
 //! * [`BarrierSite`] — the manager-side barrier state machine.
@@ -31,7 +30,6 @@
 //!   above correct on a lossy network.
 
 mod binding;
-pub mod blast;
 pub mod channel;
 mod clock;
 mod home;

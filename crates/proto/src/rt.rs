@@ -61,21 +61,10 @@ pub struct RtApply {
 /// Scans the dirtybits of `binding`'s data on behalf of a requester whose
 /// cache was last consistent at `last_seen`, lazily stamping fresh
 /// modifications with `now` (the releaser's logical time).
-pub fn collect(
-    store: &mut LocalStore,
-    dirty: &mut DirtyMap,
-    layout: &Layout,
-    binding: &Binding,
-    last_seen: u64,
-    now: u64,
-) -> RtScan {
-    let mut pool = midway_mem::BufPool::new();
-    collect_pooled(store, dirty, layout, binding, last_seen, now, &mut pool)
-}
-
-/// [`collect`] drawing item buffers from `pool` instead of the allocator.
-/// A detector that returns applied buffers to the same pool runs its
-/// steady-state collection without malloc/free round trips.
+///
+/// Item buffers are drawn from `pool` instead of the allocator: a detector
+/// that returns applied buffers to the same pool runs its steady-state
+/// collection without malloc/free round trips.
 #[allow(clippy::too_many_arguments)]
 pub fn collect_pooled(
     store: &mut LocalStore,
@@ -244,6 +233,19 @@ mod tests {
     use super::*;
     use midway_mem::{LayoutBuilder, MemClass};
     use std::sync::Arc;
+
+    /// A collection drawing its buffers from a fresh pool.
+    fn collect(
+        store: &mut LocalStore,
+        dirty: &mut DirtyMap,
+        layout: &Layout,
+        binding: &Binding,
+        last_seen: u64,
+        now: u64,
+    ) -> RtScan {
+        let mut pool = midway_mem::BufPool::new();
+        collect_pooled(store, dirty, layout, binding, last_seen, now, &mut pool)
+    }
 
     struct Fixture {
         layout: Arc<Layout>,
@@ -620,7 +622,7 @@ mod tests {
 
     #[test]
     fn pooled_collect_matches_unpooled_with_recycled_buffers() {
-        // The same writes collected twice: fresh allocations vs a pool
+        // The same writes collected twice: a fresh pool vs a pool
         // pre-seeded with previously used (formerly dirty) buffers. The
         // shipped sets must be identical — recycled buffers carry no
         // stale bytes into a collection.

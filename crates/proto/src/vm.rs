@@ -124,7 +124,8 @@ pub fn collect_with(
 }
 
 /// Reads the full bound data: the fallback when the incarnation history
-/// cannot serve a requester, and the §3.5 "blast" strawman's payload.
+/// cannot serve a requester, and the §3.5 "blast" strawman's whole
+/// payload.
 pub fn snapshot(store: &mut LocalStore, binding: &Binding) -> UpdateSet {
     let mut set = UpdateSet::new();
     for range in binding.ranges() {
@@ -393,6 +394,26 @@ mod tests {
         let s = snapshot(&mut f.store, &binding);
         assert_eq!(s.data_bytes(), 64);
         assert_eq!(s.items.len(), 1);
+    }
+
+    #[test]
+    fn blast_ships_everything_every_time() {
+        // The §3.5 "blast" strawman's payload is the snapshot: a sparse
+        // write still moves every bound byte.
+        let mut b = LayoutBuilder::new();
+        let a = b.alloc("x", 1024, MemClass::Shared, 3);
+        let layout = b.build();
+        let mut p0 = LocalStore::new(Arc::clone(&layout));
+        let mut p1 = LocalStore::new(layout);
+        let binding = Binding::new(vec![a.addr.raw()..a.addr.raw() + 1024]);
+
+        p0.write_u64(a.addr + 8, 5);
+        let set = snapshot(&mut p0, &binding);
+        assert_eq!(set.data_bytes(), 1024, "sparse write, full transfer");
+        for item in &set.items {
+            p1.write_bytes(Addr(item.addr), &item.data);
+        }
+        assert_eq!(p1.read_u64(a.addr + 8), 5);
     }
 
     #[test]

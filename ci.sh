@@ -31,7 +31,9 @@ cargo test -p midway-mem --release -q
 echo "==> cargo test --release: the byte codec and the three formats on it"
 # Wrapping arithmetic on a hostile length or range is a panic in the debug
 # profile and a silently wrong value in this one, so the decoders' hostile
-# input tests and mutation sweeps run in both.
+# input tests and mutation sweeps run in both. midway-replay's tests also
+# hold the replay oracle's whole product of axes (barrier shape x home map
+# x loss x crash, and sockets) to strict convergence, in well under 60 s.
 cargo test -p midway-net -p midway-replay --release -q
 cargo test -p midway-core --release -q --lib
 
@@ -109,10 +111,31 @@ for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/bench
     fi
 done
 
+# One oracle: convergence is judged by `midway_replay::check` alone. The
+# sweeps and the trace CLI read its verdict, never raw final-memory
+# digests, and outside the pinned benchmark nothing calls the reference
+# step (`verify_replay`) on its own.
+for f in $(find crates/bench/src/bin/sweep crates/replay/src/bin -name '*.rs'); do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
+        grep -F 'store_digests'; then
+        echo "a convergence judgement outside midway_replay::check, in $f" >&2
+        exit 1
+    fi
+done
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/benchmark/*'); do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
+        grep -F 'verify_replay(' | grep -vF 'fn verify_replay('; then
+        echo "verify_replay called outside the pinned benchmark, in $f (use check)" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "==> trace record/replay determinism smoke (every backend)"
+echo "==> trace record/check determinism smoke (every backend)"
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
 for backend in rt vm blast twinall hybrid; do
@@ -120,21 +143,21 @@ for backend in rt vm blast twinall hybrid; do
         record --app sor --scale small --procs 4 --backend "$backend" \
         --out "$smoke/sor-$backend.mwt"
     cargo run --release -q -p midway-replay --bin trace -- \
-        replay "$smoke/sor-$backend.mwt" --check
+        check "$smoke/sor-$backend.mwt"
 done
 
 echo "==> fault tolerance smoke (every backend)"
-# faultcheck replays the trace twice under the seeded plan (the runs must
-# be bit-for-bit identical) and, for sor, demands strict convergence to
-# the fault-free final memory and counters.
+# check with a loss plan replays the trace twice under it (the runs must
+# be bit-for-bit identical) and, sor being lock-order independent,
+# demands convergence to the fault-free final memory and counters.
 for backend in rt vm blast twinall hybrid; do
     # 1% loss: real drops, retransmissions, and recovery.
     cargo run --release -q -p midway-replay --bin trace -- \
-        faultcheck "$smoke/sor-$backend.mwt" --loss 10000 --fault-seed 7
+        check "$smoke/sor-$backend.mwt" --loss 10000 --fault-seed 7
     # 0% loss with the channel enabled: pure framing overhead must still
     # reproduce the fault-free oracle exactly.
     cargo run --release -q -p midway-replay --bin trace -- \
-        faultcheck "$smoke/sor-$backend.mwt" --loss 0 --fault-seed 7
+        check "$smoke/sor-$backend.mwt" --loss 0 --fault-seed 7
 done
 cargo run --release -q -p midway-replay --bin trace -- \
     replay "$smoke/sor-rt.mwt" --backend vm >/dev/null
@@ -142,18 +165,18 @@ cargo run --release -q -p midway-replay --bin trace -- \
     info "$smoke/sor-rt.mwt" >/dev/null
 
 echo "==> crash recovery smoke (every backend)"
-# crashcheck kills a processor a third of the way into the run and
+# check --crash kills a processor a third of the way into the run and
 # demands (a) determinism — the crashed replay reruns bit-for-bit — and
-# (b) strict convergence: after checkpointed recovery the final memory
-# digests and Table 2 counters match the crash-free run exactly.
+# (b) convergence: after checkpointed recovery the final memory digests
+# and Table 2 counters match the crash-free run exactly.
 for backend in rt vm blast twinall hybrid; do
     cargo run --release -q -p midway-replay --bin trace -- \
-        crashcheck "$smoke/sor-$backend.mwt" --interval 2
+        check "$smoke/sor-$backend.mwt" --crash --interval 2
 done
 # A crash on top of a lossy network: frames lost to the link and to the
 # crash window are all repaired by the same retransmission machinery.
 cargo run --release -q -p midway-replay --bin trace -- \
-    crashcheck "$smoke/sor-rt.mwt" --loss 10000 --fault-seed 7
+    check "$smoke/sor-rt.mwt" --crash --loss 10000 --fault-seed 7
 
 echo "==> crash sweep smoke"
 # One RT cell at small scale: checkpoint-interval pricing end to end
@@ -175,8 +198,9 @@ cargo run --release -q -p midway-bench --bin benchmark -- --smoke
 
 echo "==> real-transport loopback smoke"
 # sor under RT and VM over actual loopback TCP sockets (processors are
-# coroutines on one thread, as on the simulator), each run recorded and
-# cross-validated against the simulator digest oracle; then the same
+# coroutines on one thread, as on the simulator): each cell runs live
+# and recorded, and a simulator recording of it is checked over the same
+# sockets, which must reach the simulator's final memory; then the same
 # cells over UDP with 1% injected loss, so the reliable channel masks a
 # genuinely lossy socket end to end.
 cargo run --release -q -p midway-bench --bin sweep -- \
@@ -206,7 +230,7 @@ for artefact in $(cargo run --release -q -p midway-bench --bin paper -- --list);
         cmp - "results/$artefact.txt"
 done
 
-echo "==> record/replay determinism smoke (the other paper applications)"
+echo "==> record/check determinism smoke (the other paper applications)"
 # The bit-for-bit oracle beyond sor (recorded and checked on every
 # backend above): the other four paper applications recorded under RT-DSM
 # and VM-DSM at small scale must replay to the identical counters, finish
@@ -217,7 +241,7 @@ for app in water quicksort matrix cholesky; do
             record --app "$app" --scale small --procs 4 --backend "$backend" \
             --out "$smoke/$app-$backend.mwt"
         cargo run --release -q -p midway-replay --bin trace -- \
-            replay "$smoke/$app-$backend.mwt" --check
+            check "$smoke/$app-$backend.mwt"
     done
 done
 
@@ -233,7 +257,7 @@ cargo run --release -q -p midway-replay --bin trace -- \
     record --app kvstore --scale small --procs 4 --backend rt \
     --out "$smoke/kvstore-rt.mwt"
 cargo run --release -q -p midway-replay --bin trace -- \
-    replay "$smoke/kvstore-rt.mwt" --check
+    check "$smoke/kvstore-rt.mwt"
 
 echo "==> differential fuzz smoke (all six backends + planted mutants)"
 # Fixed-seed schedules run on every applicable backend (single-
@@ -251,8 +275,9 @@ echo "==> racecheck smoke"
 cargo run --release -q -p midway-bench --bin sweep -- \
     racecheck --scale small --procs 4 --backends rt --out "$smoke/racecheck.json"
 # ...and a trace recorded without the checker must replay bit-for-bit
-# with it attached (the off-clock guarantee against a file on disk).
+# with it attached (the off-clock guarantee against a file on disk) and
+# report no finding.
 cargo run --release -q -p midway-replay --bin trace -- \
-    racecheck "$smoke/sor-rt.mwt"
+    check "$smoke/sor-rt.mwt" --race
 
 echo "==> ci.sh: all green"

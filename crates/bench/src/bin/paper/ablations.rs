@@ -6,7 +6,7 @@ use midway_core::{
     BackendKind, Counters, Midway, MidwayConfig, MidwayRun, NetModel, Proc, SystemBuilder,
 };
 use midway_proto::untargetted::{simulate, RtVariant};
-use midway_replay::{replay_on, verify_replay, Trace};
+use midway_replay::{check, replay_on, Axes, Trace};
 use midway_sim::SplitMix64;
 use midway_stats::{fmt_f64, fmt_u64, CostModel, TextTable};
 
@@ -229,7 +229,9 @@ pub(crate) fn linesize(args: &BenchArgs) -> Fields {
         let rows = run_cells(args.jobs, vec![1usize, 4, 16, 64, 512], |elems_per_line| {
             let run = if elems_per_line == 1 {
                 // The recorded line size: take the equivalence-oracle path.
-                verify_replay(&trace).unwrap_or_else(|d| panic!("linesize replay diverged: {d}"))
+                check(&trace, &Axes::default())
+                    .unwrap_or_else(|d| panic!("linesize replay diverged: {d}"))
+                    .baseline
             } else {
                 let line_shift = 3 + elems_per_line.trailing_zeros(); // 8 B elements
                 let spec = trace.blueprint.with_shared_line_shift(line_shift).build();

@@ -8,19 +8,19 @@
 //! recorded sor stream drives every point: for each data-moving backend
 //! and each checkpoint interval it is replayed once with checkpointing
 //! alone (the insurance premium) and once per swept crash count with
-//! that many staggered mid-run crashes (the claim), all against the same
-//! backend's unprotected baseline. Frequent checkpoints cost more
-//! boundary work but less recovery replay; the sweep prices that trade.
-//! Every crashed cell must take every scheduled crash and converge to
-//! the unprotected final memory.
+//! that many staggered mid-run crashes (the claim), each checked against
+//! the same backend's unprotected baseline. Frequent checkpoints cost
+//! more boundary work but less recovery replay; the sweep prices that
+//! trade. The check holds every cell to the unprotected final memory and
+//! counters, and every crashed cell to taking each scheduled crash.
 
 use midway_apps::Scale;
 use midway_bench::{banner, run_cells, BenchArgs, Json, Record};
-use midway_core::{BackendKind, Counters, FaultPlan};
-use midway_replay::{replay, Trace};
+use midway_core::{BackendKind, FaultPlan};
+use midway_replay::{check, Axes, Trace, Transport};
 use midway_stats::fmt_f64;
 
-use crate::{baseline, record_sor, Report};
+use crate::{record_sor, Report};
 
 pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
     let smoke = args.flag("--smoke");
@@ -56,38 +56,28 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
     );
 
     let sweeps = run_cells(args.jobs, backends, |backend| {
-        // The unprotected baseline: no checkpointing, no crashes.
-        let base = baseline(&trace, backend);
-        let cost = base.cfg.cost;
-        let base_ms = cost.cycles_to_millis(base.finish_time.cycles());
         let mut cells = Vec::new();
         for &interval in &intervals {
             // One premium row (checkpointing alone), then one claim row
             // per swept crash count.
             for sel in std::iter::once(None).chain(plans.iter().map(Some)) {
                 let scheduled = sel.map_or(0, |(n, _)| *n as u64);
-                let mut cfg = base.cfg.checkpoint_every(interval);
-                if let Some((_, plan)) = sel {
-                    cfg = cfg.faults(*plan);
-                }
-                let run = replay(&trace, cfg).unwrap_or_else(|e| {
+                let axes = Axes {
+                    backend: Some(backend),
+                    transport: Transport::Sim {
+                        faults: sel.map(|(_, plan)| *plan),
+                        checkpoint_every: Some(interval),
+                    },
+                    ..Axes::default()
+                };
+                let verdict = check(&trace, &axes).unwrap_or_else(|e| {
                     let backend = backend.label();
-                    panic!("{backend} interval {interval} ({scheduled} crashes) failed: {e}")
+                    panic!("{backend} interval {interval} ({scheduled} crashes): {e}")
                 });
-                let converged = run.store_digests == base.store_digests;
-                let mut total = Counters::default();
-                run.counters.iter().for_each(|c| total.add(c));
-                if sel.is_some() {
-                    let backend = backend.label();
-                    assert!(
-                        converged,
-                        "{backend}: crashed run must converge to the unprotected final memory"
-                    );
-                    assert_eq!(
-                        total.crashes, scheduled,
-                        "{backend}: every scheduled crash must be taken"
-                    );
-                }
+                let (base, run) = (&verdict.baseline, &verdict.checked);
+                let cost = base.cfg.cost;
+                let base_ms = cost.cycles_to_millis(base.finish_time.cycles());
+                let total = *run.avg_counters().totals();
                 let ms = cost.cycles_to_millis(run.finish_time.cycles());
                 let slowdown = ms / base_ms.max(1e-12);
                 let kb = |bytes: u64| (bytes / 1024).to_string();
@@ -125,7 +115,7 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
                         .json("recovery_cycles", Json::U64(total.recovery_cycles))
                         .col("recovery ms", fmt_f64(recovery_ms, 2))
                         .json("fenced_messages", Json::U64(total.fenced_messages))
-                        .json("converged", Json::Bool(converged)),
+                        .json("converged", Json::Bool(verdict.converged)),
                 );
             }
         }

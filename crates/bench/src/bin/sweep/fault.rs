@@ -4,20 +4,20 @@
 //! The paper assumes a reliable interconnect; this measures what masking
 //! an *unreliable* one costs each write-detection backend. One recorded
 //! sor stream drives every point: for each data-moving backend it is
-//! replayed under a seeded fault plan at increasing drop rates, and the
-//! finish time is compared with the same backend's run on the trusted
-//! network (no reliable framing at all). The loss-0 row therefore
-//! isolates the pure channel overhead — framing bytes, acks, timers — and
-//! the remaining rows add real recovery work (retransmissions after
-//! drops). Every point must end with the trusted run's final memory.
+//! checked under a seeded fault plan at increasing drop rates against the
+//! same backend's baseline on the trusted network (no reliable framing at
+//! all). The loss-0 row therefore isolates the pure channel overhead —
+//! framing bytes, acks, timers — and the remaining rows add real recovery
+//! work (retransmissions after drops). The check holds every point to the
+//! trusted run's final memory and counters.
 
 use midway_apps::Scale;
 use midway_bench::{banner, run_cells, BenchArgs, Json, Record};
 use midway_core::{BackendKind, FaultPlan};
-use midway_replay::replay;
+use midway_replay::{check, Axes, Transport};
 use midway_stats::fmt_f64;
 
-use crate::{baseline, record_sor, Report};
+use crate::{record_sor, Report};
 
 /// Drop rates swept, in parts per million (0%, 0.25%, 0.5%, 1%, 2%, 5%).
 const LOSS_PPM: [u32; 6] = [0, 2_500, 5_000, 10_000, 20_000, 50_000];
@@ -31,25 +31,24 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
     let trace = record_sor(&args);
     println!("app: sor, fault seed: {seed}, drop rates: {LOSS_PPM:?} ppm\n");
 
-    // One cell per backend, all replaying the one trace read-only; each
-    // cell sweeps its loss rates against its own trusted-network baseline.
+    // One cell per backend, all checking the one trace read-only.
     let sweeps = run_cells(args.jobs, BackendKind::DATA.to_vec(), |backend| {
-        let base = baseline(&trace, backend);
-        let base_ms = base.cfg.cost.cycles_to_millis(base.finish_time.cycles());
         LOSS_PPM.map(|loss| {
-            let mut cfg = base.cfg;
-            cfg.faults = FaultPlan::lossy(seed, loss);
-            let run = replay(&trace, cfg).unwrap_or_else(|e| {
-                panic!("{} replay at {loss} ppm loss failed: {e}", backend.label())
-            });
-            assert_eq!(
-                run.store_digests,
-                base.store_digests,
-                "{} at {loss} ppm must converge to the trusted-network final memory",
-                backend.label()
-            );
+            let axes = Axes {
+                backend: Some(backend),
+                transport: Transport::Sim {
+                    faults: Some(FaultPlan::lossy(seed, loss)),
+                    checkpoint_every: None,
+                },
+                ..Axes::default()
+            };
+            let verdict = check(&trace, &axes)
+                .unwrap_or_else(|e| panic!("{} at {loss} ppm loss: {e}", backend.label()));
+            let (base, run) = (&verdict.baseline, &verdict.checked);
+            let cost = base.cfg.cost;
+            let base_ms = cost.cycles_to_millis(base.finish_time.cycles());
             let link = run.link_totals();
-            let ms = cfg.cost.cycles_to_millis(run.finish_time.cycles());
+            let ms = cost.cycles_to_millis(run.finish_time.cycles());
             let slowdown = ms / base_ms.max(1e-12);
             let times = format!("{slowdown:.2}x");
             Record::default()

@@ -11,8 +11,8 @@ use std::process::ExitCode;
 
 use midway_apps::AppKind;
 use midway_bench::{BenchArgs, Json};
-use midway_core::{BackendKind, MidwayConfig, MidwayRun};
-use midway_replay::{record_app, replay, verify_replay, Trace};
+use midway_core::{BackendKind, MidwayConfig};
+use midway_replay::{record_app, Trace};
 
 mod crash;
 mod fault;
@@ -178,27 +178,15 @@ fn main() -> ExitCode {
 }
 
 /// Records sor once, in memory: the one fixed operation stream that
-/// `fault` and `crash` replay under every backend and fault plan. Sor is
-/// lock-order independent, so every such replay must end with the same
-/// final memory — which both harnesses assert.
+/// `fault` and `crash` check under every backend and fault plan. Sor is
+/// lock-order independent, so `midway_replay::check` holds every such run
+/// to the baseline's final memory and counters.
 fn record_sor(args: &BenchArgs) -> Trace {
     eprintln!("sor: recording under RT-DSM ...");
     let cfg = MidwayConfig::new(args.procs, BackendKind::Rt);
     let (outcome, trace) = record_app(AppKind::Sor, cfg, args.scale);
     assert!(outcome.verified, "sor failed verification");
     trace
-}
-
-/// The fault-free run of `trace` under `backend`: the baseline a sweep
-/// compares against. Under the recorded backend it goes through the
-/// bit-for-bit equivalence oracle.
-fn baseline(trace: &Trace, backend: BackendKind) -> MidwayRun<()> {
-    if backend == trace.meta.cfg.backend {
-        return verify_replay(trace).unwrap_or_else(|d| panic!("replay diverged: {d}"));
-    }
-    let mut cfg = trace.recorded_cfg();
-    cfg.backend = backend;
-    replay(trace, cfg).unwrap_or_else(|e| panic!("{} baseline replay failed: {e}", backend.label()))
 }
 
 #[cfg(test)]

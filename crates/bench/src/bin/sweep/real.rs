@@ -1,16 +1,18 @@
 //! Real-transport harness: runs applications over actual loopback
 //! sockets — every processor a coroutine on the calling thread, as on the
-//! simulator, but wall-clock time — and cross-validates each run against
-//! the deterministic simulator.
+//! simulator, but wall-clock time — and validates the sockets against the
+//! deterministic simulator.
 //!
-//! Every app × backend cell runs the application live on the real
-//! transport with recording on, asserts it verified its own output, saves
-//! the trace (`real/<app>-<scale>-<procs>p-<backend>-<mode>.mwt` under
-//! `--trace DIR` — keeping the operation stream of a wall-clock run is the
-//! point of the flag) and replays it through the simulator's oracle
-//! ([`verify_real_trace`]): the recorded streams re-execute under virtual
-//! time and, for lock-order-independent applications, must reach
-//! bit-identical final memory.
+//! Every app × backend cell does two things on the real transport. It
+//! runs the application live with recording on, asserts it verified its
+//! own output and saves the trace
+//! (`real/<app>-<scale>-<procs>p-<backend>-<mode>.mwt` under `--trace DIR`
+//! — keeping the operation stream of a wall-clock run is the point of the
+//! flag). And it records the same cell on the simulator and checks that
+//! trace over the same sockets (`midway_replay::check` with the socket
+//! transport): the recorded streams re-execute on wall-clock delivery and,
+//! for lock-order-independent applications, must reach the simulator's
+//! final memory bit for bit.
 //!
 //! `--mode udp --loss PPM` injects drops and duplicates for the reliable
 //! channel to mask. `--smoke` is sor × rt,vm, small scale, 4 processors.
@@ -21,18 +23,18 @@ use std::time::Instant;
 use midway_apps::{run_app_real, AppKind, Scale};
 use midway_bench::{BenchArgs, Json, Record};
 use midway_core::{BackendKind, FaultPlan, MidwayConfig, RealConfig};
-use midway_replay::{verify_real_trace, Trace};
+use midway_replay::{check, record_app, Axes, Comparison, Trace, Transport};
 
 use crate::Report;
 
 pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
     let loss_ppm: u32 = args.num("--loss", 0)?;
-    let (real, mode) = match args.value("--mode") {
-        None | Some("tcp") if loss_ppm == 0 => (RealConfig::tcp(), "tcp"),
+    let (real, transport, mode) = match args.value("--mode") {
+        None | Some("tcp") if loss_ppm == 0 => (RealConfig::tcp(), Transport::Tcp, "tcp"),
         None | Some("tcp") => return Err("--loss requires --mode udp".to_string()),
         Some("udp") => {
-            let plan = FaultPlan::seeded(0xD5).drop_ppm(loss_ppm).dup_ppm(loss_ppm);
-            (RealConfig::udp(plan), "udp")
+            let loss = FaultPlan::seeded(0xD5).drop_ppm(loss_ppm).dup_ppm(loss_ppm);
+            (RealConfig::udp(loss), Transport::Udp { loss }, "udp")
         }
         Some(other) => return Err(format!("unknown mode {other:?} (use tcp|udp)")),
     };
@@ -71,7 +73,7 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
 
             // Under `real/`: a real-transport trace records wall-clock-
             // derived times, so it must never sit where a bit-for-bit
-            // `replay --check` over simulator traces would pick it up.
+            // `trace check` over simulator traces would pick it up.
             let trace = Trace::from_outcome(&out, scale);
             let path = trace_dir.join(format!(
                 "{}-{}-{procs}p-{}-{mode}.mwt",
@@ -83,13 +85,15 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
                 .save(&path)
                 .map_err(|e| format!("writing {}: {e}", path.display()))?;
 
-            let strict = kind.lock_order_independent();
-            let check = verify_real_trace(&trace, &out.store_digests, strict)
-                .unwrap_or_else(|d| panic!("{cell}: simulator oracle rejected the real run: {d}"));
-            let digests = match check.digests_checked {
-                true => "match",
-                false => "replay-only",
+            let (sim, sim_trace) = record_app(kind, MidwayConfig::new(procs, backend), scale);
+            assert!(sim.verified, "{cell} failed verification on the simulator");
+            let axes = Axes {
+                transport,
+                ..Axes::default()
             };
+            let verdict = check(&sim_trace, &axes)
+                .unwrap_or_else(|d| panic!("{cell}: the sockets disagree with the simulator: {d}"));
+            let strict = verdict.comparison == Comparison::Converged;
             runs.push(
                 Record::default()
                     .text("app", "app", kind.label())
@@ -98,12 +102,15 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
                     .json("mode", Json::str(mode))
                     .f64("host_secs", "host s", host_secs, 2)
                     .json("verified", Json::Bool(out.verified))
-                    .u64("total_ops", "ops", check.total_ops as u64)
-                    .u64("real_messages", "real msgs", check.real_messages)
-                    .u64("sim_messages", "sim msgs", check.sim_messages)
-                    .json("sim_finish_cycles", Json::U64(check.sim_finish_cycles))
-                    .json("digests_checked", Json::Bool(check.digests_checked))
-                    .col("digests", digests)
+                    .u64("total_ops", "ops", sim_trace.total_ops() as u64)
+                    .u64("real_messages", "real msgs", verdict.checked.messages)
+                    .u64("sim_messages", "sim msgs", verdict.baseline.messages)
+                    .json(
+                        "sim_finish_cycles",
+                        Json::U64(verdict.baseline.finish_time.cycles()),
+                    )
+                    .json("digests_checked", Json::Bool(strict))
+                    .col("digests", if strict { "match" } else { "replay-only" })
                     .json("trace", Json::str(path.display().to_string())),
             );
         }

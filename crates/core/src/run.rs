@@ -17,7 +17,7 @@ use crate::setup::SystemSpec;
 use crate::trace::{SpecBlueprint, TraceOp};
 
 /// The outcome of a Midway run.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MidwayRun<R> {
     /// Per-processor application results.
     pub results: Vec<R>,

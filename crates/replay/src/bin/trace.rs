@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! trace record --app sor [--backend rt] [--scale small] [--procs 8] [--out FILE]
-//! trace replay FILE [--backend rt|vm|blast|twinall|hybrid] [--check]
-//! trace racecheck FILE
+//! trace replay FILE [--backend rt|vm|blast|twinall|hybrid] [--loss PPM] [--fault-seed N]
+//! trace check FILE [--loss PPM] [--fault-seed N] [--crash] [--interval K] [--race]
 //! trace info FILE
 //! trace diff A B
 //! ```
@@ -13,9 +13,12 @@
 //! flag, or a value flag with no value, is a usage error: exit 2 and the
 //! accepted list, never a run that silently ignored a typo.
 //!
-//! `racecheck` replays a trace bit-for-bit with the dynamic entry-consistency
-//! checker attached and reports its findings (write and synchronization
-//! rules only — reads are local and never recorded).
+//! `replay` evaluates a design point and compares it with nothing; `check`
+//! is `midway_replay::check` with the flags as its delivery axes. With no
+//! flag it is the bit-for-bit equivalence oracle alone. `--crash` takes
+//! processor 1 down a third of the way into the run; `--race` attaches the
+//! dynamic entry-consistency checker (write and synchronization rules only
+//! — reads are local and never recorded) and exits 1 on any finding.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -23,11 +26,7 @@ use std::time::Instant;
 
 use midway_apps::{AppKind, Scale};
 use midway_core::{report, BackendKind, Counters, FaultPlan, MidwayConfig, MidwayRun};
-use midway_replay::{
-    racecheck_replay, record_app, replay, verify_crash_determinism, verify_crash_determinism_at,
-    verify_crash_replay, verify_crash_replay_at, verify_fault_determinism, verify_fault_replay,
-    verify_replay, Trace,
-};
+use midway_replay::{check, record_app, replay, Axes, Comparison, Trace, Transport};
 use midway_stats::TextTable;
 
 /// A subcommand: its name, its operands, the flags it takes (`--name
@@ -58,30 +57,23 @@ const COMMANDS: &[Command] = &[
         "<FILE>",
         &[
             "--backend rt|vm|blast|twinall|hybrid",
-            "--check",
             "--loss PPM",
             "--fault-seed N",
         ],
         cmd_replay,
     ),
     (
-        "faultcheck",
-        "<FILE>",
-        &["--loss PPM", "--fault-seed N", "--lenient"],
-        cmd_faultcheck,
-    ),
-    (
-        "crashcheck",
+        "check",
         "<FILE>",
         &[
-            "--interval BOUNDARIES",
             "--loss PPM",
             "--fault-seed N",
-            "--lenient",
+            "--crash",
+            "--interval BOUNDARIES",
+            "--race",
         ],
-        cmd_crashcheck,
+        cmd_check,
     ),
-    ("racecheck", "<FILE>", &[], cmd_racecheck),
     ("info", "<FILE>", &[], cmd_info),
     ("diff", "<A> <B>", &[], cmd_diff),
 ];
@@ -218,8 +210,8 @@ fn load(path: &str) -> Result<Trace, String> {
     Trace::load(path).map_err(|e| format!("{path}: {e}"))
 }
 
-fn summarize(run: &MidwayRun<()>, cfg: &MidwayConfig) {
-    let avg = Counters::average(&run.counters);
+fn summarize(run: &MidwayRun<()>) {
+    let (cfg, avg) = (&run.cfg, Counters::average(&run.counters));
     println!("backend:      {}", cfg.backend.label());
     println!("exec time:    {:.3} s (simulated)", run.exec_secs());
     println!("messages:     {}", run.messages);
@@ -236,6 +228,21 @@ fn summarize(run: &MidwayRun<()>, cfg: &MidwayConfig) {
             "reliability:  {injected} faults injected, {} retransmits, {} acks, \
              {} dup frames dropped",
             link.retransmits, link.acks_sent, link.dup_frames_dropped
+        );
+    }
+    if let Some(every) = cfg.effective_checkpoint_every() {
+        let t = avg.totals();
+        println!(
+            "recovery:     checkpoint every {every} boundaries; {} crash(es), {} cycles down, \
+             {} messages fenced; {} checkpoints ({} KB) + {} KB WAL; replayed {} KB in {} cycles",
+            t.crashes,
+            t.downtime_cycles,
+            t.fenced_messages,
+            t.checkpoints_written,
+            t.checkpoint_bytes / 1024,
+            t.wal_bytes_logged / 1024,
+            t.recovery_replay_bytes / 1024,
+            t.recovery_cycles
         );
     }
 }
@@ -302,187 +309,83 @@ fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
     };
     let trace = load(path)?;
     let mut cfg = trace.recorded_cfg();
-    let mut exact = true;
     if let Some(b) = args.value("--backend") {
         cfg.backend = BackendKind::from_cli_name(b)?;
-        exact = cfg.backend == trace.meta.cfg.backend;
     }
     if let Some(plan) = args.fault_plan()? {
         cfg.faults = plan;
-        exact = false;
     }
     let t0 = Instant::now();
-    let run = if exact {
-        // Identical configuration: always run the equivalence oracle.
-        verify_replay(&trace).map_err(|d| format!("replay diverged from recording: {d}"))?
-    } else {
-        if args.flag("--check") {
-            return Err("--check requires the recorded configuration (no overrides)".to_string());
-        }
-        replay(&trace, cfg).map_err(|e| format!("replay failed: {e}"))?
-    };
-    let host = t0.elapsed().as_secs_f64();
-    summarize(&run, &cfg);
-    println!("replayed in:  {host:.2} s host time");
-    if exact {
-        println!("equivalence:  bit-for-bit identical to the recorded run");
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_faultcheck(args: &Args) -> Result<ExitCode, String> {
-    let [path] = args.positional.as_slice() else {
-        return Err("faultcheck takes exactly one trace file".to_string());
-    };
-    let trace = load(path)?;
-    // Default plan: 1% loss, seed 1 — overridable by the fault flags.
-    let plan = args
-        .fault_plan()?
-        .unwrap_or_else(|| FaultPlan::lossy(1, 10_000));
+    let run = replay(&trace, cfg).map_err(|e| format!("replay failed: {e}"))?;
+    summarize(&run);
     println!(
-        "== fault-tolerance check: {} ({} on {}) ==",
-        path,
-        trace.meta.app,
-        trace.meta.cfg.backend.label()
-    );
-    println!(
-        "plan:         seed {}, drop {} ppm",
-        plan.seed, plan.drop_ppm
-    );
-    let lenient = args.flag("--lenient");
-    let t0 = Instant::now();
-    let check = if lenient {
-        verify_fault_determinism(&trace, plan)?
-    } else {
-        verify_fault_replay(&trace, plan)?
-    };
-    println!("baseline:     bit-for-bit identical to the recorded run");
-    println!(
-        "faulty:       deterministic across reruns; {} faults injected, \
-         {} retransmits, {} acks",
-        check.faults_injected, check.link.retransmits, check.link.acks_sent
-    );
-    if lenient {
-        println!(
-            "convergence:  skipped (--lenient: lock-order-dependent workload); \
-             {:.2}x finish-time slowdown",
-            check.slowdown()
-        );
-    } else {
-        println!(
-            "convergence:  final memory and counters match the fault-free run \
-             ({:.2}x finish-time slowdown)",
-            check.slowdown()
-        );
-    }
-    println!(
-        "checked in:   {:.2} s host time",
+        "replayed in:  {:.2} s host time",
         t0.elapsed().as_secs_f64()
     );
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_crashcheck(args: &Args) -> Result<ExitCode, String> {
+fn cmd_check(args: &Args) -> Result<ExitCode, String> {
     let [path] = args.positional.as_slice() else {
-        return Err("crashcheck takes exactly one trace file".to_string());
+        return Err("check takes exactly one trace file".to_string());
     };
     let trace = load(path)?;
-    // The crash scales with the recorded run so it always lands
-    // mid-computation: fail at a third of the run, stay down for 5%.
-    let proc = 1 % trace.meta.cfg.procs;
-    let (at, down) = (trace.meta.finish_cycles / 3, trace.meta.finish_cycles / 20);
-    let plan = args
-        .fault_plan()?
-        .unwrap_or_else(FaultPlan::none)
-        .with_crash(proc, at, down);
-    // The interval applies to the *crashed* replays only — the crash-free
-    // baseline must stay bit-for-bit identical to the recording.
-    let interval: Option<u32> = args.number("--interval")?;
-
+    let mut faults = args.fault_plan()?;
+    if args.flag("--crash") {
+        // Sized by the recorded run so it always lands mid-computation:
+        // processor 1 fails a third of the way in and stays down for 5%.
+        let len = trace.meta.finish_cycles;
+        let plan = faults.unwrap_or_else(FaultPlan::none);
+        faults = Some(plan.with_crash(1 % trace.meta.cfg.procs, len / 3, len / 20));
+    }
+    let axes = Axes {
+        transport: Transport::Sim {
+            faults,
+            checkpoint_every: args.number("--interval")?,
+        },
+        check: args.flag("--race"),
+        ..Axes::default()
+    };
     println!(
-        "== crash-recovery check: {} ({} on {}) ==",
-        path,
+        "== check: {path} ({} on {}) ==",
         trace.meta.app,
         trace.meta.cfg.backend.label()
     );
-    let mut crashed_cfg = trace.meta.cfg.faults(plan);
-    if let Some(k) = interval {
-        crashed_cfg.checkpoint_every = k;
-    }
-    println!(
-        "plan:         processor {proc} crashes at cycle {at}, down {down} cycles \
-         (checkpoint every {} boundaries)",
-        crashed_cfg
-            .effective_checkpoint_every()
-            .expect("crash plans imply checkpointing")
-    );
-    let lenient = args.flag("--lenient");
     let t0 = Instant::now();
-    let check = match (lenient, interval) {
-        (false, None) => verify_crash_replay(&trace, plan)?,
-        (false, Some(k)) => verify_crash_replay_at(&trace, plan, k)?,
-        (true, None) => verify_crash_determinism(&trace, plan)?,
-        (true, Some(k)) => verify_crash_determinism_at(&trace, plan, k)?,
-    };
-    println!("baseline:     bit-for-bit identical to the recorded run");
-    println!(
-        "crashed:      deterministic across reruns; {} crash(es) taken, {} cycles down, \
-         {} messages fenced",
-        check.crashes, check.downtime_cycles, check.fenced_messages
-    );
-    println!(
-        "recovery:     {} checkpoints ({} KB) + {} KB WAL; replayed {} KB in {} cycles",
-        check.checkpoints_written,
-        check.checkpoint_bytes / 1024,
-        check.wal_bytes_logged / 1024,
-        check.recovery_replay_bytes / 1024,
-        check.recovery_cycles
-    );
-    if lenient {
-        println!(
-            "convergence:  skipped (--lenient: lock-order-dependent workload); \
-             {:.2}x finish-time slowdown",
-            check.slowdown()
-        );
-    } else {
-        println!(
-            "convergence:  final memory and counters match the crash-free run \
-             ({:.2}x finish-time slowdown)",
-            check.slowdown()
-        );
+    let verdict = check(&trace, &axes)?;
+    let (base, run) = (&verdict.baseline, &verdict.checked);
+    println!("reference:    bit-for-bit identical to the recorded run");
+    summarize(run);
+    let times = run.finish_time.cycles() as f64 / base.finish_time.cycles().max(1) as f64;
+    match verdict.comparison {
+        Comparison::Exact => println!("convergence:  bit-for-bit identical to the baseline"),
+        Comparison::Converged => println!(
+            "convergence:  final memory and counters match the baseline, deterministic \
+             across reruns ({times:.2}x finish time)"
+        ),
+        Comparison::Reported => println!(
+            "convergence:  final memory {} the baseline's, deterministic across reruns \
+             (not required: {} is lock-order dependent; {times:.2}x finish time)",
+            if verdict.converged {
+                "matches"
+            } else {
+                "differs from"
+            },
+            trace.meta.app
+        ),
     }
     println!(
         "checked in:   {:.2} s host time",
         t0.elapsed().as_secs_f64()
     );
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_racecheck(args: &Args) -> Result<ExitCode, String> {
-    let [path] = args.positional.as_slice() else {
-        return Err("racecheck takes exactly one trace file".to_string());
+    let Some(report) = &run.check else {
+        return Ok(ExitCode::SUCCESS);
     };
-    let trace = load(path)?;
-    println!(
-        "== race check: {} ({} on {}) ==",
-        path,
-        trace.meta.app,
-        trace.meta.cfg.backend.label()
-    );
-    let t0 = Instant::now();
-    let run =
-        racecheck_replay(&trace).map_err(|d| format!("replay diverged from recording: {d}"))?;
-    let report = run.check.expect("racecheck_replay enables checking");
-    println!("equivalence:  bit-for-bit identical to the recorded run");
     let applies: u64 = report.applies.iter().map(|a| a.count).sum();
     let apply_bytes: u64 = report.applies.iter().map(|a| a.bytes).sum();
     println!(
         "events:       {} checked, {applies} update applications ({apply_bytes} bytes)",
         report.events
-    );
-    println!(
-        "checked in:   {:.2} s host time",
-        t0.elapsed().as_secs_f64()
     );
     if report.is_clean() {
         println!("findings:     none");

@@ -40,9 +40,10 @@
 //!
 //! Decoding verifies the magic, checksum and version before anything
 //! else; every count is bounded by the bytes that remain, every id is
-//! narrowed with a check and every range end is computed with one, so
-//! truncated, corrupted or re-sealed hostile files are rejected rather
-//! than misread.
+//! narrowed with a check (and an op's lock or barrier id must name an
+//! object of the file's own blueprint) and every range end is computed
+//! with one, so truncated, corrupted or re-sealed hostile files are
+//! rejected rather than misread.
 
 use midway_core::codec::{seal, unseal, Reader, WireError, Writer};
 use midway_core::{
@@ -409,7 +410,17 @@ fn counters(r: &mut Reader) -> Result<Counters, WireError> {
     Ok(c)
 }
 
-fn op(r: &mut Reader) -> Result<TraceOp, WireError> {
+/// A lock or barrier id, which must name one of the blueprint's `n`
+/// objects: a replay indexes per-object state with it.
+fn id(r: &mut Reader, n: usize, what: &'static str) -> Result<u32, WireError> {
+    match r.varint_u32()? {
+        id if (id as usize) < n => Ok(id),
+        id => malformed(what, id.into()),
+    }
+}
+
+fn op(r: &mut Reader, bp: &SpecBlueprint) -> Result<TraceOp, WireError> {
+    let lock = |r: &mut Reader| id(r, bp.locks.len(), "lock id outside the blueprint");
     Ok(match r.u8()? {
         0 => TraceOp::Work {
             cycles: r.varint()?,
@@ -422,19 +433,19 @@ fn op(r: &mut Reader) -> Result<TraceOp, WireError> {
             data: r.bytes()?.to_vec(),
         },
         3 => TraceOp::Acquire {
-            lock: r.varint_u32()?,
+            lock: lock(r)?,
             exclusive: r.u8()? != 0,
         },
         4 => TraceOp::Release {
-            lock: r.varint_u32()?,
+            lock: lock(r)?,
             exclusive: r.u8()? != 0,
         },
         5 => TraceOp::Rebind {
-            lock: r.varint_u32()?,
+            lock: lock(r)?,
             ranges: ranges(r)?,
         },
         6 => TraceOp::Barrier {
-            barrier: r.varint_u32()?,
+            barrier: id(r, bp.barriers.len(), "barrier id outside the blueprint")?,
         },
         t => return malformed("unknown op tag", t.into()),
     })
@@ -515,8 +526,14 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
         })
     })?;
 
+    let blueprint = SpecBlueprint {
+        allocs,
+        locks,
+        barriers,
+    };
+
     let ops = (0..procs)
-        .map(|_| list(r, 2, op))
+        .map(|_| list(r, 2, |r| op(r, &blueprint)))
         .collect::<Result<Vec<_>, _>>()?;
     r.finish()?;
 
@@ -530,11 +547,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
             messages,
             counters,
         },
-        blueprint: SpecBlueprint {
-            allocs,
-            locks,
-            barriers,
-        },
+        blueprint,
         ops,
     })
 }

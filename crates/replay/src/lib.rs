@@ -1,4 +1,5 @@
-//! Trace capture & replay for the Midway DSM reproduction.
+//! Trace capture, replay and the replay oracle for the Midway DSM
+//! reproduction.
 //!
 //! Under entry consistency, every number the paper reports — Table 2's
 //! primitive-operation counters, the execution times, the data volumes —
@@ -9,25 +10,28 @@
 //! through the full protocol machinery without re-running the
 //! application:
 //!
-//! * same backend, same parameters → the replay is **bit-for-bit
-//!   identical** to the original run ([`verify_replay`] asserts this;
-//!   it operationalizes the determinism argument in DESIGN.md), and
-//! * any other backend (Rt, Vm, Blast, TwinAll), cache-line size,
-//!   page-fault cost or network model → a cheap trace-driven evaluation
-//!   of that design point, skipping the application's host-side compute.
+//! * [`replay`] / [`replay_on`] run a trace under any configuration. The
+//!   recorded one reproduces the run bit for bit; another cache-line size,
+//!   cost model, fault plan or crash plan evaluates that design point from
+//!   the same stream (`paper ablation_linesize`, `sweep fault`,
+//!   `sweep crash`).
+//! * [`check`] is the oracle. It holds a trace to the recorded run and
+//!   then to a baseline under any [`Axes`] — backend, barrier shape, home
+//!   map, loss, crashes, checkpoint interval, the checker, sockets — and
+//!   says in a [`Verdict`] which comparison applied. Whether final memory
+//!   must converge follows from the trace's application, not from the
+//!   caller. It operationalizes the determinism argument in DESIGN.md.
 //!
-//! Record once, sweep many: the `fig3`, `fig4`, `ablation_linesize` and
-//! `ablation_protocols` harnesses drive all their sweep points from one
-//! captured trace per application. The `trace` binary exposes the same
-//! machinery on the command line (`record` / `replay` / `info` / `diff`).
+//! The `trace` binary exposes the same machinery on the command line
+//! (`record` / `replay` / `check` / `info` / `diff`).
 
 use std::path::Path;
 use std::sync::Arc;
 
 use midway_apps::{run_app, AppKind, AppOutcome, Scale};
 use midway_core::{
-    Counters, FaultPlan, LinkStats, Midway, MidwayConfig, MidwayRun, Proc, SimError, SpecBlueprint,
-    SystemSpec, TraceOp,
+    BackendKind, BarrierShape, Counters, FaultPlan, HomeMap, Midway, MidwayConfig, MidwayRun, Proc,
+    RealConfig, SimError, SpecBlueprint, SystemSpec, TraceOp,
 };
 
 mod format;
@@ -263,417 +267,235 @@ pub fn replay_on(
     })
 }
 
-/// The equivalence oracle: replays `trace` under its recorded
-/// configuration and asserts the replay is bit-for-bit identical to the
-/// recorded run — every per-processor Table 2 counter, the finish time
-/// and the message count.
+/// The reference step of [`check`] on its own: replays `trace` under its
+/// recorded configuration and asserts the replay is bit-for-bit identical
+/// to the recorded run — every per-processor Table 2 counter, the finish
+/// time and the message count. One replay and nothing more, so the pinned
+/// benchmark times exactly that.
 ///
 /// # Errors
 ///
 /// Returns a description of the first divergence (or the simulation
 /// error), which indicates either a corrupted trace or nondeterminism in
 /// the simulator itself.
-/// What [`verify_fault_replay`] measured while proving the reliable
-/// channel masks an unreliable network.
-#[derive(Clone, Debug)]
-pub struct FaultCheck {
-    /// Finish time of the fault-free baseline replay, in cycles.
-    pub base_finish_cycles: u64,
-    /// Finish time of the faulty replay, in cycles.
-    pub faulty_finish_cycles: u64,
-    /// Messages delivered in the faulty replay (frames, after drops).
-    pub faulty_messages: u64,
-    /// Total faults the plan injected across the cluster.
-    pub faults_injected: u64,
-    /// Cluster-wide reliable-channel totals of the faulty replay.
-    pub link: LinkStats,
-}
-
-impl FaultCheck {
-    /// Finish-time slowdown of the faulty replay over the baseline.
-    pub fn slowdown(&self) -> f64 {
-        self.faulty_finish_cycles as f64 / self.base_finish_cycles.max(1) as f64
-    }
-}
-
-/// The fault-tolerance oracle. Proves, for one trace and one fault plan,
-/// that the reliable delivery channel fully masks the injected faults:
-///
-/// 1. **Baseline**: replays the trace fault-free and asserts bit-for-bit
-///    equivalence with the recording (the [`verify_replay`] oracle).
-/// 2. **Determinism**: replays under `plan` twice and asserts the two
-///    faulty runs agree exactly — finish time, message count, every
-///    per-processor counter, every final-memory digest. Same seed, same
-///    schedule, same run.
-/// 3. **Convergence**: asserts the faulty replay reaches the same
-///    per-processor final memory content (FNV-1a digests) as the
-///    fault-free baseline, and that every processor still performed the
-///    same application-level work (Table 2 counters match the baseline).
-///
-/// Step 3 requires the recorded workload to be *lock-order independent*:
-/// barrier-partitioned or symmetric access patterns (sor, matrix, water)
-/// where shifted message timing cannot change which processor's write
-/// lands last on any shared word. Task-queue workloads (quicksort,
-/// cholesky) are not — retransmission delays legitimately reorder lock
-/// grants, and entry consistency allows every such order — so check them
-/// with [`verify_fault_determinism`] instead and leave final-state
-/// validation to the application's own verifier on a live run.
-///
-/// # Errors
-///
-/// Returns a description of the first violated property.
-pub fn verify_fault_replay(trace: &Trace, plan: FaultPlan) -> Result<FaultCheck, String> {
-    fault_check(trace, plan, true)
-}
-
-/// The lenient tier of the fault-tolerance oracle: baseline equivalence
-/// and faulty-replay determinism (steps 1–2 of [`verify_fault_replay`]),
-/// without comparing the faulty run's final state to the baseline — for
-/// workloads where lock-grant order, and with it the last writer of
-/// contended words, legitimately shifts under retransmission timing.
-///
-/// # Errors
-///
-/// Returns a description of the first violated property.
-pub fn verify_fault_determinism(trace: &Trace, plan: FaultPlan) -> Result<FaultCheck, String> {
-    fault_check(trace, plan, false)
-}
-
-fn fault_check(trace: &Trace, plan: FaultPlan, strict: bool) -> Result<FaultCheck, String> {
-    let base = verify_replay(trace).map_err(|d| format!("fault-free baseline: {d}"))?;
-
-    let cfg = trace.recorded_cfg().faults(plan);
-    let a = replay(trace, cfg).map_err(|e| format!("faulty replay failed: {e}"))?;
-    let b = replay(trace, cfg).map_err(|e| format!("faulty replay (rerun) failed: {e}"))?;
-    if a.finish_time != b.finish_time || a.messages != b.messages {
-        return Err(format!(
-            "faulty replay is nondeterministic: finish {} vs {} cycles, {} vs {} messages",
-            a.finish_time.cycles(),
-            b.finish_time.cycles(),
-            a.messages,
-            b.messages
-        ));
-    }
-    if a.counters != b.counters {
-        return Err("faulty replay is nondeterministic: counters differ between reruns".into());
-    }
-    if a.store_digests != b.store_digests {
-        return Err(
-            "faulty replay is nondeterministic: memory digests differ between reruns".into(),
-        );
-    }
-
-    if strict {
-        for (p, (base_d, got_d)) in base.store_digests.iter().zip(&a.store_digests).enumerate() {
-            if base_d != got_d {
-                return Err(format!(
-                    "faulty replay diverged: processor {p} final memory digest \
-                     {got_d:#018x} != fault-free {base_d:#018x}"
-                ));
-            }
-        }
-        for (p, (base_c, got_c)) in base.counters.iter().zip(&a.counters).enumerate() {
-            if base_c != got_c {
-                return Err(format!(
-                    "faulty replay diverged: processor {p} counters changed under faults: \
-                     fault-free {base_c:?}, faulty {got_c:?}"
-                ));
-            }
-        }
-    }
-
-    let faults_injected = a.reports.iter().map(|r| r.fault_stats.total()).sum();
-    Ok(FaultCheck {
-        base_finish_cycles: base.finish_time.cycles(),
-        faulty_finish_cycles: a.finish_time.cycles(),
-        faulty_messages: a.messages,
-        faults_injected,
-        link: a.link_totals(),
-    })
-}
-
-/// What [`verify_crash_replay`] measured while proving that crashed
-/// processors recover to the fault-free final state.
-#[derive(Clone, Debug)]
-pub struct CrashCheck {
-    /// Finish time of the crash-free baseline replay, in cycles.
-    pub base_finish_cycles: u64,
-    /// Finish time of the crashed replay, in cycles.
-    pub crashed_finish_cycles: u64,
-    /// Crashes taken across the cluster.
-    pub crashes: u64,
-    /// Cycles the cluster spent down, summed over crashes.
-    pub downtime_cycles: u64,
-    /// Checkpoint images written across the cluster.
-    pub checkpoints_written: u64,
-    /// Bytes of checkpoint images written across the cluster.
-    pub checkpoint_bytes: u64,
-    /// Bytes appended to write-ahead logs across the cluster.
-    pub wal_bytes_logged: u64,
-    /// Bytes replayed from stable storage during recoveries.
-    pub recovery_replay_bytes: u64,
-    /// Cycles charged for state reconstruction during recoveries.
-    pub recovery_cycles: u64,
-    /// Messages fenced as stale (addressed to a pre-crash incarnation).
-    pub fenced_messages: u64,
-    /// Cluster-wide reliable-channel totals of the crashed replay.
-    pub link: LinkStats,
-}
-
-impl CrashCheck {
-    /// Finish-time slowdown of the crashed replay over the baseline.
-    pub fn slowdown(&self) -> f64 {
-        self.crashed_finish_cycles as f64 / self.base_finish_cycles.max(1) as f64
-    }
-}
-
-/// The crash-fault-tolerance oracle. Proves, for one trace and one crash
-/// plan, that checkpointed recovery fully masks processor failures:
-///
-/// 1. **Baseline**: replays the trace crash-free and asserts bit-for-bit
-///    equivalence with the recording (the [`verify_replay`] oracle).
-/// 2. **Determinism**: replays under `plan` twice and asserts the two
-///    crashed runs agree exactly — finish time, message count, every
-///    per-processor counter (including the recovery accounting), every
-///    final-memory digest. Same plan, same schedule, same run.
-/// 3. **Convergence**: asserts the crashed replay reaches the same
-///    per-processor final memory content (FNV-1a digests) as the
-///    crash-free baseline, and that every processor still performed the
-///    same application-level work — Table 2 counters match the baseline
-///    after [`Counters::sans_recovery`] zeroes the crash accounting,
-///    which legitimately differs (the baseline never crashed).
-///
-/// Step 3 carries the same lock-order-independence caveat as
-/// [`verify_fault_replay`]: use it for barrier-partitioned or symmetric
-/// workloads (sor, matrix, water), and [`verify_crash_determinism`] for
-/// task-queue workloads where recovery latency legitimately reorders lock
-/// grants.
-///
-/// # Errors
-///
-/// Returns a description of the first violated property.
-///
-/// # Panics
-///
-/// Panics if `plan` schedules no crash — that is [`verify_fault_replay`]'s
-/// job.
-pub fn verify_crash_replay(trace: &Trace, plan: FaultPlan) -> Result<CrashCheck, String> {
-    crash_check(trace, plan, None, true)
-}
-
-/// [`verify_crash_replay`] with an explicit checkpoint interval for the
-/// crashed replays (the baseline keeps the recorded configuration — the
-/// interval is part of what is being priced, not of what was recorded).
-///
-/// # Errors
-///
-/// Returns a description of the first violated property.
-///
-/// # Panics
-///
-/// Panics if `plan` schedules no crash.
-pub fn verify_crash_replay_at(
-    trace: &Trace,
-    plan: FaultPlan,
-    checkpoint_every: u32,
-) -> Result<CrashCheck, String> {
-    crash_check(trace, plan, Some(checkpoint_every), true)
-}
-
-/// The lenient tier of the crash-fault-tolerance oracle: baseline
-/// equivalence and crashed-replay determinism (steps 1–2 of
-/// [`verify_crash_replay`]) without comparing the crashed run's final
-/// state to the baseline — for workloads where lock-grant order, and with
-/// it the last writer of contended words, legitimately shifts while a
-/// processor is down.
-///
-/// # Errors
-///
-/// Returns a description of the first violated property.
-///
-/// # Panics
-///
-/// Panics if `plan` schedules no crash.
-pub fn verify_crash_determinism(trace: &Trace, plan: FaultPlan) -> Result<CrashCheck, String> {
-    crash_check(trace, plan, None, false)
-}
-
-/// [`verify_crash_determinism`] with an explicit checkpoint interval for
-/// the crashed replays.
-///
-/// # Errors
-///
-/// Returns a description of the first violated property.
-///
-/// # Panics
-///
-/// Panics if `plan` schedules no crash.
-pub fn verify_crash_determinism_at(
-    trace: &Trace,
-    plan: FaultPlan,
-    checkpoint_every: u32,
-) -> Result<CrashCheck, String> {
-    crash_check(trace, plan, Some(checkpoint_every), false)
-}
-
-fn crash_check(
-    trace: &Trace,
-    plan: FaultPlan,
-    checkpoint_every: Option<u32>,
-    strict: bool,
-) -> Result<CrashCheck, String> {
-    assert!(
-        plan.has_crashes(),
-        "crash oracle needs a plan with at least one scheduled crash"
-    );
-    let base = verify_replay(trace).map_err(|d| format!("crash-free baseline: {d}"))?;
-
-    let mut cfg = trace.recorded_cfg().faults(plan);
-    if let Some(k) = checkpoint_every {
-        cfg.checkpoint_every = k;
-    }
-    let a = replay(trace, cfg).map_err(|e| format!("crashed replay failed: {e}"))?;
-    let b = replay(trace, cfg).map_err(|e| format!("crashed replay (rerun) failed: {e}"))?;
-    if a.finish_time != b.finish_time || a.messages != b.messages {
-        return Err(format!(
-            "crashed replay is nondeterministic: finish {} vs {} cycles, {} vs {} messages",
-            a.finish_time.cycles(),
-            b.finish_time.cycles(),
-            a.messages,
-            b.messages
-        ));
-    }
-    if a.counters != b.counters {
-        return Err("crashed replay is nondeterministic: counters differ between reruns".into());
-    }
-    if a.store_digests != b.store_digests {
-        return Err(
-            "crashed replay is nondeterministic: memory digests differ between reruns".into(),
-        );
-    }
-
-    let total: Counters = {
-        let mut t = Counters::default();
-        for c in &a.counters {
-            t.add(c);
-        }
-        t
-    };
-    if total.crashes != plan.crashes().len() as u64 {
-        return Err(format!(
-            "crash schedule was not honoured: planned {} crashes, counted {}",
-            plan.crashes().len(),
-            total.crashes
-        ));
-    }
-
-    if strict {
-        for (p, (base_d, got_d)) in base.store_digests.iter().zip(&a.store_digests).enumerate() {
-            if base_d != got_d {
-                return Err(format!(
-                    "crashed replay diverged: processor {p} final memory digest \
-                     {got_d:#018x} != crash-free {base_d:#018x}"
-                ));
-            }
-        }
-        for (p, (base_c, got_c)) in base.counters.iter().zip(&a.counters).enumerate() {
-            // Both sides normalized: the baseline may itself checkpoint
-            // (the interval rides in the recorded configuration), and the
-            // crashed run adds recovery accounting on top.
-            let want = base_c.sans_recovery();
-            let got = got_c.sans_recovery();
-            if want != got {
-                return Err(format!(
-                    "crashed replay diverged: processor {p} counters changed under crashes \
-                     (recovery accounting excluded): crash-free {want:?}, crashed {got:?}"
-                ));
-            }
-        }
-    }
-
-    Ok(CrashCheck {
-        base_finish_cycles: base.finish_time.cycles(),
-        crashed_finish_cycles: a.finish_time.cycles(),
-        crashes: total.crashes,
-        downtime_cycles: total.downtime_cycles,
-        checkpoints_written: total.checkpoints_written,
-        checkpoint_bytes: total.checkpoint_bytes,
-        wal_bytes_logged: total.wal_bytes_logged,
-        recovery_replay_bytes: total.recovery_replay_bytes,
-        recovery_cycles: total.recovery_cycles,
-        fenced_messages: total.fenced_messages,
-        link: a.link_totals(),
-    })
-}
-
 pub fn verify_replay(trace: &Trace) -> Result<MidwayRun<()>, String> {
     let run = replay(trace, trace.recorded_cfg()).map_err(|e| format!("replay failed: {e}"))?;
     check_meta(&run, &trace.meta)?;
     Ok(run)
 }
 
-/// What [`verify_real_trace`] measured while cross-validating a
-/// real-transport run against the simulator.
-#[derive(Clone, Debug)]
-pub struct RealCheck {
-    /// Finish "cycles" of the real run (wall-clock derived; comparable to
-    /// nothing but itself).
-    pub real_finish_cycles: u64,
-    /// Finish time of the simulator replay, in virtual cycles.
-    pub sim_finish_cycles: u64,
-    /// Messages delivered in the real run.
-    pub real_messages: u64,
-    /// Messages delivered in the simulator replay.
-    pub sim_messages: u64,
-    /// Operations replayed across all processors.
-    pub total_ops: usize,
-    /// Whether final-memory digests were compared (strict mode).
-    pub digests_checked: bool,
+/// What a [`check`] varies, relative to the recorded run.
+/// `Axes::default()` varies nothing: every axis is as recorded.
+///
+/// The *protocol axes* (`backend`, `barrier`, `homes`) choose the system
+/// the baseline runs. The *delivery axes* (`transport`, `check`) choose
+/// what the checked run adds to that baseline. A loss plan and crash
+/// events exist only on the simulator, so they live inside
+/// [`Transport::Sim`]: a crashed socket run cannot be written down.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Axes {
+    /// Write-detection backend (`None`: as recorded).
+    pub backend: Option<BackendKind>,
+    /// Barrier coordination shape (`None`: as recorded).
+    pub barrier: Option<BarrierShape>,
+    /// Lock-home and barrier-manager map (`None`: as recorded).
+    pub homes: Option<HomeMap>,
+    /// Where the checked run's messages travel.
+    pub transport: Transport,
+    /// Run the dynamic entry-consistency checker in the checked run; its
+    /// report is the checked run's [`MidwayRun::check`].
+    pub check: bool,
 }
 
-/// The real-transport oracle: cross-validates a run recorded over real
-/// sockets against the deterministic simulator.
+/// Where a checked run's messages travel, and what happens to them there.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Transport {
+    /// The virtual-time simulator (the default: fault plan and checkpoint
+    /// interval as recorded).
+    Sim {
+        /// Network loss and crash events (`None`: as recorded).
+        faults: Option<FaultPlan>,
+        /// Checkpoint interval, in synchronization boundaries (`None`: as
+        /// recorded).
+        checkpoint_every: Option<u32>,
+    },
+    /// Loopback TCP sockets: lossless, so the reliable channel stays off.
+    Tcp,
+    /// Loopback UDP sockets with their own injected loss. Only the plan's
+    /// rates apply: a socket run schedules no crash.
+    Udp {
+        /// Drops and duplicates injected at the send site.
+        loss: FaultPlan,
+    },
+}
+
+impl Default for Transport {
+    fn default() -> Transport {
+        Transport::Sim {
+            faults: None,
+            checkpoint_every: None,
+        }
+    }
+}
+
+/// Which comparison a [`Verdict`] holds the checked run to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Comparison {
+    /// Identical to the baseline, bit for bit: no delivery axis changed
+    /// the run (at most the off-clock checker was attached).
+    Exact,
+    /// Same final memory as the baseline and, on the simulator, the same
+    /// counters: the application is lock-order independent.
+    Converged,
+    /// Convergence reported, not required: lock grants may legitimately
+    /// reorder under the delivery axes, and the last writer with them.
+    Reported,
+}
+
+/// What [`check`] established: the two runs it compared and how.
+#[derive(Debug)]
+pub struct Verdict {
+    /// The trace under the axes' protocol choices on its recorded
+    /// delivery (for an ordinary recording, the trusted simulated network).
+    pub baseline: MidwayRun<()>,
+    /// The baseline plus the delivery axes; the baseline itself when there
+    /// are none.
+    pub checked: MidwayRun<()>,
+    /// Whether the checked run's final memory digests equal the
+    /// baseline's.
+    pub converged: bool,
+    /// The comparison the checked run was held to.
+    pub comparison: Comparison,
+}
+
+/// The replay oracle: checks `trace` under `axes` by one rule.
 ///
-/// The trace's operation streams were captured on the real transport
-/// (threads, TCP/UDP, wall-clock time). This oracle replays those streams
-/// through the full simulated protocol machinery and asserts:
-///
-/// 1. **Determinism**: two simulator replays agree exactly — finish time,
-///    message count, every per-processor counter and memory digest. (A
-///    divergence here indicates simulator nondeterminism, not a transport
-///    bug.)
-/// 2. **Convergence** (`strict` only): the simulator reaches the same
-///    per-processor final memory content (FNV-1a digests) as the real run
-///    — `real_digests`, from the real run's
-///    [`MidwayRun::store_digests`](midway_core::MidwayRun::store_digests).
-///    Two completely different executions of the protocol — virtual time
-///    vs. wall clock, in-order simulated delivery vs. kernel sockets —
-///    must agree on every byte of shared memory.
-///
-/// Unlike [`verify_replay`], recorded finish times, message counts and
-/// counters are *not* compared against the replay: the trace header holds
-/// the real run's wall-clock-derived values, and message timing (hence
-/// grant batching, update coalescing, and the counters derived from them)
-/// legitimately differs between a kernel scheduler and the virtual-time
-/// model. Final memory is the invariant; use `strict` only for
-/// lock-order-independent workloads
-/// ([`AppKind::lock_order_independent`](midway_apps::AppKind)), where no
-/// arbitration order can change which write lands last on a shared word.
+/// 1. **Reference.** The trace replays under its recorded configuration
+///    bit for bit: finish time, message count and every per-processor
+///    counter equal the header's. This step always runs.
+/// 2. **Baseline.** The trace replays under the axes' protocol choices on
+///    its recorded delivery. When those are the recorded ones, the
+///    reference *is* the baseline and is not run again.
+/// 3. **Checked run.** The baseline plus the delivery axes; with none, it
+///    is the baseline. On the simulator it runs twice and the two runs must
+///    agree exactly — finish time, messages, counters, digests — and take
+///    every scheduled crash. When the checker is the only delivery axis the
+///    baseline is the second run: checking is off-clock, so whatever the
+///    application, the checked run must equal the baseline bit for bit. On
+///    sockets it runs once, through [`Midway::run_real`].
+/// 4. **Convergence.** [`Verdict::converged`] says whether the checked
+///    run's final memory equals the baseline's. When the trace's
+///    application is lock-order independent
+///    ([`AppKind::lock_order_independent`]: sor, matrix), a mismatch is an
+///    error, and on the simulator so is any counter difference — compared
+///    after [`Counters::sans_recovery`] on both sides when a crash or a different checkpoint interval
+///    legitimately changes the recovery accounting. For any other
+///    application shifted timing may reorder lock grants, and with them the
+///    last writer of a contended word, so convergence is reported, not
+///    required.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violated property.
-pub fn verify_real_trace(
+pub fn check(trace: &Trace, axes: &Axes) -> Result<Verdict, String> {
+    let recorded = trace.recorded_cfg();
+    let reference = replay(trace, recorded).map_err(|e| format!("reference replay failed: {e}"))?;
+    check_meta(&reference, &trace.meta).map_err(|d| format!("reference replay: {d}"))?;
+
+    let base_cfg = MidwayConfig {
+        backend: axes.backend.unwrap_or(recorded.backend),
+        barrier: axes.barrier.unwrap_or(recorded.barrier),
+        home_map: axes.homes.unwrap_or(recorded.home_map),
+        ..recorded
+    };
+    let baseline = match base_cfg == recorded {
+        true => reference,
+        false => replay(trace, base_cfg).map_err(|e| format!("baseline replay failed: {e}"))?,
+    };
+
+    let mut cfg = base_cfg.check(axes.check);
+    let checked = match axes.transport {
+        Transport::Sim {
+            faults,
+            checkpoint_every,
+        } => {
+            cfg.faults = faults.unwrap_or(cfg.faults);
+            cfg.checkpoint_every = checkpoint_every.unwrap_or(cfg.checkpoint_every);
+            sim_run(trace, cfg, &baseline)?
+        }
+        Transport::Tcp => socket_run(trace, cfg, RealConfig::tcp())?,
+        Transport::Udp { loss } => socket_run(trace, cfg, RealConfig::udp(loss))?,
+    };
+
+    let on_sim = matches!(axes.transport, Transport::Sim { .. });
+    let converged = checked.store_digests == baseline.store_digests;
+    let comparison = if on_sim && cfg.check(false) == base_cfg {
+        Comparison::Exact
+    } else if AppKind::every()
+        .into_iter()
+        .any(|k| k.label() == trace.meta.app && k.lock_order_independent())
+    {
+        converges(&baseline, &checked, on_sim)?;
+        Comparison::Converged
+    } else {
+        Comparison::Reported
+    };
+    Ok(Verdict {
+        baseline,
+        checked,
+        converged,
+        comparison,
+    })
+}
+
+/// The checked run on the simulator, held to a second run under the same
+/// configuration: the baseline itself when only the off-clock checker was
+/// added, otherwise a rerun.
+fn sim_run(
     trace: &Trace,
-    real_digests: &[u64],
-    strict: bool,
-) -> Result<RealCheck, String> {
-    let cfg = trace.recorded_cfg();
-    let a = replay(trace, cfg).map_err(|e| format!("simulator replay failed: {e}"))?;
-    let b = replay(trace, cfg).map_err(|e| format!("simulator replay (rerun) failed: {e}"))?;
+    cfg: MidwayConfig,
+    baseline: &MidwayRun<()>,
+) -> Result<MidwayRun<()>, String> {
+    if cfg == baseline.cfg {
+        return Ok(baseline.clone());
+    }
+    let run = replay(trace, cfg).map_err(|e| format!("checked replay failed: {e}"))?;
+    if cfg.check(false) == baseline.cfg {
+        same_run(&run, baseline).map_err(|d| format!("the checker moved the run: {d}"))?;
+    } else {
+        let rerun = replay(trace, cfg).map_err(|e| format!("checked rerun failed: {e}"))?;
+        same_run(&run, &rerun).map_err(|d| format!("checked replay is nondeterministic: {d}"))?;
+    }
+    let planned = cfg.faults.crashes().len() as u64;
+    let taken: u64 = run.counters.iter().map(|c| c.crashes).sum();
+    if taken != planned {
+        return Err(format!(
+            "crash schedule was not honoured: planned {planned} crashes, counted {taken}"
+        ));
+    }
+    Ok(run)
+}
+
+/// The checked run over loopback sockets: the trace's operation streams
+/// driven through [`Midway::run_real`]. It takes no fault plan — TCP is
+/// lossless, and UDP's loss is the transport's own.
+fn socket_run(trace: &Trace, cfg: MidwayConfig, real: RealConfig) -> Result<MidwayRun<()>, String> {
+    let ops = &trace.ops;
+    let spec = trace.blueprint.build();
+    Midway::run_real(cfg.faults(FaultPlan::none()), &real, &spec, |p| {
+        for op in &ops[p.id()] {
+            p.apply_op(op);
+        }
+    })
+    .map_err(|e| format!("socket replay failed: {e}"))
+}
+
+/// Asserts two runs are the same run: finish time, messages, every
+/// counter, every final-memory digest.
+fn same_run(a: &MidwayRun<()>, b: &MidwayRun<()>) -> Result<(), String> {
     if a.finish_time != b.finish_time || a.messages != b.messages {
         return Err(format!(
-            "simulator replay is nondeterministic: finish {} vs {} cycles, {} vs {} messages",
+            "finish {} vs {} cycles, {} vs {} messages",
             a.finish_time.cycles(),
             b.finish_time.cycles(),
             a.messages,
@@ -681,62 +503,50 @@ pub fn verify_real_trace(
         ));
     }
     if a.counters != b.counters {
-        return Err("simulator replay is nondeterministic: counters differ between reruns".into());
+        return Err("counters differ".into());
     }
     if a.store_digests != b.store_digests {
-        return Err(
-            "simulator replay is nondeterministic: memory digests differ between reruns".into(),
-        );
+        return Err("memory digests differ".into());
     }
-
-    if real_digests.len() != a.store_digests.len() {
-        return Err(format!(
-            "digest count mismatch: real run reported {} processors, replay has {}",
-            real_digests.len(),
-            a.store_digests.len()
-        ));
-    }
-    if strict {
-        for (p, (real_d, sim_d)) in real_digests.iter().zip(&a.store_digests).enumerate() {
-            if real_d != sim_d {
-                return Err(format!(
-                    "real run diverged from the simulator: processor {p} final memory \
-                     digest {real_d:#018x} (real) != {sim_d:#018x} (simulated)"
-                ));
-            }
-        }
-    }
-
-    Ok(RealCheck {
-        real_finish_cycles: trace.meta.finish_cycles,
-        sim_finish_cycles: a.finish_time.cycles(),
-        real_messages: trace.meta.messages,
-        sim_messages: a.messages,
-        total_ops: trace.total_ops(),
-        digests_checked: strict,
-    })
+    Ok(())
 }
 
-/// Replays `trace` under its recorded configuration with the dynamic
-/// entry-consistency checker attached, and asserts the checked replay is
-/// still bit-for-bit identical to the recording — the checker's off-clock
-/// guarantee, exercised against a real recorded run. The returned run's
-/// [`MidwayRun::check`](midway_core::MidwayRun::check) holds the report.
-///
-/// Traces record shared *writes* and synchronization but not reads (reads
-/// are local and free under entry consistency), so a trace-driven check
-/// covers the write and synchronization rules only; run live with
-/// [`MidwayConfig::check`] for read coverage.
-///
-/// # Errors
-///
-/// Returns a description of the first divergence from the recorded
-/// baseline, or the simulation error.
-pub fn racecheck_replay(trace: &Trace) -> Result<MidwayRun<()>, String> {
-    let run = replay(trace, trace.recorded_cfg().check(true))
-        .map_err(|e| format!("checked replay failed: {e}"))?;
-    check_meta(&run, &trace.meta)?;
-    Ok(run)
+/// Asserts `got` reached `want`'s final memory and, when `counters`, did
+/// the same application-level work.
+fn converges(want: &MidwayRun<()>, got: &MidwayRun<()>, counters: bool) -> Result<(), String> {
+    for (p, (w, g)) in want
+        .store_digests
+        .iter()
+        .zip(&got.store_digests)
+        .enumerate()
+    {
+        if w != g {
+            return Err(format!(
+                "checked run diverged: processor {p} final memory digest {g:#018x} != \
+                 baseline {w:#018x}"
+            ));
+        }
+    }
+    if !counters {
+        return Ok(());
+    }
+    // A crash or another checkpoint interval changes the recovery
+    // accounting, and only that.
+    let recovery = got.cfg.faults.has_crashes()
+        || got.cfg.effective_checkpoint_every() != want.cfg.effective_checkpoint_every();
+    for (p, (w, g)) in want.counters.iter().zip(&got.counters).enumerate() {
+        let (w, g) = match recovery {
+            true => (w.sans_recovery(), g.sans_recovery()),
+            false => (*w, *g),
+        };
+        if w != g {
+            return Err(format!(
+                "checked run diverged: processor {p} counters changed: baseline {w:?}, \
+                 checked {g:?}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Asserts a replay is bit-for-bit identical to the recorded baseline.

@@ -1,9 +1,14 @@
 //! The `trace` tool refuses a command line it does not fully understand:
 //! a misspelt flag used to be skipped (flags were looked up by position),
-//! so `faultcheck x.mwt --los 10000` ran with the default plan and printed
-//! green.
+//! so a typo such as `--los 10000` ran with the default plan and printed
+//! green. A subcommand or flag that no longer exists is refused the same
+//! way, and a file the decoder rejects is an error, never a panic.
 
 use std::process::{Command, Output};
+
+use midway_core::codec::seal;
+use midway_core::{BackendKind, Counters, MidwayConfig, SpecBlueprint, TraceOp};
+use midway_replay::{Trace, TraceMeta};
 
 fn trace(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_trace"))
@@ -16,8 +21,9 @@ fn trace(args: &[&str]) -> Output {
 fn unknown_flag_is_a_usage_error_listing_the_accepted_ones() {
     // Rejected before the file is even opened: it does not exist.
     for args in [
-        &["faultcheck", "x.mwt", "--los", "10000"][..],
-        &["replay", "x.mwt", "--lenient"],
+        &["check", "x.mwt", "--los", "10000"][..],
+        &["check", "x.mwt", "--lenient"],
+        &["replay", "x.mwt", "--check"],
         &["info", "x.mwt", "--check"],
     ] {
         let out = trace(args);
@@ -26,19 +32,32 @@ fn unknown_flag_is_a_usage_error_listing_the_accepted_ones() {
         assert!(err.contains("unknown flag"), "{args:?}: {err}");
         assert!(err.contains("accepted flags:"), "{args:?}: {err}");
     }
-    let out = trace(&["faultcheck", "x.mwt", "--los", "10000"]);
+    let out = trace(&["check", "x.mwt", "--los", "10000"]);
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("--loss PPM") && err.contains("--lenient"),
+        err.contains("--loss PPM") && err.contains("--race"),
         "{err}"
     );
 }
 
 #[test]
+fn removed_subcommands_are_usage_errors_listing_the_accepted_ones() {
+    for gone in ["faultcheck", "crashcheck", "racecheck", "sweep"] {
+        let out = trace(&[gone, "x.mwt"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{gone}: {err}");
+        for cmd in ["record", "replay", "check", "info", "diff"] {
+            assert!(err.contains(&format!("trace {cmd} ")), "{gone}: {err}");
+        }
+        assert!(!err.contains(gone), "{gone}: {err}");
+    }
+}
+
+#[test]
 fn value_flag_followed_by_a_flag_is_a_usage_error() {
     for args in [
-        &["faultcheck", "x.mwt", "--loss", "--lenient"][..],
-        &["crashcheck", "x.mwt", "--interval"],
+        &["check", "x.mwt", "--loss", "--race"][..],
+        &["check", "x.mwt", "--interval"],
     ] {
         let out = trace(args);
         let err = String::from_utf8_lossy(&out.stderr);
@@ -49,8 +68,8 @@ fn value_flag_followed_by_a_flag_is_a_usage_error() {
     // A well-formed command line still reaches the command, which then
     // fails on the missing file with the ordinary exit code.
     for args in [
-        &["faultcheck", "x.mwt", "--loss", "10000", "--lenient"][..],
-        &["replay", "--check", "x.mwt"],
+        &["check", "x.mwt", "--loss", "10000", "--race"][..],
+        &["check", "--crash", "x.mwt"],
     ] {
         let out = trace(args);
         let err = String::from_utf8_lossy(&out.stderr);
@@ -61,4 +80,49 @@ fn value_flag_followed_by_a_flag_is_a_usage_error() {
         );
     }
     assert_eq!(trace(&[]).status.code(), Some(2));
+}
+
+/// `trace info` counted acquires per lock by indexing with the op's id,
+/// so a well-sealed file naming a lock its blueprint lacks made it panic
+/// (exit 101). The decoder refuses such a file now.
+#[test]
+fn info_on_a_forged_lock_id_is_an_error_not_a_panic() {
+    let forged = Trace {
+        meta: TraceMeta {
+            app: "forged".to_string(),
+            scale: "small".to_string(),
+            verified: true,
+            cfg: MidwayConfig::new(1, BackendKind::Rt),
+            finish_cycles: 1,
+            messages: 0,
+            counters: vec![Counters::default()],
+        },
+        blueprint: SpecBlueprint {
+            allocs: vec![],
+            locks: vec![vec![0..8]],
+            barriers: vec![],
+        },
+        ops: vec![vec![TraceOp::Acquire {
+            lock: 0,
+            exclusive: true,
+        }]],
+    };
+    // The payload ends `tag 3 · lock 0 · exclusive 1`: forge lock 7.
+    let mut bytes = forged.encode();
+    bytes.truncate(bytes.len() - 8);
+    let at = bytes.len() - 2;
+    assert_eq!(bytes[at - 1..], [3, 0, 1]);
+    bytes[at] = 7;
+    seal(&mut bytes);
+
+    let path = std::env::temp_dir().join(format!("midway-forged-{}.mwt", std::process::id()));
+    std::fs::write(&path, &bytes).expect("temp file");
+    let out = trace(&["info", path.to_str().expect("utf-8 temp path")]);
+    let _ = std::fs::remove_file(&path);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("malformed trace: lock id outside the blueprint"),
+        "{err}"
+    );
 }

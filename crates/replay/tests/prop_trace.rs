@@ -24,8 +24,13 @@ fn random_ranges(rng: &mut SplitMix64) -> Vec<std::ops::Range<u64>> {
         .collect()
 }
 
-fn random_op(rng: &mut SplitMix64) -> TraceOp {
+/// A random op naming only the blueprint's `locks` and `barriers` (the
+/// decoder rejects any other id).
+fn random_op(rng: &mut SplitMix64, locks: u64, barriers: u64) -> TraceOp {
+    let lock = |rng: &mut SplitMix64| rng.next_below(locks) as u32;
     match rng.next_below(7) {
+        3..=5 if locks == 0 => TraceOp::Work { cycles: 1 },
+        6 if barriers == 0 => TraceOp::Work { cycles: 1 },
         0 => TraceOp::Work {
             cycles: rng.next_u64() >> rng.next_below(64),
         },
@@ -40,19 +45,19 @@ fn random_op(rng: &mut SplitMix64) -> TraceOp {
             }
         }
         3 => TraceOp::Acquire {
-            lock: rng.next_below(8) as u32,
+            lock: lock(rng),
             exclusive: rng.next_below(2) == 1,
         },
         4 => TraceOp::Release {
-            lock: rng.next_below(8) as u32,
+            lock: lock(rng),
             exclusive: rng.next_below(2) == 1,
         },
         5 => TraceOp::Rebind {
-            lock: rng.next_below(8) as u32,
+            lock: lock(rng),
             ranges: random_ranges(rng),
         },
         _ => TraceOp::Barrier {
-            barrier: rng.next_below(4) as u32,
+            barrier: rng.next_below(barriers) as u32,
         },
     }
 }
@@ -139,8 +144,8 @@ fn random_trace(rng: &mut SplitMix64) -> Trace {
             line_shift: 2 + rng.next_below(11) as u32,
         })
         .collect();
-    let locks = (0..rng.next_below(4)).map(|_| random_ranges(rng)).collect();
-    let barriers = (0..rng.next_below(3))
+    let locks: Vec<_> = (0..rng.next_below(4)).map(|_| random_ranges(rng)).collect();
+    let barriers: Vec<_> = (0..rng.next_below(3))
         .map(|_| BarrierSpec {
             ranges: random_ranges(rng),
             partitions: if rng.next_below(2) == 1 {
@@ -153,7 +158,8 @@ fn random_trace(rng: &mut SplitMix64) -> Trace {
     let ops = (0..procs)
         .map(|_| {
             let n = rng.next_below(40) as usize;
-            (0..n).map(|_| random_op(rng)).collect()
+            let (l, b) = (locks.len() as u64, barriers.len() as u64);
+            (0..n).map(|_| random_op(rng, l, b)).collect()
         })
         .collect();
     Trace {
@@ -281,7 +287,7 @@ fn tiny_trace(lock_range: std::ops::Range<u64>, op: TraceOp) -> Trace {
 /// inverted range `18446744073709551614..125` in release builds.
 #[test]
 fn sealed_range_overflow_is_malformed_in_every_profile() {
-    let trace = tiny_trace(u64::MAX - 1..u64::MAX, TraceOp::Barrier { barrier: 0 });
+    let trace = tiny_trace(u64::MAX - 1..u64::MAX, TraceOp::Work { cycles: 1 });
     let mut bytes = trace.encode();
     assert_eq!(Trace::decode(&bytes), Ok(trace));
     // start (ten varint bytes), then len = 1: make it 0x7f.
@@ -315,6 +321,42 @@ fn ids_past_u32_are_malformed_not_truncated() {
     assert_eq!(
         Trace::decode(&resealed(bytes)),
         Err(TraceError::Malformed("field exceeds u32"))
+    );
+}
+
+/// A well-sealed file whose op names a lock or barrier its own blueprint
+/// does not have is malformed: `trace info` and every replay index
+/// per-object state with the id.
+#[test]
+fn op_ids_outside_the_blueprint_are_malformed() {
+    let release = TraceOp::Release {
+        lock: 0,
+        exclusive: true,
+    };
+    let bytes = tiny_trace(0..8, release).encode();
+    assert!(Trace::decode(&bytes).is_ok());
+    // The payload ends `1 op · tag 4 · lock 0 · exclusive 1`: name lock 1
+    // of the blueprint's one lock.
+    let mut forged = bytes;
+    let at = forged.len() - 8 - 2;
+    assert_eq!(forged[at - 2..at + 2], [1, 4, 0, 1]);
+    forged[at] = 1;
+    assert_eq!(
+        Trace::decode(&resealed(forged)),
+        Err(TraceError::Malformed("lock id outside the blueprint"))
+    );
+    let barrier = tiny_trace(0..8, TraceOp::Barrier { barrier: 0 }).encode();
+    assert_eq!(
+        Trace::decode(&barrier),
+        Err(TraceError::Malformed("barrier id outside the blueprint"))
+    );
+    let rebind = TraceOp::Rebind {
+        lock: 1,
+        ranges: vec![],
+    };
+    assert_eq!(
+        Trace::decode(&tiny_trace(0..8, rebind).encode()),
+        Err(TraceError::Malformed("lock id outside the blueprint"))
     );
 }
 

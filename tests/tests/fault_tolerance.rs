@@ -8,21 +8,36 @@
 //!   data-moving backend — same seed, same run, bit for bit;
 //! * live runs under faults still **pass the application's own
 //!   verifier** (sorted output, converged grid, correct factors);
-//! * the lock-order-independent applications (sor, matrix, water)
-//!   **converge to the exact fault-free final memory and counters**
-//!   (the strict replay oracle); the task-queue applications
-//!   (quicksort, cholesky) are checked with the lenient oracle, since
-//!   entry consistency allows lock grants — and with them the last
-//!   writer of contended words — to reorder under retransmission
-//!   timing.
+//! * the lock-order-independent applications (sor, matrix) **converge to
+//!   the exact fault-free final memory and counters** — `check` requires
+//!   it of them. For the others it only reports convergence, since entry
+//!   consistency allows lock grants, and with them the last writer of
+//!   contended words, to reorder under retransmission timing. Water's
+//!   chaos seeds below happen to converge, and the test holds them to it
+//!   by reading the verdict's two runs.
 
 use midway_apps::{run_app, AppKind, Scale};
 use midway_core::{BackendKind, FaultPlan, MidwayConfig};
-use midway_replay::{record_app, verify_fault_determinism, verify_fault_replay, Trace};
+use midway_replay::{check, record_app, Axes, Comparison, Trace, Transport, Verdict};
 
 /// A plan that exercises every fault kind at once.
 fn chaos(seed: u64) -> FaultPlan {
     FaultPlan::chaos(seed, 10_000)
+}
+
+/// Checks `trace` on the simulator under `plan`.
+fn under(trace: &Trace, plan: FaultPlan) -> Result<Verdict, String> {
+    let transport = Transport::Sim {
+        faults: Some(plan),
+        checkpoint_every: None,
+    };
+    check(
+        trace,
+        &Axes {
+            transport,
+            ..Axes::default()
+        },
+    )
 }
 
 /// Records `kind` at 4 processors under `backend` and returns the trace
@@ -45,38 +60,47 @@ fn record(kind: AppKind, backend: BackendKind) -> Trace {
 fn sor_converges_strictly_on_every_backend() {
     for backend in BackendKind::DATA {
         let trace = record(AppKind::Sor, backend);
-        let check = verify_fault_replay(&trace, FaultPlan::lossy(7, 10_000))
+        let v = under(&trace, FaultPlan::lossy(7, 10_000))
             .unwrap_or_else(|e| panic!("{}: {e}", backend.label()));
+        assert_eq!(v.comparison, Comparison::Converged);
         assert!(
-            check.slowdown() >= 1.0,
+            v.checked.finish_time >= v.baseline.finish_time,
             "reliability cannot make the run faster"
         );
     }
 }
 
-/// The lock-order-independent applications survive a chaos plan with
-/// bit-for-bit final-state convergence under RT.
+/// sor, matrix and water survive a chaos plan with bit-for-bit
+/// final-state and counter convergence under RT.
 #[test]
 fn order_independent_apps_converge_under_chaos() {
     for kind in [AppKind::Sor, AppKind::Matmul, AppKind::Water] {
         let trace = record(kind, BackendKind::Rt);
         for seed in [1, 7, 42] {
-            verify_fault_replay(&trace, chaos(seed))
+            let v = under(&trace, chaos(seed))
                 .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", kind.label()));
+            assert!(v.converged, "{} seed {seed}: final memory", kind.label());
+            assert_eq!(
+                v.checked.counters,
+                v.baseline.counters,
+                "{} seed {seed}: counters",
+                kind.label()
+            );
         }
     }
 }
 
 /// The task-queue applications complete deterministically under chaos;
-/// final state legitimately depends on lock-grant order, so only the
-/// lenient oracle applies at the replay level.
+/// final state legitimately depends on lock-grant order, so convergence
+/// is only reported.
 #[test]
 fn task_queue_apps_complete_deterministically_under_chaos() {
     for kind in [AppKind::Quicksort, AppKind::Cholesky] {
         let trace = record(kind, BackendKind::Rt);
         for seed in [1, 7] {
-            verify_fault_determinism(&trace, chaos(seed))
+            let v = under(&trace, chaos(seed))
                 .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", kind.label()));
+            assert_eq!(v.comparison, Comparison::Reported);
         }
     }
 }
@@ -104,9 +128,15 @@ fn live_runs_verify_their_output_under_faults() {
 fn enabled_channel_with_zero_rates_converges() {
     for backend in BackendKind::DATA {
         let trace = record(AppKind::Sor, backend);
-        let check = verify_fault_replay(&trace, FaultPlan::seeded(3))
+        let v = under(&trace, FaultPlan::seeded(3))
             .unwrap_or_else(|e| panic!("{}: {e}", backend.label()));
-        assert_eq!(check.faults_injected, 0, "zero rates must inject nothing");
+        let injected: u64 = v
+            .checked
+            .reports
+            .iter()
+            .map(|r| r.fault_stats.total())
+            .sum();
+        assert_eq!(injected, 0, "zero rates must inject nothing");
     }
 }
 
@@ -116,10 +146,9 @@ fn enabled_channel_with_zero_rates_converges() {
 #[test]
 fn heavy_loss_completes_without_deadlock() {
     let trace = record(AppKind::Sor, BackendKind::Rt);
-    let check = verify_fault_replay(&trace, FaultPlan::lossy(5, 100_000))
-        .expect("10% loss must still converge");
+    let v = under(&trace, FaultPlan::lossy(5, 100_000)).expect("10% loss must still converge");
     assert!(
-        check.link.retransmits > 0,
+        v.checked.link_totals().retransmits > 0,
         "10% loss without a single retransmission is not credible"
     );
 }

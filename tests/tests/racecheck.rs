@@ -9,12 +9,24 @@
 //!   memory digests.
 //! * **True positives** — every seeded mutant produces a finding of the
 //!   planted kind with the planted provenance, and a recorded mutant
-//!   trace still reports it when replayed under `racecheck`.
+//!   trace still reports it when checked with the checker attached.
 
 use midway_apps::mutants::{run_mutant, MutantKind};
 use midway_apps::{run_app, AppKind, Scale};
 use midway_core::{BackendKind, FindingKind, Midway, MidwayConfig, SystemBuilder};
-use midway_replay::{racecheck_replay, record_app, Trace};
+use midway_replay::{check, record_app, Axes, Comparison, Trace};
+
+/// Checks `trace` with the checker as the only delivery axis, which must
+/// leave the replay bit-for-bit identical to the recording.
+fn racecheck(trace: &Trace) -> midway_core::CheckReport {
+    let checked = Axes {
+        check: true,
+        ..Axes::default()
+    };
+    let v = check(trace, &checked).expect("checked replay must stay bit-for-bit");
+    assert_eq!(v.comparison, Comparison::Exact);
+    v.checked.check.expect("checker ran")
+}
 
 #[test]
 fn clean_apps_are_clean_on_every_data_backend() {
@@ -122,9 +134,8 @@ fn clean_recorded_trace_racechecks_bit_for_bit() {
     );
     assert!(outcome.verified);
     let decoded = Trace::decode(&trace.encode()).expect("round-trip");
-    let run = racecheck_replay(&decoded).expect("checked replay must stay bit-for-bit");
     assert!(
-        run.check.expect("checker ran").is_clean(),
+        racecheck(&decoded).is_clean(),
         "false positive on a replayed clean trace"
     );
 }
@@ -137,8 +148,7 @@ fn recorded_mutant_trace_still_reports_the_bug() {
     let (run, expect) = run_mutant(MutantKind::DropAcquire, cfg);
     let trace = Trace::from_run("mutant", "small", false, &run);
     let decoded = Trace::decode(&trace.encode()).expect("round-trip");
-    let replayed = racecheck_replay(&decoded).expect("checked replay must stay bit-for-bit");
-    let report = replayed.check.expect("checker ran");
+    let report = racecheck(&decoded);
     let f = report
         .first_of(expect.kind)
         .expect("bug survives the trace");

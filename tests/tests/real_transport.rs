@@ -1,19 +1,20 @@
 //! End-to-end tests of the real transport: the same protocol engine that
 //! runs on the virtual-time simulator, driven over actual loopback
-//! sockets by OS threads, with the simulator as the correctness oracle.
+//! sockets, with the simulator as the correctness oracle.
 //!
-//! The oracle argument: a run on real sockets records its per-processor
-//! shared-memory operation streams; replaying those streams through the
-//! deterministic simulator independently re-executes the protocol, and
-//! for lock-order-independent workloads the two executions — kernel
-//! scheduler vs. virtual time, sockets vs. simulated delivery — must
-//! agree on every byte of final shared memory.
+//! The oracle argument: a run on the simulator records its per-processor
+//! shared-memory operation streams; `check` with a socket transport drives
+//! those streams over real sockets, independently re-executing the
+//! protocol, and for lock-order-independent workloads the two executions —
+//! kernel delivery vs. virtual time — must agree on every byte of final
+//! shared memory. Live socket runs of the same cells reach that memory
+//! too.
 
 use std::time::Duration;
 
 use midway_apps::{run_app_real, sor, AppKind, Scale};
 use midway_core::{BackendKind, FaultPlan, MidwayConfig, RealConfig};
-use midway_replay::{verify_real_trace, Trace};
+use midway_replay::{check, record_app, Axes, Comparison, Trace, Transport, Verdict};
 
 const PROCS: usize = 4;
 
@@ -21,6 +22,27 @@ const PROCS: usize = 4;
 /// a genuine hang fails the suite rather than timing it out.
 fn tcp() -> RealConfig {
     RealConfig::tcp().watchdog(Some(Duration::from_secs(60)))
+}
+
+/// Sor recorded on the simulator under `backend`, round-tripped through
+/// the trace format as a replayer sees it.
+fn sor_trace(backend: BackendKind) -> Trace {
+    let cfg = MidwayConfig::new(PROCS, backend);
+    let (outcome, trace) = record_app(AppKind::Sor, cfg, Scale::Small);
+    assert!(outcome.verified);
+    Trace::decode(&trace.encode()).expect("trace round-trips")
+}
+
+/// Checks `trace` over `transport`: sor must converge to the simulator.
+fn over(trace: &Trace, transport: Transport) -> Verdict {
+    let axes = Axes {
+        transport,
+        ..Axes::default()
+    };
+    let v = check(trace, &axes)
+        .unwrap_or_else(|d| panic!("the sockets disagree with the simulator: {d}"));
+    assert_eq!(v.comparison, Comparison::Converged);
+    v
 }
 
 /// Every application completes and self-verifies on the real transport,
@@ -47,27 +69,27 @@ fn every_app_completes_on_tcp_under_every_backend() {
     }
 }
 
-/// A trace recorded on the real transport replays through the simulator
-/// with bit-identical final memory — for every backend, after a round
-/// trip through the trace file format.
+/// A trace recorded on the simulator checks over TCP with bit-identical
+/// final memory, for every backend; a live TCP run reaches the same
+/// memory, and the trace it records survives the file format.
 #[test]
-fn real_traces_replay_through_the_simulator_oracle() {
+fn simulator_traces_check_over_tcp_on_every_backend() {
     for backend in BackendKind::DATA {
+        let v = over(&sor_trace(backend), Transport::Tcp);
+
         let cfg = MidwayConfig::new(PROCS, backend).record(true);
         let out = run_app_real(AppKind::Sor, cfg, &tcp(), Scale::Small)
             .unwrap_or_else(|e| panic!("sor under {} failed: {e}", backend.label()));
         assert!(out.verified);
-
+        assert_eq!(
+            out.store_digests,
+            v.baseline.store_digests,
+            "the live {} run reached different final memory than the simulator",
+            backend.label()
+        );
         let trace = Trace::from_outcome(&out, Scale::Small);
-        let decoded = Trace::decode(&trace.encode()).expect("trace round-trips");
-        let check = verify_real_trace(&decoded, &out.store_digests, true).unwrap_or_else(|d| {
-            panic!(
-                "simulator oracle rejected the {} real run: {d}",
-                backend.label()
-            )
-        });
-        assert!(check.digests_checked);
-        assert!(check.total_ops > 0, "the trace must record the run");
+        assert!(trace.total_ops() > 0, "the trace must record the run");
+        assert_eq!(Trace::decode(&trace.encode()), Ok(trace));
     }
 }
 
@@ -76,36 +98,30 @@ fn real_traces_replay_through_the_simulator_oracle() {
 /// changes timings, never bytes.
 #[test]
 fn repeated_real_runs_agree_on_final_memory() {
-    let mut baseline: Option<Vec<u64>> = None;
+    let trace = sor_trace(BackendKind::Rt);
     for round in 0..5 {
-        let cfg = MidwayConfig::new(PROCS, BackendKind::Rt).record(true);
+        let cfg = MidwayConfig::new(PROCS, BackendKind::Rt);
         let out = run_app_real(AppKind::Sor, cfg, &tcp(), Scale::Small)
             .unwrap_or_else(|e| panic!("round {round} failed: {e}"));
         assert!(out.verified, "round {round} failed verification");
-
-        let trace = Trace::from_outcome(&out, Scale::Small);
-        verify_real_trace(&trace, &out.store_digests, true)
-            .unwrap_or_else(|d| panic!("round {round}: oracle rejected the run: {d}"));
-
-        match &baseline {
-            None => baseline = Some(out.store_digests),
-            Some(first) => assert_eq!(
-                &out.store_digests, first,
-                "round {round} reached different final memory than round 0"
-            ),
-        }
+        let v = over(&trace, Transport::Tcp);
+        assert_eq!(
+            out.store_digests, v.baseline.store_digests,
+            "round {round} reached different final memory than the simulator"
+        );
     }
 }
 
 /// Over lossy UDP the reliable channel masks injected drops and
-/// duplicates: the run still completes, verifies, and satisfies the
-/// simulator oracle, and the injection demonstrably happened.
+/// duplicates: a live run still completes and verifies, the injection
+/// demonstrably happened, and both it and the simulator trace checked over
+/// the same lossy sockets reach the simulator's final memory.
 #[test]
 fn lossy_udp_run_completes_and_still_satisfies_the_oracle() {
     // 5% drop + 5% duplication, deterministic schedule.
     let plan = FaultPlan::seeded(7).drop_ppm(50_000).dup_ppm(50_000);
     let real = RealConfig::udp(plan).watchdog(Some(Duration::from_secs(60)));
-    let cfg = MidwayConfig::new(PROCS, BackendKind::Rt).record(true);
+    let cfg = MidwayConfig::new(PROCS, BackendKind::Rt);
 
     let run = sor::run_real(cfg, &real, sor::Params::small()).expect("lossy sor run failed");
     assert!(sor::verified(&run.results));
@@ -123,9 +139,18 @@ fn lossy_udp_run_completes_and_still_satisfies_the_oracle() {
          (stats: {link:?})"
     );
 
-    let trace = Trace::from_run("sor", Scale::Small.label(), true, &run);
-    verify_real_trace(&trace, &run.store_digests, true)
-        .unwrap_or_else(|d| panic!("oracle rejected the lossy UDP run: {d}"));
+    let v = over(&sor_trace(BackendKind::Rt), Transport::Udp { loss: plan });
+    assert_eq!(
+        run.store_digests, v.baseline.store_digests,
+        "the live lossy run reached different final memory than the simulator"
+    );
+    let injected: u64 = v
+        .checked
+        .reports
+        .iter()
+        .map(|r| r.fault_stats.total())
+        .sum();
+    assert!(injected > 0, "the checked run must be lossy too");
 }
 
 /// The watchdog aborts a hung run with per-processor state dumps instead

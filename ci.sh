@@ -28,19 +28,20 @@ echo "==> cargo test -p midway-mem --release"
 # build, so their reference-equivalence tests run against that too.
 cargo test -p midway-mem --release -q
 
-echo "==> cargo test --release: the byte codec and the three formats on it"
+echo "==> cargo test --release: the byte codec, the three formats on it, and JSON"
 # Wrapping arithmetic on a hostile length or range is a panic in the debug
 # profile and a silently wrong value in this one, so the decoders' hostile
-# input tests and mutation sweeps run in both. midway-replay's tests also
-# hold the replay oracle's whole product of axes (barrier shape x home map
-# x loss x crash, and sockets) to strict convergence, in well under 60 s.
+# input tests and mutation sweeps (the results-file JSON parser's too) run
+# in both. midway-replay's tests also hold the replay oracle's whole
+# product of axes (barrier shape x home map x loss x crash, and sockets)
+# to strict convergence, in well under 60 s.
 cargo test -p midway-net -p midway-replay --release -q
-cargo test -p midway-core --release -q --lib
+cargo test -p midway-core -p midway-bench --release -q --lib
 
 echo "==> one-execution-path guard"
 # `unsafe` lives in the coroutine module (and the pinned benchmark's
-# sched_setaffinity call) and nowhere else; the scheduler and the cluster
-# driver stay single-threaded outside their tests.
+# sched_setaffinity call) and nowhere else; the whole simulator stays
+# single-threaded outside its tests.
 # (Comment lines may say the word; code may not.)
 if grep -rn --include='*.rs' -w unsafe crates/*/src |
     grep -v -e '^crates/sim/src/coro\.rs:' -e '^crates/bench/src/bin/benchmark/' \
@@ -50,7 +51,7 @@ if grep -rn --include='*.rs' -w unsafe crates/*/src |
 fi
 # So does the whole real-socket transport: processors are coroutines
 # there too, and there is no second execution model to keep in step.
-for f in crates/sim/src/sched.rs crates/sim/src/cluster.rs crates/net/src/*.rs; do
+for f in crates/sim/src/*.rs crates/net/src/*.rs; do
     if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
         grep -E 'Condvar|Mutex|Atomic|thread::scope|thread::spawn'; then
         echo "thread machinery in non-test code of $f" >&2

@@ -66,7 +66,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters after the document"));
@@ -197,6 +197,11 @@ impl Json {
     }
 }
 
+/// The deepest array / object nesting [`Json::parse`] accepts (the
+/// harnesses write at most six levels). Past it a document is refused
+/// instead of being recursed into until the stack overflows.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -235,20 +240,22 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// A value nested inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
             Some(b'n') => self.lit("null", Json::Null),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(self.err("nested too deeply")),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -258,7 +265,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -271,7 +278,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.eat(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -285,7 +292,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            pairs.push((key, self.value()?));
+            pairs.push((key, self.value(depth)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -469,6 +476,41 @@ mod tests {
             let bad = format!("{text}{junk}");
             let err = Json::parse(&bad).expect_err("trailing garbage must fail");
             assert!(err.contains("trailing"), "wrong error: {err}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\": "] {
+            let err = Json::parse(&open.repeat(200_000)).expect_err("too deep");
+            assert!(err.contains("nested too deeply"), "wrong error: {err}");
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(Json::parse(&deepest).map(|_| ()), Ok(()));
+        let deeper = format!("[{deepest}]");
+        assert!(Json::parse(&deeper).is_err());
+    }
+
+    /// Seeded mutants of the committed results files — bit-flipped,
+    /// truncated, huge counts spliced in — parse or fail, never panic.
+    #[test]
+    fn mutated_results_files_parse_or_fail_but_never_panic() {
+        for (seed, name) in [
+            (1, "BENCH_scale.json"),
+            (2, "BENCH_svc.json"),
+            (3, "BENCH_crash.json"),
+        ] {
+            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read(path).expect("the results file is committed");
+            let mut texts = 0;
+            crate::mutate::sweep(seed, &text, 500, |bytes| {
+                let Ok(text) = std::str::from_utf8(bytes) else {
+                    return false;
+                };
+                texts += 1;
+                Json::parse(text).is_ok()
+            });
+            assert!(texts >= 100, "{name}: only {texts} mutants were UTF-8");
         }
     }
 

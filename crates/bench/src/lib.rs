@@ -88,6 +88,11 @@ pub fn banner(title: &str, args: &BenchArgs) {
     println!();
 }
 
+/// The seeded byte mutator the codec's decoders are swept with.
+#[cfg(test)]
+#[path = "../../net/tests/support/mutate.rs"]
+mod mutate;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -77,6 +77,9 @@ pub(crate) struct DsmNode {
     barriers: Vec<BarrierNode>,
     sites: Vec<BarrierCoord>,
     tick_pending: bool,
+    /// The lock this processor is waiting for in [`DsmNode::acquire`]: the
+    /// only one a grant may name.
+    acquiring: Option<LockId>,
     pub(crate) link: LinkLayer,
     pub(crate) counters: Counters,
     /// Crash fence: messages and timers *delivered* before this cycle were
@@ -178,6 +181,7 @@ impl DsmNode {
             barriers,
             sites,
             tick_pending: false,
+            acquiring: None,
             link: LinkLayer::new(procs, cfg.faults.enabled, cfg.reliable),
             counters: Counters::default(),
             fence_before: 0,
@@ -425,6 +429,26 @@ impl DsmNode {
     }
 
     fn handle_dsm<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, src: usize, msg: DsmMsg) {
+        // A peer's message is input: every id it names is bounded by the
+        // spec before anything is indexed with it.
+        let unknown = match &msg {
+            DsmMsg::AcquireReq { lock, .. }
+            | DsmMsg::ReleaseNotify { lock, .. }
+            | DsmMsg::TransferReq { lock, .. }
+            | DsmMsg::Grant { lock, .. } => {
+                (lock.0 as usize >= self.locks.len()).then(|| format!("{lock:?}"))
+            }
+            DsmMsg::BarrierArrive { barrier, .. } | DsmMsg::BarrierRelease { barrier, .. } => {
+                (barrier.0 as usize >= self.barriers.len()).then(|| format!("{barrier:?}"))
+            }
+        };
+        if let Some(id) = unknown {
+            h.protocol_violation(format!(
+                "processor {} received a message from processor {src} naming {id}, \
+                 which the spec does not declare",
+                self.me
+            ));
+        }
         match msg {
             DsmMsg::AcquireReq { lock, mode, seen } => {
                 let Some(home) = self.homes[lock.0 as usize].as_mut() else {
@@ -463,6 +487,13 @@ impl DsmNode {
                 mode,
                 payload,
             } => {
+                if self.acquiring != Some(lock) || self.locks[lock.0 as usize].held.is_some() {
+                    h.protocol_violation(format!(
+                        "processor {} received a grant for {lock:?} from processor {src}, \
+                         which it is not waiting to acquire",
+                        self.me
+                    ));
+                }
                 self.apply_grant(h, lock, mode, payload);
             }
             DsmMsg::BarrierArrive { barrier, set, time } => {

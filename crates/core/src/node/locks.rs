@@ -17,6 +17,7 @@ impl DsmNode {
             self.me
         );
         self.clock.tick();
+        self.acquiring = Some(lock);
         let seen = self.detect.seen_token(idx, &self.locks[idx].binding);
         let home = self.cfg.home_map.lock_home(lock, self.procs);
         if home == self.me {
@@ -30,6 +31,7 @@ impl DsmNode {
                 .send(h, home, DsmMsg::AcquireReq { lock, mode, seen });
         }
         self.pump_until(h, |n| n.locks[idx].held.is_some());
+        self.acquiring = None;
         self.counters.lock_acquires += 1;
         // The grant installed the hold (and possibly a rebound binding):
         // log the new lock state so a recovery reproduces it.

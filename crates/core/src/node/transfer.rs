@@ -169,7 +169,7 @@ fn payload_ranges(payload: &GrantPayload) -> Vec<(u64, usize)> {
 
 #[cfg(test)]
 mod tests {
-    use midway_proto::{Binding, Mode, UpdateSet};
+    use midway_proto::{BarrierId, Binding, HomeMap, LockId, Mode, UpdateSet};
     use midway_sim::SimError;
 
     use crate::api::Proc;
@@ -178,23 +178,35 @@ mod tests {
     use crate::run::Midway;
     use crate::setup::SystemBuilder;
 
-    /// Forges a grant from processor 1 to processor 0 through the node's
-    /// link layer — something no correct application can do through the
-    /// public API — and returns the violation processor 0 reports.
-    fn forged_grant(backend: BackendKind, payload: fn(Binding) -> GrantPayload) -> String {
+    /// Has processor 1 send `forge(lock 0, its binding)` to processor 0
+    /// through the node's link layer — something no correct application
+    /// can do through the public API — while processor 0 waits in
+    /// `acquire(lock 0)` when `acquiring` and in a barrier otherwise, and
+    /// returns the violation processor 0 reports.
+    fn forged(
+        backend: BackendKind,
+        acquiring: bool,
+        forge: impl Fn(LockId, Binding) -> DsmMsg,
+    ) -> String {
         let mut b = SystemBuilder::new();
         let data = b.shared_array::<u64>("data", 4, 1);
         let lock = b.lock(vec![data.full_range()]);
         let bar = b.barrier(vec![data.full_range()]);
         let spec = b.build();
-        let err = Midway::run(MidwayConfig::new(2, backend), &spec, |p: &mut Proc| {
+        // Processor 1 is the lock's home, so processor 0's acquire waits
+        // for a grant from the network.
+        let homes = (0..)
+            .map(|seed| HomeMap::Sharded { seed })
+            .find(|m| m.lock_home(lock, 2) == 1)
+            .unwrap();
+        let cfg = MidwayConfig::new(2, backend).home_map(homes);
+        let err = Midway::run(cfg, &spec, |p: &mut Proc| {
             if p.id() == 1 {
-                let msg = DsmMsg::Grant {
-                    lock,
-                    mode: Mode::Exclusive,
-                    payload: payload(Binding::new(vec![data.full_range()])),
-                };
+                let msg = forge(lock, Binding::new(vec![data.full_range()]));
                 p.node.link.send(p.h, 0, msg);
+            } else if acquiring {
+                p.acquire(lock);
+                p.release(lock);
             }
             p.barrier(bar);
         })
@@ -208,9 +220,22 @@ mod tests {
         }
     }
 
+    /// [`forged`] with a grant of `payload` for lock 0.
+    fn forged_grant(
+        backend: BackendKind,
+        acquiring: bool,
+        payload: fn(Binding) -> GrantPayload,
+    ) -> String {
+        forged(backend, acquiring, |lock, binding| DsmMsg::Grant {
+            lock,
+            mode: Mode::Exclusive,
+            payload: payload(binding),
+        })
+    }
+
     #[test]
     fn wrong_kind_grant_is_a_protocol_violation() {
-        let flat = forged_grant(BackendKind::Rt, |binding| GrantPayload::Flat {
+        let flat = forged_grant(BackendKind::Rt, true, |binding| GrantPayload::Flat {
             set: UpdateSet::new(),
             binding,
         });
@@ -218,7 +243,7 @@ mod tests {
             flat,
             "processor 0 cannot apply a grant for LockId(0): payload kind flat, backend RT-DSM"
         );
-        let rt = forged_grant(BackendKind::Vm, |binding| GrantPayload::Rt {
+        let rt = forged_grant(BackendKind::Vm, true, |binding| GrantPayload::Rt {
             set: UpdateSet::new(),
             consist_time: 1,
             binding,
@@ -227,5 +252,53 @@ mod tests {
             rt,
             "processor 0 cannot apply a grant for LockId(0): payload kind RT, backend VM-DSM"
         );
+    }
+
+    /// A grant of the backend's own kind for a lock the receiver is not
+    /// acquiring is refused, not installed as a hold.
+    #[test]
+    fn unsolicited_grant_is_a_protocol_violation() {
+        let message = forged_grant(BackendKind::Rt, false, |binding| GrantPayload::Rt {
+            set: UpdateSet::new(),
+            consist_time: 1,
+            binding,
+        });
+        assert_eq!(
+            message,
+            "processor 0 received a grant for LockId(0) from processor 1, \
+             which it is not waiting to acquire"
+        );
+    }
+
+    /// A lock or barrier id outside the spec is refused before anything
+    /// is indexed with it.
+    #[test]
+    fn ids_outside_the_spec_are_protocol_violations() {
+        let outside = |forge: fn(LockId, Binding) -> DsmMsg| forged(BackendKind::Rt, false, forge);
+        let naming = |id: &str| {
+            format!(
+                "processor 0 received a message from processor 1 naming {id}, \
+                 which the spec does not declare"
+            )
+        };
+        let acquire = outside(|_, _| DsmMsg::AcquireReq {
+            lock: LockId(99),
+            mode: Mode::Exclusive,
+            seen: (0, 0),
+        });
+        assert_eq!(acquire, naming("LockId(99)"));
+        let transfer = outside(|_, _| DsmMsg::TransferReq {
+            lock: LockId(99),
+            requester: 1,
+            mode: Mode::Exclusive,
+            seen: (0, 0),
+        });
+        assert_eq!(transfer, naming("LockId(99)"));
+        let arrive = outside(|_, _| DsmMsg::BarrierArrive {
+            barrier: BarrierId(99),
+            set: UpdateSet::new(),
+            time: 0,
+        });
+        assert_eq!(arrive, naming("BarrierId(99)"));
     }
 }

@@ -6,7 +6,9 @@ use std::sync::Arc;
 
 use midway_net::{RealCluster, RealConfig, RealError, RealMode, RealTransport, Transport};
 use midway_proto::LinkStats;
-use midway_sim::{Cluster, ClusterConfig, FaultPlan, ProcReport, SimError, VirtualTime};
+use midway_sim::{
+    Cluster, ClusterConfig, FaultPlan, ProcReport, RunOutcome, SimError, VirtualTime,
+};
 
 use crate::api::Proc;
 use crate::config::{BackendKind, MidwayConfig};
@@ -131,24 +133,22 @@ where
     )
 }
 
-/// Assembles per-processor session outputs plus the cluster's finish time
-/// and delivered-message count into a [`MidwayRun`].
+/// Assembles a cluster run of per-processor sessions, on either transport,
+/// into a [`MidwayRun`].
 fn assemble<R>(
     cfg: MidwayConfig,
     spec: &Arc<SystemSpec>,
     blueprint: Option<SpecBlueprint>,
-    raw: Vec<SessionOut<R>>,
-    reports: Vec<ProcReport>,
-    finish_time: VirtualTime,
-    messages: u64,
+    out: RunOutcome<SessionOut<R>>,
 ) -> MidwayRun<R> {
-    let mut results = Vec::with_capacity(raw.len());
-    let mut counters = Vec::with_capacity(raw.len());
-    let mut link = Vec::with_capacity(raw.len());
-    let mut store_digests = Vec::with_capacity(raw.len());
+    let procs = out.results.len();
+    let mut results = Vec::with_capacity(procs);
+    let mut counters = Vec::with_capacity(procs);
+    let mut link = Vec::with_capacity(procs);
+    let mut store_digests = Vec::with_capacity(procs);
     let mut traces = Vec::new();
     let mut check_logs = Vec::new();
-    for (r, c, l, d, t, k) in raw {
+    for (r, c, l, d, t, k) in out.results {
         results.push(r);
         counters.push(c);
         link.push(l);
@@ -166,9 +166,9 @@ fn assemble<R>(
     MidwayRun {
         results,
         counters,
-        reports,
-        finish_time,
-        messages,
+        reports: out.reports,
+        finish_time: out.finish_time,
+        messages: out.messages_delivered,
         link,
         store_digests,
         cfg,
@@ -253,15 +253,7 @@ impl Midway {
         let out = Cluster::run(cluster, move |h: &mut midway_sim::ProcHandle<NetMsg>| {
             proc_session(cfg, &run_spec, h, &f)
         })?;
-        Ok(assemble(
-            cfg,
-            spec,
-            blueprint,
-            out.results,
-            out.reports,
-            out.finish_time,
-            out.messages_delivered,
-        ))
+        Ok(assemble(cfg, spec, blueprint, out))
     }
 
     /// Runs `f` once per processor over real sockets: loopback TCP or UDP
@@ -309,14 +301,6 @@ impl Midway {
         let out = RealCluster::run(real, cfg.procs, move |h: &mut RealTransport<NetMsg>| {
             proc_session(cfg, &run_spec, h, &f)
         })?;
-        Ok(assemble(
-            cfg,
-            spec,
-            blueprint,
-            out.results,
-            out.reports,
-            out.finish_time,
-            out.messages_delivered,
-        ))
+        Ok(assemble(cfg, spec, blueprint, out))
     }
 }

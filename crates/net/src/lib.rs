@@ -24,14 +24,12 @@
 //! Real frames are serialized with the dependency-free [`Wire`] codec
 //! ([`wire`], which trace files and crash-recovery storage are built on
 //! too); [`RealCluster::run`] is the socket-backed counterpart of the
-//! simulator's `Cluster::run`.
+//! simulator's `Cluster::run`, and returns the same `RunOutcome`.
 
 mod real;
 mod transport;
 pub mod wire;
 
-pub use real::{
-    RealCluster, RealConfig, RealError, RealMode, RealOutcome, RealTransport, MAX_UDP_PAYLOAD,
-};
+pub use real::{RealCluster, RealConfig, RealError, RealMode, RealTransport, MAX_UDP_PAYLOAD};
 pub use transport::Transport;
 pub use wire::{decode_exact, encode_to_vec, Reader, Wire, WireError, Writer};

@@ -49,7 +49,8 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use midway_sim::{
-    panic_message, suspend, Category, Coroutine, FaultDecision, FaultPlan, ProcReport, VirtualTime,
+    panic_message, suspend, Category, Coroutine, FaultDecision, FaultPlan, ProcReport, RunOutcome,
+    VirtualTime,
 };
 
 use crate::transport::Transport;
@@ -223,21 +224,6 @@ impl std::fmt::Display for RealError {
 }
 
 impl std::error::Error for RealError {}
-
-/// The result of a successful real-transport run. Mirrors the simulator's
-/// `RunOutcome`, but times are wall-clock-derived and therefore vary from
-/// run to run.
-#[derive(Debug)]
-pub struct RealOutcome<R> {
-    /// Per-processor closure return values, indexed by processor id.
-    pub results: Vec<R>,
-    /// Per-processor accounting, indexed by processor id.
-    pub reports: Vec<ProcReport>,
-    /// The latest per-processor final clock.
-    pub finish_time: VirtualTime,
-    /// Messages handed to processor closures (network + self timers).
-    pub messages_delivered: u64,
-}
 
 /// Panic payload that unwinds a processor out of a poisoned run. The
 /// poison itself is already recorded when this is thrown.
@@ -868,7 +854,9 @@ impl RealCluster {
     /// Runs `f` on every processor of a real-transport cluster and
     /// collects the results. The counterpart of the simulator's
     /// `Cluster::run`, and like it a plain loop on the calling thread:
-    /// nothing has to be `Send` or `Sync`.
+    /// nothing has to be `Send` or `Sync`. It returns the simulator's
+    /// [`RunOutcome`], whose times here are wall-clock-derived and so vary
+    /// from run to run.
     ///
     /// The watchdog is checked between rounds of that loop: it cannot
     /// interrupt a closure that computes without touching the transport.
@@ -878,7 +866,7 @@ impl RealCluster {
     /// Returns [`RealError`] if any closure panics or reports a
     /// violation, a socket operation fails, or the watchdog deadline
     /// passes.
-    pub fn run<M, R, F>(cfg: &RealConfig, procs: usize, f: F) -> Result<RealOutcome<R>, RealError>
+    pub fn run<M, R, F>(cfg: &RealConfig, procs: usize, f: F) -> Result<RunOutcome<R>, RealError>
     where
         M: Wire,
         F: Fn(&mut RealTransport<M>) -> R,
@@ -966,7 +954,7 @@ impl RealCluster {
             .map(|slot| slot.into_inner().expect("every processor finished"))
             .unzip();
         let finish_time = reports.iter().map(|r| r.final_time).max();
-        Ok(RealOutcome {
+        Ok(RunOutcome {
             results,
             reports,
             finish_time: finish_time.unwrap_or_default(),

@@ -1,11 +1,12 @@
 //! Seeded byte mutation: the hostile-input sweep every decoder built on
-//! `midway_net::wire` is held to.
+//! `midway_net::wire` is held to, and the results-file JSON parser too.
 //!
 //! Not a test target of its own — the decoders' test modules include it
 //! by path (`core/wire.rs` for socket frames, `core/node/recover.rs` for
 //! the checkpoint image and the write-ahead log, `replay/tests/
-//! prop_trace.rs` for trace files), so the three sweeps share one
-//! mutator without it becoming part of any crate's interface.
+//! prop_trace.rs` for trace files, `bench/src/json.rs` for `BENCH_*.json`),
+//! so the four sweeps share one mutator without it becoming part of any
+//! crate's interface.
 
 use midway_sim::SplitMix64;
 

@@ -149,7 +149,8 @@ pub struct ProcReport {
     pub fault_stats: FaultStats,
 }
 
-/// The result of a successful cluster run.
+/// The result of a successful cluster run: of [`Cluster::run`], and of
+/// `midway-net`'s real-socket `RealCluster::run`.
 #[derive(Debug)]
 pub struct RunOutcome<R> {
     /// Per-processor closure return values, indexed by processor id.
@@ -158,10 +159,8 @@ pub struct RunOutcome<R> {
     pub reports: Vec<ProcReport>,
     /// The cluster finish time: the maximum of the final clocks.
     pub finish_time: VirtualTime,
-    /// Total messages delivered by the scheduler.
+    /// Total messages delivered to processors, self-timers included.
     pub messages_delivered: u64,
-    /// Host-side scheduler counters (event-engine perf attribution).
-    pub sched: crate::sched::SchedStats,
 }
 
 /// A simulated processor, handed to the per-processor closure.
@@ -502,13 +501,11 @@ impl Cluster {
             .map(|r| r.final_time)
             .max()
             .unwrap_or(VirtualTime::ZERO);
-        let stats = sched.stats();
         Ok(RunOutcome {
             results,
             reports,
             finish_time,
-            messages_delivered: stats.delivered,
-            sched: stats,
+            messages_delivered: sched.delivered(),
         })
     }
 }
@@ -861,16 +858,28 @@ mod tests {
         assert!(out.reports[0].fault_stats.delayed > 0);
     }
 
+    /// Folds one delivery into an FNV-1a-64 hash of a delivery order.
+    fn fold(hash: &mut u64, (t, src, msg): (VirtualTime, usize, Msg)) {
+        for b in [t.cycles(), src as u64, msg]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+        {
+            *hash = (*hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
     /// A fixed 8-processor program touching every scheduler path: fan-in
-    /// rounds to the highest id with same-instant arrivals (batches), self
-    /// timers inside and beyond the calendar ring's horizon, and a drained
-    /// tail.
-    fn fixed_eight_proc_run() -> RunOutcome<u64> {
+    /// rounds to the highest id with same-instant arrivals, short self
+    /// timers and ones millions of cycles out, and a drained tail. Each
+    /// processor returns its final clock plus the messages it drained, and
+    /// a hash of every `(t, src, msg)` it received, in order.
+    fn fixed_eight_proc_run() -> RunOutcome<(u64, u64)> {
         Cluster::run(ClusterConfig::new(8), |p: &mut ProcHandle<Msg>| {
+            let mut order = 0xcbf2_9ce4_8422_2325;
             for round in 0..40u64 {
                 if p.id() == 7 {
                     for _ in 0..7 {
-                        p.recv();
+                        fold(&mut order, p.recv());
                     }
                     for dst in 0..7 {
                         p.send(dst, round, 8);
@@ -881,8 +890,8 @@ mod tests {
                     p.send(7, round, 8);
                     let delay = if round % 8 == 0 { 3_000_000 } else { 50 };
                     p.post_self(round, delay);
-                    p.recv();
-                    p.recv();
+                    fold(&mut order, p.recv());
+                    fold(&mut order, p.recv());
                 }
             }
             if p.id() == 0 {
@@ -891,37 +900,43 @@ mod tests {
                 }
             }
             let mut drained = 0;
-            while p.drain_recv().is_some() {
+            while let Some(m) = p.drain_recv() {
+                fold(&mut order, m);
                 drained += 1;
             }
-            p.now().cycles() + drained
+            (p.now().cycles() + drained, order)
         })
         .unwrap()
     }
 
-    /// The counters are host-side only, but they pin the dispatch and
-    /// batching decisions: these are the values the thread-per-processor
-    /// engine recorded for the same program.
+    /// The program's finish time, results and delivery count, and the
+    /// order every processor received its messages in, are pinned to the
+    /// values captured at the parent commit: a scheduler change that
+    /// reorders any delivery fails here.
     #[test]
-    fn sched_stats_match_the_thread_engine() {
+    fn delivery_order_matches_the_parent_commit() {
         let out = fixed_eight_proc_run();
-        assert_eq!(
-            out.sched,
-            crate::sched::SchedStats {
-                delivered: 847,
-                dispatches: 841,
-                batched: 6,
-                near_pops: 812,
-                far_pops: 35,
-                deques_recycled: 840,
-            }
-        );
+        assert_eq!(out.messages_delivered, 847);
         assert_eq!(out.finish_time.cycles(), 18_630_612);
+        let (results, orders): (Vec<u64>, Vec<u64>) = out.results.into_iter().unzip();
         assert_eq!(
-            out.results,
+            results,
             vec![
                 18_622_520, 18_585_613, 18_593_113, 18_600_613, 18_608_113, 18_615_613, 18_623_113,
                 18_630_613
+            ]
+        );
+        assert_eq!(
+            orders,
+            vec![
+                0x1aa9_85f3_1322_2061,
+                0x902e_462d_bc94_8bac,
+                0x5d7e_af20_1b93_7e1c,
+                0xaa26_369a_d73f_fa63,
+                0xf704_74ef_4f06_991d,
+                0x8c1c_9e95_89ec_8383,
+                0x9fa4_624d_2876_845d,
+                0x4b71_cdbb_c4bc_0fc1
             ]
         );
     }

@@ -14,7 +14,8 @@
 //! the delivery time before it can send again, so deliveries are
 //! nondecreasing in virtual time and the entire execution — every clock
 //! value, counter, and message — is a pure function of the program being
-//! simulated.
+//! simulated. The pending events sit in one binary heap and are delivered
+//! one per resume, so that heap's `pop` is the only choice a run makes.
 //!
 //! # Execution model
 //!
@@ -69,7 +70,6 @@ mod coro;
 mod event;
 mod fault;
 mod net;
-mod queue;
 mod rng;
 mod sched;
 mod time;
@@ -82,5 +82,4 @@ pub use coro::{suspend, Coroutine};
 pub use fault::{CrashEvent, FaultDecision, FaultPlan, FaultStats, MAX_CRASHES};
 pub use net::NetModel;
 pub use rng::SplitMix64;
-pub use sched::SchedStats;
 pub use time::VirtualTime;

@@ -16,61 +16,24 @@
 //! between threads: the state sits in a `RefCell` that is never borrowed
 //! across a switch.
 //!
-//! Two scale-out refinements keep the dispatch path O(log queue) instead of
-//! O(procs):
-//!
-//! * Waiter sets. Blocked and draining processors are tracked in indexed
-//!   sets ([`ProcSet`]: swap-remove vector plus position map, O(1) each
-//!   way), so deadlock detection is an `is_empty` check, the deadlock
-//!   report is built lazily from the index only after a deadlock has been
-//!   detected, and quiescence walks exactly the drainers instead of
-//!   scanning every processor's state.
-//! * Event batching. When consecutive queue minima are addressed to the
-//!   same processor at the same instant, they are delivered as one batch
-//!   and drained by the destination across successive `recv`s without
-//!   going back to the loop in between. Batching only events with
-//!   `src <= dst` keeps the schedule identical to one-at-a-time delivery:
-//!   anything the resumed processor posts sorts at `(t', dst, fresh seq)`
-//!   with `t' >= t`, which the queue orders after every batched
-//!   `(t, src <= dst, older seq)` entry.
-//!
-//! Two host-allocation refinements ride along (see [`crate::queue`] for the
-//! event store itself): pending events live in a calendar ring instead of a
-//! binary heap, and the per-batch `VecDeque`s are recycled through a small
-//! freelist instead of being allocated per dispatch and dropped per drain.
-//! [`SchedStats`] counts what each path did, purely for host-side perf
-//! attribution — none of it feeds virtual time.
+//! The pending events sit in one binary heap, and each turn of the loop
+//! pops exactly one of them into its destination's one-message slot and
+//! resumes that processor: the heap's `pop` is the only choice a run
+//! makes. Nothing is indexed beside the heap. A delivery reads its
+//! destination's state directly; only the terminal empty-heap arm, reached
+//! once per run, scans every processor — in id order, so the deadlock
+//! report comes out sorted.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::coro::{self, Coroutine};
 use crate::event::Event;
-use crate::queue::EventQueue;
 use crate::time::VirtualTime;
 
-/// Most batch deques kept for reuse; beyond this they drop normally.
-const SPARE_CAP: usize = 64;
-
-/// Host-side scheduler counters for performance attribution. Purely
-/// observational: nothing here affects delivery order or virtual time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Events delivered to destination slots.
-    pub delivered: u64,
-    /// Dispatches that delivered something (one resume of the destination
-    /// each).
-    pub dispatches: u64,
-    /// Events delivered as batch extras — beyond the first of each batch,
-    /// so consumed without going back to the event loop.
-    pub batched: u64,
-    /// Queue pops served by the calendar ring.
-    pub near_pops: u64,
-    /// Queue pops served by the overflow heap.
-    pub far_pops: u64,
-    /// Batch deques drawn from the freelist instead of freshly allocated.
-    pub deques_recycled: u64,
-}
+/// One delivered message: `(delivery time, src, msg)`.
+type Delivery<M> = (VirtualTime, usize, M);
 
 /// Lifecycle state of a simulated processor.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,62 +47,6 @@ enum ProcState {
     Draining,
     /// The processor's closure has returned or unwound.
     Done,
-}
-
-/// An indexed set of processor ids: O(1) insert, O(1) remove, O(members)
-/// iteration. `pos[p]` is `p`'s index in `members`, or `usize::MAX` when
-/// absent; removal swap-removes, so iteration order is arbitrary.
-struct ProcSet {
-    members: Vec<usize>,
-    pos: Vec<usize>,
-}
-
-impl ProcSet {
-    const ABSENT: usize = usize::MAX;
-
-    fn new(procs: usize) -> ProcSet {
-        ProcSet {
-            members: Vec::with_capacity(procs),
-            pos: vec![Self::ABSENT; procs],
-        }
-    }
-
-    fn insert(&mut self, p: usize) {
-        debug_assert_eq!(self.pos[p], Self::ABSENT, "proc {p} already in set");
-        self.pos[p] = self.members.len();
-        self.members.push(p);
-    }
-
-    fn remove(&mut self, p: usize) {
-        let at = self.pos[p];
-        debug_assert_ne!(at, Self::ABSENT, "proc {p} not in set");
-        self.pos[p] = Self::ABSENT;
-        self.members.swap_remove(at);
-        if let Some(&moved) = self.members.get(at) {
-            self.pos[moved] = at;
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The members in ascending order (sorted on demand: this is the
-    /// report path, not the hot path).
-    fn sorted(&self) -> Vec<usize> {
-        let mut v = self.members.clone();
-        v.sort_unstable();
-        v
-    }
-}
-
-/// What the event loop left in a processor's mailbox: a batch of
-/// ready-to-consume deliveries, drained front-to-back.
-enum Slot<M> {
-    Empty,
-    Msgs(VecDeque<(VirtualTime, usize, M)>),
-    /// The cluster has quiesced; a draining processor may finish.
-    Quiesce,
 }
 
 /// Why the simulation was aborted.
@@ -162,22 +69,11 @@ pub(crate) enum Poison {
 
 struct SchedInner<M> {
     procs: Vec<ProcState>,
-    queue: EventQueue<M>,
-    slots: Vec<Slot<M>>,
+    queue: BinaryHeap<Reverse<Event<M>>>,
+    /// The delivery each processor was resumed to take, until it takes it.
+    slots: Vec<Option<Delivery<M>>>,
     poison: Option<Poison>,
     delivered: u64,
-    /// Dispatches that delivered a batch.
-    dispatches: u64,
-    /// Events delivered beyond the first of their batch.
-    batched: u64,
-    /// Batch deques drawn from `spare` instead of freshly allocated.
-    recycled: u64,
-    /// Freelist of emptied batch deques, reused by the next dispatch.
-    spare: Vec<VecDeque<(VirtualTime, usize, M)>>,
-    /// Processors currently in [`ProcState::Blocked`].
-    blocked: ProcSet,
-    /// Processors currently in [`ProcState::Draining`].
-    draining: ProcSet,
 }
 
 /// The scheduler: the cluster's state plus the event loop that owns the
@@ -194,16 +90,10 @@ impl<M> Scheduler<M> {
         Scheduler {
             inner: RefCell::new(SchedInner {
                 procs: vec![ProcState::Running; procs],
-                queue: EventQueue::new(),
-                slots: (0..procs).map(|_| Slot::Empty).collect(),
+                queue: BinaryHeap::new(),
+                slots: (0..procs).map(|_| None).collect(),
                 poison: None,
                 delivered: 0,
-                dispatches: 0,
-                batched: 0,
-                recycled: 0,
-                spare: Vec::new(),
-                blocked: ProcSet::new(procs),
-                draining: ProcSet::new(procs),
             }),
         }
     }
@@ -214,10 +104,10 @@ impl<M> Scheduler<M> {
     /// Processors are started in id order and each runs to its first
     /// suspension before the next starts. No event is delivered until all
     /// have, so the start order cannot reach the results. From then on:
-    /// pick the next delivery, resume its destination, repeat — until the
+    /// deliver the next event, resume its destination, repeat — until the
     /// cluster quiesces or is poisoned. Either way every processor that is
     /// still suspended is then resumed exactly once, in id order. After
-    /// quiescence those are the drainers, each finding `Slot::Quiesce`.
+    /// quiescence those are the drainers, each finding its slot empty.
     /// After poison its `block_recv` returns the poison, the caller
     /// unwinds its own stack and its locals drop. (A processor never
     /// suspends once the poison is set — `block_recv` checks first — and
@@ -244,80 +134,58 @@ impl<M> Scheduler<M> {
         self.inner.borrow().poison.clone()
     }
 
+    /// Messages delivered so far.
+    pub fn delivered(&self) -> u64 {
+        self.inner.borrow().delivered
+    }
+
     /// Queues an in-flight message. Called only by the running processor,
     /// so no dispatch can be due yet.
     pub fn post(&self, ev: Event<M>) {
-        self.inner.borrow_mut().queue.push(ev);
+        self.inner.borrow_mut().queue.push(Reverse(ev));
     }
 
     /// Suspends processor `me` until a message arrives (or, when
     /// `draining`, until the cluster quiesces). Returns `Ok(None)` only on
     /// quiescence. Must be called from `me`'s own coroutine.
-    ///
-    /// When a prior dispatch left a batch in this processor's slot, the
-    /// next delivery is consumed immediately — the processor stays
-    /// `Running` and never goes back to the event loop.
-    pub fn block_recv(
-        &self,
-        me: usize,
-        draining: bool,
-    ) -> Result<Option<(VirtualTime, usize, M)>, Poison> {
+    pub fn block_recv(&self, me: usize, draining: bool) -> Result<Option<Delivery<M>>, Poison> {
         {
             let mut inner = self.inner.borrow_mut();
             debug_assert_eq!(inner.procs[me], ProcState::Running);
             if let Some(p) = &inner.poison {
                 return Err(p.clone());
             }
-            if let Some(m) = inner.take_from_slot(me) {
-                return Ok(Some(m));
-            }
-            if draining {
-                inner.procs[me] = ProcState::Draining;
-                inner.draining.insert(me);
+            inner.procs[me] = if draining {
+                ProcState::Draining
             } else {
-                inner.procs[me] = ProcState::Blocked;
-                inner.blocked.insert(me);
-            }
+                ProcState::Blocked
+            };
         }
-        // The loop resumes this coroutine for exactly one of three
-        // reasons, checked in this order below.
+        // The loop resumes this coroutine with the poison, with a
+        // delivery, or — a drainer only — with neither, on quiescence.
         coro::suspend();
         let mut inner = self.inner.borrow_mut();
         if let Some(p) = &inner.poison {
             return Err(p.clone());
         }
-        if let Slot::Quiesce = inner.slots[me] {
-            debug_assert!(draining);
-            inner.slots[me] = Slot::Empty;
-            return Ok(None);
-        }
-        debug_assert_eq!(inner.procs[me], ProcState::Running);
-        let m = inner.take_from_slot(me);
-        Ok(Some(m.expect(
-            "resumed with neither delivery, quiesce nor poison",
-        )))
+        let m = inner.slots[me].take();
+        debug_assert!(
+            m.is_some() || draining,
+            "resumed with neither delivery, quiesce nor poison"
+        );
+        Ok(m)
     }
 
     /// Marks `me` finished. Valid from `Running` (closure returned without
     /// draining) or `Draining` (released by quiescence).
     pub fn finish(&self, me: usize) {
         let mut inner = self.inner.borrow_mut();
-        match inner.procs[me] {
-            ProcState::Running => {
-                // A leftover batched delivery is a message to a finished
-                // processor, exactly as if it were still in the queue.
-                if let Slot::Msgs(q) = &inner.slots[me] {
-                    if let Some(src) = q.front().map(|m| m.1) {
-                        inner.set_poison(Poison::MessageToFinished { src, dst: me });
-                    }
-                }
-            }
-            // Released by quiescence: the decision is not re-evaluated,
-            // all drainers are released together.
-            ProcState::Draining => inner.draining.remove(me),
-            s => panic!("finish() from invalid state {s:?}"),
-        }
-        inner.procs[me] = ProcState::Done;
+        let state = &mut inner.procs[me];
+        assert!(
+            matches!(state, ProcState::Running | ProcState::Draining),
+            "finish() from invalid state {state:?}"
+        );
+        *state = ProcState::Done;
     }
 
     /// Records a fatal condition; the first one wins. The event loop
@@ -329,26 +197,8 @@ impl<M> Scheduler<M> {
     /// Marks `me` dead after a panic and poisons the cluster.
     pub fn abandon(&self, me: usize, message: String) {
         let mut inner = self.inner.borrow_mut();
-        match inner.procs[me] {
-            ProcState::Blocked => inner.blocked.remove(me),
-            ProcState::Draining => inner.draining.remove(me),
-            ProcState::Running | ProcState::Done => {}
-        }
         inner.procs[me] = ProcState::Done;
         inner.set_poison(Poison::Panic { proc: me, message });
-    }
-
-    /// Snapshot of the host-side attribution counters.
-    pub fn stats(&self) -> SchedStats {
-        let inner = self.inner.borrow();
-        SchedStats {
-            delivered: inner.delivered,
-            dispatches: inner.dispatches,
-            batched: inner.batched,
-            near_pops: inner.queue.near_pops,
-            far_pops: inner.queue.far_pops,
-            deques_recycled: inner.recycled,
-        }
     }
 }
 
@@ -359,57 +209,29 @@ impl<M> SchedInner<M> {
         }
     }
 
-    /// Pops the next delivery from `me`'s slot batch, normalizing an
-    /// emptied batch back to `Empty` and parking its deque on the
-    /// freelist for the next dispatch.
-    fn take_from_slot(&mut self, me: usize) -> Option<(VirtualTime, usize, M)> {
-        let Slot::Msgs(q) = &mut self.slots[me] else {
-            return None;
-        };
-        let m = q.pop_front();
-        if q.is_empty() {
-            let Slot::Msgs(q) = std::mem::replace(&mut self.slots[me], Slot::Empty) else {
-                unreachable!("slot kind checked above")
-            };
-            if self.spare.len() < SPARE_CAP {
-                self.spare.push(q);
-            }
-        }
-        m
-    }
-
-    /// Delivers the minimal pending event — plus every consecutive queue
-    /// minimum for the same destination at the same instant — and returns
-    /// the destination to resume; or detects deadlock/quiescence and
-    /// returns `None`: the run is over bar resuming whoever is still
+    /// Delivers the minimal pending event into its destination's slot and
+    /// returns the destination to resume; or ends the run — poison,
+    /// deadlock or quiescence — with `None`, bar resuming whoever is still
     /// suspended. Called by the loop only, so no processor is runnable.
-    ///
-    /// The hot path — a batch delivered to a suspended destination —
-    /// allocates at most the batch deque. The deadlock report (which
-    /// allocates and sorts) is built from the blocked index only in the
-    /// empty-queue arm, after the deadlock has actually been detected.
     fn dispatch(&mut self) -> Option<usize> {
         if self.poison.is_some() {
             return None;
         }
-        let Some(ev) = self.queue.pop() else {
-            if !self.blocked.is_empty() {
-                // Stuck: build the report lazily, off the index.
-                let blocked = self.blocked.sorted();
+        let Some(Reverse(ev)) = self.queue.pop() else {
+            // Nothing in flight. Stuck if anyone waits in `recv`;
+            // otherwise everyone is draining or done, and the loop's
+            // final resumes release the drainers.
+            let blocked: Vec<usize> = (0..self.procs.len())
+                .filter(|&p| self.procs[p] == ProcState::Blocked)
+                .collect();
+            if !blocked.is_empty() {
                 self.set_poison(Poison::Deadlock { blocked });
-            } else {
-                // Everyone is Draining or Done and nothing is in flight:
-                // release the drainers.
-                for &p in &self.draining.members {
-                    self.slots[p] = Slot::Quiesce;
-                }
             }
             return None;
         };
         let dst = ev.dst;
         match self.procs[dst] {
-            ProcState::Blocked => self.blocked.remove(dst),
-            ProcState::Draining => self.draining.remove(dst),
+            ProcState::Blocked | ProcState::Draining => {}
             ProcState::Done => {
                 self.set_poison(Poison::MessageToFinished { src: ev.src, dst });
                 return None;
@@ -417,33 +239,8 @@ impl<M> SchedInner<M> {
             // The loop dispatches only once every processor has suspended.
             ProcState::Running => unreachable!("runnable proc while dispatching"),
         }
-        let at = ev.deliver_at;
-        let mut batch = if let Some(q) = self.spare.pop() {
-            self.recycled += 1;
-            q
-        } else {
-            VecDeque::with_capacity(1)
-        };
-        batch.push_back((ev.deliver_at, ev.src, ev.msg));
-        // Batch every consecutive minimum bound for the same slot at the
-        // same instant. `src <= dst` keeps the order identical to
-        // one-at-a-time delivery: whatever the destination posts once
-        // resumed carries a fresh (higher) sequence number from
-        // `src == dst` at a time `>= at`, which sorts after everything
-        // taken here.
-        while let Some(next) = self.queue.peek() {
-            if next.dst != dst || next.deliver_at != at || next.src > dst {
-                break;
-            }
-            let Some(n) = self.queue.pop() else {
-                unreachable!("peeked event vanished")
-            };
-            batch.push_back((n.deliver_at, n.src, n.msg));
-        }
-        self.delivered += batch.len() as u64;
-        self.dispatches += 1;
-        self.batched += batch.len() as u64 - 1;
-        self.slots[dst] = Slot::Msgs(batch);
+        self.delivered += 1;
+        self.slots[dst] = Some((ev.deliver_at, ev.src, ev.msg));
         self.procs[dst] = ProcState::Running;
         Some(dst)
     }
@@ -522,22 +319,16 @@ mod tests {
     }
 
     /// The deadlock report is sorted ascending no matter the order the
-    /// processors blocked in (the waiter index swap-removes, so its raw
-    /// order is arbitrary).
+    /// processors blocked in.
     #[test]
     fn deadlock_report_is_sorted() {
         let sched = Scheduler::new(4);
-        // All three block in id order; the one delivery takes 0 out of the
-        // index (swap-remove: [2, 1]) and 0 blocks again behind the others.
+        // All three block in id order; the one delivery resumes 0, which
+        // blocks again behind the others.
         sched.post(ev(3, 0, 10, 0, 1));
         let got = run(
             &sched,
             &[&[Step::Recv, Step::Recv], &[Step::Recv], &[Step::Recv], &[]],
-        );
-        assert_eq!(
-            sched.inner.borrow().blocked.members,
-            vec![2, 1, 0],
-            "the raw index is unsorted, so the report had to sort"
         );
         let deadlock = Err(Poison::Deadlock {
             blocked: vec![0, 1, 2],
@@ -581,20 +372,19 @@ mod tests {
             .collect();
         sched.run(&mut procs);
         assert_eq!(*order.borrow(), vec![(0, 100, 2, 7), (1, 200, 2, 8)]);
-        assert_eq!(sched.stats().dispatches, 2, "one resume per delivery");
+        assert_eq!(sched.delivered(), 2);
         assert_eq!(sched.poison(), None);
     }
 
-    /// Same destination, same instant, `src <= dst`: the events are
-    /// delivered as one batch and drained across successive `recv`s in
-    /// `(time, src, seq)` order, without the destination going back to
-    /// the event loop in between.
+    /// Same destination, same instant: the events reach it across
+    /// successive `recv`s in `(time, src, seq)` order, a self-post
+    /// included.
     #[test]
     fn same_instant_events_drain_as_one_batch() {
         let sched = Scheduler::new(3);
         sched.post(ev(1, 2, 100, 0, 10));
         sched.post(ev(0, 2, 100, 1, 20));
-        sched.post(ev(2, 2, 100, 2, 30)); // self-post: src == dst batches too
+        sched.post(ev(2, 2, 100, 2, 30));
         let got = run(&sched, &[&[], &[], &[Step::Recv; 3]]);
         // Queue order: (100, src 0) before (100, src 1) before (100, src 2).
         assert_eq!(
@@ -605,38 +395,17 @@ mod tests {
                 Ok(Some((100, 2, 30)))
             ]
         );
-        let stats = sched.stats();
-        assert_eq!(stats.delivered, 3);
-        assert_eq!(stats.dispatches, 1, "one resume for the batch");
-        assert_eq!(stats.batched, 2, "two deliveries rode along");
     }
 
-    /// An emptied batch deque is parked on the freelist and reused by the
-    /// next dispatch instead of being reallocated.
+    /// A processor that finishes while a second event for it is still
+    /// pending: that event reaches a finished processor and poisons the
+    /// run as a message-to-finished fault.
     #[test]
-    fn drained_batch_deques_are_recycled() {
-        let sched = Scheduler::new(2);
-        sched.post(ev(0, 1, 50, 0, 1));
-        sched.post(ev(0, 1, 150, 1, 2));
-        let got = run(&sched, &[&[], &[Step::Recv; 2]]);
-        assert_eq!(got[1], vec![Ok(Some((50, 0, 1))), Ok(Some((150, 0, 2)))]);
-        let stats = sched.stats();
-        assert_eq!(stats.dispatches, 2, "distinct instants: two dispatches");
-        assert_eq!(
-            stats.deques_recycled, 1,
-            "second dispatch reuses the first batch's deque"
-        );
-    }
-
-    /// A processor that finishes with a batched delivery still pending is
-    /// a message-to-finished fault, exactly as if the event were still in
-    /// the queue.
-    #[test]
-    fn leftover_batch_at_finish_poisons() {
+    fn pending_event_for_a_finished_processor_poisons() {
         let sched = Scheduler::new(2);
         sched.post(ev(0, 1, 50, 0, 1));
         sched.post(ev(0, 1, 50, 1, 2));
-        // Consume one of the two batched deliveries, then finish.
+        // Consume the first of the two deliveries, then finish.
         let got = run(&sched, &[&[], &[Step::Recv]]);
         assert_eq!(got[1], vec![Ok(Some((50, 0, 1)))]);
         assert_eq!(
@@ -696,25 +465,5 @@ mod tests {
                 blocked: vec![0, 2]
             })
         );
-    }
-
-    /// The indexed waiter set stays consistent through arbitrary
-    /// insert/remove interleavings (swap-remove bookkeeping).
-    #[test]
-    fn proc_set_tracks_membership() {
-        let mut s = ProcSet::new(8);
-        for p in [3, 1, 7, 0, 5] {
-            s.insert(p);
-        }
-        s.remove(1);
-        s.remove(5);
-        s.insert(2);
-        s.remove(3);
-        assert_eq!(s.sorted(), vec![0, 2, 7]);
-        assert!(!s.is_empty());
-        for p in [0, 2, 7] {
-            s.remove(p);
-        }
-        assert!(s.is_empty());
     }
 }

@@ -28,6 +28,12 @@ echo "==> cargo test -p midway-mem --release"
 # build, so their reference-equivalence tests run against that too.
 cargo test -p midway-mem --release -q
 
+echo "==> cargo test -p midway-apps --release"
+# The applications' kernels run optimized in every harness and in the
+# pinned benchmark, and quicksort's branch-free local sort is held to its
+# branchy oracle there, in the profile whose code generation it relies on.
+cargo test -p midway-apps --release -q
+
 echo "==> cargo test --release: the byte codec, the three formats on it, and JSON"
 # Wrapping arithmetic on a hostile length or range is a panic in the debug
 # profile and a silently wrong value in this one, so the decoders' hostile
@@ -97,11 +103,22 @@ for f in $(find crates/core/src/detect -name '*.rs'); do
     fi
 done
 
+# One store path: an application's reads and writes go through a store
+# view, which runs the trap body the detector lent it for the region; the
+# per-event detector context is for protocol events only.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/core/src/api.rs |
+    grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
+    grep -F 'with_detector!'; then
+    echo "with_detector! on the store path in crates/core/src/api.rs (use a view)" >&2
+    exit 1
+fi
+
 # One byte codec: the LEB128 loops and the byte-wise FNV-1a-64 are
 # crates/net/src/wire.rs's, and socket frames, trace files and recovery
 # storage are layouts over its bounds-checked Reader. The one exception
-# is the store digest in crates/mem/src/store.rs, a different (chunked)
-# algorithm kept beside its reference oracle.
+# is the store digest in crates/mem/src/store.rs, a different algorithm
+# (several stores hashed in lockstep, zero blocks skipped) kept beside
+# its reference oracle.
 for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/benchmark/*' \
     -not -path crates/net/src/wire.rs -not -path crates/mem/src/store.rs); do
     if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |

@@ -158,34 +158,40 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
         let rows = rows_of(n, proc.procs(), me);
 
         // Parallel initialization of A and B row stripes.
+        let mut v = proc.view();
         for i in rows.clone() {
             for j in 0..n {
-                proc.write(&h.a, i * n + j, elem(p.seed, 1, i, j, n));
-                proc.write(&h.b, i * n + j, elem(p.seed, 2, i, j, n));
+                v.set(&h.a, i * n + j, elem(p.seed, 1, i, j, n));
+                v.set(&h.b, i * n + j, elem(p.seed, 2, i, j, n));
             }
         }
+        drop(v);
         proc.barrier(h.init_done);
 
         // Copy B into private memory (transposed for locality); reads are
         // local under the update protocol.
         let mut bt = vec![0.0f64; n * n];
+        let mut v = proc.view();
         for k in 0..n {
             for j in 0..n {
-                bt[j * n + k] = proc.read(&h.b, k * n + j);
+                bt[j * n + k] = v.get(&h.b, k * n + j);
             }
         }
+        drop(v);
 
         // Compute this stripe of C, writing every element.
         for i in rows.clone() {
+            let mut v = proc.view();
             if i % 8 == 0 {
                 // Misclassified private progress write (6-cycle penalty).
-                proc.write(&h.scratch, me % 16, i as f64);
+                v.set(&h.scratch, me % 16, i as f64);
             }
-            let row_a: Vec<f64> = proc.read_vec(&h.a, i * n..(i + 1) * n);
+            let row_a: Vec<f64> = (i * n..(i + 1) * n).map(|k| v.get(&h.a, k)).collect();
             for j in 0..n {
                 let acc = dot(&row_a, &bt[j * n..(j + 1) * n]);
-                proc.write(&h.c, i * n + j, acc);
+                v.set(&h.c, i * n + j, acc);
             }
+            drop(v);
             proc.work((n * n) as u64 * CYCLES_PER_MAC);
         }
         proc.barrier(h.all_done);
@@ -193,11 +199,13 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
         // Verification: checksum the full matrix (identical everywhere)
         // and check sampled entries against a direct computation.
         let mut checksum = 0.0;
+        let mut v = proc.view();
         for i in 0..n {
             for j in 0..n {
-                checksum += proc.read(&h.c, i * n + j) * ((i * 31 + j) % 17) as f64;
+                checksum += v.get(&h.c, i * n + j) * ((i * 31 + j) % 17) as f64;
             }
         }
+        drop(v);
         let mut max_err = 0.0f64;
         let mut rng = SplitMix64::new(p.seed ^ 0xC0FFEE);
         for _ in 0..8 {

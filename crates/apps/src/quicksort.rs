@@ -167,9 +167,11 @@ fn worker<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Han
         proc.acquire(h.slot_locks[root]);
         proc.rebind(h.slot_locks[root], vec![h.data.range(0..p.n)]);
         let mut rng = SplitMix64::new(p.seed);
+        let mut v = proc.view();
         for i in 0..p.n {
-            proc.write(&h.data, i, (rng.next_below(1 << 30)) as i32 - (1 << 29));
+            v.set(&h.data, i, (rng.next_below(1 << 30)) as i32 - (1 << 29));
         }
+        drop(v);
         proc.release(h.slot_locks[root]);
         proc.acquire(h.qlock);
         proc.write(&h.qmeta, 0, 0);
@@ -247,9 +249,10 @@ fn partition<T: Transport<Msg = NetMsg>>(
     lo: usize,
     hi: usize,
 ) -> usize {
-    let a = proc.read(&h.data, lo);
-    let b = proc.read(&h.data, (lo + hi) / 2);
-    let c = proc.read(&h.data, hi - 1);
+    let mut v = proc.view();
+    let a = v.get(&h.data, lo);
+    let b = v.get(&h.data, (lo + hi) / 2);
+    let c = v.get(&h.data, hi - 1);
     let pivot = a.max(b).min(a.min(b).max(c)); // median of three
     let mut i = lo;
     let mut j = hi;
@@ -257,7 +260,7 @@ fn partition<T: Transport<Msg = NetMsg>>(
     loop {
         loop {
             steps += 1;
-            if proc.read(&h.data, i) >= pivot {
+            if v.get(&h.data, i) >= pivot {
                 break;
             }
             i += 1;
@@ -265,18 +268,19 @@ fn partition<T: Transport<Msg = NetMsg>>(
         loop {
             steps += 1;
             j -= 1;
-            if proc.read(&h.data, j) <= pivot {
+            if v.get(&h.data, j) <= pivot {
                 break;
             }
         }
         if i >= j {
+            drop(v);
             proc.work(steps * CYCLES_PER_PARTITION_STEP);
             return j + 1;
         }
-        let vi = proc.read(&h.data, i);
-        let vj = proc.read(&h.data, j);
-        proc.write(&h.data, i, vj);
-        proc.write(&h.data, j, vi);
+        let vi = v.get(&h.data, i);
+        let vj = v.get(&h.data, j);
+        v.set(&h.data, i, vj);
+        v.set(&h.data, j, vi);
         i += 1;
     }
 }
@@ -292,20 +296,7 @@ fn local_sort_leaf<T: Transport<Msg = NetMsg>>(
     hi: usize,
 ) {
     let mut buf = proc.read_vec(&h.data, lo..hi);
-    let mut compares = 0u64;
-    // Bubble sort with early exit, as the paper's local sort.
-    let mut end = buf.len();
-    while end > 1 {
-        let mut last_swap = 0;
-        for k in 1..end {
-            compares += 1;
-            if buf[k - 1] > buf[k] {
-                buf.swap(k - 1, k);
-                last_swap = k;
-            }
-        }
-        end = last_swap;
-    }
+    let compares = bubble_sort(&mut buf);
     proc.work(compares * CYCLES_PER_COMPARE);
     proc.write_slice(&h.data, lo, &buf);
 
@@ -323,6 +314,35 @@ fn local_sort_leaf<T: Transport<Msg = NetMsg>>(
     let done = proc.read(&h.qctl, 2);
     proc.write(&h.qctl, 2, done + (hi - lo) as i32);
     proc.release(h.qlock);
+}
+
+/// Bubble-sorts `buf` with early exit, the paper's local sort, and returns
+/// the comparisons made: each pass runs up to the last swap of the pass
+/// before.
+///
+/// A pass carries the running maximum in a register and writes the smaller
+/// of it and each next element behind it, so the compare's outcome feeds
+/// selects, not a branch. Keys are random, so a branch on it would be
+/// mispredicted about every other compare.
+fn bubble_sort(buf: &mut [i32]) -> u64 {
+    let mut compares = 0u64;
+    let mut end = buf.len();
+    while end > 1 {
+        let pass = &mut buf[..end];
+        let mut max = pass[0];
+        let mut last_swap = 0;
+        for k in 1..pass.len() {
+            let x = pass[k];
+            let swap = max > x;
+            pass[k - 1] = max.min(x);
+            max = max.max(x);
+            last_swap = if swap { k } else { last_swap };
+        }
+        pass[end - 1] = max;
+        compares += (end - 1) as u64;
+        end = last_swap;
+    }
+    compares
 }
 
 /// Publishes a child task: rebind its slot lock to the range, then make
@@ -431,6 +451,50 @@ mod tests {
             .filter(|o| o.leaves_sorted + o.tasks_split > 0)
             .count();
         assert!(busy >= 2, "only {busy} processors did any sorting");
+    }
+
+    /// The bubble sort as the paper states it, branching on each compare:
+    /// the oracle for [`bubble_sort`].
+    fn bubble_sort_branchy(buf: &mut [i32]) -> u64 {
+        let mut compares = 0u64;
+        let mut end = buf.len();
+        while end > 1 {
+            let mut last_swap = 0;
+            for k in 1..end {
+                compares += 1;
+                if buf[k - 1] > buf[k] {
+                    buf.swap(k - 1, k);
+                    last_swap = k;
+                }
+            }
+            end = last_swap;
+        }
+        compares
+    }
+
+    #[test]
+    fn branch_free_sort_matches_the_branchy_one() {
+        let mut rng = SplitMix64::new(7);
+        let lengths = (0..=20).chain([31, 32, 33, 64, 100, 255, 256, 500, 999, 1000]);
+        for n in lengths {
+            let random: Vec<i32> = (0..n).map(|_| rng.next_u64() as i32).collect();
+            let sorted = (0..n as i32).collect();
+            let reversed = (0..n as i32).rev().collect();
+            let equal = vec![42; n];
+            let duplicates = (0..n).map(|_| rng.next_below(4) as i32 - 2).collect();
+            for (kind, input) in [
+                ("random", random),
+                ("sorted", sorted),
+                ("reversed", reversed),
+                ("all-equal", equal),
+                ("duplicate-heavy", duplicates),
+            ] {
+                let (mut got, mut want) = (input.clone(), input);
+                let compares = bubble_sort(&mut got);
+                assert_eq!(compares, bubble_sort_branchy(&mut want), "{kind}, n = {n}");
+                assert_eq!(got, want, "{kind}, n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -26,8 +26,6 @@ fn copy_items<'a>(store: &mut LocalStore, items: impl IntoIterator<Item = &'a Up
 }
 
 impl WriteDetector for BlastDetector {
-    fn trap_write(&mut self, _cx: &mut DetectCx<'_>, _addr: Addr, _len: usize) {}
-
     fn collect_for(
         &mut self,
         cx: &mut DetectCx<'_>,

@@ -24,8 +24,9 @@
 //!
 //! A detector is driven through five moments of the protocol:
 //!
-//! * [`trap_write`](WriteDetector::trap_write) — before every shared
-//!   store (the paper's §3.1/§3.3 trapping mechanisms);
+//! * [`lend_trap`](WriteDetector::lend_trap) — the trap body for one
+//!   region (the paper's §3.1/§3.3 trapping mechanisms), which a store
+//!   view runs before every shared store it makes there;
 //! * [`seen_token`](WriteDetector::seen_token) — what this processor has
 //!   already seen of a lock's data, carried opaquely with acquire
 //!   requests;
@@ -60,7 +61,10 @@
 //! Everything else — harness CLIs, the trace format, the replay sweep —
 //! routes through the registry and picks the new backend up for free.
 
-use midway_mem::{Addr, LocalStore};
+use midway_mem::{
+    Addr, DirtyBits, LocalStore, RegionDesc, RegionPages, StoreKind, Template, WriteAccess,
+    PAGE_SHIFT, PAGE_SIZE,
+};
 use midway_proto::rt::{RtApply, RtScan};
 use midway_proto::{Binding, LamportClock, SeenToken, Unskipped, UpdateSet};
 use midway_sim::Category;
@@ -158,6 +162,65 @@ impl DetectCx<'_> {
     }
 }
 
+/// A detector's write-trapping body for one region, lent to the store
+/// views for as long as they work in that region
+/// ([`WriteDetector::lend_trap`]): the region's constants and the slice of
+/// detector state its stores touch, resolved once.
+pub enum Trap {
+    /// Stores are not trapped (blast, twin-all, the standalone build, and
+    /// private data under VM-DSM).
+    Nothing,
+    /// The region's dirtybit template and its dirtybits (§3.1).
+    Template(Template, DirtyBits),
+    /// A write fault and a twin on the first store to each page (§3.3),
+    /// with the region's page-table entries.
+    Paging(RegionPages),
+}
+
+impl Trap {
+    /// Traps a store of `len` bytes at `addr`, *before* the bytes land in
+    /// `slab`, the bytes of the region holding `addr`. Counts the store in
+    /// `counters` and returns the [`Category::WriteTrap`] cycles it costs.
+    #[inline]
+    pub fn store(
+        &mut self,
+        slab: &[u8],
+        addr: Addr,
+        len: usize,
+        cost: &CostModel,
+        counters: &mut Counters,
+    ) -> u64 {
+        match self {
+            Trap::Nothing => 0,
+            Trap::Template(template, bits) => {
+                let hit = template.invoke(bits, addr, StoreKind::of_len(len), cost);
+                if hit.misclassified {
+                    counters.dirtybits_misclassified += 1;
+                } else {
+                    counters.dirtybits_set += hit.lines_marked;
+                }
+                hit.cycles
+            }
+            Trap::Paging(pages) => {
+                // Each still-protected page under the store is twinned
+                // straight from the store and made writable.
+                let first = addr.page_in_region();
+                let last = Addr(addr.raw() + len.max(1) as u64 - 1).page_in_region();
+                let mut cycles = 0;
+                for page in first..=last {
+                    if pages.store_probe(page) == WriteAccess::Fault {
+                        let offset = page << PAGE_SHIFT;
+                        pages.fault_in(page, &slab[offset..slab.len().min(offset + PAGE_SIZE)]);
+                        cycles += cost.page_write_fault;
+                        counters.write_faults += 1;
+                    }
+                }
+                cycles
+            }
+        }
+    }
+}
+
 /// One write-detection backend: the trapping mechanism, the collection
 /// scan, and the bookkeeping that makes updates exactly-once.
 ///
@@ -165,9 +228,21 @@ impl DetectCx<'_> {
 /// maps, page tables, twins, incarnation histories, per-lock last-seen
 /// tokens); the protocol engine holds only bindings and hold state.
 pub trait WriteDetector {
-    /// Traps a store of `len` bytes at `addr`, *before* the bytes land in
-    /// the local cache.
-    fn trap_write(&mut self, cx: &mut DetectCx<'_>, addr: Addr, len: usize);
+    /// Lends out the trap body for stores to `desc`'s region, which runs
+    /// *before* each store's bytes land in the local cache. The borrower
+    /// hands it back with [`restore_trap`](WriteDetector::restore_trap)
+    /// before anything else reaches the detector. The default traps
+    /// nothing.
+    fn lend_trap(&mut self, spec: &SystemSpec, desc: &RegionDesc) -> Trap {
+        let _ = (spec, desc);
+        Trap::Nothing
+    }
+
+    /// Takes back the trap body [`lend_trap`](WriteDetector::lend_trap)
+    /// lent out for `region`.
+    fn restore_trap(&mut self, region: usize, trap: Trap) {
+        let _ = (region, trap);
+    }
 
     /// The opaque "what I have already seen of this lock's data" token
     /// sent with acquire requests and handed back to

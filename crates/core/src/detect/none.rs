@@ -1,7 +1,6 @@
 //! The standalone (uniprocessor baseline) detector: no detection, no
 //! consistency, no data motion.
 
-use midway_mem::Addr;
 use midway_proto::{Binding, SeenToken, Unskipped, UpdateSet};
 
 use crate::msg::GrantPayload;
@@ -12,8 +11,6 @@ use super::{DetectCx, WriteDetector};
 pub struct NoneDetector;
 
 impl WriteDetector for NoneDetector {
-    fn trap_write(&mut self, _cx: &mut DetectCx<'_>, _addr: Addr, _len: usize) {}
-
     fn collect_for(
         &mut self,
         _cx: &mut DetectCx<'_>,

@@ -11,15 +11,14 @@
 //! so peers only ever see timestamped update sets, whatever mechanism
 //! detected the writes. Plain RT has no paged part and no page table.
 
-use midway_mem::{Addr, BufPool, MemClass, PageTable, EPOCH, PAGE_SIZE};
+use midway_mem::{Addr, BufPool, MemClass, PageTable, RegionDesc, EPOCH, PAGE_SIZE};
 use midway_proto::{rt, Binding, SeenToken, Unskipped, UpdateItem, UpdateSet};
-use midway_sim::Category;
 
 use crate::msg::GrantPayload;
 use crate::setup::SystemSpec;
 
-use super::vm::{collect_charged, fault_in_pages};
-use super::{DetectCx, WriteDetector};
+use super::vm::collect_charged;
+use super::{DetectCx, Trap, WriteDetector};
 
 /// Shared regions at least this big (four pages) trap through page faults
 /// under the hybrid; everything smaller — and all private data — runs
@@ -176,21 +175,24 @@ impl RtDetector {
 }
 
 impl WriteDetector for RtDetector {
-    fn trap_write(&mut self, cx: &mut DetectCx<'_>, addr: Addr, len: usize) {
-        let desc = cx.spec.layout.region_of(addr);
+    fn lend_trap(&mut self, spec: &SystemSpec, desc: &RegionDesc) -> Trap {
         if let Some(paged) = &mut self.paged {
             if paged.policy[desc.id] == Mechanism::Paging {
-                return fault_in_pages(cx, &mut paged.pages, desc, addr, len);
+                return Trap::Paging(paged.pages.lend(desc.id));
             }
         }
-        let template = cx.spec.templates[desc.id].expect("allocated region has template");
-        let bits = self.dirty.bits_mut(&cx.spec.layout, desc.id);
-        let hit = template.invoke(bits, addr, midway_mem::StoreKind::of_len(len), &cx.cost);
-        (cx.charge)(Category::WriteTrap, hit.cycles);
-        if hit.misclassified {
-            cx.counters.dirtybits_misclassified += 1;
-        } else {
-            cx.counters.dirtybits_set += hit.lines_marked;
+        let template = spec.templates[desc.id].expect("allocated region has template");
+        Trap::Template(template, self.dirty.lend(&spec.layout, desc.id))
+    }
+
+    fn restore_trap(&mut self, region: usize, trap: Trap) {
+        match trap {
+            Trap::Nothing => {}
+            Trap::Template(_, bits) => self.dirty.restore(region, bits),
+            Trap::Paging(pages) => {
+                let paged = self.paged.as_mut().expect("only the hybrid lends pages");
+                paged.pages.restore(region, pages);
+            }
         }
     }
 

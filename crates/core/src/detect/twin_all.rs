@@ -40,8 +40,6 @@ impl TwinAllDetector {
 }
 
 impl WriteDetector for TwinAllDetector {
-    fn trap_write(&mut self, _cx: &mut DetectCx<'_>, _addr: Addr, _len: usize) {}
-
     fn seen_token(&self, lock: usize, _binding: &Binding) -> SeenToken {
         self.locks[lock].last_seen
     }

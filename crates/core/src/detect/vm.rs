@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use midway_mem::{Addr, MemClass, PageTable, RegionDesc, WriteAccess, PAGE_SHIFT, PAGE_SIZE};
+use midway_mem::{MemClass, PageTable, RegionDesc};
 use midway_proto::{vm, Binding, SeenToken, Unskipped, Update, UpdateSet};
 use midway_sim::Category;
 
@@ -11,7 +11,7 @@ use crate::config::MidwayConfig;
 use crate::msg::GrantPayload;
 use crate::setup::SystemSpec;
 
-use super::{DetectCx, WriteDetector};
+use super::{DetectCx, Trap, WriteDetector};
 
 /// Per-lock state of the VM protocol (VM-DSM and TwinAll): the last-seen
 /// token, the current incarnation, and the update history — and the
@@ -119,33 +119,6 @@ impl LockState {
     }
 }
 
-/// Services the write faults of a store of `len` bytes at `addr`: each
-/// still-protected page under it is twinned straight from the store and
-/// made writable.
-pub(super) fn fault_in_pages(
-    cx: &mut DetectCx<'_>,
-    pages: &mut PageTable,
-    desc: &RegionDesc,
-    addr: Addr,
-    len: usize,
-) {
-    let first = addr.page_in_region();
-    let last = Addr(addr.raw() + len.max(1) as u64 - 1).page_in_region();
-    for page in first..=last {
-        if pages.store_probe(desc.id, page) == WriteAccess::Fault {
-            let offset = page << PAGE_SHIFT;
-            let plen = PAGE_SIZE.min(desc.used - offset);
-            pages.fault_in(
-                desc.id,
-                page,
-                cx.store.bytes(desc.base() + offset as u64, plen),
-            );
-            (cx.charge)(Category::WriteTrap, cx.cost.page_write_fault);
-            cx.counters.write_faults += 1;
-        }
-    }
-}
-
 /// Runs the VM collection pass over `binding`, charging every page diff
 /// and re-protection and counting them for Table 2; `on_item` sees each
 /// piece to ship, borrowed from the diff.
@@ -196,12 +169,17 @@ fn collect(cx: &mut DetectCx<'_>, pages: &mut PageTable, binding: &Binding) -> U
 }
 
 impl WriteDetector for VmDetector {
-    fn trap_write(&mut self, cx: &mut DetectCx<'_>, addr: Addr, len: usize) {
-        let desc = cx.spec.layout.region_of(addr);
-        if desc.class == MemClass::Private {
-            return;
+    fn lend_trap(&mut self, _spec: &SystemSpec, desc: &RegionDesc) -> Trap {
+        match desc.class {
+            MemClass::Private => Trap::Nothing,
+            MemClass::Shared => Trap::Paging(self.pages.lend(desc.id)),
         }
-        fault_in_pages(cx, &mut self.pages, desc, addr, len);
+    }
+
+    fn restore_trap(&mut self, region: usize, trap: Trap) {
+        if let Trap::Paging(pages) = trap {
+            self.pages.restore(region, pages);
+        }
     }
 
     fn seen_token(&self, lock: usize, _binding: &Binding) -> SeenToken {

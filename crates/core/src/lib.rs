@@ -60,10 +60,10 @@ mod mutate;
 #[path = "../../../tests/tests/support/fingerprint.rs"]
 mod fingerprint;
 
-pub use api::Proc;
+pub use api::{Proc, View};
 pub use config::{BackendKind, BarrierShape, MidwayConfig};
 pub use counters::{AvgCounters, Counters};
-pub use detect::{DetectCx, WriteDetector};
+pub use detect::{DetectCx, Trap, WriteDetector};
 pub use msg::{DsmMsg, GrantPayload, NetMsg};
 pub use run::{Midway, MidwayRun};
 pub use setup::{Scalar, SharedArray, SystemBuilder, SystemSpec};

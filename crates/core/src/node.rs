@@ -24,7 +24,7 @@ use midway_sim::Category;
 
 use crate::config::{BarrierShape, MidwayConfig};
 use crate::counters::Counters;
-use crate::detect::{DetectCx, WriteDetector};
+use crate::detect::{Trap, WriteDetector};
 use crate::msg::{DsmMsg, NetMsg};
 use crate::setup::SystemSpec;
 
@@ -36,6 +36,30 @@ mod link;
 mod locks;
 mod recover;
 mod transfer;
+
+/// The region a processor's store views work in, lent out of the store
+/// (and, from its first store on, the detector's trap body for it) until
+/// [`DsmNode::restore`] puts them back.
+pub(crate) struct Lent {
+    pub region: usize,
+    pub slab: Box<[u8]>,
+    /// `None` until something is stored in the region.
+    pub trap: Option<Trap>,
+}
+
+impl Lent {
+    /// The region id of a `Lent` that holds nothing.
+    pub const NONE: usize = usize::MAX;
+
+    /// Nothing lent.
+    pub fn none() -> Lent {
+        Lent {
+            region: Lent::NONE,
+            slab: Box::default(),
+            trap: None,
+        }
+    }
+}
 
 /// Per-lock protocol state (backend state lives in the detector).
 struct LockNode {
@@ -97,10 +121,12 @@ pub(crate) struct DsmNode {
     pub(crate) check: Option<CheckLog>,
 }
 
-/// Builds a [`DetectCx`] from disjoint borrows of a node plus a charging
-/// closure over the transport handle, and runs `$body` with `$det` bound
-/// to the detector. A macro (not a method) so the borrow checker sees the
-/// field-level split: the detector never aliases the context it receives.
+/// Builds a [`DetectCx`](crate::detect::DetectCx) from disjoint borrows
+/// of a node plus a charging closure over the transport handle, and runs
+/// `$body` with `$det` bound to the detector. A macro (not a method) so
+/// the borrow checker sees the field-level split: the detector never
+/// aliases the context it receives. Protocol events only: stores run the
+/// trap body a view borrowed ([`DsmNode::lend`]).
 macro_rules! with_detector {
     ($node:expr, $h:expr, |$det:ident, $cx:ident| $body:expr) => {{
         let node = &mut *$node;
@@ -215,10 +241,56 @@ impl DsmNode {
         self.pump_until(h, |n| !n.tick_pending);
     }
 
-    /// Traps a store of `len` bytes at `addr` *before* the data is written
-    /// (paper §3.1 / §3.3; the mechanism is the detector's).
-    pub fn trap_write<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, addr: Addr, len: usize) {
-        with_detector!(self, h, |det, cx| det.trap_write(&mut cx, addr, len));
+    /// Lends `lent` the region holding `addr` in place of the one it
+    /// holds: its bytes now, the detector's trap body for it at its first
+    /// store ([`trap`](Self::trap)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside every region.
+    #[inline(never)]
+    pub(crate) fn lend(&mut self, lent: &mut Lent, addr: Addr) {
+        self.restore(lent);
+        let id = self.spec.layout.region_of(addr).id;
+        lent.region = id;
+        lent.slab = self.store.lend_region(id);
+    }
+
+    /// Takes back everything lent to `lent`, leaving it holding nothing.
+    #[inline]
+    pub(crate) fn restore(&mut self, lent: &mut Lent) {
+        if lent.region == Lent::NONE {
+            return;
+        }
+        self.store
+            .restore_region(lent.region, std::mem::take(&mut lent.slab));
+        if let Some(trap) = lent.trap.take() {
+            self.detect.restore_trap(lent.region, trap);
+        }
+        lent.region = Lent::NONE;
+    }
+
+    /// Runs the trap body of `lent`'s region for a store of `len` bytes at
+    /// `addr`, before the bytes land (paper §3.1 / §3.3; the mechanism is
+    /// the detector's); returns the [`Category::WriteTrap`] cycles it
+    /// costs.
+    #[inline]
+    pub(crate) fn trap(&mut self, lent: &mut Lent, addr: Addr, len: usize) -> u64 {
+        let trap = match &mut lent.trap {
+            Some(trap) => trap,
+            None => lent.trap.insert(self.lend_trap(lent.region)),
+        };
+        trap.store(&lent.slab, addr, len, &self.cfg.cost, &mut self.counters)
+    }
+
+    #[inline(never)]
+    fn lend_trap(&mut self, region: usize) -> Trap {
+        let desc = self
+            .spec
+            .layout
+            .region(region)
+            .expect("a lent region exists");
+        self.detect.lend_trap(&self.spec, desc)
     }
 
     /// The binding this node currently knows for `lock`.
@@ -333,7 +405,8 @@ impl DsmNode {
         let cycles = self.cfg.cost.copy_cycles(out.replay_bytes as usize, false);
         self.counters.recovery_cycles += cycles;
         h.charge(Category::Protocol, cycles);
-        if out.store.digest() != self.store.digest() {
+        let digests = LocalStore::digests(&[&out.store, &self.store]);
+        if digests[0] != digests[1] {
             h.protocol_violation(format!(
                 "processor {} recovered a divergent store: checkpoint + log replay does not \
                  reproduce the pre-crash memory",
@@ -375,6 +448,18 @@ impl DsmNode {
         self.charge_wal(h, logged);
     }
 
+    /// Appends `bytes`, the post-image of a store a view just made at
+    /// `addr`, to the write-ahead log; returns the [`Category::Protocol`]
+    /// cycles that costs (none when checkpointing is off).
+    #[inline]
+    pub(crate) fn wal_store(&mut self, addr: u64, bytes: &[u8]) -> u64 {
+        let Some(rec) = self.recovery.as_deref_mut().filter(|_| !bytes.is_empty()) else {
+            return 0;
+        };
+        let logged = rec.log_write(addr, bytes);
+        self.wal_cycles(logged)
+    }
+
     /// Logs `lock`'s hold state and binding to the write-ahead log
     /// (called whenever either changes).
     pub(crate) fn wal_lock<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, idx: usize) {
@@ -397,11 +482,14 @@ impl DsmNode {
     }
 
     fn charge_wal<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, logged: u64) {
+        h.charge(Category::Protocol, self.wal_cycles(logged));
+    }
+
+    /// Counts `logged` bytes of write-ahead log; returns the cycles they
+    /// cost.
+    fn wal_cycles(&mut self, logged: u64) -> u64 {
         self.counters.wal_bytes_logged += logged;
-        h.charge(
-            Category::Protocol,
-            self.cfg.cost.copy_cycles(logged as usize, false),
-        );
+        self.cfg.cost.copy_cycles(logged as usize, false)
     }
 
     /// Counts one synchronization boundary (a release or a completed
@@ -478,7 +566,17 @@ impl DsmNode {
                 mode,
                 seen,
             } => {
-                debug_assert_ne!(requester, self.me, "home short-circuits self-transfers");
+                // Only the lock's home routes a transfer, and never to its
+                // own owner of record: a requester it could not have named
+                // would be sent the lock's data.
+                let home = self.cfg.home_map.lock_home(lock, self.procs);
+                if requester >= self.procs || requester == self.me || src != home {
+                    h.protocol_violation(format!(
+                        "processor {} received a transfer of {lock:?} to processor {requester} \
+                         from processor {src}; the lock's home is processor {home}",
+                        self.me
+                    ));
+                }
                 let payload = self.collect_for(h, lock, seen);
                 self.send_grant(h, lock, mode, requester, payload);
             }

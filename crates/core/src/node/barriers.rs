@@ -407,7 +407,8 @@ mod tests {
                             set: UpdateSet::new(),
                             time,
                         };
-                        p.node.link.send(p.h, 0, msg);
+                        let (node, h) = p.engine();
+                        node.link.send(h, 0, msg);
                     }
                 }
                 p.barrier(bar);
@@ -442,7 +443,8 @@ mod tests {
                             set: UpdateSet::new(),
                             time,
                         };
-                        p.node.link.send(p.h, 0, msg);
+                        let (node, h) = p.engine();
+                        node.link.send(h, 0, msg);
                     }
                 }
                 p.barrier(bar);

@@ -182,7 +182,8 @@ mod tests {
     /// through the node's link layer — something no correct application
     /// can do through the public API — while processor 0 waits in
     /// `acquire(lock 0)` when `acquiring` and in a barrier otherwise, and
-    /// returns the violation processor 0 reports.
+    /// returns the violation processor 0 reports. Processor 1 is lock 0's
+    /// home; lock 1's home is processor 0.
     fn forged(
         backend: BackendKind,
         acquiring: bool,
@@ -191,19 +192,21 @@ mod tests {
         let mut b = SystemBuilder::new();
         let data = b.shared_array::<u64>("data", 4, 1);
         let lock = b.lock(vec![data.full_range()]);
+        let other = b.lock(vec![data.full_range()]);
         let bar = b.barrier(vec![data.full_range()]);
         let spec = b.build();
         // Processor 1 is the lock's home, so processor 0's acquire waits
         // for a grant from the network.
         let homes = (0..)
             .map(|seed| HomeMap::Sharded { seed })
-            .find(|m| m.lock_home(lock, 2) == 1)
+            .find(|m| m.lock_home(lock, 2) == 1 && m.lock_home(other, 2) == 0)
             .unwrap();
         let cfg = MidwayConfig::new(2, backend).home_map(homes);
         let err = Midway::run(cfg, &spec, |p: &mut Proc| {
             if p.id() == 1 {
                 let msg = forge(lock, Binding::new(vec![data.full_range()]));
-                p.node.link.send(p.h, 0, msg);
+                let (node, h) = p.engine();
+                node.link.send(h, 0, msg);
             } else if acquiring {
                 p.acquire(lock);
                 p.release(lock);
@@ -300,5 +303,26 @@ mod tests {
             time: 0,
         });
         assert_eq!(arrive, naming("BarrierId(99)"));
+        // Only a lock's home routes a transfer, and only to another
+        // processor of the cluster: a requester outside it, the receiver
+        // itself, or a sender that is not the home (lock 1 lives on 0) is
+        // refused before the owner collects anything or sends a grant.
+        let routed = |lock: LockId, requester: usize| {
+            forged(BackendKind::Rt, false, move |_, _| DsmMsg::TransferReq {
+                lock,
+                requester,
+                mode: Mode::Exclusive,
+                seen: (0, 0),
+            })
+        };
+        let refused = |lock: u32, requester: usize, home: usize| {
+            format!(
+                "processor 0 received a transfer of LockId({lock}) to processor {requester} \
+                 from processor 1; the lock's home is processor {home}"
+            )
+        };
+        assert_eq!(routed(LockId(0), 99), refused(0, 99, 1));
+        assert_eq!(routed(LockId(0), 0), refused(0, 0, 1));
+        assert_eq!(routed(LockId(1), 1), refused(1, 1, 0));
     }
 }

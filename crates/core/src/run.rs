@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use midway_mem::LocalStore;
 use midway_net::{RealCluster, RealConfig, RealError, RealMode, RealTransport, Transport};
 use midway_proto::LinkStats;
 use midway_sim::{
@@ -90,12 +91,13 @@ impl<R> MidwayRun<R> {
     }
 }
 
-/// What one processor's session produces, transport-independent.
+/// What one processor's session produces, transport-independent: its
+/// final local store is digested with everyone else's, in lockstep.
 type SessionOut<R> = (
     R,
     Counters,
     LinkStats,
-    u64,
+    LocalStore,
     Option<Vec<TraceOp>>,
     Option<midway_check::CheckLog>,
 );
@@ -114,22 +116,17 @@ where
 {
     let node = DsmNode::new(h.id(), cfg, Arc::clone(spec));
     node.schedule_crashes(h);
-    let mut proc = Proc {
-        node,
-        h,
-        rec: cfg.record.then(Vec::new),
-    };
+    let mut proc = Proc::new(node, h, cfg.record.then(Vec::new));
     let r = f(&mut proc);
-    proc.node.finalize(proc.h);
-    let digest = proc.node.store.digest();
-    let check_log = proc.node.check.take();
+    let (mut node, rec) = proc.finish();
+    node.finalize(h);
     (
         r,
-        proc.node.counters,
-        proc.node.link.stats,
-        digest,
-        proc.rec.take(),
-        check_log,
+        node.counters,
+        node.link.stats,
+        node.store,
+        rec,
+        node.check,
     )
 }
 
@@ -145,14 +142,14 @@ fn assemble<R>(
     let mut results = Vec::with_capacity(procs);
     let mut counters = Vec::with_capacity(procs);
     let mut link = Vec::with_capacity(procs);
-    let mut store_digests = Vec::with_capacity(procs);
+    let mut stores = Vec::with_capacity(procs);
     let mut traces = Vec::new();
     let mut check_logs = Vec::new();
-    for (r, c, l, d, t, k) in out.results {
+    for (r, c, l, s, t, k) in out.results {
         results.push(r);
         counters.push(c);
         link.push(l);
-        store_digests.push(d);
+        stores.push(s);
         if let Some(t) = t {
             traces.push(t);
         }
@@ -160,6 +157,7 @@ fn assemble<R>(
             check_logs.push(k.into_events());
         }
     }
+    let store_digests = LocalStore::digests(&stores.iter().collect::<Vec<_>>());
     let check = cfg
         .check
         .then(|| midway_check::analyze(&spec.check_spec(), &check_logs));

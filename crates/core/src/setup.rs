@@ -8,47 +8,37 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use midway_mem::{Addr, AddrRange, Layout, LayoutBuilder, LocalStore, MemClass, Template};
+use midway_mem::{Addr, AddrRange, Layout, LayoutBuilder, MemClass, Template};
 use midway_proto::{BarrierId, Binding, LockId};
 
-/// Scalar element types storable in a [`SharedArray`].
+/// Scalar element types storable in a [`SharedArray`], kept in memory as
+/// their little-endian bytes.
 pub trait Scalar: Copy + 'static {
     /// Element size in bytes (a power of two).
     const SIZE: usize;
-    /// Reads one element from a local store.
-    fn load(store: &mut LocalStore, addr: Addr) -> Self;
-    /// Writes one element to a local store.
-    fn store_to(store: &mut LocalStore, addr: Addr, v: Self);
+    /// Reads one element from its `SIZE` bytes.
+    fn from_le(bytes: &[u8]) -> Self;
+    /// Writes one element into its `SIZE` bytes.
+    fn to_le(self, bytes: &mut [u8]);
 }
 
 macro_rules! scalar_impl {
-    ($t:ty, $size:expr, $read:ident, $write:ident) => {
+    ($($t:ty),*) => {$(
         impl Scalar for $t {
-            const SIZE: usize = $size;
-            fn load(store: &mut LocalStore, addr: Addr) -> Self {
-                store.$read(addr)
+            const SIZE: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn from_le(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("one element's bytes"))
             }
-            fn store_to(store: &mut LocalStore, addr: Addr, v: Self) {
-                store.$write(addr, v)
+            #[inline]
+            fn to_le(self, bytes: &mut [u8]) {
+                bytes.copy_from_slice(&self.to_le_bytes());
             }
         }
-    };
+    )*};
 }
 
-scalar_impl!(f64, 8, read_f64, write_f64);
-scalar_impl!(u64, 8, read_u64, write_u64);
-scalar_impl!(u32, 4, read_u32, write_u32);
-scalar_impl!(i32, 4, read_i32, write_i32);
-
-impl Scalar for i64 {
-    const SIZE: usize = 8;
-    fn load(store: &mut LocalStore, addr: Addr) -> Self {
-        store.read_u64(addr) as i64
-    }
-    fn store_to(store: &mut LocalStore, addr: Addr, v: Self) {
-        store.write_u64(addr, v as u64)
-    }
-}
+scalar_impl!(f64, u64, u32, i32, i64);
 
 /// A handle to a shared (or private) array of scalars.
 ///

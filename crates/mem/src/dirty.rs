@@ -260,6 +260,7 @@ impl Template {
     /// paper's 9 cycles. The rarely-taken area path pays a call-out base
     /// cost plus one store per covered line. A private-region template
     /// returns immediately at the misclassification penalty of 6 cycles.
+    #[inline]
     pub fn invoke(
         &self,
         bits: &mut DirtyBits,

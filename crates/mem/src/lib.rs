@@ -34,6 +34,6 @@ pub use addr::{
 };
 pub use dirty::{DirtyBits, ScanOutcome, StoreKind, Template, DIRTY, EPOCH};
 pub use layout::{Alloc, Layout, LayoutBuilder, MemClass, RegionDesc, RegionId};
-pub use paging::{PageTable, WriteAccess};
+pub use paging::{PageTable, RegionPages, WriteAccess};
 pub use pool::BufPool;
 pub use store::LocalStore;

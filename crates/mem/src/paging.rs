@@ -27,9 +27,34 @@ struct PageMeta {
     twin: Option<Box<[u8]>>,
 }
 
+/// The page-table entries of one region.
 #[derive(Debug)]
-struct RegionPages {
+pub struct RegionPages {
     pages: Vec<PageMeta>,
+}
+
+impl RegionPages {
+    /// Probes a store to `page`.
+    pub fn store_probe(&self, page: usize) -> WriteAccess {
+        if self.pages[page].writable {
+            WriteAccess::Ok
+        } else {
+            WriteAccess::Fault
+        }
+    }
+
+    /// Services a write fault on `page`: saves `current` as its twin and
+    /// marks it dirty and writable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is already writable (spurious fault).
+    pub fn fault_in(&mut self, page: usize, current: &[u8]) {
+        let meta = &mut self.pages[page];
+        assert!(!meta.writable, "fault on a writable page");
+        meta.twin = Some(current.to_vec().into_boxed_slice());
+        meta.writable = true;
+    }
 }
 
 /// One processor's page table over the whole layout.
@@ -60,11 +85,7 @@ impl PageTable {
 
     /// Probes a store to page `page` of region `region`.
     pub fn store_probe(&mut self, region: usize, page: usize) -> WriteAccess {
-        if self.meta(region, page).writable {
-            WriteAccess::Ok
-        } else {
-            WriteAccess::Fault
-        }
+        self.region_pages(region).store_probe(page)
     }
 
     /// Services a write fault: saves `current` as the page's twin, marks
@@ -74,10 +95,25 @@ impl PageTable {
     ///
     /// Panics if the page is already writable (spurious fault).
     pub fn fault_in(&mut self, region: usize, page: usize, current: &[u8]) {
-        let meta = self.meta(region, page);
-        assert!(!meta.writable, "fault on a writable page");
-        meta.twin = Some(current.to_vec().into_boxed_slice());
-        meta.writable = true;
+        self.region_pages(region).fault_in(page, current);
+    }
+
+    /// Takes `region`'s entries out of the table for a caller that traps
+    /// many stores to it (a store view); hand them back with
+    /// [`restore`](Self::restore). Until then the table does not hold
+    /// them: entries never handed back read as clean and protected again.
+    pub fn lend(&mut self, region: usize) -> RegionPages {
+        self.region_pages(region);
+        self.regions[region].take().expect("just materialized")
+    }
+
+    /// Puts back entries taken with [`lend`](Self::lend).
+    pub fn restore(&mut self, region: usize, pages: RegionPages) {
+        debug_assert!(
+            self.regions[region].is_none(),
+            "region {region} restored twice"
+        );
+        self.regions[region] = Some(pages);
     }
 
     /// Whether the page is dirty (has a twin).
@@ -109,16 +145,19 @@ impl PageTable {
     }
 
     fn meta(&mut self, region: usize, page: usize) -> &mut PageMeta {
+        &mut self.region_pages(region).pages[page]
+    }
+
+    /// `region`'s entries, created (clean and protected) on first touch.
+    fn region_pages(&mut self, region: usize) -> &mut RegionPages {
         let desc = self
             .layout
             .region(region)
             .unwrap_or_else(|| panic!("no region {region}"));
         let npages = desc.used.div_ceil(PAGE_SIZE);
-        let slot = &mut self.regions[region];
-        let pages = slot.get_or_insert_with(|| RegionPages {
+        self.regions[region].get_or_insert_with(|| RegionPages {
             pages: (0..npages).map(|_| PageMeta::default()).collect(),
-        });
-        &mut pages.pages[page]
+        })
     }
 }
 

@@ -77,16 +77,6 @@ impl LocalStore {
         &mut region[off..off + len]
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn read_u32(&mut self, addr: Addr) -> u32 {
-        u32::from_le_bytes(self.bytes(addr, 4).try_into().expect("4 bytes"))
-    }
-
-    /// Writes a little-endian `u32`.
-    pub fn write_u32(&mut self, addr: Addr, v: u32) {
-        self.bytes_mut(addr, 4).copy_from_slice(&v.to_le_bytes());
-    }
-
     /// Reads a little-endian `u64`.
     pub fn read_u64(&mut self, addr: Addr) -> u64 {
         u64::from_le_bytes(self.bytes(addr, 8).try_into().expect("8 bytes"))
@@ -97,29 +87,29 @@ impl LocalStore {
         self.bytes_mut(addr, 8).copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Reads a little-endian `f64`.
-    pub fn read_f64(&mut self, addr: Addr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Writes a little-endian `f64`.
-    pub fn write_f64(&mut self, addr: Addr, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
-
-    /// Reads a little-endian `i32`.
-    pub fn read_i32(&mut self, addr: Addr) -> i32 {
-        self.read_u32(addr) as i32
-    }
-
-    /// Writes a little-endian `i32`.
-    pub fn write_i32(&mut self, addr: Addr, v: i32) {
-        self.write_u32(addr, v as u32);
-    }
-
     /// Copies `src` into memory at `addr`.
     pub fn write_bytes(&mut self, addr: Addr, src: &[u8]) {
         self.bytes_mut(addr, src.len()).copy_from_slice(src);
+    }
+
+    /// Takes region `id`'s bytes out of the store, materialized, for a
+    /// caller that works on the region for a while (a store view); hand
+    /// them back with [`restore_region`](Self::restore_region). Until
+    /// then the store does not hold the region: one that is never handed
+    /// back reads as zeros again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout has no region `id`.
+    pub fn lend_region(&mut self, id: usize) -> Box<[u8]> {
+        self.region_mut(id);
+        self.regions[id].take().expect("just materialized")
+    }
+
+    /// Puts back a region taken with [`lend_region`](Self::lend_region).
+    pub fn restore_region(&mut self, id: usize, slab: Box<[u8]>) {
+        debug_assert!(self.regions[id].is_none(), "region {id} restored twice");
+        self.regions[id] = Some(slab);
     }
 
     /// FNV-1a 64 digest of the store's logical content: every region's
@@ -129,100 +119,32 @@ impl LocalStore {
     /// be materialized — the final-memory-state equivalence check the
     /// fault-tolerance oracle relies on.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        // FNV-1a folds a zero byte as `hash ^= 0; hash *= PRIME`, i.e. a
-        // bare multiply — so a run of n zero bytes is one multiply by
-        // PRIME^n, which lets all-zero blocks of materialized regions
-        // and whole unmaterialized regions skip the byte loop while
-        // producing the exact same digest. The block test runs 64 bytes
-        // at a time as eight OR-reduced `u64` lanes (vectorizable), with
-        // an 8-byte-chunk fallback inside a mixed block.
-        const PRIME8: u64 = {
-            let mut p = 1u64;
-            let mut i = 0;
-            while i < 8 {
-                p = p.wrapping_mul(PRIME);
-                i += 1;
-            }
-            p
-        };
-        const PRIME64: u64 = {
-            let mut p = 1u64;
-            let mut i = 0;
-            while i < 64 {
-                p = p.wrapping_mul(PRIME);
-                i += 1;
-            }
-            p
-        };
-        fn prime_pow(mut n: u64) -> u64 {
-            let mut base = PRIME;
-            let mut acc = 1u64;
-            while n > 0 {
-                if n & 1 == 1 {
-                    acc = acc.wrapping_mul(base);
-                }
-                base = base.wrapping_mul(base);
-                n >>= 1;
-            }
-            acc
-        }
-        let mut hash = OFFSET;
-        let eat = |hash: &mut u64, b: u8| {
-            *hash ^= u64::from(b);
-            *hash = hash.wrapping_mul(PRIME);
-        };
-        for (idx, slot) in self.regions.iter().enumerate() {
-            let used = self.layout.region(idx).map_or(0, |d| d.used);
-            for b in (idx as u64).to_le_bytes() {
-                eat(&mut hash, b);
-            }
-            match slot {
-                Some(region) => {
-                    let mut blocks = region.chunks_exact(64);
-                    for block in &mut blocks {
-                        let block: &[u8; 64] = block.try_into().expect("64 bytes");
-                        let mut any = 0u64;
-                        for l in 0..8 {
-                            any |= u64::from_ne_bytes(
-                                block[l * 8..l * 8 + 8].try_into().expect("8 bytes"),
-                            );
-                        }
-                        if any == 0 {
-                            hash = hash.wrapping_mul(PRIME64);
-                            continue;
-                        }
-                        for chunk in block.chunks_exact(8) {
-                            if u64::from_ne_bytes(chunk.try_into().expect("8 bytes")) == 0 {
-                                hash = hash.wrapping_mul(PRIME8);
-                            } else {
-                                for &b in chunk {
-                                    eat(&mut hash, b);
-                                }
-                            }
-                        }
-                    }
-                    let mut chunks = blocks.remainder().chunks_exact(8);
-                    for chunk in &mut chunks {
-                        if u64::from_ne_bytes(chunk.try_into().expect("8 bytes")) == 0 {
-                            hash = hash.wrapping_mul(PRIME8);
-                        } else {
-                            for &b in chunk {
-                                eat(&mut hash, b);
-                            }
-                        }
-                    }
-                    for &b in chunks.remainder() {
-                        eat(&mut hash, b);
-                    }
-                }
-                None => {
-                    hash = hash.wrapping_mul(prime_pow(used as u64));
-                }
+        lockstep([self])[0]
+    }
+
+    /// The [`digest`](Self::digest) of each of `stores`, in order.
+    ///
+    /// FNV-1a is one multiply per byte, each waiting on the last, so one
+    /// store hashes at the multiplier's latency. Stores built over one
+    /// layout have the same regions at the same sizes, so they are hashed
+    /// four at a time in lockstep, region by region and block by block:
+    /// four independent chains keep the multiplier busy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stores are not all built over the same layout.
+    pub fn digests(stores: &[&LocalStore]) -> Vec<u64> {
+        let mut out = Vec::with_capacity(stores.len());
+        for group in stores.chunks(4) {
+            match *group {
+                [a] => out.extend(lockstep([a])),
+                [a, b] => out.extend(lockstep([a, b])),
+                [a, b, c] => out.extend(lockstep([a, b, c])),
+                [a, b, c, d] => out.extend(lockstep([a, b, c, d])),
+                _ => unreachable!("chunks of one to four stores"),
             }
         }
-        hash
+        out
     }
 
     /// The byte-at-a-time reference implementation of
@@ -278,6 +200,101 @@ impl LocalStore {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^n`: FNV-1a folds a zero byte as `hash ^= 0; hash *= PRIME`,
+/// a bare multiply, so a run of `n` zero bytes is one multiply by this.
+fn prime_pow(mut n: u64) -> u64 {
+    let mut base = FNV_PRIME;
+    let mut acc = 1u64;
+    while n > 0 {
+        if n & 1 == 1 {
+            acc = acc.wrapping_mul(base);
+        }
+        base = base.wrapping_mul(base);
+        n >>= 1;
+    }
+    acc
+}
+
+/// [`LocalStore::digests`] of `N` stores over one layout, one FNV-1a chain
+/// per store, advanced together. An unmaterialized region costs its lane
+/// one multiply; a 64-byte block that is zero in every lane costs each
+/// lane one multiply; any other block is folded byte by byte in every
+/// lane, the lanes interleaved so their multiplies overlap.
+fn lockstep<const N: usize>(stores: [&LocalStore; N]) -> [u64; N] {
+    const PRIME64: u64 = {
+        let mut p = 1u64;
+        let mut i = 0;
+        while i < 64 {
+            p = p.wrapping_mul(FNV_PRIME);
+            i += 1;
+        }
+        p
+    };
+    let layout = &stores[0].layout;
+    assert!(
+        stores.iter().all(|s| Arc::ptr_eq(&s.layout, layout)),
+        "digests in lockstep need stores over one layout"
+    );
+    let mut hash = [FNV_OFFSET; N];
+    for idx in 0..layout.region_slots() {
+        let index = (idx as u64).to_le_bytes();
+        fold(&mut hash, [&index[..]; N]);
+        let slabs: [Option<&[u8]>; N] = std::array::from_fn(|l| stores[l].regions[idx].as_deref());
+        let Some(first) = slabs.iter().flatten().next() else {
+            let zeros = prime_pow(layout.region(idx).map_or(0, |d| d.used) as u64);
+            for h in &mut hash {
+                *h = h.wrapping_mul(zeros);
+            }
+            continue;
+        };
+        // Unmaterialized lanes ride along on a materialized lane's bytes,
+        // in a copy of the hashes that is then discarded for them.
+        let bytes: [&[u8]; N] = std::array::from_fn(|l| slabs[l].unwrap_or(first));
+        let mut lanes = hash;
+        let mut at = 0;
+        while at + 64 <= first.len() {
+            let block: [&[u8]; N] = std::array::from_fn(|l| &bytes[l][at..at + 64]);
+            if block
+                .iter()
+                .all(|b| b.iter().fold(0, |acc, &x| acc | x) == 0)
+            {
+                for h in &mut lanes {
+                    *h = h.wrapping_mul(PRIME64);
+                }
+            } else {
+                fold(&mut lanes, block);
+            }
+            at += 64;
+        }
+        fold(&mut lanes, std::array::from_fn(|l| &bytes[l][at..]));
+        let zeros = prime_pow(first.len() as u64);
+        for l in 0..N {
+            hash[l] = match slabs[l] {
+                Some(_) => lanes[l],
+                None => hash[l].wrapping_mul(zeros),
+            };
+        }
+    }
+    hash
+}
+
+/// Folds `bytes[l]` into `hash[l]` byte by byte for every lane, the lanes
+/// interleaved. The slices have one length.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // byte `i` of every lane, then `i + 1`
+fn fold<const N: usize>(hash: &mut [u64; N], bytes: [&[u8]; N]) {
+    let len = bytes[0].len();
+    let bytes: [&[u8]; N] = std::array::from_fn(|l| &bytes[l][..len]);
+    for i in 0..len {
+        for l in 0..N {
+            hash[l] = (hash[l] ^ u64::from(bytes[l][i])).wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
 impl std::fmt::Debug for LocalStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let materialized = self.regions.iter().filter(|r| r.is_some()).count();
@@ -302,19 +319,17 @@ mod tests {
     fn memory_starts_zeroed() {
         let (mut s, a) = store_with(64);
         assert_eq!(s.read_u64(a), 0);
-        assert_eq!(s.read_f64(a + 8), 0.0);
+        assert_eq!(s.read_u64(a + 8), 0);
     }
 
     #[test]
     fn typed_round_trips() {
         let (mut s, a) = store_with(64);
-        s.write_u32(a, 0xDEAD_BEEF);
-        s.write_f64(a + 8, -2.5);
-        s.write_i32(a + 16, -7);
+        s.write_bytes(a, &0xDEAD_BEEFu32.to_le_bytes());
+        s.write_u64(a + 8, (-2.5f64).to_bits());
         s.write_u64(a + 24, u64::MAX);
-        assert_eq!(s.read_u32(a), 0xDEAD_BEEF);
-        assert_eq!(s.read_f64(a + 8), -2.5);
-        assert_eq!(s.read_i32(a + 16), -7);
+        assert_eq!(s.bytes(a, 4), 0xDEAD_BEEFu32.to_le_bytes());
+        assert_eq!(f64::from_bits(s.read_u64(a + 8)), -2.5);
         assert_eq!(s.read_u64(a + 24), u64::MAX);
     }
 
@@ -366,11 +381,75 @@ mod tests {
         assert_eq!(s.digest(), s.digest_reference());
         s.write_u64(a.addr + 16, 0xDEAD_BEEF_0123_4567);
         s.write_bytes(a.addr + 95, &[1, 2, 3, 4, 5]); // dirties the tail
-        s.write_u32(c.addr + 60, 7);
+        s.write_bytes(c.addr + 60, &7u32.to_le_bytes());
         assert_eq!(s.digest(), s.digest_reference());
         // Zeroing back still agrees (all-zero chunks now materialized).
         s.write_u64(a.addr + 16, 0);
         assert_eq!(s.digest(), s.digest_reference());
+    }
+
+    #[test]
+    fn lockstep_digests_match_the_reference_per_store() {
+        // Regions sized around the 64-byte block (one short, a few blocks
+        // plus a tail, exactly two) and one spanning many blocks.
+        let mut b = LayoutBuilder::new();
+        let allocs = [
+            b.alloc("a", 63, MemClass::Shared, 3),
+            b.alloc("b", 200, MemClass::Shared, 4),
+            b.alloc("c", 128, MemClass::Private, 3),
+            b.alloc("d", 5000, MemClass::Shared, 6),
+        ];
+        let layout = b.build();
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for count in 1..=9 {
+            let stores: Vec<LocalStore> = (0..count)
+                .map(|_| {
+                    let mut s = LocalStore::new(Arc::clone(&layout));
+                    for a in &allocs {
+                        match next() % 4 {
+                            // Left unmaterialized.
+                            0 => {}
+                            // Materialized, all zero blocks.
+                            1 => s.write_bytes(a.addr, &[0]),
+                            // Random bytes between zero runs.
+                            _ => {
+                                for _ in 0..1 + next() % 8 {
+                                    let off = (next() % a.len as u64) as usize;
+                                    let len = (1 + next() % 90) as usize;
+                                    let bytes: Vec<u8> =
+                                        (0..len.min(a.len - off)).map(|_| next() as u8).collect();
+                                    s.write_bytes(a.addr + off as u64, &bytes);
+                                }
+                            }
+                        }
+                    }
+                    s
+                })
+                .collect();
+            let refs: Vec<&LocalStore> = stores.iter().collect();
+            let want: Vec<u64> = stores.iter().map(LocalStore::digest_reference).collect();
+            assert_eq!(LocalStore::digests(&refs), want, "{count} stores");
+            let single: Vec<u64> = stores.iter().map(LocalStore::digest).collect();
+            assert_eq!(single, want, "{count} stores, one at a time");
+        }
+    }
+
+    #[test]
+    fn lending_a_region_keeps_its_bytes() {
+        let (mut s, a) = store_with(64);
+        s.write_u64(a + 8, 7);
+        let id = a.region_index();
+        let mut slab = s.lend_region(id);
+        slab[16] = 9;
+        s.restore_region(id, slab);
+        assert_eq!(s.read_u64(a + 8), 7);
+        assert_eq!(s.bytes(a + 16, 1), &[9]);
     }
 
     #[test]

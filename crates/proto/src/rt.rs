@@ -33,6 +33,25 @@ impl DirtyMap {
             .lines();
         self.per_region[region].get_or_insert_with(|| DirtyBits::new(lines))
     }
+
+    /// Takes `region`'s dirtybit array out of the map (created on first
+    /// touch) for a caller that marks many of its lines (a store view);
+    /// hand it back with [`restore`](Self::restore). Until then the map
+    /// does not hold it: an array never handed back reads as all-clean
+    /// again.
+    pub fn lend(&mut self, layout: &Layout, region: usize) -> DirtyBits {
+        self.bits_mut(layout, region);
+        self.per_region[region].take().expect("just materialized")
+    }
+
+    /// Puts back an array taken with [`lend`](Self::lend).
+    pub fn restore(&mut self, region: usize, bits: DirtyBits) {
+        debug_assert!(
+            self.per_region[region].is_none(),
+            "region {region} restored twice"
+        );
+        self.per_region[region] = Some(bits);
+    }
 }
 
 /// Result of an RT collection scan.
@@ -602,18 +621,18 @@ mod tests {
         let mut d1 = DirtyMap::new(&layout);
         let binding = Binding::new(vec![a.addr.raw()..a.addr.raw() + 128]);
 
-        p0.write_f64(a.addr + 24, 2.5);
+        p0.write_u64(a.addr + 24, 2.5f64.to_bits());
         mark_write(&mut d0, &layout, a.addr + 24, 8);
         let scan = collect(&mut p0, &mut d0, &layout, &binding, 1, 10);
         let applied = apply(&mut p1, &mut d1, &layout, &scan.set);
         assert_eq!(applied.bytes_applied, 8);
-        assert_eq!(p1.read_f64(a.addr + 24), 2.5);
+        assert_eq!(f64::from_bits(p1.read_u64(a.addr + 24)), 2.5);
     }
 
     #[test]
     fn partial_tail_line_is_clipped_to_region() {
         let mut f = fixture(20, 3); // 2.5 lines; last line is 4 bytes
-        f.store.write_u32(f.base + 16, 5);
+        f.store.write_bytes(f.base + 16, &5u32.to_le_bytes());
         mark_write(&mut f.dirty, &f.layout, f.base + 16, 4);
         let binding = Binding::new(vec![f.base.raw()..f.base.raw() + 20]);
         let scan = collect(&mut f.store, &mut f.dirty, &f.layout, &binding, 1, 9);

@@ -125,17 +125,20 @@ fn roundtrip(backend: BackendKind, seed: u64) {
             owner.det.on_rebind(0);
         }
         let before = owner.counters;
-        // The owner stores a random batch through its trap, exactly as
-        // the per-processor API does: trap first, then the bytes land.
+        // The owner stores a random batch through the trap body its
+        // detector lends, exactly as a store view does: trap first, then
+        // the bytes land.
         let slots = slots(&owner.binding);
         let stores = 1 + rng.next_below(40) as usize;
         for _ in 0..stores {
             let (addr, len) = slots[rng.next_below(slots.len() as u64) as usize];
             let val = rng.next_u64();
-            owner.with_cx(&cfg, &spec, |det, cx, _| {
-                det.trap_write(cx, addr, len);
-                cx.store.write_bytes(addr, &val.to_le_bytes());
-            });
+            let desc = spec.layout().region_of(addr);
+            let mut trap = owner.det.lend_trap(&spec, desc);
+            let slab = owner.store.region_mut(desc.id);
+            trap.store(slab, addr, len, &cfg.cost, &mut owner.counters);
+            owner.det.restore_trap(desc.id, trap);
+            owner.store.write_bytes(addr, &val.to_le_bytes());
         }
         // Requester acquires: its token travels to the owner, which
         // collects on its behalf; the grant comes back and is applied.

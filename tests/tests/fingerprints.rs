@@ -1,10 +1,13 @@
 //! The lock path pinned the way core's
 //! `barrier_fingerprints_match_the_materializing_release` pins the barrier
 //! path, with the same fingerprint: virtual time, messages, application
-//! results, every Table 2 counter and final memory, per backend.
+//! results, every Table 2 counter and final memory, per backend. The
+//! store path is pinned the same way, with the clock breakdown, the trace
+//! bytes and the checker report added.
 
-use midway_apps::{quicksort, water};
+use midway_apps::{matmul, quicksort, water};
 use midway_core::{codec, BackendKind, Counters, MidwayConfig, MidwayRun};
+use midway_replay::Trace;
 
 #[path = "support/fingerprint.rs"]
 mod fingerprint;
@@ -70,6 +73,99 @@ fn lock_fingerprints_match_the_parent_commit() {
         .map(|b| qs(b, small))
         .chain(BackendKind::DATA.into_iter().map(wa))
         .chain([fingerprint(&paged, quicksort_word)])
+        .collect();
+    for ((label, want), got_row) in cells.iter().zip(&got) {
+        assert_eq!(got_row, want, "{label}; all rows now: {got:#x?}");
+    }
+}
+
+fn matrix_word(o: &matmul::Outcome) -> u64 {
+    o.checksum.to_bits() ^ o.max_sample_error.to_bits().rotate_left(1)
+}
+
+/// [`fingerprint`] plus what a run's stores leave beyond memory and the
+/// counters: FNV-1a of every processor's per-category clock breakdown,
+/// of the recorded trace's bytes, and of the checker's report.
+fn store_path<R>(app: &str, run: &MidwayRun<R>, result: impl Fn(&R) -> u64) -> [u64; 8] {
+    let breakdown: Vec<u8> = run
+        .reports
+        .iter()
+        .flat_map(|r| r.breakdown)
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    let trace = Trace::from_run(app, "small", true, run).encode();
+    let report = format!("{:?}", run.check.as_ref().expect("the checker is on"));
+    let [finish, messages, results, counters, digests] = fingerprint(run, result);
+    [
+        finish,
+        messages,
+        results,
+        counters,
+        digests,
+        codec::fnv1a64(&breakdown),
+        codec::fnv1a64(&trace),
+        codec::fnv1a64(report.as_bytes()),
+    ]
+}
+
+/// Quicksort and matrix, whose element loops run through store views, at
+/// `Scale::Small` on 4 processors under every data backend, with
+/// recording, the checker and checkpointing (every second boundary) all
+/// on: every side effect of a store — its trap and its cycles, its checker
+/// event and the time on it, its write-ahead-log record and its trace
+/// operation — is in the fingerprint. The values were recorded by this
+/// same test run against the parent commit (50d520d), before views.
+#[test]
+fn store_path_fingerprints_match_the_parent_commit() {
+    let cfg = |b| {
+        MidwayConfig::new(4, b)
+            .record(true)
+            .check(true)
+            .checkpoint_every(2)
+    };
+    #[rustfmt::skip]
+    let cells: [(&str, [u64; 8]); 10] = [
+        ("quicksort rt",
+         [0x11320f2, 0x6e2, 0xb40db1cf21152671, 0x309bcb8d2f155e5,
+          0x5b2fdf7e294348c, 0x9bd53f0ac511e404, 0xd609205d465ea539, 0x7afa71460323cebb]),
+        ("quicksort vm",
+         [0x152b27e, 0x6a0, 0xc6100681d0c5408b, 0x52d91bc89d2f03d0,
+          0x33d0adadbfd7b623, 0xa606ee49860a1eed, 0x8585795bbc02a1dc, 0x254e3f4a4db8d76]),
+        ("quicksort blast",
+         [0x144726b, 0x6bb, 0xc16247c28419a801, 0x8cf95a5e800cdb5,
+          0x5830dc0ca75c4860, 0xde2bc237be764a92, 0xc5a6a0650f08bbda, 0x7a41c43ce79fbaff]),
+        ("quicksort twinall",
+         [0x12d750b, 0x65a, 0xf08ceb51e6fab009, 0xc6e53e15258899ba,
+          0x2728dbd0adc6d81e, 0x61f5ea8905463a5d, 0xb413e84bdc8ab8f, 0x7fd6062952eb204c]),
+        ("quicksort hybrid",
+         [0x11320f2, 0x6e2, 0xb40db1cf21152671, 0x309bcb8d2f155e5,
+          0x5b2fdf7e294348c, 0x9bd53f0ac511e404, 0xd686c277b7a0fef3, 0x7afa71460323cebb]),
+        ("matrix rt",
+         [0x3bd5e, 0xc, 0x2434b6e44ac2da35, 0xe69760e5108bd4a9,
+          0x7b306d491ba6b417, 0x77e1dfcb5470f6dd, 0xdeacebc7719ad6b0, 0x2681882c9ac19a2f]),
+        ("matrix vm",
+         [0x61a1e, 0xc, 0x2434b6e44ac2da35, 0x9d3521df407dc3af,
+          0x7b306d491ba6b417, 0x5370d8f38b6cd74c, 0x4ee3948a43439f74, 0x2681882c9ac19a2f]),
+        ("matrix blast",
+         [0x3a2e8, 0xc, 0x2434b6e44ac2da35, 0xeb02d3cd99afa0eb,
+          0x7b306d491ba6b417, 0x2fb7c293720900dd, 0x8621a04591fe6014, 0x2681882c9ac19a2f]),
+        ("matrix twinall",
+         [0x41633, 0xc, 0x2434b6e44ac2da35, 0xfc9696699a67dc27,
+          0x7b306d491ba6b417, 0xc062ca25f2a171e0, 0xf3f6212e61c61a9e, 0x2681882c9ac19a2f]),
+        ("matrix hybrid",
+         [0x3bd5e, 0xc, 0x2434b6e44ac2da35, 0xe69760e5108bd4a9,
+          0x7b306d491ba6b417, 0x77e1dfcb5470f6dd, 0x34c2296b952e4313, 0x2681882c9ac19a2f]),
+    ];
+    let got: Vec<[u64; 8]> = BackendKind::DATA
+        .into_iter()
+        .map(|b| {
+            let run = quicksort::run(cfg(b), quicksort::Params::small());
+            store_path("quicksort", &run, quicksort_word)
+        })
+        .chain(BackendKind::DATA.into_iter().map(|b| {
+            let run = matmul::run(cfg(b), matmul::Params::small());
+            store_path("matrix", &run, matrix_word)
+        }))
         .collect();
     for ((label, want), got_row) in cells.iter().zip(&got) {
         assert_eq!(got_row, want, "{label}; all rows now: {got:#x?}");

@@ -150,6 +150,23 @@ for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/bench
     fi
 done
 
+# A run checks itself once: `run_app` / `run_app_real`
+# (crates/apps/src/driver.rs) return a `MidwayRun` only after the
+# application's own check passed, and panic otherwise. Nothing else, code
+# or test, re-checks a verified flag, calls an application's check by hand
+# or builds a second run-result struct. A trace header's `verified` byte
+# (`meta.verified`) is data, not a check; the pinned benchmark keeps its own.
+for f in $(find crates tests examples -name '*.rs' -not -path 'crates/bench/src/bin/benchmark/*' \
+    -not -path crates/apps/src/driver.rs -not -path '*/target/*'); do
+    if awk '{ print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
+        grep -E 'AppOutcome|from_outcome|FuzzRun|\.verified\b|::verified\(' |
+        grep -vE '\b(m|meta)\.verified\b'; then
+        echo "a hand verification check or a second run result in $f (use run_app)" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -1,10 +1,9 @@
-//! A uniform driver over the five applications, used by the benchmark
-//! harnesses to regenerate the paper's tables and figures.
+//! A uniform driver over the applications, used by the benchmark
+//! harnesses to regenerate the paper's tables and figures. Every run it
+//! returns has passed the application's own check; a failed check
+//! panics.
 
-use midway_core::{
-    Counters, LinkStats, MidwayConfig, MidwayRun, RealConfig, RealError, SpecBlueprint, TraceOp,
-    VirtualTime,
-};
+use midway_core::{MidwayConfig, MidwayRun, RealConfig, RealError};
 
 use crate::{cholesky, kvstore, matmul, quicksort, socialgraph, sor, taskqueue, water};
 
@@ -122,80 +121,6 @@ impl Scale {
             Scale::Small => "small",
             Scale::Datacenter => "dc",
         }
-    }
-}
-
-/// Backend-erased outcome of one application run.
-#[derive(Clone, Debug)]
-pub struct AppOutcome {
-    /// Which application ran.
-    pub kind: AppKind,
-    /// The configuration used.
-    pub cfg: MidwayConfig,
-    /// Per-processor counters (Table 2's raw data).
-    pub counters: Vec<Counters>,
-    /// Finish time (max processor clock).
-    pub finish_time: VirtualTime,
-    /// Execution time in modelled seconds.
-    pub exec_secs: f64,
-    /// Application data transferred cluster-wide, in MB.
-    pub data_mb_total: f64,
-    /// Application data sent per processor, in KB (Table 2's row).
-    pub data_kb_per_proc: f64,
-    /// Messages delivered.
-    pub messages: u64,
-    /// Whether the application verified its own output.
-    pub verified: bool,
-    /// Per-processor FNV-1a digests of the final local memory content.
-    pub store_digests: Vec<u64>,
-    /// Per-processor reliable-channel activity (all zeros when the run's
-    /// fault plan is disabled and messages travel unframed).
-    pub link: Vec<LinkStats>,
-    /// Per-processor recorded operation streams (empty unless the run was
-    /// configured with `MidwayConfig::record`).
-    pub traces: Vec<Vec<TraceOp>>,
-    /// The system blueprint, captured when recording.
-    pub blueprint: Option<SpecBlueprint>,
-    /// The dynamic checker's report (present when the run was configured
-    /// with `MidwayConfig::check`).
-    pub check: Option<midway_core::CheckReport>,
-}
-
-impl AppOutcome {
-    /// Cluster-wide reliable-channel totals (all zeros on a trusted
-    /// network).
-    pub fn link_totals(&self) -> LinkStats {
-        let mut total = LinkStats::default();
-        for l in &self.link {
-            total.add(l);
-        }
-        total
-    }
-
-    /// Packages any finished run as an outcome — e.g. a trace replay,
-    /// which carries no application results of its own; the caller passes
-    /// the `verified` flag recorded with the trace.
-    pub fn from_run<R>(kind: AppKind, run: MidwayRun<R>, verified: bool) -> AppOutcome {
-        erase(kind, run, verified)
-    }
-}
-
-fn erase<R>(kind: AppKind, run: MidwayRun<R>, verified: bool) -> AppOutcome {
-    AppOutcome {
-        kind,
-        cfg: run.cfg,
-        exec_secs: run.exec_secs(),
-        data_mb_total: run.data_mb_total(),
-        data_kb_per_proc: run.data_kb_per_proc(),
-        finish_time: run.finish_time,
-        messages: run.messages,
-        counters: run.counters,
-        verified,
-        store_digests: run.store_digests,
-        link: run.link,
-        traces: run.traces,
-        blueprint: run.blueprint,
-        check: run.check,
     }
 }
 
@@ -354,113 +279,89 @@ fn taskqueue_params(scale: Scale) -> taskqueue::Params {
     }
 }
 
-/// Runs `kind` at `scale` under `cfg`, with verification.
+/// Runs `kind` at `scale` under `cfg`, and the application's own check
+/// of its output.
 ///
 /// # Panics
 ///
-/// Panics if the simulation itself fails (deadlock / processor panic);
-/// verification failures are reported in the outcome instead.
-pub fn run_app(kind: AppKind, cfg: MidwayConfig, scale: Scale) -> AppOutcome {
-    match kind {
-        AppKind::Water => {
-            let run = water::run(cfg, water_params(scale));
-            let ok = water::verified(&run.results);
-            erase(kind, run, ok)
-        }
-        AppKind::Quicksort => {
-            let run = quicksort::run(cfg, quicksort_params(scale));
-            let ok = run.results[0].sorted_ok == Some(true);
-            erase(kind, run, ok)
-        }
-        AppKind::Matmul => {
-            let run = matmul::run(cfg, matmul_params(scale));
-            let ok = matmul::verified(&run.results);
-            erase(kind, run, ok)
-        }
-        AppKind::Sor => {
-            let run = sor::run(cfg, sor_params(scale));
-            let ok = sor::verified(&run.results);
-            erase(kind, run, ok)
-        }
-        AppKind::Cholesky => {
-            let run = cholesky::run(cfg, cholesky_params(scale));
-            let ok = cholesky::verified(&run.results);
-            erase(kind, run, ok)
-        }
-        AppKind::KvStore => {
-            let run = kvstore::run(cfg, kvstore_params(scale));
-            let ok = kvstore::verified(&run.results);
-            erase(kind, run, ok)
-        }
-        AppKind::SocialGraph => {
-            let run = socialgraph::run(cfg, socialgraph_params(scale));
-            let ok = socialgraph::verified(&run.results);
-            erase(kind, run, ok)
-        }
-        AppKind::TaskQueue => {
-            let run = taskqueue::run(cfg, taskqueue_params(scale));
-            let ok = taskqueue::verified(&run.results);
-            erase(kind, run, ok)
-        }
-    }
+/// Panics if the simulation fails (deadlock / processor panic) or the
+/// application fails its check.
+pub fn run_app(kind: AppKind, cfg: MidwayConfig, scale: Scale) -> MidwayRun<()> {
+    run_on(kind, cfg, None, scale).unwrap_or_else(|e| unreachable!("no sockets to fail: {e}"))
 }
 
-/// Runs `kind` at `scale` under `cfg` over real sockets, with
-/// verification. The workload is identical to [`run_app`]'s at the same
-/// scale; only the transport differs.
+/// Runs `kind` at `scale` under `cfg` over real sockets, and the
+/// application's own check of its output. The workload is identical to
+/// [`run_app`]'s at the same scale; only the transport differs.
 ///
 /// # Errors
 ///
 /// Returns [`RealError`] when the run fails (socket error, violation,
-/// panic, watchdog); verification failures are reported in the outcome.
+/// panic, watchdog).
+///
+/// # Panics
+///
+/// Panics if the application fails its check.
 pub fn run_app_real(
     kind: AppKind,
     cfg: MidwayConfig,
     real: &RealConfig,
     scale: Scale,
-) -> Result<AppOutcome, RealError> {
+) -> Result<MidwayRun<()>, RealError> {
+    run_on(kind, cfg, Some(real), scale)
+}
+
+/// The one dispatch over the applications: each runs on the simulator
+/// (`real` is `None`) or over `real`'s sockets, and is [`checked`].
+fn run_on(
+    kind: AppKind,
+    cfg: MidwayConfig,
+    real: Option<&RealConfig>,
+    scale: Scale,
+) -> Result<MidwayRun<()>, RealError> {
+    macro_rules! app {
+        ($app:ident, $params:expr) => {{
+            let run = match real {
+                None => $app::run(cfg, $params),
+                Some(real) => $app::run_real(cfg, real, $params)?,
+            };
+            checked(kind, scale.label(), run, $app::verified)
+        }};
+    }
     Ok(match kind {
-        AppKind::Water => {
-            let run = water::run_real(cfg, real, water_params(scale))?;
-            let ok = water::verified(&run.results);
-            erase(kind, run, ok)
-        }
-        AppKind::Quicksort => {
-            let run = quicksort::run_real(cfg, real, quicksort_params(scale))?;
-            let ok = run.results[0].sorted_ok == Some(true);
-            erase(kind, run, ok)
-        }
-        AppKind::Matmul => {
-            let run = matmul::run_real(cfg, real, matmul_params(scale))?;
-            let ok = matmul::verified(&run.results);
-            erase(kind, run, ok)
-        }
-        AppKind::Sor => {
-            let run = sor::run_real(cfg, real, sor_params(scale))?;
-            let ok = sor::verified(&run.results);
-            erase(kind, run, ok)
-        }
-        AppKind::Cholesky => {
-            let run = cholesky::run_real(cfg, real, cholesky_params(scale))?;
-            let ok = cholesky::verified(&run.results);
-            erase(kind, run, ok)
-        }
-        AppKind::KvStore => {
-            let run = kvstore::run_real(cfg, real, kvstore_params(scale))?;
-            let ok = kvstore::verified(&run.results);
-            erase(kind, run, ok)
-        }
-        AppKind::SocialGraph => {
-            let run = socialgraph::run_real(cfg, real, socialgraph_params(scale))?;
-            let ok = socialgraph::verified(&run.results);
-            erase(kind, run, ok)
-        }
-        AppKind::TaskQueue => {
-            let run = taskqueue::run_real(cfg, real, taskqueue_params(scale))?;
-            let ok = taskqueue::verified(&run.results);
-            erase(kind, run, ok)
-        }
+        AppKind::Water => app!(water, water_params(scale)),
+        AppKind::Quicksort => app!(quicksort, quicksort_params(scale)),
+        AppKind::Matmul => app!(matmul, matmul_params(scale)),
+        AppKind::Sor => app!(sor, sor_params(scale)),
+        AppKind::Cholesky => app!(cholesky, cholesky_params(scale)),
+        AppKind::KvStore => app!(kvstore, kvstore_params(scale)),
+        AppKind::SocialGraph => app!(socialgraph, socialgraph_params(scale)),
+        AppKind::TaskQueue => app!(taskqueue, taskqueue_params(scale)),
     })
+}
+
+/// `run` without its per-processor results, once the application's own
+/// check `ok` accepts them: the one place a run of `kind` is verified.
+/// `workload` names the input (a scale label, or a sweep's point).
+///
+/// # Panics
+///
+/// Panics if `ok` rejects the results, naming the application, backend,
+/// processor count and workload.
+pub fn checked<R>(
+    kind: AppKind,
+    workload: &str,
+    run: MidwayRun<R>,
+    ok: fn(&[R]) -> bool,
+) -> MidwayRun<()> {
+    assert!(
+        ok(&run.results),
+        "{} failed its own check ({}, {} processors, {workload})",
+        kind.label(),
+        run.cfg.backend.label(),
+        run.cfg.procs
+    );
+    run.without_results()
 }
 
 #[cfg(test)]
@@ -471,19 +372,27 @@ mod tests {
     #[test]
     fn driver_runs_and_verifies_every_app() {
         for kind in AppKind::all() {
-            let out = run_app(kind, MidwayConfig::new(2, BackendKind::Rt), Scale::Small);
-            assert!(out.verified, "{kind:?} failed verification");
-            assert!(out.exec_secs > 0.0);
+            let run = run_app(kind, MidwayConfig::new(2, BackendKind::Rt), Scale::Small);
+            assert!(run.exec_secs() > 0.0);
         }
     }
 
     #[test]
     fn driver_runs_and_verifies_every_service_app() {
         for kind in AppKind::service() {
-            let out = run_app(kind, MidwayConfig::new(2, BackendKind::Rt), Scale::Small);
-            assert!(out.verified, "{kind:?} failed verification");
-            assert!(out.exec_secs > 0.0);
+            let run = run_app(kind, MidwayConfig::new(2, BackendKind::Rt), Scale::Small);
+            assert!(run.exec_secs() > 0.0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sor failed its own check (VM-DSM, 2 processors, small)")]
+    fn a_failed_check_panics_naming_the_cell() {
+        let run = sor::run(
+            MidwayConfig::new(2, BackendKind::Vm),
+            sor_params(Scale::Small),
+        );
+        checked(AppKind::Sor, Scale::Small.label(), run, |_| false);
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub use shrink::shrink;
 use std::sync::Arc;
 
 use midway_core::{
-    BackendKind, BarrierId, CheckReport, Counters, LockId, Midway, MidwayConfig, NetMsg, Proc,
-    SharedArray, SystemBuilder, SystemSpec, Transport, VirtualTime,
+    BackendKind, BarrierId, LockId, Midway, MidwayConfig, MidwayRun, NetMsg, Proc, SharedArray,
+    SystemBuilder, SystemSpec, Transport,
 };
 use midway_sim::SplitMix64;
 
@@ -168,31 +168,6 @@ impl FuzzParams {
     }
 }
 
-/// One backend's execution of a schedule, reduced to what the oracles
-/// compare.
-#[derive(Clone, Debug)]
-pub struct FuzzRun {
-    /// Per-processor FNV-1a digests of final local memory (comparable
-    /// only within one backend: residual unsynchronized copies are the
-    /// backend's business).
-    pub digests: Vec<u64>,
-    /// Per-processor counters.
-    pub counters: Vec<Counters>,
-    /// Per-processor mid-schedule read checksums (timing-dependent:
-    /// comparable only across same-backend reruns).
-    pub read_sums: Vec<u64>,
-    /// Per-processor read-back checksums — the logically visible final
-    /// state, which must equal [`Schedule::expected_readback`]
-    /// everywhere.
-    pub readback: Vec<u64>,
-    /// Finish time.
-    pub finish: VirtualTime,
-    /// Messages delivered.
-    pub messages: u64,
-    /// The dynamic checker's report.
-    pub check: CheckReport,
-}
-
 struct Handles {
     cells: SharedArray<u64>,
     /// Data locks, then the scratch lock.
@@ -281,13 +256,19 @@ fn session<T: Transport<Msg = NetMsg>>(
     (sum, readback)
 }
 
-/// Executes `s` on `backend` with the dynamic checker attached.
+/// Executes `s` on `backend` with the dynamic checker attached. Each
+/// processor's result is `(read sum, read-back)`: the checksum of its
+/// mid-schedule reads (timing-dependent, so comparable only across
+/// same-backend reruns) and of its post-run read-back, the logically
+/// visible final state, which must equal [`Schedule::expected_readback`]
+/// everywhere. Final-memory digests are comparable only within one
+/// backend: residual unsynchronized copies are the backend's business.
 ///
 /// # Panics
 ///
 /// Panics if the simulation fails (deadlock or processor panic) — a
 /// generated schedule that deadlocks is itself a generator bug.
-pub fn execute(s: &Schedule, backend: BackendKind) -> FuzzRun {
+pub fn execute(s: &Schedule, backend: BackendKind) -> MidwayRun<(u64, u64)> {
     let procs = s.params.procs;
     let cfg = if backend == BackendKind::None {
         assert_eq!(procs, 1, "standalone backend is single-processor");
@@ -297,17 +278,8 @@ pub fn execute(s: &Schedule, backend: BackendKind) -> FuzzRun {
     }
     .check(true);
     let (spec, h) = build(&s.params);
-    let run = Midway::run(cfg, &spec, |proc: &mut Proc| session(proc, s, &h))
-        .expect("fuzz schedule deadlocked or panicked");
-    FuzzRun {
-        digests: run.store_digests.clone(),
-        read_sums: run.results.iter().map(|&(mid, _)| mid).collect(),
-        readback: run.results.iter().map(|&(_, rb)| rb).collect(),
-        finish: run.finish_time,
-        messages: run.messages,
-        check: run.check.clone().expect("checker was enabled"),
-        counters: run.counters,
-    }
+    Midway::run(cfg, &spec, |proc: &mut Proc| session(proc, s, &h))
+        .expect("fuzz schedule deadlocked or panicked")
 }
 
 #[cfg(test)]

@@ -142,16 +142,17 @@ pub fn differential(s: &Schedule) -> Vec<Divergence> {
     let backends = backends_for(s.params.procs);
     let want_readback = s.expected_readback();
     let mut out = Vec::new();
-    let mut reference: Option<(BackendKind, super::FuzzRun)> = None;
+    let mut reference = None;
     for &backend in backends {
         let run = execute(s, backend);
-        if !run.check.is_clean() {
+        let report = run.check.as_ref().expect("checker was enabled");
+        if !report.is_clean() {
             out.push(Divergence::CheckFinding {
                 backend,
-                summary: run.check.summary(),
+                summary: report.summary(),
             });
         }
-        for (proc, &got) in run.readback.iter().enumerate() {
+        for (proc, &(_, got)) in run.results.iter().enumerate() {
             if got != want_readback {
                 out.push(Divergence::Readback {
                     backend,
@@ -187,11 +188,12 @@ pub fn differential(s: &Schedule) -> Vec<Divergence> {
     }
     if let Some((backend, first)) = reference {
         let again = execute(s, backend);
+        let (a, b) = (&again.results, &first.results);
         for (what, same) in [
-            ("digests", again.digests == first.digests),
-            ("read_sums", again.read_sums == first.read_sums),
-            ("readback", again.readback == first.readback),
-            ("finish_time", again.finish == first.finish),
+            ("digests", again.store_digests == first.store_digests),
+            ("read_sums", a.iter().map(|r| r.0).eq(b.iter().map(|r| r.0))),
+            ("readback", a.iter().map(|r| r.1).eq(b.iter().map(|r| r.1))),
+            ("finish_time", again.finish_time == first.finish_time),
             ("messages", again.messages == first.messages),
         ] {
             if !same {
@@ -211,6 +213,7 @@ pub fn mutant_caught(s: &Schedule) -> bool {
         .expect("mutant oracle takes mutant schedules");
     let run = execute(s, BackendKind::Rt);
     run.check
+        .expect("checker was enabled")
         .first_of(kind)
         .is_some_and(|f| f.proc == s.mutant_proc)
 }

@@ -18,7 +18,8 @@
 //!
 //! Every application verifies its own output (sortedness, residuals,
 //! factorization error) and returns a deterministic summary so runs can be
-//! compared across backends and processor counts.
+//! compared across backends and processor counts. [`run_app`] runs that
+//! check on every run it returns; a run that fails it panics.
 
 //! Beyond the paper's batch kernels, the crate carries the service-scale
 //! workload family ([`kvstore`], [`socialgraph`], [`taskqueue`] — shared
@@ -39,4 +40,4 @@ pub mod water;
 
 mod driver;
 
-pub use driver::{run_app, run_app_real, AppKind, AppOutcome, Scale};
+pub use driver::{checked, run_app, run_app_real, AppKind, Scale};

@@ -1,6 +1,6 @@
 //! The §3.5 ablations and the false-sharing microbenchmark.
 
-use midway_apps::{AppKind, AppOutcome};
+use midway_apps::AppKind;
 use midway_bench::{banner, run_cells, BenchArgs, Json, Record};
 use midway_core::{
     BackendKind, Counters, Midway, MidwayConfig, MidwayRun, NetModel, Proc, SystemBuilder,
@@ -37,7 +37,7 @@ pub(crate) fn protocols(args: &BenchArgs) -> Fields {
 
     let rows = run_cells(args.jobs, apps.clone(), |app| {
         let outs = BackendKind::DATA.map(|b| run(app, b, NetModel::atm_cluster()));
-        let per_backend = |f: fn(&AppOutcome) -> f64| {
+        let per_backend = |f: fn(&MidwayRun<()>) -> f64| {
             let values = outs.iter().map(|o| Json::F64(f(o)));
             Json::obj(
                 BackendKind::DATA
@@ -48,13 +48,13 @@ pub(crate) fn protocols(args: &BenchArgs) -> Fields {
         };
         let mut r = Record::default()
             .text("app", "App", app.label())
-            .json("exec_secs", per_backend(|o| o.exec_secs))
-            .json("data_mb", per_backend(|o| o.data_mb_total));
+            .json("exec_secs", per_backend(MidwayRun::exec_secs))
+            .json("data_mb", per_backend(MidwayRun::data_mb_total));
         for (name, o) in NAMES.iter().zip(&outs) {
-            r = r.col(&format!("{name} (s)"), fmt_f64(o.exec_secs, 1));
+            r = r.col(&format!("{name} (s)"), fmt_f64(o.exec_secs(), 1));
         }
         for (name, o) in NAMES.iter().zip(&outs) {
-            r = r.col(&format!("{name} MB"), fmt_f64(o.data_mb_total, 2));
+            r = r.col(&format!("{name} MB"), fmt_f64(o.data_mb_total(), 2));
         }
         r
     });
@@ -67,11 +67,11 @@ pub(crate) fn protocols(args: &BenchArgs) -> Fields {
         for (num, den, speed) in [(1u64, 2u64, "0.5x"), (1, 1, "1x"), (2, 1, "2x")] {
             for (b, name) in [(BackendKind::Rt, "RT"), (BackendKind::Vm, "VM")] {
                 let out = run(app, b, NetModel::atm_cluster().scaled(num, den));
-                r = r.col(&format!("{name} {speed}"), fmt_f64(out.exec_secs, 1));
+                r = r.col(&format!("{name} {speed}"), fmt_f64(out.exec_secs(), 1));
                 points.push(Json::obj([
                     ("backend", Json::str(b.cli_name())),
                     ("net_scale", Json::F64(num as f64 / den as f64)),
-                    ("exec_secs", Json::F64(out.exec_secs)),
+                    ("exec_secs", Json::F64(out.exec_secs())),
                 ]));
             }
         }

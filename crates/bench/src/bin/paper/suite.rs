@@ -7,8 +7,8 @@
 //! other's live run only for lock-order-independent applications; see
 //! `tests/tests/replay.rs`.)
 
-use midway_apps::{run_app, AppKind, AppOutcome};
-use midway_core::{AvgCounters, BackendKind, Counters, MidwayConfig};
+use midway_apps::{run_app, AppKind};
+use midway_core::{AvgCounters, BackendKind, MidwayConfig, MidwayRun};
 use midway_stats::TextTable;
 
 use midway_bench::{run_cells, BenchArgs};
@@ -16,8 +16,8 @@ use midway_bench::{run_cells, BenchArgs};
 /// One application measured live under RT-DSM and under VM-DSM.
 pub(crate) struct SuiteRun {
     pub(crate) app: AppKind,
-    pub(crate) rt: AppOutcome,
-    pub(crate) vm: AppOutcome,
+    pub(crate) rt: MidwayRun<()>,
+    pub(crate) vm: MidwayRun<()>,
 }
 
 impl SuiteRun {
@@ -26,8 +26,8 @@ impl SuiteRun {
     /// primitive costs.
     pub(crate) fn avg(&self, backend: BackendKind) -> AvgCounters {
         match backend {
-            BackendKind::Rt => Counters::average(&self.rt.counters),
-            _ => Counters::average(&self.vm.counters),
+            BackendKind::Rt => self.rt.avg_counters(),
+            _ => self.vm.avg_counters(),
         }
     }
 }
@@ -36,14 +36,12 @@ impl SuiteRun {
 ///
 /// # Panics
 ///
-/// Panics if the application fails its own verification — tables derived
-/// from an incorrect execution would be meaningless.
-pub(crate) fn live_run(args: &BenchArgs, app: AppKind, cfg: MidwayConfig) -> AppOutcome {
+/// Panics if the application fails its own check ([`run_app`]) — tables
+/// derived from an incorrect execution would be meaningless.
+pub(crate) fn live_run(args: &BenchArgs, app: AppKind, cfg: MidwayConfig) -> MidwayRun<()> {
     let (backend, procs) = (cfg.backend.label(), cfg.procs);
     eprintln!("running {} ({backend}, {procs}p) ...", app.label());
-    let out = run_app(app, cfg, args.scale);
-    assert!(out.verified, "{app:?} failed verification under {cfg:?}");
-    out
+    run_app(app, cfg, args.scale)
 }
 
 /// Runs every paper application under RT-DSM and VM-DSM at `--procs`,

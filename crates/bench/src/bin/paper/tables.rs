@@ -119,7 +119,7 @@ pub(crate) fn table2(args: &BenchArgs) -> Fields {
                 count(s, Rt, |c| c.dirtybits_updated)
             })),
             Some(("", "data transferred (KB)", &|s| {
-                fmt_f64(s.rt.data_kb_per_proc, 0)
+                fmt_f64(s.rt.data_kb_per_proc(), 0)
             })),
             Some(("", "percent dirty data", &|s| {
                 fmt_f64(s.avg(Rt).totals().percent_dirty(), 1)
@@ -136,7 +136,7 @@ pub(crate) fn table2(args: &BenchArgs) -> Fields {
                 fmt_f64(s.avg(Vm).avg(|c| c.twin_bytes_updated) / 1024.0, 0)
             })),
             Some(("", "data transferred (KB)", &|s| {
-                fmt_f64(s.vm.data_kb_per_proc, 0)
+                fmt_f64(s.vm.data_kb_per_proc(), 0)
             })),
         ],
     );
@@ -271,13 +271,13 @@ pub(crate) fn fig2(args: &BenchArgs) -> Fields {
         );
         Record::default()
             .text("app", "App", app.label())
-            .f64("standalone_secs", "standalone (s)", solo.exec_secs, 1)
-            .f64("rt_1p_secs", "RT 1p (s)", rt1.exec_secs, 1)
-            .f64("vm_1p_secs", "VM 1p (s)", vm1.exec_secs, 1)
-            .f64("rt_secs", &format!("RT {procs}p (s)"), rt.exec_secs, 1)
-            .f64("vm_secs", &format!("VM {procs}p (s)"), vm.exec_secs, 1)
-            .f64("rt_data_mb", "RT data (MB)", rt.data_mb_total, 2)
-            .f64("vm_data_mb", "VM data (MB)", vm.data_mb_total, 2)
+            .f64("standalone_secs", "standalone (s)", solo.exec_secs(), 1)
+            .f64("rt_1p_secs", "RT 1p (s)", rt1.exec_secs(), 1)
+            .f64("vm_1p_secs", "VM 1p (s)", vm1.exec_secs(), 1)
+            .f64("rt_secs", &format!("RT {procs}p (s)"), rt.exec_secs(), 1)
+            .f64("vm_secs", &format!("VM {procs}p (s)"), vm.exec_secs(), 1)
+            .f64("rt_data_mb", "RT data (MB)", rt.data_mb_total(), 2)
+            .f64("vm_data_mb", "VM data (MB)", vm.data_mb_total(), 2)
     });
     println!("{}", Record::table(&records, 1));
     println!("\nPaper reference points: water uniprocessor RT 110.1 s, VM 109.1 s,");

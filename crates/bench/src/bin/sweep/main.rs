@@ -184,9 +184,7 @@ fn main() -> ExitCode {
 fn record_sor(args: &BenchArgs) -> Trace {
     eprintln!("sor: recording under RT-DSM ...");
     let cfg = MidwayConfig::new(args.procs, BackendKind::Rt);
-    let (outcome, trace) = record_app(AppKind::Sor, cfg, args.scale);
-    assert!(outcome.verified, "sor failed verification");
-    trace
+    record_app(AppKind::Sor, cfg, args.scale)
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! deterministic simulator.
 //!
 //! Every app × backend cell does two things on the real transport. It
-//! runs the application live with recording on, asserts it verified its
-//! own output and saves the trace
+//! runs the application live with recording on (`run_app_real` panics if
+//! it fails its own check) and saves the trace
 //! (`real/<app>-<scale>-<procs>p-<backend>-<mode>.mwt` under `--trace DIR`
 //! — keeping the operation stream of a wall-clock run is the point of the
 //! flag). And it records the same cell on the simulator and checks that
@@ -66,15 +66,11 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
             let t0 = Instant::now();
             let out = run_app_real(kind, cfg, &real, scale).map_err(|e| format!("{cell}: {e}"))?;
             let host_secs = t0.elapsed().as_secs_f64();
-            assert!(
-                out.verified,
-                "{cell} failed verification on the real transport"
-            );
 
             // Under `real/`: a real-transport trace records wall-clock-
             // derived times, so it must never sit where a bit-for-bit
             // `trace check` over simulator traces would pick it up.
-            let trace = Trace::from_outcome(&out, scale);
+            let trace = Trace::from_run(kind.label(), scale.label(), true, &out);
             let path = trace_dir.join(format!(
                 "{}-{}-{procs}p-{}-{mode}.mwt",
                 kind.label(),
@@ -85,8 +81,7 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
                 .save(&path)
                 .map_err(|e| format!("writing {}: {e}", path.display()))?;
 
-            let (sim, sim_trace) = record_app(kind, MidwayConfig::new(procs, backend), scale);
-            assert!(sim.verified, "{cell} failed verification on the simulator");
+            let sim_trace = record_app(kind, MidwayConfig::new(procs, backend), scale);
             let axes = Axes {
                 transport,
                 ..Axes::default()
@@ -101,7 +96,7 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
                     .col("backend", backend.label())
                     .json("mode", Json::str(mode))
                     .f64("host_secs", "host s", host_secs, 2)
-                    .json("verified", Json::Bool(out.verified))
+                    .json("verified", Json::Bool(true))
                     .u64("total_ops", "ops", sim_trace.total_ops() as u64)
                     .u64("real_messages", "real msgs", verdict.checked.messages)
                     .u64("sim_messages", "sim msgs", verdict.baseline.messages)

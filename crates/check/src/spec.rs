@@ -4,13 +4,16 @@ use std::sync::Arc;
 
 use midway_mem::{AddrRange, Layout};
 
-/// One barrier's bindings as the checker sees them.
-#[derive(Clone, Debug)]
+/// One barrier's bindings: the declaration a trace's blueprint records,
+/// and what the checker checks accesses against.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BarrierRanges {
-    /// The union binding (what neighbours may *read* after the barrier).
+    /// The union binding: what RT/VM scan at the barrier, and what
+    /// neighbours may *read* after it.
     pub ranges: Vec<AddrRange>,
     /// Per-processor write partitions, if the barrier is partitioned: a
-    /// processor may only *write* its own partition.
+    /// processor may only *write* its own partition, and detection-free
+    /// backends ship exactly it.
     pub partitions: Option<Vec<Vec<AddrRange>>>,
 }
 

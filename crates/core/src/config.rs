@@ -198,12 +198,6 @@ impl MidwayConfig {
         MidwayConfig::new(1, BackendKind::None)
     }
 
-    /// Replaces the cost model (e.g. for the Figure 3/4 fault sweep).
-    pub fn cost(mut self, cost: CostModel) -> MidwayConfig {
-        self.cost = cost;
-        self
-    }
-
     /// Replaces the network model.
     pub fn net(mut self, net: NetModel) -> MidwayConfig {
         self.net = net;
@@ -220,12 +214,6 @@ impl MidwayConfig {
     /// reliable delivery channel).
     pub fn faults(mut self, faults: FaultPlan) -> MidwayConfig {
         self.faults = faults;
-        self
-    }
-
-    /// Replaces the reliable-channel tuning.
-    pub fn reliable(mut self, reliable: ReliableParams) -> MidwayConfig {
-        self.reliable = reliable;
         self
     }
 

@@ -67,10 +67,12 @@ pub use detect::{DetectCx, Trap, WriteDetector};
 pub use msg::{DsmMsg, GrantPayload, NetMsg};
 pub use run::{Midway, MidwayRun};
 pub use setup::{Scalar, SharedArray, SystemBuilder, SystemSpec};
-pub use trace::{AllocSpec, BarrierSpec, SpecBlueprint, TraceOp};
+pub use trace::{AllocSpec, SpecBlueprint, TraceOp};
 
 // Re-export the identifiers applications need.
-pub use midway_check::{ApplyStats, CheckReport, CheckSpec, Finding, FindingKind, Staleness};
+pub use midway_check::{
+    ApplyStats, BarrierRanges, CheckReport, CheckSpec, Finding, FindingKind, Staleness,
+};
 pub use midway_mem::AddrRange;
 pub use midway_net::wire as codec;
 pub use midway_net::{RealConfig, RealError, RealMode, RealTransport, Transport};

@@ -89,6 +89,24 @@ impl<R> MidwayRun<R> {
             .sum::<f64>()
             / (1024.0 * 1024.0)
     }
+
+    /// The same run without its per-processor application results: what
+    /// every report reads once the application has checked them.
+    pub fn without_results(self) -> MidwayRun<()> {
+        MidwayRun {
+            results: vec![(); self.results.len()],
+            counters: self.counters,
+            reports: self.reports,
+            finish_time: self.finish_time,
+            messages: self.messages,
+            link: self.link,
+            store_digests: self.store_digests,
+            cfg: self.cfg,
+            traces: self.traces,
+            blueprint: self.blueprint,
+            check: self.check,
+        }
+    }
 }
 
 /// What one processor's session produces, transport-independent: its

@@ -11,6 +11,8 @@ use std::sync::Arc;
 use midway_mem::{Addr, AddrRange, Layout, LayoutBuilder, MemClass, Template};
 use midway_proto::{BarrierId, Binding, LockId};
 
+use crate::trace::SpecBlueprint;
+
 /// Scalar element types storable in a [`SharedArray`], kept in memory as
 /// their little-endian bytes.
 pub trait Scalar: Copy + 'static {
@@ -235,21 +237,15 @@ impl SystemSpec {
 
     /// The system description the dynamic entry-consistency checker
     /// analyzes accesses against: the layout plus every initial lock and
-    /// barrier binding.
+    /// barrier binding, as the blueprint captures them.
     pub fn check_spec(&self) -> midway_check::CheckSpec {
+        let SpecBlueprint {
+            locks, barriers, ..
+        } = SpecBlueprint::capture(self);
         midway_check::CheckSpec {
             layout: Arc::clone(&self.layout),
-            locks: self.locks.iter().map(|b| b.ranges().to_vec()).collect(),
-            barriers: self
-                .barriers
-                .iter()
-                .map(|(b, parts)| midway_check::BarrierRanges {
-                    ranges: b.ranges().to_vec(),
-                    partitions: parts
-                        .as_ref()
-                        .map(|ps| ps.iter().map(|p| p.ranges().to_vec()).collect()),
-                })
-                .collect(),
+            locks,
+            barriers,
         }
     }
 }

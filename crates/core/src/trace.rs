@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use midway_check::BarrierRanges;
 use midway_mem::{AddrRange, LayoutBuilder, MemClass, Template};
 use midway_proto::Binding;
 
@@ -74,16 +75,6 @@ pub struct AllocSpec {
     pub line_shift: u32,
 }
 
-/// A barrier declaration in a [`SpecBlueprint`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BarrierSpec {
-    /// The union binding RT/VM scan at the barrier.
-    pub ranges: Vec<AddrRange>,
-    /// Optional per-processor write partitions (for detection-free
-    /// backends).
-    pub partitions: Option<Vec<Vec<AddrRange>>>,
-}
-
 /// Everything needed to rebuild a run's [`SystemSpec`] from a trace file:
 /// the allocation sequence plus the lock and barrier declarations.
 ///
@@ -98,7 +89,7 @@ pub struct SpecBlueprint {
     /// Lock bindings, indexed by `LockId`.
     pub locks: Vec<Vec<AddrRange>>,
     /// Barrier declarations, indexed by `BarrierId`.
-    pub barriers: Vec<BarrierSpec>,
+    pub barriers: Vec<BarrierRanges>,
 }
 
 impl SpecBlueprint {
@@ -123,7 +114,7 @@ impl SpecBlueprint {
         let barriers = spec
             .barriers
             .iter()
-            .map(|(b, parts)| BarrierSpec {
+            .map(|(b, parts)| BarrierRanges {
                 ranges: b.ranges().to_vec(),
                 partitions: parts
                     .as_ref()

@@ -81,6 +81,11 @@ const IDLE_NAP: Duration = Duration::from_millis(25);
 /// Bytes asked of a socket per read; no datagram is larger.
 const READ_CHUNK: usize = 65_536;
 
+/// Wall-clock to cycle conversion: the R3000's 25 MHz, 25 cycles per
+/// microsecond, so cycle-denominated protocol constants (timeouts,
+/// backoffs) keep the real durations they had on the paper's machine.
+const CYCLES_PER_MICRO: u64 = 25;
+
 /// Which socket flavor a real-transport run uses.
 #[derive(Clone, Debug)]
 pub enum RealMode {
@@ -105,27 +110,21 @@ pub enum RealMode {
 pub struct RealConfig {
     /// Socket flavor.
     pub mode: RealMode,
-    /// Wall-clock to cycle conversion rate. The default, 25 cycles/µs,
-    /// matches the paper's 25 MHz R3000 so cycle-denominated protocol
-    /// constants (timeouts, backoffs) keep sensible real durations.
-    pub cycles_per_micro: u64,
     /// Wall-clock deadline after which a hung run is aborted with
     /// per-processor state dumps. `None` disables the watchdog.
     pub watchdog: Option<Duration>,
 }
 
 impl RealConfig {
-    /// Loopback TCP with the default clock rate and a 120 s watchdog.
+    /// Loopback TCP with a 120 s watchdog.
     pub fn tcp() -> RealConfig {
         RealConfig {
             mode: RealMode::Tcp,
-            cycles_per_micro: 25,
             watchdog: Some(Duration::from_secs(120)),
         }
     }
 
-    /// Loopback UDP with the given loss plan, default clock rate, and a
-    /// 120 s watchdog.
+    /// Loopback UDP with the given loss plan and a 120 s watchdog.
     pub fn udp(loss: FaultPlan) -> RealConfig {
         RealConfig {
             mode: RealMode::Udp {
@@ -133,13 +132,6 @@ impl RealConfig {
             },
             ..RealConfig::tcp()
         }
-    }
-
-    /// Replaces the clock conversion rate.
-    pub fn cycles_per_micro(mut self, rate: u64) -> RealConfig {
-        assert!(rate > 0, "clock rate must be positive");
-        self.cycles_per_micro = rate;
-        self
     }
 
     /// Replaces (or disables) the watchdog deadline.
@@ -682,7 +674,6 @@ impl<M: Wire> Hub<M> {
 pub struct RealTransport<M> {
     me: usize,
     procs: usize,
-    cycles_per_micro: u64,
     hub: Rc<RefCell<Hub<M>>>,
     /// UDP mode: the loss plan, and per-destination datagram sequence
     /// numbers feeding it.
@@ -695,7 +686,7 @@ pub struct RealTransport<M> {
 
 impl<M: Wire> RealTransport<M> {
     fn nanos_to_cycles(&self, nanos: u64) -> VirtualTime {
-        VirtualTime(nanos.saturating_mul(self.cycles_per_micro) / 1_000)
+        VirtualTime(nanos.saturating_mul(CYCLES_PER_MICRO) / 1_000)
     }
 
     /// Poisons the run and unwinds this processor. The hub must not be
@@ -811,7 +802,7 @@ impl<M: Wire> Transport for RealTransport<M> {
         let mut hub = self.hub.borrow_mut();
         let at = hub
             .nanos()
-            .saturating_add(delay.saturating_mul(1_000) / self.cycles_per_micro);
+            .saturating_add(delay.saturating_mul(1_000) / CYCLES_PER_MICRO);
         hub.slots[self.me].timers.insert((at, self.timer_seq), msg);
         self.timer_seq += 1;
     }
@@ -883,7 +874,6 @@ impl RealCluster {
                     let mut t = RealTransport {
                         me: id,
                         procs,
-                        cycles_per_micro: cfg.cycles_per_micro,
                         hub: Rc::clone(hub),
                         loss: match &cfg.mode {
                             RealMode::Tcp => None,

@@ -43,14 +43,17 @@
 //! narrowed with a check (and an op's lock or barrier id must name an
 //! object of the file's own blueprint) and every range end is computed
 //! with one, so truncated, corrupted or re-sealed hostile files are
-//! rejected rather than misread.
+//! rejected rather than misread. The blueprint is checked against what a
+//! replay will build from it: its allocations are replayed through the
+//! layout's allocator and must land where the file says, and every
+//! `Write` and `Rebind` range must lie inside one of them.
 
 use midway_core::codec::{seal, unseal, Reader, WireError, Writer};
 use midway_core::{
-    AllocSpec, BackendKind, BarrierShape, BarrierSpec, Counters, HomeMap, MidwayConfig,
+    AllocSpec, BackendKind, BarrierRanges, BarrierShape, Counters, HomeMap, MidwayConfig,
     ReliableParams, SpecBlueprint, TraceOp,
 };
-use midway_mem::AddrRange;
+use midway_mem::{AddrRange, LayoutBuilder, MemClass, PAGE_SHIFT};
 use midway_sim::{CrashEvent, FaultPlan, NetModel, MAX_CRASHES};
 use midway_stats::CostModel;
 
@@ -62,6 +65,12 @@ pub const MAGIC: [u8; 4] = *b"MWTR";
 /// are a re-recordable cache, not an archive: a file at any other version
 /// is [`TraceError::BadVersion`], which callers treat as a cache miss.
 pub const VERSION: u64 = 5;
+
+/// The most bytes a blueprint may allocate in all: 1 TiB, far beyond any
+/// recorded workload (sor at datacenter scale allocates 512 MiB), and
+/// small enough that the decoder's rebuild of the layout stays cheap
+/// whatever the file claims (2^18 regions of data).
+const MAX_LAYOUT_BYTES: u64 = 1 << 40;
 
 /// Why a trace file was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -419,7 +428,49 @@ fn id(r: &mut Reader, n: usize, what: &'static str) -> Result<u32, WireError> {
     }
 }
 
-fn op(r: &mut Reader, bp: &SpecBlueprint) -> Result<TraceOp, WireError> {
+/// Replays the blueprint's allocation sequence through the layout's bump
+/// allocator, as every replay will, and returns the allocations' address
+/// ranges sorted by start. Each allocation must be one the allocator
+/// accepts and must land where the file says it did; a replay would
+/// otherwise panic rebuilding the layout.
+fn extents(allocs: &[AllocSpec]) -> Result<Vec<AddrRange>, WireError> {
+    let mut layout = LayoutBuilder::new();
+    let mut total = 0u64;
+    let mut out = Vec::with_capacity(allocs.len());
+    for a in allocs {
+        let len = a.len as u64;
+        if len == 0 {
+            return malformed("zero-length allocation", len);
+        }
+        if !(2..=PAGE_SHIFT).contains(&a.line_shift) {
+            return malformed("allocation line shift out of range", a.line_shift.into());
+        }
+        total = total.saturating_add(len);
+        if total > MAX_LAYOUT_BYTES {
+            return malformed("allocations exceed the layout bound", total);
+        }
+        let class = match a.private {
+            true => MemClass::Private,
+            false => MemClass::Shared,
+        };
+        let at = layout.alloc(&a.name, a.len, class, a.line_shift).addr.raw();
+        if at != a.addr {
+            return malformed("allocation the layout does not reproduce", a.addr);
+        }
+        out.push(at..at + len);
+    }
+    out.sort_unstable_by_key(|e| e.start);
+    Ok(out)
+}
+
+/// Whether `r` lies inside one allocation of the start-sorted, disjoint
+/// `extents`: a replay stores a `Write` and binds a `Rebind` there.
+fn inside(extents: &[AddrRange], r: &AddrRange) -> bool {
+    let i = extents.partition_point(|e| e.start <= r.start);
+    i > 0 && r.end <= extents[i - 1].end
+}
+
+fn op(r: &mut Reader, bp: &SpecBlueprint, extents: &[AddrRange]) -> Result<TraceOp, WireError> {
     let lock = |r: &mut Reader| id(r, bp.locks.len(), "lock id outside the blueprint");
     Ok(match r.u8()? {
         0 => TraceOp::Work {
@@ -428,10 +479,18 @@ fn op(r: &mut Reader, bp: &SpecBlueprint) -> Result<TraceOp, WireError> {
         1 => TraceOp::Idle {
             cycles: r.varint()?,
         },
-        2 => TraceOp::Write {
-            addr: r.varint()?,
-            data: r.bytes()?.to_vec(),
-        },
+        2 => {
+            let addr = r.varint()?;
+            let data = r.bytes()?;
+            let end = addr.checked_add(data.len() as u64);
+            if !end.is_some_and(|end| inside(extents, &(addr..end))) {
+                return malformed("write outside every allocation", addr);
+            }
+            TraceOp::Write {
+                addr,
+                data: data.to_vec(),
+            }
+        }
         3 => TraceOp::Acquire {
             lock: lock(r)?,
             exclusive: r.u8()? != 0,
@@ -440,10 +499,14 @@ fn op(r: &mut Reader, bp: &SpecBlueprint) -> Result<TraceOp, WireError> {
             lock: lock(r)?,
             exclusive: r.u8()? != 0,
         },
-        5 => TraceOp::Rebind {
-            lock: lock(r)?,
-            ranges: ranges(r)?,
-        },
+        5 => {
+            let lock = lock(r)?;
+            let ranges = ranges(r)?;
+            if let Some(out) = ranges.iter().find(|x| !inside(extents, x)) {
+                return malformed("rebind outside every allocation", out.start);
+            }
+            TraceOp::Rebind { lock, ranges }
+        }
         6 => TraceOp::Barrier {
             barrier: id(r, bp.barriers.len(), "barrier id outside the blueprint")?,
         },
@@ -515,9 +578,10 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
             line_shift: r.varint_u32()?,
         })
     })?;
+    let extents = extents(&allocs)?;
     let locks = list(r, 1, ranges)?;
     let barriers = list(r, 1, |r| {
-        Ok(BarrierSpec {
+        Ok(BarrierRanges {
             ranges: ranges(r)?,
             partitions: match r.u8()? {
                 0 => None,
@@ -533,7 +597,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
     };
 
     let ops = (0..procs)
-        .map(|_| list(r, 2, |r| op(r, &blueprint)))
+        .map(|_| list(r, 2, |r| op(r, &blueprint, &extents)))
         .collect::<Result<Vec<_>, _>>()?;
     r.finish()?;
 

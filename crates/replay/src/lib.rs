@@ -28,7 +28,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use midway_apps::{run_app, AppKind, AppOutcome, Scale};
+use midway_apps::{run_app, AppKind, Scale};
 use midway_core::{
     BackendKind, BarrierShape, Counters, FaultPlan, HomeMap, Midway, MidwayConfig, MidwayRun, Proc,
     RealConfig, SimError, SpecBlueprint, SystemSpec, TraceOp,
@@ -99,35 +99,6 @@ impl Trace {
             },
             blueprint: run.blueprint.clone().expect("recorded run has a blueprint"),
             ops: run.traces.clone(),
-        }
-    }
-
-    /// Packages a recorded application outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the outcome was not recorded.
-    pub fn from_outcome(outcome: &AppOutcome, scale: Scale) -> Trace {
-        assert_eq!(
-            outcome.traces.len(),
-            outcome.cfg.procs,
-            "outcome was not recorded: configure with MidwayConfig::record(true)"
-        );
-        Trace {
-            meta: TraceMeta {
-                app: outcome.kind.label().to_string(),
-                scale: scale.label().to_string(),
-                verified: outcome.verified,
-                cfg: outcome.cfg.record(false).check(false),
-                finish_cycles: outcome.finish_time.cycles(),
-                messages: outcome.messages,
-                counters: outcome.counters.clone(),
-            },
-            blueprint: outcome
-                .blueprint
-                .clone()
-                .expect("recorded outcome has a blueprint"),
-            ops: outcome.traces.clone(),
         }
     }
 
@@ -207,16 +178,17 @@ impl Trace {
     }
 }
 
-/// Records one application run and packages it as a trace.
+/// Records one application run, which passed its own check, as a trace.
+/// The live run's counters, finish time and message count are the
+/// trace's [`TraceMeta`].
 ///
 /// # Panics
 ///
-/// Panics if the simulation itself fails; verification failures are
-/// reported in the outcome/meta instead.
-pub fn record_app(kind: AppKind, cfg: MidwayConfig, scale: Scale) -> (AppOutcome, Trace) {
-    let outcome = run_app(kind, cfg.record(true), scale);
-    let trace = Trace::from_outcome(&outcome, scale);
-    (outcome, trace)
+/// Panics if the simulation fails or the application fails its check
+/// (see [`run_app`]).
+pub fn record_app(kind: AppKind, cfg: MidwayConfig, scale: Scale) -> Trace {
+    let run = run_app(kind, cfg.record(true), scale);
+    Trace::from_run(kind.label(), scale.label(), true, &run)
 }
 
 /// Replays `trace` under `cfg`, rebuilding the system from the stored

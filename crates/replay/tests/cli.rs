@@ -5,9 +5,10 @@
 //! way, and a file the decoder rejects is an error, never a panic.
 
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use midway_core::codec::seal;
-use midway_core::{BackendKind, Counters, MidwayConfig, SpecBlueprint, TraceOp};
+use midway_core::{AllocSpec, BackendKind, Counters, MidwayConfig, SpecBlueprint, TraceOp};
 use midway_replay::{Trace, TraceMeta};
 
 fn trace(args: &[&str]) -> Output {
@@ -82,12 +83,11 @@ fn value_flag_followed_by_a_flag_is_a_usage_error() {
     assert_eq!(trace(&[]).status.code(), Some(2));
 }
 
-/// `trace info` counted acquires per lock by indexing with the op's id,
-/// so a well-sealed file naming a lock its blueprint lacks made it panic
-/// (exit 101). The decoder refuses such a file now.
-#[test]
-fn info_on_a_forged_lock_id_is_an_error_not_a_panic() {
-    let forged = Trace {
+/// A one-processor trace with `allocs` as its allocations, one lock bound
+/// to `0..8` and `op` as its one operation. The encoder checks nothing,
+/// so the file is well sealed whatever the blueprint says.
+fn forged(allocs: Vec<AllocSpec>, op: TraceOp) -> Trace {
+    Trace {
         meta: TraceMeta {
             app: "forged".to_string(),
             scale: "small".to_string(),
@@ -98,31 +98,95 @@ fn info_on_a_forged_lock_id_is_an_error_not_a_panic() {
             counters: vec![Counters::default()],
         },
         blueprint: SpecBlueprint {
-            allocs: vec![],
+            allocs,
             locks: vec![vec![0..8]],
             barriers: vec![],
         },
-        ops: vec![vec![TraceOp::Acquire {
-            lock: 0,
-            exclusive: true,
-        }]],
+        ops: vec![vec![op]],
+    }
+}
+
+/// Runs `trace <command> FILE` on `bytes` written to a temp file of its
+/// own (tests run in parallel).
+fn on_file(command: &str, bytes: &[u8]) -> Output {
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let n = FILES.fetch_add(1, Ordering::Relaxed);
+    let name = format!("midway-forged-{}-{n}.mwt", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    std::fs::write(&path, bytes).expect("temp file");
+    let out = trace(&[command, path.to_str().expect("utf-8 temp path")]);
+    let _ = std::fs::remove_file(&path);
+    out
+}
+
+/// `trace info` counted acquires per lock by indexing with the op's id,
+/// so a well-sealed file naming a lock its blueprint lacks made it panic
+/// (exit 101). The decoder refuses such a file now.
+#[test]
+fn info_on_a_forged_lock_id_is_an_error_not_a_panic() {
+    let acquire = TraceOp::Acquire {
+        lock: 0,
+        exclusive: true,
     };
     // The payload ends `tag 3 · lock 0 · exclusive 1`: forge lock 7.
-    let mut bytes = forged.encode();
+    let mut bytes = forged(vec![], acquire).encode();
     bytes.truncate(bytes.len() - 8);
     let at = bytes.len() - 2;
     assert_eq!(bytes[at - 1..], [3, 0, 1]);
     bytes[at] = 7;
     seal(&mut bytes);
 
-    let path = std::env::temp_dir().join(format!("midway-forged-{}.mwt", std::process::id()));
-    std::fs::write(&path, &bytes).expect("temp file");
-    let out = trace(&["info", path.to_str().expect("utf-8 temp path")]);
-    let _ = std::fs::remove_file(&path);
+    let out = on_file("info", &bytes);
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(
         err.contains("malformed trace: lock id outside the blueprint"),
         "{err}"
     );
+}
+
+/// A blueprint a replay cannot rebuild, or a write outside every
+/// allocation, used to pass `trace info` and then panic `trace check`
+/// and `trace replay` (exit 101) — or, for the write, fail inside a
+/// processor. Every subcommand now refuses the file as malformed.
+#[test]
+fn forged_blueprints_are_malformed_for_every_subcommand() {
+    let x = AllocSpec {
+        name: "x".to_string(),
+        addr: 1 << 22,
+        len: 64,
+        private: false,
+        line_shift: 3,
+    };
+    let work = TraceOp::Work { cycles: 1 };
+    let wild = TraceOp::Write {
+        addr: 0xdead_beef_0000,
+        data: vec![0; 8],
+    };
+    let moved = AllocSpec {
+        addr: x.addr + 8,
+        ..x.clone()
+    };
+    let wide = AllocSpec {
+        line_shift: 40,
+        ..x.clone()
+    };
+    let empty = AllocSpec {
+        len: 0,
+        ..x.clone()
+    };
+    for (alloc, op) in [
+        (moved, work.clone()),
+        (wide, work.clone()),
+        (empty, work),
+        (x, wild),
+    ] {
+        let bytes = forged(vec![alloc], op).encode();
+        for command in ["info", "check", "replay"] {
+            let out = on_file(command, &bytes);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command}: {err}");
+            assert!(err.contains("malformed trace: "), "{command}: {err}");
+        }
+    }
 }

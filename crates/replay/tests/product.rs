@@ -14,9 +14,7 @@ const BARRIERS: [BarrierShape; 2] = [BarrierShape::Flat, BarrierShape::Tree { ar
 const HOMES: [HomeMap; 2] = [HomeMap::Modulo, HomeMap::Sharded { seed: 5 }];
 
 fn recorded(kind: AppKind, backend: BackendKind) -> Trace {
-    let (outcome, trace) = record_app(kind, MidwayConfig::new(4, backend), Scale::Small);
-    assert!(outcome.verified, "{} under {backend:?}", kind.label());
-    trace
+    record_app(kind, MidwayConfig::new(4, backend), Scale::Small)
 }
 
 /// Checks `trace` under `axes` and returns the comparison it was held to.

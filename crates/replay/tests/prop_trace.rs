@@ -8,9 +8,10 @@ mod mutate;
 
 use midway_core::codec::{seal, unseal};
 use midway_core::{
-    AllocSpec, BackendKind, BarrierSpec, Counters, FaultPlan, MidwayConfig, ReliableParams,
+    AllocSpec, BackendKind, BarrierRanges, Counters, FaultPlan, MidwayConfig, ReliableParams,
     SpecBlueprint, TraceOp,
 };
+use midway_mem::{LayoutBuilder, MemClass};
 use midway_replay::{Trace, TraceError, TraceMeta};
 use midway_sim::SplitMix64;
 
@@ -24,11 +25,51 @@ fn random_ranges(rng: &mut SplitMix64) -> Vec<std::ops::Range<u64>> {
         .collect()
 }
 
+/// Random allocations, laid out by the layout's own allocator (the
+/// decoder replays the sequence and rejects any address it does not
+/// reproduce).
+fn random_allocs(rng: &mut SplitMix64) -> Vec<AllocSpec> {
+    let mut layout = LayoutBuilder::new();
+    (0..rng.next_below(5))
+        .map(|i| {
+            let (name, len) = (format!("a{i}"), 1 + rng.next_below(1 << 16) as usize);
+            let (private, line_shift) = (rng.next_below(2) == 1, 2 + rng.next_below(11) as u32);
+            let class = if private {
+                MemClass::Private
+            } else {
+                MemClass::Shared
+            };
+            let addr = layout.alloc(&name, len, class, line_shift).addr.raw();
+            AllocSpec {
+                name,
+                addr,
+                len,
+                private,
+                line_shift,
+            }
+        })
+        .collect()
+}
+
+/// A random non-empty range of at most `max` bytes inside one of
+/// `allocs`, if there are any.
+fn range_in(rng: &mut SplitMix64, allocs: &[AllocSpec], max: u64) -> Option<std::ops::Range<u64>> {
+    if allocs.is_empty() {
+        return None;
+    }
+    let a = &allocs[rng.next_below(allocs.len() as u64) as usize];
+    let len = 1 + rng.next_below(max.min(a.len as u64));
+    let start = a.addr + rng.next_below(a.len as u64 - len + 1);
+    Some(start..start + len)
+}
+
 /// A random op naming only the blueprint's `locks` and `barriers` (the
-/// decoder rejects any other id).
-fn random_op(rng: &mut SplitMix64, locks: u64, barriers: u64) -> TraceOp {
+/// decoder rejects any other id) and storing or rebinding only inside
+/// `allocs`.
+fn random_op(rng: &mut SplitMix64, allocs: &[AllocSpec], locks: u64, barriers: u64) -> TraceOp {
     let lock = |rng: &mut SplitMix64| rng.next_below(locks) as u32;
     match rng.next_below(7) {
+        2 if allocs.is_empty() => TraceOp::Work { cycles: 1 },
         3..=5 if locks == 0 => TraceOp::Work { cycles: 1 },
         6 if barriers == 0 => TraceOp::Work { cycles: 1 },
         0 => TraceOp::Work {
@@ -38,10 +79,10 @@ fn random_op(rng: &mut SplitMix64, locks: u64, barriers: u64) -> TraceOp {
             cycles: rng.next_below(1 << 20),
         },
         2 => {
-            let len = 1 + rng.next_below(64) as usize;
+            let at = range_in(rng, allocs, 64).expect("an allocation");
             TraceOp::Write {
-                addr: rng.next_below(1 << 23),
-                data: (0..len).map(|_| rng.next_below(256) as u8).collect(),
+                addr: at.start,
+                data: at.map(|_| rng.next_below(256) as u8).collect(),
             }
         }
         3 => TraceOp::Acquire {
@@ -54,7 +95,9 @@ fn random_op(rng: &mut SplitMix64, locks: u64, barriers: u64) -> TraceOp {
         },
         5 => TraceOp::Rebind {
             lock: lock(rng),
-            ranges: random_ranges(rng),
+            ranges: (0..rng.next_below(4))
+                .filter_map(|_| range_in(rng, allocs, 4096))
+                .collect(),
         },
         _ => TraceOp::Barrier {
             barrier: rng.next_below(barriers) as u32,
@@ -92,8 +135,10 @@ fn random_counters(rng: &mut SplitMix64) -> Counters {
 }
 
 /// A structurally random trace (metadata, blueprint and op streams drawn
-/// at random; it need not describe a *runnable* system — the format must
-/// round-trip it regardless).
+/// at random; beyond what the decoder checks — ids inside the blueprint,
+/// allocations the layout reproduces, stores and rebinds inside them —
+/// it need not describe a *runnable* system: the format must round-trip
+/// it regardless).
 fn random_trace(rng: &mut SplitMix64) -> Trace {
     let procs = 1 + rng.next_below(6) as usize;
     let backend = [
@@ -135,18 +180,10 @@ fn random_trace(rng: &mut SplitMix64) -> Trace {
         }
         cfg.checkpoint_every = rng.next_below(32) as u32;
     }
-    let allocs = (0..rng.next_below(5))
-        .map(|i| AllocSpec {
-            name: format!("a{i}"),
-            addr: (i + 1) << 22,
-            len: 1 + rng.next_below(1 << 16) as usize,
-            private: rng.next_below(2) == 1,
-            line_shift: 2 + rng.next_below(11) as u32,
-        })
-        .collect();
+    let allocs = random_allocs(rng);
     let locks: Vec<_> = (0..rng.next_below(4)).map(|_| random_ranges(rng)).collect();
     let barriers: Vec<_> = (0..rng.next_below(3))
-        .map(|_| BarrierSpec {
+        .map(|_| BarrierRanges {
             ranges: random_ranges(rng),
             partitions: if rng.next_below(2) == 1 {
                 Some((0..procs).map(|_| random_ranges(rng)).collect())
@@ -159,7 +196,7 @@ fn random_trace(rng: &mut SplitMix64) -> Trace {
         .map(|_| {
             let n = rng.next_below(40) as usize;
             let (l, b) = (locks.len() as u64, barriers.len() as u64);
-            (0..n).map(|_| random_op(rng, l, b)).collect()
+            (0..n).map(|_| random_op(rng, &allocs, l, b)).collect()
         })
         .collect();
     Trace {
@@ -358,6 +395,112 @@ fn op_ids_outside_the_blueprint_are_malformed() {
         Trace::decode(&tiny_trace(0..8, rebind).encode()),
         Err(TraceError::Malformed("lock id outside the blueprint"))
     );
+}
+
+/// The allocation a fresh layout makes first: 64 shared bytes of 8-byte
+/// lines at the base of region 1.
+fn first_alloc() -> AllocSpec {
+    AllocSpec {
+        name: "x".to_string(),
+        addr: 1 << 22,
+        len: 64,
+        private: false,
+        line_shift: 3,
+    }
+}
+
+/// A [`tiny_trace`] whose blueprint allocates `alloc` and binds its
+/// first eight bytes to the lock.
+fn with_alloc(alloc: AllocSpec, op: TraceOp) -> Trace {
+    let mut trace = tiny_trace(alloc.addr..alloc.addr + 8, op);
+    trace.blueprint.allocs = vec![alloc];
+    trace
+}
+
+/// Decodes `trace`'s encoding, which is sealed: nothing but the decoder
+/// proper stands between a forged blueprint and a replay.
+fn decoded(trace: &Trace) -> Result<Trace, TraceError> {
+    Trace::decode(&trace.encode())
+}
+
+/// An allocation the layout's allocator would put elsewhere used to
+/// decode and then panic the replay's rebuild (`blueprint rebuild moved
+/// allocation`), and a line shift past one page or a zero length panicked
+/// the allocator itself: `trace check` and `trace replay` exited 101. A
+/// layout larger than any replay could hold is refused before the decoder
+/// rebuilds it.
+#[test]
+fn allocations_a_replay_cannot_rebuild_are_malformed() {
+    let work = TraceOp::Work { cycles: 1 };
+    assert!(decoded(&with_alloc(first_alloc(), work.clone())).is_ok());
+    let x = first_alloc;
+    for (alloc, what) in [
+        (
+            AllocSpec {
+                addr: x().addr + 8,
+                ..x()
+            },
+            "allocation the layout does not reproduce",
+        ),
+        (
+            AllocSpec {
+                line_shift: 40,
+                ..x()
+            },
+            "allocation line shift out of range",
+        ),
+        (AllocSpec { len: 0, ..x() }, "zero-length allocation"),
+        (
+            AllocSpec {
+                len: 1 << 41,
+                ..x()
+            },
+            "allocations exceed the layout bound",
+        ),
+    ] {
+        assert_eq!(
+            decoded(&with_alloc(alloc, work.clone())),
+            Err(TraceError::Malformed(what))
+        );
+    }
+}
+
+/// A write outside every allocation used to reach a processor and panic
+/// there (`address … is outside every region`); one that runs off the end
+/// of its allocation is refused the same way.
+#[test]
+fn a_write_outside_every_allocation_is_malformed() {
+    let base = first_alloc().addr;
+    let write = |addr| TraceOp::Write {
+        addr,
+        data: vec![1; 8],
+    };
+    assert!(decoded(&with_alloc(first_alloc(), write(base + 56))).is_ok());
+    for addr in [0xdead_beef_0000, base + 60, base - 8, u64::MAX - 3] {
+        assert_eq!(
+            decoded(&with_alloc(first_alloc(), write(addr))),
+            Err(TraceError::Malformed("write outside every allocation")),
+            "{addr:#x}"
+        );
+    }
+}
+
+/// Likewise a rebind to ranges outside every allocation.
+#[test]
+fn a_rebind_outside_every_allocation_is_malformed() {
+    let base = first_alloc().addr;
+    let rebind = |ranges| TraceOp::Rebind { lock: 0, ranges };
+    let inside = rebind(vec![base..base + 8, base + 32..base + 64]);
+    assert!(decoded(&with_alloc(first_alloc(), inside)).is_ok());
+    for ranges in [
+        vec![0..8, base..base + 8],
+        vec![base..base + 8, base + 60..base + 72],
+    ] {
+        assert_eq!(
+            decoded(&with_alloc(first_alloc(), rebind(ranges))),
+            Err(TraceError::Malformed("rebind outside every allocation"))
+        );
+    }
 }
 
 /// The trace slice of the hostile-bytes sweep: mutants of re-sealed

@@ -43,14 +43,7 @@ fn under(trace: &Trace, plan: FaultPlan) -> Result<Verdict, String> {
 /// Records `kind` at 4 processors under `backend` and returns the trace
 /// (already round-tripped through the byte format, as a replayer sees it).
 fn record(kind: AppKind, backend: BackendKind) -> Trace {
-    let cfg = MidwayConfig::new(4, backend);
-    let (outcome, trace) = record_app(kind, cfg, Scale::Small);
-    assert!(
-        outcome.verified,
-        "{} failed verification under {}",
-        kind.label(),
-        backend.label()
-    );
+    let trace = record_app(kind, MidwayConfig::new(4, backend), Scale::Small);
     Trace::decode(&trace.encode()).expect("trace round-trip")
 }
 
@@ -107,17 +100,13 @@ fn task_queue_apps_complete_deterministically_under_chaos() {
 
 /// Live runs (the application recomputing, not replaying recorded bytes)
 /// still verify their own output under faults: the sorted array is
-/// sorted, the factorization checks out — whatever the lock order.
+/// sorted, the factorization checks out — whatever the lock order
+/// (`run_app` panics on a failed check).
 #[test]
 fn live_runs_verify_their_output_under_faults() {
     for kind in AppKind::all() {
         let cfg = MidwayConfig::new(4, BackendKind::Rt).faults(chaos(11));
-        let out = run_app(kind, cfg, Scale::Small);
-        assert!(
-            out.verified,
-            "{} failed its own verification under faults",
-            kind.label()
-        );
+        run_app(kind, cfg, Scale::Small);
     }
 }
 

@@ -33,9 +33,7 @@ fn clean_apps_are_clean_on_every_data_backend() {
     for kind in AppKind::all() {
         for backend in BackendKind::DATA {
             let cfg = MidwayConfig::new(4, backend).check(true);
-            let out = run_app(kind, cfg, Scale::Small);
-            assert!(out.verified, "{} under {}", kind.label(), backend.label());
-            let report = out.check.expect("checker ran");
+            let report = run_app(kind, cfg, Scale::Small).check.expect("checker ran");
             assert!(
                 report.is_clean(),
                 "false positive: {} under {}: {}\nfirst: {}",
@@ -68,7 +66,6 @@ fn checking_is_off_clock_bit_for_bit() {
 
 #[test]
 fn checked_run_has_identical_memory_and_clocks() {
-    // The app driver erases digests, so compare raw runs too.
     let mut b = SystemBuilder::new();
     let x = b.shared_array::<u64>("x", 8, 1);
     let lock = b.lock(vec![x.full_range()]);
@@ -127,12 +124,11 @@ fn every_mutant_is_detected_on_every_data_backend() {
 
 #[test]
 fn clean_recorded_trace_racechecks_bit_for_bit() {
-    let (outcome, trace) = record_app(
+    let trace = record_app(
         AppKind::Quicksort,
         MidwayConfig::new(4, BackendKind::Rt),
         Scale::Small,
     );
-    assert!(outcome.verified);
     let decoded = Trace::decode(&trace.encode()).expect("round-trip");
     assert!(
         racecheck(&decoded).is_clean(),

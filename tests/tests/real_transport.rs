@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use midway_apps::{run_app_real, sor, AppKind, Scale};
+use midway_apps::{run_app_real, AppKind, Scale};
 use midway_core::{BackendKind, FaultPlan, MidwayConfig, RealConfig};
 use midway_replay::{check, record_app, Axes, Comparison, Trace, Transport, Verdict};
 
@@ -27,9 +27,11 @@ fn tcp() -> RealConfig {
 /// Sor recorded on the simulator under `backend`, round-tripped through
 /// the trace format as a replayer sees it.
 fn sor_trace(backend: BackendKind) -> Trace {
-    let cfg = MidwayConfig::new(PROCS, backend);
-    let (outcome, trace) = record_app(AppKind::Sor, cfg, Scale::Small);
-    assert!(outcome.verified);
+    let trace = record_app(
+        AppKind::Sor,
+        MidwayConfig::new(PROCS, backend),
+        Scale::Small,
+    );
     Trace::decode(&trace.encode()).expect("trace round-trips")
 }
 
@@ -46,25 +48,20 @@ fn over(trace: &Trace, transport: Transport) -> Verdict {
 }
 
 /// Every application completes and self-verifies on the real transport,
-/// under every data-moving backend.
+/// under every data-moving backend (`run_app_real` panics on a failed
+/// check).
 #[test]
 fn every_app_completes_on_tcp_under_every_backend() {
     for kind in AppKind::all() {
         for backend in BackendKind::DATA {
             let cfg = MidwayConfig::new(PROCS, backend);
-            let out = run_app_real(kind, cfg, &tcp(), Scale::Small).unwrap_or_else(|e| {
+            if let Err(e) = run_app_real(kind, cfg, &tcp(), Scale::Small) {
                 panic!(
                     "{} under {} failed on the real transport: {e}",
                     kind.label(),
                     backend.label()
-                )
-            });
-            assert!(
-                out.verified,
-                "{} failed its own verification under {} on the real transport",
-                kind.label(),
-                backend.label()
-            );
+                );
+            }
         }
     }
 }
@@ -80,14 +77,13 @@ fn simulator_traces_check_over_tcp_on_every_backend() {
         let cfg = MidwayConfig::new(PROCS, backend).record(true);
         let out = run_app_real(AppKind::Sor, cfg, &tcp(), Scale::Small)
             .unwrap_or_else(|e| panic!("sor under {} failed: {e}", backend.label()));
-        assert!(out.verified);
         assert_eq!(
             out.store_digests,
             v.baseline.store_digests,
             "the live {} run reached different final memory than the simulator",
             backend.label()
         );
-        let trace = Trace::from_outcome(&out, Scale::Small);
+        let trace = Trace::from_run("sor", "small", true, &out);
         assert!(trace.total_ops() > 0, "the trace must record the run");
         assert_eq!(Trace::decode(&trace.encode()), Ok(trace));
     }
@@ -103,7 +99,6 @@ fn repeated_real_runs_agree_on_final_memory() {
         let cfg = MidwayConfig::new(PROCS, BackendKind::Rt);
         let out = run_app_real(AppKind::Sor, cfg, &tcp(), Scale::Small)
             .unwrap_or_else(|e| panic!("round {round} failed: {e}"));
-        assert!(out.verified, "round {round} failed verification");
         let v = over(&trace, Transport::Tcp);
         assert_eq!(
             out.store_digests, v.baseline.store_digests,
@@ -123,8 +118,7 @@ fn lossy_udp_run_completes_and_still_satisfies_the_oracle() {
     let real = RealConfig::udp(plan).watchdog(Some(Duration::from_secs(60)));
     let cfg = MidwayConfig::new(PROCS, BackendKind::Rt);
 
-    let run = sor::run_real(cfg, &real, sor::Params::small()).expect("lossy sor run failed");
-    assert!(sor::verified(&run.results));
+    let run = run_app_real(AppKind::Sor, cfg, &real, Scale::Small).expect("lossy sor run failed");
 
     let injected: u64 = run.reports.iter().map(|r| r.fault_stats.total()).sum();
     assert!(injected > 0, "the loss plan must actually inject faults");

@@ -7,7 +7,7 @@
 //! simulator delivers events in a canonical order, a processor's
 //! recorded shared-memory operation stream fully determines the run.
 
-use midway_apps::{AppKind, Scale};
+use midway_apps::{run_app, AppKind, Scale};
 use midway_core::{BackendKind, MidwayConfig};
 use midway_replay::{record_app, replay, verify_replay, Trace};
 
@@ -15,13 +15,9 @@ use midway_replay::{record_app, replay, verify_replay, Trace};
 /// format, and checks the replay oracle.
 fn record_and_verify(kind: AppKind, backend: BackendKind, procs: usize) {
     let cfg = MidwayConfig::new(procs, backend);
-    let (outcome, trace) = record_app(kind, cfg, Scale::Small);
-    assert!(
-        outcome.verified,
-        "{} live run failed verification under {}",
-        kind.label(),
-        backend.label()
-    );
+    let trace = record_app(kind, cfg, Scale::Small);
+    // The live run's numbers, as the trace's header carries them.
+    let live = &trace.meta;
 
     // The trace that reaches a replayer has been through the file format.
     let decoded = Trace::decode(&trace.encode()).expect("round-trip");
@@ -36,9 +32,9 @@ fn record_and_verify(kind: AppKind, backend: BackendKind, procs: usize) {
     });
 
     // Spot-check the oracle compared something real.
-    assert_eq!(run.finish_time.cycles(), outcome.finish_time.cycles());
-    assert_eq!(run.counters, outcome.counters);
-    assert_eq!(run.messages, outcome.messages);
+    assert_eq!(run.finish_time.cycles(), live.finish_cycles);
+    assert_eq!(run.counters, live.counters);
+    assert_eq!(run.messages, live.messages);
     assert!(
         run.finish_time.cycles() > 0,
         "a replayed run still charges time"
@@ -90,7 +86,7 @@ fn sor_and_quicksort_replay_bit_for_bit_on_hybrid() {
 fn rt_trace_replayed_on_other_backends_matches_live_runs() {
     for app in [AppKind::Sor, AppKind::Matmul] {
         assert!(app.lock_order_independent());
-        let (_, trace) = record_app(app, MidwayConfig::new(4, BackendKind::Rt), Scale::Small);
+        let trace = record_app(app, MidwayConfig::new(4, BackendKind::Rt), Scale::Small);
         for backend in [
             BackendKind::Vm,
             BackendKind::Blast,
@@ -99,7 +95,7 @@ fn rt_trace_replayed_on_other_backends_matches_live_runs() {
         ] {
             let cfg = MidwayConfig::new(4, backend);
             let replayed = replay(&trace, cfg).expect("replay");
-            let (live, _) = record_app(app, cfg, Scale::Small);
+            let live = run_app(app, cfg, Scale::Small);
             let what = format!("{} under {}", app.label(), backend.label());
             assert_eq!(
                 replayed.counters, live.counters,
@@ -118,7 +114,7 @@ fn rt_trace_replayed_on_other_backends_matches_live_runs() {
 /// the recorder and replayer are exact inverses.
 #[test]
 fn replaying_with_recording_reproduces_the_trace() {
-    let (_, trace) = record_app(
+    let trace = record_app(
         AppKind::Sor,
         MidwayConfig::new(2, BackendKind::Rt),
         Scale::Small,

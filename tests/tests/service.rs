@@ -12,18 +12,12 @@ use midway_replay::{record_app, verify_replay, Trace};
 const PROCS: usize = 4;
 
 /// Every service application completes and self-verifies on every
-/// data-moving backend.
+/// data-moving backend (`run_app` panics on a failed check).
 #[test]
 fn every_service_app_verifies_on_every_backend() {
     for kind in AppKind::service() {
         for backend in BackendKind::DATA {
-            let out = run_app(kind, MidwayConfig::new(PROCS, backend), Scale::Small);
-            assert!(
-                out.verified,
-                "{} failed verification under {}",
-                kind.label(),
-                backend.label()
-            );
+            run_app(kind, MidwayConfig::new(PROCS, backend), Scale::Small);
         }
     }
 }
@@ -46,8 +40,7 @@ fn service_runs_are_deterministic() {
 #[test]
 fn service_apps_run_standalone() {
     for kind in AppKind::service() {
-        let out = run_app(kind, MidwayConfig::standalone(), Scale::Small);
-        assert!(out.verified, "{} failed standalone", kind.label());
+        run_app(kind, MidwayConfig::standalone(), Scale::Small);
     }
 }
 
@@ -56,8 +49,7 @@ fn service_apps_run_standalone() {
 fn service_traces_replay_bit_for_bit() {
     for kind in AppKind::service() {
         let cfg = MidwayConfig::new(PROCS, BackendKind::Rt);
-        let (out, trace) = record_app(kind, cfg, Scale::Small);
-        assert!(out.verified, "{} failed while recording", kind.label());
+        let trace = record_app(kind, cfg, Scale::Small);
         // Round-trip the encoded form too: what ships is what replays.
         let decoded = Trace::decode(&trace.encode()).expect("trace round-trips");
         verify_replay(&decoded)
@@ -72,8 +64,8 @@ fn service_apps_complete_on_tcp() {
     let real = RealConfig::tcp().watchdog(Some(Duration::from_secs(60)));
     for kind in AppKind::service() {
         let cfg = MidwayConfig::new(PROCS, BackendKind::Rt);
-        let out = run_app_real(kind, cfg, &real, Scale::Small)
-            .unwrap_or_else(|e| panic!("{} failed on TCP: {e}", kind.label()));
-        assert!(out.verified, "{} failed verification on TCP", kind.label());
+        if let Err(e) = run_app_real(kind, cfg, &real, Scale::Small) {
+            panic!("{} failed on TCP: {e}", kind.label());
+        }
     }
 }

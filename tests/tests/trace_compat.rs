@@ -23,8 +23,7 @@ fn relabelled(bytes: &[u8], version: u64) -> Vec<u8> {
 #[test]
 fn past_and_future_versions_are_rejected_as_bad_version() {
     let cfg = MidwayConfig::new(4, BackendKind::Rt);
-    let (outcome, trace) = record_app(AppKind::Sor, cfg, Scale::Small);
-    assert!(outcome.verified);
+    let trace = record_app(AppKind::Sor, cfg, Scale::Small);
     let bytes = trace.encode();
     // The file a recorder built from the parent commit wrote for this run,
     // by length and FNV: the layout did not move when the codec did.

@@ -113,6 +113,20 @@ if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/
     exit 1
 fi
 
+# One dirtybit encoding: the array stores `timestamp - 1` in a u32, and
+# only crates/mem/src/dirty.rs knows it. Everyone else reads and writes
+# timestamps through get / stamp / mark / scan / take_newer, never the raw
+# words, and never tests a stamp against the DIRTY marker by hand.
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/benchmark/*' \
+    -not -path crates/mem/src/dirty.rs); do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
+        grep -E 'range_mut\(|midway_mem::DIRTY\b|[=!]=[[:space:]]*DIRTY\b|\bDIRTY[[:space:]]*[=!]='; then
+        echo "dirtybit encoding outside crates/mem/src/dirty.rs, in $f" >&2
+        exit 1
+    fi
+done
+
 # One byte codec: the LEB128 loops and the byte-wise FNV-1a-64 are
 # crates/net/src/wire.rs's, and socket frames, trace files and recovery
 # storage are layouts over its bounds-checked Reader. The one exception

@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use midway_mem::MAX_TIMESTAMP;
 use midway_net::{Reader, Wire, WireError, Writer};
 use midway_proto::{BarrierId, Binding, LockId, MaskedSet, Mode, Update, UpdateItem, UpdateSet};
 
@@ -56,6 +57,16 @@ fn decode_binding(r: &mut Reader) -> Result<Binding, WireError> {
     Ok(Binding::from_parts(ranges, version))
 }
 
+/// A Lamport time: an update item's timestamp, a grant's consistency time
+/// or a barrier's time. It reaches the dirtybits and the clock, which hold
+/// nothing above [`MAX_TIMESTAMP`]. VM items carry 0, which stays legal.
+fn decode_time(r: &mut Reader) -> Result<u64, WireError> {
+    match r.u64()? {
+        t if t > MAX_TIMESTAMP => Err(WireError::malformed("timestamp above MAX_TIMESTAMP", t)),
+        t => Ok(t),
+    }
+}
+
 // `UpdateSet` and `Update` live in `midway-proto`, which does not know
 // about the `Wire` trait; the orphan rule keeps the impls out, so they
 // encode through free functions here.
@@ -83,7 +94,7 @@ fn decode_set(r: &mut Reader) -> Result<UpdateSet, WireError> {
     let mut items = Vec::with_capacity(n);
     for _ in 0..n {
         let addr = r.u64()?;
-        let ts = r.u64()?;
+        let ts = decode_time(r)?;
         let data = r.bytes_le32()?.to_vec();
         items.push(UpdateItem { addr, data, ts });
     }
@@ -155,7 +166,7 @@ impl Wire for GrantPayload {
             0 => Ok(GrantPayload::Current),
             1 => Ok(GrantPayload::Rt {
                 set: decode_set(r)?,
-                consist_time: r.u64()?,
+                consist_time: decode_time(r)?,
                 binding: decode_binding(r)?,
             }),
             2 => {
@@ -271,12 +282,12 @@ impl Wire for DsmMsg {
             }),
             4 => Ok(DsmMsg::BarrierArrive {
                 barrier: BarrierId(r.u32()?),
-                time: r.u64()?,
+                time: decode_time(r)?,
                 set: decode_set(r)?,
             }),
             5 => Ok(DsmMsg::BarrierRelease {
                 barrier: BarrierId(r.u32()?),
-                time: r.u64()?,
+                time: decode_time(r)?,
                 set: MaskedSet::whole(Arc::new(decode_set(r)?)),
             }),
             t => Err(WireError::malformed("unknown dsm tag", t.into())),
@@ -575,8 +586,103 @@ mod tests {
         }
     }
 
+    /// Every Lamport time a message carries: item timestamps, a grant's
+    /// consistency time, a barrier's time.
+    fn times(msg: &NetMsg) -> Vec<u64> {
+        let (NetMsg::Raw(m) | NetMsg::Data { msg: m, .. }) = msg else {
+            return vec![];
+        };
+        let stamps = |set: &UpdateSet| set.items.iter().map(|i| i.ts).collect::<Vec<_>>();
+        match m {
+            DsmMsg::Grant { payload, .. } => match payload {
+                GrantPayload::Current => vec![],
+                GrantPayload::Rt {
+                    set, consist_time, ..
+                } => [stamps(set), vec![*consist_time]].concat(),
+                GrantPayload::Vm { updates, full, .. } => updates
+                    .iter()
+                    .chain(full)
+                    .flat_map(|u| stamps(&u.set))
+                    .collect(),
+                GrantPayload::Flat { set, .. } => stamps(set),
+            },
+            DsmMsg::BarrierArrive { set, time, .. } => [stamps(set), vec![*time]].concat(),
+            DsmMsg::BarrierRelease { set, time, .. } => {
+                set.iter().map(|i| i.ts).chain([*time]).collect()
+            }
+            _ => vec![],
+        }
+    }
+
+    /// `make(t)` decodes for the legal ends of the range and is
+    /// `Malformed` just above [`MAX_TIMESTAMP`] and at `u64::MAX`.
+    fn rejects_times_above_max(make: impl Fn(u64) -> NetMsg) {
+        for t in [0, MAX_TIMESTAMP] {
+            let back = decode_exact::<NetMsg>(&encode_to_vec(&make(t))).expect("in range");
+            assert!(times(&back).contains(&t));
+        }
+        for t in [MAX_TIMESTAMP + 1, u64::MAX] {
+            let err = decode_exact::<NetMsg>(&encode_to_vec(&make(t))).unwrap_err();
+            assert!(
+                matches!(err, WireError::Malformed { value, .. } if value == t),
+                "{t}: {err}"
+            );
+        }
+    }
+
+    fn rt_grant(ts: u64, consist_time: u64) -> NetMsg {
+        let item = UpdateItem {
+            addr: 0x40_0000,
+            data: vec![1; 8],
+            ts,
+        };
+        NetMsg::Raw(DsmMsg::Grant {
+            lock: LockId(4),
+            mode: Mode::Exclusive,
+            payload: GrantPayload::Rt {
+                set: UpdateSet { items: vec![item] },
+                consist_time,
+                binding: sample_binding(),
+            },
+        })
+    }
+
+    /// An item timestamp above the dirtybit width would fail the stamp's
+    /// assert on application; it is refused at the decoder instead.
+    #[test]
+    fn update_item_ts_above_max_timestamp_is_malformed() {
+        rejects_times_above_max(|ts| rt_grant(ts, 55));
+    }
+
+    /// A forged `consist_time = u64::MAX` would reach
+    /// `LamportClock::observe`, whose `max(remote) + 1` overflows.
+    #[test]
+    fn grant_consist_time_above_max_timestamp_is_malformed() {
+        rejects_times_above_max(|consist_time| rt_grant(7, consist_time));
+    }
+
+    /// A barrier's time is observed by the clock as a grant's is.
+    #[test]
+    fn barrier_time_above_max_timestamp_is_malformed() {
+        rejects_times_above_max(|time| {
+            NetMsg::Raw(DsmMsg::BarrierArrive {
+                barrier: BarrierId(2),
+                set: sample_set(),
+                time,
+            })
+        });
+        rejects_times_above_max(|time| {
+            NetMsg::Raw(DsmMsg::BarrierRelease {
+                barrier: BarrierId(2),
+                set: MaskedSet::whole(Arc::new(sample_set())),
+                time,
+            })
+        });
+    }
+
     /// First slice of the hostile-bytes sweep: every variant and grant
-    /// payload, mutated; the decoder answers and never panics.
+    /// payload, mutated; the decoder answers and never panics, and a frame
+    /// it accepts carries no timestamp the dirtybits cannot hold.
     #[test]
     fn mutated_frames_decode_or_fail_but_never_panic() {
         let fixtures: Vec<NetMsg> = variant_fixtures()
@@ -586,7 +692,14 @@ mod tests {
         let each = 10_000usize.div_ceil(fixtures.len());
         let (mut accepted, mut total) = (0, 0);
         for (i, msg) in fixtures.iter().enumerate() {
-            let decode = |b: &[u8]| decode_exact::<NetMsg>(b).is_ok();
+            let decode = |b: &[u8]| match decode_exact::<NetMsg>(b) {
+                Ok(back) => {
+                    let times = times(&back);
+                    assert!(times.iter().all(|&t| t <= MAX_TIMESTAMP), "{times:?}");
+                    true
+                }
+                Err(_) => false,
+            };
             accepted +=
                 crate::mutate::sweep(0x51ce_0000 + i as u64, &encode_to_vec(msg), each, decode);
             total += each;

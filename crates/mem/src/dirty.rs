@@ -5,6 +5,37 @@
 //! Lamport-clock value) recording the most recent modification; in practice
 //! the write path stores a zero ("dirty") and the timestamp is filled in
 //! lazily when the guarding synchronization object is transferred.
+//!
+//! # Encoding
+//!
+//! The API speaks `u64` timestamps: [`DIRTY`] is 0, a fresh line reads
+//! [`EPOCH`] (1), and real Lamport times follow. The array stores each
+//! dirtybit as a `u32` holding `timestamp − 1`, wrapping, so [`EPOCH`] is
+//! stored as 0, time `t` as `t − 1` and [`DIRTY`] as `u32::MAX`. Two
+//! things follow:
+//!
+//! * a fresh array is all zero bytes, which the allocator hands out as
+//!   untouched pages (`calloc`): a line costs memory only once it is
+//!   marked or stamped, and then at half the width of a `u64`;
+//! * timestamps are bounded by [`MAX_TIMESTAMP`]. The Lamport clock asserts
+//!   it never passes that bound, and the wire decoder rejects a timestamp
+//!   above it.
+//!
+//! Why: every processor holds one array per region it maps, a word per
+//! line, so at scale these arrays are most of a processor's memory (a
+//! 10 M-key quicksort at word lines is 10 M dirtybits per processor). Both
+//! halves are needed: zero-based alone leaves the arrays that barrier
+//! applies stamp end to end (sor's edges) at full width, and `u32` alone
+//! still writes every page at creation. A Lamport clock advances a few
+//! times per synchronization event; a run has millions of those, not
+//! billions.
+//!
+//! The encoding stays in this file: callers read [`DirtyBits::get`], write
+//! [`DirtyBits::stamp`] / [`DirtyBits::mark`], and apply an update through
+//! [`DirtyBits::take_newer`]. The simulated cost model still charges the
+//! paper's flat array, so nothing virtual depends on the width.
+
+use std::ops::Range;
 
 use midway_stats::CostModel;
 
@@ -16,6 +47,29 @@ pub const DIRTY: u64 = 0;
 
 /// The initial timestamp of every line: older than any real Lamport time.
 pub const EPOCH: u64 = 1;
+
+/// The largest timestamp a dirtybit can hold: the array stores
+/// `timestamp − 1` in a `u32`, and `u32::MAX` there is [`DIRTY`].
+pub const MAX_TIMESTAMP: u64 = u32::MAX as u64;
+
+/// The stored form of [`DIRTY`].
+const DIRTY_RAW: u32 = u32::MAX;
+
+/// The stored form of timestamp `ts` (0, [`DIRTY`], maps to [`DIRTY_RAW`]).
+#[inline]
+fn encode(ts: u64) -> u32 {
+    assert!(
+        ts <= MAX_TIMESTAMP,
+        "timestamp {ts} exceeds the dirtybit width (MAX_TIMESTAMP = {MAX_TIMESTAMP})"
+    );
+    (ts as u32).wrapping_sub(1)
+}
+
+/// The timestamp a stored dirtybit holds.
+#[inline]
+fn decode(raw: u32) -> u64 {
+    u64::from(raw.wrapping_add(1))
+}
 
 /// What kind of store hit the template (Appendix A entry points).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -58,16 +112,20 @@ impl StoreKind {
 }
 
 /// The per-processor dirtybit array of one region.
+///
+/// One `u32` per line, zero-based (see the module's *Encoding*): a new
+/// array is zeroed memory, resident only where a line has been marked or
+/// stamped.
 #[derive(Clone, Debug)]
 pub struct DirtyBits {
-    bits: Vec<u64>,
+    bits: Vec<u32>,
 }
 
 impl DirtyBits {
     /// Creates an array of `lines` dirtybits, all at [`EPOCH`].
     pub fn new(lines: usize) -> DirtyBits {
         DirtyBits {
-            bits: vec![EPOCH; lines],
+            bits: vec![0; lines],
         }
     }
 
@@ -76,26 +134,60 @@ impl DirtyBits {
         self.bits.len()
     }
 
-    /// Marks `line` dirty (stores zero, as the template does).
+    /// Marks `line` dirty (the template's store).
     pub fn mark(&mut self, line: usize) {
-        self.bits[line] = DIRTY;
+        self.bits[line] = DIRTY_RAW;
     }
 
-    /// The raw dirtybit value of `line`.
+    /// The timestamp of `line`: [`DIRTY`], [`EPOCH`] or a Lamport time.
     pub fn get(&self, line: usize) -> u64 {
-        self.bits[line]
+        decode(self.bits[line])
     }
 
     /// Stamps `line` with timestamp `ts` (requester side after applying an
     /// update, or releaser side when lazily timestamping).
+    ///
+    /// # Panics
+    ///
+    /// If `ts` exceeds [`MAX_TIMESTAMP`].
     pub fn stamp(&mut self, line: usize, ts: u64) {
-        self.bits[line] = ts;
+        self.bits[line] = encode(ts);
     }
 
-    /// The raw dirtybit values of `lines`, for a caller that tests and
-    /// stamps a run of lines in one pass (applying a multi-line update).
-    pub fn range_mut(&mut self, lines: std::ops::Range<usize>) -> &mut [u64] {
-        &mut self.bits[lines]
+    /// Applies the timestamp of an update covering `lines`: a line takes
+    /// `ts` iff it is not [`DIRTY`] (a local modification is never
+    /// overwritten) and `ts` is strictly newer than its stamp (the
+    /// exactly-once property). Stamps the lines that take it and reports
+    /// each maximal run of lines that do (`true`) or do not (`false`), in
+    /// order, as `on_run(run, taken)`.
+    ///
+    /// # Panics
+    ///
+    /// If `ts` exceeds [`MAX_TIMESTAMP`].
+    pub fn take_newer(
+        &mut self,
+        lines: Range<usize>,
+        ts: u64,
+        mut on_run: impl FnMut(Range<usize>, bool),
+    ) {
+        // `ts > t` for stored `t − 1` is `raw < ts − 1`, which no stored
+        // DIRTY (`u32::MAX`) satisfies; the stamp is `ts − 1` itself. A
+        // zero `ts` (VM items carry it) is newer than nothing.
+        let stamp = encode(ts.max(EPOCH));
+        let base = lines.start;
+        let bits = &mut self.bits[lines];
+        let mut line = 0;
+        while line < bits.len() {
+            let run = line;
+            let take = bits[line] < stamp;
+            while line < bits.len() && (bits[line] < stamp) == take {
+                if take {
+                    bits[line] = stamp;
+                }
+                line += 1;
+            }
+            on_run(base + run..base + line, take);
+        }
     }
 
     /// Scans lines `range` on behalf of a requester that last saw time
@@ -105,7 +197,11 @@ impl DirtyBits {
     /// dirtybit is still [`DIRTY`] (modified since the last transfer — it is
     /// stamped with `now` as a side effect, the paper's lazy timestamping)
     /// or it carries a timestamp greater than `last_seen`.
-    pub fn scan(&mut self, range: std::ops::Range<usize>, last_seen: u64, now: u64) -> ScanOutcome {
+    ///
+    /// # Panics
+    ///
+    /// If `now` exceeds [`MAX_TIMESTAMP`].
+    pub fn scan(&mut self, range: Range<usize>, last_seen: u64, now: u64) -> ScanOutcome {
         let mut out = ScanOutcome::default();
         self.scan_into(&mut out, range, last_seen, now);
         out
@@ -115,33 +211,38 @@ impl DirtyBits {
     /// vector's capacity survives across scans. Clears `out` first.
     ///
     /// Scans blocks of lines at a time: a line is *interesting* iff
-    /// `v == DIRTY || v > last_seen`, which (with `DIRTY == 0`) is exactly
-    /// `v.wrapping_sub(1) >= last_seen` — one branch-free comparison per
-    /// line lets the all-clean block fast path skip the per-line work that
+    /// `t == DIRTY || t > last_seen`, which for the stored `raw = t − 1`
+    /// (DIRTY stored as `u32::MAX`) is exactly `u64::from(raw) >= last_seen`.
+    /// A `last_seen` above [`MAX_TIMESTAMP`] leaves only DIRTY interesting,
+    /// as does `last_seen == MAX_TIMESTAMP`, so the comparison runs in `u32`
+    /// against the saturated bound — one branch-free comparison per line
+    /// lets the all-clean block fast path skip the per-line work that
     /// dominates steady-state scans.
     pub fn scan_into(
         &mut self,
         out: &mut ScanOutcome,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         last_seen: u64,
         now: u64,
     ) {
         out.lines.clear();
         out.clean_reads = 0;
         out.dirty_reads = 0;
-        // 8 lines = 64 bytes of timestamps per step; the fixed-size array
+        let seen = last_seen.min(MAX_TIMESTAMP) as u32;
+        let now = encode(now);
+        // 16 lines = 64 bytes of timestamps per step; the fixed-size array
         // view drops the per-lane bounds checks so the interesting-test
         // reduction compiles to vector compares.
-        const BLOCK: usize = 8;
+        const BLOCK: usize = 16;
         let mut line = range.start;
         let end = range.end;
         while line + BLOCK <= end {
-            let block: &[u64; BLOCK] = self.bits[line..line + BLOCK]
+            let block: &[u32; BLOCK] = self.bits[line..line + BLOCK]
                 .try_into()
                 .expect("BLOCK lines");
             let mut any = false;
             for &v in block {
-                any |= v.wrapping_sub(1) >= last_seen;
+                any |= v >= seen;
             }
             if !any {
                 out.clean_reads += BLOCK as u64;
@@ -149,23 +250,23 @@ impl DirtyBits {
                 continue;
             }
             for i in line..line + BLOCK {
-                Self::scan_one(&mut self.bits, out, i, last_seen, now);
+                Self::scan_one(&mut self.bits, out, i, seen, now);
             }
             line += BLOCK;
         }
         for i in line..end {
-            Self::scan_one(&mut self.bits, out, i, last_seen, now);
+            Self::scan_one(&mut self.bits, out, i, seen, now);
         }
     }
 
     #[inline]
-    fn scan_one(bits: &mut [u64], out: &mut ScanOutcome, line: usize, last_seen: u64, now: u64) {
+    fn scan_one(bits: &mut [u32], out: &mut ScanOutcome, line: usize, seen: u32, now: u32) {
         let v = bits[line];
-        if v == DIRTY {
+        if v == DIRTY_RAW {
             bits[line] = now;
             out.dirty_reads += 1;
             out.lines.push(line);
-        } else if v > last_seen {
+        } else if v >= seen {
             out.dirty_reads += 1;
             out.lines.push(line);
         } else {
@@ -173,22 +274,17 @@ impl DirtyBits {
         }
     }
 
-    /// The line-at-a-time reference implementation of [`DirtyBits::scan`]
-    /// (`DirtyBits::scan`), kept as the equivalence oracle for the
+    /// The line-at-a-time reference implementation of [`DirtyBits::scan`],
+    /// over decoded timestamps, kept as the equivalence oracle for the
     /// chunked hot path: property tests assert the two agree on random
     /// arrays, and the pinned benchmark times it as
     /// `calib.scan_reference_mlps`.
-    pub fn scan_reference(
-        &mut self,
-        range: std::ops::Range<usize>,
-        last_seen: u64,
-        now: u64,
-    ) -> ScanOutcome {
+    pub fn scan_reference(&mut self, range: Range<usize>, last_seen: u64, now: u64) -> ScanOutcome {
         let mut out = ScanOutcome::default();
         for line in range {
-            let v = self.bits[line];
+            let v = self.get(line);
             if v == DIRTY {
-                self.bits[line] = now;
+                self.stamp(line, now);
                 out.dirty_reads += 1;
                 out.lines.push(line);
             } else if v > last_seen {

@@ -32,7 +32,7 @@ mod store;
 pub use addr::{
     split_by_region, Addr, AddrRange, PAGE_SHIFT, PAGE_SIZE, REGION_SHIFT, REGION_SIZE,
 };
-pub use dirty::{DirtyBits, ScanOutcome, StoreKind, Template, DIRTY, EPOCH};
+pub use dirty::{DirtyBits, ScanOutcome, StoreKind, Template, DIRTY, EPOCH, MAX_TIMESTAMP};
 pub use layout::{Alloc, Layout, LayoutBuilder, MemClass, RegionDesc, RegionId};
 pub use paging::{PageTable, RegionPages, WriteAccess};
 pub use pool::BufPool;

@@ -3,7 +3,7 @@
 //! derives from a fixed seed and is exactly reproducible.
 
 use midway_mem::diff::{PageDiff, WORD};
-use midway_mem::{DirtyBits, EPOCH};
+use midway_mem::{DirtyBits, ScanOutcome, DIRTY, EPOCH, MAX_TIMESTAMP};
 use midway_sim::SplitMix64;
 
 /// A random `(current, twin)` page pair of equal length in `1..=512`.
@@ -206,6 +206,155 @@ fn chunked_scan_matches_reference() {
             assert_eq!(a.get(line), b.get(line), "case {case}: lazy stamp diverged");
         }
     }
+}
+
+/// A timestamp from the whole encodable range, weighted toward its ends:
+/// [`DIRTY`], [`EPOCH`], small times, [`MAX_TIMESTAMP`] and just below it.
+fn any_timestamp(rng: &mut SplitMix64) -> u64 {
+    match rng.next_below(6) {
+        0 => DIRTY,
+        1 => EPOCH,
+        2 => EPOCH + rng.next_below(40),
+        3 => MAX_TIMESTAMP - rng.next_below(4),
+        4 => MAX_TIMESTAMP / 2 + rng.next_below(4),
+        _ => rng.next_below(MAX_TIMESTAMP + 1),
+    }
+}
+
+/// A dirtybit array and the `u64` model it must read as.
+fn modelled_bits(rng: &mut SplitMix64, lines: usize) -> (DirtyBits, Vec<u64>) {
+    let mut bits = DirtyBits::new(lines);
+    let mut model = vec![EPOCH; lines];
+    for (line, want) in model.iter_mut().enumerate() {
+        match rng.next_below(3) {
+            0 => {}
+            1 => {
+                bits.mark(line);
+                *want = DIRTY;
+            }
+            _ => {
+                *want = any_timestamp(rng);
+                bits.stamp(line, *want);
+            }
+        }
+    }
+    (bits, model)
+}
+
+/// The `u32`, zero-based store reads back exactly the `u64` timestamps
+/// written, at both ends of its range.
+#[test]
+fn dirtybit_encoding_round_trips_against_a_u64_model() {
+    let mut rng = SplitMix64::new(0xd1ff_000a);
+    for case in 0..256 {
+        let lines = 1 + rng.next_below(300) as usize;
+        let (bits, model) = modelled_bits(&mut rng, lines);
+        for (line, &want) in model.iter().enumerate() {
+            assert_eq!(bits.get(line), want, "case {case}, line {line}");
+        }
+    }
+    let mut bits = DirtyBits::new(4);
+    for ts in [DIRTY, EPOCH, 2, MAX_TIMESTAMP - 1, MAX_TIMESTAMP] {
+        bits.stamp(3, ts);
+        assert_eq!(bits.get(3), ts);
+    }
+}
+
+/// The chunked scan against the line-at-a-time reference over the whole
+/// width: stamps up to [`MAX_TIMESTAMP`], `last_seen` up to it and past
+/// it, and `now` up to it.
+#[test]
+fn chunked_scan_matches_reference_across_the_width() {
+    let mut rng = SplitMix64::new(0xd1ff_000b);
+    let mut sent = 0;
+    for case in 0..512 {
+        let lines = 1 + rng.next_below(600) as usize;
+        let (mut a, model) = modelled_bits(&mut rng, lines);
+        let mut b = a.clone();
+        let last_seen = match rng.next_below(4) {
+            0 => u64::MAX,
+            1 => MAX_TIMESTAMP + 1,
+            _ => any_timestamp(&mut rng),
+        };
+        let now = any_timestamp(&mut rng);
+        let start = rng.next_below(lines as u64) as usize;
+        let end = start + rng.next_below((lines - start + 1) as u64) as usize;
+        let mut got = ScanOutcome::default();
+        a.scan_into(&mut got, start..end, last_seen, now);
+        let want = b.scan_reference(start..end, last_seen, now);
+        assert_eq!(got.lines, want.lines, "case {case}");
+        assert_eq!(got.dirty_reads, want.dirty_reads, "case {case}");
+        assert_eq!(got.clean_reads, want.clean_reads, "case {case}");
+        // And the reference against the model's rule.
+        let modelled: Vec<usize> = (start..end)
+            .filter(|&l| model[l] == DIRTY || model[l] > last_seen)
+            .collect();
+        assert_eq!(want.lines, modelled, "case {case}");
+        for (line, &stamp) in model.iter().enumerate() {
+            let stamped = if stamp == DIRTY && (start..end).contains(&line) {
+                now
+            } else {
+                stamp
+            };
+            assert_eq!(a.get(line), stamped, "case {case}: line {line}");
+            assert_eq!(b.get(line), stamped, "case {case}: line {line}");
+        }
+        sent += want.lines.len();
+    }
+    assert!(sent > 10_000, "{sent}");
+}
+
+/// `take_newer` against the line-by-line rule `stamp != DIRTY && ts >
+/// stamp`: the same lines stamped, reported as maximal alternating runs
+/// that tile the range in order.
+#[test]
+fn take_newer_matches_the_line_by_line_rule() {
+    let mut rng = SplitMix64::new(0xd1ff_000c);
+    let (mut taken, mut kept) = (0, 0);
+    for case in 0..512 {
+        let lines = 1 + rng.next_below(300) as usize;
+        let (mut bits, mut model) = modelled_bits(&mut rng, lines);
+        let ts = any_timestamp(&mut rng);
+        let start = rng.next_below(lines as u64) as usize;
+        let end = start + 1 + rng.next_below((lines - start) as u64) as usize;
+        let mut runs = Vec::new();
+        bits.take_newer(start..end, ts, |run, take| runs.push((run, take)));
+        let mut want: Vec<(std::ops::Range<usize>, bool)> = Vec::new();
+        for (line, stamp) in model.iter_mut().enumerate().take(end).skip(start) {
+            let take = *stamp != DIRTY && ts > *stamp;
+            if take {
+                *stamp = ts;
+            }
+            match want.last_mut() {
+                Some((run, t)) if *t == take => *run = run.start..line + 1,
+                _ => want.push((line..line + 1, take)),
+            }
+        }
+        assert_eq!(runs, want, "case {case}, ts {ts}");
+        for (line, &stamp) in model.iter().enumerate() {
+            assert_eq!(bits.get(line), stamp, "case {case}: line {line}");
+        }
+        for (run, take) in &runs {
+            *(if *take { &mut taken } else { &mut kept }) += run.len();
+        }
+    }
+    assert!(taken > 5_000 && kept > 5_000, "{taken} / {kept}");
+}
+
+/// Nothing above [`MAX_TIMESTAMP`] is stored: the stamp, the update
+/// application and the scan's lazy stamp refuse it, naming the time.
+#[test]
+fn timestamps_past_the_width_panic_naming_the_timestamp() {
+    fn panics_naming(what: &str, f: fn(&mut DirtyBits, u64)) {
+        let over = MAX_TIMESTAMP + 1;
+        let run = std::panic::AssertUnwindSafe(|| f(&mut DirtyBits::new(4), over));
+        let err = std::panic::catch_unwind(run).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains(&over.to_string()), "{what}: {msg}");
+    }
+    panics_naming("stamp", |b, ts| b.stamp(1, ts));
+    panics_naming("take_newer", |b, ts| b.take_newer(0..4, ts, |_, _| {}));
+    panics_naming("scan", |b, ts| drop(b.scan(0..4, EPOCH, ts)));
 }
 
 /// The wire size is data plus one header per run.

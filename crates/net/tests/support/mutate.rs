@@ -10,20 +10,23 @@
 
 use midway_sim::SplitMix64;
 
-/// `u64::MAX` as a varint and `u32::MAX` little-endian: spliced over a
-/// count or a length, the largest claim either prefix kind can make.
-const HUGE: [&[u8]; 2] = [
+/// `u64::MAX` as a varint, `u32::MAX` little-endian and `u64::MAX`
+/// little-endian: spliced over a count or a length, the largest claim
+/// either prefix kind can make; over a fixed-width scalar such as a
+/// timestamp, the largest value it can carry.
+const HUGE: [&[u8]; 3] = [
     &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
     &[0xff, 0xff, 0xff, 0xff],
+    &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff],
 ];
 
 /// `input` after one to three mutations: a flipped bit, a truncation, or
-/// a huge count written over or inserted at a random offset.
+/// a huge value written over or inserted at a random offset.
 fn mutant(rng: &mut SplitMix64, input: &[u8]) -> Vec<u8> {
     let mut out = input.to_vec();
     for _ in 0..=rng.next_below(3) {
         let at = rng.next_below(out.len() as u64 + 1) as usize;
-        match rng.next_below(5) {
+        match rng.next_below(3 + HUGE.len() as u64) {
             0 | 1 => {
                 if let Some(b) = out.get_mut(at) {
                     *b ^= 1 << rng.next_below(8);

@@ -178,10 +178,6 @@ pub fn apply_with<'a>(
     let mut out = RtApply::default();
     let mut cur: Option<RegionCursor<'_>> = None;
     for item in items {
-        // A locally-dirty line is never overwritten by a remote update (an
-        // entry-consistency program never races here); otherwise a line
-        // takes only strictly newer data — the exactly-once property.
-        let takes = |stamp: u64| stamp != midway_mem::DIRTY && item.ts > stamp;
         let mut pos = 0usize;
         while pos < item.data.len() {
             let addr = Addr(item.addr + pos as u64);
@@ -198,35 +194,29 @@ pub fn apply_with<'a>(
             let c = cur.as_mut().expect("resolved above");
             // The piece of the item inside this region and the lines it
             // touches. Items may span many lines (coalesced runs);
-            // filtering stays per line, the coherency unit, and each
-            // maximal run of lines that take the update is one copy.
+            // filtering stays per line, the coherency unit: a locally-dirty
+            // line is never overwritten by a remote update (an
+            // entry-consistency program never races here), otherwise a line
+            // takes only strictly newer data — the exactly-once property.
+            // Each maximal run of lines that take the update is one copy.
             let shift = c.line_shift;
             let offset = addr.region_offset();
             let end = offset + (item.data.len() - pos).min(midway_mem::REGION_SIZE - offset);
-            let first = offset >> shift;
-            let stamps = c.bits.range_mut(first..((end - 1) >> shift) + 1);
-            let mut line = 0usize;
-            while line < stamps.len() {
-                let run = line;
-                let take = takes(stamps[line]);
-                while line < stamps.len() && takes(stamps[line]) == take {
-                    if take {
-                        stamps[line] = item.ts;
-                    }
-                    line += 1;
-                }
-                let lo = ((first + run) << shift).max(offset);
-                let hi = ((first + line) << shift).min(end);
+            let lines = offset >> shift..((end - 1) >> shift) + 1;
+            let slab = &mut *c.slab;
+            c.bits.take_newer(lines, item.ts, |run, take| {
+                let lo = (run.start << shift).max(offset);
+                let hi = (run.end << shift).min(end);
                 if take {
                     let data = &item.data[pos + lo - offset..pos + hi - offset];
-                    c.slab[lo..hi].copy_from_slice(data);
+                    slab[lo..hi].copy_from_slice(data);
                     on_applied(Addr(addr.region_base().raw() + lo as u64), data);
-                    out.dirtybits_updated += (line - run) as u64;
+                    out.dirtybits_updated += run.len() as u64;
                     out.bytes_applied += (hi - lo) as u64;
                 } else {
                     out.bytes_redundant += (hi - lo) as u64;
                 }
-            }
+            });
             pos += end - offset;
         }
     }

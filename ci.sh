@@ -181,6 +181,17 @@ for f in $(find crates tests examples -name '*.rs' -not -path 'crates/bench/src/
     fi
 done
 
+# The pinned benchmark is also a package of its own, and its committed
+# Cargo.lock records every dependency edge among the crates it builds.
+# Dropping one (say, an unused `midway-stats` dependency) would make cargo
+# rewrite that frozen file the next time BENCHMARK.json's command runs;
+# `--locked` turns that into an error here instead.
+if ! cargo metadata --offline --locked --format-version 1 \
+    --manifest-path crates/bench/src/bin/benchmark/Cargo.toml >/dev/null; then
+    echo "the crate graph no longer matches crates/bench/src/bin/benchmark/Cargo.lock" >&2
+    exit 1
+fi
+
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
@@ -295,7 +306,7 @@ for app in water quicksort matrix cholesky; do
 done
 
 echo "==> service workload smoke (sweep + record/replay)"
-# The three service apps (kvstore, socialgraph, taskqueue) at small
+# The two service apps (kvstore, taskqueue) at small
 # scale under RT, swept across two client counts, plus the saturation
 # knee search (binary search on clients/proc to the 2x-latency point);
 # every cell self-verifies inside the harness. Then one recorded

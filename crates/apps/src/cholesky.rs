@@ -22,9 +22,9 @@ use midway_core::{
 };
 
 /// Cycles charged per multiply-subtract of a `cmod` update.
-pub const CYCLES_PER_CMOD_ELEM: u64 = 12;
+const CYCLES_PER_CMOD_ELEM: u64 = 12;
 /// Cycles charged per element of a `cdiv` (scaling by the pivot).
-pub const CYCLES_PER_CDIV_ELEM: u64 = 30;
+const CYCLES_PER_CDIV_ELEM: u64 = 30;
 
 /// Problem parameters.
 #[derive(Clone, Copy, Debug)]
@@ -48,7 +48,7 @@ impl Params {
 }
 
 /// The sequentially computed symbolic factorization.
-pub struct Symbolic {
+struct Symbolic {
     /// Matrix dimension.
     pub n: usize,
     /// Column start offsets into `rows` / the value array; length `n + 1`.
@@ -66,7 +66,7 @@ pub struct Symbolic {
 /// Column pattern recurrence (standard symbolic factorization): the
 /// pattern of L's column `j` is A's column pattern plus the patterns of
 /// its elimination-tree children, restricted to rows ≥ `j`.
-pub fn symbolic(p: Params) -> Symbolic {
+fn symbolic(p: Params) -> Symbolic {
     let side = p.side;
     let n = side * side;
     // Lower-triangular pattern and values of A.

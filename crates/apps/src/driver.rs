@@ -5,7 +5,7 @@
 
 use midway_core::{MidwayConfig, MidwayRun, RealConfig, RealError};
 
-use crate::{cholesky, kvstore, matmul, quicksort, socialgraph, sor, taskqueue, water};
+use crate::{cholesky, kvstore, matmul, quicksort, sor, taskqueue, water};
 
 /// Which benchmark application to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -22,8 +22,6 @@ pub enum AppKind {
     Cholesky,
     /// Service family: sharded KV store, Zipfian keys, read-mostly.
     KvStore,
-    /// Service family: social-graph posts/follows/timelines.
-    SocialGraph,
     /// Service family: high-churn task queue.
     TaskQueue,
 }
@@ -42,12 +40,12 @@ impl AppKind {
     }
 
     /// The service-scale workload family.
-    pub fn service() -> [AppKind; 3] {
-        [AppKind::KvStore, AppKind::SocialGraph, AppKind::TaskQueue]
+    pub fn service() -> [AppKind; 2] {
+        [AppKind::KvStore, AppKind::TaskQueue]
     }
 
     /// Every application: the paper set followed by the service family.
-    pub fn every() -> [AppKind; 8] {
+    pub fn every() -> [AppKind; 7] {
         [
             AppKind::Water,
             AppKind::Quicksort,
@@ -55,7 +53,6 @@ impl AppKind {
             AppKind::Sor,
             AppKind::Cholesky,
             AppKind::KvStore,
-            AppKind::SocialGraph,
             AppKind::TaskQueue,
         ]
     }
@@ -69,7 +66,6 @@ impl AppKind {
             AppKind::Sor => "sor",
             AppKind::Cholesky => "cholesky",
             AppKind::KvStore => "kvstore",
-            AppKind::SocialGraph => "socialgraph",
             AppKind::TaskQueue => "taskqueue",
         }
     }
@@ -223,36 +219,6 @@ fn kvstore_params(scale: Scale) -> kvstore::Params {
     }
 }
 
-fn socialgraph_params(scale: Scale) -> socialgraph::Params {
-    use crate::service::ServiceParams;
-    match scale {
-        Scale::Paper => socialgraph::Params::paper(),
-        Scale::Medium => socialgraph::Params {
-            svc: ServiceParams {
-                clients: 4,
-                ops_per_client: 100,
-                ..ServiceParams::paper()
-            },
-            nodes: 512,
-            shards: 16,
-            max_degree: 16,
-            payload_words: 3,
-        },
-        Scale::Small => socialgraph::Params::small(),
-        Scale::Datacenter => socialgraph::Params {
-            svc: ServiceParams {
-                clients: 16,
-                ops_per_client: 150,
-                ..ServiceParams::paper()
-            },
-            nodes: 8192,
-            shards: 128,
-            max_degree: 32,
-            payload_words: 3,
-        },
-    }
-}
-
 fn taskqueue_params(scale: Scale) -> taskqueue::Params {
     use crate::service::ServiceParams;
     match scale {
@@ -335,7 +301,6 @@ fn run_on(
         AppKind::Sor => app!(sor, sor_params(scale)),
         AppKind::Cholesky => app!(cholesky, cholesky_params(scale)),
         AppKind::KvStore => app!(kvstore, kvstore_params(scale)),
-        AppKind::SocialGraph => app!(socialgraph, socialgraph_params(scale)),
         AppKind::TaskQueue => app!(taskqueue, taskqueue_params(scale)),
     })
 }
@@ -399,7 +364,7 @@ mod tests {
     fn labels_match_the_paper() {
         assert_eq!(AppKind::Water.label(), "water");
         assert_eq!(AppKind::all().len(), 5);
-        assert_eq!(AppKind::every().len(), 8);
+        assert_eq!(AppKind::every().len(), 7);
         assert!(AppKind::service()
             .iter()
             .all(|k| !k.lock_order_independent()));

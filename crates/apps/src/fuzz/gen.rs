@@ -177,7 +177,7 @@ impl Schedule {
     }
 
     /// The finding kind a mutant schedule's planted bug must produce.
-    pub fn expected_finding(&self) -> Option<FindingKind> {
+    pub(crate) fn expected_finding(&self) -> Option<FindingKind> {
         self.mutation.map(|m| match m {
             MutantKind::DropAcquire => FindingKind::UnguardedWrite,
             MutantKind::RogueRebind => FindingKind::BindingViolation,
@@ -193,7 +193,7 @@ impl Schedule {
     /// `lock_acquires` the schedule itself determines for processor `p`:
     /// one per acquire op (either mode), plus the read-back phase's one
     /// shared acquire per data lock.
-    pub fn expected_acquires(&self, p: usize) -> u64 {
+    pub(crate) fn expected_acquires(&self, p: usize) -> u64 {
         let scheduled = self
             .rounds
             .iter()
@@ -204,14 +204,14 @@ impl Schedule {
     }
 
     /// `barrier_waits` the schedule determines (one per round).
-    pub fn expected_barrier_waits(&self) -> u64 {
+    pub(crate) fn expected_barrier_waits(&self) -> u64 {
         self.rounds.len() as u64
     }
 
     /// Each data lock's binding after the last round, replaying rebinds
     /// in round order (the sole-toucher invariant makes within-round
     /// order irrelevant).
-    pub fn final_bindings(&self) -> Vec<std::ops::Range<usize>> {
+    fn final_bindings(&self) -> Vec<std::ops::Range<usize>> {
         let p = &self.params;
         let mut binding: Vec<std::ops::Range<usize>> =
             (0..p.data_locks).map(|l| p.lock_domain(l)).collect();
@@ -238,7 +238,7 @@ impl Schedule {
     /// stale copy), so re-introducing it later yields a legitimately
     /// backend-dependent value until it is written again. Never-written
     /// words are always reliable: every copy still holds zero.
-    pub fn reliable_words(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn reliable_words(&self) -> Vec<Vec<usize>> {
         let p = &self.params;
         let mut binding: Vec<std::ops::Range<usize>> =
             (0..p.data_locks).map(|l| p.lock_domain(l)).collect();
@@ -279,7 +279,7 @@ impl Schedule {
     /// program-order store by its single writer, applied in round order.
     /// Scratch words are modelled too (a mutation's planted stores land
     /// there), though the read-back oracle never reads them.
-    pub fn expected_cells(&self) -> Vec<u64> {
+    fn expected_cells(&self) -> Vec<u64> {
         let mut cells = vec![0u64; self.params.total_words()];
         for round in &self.rounds {
             for ops in round {
@@ -298,7 +298,7 @@ impl Schedule {
     /// final-binding words in lock order, then the whole barrier domain
     /// (always reliable — every round's flush republishes each writer's
     /// slice), folded in traversal order.
-    pub fn expected_readback(&self) -> u64 {
+    pub(crate) fn expected_readback(&self) -> u64 {
         let p = &self.params;
         let cells = self.expected_cells();
         let mut sum = 0u64;

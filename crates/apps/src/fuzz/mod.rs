@@ -15,7 +15,7 @@
 //! [`differential`] runs one schedule on every applicable
 //! backend and asserts:
 //!
-//! * the read-back checksum equals [`Schedule::expected_readback`] (the
+//! * the read-back checksum equals `Schedule::expected_readback` (the
 //!   pure-model prediction) on every processor of every backend,
 //! * `lock_acquires` / `barrier_waits` equal to the counts the schedule
 //!   itself determines (Table 2's schedule-invariant counters),
@@ -118,12 +118,12 @@ impl FuzzParams {
     }
 
     /// Words in one lock domain.
-    pub fn domain_words(&self) -> usize {
+    fn domain_words(&self) -> usize {
         self.procs * self.chunk_words
     }
 
     /// Absolute word range of data lock `l`'s domain.
-    pub fn lock_domain(&self, l: usize) -> std::ops::Range<usize> {
+    pub(crate) fn lock_domain(&self, l: usize) -> std::ops::Range<usize> {
         let w = self.domain_words();
         l * w..(l + 1) * w
     }
@@ -135,35 +135,35 @@ impl FuzzParams {
     }
 
     /// First word of the barrier domain.
-    pub fn barrier_base(&self) -> usize {
+    pub(crate) fn barrier_base(&self) -> usize {
         self.data_locks * self.domain_words()
     }
 
     /// Absolute word range of processor `p`'s barrier slice.
-    pub fn barrier_slice(&self, p: usize) -> std::ops::Range<usize> {
+    pub(crate) fn barrier_slice(&self, p: usize) -> std::ops::Range<usize> {
         let base = self.barrier_base() + p * self.barrier_words;
         base..base + self.barrier_words
     }
 
     /// First word of the scratch domain.
-    pub fn scratch_base(&self) -> usize {
+    pub(crate) fn scratch_base(&self) -> usize {
         self.barrier_base() + self.procs * self.barrier_words
     }
 
     /// Absolute word range of processor `p`'s scratch chunk.
-    pub fn scratch_chunk(&self, p: usize) -> std::ops::Range<usize> {
+    pub(crate) fn scratch_chunk(&self, p: usize) -> std::ops::Range<usize> {
         let base = self.scratch_base() + p * self.scratch_words;
         base..base + self.scratch_words
     }
 
     /// Total cell-array words.
-    pub fn total_words(&self) -> usize {
+    pub(crate) fn total_words(&self) -> usize {
         self.scratch_base() + self.procs * self.scratch_words
     }
 
     /// The scratch lock's index in the executor's lock table (data locks
     /// come first).
-    pub fn scratch_lock(&self) -> usize {
+    pub(crate) fn scratch_lock(&self) -> usize {
         self.data_locks
     }
 }
@@ -260,7 +260,7 @@ fn session<T: Transport<Msg = NetMsg>>(
 /// processor's result is `(read sum, read-back)`: the checksum of its
 /// mid-schedule reads (timing-dependent, so comparable only across
 /// same-backend reruns) and of its post-run read-back, the logically
-/// visible final state, which must equal [`Schedule::expected_readback`]
+/// visible final state, which must equal `Schedule::expected_readback`
 /// everywhere. Final-memory digests are comparable only within one
 /// backend: residual unsynchronized copies are the backend's business.
 ///

@@ -23,9 +23,9 @@ use midway_core::{
 use crate::service::{mix64, shard_of, shard_range, ServiceParams, Zipf};
 
 /// Cycles charged per put beyond the instrumented writes.
-pub const CYCLES_PER_PUT: u64 = 800;
+const CYCLES_PER_PUT: u64 = 800;
 /// Cycles charged per get beyond the instrumented reads.
-pub const CYCLES_PER_GET: u64 = 300;
+const CYCLES_PER_GET: u64 = 300;
 
 /// Problem parameters.
 #[derive(Clone, Copy, Debug)]

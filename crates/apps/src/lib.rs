@@ -22,7 +22,7 @@
 //! check on every run it returns; a run that fails it panics.
 
 //! Beyond the paper's batch kernels, the crate carries the service-scale
-//! workload family ([`kvstore`], [`socialgraph`], [`taskqueue`] — shared
+//! workload family ([`kvstore`], [`taskqueue`] — shared
 //! scaffolding in [`service`]) and a cross-backend differential fuzzer
 //! ([`fuzz`]) that turns backend agreement into a standing oracle.
 
@@ -33,7 +33,6 @@ pub mod matmul;
 pub mod mutants;
 pub mod quicksort;
 pub mod service;
-pub mod socialgraph;
 pub mod sor;
 pub mod taskqueue;
 pub mod water;

@@ -24,7 +24,7 @@ use midway_sim::SplitMix64;
 
 /// Cycles charged per fused multiply-add of the inner loop (estimated for
 /// a 25 MHz R3000: FP multiply + add + two loads).
-pub const CYCLES_PER_MAC: u64 = 12;
+const CYCLES_PER_MAC: u64 = 12;
 
 /// Problem parameters.
 #[derive(Clone, Copy, Debug)]

@@ -24,9 +24,9 @@ use midway_core::{
 use midway_sim::SplitMix64;
 
 /// Cycles charged per comparison in the local bubble sort.
-pub const CYCLES_PER_COMPARE: u64 = 6;
+const CYCLES_PER_COMPARE: u64 = 6;
 /// Cycles charged per partition-step comparison.
-pub const CYCLES_PER_PARTITION_STEP: u64 = 8;
+const CYCLES_PER_PARTITION_STEP: u64 = 8;
 
 /// Problem parameters.
 #[derive(Clone, Copy, Debug)]

@@ -5,13 +5,10 @@
 //! shared-data *service* — many client sessions issuing small operations
 //! against hot shared state — the workload class DSM systems are judged
 //! on today (DRust's KV/object-store and social-graph evaluation set).
-//! Three applications build on this module:
+//! Two applications build on this module:
 //!
 //! * [`crate::kvstore`] — a sharded KV/object store with Zipfian key skew
 //!   and a read-mostly operation mix.
-//! * [`crate::socialgraph`] — social-graph updates: posts, follows and
-//!   timeline reads over nodes + adjacency lists under per-shard
-//!   entry-consistency locks.
 //! * [`crate::taskqueue`] — a high-churn task queue where synchronization
 //!   dominates computation.
 //!
@@ -21,7 +18,7 @@
 
 use midway_sim::SplitMix64;
 
-/// The common service-workload knobs, shared by all three applications.
+/// The common service-workload knobs, shared by both applications.
 ///
 /// `clients` scales offered load (each processor multiplexes that many
 /// client sessions), `skew` shapes key popularity, and `write_pct` sets
@@ -72,12 +69,12 @@ impl ServiceParams {
     }
 
     /// Operations issued per processor.
-    pub fn ops_per_proc(&self) -> usize {
+    pub(crate) fn ops_per_proc(&self) -> usize {
         self.clients * self.ops_per_client
     }
 
     /// The per-processor RNG seeding every client stream on `proc`.
-    pub fn proc_rng(&self, proc: usize) -> SplitMix64 {
+    pub(crate) fn proc_rng(&self, proc: usize) -> SplitMix64 {
         SplitMix64::new(self.seed ^ (proc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
@@ -96,7 +93,7 @@ impl ServiceParams {
 /// the caller's [`SplitMix64`] stream — the same seed yields the same key
 /// sequence on every backend and transport.
 #[derive(Clone, Debug)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     /// Cumulative probabilities; `cum[k]` = P(rank ≤ k). The last entry
     /// is exactly 1.0.
     cum: Vec<f64>,
@@ -108,7 +105,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `n == 0` or `s` is negative / non-finite.
-    pub fn new(n: usize, s: f64) -> Zipf {
+    pub(crate) fn new(n: usize, s: f64) -> Zipf {
         assert!(n > 0, "zipf needs at least one rank");
         assert!(s >= 0.0 && s.is_finite(), "zipf exponent must be finite");
         let mut cum = Vec::with_capacity(n);
@@ -124,18 +121,8 @@ impl Zipf {
         Zipf { cum }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cum.len()
-    }
-
-    /// Whether the sampler is over an empty rank set (never true).
-    pub fn is_empty(&self) -> bool {
-        self.cum.is_empty()
-    }
-
     /// Draws one rank in `0..n` from `rng`.
-    pub fn sample(&self, rng: &mut SplitMix64) -> usize {
+    pub(crate) fn sample(&self, rng: &mut SplitMix64) -> usize {
         let u = rng.next_f64();
         // First index with cum[i] > u (u < 1.0, and cum ends at 1.0).
         self.cum
@@ -149,7 +136,7 @@ impl Zipf {
 /// `payload = mix64(key, version)`-shaped values so any later reader —
 /// including the verifier — can check content against the metadata that
 /// names it, regardless of which processor performed the write.
-pub fn mix64(a: u64, b: u64) -> u64 {
+pub(crate) fn mix64(a: u64, b: u64) -> u64 {
     let mut z = a
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(b)
@@ -161,12 +148,12 @@ pub fn mix64(a: u64, b: u64) -> u64 {
 
 /// Maps `key` in `0..keys` to a shard in `0..shards` (contiguous key
 /// ranges, so each shard lock binds one contiguous slice per array).
-pub fn shard_of(key: usize, keys: usize, shards: usize) -> usize {
+pub(crate) fn shard_of(key: usize, keys: usize, shards: usize) -> usize {
     key * shards / keys
 }
 
 /// The key range shard `s` owns.
-pub fn shard_range(s: usize, keys: usize, shards: usize) -> std::ops::Range<usize> {
+pub(crate) fn shard_range(s: usize, keys: usize, shards: usize) -> std::ops::Range<usize> {
     let lo = (s * keys).div_ceil(shards);
     let hi = ((s + 1) * keys).div_ceil(shards);
     lo..hi

@@ -23,7 +23,7 @@ use midway_core::{
 use midway_sim::SplitMix64;
 
 /// Cycles charged per element update (4 loads, multiply, adds, store).
-pub const CYCLES_PER_UPDATE: u64 = 20;
+const CYCLES_PER_UPDATE: u64 = 20;
 
 /// Problem parameters.
 #[derive(Clone, Copy, Debug)]

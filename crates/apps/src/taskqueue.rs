@@ -69,7 +69,7 @@ impl Params {
     }
 
     /// Total tasks a run processes (exact, by construction).
-    pub fn total_tasks(&self, procs: usize) -> usize {
+    fn total_tasks(&self, procs: usize) -> usize {
         procs * self.svc.ops_per_proc()
     }
 

@@ -22,9 +22,9 @@ use midway_core::{
 
 /// Cycles charged per molecule-pair interaction (calibrated so the
 /// standalone run lands near the paper's 104.2 s; see `DESIGN.md`).
-pub const CYCLES_PER_PAIR: u64 = 8_900;
+const CYCLES_PER_PAIR: u64 = 8_900;
 /// Cycles charged per molecule integration.
-pub const CYCLES_PER_INTEGRATE: u64 = 600;
+const CYCLES_PER_INTEGRATE: u64 = 600;
 
 /// Values per molecule: three atoms × three coordinates.
 const DOF: usize = 9;

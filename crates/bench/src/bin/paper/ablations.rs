@@ -5,10 +5,8 @@ use midway_bench::{banner, run_cells, BenchArgs, Json, Record};
 use midway_core::{
     BackendKind, Counters, Midway, MidwayConfig, MidwayRun, NetModel, Proc, SystemBuilder,
 };
-use midway_proto::untargetted::{simulate, RtVariant};
 use midway_replay::{check, replay_on, Axes, Trace};
-use midway_sim::SplitMix64;
-use midway_stats::{fmt_f64, fmt_u64, CostModel, TextTable};
+use midway_stats::{fmt_f64, fmt_u64, TextTable};
 
 use crate::suite::live_run;
 use crate::{fields, Fields};
@@ -82,82 +80,6 @@ pub(crate) fn protocols(args: &BenchArgs) -> Fields {
         ("apps", Record::array(&rows)),
         ("net_sweep", Record::array(&sweep)),
     ])
-}
-
-/// Ablation A3: RT-DSM write detection for *untargetted* models (§3.5).
-///
-/// An untargetted model (release consistency) must scan every cached line
-/// at a synchronization point. This costs the paper's three schemes —
-/// flat dirtybits, two-level dirtybits, and an update queue — over
-/// synthetic write traces of varying density, reproducing the §3.5
-/// claims: the queue "keeps the cost of write detection proportional to
-/// the amount of dirty data, rather than the amount of shared data"; the
-/// two-level scheme adds one store (~10%) to the write path and skips
-/// clean groups at collection.
-pub(crate) fn rt_variants(_: &BenchArgs) -> Fields {
-    let cost = CostModel::r3000_mach();
-    let lines = 1 << 20; // 1 Mi cache lines of shared space
-    println!("== Ablation: §3.5 RT variants for untargetted models ==");
-    println!(
-        "shared space: {} cache lines; costs in cycles\n",
-        fmt_u64(lines as u64)
-    );
-
-    let mut fields = Vec::new();
-    for density in [100usize, 10_000, 1_000_000] {
-        let mut t = TextTable::new(&[
-            "trace",
-            "variant",
-            "trap",
-            "collect",
-            "total",
-            "dirty lines",
-            "queue entries",
-        ])
-        .left_cols(2);
-        for kind in ["sequential", "scattered", "hotspot"] {
-            let mut rng = SplitMix64::new(0xAB1E);
-            let writes: Vec<usize> = match kind {
-                // One hot sequential region (the queue's best case).
-                "sequential" => (0..density).map(|i| i % lines).collect(),
-                // Uniformly scattered single writes.
-                "scattered" => (0..density)
-                    .map(|_| rng.next_below(lines as u64) as usize)
-                    .collect(),
-                // A few hot lines rewritten many times (amortization case).
-                _ => (0..density).map(|_| rng.next_below(64) as usize).collect(),
-            };
-            for variant in [
-                RtVariant::Plain,
-                RtVariant::TwoLevel { group: 64 },
-                RtVariant::Queue,
-            ] {
-                let c = simulate(variant, lines, &writes, &cost);
-                t.row(&[
-                    kind.to_string(),
-                    variant.label().to_string(),
-                    fmt_u64(c.trap_cycles),
-                    fmt_u64(c.collect_cycles),
-                    fmt_u64(c.total()),
-                    fmt_u64(c.dirty_lines),
-                    if matches!(variant, RtVariant::Queue) {
-                        fmt_u64(c.queue_entries)
-                    } else {
-                        "-".to_string()
-                    },
-                ]);
-            }
-            t.separator();
-        }
-        println!("-- {} writes --", fmt_u64(density as u64));
-        println!("{t}");
-        fields.push((format!("writes_{density}"), Json::table(&t)));
-    }
-    println!("Reading: with sparse writes the flat scan pays for the whole shared");
-    println!("space; two-level skips clean groups; the queue is proportional to the");
-    println!("dirty data. With dense writes the flat array's 9-cycle traps win and");
-    println!("the queue's tripled write path dominates — matching §3.5.");
-    fields
 }
 
 /// Ablation A4: the cache-line size trade-off under RT-DSM.

@@ -43,7 +43,7 @@ struct Artefact(
     fn(&BenchArgs) -> Fields,
 );
 
-const ARTEFACTS: [Artefact; 12] = [
+const ARTEFACTS: [Artefact; 11] = [
     Artefact("table1", "primitive operation costs", FIXED, tables::table1),
     Artefact(
         "table2",
@@ -77,12 +77,6 @@ const ARTEFACTS: [Artefact; 12] = [
         "§3.5 alternative strategies",
         SUITE,
         ablations::protocols,
-    ),
-    Artefact(
-        "ablation_rt_variants",
-        "§3.5 untargetted RT variants",
-        FIXED,
-        ablations::rt_variants,
     ),
     Artefact(
         "ablation_linesize",

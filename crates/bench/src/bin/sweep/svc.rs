@@ -1,5 +1,5 @@
-//! The service-workload sweep: the three service applications (sharded
-//! KV store, social graph, task queue) driven from idle to saturation.
+//! The service-workload sweep: the two service applications (sharded
+//! KV store, task queue) driven from idle to saturation.
 //!
 //! The load knob is `clients` — concurrent clients multiplexed onto each
 //! processor. Per-op think time is `think_cycles / clients`, so one
@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use midway_apps::{checked, kvstore, socialgraph, taskqueue, AppKind};
+use midway_apps::{checked, kvstore, taskqueue, AppKind};
 use midway_bench::{BenchArgs, Json, Record};
 use midway_core::{BackendKind, MidwayConfig};
 
@@ -48,7 +48,7 @@ struct Cell {
 fn run_cell(app: AppKind, backend: BackendKind, procs: usize, clients: usize, smoke: bool) -> Cell {
     let cfg = MidwayConfig::new(procs, backend);
     let start = Instant::now();
-    // The three service modules share a shape, not a trait.
+    // The two service modules share a shape, not a trait.
     macro_rules! cell {
         ($app:ident) => {{
             let mut p = match smoke {
@@ -67,7 +67,6 @@ fn run_cell(app: AppKind, backend: BackendKind, procs: usize, clients: usize, sm
     }
     let (svc, run) = match app {
         AppKind::KvStore => cell!(kvstore),
-        AppKind::SocialGraph => cell!(socialgraph),
         AppKind::TaskQueue => cell!(taskqueue),
         other => panic!("{other:?} is not a service application"),
     };

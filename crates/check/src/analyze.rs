@@ -47,10 +47,10 @@ use std::collections::HashMap;
 
 use midway_mem::{Addr, AddrRange, MemClass};
 
+use crate::clock::VClock;
 use crate::event::CheckEvent;
 use crate::report::{ApplyStats, CheckReport, Finding, FindingKind, Staleness};
 use crate::spec::CheckSpec;
-use crate::VClock;
 
 /// Last-writer stamp of one cache line (the finding's provenance).
 struct LastWrite {

@@ -8,13 +8,13 @@
 /// processor `p` happens-before an access by processor `q` exactly when
 /// `q`'s clock has `vc[p] >= c`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VClock(Vec<u64>);
+pub(crate) struct VClock(Vec<u64>);
 
 impl VClock {
     /// A fresh clock for a cluster of `procs` processors, with `own`'s
     /// component started at 1 so even never-synchronized writes carry a
     /// positive epoch.
-    pub fn new(procs: usize, own: usize) -> VClock {
+    pub(crate) fn new(procs: usize, own: usize) -> VClock {
         let mut v = vec![0; procs];
         v[own] = 1;
         VClock(v)
@@ -22,24 +22,24 @@ impl VClock {
 
     /// A zero clock (used for synchronization-object clocks, which only
     /// ever accumulate joins).
-    pub fn zero(procs: usize) -> VClock {
+    pub(crate) fn zero(procs: usize) -> VClock {
         VClock(vec![0; procs])
     }
 
     /// Component `p`.
-    pub fn get(&self, p: usize) -> u64 {
+    pub(crate) fn get(&self, p: usize) -> u64 {
         self.0[p]
     }
 
     /// Pointwise maximum with `other`.
-    pub fn join(&mut self, other: &VClock) {
+    pub(crate) fn join(&mut self, other: &VClock) {
         for (a, b) in self.0.iter_mut().zip(&other.0) {
             *a = (*a).max(*b);
         }
     }
 
     /// Advances component `p` (a new release epoch for processor `p`).
-    pub fn tick(&mut self, p: usize) {
+    pub(crate) fn tick(&mut self, p: usize) {
         self.0[p] += 1;
     }
 }

@@ -29,7 +29,6 @@ mod report;
 mod spec;
 
 pub use analyze::analyze;
-pub use clock::VClock;
 pub use event::{CheckEvent, CheckLog};
-pub use report::{ApplyStats, CheckReport, Finding, FindingKind, Staleness, MAX_FINDINGS};
+pub use report::{ApplyStats, CheckReport, Finding, FindingKind, Staleness};
 pub use spec::{BarrierRanges, CheckSpec};

@@ -113,7 +113,7 @@ impl fmt::Display for Finding {
 }
 
 /// Findings kept in the report; further occurrences only bump counts.
-pub const MAX_FINDINGS: usize = 256;
+pub(crate) const MAX_FINDINGS: usize = 256;
 
 /// Per-processor transfer-apply statistics (the checker's view of the
 /// data-moving path it hooks).
@@ -128,7 +128,7 @@ pub struct ApplyStats {
 /// The result of analyzing one run's event logs.
 #[derive(Clone, Debug, Default)]
 pub struct CheckReport {
-    /// Deduplicated findings (at most [`MAX_FINDINGS`]), in the merged
+    /// Deduplicated findings (at most 256), in the merged
     /// virtual-time order they were first detected.
     pub findings: Vec<Finding>,
     /// Total occurrences per kind, indexed like [`FindingKind::ALL`]

@@ -32,7 +32,7 @@ pub struct CheckSpec {
 
 impl CheckSpec {
     /// The name of the allocation containing `addr`, for provenance.
-    pub fn alloc_name(&self, addr: u64) -> Option<&str> {
+    pub(crate) fn alloc_name(&self, addr: u64) -> Option<&str> {
         self.layout
             .allocs()
             .iter()

@@ -142,7 +142,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
     /// Performs one write trap covering `data.len()` bytes at `addr` and
     /// stores the bytes verbatim. This is the replay path for recorded
     /// [`TraceOp::Write`] operations; applications use the typed writes.
-    pub fn write_raw(&mut self, addr: Addr, data: &[u8]) {
+    fn write_raw(&mut self, addr: Addr, data: &[u8]) {
         self.view()
             .store(addr, data.len(), |bytes| bytes.copy_from_slice(data));
     }
@@ -267,8 +267,8 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
 /// back. The paper's compiler bakes a region's constants into the code at
 /// each store; this is the same specialization at run time.
 /// [`Proc::read`], [`write`](Proc::write),
-/// [`write_slice`](Proc::write_slice) and [`write_raw`](Proc::write_raw)
-/// are one-element views.
+/// [`write_slice`](Proc::write_slice) and a replayed write are
+/// one-element views.
 ///
 /// A view behaves exactly like the per-element calls it replaces: every
 /// read and write is logged to the checker at the virtual time it would
@@ -333,7 +333,7 @@ impl<T: Transport<Msg = NetMsg>> View<'_, '_, T> {
     /// Writes a run of elements starting at `start` as one "area" store
     /// per region it covers (one template invocation over all its lines,
     /// like a structure assignment or `bcopy` in the paper).
-    pub fn set_slice<S: Scalar>(&mut self, a: &SharedArray<S>, start: usize, values: &[S]) {
+    fn set_slice<S: Scalar>(&mut self, a: &SharedArray<S>, start: usize, values: &[S]) {
         if values.is_empty() {
             return;
         }

@@ -98,7 +98,7 @@ impl BackendKind {
     }
 
     /// All CLI names, `|`-separated (for usage strings and errors).
-    pub fn cli_names() -> String {
+    fn cli_names() -> String {
         BackendKind::ALL.map(BackendKind::cli_name).join("|")
     }
 

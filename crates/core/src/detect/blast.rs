@@ -12,7 +12,7 @@ use super::{DetectCx, WriteDetector};
 /// The blast backend: no trapping, no scan — every transfer ships the full
 /// bound data, "unnecessarily when synchronization objects guard large
 /// data objects being sparsely written".
-pub struct BlastDetector;
+pub(crate) struct BlastDetector;
 
 /// Writes `items` into the store: no bookkeeping. Returns the bytes
 /// written.

@@ -81,11 +81,11 @@ mod rt;
 mod twin_all;
 mod vm;
 
-pub use blast::BlastDetector;
-pub use none::NoneDetector;
-pub use rt::RtDetector;
-pub use twin_all::TwinAllDetector;
-pub use vm::VmDetector;
+pub(crate) use blast::BlastDetector;
+pub(crate) use none::NoneDetector;
+pub(crate) use rt::RtDetector;
+pub(crate) use twin_all::TwinAllDetector;
+pub(crate) use vm::VmDetector;
 
 /// What a detector may touch while servicing a protocol event: the local
 /// cache, the immutable system description, the cost model, the Lamport

@@ -8,7 +8,7 @@ use crate::msg::GrantPayload;
 use super::{DetectCx, WriteDetector};
 
 /// The `BackendKind::None` backend, valid only with one processor.
-pub struct NoneDetector;
+pub(crate) struct NoneDetector;
 
 impl WriteDetector for NoneDetector {
     fn collect_for(

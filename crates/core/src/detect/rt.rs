@@ -89,7 +89,7 @@ impl Paged {
 /// The RT-protocol backend: stores run dirtybit-setting templates (or, in
 /// paged regions of the hybrid, fault in twins), collection scans
 /// timestamped dirtybits, application is exactly-once.
-pub struct RtDetector {
+pub(crate) struct RtDetector {
     dirty: rt::DirtyMap,
     /// Per lock: the logical time as of which this processor's cache of the
     /// lock's data is consistent.
@@ -103,7 +103,7 @@ pub struct RtDetector {
 
 impl RtDetector {
     /// A fresh RT-DSM detector for one processor of `spec`'s system.
-    pub fn new(spec: &SystemSpec) -> RtDetector {
+    pub(crate) fn new(spec: &SystemSpec) -> RtDetector {
         RtDetector {
             dirty: rt::DirtyMap::new(&spec.layout),
             last_seen: vec![EPOCH; spec.locks.len()],
@@ -114,7 +114,7 @@ impl RtDetector {
 
     /// A fresh hybrid detector: the mechanism choice is made here, per
     /// region.
-    pub fn hybrid(spec: &SystemSpec) -> RtDetector {
+    pub(crate) fn hybrid(spec: &SystemSpec) -> RtDetector {
         RtDetector {
             paged: Some(Paged::new(spec)),
             ..RtDetector::new(spec)

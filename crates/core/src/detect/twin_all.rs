@@ -20,7 +20,7 @@ use super::{DetectCx, WriteDetector};
 /// approach would still require management of the update incarnations to
 /// ensure that a chain of processor updates are correctly propagated" — so
 /// TwinAll keeps the same per-lock incarnation history as VM-DSM.
-pub struct TwinAllDetector {
+pub(crate) struct TwinAllDetector {
     /// Twin of each (region, page) ever collected or updated.
     twins: HashMap<(usize, usize), Box<[u8]>>,
     locks: Vec<LockState>,
@@ -30,7 +30,7 @@ pub struct TwinAllDetector {
 
 impl TwinAllDetector {
     /// A fresh detector for one processor of `spec`'s system.
-    pub fn new(cfg: &MidwayConfig, spec: &SystemSpec) -> TwinAllDetector {
+    pub(crate) fn new(cfg: &MidwayConfig, spec: &SystemSpec) -> TwinAllDetector {
         TwinAllDetector {
             twins: HashMap::new(),
             locks: LockState::fresh(cfg, spec),

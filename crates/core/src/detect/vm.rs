@@ -144,14 +144,14 @@ pub(super) fn collect_charged(
 
 /// The VM-DSM backend: write-protected pages fault in twins, collection
 /// diffs dirty pages, updates travel as incarnation chains.
-pub struct VmDetector {
+pub(crate) struct VmDetector {
     pages: PageTable,
     locks: Vec<LockState>,
 }
 
 impl VmDetector {
     /// A fresh detector for one processor of `spec`'s system.
-    pub fn new(cfg: &MidwayConfig, spec: &SystemSpec) -> VmDetector {
+    pub(crate) fn new(cfg: &MidwayConfig, spec: &SystemSpec) -> VmDetector {
         VmDetector {
             pages: PageTable::new(Arc::clone(&spec.layout)),
             locks: LockState::fresh(cfg, spec),

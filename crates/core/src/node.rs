@@ -49,10 +49,10 @@ pub(crate) struct Lent {
 
 impl Lent {
     /// The region id of a `Lent` that holds nothing.
-    pub const NONE: usize = usize::MAX;
+    const NONE: usize = usize::MAX;
 
     /// Nothing lent.
-    pub fn none() -> Lent {
+    pub(crate) fn none() -> Lent {
         Lent {
             region: Lent::NONE,
             slab: Box::default(),
@@ -147,7 +147,7 @@ macro_rules! with_detector {
 pub(crate) use with_detector;
 
 impl DsmNode {
-    pub fn new(me: usize, cfg: MidwayConfig, spec: Arc<SystemSpec>) -> DsmNode {
+    pub(crate) fn new(me: usize, cfg: MidwayConfig, spec: Arc<SystemSpec>) -> DsmNode {
         let procs = cfg.procs;
         let detect = cfg.backend.new_detector(&cfg, &spec);
         let locks: Vec<LockNode> = spec
@@ -222,7 +222,7 @@ impl DsmNode {
     /// crash notice keeps the scheduler's queue non-empty, so the cluster
     /// cannot quiesce past a scheduled crash and every crash is delivered
     /// deterministically at its planned cycle.
-    pub fn schedule_crashes<T: Transport<Msg = NetMsg>>(&self, h: &mut T) {
+    pub(crate) fn schedule_crashes<T: Transport<Msg = NetMsg>>(&self, h: &mut T) {
         for c in self.cfg.faults.crashes_for(self.me) {
             h.post_self(NetMsg::Crash { down: c.down }, c.at);
         }
@@ -234,7 +234,7 @@ impl DsmNode {
     /// dependence counters). Unlike pure compute, an idle wait lets other
     /// processors' messages through — including requests this processor
     /// must answer for anyone to make progress.
-    pub fn idle<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, cycles: u64) {
+    pub(crate) fn idle<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, cycles: u64) {
         debug_assert!(!self.tick_pending, "nested idle");
         self.tick_pending = true;
         h.post_self(NetMsg::Tick, cycles);
@@ -294,7 +294,7 @@ impl DsmNode {
     }
 
     /// The binding this node currently knows for `lock`.
-    pub fn binding(&self, lock: LockId) -> &Binding {
+    pub(crate) fn binding(&self, lock: LockId) -> &Binding {
         &self.locks[lock.0 as usize].binding
     }
 
@@ -311,7 +311,7 @@ impl DsmNode {
     }
 
     /// Serves protocol messages until the whole cluster quiesces.
-    pub fn finalize<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T) {
+    pub(crate) fn finalize<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T) {
         while let Some((t, src, msg)) = h.drain_recv() {
             self.handle_net(h, t.cycles(), src, msg);
         }

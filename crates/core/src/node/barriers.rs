@@ -35,7 +35,7 @@ use super::{with_detector, BarrierCoord, DsmNode};
 impl DsmNode {
     /// Crosses `barrier`: ships local modifications of the bound data,
     /// waits for everyone, applies everyone else's.
-    pub fn barrier<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, barrier: BarrierId) {
+    pub(crate) fn barrier<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, barrier: BarrierId) {
         let idx = barrier.0 as usize;
         self.clock.tick();
         let set = self.collect_barrier(h, idx);

@@ -109,14 +109,14 @@ pub(crate) struct LinkLayer {
 
 /// Sequencing header of an incoming data frame: the per-pair sequence
 /// number, the piggybacked cumulative ack, and the sender's epoch.
-pub struct FrameHeader {
+pub(crate) struct FrameHeader {
     pub seq: u64,
     pub ack: u64,
     pub epoch: u32,
 }
 
 impl LinkLayer {
-    pub fn new(procs: usize, reliable: bool, params: ReliableParams) -> LinkLayer {
+    pub(crate) fn new(procs: usize, reliable: bool, params: ReliableParams) -> LinkLayer {
         LinkLayer {
             reliable,
             params,
@@ -132,7 +132,7 @@ impl LinkLayer {
     }
 
     /// Sends `msg` to `dst`, reliably when the network is untrusted.
-    pub fn send<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, dst: usize, msg: DsmMsg) {
+    pub(crate) fn send<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, dst: usize, msg: DsmMsg) {
         let bytes = msg.wire_size();
         if !self.reliable {
             h.send(dst, NetMsg::Raw(msg), bytes);
@@ -182,7 +182,7 @@ impl LinkLayer {
     /// Processes an incoming data frame from `src`: applies the
     /// piggybacked ack, sequences the payload, and appends every message
     /// now deliverable in order to `deliver`.
-    pub fn on_data<T: Transport<Msg = NetMsg>>(
+    pub(crate) fn on_data<T: Transport<Msg = NetMsg>>(
         &mut self,
         h: &mut T,
         src: usize,
@@ -210,7 +210,7 @@ impl LinkLayer {
     }
 
     /// Applies a cumulative ack from `src` to the send channel.
-    pub fn on_ack<T: Transport<Msg = NetMsg>>(
+    pub(crate) fn on_ack<T: Transport<Msg = NetMsg>>(
         &mut self,
         h: &mut T,
         src: usize,
@@ -238,7 +238,7 @@ impl LinkLayer {
     /// Sends an explicit ack to `src` if one is owed — called after the
     /// protocol engine has handled a delivered frame, so any reverse data
     /// frame it produced has already carried the ack.
-    pub fn flush_ack<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, src: usize) {
+    pub(crate) fn flush_ack<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, src: usize) {
         let now = h.now().cycles();
         let rto = self.params.rto_cycles;
         let p = self.peer(src);
@@ -261,7 +261,7 @@ impl LinkLayer {
     /// Handles a retransmit timer for the channel to `peer`: resends the
     /// oldest unacked frame (unless backoff says to sit this fire out),
     /// or disarms when everything has been acked.
-    pub fn on_timer<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, peer: usize) {
+    pub(crate) fn on_timer<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, peer: usize) {
         self.stats.timer_fires += 1;
         let timer_cost = self.params.timer_cost_cycles;
         let now = h.now().cycles();
@@ -301,7 +301,7 @@ impl LinkLayer {
     /// that was pending when the node went dark has been fenced, so any
     /// peer with unacked inflight frames needs a fresh timer (and a fresh
     /// deadline — the downtime must not be counted as timeout backoff).
-    pub fn on_recover<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, epoch: u32) {
+    pub(crate) fn on_recover<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, epoch: u32) {
         self.epoch = epoch;
         let now = h.now().cycles();
         let rto = self.params.rto_cycles;

@@ -9,7 +9,12 @@ use super::DsmNode;
 
 impl DsmNode {
     /// Acquires `lock` in `mode`, blocking until granted and consistent.
-    pub fn acquire<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, lock: LockId, mode: Mode) {
+    pub(crate) fn acquire<T: Transport<Msg = NetMsg>>(
+        &mut self,
+        h: &mut T,
+        lock: LockId,
+        mode: Mode,
+    ) {
         let idx = lock.0 as usize;
         assert!(
             self.locks[idx].held.is_none(),
@@ -40,7 +45,12 @@ impl DsmNode {
 
     /// Releases `lock`. Local and asynchronous, as in Midway: data moves
     /// only when another processor asks for it.
-    pub fn release<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, lock: LockId, mode: Mode) {
+    pub(crate) fn release<T: Transport<Msg = NetMsg>>(
+        &mut self,
+        h: &mut T,
+        lock: LockId,
+        mode: Mode,
+    ) {
         let idx = lock.0 as usize;
         assert_eq!(
             self.locks[idx].held,
@@ -68,7 +78,7 @@ impl DsmNode {
     }
 
     /// Rebinds `lock` to `ranges`. The caller must hold it exclusively.
-    pub fn rebind<T: Transport<Msg = NetMsg>>(
+    pub(crate) fn rebind<T: Transport<Msg = NetMsg>>(
         &mut self,
         h: &mut T,
         lock: LockId,

@@ -92,7 +92,7 @@ pub(crate) struct SyncSnapshot {
 impl SyncSnapshot {
     /// Captures the live synchronization state of a node's lock and
     /// barrier tables.
-    pub fn capture(locks: &[LockNode], barriers: &[BarrierNode]) -> SyncSnapshot {
+    pub(crate) fn capture(locks: &[LockNode], barriers: &[BarrierNode]) -> SyncSnapshot {
         SyncSnapshot {
             locks: locks
                 .iter()
@@ -145,7 +145,7 @@ pub(crate) struct RecoveryLog {
 }
 
 impl RecoveryLog {
-    pub fn new(interval: u32, initial: SyncSnapshot) -> RecoveryLog {
+    pub(crate) fn new(interval: u32, initial: SyncSnapshot) -> RecoveryLog {
         RecoveryLog {
             interval: interval.max(1),
             boundaries: 0,
@@ -159,12 +159,12 @@ impl RecoveryLog {
     }
 
     /// Sequence number of the latest checkpoint (0 before the first).
-    pub fn seq(&self) -> u64 {
+    pub(crate) fn seq(&self) -> u64 {
         self.seq
     }
 
     /// Appends a write post-image; returns the bytes appended.
-    pub fn log_write(&mut self, addr: u64, bytes: &[u8]) -> u64 {
+    pub(crate) fn log_write(&mut self, addr: u64, bytes: &[u8]) -> u64 {
         let before = self.wal.len();
         self.wal.push(REC_WRITE);
         self.wal.varint(addr);
@@ -173,7 +173,7 @@ impl RecoveryLog {
     }
 
     /// Appends a lock-state record; returns the bytes appended.
-    pub fn log_lock(&mut self, idx: usize, held: u8, ranges: &[AddrRange]) -> u64 {
+    pub(crate) fn log_lock(&mut self, idx: usize, held: u8, ranges: &[AddrRange]) -> u64 {
         let before = self.wal.len();
         self.wal.push(REC_LOCK);
         self.wal.varint(idx as u64);
@@ -183,7 +183,7 @@ impl RecoveryLog {
     }
 
     /// Appends a barrier-state record; returns the bytes appended.
-    pub fn log_barrier(&mut self, idx: usize, episode: u64, last_consist: u64) -> u64 {
+    pub(crate) fn log_barrier(&mut self, idx: usize, episode: u64, last_consist: u64) -> u64 {
         let before = self.wal.len();
         self.wal.push(REC_BARRIER);
         self.wal.varint(idx as u64);
@@ -194,14 +194,14 @@ impl RecoveryLog {
 
     /// Counts one synchronization boundary; returns true when this is a
     /// K-th boundary and a checkpoint image is due.
-    pub fn note_boundary(&mut self) -> bool {
+    pub(crate) fn note_boundary(&mut self) -> bool {
         self.boundaries += 1;
         self.boundaries.is_multiple_of(u64::from(self.interval))
     }
 
     /// Installs a freshly encoded checkpoint image, rotating the
     /// previous one and the log segments.
-    pub fn install_image(&mut self, image: Vec<u8>) {
+    pub(crate) fn install_image(&mut self, image: Vec<u8>) {
         self.seq += 1;
         self.prev = self.latest.take();
         self.wal_prev = std::mem::take(&mut self.wal);
@@ -217,7 +217,7 @@ impl RecoveryLog {
     /// Fails when both retained images are corrupt — the records from
     /// before the previous image are gone, so an honest recovery is
     /// impossible and the caller must report, not guess.
-    pub fn reconstruct(&self, layout: &Arc<Layout>) -> Result<Recovered, String> {
+    pub(crate) fn reconstruct(&self, layout: &Arc<Layout>) -> Result<Recovered, String> {
         let mut used_fallback = false;
         let mut replay_bytes = 0u64;
         let (mut store, mut sync, segments): (_, _, Vec<&[u8]>) = match &self.latest {
@@ -272,7 +272,7 @@ impl RecoveryLog {
 
     /// Test/corruption hook: mutable access to the latest image.
     #[cfg(test)]
-    pub fn latest_image_mut(&mut self) -> Option<&mut Vec<u8>> {
+    fn latest_image_mut(&mut self) -> Option<&mut Vec<u8>> {
         self.latest.as_mut()
     }
 }

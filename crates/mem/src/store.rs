@@ -41,7 +41,7 @@ impl LocalStore {
 
     /// The used bytes of region `id`, materialized (zero-filled) on first
     /// touch. A caller writing many pieces of one region resolves it once
-    /// here instead of once per piece through [`bytes_mut`](Self::bytes_mut).
+    /// here instead of once per piece.
     ///
     /// # Panics
     ///
@@ -72,7 +72,7 @@ impl LocalStore {
     /// # Panics
     ///
     /// As for [`bytes`](Self::bytes).
-    pub fn bytes_mut(&mut self, addr: Addr, len: usize) -> &mut [u8] {
+    fn bytes_mut(&mut self, addr: Addr, len: usize) -> &mut [u8] {
         let (region, off) = self.locate(addr, len);
         &mut region[off..off + len]
     }

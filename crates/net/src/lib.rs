@@ -30,6 +30,6 @@ mod real;
 mod transport;
 pub mod wire;
 
-pub use real::{RealCluster, RealConfig, RealError, RealMode, RealTransport, MAX_UDP_PAYLOAD};
+pub use real::{RealCluster, RealConfig, RealError, RealMode, RealTransport};
 pub use transport::Transport;
 pub use wire::{decode_exact, encode_to_vec, Reader, Wire, WireError, Writer};

@@ -62,7 +62,7 @@ const MAX_TCP_FRAME: usize = 1 << 28;
 
 /// Largest payload sent in one UDP datagram. Loopback accepts datagrams
 /// up to 64 KiB; anything bigger must use TCP.
-pub const MAX_UDP_PAYLOAD: usize = 60_000;
+pub(crate) const MAX_UDP_PAYLOAD: usize = 60_000;
 
 /// Minimum global inactivity before a UDP-mode run may quiesce. Loopback
 /// datagram delivery is microseconds; anything still "in flight" after

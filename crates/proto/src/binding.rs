@@ -80,7 +80,7 @@ impl Binding {
     ///
     /// A line partially covered by a bound range is included whole: the
     /// cache line is the coherency unit.
-    pub fn line_spans(&self, layout: &Layout) -> Vec<(usize, std::ops::Range<usize>)> {
+    pub(crate) fn line_spans(&self, layout: &Layout) -> Vec<(usize, std::ops::Range<usize>)> {
         let mut spans: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
         for range in &self.ranges {
             for piece in split_by_region(range.clone()) {

@@ -64,7 +64,7 @@ impl ReliableParams {
 
     /// The retransmit timeout after `retries` consecutive retransmissions
     /// of the same oldest frame.
-    pub fn rto_after(&self, retries: u32) -> u64 {
+    fn rto_after(&self, retries: u32) -> u64 {
         self.rto_cycles << retries.min(self.backoff_cap)
     }
 }
@@ -110,12 +110,6 @@ impl LinkStats {
         self.out_of_order_buffered += other.out_of_order_buffered;
         self.stale_epoch_fenced += other.stale_epoch_fenced;
         self.peer_recoveries_observed += other.peer_recoveries_observed;
-    }
-
-    /// Total extra frames the channel put on the wire beyond first
-    /// transmissions.
-    pub fn overhead_frames(&self) -> u64 {
-        self.acks_sent + self.retransmits
     }
 }
 
@@ -188,21 +182,11 @@ impl<T: Clone> SendChannel<T> {
         !self.inflight.is_empty()
     }
 
-    /// Frames currently awaiting acknowledgement.
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// Records a retransmission of the oldest frame and returns the
     /// timeout to use for the *next* retry (exponential backoff).
     pub fn note_retransmit(&mut self, params: &ReliableParams) -> u64 {
         self.retries = self.retries.saturating_add(1);
         params.rto_after(self.retries)
-    }
-
-    /// The highest sequence number assigned so far.
-    pub fn last_seq(&self) -> u64 {
-        self.next_seq - 1
     }
 }
 
@@ -275,11 +259,6 @@ impl<T> RecvChannel<T> {
     pub fn cum_ack(&self) -> u64 {
         self.cum_ack
     }
-
-    /// Frames buffered ahead of sequence.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 impl<T> Default for RecvChannel<T> {
@@ -319,7 +298,7 @@ mod tests {
         assert_eq!(rx.on_data(1, 10, &mut out), Accept::InOrder);
         assert_eq!(out, vec![10, 20, 30]);
         assert_eq!(rx.cum_ack(), 3);
-        assert_eq!(rx.pending_len(), 0);
+        assert_eq!(rx.pending.len(), 0);
     }
 
     #[test]
@@ -341,14 +320,14 @@ mod tests {
         for v in 0..5 {
             tx.stage(v, 4);
         }
-        assert_eq!(tx.inflight_len(), 5);
+        assert_eq!(tx.inflight.len(), 5);
         // A single ack of 3 releases frames 1..=3.
         assert!(tx.on_ack(3));
-        assert_eq!(tx.inflight_len(), 2);
+        assert_eq!(tx.inflight.len(), 2);
         assert_eq!(tx.oldest_unacked().map(|(s, _, _)| s), Some(4));
         // A stale ack makes no progress.
         assert!(!tx.on_ack(2));
-        assert_eq!(tx.inflight_len(), 2);
+        assert_eq!(tx.inflight.len(), 2);
     }
 
     #[test]
@@ -418,6 +397,6 @@ mod tests {
         assert_eq!(a.retransmits, 5);
         assert_eq!(a.stale_epoch_fenced, 2);
         assert_eq!(a.peer_recoveries_observed, 1);
-        assert_eq!(a.overhead_frames(), 8);
+        assert_eq!(a.acks_sent + a.retransmits, 8);
     }
 }

@@ -64,11 +64,6 @@ impl HomeLock {
         self.owner
     }
 
-    /// Whether the lock is currently held exclusively.
-    pub fn held_exclusive(&self) -> bool {
-        self.held_exclusive
-    }
-
     /// Number of active readers.
     pub fn readers(&self) -> usize {
         self.readers
@@ -289,7 +284,7 @@ mod tests {
         assert_eq!(t[0].old_owner, 0);
         assert_eq!(t[0].requester, 3);
         assert_eq!(l.owner(), 3);
-        assert!(l.held_exclusive());
+        assert!(l.held_exclusive);
     }
 
     #[test]
@@ -361,7 +356,7 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].requester, 1);
         assert_eq!(t[0].old_owner, 1, "re-grant transfers from itself");
-        assert!(l.held_exclusive());
+        assert!(l.held_exclusive);
     }
 
     #[test]

@@ -36,7 +36,6 @@ mod home;
 pub mod rt;
 mod sync_id;
 mod tree;
-pub mod untargetted;
 mod update;
 pub mod vm;
 
@@ -48,6 +47,4 @@ pub use clock::LamportClock;
 pub use home::{BarrierError, BarrierSite, HomeLock, SeenToken, Transfer};
 pub use sync_id::{BarrierId, HomeMap, LockId, Mode};
 pub use tree::{TreeSite, TreeStep, TreeTopology};
-pub use update::{
-    MaskedSet, Unskipped, Update, UpdateItem, UpdateSet, ITEM_HEADER_BYTES, MSG_HEADER_BYTES,
-};
+pub use update::{MaskedSet, Unskipped, Update, UpdateItem, UpdateSet, MSG_HEADER_BYTES};

@@ -26,7 +26,7 @@ impl DirtyMap {
     }
 
     /// The dirtybit array of `region`, created on first touch.
-    pub fn bits_mut(&mut self, layout: &Layout, region: usize) -> &mut DirtyBits {
+    fn bits_mut(&mut self, layout: &Layout, region: usize) -> &mut DirtyBits {
         let lines = layout
             .region(region)
             .unwrap_or_else(|| panic!("no region {region}"))

@@ -129,9 +129,6 @@ pub struct TreeSite {
     /// Barrier messages absorbed this episode — the quantity the tree
     /// exists to bound.
     fanin: usize,
-    /// High-water fan-in across episodes (observable by tests and
-    /// harness assertions).
-    max_fanin: usize,
     releases: u64,
 }
 
@@ -148,7 +145,6 @@ impl TreeSite {
             own_addrs: Vec::new(),
             child_sets: (0..children).map(|_| None).collect(),
             fanin: 0,
-            max_fanin: 0,
             releases: 0,
         }
     }
@@ -161,13 +157,6 @@ impl TreeSite {
     /// This node's children, in canonical order.
     pub fn children(&self) -> Vec<usize> {
         self.topo.children(self.me)
-    }
-
-    /// Highest number of barrier messages this node absorbed in any one
-    /// episode. Bounded by the tree's arity by construction; asserted so
-    /// a topology bug cannot silently recreate the flat hot-spot.
-    pub fn max_fanin(&self) -> usize {
-        self.max_fanin
     }
 
     /// Releases this node has fanned down (one per completed episode).
@@ -209,7 +198,6 @@ impl TreeSite {
             self.fanin,
             self.topo.arity()
         );
-        self.max_fanin = self.max_fanin.max(self.fanin);
         Ok(self.try_complete())
     }
 
@@ -428,11 +416,6 @@ mod tests {
                     locals[p].as_ref().expect("released"),
                     &oracle[p],
                     "episode {episode}: local set at {p} diverges from flat oracle"
-                );
-                assert!(
-                    sites[p].max_fanin() <= arity,
-                    "episode {episode}: fan-in {} > arity {arity} at {p}",
-                    sites[p].max_fanin()
                 );
                 assert_eq!(sites[p].episode(), episode + 1);
             }

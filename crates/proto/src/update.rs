@@ -6,7 +6,7 @@ use std::sync::Arc;
 pub const MSG_HEADER_BYTES: u64 = 32;
 
 /// Per-item wire overhead: address (8) + length (4) + timestamp (8).
-pub const ITEM_HEADER_BYTES: u64 = 20;
+pub(crate) const ITEM_HEADER_BYTES: u64 = 20;
 
 /// One updated piece of shared memory: a cache line (RT) or a diff run
 /// (VM), addressed globally.

@@ -1,12 +1,10 @@
-//! Randomized tests for bindings, dirtybit scans and the home-lock
-//! state machine, driven by the internal [`SplitMix64`] generator so
-//! the workspace tests offline. Every case derives from a fixed seed
-//! and is exactly reproducible.
+//! Randomized tests for bindings and the home-lock state machine,
+//! driven by the internal [`SplitMix64`] generator so the workspace
+//! tests offline. Every case derives from a fixed seed and is exactly
+//! reproducible.
 
-use midway_proto::untargetted::{simulate, RtVariant};
 use midway_proto::{Binding, HomeLock, Mode};
 use midway_sim::SplitMix64;
-use midway_stats::CostModel;
 
 fn random_ranges(rng: &mut SplitMix64) -> Vec<std::ops::Range<u64>> {
     let n = rng.next_below(12) as usize;
@@ -46,26 +44,6 @@ fn binding_normalization_is_canonical() {
         // data_bytes equals the measure of the set.
         let measure = (0..600).filter(|b| covered(norm, *b)).count() as u64;
         assert_eq!(binding.data_bytes(), measure, "case {case}");
-    }
-}
-
-/// All three §3.5 variants find exactly the written lines.
-#[test]
-fn untargetted_variants_agree_on_dirty_lines() {
-    let mut rng = SplitMix64::new(0xb1d_0002);
-    let cost = CostModel::r3000_mach();
-    for case in 0..64 {
-        let n = rng.next_below(200) as usize;
-        let writes: Vec<usize> = (0..n).map(|_| rng.next_below(2000) as usize).collect();
-        let expect: std::collections::BTreeSet<usize> = writes.iter().copied().collect();
-        for v in [
-            RtVariant::Plain,
-            RtVariant::TwoLevel { group: 32 },
-            RtVariant::Queue,
-        ] {
-            let out = simulate(v, 2000, &writes, &cost);
-            assert_eq!(out.dirty_lines as usize, expect.len(), "{v:?} case {case}");
-        }
     }
 }
 

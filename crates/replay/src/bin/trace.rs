@@ -191,10 +191,8 @@ fn parse_app(s: &str) -> Result<AppKind, String> {
         .into_iter()
         .find(|k| k.label() == s)
         .ok_or_else(|| {
-            format!(
-                "unknown app {s:?} (use water|quicksort|matrix|sor|cholesky|\
-                 kvstore|socialgraph|taskqueue)"
-            )
+            let labels: Vec<&str> = AppKind::every().iter().map(|k| k.label()).collect();
+            format!("unknown app {s:?} (use {})", labels.join("|"))
         })
 }
 

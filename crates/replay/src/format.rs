@@ -45,8 +45,10 @@
 //! with one, so truncated, corrupted or re-sealed hostile files are
 //! rejected rather than misread. The blueprint is checked against what a
 //! replay will build from it: its allocations are replayed through the
-//! layout's allocator and must land where the file says, and every
-//! `Write` and `Rebind` range must lie inside one of them.
+//! layout's allocator and must land where the file says, every `Write`
+//! and `Rebind` range must lie inside one of them, every lock, barrier
+//! and partition range inside their union, and a barrier's partition list
+//! must hold one partition per processor.
 
 use midway_core::codec::{seal, unseal, Reader, WireError, Writer};
 use midway_core::{
@@ -470,6 +472,33 @@ fn inside(extents: &[AddrRange], r: &AddrRange) -> bool {
     i > 0 && r.end <= extents[i - 1].end
 }
 
+/// Whether every byte of `r` lies in some allocation of the start-sorted,
+/// disjoint `extents`. A lock or barrier binding may span adjacent
+/// allocations (`Binding::new` merges adjacent ranges), so it is held to
+/// their union, not to one allocation as a `Write` is.
+fn covered(extents: &[AddrRange], r: &AddrRange) -> bool {
+    let mut at = r.start;
+    let mut i = extents.partition_point(|e| e.end <= at);
+    while at < r.end {
+        match extents.get(i) {
+            Some(e) if e.start <= at => at = e.end,
+            _ => return false,
+        }
+        i += 1;
+    }
+    true
+}
+
+/// A lock or barrier binding, or a barrier partition: ranges the
+/// processors bind, collect and apply, so they must lie in the allocations.
+fn bound(r: &mut Reader, extents: &[AddrRange]) -> Result<Vec<AddrRange>, WireError> {
+    let ranges = ranges(r)?;
+    match ranges.iter().find(|x| !covered(extents, x)) {
+        Some(out) => malformed("binding outside the allocations", out.start),
+        None => Ok(ranges),
+    }
+}
+
 fn op(r: &mut Reader, bp: &SpecBlueprint, extents: &[AddrRange]) -> Result<TraceOp, WireError> {
     let lock = |r: &mut Reader| id(r, bp.locks.len(), "lock id outside the blueprint");
     Ok(match r.u8()? {
@@ -579,13 +608,19 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
         })
     })?;
     let extents = extents(&allocs)?;
-    let locks = list(r, 1, ranges)?;
+    let locks = list(r, 1, |r| bound(r, &extents))?;
     let barriers = list(r, 1, |r| {
         Ok(BarrierRanges {
-            ranges: ranges(r)?,
+            ranges: bound(r, &extents)?,
             partitions: match r.u8()? {
                 0 => None,
-                _ => Some(list(r, 1, ranges)?),
+                // Each processor takes the partition at its own index.
+                _ => match list(r, 1, |r| bound(r, &extents))? {
+                    parts if parts.len() == procs => Some(parts),
+                    parts => {
+                        return malformed("partitions not one per processor", parts.len() as u64)
+                    }
+                },
             },
         })
     })?;

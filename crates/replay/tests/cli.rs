@@ -8,7 +8,9 @@ use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use midway_core::codec::seal;
-use midway_core::{AllocSpec, BackendKind, Counters, MidwayConfig, SpecBlueprint, TraceOp};
+use midway_core::{
+    AllocSpec, BackendKind, BarrierRanges, Counters, MidwayConfig, SpecBlueprint, TraceOp,
+};
 use midway_replay::{Trace, TraceMeta};
 
 fn trace(args: &[&str]) -> Output {
@@ -84,9 +86,11 @@ fn value_flag_followed_by_a_flag_is_a_usage_error() {
 }
 
 /// A one-processor trace with `allocs` as its allocations, one lock bound
-/// to `0..8` and `op` as its one operation. The encoder checks nothing,
-/// so the file is well sealed whatever the blueprint says.
+/// to the first eight bytes of the first of them (to nothing if there are
+/// none) and `op` as its one operation. The encoder checks nothing, so
+/// the file is well sealed whatever the blueprint says.
 fn forged(allocs: Vec<AllocSpec>, op: TraceOp) -> Trace {
+    let lock = allocs.first().map(|a| a.addr..a.addr + 8);
     Trace {
         meta: TraceMeta {
             app: "forged".to_string(),
@@ -99,7 +103,7 @@ fn forged(allocs: Vec<AllocSpec>, op: TraceOp) -> Trace {
         },
         blueprint: SpecBlueprint {
             allocs,
-            locks: vec![vec![0..8]],
+            locks: vec![lock.into_iter().collect()],
             barriers: vec![],
         },
         ops: vec![vec![op]],
@@ -148,8 +152,12 @@ fn info_on_a_forged_lock_id_is_an_error_not_a_panic() {
 /// A blueprint a replay cannot rebuild, or a write outside every
 /// allocation, used to pass `trace info` and then panic `trace check`
 /// and `trace replay` (exit 101) — or, for the write, fail inside a
-/// processor. Every subcommand now refuses the file as malformed.
+/// processor. So did a barrier bound outside every allocation, and a
+/// barrier with fewer partitions than processors; a lock bound outside
+/// them passed all three. Every subcommand now refuses the file as
+/// malformed.
 #[test]
+#[allow(clippy::single_range_in_vec_init)] // one-range bindings are the point here
 fn forged_blueprints_are_malformed_for_every_subcommand() {
     let x = AllocSpec {
         name: "x".to_string(),
@@ -175,13 +183,27 @@ fn forged_blueprints_are_malformed_for_every_subcommand() {
         len: 0,
         ..x.clone()
     };
-    for (alloc, op) in [
-        (moved, work.clone()),
-        (wide, work.clone()),
-        (empty, work),
-        (x, wild),
+    let mut forgeries = vec![
+        forged(vec![moved], work.clone()),
+        forged(vec![wide], work.clone()),
+        forged(vec![empty], work.clone()),
+        forged(vec![x.clone()], wild),
+    ];
+    let mut lock_outside = forged(vec![x.clone()], work);
+    lock_outside.blueprint.locks = vec![vec![0..8]];
+    forgeries.push(lock_outside);
+    let inside = x.addr..x.addr + 8;
+    for (ranges, partitions) in [
+        (vec![0..8], None),
+        (vec![inside.clone()], Some(vec![])),
+        (vec![inside], Some(vec![vec![0..8]])),
     ] {
-        let bytes = forged(vec![alloc], op).encode();
+        let mut barrier = forged(vec![x.clone()], TraceOp::Barrier { barrier: 0 });
+        barrier.blueprint.barriers = vec![BarrierRanges { ranges, partitions }];
+        forgeries.push(barrier);
+    }
+    for trace in forgeries {
+        let bytes = trace.encode();
         for command in ["info", "check", "replay"] {
             let out = on_file(command, &bytes);
             let err = String::from_utf8_lossy(&out.stderr);
@@ -189,4 +211,20 @@ fn forged_blueprints_are_malformed_for_every_subcommand() {
             assert!(err.contains("malformed trace: "), "{command}: {err}");
         }
     }
+}
+
+/// The app list in `trace record`'s error is `AppKind::every()`'s labels,
+/// so a removed application is refused by name and never listed.
+#[test]
+fn an_unknown_app_is_refused_listing_every_app() {
+    let out = trace(&["record", "--app", "socialgraph"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("unknown app \"socialgraph\""), "{err}");
+    let listed = err.split("(use ").nth(1).and_then(|l| l.split(')').next());
+    assert_eq!(
+        listed,
+        Some("water|quicksort|matrix|sor|cholesky|kvstore|taskqueue"),
+        "{err}"
+    );
 }

@@ -15,16 +15,6 @@ use midway_mem::{LayoutBuilder, MemClass};
 use midway_replay::{Trace, TraceError, TraceMeta};
 use midway_sim::SplitMix64;
 
-fn random_ranges(rng: &mut SplitMix64) -> Vec<std::ops::Range<u64>> {
-    let n = rng.next_below(4);
-    (0..n)
-        .map(|_| {
-            let start = rng.next_below(1 << 23);
-            start..start + 1 + rng.next_below(4096)
-        })
-        .collect()
-}
-
 /// Random allocations, laid out by the layout's own allocator (the
 /// decoder replays the sequence and rejects any address it does not
 /// reproduce).
@@ -63,6 +53,14 @@ fn range_in(rng: &mut SplitMix64, allocs: &[AllocSpec], max: u64) -> Option<std:
     Some(start..start + len)
 }
 
+/// Up to three random ranges inside `allocs`: the decoder refuses a lock,
+/// barrier or partition range outside them.
+fn random_ranges(rng: &mut SplitMix64, allocs: &[AllocSpec]) -> Vec<std::ops::Range<u64>> {
+    (0..rng.next_below(4))
+        .filter_map(|_| range_in(rng, allocs, 4096))
+        .collect()
+}
+
 /// A random op naming only the blueprint's `locks` and `barriers` (the
 /// decoder rejects any other id) and storing or rebinding only inside
 /// `allocs`.
@@ -95,9 +93,7 @@ fn random_op(rng: &mut SplitMix64, allocs: &[AllocSpec], locks: u64, barriers: u
         },
         5 => TraceOp::Rebind {
             lock: lock(rng),
-            ranges: (0..rng.next_below(4))
-                .filter_map(|_| range_in(rng, allocs, 4096))
-                .collect(),
+            ranges: random_ranges(rng, allocs),
         },
         _ => TraceOp::Barrier {
             barrier: rng.next_below(barriers) as u32,
@@ -136,7 +132,8 @@ fn random_counters(rng: &mut SplitMix64) -> Counters {
 
 /// A structurally random trace (metadata, blueprint and op streams drawn
 /// at random; beyond what the decoder checks — ids inside the blueprint,
-/// allocations the layout reproduces, stores and rebinds inside them —
+/// allocations the layout reproduces, bindings, stores and rebinds inside
+/// them, one partition per processor —
 /// it need not describe a *runnable* system: the format must round-trip
 /// it regardless).
 fn random_trace(rng: &mut SplitMix64) -> Trace {
@@ -181,12 +178,14 @@ fn random_trace(rng: &mut SplitMix64) -> Trace {
         cfg.checkpoint_every = rng.next_below(32) as u32;
     }
     let allocs = random_allocs(rng);
-    let locks: Vec<_> = (0..rng.next_below(4)).map(|_| random_ranges(rng)).collect();
+    let locks: Vec<_> = (0..rng.next_below(4))
+        .map(|_| random_ranges(rng, &allocs))
+        .collect();
     let barriers: Vec<_> = (0..rng.next_below(3))
         .map(|_| BarrierRanges {
-            ranges: random_ranges(rng),
+            ranges: random_ranges(rng, &allocs),
             partitions: if rng.next_below(2) == 1 {
-                Some((0..procs).map(|_| random_ranges(rng)).collect())
+                Some((0..procs).map(|_| random_ranges(rng, &allocs)).collect())
             } else {
                 None
             },
@@ -321,15 +320,17 @@ fn tiny_trace(lock_range: std::ops::Range<u64>, op: TraceOp) -> Trace {
 
 /// A sealed file whose lock range is `start = u64::MAX - 1, len = 0x7f`
 /// used to panic on the addition in debug builds and decode to the
-/// inverted range `18446744073709551614..125` in release builds.
+/// inverted range `18446744073709551614..125` in release builds. (The
+/// sound file binds the empty range there: it covers no byte, so no
+/// allocation has to hold it.)
 #[test]
 fn sealed_range_overflow_is_malformed_in_every_profile() {
-    let trace = tiny_trace(u64::MAX - 1..u64::MAX, TraceOp::Work { cycles: 1 });
+    let trace = tiny_trace(u64::MAX - 1..u64::MAX - 1, TraceOp::Work { cycles: 1 });
     let mut bytes = trace.encode();
     assert_eq!(Trace::decode(&bytes), Ok(trace));
-    // start (ten varint bytes), then len = 1: make it 0x7f.
+    // start (ten varint bytes), then len = 0: make it 0x7f.
     let start = [
-        0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x01,
+        0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00,
     ];
     let at = bytes
         .windows(start.len())
@@ -350,7 +351,7 @@ fn ids_past_u32_are_malformed_not_truncated() {
         lock: 3,
         exclusive: true,
     };
-    let mut bytes = tiny_trace(0..8, acquire).encode();
+    let mut bytes = with_alloc(first_alloc(), acquire).encode();
     // The payload ends `1 op · tag 3 · lock 3 · exclusive 1`.
     let at = bytes.len() - 8 - 2;
     assert_eq!(bytes[at - 2..at + 2], [1, 3, 3, 1]);
@@ -370,7 +371,7 @@ fn op_ids_outside_the_blueprint_are_malformed() {
         lock: 0,
         exclusive: true,
     };
-    let bytes = tiny_trace(0..8, release).encode();
+    let bytes = with_alloc(first_alloc(), release).encode();
     assert!(Trace::decode(&bytes).is_ok());
     // The payload ends `1 op · tag 4 · lock 0 · exclusive 1`: name lock 1
     // of the blueprint's one lock.
@@ -382,7 +383,7 @@ fn op_ids_outside_the_blueprint_are_malformed() {
         Trace::decode(&resealed(forged)),
         Err(TraceError::Malformed("lock id outside the blueprint"))
     );
-    let barrier = tiny_trace(0..8, TraceOp::Barrier { barrier: 0 }).encode();
+    let barrier = with_alloc(first_alloc(), TraceOp::Barrier { barrier: 0 }).encode();
     assert_eq!(
         Trace::decode(&barrier),
         Err(TraceError::Malformed("barrier id outside the blueprint"))
@@ -392,7 +393,7 @@ fn op_ids_outside_the_blueprint_are_malformed() {
         ranges: vec![],
     };
     assert_eq!(
-        Trace::decode(&tiny_trace(0..8, rebind).encode()),
+        decoded(&with_alloc(first_alloc(), rebind)),
         Err(TraceError::Malformed("lock id outside the blueprint"))
     );
 }
@@ -499,6 +500,63 @@ fn a_rebind_outside_every_allocation_is_malformed() {
         assert_eq!(
             decoded(&with_alloc(first_alloc(), rebind(ranges))),
             Err(TraceError::Malformed("rebind outside every allocation"))
+        );
+    }
+}
+
+/// A lock, barrier or partition range outside the allocations used to
+/// decode; a replay then failed inside a processor (`address 0x0 is
+/// outside every region`), and a partition list shorter than the
+/// processor count panicked the node's set-up. Both are malformed now. A
+/// binding may span adjacent allocations (`Binding::new` merges adjacent
+/// ranges), but not the gap between two that are not adjacent.
+#[test]
+#[allow(clippy::single_range_in_vec_init)] // one-range bindings are the point here
+fn bindings_outside_the_allocations_are_malformed() {
+    let mut layout = LayoutBuilder::new();
+    let allocs: Vec<AllocSpec> = [("x", 64), ("y", 60), ("z", 8)]
+        .map(|(name, len)| AllocSpec {
+            addr: layout.alloc(name, len, MemClass::Shared, 3).addr.raw(),
+            name: name.to_string(),
+            len,
+            ..first_alloc()
+        })
+        .into();
+    let (x, y, z) = (allocs[0].addr, allocs[1].addr, allocs[2].addr);
+    assert_eq!((y, z), (x + 64, x + 128), "x, y adjacent; a gap before z");
+    let decode = |locks: Vec<std::ops::Range<u64>>, barrier: Option<BarrierRanges>| {
+        let mut trace = tiny_trace(0..0, TraceOp::Work { cycles: 1 });
+        trace.blueprint = SpecBlueprint {
+            allocs: allocs.clone(),
+            locks: vec![locks],
+            barriers: barrier.into_iter().collect(),
+        };
+        decoded(&trace)
+    };
+    let barrier = |ranges, partitions| Some(BarrierRanges { ranges, partitions });
+    let span = x..y + 60;
+    let spanning = barrier(vec![span.clone()], Some(vec![vec![span.clone()]]));
+    assert!(decode(vec![span.clone()], spanning).is_ok());
+
+    let outside = "binding outside the allocations";
+    let one_each = "partitions not one per processor";
+    for (locks, barrier, what) in [
+        (vec![0..8], None, outside),
+        (vec![x..z + 8], None, outside),
+        (vec![span.start..span.end + 1], None, outside),
+        (vec![], barrier(vec![0..8], None), outside),
+        (vec![], barrier(vec![], Some(vec![vec![0..8]])), outside),
+        (vec![], barrier(vec![], Some(vec![])), one_each),
+        (
+            vec![],
+            barrier(vec![], Some(vec![vec![], vec![]])),
+            one_each,
+        ),
+    ] {
+        assert_eq!(
+            decode(locks.clone(), barrier.clone()),
+            Err(TraceError::Malformed(what)),
+            "{locks:?} {barrier:?}"
         );
     }
 }

@@ -25,7 +25,7 @@ pub enum Category {
 }
 
 /// Number of distinct [`Category`] values.
-pub const CATEGORY_COUNT: usize = 5;
+pub(crate) const CATEGORY_COUNT: usize = 5;
 
 const CATEGORIES: [Category; CATEGORY_COUNT] = [
     Category::Compute,
@@ -55,44 +55,39 @@ impl Category {
 
 /// A processor's virtual clock, with per-category charge totals.
 #[derive(Clone, Debug, Default)]
-pub struct CpuClock {
+pub(crate) struct CpuClock {
     now: VirtualTime,
     charged: [u64; CATEGORY_COUNT],
 }
 
 impl CpuClock {
     /// Creates a clock at time zero with nothing charged.
-    pub fn new() -> CpuClock {
+    pub(crate) fn new() -> CpuClock {
         CpuClock::default()
     }
 
     /// The current virtual time.
-    pub fn now(&self) -> VirtualTime {
+    pub(crate) fn now(&self) -> VirtualTime {
         self.now
     }
 
     /// Advances the clock by `cycles`, attributing them to `cat`.
-    pub fn charge(&mut self, cat: Category, cycles: u64) {
+    pub(crate) fn charge(&mut self, cat: Category, cycles: u64) {
         self.now += cycles;
         self.charged[cat as usize] += cycles;
     }
 
     /// Jumps the clock forward to `t` (no-op if `t` is in the past),
     /// attributing the skipped span to [`Category::Wait`].
-    pub fn advance_to(&mut self, t: VirtualTime) {
+    pub(crate) fn advance_to(&mut self, t: VirtualTime) {
         if t > self.now {
             self.charged[Category::Wait as usize] += (t - self.now).cycles();
             self.now = t;
         }
     }
 
-    /// Total cycles charged to `cat` so far.
-    pub fn charged(&self, cat: Category) -> u64 {
-        self.charged[cat as usize]
-    }
-
     /// The full per-category breakdown, indexed by `Category as usize`.
-    pub fn breakdown(&self) -> [u64; CATEGORY_COUNT] {
+    pub(crate) fn breakdown(&self) -> [u64; CATEGORY_COUNT] {
         self.charged
     }
 }
@@ -108,9 +103,9 @@ mod tests {
         c.charge(Category::WriteTrap, 9);
         c.charge(Category::WriteTrap, 9);
         assert_eq!(c.now().cycles(), 118);
-        assert_eq!(c.charged(Category::Compute), 100);
-        assert_eq!(c.charged(Category::WriteTrap), 18);
-        assert_eq!(c.charged(Category::Wait), 0);
+        assert_eq!(c.breakdown()[Category::Compute as usize], 100);
+        assert_eq!(c.breakdown()[Category::WriteTrap as usize], 18);
+        assert_eq!(c.breakdown()[Category::Wait as usize], 0);
     }
 
     #[test]
@@ -119,11 +114,11 @@ mod tests {
         c.charge(Category::Compute, 50);
         c.advance_to(VirtualTime(200));
         assert_eq!(c.now().cycles(), 200);
-        assert_eq!(c.charged(Category::Wait), 150);
+        assert_eq!(c.breakdown()[Category::Wait as usize], 150);
         // Messages from the past must not rewind the clock.
         c.advance_to(VirtualTime(10));
         assert_eq!(c.now().cycles(), 200);
-        assert_eq!(c.charged(Category::Wait), 150);
+        assert_eq!(c.breakdown()[Category::Wait as usize], 150);
     }
 
     #[test]

@@ -209,11 +209,6 @@ impl<M: Clone> ProcHandle<M> {
         self.clock.now()
     }
 
-    /// Read access to the clock (for breakdown queries).
-    pub fn clock(&self) -> &CpuClock {
-        &self.clock
-    }
-
     /// Advances the clock by `cycles`, charged to `cat`.
     pub fn charge(&mut self, cat: Category, cycles: u64) {
         self.clock.charge(cat, cycles);

@@ -9,7 +9,7 @@ use crate::time::VirtualTime;
 /// sending processor's own counter, so the order is independent of how OS
 /// threads happen to interleave.
 #[derive(Debug)]
-pub struct Event<M> {
+pub(crate) struct Event<M> {
     /// Virtual time at which the message arrives at `dst`.
     pub deliver_at: VirtualTime,
     /// Sending processor.

@@ -74,7 +74,7 @@ mod rng;
 mod sched;
 mod time;
 
-pub use clock::{Category, CpuClock, CATEGORY_COUNT};
+pub use clock::Category;
 pub use cluster::{
     panic_message, Cluster, ClusterConfig, ProcHandle, ProcReport, RunOutcome, SimError,
 };

@@ -58,7 +58,7 @@ impl NetModel {
     }
 
     /// Wire time (latency plus serialization) for a message of `bytes`.
-    pub fn wire_cycles(&self, bytes: u64) -> u64 {
+    pub(crate) fn wire_cycles(&self, bytes: u64) -> u64 {
         self.latency_cycles + (bytes * self.per_byte_millicycles).div_ceil(1000)
     }
 }

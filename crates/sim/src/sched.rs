@@ -86,7 +86,7 @@ pub(crate) struct Scheduler<M> {
 }
 
 impl<M> Scheduler<M> {
-    pub fn new(procs: usize) -> Scheduler<M> {
+    pub(crate) fn new(procs: usize) -> Scheduler<M> {
         Scheduler {
             inner: RefCell::new(SchedInner {
                 procs: vec![ProcState::Running; procs],
@@ -113,7 +113,7 @@ impl<M> Scheduler<M> {
     /// suspends once the poison is set — `block_recv` checks first — and
     /// must not receive again after quiescence, so one resume each
     /// finishes everyone.)
-    pub fn run(&self, procs: &mut [Coroutine<'_>]) {
+    pub(crate) fn run(&self, procs: &mut [Coroutine<'_>]) {
         for p in procs.iter_mut() {
             p.resume();
         }
@@ -130,25 +130,29 @@ impl<M> Scheduler<M> {
     }
 
     /// Snapshot of the abort condition, if any.
-    pub fn poison(&self) -> Option<Poison> {
+    pub(crate) fn poison(&self) -> Option<Poison> {
         self.inner.borrow().poison.clone()
     }
 
     /// Messages delivered so far.
-    pub fn delivered(&self) -> u64 {
+    pub(crate) fn delivered(&self) -> u64 {
         self.inner.borrow().delivered
     }
 
     /// Queues an in-flight message. Called only by the running processor,
     /// so no dispatch can be due yet.
-    pub fn post(&self, ev: Event<M>) {
+    pub(crate) fn post(&self, ev: Event<M>) {
         self.inner.borrow_mut().queue.push(Reverse(ev));
     }
 
     /// Suspends processor `me` until a message arrives (or, when
     /// `draining`, until the cluster quiesces). Returns `Ok(None)` only on
     /// quiescence. Must be called from `me`'s own coroutine.
-    pub fn block_recv(&self, me: usize, draining: bool) -> Result<Option<Delivery<M>>, Poison> {
+    pub(crate) fn block_recv(
+        &self,
+        me: usize,
+        draining: bool,
+    ) -> Result<Option<Delivery<M>>, Poison> {
         {
             let mut inner = self.inner.borrow_mut();
             debug_assert_eq!(inner.procs[me], ProcState::Running);
@@ -178,7 +182,7 @@ impl<M> Scheduler<M> {
 
     /// Marks `me` finished. Valid from `Running` (closure returned without
     /// draining) or `Draining` (released by quiescence).
-    pub fn finish(&self, me: usize) {
+    pub(crate) fn finish(&self, me: usize) {
         let mut inner = self.inner.borrow_mut();
         let state = &mut inner.procs[me];
         assert!(
@@ -190,12 +194,12 @@ impl<M> Scheduler<M> {
 
     /// Records a fatal condition; the first one wins. The event loop
     /// notices once the calling processor hands control back.
-    pub fn set_poison(&self, p: Poison) {
+    pub(crate) fn set_poison(&self, p: Poison) {
         self.inner.borrow_mut().set_poison(p);
     }
 
     /// Marks `me` dead after a panic and poisons the cluster.
-    pub fn abandon(&self, me: usize, message: String) {
+    pub(crate) fn abandon(&self, me: usize, message: String) {
         let mut inner = self.inner.borrow_mut();
         inner.procs[me] = ProcState::Done;
         inner.set_poison(Poison::Panic { proc: me, message });

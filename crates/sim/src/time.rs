@@ -26,7 +26,7 @@ impl VirtualTime {
     }
 
     /// Expresses this time in microseconds at the given clock rate.
-    pub fn as_micros(self, mhz: u32) -> f64 {
+    fn as_micros(self, mhz: u32) -> f64 {
         self.0 as f64 / mhz as f64
     }
 

@@ -49,14 +49,14 @@ pub struct CostModel {
     pub page_diff_uniform_us: f64,
 
     // --- §3.5 RT variants ---
+    // Nothing charges these; the trace format stores them, so every
+    // recorded trace decodes to the model it was recorded under.
     /// Per-write cost of the update-queue variant (paper: "roughly triples
     /// the cost of write trapping" → 27 cycles).
     pub dirtybit_set_queue: u64,
     /// Per-write cost of the two-level dirtybit variant (paper: one extra
     /// store, "increasing its length by about 10%" → 10 cycles).
     pub dirtybit_set_two_level: u64,
-    /// Reading a first-level (summary) dirtybit during collection.
-    pub two_level_l1_read: u64,
 
     // --- VM-DSM primitives ---
     /// Servicing a page write fault, including the page copy (twin) and the
@@ -98,7 +98,6 @@ impl CostModel {
             page_diff_uniform_us: 260.0,
             dirtybit_set_queue: 27,
             dirtybit_set_two_level: 10,
-            two_level_l1_read: 5,
             page_write_fault: 30_000,
             page_diff_uniform: 7_000,
             page_diff_alternating: 46_750,
@@ -110,9 +109,8 @@ impl CostModel {
     }
 
     /// The sixteen cycle costs a recorded trace carries, in the order the
-    /// trace format stores them (`two_level_l1_read` is not among them: a
-    /// decoded model keeps this build's value). Both directions of the
-    /// trace codec walk this, so the order is spelled once.
+    /// trace format stores them. Both directions of the trace codec walk
+    /// this, so the order is spelled once.
     pub fn cycle_fields_mut(&mut self) -> [&mut u64; 16] {
         [
             &mut self.dirtybit_set_word,
@@ -146,7 +144,7 @@ impl CostModel {
 
     /// Returns this model with the page-fault service time replaced by
     /// `micros` microseconds (the Figure 3/4 sweep axis).
-    pub fn with_fault_micros(mut self, micros: f64) -> CostModel {
+    pub(crate) fn with_fault_micros(mut self, micros: f64) -> CostModel {
         self.page_write_fault = (micros * self.mhz as f64).round() as u64;
         self
     }
@@ -157,7 +155,7 @@ impl CostModel {
     }
 
     /// Converts cycles to microseconds under this model's clock.
-    pub fn cycles_to_micros(&self, cycles: u64) -> f64 {
+    fn cycles_to_micros(&self, cycles: u64) -> f64 {
         cycles as f64 / self.mhz as f64
     }
 
@@ -263,9 +261,9 @@ mod tests {
             (c.dirtybit_read_clean_us, c.page_diff_uniform_us),
             (1e9, 1e9 + 3.0)
         );
-        // A new field has to be put in a walk or beside mhz, page_size and
-        // two_level_l1_read, which the trace stores (or skips) on their own.
-        assert_eq!(format!("{c:?}").matches(": ").count(), 16 + 4 + 3);
+        // A new field has to be put in a walk or beside mhz and page_size,
+        // which the trace stores on their own.
+        assert_eq!(format!("{c:?}").matches(": ").count(), 16 + 4 + 2);
     }
 
     #[test]

@@ -12,5 +12,5 @@ mod table;
 
 pub use cost::CostModel;
 pub use fmt::{fmt_f64, fmt_u64};
-pub use sweep::{linspace_u64, FaultSweep};
+pub use sweep::FaultSweep;
 pub use table::TextTable;

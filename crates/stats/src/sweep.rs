@@ -7,7 +7,7 @@ use crate::cost::CostModel;
 /// # Panics
 ///
 /// Panics if `n < 2` or `hi < lo`.
-pub fn linspace_u64(lo: u64, hi: u64, n: usize) -> Vec<u64> {
+pub(crate) fn linspace_u64(lo: u64, hi: u64, n: usize) -> Vec<u64> {
     assert!(n >= 2, "need at least two sweep points");
     assert!(hi >= lo, "sweep range must be nondecreasing");
     (0..n)

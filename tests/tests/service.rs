@@ -1,7 +1,6 @@
 //! End-to-end tests of the service workload family: the sharded KV
-//! store, the social-graph updater and the high-churn task queue,
-//! across every backend, through the recording/replay oracle, and over
-//! the real TCP transport.
+//! store and the high-churn task queue, across every backend, through
+//! the recording/replay oracle, and over the real TCP transport.
 
 use std::time::Duration;
 

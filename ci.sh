@@ -77,6 +77,19 @@ for f in $(find crates/core/src -name '*.rs'); do
         exit 1
     fi
 done
+# An episode merges once: the flat site and the tree sites hold an
+# episode's contributions and merge them in one `UpdateSet::merge_all`
+# when the last is in. Merging arrival by arrival re-moves the growing set
+# each time; `merge_newer` stays for the pinned benchmark's probe and the
+# tests.
+for f in crates/proto/src/home.rs crates/proto/src/tree.rs $(find crates/core/src -name '*.rs'); do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
+        grep -F 'merge_newer('; then
+        echo "a per-arrival merge in non-test code of $f" >&2
+        exit 1
+    fi
+done
 # Likewise the collectors borrow the pieces of a diff that fall inside the
 # binding (`PageDiff::restricted`); the materializing `restrict` is for
 # the benchmark's probe and the tests.

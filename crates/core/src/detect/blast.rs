@@ -3,7 +3,7 @@
 //! synchronization object during interprocessor synchronization".
 
 use midway_mem::{Addr, LocalStore};
-use midway_proto::{vm, Binding, SeenToken, Unskipped, UpdateItem, UpdateSet};
+use midway_proto::{vm, Binding, SeenToken, UpdateItem, UpdateSet, Visible};
 
 use crate::msg::GrantPayload;
 
@@ -73,7 +73,7 @@ impl WriteDetector for BlastDetector {
         set
     }
 
-    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
+    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Visible<'_>) {
         let bytes = copy_items(cx.store, items);
         cx.charge_vm_apply(bytes, 0);
     }

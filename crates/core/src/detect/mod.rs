@@ -66,7 +66,7 @@ use midway_mem::{
     PAGE_SHIFT, PAGE_SIZE,
 };
 use midway_proto::rt::{RtApply, RtScan};
-use midway_proto::{Binding, LamportClock, SeenToken, Unskipped, UpdateSet};
+use midway_proto::{Binding, LamportClock, SeenToken, UpdateSet, Visible};
 use midway_sim::Category;
 use midway_stats::CostModel;
 
@@ -305,7 +305,7 @@ pub trait WriteDetector {
     /// Applies the updates received at a barrier release: the items of
     /// the episode's shared merged set that this processor did not
     /// contribute itself, borrowed in place.
-    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>);
+    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Visible<'_>);
 }
 
 impl BackendKind {

@@ -1,7 +1,7 @@
 //! The standalone (uniprocessor baseline) detector: no detection, no
 //! consistency, no data motion.
 
-use midway_proto::{Binding, SeenToken, Unskipped, UpdateSet};
+use midway_proto::{Binding, SeenToken, UpdateSet, Visible};
 
 use crate::msg::GrantPayload;
 
@@ -42,5 +42,5 @@ impl WriteDetector for NoneDetector {
         UpdateSet::new()
     }
 
-    fn apply_barrier(&mut self, _cx: &mut DetectCx<'_>, _items: Unskipped<'_>) {}
+    fn apply_barrier(&mut self, _cx: &mut DetectCx<'_>, _items: Visible<'_>) {}
 }

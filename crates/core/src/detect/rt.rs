@@ -12,7 +12,7 @@
 //! detected the writes. Plain RT has no paged part and no page table.
 
 use midway_mem::{Addr, BufPool, MemClass, PageTable, RegionDesc, EPOCH, PAGE_SIZE};
-use midway_proto::{rt, Binding, SeenToken, Unskipped, UpdateItem, UpdateSet};
+use midway_proto::{rt, Binding, SeenToken, UpdateItem, UpdateSet, Visible};
 
 use crate::msg::GrantPayload;
 use crate::setup::SystemSpec;
@@ -261,7 +261,7 @@ impl WriteDetector for RtDetector {
         self.collect(cx, scan, last_consist, now)
     }
 
-    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
+    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Visible<'_>) {
         self.apply(cx, items);
     }
 }

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use midway_mem::diff::{DiffScratch, PageDiff};
 use midway_mem::{Addr, LocalStore, PAGE_SHIFT, PAGE_SIZE};
-use midway_proto::{Binding, SeenToken, Unskipped, UpdateItem, UpdateSet};
+use midway_proto::{Binding, SeenToken, UpdateItem, UpdateSet, Visible};
 use midway_sim::Category;
 
 use crate::config::MidwayConfig;
@@ -95,7 +95,7 @@ impl WriteDetector for TwinAllDetector {
         twin_all_collect(&mut self.twins, &mut self.scratch, cx, scan)
     }
 
-    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
+    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Visible<'_>) {
         // Charged as the bytes written only, with no twin bytes counted —
         // unlike a grant (results/ablation_protocols.txt pins this).
         let bytes = twin_all_apply(&mut self.twins, cx.store, cx.spec, items);

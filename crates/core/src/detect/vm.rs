@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use midway_mem::{MemClass, PageTable, RegionDesc};
-use midway_proto::{vm, Binding, SeenToken, Unskipped, Update, UpdateSet};
+use midway_proto::{vm, Binding, SeenToken, Update, UpdateSet, Visible};
 use midway_sim::Category;
 
 use crate::config::MidwayConfig;
@@ -245,7 +245,7 @@ impl WriteDetector for VmDetector {
         collect(cx, &mut self.pages, scan)
     }
 
-    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Unskipped<'_>) {
+    fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Visible<'_>) {
         let applied = vm::apply_items(cx.store, &mut self.pages, items);
         cx.charge_vm_apply(applied.bytes_applied, applied.twin_bytes_updated);
     }

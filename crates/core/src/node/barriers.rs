@@ -92,8 +92,9 @@ impl DsmNode {
             last_consist,
             partitioned
         ));
-        // Not needed for correctness (merge and exclusion both cope with
-        // any order) but what keeps them on their linear paths.
+        // Not needed for correctness here (merge and masking both cope with
+        // any order) but what keeps them on their linear paths; a peer's
+        // decoder refuses a set out of address order.
         debug_assert!(
             set.items.windows(2).all(|w| w[0].addr < w[1].addr),
             "{:?} collected a barrier set that is not strictly address-sorted",
@@ -126,10 +127,10 @@ impl DsmNode {
                 };
                 if let Some(release) = release {
                     let now = self.clock.tick();
-                    let merged = Arc::new(release.merged);
+                    let merged = MaskedSet::whole(Arc::new(release.merged));
                     let mut own = None;
-                    for (q, skip) in release.own_addrs.into_iter().enumerate() {
-                        let set = MaskedSet::new(Arc::clone(&merged), skip);
+                    for (q, skip) in release.own_addrs.iter().enumerate() {
+                        let set = merged.with_skip(skip);
                         if q == self.me {
                             own = Some(set);
                         } else {
@@ -222,7 +223,7 @@ impl DsmNode {
             };
             self.link.send(h, child, msg);
         }
-        self.finish_barrier(h, barrier, &set.with_skip(own_addrs), time);
+        self.finish_barrier(h, barrier, &set.with_skip(&own_addrs), time);
     }
 
     pub(super) fn handle_barrier_release<T: Transport<Msg = NetMsg>>(

@@ -89,11 +89,21 @@ fn encode_items<'a>(
     }
 }
 
+/// Decodes a set whose addresses strictly increase, as every producer's
+/// do: anything else is `Malformed`. An unsorted set would send a merge
+/// into its quadratic fallback, so one forged frame could stall the
+/// barrier manager.
 fn decode_set(r: &mut Reader) -> Result<UpdateSet, WireError> {
     let n = r.count_le32(20)?;
-    let mut items = Vec::with_capacity(n);
+    let mut items: Vec<UpdateItem> = Vec::with_capacity(n);
     for _ in 0..n {
         let addr = r.u64()?;
+        if items.last().is_some_and(|last| last.addr >= addr) {
+            return Err(WireError::malformed(
+                "update items out of address order",
+                addr,
+            ));
+        }
         let ts = decode_time(r)?;
         let data = r.bytes_le32()?.to_vec();
         items.push(UpdateItem { addr, data, ts });
@@ -457,10 +467,9 @@ mod tests {
                 time: 77,
             })
         };
-        let masked = release(MaskedSet::new(
-            std::sync::Arc::clone(&shared),
-            own.sorted_addrs(),
-        ));
+        let masked = release(
+            MaskedSet::whole(std::sync::Arc::clone(&shared)).with_skip(&own.sorted_addrs()),
+        );
         let personalized = release(MaskedSet::whole(std::sync::Arc::new(
             shared.excluding_addrs_of(&own),
         )));
@@ -474,9 +483,9 @@ mod tests {
         else {
             panic!("decoded to another variant");
         };
-        assert!(set.skip().is_empty());
         assert_eq!(set.len(), 4);
-        assert!(set.iter().eq(shared.excluding(&own.sorted_addrs())));
+        assert_eq!(set.with_skip(&[]).len(), 4, "nothing left to skip");
+        assert!(set.iter().eq(shared.excluding_addrs_of(&own).items.iter()));
     }
 
     fn grant_fixtures() -> Vec<NetMsg> {
@@ -614,6 +623,150 @@ mod tests {
         }
     }
 
+    /// The items of every update set a message carries, set by set.
+    fn sets(msg: &NetMsg) -> Vec<Vec<&UpdateItem>> {
+        let (NetMsg::Raw(m) | NetMsg::Data { msg: m, .. }) = msg else {
+            return vec![];
+        };
+        fn items(set: &UpdateSet) -> Vec<&UpdateItem> {
+            set.items.iter().collect()
+        }
+        match m {
+            DsmMsg::Grant { payload, .. } => match payload {
+                GrantPayload::Current => vec![],
+                GrantPayload::Rt { set, .. } | GrantPayload::Flat { set, .. } => vec![items(set)],
+                GrantPayload::Vm { updates, full, .. } => {
+                    updates.iter().chain(full).map(|u| items(&u.set)).collect()
+                }
+            },
+            DsmMsg::BarrierArrive { set, .. } => vec![items(set)],
+            DsmMsg::BarrierRelease { set, .. } => vec![set.iter().collect()],
+            _ => vec![],
+        }
+    }
+
+    /// Every message kind that carries an update set, carrying `set`.
+    fn carrying(set: &UpdateSet) -> Vec<(&'static str, NetMsg)> {
+        let update = |full| {
+            Arc::new(Update {
+                incarnation: 2,
+                set: set.clone(),
+                full,
+            })
+        };
+        let grant = |payload| {
+            NetMsg::Raw(DsmMsg::Grant {
+                lock: LockId(4),
+                mode: Mode::Exclusive,
+                payload,
+            })
+        };
+        vec![
+            (
+                "rt grant",
+                grant(GrantPayload::Rt {
+                    set: set.clone(),
+                    consist_time: 55,
+                    binding: sample_binding(),
+                }),
+            ),
+            (
+                "vm update",
+                grant(GrantPayload::Vm {
+                    updates: vec![update(false)],
+                    full: None,
+                    incarnation: 2,
+                    binding: sample_binding(),
+                }),
+            ),
+            (
+                "vm full snapshot",
+                grant(GrantPayload::Vm {
+                    updates: vec![],
+                    full: Some(update(true)),
+                    incarnation: 2,
+                    binding: sample_binding(),
+                }),
+            ),
+            (
+                "flat grant",
+                grant(GrantPayload::Flat {
+                    set: set.clone(),
+                    binding: sample_binding(),
+                }),
+            ),
+            (
+                "barrier arrival",
+                NetMsg::Raw(DsmMsg::BarrierArrive {
+                    barrier: BarrierId(2),
+                    set: set.clone(),
+                    time: 99,
+                }),
+            ),
+            (
+                "barrier release",
+                NetMsg::Data {
+                    seq: 17,
+                    ack: 16,
+                    epoch: 1,
+                    msg: DsmMsg::BarrierRelease {
+                        barrier: BarrierId(2),
+                        set: MaskedSet::whole(Arc::new(set.clone())),
+                        time: 100,
+                    },
+                },
+            ),
+        ]
+    }
+
+    /// Every producer ships strictly increasing addresses; a forged set
+    /// that does not (reversed, or an address twice) would send the
+    /// barrier manager's merge into its quadratic fallback. Each message
+    /// that carries a set refuses one.
+    #[test]
+    fn update_items_out_of_address_order_are_malformed() {
+        let item = |addr| UpdateItem {
+            addr,
+            data: vec![1; 8],
+            ts: 3,
+        };
+        let set = |addrs: &[u64]| UpdateSet {
+            items: addrs.iter().map(|&a| item(a)).collect(),
+        };
+        let reversed: Vec<u64> = (0..1000).rev().map(|i| 0x40_0000 + 8 * i).collect();
+        for (what, addrs, at) in [
+            ("reversed", &reversed[..], 0x40_0000 + 8 * 998),
+            ("reversed pair", &[0x40_0010, 0x40_0000][..], 0x40_0000),
+            (
+                "duplicate",
+                &[0x40_0000, 0x40_0008, 0x40_0008][..],
+                0x40_0008,
+            ),
+            ("duplicate first", &[0, 0][..], 0),
+        ] {
+            for (kind, msg) in carrying(&set(addrs)) {
+                let err = decode_exact::<NetMsg>(&encode_to_vec(&msg)).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        WireError::Malformed {
+                            what: "update items out of address order",
+                            value,
+                        } if value == at
+                    ),
+                    "{what} in a {kind}: {err}"
+                );
+            }
+        }
+        // Strictly increasing sets, the empty one included, still decode.
+        for addrs in [&[][..], &[0][..], &[0, 1, u64::MAX][..]] {
+            for (kind, msg) in carrying(&set(addrs)) {
+                let back = decode_exact::<NetMsg>(&encode_to_vec(&msg)).expect(kind);
+                assert_eq!(sets(&back).concat().len(), addrs.len(), "{kind}");
+            }
+        }
+    }
+
     /// `make(t)` decodes for the legal ends of the range and is
     /// `Malformed` just above [`MAX_TIMESTAMP`] and at `u64::MAX`.
     fn rejects_times_above_max(make: impl Fn(u64) -> NetMsg) {
@@ -682,7 +835,8 @@ mod tests {
 
     /// First slice of the hostile-bytes sweep: every variant and grant
     /// payload, mutated; the decoder answers and never panics, and a frame
-    /// it accepts carries no timestamp the dirtybits cannot hold.
+    /// it accepts carries no timestamp the dirtybits cannot hold and no
+    /// update set out of address order.
     #[test]
     fn mutated_frames_decode_or_fail_but_never_panic() {
         let fixtures: Vec<NetMsg> = variant_fixtures()
@@ -696,6 +850,12 @@ mod tests {
                 Ok(back) => {
                     let times = times(&back);
                     assert!(times.iter().all(|&t| t <= MAX_TIMESTAMP), "{times:?}");
+                    for set in sets(&back) {
+                        assert!(
+                            set.windows(2).all(|w| w[0].addr < w[1].addr),
+                            "accepted a set out of address order: {set:?}"
+                        );
+                    }
                     true
                 }
                 Err(_) => false,

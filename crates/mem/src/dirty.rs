@@ -32,7 +32,8 @@
 //!
 //! The encoding stays in this file: callers read [`DirtyBits::get`], write
 //! [`DirtyBits::stamp`] / [`DirtyBits::mark`], and apply an update through
-//! [`DirtyBits::take_newer`]. The simulated cost model still charges the
+//! [`DirtyBits::take_newer`] (or [`DirtyBits::take_newer_line`] for an
+//! update inside one line). The simulated cost model still charges the
 //! paper's flat array, so nothing virtual depends on the width.
 
 use std::ops::Range;
@@ -188,6 +189,23 @@ impl DirtyBits {
             }
             on_run(base + run..base + line, take);
         }
+    }
+
+    /// [`take_newer`](Self::take_newer) over the one line `line`: stamps
+    /// it with `ts` and returns true iff it takes the update.
+    ///
+    /// # Panics
+    ///
+    /// If `ts` exceeds [`MAX_TIMESTAMP`].
+    #[inline]
+    pub fn take_newer_line(&mut self, line: usize, ts: u64) -> bool {
+        let stamp = encode(ts.max(EPOCH));
+        let bit = &mut self.bits[line];
+        let take = *bit < stamp;
+        if take {
+            *bit = stamp;
+        }
+        take
     }
 
     /// Scans lines `range` on behalf of a requester that last saw time

@@ -341,6 +341,30 @@ fn take_newer_matches_the_line_by_line_rule() {
     assert!(taken > 5_000 && kept > 5_000, "{taken} / {kept}");
 }
 
+/// `take_newer_line` is `take_newer` over one line: the same stamp left
+/// behind, and `true` exactly when that one-line run is taken.
+#[test]
+fn take_newer_line_is_take_newer_over_one_line() {
+    let mut rng = SplitMix64::new(0xd1ff_001e);
+    let (mut taken, mut kept) = (0, 0);
+    for case in 0..2048 {
+        let lines = 1 + rng.next_below(64) as usize;
+        let (mut one, _) = modelled_bits(&mut rng, lines);
+        let mut range = one.clone();
+        let ts = any_timestamp(&mut rng);
+        let line = rng.next_below(lines as u64) as usize;
+        let mut runs = Vec::new();
+        range.take_newer(line..line + 1, ts, |run, take| runs.push((run, take)));
+        let take = one.take_newer_line(line, ts);
+        assert_eq!(runs, vec![(line..line + 1, take)], "case {case}, ts {ts}");
+        for l in 0..lines {
+            assert_eq!(one.get(l), range.get(l), "case {case}: line {l}");
+        }
+        *(if take { &mut taken } else { &mut kept }) += 1;
+    }
+    assert!(taken > 300 && kept > 300, "{taken} / {kept}");
+}
+
 /// Nothing above [`MAX_TIMESTAMP`] is stored: the stamp, the update
 /// application and the scan's lazy stamp refuse it, naming the time.
 #[test]
@@ -354,6 +378,9 @@ fn timestamps_past_the_width_panic_naming_the_timestamp() {
     }
     panics_naming("stamp", |b, ts| b.stamp(1, ts));
     panics_naming("take_newer", |b, ts| b.take_newer(0..4, ts, |_, _| {}));
+    panics_naming("take_newer_line", |b, ts| {
+        b.take_newer_line(2, ts);
+    });
     panics_naming("scan", |b, ts| drop(b.scan(0..4, EPOCH, ts)));
 }
 

@@ -183,7 +183,7 @@ pub struct BarrierRelease {
     /// Every processor's contribution, merged in arrival order.
     pub merged: UpdateSet,
     /// Per processor: the sorted addresses of its own contribution, which
-    /// its release skips ([`UpdateSet::excluding`]).
+    /// its release skips ([`MaskedSet::with_skip`](crate::MaskedSet::with_skip)).
     pub own_addrs: Vec<Vec<u64>>,
 }
 
@@ -195,9 +195,7 @@ impl BarrierRelease {
     pub(crate) fn per_proc(&self) -> Vec<UpdateSet> {
         self.own_addrs
             .iter()
-            .map(|skip| UpdateSet {
-                items: self.merged.excluding(skip).cloned().collect(),
-            })
+            .map(|skip| self.merged.without(skip))
             .collect()
     }
 }
@@ -208,10 +206,11 @@ pub struct BarrierSite {
     procs: usize,
     episode: u64,
     arrived: Vec<bool>,
-    arrivals: usize,
-    merged: UpdateSet,
+    /// This episode's contributions, in arrival order: merged once, when
+    /// the last one is in.
+    arrivals: Vec<UpdateSet>,
     /// Per processor: the addresses it contributed this episode. The
-    /// contributions themselves move into `merged`.
+    /// contributions themselves move into the merge.
     own_addrs: Vec<Vec<u64>>,
 }
 
@@ -222,8 +221,7 @@ impl BarrierSite {
             procs,
             episode: 0,
             arrived: vec![false; procs],
-            arrivals: 0,
-            merged: UpdateSet::new(),
+            arrivals: Vec::with_capacity(procs),
             own_addrs: vec![Vec::new(); procs],
         }
     }
@@ -248,19 +246,18 @@ impl BarrierSite {
             });
         }
         self.arrived[from] = true;
-        self.arrivals += 1;
         self.own_addrs[from] = update.sorted_addrs();
-        self.merged.merge_newer(update);
-        if self.arrivals < self.procs {
+        self.arrivals.push(update);
+        if self.arrivals.len() < self.procs {
             return Ok(None);
         }
-        // Episode complete: hand out the merged set and reset.
-        let merged = std::mem::take(&mut self.merged);
+        // Episode complete: merge, hand out the merged set and reset.
+        let arrivals = std::mem::replace(&mut self.arrivals, Vec::with_capacity(self.procs));
+        let merged = UpdateSet::merge_all(arrivals);
         let own_addrs = std::mem::replace(&mut self.own_addrs, vec![Vec::new(); self.procs]);
         let episode = self.episode;
         self.episode += 1;
         self.arrived.fill(false);
-        self.arrivals = 0;
         Ok(Some(BarrierRelease {
             episode,
             merged,

@@ -47,4 +47,4 @@ pub use clock::LamportClock;
 pub use home::{BarrierError, BarrierSite, HomeLock, SeenToken, Transfer};
 pub use sync_id::{BarrierId, HomeMap, LockId, Mode};
 pub use tree::{TreeSite, TreeStep, TreeTopology};
-pub use update::{MaskedSet, Unskipped, Update, UpdateItem, UpdateSet, MSG_HEADER_BYTES};
+pub use update::{MaskedSet, Update, UpdateItem, UpdateSet, Visible, MSG_HEADER_BYTES};

@@ -10,7 +10,7 @@
 use midway_mem::{Addr, DirtyBits, Layout, LocalStore};
 
 use crate::binding::Binding;
-use crate::update::{UpdateItem, UpdateSet};
+use crate::update::{copy_payload, UpdateItem, UpdateSet};
 
 /// Lazily materialized per-region dirtybit arrays for one processor.
 pub struct DirtyMap {
@@ -160,6 +160,23 @@ struct RegionCursor<'a> {
     slab: &'a mut [u8],
 }
 
+impl<'a> RegionCursor<'a> {
+    fn new(
+        store: &'a mut LocalStore,
+        dirty: &'a mut DirtyMap,
+        layout: &Layout,
+        id: usize,
+    ) -> RegionCursor<'a> {
+        let desc = layout.region(id).expect("update region exists");
+        RegionCursor {
+            id,
+            line_shift: desc.line_shift,
+            bits: dirty.bits_mut(layout, id),
+            slab: store.region_mut(id),
+        }
+    }
+}
+
 /// [`apply`] over any run of items (a whole set, or a barrier release's
 /// shared set minus the receiver's own addresses), with a hook:
 /// `on_applied(addr, data)` runs for every run of bytes actually written
@@ -168,6 +185,10 @@ struct RegionCursor<'a> {
 /// write-detection state — e.g. a hybrid backend patching page twins so
 /// applied updates are not re-diffed as local modifications — observe
 /// exactly the bytes that landed.
+///
+/// An item inside one line of its region — every item of a barrier over
+/// word or doubleword lines — is one test-and-stamp of that line's
+/// dirtybit and one copy; longer items take the run loop.
 pub fn apply_with<'a>(
     store: &mut LocalStore,
     dirty: &mut DirtyMap,
@@ -178,18 +199,35 @@ pub fn apply_with<'a>(
     let mut out = RtApply::default();
     let mut cur: Option<RegionCursor<'_>> = None;
     for item in items {
+        let len = item.data.len();
+        if len == 0 {
+            continue;
+        }
+        let addr = Addr(item.addr);
+        let region_id = addr.region_index();
+        if cur.as_ref().is_none_or(|c| c.id != region_id) {
+            cur = Some(RegionCursor::new(store, dirty, layout, region_id));
+        }
+        let c = cur.as_mut().expect("resolved above");
+        let offset = addr.region_offset();
+        let line = offset >> c.line_shift;
+        if (offset + len - 1) >> c.line_shift == line {
+            if c.bits.take_newer_line(line, item.ts) {
+                copy_payload(&mut c.slab[offset..offset + len], &item.data);
+                on_applied(addr, &item.data);
+                out.dirtybits_updated += 1;
+                out.bytes_applied += len as u64;
+            } else {
+                out.bytes_redundant += len as u64;
+            }
+            continue;
+        }
         let mut pos = 0usize;
-        while pos < item.data.len() {
+        while pos < len {
             let addr = Addr(item.addr + pos as u64);
             let region_id = addr.region_index();
             if cur.as_ref().is_none_or(|c| c.id != region_id) {
-                let desc = layout.region(region_id).expect("update region exists");
-                cur = Some(RegionCursor {
-                    id: region_id,
-                    line_shift: desc.line_shift,
-                    bits: dirty.bits_mut(layout, region_id),
-                    slab: store.region_mut(region_id),
-                });
+                cur = Some(RegionCursor::new(store, dirty, layout, region_id));
             }
             let c = cur.as_mut().expect("resolved above");
             // The piece of the item inside this region and the lines it
@@ -201,7 +239,7 @@ pub fn apply_with<'a>(
             // Each maximal run of lines that take the update is one copy.
             let shift = c.line_shift;
             let offset = addr.region_offset();
-            let end = offset + (item.data.len() - pos).min(midway_mem::REGION_SIZE - offset);
+            let end = offset + (len - pos).min(midway_mem::REGION_SIZE - offset);
             let lines = offset >> shift..((end - 1) >> shift) + 1;
             let slab = &mut *c.slab;
             c.bits.take_newer(lines, item.ts, |run, take| {
@@ -395,22 +433,33 @@ mod tests {
     fn run_copying_apply_matches_line_by_line() {
         // Two contiguous regions of 64-byte lines, so items can straddle
         // lines, pages and the region boundary; a second allocation with
-        // doubleword lines for the common case.
+        // doubleword lines for the common case; a third whose last line
+        // is clipped to 20 bytes.
         let mut b = LayoutBuilder::new();
         let big = b.alloc("big", midway_mem::REGION_SIZE + 8192, MemClass::Shared, 6);
         let fine = b.alloc("fine", 4096, MemClass::Shared, 3);
+        let tail = b.alloc("tail", 4096 + 20, MemClass::Shared, 6);
         let layout = b.build();
         let mut next = splitmix(0x5eed);
         let seam = big.addr.raw() + midway_mem::REGION_SIZE as u64;
+        let clipped = tail.addr.raw() + 4096;
+        let one_line = |addr: u64, len: u64| {
+            let (first, last) = (Addr(addr), Addr(addr + len - 1));
+            let shift = layout.region_of(first).line_shift;
+            first.region_index() == last.region_index()
+                && first.line_in_region(shift) == last.line_in_region(shift)
+        };
         let (mut straddlers, mut skipped, mut applied) = (0, 0, 0);
+        let (mut short, mut at_seam, mut in_clipped) = (0, 0, 0);
         for round in 0..60 {
             let mut fast = (LocalStore::new(Arc::clone(&layout)), DirtyMap::new(&layout));
             let mut slow = (LocalStore::new(Arc::clone(&layout)), DirtyMap::new(&layout));
             // Local state: some lines dirty, some already stamped newer.
             for _ in 0..40 {
-                let (addr, ts) = match next() % 3 {
+                let (addr, ts) = match next() % 4 {
                     0 => (seam - 2048 + next() % 4096, next() % 12),
                     1 => (fine.addr.raw() + next() % 4096, next() % 12),
+                    2 => (clipped - 64 + next() % 84, next() % 12),
                     _ => (big.addr.raw() + next() % 4096, next() % 12),
                 };
                 for (_, d) in [&mut fast, &mut slow] {
@@ -419,16 +468,30 @@ mod tests {
                     d.bits_mut(&layout, desc.id).stamp(line, ts); // 0 is DIRTY
                 }
             }
-            // Unaligned, multi-line items around the seam and elsewhere.
-            let items = (0..20)
+            // Unaligned, multi-line items around the seam and elsewhere,
+            // between bytes, words and doublewords: aligned in the
+            // doubleword lines, anywhere near the seam (one line or two,
+            // either side of it) and inside the clipped last line.
+            let items = (0..50)
                 .map(|_| {
-                    let (base, span) = match next() % 3 {
-                        0 => (seam - 1024, 2048),
-                        1 => (fine.addr.raw(), 4096),
-                        _ => (big.addr.raw(), 4096),
+                    let (addr, len) = if next() % 5 < 2 {
+                        let (base, span) = match next() % 3 {
+                            0 => (seam - 1024, 2048),
+                            1 => (fine.addr.raw(), 4096),
+                            _ => (big.addr.raw(), 4096),
+                        };
+                        let len = 1 + next() % 700;
+                        (base + next() % (span - len), len)
+                    } else {
+                        let len = [1, 4, 8][next() as usize % 3];
+                        let addr = match next() % 4 {
+                            0 => fine.addr.raw() + len * (next() % (4096 / len)),
+                            1 => seam - 72 + next() % 144,
+                            2 => clipped + next() % (21 - len),
+                            _ => big.addr.raw() + next() % 4096,
+                        };
+                        (addr, len)
                     };
-                    let len = 1 + next() % 700;
-                    let addr = base + next() % (span - len);
                     UpdateItem {
                         addr,
                         data: (0..len).map(|i| (i ^ addr ^ round) as u8 | 1).collect(),
@@ -442,6 +505,14 @@ mod tests {
                 .iter()
                 .filter(|i| i.addr < seam && i.addr + i.data.len() as u64 > seam)
                 .count();
+            for i in &set.items {
+                let (addr, len) = (i.addr, i.data.len() as u64);
+                if len <= 8 && one_line(addr, len) {
+                    short += 1;
+                    at_seam += usize::from(addr.abs_diff(seam) <= 64);
+                    in_clipped += usize::from(addr >= clipped);
+                }
+            }
             let (mut hooked, mut written) = (Vec::new(), Vec::new());
             let got = apply_with(
                 &mut fast.0,
@@ -491,6 +562,10 @@ mod tests {
             }
         }
         assert!(straddlers > 20 && skipped > 10_000 && applied > 100_000);
+        assert!(
+            short > 1000 && at_seam > 100 && in_clipped > 100,
+            "{short} one-line items, {at_seam} at the seam, {in_clipped} clipped"
+        );
     }
 
     /// The line-at-a-time collection the run-copying [`collect_pooled`]

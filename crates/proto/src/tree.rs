@@ -9,14 +9,15 @@
 //! fully merged set back *down*, so no node sends or receives more than
 //! `arity` barrier messages per episode.
 //!
-//! Determinism: [`UpdateSet::merge_newer`] breaks timestamp ties toward
-//! its argument, so merge results depend on merge *order*. Every node
-//! therefore stashes its children's sets and merges in a canonical order
-//! — its own contribution first, then children by ascending slot — which
-//! makes the global merge the pre-order fold of the tree, independent of
-//! message interleaving. When timestamps are unique (or contributions
-//! disjoint, as with partitioned barriers), the result is identical to
-//! the flat site's merge under any arrival order.
+//! Determinism: a merge breaks timestamp ties toward the later set, so
+//! merge results depend on merge *order*. Every node therefore stashes its
+//! children's sets and merges once, in a canonical order — its own
+//! contribution first, then children by ascending slot
+//! ([`UpdateSet::merge_all`]) — which makes the global merge the pre-order
+//! fold of the tree, independent of message interleaving. When timestamps
+//! are unique (or contributions disjoint, as with partitioned barriers),
+//! the result is identical to the flat site's merge under any arrival
+//! order.
 //!
 //! Like [`HomeLock`](crate::HomeLock) and the flat site, the state
 //! machine is pure: events in, instructions out, no transport in sight.
@@ -206,10 +207,14 @@ impl TreeSite {
             return TreeStep::Wait;
         }
         // Canonical merge: own contribution first, then children by slot.
-        let mut merged = self.own.take().expect("own checked above");
-        for slot in &mut self.child_sets {
-            merged.merge_newer(slot.take().expect("children checked above"));
-        }
+        let mut sets = Vec::with_capacity(1 + self.child_sets.len());
+        sets.push(self.own.take().expect("own checked above"));
+        sets.extend(
+            self.child_sets
+                .iter_mut()
+                .map(|slot| slot.take().expect("children checked above")),
+        );
+        let merged = UpdateSet::merge_all(sets);
         self.fanin = 0;
         match self.topo.parent(self.me) {
             Some(parent) => TreeStep::SendUp {
@@ -223,7 +228,8 @@ impl TreeSite {
     /// The release reaches this node: advance the episode and return the
     /// children to forward the merged set to plus this node's skip list —
     /// the sorted addresses of its own contribution, which it passes over
-    /// when applying the merged set ([`UpdateSet::excluding`]).
+    /// when applying the merged set
+    /// ([`MaskedSet::with_skip`](crate::MaskedSet::with_skip)).
     pub fn release(&mut self) -> (Vec<usize>, Vec<u64>) {
         self.episode += 1;
         self.releases += 1;
@@ -236,8 +242,7 @@ impl TreeSite {
     /// merged set minus this processor's own contribution) materialized.
     pub fn on_release(&mut self, merged: &UpdateSet) -> (Vec<usize>, UpdateSet) {
         let (children, skip) = self.release();
-        let items = merged.excluding(&skip).cloned().collect();
-        (children, UpdateSet { items })
+        (children, merged.without(&skip))
     }
 }
 
@@ -386,7 +391,7 @@ mod tests {
             while let Some(dst) = downs.pop() {
                 let (_, want) = sites[dst].clone().on_release(&merged);
                 let (kids, skip) = sites[dst].release();
-                let view = shared.with_skip(skip);
+                let view = shared.with_skip(&skip);
                 let local = UpdateSet {
                     items: view.iter().cloned().collect(),
                 };

@@ -1,5 +1,8 @@
 //! Consistency updates and their wire-size accounting.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Fixed per-message protocol header, in bytes.
@@ -113,9 +116,56 @@ impl UpdateSet {
         self.items.sort_by_key(|i| i.addr);
     }
 
-    /// This set's item addresses as a skip list for
-    /// [`excluding`](Self::excluding): sorted and deduplicated here, where
-    /// the list is built, whatever order the items are in.
+    /// Merges `sets`, in order, into one set: exactly the left fold of
+    /// [`merge_newer`](Self::merge_newer) over them from an empty set, so
+    /// where two items share an address the later set's wins when its
+    /// `ts` is no older.
+    ///
+    /// A barrier merges an episode's contributions here once, when the
+    /// last one is in. Strictly address-sorted inputs (every producer's,
+    /// and all a decoder accepts) take a k-way merge that moves each item
+    /// once; anything else falls back to the fold itself.
+    pub fn merge_all(sets: Vec<UpdateSet>) -> UpdateSet {
+        if !sets.iter().all(UpdateSet::addr_sorted) {
+            let mut merged = UpdateSet::new();
+            for set in sets {
+                merged.merge_newer(set);
+            }
+            return merged;
+        }
+        let mut items: Vec<UpdateItem> = Vec::with_capacity(sets.iter().map(UpdateSet::len).sum());
+        let mut heads: Vec<_> = sets.into_iter().map(|s| s.items.into_iter()).collect();
+        // One heap entry per set with items left: (its next address, its
+        // position). Equal addresses pop in set order, the fold's order.
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = heads
+            .iter()
+            .enumerate()
+            .filter_map(|(k, h)| Some(Reverse((h.as_slice().first()?.addr, k))))
+            .collect();
+        while let Some(mut top) = heap.peek_mut() {
+            let Reverse((addr, k)) = *top;
+            let item = heads[k].next().expect("queued sets have an item");
+            match heads[k].as_slice().first() {
+                Some(next) => *top = Reverse((next.addr, k)),
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+            match items.last_mut() {
+                Some(last) if last.addr == addr => {
+                    if item.ts >= last.ts {
+                        *last = item;
+                    }
+                }
+                _ => items.push(item),
+            }
+        }
+        UpdateSet { items }
+    }
+
+    /// This set's item addresses as a skip list for a [`MaskedSet`]:
+    /// sorted and deduplicated here, where the list is built, whatever
+    /// order the items are in.
     pub fn sorted_addrs(&self) -> Vec<u64> {
         let mut addrs: Vec<u64> = self.items.iter().map(|i| i.addr).collect();
         if !addrs.windows(2).all(|w| w[0] < w[1]) {
@@ -125,75 +175,90 @@ impl UpdateSet {
         addrs
     }
 
-    /// The items whose address is not in `skip`, in self order, borrowed:
-    /// the single exclusion primitive a barrier release uses to keep a
-    /// processor's own contribution from echoing back to it.
-    ///
-    /// `skip` must be sorted ascending (see
-    /// [`sorted_addrs`](Self::sorted_addrs)); the set itself need not be.
-    pub fn excluding<'a>(&'a self, skip: &'a [u64]) -> Unskipped<'a> {
-        debug_assert!(skip.windows(2).all(|w| w[0] <= w[1]), "unsorted skip list");
-        Unskipped {
-            items: self.items.iter(),
-            skip,
-            cursor: 0,
-            floor: Some(0),
+    /// The items whose address is not in `skip` (sorted ascending),
+    /// materialized in self order.
+    pub(crate) fn without(&self, skip: &[u64]) -> UpdateSet {
+        let mask = Mask::new(&self.items, self.addr_sorted(), skip);
+        let mut items = Vec::with_capacity(self.items.len() - mask.hidden);
+        for run in &mask.visible {
+            items.extend_from_slice(&self.items[run.clone()]);
         }
+        UpdateSet { items }
     }
 
     /// The subset of items whose address is not in `exclude`, materialized
-    /// (self order preserved). The barrier path applies
-    /// [`excluding`](Self::excluding) in place instead; this copy remains
-    /// for callers that need an owned set.
+    /// (self order preserved). The barrier path applies a [`MaskedSet`]
+    /// in place instead; this copy remains for callers that need an owned
+    /// set.
     pub fn excluding_addrs_of(&self, exclude: &UpdateSet) -> UpdateSet {
-        let items = self.excluding(&exclude.sorted_addrs()).cloned().collect();
-        UpdateSet { items }
+        self.without(&exclude.sorted_addrs())
     }
 }
 
-/// Iterator over the items of an [`UpdateSet`] whose address is not in a
-/// sorted skip list; see [`UpdateSet::excluding`].
-///
-/// While the set's addresses come in non-decreasing order the skip list is
-/// walked by a second pointer, O(items + skip) in all. A set is never
-/// trusted to be sorted (one decoded from a socket need not be): the first
-/// address that steps backwards switches the remaining items to a binary
-/// search each, so the answers stay those of a hash-set lookup and no
-/// input takes quadratic time.
-#[derive(Clone, Debug)]
-pub struct Unskipped<'a> {
-    items: std::slice::Iter<'a, UpdateItem>,
-    skip: &'a [u64],
-    /// First skip entry not yet passed by the two-pointer walk.
-    cursor: usize,
-    /// Highest address seen so far; `None` once the set proved unsorted.
-    floor: Option<u64>,
+/// The part of a set a sorted skip list leaves visible, as index ranges.
+#[derive(Debug, Default)]
+struct Mask {
+    /// Maximal runs of visible items, in order.
+    visible: Vec<Range<usize>>,
+    /// Items hidden by the skip list, and their data bytes.
+    hidden: usize,
+    hidden_bytes: u64,
 }
 
-impl<'a> Iterator for Unskipped<'a> {
-    type Item = &'a UpdateItem;
-
-    fn next(&mut self) -> Option<&'a UpdateItem> {
-        for item in self.items.by_ref() {
-            let skipped = match self.floor {
-                Some(floor) if item.addr >= floor => {
-                    self.floor = Some(item.addr);
-                    while self.skip.get(self.cursor).is_some_and(|&a| a < item.addr) {
-                        self.cursor += 1;
-                    }
-                    self.skip.get(self.cursor) == Some(&item.addr)
+impl Mask {
+    /// Masks `items` with `skip` (sorted ascending). On a strictly
+    /// address-sorted set that is one search per skip address, each
+    /// galloping on from where the previous one stopped, so a skip list
+    /// as long as the set costs a walk and a short one a few probes per
+    /// address; on any other set it is one walk, every item looked up in
+    /// `skip`.
+    fn new(items: &[UpdateItem], sorted: bool, skip: &[u64]) -> Mask {
+        debug_assert!(skip.windows(2).all(|w| w[0] <= w[1]), "unsorted skip list");
+        let mut mask = Mask::default();
+        let mut start = 0;
+        let mut hide = |i: usize, mask: &mut Mask| {
+            if start < i {
+                mask.visible.push(start..i);
+            }
+            mask.hidden += 1;
+            mask.hidden_bytes += items[i].data.len() as u64;
+            start = i + 1;
+        };
+        if sorted {
+            let mut from = 0;
+            for &addr in skip {
+                from = gallop(items, from, addr);
+                if items.get(from).is_some_and(|i| i.addr == addr) {
+                    hide(from, &mut mask);
+                    from += 1;
                 }
-                _ => {
-                    self.floor = None;
-                    self.skip.binary_search(&item.addr).is_ok()
+            }
+        } else {
+            for (i, item) in items.iter().enumerate() {
+                if skip.binary_search(&item.addr).is_ok() {
+                    hide(i, &mut mask);
                 }
-            };
-            if !skipped {
-                return Some(item);
             }
         }
-        None
+        if start < items.len() {
+            mask.visible.push(start..items.len());
+        }
+        mask
     }
+}
+
+/// The first index at or after `from` of a strictly address-sorted
+/// `items` whose address is not below `addr`: an exponential search from
+/// `from`, then a binary search inside the last step.
+fn gallop(items: &[UpdateItem], from: usize, addr: u64) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while items.get(hi).is_some_and(|i| i.addr < addr) {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(items.len());
+    lo + items[lo..hi].partition_point(|i| i.addr < addr)
 }
 
 /// A shared [`UpdateSet`] seen through one receiver's skip list: what a
@@ -201,52 +266,58 @@ impl<'a> Iterator for Unskipped<'a> {
 /// and differs only in the addresses it skips (its own contribution), so
 /// "merged minus own" is never materialized per processor.
 ///
-/// The sizes of the visible part are computed once, at construction, and
-/// are what every byte counter, copy charge and wire size on the release
-/// path reads.
+/// The visible part is found once, at construction, as index ranges of
+/// the shared set; its sizes are the set's totals (computed once per
+/// episode, by [`whole`](Self::whole)) minus the skipped items, and are
+/// what every byte counter, copy charge and wire size on the release path
+/// reads.
 #[derive(Clone, Debug)]
 pub struct MaskedSet {
     set: Arc<UpdateSet>,
-    skip: Vec<u64>,
+    /// Whether `set` is strictly address-sorted, and its data bytes.
+    sorted: bool,
+    set_bytes: u64,
+    visible: Vec<Range<usize>>,
     len: usize,
     data_bytes: u64,
 }
 
 impl MaskedSet {
-    /// `set` minus the items at the addresses in `skip`, which must be
-    /// sorted ascending (see [`UpdateSet::sorted_addrs`]).
-    pub fn new(set: Arc<UpdateSet>, skip: Vec<u64>) -> MaskedSet {
-        let (mut len, mut data_bytes) = (0usize, 0u64);
-        for item in set.excluding(&skip) {
-            len += 1;
-            data_bytes += item.data.len() as u64;
-        }
-        MaskedSet {
-            set,
-            skip,
-            len,
-            data_bytes,
-        }
-    }
-
-    /// All of `set`: an empty skip list.
+    /// All of `set`.
     pub fn whole(set: Arc<UpdateSet>) -> MaskedSet {
-        MaskedSet::new(set, Vec::new())
+        let (sorted, set_bytes) = (set.addr_sorted(), set.data_bytes());
+        MaskedSet {
+            visible: Mask::new(&set.items, sorted, &[]).visible,
+            len: set.len(),
+            data_bytes: set_bytes,
+            sorted,
+            set_bytes,
+            set,
+        }
     }
 
-    /// The same shared set behind a different skip list.
-    pub fn with_skip(&self, skip: Vec<u64>) -> MaskedSet {
-        MaskedSet::new(Arc::clone(&self.set), skip)
+    /// The same shared set minus the items at the addresses in `skip`,
+    /// which must be sorted ascending (see [`UpdateSet::sorted_addrs`]).
+    /// Whatever `self` skips is not carried over.
+    pub fn with_skip(&self, skip: &[u64]) -> MaskedSet {
+        let mask = Mask::new(&self.set.items, self.sorted, skip);
+        MaskedSet {
+            set: Arc::clone(&self.set),
+            sorted: self.sorted,
+            set_bytes: self.set_bytes,
+            visible: mask.visible,
+            len: self.set.len() - mask.hidden,
+            data_bytes: self.set_bytes - mask.hidden_bytes,
+        }
     }
 
     /// The visible items, in set order.
-    pub fn iter(&self) -> Unskipped<'_> {
-        self.set.excluding(&self.skip)
-    }
-
-    /// The skip list.
-    pub fn skip(&self) -> &[u64] {
-        &self.skip
+    pub fn iter(&self) -> Visible<'_> {
+        Visible {
+            items: &self.set.items,
+            runs: self.visible.iter(),
+            run: [].iter(),
+        }
     }
 
     /// Number of visible items.
@@ -267,6 +338,42 @@ impl MaskedSet {
     /// Bytes the visible items take on the wire, per-item headers included.
     pub fn wire_size(&self) -> u64 {
         self.data_bytes + ITEM_HEADER_BYTES * self.len as u64
+    }
+}
+
+/// The visible items of a [`MaskedSet`], borrowed: its index ranges
+/// walked in order.
+#[derive(Clone, Debug)]
+pub struct Visible<'a> {
+    items: &'a [UpdateItem],
+    runs: std::slice::Iter<'a, Range<usize>>,
+    run: std::slice::Iter<'a, UpdateItem>,
+}
+
+impl<'a> Iterator for Visible<'a> {
+    type Item = &'a UpdateItem;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a UpdateItem> {
+        loop {
+            if let Some(item) = self.run.next() {
+                return Some(item);
+            }
+            self.run = self.items[self.runs.next()?.clone()].iter();
+        }
+    }
+}
+
+/// Copies an item's payload into a destination of the same length: a word
+/// or a doubleword as one fixed-width store, anything else through
+/// `copy_from_slice`.
+#[inline]
+pub(crate) fn copy_payload(dst: &mut [u8], src: &[u8]) {
+    debug_assert_eq!(dst.len(), src.len());
+    match src.len() {
+        8 => dst[..8].copy_from_slice(&src[..8]),
+        4 => dst[..4].copy_from_slice(&src[..4]),
+        _ => dst.copy_from_slice(src),
     }
 }
 
@@ -413,21 +520,33 @@ mod tests {
     }
 
     /// Checks every face of the exclusion primitive on one input pair: the
-    /// borrowing iterator, its materializing wrapper, and the sizes a
-    /// `MaskedSet` caches.
+    /// materializing wrapper and a `MaskedSet` built the way the flat
+    /// manager builds one (`whole`, then `with_skip`): its visible items
+    /// and the sizes it derives from the set's totals.
     fn check_exclusion(a: &UpdateSet, skip: &UpdateSet, what: &str) {
         let want = reference_exclusion(a, skip);
         let addrs = skip.sorted_addrs();
         assert!(addrs.windows(2).all(|w| w[0] < w[1]), "{what}: skip list");
-        let got: Vec<&UpdateItem> = a.excluding(&addrs).collect();
-        assert_eq!(got, want.items.iter().collect::<Vec<_>>(), "{what}");
+        assert_eq!(a.without(&addrs), want, "{what}: without");
         assert_eq!(a.excluding_addrs_of(skip), want, "{what}: wrapper");
-        let view = MaskedSet::new(Arc::new(a.clone()), addrs);
+        let whole = MaskedSet::whole(Arc::new(a.clone()));
+        assert!(whole.iter().eq(a.items.iter()), "{what}: whole");
+        assert_eq!(whole.data_bytes(), a.data_bytes(), "{what}: whole bytes");
+        let view = whole.with_skip(&addrs);
         assert_eq!(view.len(), want.len(), "{what}: len");
         assert_eq!(view.is_empty(), want.is_empty(), "{what}: is_empty");
         assert_eq!(view.data_bytes(), want.data_bytes(), "{what}: data bytes");
         assert_eq!(view.wire_size(), want.wire_size(), "{what}: wire size");
         assert!(view.iter().eq(want.items.iter()), "{what}: view");
+        // A second mask over the same shared set does not inherit the
+        // first one's.
+        let again = view.with_skip(&[]);
+        assert!(again.iter().eq(a.items.iter()), "{what}: re-masked");
+        assert_eq!(
+            again.data_bytes(),
+            a.data_bytes(),
+            "{what}: re-masked bytes"
+        );
     }
 
     #[test]
@@ -449,12 +568,23 @@ mod tests {
             check_exclusion(&a, &b, &format!("seed {seed}: sorted"));
             check_exclusion(&a, &UpdateSet::new(), &format!("seed {seed}: empty skip"));
             check_exclusion(&a, &a, &format!("seed {seed}: skip everything"));
+            check_exclusion(&UpdateSet::new(), &b, &format!("seed {seed}: empty set"));
+            // Skip addresses the set does not hold, between and around its
+            // items.
+            let mut absent = a.clone();
+            for i in &mut absent.items {
+                i.addr += 4;
+            }
+            absent.items.push(item(0, 1, 1));
+            absent.items.push(item(u64::MAX, 1, 1));
+            check_exclusion(&a, &absent, &format!("seed {seed}: absent skip"));
 
             let mut unsorted = a.clone();
             scramble(&mut unsorted, seed);
             let mut unsorted_skip = b.clone();
             scramble(&mut unsorted_skip, seed + 1);
             check_exclusion(&unsorted, &b, &format!("seed {seed}: unsorted set"));
+            check_exclusion(&unsorted, &a, &format!("seed {seed}: unsorted, all"));
             check_exclusion(&a, &unsorted_skip, &format!("seed {seed}: unsorted skip"));
 
             // Duplicate addresses on both sides, adjacent and apart.
@@ -478,8 +608,100 @@ mod tests {
         let items = (0..n)
             .map(|i| item(if i % 2 == 0 { i * 8 } else { (n - i) * 8 + 4 }, 1, 1))
             .collect();
-        let set = UpdateSet { items };
-        assert_eq!(set.excluding(&skip).count(), n as usize / 2);
+        let set = MaskedSet::whole(Arc::new(UpdateSet { items }));
+        assert_eq!(set.with_skip(&skip).len(), n as usize / 2);
+        assert_eq!(set.with_skip(&skip).iter().count(), n as usize / 2);
+    }
+
+    /// The left fold of `merge_newer` that `merge_all` must equal.
+    fn folded(sets: &[UpdateSet]) -> UpdateSet {
+        let mut merged = UpdateSet::new();
+        for set in sets {
+            merged.merge_newer(set.clone());
+        }
+        merged
+    }
+
+    #[test]
+    fn merge_all_equals_the_left_fold_of_merge_newer() {
+        let mut ties = 0;
+        for seed in 0..300u64 {
+            // Up to six sets over one address lattice, so spans overlap
+            // and addresses repeat across sets; timestamps drawn from 0..4,
+            // so equal addresses often tie.
+            let k = (seed % 7) as usize;
+            // Each set's bytes name it, so a tie broken the wrong way shows.
+            let sets: Vec<UpdateSet> = (0..k as u64)
+                .map(|j| {
+                    let mut set = random_sorted_set(seed * 11 + j, 40);
+                    for i in &mut set.items {
+                        i.data = vec![j as u8; 1 + j as usize];
+                    }
+                    set
+                })
+                .collect();
+            let want = folded(&sets);
+            let mut seen = std::collections::HashMap::new();
+            for i in sets.iter().flat_map(|s| &s.items) {
+                if seen.insert(i.addr, i.ts) == Some(i.ts) {
+                    ties += 1;
+                }
+            }
+            assert_eq!(UpdateSet::merge_all(sets), want, "seed {seed}");
+        }
+        assert!(ties > 500, "{ties} ties");
+        // An unsorted input takes the fold itself.
+        let sets = vec![
+            UpdateSet {
+                items: vec![item(16, 8, 1), item(0, 8, 2)],
+            },
+            random_sorted_set(5, 20),
+        ];
+        assert_eq!(UpdateSet::merge_all(sets.clone()), folded(&sets));
+        assert_eq!(UpdateSet::merge_all(Vec::new()), UpdateSet::new());
+    }
+
+    #[test]
+    fn merge_all_equals_the_fold_over_a_64_processor_tree() {
+        // Each processor of a 64-processor, arity-4 tree writes its own
+        // block plus words it shares with its neighbours, the way sor's
+        // edges do; the subtree sets a tree node merges interleave, and
+        // timestamps drawn from a few values tie across processors.
+        const P: u64 = 64;
+        let contribution = |p: u64| {
+            let mine = |addr, ts| UpdateItem {
+                addr,
+                data: vec![p as u8; 8],
+                ts,
+            };
+            UpdateSet {
+                items: (0..P)
+                    .filter(|&q| q == p || q == (p + 1) % P || (p + q).is_multiple_of(9))
+                    .flat_map(|q| [mine(q * 64, p % 3), mine(q * 64 + 8 + 8 * (p % 4), p % 5)])
+                    .map(|i| (i.addr, i))
+                    .collect::<std::collections::BTreeMap<u64, UpdateItem>>()
+                    .into_values()
+                    .collect(),
+            }
+        };
+        // Merge bottom-up the way the tree sites do: own set first, then
+        // children by slot, once per node.
+        fn subtree(p: u64, c: &dyn Fn(u64) -> UpdateSet, merge: bool) -> UpdateSet {
+            let mut sets = vec![c(p)];
+            sets.extend(
+                (4 * p + 1..=4 * p + 4)
+                    .filter(|&k| k < P)
+                    .map(|k| subtree(k, c, merge)),
+            );
+            if merge {
+                UpdateSet::merge_all(sets)
+            } else {
+                folded(&sets)
+            }
+        }
+        let want = subtree(0, &contribution, false);
+        assert_eq!(subtree(0, &contribution, true), want);
+        assert!(want.len() > 100);
     }
 
     #[test]

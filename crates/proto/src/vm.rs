@@ -10,10 +10,10 @@
 use std::sync::Arc;
 
 use midway_mem::diff::{DiffScratch, PageDiff};
-use midway_mem::{Addr, Layout, LocalStore, PageTable, PAGE_SHIFT};
+use midway_mem::{Addr, Layout, LocalStore, PageTable, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::binding::Binding;
-use crate::update::{Update, UpdateItem, UpdateSet};
+use crate::update::{copy_payload, Update, UpdateItem, UpdateSet};
 
 /// Result of a VM collection pass over one binding.
 #[derive(Debug)]
@@ -154,7 +154,9 @@ struct TwinCursor<'a> {
 /// [`apply`] over any run of items (a whole set, or a barrier release's
 /// shared set minus the receiver's own addresses). The store slab is
 /// resolved once per run of same-region items and the twin once per run
-/// of same-page chunks, not once per item.
+/// of same-page chunks, not once per item. An item inside one page — all
+/// but the longest diff runs — is one copy into the store and at most one
+/// into the twin; a word or doubleword is copied as one store.
 pub fn apply_items<'a>(
     store: &mut LocalStore,
     pages: &mut PageTable,
@@ -170,26 +172,25 @@ pub fn apply_items<'a>(
             slab = Some((region, store.region_mut(region)));
         }
         let (_, bytes) = slab.as_mut().expect("resolved above");
-        let offset = start.region_offset();
-        bytes[offset..offset + item.data.len()].copy_from_slice(&item.data);
-        out.bytes_applied += item.data.len() as u64;
+        let (offset, len) = (start.region_offset(), item.data.len());
+        copy_payload(&mut bytes[offset..offset + len], &item.data);
+        out.bytes_applied += len as u64;
         // Patch the twin page by page (items may span page boundaries).
         let mut pos = 0usize;
-        while pos < item.data.len() {
+        while pos < len {
             let addr = Addr(item.addr + pos as u64);
             let page = (region, addr.page_in_region());
-            let in_page = (1usize << PAGE_SHIFT) - addr.page_offset();
-            let chunk = in_page.min(item.data.len() - pos);
+            let at = addr.page_offset();
+            let chunk = (PAGE_SIZE - at).min(len - pos);
             if cur.as_ref().is_none_or(|c| c.page != page) {
                 let twin = pages.twin_mut(page.0, page.1);
                 cur = Some(TwinCursor { page, twin });
             }
             if let Some(twin) = cur.as_mut().and_then(|c| c.twin.as_deref_mut()) {
-                let start = addr.page_offset();
-                let end = (start + chunk).min(twin.len());
-                if start < end {
-                    twin[start..end].copy_from_slice(&item.data[pos..pos + (end - start)]);
-                    out.twin_bytes_updated += (end - start) as u64;
+                let end = (at + chunk).min(twin.len());
+                if at < end {
+                    copy_payload(&mut twin[at..end], &item.data[pos..pos + (end - at)]);
+                    out.twin_bytes_updated += (end - at) as u64;
                 }
             }
             pos += chunk;
@@ -384,6 +385,134 @@ mod tests {
         let c = collect(&mut f.store, &mut f.pages, &f.layout, &binding);
         assert_eq!(c.update.data_bytes(), 8, "only the local write ships");
         assert_eq!(c.update.items[0].addr, f.base.raw() + 512);
+    }
+
+    /// The byte-at-a-time application [`apply_items`] must match: every
+    /// byte written to the store, and to its page's twin when the page has
+    /// one that reaches that far.
+    fn apply_byte_by_byte(
+        store: &mut LocalStore,
+        pages: &mut PageTable,
+        set: &UpdateSet,
+    ) -> VmApply {
+        let mut out = VmApply::default();
+        for item in &set.items {
+            for (i, &byte) in item.data.iter().enumerate() {
+                let addr = Addr(item.addr + i as u64);
+                store.write_bytes(addr, &[byte]);
+                out.bytes_applied += 1;
+                let (region, page) = (addr.region_index(), addr.page_in_region());
+                if let Some(twin) = pages.twin_mut(region, page) {
+                    if let Some(b) = twin.get_mut(addr.page_offset()) {
+                        *b = byte;
+                        out.twin_bytes_updated += 1;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn apply_items_matches_byte_by_byte() {
+        // An allocation spilling into a second region whose last page is
+        // clipped to 100 bytes; some pages dirty (with twins), some not.
+        let mut b = LayoutBuilder::new();
+        let a = b.alloc(
+            "x",
+            midway_mem::REGION_SIZE + 3 * PAGE_SIZE + 100,
+            MemClass::Shared,
+            3,
+        );
+        let layout = b.build();
+        let seam = a.addr.raw() + midway_mem::REGION_SIZE as u64;
+        let mut s = 0x0a11_7e5du64;
+        let mut next = move || {
+            s = s.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        };
+        let (mut one_page, mut crossing, mut twinned) = (0, 0, 0);
+        for round in 0..40u64 {
+            let mut fast = (
+                LocalStore::new(Arc::clone(&layout)),
+                PageTable::new(Arc::clone(&layout)),
+            );
+            let mut slow = (
+                LocalStore::new(Arc::clone(&layout)),
+                PageTable::new(Arc::clone(&layout)),
+            );
+            for desc in layout.regions() {
+                for page in 0..desc.pages() {
+                    if next() % 2 == 0 {
+                        let offset = page << PAGE_SHIFT;
+                        let len = PAGE_SIZE.min(desc.used - offset);
+                        let current = vec![round as u8; len];
+                        fast.1.fault_in(desc.id, page, &current);
+                        slow.1.fault_in(desc.id, page, &current);
+                    }
+                }
+            }
+            // Items inside one page (bytes, words, doublewords, short runs)
+            // and runs across pages, in either region, none across the
+            // region seam (a diff never crosses one).
+            let items = (0..60)
+                .map(|_| {
+                    let (base, span) = match next() % 3 {
+                        0 => (a.addr.raw(), 4 * PAGE_SIZE as u64),
+                        1 => (seam - 2 * PAGE_SIZE as u64, 2 * PAGE_SIZE as u64),
+                        _ => (seam, 3 * PAGE_SIZE as u64 + 100),
+                    };
+                    let len = match next() % 4 {
+                        0 => 1,
+                        1 => 4,
+                        2 => 8,
+                        _ => 1 + next() % 6000,
+                    }
+                    .min(span);
+                    let addr = base + next() % (span - len + 1);
+                    UpdateItem {
+                        addr,
+                        data: (0..len).map(|i| (i ^ addr ^ round) as u8 | 1).collect(),
+                        ts: 0,
+                    }
+                })
+                .collect();
+            let set = UpdateSet { items };
+            for i in &set.items {
+                let (first, last) = (Addr(i.addr), Addr(i.addr + i.data.len() as u64 - 1));
+                if first.page_in_region() == last.page_in_region() {
+                    one_page += 1;
+                } else {
+                    crossing += 1;
+                }
+            }
+            let got = apply_items(&mut fast.0, &mut fast.1, &set.items);
+            let want = apply_byte_by_byte(&mut slow.0, &mut slow.1, &set);
+            assert_eq!(got.bytes_applied, want.bytes_applied, "round {round}");
+            assert_eq!(
+                got.twin_bytes_updated, want.twin_bytes_updated,
+                "round {round}"
+            );
+            twinned += want.twin_bytes_updated;
+            assert_eq!(fast.0.digest(), slow.0.digest(), "round {round}: store");
+            for desc in layout.regions() {
+                for page in 0..desc.pages() {
+                    assert_eq!(
+                        fast.1.twin(desc.id, page).map(<[u8]>::to_vec),
+                        slow.1.twin(desc.id, page).map(<[u8]>::to_vec),
+                        "round {round}: twin of page {page} in region {}",
+                        desc.id
+                    );
+                }
+            }
+        }
+        assert!(
+            one_page > 1500 && crossing > 200 && twinned > 100_000,
+            "{one_page} / {crossing} / {twinned}"
+        );
     }
 
     #[test]

@@ -156,11 +156,14 @@ for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/bench
     fi
 done
 
-# One oracle: convergence is judged by `midway_replay::check` alone. The
-# sweeps and the trace CLI read its verdict, never raw final-memory
-# digests, and outside the pinned benchmark nothing calls the reference
-# step (`verify_replay`) on its own.
-for f in $(find crates/bench/src/bin/sweep crates/replay/src/bin -name '*.rs'); do
+# One oracle: convergence is judged by `midway_replay::check` alone. Final
+# memory digests are made in crates/core/src/run.rs and compared in
+# crates/replay/src/lib.rs; no other non-test code outside the pinned
+# benchmark reads them (the fuzzer's model and the sweeps read `check`'s
+# verdict), and nothing there calls the reference step (`verify_replay`)
+# on its own.
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/benchmark/*' \
+    -not -path crates/replay/src/lib.rs -not -path crates/core/src/run.rs); do
     if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
         grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
         grep -F 'store_digests'; then
@@ -333,13 +336,15 @@ cargo run --release -q -p midway-replay --bin trace -- \
     check "$smoke/kvstore-rt.mwt"
 
 echo "==> differential fuzz smoke (all six backends + planted mutants)"
-# Fixed-seed schedules run on every applicable backend (single-
-# processor seeds include the standalone build, so all six are in the
-# matrix) and must agree with the schedule's own model: read-back
-# checksums, schedule-determined counters, clean checker, bit-exact
-# reruns. Then each planted-mutant kind must be caught by the checker
-# and shrunk to a minimal reproducer. Failures print the seed and the
-# minimized schedule; the bin exits nonzero.
+# Fixed-seed schedules go through `midway_replay::check` on every
+# applicable backend (single-processor seeds include the standalone build,
+# so all six are in the matrix). Every run must match the schedule's
+# model (read-back checksums, schedule-determined counters, a clean
+# checker) and the checked run must equal its baseline bit for bit; a run
+# that deadlocks or panics fails the same way. Then each planted-mutant
+# kind must be caught by the checker and shrunk to a minimal reproducer.
+# Failures print the seed and the minimized schedule; the bin exits
+# nonzero.
 cargo run --release -q -p midway-bench --bin sweep -- fuzz --smoke
 
 echo "==> racecheck smoke"

@@ -1,10 +1,10 @@
 //! Schedule generation: random programs whose final memory entry
 //! consistency *pins*, plus planted-bug mutations of them.
 //!
-//! The differential oracle compares final-memory digests across backends,
-//! so the generator must emit only schedules whose final memory is
-//! independent of lock arbitration order and protocol timing. Five
-//! invariants buy that:
+//! The oracle holds every run to the schedule's own model of the final
+//! memory, so the generator must emit only schedules whose logically
+//! visible final memory is independent of lock arbitration order and
+//! protocol timing. Five invariants buy that:
 //!
 //! 1. **Single writer per word.** Each data lock's domain is split into
 //!    per-processor chunks; a processor writes only its own chunks (and

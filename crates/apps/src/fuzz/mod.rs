@@ -12,16 +12,10 @@
 //! under the proper locks must observe, on every backend. Any deviation
 //! from that prediction, from the schedule-determined counters, or from
 //! a clean checker verdict is a protocol bug, not workload noise.
-//! [`differential`] runs one schedule on every applicable
-//! backend and asserts:
-//!
-//! * the read-back checksum equals `Schedule::expected_readback` (the
-//!   pure-model prediction) on every processor of every backend,
-//! * `lock_acquires` / `barrier_waits` equal to the counts the schedule
-//!   itself determines (Table 2's schedule-invariant counters),
-//! * a clean `midway-check` report, and
-//! * bit-identical reruns on the reference backend (including raw
-//!   final-memory digests, which *are* comparable within one backend).
+//! [`execute`] runs a schedule under any configuration, on the simulator
+//! or over sockets, and [`Schedule::check_model`] holds a run to the
+//! model. `midway_replay::check` takes a schedule as it takes a trace, so
+//! the model is checked under every axis the oracle varies.
 //!
 //! Failures carry their seed; [`shrink`] minimizes the failing
 //! schedule while it keeps failing, so every report is replayable. The
@@ -35,13 +29,13 @@ mod oracle;
 mod shrink;
 
 pub use gen::{apply_mutation, FuzzOp, Schedule};
-pub use oracle::{backends_for, catch_mutant, differential, mutant_caught, Divergence};
+pub use oracle::{backends_for, catch_mutant, mutant_caught};
 pub use shrink::shrink;
 
 use std::sync::Arc;
 
 use midway_core::{
-    BackendKind, BarrierId, LockId, Midway, MidwayConfig, MidwayRun, NetMsg, Proc, SharedArray,
+    BarrierId, LockId, Midway, MidwayConfig, MidwayRun, NetMsg, Proc, RealConfig, SharedArray,
     SystemBuilder, SystemSpec, Transport,
 };
 use midway_sim::SplitMix64;
@@ -129,7 +123,7 @@ impl FuzzParams {
     }
 
     /// Absolute word range processor `p` owns within lock `l`'s domain.
-    pub fn chunk(&self, l: usize, p: usize) -> std::ops::Range<usize> {
+    pub(crate) fn chunk(&self, l: usize, p: usize) -> std::ops::Range<usize> {
         let base = self.lock_domain(l).start + p * self.chunk_words;
         base..base + self.chunk_words
     }
@@ -256,30 +250,74 @@ fn session<T: Transport<Msg = NetMsg>>(
     (sum, readback)
 }
 
-/// Executes `s` on `backend` with the dynamic checker attached. Each
-/// processor's result is `(read sum, read-back)`: the checksum of its
-/// mid-schedule reads (timing-dependent, so comparable only across
-/// same-backend reruns) and of its post-run read-back, the logically
-/// visible final state, which must equal `Schedule::expected_readback`
-/// everywhere. Final-memory digests are comparable only within one
-/// backend: residual unsynchronized copies are the backend's business.
+/// Executes `s` under `cfg`: on the simulator, or over loopback sockets
+/// when `real` is given. Each processor's result is `(read sum,
+/// read-back)`: the checksum of its mid-schedule reads (timing-dependent,
+/// so comparable only across same-configuration reruns) and of its
+/// post-run read-back, the logically visible final state, which
+/// [`Schedule::check_model`] holds to the model. Final-memory digests are
+/// comparable only within one backend: residual unsynchronized copies are
+/// the backend's business.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the simulation fails (deadlock or processor panic) — a
-/// generated schedule that deadlocks is itself a generator bug.
-pub fn execute(s: &Schedule, backend: BackendKind) -> MidwayRun<(u64, u64)> {
-    let procs = s.params.procs;
-    let cfg = if backend == BackendKind::None {
-        assert_eq!(procs, 1, "standalone backend is single-processor");
-        MidwayConfig::standalone()
-    } else {
-        MidwayConfig::new(procs, backend)
-    }
-    .check(true);
+/// A run that deadlocks, violates the protocol or panics is an error
+/// naming the backend, so a failing schedule is reported (and shrunk)
+/// like any other divergence.
+pub fn execute(
+    s: &Schedule,
+    cfg: MidwayConfig,
+    real: Option<&RealConfig>,
+) -> Result<MidwayRun<(u64, u64)>, String> {
     let (spec, h) = build(&s.params);
-    Midway::run(cfg, &spec, |proc: &mut Proc| session(proc, s, &h))
-        .expect("fuzz schedule deadlocked or panicked")
+    let failed = |e: &dyn std::fmt::Display| format!("{} run failed: {e}", cfg.backend.label());
+    match real {
+        None => {
+            Midway::run(cfg, &spec, |proc: &mut Proc| session(proc, s, &h)).map_err(|e| failed(&e))
+        }
+        Some(real) => {
+            Midway::run_real(cfg, real, &spec, |proc| session(proc, s, &h)).map_err(|e| failed(&e))
+        }
+    }
+}
+
+impl Schedule {
+    /// Holds a run of this clean schedule to its model: every processor's
+    /// read-back equals `Schedule::expected_readback`, `lock_acquires`
+    /// and `barrier_waits` equal the counts the schedule determines, and
+    /// the checker, when attached, found nothing.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first departure from the model.
+    pub fn check_model(&self, run: &MidwayRun<(u64, u64)>) -> Result<(), String> {
+        let want = self.expected_readback();
+        for (p, (&(_, got), c)) in run.results.iter().zip(&run.counters).enumerate() {
+            if got != want {
+                return Err(format!(
+                    "readback: p{p} read {got:#018x}, model predicts {want:#018x}"
+                ));
+            }
+            let acquires = self.expected_acquires(p);
+            if c.lock_acquires != acquires {
+                return Err(format!(
+                    "lock_acquires: p{p} counted {}, schedule determines {acquires}",
+                    c.lock_acquires
+                ));
+            }
+            let waits = self.expected_barrier_waits();
+            if c.barrier_waits != waits {
+                return Err(format!(
+                    "barrier_waits: p{p} counted {}, schedule determines {waits}",
+                    c.barrier_waits
+                ));
+            }
+        }
+        match &run.check {
+            Some(report) if !report.is_clean() => Err(format!("checker: {}", report.summary())),
+            _ => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]

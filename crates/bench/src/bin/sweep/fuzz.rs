@@ -1,12 +1,15 @@
 //! The cross-backend differential fuzzer.
 //!
-//! Generates seeded random entry-consistency schedules and runs each on
-//! every applicable backend (all six when the seed's shape is
-//! single-processor, the five data-moving ones otherwise), asserting
-//! identical final-memory digests, schedule-determined counters, clean
-//! dynamic-checker reports, and bit-exact reruns. Any divergence is
-//! shrunk while it still reproduces and printed as a replayable
-//! schedule, and the harness fails.
+//! Generates seeded random entry-consistency schedules and `check`s each
+//! on every applicable backend (all six when the seed's shape is
+//! single-processor, the five data-moving ones otherwise) through
+//! `midway_replay::differential`: every run's read-back and
+//! schedule-determined counters must match the schedule's model, the
+//! dynamic checker must find nothing, and the checked run must equal its
+//! baseline bit for bit. A schedule whose run deadlocks, violates the
+//! protocol or panics fails the same way. Any failure is shrunk while it
+//! still reproduces and printed as a replayable schedule, and the harness
+//! fails.
 //!
 //! `--mutants` proves the planted-bug side instead: for each
 //! `MutantKind`, schedules are mutated until the dynamic checker flags
@@ -15,9 +18,10 @@
 //! are single-processor, so the standalone backend is in the matrix)
 //! plus one planted mutant of each kind.
 
-use midway_apps::fuzz::{catch_mutant, differential, shrink, FuzzParams, Schedule};
+use midway_apps::fuzz::{catch_mutant, shrink, FuzzParams, Schedule};
 use midway_apps::mutants::MutantKind;
 use midway_bench::BenchArgs;
+use midway_replay::differential;
 
 use crate::Report;
 
@@ -31,8 +35,7 @@ fn sweep(count: u64) -> u64 {
             s.validate(),
             "seed {seed}: generator emitted an invalid schedule"
         );
-        let divergences = differential(&s);
-        if divergences.is_empty() {
+        let Err(divergence) = differential(&s) else {
             if (seed + 1) % 50 == 0 {
                 eprintln!(
                     "seed {seed}: ok ({} ops, {} procs)",
@@ -41,15 +44,13 @@ fn sweep(count: u64) -> u64 {
                 );
             }
             continue;
-        }
+        };
         failures += 1;
         println!("== seed {seed} DIVERGED ==");
-        for d in &divergences {
-            println!("  {d}");
-        }
+        println!("  {divergence}");
         // Shrink while any divergence reproduces, then print the
         // replayable reproducer.
-        let small = shrink(&s, &|c| !differential(c).is_empty(), 300);
+        let small = shrink(&s, &|c| differential(c).is_err(), 300);
         println!("minimized reproducer ({} ops):", small.op_count());
         println!("{small}");
     }
@@ -89,14 +90,12 @@ pub(crate) fn run(args: BenchArgs) -> Result<Report, String> {
         let seed: u64 = args.num("--seed", 0)?;
         let s = Schedule::generate(seed, FuzzParams::for_seed(seed));
         println!("{s}");
-        let divergences = differential(&s);
-        for d in &divergences {
-            println!("  {d}");
+        let agree = differential(&s);
+        match &agree {
+            Ok(()) => println!("seed {seed}: backends agree"),
+            Err(d) => println!("  {d}"),
         }
-        if divergences.is_empty() {
-            println!("seed {seed}: backends agree");
-        }
-        return verdict(divergences.is_empty());
+        return verdict(agree.is_ok());
     }
 
     if args.flag("--mutants") {

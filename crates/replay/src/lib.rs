@@ -15,12 +15,14 @@
 //!   cost model, fault plan or crash plan evaluates that design point from
 //!   the same stream (`paper ablation_linesize`, `sweep fault`,
 //!   `sweep crash`).
-//! * [`check`] is the oracle. It holds a trace to the recorded run and
-//!   then to a baseline under any [`Axes`] — backend, barrier shape, home
-//!   map, loss, crashes, checkpoint interval, the checker, sockets — and
-//!   says in a [`Verdict`] which comparison applied. Whether final memory
-//!   must converge follows from the trace's application, not from the
-//!   caller. It operationalizes the determinism argument in DESIGN.md.
+//! * [`check`] is the oracle. It holds a trace to the recorded run, or a
+//!   fuzz schedule to its model, and then to a baseline under any
+//!   [`Axes`] — backend, barrier shape, home map, loss, crashes,
+//!   checkpoint interval, the checker, sockets — and says in a
+//!   [`Verdict`] which comparison applied. Whether final memory must
+//!   converge follows from the program, not from the caller. It
+//!   operationalizes the determinism argument in DESIGN.md;
+//!   [`differential`] runs it over every backend a schedule admits.
 //!
 //! The `trace` binary exposes the same machinery on the command line
 //! (`record` / `replay` / `check` / `info` / `diff`).
@@ -28,6 +30,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
+use midway_apps::fuzz::{backends_for, execute, Schedule};
 use midway_apps::{run_app, AppKind, Scale};
 use midway_core::{
     BackendKind, BarrierShape, Counters, FaultPlan, HomeMap, Midway, MidwayConfig, MidwayRun, Proc,
@@ -251,9 +254,7 @@ pub fn replay_on(
 /// error), which indicates either a corrupted trace or nondeterminism in
 /// the simulator itself.
 pub fn verify_replay(trace: &Trace) -> Result<MidwayRun<()>, String> {
-    let run = replay(trace, trace.recorded_cfg()).map_err(|e| format!("replay failed: {e}"))?;
-    check_meta(&run, &trace.meta)?;
-    Ok(run)
+    trace.reference()
 }
 
 /// What a [`check`] varies, relative to the recorded run.
@@ -324,15 +325,16 @@ pub enum Comparison {
     Reported,
 }
 
-/// What [`check`] established: the two runs it compared and how.
+/// What [`check`] established: the two runs it compared and how. `R` is
+/// the program's per-processor result: `()` for a trace.
 #[derive(Debug)]
-pub struct Verdict {
-    /// The trace under the axes' protocol choices on its recorded
+pub struct Verdict<R = ()> {
+    /// The program under the axes' protocol choices on its recorded
     /// delivery (for an ordinary recording, the trusted simulated network).
-    pub baseline: MidwayRun<()>,
+    pub baseline: MidwayRun<R>,
     /// The baseline plus the delivery axes; the baseline itself when there
     /// are none.
-    pub checked: MidwayRun<()>,
+    pub checked: MidwayRun<R>,
     /// Whether the checked run's final memory digests equal the
     /// baseline's.
     pub converged: bool,
@@ -340,39 +342,121 @@ pub struct Verdict {
     pub comparison: Comparison,
 }
 
-/// The replay oracle: checks `trace` under `axes` by one rule.
+/// What [`check`] runs: a recorded [`Trace`], replayed, or a fuzz
+/// [`Schedule`], run live and held to its own model on every run.
+pub trait Program {
+    /// Each processor's result.
+    type Out: Clone + PartialEq;
+
+    /// The run every axis is relative to, held to what the program says
+    /// of it: a trace's recorded header, a schedule's model.
+    fn reference(&self) -> Result<MidwayRun<Self::Out>, String>;
+
+    /// Runs the program under `cfg`, over sockets when `real` is given,
+    /// held to what the program says of every run (a schedule's model).
+    fn run(
+        &self,
+        cfg: MidwayConfig,
+        real: Option<&RealConfig>,
+    ) -> Result<MidwayRun<Self::Out>, String>;
+
+    /// Whether final memory must converge whatever the delivery axes: the
+    /// program's lock grants cannot reorder its last writes.
+    fn must_converge(&self) -> bool;
+}
+
+impl Program for Trace {
+    type Out = ();
+
+    fn reference(&self) -> Result<MidwayRun<()>, String> {
+        let run = replay(self, self.recorded_cfg()).map_err(|e| format!("replay failed: {e}"))?;
+        check_meta(&run, &self.meta)?;
+        Ok(run)
+    }
+
+    fn run(&self, cfg: MidwayConfig, real: Option<&RealConfig>) -> Result<MidwayRun<()>, String> {
+        let Some(real) = real else {
+            return replay(self, cfg).map_err(|e| e.to_string());
+        };
+        let ops = &self.ops;
+        Midway::run_real(cfg, real, &self.blueprint.build(), |p| {
+            for op in &ops[p.id()] {
+                p.apply_op(op);
+            }
+        })
+        .map_err(|e| e.to_string())
+    }
+
+    fn must_converge(&self) -> bool {
+        AppKind::every()
+            .into_iter()
+            .any(|k| k.label() == self.meta.app && k.lock_order_independent())
+    }
+}
+
+/// A clean schedule runs on [`BackendKind::Rt`] unless an axis says
+/// otherwise. Its final memory need not converge: residual copies of
+/// words no synchronization object pins are the backend's business, and
+/// what is pinned, the model checks on every run.
+impl Program for Schedule {
+    type Out = (u64, u64);
+
+    fn reference(&self) -> Result<MidwayRun<(u64, u64)>, String> {
+        self.run(MidwayConfig::new(self.params.procs, BackendKind::Rt), None)
+    }
+
+    fn run(
+        &self,
+        cfg: MidwayConfig,
+        real: Option<&RealConfig>,
+    ) -> Result<MidwayRun<(u64, u64)>, String> {
+        let run = execute(self, cfg, real)?;
+        self.check_model(&run)?;
+        Ok(run)
+    }
+
+    fn must_converge(&self) -> bool {
+        false
+    }
+}
+
+/// The oracle: checks `program` — a trace or a fuzz schedule — under
+/// `axes` by one rule.
 ///
-/// 1. **Reference.** The trace replays under its recorded configuration
-///    bit for bit: finish time, message count and every per-processor
-///    counter equal the header's. This step always runs.
-/// 2. **Baseline.** The trace replays under the axes' protocol choices on
+/// 1. **Reference.** The program runs under its recorded configuration
+///    and is held to what it says of that run: a trace replays bit for
+///    bit (finish time, message count and every per-processor counter
+///    equal the header's), a schedule matches its model. This step always
+///    runs, and a schedule is held to its model on every later run too.
+/// 2. **Baseline.** The program runs under the axes' protocol choices on
 ///    its recorded delivery. When those are the recorded ones, the
 ///    reference *is* the baseline and is not run again.
 /// 3. **Checked run.** The baseline plus the delivery axes; with none, it
 ///    is the baseline. On the simulator it runs twice and the two runs must
-///    agree exactly — finish time, messages, counters, digests — and take
-///    every scheduled crash. When the checker is the only delivery axis the
-///    baseline is the second run: checking is off-clock, so whatever the
-///    application, the checked run must equal the baseline bit for bit. On
-///    sockets it runs once, through [`Midway::run_real`].
+///    agree exactly — finish time, messages, counters, digests, results —
+///    and take every scheduled crash. When the checker is the only
+///    delivery axis the baseline is the second run: checking is
+///    off-clock, so the checked run must equal the baseline bit for bit.
+///    On sockets it runs once, through [`Midway::run_real`].
 /// 4. **Convergence.** [`Verdict::converged`] says whether the checked
-///    run's final memory equals the baseline's. When the trace's
-///    application is lock-order independent
-///    ([`AppKind::lock_order_independent`]: sor, matrix), a mismatch is an
-///    error, and on the simulator so is any counter difference — compared
-///    after [`Counters::sans_recovery`] on both sides when a crash or a different checkpoint interval
-///    legitimately changes the recovery accounting. For any other
-///    application shifted timing may reorder lock grants, and with them the
-///    last writer of a contended word, so convergence is reported, not
-///    required.
+///    run's final memory equals the baseline's. When the program
+///    [`must_converge`](Program::must_converge)s (a trace of a lock-order
+///    independent application, [`AppKind::lock_order_independent`]: sor,
+///    matrix), a mismatch is an error, and on the simulator so is any
+///    counter difference — compared after [`Counters::sans_recovery`] on
+///    both sides when a crash or a different checkpoint interval
+///    legitimately changes the recovery accounting. Otherwise shifted
+///    timing may reorder lock grants, and with them the last writer of a
+///    contended word, so convergence is reported, not required.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violated property.
-pub fn check(trace: &Trace, axes: &Axes) -> Result<Verdict, String> {
-    let recorded = trace.recorded_cfg();
-    let reference = replay(trace, recorded).map_err(|e| format!("reference replay failed: {e}"))?;
-    check_meta(&reference, &trace.meta).map_err(|d| format!("reference replay: {d}"))?;
+pub fn check<P: Program>(program: &P, axes: &Axes) -> Result<Verdict<P::Out>, String> {
+    let reference = program
+        .reference()
+        .map_err(|e| format!("reference run: {e}"))?;
+    let recorded = reference.cfg;
 
     let base_cfg = MidwayConfig {
         backend: axes.backend.unwrap_or(recorded.backend),
@@ -382,31 +466,38 @@ pub fn check(trace: &Trace, axes: &Axes) -> Result<Verdict, String> {
     };
     let baseline = match base_cfg == recorded {
         true => reference,
-        false => replay(trace, base_cfg).map_err(|e| format!("baseline replay failed: {e}"))?,
+        false => program
+            .run(base_cfg, None)
+            .map_err(|e| format!("baseline run: {e}"))?,
     };
 
     let mut cfg = base_cfg.check(axes.check);
-    let checked = match axes.transport {
+    let real = match axes.transport {
         Transport::Sim {
             faults,
             checkpoint_every,
         } => {
             cfg.faults = faults.unwrap_or(cfg.faults);
             cfg.checkpoint_every = checkpoint_every.unwrap_or(cfg.checkpoint_every);
-            sim_run(trace, cfg, &baseline)?
+            None
         }
-        Transport::Tcp => socket_run(trace, cfg, RealConfig::tcp())?,
-        Transport::Udp { loss } => socket_run(trace, cfg, RealConfig::udp(loss))?,
+        Transport::Tcp => Some(RealConfig::tcp()),
+        Transport::Udp { loss } => Some(RealConfig::udp(loss)),
+    };
+    let checked = match &real {
+        None => sim_run(program, cfg, &baseline)?,
+        // A socket run takes no fault plan: TCP is lossless, and UDP's
+        // loss is the transport's own.
+        Some(real) => program
+            .run(cfg.faults(FaultPlan::none()), Some(real))
+            .map_err(|e| format!("socket run: {e}"))?,
     };
 
-    let on_sim = matches!(axes.transport, Transport::Sim { .. });
+    let on_sim = real.is_none();
     let converged = checked.store_digests == baseline.store_digests;
     let comparison = if on_sim && cfg.check(false) == base_cfg {
         Comparison::Exact
-    } else if AppKind::every()
-        .into_iter()
-        .any(|k| k.label() == trace.meta.app && k.lock_order_independent())
-    {
+    } else if program.must_converge() {
         converges(&baseline, &checked, on_sim)?;
         Comparison::Converged
     } else {
@@ -420,23 +511,47 @@ pub fn check(trace: &Trace, axes: &Axes) -> Result<Verdict, String> {
     })
 }
 
+/// The differential fuzzer's oracle: [`check`]s clean schedule `s`, with
+/// the checker attached, on every backend [`backends_for`] its processor
+/// count admits.
+///
+/// # Errors
+///
+/// Names the first backend whose runs departed from the model, or from
+/// each other, and how.
+pub fn differential(s: &Schedule) -> Result<(), String> {
+    for &backend in backends_for(s.params.procs) {
+        let axes = Axes {
+            backend: Some(backend),
+            check: true,
+            ..Axes::default()
+        };
+        check(s, &axes).map_err(|e| format!("{}: {e}", backend.label()))?;
+    }
+    Ok(())
+}
+
 /// The checked run on the simulator, held to a second run under the same
 /// configuration: the baseline itself when only the off-clock checker was
 /// added, otherwise a rerun.
-fn sim_run(
-    trace: &Trace,
+fn sim_run<P: Program>(
+    program: &P,
     cfg: MidwayConfig,
-    baseline: &MidwayRun<()>,
-) -> Result<MidwayRun<()>, String> {
+    baseline: &MidwayRun<P::Out>,
+) -> Result<MidwayRun<P::Out>, String> {
     if cfg == baseline.cfg {
         return Ok(baseline.clone());
     }
-    let run = replay(trace, cfg).map_err(|e| format!("checked replay failed: {e}"))?;
+    let run = program
+        .run(cfg, None)
+        .map_err(|e| format!("checked run: {e}"))?;
     if cfg.check(false) == baseline.cfg {
         same_run(&run, baseline).map_err(|d| format!("the checker moved the run: {d}"))?;
     } else {
-        let rerun = replay(trace, cfg).map_err(|e| format!("checked rerun failed: {e}"))?;
-        same_run(&run, &rerun).map_err(|d| format!("checked replay is nondeterministic: {d}"))?;
+        let rerun = program
+            .run(cfg, None)
+            .map_err(|e| format!("checked rerun: {e}"))?;
+        same_run(&run, &rerun).map_err(|d| format!("checked run is nondeterministic: {d}"))?;
     }
     let planned = cfg.faults.crashes().len() as u64;
     let taken: u64 = run.counters.iter().map(|c| c.crashes).sum();
@@ -448,23 +563,9 @@ fn sim_run(
     Ok(run)
 }
 
-/// The checked run over loopback sockets: the trace's operation streams
-/// driven through [`Midway::run_real`]. It takes no fault plan — TCP is
-/// lossless, and UDP's loss is the transport's own.
-fn socket_run(trace: &Trace, cfg: MidwayConfig, real: RealConfig) -> Result<MidwayRun<()>, String> {
-    let ops = &trace.ops;
-    let spec = trace.blueprint.build();
-    Midway::run_real(cfg.faults(FaultPlan::none()), &real, &spec, |p| {
-        for op in &ops[p.id()] {
-            p.apply_op(op);
-        }
-    })
-    .map_err(|e| format!("socket replay failed: {e}"))
-}
-
 /// Asserts two runs are the same run: finish time, messages, every
-/// counter, every final-memory digest.
-fn same_run(a: &MidwayRun<()>, b: &MidwayRun<()>) -> Result<(), String> {
+/// counter, every final-memory digest, every processor's result.
+fn same_run<R: PartialEq>(a: &MidwayRun<R>, b: &MidwayRun<R>) -> Result<(), String> {
     if a.finish_time != b.finish_time || a.messages != b.messages {
         return Err(format!(
             "finish {} vs {} cycles, {} vs {} messages",
@@ -480,12 +581,15 @@ fn same_run(a: &MidwayRun<()>, b: &MidwayRun<()>) -> Result<(), String> {
     if a.store_digests != b.store_digests {
         return Err("memory digests differ".into());
     }
+    if a.results != b.results {
+        return Err("results differ".into());
+    }
     Ok(())
 }
 
 /// Asserts `got` reached `want`'s final memory and, when `counters`, did
 /// the same application-level work.
-fn converges(want: &MidwayRun<()>, got: &MidwayRun<()>, counters: bool) -> Result<(), String> {
+fn converges<R>(want: &MidwayRun<R>, got: &MidwayRun<R>, counters: bool) -> Result<(), String> {
     for (p, (w, g)) in want
         .store_digests
         .iter()

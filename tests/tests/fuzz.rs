@@ -1,11 +1,16 @@
 //! The differential fuzzer as a test suite: a fixed band of seeds must
-//! agree across every backend, and every planted mutant kind must be
+//! pass `check` on every backend, and every planted mutant kind must be
 //! caught with a minimized, still-failing reproducer.
 
 use midway_apps::fuzz::{
-    apply_mutation, backends_for, differential, mutant_caught, shrink, FuzzParams, Schedule,
+    apply_mutation, backends_for, mutant_caught, shrink, FuzzOp, FuzzParams, Schedule,
 };
 use midway_apps::mutants::MutantKind;
+use midway_core::{BackendKind, BarrierShape, FaultPlan, HomeMap};
+use midway_replay::{check, differential, Axes, Program, Transport};
+
+const BARRIERS: [BarrierShape; 2] = [BarrierShape::Flat, BarrierShape::Tree { arity: 2 }];
+const HOMES: [HomeMap; 2] = [HomeMap::Modulo, HomeMap::Sharded { seed: 5 }];
 
 /// A band of fixed seeds (covering single- and multi-processor shapes)
 /// runs divergence-free on every applicable backend.
@@ -14,16 +19,9 @@ fn fixed_seed_band_agrees_across_backends() {
     for seed in 0..20 {
         let s = Schedule::generate(seed, FuzzParams::for_seed(seed));
         assert!(s.validate(), "seed {seed}: invalid schedule generated");
-        let divergences = differential(&s);
-        assert!(
-            divergences.is_empty(),
-            "seed {seed} diverged: {}",
-            divergences
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join("; ")
-        );
+        if let Err(d) = differential(&s) {
+            panic!("seed {seed} diverged: {d}");
+        }
     }
 }
 
@@ -67,5 +65,67 @@ fn every_mutant_kind_is_caught_and_shrinks() {
             "{}: shrink grew the schedule",
             kind.label()
         );
+    }
+}
+
+/// A schedule whose run fails is a divergence naming the backend, not a
+/// panic that takes the sweep down with it: processor 0 takes lock 0 and
+/// never gives it back, so its read-back re-acquires a lock it holds.
+#[test]
+fn a_failing_schedule_is_an_error_naming_the_backend() {
+    let mut s = Schedule::generate(0, FuzzParams::mutant());
+    s.rounds = vec![vec![Vec::new(); s.params.procs]];
+    s.rounds[0][0].push(FuzzOp::Acquire {
+        lock: 0,
+        shared: false,
+    });
+    let err = differential(&s).expect_err("the schedule cannot run");
+    assert!(err.starts_with(BackendKind::Rt.label()), "{err}");
+}
+
+/// Fuzz schedules through the axis product, each run held to the
+/// schedule's model: {flat, tree of arity 2} barriers × {modulo, sharded}
+/// homes × {no loss, 1% loss} × {no crash, processor 1 down a third of
+/// the way in} on the simulator, plus TCP and 1%-loss UDP under every
+/// protocol choice, on every data backend.
+#[test]
+fn fixed_seeds_hold_their_model_through_the_axis_product() {
+    let udp = Transport::Udp {
+        loss: FaultPlan::seeded(7).drop_ppm(10_000),
+    };
+    for seed in 0..9 {
+        let s = Schedule::generate(seed, FuzzParams::for_seed(seed));
+        assert!(s.params.procs >= 2, "seed {seed} has no processor 1");
+        let len = s.reference().expect("reference run").finish_time.cycles();
+        let mut transports = vec![Transport::Tcp, udp];
+        for (loss, crash) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut faults = match loss {
+                true => FaultPlan::lossy(7, 10_000),
+                false => FaultPlan::none(),
+            };
+            if crash {
+                faults = faults.with_crash(1, len / 3, len / 20);
+            }
+            transports.push(Transport::Sim {
+                faults: Some(faults),
+                checkpoint_every: None,
+            });
+        }
+        for backend in BackendKind::DATA {
+            for (barrier, homes) in BARRIERS.into_iter().flat_map(|b| HOMES.map(|h| (b, h))) {
+                for &transport in &transports {
+                    let axes = Axes {
+                        backend: Some(backend),
+                        barrier: Some(barrier),
+                        homes: Some(homes),
+                        transport,
+                        check: true,
+                    };
+                    if let Err(e) = check(&s, &axes) {
+                        panic!("seed {seed} under {axes:?}: {e}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -38,9 +38,10 @@ echo "==> cargo test --release: the byte codec, the three formats on it, and JSO
 # Wrapping arithmetic on a hostile length or range is a panic in the debug
 # profile and a silently wrong value in this one, so the decoders' hostile
 # input tests and mutation sweeps (the results-file JSON parser's too) run
-# in both. midway-replay's tests also hold the replay oracle's whole
+# in both. midway-replay's tests also run the replay oracle's whole
 # product of axes (barrier shape x home map x loss x crash, and sockets)
-# to strict convergence, in well under 60 s.
+# over sor and matrix traces and over all seven applications live,
+# holding sor and matrix to strict convergence, in well under 60 s.
 cargo test -p midway-net -p midway-replay --release -q
 cargo test -p midway-core -p midway-bench --release -q --lib
 
@@ -171,6 +172,19 @@ for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/bench
         exit 1
     fi
 done
+# Tests judge convergence through `check` too, except these, which may
+# read the digests themselves:
+#   tests/tests/scale.rs               its stencil is not a `Program`
+#   tests/tests/racecheck.rs           a hand-built program, run twice
+#   tests/tests/support/fingerprint.rs pins digests of fixed runs
+for f in $(find tests crates/*/tests -name '*.rs' -not -path '*/target/*' \
+    -not -path tests/tests/scale.rs -not -path tests/tests/racecheck.rs \
+    -not -path tests/tests/support/fingerprint.rs); do
+    if grep -n -F 'store_digests' "$f"; then
+        echo "a convergence judgement outside midway_replay::check, in $f" >&2
+        exit 1
+    fi
+done
 for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/benchmark/*'); do
     if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
         grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
@@ -180,9 +194,10 @@ for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/bench
     fi
 done
 
-# A run checks itself once: `run_app` / `run_app_real`
-# (crates/apps/src/driver.rs) return a `MidwayRun` only after the
-# application's own check passed, and panic otherwise. Nothing else, code
+# A run checks itself once: `run_on` (crates/apps/src/driver.rs), on the
+# simulator or on sockets, returns a `MidwayRun` only after the
+# application's own check passed, and an error naming the cell otherwise;
+# `run_app` panics with it. Nothing else, code
 # or test, re-checks a verified flag, calls an application's check by hand
 # or builds a second run-result struct. A trace header's `verified` byte
 # (`meta.verified`) is data, not a check; the pinned benchmark keeps its own.
@@ -274,11 +289,12 @@ cargo run --release -q -p midway-bench --bin benchmark -- --smoke
 
 echo "==> real-transport loopback smoke"
 # sor under RT and VM over actual loopback TCP sockets (processors are
-# coroutines on one thread, as on the simulator): each cell runs live
-# and recorded, and a simulator recording of it is checked over the same
-# sockets, which must reach the simulator's final memory; then the same
-# cells over UDP with 1% injected loss, so the reliable channel masks a
-# genuinely lossy socket end to end.
+# coroutines on one thread, as on the simulator): each cell is checked
+# live and recording (`check` of the application over the sockets, its
+# reference on the simulator), then the simulator run's recording is
+# checked over the same sockets; both must reach the simulator's final
+# memory. Then the same cells over UDP with 1% injected loss, so the
+# reliable channel masks a genuinely lossy socket end to end.
 cargo run --release -q -p midway-bench --bin sweep -- \
     real --smoke --trace "$smoke/traces" --out "$smoke/realrun.json"
 cargo run --release -q -p midway-bench --bin sweep -- \

@@ -1,9 +1,8 @@
 //! A uniform driver over the applications, used by the benchmark
 //! harnesses to regenerate the paper's tables and figures. Every run it
-//! returns has passed the application's own check; a failed check
-//! panics.
+//! returns has passed the application's own check.
 
-use midway_core::{MidwayConfig, MidwayRun, RealConfig, RealError};
+use midway_core::{MidwayConfig, MidwayRun, RealConfig};
 
 use crate::{cholesky, kvstore, matmul, quicksort, sor, taskqueue, water};
 
@@ -55,6 +54,17 @@ impl AppKind {
             AppKind::KvStore,
             AppKind::TaskQueue,
         ]
+    }
+
+    /// Parses an application label; the error lists every valid label.
+    pub fn from_label(s: &str) -> Result<AppKind, String> {
+        AppKind::every()
+            .into_iter()
+            .find(|k| k.label() == s)
+            .ok_or_else(|| {
+                let labels = AppKind::every().map(AppKind::label).join("|");
+                format!("unknown app {s:?} (use {labels})")
+            })
     }
 
     /// The application's name (the paper's, for the Table 2 set).
@@ -251,50 +261,40 @@ fn taskqueue_params(scale: Scale) -> taskqueue::Params {
 /// # Panics
 ///
 /// Panics if the simulation fails (deadlock / processor panic) or the
-/// application fails its check.
+/// application fails its check, with [`run_on`]'s error.
 pub fn run_app(kind: AppKind, cfg: MidwayConfig, scale: Scale) -> MidwayRun<()> {
-    run_on(kind, cfg, None, scale).unwrap_or_else(|e| unreachable!("no sockets to fail: {e}"))
+    run_on(kind, cfg, None, scale).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Runs `kind` at `scale` under `cfg` over real sockets, and the
-/// application's own check of its output. The workload is identical to
-/// [`run_app`]'s at the same scale; only the transport differs.
+/// The one dispatch over the applications: runs `kind` at `scale` under
+/// `cfg` on the simulator (`real` is `None`) or over `real`'s sockets —
+/// the same workload either way — and [`checked`]s it.
 ///
 /// # Errors
 ///
-/// Returns [`RealError`] when the run fails (socket error, violation,
-/// panic, watchdog).
+/// Returns the socket run's failure (socket error, violation, panic,
+/// watchdog), or the failed check naming the application, backend,
+/// processor count and scale.
 ///
 /// # Panics
 ///
-/// Panics if the application fails its check.
-pub fn run_app_real(
-    kind: AppKind,
-    cfg: MidwayConfig,
-    real: &RealConfig,
-    scale: Scale,
-) -> Result<MidwayRun<()>, RealError> {
-    run_on(kind, cfg, Some(real), scale)
-}
-
-/// The one dispatch over the applications: each runs on the simulator
-/// (`real` is `None`) or over `real`'s sockets, and is [`checked`].
-fn run_on(
+/// Panics if the simulation fails.
+pub fn run_on(
     kind: AppKind,
     cfg: MidwayConfig,
     real: Option<&RealConfig>,
     scale: Scale,
-) -> Result<MidwayRun<()>, RealError> {
+) -> Result<MidwayRun<()>, String> {
     macro_rules! app {
         ($app:ident, $params:expr) => {{
             let run = match real {
                 None => $app::run(cfg, $params),
-                Some(real) => $app::run_real(cfg, real, $params)?,
+                Some(real) => $app::run_real(cfg, real, $params).map_err(|e| e.to_string())?,
             };
             checked(kind, scale.label(), run, $app::verified)
         }};
     }
-    Ok(match kind {
+    match kind {
         AppKind::Water => app!(water, water_params(scale)),
         AppKind::Quicksort => app!(quicksort, quicksort_params(scale)),
         AppKind::Matmul => app!(matmul, matmul_params(scale)),
@@ -302,31 +302,32 @@ fn run_on(
         AppKind::Cholesky => app!(cholesky, cholesky_params(scale)),
         AppKind::KvStore => app!(kvstore, kvstore_params(scale)),
         AppKind::TaskQueue => app!(taskqueue, taskqueue_params(scale)),
-    })
+    }
 }
 
 /// `run` without its per-processor results, once the application's own
 /// check `ok` accepts them: the one place a run of `kind` is verified.
 /// `workload` names the input (a scale label, or a sweep's point).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `ok` rejects the results, naming the application, backend,
-/// processor count and workload.
+/// Returns an error naming the application, backend, processor count and
+/// workload if `ok` rejects the results.
 pub fn checked<R>(
     kind: AppKind,
     workload: &str,
     run: MidwayRun<R>,
     ok: fn(&[R]) -> bool,
-) -> MidwayRun<()> {
-    assert!(
-        ok(&run.results),
-        "{} failed its own check ({}, {} processors, {workload})",
-        kind.label(),
-        run.cfg.backend.label(),
-        run.cfg.procs
-    );
-    run.without_results()
+) -> Result<MidwayRun<()>, String> {
+    if !ok(&run.results) {
+        return Err(format!(
+            "{} failed its own check ({}, {} processors, {workload})",
+            kind.label(),
+            run.cfg.backend.label(),
+            run.cfg.procs
+        ));
+    }
+    Ok(run.without_results())
 }
 
 #[cfg(test)]
@@ -351,13 +352,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sor failed its own check (VM-DSM, 2 processors, small)")]
-    fn a_failed_check_panics_naming_the_cell() {
+    fn a_failed_check_is_an_err_naming_the_cell() {
         let run = sor::run(
             MidwayConfig::new(2, BackendKind::Vm),
             sor_params(Scale::Small),
         );
-        checked(AppKind::Sor, Scale::Small.label(), run, |_| false);
+        let err = checked(AppKind::Sor, Scale::Small.label(), run, |_| false).unwrap_err();
+        assert_eq!(
+            err,
+            "sor failed its own check (VM-DSM, 2 processors, small)"
+        );
+    }
+
+    #[test]
+    fn every_label_round_trips_and_an_unknown_one_lists_all_seven() {
+        for kind in AppKind::every() {
+            assert_eq!(AppKind::from_label(kind.label()), Ok(kind));
+        }
+        assert_eq!(
+            AppKind::from_label("socialgraph"),
+            Err("unknown app \"socialgraph\" \
+                 (use water|quicksort|matrix|sor|cholesky|kvstore|taskqueue)"
+                .to_string())
+        );
     }
 
     #[test]

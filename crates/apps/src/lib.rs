@@ -39,4 +39,4 @@ pub mod water;
 
 mod driver;
 
-pub use driver::{checked, run_app, run_app_real, AppKind, Scale};
+pub use driver::{checked, run_app, run_on, AppKind, Scale};

@@ -169,7 +169,7 @@ impl BenchArgs {
         self.list(
             "--apps",
             || default.to_vec(),
-            |s| AppKind::every().into_iter().find(|k| k.label() == s),
+            |s| AppKind::from_label(s).ok(),
         )
     }
 

@@ -158,7 +158,7 @@ mod tests {
         for line in text.lines() {
             let mut words = line.split_whitespace().map(str::to_string);
             let Some(app) = words.next() else { continue };
-            let known = midway_apps::AppKind::all().iter().any(|k| k.label() == app);
+            let known = midway_apps::AppKind::from_label(&app).is_ok();
             if known && !rows.iter().any(|(a, _)| *a == app) {
                 rows.push((app, words.collect()));
             }

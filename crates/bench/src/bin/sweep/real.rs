@@ -3,16 +3,16 @@
 //! simulator, but wall-clock time — and validates the sockets against the
 //! deterministic simulator.
 //!
-//! Every app × backend cell does two things on the real transport. It
-//! runs the application live with recording on (`run_app_real` panics if
-//! it fails its own check) and saves the trace
-//! (`real/<app>-<scale>-<procs>p-<backend>-<mode>.mwt` under `--trace DIR`
-//! — keeping the operation stream of a wall-clock run is the point of the
-//! flag). And it records the same cell on the simulator and checks that
-//! trace over the same sockets (`midway_replay::check` with the socket
-//! transport): the recorded streams re-execute on wall-clock delivery and,
-//! for lock-order-independent applications, must reach the simulator's
-//! final memory bit for bit.
+//! Every app × backend cell is two `midway_replay::check`s over the same
+//! sockets. The first checks the application live, recording on: its
+//! reference runs on the simulator, and the socket run must pass the
+//! application's own check and, for lock-order-independent applications,
+//! reach the simulator's final memory bit for bit. The socket run's trace
+//! is saved (`real/<app>-<scale>-<procs>p-<backend>-<mode>.mwt` under
+//! `--trace DIR` — keeping the operation stream of a wall-clock run is the
+//! point of the flag). The second checks the simulator run's trace over
+//! the same sockets: the recorded streams re-execute on wall-clock
+//! delivery and are held to the same final memory.
 //!
 //! `--mode udp --loss PPM` injects drops and duplicates for the reliable
 //! channel to mask. `--smoke` is sor × rt,vm, small scale, 4 processors.
@@ -20,23 +20,27 @@
 use std::path::Path;
 use std::time::Instant;
 
-use midway_apps::{run_app_real, AppKind, Scale};
+use midway_apps::{AppKind, Scale};
 use midway_bench::{BenchArgs, Json, Record};
-use midway_core::{BackendKind, FaultPlan, MidwayConfig, RealConfig};
-use midway_replay::{check, record_app, Axes, Comparison, Trace, Transport};
+use midway_core::{BackendKind, FaultPlan, MidwayConfig};
+use midway_replay::{check, App, Axes, Comparison, Trace, Transport};
 
 use crate::Report;
 
 pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
     let loss_ppm: u32 = args.num("--loss", 0)?;
-    let (real, transport, mode) = match args.value("--mode") {
-        None | Some("tcp") if loss_ppm == 0 => (RealConfig::tcp(), Transport::Tcp, "tcp"),
+    let (transport, mode) = match args.value("--mode") {
+        None | Some("tcp") if loss_ppm == 0 => (Transport::Tcp, "tcp"),
         None | Some("tcp") => return Err("--loss requires --mode udp".to_string()),
         Some("udp") => {
             let loss = FaultPlan::seeded(0xD5).drop_ppm(loss_ppm).dup_ppm(loss_ppm);
-            (RealConfig::udp(loss), Transport::Udp { loss }, "udp")
+            (Transport::Udp { loss }, "udp")
         }
         Some(other) => return Err(format!("unknown mode {other:?} (use tcp|udp)")),
+    };
+    let axes = Axes {
+        transport,
+        ..Axes::default()
     };
     let (apps, backends) = if args.flag("--smoke") {
         (args.scale, args.procs) = (Scale::Small, 4);
@@ -62,15 +66,21 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
         for &backend in &backends {
             let cell = format!("{} under {}", kind.label(), backend.label());
             eprintln!("running {cell} ...");
-            let cfg = MidwayConfig::new(procs, backend).record(true);
+            let app = App {
+                kind,
+                scale,
+                cfg: MidwayConfig::new(procs, backend).record(true),
+            };
+            // Host time of the live check: its simulator reference and
+            // the socket run.
             let t0 = Instant::now();
-            let out = run_app_real(kind, cfg, &real, scale).map_err(|e| format!("{cell}: {e}"))?;
+            let live = check(&app, &axes).map_err(|e| format!("{cell}: {e}"))?;
             let host_secs = t0.elapsed().as_secs_f64();
 
             // Under `real/`: a real-transport trace records wall-clock-
             // derived times, so it must never sit where a bit-for-bit
             // `trace check` over simulator traces would pick it up.
-            let trace = Trace::from_run(kind.label(), scale.label(), true, &out);
+            let trace = Trace::from_run(kind.label(), scale.label(), true, &live.checked);
             let path = trace_dir.join(format!(
                 "{}-{}-{procs}p-{}-{mode}.mwt",
                 kind.label(),
@@ -81,11 +91,7 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
                 .save(&path)
                 .map_err(|e| format!("writing {}: {e}", path.display()))?;
 
-            let sim_trace = record_app(kind, MidwayConfig::new(procs, backend), scale);
-            let axes = Axes {
-                transport,
-                ..Axes::default()
-            };
+            let sim_trace = Trace::from_run(kind.label(), scale.label(), true, &live.baseline);
             let verdict = check(&sim_trace, &axes)
                 .unwrap_or_else(|d| panic!("{cell}: the sockets disagree with the simulator: {d}"));
             let strict = verdict.comparison == Comparison::Converged;

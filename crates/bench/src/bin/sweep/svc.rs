@@ -61,7 +61,8 @@ fn run_cell(app: AppKind, backend: BackendKind, procs: usize, clients: usize, sm
             let workload = format!("{clients} clients per processor");
             (
                 p.svc,
-                checked(app, &workload, $app::run(cfg, p), $app::verified),
+                checked(app, &workload, $app::run(cfg, p), $app::verified)
+                    .unwrap_or_else(|e| panic!("{e}")),
             )
         }};
     }

@@ -27,7 +27,8 @@ use crate::trace::{push_op, TraceOp};
 /// `Proc` is generic over the [`Transport`] carrying its messages; the
 /// default is the virtual-time simulator's handle, so `Proc<'_>` in
 /// existing code means what it always did. A `Proc<'_, RealTransport<_>>`
-/// is the same runtime on OS threads and sockets
+/// is the same runtime over loopback sockets, its processors still
+/// coroutines on the calling thread
 /// ([`Midway::run_real`](crate::Midway::run_real)).
 pub struct Proc<'a, T: Transport<Msg = NetMsg> = ProcHandle<NetMsg>> {
     node: DsmNode,

@@ -186,16 +186,6 @@ impl Args {
     }
 }
 
-fn parse_app(s: &str) -> Result<AppKind, String> {
-    AppKind::every()
-        .into_iter()
-        .find(|k| k.label() == s)
-        .ok_or_else(|| {
-            let labels: Vec<&str> = AppKind::every().iter().map(|k| k.label()).collect();
-            format!("unknown app {s:?} (use {})", labels.join("|"))
-        })
-}
-
 fn parse_scale(s: &str) -> Result<Scale, String> {
     match s {
         "paper" => Ok(Scale::Paper),
@@ -251,7 +241,7 @@ fn cmd_record(args: &Args) -> Result<ExitCode, String> {
     let apps = match args.value("--app") {
         Some("all") => AppKind::all().to_vec(),
         Some("service") => AppKind::service().to_vec(),
-        Some(s) => vec![parse_app(s)?],
+        Some(s) => vec![AppKind::from_label(s)?],
         None => return Err("record needs --app (or --app all|service)".to_string()),
     };
     let backend = args

@@ -15,12 +15,12 @@
 //!   cost model, fault plan or crash plan evaluates that design point from
 //!   the same stream (`paper ablation_linesize`, `sweep fault`,
 //!   `sweep crash`).
-//! * [`check`] is the oracle. It holds a trace to the recorded run, or a
-//!   fuzz schedule to its model, and then to a baseline under any
-//!   [`Axes`] — backend, barrier shape, home map, loss, crashes,
-//!   checkpoint interval, the checker, sockets — and says in a
-//!   [`Verdict`] which comparison applied. Whether final memory must
-//!   converge follows from the program, not from the caller. It
+//! * [`check`] is the oracle. It holds a trace to the recorded run, a
+//!   fuzz schedule to its model, or a live [`App`] to its own check, and
+//!   then to a baseline under any [`Axes`] — backend, barrier shape, home
+//!   map, loss, crashes, checkpoint interval, the checker, sockets — and
+//!   says in a [`Verdict`] which comparison applied. Whether final memory
+//!   must converge follows from the program, not from the caller. It
 //!   operationalizes the determinism argument in DESIGN.md;
 //!   [`differential`] runs it over every backend a schedule admits.
 //!
@@ -31,7 +31,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use midway_apps::fuzz::{backends_for, execute, Schedule};
-use midway_apps::{run_app, AppKind, Scale};
+use midway_apps::{run_app, run_on, AppKind, Scale};
 use midway_core::{
     BackendKind, BarrierShape, Counters, FaultPlan, HomeMap, Midway, MidwayConfig, MidwayRun, Proc,
     RealConfig, SimError, SpecBlueprint, SystemSpec, TraceOp,
@@ -342,18 +342,21 @@ pub struct Verdict<R = ()> {
     pub comparison: Comparison,
 }
 
-/// What [`check`] runs: a recorded [`Trace`], replayed, or a fuzz
-/// [`Schedule`], run live and held to its own model on every run.
+/// What [`check`] runs: a recorded [`Trace`], replayed; a fuzz
+/// [`Schedule`], run live and held to its own model on every run; or an
+/// [`App`], run live and held to its own check on every run.
 pub trait Program {
     /// Each processor's result.
     type Out: Clone + PartialEq;
 
     /// The run every axis is relative to, held to what the program says
-    /// of it: a trace's recorded header, a schedule's model.
+    /// of it: a trace's recorded header, a schedule's model, an
+    /// application's own check.
     fn reference(&self) -> Result<MidwayRun<Self::Out>, String>;
 
     /// Runs the program under `cfg`, over sockets when `real` is given,
-    /// held to what the program says of every run (a schedule's model).
+    /// held to what the program says of every run (a schedule's model, an
+    /// application's own check).
     fn run(
         &self,
         cfg: MidwayConfig,
@@ -388,9 +391,7 @@ impl Program for Trace {
     }
 
     fn must_converge(&self) -> bool {
-        AppKind::every()
-            .into_iter()
-            .any(|k| k.label() == self.meta.app && k.lock_order_independent())
+        AppKind::from_label(&self.meta.app).is_ok_and(AppKind::lock_order_independent)
     }
 }
 
@@ -420,14 +421,46 @@ impl Program for Schedule {
     }
 }
 
-/// The oracle: checks `program` — a trace or a fuzz schedule — under
-/// `axes` by one rule.
+/// An application run live: unlike a replayed trace, which rewrites its
+/// recorded bytes whatever it read, every run recomputes from what it
+/// reads, so a stale read shows in its output and its final memory.
+#[derive(Clone, Copy, Debug)]
+pub struct App {
+    /// The application.
+    pub kind: AppKind,
+    /// Its input size.
+    pub scale: Scale,
+    /// The reference run's configuration, recording included.
+    pub cfg: MidwayConfig,
+}
+
+/// The checker is an axis here as for a trace: the reference runs
+/// without it.
+impl Program for App {
+    type Out = ();
+
+    fn reference(&self) -> Result<MidwayRun<()>, String> {
+        self.run(self.cfg.check(false), None)
+    }
+
+    fn run(&self, cfg: MidwayConfig, real: Option<&RealConfig>) -> Result<MidwayRun<()>, String> {
+        run_on(self.kind, cfg, real, self.scale)
+    }
+
+    fn must_converge(&self) -> bool {
+        self.kind.lock_order_independent()
+    }
+}
+
+/// The oracle: checks `program` — a trace, a fuzz schedule or a live
+/// application — under `axes` by one rule.
 ///
 /// 1. **Reference.** The program runs under its recorded configuration
 ///    and is held to what it says of that run: a trace replays bit for
 ///    bit (finish time, message count and every per-processor counter
-///    equal the header's), a schedule matches its model. This step always
-///    runs, and a schedule is held to its model on every later run too.
+///    equal the header's), a schedule matches its model, an application
+///    passes its own check. This step always runs, and a schedule or an
+///    application is held to the same on every later run too.
 /// 2. **Baseline.** The program runs under the axes' protocol choices on
 ///    its recorded delivery. When those are the recorded ones, the
 ///    reference *is* the baseline and is not run again.
@@ -440,9 +473,10 @@ impl Program for Schedule {
 ///    On sockets it runs once, through [`Midway::run_real`].
 /// 4. **Convergence.** [`Verdict::converged`] says whether the checked
 ///    run's final memory equals the baseline's. When the program
-///    [`must_converge`](Program::must_converge)s (a trace of a lock-order
-///    independent application, [`AppKind::lock_order_independent`]: sor,
-///    matrix), a mismatch is an error, and on the simulator so is any
+///    [`must_converge`](Program::must_converge)s (a trace or a live run
+///    of a lock-order independent application,
+///    [`AppKind::lock_order_independent`]: sor, matrix), a mismatch is an
+///    error, and on the simulator so is any
 ///    counter difference — compared after [`Counters::sans_recovery`] on
 ///    both sides when a crash or a different checkpoint interval
 ///    legitimately changes the recovery accounting. Otherwise shifted

@@ -1,58 +1,101 @@
-//! The axes compose. Each axis alone preserves the final memory and the
-//! Table 2 counters of a lock-order-independent application, so their
-//! whole product must too: sor and matrix on every data backend under
+//! The axes compose. Each axis alone preserves what every run of a program
+//! must share, so their whole product must too: on every data backend,
 //! {flat, tree} barriers × {modulo, sharded} homes × {no loss, 1% loss} ×
-//! {no crash, processor 1 down a third of the way in}, every cell held to
-//! the strict comparison — plus sor over TCP and over 1%-loss UDP under
-//! every protocol choice.
+//! {no crash, processor 1 down a third of the way in}, and TCP and 1%-loss
+//! UDP under every protocol choice. sor and matrix traces take the
+//! simulator cells and sor traces the socket cells; every application
+//! takes them all live. sor and matrix are held to the strict comparison
+//! either way, the rest to their own check and bit-for-bit reruns.
 
 use midway_apps::{AppKind, Scale};
 use midway_core::{BackendKind, BarrierShape, FaultPlan, HomeMap, MidwayConfig};
-use midway_replay::{check, record_app, Axes, Comparison, Trace, Transport};
+use midway_replay::{check, record_app, App, Axes, Comparison, Program, Transport};
 
 const BARRIERS: [BarrierShape; 2] = [BarrierShape::Flat, BarrierShape::Tree { arity: 2 }];
 const HOMES: [HomeMap; 2] = [HomeMap::Modulo, HomeMap::Sharded { seed: 5 }];
 
-fn recorded(kind: AppKind, backend: BackendKind) -> Trace {
-    record_app(kind, MidwayConfig::new(4, backend), Scale::Small)
+/// Every protocol choice, as the axes that make it.
+fn protocols() -> impl Iterator<Item = Axes> {
+    BARRIERS.into_iter().flat_map(|barrier| {
+        HOMES.map(|homes| Axes {
+            barrier: Some(barrier),
+            homes: Some(homes),
+            ..Axes::default()
+        })
+    })
 }
 
-/// Checks `trace` under `axes` and returns the comparison it was held to.
-fn held_to(trace: &Trace, axes: Axes) -> Comparison {
-    let v =
-        check(trace, &axes).unwrap_or_else(|e| panic!("{} under {axes:?}: {e}", trace.meta.app));
-    assert!(v.converged, "{} under {axes:?}", trace.meta.app);
-    v.comparison
+/// The simulator cells of a program whose reference run takes `len`
+/// cycles.
+fn on_sim(len: u64) -> Vec<Axes> {
+    let mut cells = Vec::new();
+    for axes in protocols() {
+        for (loss, crash) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut faults = loss.then(|| FaultPlan::lossy(7, 10_000));
+            if crash {
+                let plan = faults.unwrap_or_else(FaultPlan::none);
+                faults = Some(plan.with_crash(1, len / 3, len / 20));
+            }
+            let transport = Transport::Sim {
+                faults,
+                checkpoint_every: None,
+            };
+            cells.push(Axes { transport, ..axes });
+        }
+    }
+    cells
+}
+
+/// The socket cells.
+fn on_sockets() -> Vec<Axes> {
+    let udp = Transport::Udp {
+        loss: FaultPlan::seeded(7).drop_ppm(10_000),
+    };
+    protocols()
+        .flat_map(|axes| [Transport::Tcp, udp].map(|transport| Axes { transport, ..axes }))
+        .collect()
+}
+
+/// Checks `program` under `axes` and holds the verdict to what the cell
+/// demands: the comparison its delivery axes call for, and a crash
+/// recovered from stable storage. Returns the checked run's
+/// retransmissions: 1% of a small run's frames may be none, so a live
+/// test holds the sum over its lossy cells.
+fn held_to<P: Program>(program: &P, axes: Axes, cell: &str) -> u64 {
+    let v = check(program, &axes).unwrap_or_else(|e| panic!("{cell} under {axes:?}: {e}"));
+    let want = match axes.transport {
+        Transport::Sim { faults: None, .. } => Comparison::Exact,
+        _ if program.must_converge() => Comparison::Converged,
+        _ => Comparison::Reported,
+    };
+    assert_eq!(v.comparison, want, "{cell} under {axes:?}");
+    if let Transport::Sim {
+        faults: Some(plan), ..
+    } = axes.transport
+    {
+        let t = *v.checked.avg_counters().totals();
+        if plan.has_crashes() {
+            assert!(
+                t.recovery_replay_bytes > 0 && t.wal_bytes_logged > 0,
+                "{cell} under {axes:?}: recovery from stable storage: {t:?}"
+            );
+        }
+        assert!(
+            v.checked.finish_time >= v.baseline.finish_time,
+            "{cell} under {axes:?}: a fault cannot make the run faster"
+        );
+    }
+    v.checked.link_totals().retransmits
 }
 
 #[test]
 fn every_axis_combination_converges_strictly() {
     for kind in [AppKind::Sor, AppKind::Matmul] {
         for backend in BackendKind::DATA {
-            let trace = recorded(kind, backend);
-            let len = trace.meta.finish_cycles;
-            for (barrier, homes) in BARRIERS.into_iter().flat_map(|b| HOMES.map(|h| (b, h))) {
-                for (loss, crash) in [(false, false), (false, true), (true, false), (true, true)] {
-                    let mut faults = loss.then(|| FaultPlan::lossy(7, 10_000));
-                    if crash {
-                        let plan = faults.unwrap_or_else(FaultPlan::none);
-                        faults = Some(plan.with_crash(1, len / 3, len / 20));
-                    }
-                    let axes = Axes {
-                        barrier: Some(barrier),
-                        homes: Some(homes),
-                        transport: Transport::Sim {
-                            faults,
-                            checkpoint_every: None,
-                        },
-                        ..Axes::default()
-                    };
-                    let want = match faults {
-                        None => Comparison::Exact,
-                        Some(_) => Comparison::Converged,
-                    };
-                    assert_eq!(held_to(&trace, axes), want, "{backend:?} {axes:?}");
-                }
+            let trace = record_app(kind, MidwayConfig::new(4, backend), Scale::Small);
+            let cell = format!("{} trace on {}", kind.label(), backend.label());
+            for axes in on_sim(trace.meta.finish_cycles) {
+                held_to(&trace, axes, &cell);
             }
         }
     }
@@ -60,21 +103,47 @@ fn every_axis_combination_converges_strictly() {
 
 #[test]
 fn sor_over_sockets_converges_under_every_protocol_choice() {
-    let udp = Transport::Udp {
-        loss: FaultPlan::seeded(7).drop_ppm(10_000),
-    };
     for backend in BackendKind::DATA {
-        let trace = recorded(AppKind::Sor, backend);
-        for (barrier, homes) in BARRIERS.into_iter().flat_map(|b| HOMES.map(|h| (b, h))) {
-            for transport in [Transport::Tcp, udp] {
-                let axes = Axes {
-                    barrier: Some(barrier),
-                    homes: Some(homes),
-                    transport,
-                    ..Axes::default()
-                };
-                assert_eq!(held_to(&trace, axes), Comparison::Converged);
-            }
+        let trace = record_app(AppKind::Sor, MidwayConfig::new(4, backend), Scale::Small);
+        let cell = format!("sor trace on {}", backend.label());
+        for axes in on_sockets() {
+            held_to(&trace, axes, &cell);
         }
     }
 }
+
+/// `kind` live through every cell, on the simulator and over sockets.
+fn live(kind: AppKind) {
+    let mut retransmits = 0;
+    for backend in BackendKind::DATA {
+        let app = App {
+            kind,
+            scale: Scale::Small,
+            cfg: MidwayConfig::new(4, backend),
+        };
+        let cell = format!("{} live on {}", kind.label(), backend.label());
+        let len = app.reference().unwrap_or_else(|e| panic!("{cell}: {e}"));
+        let cells = on_sim(len.finish_time.cycles());
+        for axes in cells.into_iter().chain(on_sockets()) {
+            retransmits += held_to(&app, axes, &cell);
+        }
+    }
+    assert!(retransmits > 0, "{kind:?}: 1% loss was never repaired");
+}
+
+/// One test per application, so the debug profile runs them in parallel.
+macro_rules! live {
+    ($($test:ident: $kind:ident),*) => {
+        $(#[test] fn $test() { live(AppKind::$kind) })*
+    };
+}
+
+live!(
+    water_holds_live_through_the_product: Water,
+    quicksort_holds_live_through_the_product: Quicksort,
+    matrix_converges_live_through_the_product: Matmul,
+    sor_converges_live_through_the_product: Sor,
+    cholesky_holds_live_through_the_product: Cholesky,
+    kvstore_holds_live_through_the_product: KvStore,
+    taskqueue_holds_live_through_the_product: TaskQueue
+);

@@ -2,127 +2,89 @@
 //! runs on the virtual-time simulator, driven over actual loopback
 //! sockets, with the simulator as the correctness oracle.
 //!
-//! The oracle argument: a run on the simulator records its per-processor
-//! shared-memory operation streams; `check` with a socket transport drives
-//! those streams over real sockets, independently re-executing the
-//! protocol, and for lock-order-independent workloads the two executions —
-//! kernel delivery vs. virtual time — must agree on every byte of final
-//! shared memory. Live socket runs of the same cells reach that memory
-//! too.
+//! The oracle argument: `check` with a socket transport runs a live
+//! application's reference on the simulator and then the application over
+//! real sockets, independently re-executing the protocol, and for
+//! lock-order-independent workloads the two executions — kernel delivery
+//! vs. virtual time — must agree on every byte of final shared memory.
+//! The simulator run's recorded streams, checked over the same sockets,
+//! must reach that memory too. Every application under every protocol
+//! choice over TCP and lossy UDP is in crates/replay/tests/product.rs.
 
 use std::time::Duration;
 
-use midway_apps::{run_app_real, AppKind, Scale};
+use midway_apps::{AppKind, Scale};
 use midway_core::{BackendKind, FaultPlan, MidwayConfig, RealConfig};
-use midway_replay::{check, record_app, Axes, Comparison, Trace, Transport, Verdict};
+use midway_replay::{check, App, Axes, Comparison, Trace, Transport};
 
-const PROCS: usize = 4;
-
-/// A watchdog long enough for debug-build CI machines, short enough that
-/// a genuine hang fails the suite rather than timing it out.
-fn tcp() -> RealConfig {
-    RealConfig::tcp().watchdog(Some(Duration::from_secs(60)))
-}
-
-/// Sor recorded on the simulator under `backend`, round-tripped through
-/// the trace format as a replayer sees it.
-fn sor_trace(backend: BackendKind) -> Trace {
-    let trace = record_app(
-        AppKind::Sor,
-        MidwayConfig::new(PROCS, backend),
-        Scale::Small,
-    );
-    Trace::decode(&trace.encode()).expect("trace round-trips")
-}
-
-/// Checks `trace` over `transport`: sor must converge to the simulator.
-fn over(trace: &Trace, transport: Transport) -> Verdict {
-    let axes = Axes {
-        transport,
-        ..Axes::default()
-    };
-    let v = check(trace, &axes)
-        .unwrap_or_else(|d| panic!("the sockets disagree with the simulator: {d}"));
-    assert_eq!(v.comparison, Comparison::Converged);
-    v
-}
-
-/// Every application completes and self-verifies on the real transport,
-/// under every data-moving backend (`run_app_real` panics on a failed
-/// check).
-#[test]
-fn every_app_completes_on_tcp_under_every_backend() {
-    for kind in AppKind::all() {
-        for backend in BackendKind::DATA {
-            let cfg = MidwayConfig::new(PROCS, backend);
-            if let Err(e) = run_app_real(kind, cfg, &tcp(), Scale::Small) {
-                panic!(
-                    "{} under {} failed on the real transport: {e}",
-                    kind.label(),
-                    backend.label()
-                );
-            }
-        }
+/// sor at small scale on 4 processors under `backend`, recording.
+fn sor(backend: BackendKind) -> App {
+    App {
+        kind: AppKind::Sor,
+        scale: Scale::Small,
+        cfg: MidwayConfig::new(4, backend).record(true),
     }
 }
 
-/// A trace recorded on the simulator checks over TCP with bit-identical
-/// final memory, for every backend; a live TCP run reaches the same
-/// memory, and the trace it records survives the file format.
+/// A live TCP run reaches the simulator's final memory on every backend,
+/// and the trace it records survives the file format; the simulator's
+/// recording of the same cell checks over TCP to the same memory.
 #[test]
 fn simulator_traces_check_over_tcp_on_every_backend() {
+    let tcp = Axes {
+        transport: Transport::Tcp,
+        ..Axes::default()
+    };
     for backend in BackendKind::DATA {
-        let v = over(&sor_trace(backend), Transport::Tcp);
+        let v = check(&sor(backend), &tcp).unwrap_or_else(|e| panic!("{}: {e}", backend.label()));
+        assert_eq!(v.comparison, Comparison::Converged);
+        let live = Trace::from_run("sor", "small", true, &v.checked);
+        assert!(live.total_ops() > 0, "the trace must record the run");
+        assert_eq!(Trace::decode(&live.encode()), Ok(live));
 
-        let cfg = MidwayConfig::new(PROCS, backend).record(true);
-        let out = run_app_real(AppKind::Sor, cfg, &tcp(), Scale::Small)
-            .unwrap_or_else(|e| panic!("sor under {} failed: {e}", backend.label()));
-        assert_eq!(
-            out.store_digests,
-            v.baseline.store_digests,
-            "the live {} run reached different final memory than the simulator",
-            backend.label()
-        );
-        let trace = Trace::from_run("sor", "small", true, &out);
-        assert!(trace.total_ops() > 0, "the trace must record the run");
-        assert_eq!(Trace::decode(&trace.encode()), Ok(trace));
+        let recorded = Trace::from_run("sor", "small", true, &v.baseline);
+        let v = check(&recorded, &tcp).unwrap_or_else(|e| panic!("{}: {e}", backend.label()));
+        assert_eq!(v.comparison, Comparison::Converged);
     }
 }
 
-/// Repeated real-transport runs always converge to the same final memory
-/// as each other and as the simulator — wall-clock scheduling jitter
-/// changes timings, never bytes.
+/// Repeated real-transport runs always converge to the simulator's final
+/// memory — wall-clock scheduling jitter changes timings, never bytes.
 #[test]
 fn repeated_real_runs_agree_on_final_memory() {
-    let trace = sor_trace(BackendKind::Rt);
+    let tcp = Axes {
+        transport: Transport::Tcp,
+        ..Axes::default()
+    };
     for round in 0..5 {
-        let cfg = MidwayConfig::new(PROCS, BackendKind::Rt);
-        let out = run_app_real(AppKind::Sor, cfg, &tcp(), Scale::Small)
-            .unwrap_or_else(|e| panic!("round {round} failed: {e}"));
-        let v = over(&trace, Transport::Tcp);
-        assert_eq!(
-            out.store_digests, v.baseline.store_digests,
-            "round {round} reached different final memory than the simulator"
-        );
+        let v = check(&sor(BackendKind::Rt), &tcp).unwrap_or_else(|e| panic!("round {round}: {e}"));
+        assert_eq!(v.comparison, Comparison::Converged);
     }
 }
 
 /// Over lossy UDP the reliable channel masks injected drops and
-/// duplicates: a live run still completes and verifies, the injection
-/// demonstrably happened, and both it and the simulator trace checked over
-/// the same lossy sockets reach the simulator's final memory.
+/// duplicates: a live run still completes, verifies and reaches the
+/// simulator's final memory, the injection demonstrably happened, and the
+/// simulator's recording checked over the same lossy sockets reaches that
+/// memory too.
 #[test]
 fn lossy_udp_run_completes_and_still_satisfies_the_oracle() {
     // 5% drop + 5% duplication, deterministic schedule.
-    let plan = FaultPlan::seeded(7).drop_ppm(50_000).dup_ppm(50_000);
-    let real = RealConfig::udp(plan).watchdog(Some(Duration::from_secs(60)));
-    let cfg = MidwayConfig::new(PROCS, BackendKind::Rt);
-
-    let run = run_app_real(AppKind::Sor, cfg, &real, Scale::Small).expect("lossy sor run failed");
-
-    let injected: u64 = run.reports.iter().map(|r| r.fault_stats.total()).sum();
+    let loss = FaultPlan::seeded(7).drop_ppm(50_000).dup_ppm(50_000);
+    let udp = Axes {
+        transport: Transport::Udp { loss },
+        ..Axes::default()
+    };
+    let v = check(&sor(BackendKind::Rt), &udp).expect("lossy sor run");
+    assert_eq!(v.comparison, Comparison::Converged);
+    let injected: u64 = v
+        .checked
+        .reports
+        .iter()
+        .map(|r| r.fault_stats.total())
+        .sum();
     assert!(injected > 0, "the loss plan must actually inject faults");
-    let link = run.link_totals();
+    let link = v.checked.link_totals();
     assert!(
         link.data_frames_sent > 0,
         "UDP mode must frame messages reliably"
@@ -133,11 +95,9 @@ fn lossy_udp_run_completes_and_still_satisfies_the_oracle() {
          (stats: {link:?})"
     );
 
-    let v = over(&sor_trace(BackendKind::Rt), Transport::Udp { loss: plan });
-    assert_eq!(
-        run.store_digests, v.baseline.store_digests,
-        "the live lossy run reached different final memory than the simulator"
-    );
+    let recorded = Trace::from_run("sor", "small", true, &v.baseline);
+    let v = check(&recorded, &udp).expect("lossy trace check");
+    assert_eq!(v.comparison, Comparison::Converged);
     let injected: u64 = v
         .checked
         .reports

@@ -1,37 +1,48 @@
 //! End-to-end tests of the service workload family: the sharded KV
 //! store and the high-churn task queue, across every backend, through
-//! the recording/replay oracle, and over the real TCP transport.
+//! the recording/replay oracle, and over the real TCP transport. Each
+//! live run is a `check` of the application, held to its own audit.
 
-use std::time::Duration;
-
-use midway_apps::{run_app, run_app_real, AppKind, Scale};
-use midway_core::{BackendKind, MidwayConfig, RealConfig};
-use midway_replay::{record_app, verify_replay, Trace};
+use midway_apps::{AppKind, Scale};
+use midway_core::{BackendKind, MidwayConfig};
+use midway_replay::{check, record_app, verify_replay, App, Axes, Comparison, Trace, Transport};
 
 const PROCS: usize = 4;
 
+/// `kind` at small scale under `cfg`.
+fn app(kind: AppKind, cfg: MidwayConfig) -> App {
+    App {
+        kind,
+        scale: Scale::Small,
+        cfg,
+    }
+}
+
 /// Every service application completes and self-verifies on every
-/// data-moving backend (`run_app` panics on a failed check).
+/// data-moving backend.
 #[test]
 fn every_service_app_verifies_on_every_backend() {
     for kind in AppKind::service() {
         for backend in BackendKind::DATA {
-            run_app(kind, MidwayConfig::new(PROCS, backend), Scale::Small);
+            let app = app(kind, MidwayConfig::new(PROCS, backend));
+            check(&app, &Axes::default()).unwrap_or_else(|e| panic!("{app:?}: {e}"));
         }
     }
 }
 
-/// The simulator is deterministic: rerunning a service app bit-for-bit
-/// reproduces finish time, message count, and final memory.
+/// The simulator is deterministic: a second run of a service app, with
+/// the off-clock checker attached, reproduces the first bit for bit —
+/// finish time, message count, counters and final memory.
 #[test]
 fn service_runs_are_deterministic() {
+    let axes = Axes {
+        check: true,
+        ..Axes::default()
+    };
     for kind in AppKind::service() {
-        let cfg = MidwayConfig::new(PROCS, BackendKind::Rt);
-        let a = run_app(kind, cfg, Scale::Small);
-        let b = run_app(kind, cfg, Scale::Small);
-        assert_eq!(a.finish_time, b.finish_time, "{}", kind.label());
-        assert_eq!(a.messages, b.messages, "{}", kind.label());
-        assert_eq!(a.store_digests, b.store_digests, "{}", kind.label());
+        let v = check(&app(kind, MidwayConfig::new(PROCS, BackendKind::Rt)), &axes)
+            .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
+        assert_eq!(v.comparison, Comparison::Exact, "{}", kind.label());
     }
 }
 
@@ -39,7 +50,8 @@ fn service_runs_are_deterministic() {
 #[test]
 fn service_apps_run_standalone() {
     for kind in AppKind::service() {
-        run_app(kind, MidwayConfig::standalone(), Scale::Small);
+        check(&app(kind, MidwayConfig::standalone()), &Axes::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
     }
 }
 
@@ -56,15 +68,18 @@ fn service_traces_replay_bit_for_bit() {
     }
 }
 
-/// The service family survives the real TCP transport (threads and
-/// loopback sockets instead of virtual time).
+/// The service family survives the real TCP transport (loopback sockets
+/// instead of virtual time; processors are still coroutines on one
+/// thread).
 #[test]
 fn service_apps_complete_on_tcp() {
-    let real = RealConfig::tcp().watchdog(Some(Duration::from_secs(60)));
+    let tcp = Axes {
+        transport: Transport::Tcp,
+        ..Axes::default()
+    };
     for kind in AppKind::service() {
-        let cfg = MidwayConfig::new(PROCS, BackendKind::Rt);
-        if let Err(e) = run_app_real(kind, cfg, &real, Scale::Small) {
-            panic!("{} failed on TCP: {e}", kind.label());
-        }
+        let v = check(&app(kind, MidwayConfig::new(PROCS, BackendKind::Rt)), &tcp)
+            .unwrap_or_else(|e| panic!("{} on TCP: {e}", kind.label()));
+        assert_eq!(v.comparison, Comparison::Reported);
     }
 }

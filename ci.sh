@@ -30,8 +30,11 @@ cargo test -p midway-mem --release -q
 
 echo "==> cargo test -p midway-apps --release"
 # The applications' kernels run optimized in every harness and in the
-# pinned benchmark, and quicksort's branch-free local sort is held to its
-# branchy oracle there, in the profile whose code generation it relies on.
+# pinned benchmark, so each is held bit for bit to the loop it replaced,
+# in the profile whose code generation it relies on: matrix's eight-output
+# panel kernel to the one-accumulator dot, sor's one-colour row kernel to
+# the per-cell branchy relaxation, and quicksort's counted leaf sort (its
+# compares derived in O(n log n)) to the branchy bubble sort.
 cargo test -p midway-apps --release -q
 
 echo "==> cargo test --release: the byte codec, the three formats on it, and JSON"

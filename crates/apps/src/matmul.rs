@@ -134,19 +134,26 @@ pub fn run_real(
     Midway::run_real(cfg, real, &spec, |proc| session(proc, p, &h))
 }
 
-/// The MAC loop: `sum(a[k] * b[k])`, accumulated left to right from 0.0 so
-/// the sum is the same bit pattern whatever surrounds the call.
+/// Outputs of a C row computed per pass over a row of A.
+const W: usize = 8;
+
+/// `W` dot products of `a` in one pass over it: output `w` sums
+/// `a[k] * panel[k * W + w]` over ascending `k`, from 0.0, in its own
+/// accumulator, so each is the bit pattern of the one-accumulator loop
+/// whatever surrounds the call.
 ///
-/// Kept out of line on purpose. Inlined into [`session`], whether `acc`
-/// stays in a register or is spilled to the stack on every iteration
-/// (a load-add-store chain, ~2x slower) depended on the shape of unrelated
-/// code up the inlining chain — the same fragility the `midway-apps`
-/// profile override in the workspace `Cargo.toml` documents.
+/// Kept out of line on purpose. Inlined into [`session`], whether the
+/// accumulators stay in registers or are spilled to the stack on every
+/// iteration (a load-add-store chain, ~2x slower) depended on the shape of
+/// unrelated code up the inlining chain — the same fragility the
+/// `midway-apps` profile override in the workspace `Cargo.toml` documents.
 #[inline(never)]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        acc += x * y;
+fn dot_panel(a: &[f64], panel: &[f64]) -> [f64; W] {
+    let mut acc = [0.0; W];
+    for (x, b) in a.iter().zip(panel.chunks_exact(W)) {
+        for (acc, y) in acc.iter_mut().zip(b) {
+            *acc += x * y;
+        }
     }
     acc
 }
@@ -168,13 +175,16 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
         drop(v);
         proc.barrier(h.init_done);
 
-        // Copy B into private memory (transposed for locality); reads are
-        // local under the update protocol.
-        let mut bt = vec![0.0f64; n * n];
+        // Copy B into private memory as panels of `W` columns, each
+        // interleaved by row (`panels[(j / W * n + k) * W + j % W]` is
+        // B[k][j]), the last zero-padded to `W`; reads are local under the
+        // update protocol.
+        let panel_len = n * W;
+        let mut panels = vec![0.0f64; n.div_ceil(W) * panel_len];
         let mut v = proc.view();
         for k in 0..n {
             for j in 0..n {
-                bt[j * n + k] = v.get(&h.b, k * n + j);
+                panels[(j / W * n + k) * W + j % W] = v.get(&h.b, k * n + j);
             }
         }
         drop(v);
@@ -187,9 +197,11 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                 v.set(&h.scratch, me % 16, i as f64);
             }
             let row_a: Vec<f64> = (i * n..(i + 1) * n).map(|k| v.get(&h.a, k)).collect();
-            for j in 0..n {
-                let acc = dot(&row_a, &bt[j * n..(j + 1) * n]);
-                v.set(&h.c, i * n + j, acc);
+            for (jb, panel) in panels.chunks_exact(panel_len).enumerate() {
+                let acc = dot_panel(&row_a, panel);
+                for (j, c) in (jb * W..n).zip(acc) {
+                    v.set(&h.c, i * n + j, c);
+                }
             }
             drop(v);
             proc.work((n * n) as u64 * CYCLES_PER_MAC);
@@ -284,6 +296,43 @@ mod tests {
                 "faults ({}) should be far rarer than writes ({writes})",
                 c.write_faults
             );
+        }
+    }
+
+    /// The one-accumulator MAC loop [`dot_panel`] replaced: the oracle for
+    /// each of its outputs.
+    fn dot(a: &[f64], b: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for (x, y) in a.iter().zip(b) {
+            acc += x * y;
+        }
+        acc
+    }
+
+    #[test]
+    fn the_panel_kernel_matches_the_scalar_dot_bit_for_bit() {
+        let mut rng = SplitMix64::new(5);
+        for n in [1usize, 7, 8, 13, 24, 37] {
+            let row: Vec<f64> = (0..n).map(|_| rng.next_range_f64(-1.0, 1.0)).collect();
+            // B's columns, each as one slice, and the same columns as
+            // zero-padded panels, laid out as `session` lays them out.
+            let cols: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..n).map(|_| rng.next_range_f64(-1.0, 1.0)).collect())
+                .collect();
+            let mut panels = vec![0.0; n.div_ceil(W) * n * W];
+            for (j, col) in cols.iter().enumerate() {
+                for (k, &b) in col.iter().enumerate() {
+                    panels[(j / W * n + k) * W + j % W] = b;
+                }
+            }
+            let got: Vec<u64> = panels
+                .chunks_exact(n * W)
+                .flat_map(|panel| dot_panel(&row, panel))
+                .take(n)
+                .map(f64::to_bits)
+                .collect();
+            let want: Vec<u64> = cols.iter().map(|c| dot(&row, c).to_bits()).collect();
+            assert_eq!(got, want, "n = {n}");
         }
     }
 

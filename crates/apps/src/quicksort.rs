@@ -285,8 +285,8 @@ fn partition<T: Transport<Msg = NetMsg>>(
     }
 }
 
-/// Copies the leaf out, bubble-sorts it locally (charging the compare
-/// cost), writes it back, and records it for verification.
+/// Copies the leaf out, sorts it locally (charging the compares of the
+/// paper's bubble sort), writes it back, and records it for verification.
 fn local_sort_leaf<T: Transport<Msg = NetMsg>>(
     proc: &mut Proc<'_, T>,
     _p: Params,
@@ -316,31 +316,68 @@ fn local_sort_leaf<T: Transport<Msg = NetMsg>>(
     proc.release(h.qlock);
 }
 
-/// Bubble-sorts `buf` with early exit, the paper's local sort, and returns
-/// the comparisons made: each pass runs up to the last swap of the pass
-/// before.
+/// Sorts `buf` and returns the comparisons the paper's local sort, a
+/// bubble sort with early exit, makes on it: each pass runs up to the last
+/// swap of the pass before.
 ///
-/// A pass carries the running maximum in a register and writes the smaller
-/// of it and each next element behind it, so the compare's outcome feeds
-/// selects, not a branch. Keys are random, so a branch on it would be
-/// mispredicted about every other compare.
+/// The count is derived, not run. Let `c[i]` be the number of elements
+/// before position `i` greater than `buf[i]`. A pass moves every element
+/// with `c > 0` exactly one place left (the larger element carried past it
+/// is its only crossing) and every other element only right. So after `t`
+/// passes the element from `i` with `c[i] > t` sits at `i - t`, and pass
+/// `t + 1`, which compares `end - 1` pairs, makes its last swap at the
+/// rightmost of these: the next pass ends at `max{i : c[i] > t} - t`, or
+/// the sort stops if no `c[i]` exceeds `t`. One `sort_unstable` of the
+/// keys tagged with their positions gives the sorted leaf, and a Fenwick
+/// tree over positions, filled from the largest key down, gives every
+/// `c[i]`: O(n log n) in all.
+///
+/// Kept out of line, as matrix's and sor's kernels are, so its loops
+/// compile the same whatever the caller inlines around them.
+#[inline(never)]
 fn bubble_sort(buf: &mut [i32]) -> u64 {
-    let mut compares = 0u64;
-    let mut end = buf.len();
-    while end > 1 {
-        let pass = &mut buf[..end];
-        let mut max = pass[0];
-        let mut last_swap = 0;
-        for k in 1..pass.len() {
-            let x = pass[k];
-            let swap = max > x;
-            pass[k - 1] = max.min(x);
-            max = max.max(x);
-            last_swap = if swap { k } else { last_swap };
+    let n = buf.len();
+    // The key, order-preserved as unsigned, above its position.
+    let mut tagged: Vec<u64> = buf
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| (u64::from(x as u32 ^ (1 << 31)) << 32) | i as u64)
+        .collect();
+    tagged.sort_unstable();
+    // `fenwick` marks the positions (1-based) of the keys visited so far:
+    // the greater ones, and equal ones to the right, which a prefix up to
+    // `i` never counts. `past[c]` is one past the rightmost position whose
+    // count is `c`.
+    let mut fenwick = vec![0u32; n + 1];
+    let mut past = vec![0usize; n + 1];
+    for &t in tagged.iter().rev() {
+        let i = t as u32 as usize;
+        let (mut r, mut greater) = (i, 0);
+        while r > 0 {
+            greater += fenwick[r] as usize;
+            r &= r - 1;
         }
-        pass[end - 1] = max;
+        past[greater] = past[greater].max(i + 1);
+        let mut r = i + 1;
+        while r <= n {
+            fenwick[r] += 1;
+            r += r & r.wrapping_neg();
+        }
+    }
+    // `past[t]` becomes one past the rightmost position whose count is at
+    // least `t`.
+    for t in (1..n).rev() {
+        past[t] = past[t].max(past[t + 1]);
+    }
+    let mut compares = 0u64;
+    let (mut end, mut t) = (n, 0);
+    while end > 1 {
         compares += (end - 1) as u64;
-        end = last_swap;
+        t += 1;
+        end = past[t].saturating_sub(t);
+    }
+    for (x, t) in buf.iter_mut().zip(&tagged) {
+        *x = ((t >> 32) as u32 ^ (1 << 31)) as i32;
     }
     compares
 }
@@ -460,7 +497,7 @@ mod tests {
     }
 
     /// The bubble sort as the paper states it, branching on each compare:
-    /// the oracle for [`bubble_sort`].
+    /// the oracle for [`bubble_sort`]'s order and count.
     fn bubble_sort_branchy(buf: &mut [i32]) -> u64 {
         let mut compares = 0u64;
         let mut end = buf.len();
@@ -478,8 +515,15 @@ mod tests {
         compares
     }
 
+    fn assert_counts_like_the_branchy_sort(input: Vec<i32>, cell: &str) {
+        let (mut got, mut want) = (input.clone(), input);
+        let compares = bubble_sort(&mut got);
+        assert_eq!(compares, bubble_sort_branchy(&mut want), "{cell}");
+        assert_eq!(got, want, "{cell}");
+    }
+
     #[test]
-    fn branch_free_sort_matches_the_branchy_one() {
+    fn counted_sort_matches_the_branchy_one() {
         let mut rng = SplitMix64::new(7);
         let lengths = (0..=20).chain([31, 32, 33, 64, 100, 255, 256, 500, 999, 1000]);
         for n in lengths {
@@ -495,11 +539,36 @@ mod tests {
                 ("all-equal", equal),
                 ("duplicate-heavy", duplicates),
             ] {
-                let (mut got, mut want) = (input.clone(), input);
-                let compares = bubble_sort(&mut got);
-                assert_eq!(compares, bubble_sort_branchy(&mut want), "{kind}, n = {n}");
-                assert_eq!(got, want, "{kind}, n = {n}");
+                assert_counts_like_the_branchy_sort(input, &format!("{kind}, n = {n}"));
             }
+        }
+    }
+
+    #[test]
+    fn counted_sort_matches_the_branchy_one_on_few_distinct_keys() {
+        // Short arrays over 1–8 distinct keys make ties and long runs of
+        // equal counts, where an off-by-one in the pass arithmetic shows.
+        let mut rng = SplitMix64::new(13);
+        for case in 0..100_000 {
+            let keys: Vec<i32> = (0..=rng.next_below(8))
+                .map(|_| rng.next_u64() as i32)
+                .collect();
+            let n = rng.next_below(60) as usize;
+            let input = (0..n)
+                .map(|_| keys[rng.next_below(keys.len() as u64) as usize])
+                .collect();
+            assert_counts_like_the_branchy_sort(input, &format!("case {case}"));
+        }
+        // Long arrays mixing the extreme keys with random ones.
+        for n in [1_000, 1_001, 1_499, 1_500] {
+            let input = (0..n)
+                .map(|_| match rng.next_below(4) {
+                    0 => i32::MIN,
+                    1 => i32::MAX,
+                    _ => rng.next_u64() as i32,
+                })
+                .collect();
+            assert_counts_like_the_branchy_sort(input, &format!("extremes, n = {n}"));
         }
     }
 

@@ -178,7 +178,6 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
 
         let mut initial_residual = 0.0f64;
         let mut final_residual;
-        let omega = 0.9;
         let mut residual = 0.0f64;
         for iter in 0..p.iters {
             residual = 0.0;
@@ -194,34 +193,16 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                     proc.read_vec(&h.edges, (me + 1) * 2 * cols..((me + 1) * 2 + 1) * cols)
                 });
 
-                for li in 0..local_rows {
-                    let gi = stripe.start + li;
-                    if gi == 0 || gi == p.rows - 1 {
-                        continue; // fixed boundary row
-                    }
-                    for j in 1..cols - 1 {
-                        if (gi + j) % 2 != color {
-                            continue;
-                        }
-                        let up = if li == 0 {
-                            above.as_ref().expect("interior row has a neighbour")[j]
-                        } else {
-                            grid[(li - 1) * cols + j]
-                        };
-                        let down = if li == local_rows - 1 {
-                            below.as_ref().expect("interior row has a neighbour")[j]
-                        } else {
-                            grid[(li + 1) * cols + j]
-                        };
-                        let idx = li * cols + j;
-                        let old = grid[idx];
-                        let avg = 0.25 * (up + down + grid[idx - 1] + grid[idx + 1]);
-                        let new = old + omega * (avg - old);
-                        grid[idx] = new;
-                        residual += (new - old).abs();
-                    }
-                    proc.work(cols as u64 / 2 * CYCLES_PER_UPDATE);
-                }
+                residual = relax_stripe(
+                    &mut grid,
+                    cols,
+                    stripe.start,
+                    p.rows,
+                    [above.as_deref(), below.as_deref()],
+                    color,
+                    residual,
+                    || proc.work(cols as u64 / 2 * CYCLES_PER_UPDATE),
+                );
 
                 // Publish the edge rows' updated elements (only the colour
                 // just computed changed).
@@ -230,10 +211,8 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                     if gi == 0 || gi == p.rows - 1 {
                         continue;
                     }
-                    for j in 1..cols - 1 {
-                        if (gi + j) % 2 == color {
-                            proc.write(&h.edges, slot * cols + j, grid[li * cols + j]);
-                        }
+                    for j in (first_of(gi, color)..cols - 1).step_by(2) {
+                        proc.write(&h.edges, slot * cols + j, grid[li * cols + j]);
                     }
                 }
                 proc.barrier(h.phase_done);
@@ -263,6 +242,82 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
             initial_residual,
         }
     }
+}
+
+/// The relaxation factor.
+const OMEGA: f64 = 0.9;
+
+/// The first interior column `j` of global row `gi` whose cell has colour
+/// `color`, that is, whose `(gi + j) % 2 == color`.
+fn first_of(gi: usize, color: usize) -> usize {
+    1 + (gi + 1 + color) % 2
+}
+
+/// Relaxes one colour of a stripe held row-major in `grid` (`cols` wide,
+/// global rows from `first_row` on, `rows` in the whole grid), calling
+/// `row_done` after each interior row, and returns `residual` plus every
+/// update's magnitude, added row by row and, within a row, by ascending
+/// column. `edges` are the neighbours' published rows above and below the
+/// stripe, where they exist.
+///
+/// Each interior row resolves its up and down neighbours once, the grid's
+/// rows or `edges`, and [`relax_row`] visits only the row's cells of
+/// `color`.
+#[allow(clippy::too_many_arguments)]
+fn relax_stripe(
+    grid: &mut [f64],
+    cols: usize,
+    first_row: usize,
+    rows: usize,
+    edges: [Option<&[f64]>; 2],
+    color: usize,
+    mut residual: f64,
+    mut row_done: impl FnMut(),
+) -> f64 {
+    let local_rows = grid.len() / cols;
+    for li in 0..local_rows {
+        let gi = first_row + li;
+        if gi == 0 || gi == rows - 1 {
+            continue; // fixed boundary row
+        }
+        let (before, rest) = grid.split_at_mut(li * cols);
+        let (row, after) = rest.split_at_mut(cols);
+        let neighbour = "interior row has a neighbour";
+        let up = if li == 0 {
+            edges[0].expect(neighbour)
+        } else {
+            &before[(li - 1) * cols..]
+        };
+        let down = if li + 1 == local_rows {
+            edges[1].expect(neighbour)
+        } else {
+            &after[..cols]
+        };
+        residual = relax_row(up, row, down, first_of(gi, color), residual);
+        row_done();
+    }
+    residual
+}
+
+/// Relaxes `row[first]`, `row[first + 2]`, … up to its last interior
+/// column and returns `residual` plus each update's magnitude, in column
+/// order. The cells read beside each one are the other colour's, so no
+/// update feeds another.
+///
+/// Kept out of line for the reason `matmul`'s row kernel is: inlined, the
+/// running `residual` may be spilled to the stack on every step.
+#[inline(never)]
+fn relax_row(up: &[f64], row: &mut [f64], down: &[f64], first: usize, mut residual: f64) -> f64 {
+    let cols = row.len();
+    let (up, down) = (&up[..cols], &down[..cols]);
+    for j in (first..cols - 1).step_by(2) {
+        let old = row[j];
+        let avg = 0.25 * (up[j] + down[j] + row[j - 1] + row[j + 1]);
+        let new = old + OMEGA * (avg - old);
+        row[j] = new;
+        residual += (new - old).abs();
+    }
+    residual
 }
 
 /// Aggregate verification: SOR must make progress toward the steady state.
@@ -307,6 +362,104 @@ mod tests {
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(1.0);
         assert!(close(c0, checksum(&rt.results)), "{c0} vs RT");
         assert!(close(c0, checksum(&vm.results)), "{c0} vs VM");
+    }
+
+    /// The relaxation as [`relax_stripe`] replaced it, one branch per
+    /// interior cell and the neighbour rows resolved per cell: the oracle
+    /// for `relax_stripe`. Returns the residual and the interior rows
+    /// relaxed.
+    fn relax_stripe_branchy(
+        grid: &mut [f64],
+        cols: usize,
+        first_row: usize,
+        rows: usize,
+        [above, below]: [Option<&[f64]>; 2],
+        color: usize,
+        mut residual: f64,
+    ) -> (f64, usize) {
+        let local_rows = grid.len() / cols;
+        let mut relaxed = 0;
+        for li in 0..local_rows {
+            let gi = first_row + li;
+            if gi == 0 || gi == rows - 1 {
+                continue;
+            }
+            for j in 1..cols - 1 {
+                if (gi + j) % 2 != color {
+                    continue;
+                }
+                let up = if li == 0 {
+                    above.expect("interior row has a neighbour")[j]
+                } else {
+                    grid[(li - 1) * cols + j]
+                };
+                let down = if li == local_rows - 1 {
+                    below.expect("interior row has a neighbour")[j]
+                } else {
+                    grid[(li + 1) * cols + j]
+                };
+                let idx = li * cols + j;
+                let old = grid[idx];
+                let avg = 0.25 * (up + down + grid[idx - 1] + grid[idx + 1]);
+                let new = old + OMEGA * (avg - old);
+                grid[idx] = new;
+                residual += (new - old).abs();
+            }
+            relaxed += 1;
+        }
+        (residual, relaxed)
+    }
+
+    #[test]
+    fn the_row_kernel_matches_the_branchy_relaxation_bit_for_bit() {
+        let mut rng = SplitMix64::new(11);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for cols in [3, 4, 5, 8, 9, 32, 33] {
+            for local_rows in [2, 3, 5] {
+                let rows = 3 * local_rows + 2;
+                // The top, a middle and the bottom stripe, and one stripe
+                // holding the whole grid: rows of both parities, with and
+                // without the edge vectors above and below.
+                let stripes = [
+                    (0, local_rows),
+                    (local_rows + 1, local_rows),
+                    (rows - local_rows, local_rows),
+                    (0, rows),
+                ];
+                for (first_row, len) in stripes {
+                    let mut random = |n: usize| -> Vec<f64> {
+                        (0..n).map(|_| rng.next_range_f64(-50.0, 50.0)).collect()
+                    };
+                    let above = (first_row > 0).then(|| random(cols));
+                    let below = (first_row + len < rows).then(|| random(cols));
+                    let edges = [above.as_deref(), below.as_deref()];
+                    let mut got = random(len * cols);
+                    let mut want = got.clone();
+                    let mut residual = rng.next_range_f64(0.0, 1.0);
+                    for color in [0, 1, 0, 1, 1] {
+                        let mut rows_done = 0;
+                        let r = relax_stripe(
+                            &mut got,
+                            cols,
+                            first_row,
+                            rows,
+                            edges,
+                            color,
+                            residual,
+                            || rows_done += 1,
+                        );
+                        let (w, relaxed) = relax_stripe_branchy(
+                            &mut want, cols, first_row, rows, edges, color, residual,
+                        );
+                        let cell = format!("cols {cols}, rows {first_row}+{len}, colour {color}");
+                        assert_eq!(r.to_bits(), w.to_bits(), "{cell}");
+                        assert_eq!(bits(&got), bits(&want), "{cell}");
+                        assert_eq!(rows_done, relaxed, "{cell}");
+                        residual = r;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,14 @@ pub struct BufPool {
 }
 
 /// Buffers retained at most; beyond this, `put` lets the buffer drop.
-/// Sized for the deepest in-flight population the protocol produces (one
-/// grant's items plus the next collection in progress).
+///
+/// This bounds the pool's memory; it does not cover the protocol's
+/// in-flight population. Quicksort under RT-DSM at paper size on 8
+/// processors collects 1.35 M items in 4 379 collections, 85% of the
+/// items 8 bytes or less. 578 collections exceed 256 items, the largest
+/// 77 669. Each processor's pool hits 13–19 k times and misses 74–220 k
+/// times: most item buffers are fresh allocations. A freelist cannot
+/// serve that; one arena per update set could.
 const CAP: usize = 256;
 
 impl BufPool {

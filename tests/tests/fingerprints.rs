@@ -5,7 +5,7 @@
 //! store path is pinned the same way, with the clock breakdown, the trace
 //! bytes and the checker report added.
 
-use midway_apps::{matmul, quicksort, water};
+use midway_apps::{matmul, quicksort, sor, water};
 use midway_core::{codec, BackendKind, Counters, MidwayConfig, MidwayRun};
 use midway_replay::Trace;
 
@@ -166,6 +166,72 @@ fn store_path_fingerprints_match_the_parent_commit() {
             let run = matmul::run(cfg(b), matmul::Params::small());
             store_path("matrix", &run, matrix_word)
         }))
+        .collect();
+    for ((label, want), got_row) in cells.iter().zip(&got) {
+        assert_eq!(got_row, want, "{label}; all rows now: {got:#x?}");
+    }
+}
+
+fn sor_word(o: &sor::Outcome) -> u64 {
+    let words = [
+        o.stripe_checksum.to_bits(),
+        o.final_residual.to_bits(),
+        o.initial_residual.to_bits(),
+    ];
+    codec::fnv1a64(&words.map(u64::to_le_bytes).concat())
+}
+
+/// The host kernels' summation orders, which no other pin reaches: sor at
+/// `Scale::Small` under every data backend (its residuals and stripe
+/// checksums as `to_bits` words, so a reassociated sum moves them), and
+/// matrix at n = 37, which no multiple of a row kernel's output width
+/// divides. Same configuration and fingerprint as
+/// [`store_path_fingerprints_match_the_parent_commit`]. The values were
+/// recorded by this same test run against the parent commit (5ecb0bc),
+/// before sor relaxed one colour per row pass and matrix computed several
+/// outputs per pass over a row of A.
+#[test]
+fn kernel_fingerprints_match_the_parent_commit() {
+    let cfg = |b| {
+        MidwayConfig::new(4, b)
+            .record(true)
+            .check(true)
+            .checkpoint_every(2)
+    };
+    #[rustfmt::skip]
+    let cells: [(&str, [u64; 8]); 6] = [
+        ("sor rt",
+         [0xc0e28, 0x4e, 0x321f9e3609a3e22c, 0x4d05e5c4591bb64,
+          0x303c58d8216649bb, 0x5bb5b66bb85530a9, 0x299de243e3b33e20, 0x3ca2dc48edb4afcb]),
+        ("sor vm",
+         [0x14c39e, 0x4e, 0x321f9e3609a3e22c, 0x64002e9983558ef0,
+          0x303c58d8216649bb, 0x428db077c8904d12, 0xeac6e52e801b3282, 0x8bdb2f908f89db7b]),
+        ("sor blast",
+         [0xc81df, 0x4e, 0x321f9e3609a3e22c, 0xdeb49accc806149a,
+          0x303c58d8216649bb, 0xb839e4fedec43386, 0x5bc56f85dc6836e4, 0x6018afaf94122433]),
+        ("sor twinall",
+         [0xe3f5b, 0x4e, 0x321f9e3609a3e22c, 0xca0a32b9b7cf8e70,
+          0x303c58d8216649bb, 0xb7ae05e95b63b54a, 0x4f1bd7166421e499, 0x8bdb2f908f89db7b]),
+        ("sor hybrid",
+         [0xc0e28, 0x4e, 0x321f9e3609a3e22c, 0x4d05e5c4591bb64,
+          0x303c58d8216649bb, 0x5bb5b66bb85530a9, 0x3b1193b49af2cdc5, 0x3ca2dc48edb4afcb]),
+        ("matrix 37 rt",
+         [0x75d6e, 0xc, 0x2cf9c7755da32445, 0xa0d238b4af845c24,
+          0xdc435cffe00097cc, 0x1955ac14800901bc, 0x7942d3492dd753eb, 0x8c426cbc57130807]),
+    ];
+    let got: Vec<[u64; 8]> = BackendKind::DATA
+        .into_iter()
+        .map(|b| {
+            let run = sor::run(cfg(b), sor::Params::small());
+            store_path("sor", &run, sor_word)
+        })
+        .chain([{
+            let p = matmul::Params {
+                n: 37,
+                ..matmul::Params::small()
+            };
+            store_path("matrix", &matmul::run(cfg(BackendKind::Rt), p), matrix_word)
+        }])
         .collect();
     for ((label, want), got_row) in cells.iter().zip(&got) {
         assert_eq!(got_row, want, "{label}; all rows now: {got:#x?}");

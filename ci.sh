@@ -257,6 +257,13 @@ cargo run --release -q -p midway-replay --bin trace -- \
     replay "$smoke/sor-rt.mwt" --backend vm >/dev/null
 cargo run --release -q -p midway-replay --bin trace -- \
     info "$smoke/sor-rt.mwt" >/dev/null
+# A second recording of the same cell is the same trace: `diff` exits 0
+# (1 on any divergence).
+cargo run --release -q -p midway-replay --bin trace -- \
+    record --app sor --scale small --procs 4 --backend rt \
+    --out "$smoke/sor-rt-again.mwt"
+cargo run --release -q -p midway-replay --bin trace -- \
+    diff "$smoke/sor-rt.mwt" "$smoke/sor-rt-again.mwt"
 
 echo "==> crash recovery smoke (every backend)"
 # check --crash kills a processor a third of the way into the run and

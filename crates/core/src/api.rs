@@ -9,7 +9,7 @@ use midway_sim::{Category, ProcHandle, VirtualTime};
 use crate::msg::NetMsg;
 use crate::node::{DsmNode, Lent};
 use crate::setup::{Scalar, SharedArray};
-use crate::trace::{push_op, TraceOp};
+use crate::trace::{OpStream, TraceOp};
 
 /// One processor's view of the DSM: typed shared-memory access plus entry
 /// consistency synchronization.
@@ -33,7 +33,7 @@ use crate::trace::{push_op, TraceOp};
 pub struct Proc<'a, T: Transport<Msg = NetMsg> = ProcHandle<NetMsg>> {
     node: DsmNode,
     h: &'a mut T,
-    rec: Option<Vec<TraceOp>>,
+    rec: Option<OpStream>,
     /// The region the last view worked in, still lent out of the store
     /// for the next one: a run of element accesses resolves it once.
     /// [`engine`](Proc::engine) hands it back before anything else
@@ -42,7 +42,7 @@ pub struct Proc<'a, T: Transport<Msg = NetMsg> = ProcHandle<NetMsg>> {
 }
 
 impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
-    pub(crate) fn new(node: DsmNode, h: &'a mut T, rec: Option<Vec<TraceOp>>) -> Proc<'a, T> {
+    pub(crate) fn new(node: DsmNode, h: &'a mut T, rec: Option<OpStream>) -> Proc<'a, T> {
         Proc {
             node,
             h,
@@ -61,7 +61,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
 
     /// Ends the session: the node (everything lent handed back) and the
     /// recorded operations.
-    pub(crate) fn finish(mut self) -> (DsmNode, Option<Vec<TraceOp>>) {
+    pub(crate) fn finish(mut self) -> (DsmNode, Option<OpStream>) {
         self.node.restore(&mut self.lent);
         (self.node, self.rec)
     }
@@ -77,9 +77,9 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
     }
 
     #[inline]
-    fn record_with(&mut self, op: impl FnOnce() -> TraceOp) {
+    fn record(&mut self, op: TraceOp<'_>) {
         if let Some(rec) = &mut self.rec {
-            push_op(rec, op());
+            rec.record(op);
         }
     }
 
@@ -101,7 +101,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
     /// Charges `cycles` of application compute time.
     pub fn work(&mut self, cycles: u64) {
         self.h.work(cycles);
-        self.record_with(|| TraceOp::Work { cycles });
+        self.record(TraceOp::Work { cycles });
     }
 
     /// Waits `cycles` of virtual time while the runtime keeps serving
@@ -110,7 +110,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
     pub fn idle(&mut self, cycles: u64) {
         let (node, h) = self.engine();
         node.idle(h, cycles);
-        self.record_with(|| TraceOp::Idle { cycles });
+        self.record(TraceOp::Idle { cycles });
     }
 
     /// A view for reading and writing shared memory element by element:
@@ -163,7 +163,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
         let (node, h) = self.engine();
         node.acquire(h, lock, Mode::Exclusive);
         self.check_with(|log, at| log.acquire(at, lock.0, true));
-        self.record_with(|| TraceOp::Acquire {
+        self.record(TraceOp::Acquire {
             lock: lock.0,
             exclusive: true,
         });
@@ -174,7 +174,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
         let (node, h) = self.engine();
         node.acquire(h, lock, Mode::Shared);
         self.check_with(|log, at| log.acquire(at, lock.0, false));
-        self.record_with(|| TraceOp::Acquire {
+        self.record(TraceOp::Acquire {
             lock: lock.0,
             exclusive: false,
         });
@@ -185,7 +185,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
         self.check_with(|log, at| log.release(at, lock.0, true));
         let (node, h) = self.engine();
         node.release(h, lock, Mode::Exclusive);
-        self.record_with(|| TraceOp::Release {
+        self.record(TraceOp::Release {
             lock: lock.0,
             exclusive: true,
         });
@@ -196,7 +196,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
         self.check_with(|log, at| log.release(at, lock.0, false));
         let (node, h) = self.engine();
         node.release(h, lock, Mode::Shared);
-        self.record_with(|| TraceOp::Release {
+        self.record(TraceOp::Release {
             lock: lock.0,
             exclusive: false,
         });
@@ -205,9 +205,9 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
     /// Rebinds `lock` to `ranges`; the caller must hold it exclusively.
     pub fn rebind(&mut self, lock: LockId, ranges: Vec<AddrRange>) {
         self.check_with(|log, at| log.rebind(at, lock.0, ranges.clone()));
-        self.record_with(|| TraceOp::Rebind {
+        self.record(TraceOp::Rebind {
             lock: lock.0,
-            ranges: ranges.clone(),
+            ranges: &ranges,
         });
         let (node, h) = self.engine();
         node.rebind(h, lock, ranges);
@@ -219,35 +219,35 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
         let (node, h) = self.engine();
         node.barrier(h, barrier);
         self.check_with(|log, at| log.barrier_exit(at, barrier.0));
-        self.record_with(|| TraceOp::Barrier { barrier: barrier.0 });
+        self.record(TraceOp::Barrier { barrier: barrier.0 });
     }
 
     /// Applies one recorded operation: the replay path. Replaying every
     /// operation of a recorded stream (in order, on the processor that
     /// recorded it) reproduces the original run without the application.
-    pub fn apply_op(&mut self, op: &TraceOp) {
+    pub fn apply_op(&mut self, op: TraceOp<'_>) {
         match op {
-            TraceOp::Work { cycles } => self.work(*cycles),
-            TraceOp::Idle { cycles } => self.idle(*cycles),
-            TraceOp::Write { addr, data } => self.write_raw(Addr(*addr), data),
+            TraceOp::Work { cycles } => self.work(cycles),
+            TraceOp::Idle { cycles } => self.idle(cycles),
+            TraceOp::Write { addr, data } => self.write_raw(Addr(addr), data),
             TraceOp::Acquire {
                 lock,
                 exclusive: true,
-            } => self.acquire(LockId(*lock)),
+            } => self.acquire(LockId(lock)),
             TraceOp::Acquire {
                 lock,
                 exclusive: false,
-            } => self.acquire_shared(LockId(*lock)),
+            } => self.acquire_shared(LockId(lock)),
             TraceOp::Release {
                 lock,
                 exclusive: true,
-            } => self.release(LockId(*lock)),
+            } => self.release(LockId(lock)),
             TraceOp::Release {
                 lock,
                 exclusive: false,
-            } => self.release_shared(LockId(*lock)),
-            TraceOp::Rebind { lock, ranges } => self.rebind(LockId(*lock), ranges.clone()),
-            TraceOp::Barrier { barrier } => self.barrier(BarrierId(*barrier)),
+            } => self.release_shared(LockId(lock)),
+            TraceOp::Rebind { lock, ranges } => self.rebind(LockId(lock), ranges.to_vec()),
+            TraceOp::Barrier { barrier } => self.barrier(BarrierId(barrier)),
         }
     }
 
@@ -387,14 +387,10 @@ impl<T: Transport<Msg = NetMsg>> View<'_, '_, T> {
         fill(bytes);
         self.wal_cycles += node.wal_store(addr.raw(), bytes);
         if let Some(rec) = rec {
-            let data = bytes.to_vec();
-            push_op(
-                rec,
-                TraceOp::Write {
-                    addr: addr.raw(),
-                    data,
-                },
-            );
+            rec.push(TraceOp::Write {
+                addr: addr.raw(),
+                data: bytes,
+            });
         }
     }
 }

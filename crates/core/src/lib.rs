@@ -67,7 +67,7 @@ pub use detect::{DetectCx, Trap, WriteDetector};
 pub use msg::{DsmMsg, GrantPayload, NetMsg};
 pub use run::{Midway, MidwayRun};
 pub use setup::{Scalar, SharedArray, SystemBuilder, SystemSpec};
-pub use trace::{AllocSpec, SpecBlueprint, TraceOp};
+pub use trace::{AllocSpec, OpStream, SpecBlueprint, TraceOp};
 
 // Re-export the identifiers applications need.
 pub use midway_check::{

@@ -17,7 +17,7 @@ use crate::counters::{AvgCounters, Counters};
 use crate::msg::NetMsg;
 use crate::node::DsmNode;
 use crate::setup::SystemSpec;
-use crate::trace::{SpecBlueprint, TraceOp};
+use crate::trace::{OpStream, SpecBlueprint};
 
 /// The outcome of a Midway run.
 #[derive(Clone, Debug)]
@@ -42,7 +42,7 @@ pub struct MidwayRun<R> {
     pub cfg: MidwayConfig,
     /// Per-processor recorded operation streams. Empty unless the run was
     /// configured with [`MidwayConfig::record`].
-    pub traces: Vec<Vec<TraceOp>>,
+    pub traces: Vec<OpStream>,
     /// The system blueprint, captured when recording (everything the
     /// `midway-replay` crate needs to rebuild the run's `SystemSpec`).
     pub blueprint: Option<SpecBlueprint>,
@@ -116,7 +116,7 @@ type SessionOut<R> = (
     Counters,
     LinkStats,
     LocalStore,
-    Option<Vec<TraceOp>>,
+    Option<OpStream>,
     Option<midway_check::CheckLog>,
 );
 
@@ -134,7 +134,7 @@ where
 {
     let node = DsmNode::new(h.id(), cfg, Arc::clone(spec));
     node.schedule_crashes(h);
-    let mut proc = Proc::new(node, h, cfg.record.then(Vec::new));
+    let mut proc = Proc::new(node, h, cfg.record.then(OpStream::default));
     let r = f(&mut proc);
     let (mut node, rec) = proc.finish();
     node.finalize(h);

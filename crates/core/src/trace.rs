@@ -12,8 +12,12 @@
 //! cost or network model is the standard trace-driven way to evaluate a
 //! design point without re-running the application.
 //!
-//! [`TraceOp`] is the in-memory representation; the portable binary
-//! encoding lives in the `midway-replay` crate.
+//! A processor's recording is an [`OpStream`]: a 16-byte head per op,
+//! with every `Write`'s bytes appended to one buffer and every `Rebind`'s
+//! ranges to one table, so recording a store allocates nothing of its
+//! own. Iterating a stream yields [`TraceOp`] views that borrow those
+//! payloads; replay, the codec and every report read them. The portable
+//! binary encoding lives in the `midway-replay` crate.
 
 use std::sync::Arc;
 
@@ -23,41 +27,206 @@ use midway_proto::Binding;
 
 use crate::setup::SystemSpec;
 
-/// One recorded operation of a processor's shared-memory stream.
+/// One recorded operation of a processor's shared-memory stream, as an
+/// [`OpStream`] hands it out: a `Write`'s bytes and a `Rebind`'s ranges
+/// are borrowed from the stream that holds them.
 ///
 /// `Work`/`Idle` preserve the virtual-time shape of the computation;
-/// everything else is a shared-memory or synchronization event. Adjacent
-/// `Work` charges are coalesced at record time (charging 3 then 5 cycles
-/// is indistinguishable from charging 8), which keeps traces small for
-/// apps that charge per element.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceOp {
+/// everything else is a shared-memory or synchronization event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraceOp<'a> {
     /// Application compute: advance the clock by `cycles`.
     Work { cycles: u64 },
     /// Back off for `cycles` while serving protocol requests.
     Idle { cycles: u64 },
     /// One write trap covering `data.len()` bytes at `addr` (a word,
     /// doubleword or area store), and the bytes it left in memory.
-    Write { addr: u64, data: Vec<u8> },
+    Write { addr: u64, data: &'a [u8] },
     /// Lock acquire, exclusive or shared.
     Acquire { lock: u32, exclusive: bool },
     /// Lock release, exclusive or shared.
     Release { lock: u32, exclusive: bool },
     /// Rebind the lock to new ranges (caller holds it exclusively).
-    Rebind { lock: u32, ranges: Vec<AddrRange> },
+    Rebind { lock: u32, ranges: &'a [AddrRange] },
     /// Cross a barrier.
     Barrier { barrier: u32 },
 }
 
-/// Appends `op` to a recording, coalescing adjacent `Work` charges.
-pub(crate) fn push_op(rec: &mut Vec<TraceOp>, op: TraceOp) {
-    if let (Some(TraceOp::Work { cycles: last }), TraceOp::Work { cycles }) = (rec.last_mut(), &op)
-    {
-        *last += cycles;
-        return;
-    }
-    rec.push(op);
+/// The fixed-size part of one op in an [`OpStream`]. A `Write`'s bytes
+/// and a `Rebind`'s ranges follow the previous ones in the stream's side
+/// buffers, so a head holds only their count.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Head {
+    Work(u64),
+    Idle(u64),
+    Write { addr: u64, len: u32 },
+    Acquire { lock: u32, exclusive: bool },
+    Release { lock: u32, exclusive: bool },
+    Rebind { lock: u32, ranges: u32 },
+    Barrier(u32),
 }
+
+const _: () = assert!(std::mem::size_of::<Head>() == 16);
+
+/// One processor's recorded operations, packed: a 16-byte head per op,
+/// every `Write`'s bytes appended to one buffer and every `Rebind`'s
+/// ranges to one table. Recording a store appends to the three vectors;
+/// it allocates nothing of its own.
+///
+/// [`push`](OpStream::push) appends an op exactly as given; iterating
+/// yields the ops pushed, in order, as borrowed [`TraceOp`] views.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct OpStream {
+    heads: Vec<Head>,
+    bytes: Vec<u8>,
+    ranges: Vec<AddrRange>,
+}
+
+impl OpStream {
+    /// Bytes of memory one op takes besides its payload.
+    pub const HEAD_BYTES: usize = std::mem::size_of::<Head>();
+
+    /// An empty stream with room for `ops` ops that write `bytes` bytes
+    /// and rebind to `ranges` ranges in all.
+    pub fn with_capacity(ops: usize, bytes: usize, ranges: usize) -> OpStream {
+        OpStream {
+            heads: Vec::with_capacity(ops),
+            bytes: Vec::with_capacity(bytes),
+            ranges: Vec::with_capacity(ranges),
+        }
+    }
+
+    /// Number of ops.
+    pub fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Whether the stream holds no op.
+    pub fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
+    /// The ops in the order they were pushed.
+    pub fn iter(&self) -> Ops<'_> {
+        Ops {
+            heads: self.heads.iter(),
+            bytes: &self.bytes,
+            ranges: &self.ranges,
+        }
+    }
+
+    /// Appends `op`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `Write` covers or a `Rebind` names 2^32 or more bytes
+    /// or ranges (a store never leaves its 4 MiB region).
+    #[inline]
+    pub fn push(&mut self, op: TraceOp<'_>) {
+        let count = |n: usize| u32::try_from(n).expect("payload count fits a u32");
+        self.heads.push(match op {
+            TraceOp::Work { cycles } => Head::Work(cycles),
+            TraceOp::Idle { cycles } => Head::Idle(cycles),
+            TraceOp::Write { addr, data } => {
+                self.bytes.extend_from_slice(data);
+                Head::Write {
+                    addr,
+                    len: count(data.len()),
+                }
+            }
+            TraceOp::Acquire { lock, exclusive } => Head::Acquire { lock, exclusive },
+            TraceOp::Release { lock, exclusive } => Head::Release { lock, exclusive },
+            TraceOp::Rebind { lock, ranges } => {
+                self.ranges.extend_from_slice(ranges);
+                Head::Rebind {
+                    lock,
+                    ranges: count(ranges.len()),
+                }
+            }
+            TraceOp::Barrier { barrier } => Head::Barrier(barrier),
+        });
+    }
+
+    /// Appends `op` as a recording does: a `Work` charge right after
+    /// another is added to it (charging 3 then 5 cycles is
+    /// indistinguishable from charging 8), which keeps traces small for
+    /// apps that charge per element.
+    pub(crate) fn record(&mut self, op: TraceOp<'_>) {
+        if let (Some(Head::Work(last)), TraceOp::Work { cycles }) = (self.heads.last_mut(), op) {
+            *last += cycles;
+            return;
+        }
+        self.push(op);
+    }
+}
+
+impl std::fmt::Debug for OpStream {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a OpStream {
+    type Item = TraceOp<'a>;
+    type IntoIter = Ops<'a>;
+
+    fn into_iter(self) -> Ops<'a> {
+        self.iter()
+    }
+}
+
+impl<'a> FromIterator<TraceOp<'a>> for OpStream {
+    fn from_iter<I: IntoIterator<Item = TraceOp<'a>>>(ops: I) -> OpStream {
+        let mut s = OpStream::default();
+        for op in ops {
+            s.push(op);
+        }
+        s
+    }
+}
+
+/// The ops of an [`OpStream`], in order.
+#[derive(Clone)]
+pub struct Ops<'a> {
+    heads: std::slice::Iter<'a, Head>,
+    /// The payloads of the ops not yet yielded.
+    bytes: &'a [u8],
+    ranges: &'a [AddrRange],
+}
+
+impl<'a> Iterator for Ops<'a> {
+    type Item = TraceOp<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceOp<'a>> {
+        Some(match *self.heads.next()? {
+            Head::Work(cycles) => TraceOp::Work { cycles },
+            Head::Idle(cycles) => TraceOp::Idle { cycles },
+            Head::Write { addr, len } => {
+                let data;
+                (data, self.bytes) = self.bytes.split_at(len as usize);
+                TraceOp::Write { addr, data }
+            }
+            Head::Acquire { lock, exclusive } => TraceOp::Acquire { lock, exclusive },
+            Head::Release { lock, exclusive } => TraceOp::Release { lock, exclusive },
+            Head::Rebind { lock, ranges } => {
+                let taken;
+                (taken, self.ranges) = self.ranges.split_at(ranges as usize);
+                TraceOp::Rebind {
+                    lock,
+                    ranges: taken,
+                }
+            }
+            Head::Barrier(barrier) => TraceOp::Barrier { barrier },
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.heads.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Ops<'_> {}
 
 /// One allocation in a [`SpecBlueprint`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -239,18 +408,100 @@ mod tests {
 
     #[test]
     fn work_charges_coalesce() {
-        let mut rec = Vec::new();
-        push_op(&mut rec, TraceOp::Work { cycles: 3 });
-        push_op(&mut rec, TraceOp::Work { cycles: 5 });
-        push_op(&mut rec, TraceOp::Barrier { barrier: 0 });
-        push_op(&mut rec, TraceOp::Work { cycles: 2 });
+        let ops = [
+            TraceOp::Work { cycles: 3 },
+            TraceOp::Work { cycles: 5 },
+            TraceOp::Barrier { barrier: 0 },
+            TraceOp::Work { cycles: 2 },
+        ];
+        let mut rec = OpStream::default();
+        for op in ops {
+            rec.record(op);
+        }
         assert_eq!(
-            rec,
-            vec![
+            rec.iter().collect::<Vec<_>>(),
+            [
                 TraceOp::Work { cycles: 8 },
                 TraceOp::Barrier { barrier: 0 },
                 TraceOp::Work { cycles: 2 },
             ]
         );
+        let pushed: OpStream = ops.into_iter().collect();
+        assert!(pushed.iter().eq(ops));
+    }
+
+    /// Random op sequences — runs of `Work`, word and area writes (empty
+    /// ones too), rebinds to no range or several, every other kind —
+    /// iterate back from a stream exactly as pushed; recorded, they come
+    /// back with each `Work` run summed into one op and nothing else
+    /// moved.
+    #[test]
+    fn pushed_ops_iterate_back_unchanged() {
+        let mut rng = midway_sim::SplitMix64::new(0x0b57_ea3a);
+        for _ in 0..64 {
+            let n = rng.next_below(300) as usize;
+            let data: Vec<Vec<u8>> = (0..n)
+                .map(|_| {
+                    let len = [0, 4, 8, rng.next_below(4096)][rng.next_below(4) as usize];
+                    (0..len).map(|_| rng.next_u64() as u8).collect()
+                })
+                .collect();
+            let ranges: Vec<Vec<AddrRange>> = (0..n)
+                .map(|_| {
+                    (0..rng.next_below(4))
+                        .map(|_| {
+                            let start = rng.next_u64() >> 20;
+                            start..start + rng.next_below(1 << 12)
+                        })
+                        .collect()
+                })
+                .collect();
+            let ops: Vec<TraceOp<'_>> = (0..n)
+                .map(|i| {
+                    let (lock, exclusive) = (rng.next_below(64) as u32, rng.next_below(2) == 1);
+                    match rng.next_below(9) {
+                        0..=2 => TraceOp::Work {
+                            cycles: rng.next_below(1 << 40),
+                        },
+                        3 => TraceOp::Idle {
+                            cycles: rng.next_below(1 << 20),
+                        },
+                        4 | 5 => TraceOp::Write {
+                            addr: rng.next_u64() >> 8,
+                            data: &data[i],
+                        },
+                        6 => TraceOp::Acquire { lock, exclusive },
+                        7 => TraceOp::Release { lock, exclusive },
+                        _ if i % 2 == 0 => TraceOp::Rebind {
+                            lock,
+                            ranges: &ranges[i],
+                        },
+                        _ => TraceOp::Barrier { barrier: lock },
+                    }
+                })
+                .collect();
+
+            let mut pushed = OpStream::default();
+            let mut recorded = OpStream::default();
+            for &op in &ops {
+                pushed.push(op);
+                recorded.record(op);
+            }
+            assert_eq!(pushed.len(), ops.len());
+            assert_eq!(pushed.iter().len(), ops.len());
+            assert!(pushed.iter().eq(ops.iter().copied()));
+            assert_eq!(pushed, ops.iter().copied().collect());
+
+            let mut coalesced: Vec<TraceOp<'_>> = Vec::new();
+            for &op in &ops {
+                match (coalesced.last_mut(), op) {
+                    (Some(TraceOp::Work { cycles: last }), TraceOp::Work { cycles }) => {
+                        *last += cycles;
+                    }
+                    _ => coalesced.push(op),
+                }
+            }
+            assert!(recorded.iter().eq(coalesced));
+        }
     }
 }

@@ -69,6 +69,7 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// A cursor over bytes that are not trusted.
+#[derive(Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
 }

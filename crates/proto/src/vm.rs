@@ -265,15 +265,10 @@ impl LockHistory {
         if last_seen >= newest {
             return Some(Vec::new());
         }
-        let needed: Vec<Arc<Update>> = self
-            .updates
-            .iter()
-            .filter(|u| u.incarnation > last_seen)
-            .cloned()
-            .collect();
-        let expect = (newest - last_seen) as usize;
-        if needed.len() == expect {
-            return Some(needed);
+        // Incarnations increase along the deque (`push` asserts it).
+        let first = self.updates.partition_point(|u| u.incarnation <= last_seen);
+        if self.updates.len() - first == (newest - last_seen) as usize {
+            return Some(self.updates.range(first..).cloned().collect());
         }
         if self.updates.front().is_some_and(|u| u.full) {
             return Some(self.updates.iter().cloned().collect());
@@ -580,5 +575,52 @@ mod tests {
         h.absorb(&[upd(2), upd(4), upd(5)]);
         assert_eq!(h.newest(), Some(5));
         assert_eq!(h.since(2).unwrap().len(), 3);
+    }
+
+    /// `since` finds the first needed incarnation by bisection; the scan it
+    /// replaced kept every retained update newer than `last_seen`. Both
+    /// agree on random histories: gapped and contiguous incarnations,
+    /// pruned by the cap, led by a full snapshot or not, asked from before
+    /// the oldest to past the newest.
+    #[test]
+    fn since_matches_a_filter_over_the_history() {
+        fn by_filter(h: &LockHistory, last_seen: u64) -> Option<Vec<u64>> {
+            let newest = h.newest()?;
+            if last_seen >= newest {
+                return Some(Vec::new());
+            }
+            let needed: Vec<u64> = h
+                .updates
+                .iter()
+                .filter(|u| u.incarnation > last_seen)
+                .map(|u| u.incarnation)
+                .collect();
+            if needed.len() == (newest - last_seen) as usize {
+                return Some(needed);
+            }
+            h.updates
+                .front()
+                .is_some_and(|u| u.full)
+                .then(|| h.updates.iter().map(|u| u.incarnation).collect())
+        }
+        let mut rng = midway_sim::SplitMix64::new(0x5141_ce11);
+        for _ in 0..200 {
+            let mut h = LockHistory::new(1 + rng.next_below(12) as usize);
+            let mut inc = rng.next_below(4);
+            for _ in 0..rng.next_below(24) {
+                inc += 1 + rng.next_below(3) / 2;
+                h.push(Arc::new(Update {
+                    incarnation: inc,
+                    set: UpdateSet::new(),
+                    full: rng.next_below(4) == 0,
+                }));
+            }
+            for last_seen in 0..inc + 3 {
+                let got = h
+                    .since(last_seen)
+                    .map(|us| us.iter().map(|u| u.incarnation).collect::<Vec<_>>());
+                assert_eq!(got, by_filter(&h, last_seen), "last_seen {last_seen}");
+            }
+        }
     }
 }

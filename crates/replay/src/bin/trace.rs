@@ -434,8 +434,8 @@ fn cmd_info(args: &Args) -> Result<ExitCode, String> {
         let mut rebinds = vec![0u64; trace.blueprint.locks.len()];
         for op in trace.ops.iter().flatten() {
             match op {
-                midway_core::TraceOp::Acquire { lock, .. } => acquires[*lock as usize] += 1,
-                midway_core::TraceOp::Rebind { lock, .. } => rebinds[*lock as usize] += 1,
+                midway_core::TraceOp::Acquire { lock, .. } => acquires[lock as usize] += 1,
+                midway_core::TraceOp::Rebind { lock, .. } => rebinds[lock as usize] += 1,
                 _ => {}
             }
         }
@@ -537,8 +537,8 @@ fn cmd_diff(args: &Args) -> Result<ExitCode, String> {
                 oa.len(),
                 ob.len()
             );
-            println!("  a: {:?}", oa.get(i));
-            println!("  b: {:?}", ob.get(i));
+            println!("  a: {:?}", oa.iter().nth(i));
+            println!("  b: {:?}", ob.iter().nth(i));
         }
     }
     Ok(ExitCode::FAILURE)

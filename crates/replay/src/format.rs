@@ -46,16 +46,19 @@
 //! rejected rather than misread. The blueprint is checked against what a
 //! replay will build from it: its allocations are replayed through the
 //! layout's allocator and must land where the file says, every `Write`
-//! and `Rebind` range must lie inside one of them, every lock, barrier
-//! and partition range inside their union, and a barrier's partition list
-//! must hold one partition per processor.
+//! and `Rebind` range must lie inside one of them (a `Write` inside one
+//! 4 MiB region too), every lock, barrier and partition range inside
+//! their union, and a barrier's partition list must hold one partition
+//! per processor. Each processor's ops decode into an `OpStream` sized
+//! exactly by a first pass over them, with adjacent `Work` ops kept
+//! apart, so a decoded trace re-encodes to the bytes it came from.
 
 use midway_core::codec::{seal, unseal, Reader, WireError, Writer};
 use midway_core::{
-    AllocSpec, BackendKind, BarrierRanges, BarrierShape, Counters, HomeMap, MidwayConfig,
+    AllocSpec, BackendKind, BarrierRanges, BarrierShape, Counters, HomeMap, MidwayConfig, OpStream,
     ReliableParams, SpecBlueprint, TraceOp,
 };
-use midway_mem::{AddrRange, LayoutBuilder, MemClass, PAGE_SHIFT};
+use midway_mem::{AddrRange, LayoutBuilder, MemClass, PAGE_SHIFT, REGION_SHIFT};
 use midway_sim::{CrashEvent, FaultPlan, NetModel, MAX_CRASHES};
 use midway_stats::CostModel;
 
@@ -190,39 +193,39 @@ fn put_crash_plan(w: &mut Vec<u8>, f: &FaultPlan) {
     }
 }
 
-fn put_op(w: &mut Vec<u8>, op: &TraceOp) {
+fn put_op(w: &mut Vec<u8>, op: TraceOp<'_>) {
     match op {
         TraceOp::Work { cycles } => {
             w.push(0);
-            w.varint(*cycles);
+            w.varint(cycles);
         }
         TraceOp::Idle { cycles } => {
             w.push(1);
-            w.varint(*cycles);
+            w.varint(cycles);
         }
         TraceOp::Write { addr, data } => {
             w.push(2);
-            w.varint(*addr);
+            w.varint(addr);
             w.bytes(data);
         }
         TraceOp::Acquire { lock, exclusive } => {
             w.push(3);
-            w.varint(u64::from(*lock));
-            w.push(u8::from(*exclusive));
+            w.varint(u64::from(lock));
+            w.push(u8::from(exclusive));
         }
         TraceOp::Release { lock, exclusive } => {
             w.push(4);
-            w.varint(u64::from(*lock));
-            w.push(u8::from(*exclusive));
+            w.varint(u64::from(lock));
+            w.push(u8::from(exclusive));
         }
         TraceOp::Rebind { lock, ranges } => {
             w.push(5);
-            w.varint(u64::from(*lock));
+            w.varint(u64::from(lock));
             put_ranges(w, ranges);
         }
         TraceOp::Barrier { barrier } => {
             w.push(6);
-            w.varint(u64::from(*barrier));
+            w.varint(u64::from(barrier));
         }
     }
 }
@@ -499,9 +502,16 @@ fn bound(r: &mut Reader, extents: &[AddrRange]) -> Result<Vec<AddrRange>, WireEr
     }
 }
 
-fn op(r: &mut Reader, bp: &SpecBlueprint, extents: &[AddrRange]) -> Result<TraceOp, WireError> {
+/// Decodes one op onto the end of `stream`, as read: adjacent `Work`
+/// charges stay apart, so the stream re-encodes to the same bytes.
+fn op(
+    r: &mut Reader,
+    bp: &SpecBlueprint,
+    extents: &[AddrRange],
+    stream: &mut OpStream,
+) -> Result<(), WireError> {
     let lock = |r: &mut Reader| id(r, bp.locks.len(), "lock id outside the blueprint");
-    Ok(match r.u8()? {
+    stream.push(match r.u8()? {
         0 => TraceOp::Work {
             cycles: r.varint()?,
         },
@@ -515,10 +525,11 @@ fn op(r: &mut Reader, bp: &SpecBlueprint, extents: &[AddrRange]) -> Result<Trace
             if !end.is_some_and(|end| inside(extents, &(addr..end))) {
                 return malformed("write outside every allocation", addr);
             }
-            TraceOp::Write {
-                addr,
-                data: data.to_vec(),
+            // A replay stores a write into the region holding its address.
+            if !data.is_empty() && (addr ^ (addr + data.len() as u64 - 1)) >> REGION_SHIFT != 0 {
+                return malformed("write across a region boundary", addr);
             }
+            TraceOp::Write { addr, data }
         }
         3 => TraceOp::Acquire {
             lock: lock(r)?,
@@ -534,13 +545,75 @@ fn op(r: &mut Reader, bp: &SpecBlueprint, extents: &[AddrRange]) -> Result<Trace
             if let Some(out) = ranges.iter().find(|x| !inside(extents, x)) {
                 return malformed("rebind outside every allocation", out.start);
             }
-            TraceOp::Rebind { lock, ranges }
+            if u32::try_from(ranges.len()).is_err() {
+                return malformed("rebind of 2^32 or more ranges", ranges.len() as u64);
+            }
+            stream.push(TraceOp::Rebind {
+                lock,
+                ranges: &ranges,
+            });
+            return Ok(());
         }
         6 => TraceOp::Barrier {
             barrier: id(r, bp.barriers.len(), "barrier id outside the blueprint")?,
         },
         t => return malformed("unknown op tag", t.into()),
+    });
+    Ok(())
+}
+
+/// Reads past one op without checking its values, returning how many
+/// written bytes and rebind ranges it carries.
+fn skip_op(r: &mut Reader) -> Result<(usize, usize), WireError> {
+    Ok(match r.u8()? {
+        0 | 1 | 6 => {
+            r.varint()?;
+            (0, 0)
+        }
+        2 => {
+            r.varint()?;
+            (r.bytes()?.len(), 0)
+        }
+        3 | 4 => {
+            r.varint()?;
+            r.u8()?;
+            (0, 0)
+        }
+        5 => {
+            r.varint()?;
+            let n = r.count(2)?;
+            for _ in 0..2 * n {
+                r.varint()?;
+            }
+            (0, n)
+        }
+        t => return malformed("unknown op tag", t.into()),
     })
+}
+
+/// One processor's stream of `n` ops, reserved once at its exact size. A
+/// first pass counts the ops, written bytes and rebind ranges as far as
+/// their encoding reads; decoding, which also checks every value, stops
+/// no later, so the stream never grows and a count the file lies about
+/// reserves nothing.
+fn stream(
+    r: &mut Reader,
+    bp: &SpecBlueprint,
+    extents: &[AddrRange],
+) -> Result<OpStream, WireError> {
+    let n = r.count(2)?;
+    let (mut ahead, mut ops, mut bytes, mut ranges) = (r.clone(), 0, 0, 0);
+    while ops < n {
+        let Ok((b, k)) = skip_op(&mut ahead) else {
+            break;
+        };
+        (ops, bytes, ranges) = (ops + 1, bytes + b, ranges + k);
+    }
+    let mut stream = OpStream::with_capacity(ops, bytes, ranges);
+    for _ in 0..n {
+        op(r, bp, extents, &mut stream)?;
+    }
+    Ok(stream)
 }
 
 /// Decodes an `MWTR` byte buffer back into a trace.
@@ -632,7 +705,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
     };
 
     let ops = (0..procs)
-        .map(|_| list(r, 2, |r| op(r, &blueprint, &extents)))
+        .map(|_| stream(r, &blueprint, &extents))
         .collect::<Result<Vec<_>, _>>()?;
     r.finish()?;
 

@@ -33,8 +33,8 @@ use std::sync::Arc;
 use midway_apps::fuzz::{backends_for, execute, Schedule};
 use midway_apps::{run_app, run_on, AppKind, Scale};
 use midway_core::{
-    BackendKind, BarrierShape, Counters, FaultPlan, HomeMap, Midway, MidwayConfig, MidwayRun, Proc,
-    RealConfig, SimError, SpecBlueprint, SystemSpec, TraceOp,
+    BackendKind, BarrierShape, Counters, FaultPlan, HomeMap, Midway, MidwayConfig, MidwayRun,
+    OpStream, Proc, RealConfig, SimError, SpecBlueprint, SystemSpec, TraceOp,
 };
 
 mod format;
@@ -75,7 +75,7 @@ pub struct Trace {
     /// Everything needed to rebuild the run's [`SystemSpec`].
     pub blueprint: SpecBlueprint,
     /// Recorded operation streams, indexed by processor id.
-    pub ops: Vec<Vec<TraceOp>>,
+    pub ops: Vec<OpStream>,
 }
 
 impl Trace {
@@ -141,7 +141,7 @@ impl Trace {
 
     /// Total recorded operations across all processors.
     pub fn total_ops(&self) -> usize {
-        self.ops.iter().map(Vec::len).sum()
+        self.ops.iter().map(OpStream::len).sum()
     }
 
     /// Per-op-kind totals `[work, idle, write, acquire, release, rebind,

@@ -4,14 +4,16 @@
 //! green. A subcommand or flag that no longer exists is refused the same
 //! way, and a file the decoder rejects is an error, never a panic.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use midway_apps::{AppKind, Scale};
 use midway_core::codec::seal;
 use midway_core::{
     AllocSpec, BackendKind, BarrierRanges, Counters, MidwayConfig, SpecBlueprint, TraceOp,
 };
-use midway_replay::{Trace, TraceMeta};
+use midway_replay::{record_app, Trace, TraceMeta};
 
 fn trace(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_trace"))
@@ -106,21 +108,35 @@ fn forged(allocs: Vec<AllocSpec>, op: TraceOp) -> Trace {
             locks: vec![lock.into_iter().collect()],
             barriers: vec![],
         },
-        ops: vec![vec![op]],
+        ops: vec![[op].into_iter().collect()],
     }
 }
 
-/// Runs `trace <command> FILE` on `bytes` written to a temp file of its
-/// own (tests run in parallel).
-fn on_file(command: &str, bytes: &[u8]) -> Output {
+/// Runs `trace <command> FILE...` on each of `files` written to a temp
+/// file of its own (tests run in parallel).
+fn on_files(command: &str, files: &[&[u8]]) -> Output {
     static FILES: AtomicUsize = AtomicUsize::new(0);
-    let n = FILES.fetch_add(1, Ordering::Relaxed);
-    let name = format!("midway-forged-{}-{n}.mwt", std::process::id());
-    let path = std::env::temp_dir().join(name);
-    std::fs::write(&path, bytes).expect("temp file");
-    let out = trace(&[command, path.to_str().expect("utf-8 temp path")]);
-    let _ = std::fs::remove_file(&path);
+    let paths: Vec<PathBuf> = files
+        .iter()
+        .map(|bytes| {
+            let n = FILES.fetch_add(1, Ordering::Relaxed);
+            let name = format!("midway-cli-{}-{n}.mwt", std::process::id());
+            let path = std::env::temp_dir().join(name);
+            std::fs::write(&path, bytes).expect("temp file");
+            path
+        })
+        .collect();
+    let mut args = vec![command];
+    args.extend(paths.iter().map(|p| p.to_str().expect("utf-8 temp path")));
+    let out = trace(&args);
+    for path in paths {
+        let _ = std::fs::remove_file(path);
+    }
     out
+}
+
+fn on_file(command: &str, bytes: &[u8]) -> Output {
+    on_files(command, &[bytes])
 }
 
 /// `trace info` counted acquires per lock by indexing with the op's id,
@@ -169,7 +185,7 @@ fn forged_blueprints_are_malformed_for_every_subcommand() {
     let work = TraceOp::Work { cycles: 1 };
     let wild = TraceOp::Write {
         addr: 0xdead_beef_0000,
-        data: vec![0; 8],
+        data: &[0; 8],
     };
     let moved = AllocSpec {
         addr: x.addr + 8,
@@ -184,9 +200,9 @@ fn forged_blueprints_are_malformed_for_every_subcommand() {
         ..x.clone()
     };
     let mut forgeries = vec![
-        forged(vec![moved], work.clone()),
-        forged(vec![wide], work.clone()),
-        forged(vec![empty], work.clone()),
+        forged(vec![moved], work),
+        forged(vec![wide], work),
+        forged(vec![empty], work),
         forged(vec![x.clone()], wild),
     ];
     let mut lock_outside = forged(vec![x.clone()], work);
@@ -227,4 +243,42 @@ fn an_unknown_app_is_refused_listing_every_app() {
         Some("water|quicksort|matrix|sor|cholesky|kvstore|taskqueue"),
         "{err}"
     );
+}
+
+/// `trace diff` exits 0 on a file and itself, and on an RT and a VM
+/// recording of one quicksort cell — whose task queue hands every
+/// processor different work on the two backends — exits 1 naming, for
+/// each processor, the first op at which the streams part and both ops.
+#[test]
+fn diff_names_each_processors_first_diverging_op() {
+    let record = |b| record_app(AppKind::Quicksort, MidwayConfig::new(4, b), Scale::Small);
+    let (rt, vm) = (record(BackendKind::Rt), record(BackendKind::Vm));
+    let (rt_bytes, vm_bytes) = (rt.encode(), vm.encode());
+
+    let same = on_files("diff", &[&rt_bytes, &rt_bytes]);
+    assert_eq!(same.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&same.stdout),
+        "traces are identical\n"
+    );
+
+    let out = on_files("diff", &[&rt_bytes, &vm_bytes]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("meta.backend: RT-DSM != VM-DSM"),
+        "{stdout}"
+    );
+    for (p, (a, b)) in rt.ops.iter().zip(&vm.ops).enumerate() {
+        let i = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+        assert!(i < a.len().min(b.len()), "proc {p} streams do not part");
+        let report = format!(
+            "proc {p}: first divergence at op {i}/{} vs {}:\n  a: {:?}\n  b: {:?}\n",
+            a.len(),
+            b.len(),
+            a.iter().nth(i),
+            b.iter().nth(i)
+        );
+        assert!(stdout.contains(&report), "missing {report:?} in {stdout}");
+    }
 }

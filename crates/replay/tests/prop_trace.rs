@@ -8,8 +8,8 @@ mod mutate;
 
 use midway_core::codec::{seal, unseal};
 use midway_core::{
-    AllocSpec, BackendKind, BarrierRanges, Counters, FaultPlan, MidwayConfig, ReliableParams,
-    SpecBlueprint, TraceOp,
+    AllocSpec, BackendKind, BarrierRanges, Counters, FaultPlan, MidwayConfig, OpStream,
+    ReliableParams, SpecBlueprint, TraceOp,
 };
 use midway_mem::{LayoutBuilder, MemClass};
 use midway_replay::{Trace, TraceError, TraceMeta};
@@ -61,12 +61,19 @@ fn random_ranges(rng: &mut SplitMix64, allocs: &[AllocSpec]) -> Vec<std::ops::Ra
         .collect()
 }
 
-/// A random op naming only the blueprint's `locks` and `barriers` (the
-/// decoder rejects any other id) and storing or rebinding only inside
-/// `allocs`.
-fn random_op(rng: &mut SplitMix64, allocs: &[AllocSpec], locks: u64, barriers: u64) -> TraceOp {
+/// Pushes a random op naming only the blueprint's `locks` and `barriers`
+/// (the decoder rejects any other id) and storing or rebinding only
+/// inside `allocs`.
+fn push_random_op(
+    rng: &mut SplitMix64,
+    allocs: &[AllocSpec],
+    locks: u64,
+    barriers: u64,
+    stream: &mut OpStream,
+) {
     let lock = |rng: &mut SplitMix64| rng.next_below(locks) as u32;
-    match rng.next_below(7) {
+    let (data, ranges): (Vec<u8>, Vec<std::ops::Range<u64>>);
+    stream.push(match rng.next_below(7) {
         2 if allocs.is_empty() => TraceOp::Work { cycles: 1 },
         3..=5 if locks == 0 => TraceOp::Work { cycles: 1 },
         6 if barriers == 0 => TraceOp::Work { cycles: 1 },
@@ -78,10 +85,9 @@ fn random_op(rng: &mut SplitMix64, allocs: &[AllocSpec], locks: u64, barriers: u
         },
         2 => {
             let at = range_in(rng, allocs, 64).expect("an allocation");
-            TraceOp::Write {
-                addr: at.start,
-                data: at.map(|_| rng.next_below(256) as u8).collect(),
-            }
+            let addr = at.start;
+            data = at.map(|_| rng.next_below(256) as u8).collect();
+            TraceOp::Write { addr, data: &data }
         }
         3 => TraceOp::Acquire {
             lock: lock(rng),
@@ -91,14 +97,18 @@ fn random_op(rng: &mut SplitMix64, allocs: &[AllocSpec], locks: u64, barriers: u
             lock: lock(rng),
             exclusive: rng.next_below(2) == 1,
         },
-        5 => TraceOp::Rebind {
-            lock: lock(rng),
-            ranges: random_ranges(rng, allocs),
-        },
+        5 => {
+            let lock = lock(rng);
+            ranges = random_ranges(rng, allocs);
+            TraceOp::Rebind {
+                lock,
+                ranges: &ranges,
+            }
+        }
         _ => TraceOp::Barrier {
             barrier: rng.next_below(barriers) as u32,
         },
-    }
+    });
 }
 
 fn random_counters(rng: &mut SplitMix64) -> Counters {
@@ -195,7 +205,11 @@ fn random_trace(rng: &mut SplitMix64) -> Trace {
         .map(|_| {
             let n = rng.next_below(40) as usize;
             let (l, b) = (locks.len() as u64, barriers.len() as u64);
-            (0..n).map(|_| random_op(rng, &allocs, l, b)).collect()
+            let mut stream = OpStream::default();
+            for _ in 0..n {
+                push_random_op(rng, &allocs, l, b, &mut stream);
+            }
+            stream
         })
         .collect();
     Trace {
@@ -226,7 +240,32 @@ fn encode_decode_round_trips() {
         let bytes = trace.encode();
         let back = Trace::decode(&bytes).unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(back, trace, "case {case}");
+        assert_eq!(back.encode(), bytes, "case {case}");
     }
+}
+
+/// The decoder keeps a stream's ops as the file has them: adjacent `Work`
+/// charges, which a recording would have summed, stay apart, so the
+/// decoded trace re-encodes to the bytes it came from.
+#[test]
+fn decode_keeps_adjacent_work_apart() {
+    let mut trace = with_alloc(first_alloc(), TraceOp::Work { cycles: 3 });
+    for op in [
+        TraceOp::Work { cycles: 5 },
+        TraceOp::Write {
+            addr: first_alloc().addr,
+            data: &[7; 16],
+        },
+        TraceOp::Work { cycles: 0 },
+        TraceOp::Work { cycles: 2 },
+    ] {
+        trace.ops[0].push(op);
+    }
+    let bytes = trace.encode();
+    let back = Trace::decode(&bytes).expect("decodes");
+    assert_eq!(back.ops[0].len(), 5);
+    assert_eq!(back, trace);
+    assert_eq!(back.encode(), bytes);
 }
 
 /// Any truncation of a valid file is rejected, never misread.
@@ -305,7 +344,7 @@ fn future_versions_are_rejected() {
 
 /// A one-processor trace whose only content is `lock_range` bound to its
 /// one lock and `op` as its one operation.
-fn tiny_trace(lock_range: std::ops::Range<u64>, op: TraceOp) -> Trace {
+fn tiny_trace(lock_range: std::ops::Range<u64>, op: TraceOp<'_>) -> Trace {
     let mut trace = random_trace(&mut SplitMix64::new(0x7ace_0005));
     trace.meta.cfg.procs = 1;
     trace.meta.counters.truncate(1);
@@ -314,7 +353,7 @@ fn tiny_trace(lock_range: std::ops::Range<u64>, op: TraceOp) -> Trace {
         locks: vec![vec![lock_range]],
         barriers: vec![],
     };
-    trace.ops = vec![vec![op]];
+    trace.ops = vec![[op].into_iter().collect()];
     trace
 }
 
@@ -390,7 +429,7 @@ fn op_ids_outside_the_blueprint_are_malformed() {
     );
     let rebind = TraceOp::Rebind {
         lock: 1,
-        ranges: vec![],
+        ranges: &[],
     };
     assert_eq!(
         decoded(&with_alloc(first_alloc(), rebind)),
@@ -412,7 +451,7 @@ fn first_alloc() -> AllocSpec {
 
 /// A [`tiny_trace`] whose blueprint allocates `alloc` and binds its
 /// first eight bytes to the lock.
-fn with_alloc(alloc: AllocSpec, op: TraceOp) -> Trace {
+fn with_alloc(alloc: AllocSpec, op: TraceOp<'_>) -> Trace {
     let mut trace = tiny_trace(alloc.addr..alloc.addr + 8, op);
     trace.blueprint.allocs = vec![alloc];
     trace
@@ -433,7 +472,7 @@ fn decoded(trace: &Trace) -> Result<Trace, TraceError> {
 #[test]
 fn allocations_a_replay_cannot_rebuild_are_malformed() {
     let work = TraceOp::Work { cycles: 1 };
-    assert!(decoded(&with_alloc(first_alloc(), work.clone())).is_ok());
+    assert!(decoded(&with_alloc(first_alloc(), work)).is_ok());
     let x = first_alloc;
     for (alloc, what) in [
         (
@@ -460,7 +499,7 @@ fn allocations_a_replay_cannot_rebuild_are_malformed() {
         ),
     ] {
         assert_eq!(
-            decoded(&with_alloc(alloc, work.clone())),
+            decoded(&with_alloc(alloc, work)),
             Err(TraceError::Malformed(what))
         );
     }
@@ -474,7 +513,7 @@ fn a_write_outside_every_allocation_is_malformed() {
     let base = first_alloc().addr;
     let write = |addr| TraceOp::Write {
         addr,
-        data: vec![1; 8],
+        data: &[1; 8],
     };
     assert!(decoded(&with_alloc(first_alloc(), write(base + 56))).is_ok());
     for addr in [0xdead_beef_0000, base + 60, base - 8, u64::MAX - 3] {
@@ -486,19 +525,46 @@ fn a_write_outside_every_allocation_is_malformed() {
     }
 }
 
+/// A replay stores a write into the one 4 MiB region holding its
+/// address, so a write that runs on into the next region is refused even
+/// inside an allocation that spans both.
+#[test]
+fn a_write_across_a_region_boundary_is_malformed() {
+    let region = 1u64 << 22;
+    let big = AllocSpec {
+        len: 2 << 22,
+        ..first_alloc()
+    };
+    let write = |addr| TraceOp::Write {
+        addr,
+        data: &[1; 8],
+    };
+    for addr in [big.addr + region - 8, big.addr + region] {
+        assert!(decoded(&with_alloc(big.clone(), write(addr))).is_ok());
+    }
+    assert_eq!(
+        decoded(&with_alloc(big.clone(), write(big.addr + region - 4))),
+        Err(TraceError::Malformed("write across a region boundary"))
+    );
+}
+
 /// Likewise a rebind to ranges outside every allocation.
 #[test]
 fn a_rebind_outside_every_allocation_is_malformed() {
     let base = first_alloc().addr;
-    let rebind = |ranges| TraceOp::Rebind { lock: 0, ranges };
-    let inside = rebind(vec![base..base + 8, base + 32..base + 64]);
-    assert!(decoded(&with_alloc(first_alloc(), inside)).is_ok());
+    let rebind = |ranges: &[std::ops::Range<u64>]| {
+        decoded(&with_alloc(
+            first_alloc(),
+            TraceOp::Rebind { lock: 0, ranges },
+        ))
+    };
+    assert!(rebind(&[base..base + 8, base + 32..base + 64]).is_ok());
     for ranges in [
-        vec![0..8, base..base + 8],
-        vec![base..base + 8, base + 60..base + 72],
+        [0..8, base..base + 8],
+        [base..base + 8, base + 60..base + 72],
     ] {
         assert_eq!(
-            decoded(&with_alloc(first_alloc(), rebind(ranges))),
+            rebind(&ranges),
             Err(TraceError::Malformed("rebind outside every allocation"))
         );
     }

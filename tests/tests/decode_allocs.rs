@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use midway_apps::fuzz::{execute, FuzzParams, Schedule};
-use midway_core::{BackendKind, DsmMsg, GrantPayload, MidwayConfig, NetMsg, TraceOp};
-use midway_mem::{RegionDesc, REGION_SIZE};
+use midway_core::{BackendKind, DsmMsg, GrantPayload, MidwayConfig, NetMsg, OpStream};
+use midway_mem::{AddrRange, RegionDesc, REGION_SIZE};
 use midway_net::wire::seal;
 use midway_net::{decode_exact, encode_to_vec};
 use midway_proto::{BarrierId, Binding, LockId, MaskedSet, Mode, Update, UpdateItem, UpdateSet};
@@ -67,13 +67,23 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Bytes of heap per input byte a decode may hold at its peak. Every
-/// vector a decoder sizes by a count reserves at most
-/// `input bytes / min_bytes_each` elements, so the bound is the largest
-/// element size over its smallest encoding: a trace operation, a
-/// `TraceOp` in memory for at least 2 bytes on disk. Byte payloads
-/// (written data, strings) are copied one for one, and they come out of
-/// the same input bytes, which adds 1.
-const C: usize = std::mem::size_of::<TraceOp>() / 2 + 1;
+/// vector a decoder sizes by a count reserves at most `input bytes /
+/// min_bytes_each` elements, so the bound is the largest element size
+/// over its smallest encoding. A trace's op streams are reserved once, at
+/// the size a first pass over the ops counted, and never grow: an op head
+/// is `OpStream::HEAD_BYTES` for at least 2 bytes on disk, a written byte
+/// is one byte, and a rebind's range is read into a vector of its own and
+/// then copied into the stream's table, two `AddrRange`s for at least 2
+/// bytes on disk.
+const C: usize = {
+    let head = OpStream::HEAD_BYTES / 2;
+    let range = 2 * std::mem::size_of::<AddrRange>() / 2;
+    if head > range {
+        head
+    } else {
+        range
+    }
+};
 
 /// Bytes of heap a trace decode may hold whatever its input. An
 /// allocation's length is a claim, not a count: the decoder rebuilds the

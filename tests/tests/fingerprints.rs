@@ -5,9 +5,9 @@
 //! store path is pinned the same way, with the clock breakdown, the trace
 //! bytes and the checker report added.
 
-use midway_apps::{matmul, quicksort, sor, water};
+use midway_apps::{matmul, quicksort, sor, water, AppKind, Scale};
 use midway_core::{codec, BackendKind, Counters, MidwayConfig, MidwayRun};
-use midway_replay::Trace;
+use midway_replay::{record_app, Trace};
 
 #[path = "support/fingerprint.rs"]
 mod fingerprint;
@@ -235,5 +235,40 @@ fn kernel_fingerprints_match_the_parent_commit() {
         .collect();
     for ((label, want), got_row) in cells.iter().zip(&got) {
         assert_eq!(got_row, want, "{label}; all rows now: {got:#x?}");
+    }
+}
+
+/// The `MWTR` bytes of plain recordings: FNV-1a of `Trace::encode()` for
+/// sor and quicksort at `Scale::Small` on 4 processors, RT and VM. A pin
+/// that moves means the encoding changed, not only a run. The values were
+/// recorded by this same test run against the parent commit (7df2152),
+/// before op streams were packed.
+#[test]
+fn trace_bytes_match_the_parent_commit() {
+    let cells: [(&str, AppKind, BackendKind, u64); 4] = [
+        ("sor rt", AppKind::Sor, BackendKind::Rt, 0xae92ef77b44f2611),
+        ("sor vm", AppKind::Sor, BackendKind::Vm, 0xbd027154b0ba4cbe),
+        (
+            "quicksort rt",
+            AppKind::Quicksort,
+            BackendKind::Rt,
+            0x31dad23e9ff1c715,
+        ),
+        (
+            "quicksort vm",
+            AppKind::Quicksort,
+            BackendKind::Vm,
+            0x81357b4c3ba2047f,
+        ),
+    ];
+    let got: Vec<u64> = cells
+        .iter()
+        .map(|&(_, app, b, _)| {
+            let trace = record_app(app, MidwayConfig::new(4, b), Scale::Small);
+            codec::fnv1a64(&trace.encode())
+        })
+        .collect();
+    for ((label, .., want), got) in cells.iter().zip(&got) {
+        assert_eq!(got, want, "{label}; got {got:#x}");
     }
 }

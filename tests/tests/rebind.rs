@@ -99,8 +99,8 @@ fn recorded_rebind_round_trips_and_replays_bit_for_bit() {
     assert_eq!(rebinds.len(), 1, "the rebind survives the format");
     match rebinds[0] {
         TraceOp::Rebind { lock: l, ranges } => {
-            assert_eq!(*l, 0);
-            assert_eq!(ranges, &vec![data.range(0..4)]);
+            assert_eq!(l, 0);
+            assert_eq!(ranges, [data.range(0..4)]);
         }
         _ => unreachable!(),
     }

@@ -120,16 +120,6 @@ for f in $(find crates/core/src/detect -name '*.rs'); do
     fi
 done
 
-# One store path: an application's reads and writes go through a store
-# view, which runs the trap body the detector lent it for the region; the
-# per-event detector context is for protocol events only.
-if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/core/src/api.rs |
-    grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
-    grep -F 'with_detector!'; then
-    echo "with_detector! on the store path in crates/core/src/api.rs (use a view)" >&2
-    exit 1
-fi
-
 # One dirtybit encoding: the array stores `timestamp - 1` in a u32, and
 # only crates/mem/src/dirty.rs knows it. Everyone else reads and writes
 # timestamps through get / stamp / mark / scan / take_newer, never the raw
@@ -361,21 +351,21 @@ cargo run --release -q -p midway-replay --bin trace -- \
 cargo run --release -q -p midway-replay --bin trace -- \
     check "$smoke/kvstore-rt.mwt"
 
-echo "==> differential fuzz smoke (all six backends + planted mutants)"
+echo "==> differential fuzz smoke (all six backends)"
 # Fixed-seed schedules go through `midway_replay::check` on every
 # applicable backend (single-processor seeds include the standalone build,
 # so all six are in the matrix). Every run must match the schedule's
-# model (read-back checksums, schedule-determined counters, a clean
-# checker) and the checked run must equal its baseline bit for bit; a run
-# that deadlocks or panics fails the same way. Then each planted-mutant
-# kind must be caught by the checker and shrunk to a minimal reproducer.
-# Failures print the seed and the minimized schedule; the bin exits
-# nonzero.
+# model (read-back checksums, schedule-determined counters), the checker
+# must find nothing, and the checked run must equal its baseline bit for
+# bit; a run that deadlocks or panics fails the same way. Failures print
+# the seed and the minimized schedule; the bin exits nonzero.
 cargo run --release -q -p midway-bench --bin sweep -- fuzz --smoke
 
 echo "==> racecheck smoke"
-# Clean apps must report zero findings and every seeded mutant must be
-# detected (the harness exits nonzero otherwise)...
+# Every application must pass `check` with the checker attached (no
+# finding, the checked run bit for bit the unchecked one), and every
+# planted bug kind must be caught with its provenance and shrunk, on the
+# RT backend (the harness exits nonzero otherwise)...
 cargo run --release -q -p midway-bench --bin sweep -- \
     racecheck --scale small --procs 4 --backends rt --out "$smoke/racecheck.json"
 # ...and a trace recorded without the checker must replay bit-for-bit

@@ -28,7 +28,8 @@
 //!    (and validator) can track each binding deterministically.
 //! 5. **Scratch words are never touched** — they exist for planted
 //!    mutants ([`apply_mutation`]), whose accesses deliberately break
-//!    the rules in a way the checker must report.
+//!    the rules in a way the checker must report. (One planted shape
+//!    reads a neighbour's barrier slice early instead.)
 //!
 //! [`Schedule::validate`] re-derives all of this structurally; the
 //! shrinker uses it to discard candidate simplifications that would turn
@@ -38,7 +39,53 @@ use midway_core::FindingKind;
 use midway_sim::SplitMix64;
 
 use super::FuzzParams;
-use crate::mutants::MutantKind;
+
+/// A planted entry-consistency bug: the checker's true positives. Each is
+/// a bug the paper's programming model makes possible and the
+/// write-detection machinery silently mis-executes rather than reports.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MutantKind {
+    /// A store to lock-bound data without acquiring the lock.
+    DropAcquire,
+    /// A rebind narrows a held lock's binding, then a store lands in the
+    /// range it just retired.
+    RogueRebind,
+    /// A lock-free read of lock-bound data another processor wrote, with
+    /// no synchronization between the two.
+    ReadAhead,
+    /// A read of a neighbour's barrier slice before the flush barrier that
+    /// publishes it: sor's edge read, one phase early.
+    BarrierReadAhead,
+}
+
+impl MutantKind {
+    /// All mutants, in presentation order.
+    pub const ALL: [MutantKind; 4] = [
+        MutantKind::DropAcquire,
+        MutantKind::RogueRebind,
+        MutantKind::ReadAhead,
+        MutantKind::BarrierReadAhead,
+    ];
+
+    /// A short label for reports and CLI output.
+    pub fn label(self) -> &'static str {
+        match self {
+            MutantKind::DropAcquire => "drop-acquire",
+            MutantKind::RogueRebind => "rogue-rebind",
+            MutantKind::ReadAhead => "read-ahead",
+            MutantKind::BarrierReadAhead => "barrier-read-ahead",
+        }
+    }
+
+    /// The finding the planted bug must produce.
+    pub fn finding(self) -> FindingKind {
+        match self {
+            MutantKind::DropAcquire => FindingKind::UnguardedWrite,
+            MutantKind::RogueRebind => FindingKind::BindingViolation,
+            MutantKind::ReadAhead | MutantKind::BarrierReadAhead => FindingKind::StaleRead,
+        }
+    }
+}
 
 /// One operation of a fuzz program.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -176,15 +223,6 @@ impl Schedule {
         }
     }
 
-    /// The finding kind a mutant schedule's planted bug must produce.
-    pub(crate) fn expected_finding(&self) -> Option<FindingKind> {
-        self.mutation.map(|m| match m {
-            MutantKind::DropAcquire => FindingKind::UnguardedWrite,
-            MutantKind::RogueRebind => FindingKind::BindingViolation,
-            MutantKind::ReadAhead => FindingKind::StaleRead,
-        })
-    }
-
     /// Total operations across all rounds and processors.
     pub fn op_count(&self) -> usize {
         self.rounds.iter().flatten().map(Vec::len).sum()
@@ -314,8 +352,9 @@ impl Schedule {
     }
 
     /// Structurally validates the schedule against the generator's
-    /// invariants (see the module docs). Planted scratch-domain accesses
-    /// are exempt when a mutation is declared — they are the bug.
+    /// invariants (see the module docs). Planted scratch-domain accesses,
+    /// and reads of another processor's barrier slice, are exempt when a
+    /// mutation is declared — they are the bug.
     pub fn validate(&self) -> bool {
         let p = &self.params;
         if self.rounds.iter().any(|r| r.len() != p.procs) {
@@ -324,6 +363,7 @@ impl Schedule {
         let mut binding: Vec<std::ops::Range<usize>> =
             (0..p.data_locks).map(|l| p.lock_domain(l)).collect();
         let scratch = p.scratch_base()..p.total_words();
+        let barrier = p.barrier_base()..p.scratch_base();
         for round in &self.rounds {
             // Which processors touch each data lock this round, and
             // whether it is rebound (rebinding demands sole use).
@@ -418,6 +458,12 @@ impl Schedule {
                                 }
                             } else if p.barrier_slice(q).contains(&word) {
                                 // Own slice: always readable.
+                            } else if barrier.contains(&word) {
+                                // Another's slice, before the flush
+                                // barrier publishes it: a planted bug.
+                                if self.mutation.is_none() {
+                                    return false;
+                                }
                             } else {
                                 let Some((l, _)) = held else {
                                     return false;
@@ -503,9 +549,10 @@ fn emit_accesses(
 }
 
 /// Plants `kind`'s bug pattern into a copy of `base`, targeting the
-/// scratch domain so the flush barrier's coverage cannot mask it.
-/// Returns `None` when the base schedule cannot host the mutation (too
-/// few processors or no rounds).
+/// scratch domain so the flush barrier's coverage cannot mask it, or, for
+/// [`MutantKind::BarrierReadAhead`], the barrier domain itself. Returns
+/// `None` when the base schedule cannot host the mutation (too few
+/// processors or no rounds).
 pub fn apply_mutation(base: &Schedule, kind: MutantKind, seed: u64) -> Option<Schedule> {
     let p = base.params;
     if p.procs < 2 || base.rounds.is_empty() {
@@ -587,6 +634,22 @@ pub fn apply_mutation(base: &Schedule, kind: MutantKind, seed: u64) -> Option<Sc
                 [FuzzOp::Work { cycles: 5_000_000 }, FuzzOp::Read { word }],
             );
         }
+        MutantKind::BarrierReadAhead => {
+            // A stores into its own barrier slice as the first round
+            // starts; B reads that word after a long compute charge but
+            // before the flush barrier publishes it. In the first round no
+            // earlier write of the word can have reached B.
+            let a = q;
+            let b = (q + 1) % p.procs;
+            let word = p.barrier_slice(a).start;
+            s.mutant_proc = b;
+            let val = rng.next_u64();
+            s.rounds[0][a].insert(0, FuzzOp::Write { word, val });
+            s.rounds[0][b].splice(
+                0..0,
+                [FuzzOp::Work { cycles: 5_000_000 }, FuzzOp::Read { word }],
+            );
+        }
     }
     Some(s)
 }
@@ -640,5 +703,14 @@ mod tests {
             val: 1,
         });
         assert!(!s.validate(), "scratch write without mutation rejected");
+
+        let mut s = Schedule::generate(2, FuzzParams::mutant());
+        s.rounds[0][0].push(FuzzOp::Read {
+            word: s.params.barrier_slice(1).start,
+        });
+        assert!(
+            !s.validate(),
+            "early barrier read without mutation rejected"
+        );
     }
 }

@@ -5,13 +5,12 @@
 //! axis; `midway_replay::differential` loops it over [`backends_for`].
 //! [`catch_mutant`] is the planted-bug side: it proves that for each
 //! [`MutantKind`], some generated schedule hosts a mutation the dynamic
-//! checker flags with the right finding kind on the right processor,
-//! then hands back a shrunk reproducer.
+//! checker flags on a given backend with the planted provenance, then
+//! hands back a shrunk reproducer.
 
-use midway_core::{BackendKind, MidwayConfig};
+use midway_core::{BackendKind, FindingKind, MidwayConfig};
 
-use super::{execute, gen::apply_mutation, shrink::shrink, FuzzParams, Schedule};
-use crate::mutants::MutantKind;
+use super::{execute, gen::apply_mutation, shrink::shrink, FuzzParams, MutantKind, Schedule};
 
 /// The backends a `procs`-processor schedule runs on: all six when the
 /// standalone backend applies (one processor), the five data-moving
@@ -24,37 +23,47 @@ pub fn backends_for(procs: usize) -> &'static [BackendKind] {
     }
 }
 
-/// Whether the dynamic checker catches `s`'s planted bug: the expected
-/// finding kind, attributed to the mutant processor, on the reference
-/// data backend.
-pub fn mutant_caught(s: &Schedule) -> bool {
+/// Whether the dynamic checker catches `s`'s planted bug on `backend`
+/// with its planted provenance: the first finding of the expected kind
+/// is the mutant processor's, a binding violation names the rebound
+/// scratch lock, and a stale read names a writer other than the reader.
+///
+/// # Panics
+///
+/// Panics if `s` is not a mutant schedule.
+pub fn mutant_caught(s: &Schedule, backend: BackendKind) -> bool {
     let kind = s
-        .expected_finding()
-        .expect("mutant oracle takes mutant schedules");
-    let cfg = MidwayConfig::new(s.params.procs, BackendKind::Rt).check(true);
+        .mutation
+        .expect("mutant oracle takes mutant schedules")
+        .finding();
+    let cfg = MidwayConfig::new(s.params.procs, backend).check(true);
     execute(s, cfg, None).is_ok_and(|run| {
-        run.check
-            .expect("checker was enabled")
-            .first_of(kind)
-            .is_some_and(|f| f.proc == s.mutant_proc)
+        let report = run.check.expect("checker was enabled");
+        report.first_of(kind).is_some_and(|f| {
+            f.proc == s.mutant_proc
+                && match kind {
+                    FindingKind::BindingViolation => f.lock == Some(s.params.scratch_lock() as u32),
+                    FindingKind::StaleRead => f.stale.is_some_and(|st| st.writer != f.proc),
+                    FindingKind::UnguardedWrite | FindingKind::UnguardedRead => true,
+                }
+        })
     })
 }
 
 /// Searches seeds `0..max_seeds` for a schedule whose `kind` mutation
-/// the checker catches, then shrinks the reproducer while it stays
-/// caught. Returns the seed and the minimized schedule.
-pub fn catch_mutant(kind: MutantKind, max_seeds: u64) -> Option<(u64, Schedule)> {
-    for seed in 0..max_seeds {
+/// the checker catches on `backend`, then shrinks the reproducer while it
+/// stays caught. Returns the seed and the minimized schedule.
+pub fn catch_mutant(
+    kind: MutantKind,
+    backend: BackendKind,
+    max_seeds: u64,
+) -> Option<(u64, Schedule)> {
+    let caught = |s: &Schedule| mutant_caught(s, backend);
+    (0..max_seeds).find_map(|seed| {
         let base = Schedule::generate(seed, FuzzParams::mutant());
-        let Some(mutated) = apply_mutation(&base, kind, seed) else {
-            continue;
-        };
-        if mutant_caught(&mutated) {
-            let small = shrink(&mutated, &mutant_caught, 200);
-            return Some((seed, small));
-        }
-    }
-    None
+        let mutated = apply_mutation(&base, kind, seed).filter(|m| caught(m))?;
+        Some((seed, shrink(&mutated, &caught, 200)))
+    })
 }
 
 #[cfg(test)]

@@ -30,7 +30,6 @@ pub mod cholesky;
 pub mod fuzz;
 pub mod kvstore;
 pub mod matmul;
-pub mod mutants;
 pub mod quicksort;
 pub mod service;
 pub mod sor;
@@ -40,3 +39,29 @@ pub mod water;
 mod driver;
 
 pub use driver::{checked, run_app, run_on, AppKind, Scale};
+
+/// The planted bugs, seen by the checker directly: each kind's first
+/// finding carries the planted provenance.
+#[cfg(test)]
+mod mutants {
+    mod tests {
+        use crate::fuzz::{apply_mutation, execute, FuzzParams, MutantKind, Schedule};
+        use midway_core::{BackendKind, MidwayConfig};
+
+        #[test]
+        fn every_mutant_is_detected_with_its_provenance_on_rt() {
+            let base = Schedule::generate(0, FuzzParams::mutant());
+            for kind in MutantKind::ALL {
+                let s = apply_mutation(&base, kind, 0).expect("the base hosts every mutation");
+                let cfg = MidwayConfig::new(s.params.procs, BackendKind::Rt).check(true);
+                let run = execute(&s, cfg, None).expect("the mutant runs");
+                let report = run.check.expect("checker ran");
+                let f = report
+                    .first_of(kind.finding())
+                    .unwrap_or_else(|| panic!("{}: no {:?} finding", kind.label(), kind.finding()));
+                assert_eq!(f.proc, s.mutant_proc, "{}", kind.label());
+                assert_eq!(f.alloc.as_deref(), Some("cells"), "{}", kind.label());
+            }
+        }
+    }
+}

@@ -41,7 +41,6 @@ const FLAGS: &[&str] = &[
     "--overhead: time one app with and without the checker",
     "--seeds N: seeds to sweep",
     "--seed N: replay exactly one seed",
-    "--mutants: the planted-bug proof",
 ];
 
 /// A usage line's `(name, value hint)`; the hint is empty for a switch.

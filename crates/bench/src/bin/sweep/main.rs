@@ -127,7 +127,7 @@ const HARNESSES: [Harness; 7] = [
     ),
     Harness(
         "racecheck",
-        "clean-application matrix, seeded mutants, checker overhead",
+        "clean-application matrix, planted bugs, checker overhead",
         &[
             "--scale",
             "--procs",
@@ -143,7 +143,7 @@ const HARNESSES: [Harness; 7] = [
     Harness(
         "fuzz",
         "differential fuzz across all six backends",
-        &["--smoke", "--seeds", "--seed", "--mutants"],
+        &["--smoke", "--seeds", "--seed"],
         "",
         fuzz::run,
     ),

@@ -1,93 +1,105 @@
-//! Race-detection harness: the dynamic checker's clean-application
-//! matrix, mutant detection table, and live-checking overhead probe.
+//! Race-detection harness: the dynamic checker's clean matrix, its
+//! planted-bug table, and a live-checking overhead probe.
 //!
-//! Every clean application must be finding-free on every data-moving
-//! backend, and every seeded mutant must be detected with its planted
-//! kind and provenance; the harness fails otherwise. `--backends`
-//! restricts the matrix; `--overhead` also times one live application
-//! (`--apps`, default sor) with and without the checker attached on the
-//! first backend (the EXPERIMENTS.md number).
+//! Every application must pass `midway_replay::check` with the checker
+//! attached on every data-moving backend: no finding, and the checked run
+//! bit for bit the unchecked one. Every planted bug kind must be caught on
+//! every backend with its planted provenance, and its reproducer shrunk;
+//! the harness fails otherwise. `--backends` restricts both tables;
+//! `--overhead` also times one live application (`--apps`, default sor)
+//! with and without the checker attached on the first backend (the
+//! EXPERIMENTS.md number).
 
 use std::time::Instant;
 
-use midway_apps::mutants::{run_mutant, MutantKind};
+use midway_apps::fuzz::{catch_mutant, execute, MutantKind};
 use midway_apps::{run_app, AppKind};
 use midway_bench::{banner, run_cells, BenchArgs, Json, Record};
-use midway_core::{report, BackendKind, FindingKind, MidwayConfig};
+use midway_core::{BackendKind, CheckReport, MidwayConfig};
+use midway_replay::{check, App, Axes};
 
 use crate::Report;
+
+/// Seeds searched for a schedule that hosts a caught mutation.
+const MUTANT_SEEDS: u64 = 25;
 
 pub(crate) fn run(args: BenchArgs) -> Result<Report, String> {
     let backends = args.backends(&BackendKind::DATA)?;
     let overhead_app = args.apps(&[AppKind::Sor])?[0];
-    banner("Race check: clean matrix and mutant detection", &args);
+    banner("Race check: clean matrix and planted bugs", &args);
 
-    // The zero-false-positive matrix: finding totals, all of which must
-    // be zero (the checker's event count is shown so "clean" is visibly
-    // not "idle"). Every (app × backends) row is a live, isolated run:
-    // one cell per app, rows joined in app order.
-    let clean_rows = run_cells(args.jobs, AppKind::all().to_vec(), |app| {
-        let mut row = Record::default().col("app", app.label());
-        let (mut events, mut row_ok) = (0, true);
-        for backend in &backends {
-            let cfg = MidwayConfig::new(args.procs, *backend).check(true);
-            let r = run_app(app, cfg, args.scale).check.expect("checker ran");
-            if !r.is_clean() {
-                eprintln!(
-                    "FALSE POSITIVE: {} under {}: {}",
-                    app.label(),
-                    backend.label(),
-                    r.summary()
-                );
-                row_ok = false;
-            }
-            events = events.max(r.events);
-            row = row.col(backend.cli_name(), r.total().to_string());
+    // The zero-false-positive matrix: each cell is one `check` with the
+    // checker attached, showing the events it analyzed, so "clean" is
+    // visibly not "idle". One cell per app, rows joined in app order.
+    let axes = Axes {
+        check: true,
+        ..Axes::default()
+    };
+    let clean_rows = run_cells(args.jobs, AppKind::every().to_vec(), |kind| {
+        let mut row = Record::default().col("app", kind.label());
+        let mut row_ok = true;
+        for &backend in &backends {
+            let cfg = MidwayConfig::new(args.procs, backend);
+            let app = App {
+                kind,
+                scale: args.scale,
+                cfg,
+            };
+            let cell = match check(&app, &axes) {
+                Ok(v) => v.checked.check.expect("checker ran").events.to_string(),
+                Err(e) => {
+                    eprintln!("{} under {}: {e}", kind.label(), backend.label());
+                    row_ok = false;
+                    "FAIL".to_string()
+                }
+            };
+            row = row.col(backend.cli_name(), cell);
         }
-        (row.col("events", events.to_string()), row_ok)
+        (row, row_ok)
     });
     let (clean_rows, clean_ok): (Vec<Record>, Vec<bool>) = clean_rows.into_iter().unzip();
     let clean = Record::table(&clean_rows, 1);
-    println!("{clean}");
+    println!("events checked, no finding:\n{clean}");
 
-    // The true-positive table: per-kind finding counts, and whether the
-    // planted bug was reported with its planted provenance.
-    let mutant_rows = run_cells(args.jobs, MutantKind::ALL.to_vec(), |kind| {
-        backends
-            .iter()
-            .map(move |backend| {
-                let (run, expect) = run_mutant(kind, MidwayConfig::new(args.procs, *backend));
-                let r = run.check.expect("checker ran");
-                let detected = r.first_of(expect.kind).is_some_and(|f| {
-                    f.proc == expect.proc && f.alloc.as_deref() == Some(expect.alloc)
-                });
-                if !detected {
-                    eprintln!(
-                        "MISSED MUTANT: {} under {}: wanted {:?} by proc {} in {:?}, got {}",
-                        kind.label(),
-                        backend.label(),
-                        expect.kind,
-                        expect.proc,
-                        expect.alloc,
-                        r.summary()
-                    );
-                }
-                let mut row = Record::default()
-                    .col("mutant", kind.label())
-                    .col("backend", backend.cli_name());
-                for (label, n) in report::check_counts(&r).iter().take(FindingKind::ALL.len()) {
-                    row = row.col(label, n.to_string());
-                }
-                let verdict = if detected { "detected" } else { "MISSED" };
-                (row.col("verdict", verdict), detected)
-            })
-            .collect::<Vec<_>>()
+    // The true-positive table: the first seed whose planted bug the
+    // checker caught with its provenance, the shrunk reproducer's size,
+    // and what the checker reports on it.
+    let cells: Vec<(MutantKind, BackendKind)> = MutantKind::ALL
+        .iter()
+        .flat_map(|&kind| backends.iter().map(move |&backend| (kind, backend)))
+        .collect();
+    let mutant_rows = run_cells(args.jobs, cells, |(kind, backend)| {
+        let found = catch_mutant(kind, backend, MUTANT_SEEDS);
+        let (seed, ops, report) = match &found {
+            Some((seed, small)) => {
+                let cfg = MidwayConfig::new(small.params.procs, backend).check(true);
+                let run = execute(small, cfg, None).expect("a caught reproducer runs");
+                let report = run.check.expect("checker ran");
+                (seed.to_string(), small.op_count().to_string(), report)
+            }
+            None => {
+                eprintln!(
+                    "MISSED MUTANT: {} under {}: not caught within {MUTANT_SEEDS} seeds",
+                    kind.label(),
+                    backend.label()
+                );
+                ("-".to_string(), "-".to_string(), CheckReport::default())
+            }
+        };
+        let mut row = Record::default()
+            .col("mutant", kind.label())
+            .col("backend", backend.cli_name())
+            .col("seed", seed)
+            .col("ops", ops);
+        for (label, n) in report.counts_row() {
+            row = row.col(label, n.to_string());
+        }
+        (row, found.is_some())
     });
-    let (mutant_rows, detected): (Vec<Record>, Vec<bool>) =
-        mutant_rows.into_iter().flatten().unzip();
+    let (mutant_rows, caught): (Vec<Record>, Vec<bool>) = mutant_rows.into_iter().unzip();
     let mutants = Record::table(&mutant_rows, 2);
     println!("{mutants}");
-    let ok = clean_ok.iter().chain(&detected).all(|&ok| ok);
+    let ok = clean_ok.iter().chain(&caught).all(|&ok| ok);
 
     if args.flag("--overhead") {
         let backend = backends[0];

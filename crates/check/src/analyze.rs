@@ -49,7 +49,7 @@ use midway_mem::{Addr, AddrRange, MemClass};
 
 use crate::clock::VClock;
 use crate::event::CheckEvent;
-use crate::report::{ApplyStats, CheckReport, Finding, FindingKind, Staleness};
+use crate::report::{ApplyStats, CheckReport, Finding, FindingKind, Staleness, MAX_FINDINGS};
 use crate::spec::CheckSpec;
 
 /// Last-writer stamp of one cache line (the finding's provenance).
@@ -115,10 +115,10 @@ impl Analysis<'_> {
     fn emit(&mut self, mut finding: Finding, line: u64) {
         let key = (finding.kind, finding.proc, line, finding.lock);
         let hit = self.dedup.get(&key).copied();
-        if hit.is_none() {
+        // Past the cap a new finding is only counted, so it gets no index.
+        if hit.is_none() && self.report.findings.len() < MAX_FINDINGS {
             finding.alloc = self.spec.alloc_name(finding.addr).map(str::to_string);
-            let idx = self.report.findings.len();
-            self.dedup.insert(key, idx);
+            self.dedup.insert(key, self.report.findings.len());
         }
         self.report.record(finding, hit);
     }
@@ -458,6 +458,27 @@ mod tests {
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.findings[0].occurrences, 2);
         assert_eq!(r.findings[0].proc, 1);
+    }
+
+    #[test]
+    fn a_repeat_past_the_findings_cap_is_only_counted() {
+        // 300 processors each write a bound line unguarded, then again:
+        // 300 distinct findings, 44 of them past the 256 kept.
+        let procs = 300;
+        let (spec, a0, b0, _) = spec(procs);
+        let logs: Vec<_> = (0..procs)
+            .map(|_| {
+                let mut log = CheckLog::new();
+                log.write(1, a0, 8);
+                log.read(2, b0, 8); // break coalescing
+                log.write(3, a0, 8);
+                log.into_events()
+            })
+            .collect();
+        let r = analyze(&spec, &logs);
+        assert_eq!(r.findings.len(), MAX_FINDINGS);
+        assert_eq!(r.count(FindingKind::UnguardedWrite), 2 * procs as u64);
+        assert!(r.findings.iter().all(|f| f.occurrences == 2));
     }
 
     #[test]

@@ -156,6 +156,16 @@ impl CheckReport {
         self.total() == 0
     }
 
+    /// Per-kind counts in [`FindingKind::ALL`] order, then the total: the
+    /// row a findings table prints.
+    pub fn counts_row(&self) -> Vec<(&'static str, u64)> {
+        FindingKind::ALL
+            .iter()
+            .map(|k| (k.label(), self.count(*k)))
+            .chain([("total", self.total())])
+            .collect()
+    }
+
     /// The first finding of `kind`, if any survived the cap.
     pub fn first_of(&self, kind: FindingKind) -> Option<&Finding> {
         self.findings.iter().find(|f| f.kind == kind)
@@ -214,6 +224,22 @@ mod tests {
             (MAX_FINDINGS + 10) as u64
         );
         assert!(!r.is_clean());
+    }
+
+    #[test]
+    fn check_counts_row_covers_every_kind_plus_total() {
+        let r = CheckReport {
+            counts: [3, 0, 2, 1],
+            events: 10,
+            ..CheckReport::default()
+        };
+        let row = r.counts_row();
+        assert_eq!(row.len(), FindingKind::ALL.len() + 1);
+        for (k, (label, n)) in FindingKind::ALL.iter().zip(&row) {
+            assert_eq!(*label, k.label());
+            assert_eq!(*n, r.count(*k));
+        }
+        assert_eq!(row.last(), Some(&("total", 6)));
     }
 
     #[test]

@@ -144,7 +144,7 @@ macro_rules! with_detector {
         $body
     }};
 }
-pub(crate) use with_detector;
+use with_detector;
 
 impl DsmNode {
     pub(crate) fn new(me: usize, cfg: MidwayConfig, spec: Arc<SystemSpec>) -> DsmNode {

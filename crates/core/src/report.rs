@@ -6,22 +6,10 @@
 //! formulas to a run's counters, so the simulation's execution times and
 //! the analytic tables can be cross-checked against each other.
 
-use midway_check::{CheckReport, FindingKind};
 use midway_stats::CostModel;
 
 use crate::config::BackendKind;
 use crate::counters::AvgCounters;
-
-/// Per-kind finding counts of a checker report, in [`FindingKind::ALL`]
-/// order plus the total — the row the race-check tables print alongside
-/// the counter-derived columns.
-pub fn check_counts(report: &CheckReport) -> Vec<(&'static str, u64)> {
-    FindingKind::ALL
-        .iter()
-        .map(|k| (k.label(), report.count(*k)))
-        .chain([("total", report.total())])
-        .collect()
-}
 
 /// Write-trapping time in milliseconds (Table 3).
 ///
@@ -197,22 +185,6 @@ mod tests {
         let (vtrap, vcollect) = memory_refs_thousands(BackendKind::Vm, &water_vm(), &cost);
         assert!((vtrap - 528.4).abs() < 1.0, "paper: 510 (approx)");
         assert!((vcollect - 768.1).abs() < 2.0, "paper: 768, got {vcollect}");
-    }
-
-    #[test]
-    fn check_counts_row_covers_every_kind_plus_total() {
-        let mut r = CheckReport {
-            counts: [3, 0, 2, 1],
-            ..CheckReport::default()
-        };
-        r.events = 10;
-        let row = check_counts(&r);
-        assert_eq!(row.len(), FindingKind::ALL.len() + 1);
-        for (k, (label, n)) in FindingKind::ALL.iter().zip(&row) {
-            assert_eq!(*label, k.label());
-            assert_eq!(*n, r.count(*k));
-        }
-        assert_eq!(row.last(), Some(&("total", 6)));
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   fuzz schedule to its model, or a live [`App`] to its own check, and
 //!   then to a baseline under any [`Axes`] — backend, barrier shape, home
 //!   map, loss, crashes, checkpoint interval, the checker, sockets — and
-//!   says in a [`Verdict`] which comparison applied. Whether final memory
+//!   says in a [`Verdict`] which comparison applied; any finding of the
+//!   attached checker fails it, whatever the program. Whether final memory
 //!   must converge follows from the program, not from the caller. It
 //!   operationalizes the determinism argument in DESIGN.md;
 //!   [`differential`] runs it over every backend a schedule admits.
@@ -276,7 +277,8 @@ pub struct Axes {
     /// Where the checked run's messages travel.
     pub transport: Transport,
     /// Run the dynamic entry-consistency checker in the checked run; its
-    /// report is the checked run's [`MidwayRun::check`].
+    /// report is the checked run's [`MidwayRun::check`], and any finding
+    /// fails the check.
     pub check: bool,
 }
 
@@ -471,7 +473,11 @@ impl Program for App {
 ///    delivery axis the baseline is the second run: checking is
 ///    off-clock, so the checked run must equal the baseline bit for bit.
 ///    On sockets it runs once, through [`Midway::run_real`].
-/// 4. **Convergence.** [`Verdict::converged`] says whether the checked
+/// 4. **Findings.** With [`Axes::check`] set, any finding in the checked
+///    run's report is an error naming the first finding and the count of
+///    each kind: a program is correct under entry consistency only if
+///    every access is bound to the synchronization object that guards it.
+/// 5. **Convergence.** [`Verdict::converged`] says whether the checked
 ///    run's final memory equals the baseline's. When the program
 ///    [`must_converge`](Program::must_converge)s (a trace or a live run
 ///    of a lock-order independent application,
@@ -526,6 +532,14 @@ pub fn check<P: Program>(program: &P, axes: &Axes) -> Result<Verdict<P::Out>, St
             .run(cfg.faults(FaultPlan::none()), Some(real))
             .map_err(|e| format!("socket run: {e}"))?,
     };
+
+    if let Some(report) = checked.check.as_ref().filter(|r| !r.is_clean()) {
+        let first = report
+            .findings
+            .first()
+            .map_or_else(String::new, |f| format!("; first: {f}"));
+        return Err(format!("checker found {}{first}", report.summary()));
+    }
 
     let on_sim = real.is_none();
     let converged = checked.store_digests == baseline.store_digests;

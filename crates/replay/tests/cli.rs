@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use midway_apps::fuzz::{apply_mutation, execute, FuzzParams, MutantKind, Schedule};
 use midway_apps::{AppKind, Scale};
 use midway_core::codec::seal;
 use midway_core::{
@@ -112,9 +113,9 @@ fn forged(allocs: Vec<AllocSpec>, op: TraceOp) -> Trace {
     }
 }
 
-/// Runs `trace <command> FILE...` on each of `files` written to a temp
-/// file of its own (tests run in parallel).
-fn on_files(command: &str, files: &[&[u8]]) -> Output {
+/// Runs `trace <args> FILE...` on each of `files` written to a temp file
+/// of its own (tests run in parallel).
+fn on_files(args: &[&str], files: &[&[u8]]) -> Output {
     static FILES: AtomicUsize = AtomicUsize::new(0);
     let paths: Vec<PathBuf> = files
         .iter()
@@ -126,7 +127,7 @@ fn on_files(command: &str, files: &[&[u8]]) -> Output {
             path
         })
         .collect();
-    let mut args = vec![command];
+    let mut args = args.to_vec();
     args.extend(paths.iter().map(|p| p.to_str().expect("utf-8 temp path")));
     let out = trace(&args);
     for path in paths {
@@ -136,7 +137,7 @@ fn on_files(command: &str, files: &[&[u8]]) -> Output {
 }
 
 fn on_file(command: &str, bytes: &[u8]) -> Output {
-    on_files(command, &[bytes])
+    on_files(&[command], &[bytes])
 }
 
 /// `trace info` counted acquires per lock by indexing with the op's id,
@@ -255,14 +256,14 @@ fn diff_names_each_processors_first_diverging_op() {
     let (rt, vm) = (record(BackendKind::Rt), record(BackendKind::Vm));
     let (rt_bytes, vm_bytes) = (rt.encode(), vm.encode());
 
-    let same = on_files("diff", &[&rt_bytes, &rt_bytes]);
+    let same = on_files(&["diff"], &[&rt_bytes, &rt_bytes]);
     assert_eq!(same.status.code(), Some(0));
     assert_eq!(
         String::from_utf8_lossy(&same.stdout),
         "traces are identical\n"
     );
 
-    let out = on_files("diff", &[&rt_bytes, &vm_bytes]);
+    let out = on_files(&["diff"], &[&rt_bytes, &vm_bytes]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(
@@ -280,5 +281,39 @@ fn diff_names_each_processors_first_diverging_op() {
             b.iter().nth(i)
         );
         assert!(stdout.contains(&report), "missing {report:?} in {stdout}");
+    }
+}
+
+/// `check --race` on a clean recording exits 0 and says there is no
+/// finding.
+#[test]
+fn race_on_a_clean_recording_finds_nothing() {
+    let trace = record_app(
+        AppKind::Sor,
+        MidwayConfig::new(4, BackendKind::Rt),
+        Scale::Small,
+    );
+    let out = on_files(&["check", "--race"], &[&trace.encode()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("findings:     none"), "{stdout}");
+}
+
+/// A planted bug survives into a recording (writes and synchronization
+/// are recorded; reads are not, so a read-ahead cannot), and `check
+/// --race` fails on it, exit 1, naming the finding's kind and processor.
+#[test]
+fn race_on_a_recorded_planted_bug_exits_1_naming_it() {
+    for kind in [MutantKind::DropAcquire, MutantKind::RogueRebind] {
+        let base = Schedule::generate(0, FuzzParams::mutant());
+        let s = apply_mutation(&base, kind, 0).expect("the base hosts the mutation");
+        let cfg = MidwayConfig::new(s.params.procs, BackendKind::Rt);
+        let run = execute(&s, cfg.record(true), None).expect("the mutant runs");
+        let trace = Trace::from_run(kind.label(), "fuzz", false, &run);
+        let out = on_files(&["check", "--race"], &[&trace.encode()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{}: {err}", kind.label());
+        let named = format!("{} proc {}", kind.finding().label(), s.mutant_proc);
+        assert!(err.contains(&named), "{}: {err}", kind.label());
     }
 }

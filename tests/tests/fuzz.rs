@@ -3,9 +3,8 @@
 //! caught with a minimized, still-failing reproducer.
 
 use midway_apps::fuzz::{
-    apply_mutation, backends_for, mutant_caught, shrink, FuzzOp, FuzzParams, Schedule,
+    apply_mutation, backends_for, mutant_caught, shrink, FuzzOp, FuzzParams, MutantKind, Schedule,
 };
-use midway_apps::mutants::MutantKind;
 use midway_core::{BackendKind, BarrierShape, FaultPlan, HomeMap};
 use midway_replay::{check, differential, Axes, Program, Transport};
 
@@ -37,10 +36,13 @@ fn backend_matrix_includes_standalone_for_single_proc_seeds() {
     assert_eq!(backends_for(multi.procs).len(), 5);
 }
 
-/// Every planted mutant kind is caught by the dynamic checker within a
-/// small seed budget, and the shrunk reproducer still fails.
+/// Every planted mutant kind is caught by the dynamic checker at seed 0
+/// on the reference backend, the shrunk reproducer still fails, and the
+/// catch is the planted processor's: credited to another, it is not one.
 #[test]
 fn every_mutant_kind_is_caught_and_shrinks() {
+    let rt = BackendKind::Rt;
+    let caught = |s: &Schedule| mutant_caught(s, rt);
     for kind in MutantKind::ALL {
         let base = Schedule::generate(0, FuzzParams::mutant());
         let mutated = apply_mutation(&base, kind, 0).expect("mutation applies to the base");
@@ -50,19 +52,26 @@ fn every_mutant_kind_is_caught_and_shrinks() {
             kind.label()
         );
         assert!(
-            mutant_caught(&mutated),
+            caught(&mutated),
             "{}: planted bug not caught at seed 0",
             kind.label()
         );
-        let small = shrink(&mutated, &mutant_caught, 150);
+        let small = shrink(&mutated, &caught, 150);
         assert!(
-            mutant_caught(&small),
+            caught(&small),
             "{}: shrunk reproducer no longer caught",
             kind.label()
         );
         assert!(
             small.op_count() <= mutated.op_count(),
             "{}: shrink grew the schedule",
+            kind.label()
+        );
+        let mut framed = small.clone();
+        framed.mutant_proc = (small.mutant_proc + 1) % small.params.procs;
+        assert!(
+            !caught(&framed),
+            "{}: caught on the wrong processor",
             kind.label()
         );
     }

@@ -1,55 +1,53 @@
-//! The dynamic entry-consistency checker, end to end.
+//! The dynamic entry-consistency checker, end to end. A finding fails
+//! `midway_replay::check`, whatever the program:
 //!
-//! Three properties, each exercised across backends:
-//!
-//! * **Zero false positives** — the five correct applications are clean
-//!   on every data-moving backend.
-//! * **Off-clock** — a run with checking enabled is bit-for-bit identical
-//!   to one without: same finish time, message count, counters, final
-//!   memory digests.
-//! * **True positives** — every seeded mutant produces a finding of the
-//!   planted kind with the planted provenance, and a recorded mutant
-//!   trace still reports it when checked with the checker attached.
+//! * **Zero false positives, off-clock** — every application passes
+//!   `check` with the checker attached on every data-moving backend, and
+//!   `check` holds that checked run to the unchecked one bit for bit:
+//!   finish time, messages, counters, final memory digests.
+//! * **True positives** — every planted bug kind is caught on every data
+//!   backend with its planted provenance, and shrunk; a planted schedule
+//!   and its recording fail `check` naming the finding.
 
-use midway_apps::mutants::{run_mutant, MutantKind};
+use midway_apps::fuzz::{
+    apply_mutation, catch_mutant, execute, mutant_caught, FuzzParams, MutantKind, Schedule,
+};
 use midway_apps::{run_app, AppKind, Scale};
-use midway_core::{BackendKind, FindingKind, Midway, MidwayConfig, SystemBuilder};
-use midway_replay::{check, record_app, Axes, Comparison, Trace};
+use midway_core::{BackendKind, Midway, MidwayConfig, SystemBuilder};
+use midway_replay::{check, record_app, App, Axes, Comparison, Trace};
 
-/// Checks `trace` with the checker as the only delivery axis, which must
-/// leave the replay bit-for-bit identical to the recording.
-fn racecheck(trace: &Trace) -> midway_core::CheckReport {
-    let checked = Axes {
+/// The checker as the only axis.
+fn checked() -> Axes {
+    Axes {
         check: true,
         ..Axes::default()
-    };
-    let v = check(trace, &checked).expect("checked replay must stay bit-for-bit");
-    assert_eq!(v.comparison, Comparison::Exact);
-    v.checked.check.expect("checker ran")
+    }
 }
 
 #[test]
 fn clean_apps_are_clean_on_every_data_backend() {
-    for kind in AppKind::all() {
+    for kind in AppKind::every() {
         for backend in BackendKind::DATA {
-            let cfg = MidwayConfig::new(4, backend).check(true);
-            let report = run_app(kind, cfg, Scale::Small).check.expect("checker ran");
+            let app = App {
+                kind,
+                scale: Scale::Small,
+                cfg: MidwayConfig::new(4, backend),
+            };
+            let cell = format!("{} under {}", kind.label(), backend.label());
+            let v = check(&app, &checked()).unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert_eq!(v.comparison, Comparison::Exact, "{cell}");
             assert!(
-                report.is_clean(),
-                "false positive: {} under {}: {}\nfirst: {}",
-                kind.label(),
-                backend.label(),
-                report.summary(),
-                report
-                    .findings
-                    .first()
-                    .map_or_else(|| "<capped>".to_string(), std::string::ToString::to_string),
+                v.baseline.check.is_none(),
+                "{cell}: baseline ran the checker"
             );
-            assert!(report.events > 0, "checker saw no events");
+            let report = v.checked.check.expect("checker ran");
+            assert!(report.events > 0, "{cell}: checker saw no events");
         }
     }
 }
 
+/// The same property as the matrix above, held directly on two runs
+/// rather than through `check`'s comparison.
 #[test]
 fn checking_is_off_clock_bit_for_bit() {
     for backend in [BackendKind::Rt, BackendKind::Vm, BackendKind::Blast] {
@@ -89,35 +87,56 @@ fn checked_run_has_identical_memory_and_clocks() {
 }
 
 #[test]
-fn every_mutant_is_detected_on_every_data_backend() {
+fn every_planted_bug_is_caught_and_shrunk_on_every_data_backend() {
     for kind in MutantKind::ALL {
         for backend in BackendKind::DATA {
-            let (run, expect) = run_mutant(kind, MidwayConfig::new(4, backend));
-            let report = run.check.expect("checker ran");
-            let f = report.first_of(expect.kind).unwrap_or_else(|| {
-                panic!(
-                    "{} under {}: no {:?} finding; report: {}",
-                    kind.label(),
-                    backend.label(),
-                    expect.kind,
-                    report.summary()
-                )
-            });
-            assert_eq!(f.proc, expect.proc, "{} {}", kind.label(), backend.label());
-            assert_eq!(
-                f.alloc.as_deref(),
-                Some(expect.alloc),
-                "{} {}",
-                kind.label(),
-                backend.label()
-            );
-            if expect.kind == FindingKind::BindingViolation {
-                assert!(f.lock.is_some(), "binding violations name the lock");
-            }
-            if expect.kind == FindingKind::StaleRead {
-                let s = f.stale.expect("stale reads carry the missed write");
-                assert_ne!(s.writer, f.proc);
-            }
+            let cell = format!("{} under {}", kind.label(), backend.label());
+            let (_, small) =
+                catch_mutant(kind, backend, 25).unwrap_or_else(|| panic!("{cell}: not caught"));
+            assert!(small.validate(), "{cell}: shrunk reproducer invalid");
+            assert!(mutant_caught(&small, backend), "{cell}: shrunk, not caught");
+        }
+    }
+}
+
+/// The planted schedule at seed 0, and the finding `check` must name:
+/// its kind's label and the mutant processor.
+fn planted(kind: MutantKind) -> (Schedule, [String; 2]) {
+    let base = Schedule::generate(0, FuzzParams::mutant());
+    let s = apply_mutation(&base, kind, 0).expect("the base hosts every mutation");
+    let named = [
+        kind.finding().label().to_string(),
+        format!("proc {}", s.mutant_proc),
+    ];
+    (s, named)
+}
+
+#[test]
+fn a_planted_schedule_fails_check_naming_the_finding() {
+    for kind in MutantKind::ALL {
+        let (s, named) = planted(kind);
+        let err = check(&s, &checked()).expect_err(kind.label());
+        assert!(err.starts_with("checker found"), "{}: {err}", kind.label());
+        for text in named {
+            assert!(err.contains(&text), "{}: {err}", kind.label());
+        }
+    }
+}
+
+/// Writes and synchronization are recorded, reads are not: a planted
+/// store or rebind survives into a trace, and replaying it with the
+/// checker attached fails `check` the same way.
+#[test]
+fn a_recorded_planted_bug_fails_check_naming_the_finding() {
+    for kind in [MutantKind::DropAcquire, MutantKind::RogueRebind] {
+        let (s, named) = planted(kind);
+        let cfg = MidwayConfig::new(s.params.procs, BackendKind::Rt).record(true);
+        let run = execute(&s, cfg, None).expect("the mutant runs");
+        let trace = Trace::from_run(kind.label(), "fuzz", false, &run);
+        let decoded = Trace::decode(&trace.encode()).expect("round-trip");
+        let err = check(&decoded, &checked()).expect_err(kind.label());
+        for text in named {
+            assert!(err.contains(&text), "{}: {err}", kind.label());
         }
     }
 }
@@ -130,26 +149,8 @@ fn clean_recorded_trace_racechecks_bit_for_bit() {
         Scale::Small,
     );
     let decoded = Trace::decode(&trace.encode()).expect("round-trip");
-    assert!(
-        racecheck(&decoded).is_clean(),
-        "false positive on a replayed clean trace"
-    );
-}
-
-#[test]
-fn recorded_mutant_trace_still_reports_the_bug() {
-    // Write and synchronization violations survive into traces (reads do
-    // not — they are local and never recorded).
-    let cfg = MidwayConfig::new(4, BackendKind::Rt).record(true);
-    let (run, expect) = run_mutant(MutantKind::DropAcquire, cfg);
-    let trace = Trace::from_run("mutant", "small", false, &run);
-    let decoded = Trace::decode(&trace.encode()).expect("round-trip");
-    let report = racecheck(&decoded);
-    let f = report
-        .first_of(expect.kind)
-        .expect("bug survives the trace");
-    assert_eq!(f.proc, expect.proc);
-    assert_eq!(f.alloc.as_deref(), Some(expect.alloc));
+    let v = check(&decoded, &checked()).expect("no finding on a replayed clean trace");
+    assert_eq!(v.comparison, Comparison::Exact);
 }
 
 #[test]

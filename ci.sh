@@ -107,14 +107,16 @@ for f in crates/proto/src/vm.rs $(find crates/core/src/detect -name '*.rs'); do
 done
 
 # The detector layer speaks the live seams: the compatibility wrappers
-# only the frozen benchmark still calls (`rt::apply`, `vm::apply`, the
-# four-argument `vm::collect`; the unpooled `rt::collect` is gone) stay
-# out of it, and a grant a detector cannot apply goes back to the engine
-# as a protocol violation — no `panic!` there.
+# only the frozen benchmark still calls (`rt::apply`, `rt::collect_pooled`
+# and the `BufPool` it draws from, `vm::apply`, the four-argument
+# `vm::collect`; the unpooled `rt::collect` is gone) stay out of it, so
+# grants are collected into packed sets, and a grant a detector cannot
+# apply goes back to the engine as a protocol violation — no `panic!`
+# there.
 for f in $(find crates/core/src/detect -name '*.rs'); do
     if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
         grep -v '^[^:]*:[0-9]*:[[:space:]]*//' |
-        grep -E '\b(rt|vm)::(apply|collect)\(|panic!\('; then
+        grep -E '\b(rt|vm)::(apply|collect)\(|\bcollect_pooled\b|\bBufPool\b|panic!\('; then
         echo "a compatibility wrapper or panic! in non-test code of $f" >&2
         exit 1
     fi

@@ -3,7 +3,7 @@
 //! synchronization object during interprocessor synchronization".
 
 use midway_mem::{Addr, LocalStore};
-use midway_proto::{vm, Binding, SeenToken, UpdateItem, UpdateSet, Visible};
+use midway_proto::{vm, Binding, ItemRef, SeenToken, UpdateSet, Visible};
 
 use crate::msg::GrantPayload;
 
@@ -16,10 +16,10 @@ pub(crate) struct BlastDetector;
 
 /// Writes `items` into the store: no bookkeeping. Returns the bytes
 /// written.
-fn copy_items<'a>(store: &mut LocalStore, items: impl IntoIterator<Item = &'a UpdateItem>) -> u64 {
+fn copy_items<'a>(store: &mut LocalStore, items: impl IntoIterator<Item = ItemRef<'a>>) -> u64 {
     let mut bytes = 0;
     for item in items {
-        store.write_bytes(Addr(item.addr), &item.data);
+        store.write_bytes(Addr(item.addr), item.data);
         bytes += item.data.len() as u64;
     }
     bytes
@@ -49,7 +49,7 @@ impl WriteDetector for BlastDetector {
         let GrantPayload::Flat { set, binding: sent } = payload else {
             return Err(payload);
         };
-        let bytes = copy_items(cx.store, &set.items);
+        let bytes = copy_items(cx.store, &set);
         cx.charge_vm_apply(bytes, 0);
         binding.install(sent);
         Ok(())
@@ -68,13 +68,13 @@ impl WriteDetector for BlastDetector {
              without write detection it cannot know what this \
              processor modified"
         );
-        let set = vm::snapshot(cx.store, scan);
+        let set: UpdateSet = vm::snapshot(cx.store, scan);
         cx.counters.full_data_sends += 1;
         set
     }
 
     fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Visible<'_>) {
-        let bytes = copy_items(cx.store, items);
+        let bytes = copy_items(cx.store, items.map(ItemRef::from));
         cx.charge_vm_apply(bytes, 0);
     }
 }

@@ -65,8 +65,8 @@ use midway_mem::{
     Addr, DirtyBits, LocalStore, RegionDesc, RegionPages, StoreKind, Template, WriteAccess,
     PAGE_SHIFT, PAGE_SIZE,
 };
-use midway_proto::rt::{RtApply, RtScan};
-use midway_proto::{Binding, LamportClock, SeenToken, UpdateSet, Visible};
+use midway_proto::rt::RtApply;
+use midway_proto::{Binding, LamportClock, PackedSet, SeenToken, UpdateSet, Visible};
 use midway_sim::Category;
 use midway_stats::CostModel;
 
@@ -114,14 +114,14 @@ pub struct DetectCx<'a> {
 /// cycles and bumps the counters of one primitive.
 impl DetectCx<'_> {
     /// A dirtybit scan: clean and dirty dirtybits read.
-    fn charge_scan(&mut self, scan: &RtScan) {
+    fn charge_scan(&mut self, (clean_reads, dirty_reads): (u64, u64)) {
         (self.charge)(
             Category::WriteCollect,
-            scan.clean_reads * self.cost.dirtybit_read_clean
-                + scan.dirty_reads * self.cost.dirtybit_read_dirty,
+            clean_reads * self.cost.dirtybit_read_clean
+                + dirty_reads * self.cost.dirtybit_read_dirty,
         );
-        self.counters.clean_dirtybits_read += scan.clean_reads;
-        self.counters.dirty_dirtybits_read += scan.dirty_reads;
+        self.counters.clean_dirtybits_read += clean_reads;
+        self.counters.dirty_dirtybits_read += dirty_reads;
     }
 
     /// An RT application: dirtybits stamped, bytes written, and the bytes
@@ -151,8 +151,8 @@ impl DetectCx<'_> {
 
     /// Reads the full bound data for a grant (a full data send), charged
     /// as a cold copy.
-    fn full_send(&mut self, binding: &Binding) -> UpdateSet {
-        let set = midway_proto::vm::snapshot(self.store, binding);
+    fn full_send(&mut self, binding: &Binding) -> PackedSet {
+        let set: PackedSet = midway_proto::vm::snapshot(self.store, binding);
         self.counters.full_data_sends += 1;
         (self.charge)(
             Category::Protocol,

@@ -11,8 +11,8 @@
 //! so peers only ever see timestamped update sets, whatever mechanism
 //! detected the writes. Plain RT has no paged part and no page table.
 
-use midway_mem::{Addr, BufPool, MemClass, PageTable, RegionDesc, EPOCH, PAGE_SIZE};
-use midway_proto::{rt, Binding, SeenToken, UpdateItem, UpdateSet, Visible};
+use midway_mem::{Addr, MemClass, PageTable, RegionDesc, EPOCH, PAGE_SIZE};
+use midway_proto::{rt, Binding, Fill, ItemRef, SeenToken, UpdateSet, Visible};
 
 use crate::msg::GrantPayload;
 use crate::setup::SystemSpec;
@@ -94,9 +94,6 @@ pub(crate) struct RtDetector {
     /// Per lock: the logical time as of which this processor's cache of the
     /// lock's data is consistent.
     last_seen: Vec<u64>,
-    /// Item-buffer freelist: buffers of applied grants feed the next
-    /// collection, so steady-state transfers allocate nothing.
-    pool: BufPool,
     /// The hybrid's paged regions; `None` for plain RT.
     paged: Option<Paged>,
 }
@@ -107,7 +104,6 @@ impl RtDetector {
         RtDetector {
             dirty: rt::DirtyMap::new(&spec.layout),
             last_seen: vec![EPOCH; spec.locks.len()],
-            pool: BufPool::new(),
             paged: None,
         }
     }
@@ -126,38 +122,35 @@ impl RtDetector {
     /// first folded into the dirtybit map (the pages fully covered by the
     /// binding are cleaned); their data is never copied — the scan re-reads
     /// it from the store.
-    fn collect(
+    fn collect<S: Fill + Default>(
         &mut self,
         cx: &mut DetectCx<'_>,
         binding: &Binding,
         last_seen: u64,
         now: u64,
-    ) -> UpdateSet {
+    ) -> S {
         if let Some(paged) = &mut self.paged {
             let (dirty, layout) = (&mut self.dirty, &cx.spec.layout);
             collect_charged(cx, &mut paged.pages, binding, |addr, data| {
                 rt::mark_write(dirty, layout, Addr(addr), data.len());
             });
         }
-        let scan = rt::collect_pooled(
+        let mut set = S::default();
+        let reads = rt::collect_with(
             cx.store,
             &mut self.dirty,
             &cx.spec.layout,
             binding,
             last_seen,
             now,
-            &mut self.pool,
+            &mut set,
         );
-        cx.charge_scan(&scan);
-        scan.set
+        cx.charge_scan(reads);
+        set
     }
 
     /// Applies update items, patching paged twins when there are any.
-    fn apply<'a>(
-        &mut self,
-        cx: &mut DetectCx<'_>,
-        items: impl IntoIterator<Item = &'a UpdateItem>,
-    ) {
+    fn apply<'a>(&mut self, cx: &mut DetectCx<'_>, items: impl IntoIterator<Item = ItemRef<'a>>) {
         let (paged, mut twin_bytes) = (&mut self.paged, 0);
         let res = rt::apply_with(
             cx.store,
@@ -238,15 +231,10 @@ impl WriteDetector for RtDetector {
         else {
             return Err(payload);
         };
-        self.apply(cx, &set.items);
+        self.apply(cx, &set);
         self.last_seen[lock] = consist_time;
         binding.install(sent);
         cx.clock.observe(consist_time);
-        // The grant has been applied; its item buffers feed the next
-        // collection instead of going back to the allocator.
-        for item in set.items {
-            self.pool.put(item.data);
-        }
         Ok(())
     }
 
@@ -262,6 +250,6 @@ impl WriteDetector for RtDetector {
     }
 
     fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Visible<'_>) {
-        self.apply(cx, items);
+        self.apply(cx, items.map(ItemRef::from));
     }
 }

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use midway_mem::diff::{DiffScratch, PageDiff};
 use midway_mem::{Addr, LocalStore, PAGE_SHIFT, PAGE_SIZE};
-use midway_proto::{Binding, SeenToken, UpdateItem, UpdateSet, Visible};
+use midway_proto::{Binding, Fill, ItemRef, SeenToken, UpdateSet, Visible};
 use midway_sim::Category;
 
 use crate::config::MidwayConfig;
@@ -78,7 +78,7 @@ impl WriteDetector for TwinAllDetector {
         };
         // Incoming bytes are both applied and patched into the
         // always-present twins.
-        let items = full.iter().chain(&updates).flat_map(|u| &u.set.items);
+        let items = full.iter().chain(&updates).flat_map(|u| &u.set);
         let bytes = twin_all_apply(&mut self.twins, cx.store, cx.spec, items);
         cx.charge_vm_apply(bytes, bytes);
         self.locks[lock].install(binding, sent, incarnation, full, &updates);
@@ -98,18 +98,19 @@ impl WriteDetector for TwinAllDetector {
     fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Visible<'_>) {
         // Charged as the bytes written only, with no twin bytes counted —
         // unlike a grant (results/ablation_protocols.txt pins this).
+        let items = items.map(ItemRef::from);
         let bytes = twin_all_apply(&mut self.twins, cx.store, cx.spec, items);
         cx.charge_vm_apply(bytes, 0);
     }
 }
 
-fn twin_all_collect(
+fn twin_all_collect<S: Fill + Default>(
     twins: &mut HashMap<(usize, usize), Box<[u8]>>,
     DiffScratch { diff, bound }: &mut DiffScratch,
     cx: &mut DetectCx<'_>,
     binding: &Binding,
-) -> UpdateSet {
-    let mut set = UpdateSet::new();
+) -> S {
+    let mut set = S::default();
     for (region_id, page_range) in binding.page_spans(&cx.spec.layout) {
         let desc = cx
             .spec
@@ -138,7 +139,7 @@ fn twin_all_collect(
             cx.counters.pages_diffed += 1;
             binding.ranges_in_page(region_id, page, bound);
             for (lo, data) in diff.restricted(bound) {
-                set.push_copy(page_base.raw() + lo as u64, data);
+                set.push(page_base.raw() + lo as u64, data, 0);
                 // Refresh the twin so the next diff is incremental.
                 twin[lo..lo + data.len()].copy_from_slice(data);
             }
@@ -151,11 +152,11 @@ fn twin_all_apply<'a>(
     twins: &mut HashMap<(usize, usize), Box<[u8]>>,
     store: &mut LocalStore,
     spec: &SystemSpec,
-    items: impl IntoIterator<Item = &'a UpdateItem>,
+    items: impl IntoIterator<Item = ItemRef<'a>>,
 ) -> u64 {
     let mut bytes = 0;
     for item in items {
-        store.write_bytes(Addr(item.addr), &item.data);
+        store.write_bytes(Addr(item.addr), item.data);
         bytes += item.data.len() as u64;
         // Patch twins so incoming data is not re-shipped as a local change
         // (creating the zero-state twin if the page has none yet).

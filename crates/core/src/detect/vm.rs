@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use midway_mem::{MemClass, PageTable, RegionDesc};
-use midway_proto::{vm, Binding, SeenToken, Update, UpdateSet, Visible};
+use midway_proto::{vm, Binding, Fill, ItemRef, PackedSet, SeenToken, Update, UpdateSet, Visible};
 use midway_sim::Category;
 
 use crate::config::MidwayConfig;
@@ -49,7 +49,7 @@ impl LockState {
     pub(super) fn grant(
         &mut self,
         cx: &mut DetectCx<'_>,
-        set: UpdateSet,
+        set: PackedSet,
         binding: &Binding,
         seen: SeenToken,
     ) -> GrantPayload {
@@ -159,12 +159,15 @@ impl VmDetector {
     }
 }
 
-/// Collects the modifications under `binding` into an update set.
-fn collect(cx: &mut DetectCx<'_>, pages: &mut PageTable, binding: &Binding) -> UpdateSet {
-    let mut set = UpdateSet::new();
-    collect_charged(cx, pages, binding, |addr, data| {
-        set.push_copy(addr, data);
-    });
+/// Collects the modifications under `binding` into an update set: a
+/// grant's packed set or a barrier's owned one.
+fn collect<S: Fill + Default>(
+    cx: &mut DetectCx<'_>,
+    pages: &mut PageTable,
+    binding: &Binding,
+) -> S {
+    let mut set = S::default();
+    collect_charged(cx, pages, binding, |addr, data| set.push(addr, data, 0));
     set
 }
 
@@ -222,7 +225,7 @@ impl WriteDetector for VmDetector {
         else {
             return Err(payload);
         };
-        let items = full.iter().chain(&updates).flat_map(|u| &u.set.items);
+        let items = full.iter().chain(&updates).flat_map(|u| &u.set);
         let applied = vm::apply_items(cx.store, &mut self.pages, items);
         cx.charge_vm_apply(applied.bytes_applied, applied.twin_bytes_updated);
         self.locks[lock].install(binding, sent, incarnation, full, &updates);
@@ -246,7 +249,7 @@ impl WriteDetector for VmDetector {
     }
 
     fn apply_barrier(&mut self, cx: &mut DetectCx<'_>, items: Visible<'_>) {
-        let applied = vm::apply_items(cx.store, &mut self.pages, items);
+        let applied = vm::apply_items(cx.store, &mut self.pages, items.map(ItemRef::from));
         cx.charge_vm_apply(applied.bytes_applied, applied.twin_bytes_updated);
     }
 }

@@ -3,11 +3,12 @@
 use std::sync::Arc;
 
 use midway_proto::{
-    BarrierId, Binding, LockId, MaskedSet, Mode, Update, UpdateSet, MSG_HEADER_BYTES,
+    BarrierId, Binding, LockId, MaskedSet, Mode, PackedSet, Update, UpdateSet, MSG_HEADER_BYTES,
     RELIABLE_HEADER_BYTES,
 };
 
-/// The data a grant carries, per backend.
+/// The data a grant carries, per backend. Every update set in it is a
+/// [`PackedSet`]: collecting a grant allocates per set, not per item.
 #[derive(Clone, Debug)]
 pub enum GrantPayload {
     /// No data: the requester was already the owner of record.
@@ -15,7 +16,7 @@ pub enum GrantPayload {
     /// RT-DSM: timestamped line updates plus the releaser's logical time.
     Rt {
         /// The lines newer than the requester's last-seen time.
-        set: UpdateSet,
+        set: PackedSet,
         /// The releaser's logical time; the requester's cache is consistent
         /// as of this time.
         consist_time: u64,
@@ -43,7 +44,7 @@ pub enum GrantPayload {
     /// Blast: the full bound data, with no write detection behind it.
     Flat {
         /// The data.
-        set: UpdateSet,
+        set: PackedSet,
         /// The lock's current binding.
         binding: Binding,
     },
@@ -255,16 +256,11 @@ impl NetMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midway_proto::UpdateItem;
 
-    fn set(bytes: usize) -> UpdateSet {
-        UpdateSet {
-            items: vec![UpdateItem {
-                addr: 0x40_0000,
-                data: vec![0; bytes],
-                ts: 5,
-            }],
-        }
+    fn set(bytes: usize) -> PackedSet {
+        let mut set = PackedSet::new();
+        set.push(0x40_0000, &vec![0; bytes], 5);
+        set
     }
 
     fn one_line_binding() -> Binding {

@@ -3,7 +3,7 @@
 //! requester (paper §3.2 / §3.4 — through the detector).
 
 use midway_net::Transport;
-use midway_proto::{LockId, Mode, SeenToken};
+use midway_proto::{LockId, Mode, PackedSet, SeenToken};
 use midway_sim::Category;
 
 use crate::detect::DetectCx;
@@ -71,13 +71,12 @@ impl DsmNode {
         payload: GrantPayload,
     ) {
         debug_assert_ne!(requester, self.me);
-        self.counters.data_bytes_sent += payload.data_bytes();
+        let bytes = payload.data_bytes();
+        self.counters.data_bytes_sent += bytes;
         // Packet construction for the shipped data.
         h.charge(
             Category::Protocol,
-            self.cfg
-                .cost
-                .copy_cycles(payload.data_bytes() as usize, true),
+            self.cfg.cost.copy_cycles(bytes as usize, true),
         );
         let msg = DsmMsg::Grant {
             lock,
@@ -96,9 +95,10 @@ impl DsmNode {
         payload: GrantPayload,
     ) {
         let idx = lock.0 as usize;
-        self.counters.data_bytes_received += payload.data_bytes();
+        let bytes = payload.data_bytes();
+        self.counters.data_bytes_received += bytes;
         if let Some(log) = &mut self.check {
-            log.apply(h.now().cycles(), payload.data_bytes());
+            log.apply(h.now().cycles(), bytes);
         }
         // The detector consumes the payload, so capture the ranges it
         // covers first; their post-images are logged after application.
@@ -148,28 +148,20 @@ fn payload_kind(payload: &GrantPayload) -> &'static str {
 /// these after application capture exactly what the grant changed (and
 /// harmlessly re-log current content for updates the detector skipped).
 fn payload_ranges(payload: &GrantPayload) -> Vec<(u64, usize)> {
-    let mut out = Vec::new();
-    let mut push_set = |set: &midway_proto::UpdateSet| {
-        out.extend(set.items.iter().map(|i| (i.addr, i.data.len())));
-    };
-    match payload {
-        GrantPayload::Current => {}
-        GrantPayload::Rt { set, .. } | GrantPayload::Flat { set, .. } => push_set(set),
+    let sets: Vec<&PackedSet> = match payload {
+        GrantPayload::Current => Vec::new(),
+        GrantPayload::Rt { set, .. } | GrantPayload::Flat { set, .. } => vec![set],
         GrantPayload::Vm { updates, full, .. } => {
-            for u in updates {
-                push_set(&u.set);
-            }
-            if let Some(u) = full {
-                push_set(&u.set);
-            }
+            updates.iter().chain(full).map(|u| &u.set).collect()
         }
-    }
-    out
+    };
+    let items = sets.into_iter().flatten();
+    items.map(|i| (i.addr, i.data.len())).collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use midway_proto::{BarrierId, Binding, HomeMap, LockId, Mode, UpdateSet};
+    use midway_proto::{BarrierId, Binding, HomeMap, LockId, Mode, PackedSet, UpdateSet};
     use midway_sim::SimError;
 
     use crate::api::Proc;
@@ -239,7 +231,7 @@ mod tests {
     #[test]
     fn wrong_kind_grant_is_a_protocol_violation() {
         let flat = forged_grant(BackendKind::Rt, true, |binding| GrantPayload::Flat {
-            set: UpdateSet::new(),
+            set: PackedSet::new(),
             binding,
         });
         assert_eq!(
@@ -247,7 +239,7 @@ mod tests {
             "processor 0 cannot apply a grant for LockId(0): payload kind flat, backend RT-DSM"
         );
         let rt = forged_grant(BackendKind::Vm, true, |binding| GrantPayload::Rt {
-            set: UpdateSet::new(),
+            set: PackedSet::new(),
             consist_time: 1,
             binding,
         });
@@ -262,7 +254,7 @@ mod tests {
     #[test]
     fn unsolicited_grant_is_a_protocol_violation() {
         let message = forged_grant(BackendKind::Rt, false, |binding| GrantPayload::Rt {
-            set: UpdateSet::new(),
+            set: PackedSet::new(),
             consist_time: 1,
             binding,
         });

@@ -19,7 +19,9 @@ use std::sync::Arc;
 
 use midway_mem::MAX_TIMESTAMP;
 use midway_net::{Reader, Wire, WireError, Writer};
-use midway_proto::{BarrierId, Binding, LockId, MaskedSet, Mode, Update, UpdateItem, UpdateSet};
+use midway_proto::{
+    BarrierId, Binding, Fill, ItemRef, LockId, MaskedSet, Mode, PackedSet, Update, UpdateSet,
+};
 
 use crate::msg::{DsmMsg, GrantPayload, NetMsg};
 
@@ -67,54 +69,70 @@ fn decode_time(r: &mut Reader) -> Result<u64, WireError> {
     }
 }
 
-// `UpdateSet` and `Update` live in `midway-proto`, which does not know
-// about the `Wire` trait; the orphan rule keeps the impls out, so they
-// encode through free functions here.
-fn encode_set(set: &UpdateSet, out: &mut Vec<u8>) {
-    encode_items(set.items.len(), &set.items, out);
-}
+// The update sets and `Update` live in `midway-proto`, which does not
+// know about the `Wire` trait; the orphan rule keeps the impls out, so
+// they encode through free functions here. A barrier's owned set and a
+// grant's packed set holding the same items encode to the same bytes.
 
 /// Encodes `count` items as a set. A barrier release passes its visible
 /// items here, so what travels is the personalized set, skip list spent.
-fn encode_items<'a>(
-    count: usize,
-    items: impl IntoIterator<Item = &'a UpdateItem>,
-    out: &mut Vec<u8>,
-) {
+fn encode_items<'a>(count: usize, items: impl IntoIterator<Item = ItemRef<'a>>, out: &mut Vec<u8>) {
     out.u32(count as u32);
     for item in items {
         out.u64(item.addr);
         out.u64(item.ts);
-        out.bytes_le32(&item.data);
+        out.bytes_le32(item.data);
     }
+}
+
+fn encode_set(set: &UpdateSet, out: &mut Vec<u8>) {
+    encode_items(set.len(), set.items.iter().map(ItemRef::from), out);
+}
+
+fn encode_packed(set: &PackedSet, out: &mut Vec<u8>) {
+    encode_items(set.len(), set, out);
 }
 
 /// Decodes a set whose addresses strictly increase, as every producer's
 /// do: anything else is `Malformed`. An unsorted set would send a merge
 /// into its quadratic fallback, so one forged frame could stall the
 /// barrier manager.
-fn decode_set(r: &mut Reader) -> Result<UpdateSet, WireError> {
+///
+/// The set is reserved once: a first pass adds up the item bytes as far
+/// as their encoding reads, and decoding, which also checks every value,
+/// stops no later, so a packed set's buffer never grows and a count the
+/// frame lies about reserves nothing.
+fn decode_set<S: Fill + Default>(r: &mut Reader) -> Result<S, WireError> {
     let n = r.count_le32(20)?;
-    let mut items: Vec<UpdateItem> = Vec::with_capacity(n);
+    let (mut ahead, mut bytes) = (r.clone(), 0);
+    for _ in 0..n {
+        let Ok(data) = ahead.take(16).and_then(|_| ahead.bytes_le32()) else {
+            break;
+        };
+        bytes += data.len();
+    }
+    let mut set = S::default();
+    set.reserve(n, bytes);
+    let mut last = None;
     for _ in 0..n {
         let addr = r.u64()?;
-        if items.last().is_some_and(|last| last.addr >= addr) {
+        if last.is_some_and(|last| last >= addr) {
             return Err(WireError::malformed(
                 "update items out of address order",
                 addr,
             ));
         }
+        last = Some(addr);
         let ts = decode_time(r)?;
-        let data = r.bytes_le32()?.to_vec();
-        items.push(UpdateItem { addr, data, ts });
+        set.push(addr, r.bytes_le32()?, ts);
     }
-    Ok(UpdateSet { items })
+    Ok(set)
 }
 
 fn encode_update(u: &Update, out: &mut Vec<u8>) {
     out.u64(u.incarnation);
     out.push(u.full as u8);
-    encode_set(&u.set, out);
+    encode_packed(&u.set, out);
 }
 
 fn decode_update(r: &mut Reader) -> Result<Update, WireError> {
@@ -135,7 +153,7 @@ impl Wire for GrantPayload {
                 binding,
             } => {
                 out.push(1);
-                encode_set(set, out);
+                encode_packed(set, out);
                 out.u64(*consist_time);
                 encode_binding(binding, out);
             }
@@ -157,7 +175,7 @@ impl Wire for GrantPayload {
                     None => out.push(0),
                     Some(u) => {
                         out.push(1);
-                        encode_set(&u.set, out);
+                        encode_packed(&u.set, out);
                     }
                 }
                 out.u64(*incarnation);
@@ -165,7 +183,7 @@ impl Wire for GrantPayload {
             }
             GrantPayload::Flat { set, binding } => {
                 out.push(3);
-                encode_set(set, out);
+                encode_packed(set, out);
                 encode_binding(binding, out);
             }
         }
@@ -263,7 +281,7 @@ impl Wire for DsmMsg {
                 out.push(5);
                 out.u32(barrier.0);
                 out.u64(*time);
-                encode_items(set.len(), set.iter(), out);
+                encode_items(set.len(), set.iter().map(ItemRef::from), out);
             }
         }
     }
@@ -369,6 +387,7 @@ mod tests {
     use super::*;
     use midway_net::wire::fnv1a64;
     use midway_net::{decode_exact, encode_to_vec};
+    use midway_proto::UpdateItem;
 
     fn roundtrip(msg: &NetMsg) -> NetMsg {
         let bytes = encode_to_vec(msg);
@@ -492,7 +511,7 @@ mod tests {
         let payloads = vec![
             GrantPayload::Current,
             GrantPayload::Rt {
-                set: sample_set(),
+                set: PackedSet::from(&sample_set()),
                 consist_time: 55,
                 binding: sample_binding(),
             },
@@ -500,18 +519,18 @@ mod tests {
                 updates: vec![
                     std::sync::Arc::new(Update {
                         incarnation: 1,
-                        set: sample_set(),
+                        set: PackedSet::from(&sample_set()),
                         full: false,
                     }),
                     std::sync::Arc::new(Update {
                         incarnation: 2,
-                        set: UpdateSet::new(),
+                        set: PackedSet::new(),
                         full: true,
                     }),
                 ],
                 full: Some(std::sync::Arc::new(Update {
                     incarnation: 2,
-                    set: sample_set(),
+                    set: PackedSet::from(&sample_set()),
                     full: true,
                 })),
                 incarnation: 2,
@@ -524,7 +543,7 @@ mod tests {
                 binding: Binding::default(),
             },
             GrantPayload::Flat {
-                set: sample_set(),
+                set: PackedSet::from(&sample_set()),
                 binding: sample_binding(),
             },
         ];
@@ -557,6 +576,109 @@ mod tests {
         ] {
             let bytes: Vec<u8> = fixtures.iter().flat_map(encode_to_vec).collect();
             assert_eq!((bytes.len(), fnv1a64(&bytes)), (len, sum));
+        }
+    }
+
+    /// `n` packed items at strictly increasing addresses from `base`, of
+    /// lengths cycling through 0, 1, 4, 8, 64 and 700 bytes, stamped
+    /// `ts(i)`.
+    fn packed(base: u64, n: u64, ts: impl Fn(u64) -> u64) -> PackedSet {
+        let (mut set, mut addr) = (PackedSet::new(), base);
+        for i in 0..n {
+            let len = [0, 1, 4, 8, 64, 700][i as usize % 6];
+            let data: Vec<u8> = (0..len).map(|k| (i * 31 + k as u64) as u8).collect();
+            set.push(addr, &data, ts(i));
+            addr += len as u64 + 8 * (1 + i % 3);
+        }
+        set
+    }
+
+    /// One grant frame of each kind a detector sends, each pinned on its
+    /// own: the length and FNV of its encoding, captured by running the
+    /// encoder of the commit before grants were packed (when every item
+    /// owned its bytes) on the same items. A packed set travels as the
+    /// item-owning set did, and decodes back to itself.
+    #[test]
+    fn grant_frame_bytes_match_the_parent_commit() {
+        let binding = Binding::from_parts(vec![0x40_0000..0x40_4000, 0x80_0000..0x80_0040], 6);
+        let grant = |lock, mode, payload| {
+            NetMsg::Raw(DsmMsg::Grant {
+                lock: LockId(lock),
+                mode,
+                payload,
+            })
+        };
+        let update = |incarnation, set, full| {
+            Arc::new(Update {
+                incarnation,
+                set,
+                full,
+            })
+        };
+        let frames = [
+            (
+                "rt",
+                grant(
+                    7,
+                    Mode::Exclusive,
+                    GrantPayload::Rt {
+                        set: packed(0x40_0000, 13, |i| 1 + 977 * i),
+                        consist_time: 0x1234,
+                        binding: binding.clone(),
+                    },
+                ),
+                (1878, 0x54f5_be46_08e3_970a_u64),
+            ),
+            (
+                "vm history",
+                grant(
+                    2,
+                    Mode::Shared,
+                    GrantPayload::Vm {
+                        updates: vec![
+                            update(3, packed(0x40_0000, 7, |_| 0), false),
+                            update(4, PackedSet::new(), false),
+                            update(5, packed(0x40_1000, 9, |_| 0), false),
+                        ],
+                        full: None,
+                        incarnation: 5,
+                        binding: binding.clone(),
+                    },
+                ),
+                (1983, 0xcd67_91a4_70dc_4ac3),
+            ),
+            (
+                "vm full snapshot",
+                grant(
+                    2,
+                    Mode::Exclusive,
+                    GrantPayload::Vm {
+                        updates: vec![],
+                        full: Some(update(9, packed(0x40_0000, 11, |_| 0), true)),
+                        incarnation: 9,
+                        binding: binding.clone(),
+                    },
+                ),
+                (1143, 0x863e_25aa_402a_5ebb),
+            ),
+            (
+                "flat",
+                grant(
+                    1,
+                    Mode::Exclusive,
+                    GrantPayload::Flat {
+                        set: packed(0x80_0000, 5, |_| 0),
+                        binding,
+                    },
+                ),
+                (233, 0xf0f5_aeb0_490b_35a1),
+            ),
+        ];
+        for (what, msg, pin) in &frames {
+            let bytes = encode_to_vec(msg);
+            assert_eq!((bytes.len(), fnv1a64(&bytes)), *pin, "{what}");
+            let back = decode_exact::<NetMsg>(&bytes).expect(what);
+            assert_eq!(format!("{msg:?}"), format!("{back:?}"), "{what}");
         }
     }
 
@@ -601,21 +723,16 @@ mod tests {
         let (NetMsg::Raw(m) | NetMsg::Data { msg: m, .. }) = msg else {
             return vec![];
         };
-        let stamps = |set: &UpdateSet| set.items.iter().map(|i| i.ts).collect::<Vec<_>>();
+        let stamps = |set: Vec<ItemRef>| set.iter().map(|i| i.ts).collect::<Vec<_>>();
         match m {
-            DsmMsg::Grant { payload, .. } => match payload {
-                GrantPayload::Current => vec![],
-                GrantPayload::Rt {
-                    set, consist_time, ..
-                } => [stamps(set), vec![*consist_time]].concat(),
-                GrantPayload::Vm { updates, full, .. } => updates
-                    .iter()
-                    .chain(full)
-                    .flat_map(|u| stamps(&u.set))
-                    .collect(),
-                GrantPayload::Flat { set, .. } => stamps(set),
-            },
-            DsmMsg::BarrierArrive { set, time, .. } => [stamps(set), vec![*time]].concat(),
+            DsmMsg::Grant {
+                payload: GrantPayload::Rt { consist_time, .. },
+                ..
+            } => [stamps(sets(msg).concat()), vec![*consist_time]].concat(),
+            DsmMsg::Grant { .. } => stamps(sets(msg).concat()),
+            DsmMsg::BarrierArrive { time, .. } => {
+                [stamps(sets(msg).concat()), vec![*time]].concat()
+            }
             DsmMsg::BarrierRelease { set, time, .. } => {
                 set.iter().map(|i| i.ts).chain([*time]).collect()
             }
@@ -624,23 +741,26 @@ mod tests {
     }
 
     /// The items of every update set a message carries, set by set.
-    fn sets(msg: &NetMsg) -> Vec<Vec<&UpdateItem>> {
+    fn sets(msg: &NetMsg) -> Vec<Vec<ItemRef<'_>>> {
         let (NetMsg::Raw(m) | NetMsg::Data { msg: m, .. }) = msg else {
             return vec![];
         };
-        fn items(set: &UpdateSet) -> Vec<&UpdateItem> {
-            set.items.iter().collect()
-        }
         match m {
             DsmMsg::Grant { payload, .. } => match payload {
                 GrantPayload::Current => vec![],
-                GrantPayload::Rt { set, .. } | GrantPayload::Flat { set, .. } => vec![items(set)],
-                GrantPayload::Vm { updates, full, .. } => {
-                    updates.iter().chain(full).map(|u| items(&u.set)).collect()
+                GrantPayload::Rt { set, .. } | GrantPayload::Flat { set, .. } => {
+                    vec![set.iter().collect()]
                 }
+                GrantPayload::Vm { updates, full, .. } => updates
+                    .iter()
+                    .chain(full)
+                    .map(|u| u.set.iter().collect())
+                    .collect(),
             },
-            DsmMsg::BarrierArrive { set, .. } => vec![items(set)],
-            DsmMsg::BarrierRelease { set, .. } => vec![set.iter().collect()],
+            DsmMsg::BarrierArrive { set, .. } => {
+                vec![set.items.iter().map(ItemRef::from).collect()]
+            }
+            DsmMsg::BarrierRelease { set, .. } => vec![set.iter().map(ItemRef::from).collect()],
             _ => vec![],
         }
     }
@@ -650,7 +770,7 @@ mod tests {
         let update = |full| {
             Arc::new(Update {
                 incarnation: 2,
-                set: set.clone(),
+                set: PackedSet::from(set),
                 full,
             })
         };
@@ -665,7 +785,7 @@ mod tests {
             (
                 "rt grant",
                 grant(GrantPayload::Rt {
-                    set: set.clone(),
+                    set: PackedSet::from(set),
                     consist_time: 55,
                     binding: sample_binding(),
                 }),
@@ -691,7 +811,7 @@ mod tests {
             (
                 "flat grant",
                 grant(GrantPayload::Flat {
-                    set: set.clone(),
+                    set: PackedSet::from(set),
                     binding: sample_binding(),
                 }),
             ),
@@ -793,7 +913,7 @@ mod tests {
             lock: LockId(4),
             mode: Mode::Exclusive,
             payload: GrantPayload::Rt {
-                set: UpdateSet { items: vec![item] },
+                set: PackedSet::from(&UpdateSet { items: vec![item] }),
                 consist_time,
                 binding: sample_binding(),
             },

@@ -1,11 +1,8 @@
-//! A freelist of byte buffers for the send→wire→apply hot path.
-//!
-//! The collection loops build an `UpdateItem` per coalesced run, ship it,
-//! and drop it at the receiver — a `Vec<u8>` allocation and free per item
-//! per message. The pool closes that loop: consumers return spent buffers
-//! with [`BufPool::put`] and producers draw warm ones with
-//! [`BufPool::get`], so steady-state collection recycles capacity instead
-//! of round-tripping the allocator.
+//! A freelist of byte buffers, kept only for the frozen signatures that
+//! name it: `rt::collect_pooled`, which builds an owned item per run and
+//! draws its buffer from here, and the benchmark's probes. Lock grants
+//! are packed sets, every item's bytes in one buffer, and draw nothing
+//! from a pool.
 //!
 //! A recycled buffer is always handed out *empty* (`put` truncates to
 //! zero length), so a producer that only ever `extend`s can never observe
@@ -22,15 +19,8 @@ pub struct BufPool {
     pub misses: u64,
 }
 
-/// Buffers retained at most; beyond this, `put` lets the buffer drop.
-///
-/// This bounds the pool's memory; it does not cover the protocol's
-/// in-flight population. Quicksort under RT-DSM at paper size on 8
-/// processors collects 1.35 M items in 4 379 collections, 85% of the
-/// items 8 bytes or less. 578 collections exceed 256 items, the largest
-/// 77 669. Each processor's pool hits 13–19 k times and misses 74–220 k
-/// times: most item buffers are fresh allocations. A freelist cannot
-/// serve that; one arena per update set could.
+/// Buffers retained at most; beyond this, `put` lets the buffer drop, so
+/// the pool's memory is bounded.
 const CAP: usize = 256;
 
 impl BufPool {

@@ -11,8 +11,10 @@
 //!   RT-DSM (§3.2).
 //! * [`Binding`] — the lock/barrier ↔ data association, including the
 //!   dynamic rebinding `quicksort` exercises.
-//! * [`UpdateSet`]/[`Update`] — the consistency updates shipped between
-//!   processors, with wire-size accounting.
+//! * [`UpdateSet`]/[`PackedSet`]/[`Update`] — the consistency updates
+//!   shipped between processors, with wire-size accounting: barrier
+//!   contributions own their items, lock grants pack theirs into one
+//!   buffer.
 //! * [`rt`] — RT-DSM write collection: timestamp dirtybit scans and update
 //!   application (§3.2).
 //! * [`vm`] — VM-DSM write collection: twins, diffs, and the per-lock
@@ -47,4 +49,7 @@ pub use clock::LamportClock;
 pub use home::{BarrierError, BarrierSite, HomeLock, SeenToken, Transfer};
 pub use sync_id::{BarrierId, HomeMap, LockId, Mode};
 pub use tree::{TreeSite, TreeStep, TreeTopology};
-pub use update::{MaskedSet, Update, UpdateItem, UpdateSet, Visible, MSG_HEADER_BYTES};
+pub use update::{
+    Fill, ItemRef, Items, MaskedSet, PackedSet, Update, UpdateItem, UpdateSet, Visible,
+    MSG_HEADER_BYTES,
+};

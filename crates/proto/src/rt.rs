@@ -10,7 +10,7 @@
 use midway_mem::{Addr, DirtyBits, Layout, LocalStore};
 
 use crate::binding::Binding;
-use crate::update::{copy_payload, UpdateItem, UpdateSet};
+use crate::update::{copy_payload, Fill, ItemRef, UpdateItem, UpdateSet};
 
 /// Lazily materialized per-region dirtybit arrays for one processor.
 pub struct DirtyMap {
@@ -79,11 +79,12 @@ pub struct RtApply {
 
 /// Scans the dirtybits of `binding`'s data on behalf of a requester whose
 /// cache was last consistent at `last_seen`, lazily stamping fresh
-/// modifications with `now` (the releaser's logical time).
+/// modifications with `now` (the releaser's logical time): [`collect_with`]
+/// into an owned set.
 ///
-/// Item buffers are drawn from `pool` instead of the allocator: a detector
-/// that returns applied buffers to the same pool runs its steady-state
-/// collection without malloc/free round trips.
+/// Item buffers are drawn from `pool` instead of the allocator. The engine
+/// collects into a [`PackedSet`](crate::PackedSet) instead, which needs no
+/// pool.
 #[allow(clippy::too_many_arguments)]
 pub fn collect_pooled(
     store: &mut LocalStore,
@@ -94,49 +95,118 @@ pub fn collect_pooled(
     now: u64,
     pool: &mut midway_mem::BufPool,
 ) -> RtScan {
-    let mut out = RtScan::default();
-    // One scan buffer reused across regions; the dirtybit array and the
-    // region's bytes are resolved once per span, not once per line.
+    let mut out = Pooled {
+        set: UpdateSet::new(),
+        pool,
+    };
+    let (clean_reads, dirty_reads) =
+        collect_with(store, dirty, layout, binding, last_seen, now, &mut out);
+    RtScan {
+        set: out.set,
+        clean_reads,
+        dirty_reads,
+    }
+}
+
+/// An owned set whose item buffers come from a pool.
+struct Pooled<'a> {
+    set: UpdateSet,
+    pool: &'a mut midway_mem::BufPool,
+}
+
+impl Fill for Pooled<'_> {
+    fn reserve(&mut self, items: usize, bytes: usize) {
+        self.set.reserve(items, bytes);
+    }
+
+    fn push(&mut self, addr: u64, data: &[u8], ts: u64) {
+        let mut buf = self.pool.get_with_capacity(data.len());
+        buf.extend_from_slice(data);
+        self.set.items.push(UpdateItem {
+            addr,
+            data: buf,
+            ts,
+        });
+    }
+
+    fn extend_last(&mut self, data: &[u8]) {
+        self.set.extend_last(data);
+    }
+}
+
+/// The collection pass itself: scans the dirtybits of `binding`'s data on
+/// behalf of a requester whose cache was last consistent at `last_seen`,
+/// lazily stamping fresh modifications with `now`, and fills `out` with
+/// what must be shipped, in increasing address order. Returns (clean
+/// dirtybits read, dirty dirtybits read).
+///
+/// Each maximal run of adjacent lines with equal timestamps is one item,
+/// copied once (Midway's update format packs runs; per-line items would
+/// waste five bytes of header per word line). A run that continues the
+/// previous span's last item (a region used to its end, followed by the
+/// next region) is appended to it. `out` is reserved once per span, for
+/// exactly the span's runs and bytes.
+pub fn collect_with(
+    store: &mut LocalStore,
+    dirty: &mut DirtyMap,
+    layout: &Layout,
+    binding: &Binding,
+    last_seen: u64,
+    now: u64,
+    out: &mut impl Fill,
+) -> (u64, u64) {
+    let (mut clean_reads, mut dirty_reads) = (0, 0);
+    // One scan buffer reused across spans, dropped at the end of the
+    // pass; the dirtybit array and the region's bytes are resolved once
+    // per span, not once per line.
     let mut scan = midway_mem::ScanOutcome::default();
+    // Where the last item ends, and its timestamp.
+    let mut last: Option<(u64, u64)> = None;
     for (region_id, lines) in binding.line_spans(layout) {
         let desc = layout.region(region_id).expect("bound region exists");
         let shift = desc.line_shift;
         let bits = dirty.bits_mut(layout, region_id);
         bits.scan_into(&mut scan, lines, last_seen, now);
-        out.clean_reads += scan.clean_reads;
-        out.dirty_reads += scan.dirty_reads;
+        clean_reads += scan.clean_reads;
+        dirty_reads += scan.dirty_reads;
+        let bits = &*bits;
         let slab = store.region_mut(region_id);
-        // Each maximal run of adjacent lines with equal timestamps is one
-        // item, copied once (Midway's update format packs runs; per-line
-        // items would waste five bytes of header per word line).
-        let mut rest = &scan.lines[..];
-        while let Some(&first) = rest.first() {
-            let ts = bits.get(first);
-            let n = (1..rest.len())
-                .find(|&k| rest[k] != first + k || bits.get(rest[k]) != ts)
-                .unwrap_or(rest.len());
-            rest = &rest[n..];
-            let data = &slab[first << shift..((first + n) << shift).min(desc.used)];
-            let addr = desc.base().raw() + (first << shift) as u64;
-            match out.set.items.last_mut() {
-                // A run can continue the previous span's last item (a
-                // region used to its end, followed by the next region).
-                Some(prev) if prev.ts == ts && prev.addr + prev.data.len() as u64 == addr => {
-                    prev.data.extend_from_slice(data);
-                }
-                _ => {
-                    let mut buf = pool.get_with_capacity(data.len());
-                    buf.extend_from_slice(data);
-                    out.set.items.push(UpdateItem {
-                        addr,
-                        data: buf,
-                        ts,
-                    });
-                }
+        let item = |(first, n, ts): (usize, usize, u64)| {
+            let (lo, hi) = (first << shift, ((first + n) << shift).min(desc.used));
+            (desc.base().raw() + lo as u64, &slab[lo..hi], ts)
+        };
+        let (items, bytes) = runs(&scan.lines, bits)
+            .map(item)
+            .fold((0, 0), |(k, b), (_, data, _)| (k + 1, b + data.len()));
+        out.reserve(items, bytes);
+        for (addr, data, ts) in runs(&scan.lines, bits).map(item) {
+            if last == Some((addr, ts)) {
+                out.extend_last(data);
+            } else {
+                out.push(addr, data, ts);
             }
+            last = Some((addr + data.len() as u64, ts));
         }
     }
-    out
+    (clean_reads, dirty_reads)
+}
+
+/// Each maximal run of adjacent `lines` with equal timestamps in `bits`,
+/// as (first line, line count, timestamp).
+fn runs<'a>(
+    lines: &'a [usize],
+    bits: &'a DirtyBits,
+) -> impl Iterator<Item = (usize, usize, u64)> + 'a {
+    let mut rest = lines;
+    std::iter::from_fn(move || {
+        let &first = rest.first()?;
+        let ts = bits.get(first);
+        let n = (1..rest.len())
+            .find(|&k| rest[k] != first + k || bits.get(rest[k]) != ts)
+            .unwrap_or(rest.len());
+        rest = &rest[n..];
+        Some((first, n, ts))
+    })
 }
 
 /// Applies an incoming update set: newer data is written line by line and
@@ -148,7 +218,8 @@ pub fn apply(
     layout: &Layout,
     set: &UpdateSet,
 ) -> RtApply {
-    apply_with(store, dirty, layout, &set.items, |_, _| {})
+    let items = set.items.iter().map(ItemRef::from);
+    apply_with(store, dirty, layout, items, |_, _| {})
 }
 
 /// What applying into one region needs, resolved once per run of items
@@ -193,7 +264,7 @@ pub fn apply_with<'a>(
     store: &mut LocalStore,
     dirty: &mut DirtyMap,
     layout: &Layout,
-    items: impl IntoIterator<Item = &'a UpdateItem>,
+    items: impl IntoIterator<Item = ItemRef<'a>>,
     mut on_applied: impl FnMut(Addr, &[u8]),
 ) -> RtApply {
     let mut out = RtApply::default();
@@ -213,8 +284,8 @@ pub fn apply_with<'a>(
         let line = offset >> c.line_shift;
         if (offset + len - 1) >> c.line_shift == line {
             if c.bits.take_newer_line(line, item.ts) {
-                copy_payload(&mut c.slab[offset..offset + len], &item.data);
-                on_applied(addr, &item.data);
+                copy_payload(&mut c.slab[offset..offset + len], item.data);
+                on_applied(addr, item.data);
                 out.dirtybits_updated += 1;
                 out.bytes_applied += len as u64;
             } else {
@@ -278,6 +349,7 @@ pub fn mark_write(dirty: &mut DirtyMap, layout: &Layout, addr: Addr, len: usize)
 #[allow(clippy::single_range_in_vec_init)] // one-range bindings are the point here
 mod tests {
     use super::*;
+    use crate::update::PackedSet;
     use midway_mem::{LayoutBuilder, MemClass};
     use std::sync::Arc;
 
@@ -518,7 +590,7 @@ mod tests {
                 &mut fast.0,
                 &mut fast.1,
                 &layout,
-                &set.items,
+                &PackedSet::from(&set),
                 |addr, data| {
                     assert_eq!(
                         addr.region_index(),
@@ -631,6 +703,7 @@ mod tests {
         for round in 0..40u64 {
             let mut fast = (LocalStore::new(Arc::clone(&layout)), DirtyMap::new(&layout));
             let mut slow = (LocalStore::new(Arc::clone(&layout)), DirtyMap::new(&layout));
+            let mut engine = (LocalStore::new(Arc::clone(&layout)), DirtyMap::new(&layout));
             for _ in 0..30 {
                 let (addr, len) = match next() % 3 {
                     0 => (seam - 512 + next() % 1024, 1 + next() % 700),
@@ -638,7 +711,7 @@ mod tests {
                     _ => (fine.addr.raw() + next() % 3900, 1 + next() % 90),
                 };
                 let stamp = next() % 4; // 0: leave DIRTY, else an old time
-                for (st, d) in [&mut fast, &mut slow] {
+                for (st, d) in [&mut fast, &mut slow, &mut engine] {
                     for piece in midway_mem::split_by_region(addr..addr + len) {
                         let (at, n) = (Addr(piece.start), (piece.end - piece.start) as usize);
                         st.write_bytes(at, &vec![(addr ^ round) as u8 | 1; n]);
@@ -663,6 +736,19 @@ mod tests {
             );
             let want = collect_line_by_line(&mut slow.0, &mut slow.1, &layout, &binding, 5, 50);
             assert_eq!(got.set, want, "round {round}");
+            // The engine's path: the same pass into a grant's packed set.
+            let mut packed = PackedSet::new();
+            let reads = collect_with(
+                &mut engine.0,
+                &mut engine.1,
+                &layout,
+                &binding,
+                5,
+                50,
+                &mut packed,
+            );
+            assert_eq!(UpdateSet::from(&packed), want, "round {round}: packed");
+            assert_eq!(reads, (got.clean_reads, got.dirty_reads), "round {round}");
             items += want.len();
             joined += want.items.iter().filter(|i| i.data.len() > 64).count();
             over_seam += want

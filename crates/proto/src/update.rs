@@ -24,6 +24,223 @@ pub struct UpdateItem {
     pub ts: u64,
 }
 
+/// One update item, borrowed: from a [`PackedSet`], or from an
+/// [`UpdateItem`] through `From`. Every applier and encoder reads items
+/// as these.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ItemRef<'a> {
+    /// Global address of the first byte.
+    pub addr: u64,
+    /// The new bytes.
+    pub data: &'a [u8],
+    /// The item's timestamp (see [`UpdateItem::ts`]).
+    pub ts: u64,
+}
+
+impl<'a> From<&'a UpdateItem> for ItemRef<'a> {
+    #[inline]
+    fn from(item: &'a UpdateItem) -> ItemRef<'a> {
+        ItemRef {
+            addr: item.addr,
+            data: &item.data,
+            ts: item.ts,
+        }
+    }
+}
+
+/// Where a collection pass puts the items it finds: a lock grant's
+/// [`PackedSet`] or a barrier contribution's [`UpdateSet`].
+pub trait Fill {
+    /// Makes room for `items` more items holding `bytes` more bytes.
+    fn reserve(&mut self, items: usize, bytes: usize);
+
+    /// Appends an item holding a copy of `data`, exactly as given: an
+    /// item is never joined to the one before it.
+    fn push(&mut self, addr: u64, data: &[u8], ts: u64);
+
+    /// Appends `data` to the last item's bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set is empty.
+    fn extend_last(&mut self, data: &[u8]);
+}
+
+/// The fixed-size part of one item in a [`PackedSet`]. The item's bytes
+/// follow the previous item's in the set's buffer, so a head holds only
+/// their count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Head {
+    addr: u64,
+    ts: u64,
+    len: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Head>() == 24);
+
+/// An update set packed: a 24-byte head per item and every item's bytes
+/// in one buffer, so building a set of any size allocates two vectors,
+/// not one per item. What lock grants carry.
+///
+/// [`push`](PackedSet::push) appends an item exactly as given; iterating
+/// yields the items pushed, in order, as borrowed [`ItemRef`]s. Sizes are
+/// those of the [`UpdateSet`] holding the same items.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct PackedSet {
+    heads: Vec<Head>,
+    bytes: Vec<u8>,
+}
+
+impl PackedSet {
+    /// Bytes of memory one item takes besides its data.
+    pub const HEAD_BYTES: usize = std::mem::size_of::<Head>();
+
+    /// An empty set.
+    pub fn new() -> PackedSet {
+        PackedSet::default()
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// True when nothing is carried.
+    pub fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
+    /// Application data bytes (what the paper's "data transferred" counts).
+    pub fn data_bytes(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+
+    /// Total bytes on the wire, including per-item headers.
+    pub fn wire_size(&self) -> u64 {
+        self.data_bytes() + ITEM_HEADER_BYTES * self.len() as u64
+    }
+
+    /// The items in the order they were pushed.
+    pub fn iter(&self) -> Items<'_> {
+        Items {
+            heads: self.heads.iter(),
+            bytes: &self.bytes,
+        }
+    }
+
+    /// Appends an item holding a copy of `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is 2^32 bytes or longer (the wire counts an
+    /// item's bytes in a `u32`).
+    #[inline]
+    pub fn push(&mut self, addr: u64, data: &[u8], ts: u64) {
+        let len = u32::try_from(data.len()).expect("item length fits a u32");
+        self.heads.push(Head { addr, ts, len });
+        self.bytes.extend_from_slice(data);
+    }
+}
+
+impl Fill for PackedSet {
+    fn reserve(&mut self, items: usize, bytes: usize) {
+        self.heads.reserve(items);
+        self.bytes.reserve(bytes);
+    }
+
+    #[inline]
+    fn push(&mut self, addr: u64, data: &[u8], ts: u64) {
+        PackedSet::push(self, addr, data, ts);
+    }
+
+    fn extend_last(&mut self, data: &[u8]) {
+        let last = self.heads.last_mut().expect("a last item");
+        last.len = u32::try_from(last.len as usize + data.len()).expect("item length fits a u32");
+        self.bytes.extend_from_slice(data);
+    }
+}
+
+impl Fill for UpdateSet {
+    fn reserve(&mut self, items: usize, _bytes: usize) {
+        self.items.reserve(items);
+    }
+
+    #[inline]
+    fn push(&mut self, addr: u64, data: &[u8], ts: u64) {
+        self.items.push(UpdateItem {
+            addr,
+            data: data.to_vec(),
+            ts,
+        });
+    }
+
+    fn extend_last(&mut self, data: &[u8]) {
+        let last = self.items.last_mut().expect("a last item");
+        last.data.extend_from_slice(data);
+    }
+}
+
+impl std::fmt::Debug for PackedSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a PackedSet {
+    type Item = ItemRef<'a>;
+    type IntoIter = Items<'a>;
+
+    fn into_iter(self) -> Items<'a> {
+        self.iter()
+    }
+}
+
+impl From<&UpdateSet> for PackedSet {
+    fn from(set: &UpdateSet) -> PackedSet {
+        let mut packed = PackedSet::new();
+        packed.reserve(set.len(), set.data_bytes() as usize);
+        for item in &set.items {
+            packed.push(item.addr, &item.data, item.ts);
+        }
+        packed
+    }
+}
+
+impl From<&PackedSet> for UpdateSet {
+    fn from(set: &PackedSet) -> UpdateSet {
+        let mut owned = UpdateSet::new();
+        owned.reserve(set.len(), 0);
+        for item in set {
+            Fill::push(&mut owned, item.addr, item.data, item.ts);
+        }
+        owned
+    }
+}
+
+/// The items of a [`PackedSet`], in order.
+#[derive(Clone, Debug)]
+pub struct Items<'a> {
+    heads: std::slice::Iter<'a, Head>,
+    /// The bytes of the items not yet yielded.
+    bytes: &'a [u8],
+}
+
+impl<'a> Iterator for Items<'a> {
+    type Item = ItemRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<ItemRef<'a>> {
+        let head = self.heads.next()?;
+        let (data, rest) = self.bytes.split_at(head.len as usize);
+        self.bytes = rest;
+        Some(ItemRef {
+            addr: head.addr,
+            data,
+            ts: head.ts,
+        })
+    }
+}
+
 /// A set of updates shipped in one direction at one synchronization point.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct UpdateSet {
@@ -35,16 +252,6 @@ impl UpdateSet {
     /// An empty set.
     pub fn new() -> UpdateSet {
         UpdateSet::default()
-    }
-
-    /// Appends an item holding a copy of `data`, without a timestamp (the
-    /// VM-style backends order updates by incarnation instead).
-    pub fn push_copy(&mut self, addr: u64, data: &[u8]) {
-        self.items.push(UpdateItem {
-            addr,
-            data: data.to_vec(),
-            ts: 0,
-        });
     }
 
     /// True when nothing is carried.
@@ -384,7 +591,7 @@ pub struct Update {
     /// The incarnation this update encapsulates.
     pub incarnation: u64,
     /// The modified data.
-    pub set: UpdateSet,
+    pub set: PackedSet,
     /// True when `set` is a full snapshot of the bound data: it subsumes
     /// every earlier incarnation, so it can serve arbitrarily old
     /// requesters.
@@ -455,6 +662,124 @@ mod tests {
         let set = UpdateSet::new();
         assert!(set.is_empty());
         assert_eq!(set.wire_size(), 0);
+        let packed = PackedSet::new();
+        assert!(packed.is_empty());
+        assert_eq!((packed.len(), packed.wire_size()), (0, 0));
+        assert_eq!(packed.iter().next(), None);
+    }
+
+    /// Items of any length (empty ones too) and any timestamp, at
+    /// addresses that may repeat, run backwards or touch.
+    fn random_items(seed: u64, max_items: u64) -> Vec<UpdateItem> {
+        let mut s = seed;
+        let mut next = || {
+            s = s.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        };
+        let n = next() % max_items;
+        let mut addr = 0x40_0000u64;
+        (0..n)
+            .map(|i| {
+                let len = [0, 1, 4, 8, 64, 1 + next() % 3000][next() as usize % 6];
+                match next() % 4 {
+                    0 => addr -= 8 * (next() % 4),
+                    1 => addr += len,
+                    _ => addr += len + next() % 100,
+                }
+                UpdateItem {
+                    addr,
+                    data: (0..len).map(|k| (k ^ i ^ seed) as u8).collect(),
+                    ts: next() % 4,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_packed_set_is_the_update_set_it_was_pushed() {
+        let (mut items, mut touching) = (0, 0);
+        for seed in 0..300u64 {
+            let set = UpdateSet {
+                items: random_items(seed, 40),
+            };
+            let mut packed = PackedSet::new();
+            for i in &set.items {
+                packed.push(i.addr, &i.data, i.ts);
+            }
+            // What is pushed is what iterates, in order.
+            assert!(
+                packed.iter().eq(set.items.iter().map(ItemRef::from)),
+                "seed {seed}"
+            );
+            // Sizes are the owned set's.
+            assert_eq!(packed.len(), set.len(), "seed {seed}");
+            assert_eq!(packed.is_empty(), set.is_empty(), "seed {seed}");
+            assert_eq!(packed.data_bytes(), set.data_bytes(), "seed {seed}");
+            assert_eq!(packed.wire_size(), set.wire_size(), "seed {seed}");
+            // Both conversions, and there and back.
+            assert_eq!(PackedSet::from(&set), packed, "seed {seed}");
+            assert_eq!(UpdateSet::from(&packed), set, "seed {seed}");
+            assert_eq!(PackedSet::from(&UpdateSet::from(&packed)), packed);
+            // Filled through the collection seam, reserved or not.
+            let mut filled = PackedSet::new();
+            Fill::reserve(&mut filled, set.len(), set.data_bytes() as usize);
+            let mut owned = UpdateSet::new();
+            for i in &set.items {
+                Fill::push(&mut filled, i.addr, &i.data, i.ts);
+                Fill::push(&mut owned, i.addr, &i.data, i.ts);
+            }
+            assert_eq!((filled, owned), (packed, set.clone()), "seed {seed}");
+            items += set.len();
+            touching += set
+                .items
+                .windows(2)
+                .filter(|w| w[0].addr + w[0].data.len() as u64 == w[1].addr)
+                .count();
+        }
+        assert!(
+            items > 4000 && touching > 200,
+            "{items} items, {touching} touching"
+        );
+    }
+
+    #[test]
+    fn push_never_joins_items_and_extend_last_always_does() {
+        // Contiguous zero-timestamp runs either side of a page boundary,
+        // as VM diffs of two neighbouring pages ship them: two items.
+        let mut packed = PackedSet::new();
+        packed.push(0x40_1000 - 8, &[1; 8], 0);
+        packed.push(0x40_1000, &[2; 8], 0);
+        packed.push(0x40_1008, &[], 0);
+        assert_eq!(packed.len(), 3);
+        assert_eq!(packed.data_bytes(), 16);
+        // RT's continuation rule appends to the last item, on either set.
+        let mut owned = UpdateSet::from(&packed);
+        for set in [&mut packed as &mut dyn Fill, &mut owned] {
+            set.extend_last(&[3; 5]);
+            set.push(0x40_2000, &[4], 7);
+            set.extend_last(&[5]);
+        }
+        assert_eq!(UpdateSet::from(&packed), owned);
+        let last: Vec<ItemRef> = packed.iter().skip(2).collect();
+        assert_eq!(
+            last,
+            [
+                ItemRef {
+                    addr: 0x40_1008,
+                    data: &[3; 5],
+                    ts: 0
+                },
+                ItemRef {
+                    addr: 0x40_2000,
+                    data: &[4, 5],
+                    ts: 7
+                }
+            ]
+        );
+        assert_eq!(packed.wire_size(), 23 + 4 * ITEM_HEADER_BYTES);
     }
 
     /// The quadratic find-and-replace the two-pointer merge must match.

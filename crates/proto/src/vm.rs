@@ -13,7 +13,7 @@ use midway_mem::diff::{DiffScratch, PageDiff};
 use midway_mem::{Addr, Layout, LocalStore, PageTable, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::binding::Binding;
-use crate::update::{copy_payload, Update, UpdateItem, UpdateSet};
+use crate::update::{copy_payload, Fill, ItemRef, Update, UpdateSet};
 
 /// Result of a VM collection pass over one binding.
 #[derive(Debug)]
@@ -53,9 +53,7 @@ pub fn collect(
         layout,
         binding,
         |_, _| {},
-        |addr, data| {
-            update.push_copy(addr, data);
-        },
+        |addr, data| update.push(addr, data, 0),
     );
     VmCollect {
         update,
@@ -123,15 +121,16 @@ pub fn collect_with(
     (pages_diffed, pages_cleaned)
 }
 
-/// Reads the full bound data: the fallback when the incarnation history
-/// cannot serve a requester, and the §3.5 "blast" strawman's whole
-/// payload.
-pub fn snapshot(store: &mut LocalStore, binding: &Binding) -> UpdateSet {
-    let mut set = UpdateSet::new();
+/// Reads the full bound data, one item per bound range per region: the
+/// fallback when the incarnation history cannot serve a requester, and
+/// the §3.5 "blast" strawman's whole payload.
+pub fn snapshot<S: Fill + Default>(store: &mut LocalStore, binding: &Binding) -> S {
+    let mut set = S::default();
+    set.reserve(binding.ranges().len(), binding.data_bytes() as usize);
     for range in binding.ranges() {
         for piece in midway_mem::split_by_region(range.clone()) {
             let len = (piece.end - piece.start) as usize;
-            set.push_copy(piece.start, store.bytes(Addr(piece.start), len));
+            set.push(piece.start, store.bytes(Addr(piece.start), len), 0);
         }
     }
     set
@@ -141,7 +140,7 @@ pub fn snapshot(store: &mut LocalStore, binding: &Binding) -> UpdateSet {
 /// dirty page are also applied to its twin, "so the update will not be
 /// treated as a new modification by the local processor".
 pub fn apply(store: &mut LocalStore, pages: &mut PageTable, set: &UpdateSet) -> VmApply {
-    apply_items(store, pages, &set.items)
+    apply_items(store, pages, set.items.iter().map(ItemRef::from))
 }
 
 /// One page's twin (if the page is dirty), looked up once per run of
@@ -160,7 +159,7 @@ struct TwinCursor<'a> {
 pub fn apply_items<'a>(
     store: &mut LocalStore,
     pages: &mut PageTable,
-    items: impl IntoIterator<Item = &'a UpdateItem>,
+    items: impl IntoIterator<Item = ItemRef<'a>>,
 ) -> VmApply {
     let mut out = VmApply::default();
     let mut slab: Option<(usize, &mut [u8])> = None;
@@ -173,7 +172,7 @@ pub fn apply_items<'a>(
         }
         let (_, bytes) = slab.as_mut().expect("resolved above");
         let (offset, len) = (start.region_offset(), item.data.len());
-        copy_payload(&mut bytes[offset..offset + len], &item.data);
+        copy_payload(&mut bytes[offset..offset + len], item.data);
         out.bytes_applied += len as u64;
         // Patch the twin page by page (items may span page boundaries).
         let mut pos = 0usize;
@@ -292,6 +291,7 @@ impl LockHistory {
 #[allow(clippy::single_range_in_vec_init)] // one-range bindings are the point here
 mod tests {
     use super::*;
+    use crate::update::{PackedSet, UpdateItem};
     use midway_mem::{LayoutBuilder, MemClass, PAGE_SIZE};
     use std::sync::Arc;
 
@@ -484,7 +484,8 @@ mod tests {
                     crossing += 1;
                 }
             }
-            let got = apply_items(&mut fast.0, &mut fast.1, &set.items);
+            // The engine's path: a grant's packed set.
+            let got = apply_items(&mut fast.0, &mut fast.1, &PackedSet::from(&set));
             let want = apply_byte_by_byte(&mut slow.0, &mut slow.1, &set);
             assert_eq!(got.bytes_applied, want.bytes_applied, "round {round}");
             assert_eq!(
@@ -515,9 +516,9 @@ mod tests {
         let mut f = fixture(PAGE_SIZE);
         f.store.write_u64(f.base + 16, 3);
         let binding = Binding::new(vec![f.base.raw()..f.base.raw() + 64]);
-        let s = snapshot(&mut f.store, &binding);
+        let s: PackedSet = snapshot(&mut f.store, &binding);
         assert_eq!(s.data_bytes(), 64);
-        assert_eq!(s.items.len(), 1);
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -532,10 +533,10 @@ mod tests {
         let binding = Binding::new(vec![a.addr.raw()..a.addr.raw() + 1024]);
 
         p0.write_u64(a.addr + 8, 5);
-        let set = snapshot(&mut p0, &binding);
+        let set: PackedSet = snapshot(&mut p0, &binding);
         assert_eq!(set.data_bytes(), 1024, "sparse write, full transfer");
-        for item in &set.items {
-            p1.write_bytes(Addr(item.addr), &item.data);
+        for item in &set {
+            p1.write_bytes(Addr(item.addr), item.data);
         }
         assert_eq!(p1.read_u64(a.addr + 8), 5);
     }
@@ -545,7 +546,7 @@ mod tests {
         let upd = |inc: u64| {
             Arc::new(Update {
                 incarnation: inc,
-                set: UpdateSet::new(),
+                set: PackedSet::new(),
                 full: false,
             })
         };
@@ -566,7 +567,7 @@ mod tests {
         let upd = |inc: u64| {
             Arc::new(Update {
                 incarnation: inc,
-                set: UpdateSet::new(),
+                set: PackedSet::new(),
                 full: false,
             })
         };
@@ -611,7 +612,7 @@ mod tests {
                 inc += 1 + rng.next_below(3) / 2;
                 h.push(Arc::new(Update {
                     incarnation: inc,
-                    set: UpdateSet::new(),
+                    set: PackedSet::new(),
                     full: rng.next_below(4) == 0,
                 }));
             }

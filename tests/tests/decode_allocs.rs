@@ -20,7 +20,9 @@ use midway_core::{BackendKind, DsmMsg, GrantPayload, MidwayConfig, NetMsg, OpStr
 use midway_mem::{AddrRange, RegionDesc, REGION_SIZE};
 use midway_net::wire::seal;
 use midway_net::{decode_exact, encode_to_vec};
-use midway_proto::{BarrierId, Binding, LockId, MaskedSet, Mode, Update, UpdateItem, UpdateSet};
+use midway_proto::{
+    BarrierId, Binding, LockId, MaskedSet, Mode, PackedSet, Update, UpdateItem, UpdateSet,
+};
 use midway_replay::Trace;
 
 #[path = "../../crates/net/tests/support/mutate.rs"]
@@ -85,6 +87,47 @@ const C: usize = {
     }
 };
 
+/// Bytes of heap per input byte a frame decode may hold at its peak,
+/// derived as [`C`] is. A frame's update sets are reserved once, at the
+/// size a first pass over their items counted, and never grow. Its
+/// elements:
+/// - an item of a grant's packed set, a `PackedSet::HEAD_BYTES` head,
+///   and one of a barrier set, an `UpdateItem`, each for at least a
+///   20-byte item header (address, timestamp, length);
+/// - an item's bytes, one for one;
+/// - a `Binding` range, read into a vector of its own and normalized into
+///   a second one, two `AddrRange`s for 16 bytes;
+/// - a VM update: its `Arc` in the updates vector and the `Arc`'s block
+///   (two counts and the `Update`), for at least 13 bytes (incarnation,
+///   full flag, item count).
+///
+/// A frame's one-off blocks (a full snapshot's `Arc`, a release's shared
+/// set and its one visible range) come with at least 18 bytes of fixed
+/// fields, which hold them within the same factor.
+const C_FRAME: usize = {
+    let update = std::mem::size_of::<Arc<Update>>()
+        + 2 * std::mem::size_of::<usize>()
+        + std::mem::size_of::<Update>();
+    let each = [
+        PackedSet::HEAD_BYTES.div_ceil(20),
+        std::mem::size_of::<UpdateItem>().div_ceil(20),
+        1,
+        (2 * std::mem::size_of::<AddrRange>()).div_ceil(16),
+        update.div_ceil(13),
+    ];
+    let (mut c, mut i) = (0, 0);
+    while i < each.len() {
+        if each[i] > c {
+            c = each[i];
+        }
+        i += 1;
+    }
+    c
+};
+
+// A frame decodes into less per input byte than a trace does.
+const _: () = assert!(C_FRAME < C);
+
 /// Bytes of heap a trace decode may hold whatever its input. An
 /// allocation's length is a claim, not a count: the decoder rebuilds the
 /// blueprint's layout, which keeps one `Option<RegionDesc>` per 4 MiB
@@ -100,15 +143,20 @@ const K_TRACE: usize =
 const K_FRAME: usize = 0;
 
 /// Peak live heap bytes `decode` held above what was live before it,
-/// asserted within `C × input + k`.
-fn held(what: &str, k: usize, bytes: &[u8], decode: impl FnOnce(&[u8]) -> bool) -> bool {
+/// asserted within `c × input + k`.
+fn held(
+    what: &str,
+    (c, k): (usize, usize),
+    bytes: &[u8],
+    decode: impl FnOnce(&[u8]) -> bool,
+) -> bool {
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
     let ok = decode(bytes);
     let peak = PEAK.load(Ordering::Relaxed) - before;
     assert!(
-        peak <= C * bytes.len() + k,
-        "{what}: a {}-byte input held {peak} bytes at its peak (bound {C} × input + {k})",
+        peak <= c * bytes.len() + k,
+        "{what}: a {}-byte input held {peak} bytes at its peak (bound {c} × input + {k})",
         bytes.len()
     );
     ok
@@ -131,7 +179,7 @@ fn frames() -> Vec<NetMsg> {
     let update = |incarnation, full| {
         Arc::new(Update {
             incarnation,
-            set: set(3),
+            set: PackedSet::from(&set(3)),
             full,
         })
     };
@@ -164,7 +212,7 @@ fn frames() -> Vec<NetMsg> {
             },
         },
         grant(GrantPayload::Rt {
-            set: set(4),
+            set: PackedSet::from(&set(4)),
             consist_time: 55,
             binding: binding.clone(),
         }),
@@ -175,7 +223,7 @@ fn frames() -> Vec<NetMsg> {
             binding: binding.clone(),
         }),
         grant(GrantPayload::Flat {
-            set: set(2),
+            set: PackedSet::from(&set(2)),
             binding,
         }),
     ]
@@ -197,7 +245,7 @@ fn decodes_hold_at_most_a_constant_times_their_input() {
     let accepted = mutate::sweep(0xa110c, &trace, 3_000, |b| {
         let mut sealed = b[..b.len().saturating_sub(8)].to_vec();
         seal(&mut sealed);
-        held("Trace::decode", K_TRACE, &sealed, |b| {
+        held("Trace::decode", (C, K_TRACE), &sealed, |b| {
             Trace::decode(b).is_ok()
         })
     });
@@ -207,7 +255,7 @@ fn decodes_hold_at_most_a_constant_times_their_input() {
     );
     for (i, msg) in frames().iter().enumerate() {
         mutate::sweep(0xf4a3e + i as u64, &encode_to_vec(msg), 1_000, |b| {
-            held("decode_exact::<NetMsg>", K_FRAME, b, |b| {
+            held("decode_exact::<NetMsg>", (C_FRAME, K_FRAME), b, |b| {
                 decode_exact::<NetMsg>(b).is_ok()
             })
         });

@@ -295,13 +295,14 @@ echo "==> real-transport loopback smoke"
 # live and recording (`check` of the application over the sockets, its
 # reference on the simulator), then the simulator run's recording is
 # checked over the same sockets; both must reach the simulator's final
-# memory. Then the same cells over UDP with 1% injected loss, so the
-# reliable channel masks a genuinely lossy socket end to end.
+# memory. Then the same cells with 1% of the messages dropped and 1%
+# duplicated at the send site, as the simulator's fault plan does, so the
+# reliable channel masks genuine loss on the sockets end to end.
 cargo run --release -q -p midway-bench --bin sweep -- \
     real --smoke --trace "$smoke/traces" --out "$smoke/realrun.json"
 cargo run --release -q -p midway-bench --bin sweep -- \
-    real --smoke --mode udp --loss 10000 \
-    --trace "$smoke/traces" --out "$smoke/realrun-udp.json"
+    real --smoke --loss 10000 \
+    --trace "$smoke/traces" --out "$smoke/realrun-lossy.json"
 
 echo "==> scale sweep smoke (64 processors, tree barriers, sharded homes)"
 # One 64-processor sor cell per backend (RT + VM) under the scale-out

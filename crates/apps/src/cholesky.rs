@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use midway_core::{
-    LockId, Midway, MidwayConfig, MidwayRun, NetMsg, Proc, RealConfig, RealError, SharedArray,
+    LockId, Midway, MidwayConfig, MidwayRun, NetMsg, Proc, RealConfig, RunError, SharedArray,
     SystemBuilder, SystemSpec, Transport,
 };
 
@@ -189,7 +189,7 @@ pub fn run_real(
     cfg: MidwayConfig,
     real: &RealConfig,
     p: Params,
-) -> Result<MidwayRun<Outcome>, RealError> {
+) -> Result<MidwayRun<Outcome>, RunError> {
     let sym = Arc::new(symbolic(p));
     let (spec, h) = build(&sym, cfg.procs);
     Midway::run_real(cfg, real, &spec, |proc| worker(proc, &sym, &h))

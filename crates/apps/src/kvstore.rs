@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use midway_core::{
-    BarrierId, LockId, Midway, MidwayConfig, MidwayRun, NetMsg, Proc, RealConfig, RealError,
+    BarrierId, LockId, Midway, MidwayConfig, MidwayRun, NetMsg, Proc, RealConfig, RunError,
     SharedArray, SystemBuilder, SystemSpec, Transport,
 };
 
@@ -134,7 +134,7 @@ pub fn run_real(
     cfg: MidwayConfig,
     real: &RealConfig,
     p: Params,
-) -> Result<MidwayRun<Outcome>, RealError> {
+) -> Result<MidwayRun<Outcome>, RunError> {
     let (spec, h) = build(p, cfg.procs);
     Midway::run_real(cfg, real, &spec, |proc| session(proc, p, &h))
 }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use midway_core::{
-    BarrierId, Midway, MidwayConfig, MidwayRun, NetMsg, Proc, RealConfig, RealError, SharedArray,
+    BarrierId, Midway, MidwayConfig, MidwayRun, NetMsg, Proc, RealConfig, RunError, SharedArray,
     SystemBuilder, SystemSpec, Transport,
 };
 use midway_sim::SplitMix64;
@@ -129,7 +129,7 @@ pub fn run_real(
     cfg: MidwayConfig,
     real: &RealConfig,
     p: Params,
-) -> Result<MidwayRun<Outcome>, RealError> {
+) -> Result<MidwayRun<Outcome>, RunError> {
     let (spec, h) = build(p, cfg.procs);
     Midway::run_real(cfg, real, &spec, |proc| session(proc, p, &h))
 }

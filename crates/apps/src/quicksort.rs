@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use midway_core::{
-    LockId, Midway, MidwayConfig, MidwayRun, NetMsg, Proc, RealConfig, RealError, SharedArray,
+    LockId, Midway, MidwayConfig, MidwayRun, NetMsg, Proc, RealConfig, RunError, SharedArray,
     SystemBuilder, SystemSpec, Transport,
 };
 use midway_sim::SplitMix64;
@@ -151,7 +151,7 @@ pub fn run_real(
     cfg: MidwayConfig,
     real: &RealConfig,
     p: Params,
-) -> Result<MidwayRun<Outcome>, RealError> {
+) -> Result<MidwayRun<Outcome>, RunError> {
     let (spec, h) = build(p, cfg.procs);
     Midway::run_real(cfg, real, &spec, |proc| worker(proc, p, &h))
 }

@@ -35,8 +35,7 @@ const FLAGS: &[&str] = &[
     "--render: print the results file as a markdown table; run nothing",
     "--write FILE: with --render, splice the table between FILE's markers",
     "--find-knee: binary-search the saturation knee per app and backend",
-    "--mode tcp|udp: socket kind (default tcp)",
-    "--loss PPM: udp only, injected drop and duplicate rate",
+    "--loss PPM: injected drop and duplicate rate on the sockets (default 0)",
     "--trace DIR: where the recorded traces go (default results/traces)",
     "--overhead: time one app with and without the checker",
     "--seeds N: seeds to sweep",

@@ -118,7 +118,6 @@ const HARNESSES: [Harness; 7] = [
             "--smoke",
             "--apps",
             "--backends",
-            "--mode",
             "--loss",
             "--trace",
         ],

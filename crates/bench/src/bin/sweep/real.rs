@@ -8,14 +8,15 @@
 //! reference runs on the simulator, and the socket run must pass the
 //! application's own check and, for lock-order-independent applications,
 //! reach the simulator's final memory bit for bit. The socket run's trace
-//! is saved (`real/<app>-<scale>-<procs>p-<backend>-<mode>.mwt` under
+//! is saved (`real/<app>-<scale>-<procs>p-<backend>-loss<ppm>.mwt` under
 //! `--trace DIR` — keeping the operation stream of a wall-clock run is the
 //! point of the flag). The second checks the simulator run's trace over
 //! the same sockets: the recorded streams re-execute on wall-clock
 //! delivery and are held to the same final memory.
 //!
-//! `--mode udp --loss PPM` injects drops and duplicates for the reliable
-//! channel to mask. `--smoke` is sor × rt,vm, small scale, 4 processors.
+//! `--loss PPM` injects drops and duplicates at the send site, as the
+//! simulator's fault plan does, for the reliable channel to mask.
+//! `--smoke` is sor × rt,vm, small scale, 4 processors.
 
 use std::path::Path;
 use std::time::Instant;
@@ -29,17 +30,9 @@ use crate::Report;
 
 pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
     let loss_ppm: u32 = args.num("--loss", 0)?;
-    let (transport, mode) = match args.value("--mode") {
-        None | Some("tcp") if loss_ppm == 0 => (Transport::Tcp, "tcp"),
-        None | Some("tcp") => return Err("--loss requires --mode udp".to_string()),
-        Some("udp") => {
-            let loss = FaultPlan::seeded(0xD5).drop_ppm(loss_ppm).dup_ppm(loss_ppm);
-            (Transport::Udp { loss }, "udp")
-        }
-        Some(other) => return Err(format!("unknown mode {other:?} (use tcp|udp)")),
-    };
+    let loss = (loss_ppm > 0).then(|| FaultPlan::seeded(0xD5).drop_ppm(loss_ppm).dup_ppm(loss_ppm));
     let axes = Axes {
-        transport,
+        transport: Transport::Tcp { loss },
         ..Axes::default()
     };
     let (apps, backends) = if args.flag("--smoke") {
@@ -57,7 +50,7 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
     std::fs::create_dir_all(&trace_dir)
         .map_err(|e| format!("creating {}: {e}", trace_dir.display()))?;
 
-    println!("== real-transport runs ({mode}) ==");
+    println!("== real-transport runs (loss {loss_ppm} ppm) ==");
     println!("scale: {scale:?}, processors: {procs}");
     println!();
 
@@ -82,7 +75,7 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
             // `trace check` over simulator traces would pick it up.
             let trace = Trace::from_run(kind.label(), scale.label(), true, &live.checked);
             let path = trace_dir.join(format!(
-                "{}-{}-{procs}p-{}-{mode}.mwt",
+                "{}-{}-{procs}p-{}-loss{loss_ppm}.mwt",
                 kind.label(),
                 scale.label(),
                 backend.cli_name()
@@ -100,7 +93,7 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
                     .text("app", "app", kind.label())
                     .json("backend", Json::str(backend.cli_name()))
                     .col("backend", backend.label())
-                    .json("mode", Json::str(mode))
+                    .json("loss_ppm", Json::U64(loss_ppm.into()))
                     .f64("host_secs", "host s", host_secs, 2)
                     .json("verified", Json::Bool(true))
                     .u64("total_ops", "ops", sim_trace.total_ops() as u64)
@@ -118,6 +111,9 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
     }
     println!("{}", Record::table(&runs, 2));
 
-    let fields = [("mode", Json::str(mode)), ("runs", Record::array(&runs))];
+    let fields = [
+        ("loss_ppm", Json::U64(loss_ppm.into())),
+        ("runs", Record::array(&runs)),
+    ];
     Report::passed(args.document("realrun", fields))
 }

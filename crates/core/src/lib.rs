@@ -75,7 +75,7 @@ pub use midway_check::{
 };
 pub use midway_mem::AddrRange;
 pub use midway_net::wire as codec;
-pub use midway_net::{RealConfig, RealError, RealMode, RealTransport, Transport};
+pub use midway_net::{RealConfig, RealTransport, Transport};
 pub use midway_proto::{BarrierId, HomeMap, LinkStats, LockId, Mode, ReliableParams};
-pub use midway_sim::{FaultPlan, FaultStats, NetModel, SimError, SplitMix64, VirtualTime};
+pub use midway_sim::{FaultPlan, FaultStats, NetModel, RunError, SplitMix64, VirtualTime};
 pub use midway_stats::CostModel;

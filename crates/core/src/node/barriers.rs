@@ -280,7 +280,7 @@ impl DsmNode {
 #[cfg(test)]
 mod tests {
     use midway_proto::UpdateSet;
-    use midway_sim::SimError;
+    use midway_sim::RunError;
 
     use crate::api::Proc;
     use crate::config::{BackendKind, MidwayConfig};
@@ -417,7 +417,7 @@ mod tests {
         )
         .unwrap_err();
         match err {
-            SimError::ProtocolViolation { proc, message } => {
+            RunError::ProtocolViolation { proc, message } => {
                 assert_eq!(proc, 0, "the manager reports the violation");
                 assert!(message.contains("arrived twice"), "{message}");
             }
@@ -453,7 +453,7 @@ mod tests {
         )
         .unwrap_err();
         match err {
-            SimError::ProtocolViolation { proc, message } => {
+            RunError::ProtocolViolation { proc, message } => {
                 assert_eq!(proc, 0, "the tree root reports the violation");
                 assert!(message.contains("arrived twice"), "{message}");
             }

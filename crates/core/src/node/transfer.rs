@@ -162,7 +162,7 @@ fn payload_ranges(payload: &GrantPayload) -> Vec<(u64, usize)> {
 #[cfg(test)]
 mod tests {
     use midway_proto::{BarrierId, Binding, HomeMap, LockId, Mode, PackedSet, UpdateSet};
-    use midway_sim::SimError;
+    use midway_sim::RunError;
 
     use crate::api::Proc;
     use crate::config::{BackendKind, MidwayConfig};
@@ -207,7 +207,7 @@ mod tests {
         })
         .unwrap_err();
         match err {
-            SimError::ProtocolViolation { proc, message } => {
+            RunError::ProtocolViolation { proc, message } => {
                 assert_eq!(proc, 0, "the receiver reports the violation");
                 message
             }

@@ -5,11 +5,9 @@
 use std::sync::Arc;
 
 use midway_mem::LocalStore;
-use midway_net::{RealCluster, RealConfig, RealError, RealMode, RealTransport, Transport};
+use midway_net::{RealCluster, RealConfig, RealTransport, Transport};
 use midway_proto::LinkStats;
-use midway_sim::{
-    Cluster, ClusterConfig, FaultPlan, ProcReport, RunOutcome, SimError, VirtualTime,
-};
+use midway_sim::{Cluster, ClusterConfig, ProcReport, RunError, RunOutcome, VirtualTime};
 
 use crate::api::Proc;
 use crate::config::{BackendKind, MidwayConfig};
@@ -194,6 +192,15 @@ fn assemble<R>(
     }
 }
 
+/// The cluster `cfg` runs on, on either transport.
+fn cluster(cfg: &MidwayConfig) -> ClusterConfig {
+    ClusterConfig {
+        procs: cfg.procs,
+        net: cfg.net,
+        faults: cfg.faults,
+    }
+}
+
 fn assert_backend_supported(cfg: &MidwayConfig) {
     assert!(
         cfg.backend != BackendKind::None || cfg.procs == 1,
@@ -213,7 +220,7 @@ impl Midway {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on deadlock (including application-level lock
+    /// Returns [`RunError`] on deadlock (including application-level lock
     /// cycles) or if any processor's closure panics.
     ///
     /// # Panics
@@ -254,51 +261,46 @@ impl Midway {
         cfg: MidwayConfig,
         spec: &Arc<SystemSpec>,
         f: F,
-    ) -> Result<MidwayRun<R>, SimError>
+    ) -> Result<MidwayRun<R>, RunError>
     where
         F: Fn(&mut Proc<'_>) -> R,
     {
         assert_backend_supported(&cfg);
         let blueprint = cfg.record.then(|| SpecBlueprint::capture(spec));
         let run_spec = Arc::clone(spec);
-        let cluster = ClusterConfig {
-            procs: cfg.procs,
-            net: cfg.net,
-            faults: cfg.faults,
-        };
-        let out = Cluster::run(cluster, move |h: &mut midway_sim::ProcHandle<NetMsg>| {
-            proc_session(cfg, &run_spec, h, &f)
-        })?;
+        let out = Cluster::run(
+            cluster(&cfg),
+            move |h: &mut midway_sim::ProcHandle<NetMsg>| proc_session(cfg, &run_spec, h, &f),
+        )?;
         Ok(assemble(cfg, spec, blueprint, out))
     }
 
-    /// Runs `f` once per processor over real sockets: loopback TCP or UDP
-    /// per `real.mode`, wall-clock time standing in for the virtual
-    /// clock, every processor a coroutine on the calling thread as in
-    /// [`Midway::run`].
+    /// Runs `f` once per processor over loopback TCP sockets, wall-clock
+    /// time standing in for the virtual clock, every processor a coroutine
+    /// on the calling thread as in [`Midway::run`].
     ///
     /// The protocol engine is the same code [`Midway::run`] executes; only
-    /// the [`Transport`] differs. Two configuration knobs are interpreted
-    /// differently here:
-    ///
-    /// * `cfg.net` (the simulated network's latency model) is ignored —
-    ///   the kernel's loopback is the network now;
-    /// * `cfg.faults` only decides whether the reliable link layer frames
-    ///   messages; nothing is *injected* from it. On UDP, framing is
-    ///   forced on (with [`FaultPlan::seeded`]\(0\), the zero-rate plan)
-    ///   because datagrams can be genuinely lost even on loopback;
-    ///   injected loss, if any, comes from [`RealMode::Udp`]'s plan.
+    /// the [`Transport`] differs. So does the fault plan's reach:
+    /// `cfg.faults` frames messages through the reliable link layer and
+    /// injects its drops and duplicates at the send site, as on the
+    /// simulator. `cfg.net` (the simulated network's latency model) is
+    /// ignored — the kernel's loopback is the network now.
     ///
     /// # Errors
     ///
-    /// Returns [`RealError`] on protocol/application violations, socket
+    /// Returns [`RunError`] on protocol/application violations, socket
     /// failures, processor panics, or a watchdog abort of a hung run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.faults` schedules a crash: a wall-clock run has no
+    /// deterministic clock to schedule one against.
     pub fn run_real<R, F>(
         cfg: MidwayConfig,
         real: &RealConfig,
         spec: &Arc<SystemSpec>,
         f: F,
-    ) -> Result<MidwayRun<R>, RealError>
+    ) -> Result<MidwayRun<R>, RunError>
     where
         F: Fn(&mut Proc<'_, RealTransport<NetMsg>>) -> R,
     {
@@ -308,13 +310,9 @@ impl Midway {
             "crash injection is simulator-only: real transports have no deterministic \
              clock to schedule failures against (checkpointing itself works everywhere)"
         );
-        let mut cfg = cfg;
-        if matches!(real.mode, RealMode::Udp { .. }) && !cfg.faults.enabled {
-            cfg.faults = FaultPlan::seeded(0);
-        }
         let blueprint = cfg.record.then(|| SpecBlueprint::capture(spec));
         let run_spec = Arc::clone(spec);
-        let out = RealCluster::run(real, cfg.procs, move |h: &mut RealTransport<NetMsg>| {
+        let out = RealCluster::run(cluster(&cfg), real, move |h: &mut RealTransport<NetMsg>| {
             proc_session(cfg, &run_spec, h, &f)
         })?;
         Ok(assemble(cfg, spec, blueprint, out))

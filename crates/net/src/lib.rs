@@ -18,18 +18,20 @@
 //!             ProcHandle<M>          RealTransport<M: Wire>
 //!          (midway-sim, impl #1)      (this crate, impl #2)
 //!          virtual time, exactly     wall clock, non-blocking
-//!          reproducible              TCP or lossy UDP loopback
+//!          reproducible              loopback TCP
 //! ```
 //!
 //! Real frames are serialized with the dependency-free [`Wire`] codec
 //! ([`wire`], which trace files and crash-recovery storage are built on
 //! too); [`RealCluster::run`] is the socket-backed counterpart of the
-//! simulator's `Cluster::run`, and returns the same `RunOutcome`.
+//! simulator's `Cluster::run`: it takes the same `ClusterConfig`, applies
+//! its fault plan's loss at the same send site, and returns the same
+//! `RunOutcome` or `RunError`.
 
 mod real;
 mod transport;
 pub mod wire;
 
-pub use real::{RealCluster, RealConfig, RealError, RealMode, RealTransport};
+pub use real::{RealCluster, RealConfig, RealTransport};
 pub use transport::Transport;
 pub use wire::{decode_exact, encode_to_vec, Reader, Wire, WireError, Writer};

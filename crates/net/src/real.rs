@@ -3,10 +3,12 @@
 //!
 //! Where the simulator delivers messages from an event queue under a
 //! virtual clock, this transport moves them as length-prefixed frames over
-//! `std::net` sockets — TCP by default, or UDP with optional deterministic
-//! loss injection so the DSM's go-back-N reliable channel has real packet
-//! loss to recover from. The wall clock (scaled by a configurable
-//! cycles-per-microsecond rate) stands in for the virtual clock.
+//! loopback TCP streams, one per direction of each pair. The wall clock
+//! (25 cycles per microsecond) stands in for the virtual clock. It takes
+//! the simulator's fault plan and applies its rates where the simulator
+//! does, at the send site: a dropped message is never written, a
+//! duplicated one is written twice, so the DSM's go-back-N reliable
+//! channel has real loss to recover from. Nothing else differs.
 //!
 //! The execution model is the simulator's: every processor is a
 //! [`Coroutine`] and [`RealCluster::run`] is one loop, on the calling
@@ -23,34 +25,23 @@
 //! again. The loop decides that between rounds, when no processor is
 //! running and none is runnable, so it is a comparison of values only its
 //! own thread changes: every processor is draining or finished, no
-//! self-timer is pending, every inbox is empty and — on TCP, where the
-//! wire is lossless — a pump has just brought `frames_received` up to
-//! `frames_sent`. Every message originates from a running processor, a
-//! timer or a frame in flight, and there are none, so the state is
-//! permanent.
-//!
-//! On UDP the frame counts are skipped (datagrams may be genuinely lost,
-//! so `sent == received` may never hold); two substitutes apply. First, a
-//! settle window: no quiescence until nothing has been sent, received or
-//! delivered for [`UDP_SETTLE_NANOS`], which dwarfs loopback delivery
-//! latency. Second, for the DSM the reliable channel above carries the
-//! real guarantee: its retransmit timer is armed exactly while data is
-//! unacknowledged, so "no timers pending anywhere" already implies every
-//! data frame was delivered. Stray duplicate or ack datagrams may land
-//! after quiescence and are simply never read — they carry no protocol
-//! obligations.
+//! self-timer is pending, every inbox is empty and a pump has just
+//! brought `frames_received` up to `frames_sent`. Every message originates
+//! from a running processor, a timer or a frame in flight, and there are
+//! none, so the state is permanent. A dropped message is never written,
+//! so it is never counted as sent, and the rule holds under loss too.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use midway_sim::{
-    panic_message, suspend, Category, Coroutine, FaultDecision, FaultPlan, ProcReport, RunOutcome,
-    VirtualTime,
+    panic_message, suspend, Category, ClusterConfig, Coroutine, FaultDecision, FaultPlan,
+    ProcReport, RunError, RunOutcome, VirtualTime,
 };
 
 use crate::transport::Transport;
@@ -60,25 +51,15 @@ use crate::wire::{decode_exact, Wire};
 /// not be believed).
 const MAX_TCP_FRAME: usize = 1 << 28;
 
-/// Largest payload sent in one UDP datagram. Loopback accepts datagrams
-/// up to 64 KiB; anything bigger must use TCP.
-pub(crate) const MAX_UDP_PAYLOAD: usize = 60_000;
-
-/// Minimum global inactivity before a UDP-mode run may quiesce. Loopback
-/// datagram delivery is microseconds; anything still "in flight" after
-/// this long is genuinely lost and the reliable layer's timers (which
-/// block quiescence on their own) are responsible for it.
-const UDP_SETTLE_NANOS: u64 = 5_000_000;
-
-/// How long the loop sleeps between pumps while something is in flight:
-/// a TCP frame written but not yet readable, or a UDP settle window.
+/// How long the loop sleeps between pumps while a frame is in flight:
+/// written but not yet readable.
 const IN_FLIGHT_POLL: Duration = Duration::from_micros(50);
 
 /// Cap on any one idle sleep, so a run that is waiting on nothing but a
 /// far-off deadline still looks at its sockets now and then.
 const IDLE_NAP: Duration = Duration::from_millis(25);
 
-/// Bytes asked of a socket per read; no datagram is larger.
+/// Bytes asked of a socket per read.
 const READ_CHUNK: usize = 65_536;
 
 /// Wall-clock to cycle conversion: the R3000's 25 MHz, 25 cycles per
@@ -86,30 +67,10 @@ const READ_CHUNK: usize = 65_536;
 /// backoffs) keep the real durations they had on the paper's machine.
 const CYCLES_PER_MICRO: u64 = 25;
 
-/// Which socket flavor a real-transport run uses.
-#[derive(Clone, Debug)]
-pub enum RealMode {
-    /// Length-prefixed frames over per-direction loopback TCP streams.
-    /// Lossless and per-pair FIFO; the DSM can run with its reliable
-    /// channel disabled, exactly as on the simulator's perfect network.
-    Tcp,
-    /// One datagram per message over loopback UDP, with deterministic
-    /// loss/duplication injected at the send site per the embedded
-    /// [`FaultPlan`]. The DSM must run its reliable channel on top.
-    Udp {
-        /// Per-message fault schedule (`FaultPlan::seeded(0)` for a
-        /// lossless-but-untrusted link). `Reorder`/`Delay` decisions
-        /// deliver normally: real sockets offer no delay hook. Boxed:
-        /// the plan's crash table would otherwise dwarf `Tcp`.
-        loss: Box<FaultPlan>,
-    },
-}
-
-/// Configuration for a real-transport run.
+/// Configuration for a real-transport run: what a socket run adds to the
+/// simulator's [`ClusterConfig`].
 #[derive(Clone, Debug)]
 pub struct RealConfig {
-    /// Socket flavor.
-    pub mode: RealMode,
     /// Wall-clock deadline after which a hung run is aborted with
     /// per-processor state dumps. `None` disables the watchdog.
     pub watchdog: Option<Duration>,
@@ -119,18 +80,7 @@ impl RealConfig {
     /// Loopback TCP with a 120 s watchdog.
     pub fn tcp() -> RealConfig {
         RealConfig {
-            mode: RealMode::Tcp,
             watchdog: Some(Duration::from_secs(120)),
-        }
-    }
-
-    /// Loopback UDP with the given loss plan and a 120 s watchdog.
-    pub fn udp(loss: FaultPlan) -> RealConfig {
-        RealConfig {
-            mode: RealMode::Udp {
-                loss: Box::new(loss),
-            },
-            ..RealConfig::tcp()
         }
     }
 
@@ -146,76 +96,6 @@ impl Default for RealConfig {
         RealConfig::tcp()
     }
 }
-
-/// Why a real-transport run failed. The counterpart of the simulator's
-/// `SimError`, plus socket and watchdog failures that cannot occur under
-/// virtual time.
-#[derive(Clone, Debug)]
-pub enum RealError {
-    /// A protocol layer detected an invariant violation.
-    Protocol {
-        /// The processor that detected the violation.
-        proc: usize,
-        /// Description of the violated invariant.
-        message: String,
-    },
-    /// The runtime detected an application-level misuse of the DSM API.
-    App {
-        /// The processor whose application misused the API.
-        proc: usize,
-        /// Description of the misuse.
-        message: String,
-    },
-    /// An application closure panicked on some processor.
-    Panic {
-        /// The processor whose closure panicked.
-        proc: usize,
-        /// The panic payload, rendered as a string where possible.
-        message: String,
-    },
-    /// A socket operation failed or an inbound frame failed to decode.
-    Io {
-        /// The processor on whose behalf the operation ran.
-        proc: usize,
-        /// Description of the failure.
-        message: String,
-    },
-    /// The wall-clock watchdog deadline passed before the run finished.
-    Watchdog {
-        /// The deadline that expired, in seconds.
-        secs: u64,
-        /// One state line per processor at the moment of the abort.
-        dumps: Vec<String>,
-    },
-}
-
-impl std::fmt::Display for RealError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RealError::Protocol { proc, message } => {
-                write!(f, "protocol violation on processor {proc}: {message}")
-            }
-            RealError::App { proc, message } => {
-                write!(f, "application violation on processor {proc}: {message}")
-            }
-            RealError::Panic { proc, message } => {
-                write!(f, "processor {proc} panicked: {message}")
-            }
-            RealError::Io { proc, message } => {
-                write!(f, "transport i/o failure on processor {proc}: {message}")
-            }
-            RealError::Watchdog { secs, dumps } => {
-                writeln!(f, "real-transport run hung past the {secs}s watchdog:")?;
-                for d in dumps {
-                    writeln!(f, "  {d}")?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl std::error::Error for RealError {}
 
 /// Panic payload that unwinds a processor out of a poisoned run. The
 /// poison itself is already recorded when this is thrown.
@@ -350,59 +230,38 @@ impl Reassembly {
     }
 }
 
-/// Every socket of the run.
-enum Net {
-    Tcp {
-        listeners: Vec<TcpListener>,
-        /// `writers[src][dst]`, dialed on `src`'s first send to `dst` and
-        /// kept open until the run ends. A stream per direction of each
-        /// pair: per-pair FIFO follows from TCP's byte ordering.
-        writers: Vec<Vec<Option<TcpStream>>>,
-        /// Accepted streams: the processor each carries frames to, and its
-        /// bytes so far.
-        inbound: Vec<(usize, TcpStream, Reassembly)>,
-    },
-    /// One socket per processor, for both directions.
-    Udp { socks: Vec<UdpSocket> },
-}
-
 /// Per-run state, shared by the loop and the processors' transports
 /// through an `Rc<RefCell<_>>` that is never borrowed across a `suspend`.
 struct Hub<M> {
     start: Instant,
     addrs: Vec<SocketAddr>,
-    net: Net,
+    listeners: Vec<TcpListener>,
+    /// `writers[src][dst]`, dialed on `src`'s first send to `dst` and kept
+    /// open until the run ends. A stream per direction of each pair:
+    /// per-pair FIFO follows from TCP's byte ordering.
+    writers: Vec<Vec<Option<TcpStream>>>,
+    /// Accepted streams: the processor each carries frames to, and its
+    /// bytes so far.
+    inbound: Vec<(usize, TcpStream, Reassembly)>,
     slots: Vec<Slot<M>>,
-    /// TCP frames written and messages decoded into inboxes. On TCP the
-    /// two meet exactly when nothing is in flight.
+    /// Frames written and messages decoded into inboxes. The two meet
+    /// exactly when nothing is in flight.
     frames_sent: u64,
     frames_received: u64,
     /// Messages handed to processor closures (network + self timers).
     delivered: u64,
-    /// When anything was last sent, received or delivered (UDP settling).
-    last_activity: u64,
     quiesced: bool,
     /// The first failure; set once, ends the run.
-    poison: Option<RealError>,
+    poison: Option<RunError>,
     chunk: Vec<u8>,
 }
 
-fn io_error(proc: usize, message: String) -> RealError {
-    RealError::Io { proc, message }
+fn io_error(proc: usize, message: String) -> RunError {
+    RunError::Io { proc, message }
 }
 
 fn as_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Opens one non-blocking loopback endpoint per processor.
-fn endpoints<S>(
-    procs: usize,
-    open: impl Fn() -> std::io::Result<(SocketAddr, S)>,
-) -> Result<(Vec<S>, Vec<SocketAddr>), RealError> {
-    let all: std::io::Result<Vec<_>> = (0..procs).map(|_| open()).collect();
-    let all = all.map_err(|e| io_error(0, format!("binding loopback socket: {e}")))?;
-    Ok(all.into_iter().map(|(addr, s)| (s, addr)).unzip())
 }
 
 /// Makes a call on a non-blocking socket: `None` where a blocking socket
@@ -419,44 +278,28 @@ fn nonblocking<T>(mut call: impl FnMut() -> std::io::Result<T>) -> std::io::Resu
 }
 
 impl<M> Hub<M> {
-    /// Binds every endpoint up front, so first sends can dial without a
+    /// Binds every listener up front, so first sends can dial without a
     /// handshake barrier.
-    fn bind(mode: &RealMode, procs: usize) -> Result<Hub<M>, RealError> {
-        let (net, addrs) = match mode {
-            RealMode::Tcp => {
-                let (listeners, addrs) = endpoints(procs, || {
-                    let l = TcpListener::bind("127.0.0.1:0")?;
-                    l.set_nonblocking(true)?;
-                    Ok((l.local_addr()?, l))
-                })?;
-                let unconnected = || (0..procs).map(|_| None).collect();
-                let writers = (0..procs).map(|_| unconnected()).collect();
-                let inbound = Vec::new();
-                let tcp = Net::Tcp {
-                    listeners,
-                    writers,
-                    inbound,
-                };
-                (tcp, addrs)
-            }
-            RealMode::Udp { .. } => {
-                let (socks, addrs) = endpoints(procs, || {
-                    let s = UdpSocket::bind("127.0.0.1:0")?;
-                    s.set_nonblocking(true)?;
-                    Ok((s.local_addr()?, s))
-                })?;
-                (Net::Udp { socks }, addrs)
-            }
+    fn bind(procs: usize) -> Result<Hub<M>, RunError> {
+        let listen = || {
+            let l = TcpListener::bind("127.0.0.1:0")?;
+            l.set_nonblocking(true)?;
+            Ok((l.local_addr()?, l))
         };
+        let all: std::io::Result<Vec<_>> = (0..procs).map(|_| listen()).collect();
+        let all = all.map_err(|e| io_error(0, format!("binding loopback socket: {e}")))?;
+        let (addrs, listeners) = all.into_iter().unzip();
+        let unconnected = || (0..procs).map(|_| None).collect();
         Ok(Hub {
             start: Instant::now(),
             addrs,
-            net,
+            listeners,
+            writers: (0..procs).map(|_| unconnected()).collect(),
+            inbound: Vec::new(),
             slots: (0..procs).map(|_| Slot::new()).collect(),
             frames_sent: 0,
             frames_received: 0,
             delivered: 0,
-            last_activity: 0,
             quiesced: false,
             poison: None,
             chunk: vec![0; READ_CHUNK],
@@ -488,14 +331,13 @@ impl<M> Hub<M> {
             slot.inbox.pop_front()
         }?;
         self.delivered += 1;
-        self.last_activity = now;
         Some((now, src, msg))
     }
 }
 
 impl<M: Wire> Hub<M> {
     /// Moves everything the kernel holds for this run into the inboxes:
-    /// accepts pending connections, reads every readable socket, cuts TCP
+    /// accepts pending connections, reads every readable stream, cuts the
     /// bytes back into frames and decodes them. Never blocks. A failure
     /// poisons the run; callers look at `poison` afterwards.
     fn pump(&mut self) {
@@ -504,123 +346,79 @@ impl<M: Wire> Hub<M> {
         }
     }
 
-    fn try_pump(&mut self) -> Result<(), RealError> {
+    fn try_pump(&mut self) -> Result<(), RunError> {
         let procs = self.slots.len();
-        let now = self.nanos();
-        let (net, slots, chunk) = (&mut self.net, &mut self.slots, &mut self.chunk[..]);
-        let (received, last_activity) = (&mut self.frames_received, &mut self.last_activity);
-        let mut deliver = |owner: usize, src: usize, msg: M| {
-            slots[owner].inbox.push_back((src, msg));
-            *received += 1;
-            *last_activity = now;
-        };
         let io = |owner, what: &str, e: std::io::Error| io_error(owner, format!("{what}: {e}"));
-        match net {
-            Net::Tcp {
-                listeners, inbound, ..
-            } => {
-                for (owner, listener) in listeners.iter().enumerate() {
-                    while let Some((stream, _)) = nonblocking(|| listener.accept())
-                        .map_err(|e| io(owner, "accept failed", e))?
-                    {
-                        let nb = stream.set_nonblocking(true);
-                        nb.map_err(|e| io(owner, "accept failed", e))?;
-                        inbound.push((owner, stream, Reassembly::default()));
-                    }
-                }
-                for (owner, stream, bytes) in inbound.iter_mut() {
-                    let owner = *owner;
-                    while let Some(n) =
-                        nonblocking(|| stream.read(chunk)).map_err(|e| io(owner, "tcp read", e))?
-                    {
-                        // Write halves stay open until the run is over, so
-                        // an end of stream is never the normal one.
-                        if n == 0 {
-                            let peer = bytes.src.map_or("?".into(), |src| src.to_string());
-                            let message = format!("stream from proc {peer} closed mid-run");
-                            return Err(io_error(owner, message));
-                        }
-                        bytes.push(&chunk[..n]);
-                        while let Some((src, frame)) = bytes
-                            .next_frame(procs)
-                            .map_err(|message| io_error(owner, message))?
-                        {
-                            let msg = decode_exact::<M>(frame).map_err(|e| {
-                                io_error(owner, format!("bad frame from proc {src}: {e}"))
-                            })?;
-                            deliver(owner, src, msg);
-                        }
-                        // A short read emptied the kernel's buffer.
-                        if n < chunk.len() {
-                            break;
-                        }
-                    }
-                }
+        for (owner, listener) in self.listeners.iter().enumerate() {
+            while let Some((stream, _)) =
+                nonblocking(|| listener.accept()).map_err(|e| io(owner, "accept failed", e))?
+            {
+                let nb = stream.set_nonblocking(true);
+                nb.map_err(|e| io(owner, "accept failed", e))?;
+                self.inbound.push((owner, stream, Reassembly::default()));
             }
-            Net::Udp { socks } => {
-                for (owner, sock) in socks.iter().enumerate() {
-                    while let Some((n, _)) = nonblocking(|| sock.recv_from(chunk))
-                        .map_err(|e| io(owner, "udp recv", e))?
-                    {
-                        // `[u32 src][payload]`. Malformed datagrams are
-                        // dropped silently — on a lossy link they are
-                        // indistinguishable from loss, and the reliable
-                        // channel above recovers either way.
-                        let Some((src, payload)) = chunk[..n].split_first_chunk::<4>() else {
-                            continue;
-                        };
-                        let src = u32::from_le_bytes(*src) as usize;
-                        if let (true, Ok(msg)) = (src < procs, decode_exact::<M>(payload)) {
-                            deliver(owner, src, msg);
-                        }
-                    }
+        }
+        let chunk = &mut self.chunk[..];
+        for (owner, stream, bytes) in self.inbound.iter_mut() {
+            let owner = *owner;
+            while let Some(n) =
+                nonblocking(|| stream.read(chunk)).map_err(|e| io(owner, "tcp read", e))?
+            {
+                // Write halves stay open until the run is over, so an end
+                // of stream is never the normal one.
+                if n == 0 {
+                    let peer = bytes.src.map_or("?".into(), |src| src.to_string());
+                    let message = format!("stream from proc {peer} closed mid-run");
+                    return Err(io_error(owner, message));
+                }
+                bytes.push(&chunk[..n]);
+                while let Some((src, frame)) = bytes
+                    .next_frame(procs)
+                    .map_err(|message| io_error(owner, message))?
+                {
+                    let msg = decode_exact::<M>(frame)
+                        .map_err(|e| io_error(owner, format!("bad frame from proc {src}: {e}")))?;
+                    self.slots[owner].inbox.push_back((src, msg));
+                    self.frames_received += 1;
+                }
+                // A short read emptied the kernel's buffer.
+                if n < chunk.len() {
+                    break;
                 }
             }
         }
         Ok(())
     }
 
-    /// Sends `frame` — a whole TCP frame or a whole datagram — from `me`
-    /// to `dst`, dialing the stream first if it is the pair's first.
-    fn transmit(&mut self, me: usize, dst: usize, frame: &[u8]) -> Result<(), RealError> {
-        if let Net::Tcp { writers, .. } = &mut self.net {
-            if writers[me][dst].is_none() {
-                let dialed = TcpStream::connect(self.addrs[dst]).and_then(|s| {
-                    s.set_nodelay(true)?;
-                    s.set_nonblocking(true)?;
-                    Ok(s)
-                });
-                let dialed =
-                    dialed.map_err(|e| io_error(me, format!("dialing proc {dst}: {e}")))?;
-                writers[me][dst] = Some(dialed);
-                // The hello tells the acceptor which processor this
-                // stream carries traffic from.
-                let hello = u32::try_from(me).expect("proc id fits u32").to_le_bytes();
-                self.write_all(me, dst, &hello)?;
-            }
-            self.frames_sent += 1;
+    /// Writes one whole frame from `me` to `dst`, dialing the stream first
+    /// if it is the pair's first.
+    fn transmit(&mut self, me: usize, dst: usize, frame: &[u8]) -> Result<(), RunError> {
+        if self.writers[me][dst].is_none() {
+            let dialed = TcpStream::connect(self.addrs[dst]).and_then(|s| {
+                s.set_nodelay(true)?;
+                s.set_nonblocking(true)?;
+                Ok(s)
+            });
+            let dialed = dialed.map_err(|e| io_error(me, format!("dialing proc {dst}: {e}")))?;
+            self.writers[me][dst] = Some(dialed);
+            // The hello tells the acceptor which processor this stream
+            // carries traffic from.
+            let hello = u32::try_from(me).expect("proc id fits u32").to_le_bytes();
+            self.write_all(me, dst, &hello)?;
         }
-        self.write_all(me, dst, frame)?;
-        self.last_activity = self.nanos();
-        Ok(())
+        self.frames_sent += 1;
+        self.write_all(me, dst, frame)
     }
 
     /// Where a blocking socket would block on a full kernel buffer this
     /// pumps instead: the receiver's side drains into its reassembly
     /// buffer and the write goes on, so the one thread cannot wedge itself
     /// on a payload larger than the loopback buffer.
-    fn write_all(&mut self, me: usize, dst: usize, mut bytes: &[u8]) -> Result<(), RealError> {
+    fn write_all(&mut self, me: usize, dst: usize, mut bytes: &[u8]) -> Result<(), RunError> {
         let io = |e: std::io::Error| io_error(me, format!("writing to proc {dst}: {e}"));
         while !bytes.is_empty() {
-            let (net, to) = (&mut self.net, self.addrs[dst]);
-            let written = nonblocking(|| match net {
-                Net::Tcp { writers, .. } => {
-                    let stream = writers[me][dst].as_mut().expect("dialed by transmit");
-                    stream.write(bytes)
-                }
-                Net::Udp { socks } => socks[me].send_to(bytes, to),
-            });
-            match written.map_err(io)? {
+            let stream = self.writers[me][dst].as_mut().expect("dialed by transmit");
+            match nonblocking(|| stream.write(bytes)).map_err(io)? {
                 Some(0) => return Err(io(ErrorKind::WriteZero.into())),
                 Some(n) => bytes = &bytes[n..],
                 None => {
@@ -644,22 +442,18 @@ impl<M: Wire> Hub<M> {
         if self.poison.is_some() || self.frames_received != before {
             return;
         }
-        let now = self.nanos();
-        let in_flight = match self.net {
-            Net::Tcp { .. } => self.frames_sent != self.frames_received,
-            Net::Udp { .. } => now.saturating_sub(self.last_activity) < UDP_SETTLE_NANOS,
-        };
         let quiet = |s: &Slot<M>| {
             matches!(s.status, Status::Drain | Status::Finished)
                 && s.timers.is_empty()
                 && s.inbox.is_empty()
         };
-        let nap = if in_flight {
+        let nap = if self.frames_sent != self.frames_received {
             IN_FLIGHT_POLL
         } else if self.slots.iter().all(quiet) {
             self.quiesced = true;
             return;
         } else {
+            let now = self.nanos();
             let timers = self.slots.iter().filter_map(Slot::next_timer);
             let wake = timers.chain(deadline.map(as_nanos)).min();
             wake.map_or(IDLE_NAP, |at| Duration::from_nanos(at.saturating_sub(now)))
@@ -675,9 +469,10 @@ pub struct RealTransport<M> {
     me: usize,
     procs: usize,
     hub: Rc<RefCell<Hub<M>>>,
-    /// UDP mode: the loss plan, and per-destination datagram sequence
-    /// numbers feeding it.
-    loss: Option<(Box<FaultPlan>, Vec<u64>)>,
+    /// The run's fault plan, and the per-destination sequence numbers
+    /// feeding its decisions.
+    faults: FaultPlan,
+    seqs: Vec<u64>,
     timer_seq: u64,
     /// This processor's accounting so far (`final_time` is set at the end).
     report: ProcReport,
@@ -691,7 +486,7 @@ impl<M: Wire> RealTransport<M> {
 
     /// Poisons the run and unwinds this processor. The hub must not be
     /// borrowed by the caller.
-    fn die(&self, e: RealError) -> ! {
+    fn die(&self, e: RunError) -> ! {
         self.hub.borrow_mut().poison.get_or_insert(e);
         panic_any(RealAbort)
     }
@@ -753,43 +548,30 @@ impl<M: Wire> Transport for RealTransport<M> {
         );
         self.report.msgs_sent += 1;
         self.report.bytes_sent += bytes;
-        // Both wire formats are a 4-byte header and the encoded message:
-        // `[u32 len]` on a TCP stream, `[u32 src]` in a UDP datagram.
+        // The plan decides on a per-pair (src, dst, seq) identity, so a
+        // given plan drops the same messages of a pair in every run.
+        let seq = self.seqs[dst];
+        self.seqs[dst] += 1;
+        let copies = match self.faults.decide(self.me, dst, seq) {
+            FaultDecision::Drop => 0,
+            FaultDecision::Duplicate { .. } => 2,
+            // Real sockets offer no delay hook; these deliver normally
+            // and are not counted as injected.
+            FaultDecision::Deliver
+            | FaultDecision::Reorder { .. }
+            | FaultDecision::Delay { .. } => 1,
+        };
+        self.report.fault_stats.dropped += u64::from(copies == 0);
+        self.report.fault_stats.duplicated += u64::from(copies == 2);
+        if copies == 0 {
+            return;
+        }
+        // A frame is `[u32 len]` and the encoded message.
         self.scratch.clear();
         self.scratch.extend_from_slice(&[0; 4]);
         msg.encode(&mut self.scratch);
-        let len = self.scratch.len() - 4;
-        let (header, copies) = match &mut self.loss {
-            None => (len, 1),
-            Some(_) if len > MAX_UDP_PAYLOAD => self.die(io_error(
-                self.me,
-                format!(
-                    "message of {len} bytes exceeds the {MAX_UDP_PAYLOAD}-byte UDP payload \
-                     limit; use the TCP mode"
-                ),
-            )),
-            Some((loss, seqs)) => {
-                // The loss plan sees the same (src, dst, seq) identity the
-                // simulator's fault layer would, so a given plan drops
-                // "the same" messages.
-                let seq = seqs[dst];
-                seqs[dst] += 1;
-                let copies = match loss.decide(self.me, dst, seq) {
-                    FaultDecision::Drop => 0,
-                    FaultDecision::Duplicate { .. } => 2,
-                    // Real sockets offer no delay hook; these deliver
-                    // normally and are not counted as injected.
-                    FaultDecision::Deliver
-                    | FaultDecision::Reorder { .. }
-                    | FaultDecision::Delay { .. } => 1,
-                };
-                self.report.fault_stats.dropped += u64::from(copies == 0);
-                self.report.fault_stats.duplicated += u64::from(copies == 2);
-                (self.me, copies)
-            }
-        };
-        let header = u32::try_from(header).expect("frame length and proc id fit u32");
-        self.scratch[..4].copy_from_slice(&header.to_le_bytes());
+        let len = u32::try_from(self.scratch.len() - 4).expect("frame length fits u32");
+        self.scratch[..4].copy_from_slice(&len.to_le_bytes());
         for _ in 0..copies {
             let sent = self.hub.borrow_mut().transmit(self.me, dst, &self.scratch);
             if let Err(e) = sent {
@@ -817,14 +599,14 @@ impl<M: Wire> Transport for RealTransport<M> {
     }
 
     fn protocol_violation(&mut self, message: String) -> ! {
-        self.die(RealError::Protocol {
+        self.die(RunError::ProtocolViolation {
             proc: self.me,
             message,
         })
     }
 
     fn app_violation(&mut self, message: String) -> ! {
-        self.die(RealError::App {
+        self.die(RunError::AppViolation {
             proc: self.me,
             message,
         })
@@ -845,25 +627,32 @@ impl RealCluster {
     /// Runs `f` on every processor of a real-transport cluster and
     /// collects the results. The counterpart of the simulator's
     /// `Cluster::run`, and like it a plain loop on the calling thread:
-    /// nothing has to be `Send` or `Sync`. It returns the simulator's
-    /// [`RunOutcome`], whose times here are wall-clock-derived and so vary
-    /// from run to run.
+    /// nothing has to be `Send` or `Sync`. It takes the same
+    /// [`ClusterConfig`]: `procs`, and `faults`, whose rates apply at the
+    /// send site as on the simulator (the network model is the kernel's
+    /// loopback, and a crash event is the DSM's business, not the
+    /// transport's). It returns the simulator's [`RunOutcome`], whose
+    /// times here are wall-clock-derived and so vary from run to run.
     ///
     /// The watchdog is checked between rounds of that loop: it cannot
     /// interrupt a closure that computes without touching the transport.
     ///
     /// # Errors
     ///
-    /// Returns [`RealError`] if any closure panics or reports a
-    /// violation, a socket operation fails, or the watchdog deadline
-    /// passes.
-    pub fn run<M, R, F>(cfg: &RealConfig, procs: usize, f: F) -> Result<RunOutcome<R>, RealError>
+    /// Returns [`RunError`] if any closure panics or reports a violation,
+    /// a socket operation fails, or the watchdog deadline passes.
+    pub fn run<M, R, F>(
+        cluster: ClusterConfig,
+        cfg: &RealConfig,
+        f: F,
+    ) -> Result<RunOutcome<R>, RunError>
     where
         M: Wire,
         F: Fn(&mut RealTransport<M>) -> R,
     {
+        let procs = cluster.procs;
         assert!(procs > 0, "cluster needs at least one processor");
-        let hub = Rc::new(RefCell::new(Hub::<M>::bind(&cfg.mode, procs)?));
+        let hub = Rc::new(RefCell::new(Hub::<M>::bind(procs)?));
         let finished: Vec<Cell<Option<(R, ProcReport)>>> =
             (0..procs).map(|_| Cell::new(None)).collect();
 
@@ -875,10 +664,8 @@ impl RealCluster {
                         me: id,
                         procs,
                         hub: Rc::clone(hub),
-                        loss: match &cfg.mode {
-                            RealMode::Tcp => None,
-                            RealMode::Udp { loss } => Some((loss.clone(), vec![0; procs])),
-                        },
+                        faults: cluster.faults,
+                        seqs: vec![0; procs],
                         timer_seq: 0,
                         report: ProcReport::default(),
                         scratch: Vec::new(),
@@ -896,7 +683,7 @@ impl RealCluster {
                         Err(payload) => {
                             let message = panic_message(&*payload);
                             hub.poison
-                                .get_or_insert(RealError::Panic { proc: id, message });
+                                .get_or_insert(RunError::ProcPanicked { proc: id, message });
                         }
                     }
                 })
@@ -920,7 +707,7 @@ impl RealCluster {
                 Some(limit) if hub.nanos() >= as_nanos(limit) => {
                     let dumps = dump(&hub.slots);
                     let secs = limit.as_secs();
-                    hub.poison = Some(RealError::Watchdog { secs, dumps });
+                    hub.poison = Some(RunError::Watchdog { secs, dumps });
                     break;
                 }
                 _ if !progressed => hub.idle(cfg.watchdog),

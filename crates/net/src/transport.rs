@@ -15,7 +15,7 @@ use midway_sim::{Category, ProcHandle, VirtualTime};
 ///
 /// * the virtual-time simulator's `ProcHandle` (deterministic, impl #1),
 /// * [`RealTransport`](crate::RealTransport) over non-blocking loopback
-///   TCP or UDP sockets (wall-clock, impl #2).
+///   TCP sockets (wall-clock, impl #2).
 ///
 /// Both run every processor as a coroutine on the calling thread.
 ///
@@ -25,7 +25,13 @@ use midway_sim::{Category, ProcHandle, VirtualTime};
 /// assumes:
 ///
 /// * **Per-pair FIFO.** Messages from processor `a` to processor `b` are
-///   delivered in send order. No ordering is promised across pairs.
+///   delivered in send order. No ordering is promised across pairs. Only
+///   the simulator's reorder and delay rates break this; sockets deliver
+///   those messages in order.
+/// * **Loss only from the run's fault plan.** A message is dropped or
+///   duplicated only where the run's `FaultPlan` decides so at the send
+///   site, on either transport; with the plan disabled, every message
+///   sent is delivered exactly once.
 /// * **Self-posts are local.** [`post_self`](Transport::post_self) never
 ///   touches the network and is delivered back to the poster (src = own
 ///   id) no earlier than `delay` cycles later.

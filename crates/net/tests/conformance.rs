@@ -1,15 +1,18 @@
 //! Transport-trait conformance suite.
 //!
 //! Every behavioral property the DSM protocol engine relies on is checked
-//! as a generic function over [`Transport`], then run against all three
-//! concrete configurations: the virtual-time simulator (`ProcHandle`),
-//! real loopback TCP, and real loopback UDP. A transport that passes this
+//! as a generic function over [`Transport`], then run against both
+//! concrete transports: the virtual-time simulator (`ProcHandle`) and real
+//! loopback TCP. A failure is the same [`RunError`] on both, and loss
+//! comes only from the run's fault plan. A transport that passes this
 //! suite can host the protocol engine.
 
 use std::time::Duration;
 
-use midway_net::{Reader, RealCluster, RealConfig, RealError, Transport, Wire, WireError, Writer};
-use midway_sim::{Cluster, ClusterConfig, FaultPlan, ProcHandle, SimError};
+use midway_net::{
+    Reader, RealCluster, RealConfig, RealTransport, Transport, Wire, WireError, Writer,
+};
+use midway_sim::{Cluster, ClusterConfig, FaultDecision, FaultPlan, ProcHandle, RunError};
 
 /// The suite's message type: a bare payload word.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,8 +34,9 @@ fn tcp() -> RealConfig {
     RealConfig::tcp().watchdog(Some(Duration::from_secs(30)))
 }
 
-fn udp() -> RealConfig {
-    RealConfig::udp(FaultPlan::seeded(0)).watchdog(Some(Duration::from_secs(30)))
+/// How a body fails on the simulator, to hold the sockets' failure to.
+fn sim_error(procs: usize, body: impl Fn(&mut ProcHandle<TMsg>)) -> RunError {
+    Cluster::run(ClusterConfig::new(procs), body).unwrap_err()
 }
 
 // ---------------------------------------------------------------- ordering
@@ -71,38 +75,7 @@ fn ordering_sim() {
 
 #[test]
 fn ordering_tcp() {
-    let out = RealCluster::run(&tcp(), 4, |t| ordering_body(t, 200)).unwrap();
-    assert!(out.results.iter().all(|&ok| ok));
-}
-
-/// UDP promises less: datagrams may be lost (the kernel sheds load under
-/// bursts even on loopback), so the conformance property is per-pair
-/// *monotone* order of whatever arrives, not lossless delivery. The
-/// reliable channel above the transport recovers the rest.
-fn ordering_udp_body<T: Transport<Msg = TMsg>>(t: &mut T, burst: u64) -> bool {
-    if t.id() == 0 {
-        let mut last: Vec<Option<u64>> = vec![None; t.procs()];
-        let mut total = 0u64;
-        while let Some((_, src, TMsg(n))) = t.drain_recv() {
-            if last[src].is_some_and(|prev| n <= prev) {
-                return false;
-            }
-            last[src] = Some(n);
-            total += 1;
-        }
-        total > 0
-    } else {
-        for n in 0..burst {
-            t.send(0, TMsg(n), 8);
-        }
-        while t.drain_recv().is_some() {}
-        true
-    }
-}
-
-#[test]
-fn ordering_udp() {
-    let out = RealCluster::run(&udp(), 4, |t| ordering_udp_body(t, 200)).unwrap();
+    let out = RealCluster::run(ClusterConfig::new(4), &tcp(), |t| ordering_body(t, 200)).unwrap();
     assert!(out.results.iter().all(|&ok| ok));
 }
 
@@ -140,13 +113,7 @@ fn self_post_sim() {
 
 #[test]
 fn self_post_tcp() {
-    let out = RealCluster::run(&tcp(), 2, self_post_body).unwrap();
-    assert_eq!(out.results, vec![vec![1, 2, 3], vec![1, 2, 3]]);
-}
-
-#[test]
-fn self_post_udp() {
-    let out = RealCluster::run(&udp(), 2, self_post_body).unwrap();
+    let out = RealCluster::run(ClusterConfig::new(2), &tcp(), self_post_body).unwrap();
     assert_eq!(out.results, vec![vec![1, 2, 3], vec![1, 2, 3]]);
 }
 
@@ -172,7 +139,7 @@ fn violation_sim() {
     })
     .unwrap_err();
     match err {
-        SimError::ProtocolViolation { proc, message } => {
+        RunError::ProtocolViolation { proc, message } => {
             assert_eq!(proc, 0);
             assert!(message.contains("lock 9"));
         }
@@ -182,26 +149,8 @@ fn violation_sim() {
 
 #[test]
 fn violation_tcp() {
-    let err = RealCluster::run(&tcp(), 3, violation_body).unwrap_err();
-    match err {
-        RealError::Protocol { proc, message } => {
-            assert_eq!(proc, 0);
-            assert!(message.contains("lock 9"));
-        }
-        other => panic!("expected protocol violation, got {other:?}"),
-    }
-}
-
-#[test]
-fn violation_udp() {
-    let err = RealCluster::run(&udp(), 3, violation_body).unwrap_err();
-    match err {
-        RealError::Protocol { proc, message } => {
-            assert_eq!(proc, 0);
-            assert!(message.contains("lock 9"));
-        }
-        other => panic!("expected protocol violation, got {other:?}"),
-    }
+    let err = RealCluster::run(ClusterConfig::new(3), &tcp(), violation_body).unwrap_err();
+    assert_eq!(err, sim_error(3, violation_body));
 }
 
 /// App violations carry their own type.
@@ -218,13 +167,13 @@ fn app_violation_sim() {
         app_violation_body(h)
     })
     .unwrap_err();
-    assert!(matches!(err, SimError::AppViolation { proc: 0, .. }));
+    assert!(matches!(err, RunError::AppViolation { proc: 0, .. }));
 }
 
 #[test]
 fn app_violation_tcp() {
-    let err = RealCluster::run(&tcp(), 2, app_violation_body).unwrap_err();
-    assert!(matches!(err, RealError::App { proc: 0, .. }));
+    let err = RealCluster::run(ClusterConfig::new(2), &tcp(), app_violation_body).unwrap_err();
+    assert_eq!(err, sim_error(2, app_violation_body));
 }
 
 /// Plain panics in the closure are caught and attributed.
@@ -237,14 +186,13 @@ fn panic_body<T: Transport<Msg = TMsg>>(t: &mut T) {
 
 #[test]
 fn panic_tcp() {
-    let err = RealCluster::run(&tcp(), 3, panic_body).unwrap_err();
-    match err {
-        RealError::Panic { proc, message } => {
-            assert_eq!(proc, 1);
-            assert!(message.contains("boom"));
-        }
-        other => panic!("expected panic report, got {other:?}"),
-    }
+    let err = RealCluster::run(ClusterConfig::new(3), &tcp(), panic_body).unwrap_err();
+    let want = RunError::ProcPanicked {
+        proc: 1,
+        message: "boom on proc 1".to_string(),
+    };
+    assert_eq!(err, want);
+    assert_eq!(sim_error(3, panic_body), want);
 }
 
 // ------------------------------------------------------------- quiescence
@@ -281,13 +229,7 @@ fn drain_quiesce_sim() {
 
 #[test]
 fn drain_quiesce_tcp() {
-    let out = RealCluster::run(&tcp(), 3, drain_body).unwrap();
-    assert_eq!(out.results, vec![0, 10, 10]);
-}
-
-#[test]
-fn drain_quiesce_udp() {
-    let out = RealCluster::run(&udp(), 3, drain_body).unwrap();
+    let out = RealCluster::run(ClusterConfig::new(3), &tcp(), drain_body).unwrap();
     assert_eq!(out.results, vec![0, 10, 10]);
 }
 
@@ -314,7 +256,7 @@ fn drain_waits_for_timers_sim() {
 
 #[test]
 fn drain_waits_for_timers_tcp() {
-    let out = RealCluster::run(&tcp(), 2, drain_timer_body).unwrap();
+    let out = RealCluster::run(ClusterConfig::new(2), &tcp(), drain_timer_body).unwrap();
     assert_eq!(out.results, vec![1, 1]);
 }
 
@@ -326,12 +268,16 @@ fn watchdog_aborts_hung_run_with_dumps() {
     // a deadlock; wall-clock transports cannot see that, so the watchdog
     // steps in).
     let cfg = RealConfig::tcp().watchdog(Some(Duration::from_millis(300)));
-    let err = RealCluster::run(&cfg, 2, |t: &mut midway_net::RealTransport<TMsg>| {
-        t.recv();
-    })
+    let err = RealCluster::run(
+        ClusterConfig::new(2),
+        &cfg,
+        |t: &mut RealTransport<TMsg>| {
+            t.recv();
+        },
+    )
     .unwrap_err();
     match err {
-        RealError::Watchdog { dumps, .. } => {
+        RunError::Watchdog { dumps, .. } => {
             assert_eq!(dumps.len(), 2);
             assert!(dumps[0].contains("status=recv"), "dump: {}", dumps[0]);
         }
@@ -339,15 +285,64 @@ fn watchdog_aborts_hung_run_with_dumps() {
     }
 }
 
+/// Loss comes only from the run's fault plan, applied at the send site:
+/// over TCP each message arrives exactly as often as the plan's decision
+/// for its `(src, dst, seq)` says (never when dropped, twice when
+/// duplicated), in per-pair send order, so the same plan yields the same
+/// deliveries every run.
 #[test]
-fn udp_injected_drops_are_deterministic_and_counted() {
+fn injected_faults_are_exact_fifo_and_repeat() {
+    const BURST: u64 = 300;
+    let plan = FaultPlan::lossy(3, 200_000).dup_ppm(100_000);
     let run = || {
-        let cfg =
-            RealConfig::udp(FaultPlan::lossy(3, 200_000)).watchdog(Some(Duration::from_secs(30)));
-        let out = RealCluster::run(&cfg, 2, |t: &mut midway_net::RealTransport<TMsg>| {
+        let cluster = ClusterConfig::new(3).faults(plan);
+        let out = RealCluster::run(cluster, &tcp(), |t: &mut RealTransport<TMsg>| {
+            if t.id() != 0 {
+                for n in 0..BURST {
+                    t.send(0, TMsg(n), 8);
+                }
+            }
+            let mut got = vec![Vec::new(); t.procs()];
+            while let Some((_, src, TMsg(n))) = t.drain_recv() {
+                got[src].push(n);
+            }
+            got
+        })
+        .unwrap();
+        let stats = out
+            .reports
+            .iter()
+            .map(|r| r.fault_stats)
+            .collect::<Vec<_>>();
+        (out.results[0].clone(), stats)
+    };
+    let (got, stats) = run();
+    for src in 1..3 {
+        let copies = |n: u64| match plan.decide(src, 0, n) {
+            FaultDecision::Drop => 0,
+            FaultDecision::Duplicate { .. } => 2,
+            _ => 1,
+        };
+        let want: Vec<u64> = (0..BURST)
+            .flat_map(|n| std::iter::repeat(n).take(copies(n)))
+            .collect();
+        assert_eq!(got[src], want, "deliveries from processor {src}");
+        let s = stats[src];
+        assert!(s.dropped > 0 && s.duplicated > 0, "{s:?}");
+        assert_eq!(want.len() as u64, BURST - s.dropped + s.duplicated);
+    }
+    assert_eq!(run(), (got, stats));
+}
+
+#[test]
+fn tcp_report_counts_messages() {
+    let out = RealCluster::run(
+        ClusterConfig::new(2),
+        &tcp(),
+        |t: &mut RealTransport<TMsg>| {
             if t.id() == 0 {
-                for n in 0..500 {
-                    t.send(1, TMsg(n), 8);
+                for n in 0..25 {
+                    t.send(1, TMsg(n), 16);
                 }
             }
             let mut got = 0u64;
@@ -355,35 +350,8 @@ fn udp_injected_drops_are_deterministic_and_counted() {
                 got += 1;
             }
             got
-        })
-        .unwrap();
-        (out.results[1], out.reports[0].fault_stats.dropped)
-    };
-    let (got, dropped) = run();
-    assert!(dropped > 0, "20% loss must drop something");
-    // Injected drops never reach the socket; the kernel may shed more
-    // under the burst, so delivery is bounded, not exact.
-    assert!(got <= 500 - dropped, "got {got}, injected drops {dropped}");
-    assert!(got > 0, "most of the burst should survive");
-    // The injection schedule is a pure function of (seed, src, dst, seq),
-    // even though actual delivery is not.
-    assert_eq!(run().1, dropped);
-}
-
-#[test]
-fn tcp_report_counts_messages() {
-    let out = RealCluster::run(&tcp(), 2, |t: &mut midway_net::RealTransport<TMsg>| {
-        if t.id() == 0 {
-            for n in 0..25 {
-                t.send(1, TMsg(n), 16);
-            }
-        }
-        let mut got = 0u64;
-        while t.drain_recv().is_some() {
-            got += 1;
-        }
-        got
-    })
+        },
+    )
     .unwrap();
     assert_eq!(out.results, vec![0, 25]);
     assert_eq!(out.reports[0].msgs_sent, 25);
@@ -431,7 +399,7 @@ fn bulk_exchange_sim() {
 
 #[test]
 fn bulk_exchange_tcp() {
-    let out = RealCluster::run(&tcp(), 2, bulk_exchange_body).unwrap();
+    let out = RealCluster::run(ClusterConfig::new(2), &tcp(), bulk_exchange_body).unwrap();
     assert_eq!(out.results, vec![true, true]);
 }
 
@@ -454,19 +422,10 @@ fn all_to_all_body<T: Transport<Msg = TMsg>>(t: &mut T, burst: u64) -> u64 {
 
 #[test]
 fn all_to_all_burst_quiesces_tcp() {
-    let out = RealCluster::run(&tcp(), 8, |t| all_to_all_body(t, 50)).unwrap();
+    let out = RealCluster::run(ClusterConfig::new(8), &tcp(), |t| all_to_all_body(t, 50)).unwrap();
     assert_eq!(out.results, vec![7 * 50; 8]);
     assert_eq!(out.messages_delivered, 8 * 7 * 50);
     for r in &out.reports {
         assert_eq!((r.msgs_sent, r.msgs_received), (7 * 50, 7 * 50));
     }
-}
-
-#[test]
-fn all_to_all_burst_quiesces_udp() {
-    // Small enough that the kernel's receive buffers hold a whole burst:
-    // nothing is injected and nothing is shed, so every datagram counts.
-    let out = RealCluster::run(&udp(), 8, |t| all_to_all_body(t, 10)).unwrap();
-    assert_eq!(out.results, vec![7 * 10; 8]);
-    assert_eq!(out.messages_delivered, 8 * 7 * 10);
 }

@@ -137,17 +137,21 @@ impl Binding {
     }
 }
 
+/// Sorts and merges `ranges` in their own buffer: an already normal list
+/// (a decoded binding) is kept as it came.
 fn normalize(mut ranges: Vec<AddrRange>) -> Vec<AddrRange> {
     ranges.retain(|r| r.start < r.end);
-    ranges.sort_by_key(|r| r.start);
-    let mut out: Vec<AddrRange> = Vec::with_capacity(ranges.len());
-    for r in ranges {
-        match out.last_mut() {
-            Some(prev) if r.start <= prev.end => prev.end = prev.end.max(r.end),
-            _ => out.push(r),
+    // Ranges that start together merge whichever comes first.
+    ranges.sort_unstable_by_key(|r| r.start);
+    // Each range meets the last one kept: one it reaches absorbs it.
+    ranges.dedup_by(|r, kept| {
+        let joins = r.start <= kept.end;
+        if joins {
+            kept.end = kept.end.max(r.end);
         }
-    }
-    out
+        joins
+    });
+    ranges
 }
 
 fn merge_spans(
@@ -177,6 +181,48 @@ mod tests {
         let b = Binding::new(vec![30..40, 0..10, 8..20, 50..50]);
         assert_eq!(b.ranges(), &[0..20, 30..40]);
         assert_eq!(b.data_bytes(), 30);
+    }
+
+    /// A decoded binding is already normal: rebuilding it keeps the
+    /// decoder's buffer instead of copying it into a second one.
+    #[test]
+    fn from_parts_keeps_the_buffer_of_normal_ranges() {
+        let ranges = vec![0..10, 20..30, 40..50];
+        let buffer = ranges.as_ptr();
+        let b = Binding::from_parts(ranges, 3);
+        assert_eq!(b.ranges().as_ptr(), buffer);
+        assert_eq!(b.ranges(), &[0..10, 20..30, 40..50]);
+    }
+
+    /// The merge as it was written with a second vector: the reference the
+    /// in-place merge is held to.
+    fn two_vector_normalize(mut ranges: Vec<AddrRange>) -> Vec<AddrRange> {
+        ranges.retain(|r| r.start < r.end);
+        ranges.sort_by_key(|r| r.start);
+        let mut out: Vec<AddrRange> = Vec::with_capacity(ranges.len());
+        for r in ranges {
+            match out.last_mut() {
+                Some(prev) if r.start <= prev.end => prev.end = prev.end.max(r.end),
+                _ => out.push(r),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_normalization_matches_the_two_vector_merge() {
+        let mut rng = midway_sim::SplitMix64::new(0xb1d_0002);
+        for case in 0..4096 {
+            let n = rng.next_below(12);
+            let ranges: Vec<AddrRange> = (0..n)
+                .map(|_| {
+                    let start = rng.next_below(64);
+                    start..start + rng.next_below(16)
+                })
+                .collect();
+            let want = two_vector_normalize(ranges.clone());
+            assert_eq!(normalize(ranges.clone()), want, "case {case}: {ranges:?}");
+        }
     }
 
     #[test]

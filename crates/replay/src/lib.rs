@@ -35,7 +35,7 @@ use midway_apps::fuzz::{backends_for, execute, Schedule};
 use midway_apps::{run_app, run_on, AppKind, Scale};
 use midway_core::{
     BackendKind, BarrierShape, Counters, FaultPlan, HomeMap, Midway, MidwayConfig, MidwayRun,
-    OpStream, Proc, RealConfig, SimError, SpecBlueprint, SystemSpec, TraceOp,
+    OpStream, Proc, RealConfig, RunError, SpecBlueprint, SystemSpec, TraceOp,
 };
 
 mod format;
@@ -205,12 +205,12 @@ pub fn record_app(kind: AppKind, cfg: MidwayConfig, scale: Scale) -> Trace {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the simulation deadlocks or panics.
+/// Returns [`RunError`] if the simulation deadlocks or panics.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.procs` differs from the number of recorded streams.
-pub fn replay(trace: &Trace, cfg: MidwayConfig) -> Result<MidwayRun<()>, SimError> {
+pub fn replay(trace: &Trace, cfg: MidwayConfig) -> Result<MidwayRun<()>, RunError> {
     replay_on(trace, cfg, &trace.blueprint.build())
 }
 
@@ -219,7 +219,7 @@ pub fn replay(trace: &Trace, cfg: MidwayConfig) -> Result<MidwayRun<()>, SimErro
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the simulation deadlocks or panics.
+/// Returns [`RunError`] if the simulation deadlocks or panics.
 ///
 /// # Panics
 ///
@@ -228,7 +228,7 @@ pub fn replay_on(
     trace: &Trace,
     cfg: MidwayConfig,
     spec: &Arc<SystemSpec>,
-) -> Result<MidwayRun<()>, SimError> {
+) -> Result<MidwayRun<()>, RunError> {
     assert_eq!(
         cfg.procs,
         trace.ops.len(),
@@ -263,9 +263,9 @@ pub fn verify_replay(trace: &Trace) -> Result<MidwayRun<()>, String> {
 ///
 /// The *protocol axes* (`backend`, `barrier`, `homes`) choose the system
 /// the baseline runs. The *delivery axes* (`transport`, `check`) choose
-/// what the checked run adds to that baseline. A loss plan and crash
-/// events exist only on the simulator, so they live inside
-/// [`Transport::Sim`]: a crashed socket run cannot be written down.
+/// what the checked run adds to that baseline. A fault plan lives inside
+/// its [`Transport`]: loss means the same on both, crash events exist
+/// only on the simulator, and [`check`] refuses a socket cell with one.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Axes {
     /// Write-detection backend (`None`: as recorded).
@@ -294,13 +294,12 @@ pub enum Transport {
         /// recorded).
         checkpoint_every: Option<u32>,
     },
-    /// Loopback TCP sockets: lossless, so the reliable channel stays off.
-    Tcp,
-    /// Loopback UDP sockets with their own injected loss. Only the plan's
-    /// rates apply: a socket run schedules no crash.
-    Udp {
-        /// Drops and duplicates injected at the send site.
-        loss: FaultPlan,
+    /// Loopback TCP sockets.
+    Tcp {
+        /// The fault plan whose drops and duplicates the sockets inject at
+        /// the send site, as the simulator does, with the reliable channel
+        /// on top. `None`: lossless, and the reliable channel stays off.
+        loss: Option<FaultPlan>,
     },
 }
 
@@ -310,6 +309,46 @@ impl Default for Transport {
             faults: None,
             checkpoint_every: None,
         }
+    }
+}
+
+impl Axes {
+    /// The axis product every program is held to, protocol choices and
+    /// deliveries, with backend and checker as recorded: {flat, tree of
+    /// arity 2} barriers × {modulo, sharded} homes, each on the simulator
+    /// under {no loss, 1% loss} × {no crash, processor 1 down a third of
+    /// the way into a reference run of `reference_cycles`}, and over
+    /// lossless and 1%-loss TCP. The simulator cell with neither is the
+    /// recorded delivery (`faults: None`).
+    pub fn product(reference_cycles: u64) -> Vec<Axes> {
+        let loss = FaultPlan::lossy(7, 10_000);
+        let crash =
+            |plan: FaultPlan| plan.with_crash(1, reference_cycles / 3, reference_cycles / 20);
+        let sim = |faults| Transport::Sim {
+            faults,
+            checkpoint_every: None,
+        };
+        let deliveries = [
+            sim(None),
+            sim(Some(crash(FaultPlan::none()))),
+            sim(Some(loss)),
+            sim(Some(crash(loss))),
+            Transport::Tcp { loss: None },
+            Transport::Tcp { loss: Some(loss) },
+        ];
+        let barriers = [BarrierShape::Flat, BarrierShape::Tree { arity: 2 }];
+        let homes = [HomeMap::Modulo, HomeMap::Sharded { seed: 5 }];
+        let protocols = barriers.into_iter().flat_map(|b| homes.map(|h| (b, h)));
+        protocols
+            .flat_map(|(barrier, homes)| {
+                deliveries.map(|transport| Axes {
+                    barrier: Some(barrier),
+                    homes: Some(homes),
+                    transport,
+                    ..Axes::default()
+                })
+            })
+            .collect()
     }
 }
 
@@ -491,8 +530,17 @@ impl Program for App {
 ///
 /// # Errors
 ///
-/// Returns a description of the first violated property.
+/// Returns a description of the first violated property, or, before
+/// running anything, refuses a socket cell whose plan schedules a crash.
 pub fn check<P: Program>(program: &P, axes: &Axes) -> Result<Verdict<P::Out>, String> {
+    if let Transport::Tcp { loss: Some(plan) } = axes.transport {
+        if plan.has_crashes() {
+            return Err(format!(
+                "a socket cell cannot crash a processor: {} crash(es) scheduled under {axes:?}",
+                plan.crashes().len()
+            ));
+        }
+    }
     let reference = program
         .reference()
         .map_err(|e| format!("reference run: {e}"))?;
@@ -521,15 +569,15 @@ pub fn check<P: Program>(program: &P, axes: &Axes) -> Result<Verdict<P::Out>, St
             cfg.checkpoint_every = checkpoint_every.unwrap_or(cfg.checkpoint_every);
             None
         }
-        Transport::Tcp => Some(RealConfig::tcp()),
-        Transport::Udp { loss } => Some(RealConfig::udp(loss)),
+        Transport::Tcp { loss } => {
+            cfg.faults = loss.unwrap_or_else(FaultPlan::none);
+            Some(RealConfig::tcp())
+        }
     };
     let checked = match &real {
         None => sim_run(program, cfg, &baseline)?,
-        // A socket run takes no fault plan: TCP is lossless, and UDP's
-        // loss is the transport's own.
         Some(real) => program
-            .run(cfg.faults(FaultPlan::none()), Some(real))
+            .run(cfg, Some(real))
             .map_err(|e| format!("socket run: {e}"))?,
     };
 

@@ -1,59 +1,22 @@
 //! The axes compose. Each axis alone preserves what every run of a program
-//! must share, so their whole product must too: on every data backend,
-//! {flat, tree} barriers × {modulo, sharded} homes × {no loss, 1% loss} ×
-//! {no crash, processor 1 down a third of the way in}, and TCP and 1%-loss
-//! UDP under every protocol choice. sor and matrix traces take the
-//! simulator cells and sor traces the socket cells; every application
-//! takes them all live. sor and matrix are held to the strict comparison
-//! either way, the rest to their own check and bit-for-bit reruns.
+//! must share, so their whole product must too: `Axes::product` on every
+//! data backend — {flat, tree} barriers × {modulo, sharded} homes ×
+//! {no loss, 1% loss} × {no crash, processor 1 down a third of the way
+//! in} on the simulator, and lossless and 1%-loss TCP under every
+//! protocol choice. sor and matrix traces take the simulator cells and sor
+//! traces the socket cells; every application takes them all live. sor
+//! and matrix are held to the strict comparison either way, the rest to
+//! their own check and bit-for-bit reruns.
 
 use midway_apps::{AppKind, Scale};
-use midway_core::{BackendKind, BarrierShape, FaultPlan, HomeMap, MidwayConfig};
+use midway_core::{BackendKind, MidwayConfig};
 use midway_replay::{check, record_app, App, Axes, Comparison, Program, Transport};
 
-const BARRIERS: [BarrierShape; 2] = [BarrierShape::Flat, BarrierShape::Tree { arity: 2 }];
-const HOMES: [HomeMap; 2] = [HomeMap::Modulo, HomeMap::Sharded { seed: 5 }];
-
-/// Every protocol choice, as the axes that make it.
-fn protocols() -> impl Iterator<Item = Axes> {
-    BARRIERS.into_iter().flat_map(|barrier| {
-        HOMES.map(|homes| Axes {
-            barrier: Some(barrier),
-            homes: Some(homes),
-            ..Axes::default()
-        })
-    })
-}
-
-/// The simulator cells of a program whose reference run takes `len`
-/// cycles.
-fn on_sim(len: u64) -> Vec<Axes> {
-    let mut cells = Vec::new();
-    for axes in protocols() {
-        for (loss, crash) in [(false, false), (false, true), (true, false), (true, true)] {
-            let mut faults = loss.then(|| FaultPlan::lossy(7, 10_000));
-            if crash {
-                let plan = faults.unwrap_or_else(FaultPlan::none);
-                faults = Some(plan.with_crash(1, len / 3, len / 20));
-            }
-            let transport = Transport::Sim {
-                faults,
-                checkpoint_every: None,
-            };
-            cells.push(Axes { transport, ..axes });
-        }
-    }
-    cells
-}
-
-/// The socket cells.
-fn on_sockets() -> Vec<Axes> {
-    let udp = Transport::Udp {
-        loss: FaultPlan::seeded(7).drop_ppm(10_000),
-    };
-    protocols()
-        .flat_map(|axes| [Transport::Tcp, udp].map(|transport| Axes { transport, ..axes }))
-        .collect()
+/// The product's cells on sockets (`true`) or on the simulator, for a
+/// program whose reference run takes `len` cycles.
+fn cells(len: u64, on_sockets: bool) -> impl Iterator<Item = Axes> {
+    let sockets = move |axes: &Axes| matches!(axes.transport, Transport::Tcp { .. }) == on_sockets;
+    Axes::product(len).into_iter().filter(sockets)
 }
 
 /// Checks `program` under `axes` and holds the verdict to what the cell
@@ -94,7 +57,7 @@ fn every_axis_combination_converges_strictly() {
         for backend in BackendKind::DATA {
             let trace = record_app(kind, MidwayConfig::new(4, backend), Scale::Small);
             let cell = format!("{} trace on {}", kind.label(), backend.label());
-            for axes in on_sim(trace.meta.finish_cycles) {
+            for axes in cells(trace.meta.finish_cycles, false) {
                 held_to(&trace, axes, &cell);
             }
         }
@@ -106,7 +69,7 @@ fn sor_over_sockets_converges_under_every_protocol_choice() {
     for backend in BackendKind::DATA {
         let trace = record_app(AppKind::Sor, MidwayConfig::new(4, backend), Scale::Small);
         let cell = format!("sor trace on {}", backend.label());
-        for axes in on_sockets() {
+        for axes in cells(trace.meta.finish_cycles, true) {
             held_to(&trace, axes, &cell);
         }
     }
@@ -123,8 +86,7 @@ fn live(kind: AppKind) {
         };
         let cell = format!("{} live on {}", kind.label(), backend.label());
         let len = app.reference().unwrap_or_else(|e| panic!("{cell}: {e}"));
-        let cells = on_sim(len.finish_time.cycles());
-        for axes in cells.into_iter().chain(on_sockets()) {
+        for axes in Axes::product(len.finish_time.cycles()) {
             retransmits += held_to(&app, axes, &cell);
         }
     }

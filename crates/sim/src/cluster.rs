@@ -9,7 +9,7 @@ use crate::coro::Coroutine;
 use crate::event::Event;
 use crate::fault::{FaultDecision, FaultPlan, FaultStats};
 use crate::net::NetModel;
-use crate::sched::{Poison, Scheduler};
+use crate::sched::Scheduler;
 use crate::time::VirtualTime;
 
 /// Configuration for a simulated cluster run.
@@ -46,38 +46,42 @@ impl ClusterConfig {
     }
 }
 
-/// Why a simulation failed.
+/// Why a run failed, on the simulator or over sockets. Each variant says
+/// which runs raise it.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SimError {
-    /// Every processor is blocked in `recv` and no message is in flight.
+pub enum RunError {
+    /// Simulator only: every processor is blocked in `recv` and no
+    /// message is in flight. (Sockets cannot see this; their watchdog
+    /// fires instead.)
     Deadlock {
         /// Processors stuck in `recv`.
         blocked: Vec<usize>,
     },
-    /// A message was sent to a processor that had already finished.
+    /// Simulator only: a message was sent to a processor that had already
+    /// finished.
     MessageToFinished {
         /// Sender.
         src: usize,
         /// Finished destination.
         dst: usize,
     },
-    /// An application closure panicked on some processor.
+    /// Both: an application closure panicked on some processor.
     ProcPanicked {
         /// The processor whose closure panicked.
         proc: usize,
         /// The panic payload, rendered as a string where possible.
         message: String,
     },
-    /// A protocol layer detected an invariant violation and aborted the
-    /// simulation deliberately (see [`ProcHandle::protocol_violation`]).
+    /// Both: a protocol layer detected an invariant violation and aborted
+    /// the run deliberately (see [`ProcHandle::protocol_violation`]).
     ProtocolViolation {
         /// The processor that detected the violation.
         proc: usize,
         /// Description of the violated invariant.
         message: String,
     },
-    /// The runtime detected an application-level misuse of the DSM API —
-    /// e.g. an out-of-bounds shared write — and aborted deliberately
+    /// Both: the runtime detected an application-level misuse of the DSM
+    /// API — e.g. an out-of-bounds shared write — and aborted deliberately
     /// (see [`ProcHandle::app_violation`]).
     AppViolation {
         /// The processor whose application misused the API.
@@ -85,52 +89,66 @@ pub enum SimError {
         /// Description of the misuse.
         message: String,
     },
+    /// Sockets only: a socket operation failed or an inbound frame failed
+    /// to decode.
+    Io {
+        /// The processor on whose behalf the operation ran.
+        proc: usize,
+        /// Description of the failure.
+        message: String,
+    },
+    /// Sockets only: the wall-clock watchdog deadline passed before the
+    /// run finished.
+    Watchdog {
+        /// The deadline that expired, in seconds.
+        secs: u64,
+        /// One state line per processor at the moment of the abort.
+        dumps: Vec<String>,
+    },
 }
 
-impl std::fmt::Display for SimError {
+impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::Deadlock { blocked } => {
+            RunError::Deadlock { blocked } => {
                 write!(
                     f,
                     "simulation deadlock; processors blocked in recv: {blocked:?}"
                 )
             }
-            SimError::MessageToFinished { src, dst } => {
+            RunError::MessageToFinished { src, dst } => {
                 write!(
                     f,
                     "processor {src} sent a message to finished processor {dst}"
                 )
             }
-            SimError::ProcPanicked { proc, message } => {
+            RunError::ProcPanicked { proc, message } => {
                 write!(f, "processor {proc} panicked: {message}")
             }
-            SimError::ProtocolViolation { proc, message } => {
+            RunError::ProtocolViolation { proc, message } => {
                 write!(f, "protocol violation on processor {proc}: {message}")
             }
-            SimError::AppViolation { proc, message } => {
+            RunError::AppViolation { proc, message } => {
                 write!(f, "application violation on processor {proc}: {message}")
+            }
+            RunError::Io { proc, message } => {
+                write!(f, "transport i/o failure on processor {proc}: {message}")
+            }
+            RunError::Watchdog { secs, dumps } => {
+                writeln!(f, "real-transport run hung past the {secs}s watchdog:")?;
+                for d in dumps {
+                    writeln!(f, "  {d}")?;
+                }
+                Ok(())
             }
         }
     }
 }
 
-impl std::error::Error for SimError {}
-
-impl From<Poison> for SimError {
-    fn from(p: Poison) -> SimError {
-        match p {
-            Poison::Deadlock { blocked } => SimError::Deadlock { blocked },
-            Poison::MessageToFinished { src, dst } => SimError::MessageToFinished { src, dst },
-            Poison::Panic { proc, message } => SimError::ProcPanicked { proc, message },
-            Poison::Protocol { proc, message } => SimError::ProtocolViolation { proc, message },
-            Poison::App { proc, message } => SimError::AppViolation { proc, message },
-        }
-    }
-}
+impl std::error::Error for RunError {}
 
 /// Internal panic payload used to unwind out of a poisoned simulation.
-struct SimAbort(Poison);
+struct SimAbort(RunError);
 
 /// Per-processor accounting published at the end of a run.
 #[derive(Clone, Debug, Default)]
@@ -314,7 +332,7 @@ impl<M: Clone> ProcHandle<M> {
     /// flight (a protocol bug), a message to a finished processor, a panic
     /// or a violation on any processor — the call does not return: this
     /// processor unwinds, its locals are dropped, and [`Cluster::run`]
-    /// returns the matching [`SimError`]. The caller of `Cluster::run`
+    /// returns the matching [`RunError`]. The caller of `Cluster::run`
     /// never sees a panic.
     pub fn recv(&mut self) -> (VirtualTime, usize, M) {
         self.recv_inner(false)
@@ -374,13 +392,13 @@ impl<M: Clone> ProcHandle<M> {
     ///
     /// For protocol layers that detect an invariant violation (a misrouted
     /// message, a malformed exchange): instead of panicking — which would
-    /// surface as an opaque [`SimError::ProcPanicked`] — this poisons the
-    /// cluster with [`SimError::ProtocolViolation`] carrying this
+    /// surface as an opaque [`RunError::ProcPanicked`] — this poisons the
+    /// cluster with [`RunError::ProtocolViolation`] carrying this
     /// processor's id and `message` and unwinds this processor; every other
     /// processor then unwinds out of its `recv` in turn, and
     /// [`Cluster::run`] returns the error. It never returns.
     pub fn protocol_violation(&mut self, message: String) -> ! {
-        std::panic::panic_any(SimAbort(Poison::Protocol {
+        std::panic::panic_any(SimAbort(RunError::ProtocolViolation {
             proc: self.id,
             message,
         }))
@@ -391,10 +409,10 @@ impl<M: Clone> ProcHandle<M> {
     /// Like [`ProcHandle::protocol_violation`], but for runtime layers
     /// that catch the *application* breaking the API contract (an
     /// out-of-bounds shared write, say): the cluster is poisoned with
-    /// [`SimError::AppViolation`] carrying this processor's id and
+    /// [`RunError::AppViolation`] carrying this processor's id and
     /// `message` instead of an opaque panic. It never returns.
     pub fn app_violation(&mut self, message: String) -> ! {
-        std::panic::panic_any(SimAbort(Poison::App {
+        std::panic::panic_any(SimAbort(RunError::AppViolation {
             proc: self.id,
             message,
         }))
@@ -433,10 +451,10 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if the simulation deadlocks, a message is sent
+    /// Returns [`RunError`] if the simulation deadlocks, a message is sent
     /// to a finished processor, or any closure panics. In every case each
     /// processor has unwound and dropped its locals before this returns.
-    pub fn run<M, R, F>(cfg: ClusterConfig, f: F) -> Result<RunOutcome<R>, SimError>
+    pub fn run<M, R, F>(cfg: ClusterConfig, f: F) -> Result<RunOutcome<R>, RunError>
     where
         M: Clone,
         F: Fn(&mut ProcHandle<M>) -> R,
@@ -485,7 +503,7 @@ impl Cluster {
         drop(procs);
 
         if let Some(poison) = sched.poison() {
-            return Err(poison.into());
+            return Err(poison);
         }
         let (results, reports): (Vec<R>, Vec<ProcReport>) = finished
             .into_iter()
@@ -569,7 +587,7 @@ mod tests {
         })
         .unwrap_err();
         match err {
-            SimError::Deadlock { blocked } => assert_eq!(blocked, vec![0, 1]),
+            RunError::Deadlock { blocked } => assert_eq!(blocked, vec![0, 1]),
             other => panic!("expected deadlock, got {other:?}"),
         }
     }
@@ -601,7 +619,7 @@ mod tests {
         })
         .unwrap_err();
         match err {
-            SimError::ProcPanicked { proc, message } => {
+            RunError::ProcPanicked { proc, message } => {
                 assert_eq!(proc, 1);
                 assert!(message.contains("boom"));
             }
@@ -657,7 +675,7 @@ mod tests {
         })
         .unwrap_err();
         match err {
-            SimError::ProcPanicked { proc: 0, message } => {
+            RunError::ProcPanicked { proc: 0, message } => {
                 assert!(message.contains("self-send"), "message: {message}");
             }
             other => panic!("expected panic report, got {other:?}"),
@@ -682,7 +700,7 @@ mod tests {
         })
         .unwrap_err();
         match err {
-            SimError::ProtocolViolation { proc, message } => {
+            RunError::ProtocolViolation { proc, message } => {
                 assert_eq!(proc, 0);
                 assert!(message.contains("lock 9"), "message: {message}");
             }
@@ -709,7 +727,7 @@ mod tests {
         })
         .unwrap_err();
         match err {
-            SimError::ProcPanicked { proc, message } => {
+            RunError::ProcPanicked { proc, message } => {
                 assert_eq!(proc, 2);
                 assert!(
                     message.contains("detector state corrupt on proc 2"),
@@ -729,7 +747,7 @@ mod tests {
         })
         .unwrap_err();
         match err {
-            SimError::ProcPanicked { proc, message } => {
+            RunError::ProcPanicked { proc, message } => {
                 assert!(proc < 2);
                 assert!(
                     message.contains(&format!("boom {proc}")),
@@ -962,7 +980,7 @@ mod tests {
         .unwrap_err();
         assert_eq!(
             err,
-            SimError::ProcPanicked {
+            RunError::ProcPanicked {
                 proc: 2,
                 message: "boom on 2".to_string()
             }

@@ -76,7 +76,7 @@ mod time;
 
 pub use clock::Category;
 pub use cluster::{
-    panic_message, Cluster, ClusterConfig, ProcHandle, ProcReport, RunOutcome, SimError,
+    panic_message, Cluster, ClusterConfig, ProcHandle, ProcReport, RunError, RunOutcome,
 };
 pub use coro::{suspend, Coroutine};
 pub use fault::{CrashEvent, FaultDecision, FaultPlan, FaultStats, MAX_CRASHES};

@@ -28,6 +28,7 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::cluster::RunError;
 use crate::coro::{self, Coroutine};
 use crate::event::Event;
 use crate::time::VirtualTime;
@@ -49,30 +50,12 @@ enum ProcState {
     Done,
 }
 
-/// Why the simulation was aborted.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Poison {
-    /// No processor can make progress: `blocked` lists those stuck in `recv`.
-    Deadlock { blocked: Vec<usize> },
-    /// A message was addressed to a processor that had already finished.
-    MessageToFinished { src: usize, dst: usize },
-    /// An application closure panicked.
-    Panic { proc: usize, message: String },
-    /// A protocol layer detected an invariant violation (e.g. a message
-    /// routed to a processor that does not own the addressed resource) and
-    /// aborted deliberately instead of panicking.
-    Protocol { proc: usize, message: String },
-    /// The runtime detected an application-level misuse of the DSM API
-    /// (e.g. an out-of-bounds shared write) and aborted deliberately.
-    App { proc: usize, message: String },
-}
-
 struct SchedInner<M> {
     procs: Vec<ProcState>,
     queue: BinaryHeap<Reverse<Event<M>>>,
     /// The delivery each processor was resumed to take, until it takes it.
     slots: Vec<Option<Delivery<M>>>,
-    poison: Option<Poison>,
+    poison: Option<RunError>,
     delivered: u64,
 }
 
@@ -130,7 +113,7 @@ impl<M> Scheduler<M> {
     }
 
     /// Snapshot of the abort condition, if any.
-    pub(crate) fn poison(&self) -> Option<Poison> {
+    pub(crate) fn poison(&self) -> Option<RunError> {
         self.inner.borrow().poison.clone()
     }
 
@@ -152,7 +135,7 @@ impl<M> Scheduler<M> {
         &self,
         me: usize,
         draining: bool,
-    ) -> Result<Option<Delivery<M>>, Poison> {
+    ) -> Result<Option<Delivery<M>>, RunError> {
         {
             let mut inner = self.inner.borrow_mut();
             debug_assert_eq!(inner.procs[me], ProcState::Running);
@@ -194,7 +177,7 @@ impl<M> Scheduler<M> {
 
     /// Records a fatal condition; the first one wins. The event loop
     /// notices once the calling processor hands control back.
-    pub(crate) fn set_poison(&self, p: Poison) {
+    pub(crate) fn set_poison(&self, p: RunError) {
         self.inner.borrow_mut().set_poison(p);
     }
 
@@ -202,12 +185,12 @@ impl<M> Scheduler<M> {
     pub(crate) fn abandon(&self, me: usize, message: String) {
         let mut inner = self.inner.borrow_mut();
         inner.procs[me] = ProcState::Done;
-        inner.set_poison(Poison::Panic { proc: me, message });
+        inner.set_poison(RunError::ProcPanicked { proc: me, message });
     }
 }
 
 impl<M> SchedInner<M> {
-    fn set_poison(&mut self, p: Poison) {
+    fn set_poison(&mut self, p: RunError) {
         if self.poison.is_none() {
             self.poison = Some(p);
         }
@@ -229,7 +212,7 @@ impl<M> SchedInner<M> {
                 .filter(|&p| self.procs[p] == ProcState::Blocked)
                 .collect();
             if !blocked.is_empty() {
-                self.set_poison(Poison::Deadlock { blocked });
+                self.set_poison(RunError::Deadlock { blocked });
             }
             return None;
         };
@@ -237,7 +220,7 @@ impl<M> SchedInner<M> {
         match self.procs[dst] {
             ProcState::Blocked | ProcState::Draining => {}
             ProcState::Done => {
-                self.set_poison(Poison::MessageToFinished { src: ev.src, dst });
+                self.set_poison(RunError::MessageToFinished { src: ev.src, dst });
                 return None;
             }
             // The loop dispatches only once every processor has suspended.
@@ -256,7 +239,7 @@ mod tests {
     use crate::time::VirtualTime;
     use std::cell::Cell;
 
-    type Recv = Result<Option<(u64, usize, u32)>, Poison>;
+    type Recv = Result<Option<(u64, usize, u32)>, RunError>;
 
     fn ev(src: usize, dst: usize, at: u64, seq: u64, msg: u32) -> Event<u32> {
         Event {
@@ -318,7 +301,7 @@ mod tests {
         let sched = Scheduler::new(3);
         // Proc 2 finishes at once: with it gone, nothing is in flight.
         let got = run(&sched, &[&[Step::Recv], &[Step::Drain], &[]]);
-        let deadlock = Err(Poison::Deadlock { blocked: vec![0] });
+        let deadlock = Err(RunError::Deadlock { blocked: vec![0] });
         assert_eq!(got, vec![vec![deadlock.clone()], vec![deadlock], vec![]]);
     }
 
@@ -334,7 +317,7 @@ mod tests {
             &sched,
             &[&[Step::Recv, Step::Recv], &[Step::Recv], &[Step::Recv], &[]],
         );
-        let deadlock = Err(Poison::Deadlock {
+        let deadlock = Err(RunError::Deadlock {
             blocked: vec![0, 1, 2],
         });
         assert_eq!(got[0], vec![Ok(Some((10, 3, 1))), deadlock.clone()]);
@@ -414,7 +397,7 @@ mod tests {
         assert_eq!(got[1], vec![Ok(Some((50, 0, 1)))]);
         assert_eq!(
             sched.poison(),
-            Some(Poison::MessageToFinished { src: 0, dst: 1 })
+            Some(RunError::MessageToFinished { src: 0, dst: 1 })
         );
     }
 
@@ -434,7 +417,7 @@ mod tests {
                 &[Step::Recv], // starts after 3 has poisoned the run
             ],
         );
-        let poison = Err(Poison::Panic {
+        let poison = Err(RunError::ProcPanicked {
             proc: 3,
             message: "unit-test poison".to_string(),
         });
@@ -465,7 +448,7 @@ mod tests {
         assert_eq!(live.get(), 0);
         assert_eq!(
             sched.poison(),
-            Some(Poison::Deadlock {
+            Some(RunError::Deadlock {
                 blocked: vec![0, 2]
             })
         );

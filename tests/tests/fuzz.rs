@@ -5,11 +5,8 @@
 use midway_apps::fuzz::{
     apply_mutation, backends_for, mutant_caught, shrink, FuzzOp, FuzzParams, MutantKind, Schedule,
 };
-use midway_core::{BackendKind, BarrierShape, FaultPlan, HomeMap};
-use midway_replay::{check, differential, Axes, Program, Transport};
-
-const BARRIERS: [BarrierShape; 2] = [BarrierShape::Flat, BarrierShape::Tree { arity: 2 }];
-const HOMES: [HomeMap; 2] = [HomeMap::Modulo, HomeMap::Sharded { seed: 5 }];
+use midway_core::BackendKind;
+use midway_replay::{check, differential, Axes, Program};
 
 /// A band of fixed seeds (covering single- and multi-processor shapes)
 /// runs divergence-free on every applicable backend.
@@ -92,47 +89,26 @@ fn a_failing_schedule_is_an_error_naming_the_backend() {
     assert!(err.starts_with(BackendKind::Rt.label()), "{err}");
 }
 
-/// Fuzz schedules through the axis product, each run held to the
-/// schedule's model: {flat, tree of arity 2} barriers × {modulo, sharded}
-/// homes × {no loss, 1% loss} × {no crash, processor 1 down a third of
-/// the way in} on the simulator, plus TCP and 1%-loss UDP under every
-/// protocol choice, on every data backend.
+/// Fuzz schedules through the axis product (`Axes::product`), each run
+/// held to the schedule's model: {flat, tree of arity 2} barriers ×
+/// {modulo, sharded} homes × {no loss, 1% loss} × {no crash, processor 1
+/// down a third of the way in} on the simulator, plus lossless and
+/// 1%-loss TCP under every protocol choice, on every data backend.
 #[test]
 fn fixed_seeds_hold_their_model_through_the_axis_product() {
-    let udp = Transport::Udp {
-        loss: FaultPlan::seeded(7).drop_ppm(10_000),
-    };
     for seed in 0..9 {
         let s = Schedule::generate(seed, FuzzParams::for_seed(seed));
         assert!(s.params.procs >= 2, "seed {seed} has no processor 1");
         let len = s.reference().expect("reference run").finish_time.cycles();
-        let mut transports = vec![Transport::Tcp, udp];
-        for (loss, crash) in [(false, false), (false, true), (true, false), (true, true)] {
-            let mut faults = match loss {
-                true => FaultPlan::lossy(7, 10_000),
-                false => FaultPlan::none(),
-            };
-            if crash {
-                faults = faults.with_crash(1, len / 3, len / 20);
-            }
-            transports.push(Transport::Sim {
-                faults: Some(faults),
-                checkpoint_every: None,
-            });
-        }
         for backend in BackendKind::DATA {
-            for (barrier, homes) in BARRIERS.into_iter().flat_map(|b| HOMES.map(|h| (b, h))) {
-                for &transport in &transports {
-                    let axes = Axes {
-                        backend: Some(backend),
-                        barrier: Some(barrier),
-                        homes: Some(homes),
-                        transport,
-                        check: true,
-                    };
-                    if let Err(e) = check(&s, &axes) {
-                        panic!("seed {seed} under {axes:?}: {e}");
-                    }
+            for cell in Axes::product(len) {
+                let axes = Axes {
+                    backend: Some(backend),
+                    check: true,
+                    ..cell
+                };
+                if let Err(e) = check(&s, &axes) {
+                    panic!("seed {seed} under {axes:?}: {e}");
                 }
             }
         }

@@ -325,7 +325,7 @@ fn application_lock_cycle_is_reported_as_deadlock() {
         },
     )
     .unwrap_err();
-    assert!(matches!(err, midway_core::SimError::Deadlock { .. }));
+    assert!(matches!(err, midway_core::RunError::Deadlock { .. }));
 }
 
 #[test]

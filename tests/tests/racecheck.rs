@@ -170,7 +170,7 @@ fn out_of_bounds_slice_write_is_a_typed_error() {
     )
     .unwrap_err();
     match err {
-        midway_core::SimError::AppViolation { message, .. } => {
+        midway_core::RunError::AppViolation { message, .. } => {
             assert!(message.contains("out of bounds"), "{message}");
             assert!(message.contains("2..5"), "{message}");
         }

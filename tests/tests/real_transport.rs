@@ -9,7 +9,7 @@
 //! vs. virtual time — must agree on every byte of final shared memory.
 //! The simulator run's recorded streams, checked over the same sockets,
 //! must reach that memory too. Every application under every protocol
-//! choice over TCP and lossy UDP is in crates/replay/tests/product.rs.
+//! choice over lossless and lossy TCP is in crates/replay/tests/product.rs.
 
 use std::time::Duration;
 
@@ -32,7 +32,7 @@ fn sor(backend: BackendKind) -> App {
 #[test]
 fn simulator_traces_check_over_tcp_on_every_backend() {
     let tcp = Axes {
-        transport: Transport::Tcp,
+        transport: Transport::Tcp { loss: None },
         ..Axes::default()
     };
     for backend in BackendKind::DATA {
@@ -53,7 +53,7 @@ fn simulator_traces_check_over_tcp_on_every_backend() {
 #[test]
 fn repeated_real_runs_agree_on_final_memory() {
     let tcp = Axes {
-        transport: Transport::Tcp,
+        transport: Transport::Tcp { loss: None },
         ..Axes::default()
     };
     for round in 0..5 {
@@ -62,20 +62,20 @@ fn repeated_real_runs_agree_on_final_memory() {
     }
 }
 
-/// Over lossy UDP the reliable channel masks injected drops and
+/// Over lossy TCP the reliable channel masks injected drops and
 /// duplicates: a live run still completes, verifies and reaches the
 /// simulator's final memory, the injection demonstrably happened, and the
 /// simulator's recording checked over the same lossy sockets reaches that
 /// memory too.
 #[test]
-fn lossy_udp_run_completes_and_still_satisfies_the_oracle() {
+fn lossy_tcp_run_completes_and_still_satisfies_the_oracle() {
     // 5% drop + 5% duplication, deterministic schedule.
     let loss = FaultPlan::seeded(7).drop_ppm(50_000).dup_ppm(50_000);
-    let udp = Axes {
-        transport: Transport::Udp { loss },
+    let lossy = Axes {
+        transport: Transport::Tcp { loss: Some(loss) },
         ..Axes::default()
     };
-    let v = check(&sor(BackendKind::Rt), &udp).expect("lossy sor run");
+    let v = check(&sor(BackendKind::Rt), &lossy).expect("lossy sor run");
     assert_eq!(v.comparison, Comparison::Converged);
     let injected: u64 = v
         .checked
@@ -87,7 +87,7 @@ fn lossy_udp_run_completes_and_still_satisfies_the_oracle() {
     let link = v.checked.link_totals();
     assert!(
         link.data_frames_sent > 0,
-        "UDP mode must frame messages reliably"
+        "a lossy plan must frame messages reliably"
     );
     assert!(
         link.retransmits > 0 || link.dup_frames_dropped > 0,
@@ -96,7 +96,7 @@ fn lossy_udp_run_completes_and_still_satisfies_the_oracle() {
     );
 
     let recorded = Trace::from_run("sor", "small", true, &v.baseline);
-    let v = check(&recorded, &udp).expect("lossy trace check");
+    let v = check(&recorded, &lossy).expect("lossy trace check");
     assert_eq!(v.comparison, Comparison::Converged);
     let injected: u64 = v
         .checked
@@ -107,12 +107,29 @@ fn lossy_udp_run_completes_and_still_satisfies_the_oracle() {
     assert!(injected > 0, "the checked run must be lossy too");
 }
 
+/// A socket cell whose plan crashes a processor is refused up front, as an
+/// error naming the cell: a wall-clock run has no deterministic clock to
+/// schedule the crash against.
+#[test]
+fn a_crash_on_a_socket_cell_is_an_error_naming_it() {
+    let crashing = Axes {
+        transport: Transport::Tcp {
+            loss: Some(FaultPlan::lossy(7, 10_000).with_crash(1, 1_000, 100)),
+        },
+        ..Axes::default()
+    };
+    let err = check(&sor(BackendKind::Rt), &crashing).expect_err("a crash cannot run on sockets");
+    assert!(err.contains("cannot crash a processor"), "{err}");
+    assert!(err.contains("1 crash(es) scheduled under Axes"), "{err}");
+    assert!(err.contains("transport: Tcp"), "{err}");
+}
+
 /// The watchdog aborts a hung run with per-processor state dumps instead
 /// of letting the suite hang: a two-processor barrier only one processor
 /// ever reaches cannot finish.
 #[test]
 fn watchdog_aborts_a_stuck_run_with_dumps() {
-    use midway_core::{Midway, RealError, SystemBuilder};
+    use midway_core::{Midway, RunError, SystemBuilder};
 
     let mut b = SystemBuilder::new();
     let cell = b.shared_array::<u64>("cell", 1, 1);
@@ -128,7 +145,7 @@ fn watchdog_aborts_a_stuck_run_with_dumps() {
     })
     .expect_err("a one-sided barrier must trip the watchdog");
     match err {
-        RealError::Watchdog { dumps, .. } => {
+        RunError::Watchdog { dumps, .. } => {
             assert_eq!(dumps.len(), 2, "one state dump per processor");
         }
         other => panic!("expected a watchdog abort, got: {other}"),

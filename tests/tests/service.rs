@@ -74,7 +74,7 @@ fn service_traces_replay_bit_for_bit() {
 #[test]
 fn service_apps_complete_on_tcp() {
     let tcp = Axes {
-        transport: Transport::Tcp,
+        transport: Transport::Tcp { loss: None },
         ..Axes::default()
     };
     for kind in AppKind::service() {

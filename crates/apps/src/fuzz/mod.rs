@@ -29,7 +29,7 @@ mod oracle;
 mod shrink;
 
 pub use gen::{apply_mutation, FuzzOp, MutantKind, Schedule};
-pub use oracle::{backends_for, catch_mutant, mutant_caught};
+pub use oracle::{backends_for, catch_mutant, caught_in, mutant_caught};
 pub use shrink::shrink;
 
 use std::sync::Arc;

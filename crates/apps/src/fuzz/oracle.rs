@@ -8,7 +8,7 @@
 //! checker flags on a given backend with the planted provenance, then
 //! hands back a shrunk reproducer.
 
-use midway_core::{BackendKind, FindingKind, MidwayConfig};
+use midway_core::{BackendKind, CheckReport, FindingKind, MidwayConfig};
 
 use super::{execute, gen::apply_mutation, shrink::shrink, FuzzParams, MutantKind, Schedule};
 
@@ -24,29 +24,36 @@ pub fn backends_for(procs: usize) -> &'static [BackendKind] {
 }
 
 /// Whether the dynamic checker catches `s`'s planted bug on `backend`
-/// with its planted provenance: the first finding of the expected kind
-/// is the mutant processor's, a binding violation names the rebound
-/// scratch lock, and a stale read names a writer other than the reader.
+/// with its planted provenance ([`caught_in`]).
 ///
 /// # Panics
 ///
 /// Panics if `s` is not a mutant schedule.
 pub fn mutant_caught(s: &Schedule, backend: BackendKind) -> bool {
+    let cfg = MidwayConfig::new(s.params.procs, backend).check(true);
+    execute(s, cfg, None).is_ok_and(|run| caught_in(s, &run.check.expect("checker was enabled")))
+}
+
+/// Whether `report`, the checker's on a run of `s`, carries the planted
+/// provenance: the first finding of the expected kind is the mutant
+/// processor's, a binding violation names the rebound scratch lock, and
+/// a stale read names a writer other than the reader.
+///
+/// # Panics
+///
+/// Panics if `s` is not a mutant schedule.
+pub fn caught_in(s: &Schedule, report: &CheckReport) -> bool {
     let kind = s
         .mutation
         .expect("mutant oracle takes mutant schedules")
         .finding();
-    let cfg = MidwayConfig::new(s.params.procs, backend).check(true);
-    execute(s, cfg, None).is_ok_and(|run| {
-        let report = run.check.expect("checker was enabled");
-        report.first_of(kind).is_some_and(|f| {
-            f.proc == s.mutant_proc
-                && match kind {
-                    FindingKind::BindingViolation => f.lock == Some(s.params.scratch_lock() as u32),
-                    FindingKind::StaleRead => f.stale.is_some_and(|st| st.writer != f.proc),
-                    FindingKind::UnguardedWrite | FindingKind::UnguardedRead => true,
-                }
-        })
+    report.first_of(kind).is_some_and(|f| {
+        f.proc == s.mutant_proc
+            && match kind {
+                FindingKind::BindingViolation => f.lock == Some(s.params.scratch_lock() as u32),
+                FindingKind::StaleRead => f.stale.is_some_and(|st| st.writer != f.proc),
+                FindingKind::UnguardedWrite | FindingKind::UnguardedRead => true,
+            }
     })
 }
 

@@ -5,7 +5,10 @@
 //! attached on every data-moving backend: no finding, and the checked run
 //! bit for bit the unchecked one. Every planted bug kind must be caught on
 //! every backend with its planted provenance, and its reproducer shrunk;
-//! the harness fails otherwise. `--backends` restricts both tables;
+//! the harness fails otherwise. A clean cell's number (the report's
+//! `events`) is the ops the checker analyzed: every op of every
+//! processor's recording, the reads and lock grants a checked run records
+//! included. `--backends` restricts both tables;
 //! `--overhead` also times one live application (`--apps`, default sor)
 //! with and without the checker attached on the first backend (the
 //! EXPERIMENTS.md number).
@@ -29,8 +32,9 @@ pub(crate) fn run(args: BenchArgs) -> Result<Report, String> {
     banner("Race check: clean matrix and planted bugs", &args);
 
     // The zero-false-positive matrix: each cell is one `check` with the
-    // checker attached, showing the events it analyzed, so "clean" is
-    // visibly not "idle". One cell per app, rows joined in app order.
+    // checker attached, showing the events it analyzed — every op of every
+    // processor's recording, its reads and grants included — so "clean"
+    // is visibly not "idle". One cell per app, rows joined in app order.
     let axes = Axes {
         check: true,
         ..Axes::default()
@@ -59,7 +63,7 @@ pub(crate) fn run(args: BenchArgs) -> Result<Report, String> {
     });
     let (clean_rows, clean_ok): (Vec<Record>, Vec<bool>) = clean_rows.into_iter().unzip();
     let clean = Record::table(&clean_rows, 1);
-    println!("events checked, no finding:\n{clean}");
+    println!("recorded ops checked, no finding:\n{clean}");
 
     // The true-positive table: the first seed whose planted bug the
     // checker caught with its provenance, the shrunk reproducer's size,

@@ -37,15 +37,6 @@ impl FindingKind {
             FindingKind::BindingViolation => "binding-violation",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            FindingKind::UnguardedWrite => 0,
-            FindingKind::UnguardedRead => 1,
-            FindingKind::StaleRead => 2,
-            FindingKind::BindingViolation => 3,
-        }
-    }
 }
 
 /// Stale-read provenance: who wrote the line the reader missed.
@@ -53,8 +44,8 @@ impl FindingKind {
 pub struct Staleness {
     /// The processor whose write the reader has not synchronized with.
     pub writer: usize,
-    /// The writer's virtual time at the write.
-    pub write_at: u64,
+    /// The write's index in the writer's op stream.
+    pub write_op: usize,
 }
 
 /// One deduplicated finding with full provenance.
@@ -64,8 +55,8 @@ pub struct Finding {
     pub kind: FindingKind,
     /// The processor that performed the offending access.
     pub proc: usize,
-    /// The processor's virtual time (cycles) at the access.
-    pub at: u64,
+    /// The access's index in the processor's op stream.
+    pub op: usize,
     /// First byte of the offending access.
     pub addr: u64,
     /// Access length in bytes.
@@ -85,10 +76,10 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} proc {} at cycle {}: {:#x}+{}",
+            "{} proc {} op {}: {:#x}+{}",
             self.kind.label(),
             self.proc,
-            self.at,
+            self.op,
             self.addr,
             self.len
         )?;
@@ -99,11 +90,7 @@ impl fmt::Display for Finding {
             write!(f, " (outside rebound lock {l}'s current binding)")?;
         }
         if let Some(s) = self.stale {
-            write!(
-                f,
-                " (missed write by proc {} at cycle {})",
-                s.writer, s.write_at
-            )?;
+            write!(f, " (missed write by proc {} op {})", s.writer, s.write_op)?;
         }
         if self.occurrences > 1 {
             write!(f, " [x{}]", self.occurrences)?;
@@ -115,35 +102,23 @@ impl fmt::Display for Finding {
 /// Findings kept in the report; further occurrences only bump counts.
 pub(crate) const MAX_FINDINGS: usize = 256;
 
-/// Per-processor transfer-apply statistics (the checker's view of the
-/// data-moving path it hooks).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ApplyStats {
-    /// Grant/barrier payload applications observed.
-    pub count: u64,
-    /// Update bytes those applications installed.
-    pub bytes: u64,
-}
-
-/// The result of analyzing one run's event logs.
+/// The result of analyzing one run's recording.
 #[derive(Clone, Debug, Default)]
 pub struct CheckReport {
-    /// Deduplicated findings (at most 256), in the merged
-    /// virtual-time order they were first detected.
+    /// Deduplicated findings (at most 256), in the order the analysis
+    /// first detected them.
     pub findings: Vec<Finding>,
-    /// Total occurrences per kind, indexed like [`FindingKind::ALL`]
-    /// (exact even when the findings list is capped).
+    /// Total occurrences per kind, indexed like [`FindingKind::ALL`], in
+    /// declaration order (exact even when the findings list is capped).
     pub counts: [u64; 4],
-    /// Events analyzed across all processors.
+    /// Ops analyzed across all processors.
     pub events: u64,
-    /// Per-processor transfer-apply activity.
-    pub applies: Vec<ApplyStats>,
 }
 
 impl CheckReport {
     /// Total occurrences of `kind`.
     pub fn count(&self, kind: FindingKind) -> u64 {
-        self.counts[kind.index()]
+        self.counts[kind as usize]
     }
 
     /// Total occurrences across all kinds.
@@ -174,7 +149,7 @@ impl CheckReport {
     /// One-line summary for CLI output.
     pub fn summary(&self) -> String {
         if self.is_clean() {
-            format!("clean ({} events analyzed)", self.events)
+            format!("clean ({} ops analyzed)", self.events)
         } else {
             let per: Vec<String> = FindingKind::ALL
                 .iter()
@@ -186,7 +161,7 @@ impl CheckReport {
     }
 
     pub(crate) fn record(&mut self, finding: Finding, dedup_hit: Option<usize>) {
-        self.counts[finding.kind.index()] += 1;
+        self.counts[finding.kind as usize] += 1;
         match dedup_hit {
             Some(i) => self.findings[i].occurrences += 1,
             None if self.findings.len() < MAX_FINDINGS => self.findings.push(finding),
@@ -207,7 +182,7 @@ mod tests {
                 Finding {
                     kind: FindingKind::UnguardedWrite,
                     proc: 0,
-                    at: i as u64,
+                    op: i,
                     addr: i as u64 * 64,
                     len: 4,
                     alloc: None,
@@ -250,14 +225,14 @@ mod tests {
             Finding {
                 kind: FindingKind::StaleRead,
                 proc: 1,
-                at: 5,
+                op: 5,
                 addr: 0x100,
                 len: 8,
                 alloc: Some("edges".into()),
                 lock: None,
                 stale: Some(Staleness {
                     writer: 0,
-                    write_at: 3,
+                    write_op: 3,
                 }),
                 occurrences: 1,
             },
@@ -265,7 +240,9 @@ mod tests {
         );
         assert_eq!(r.summary(), "1 findings: 1 stale-read");
         let shown = format!("{}", r.findings[0]);
-        assert!(shown.contains("stale-read proc 1"), "{shown}");
-        assert!(shown.contains("missed write by proc 0"), "{shown}");
+        assert_eq!(
+            shown,
+            "stale-read proc 1 op 5: 0x100+8 in \"edges\" (missed write by proc 0 op 3)"
+        );
     }
 }

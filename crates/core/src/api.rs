@@ -1,6 +1,5 @@
 //! The application-facing per-processor API.
 
-use midway_check::CheckLog;
 use midway_mem::{Addr, AddrRange, REGION_SIZE};
 use midway_net::Transport;
 use midway_proto::{BarrierId, LockId, Mode};
@@ -9,7 +8,7 @@ use midway_sim::{Category, ProcHandle, VirtualTime};
 use crate::msg::NetMsg;
 use crate::node::{DsmNode, Lent};
 use crate::setup::{Scalar, SharedArray};
-use crate::trace::{OpStream, TraceOp};
+use crate::trace::TraceOp;
 
 /// One processor's view of the DSM: typed shared-memory access plus entry
 /// consistency synchronization.
@@ -19,10 +18,11 @@ use crate::trace::{OpStream, TraceOp};
 /// the configured write-trapping path. Synchronization calls are where
 /// consistency — and write collection — happens.
 ///
-/// When the run was configured with [`record`](crate::MidwayConfig::record),
-/// every shared store, synchronization operation and compute charge is
-/// appended to this processor's trace; reads are local and free and are
-/// never recorded.
+/// When the run was configured with [`record`](crate::MidwayConfig::record)
+/// or [`check`](crate::MidwayConfig::check), every shared store,
+/// synchronization operation and compute charge is appended to this
+/// processor's recording. Reads are local and free, and are recorded,
+/// coalesced, only for the checker.
 ///
 /// `Proc` is generic over the [`Transport`] carrying its messages; the
 /// default is the virtual-time simulator's handle, so `Proc<'_>` in
@@ -33,7 +33,6 @@ use crate::trace::{OpStream, TraceOp};
 pub struct Proc<'a, T: Transport<Msg = NetMsg> = ProcHandle<NetMsg>> {
     node: DsmNode,
     h: &'a mut T,
-    rec: Option<OpStream>,
     /// The region the last view worked in, still lent out of the store
     /// for the next one: a run of element accesses resolves it once.
     /// [`engine`](Proc::engine) hands it back before anything else
@@ -42,11 +41,10 @@ pub struct Proc<'a, T: Transport<Msg = NetMsg> = ProcHandle<NetMsg>> {
 }
 
 impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
-    pub(crate) fn new(node: DsmNode, h: &'a mut T, rec: Option<OpStream>) -> Proc<'a, T> {
+    pub(crate) fn new(node: DsmNode, h: &'a mut T) -> Proc<'a, T> {
         Proc {
             node,
             h,
-            rec,
             lent: Lent::none(),
         }
     }
@@ -59,28 +57,10 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
         (&mut self.node, self.h)
     }
 
-    /// Ends the session: the node (everything lent handed back) and the
-    /// recorded operations.
-    pub(crate) fn finish(mut self) -> (DsmNode, Option<OpStream>) {
+    /// Ends the session: the node, everything lent handed back.
+    pub(crate) fn finish(mut self) -> DsmNode {
         self.node.restore(&mut self.lent);
-        (self.node, self.rec)
-    }
-
-    /// Runs `f` against the checker log (when checking is on) with this
-    /// processor's current virtual time. Strictly off-clock: nothing here
-    /// touches the simulator's accounting.
-    #[inline]
-    fn check_with(&mut self, f: impl FnOnce(&mut CheckLog, u64)) {
-        if let Some(log) = &mut self.node.check {
-            f(log, self.h.now().cycles());
-        }
-    }
-
-    #[inline]
-    fn record(&mut self, op: TraceOp<'_>) {
-        if let Some(rec) = &mut self.rec {
-            rec.record(op);
-        }
+        self.node
     }
 
     /// This processor's id.
@@ -101,7 +81,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
     /// Charges `cycles` of application compute time.
     pub fn work(&mut self, cycles: u64) {
         self.h.work(cycles);
-        self.record(TraceOp::Work { cycles });
+        self.node.record(TraceOp::Work { cycles });
     }
 
     /// Waits `cycles` of virtual time while the runtime keeps serving
@@ -110,7 +90,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
     pub fn idle(&mut self, cycles: u64) {
         let (node, h) = self.engine();
         node.idle(h, cycles);
-        self.record(TraceOp::Idle { cycles });
+        self.node.record(TraceOp::Idle { cycles });
     }
 
     /// A view for reading and writing shared memory element by element:
@@ -162,8 +142,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
     pub fn acquire(&mut self, lock: LockId) {
         let (node, h) = self.engine();
         node.acquire(h, lock, Mode::Exclusive);
-        self.check_with(|log, at| log.acquire(at, lock.0, true));
-        self.record(TraceOp::Acquire {
+        self.node.record(TraceOp::Acquire {
             lock: lock.0,
             exclusive: true,
         });
@@ -173,8 +152,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
     pub fn acquire_shared(&mut self, lock: LockId) {
         let (node, h) = self.engine();
         node.acquire(h, lock, Mode::Shared);
-        self.check_with(|log, at| log.acquire(at, lock.0, false));
-        self.record(TraceOp::Acquire {
+        self.node.record(TraceOp::Acquire {
             lock: lock.0,
             exclusive: false,
         });
@@ -182,10 +160,9 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
 
     /// Releases an exclusive hold of `lock`.
     pub fn release(&mut self, lock: LockId) {
-        self.check_with(|log, at| log.release(at, lock.0, true));
         let (node, h) = self.engine();
         node.release(h, lock, Mode::Exclusive);
-        self.record(TraceOp::Release {
+        self.node.record(TraceOp::Release {
             lock: lock.0,
             exclusive: true,
         });
@@ -193,10 +170,9 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
 
     /// Releases a non-exclusive hold of `lock`.
     pub fn release_shared(&mut self, lock: LockId) {
-        self.check_with(|log, at| log.release(at, lock.0, false));
         let (node, h) = self.engine();
         node.release(h, lock, Mode::Shared);
-        self.record(TraceOp::Release {
+        self.node.record(TraceOp::Release {
             lock: lock.0,
             exclusive: false,
         });
@@ -204,8 +180,7 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
 
     /// Rebinds `lock` to `ranges`; the caller must hold it exclusively.
     pub fn rebind(&mut self, lock: LockId, ranges: Vec<AddrRange>) {
-        self.check_with(|log, at| log.rebind(at, lock.0, ranges.clone()));
-        self.record(TraceOp::Rebind {
+        self.node.record(TraceOp::Rebind {
             lock: lock.0,
             ranges: &ranges,
         });
@@ -215,21 +190,24 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
 
     /// Crosses `barrier`, making its bound data consistent everywhere.
     pub fn barrier(&mut self, barrier: BarrierId) {
-        self.check_with(|log, at| log.barrier_enter(at, barrier.0));
         let (node, h) = self.engine();
         node.barrier(h, barrier);
-        self.check_with(|log, at| log.barrier_exit(at, barrier.0));
-        self.record(TraceOp::Barrier { barrier: barrier.0 });
+        self.node.record(TraceOp::Barrier { barrier: barrier.0 });
     }
 
     /// Applies one recorded operation: the replay path. Replaying every
     /// operation of a recorded stream (in order, on the processor that
     /// recorded it) reproduces the original run without the application.
+    /// A `Read` is a view read: it changes nothing, and only the checker
+    /// records it. A `Grant` does nothing: the replay's own lock homes
+    /// grant again.
     pub fn apply_op(&mut self, op: TraceOp<'_>) {
         match op {
             TraceOp::Work { cycles } => self.work(cycles),
             TraceOp::Idle { cycles } => self.idle(cycles),
             TraceOp::Write { addr, data } => self.write_raw(Addr(addr), data),
+            TraceOp::Read { .. } => self.node.record(op),
+            TraceOp::Grant { .. } => {}
             TraceOp::Acquire {
                 lock,
                 exclusive: true,
@@ -272,11 +250,11 @@ impl<'a, T: Transport<Msg = NetMsg>> Proc<'a, T> {
 /// one-element views.
 ///
 /// A view behaves exactly like the per-element calls it replaces: every
-/// read and write is logged to the checker at the virtual time it would
-/// have had, and every write is trapped, logged to the write-ahead log
-/// and recorded as one [`TraceOp::Write`]. Only the accounting is
-/// deferred: the trap and write-ahead-log cycles are charged, per
-/// category, when the view is dropped.
+/// write is trapped, logged to the write-ahead log and recorded as one
+/// [`TraceOp::Write`], and with checking on every read is recorded too,
+/// in program order. Only the accounting is deferred: the trap and
+/// write-ahead-log cycles are charged, per category, when the view is
+/// dropped.
 ///
 /// A view borrows the [`Proc`] it came from, so while one is alive no
 /// coherence action (acquire, release, rebind, barrier, idle) can run:
@@ -312,10 +290,10 @@ impl<T: Transport<Msg = NetMsg>> View<'_, '_, T> {
     #[inline]
     pub fn get<S: Scalar>(&mut self, a: &SharedArray<S>, i: usize) -> S {
         let addr = a.addr(i);
-        if let Some(log) = &mut self.p.node.check {
-            let at = self.p.h.now().cycles() + self.trap_cycles + self.wal_cycles;
-            log.read(at, addr.raw(), S::SIZE as u32);
-        }
+        self.p.node.record(TraceOp::Read {
+            addr: addr.raw(),
+            len: S::SIZE as u32,
+        });
         self.resolve(addr);
         let off = addr.region_offset();
         S::from_le(&self.p.lent.slab[off..off + S::SIZE])
@@ -369,24 +347,18 @@ impl<T: Transport<Msg = NetMsg>> View<'_, '_, T> {
         }
     }
 
-    /// One store of `len` bytes at `addr`, which `fill` writes: checked,
-    /// trapped, written, logged ahead and recorded, in that order.
+    /// One store of `len` bytes at `addr`, which `fill` writes: trapped,
+    /// written, logged ahead and recorded, in that order.
     #[inline]
     fn store(&mut self, addr: Addr, len: usize, fill: impl FnOnce(&mut [u8])) {
-        if let Some(log) = &mut self.p.node.check {
-            let at = self.p.h.now().cycles() + self.trap_cycles + self.wal_cycles;
-            log.write(at, addr.raw(), len as u32);
-        }
         self.resolve(addr);
-        let Proc {
-            node, rec, lent, ..
-        } = &mut *self.p;
+        let Proc { node, lent, .. } = &mut *self.p;
         self.trap_cycles += node.trap(lent, addr, len);
         let off = addr.region_offset();
         let bytes = &mut lent.slab[off..off + len];
         fill(bytes);
         self.wal_cycles += node.wal_store(addr.raw(), bytes);
-        if let Some(rec) = rec {
+        if let Some(rec) = &mut node.rec {
             rec.push(TraceOp::Write {
                 addr: addr.raw(),
                 data: bytes,
@@ -408,17 +380,16 @@ impl<T: Transport<Msg = NetMsg>> Drop for View<'_, '_, T> {
 
 #[cfg(test)]
 mod tests {
-    use midway_check::CheckEvent;
-
     use crate::config::{BackendKind, MidwayConfig};
     use crate::run::Midway;
     use crate::setup::SystemBuilder;
+    use crate::trace::TraceOp;
 
-    /// A view defers its trap charges to the clock until it is dropped,
-    /// but the checker still sees each access at the time the element
-    /// call would have had: after every earlier store's trap.
+    /// A view defers its trap charges to the clock until it is dropped;
+    /// with checking on, its stores and loads are recorded as it makes
+    /// them, in program order.
     #[test]
-    fn view_accesses_carry_the_time_of_the_element_calls() {
+    fn view_accesses_are_recorded_in_order_and_charged_on_drop() {
         let mut b = SystemBuilder::new();
         let a = b.shared_array::<u64>("a", 8, 1);
         let spec = b.build();
@@ -426,23 +397,31 @@ mod tests {
         let run = Midway::run(cfg, &spec, |p| {
             let start = p.now().cycles();
             let mut v = p.view();
-            // Not adjacent, so the checker keeps one event per store.
             for i in [0, 2, 4] {
                 v.set(&a, i, 1);
             }
             v.get(&a, 6);
+            v.get(&a, 7); // adjacent: folds into the read before
             drop(v);
-            let ats: Vec<u64> = p.node.check.as_ref().expect("checking is on").events()[..4]
+            let ops: Vec<(u64, usize)> = p
+                .node
+                .rec
+                .as_ref()
+                .expect("checking records")
                 .iter()
-                .map(|e| match e {
-                    CheckEvent::Write { at, .. } | CheckEvent::Read { at, .. } => at - start,
+                .map(|op| match op {
+                    TraceOp::Write { addr, data } => (addr, data.len()),
+                    TraceOp::Read { addr, len } => (addr, len as usize),
                     other => panic!("unexpected {other:?}"),
                 })
                 .collect();
-            (ats, p.now().cycles() - start)
+            (ops, p.now().cycles() - start)
         })
         .expect("one processor runs");
+        let at = |i: usize| a.addr(i).raw();
+        let (ops, charged) = &run.results[0];
+        assert_eq!(ops, &[(at(0), 8), (at(2), 8), (at(4), 8), (at(6), 16)]);
         // Each doubleword store to a doubleword line costs 9 cycles.
-        assert_eq!(run.results[0], (vec![0, 9, 18, 27], 27));
+        assert_eq!(*charged, 27);
     }
 }

@@ -71,7 +71,8 @@ pub use trace::{AllocSpec, OpStream, SpecBlueprint, TraceOp};
 
 // Re-export the identifiers applications need.
 pub use midway_check::{
-    ApplyStats, BarrierRanges, CheckReport, CheckSpec, Finding, FindingKind, Staleness,
+    analyze, analyze_highest_first, BarrierRanges, CheckReport, CheckSpec, Finding, FindingKind,
+    Staleness,
 };
 pub use midway_mem::AddrRange;
 pub use midway_net::wire as codec;

@@ -14,7 +14,6 @@
 
 use std::sync::Arc;
 
-use midway_check::CheckLog;
 use midway_mem::{Addr, LocalStore};
 use midway_net::Transport;
 use midway_proto::{
@@ -27,6 +26,7 @@ use crate::counters::Counters;
 use crate::detect::{Trap, WriteDetector};
 use crate::msg::{DsmMsg, NetMsg};
 use crate::setup::SystemSpec;
+use crate::trace::{OpStream, TraceOp};
 
 use self::link::LinkLayer;
 use self::recover::{RecoveryLog, SyncSnapshot};
@@ -114,11 +114,12 @@ pub(crate) struct DsmNode {
     /// `None` when checkpointing is off, which keeps every hot path and
     /// charge bit-identical to the pre-crash-tolerance runtime.
     recovery: Option<Box<RecoveryLog>>,
-    /// The dynamic checker's event log, present when
-    /// [`MidwayConfig::check`] is on. Strictly off-clock: appended to
-    /// outside the virtual-time accounting, never consulted by the
-    /// protocol.
-    pub(crate) check: Option<CheckLog>,
+    /// This processor's recording, present when [`MidwayConfig::record`]
+    /// or [`MidwayConfig::check`] is on: its program's ops, and with
+    /// checking its reads and, as a lock's home, the grants it made.
+    /// Strictly off-clock: appended to outside the virtual-time
+    /// accounting, never consulted by the protocol.
+    pub(crate) rec: Option<OpStream>,
 }
 
 /// Builds a [`DetectCx`](crate::detect::DetectCx) from disjoint borrows
@@ -212,7 +213,7 @@ impl DsmNode {
             counters: Counters::default(),
             fence_before: 0,
             recovery,
-            check: cfg.check.then(CheckLog::new),
+            rec: (cfg.record || cfg.check).then(OpStream::default),
             spec,
         }
     }
@@ -291,6 +292,18 @@ impl DsmNode {
             .region(region)
             .expect("a lent region exists");
         self.detect.lend_trap(&self.spec, desc)
+    }
+
+    /// Appends `op` to this processor's recording, if it keeps one: a
+    /// read or a grant only when the checker, the one reader of those, is
+    /// on.
+    #[inline]
+    pub(crate) fn record(&mut self, op: TraceOp<'_>) {
+        let checker_only = matches!(op, TraceOp::Read { .. } | TraceOp::Grant { .. });
+        match &mut self.rec {
+            Some(rec) if self.cfg.check || !checker_only => rec.record(op),
+            _ => {}
+        }
     }
 
     /// The binding this node currently knows for `lock`.

@@ -256,9 +256,6 @@ impl DsmNode {
     ) {
         let idx = barrier.0 as usize;
         self.counters.data_bytes_received += set.data_bytes();
-        if let Some(log) = &mut self.check {
-            log.apply(h.now().cycles(), set.data_bytes());
-        }
         with_detector!(self, h, |det, cx| det.apply_barrier(&mut cx, set.iter()));
         if self.recovery.is_some() {
             // Post-images of everything the detector just applied, read

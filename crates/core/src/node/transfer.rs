@@ -8,11 +8,14 @@ use midway_sim::Category;
 
 use crate::detect::DetectCx;
 use crate::msg::{DsmMsg, GrantPayload, NetMsg};
+use crate::trace::TraceOp;
 
 use super::{with_detector, DsmNode};
 
 impl DsmNode {
-    /// Executes the transfers a home decision produced.
+    /// Executes the transfers a home decision produced. Each is one grant
+    /// of the lock, in the order the home serializes them: the order the
+    /// checker's recording keeps.
     pub(super) fn do_transfers<T: Transport<Msg = NetMsg>>(
         &mut self,
         h: &mut T,
@@ -20,6 +23,11 @@ impl DsmNode {
         transfers: Vec<midway_proto::Transfer>,
     ) {
         for t in transfers {
+            self.record(TraceOp::Grant {
+                lock: lock.0,
+                to: t.requester as u32,
+                exclusive: t.mode == Mode::Exclusive,
+            });
             if t.old_owner == t.requester {
                 // The requester's cache is already current: no data moves.
                 if t.requester == self.me {
@@ -97,9 +105,6 @@ impl DsmNode {
         let idx = lock.0 as usize;
         let bytes = payload.data_bytes();
         self.counters.data_bytes_received += bytes;
-        if let Some(log) = &mut self.check {
-            log.apply(h.now().cycles(), bytes);
-        }
         // The detector consumes the payload, so capture the ranges it
         // covers first; their post-images are logged after application.
         let logged = self.recovery.is_some().then(|| payload_ranges(&payload));

@@ -39,7 +39,9 @@ pub struct MidwayRun<R> {
     /// The configuration that produced this run.
     pub cfg: MidwayConfig,
     /// Per-processor recorded operation streams. Empty unless the run was
-    /// configured with [`MidwayConfig::record`].
+    /// configured with [`MidwayConfig::record`]; with
+    /// [`MidwayConfig::check`] too, they hold the reads and grants the
+    /// checker analyzed.
     pub traces: Vec<OpStream>,
     /// The system blueprint, captured when recording (everything the
     /// `midway-replay` crate needs to rebuild the run's `SystemSpec`).
@@ -109,14 +111,7 @@ impl<R> MidwayRun<R> {
 
 /// What one processor's session produces, transport-independent: its
 /// final local store is digested with everyone else's, in lockstep.
-type SessionOut<R> = (
-    R,
-    Counters,
-    LinkStats,
-    LocalStore,
-    Option<OpStream>,
-    Option<midway_check::CheckLog>,
-);
+type SessionOut<R> = (R, Counters, LinkStats, LocalStore, Option<OpStream>);
 
 /// One processor's whole life, on any transport: build the node, run the
 /// application closure, serve the cluster until quiescence, report.
@@ -132,52 +127,51 @@ where
 {
     let node = DsmNode::new(h.id(), cfg, Arc::clone(spec));
     node.schedule_crashes(h);
-    let mut proc = Proc::new(node, h, cfg.record.then(OpStream::default));
+    let mut proc = Proc::new(node, h);
     let r = f(&mut proc);
-    let (mut node, rec) = proc.finish();
+    let mut node = proc.finish();
     node.finalize(h);
-    (
-        r,
-        node.counters,
-        node.link.stats,
-        node.store,
-        rec,
-        node.check,
-    )
+    (r, node.counters, node.link.stats, node.store, node.rec)
 }
 
 /// Assembles a cluster run of per-processor sessions, on either transport,
-/// into a [`MidwayRun`].
+/// into a [`MidwayRun`], analyzing the recording when checking is on.
+///
+/// # Errors
+///
+/// [`RunError::ProtocolViolation`] when the checker finds no
+/// happens-before order of the recorded ops.
 fn assemble<R>(
     cfg: MidwayConfig,
     spec: &Arc<SystemSpec>,
     blueprint: Option<SpecBlueprint>,
     out: RunOutcome<SessionOut<R>>,
-) -> MidwayRun<R> {
+) -> Result<MidwayRun<R>, RunError> {
     let procs = out.results.len();
     let mut results = Vec::with_capacity(procs);
     let mut counters = Vec::with_capacity(procs);
     let mut link = Vec::with_capacity(procs);
     let mut stores = Vec::with_capacity(procs);
     let mut traces = Vec::new();
-    let mut check_logs = Vec::new();
-    for (r, c, l, s, t, k) in out.results {
+    for (r, c, l, s, t) in out.results {
         results.push(r);
         counters.push(c);
         link.push(l);
         stores.push(s);
-        if let Some(t) = t {
-            traces.push(t);
-        }
-        if let Some(k) = k {
-            check_logs.push(k.into_events());
-        }
+        traces.extend(t);
     }
     let store_digests = LocalStore::digests(&stores.iter().collect::<Vec<_>>());
-    let check = cfg
-        .check
-        .then(|| midway_check::analyze(&spec.check_spec(), &check_logs));
-    MidwayRun {
+    let check = match cfg.check {
+        true => Some(
+            midway_check::analyze(&spec.check_spec(), &traces)
+                .map_err(|(proc, message)| RunError::ProtocolViolation { proc, message })?,
+        ),
+        false => None,
+    };
+    if !cfg.record {
+        traces = Vec::new();
+    }
+    Ok(MidwayRun {
         results,
         counters,
         reports: out.reports,
@@ -189,7 +183,7 @@ fn assemble<R>(
         traces,
         blueprint,
         check,
-    }
+    })
 }
 
 /// The cluster `cfg` runs on, on either transport.
@@ -221,7 +215,9 @@ impl Midway {
     /// # Errors
     ///
     /// Returns [`RunError`] on deadlock (including application-level lock
-    /// cycles) or if any processor's closure panics.
+    /// cycles) or if any processor's closure panics, and
+    /// [`RunError::ProtocolViolation`] if the checker finds no
+    /// happens-before order of the recorded ops.
     ///
     /// # Panics
     ///
@@ -272,7 +268,7 @@ impl Midway {
             cluster(&cfg),
             move |h: &mut midway_sim::ProcHandle<NetMsg>| proc_session(cfg, &run_spec, h, &f),
         )?;
-        Ok(assemble(cfg, spec, blueprint, out))
+        assemble(cfg, spec, blueprint, out)
     }
 
     /// Runs `f` once per processor over loopback TCP sockets, wall-clock
@@ -315,6 +311,6 @@ impl Midway {
         let out = RealCluster::run(cluster(&cfg), real, move |h: &mut RealTransport<NetMsg>| {
             proc_session(cfg, &run_spec, h, &f)
         })?;
-        Ok(assemble(cfg, spec, blueprint, out))
+        assemble(cfg, spec, blueprint, out)
     }
 }

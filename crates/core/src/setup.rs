@@ -238,7 +238,7 @@ impl SystemSpec {
     /// The system description the dynamic entry-consistency checker
     /// analyzes accesses against: the layout plus every initial lock and
     /// barrier binding, as the blueprint captures them.
-    pub(crate) fn check_spec(&self) -> midway_check::CheckSpec {
+    pub fn check_spec(&self) -> midway_check::CheckSpec {
         let SpecBlueprint {
             locks, barriers, ..
         } = SpecBlueprint::capture(self);

@@ -1,232 +1,28 @@
-//! Trace capture: the per-processor shared-memory operation stream and
-//! the system blueprint needed to replay it.
+//! Trace capture: the system blueprint needed to replay a run, and the
+//! per-processor operation stream it replays.
 //!
-//! Under entry consistency the whole analysis of a run — every Table 2
-//! counter, every virtual time — is a pure function of each processor's
-//! sequence of *shared stores, synchronization operations and compute
-//! charges*. Reads are local and free (Midway is update-based, so there
-//! are no read misses) and therefore never recorded. The simulator is
-//! conservative and deterministic, so replaying the recorded streams
+//! The stream — [`OpStream`], whose ops are [`TraceOp`]s — is the
+//! checker's input too, so it lives in `midway-check` and is re-exported
+//! here: with [`record`](crate::MidwayConfig::record) or
+//! [`check`](crate::MidwayConfig::check) on, each processor records one,
+//! and reads and lock grants are in it only when checking. The simulator
+//! is conservative and deterministic, so replaying the recorded streams
 //! through the same protocol machinery reproduces the original run bit
 //! for bit; replaying them under a *different* backend, line size, fault
 //! cost or network model is the standard trace-driven way to evaluate a
-//! design point without re-running the application.
-//!
-//! A processor's recording is an [`OpStream`]: a 16-byte head per op,
-//! with every `Write`'s bytes appended to one buffer and every `Rebind`'s
-//! ranges to one table, so recording a store allocates nothing of its
-//! own. Iterating a stream yields [`TraceOp`] views that borrow those
-//! payloads; replay, the codec and every report read them. The portable
-//! binary encoding lives in the `midway-replay` crate.
+//! design point without re-running the application. The portable binary
+//! encoding lives in the `midway-replay` crate.
 
 use std::sync::Arc;
 
-use midway_check::BarrierRanges;
 use midway_mem::{AddrRange, LayoutBuilder, MemClass, Template};
 use midway_proto::Binding;
 
+use midway_check::BarrierRanges;
+
 use crate::setup::SystemSpec;
 
-/// One recorded operation of a processor's shared-memory stream, as an
-/// [`OpStream`] hands it out: a `Write`'s bytes and a `Rebind`'s ranges
-/// are borrowed from the stream that holds them.
-///
-/// `Work`/`Idle` preserve the virtual-time shape of the computation;
-/// everything else is a shared-memory or synchronization event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceOp<'a> {
-    /// Application compute: advance the clock by `cycles`.
-    Work { cycles: u64 },
-    /// Back off for `cycles` while serving protocol requests.
-    Idle { cycles: u64 },
-    /// One write trap covering `data.len()` bytes at `addr` (a word,
-    /// doubleword or area store), and the bytes it left in memory.
-    Write { addr: u64, data: &'a [u8] },
-    /// Lock acquire, exclusive or shared.
-    Acquire { lock: u32, exclusive: bool },
-    /// Lock release, exclusive or shared.
-    Release { lock: u32, exclusive: bool },
-    /// Rebind the lock to new ranges (caller holds it exclusively).
-    Rebind { lock: u32, ranges: &'a [AddrRange] },
-    /// Cross a barrier.
-    Barrier { barrier: u32 },
-}
-
-/// The fixed-size part of one op in an [`OpStream`]. A `Write`'s bytes
-/// and a `Rebind`'s ranges follow the previous ones in the stream's side
-/// buffers, so a head holds only their count.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Head {
-    Work(u64),
-    Idle(u64),
-    Write { addr: u64, len: u32 },
-    Acquire { lock: u32, exclusive: bool },
-    Release { lock: u32, exclusive: bool },
-    Rebind { lock: u32, ranges: u32 },
-    Barrier(u32),
-}
-
-const _: () = assert!(std::mem::size_of::<Head>() == 16);
-
-/// One processor's recorded operations, packed: a 16-byte head per op,
-/// every `Write`'s bytes appended to one buffer and every `Rebind`'s
-/// ranges to one table. Recording a store appends to the three vectors;
-/// it allocates nothing of its own.
-///
-/// [`push`](OpStream::push) appends an op exactly as given; iterating
-/// yields the ops pushed, in order, as borrowed [`TraceOp`] views.
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct OpStream {
-    heads: Vec<Head>,
-    bytes: Vec<u8>,
-    ranges: Vec<AddrRange>,
-}
-
-impl OpStream {
-    /// Bytes of memory one op takes besides its payload.
-    pub const HEAD_BYTES: usize = std::mem::size_of::<Head>();
-
-    /// An empty stream with room for `ops` ops that write `bytes` bytes
-    /// and rebind to `ranges` ranges in all.
-    pub fn with_capacity(ops: usize, bytes: usize, ranges: usize) -> OpStream {
-        OpStream {
-            heads: Vec::with_capacity(ops),
-            bytes: Vec::with_capacity(bytes),
-            ranges: Vec::with_capacity(ranges),
-        }
-    }
-
-    /// Number of ops.
-    pub fn len(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// Whether the stream holds no op.
-    pub fn is_empty(&self) -> bool {
-        self.heads.is_empty()
-    }
-
-    /// The ops in the order they were pushed.
-    pub fn iter(&self) -> Ops<'_> {
-        Ops {
-            heads: self.heads.iter(),
-            bytes: &self.bytes,
-            ranges: &self.ranges,
-        }
-    }
-
-    /// Appends `op`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `Write` covers or a `Rebind` names 2^32 or more bytes
-    /// or ranges (a store never leaves its 4 MiB region).
-    #[inline]
-    pub fn push(&mut self, op: TraceOp<'_>) {
-        let count = |n: usize| u32::try_from(n).expect("payload count fits a u32");
-        self.heads.push(match op {
-            TraceOp::Work { cycles } => Head::Work(cycles),
-            TraceOp::Idle { cycles } => Head::Idle(cycles),
-            TraceOp::Write { addr, data } => {
-                self.bytes.extend_from_slice(data);
-                Head::Write {
-                    addr,
-                    len: count(data.len()),
-                }
-            }
-            TraceOp::Acquire { lock, exclusive } => Head::Acquire { lock, exclusive },
-            TraceOp::Release { lock, exclusive } => Head::Release { lock, exclusive },
-            TraceOp::Rebind { lock, ranges } => {
-                self.ranges.extend_from_slice(ranges);
-                Head::Rebind {
-                    lock,
-                    ranges: count(ranges.len()),
-                }
-            }
-            TraceOp::Barrier { barrier } => Head::Barrier(barrier),
-        });
-    }
-
-    /// Appends `op` as a recording does: a `Work` charge right after
-    /// another is added to it (charging 3 then 5 cycles is
-    /// indistinguishable from charging 8), which keeps traces small for
-    /// apps that charge per element.
-    pub(crate) fn record(&mut self, op: TraceOp<'_>) {
-        if let (Some(Head::Work(last)), TraceOp::Work { cycles }) = (self.heads.last_mut(), op) {
-            *last += cycles;
-            return;
-        }
-        self.push(op);
-    }
-}
-
-impl std::fmt::Debug for OpStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self).finish()
-    }
-}
-
-impl<'a> IntoIterator for &'a OpStream {
-    type Item = TraceOp<'a>;
-    type IntoIter = Ops<'a>;
-
-    fn into_iter(self) -> Ops<'a> {
-        self.iter()
-    }
-}
-
-impl<'a> FromIterator<TraceOp<'a>> for OpStream {
-    fn from_iter<I: IntoIterator<Item = TraceOp<'a>>>(ops: I) -> OpStream {
-        let mut s = OpStream::default();
-        for op in ops {
-            s.push(op);
-        }
-        s
-    }
-}
-
-/// The ops of an [`OpStream`], in order.
-#[derive(Clone)]
-pub struct Ops<'a> {
-    heads: std::slice::Iter<'a, Head>,
-    /// The payloads of the ops not yet yielded.
-    bytes: &'a [u8],
-    ranges: &'a [AddrRange],
-}
-
-impl<'a> Iterator for Ops<'a> {
-    type Item = TraceOp<'a>;
-
-    #[inline]
-    fn next(&mut self) -> Option<TraceOp<'a>> {
-        Some(match *self.heads.next()? {
-            Head::Work(cycles) => TraceOp::Work { cycles },
-            Head::Idle(cycles) => TraceOp::Idle { cycles },
-            Head::Write { addr, len } => {
-                let data;
-                (data, self.bytes) = self.bytes.split_at(len as usize);
-                TraceOp::Write { addr, data }
-            }
-            Head::Acquire { lock, exclusive } => TraceOp::Acquire { lock, exclusive },
-            Head::Release { lock, exclusive } => TraceOp::Release { lock, exclusive },
-            Head::Rebind { lock, ranges } => {
-                let taken;
-                (taken, self.ranges) = self.ranges.split_at(ranges as usize);
-                TraceOp::Rebind {
-                    lock,
-                    ranges: taken,
-                }
-            }
-            Head::Barrier(barrier) => TraceOp::Barrier { barrier },
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.heads.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Ops<'_> {}
+pub use midway_check::{OpStream, Ops, TraceOp};
 
 /// One allocation in a [`SpecBlueprint`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -431,10 +227,11 @@ mod tests {
     }
 
     /// Random op sequences — runs of `Work`, word and area writes (empty
-    /// ones too), rebinds to no range or several, every other kind —
-    /// iterate back from a stream exactly as pushed; recorded, they come
-    /// back with each `Work` run summed into one op and nothing else
-    /// moved.
+    /// ones too), runs of nearby reads, rebinds to no range or several,
+    /// every other kind — iterate back from a stream exactly as pushed;
+    /// recorded, they come back with each `Work` run summed into one op,
+    /// each read that repeats or extends the one before folded into it,
+    /// and nothing else moved.
     #[test]
     fn pushed_ops_iterate_back_unchanged() {
         let mut rng = midway_sim::SplitMix64::new(0x0b57_ea3a);
@@ -459,7 +256,7 @@ mod tests {
             let ops: Vec<TraceOp<'_>> = (0..n)
                 .map(|i| {
                     let (lock, exclusive) = (rng.next_below(64) as u32, rng.next_below(2) == 1);
-                    match rng.next_below(9) {
+                    match rng.next_below(11) {
                         0..=2 => TraceOp::Work {
                             cycles: rng.next_below(1 << 40),
                         },
@@ -472,6 +269,15 @@ mod tests {
                         },
                         6 => TraceOp::Acquire { lock, exclusive },
                         7 => TraceOp::Release { lock, exclusive },
+                        8 => TraceOp::Read {
+                            addr: rng.next_below(64),
+                            len: rng.next_below(16) as u32 + 1,
+                        },
+                        9 => TraceOp::Grant {
+                            lock,
+                            to: rng.next_below(8) as u32,
+                            exclusive,
+                        },
                         _ if i % 2 == 0 => TraceOp::Rebind {
                             lock,
                             ranges: &ranges[i],
@@ -497,6 +303,15 @@ mod tests {
                 match (coalesced.last_mut(), op) {
                     (Some(TraceOp::Work { cycles: last }), TraceOp::Work { cycles }) => {
                         *last += cycles;
+                    }
+                    (Some(TraceOp::Read { addr: a, len: l }), TraceOp::Read { addr, len }) => {
+                        let (end, new_end) = (*a + u64::from(*l), addr + u64::from(len));
+                        if addr == end || new_end == *a {
+                            *a = (*a).min(addr);
+                            *l += len;
+                        } else if addr < *a || new_end > end {
+                            coalesced.push(op);
+                        }
                     }
                     _ => coalesced.push(op),
                 }

@@ -5,6 +5,7 @@
 //! trace record --app sor [--backend rt] [--scale small] [--procs 8] [--out FILE]
 //! trace replay FILE [--backend rt|vm|blast|twinall|hybrid] [--loss PPM] [--fault-seed N]
 //! trace check FILE [--loss PPM] [--fault-seed N] [--crash] [--interval K] [--race]
+//!                                      (--race: write and sync rules; reads only if recorded)
 //! trace info FILE
 //! trace diff A B
 //! ```
@@ -19,9 +20,11 @@
 //! is `midway_replay::check` with the flags as its delivery axes. With no
 //! flag it is the bit-for-bit equivalence oracle alone. `--crash` takes
 //! processor 1 down a third of the way into the run; `--race` attaches the
-//! dynamic entry-consistency checker (write and synchronization rules only
-//! — reads are local and never recorded), and `check` fails, exit 1, on
-//! any finding, naming the first.
+//! dynamic entry-consistency checker to the replay, and `check` fails,
+//! exit 1, on any finding, naming the first. A replay repeats the reads a
+//! recording holds, and only a run recorded with the checker on holds
+//! any (`record` records without it), so on a `record`ed trace the
+//! checker applies the write and synchronization rules only.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -369,10 +372,9 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
     let Some(report) = &run.check else {
         return Ok(ExitCode::SUCCESS);
     };
-    let applies: u64 = report.applies.iter().map(|a| a.count).sum();
-    let apply_bytes: u64 = report.applies.iter().map(|a| a.bytes).sum();
+    let received: u64 = run.counters.iter().map(|c| c.data_bytes_received).sum();
     println!(
-        "events:       {} checked, {applies} update applications ({apply_bytes} bytes)",
+        "events:       {} ops checked, {received} update bytes received",
         report.events
     );
     println!("findings:     none");
@@ -398,10 +400,10 @@ fn cmd_info(args: &Args) -> Result<ExitCode, String> {
         m.cfg.cost.cycles_to_millis(m.finish_cycles) / 1000.0
     );
     println!("messages:     {}", m.messages);
-    let [work, idle, write, acquire, release, rebind, barrier] = trace.op_histogram();
+    let [work, idle, write, acquire, release, rebind, barrier, read, grant] = trace.op_histogram();
     println!(
         "ops:          {} total (work {work}, idle {idle}, write {write}, acquire {acquire}, \
-         release {release}, rebind {rebind}, barrier {barrier})",
+         release {release}, rebind {rebind}, barrier {barrier}, read {read}, grant {grant})",
         trace.total_ops()
     );
     println!("bytes traced: {} written", trace.written_bytes());

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! magic   b"MWTR"                      (4 raw bytes)
-//! version 5                            (the only one the decoder accepts)
+//! version 6                            (the only one the decoder accepts)
 //! meta    app, scale (strings: length + UTF-8 bytes), verified (1 byte),
 //!         backend (1 byte: `BackendKind::wire_tag`), procs, history_cap,
 //!         cost model (mhz, page size, `CostModel::cycle_fields_mut`,
@@ -35,6 +35,8 @@
 //!           4 Release lock, exclusive (1 byte)
 //!           5 Rebind  lock, ranges
 //!           6 Barrier barrier
+//!           7 Read    addr, len          (checked runs only)
+//!           8 Grant   lock, to, exclusive (1 byte) (checked runs only)
 //! footer  the codec's seal over every preceding byte (8 bytes)
 //! ```
 //!
@@ -47,11 +49,13 @@
 //! replay will build from it: its allocations are replayed through the
 //! layout's allocator and must land where the file says, every `Write`
 //! and `Rebind` range must lie inside one of them (a `Write` inside one
-//! 4 MiB region too), every lock, barrier and partition range inside
-//! their union, and a barrier's partition list must hold one partition
-//! per processor. Each processor's ops decode into an `OpStream` sized
-//! exactly by a first pass over them, with adjacent `Work` ops kept
-//! apart, so a decoded trace re-encodes to the bytes it came from.
+//! 4 MiB region too), every `Read` (which may run across adjacent
+//! allocations) and every lock, barrier and partition range inside their
+//! union, a `Grant` must name one of the file's processors, and a
+//! barrier's partition list must hold one partition per processor. Each
+//! processor's ops decode into an `OpStream` sized exactly by a first
+//! pass over them, with adjacent `Work` and `Read` ops kept apart, so a
+//! decoded trace re-encodes to the bytes it came from.
 
 use midway_core::codec::{seal, unseal, Reader, WireError, Writer};
 use midway_core::{
@@ -69,7 +73,7 @@ pub const MAGIC: [u8; 4] = *b"MWTR";
 /// The format version, and the only one the decoder accepts. Trace files
 /// are a re-recordable cache, not an archive: a file at any other version
 /// is [`TraceError::BadVersion`], which callers treat as a cache miss.
-pub const VERSION: u64 = 5;
+pub const VERSION: u64 = 6;
 
 /// The most bytes a blueprint may allocate in all: 1 TiB, far beyond any
 /// recorded workload (sor at datacenter scale allocates 512 MiB), and
@@ -226,6 +230,21 @@ fn put_op(w: &mut Vec<u8>, op: TraceOp<'_>) {
         TraceOp::Barrier { barrier } => {
             w.push(6);
             w.varint(u64::from(barrier));
+        }
+        TraceOp::Read { addr, len } => {
+            w.push(7);
+            w.varint(addr);
+            w.varint(u64::from(len));
+        }
+        TraceOp::Grant {
+            lock,
+            to,
+            exclusive,
+        } => {
+            w.push(8);
+            w.varint(u64::from(lock));
+            w.varint(u64::from(to));
+            w.push(u8::from(exclusive));
         }
     }
 }
@@ -424,8 +443,9 @@ fn counters(r: &mut Reader) -> Result<Counters, WireError> {
     Ok(c)
 }
 
-/// A lock or barrier id, which must name one of the blueprint's `n`
-/// objects: a replay indexes per-object state with it.
+/// An id that must name one of `n` objects — a lock or barrier of the
+/// blueprint, a processor of the trace: a replay or the checker indexes
+/// per-object state with it.
 fn id(r: &mut Reader, n: usize, what: &'static str) -> Result<u32, WireError> {
     match r.varint_u32()? {
         id if (id as usize) < n => Ok(id),
@@ -502,12 +522,14 @@ fn bound(r: &mut Reader, extents: &[AddrRange]) -> Result<Vec<AddrRange>, WireEr
     }
 }
 
-/// Decodes one op onto the end of `stream`, as read: adjacent `Work`
-/// charges stay apart, so the stream re-encodes to the same bytes.
+/// Decodes one op of a `procs`-processor trace onto the end of `stream`,
+/// as read: adjacent `Work` charges and `Read`s stay apart, so the stream
+/// re-encodes to the same bytes.
 fn op(
     r: &mut Reader,
     bp: &SpecBlueprint,
     extents: &[AddrRange],
+    procs: usize,
     stream: &mut OpStream,
 ) -> Result<(), WireError> {
     let lock = |r: &mut Reader| id(r, bp.locks.len(), "lock id outside the blueprint");
@@ -557,6 +579,18 @@ fn op(
         6 => TraceOp::Barrier {
             barrier: id(r, bp.barriers.len(), "barrier id outside the blueprint")?,
         },
+        7 => {
+            let (addr, len) = (r.varint()?, r.varint_u32()?);
+            match addr.checked_add(u64::from(len)) {
+                Some(end) if covered(extents, &(addr..end)) => TraceOp::Read { addr, len },
+                _ => return malformed("read outside the allocations", addr),
+            }
+        }
+        8 => TraceOp::Grant {
+            lock: lock(r)?,
+            to: id(r, procs, "grant to a processor outside the trace")?,
+            exclusive: r.u8()? != 0,
+        },
         t => return malformed("unknown op tag", t.into()),
     });
     Ok(())
@@ -565,27 +599,27 @@ fn op(
 /// Reads past one op without checking its values, returning how many
 /// written bytes and rebind ranges it carries.
 fn skip_op(r: &mut Reader) -> Result<(usize, usize), WireError> {
-    Ok(match r.u8()? {
-        0 | 1 | 6 => {
-            r.varint()?;
-            (0, 0)
-        }
-        2 => {
-            r.varint()?;
-            (r.bytes()?.len(), 0)
-        }
-        3 | 4 => {
-            r.varint()?;
-            r.u8()?;
-            (0, 0)
-        }
+    let tag = r.u8()?;
+    r.varint()?;
+    Ok(match tag {
+        2 => (r.bytes()?.len(), 0),
         5 => {
-            r.varint()?;
             let n = r.count(2)?;
             for _ in 0..2 * n {
                 r.varint()?;
             }
             (0, n)
+        }
+        // One varint, then a second for a read or a grant and a mode byte
+        // for an acquire, a release or a grant.
+        0 | 1 | 3 | 4 | 6 | 7 | 8 => {
+            if tag >= 7 {
+                r.varint()?;
+            }
+            if matches!(tag, 3 | 4 | 8) {
+                r.u8()?;
+            }
+            (0, 0)
         }
         t => return malformed("unknown op tag", t.into()),
     })
@@ -600,6 +634,7 @@ fn stream(
     r: &mut Reader,
     bp: &SpecBlueprint,
     extents: &[AddrRange],
+    procs: usize,
 ) -> Result<OpStream, WireError> {
     let n = r.count(2)?;
     let (mut ahead, mut ops, mut bytes, mut ranges) = (r.clone(), 0, 0, 0);
@@ -611,7 +646,7 @@ fn stream(
     }
     let mut stream = OpStream::with_capacity(ops, bytes, ranges);
     for _ in 0..n {
-        op(r, bp, extents, &mut stream)?;
+        op(r, bp, extents, procs, &mut stream)?;
     }
     Ok(stream)
 }
@@ -705,7 +740,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
     };
 
     let ops = (0..procs)
-        .map(|_| stream(r, &blueprint, &extents))
+        .map(|_| stream(r, &blueprint, &extents, procs))
         .collect::<Result<Vec<_>, _>>()?;
     r.finish()?;
 

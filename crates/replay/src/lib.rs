@@ -146,9 +146,10 @@ impl Trace {
     }
 
     /// Per-op-kind totals `[work, idle, write, acquire, release, rebind,
-    /// barrier]` across all processors.
-    pub fn op_histogram(&self) -> [u64; 7] {
-        let mut h = [0u64; 7];
+    /// barrier, read, grant]` across all processors (reads and grants only
+    /// in a recording made with the checker on).
+    pub fn op_histogram(&self) -> [u64; 9] {
+        let mut h = [0u64; 9];
         for op in self.ops.iter().flatten() {
             let slot = match op {
                 TraceOp::Work { .. } => 0,
@@ -158,6 +159,8 @@ impl Trace {
                 TraceOp::Release { .. } => 4,
                 TraceOp::Rebind { .. } => 5,
                 TraceOp::Barrier { .. } => 6,
+                TraceOp::Read { .. } => 7,
+                TraceOp::Grant { .. } => 8,
             };
             h[slot] += 1;
         }

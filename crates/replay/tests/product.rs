@@ -6,17 +6,26 @@
 //! protocol choice. sor and matrix traces take the simulator cells and sor
 //! traces the socket cells; every application takes them all live. sor
 //! and matrix are held to the strict comparison either way, the rest to
-//! their own check and bit-for-bit reruns.
+//! their own check and bit-for-bit reruns. Every socket cell runs the
+//! entry-consistency checker too, and a finding fails it: the checker
+//! orders a socket run's ops by happens-before, not by its wall clock.
 
 use midway_apps::{AppKind, Scale};
 use midway_core::{BackendKind, MidwayConfig};
 use midway_replay::{check, record_app, App, Axes, Comparison, Program, Transport};
 
-/// The product's cells on sockets (`true`) or on the simulator, for a
-/// program whose reference run takes `len` cycles.
+/// The product's cells for a program whose reference run takes `len`
+/// cycles, the checker attached to every socket cell.
+fn product(len: u64) -> impl Iterator<Item = Axes> {
+    Axes::product(len).into_iter().map(|axes| Axes {
+        check: matches!(axes.transport, Transport::Tcp { .. }),
+        ..axes
+    })
+}
+
+/// The product's cells on sockets (`true`) or on the simulator.
 fn cells(len: u64, on_sockets: bool) -> impl Iterator<Item = Axes> {
-    let sockets = move |axes: &Axes| matches!(axes.transport, Transport::Tcp { .. }) == on_sockets;
-    Axes::product(len).into_iter().filter(sockets)
+    product(len).filter(move |axes| axes.check == on_sockets)
 }
 
 /// Checks `program` under `axes` and holds the verdict to what the cell
@@ -86,7 +95,7 @@ fn live(kind: AppKind) {
         };
         let cell = format!("{} live on {}", kind.label(), backend.label());
         let len = app.reference().unwrap_or_else(|e| panic!("{cell}: {e}"));
-        for axes in Axes::product(len.finish_time.cycles()) {
+        for axes in product(len.finish_time.cycles()) {
             retransmits += held_to(&app, axes, &cell);
         }
     }

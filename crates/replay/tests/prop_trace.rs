@@ -62,20 +62,19 @@ fn random_ranges(rng: &mut SplitMix64, allocs: &[AllocSpec]) -> Vec<std::ops::Ra
 }
 
 /// Pushes a random op naming only the blueprint's `locks` and `barriers`
-/// (the decoder rejects any other id) and storing or rebinding only
-/// inside `allocs`.
+/// and the trace's `procs` processors (the decoder rejects any other id)
+/// and storing, reading or rebinding only inside `allocs`.
 fn push_random_op(
     rng: &mut SplitMix64,
     allocs: &[AllocSpec],
-    locks: u64,
-    barriers: u64,
+    (locks, barriers, procs): (u64, u64, u64),
     stream: &mut OpStream,
 ) {
     let lock = |rng: &mut SplitMix64| rng.next_below(locks) as u32;
     let (data, ranges): (Vec<u8>, Vec<std::ops::Range<u64>>);
-    stream.push(match rng.next_below(7) {
-        2 if allocs.is_empty() => TraceOp::Work { cycles: 1 },
-        3..=5 if locks == 0 => TraceOp::Work { cycles: 1 },
+    stream.push(match rng.next_below(9) {
+        2 | 7 if allocs.is_empty() => TraceOp::Work { cycles: 1 },
+        3..=5 | 8 if locks == 0 => TraceOp::Work { cycles: 1 },
         6 if barriers == 0 => TraceOp::Work { cycles: 1 },
         0 => TraceOp::Work {
             cycles: rng.next_u64() >> rng.next_below(64),
@@ -105,6 +104,19 @@ fn push_random_op(
                 ranges: &ranges,
             }
         }
+        7 => {
+            let at = range_in(rng, allocs, 64).expect("an allocation");
+            let len = (at.end - at.start) as u32;
+            TraceOp::Read {
+                addr: at.start,
+                len,
+            }
+        }
+        8 => TraceOp::Grant {
+            lock: lock(rng),
+            to: rng.next_below(procs) as u32,
+            exclusive: rng.next_below(2) == 1,
+        },
         _ => TraceOp::Barrier {
             barrier: rng.next_below(barriers) as u32,
         },
@@ -204,10 +216,10 @@ fn random_trace(rng: &mut SplitMix64) -> Trace {
     let ops = (0..procs)
         .map(|_| {
             let n = rng.next_below(40) as usize;
-            let (l, b) = (locks.len() as u64, barriers.len() as u64);
+            let ids = (locks.len() as u64, barriers.len() as u64, procs as u64);
             let mut stream = OpStream::default();
             for _ in 0..n {
-                push_random_op(rng, &allocs, l, b, &mut stream);
+                push_random_op(rng, &allocs, ids, &mut stream);
             }
             stream
         })
@@ -523,6 +535,36 @@ fn a_write_outside_every_allocation_is_malformed() {
             "{addr:#x}"
         );
     }
+}
+
+/// A read, which a checked recording coalesces and which may run across
+/// adjacent allocations, must lie inside their union; a grant must name
+/// one of the trace's processors (this one has one).
+#[test]
+fn reads_outside_the_allocations_and_grants_to_no_processor_are_malformed() {
+    let base = first_alloc().addr;
+    let read = |addr, len| TraceOp::Read { addr, len };
+    let grant = |to| TraceOp::Grant {
+        lock: 0,
+        to,
+        exclusive: true,
+    };
+    for op in [read(base, 64), read(base + 64, 0), grant(0)] {
+        assert!(decoded(&with_alloc(first_alloc(), op)).is_ok(), "{op:?}");
+    }
+    for op in [read(base + 60, 8), read(base - 8, 8), read(u64::MAX - 3, 8)] {
+        assert_eq!(
+            decoded(&with_alloc(first_alloc(), op)),
+            Err(TraceError::Malformed("read outside the allocations")),
+            "{op:?}"
+        );
+    }
+    assert_eq!(
+        decoded(&with_alloc(first_alloc(), grant(1))),
+        Err(TraceError::Malformed(
+            "grant to a processor outside the trace"
+        ))
+    );
 }
 
 /// A replay stores a write into the one 4 MiB region holding its

@@ -8,12 +8,18 @@
 //! * **True positives** — every planted bug kind is caught on every data
 //!   backend with its planted provenance, and shrunk; a planted schedule
 //!   and its recording fail `check` naming the finding.
+//! * **Either walk order** — both verdicts hold whichever ready processor
+//!   the analysis walks first, the lowest-numbered or the highest.
 
 use midway_apps::fuzz::{
-    apply_mutation, catch_mutant, execute, mutant_caught, FuzzParams, MutantKind, Schedule,
+    apply_mutation, catch_mutant, caught_in, execute, mutant_caught, FuzzParams, MutantKind,
+    Schedule,
 };
 use midway_apps::{run_app, AppKind, Scale};
-use midway_core::{BackendKind, Midway, MidwayConfig, SystemBuilder};
+use midway_core::{
+    analyze, analyze_highest_first, BackendKind, CheckReport, FindingKind, Midway, MidwayConfig,
+    MidwayRun, OpStream, SystemBuilder, TraceOp,
+};
 use midway_replay::{check, record_app, App, Axes, Comparison, Trace};
 
 /// The checker as the only axis.
@@ -47,11 +53,22 @@ fn clean_apps_are_clean_on_every_data_backend() {
 }
 
 /// The same property as the matrix above, held directly on two runs
-/// rather than through `check`'s comparison.
+/// rather than through `check`'s comparison, and on the recordings: a
+/// checked recording is the plain one plus the reads and grants only the
+/// checker reads.
 #[test]
 fn checking_is_off_clock_bit_for_bit() {
+    let plain_ops = |stream: &OpStream| {
+        let mut out = OpStream::default();
+        for op in stream {
+            if !matches!(op, TraceOp::Read { .. } | TraceOp::Grant { .. }) {
+                out.record(op);
+            }
+        }
+        out
+    };
     for backend in [BackendKind::Rt, BackendKind::Vm, BackendKind::Blast] {
-        let cfg = MidwayConfig::new(4, backend);
+        let cfg = MidwayConfig::new(4, backend).record(true);
         let plain = run_app(AppKind::Sor, cfg, Scale::Small);
         let checked = run_app(AppKind::Sor, cfg.check(true), Scale::Small);
         assert_eq!(plain.finish_time, checked.finish_time, "{backend:?}");
@@ -59,6 +76,12 @@ fn checking_is_off_clock_bit_for_bit() {
         assert_eq!(plain.counters, checked.counters, "{backend:?}");
         assert!(plain.check.is_none());
         assert!(checked.check.is_some());
+        let stripped: Vec<OpStream> = checked.traces.iter().map(plain_ops).collect();
+        assert_eq!(plain.traces, stripped, "{backend:?}");
+        assert_ne!(
+            plain.traces, checked.traces,
+            "{backend:?}: no read recorded"
+        );
     }
 }
 
@@ -99,6 +122,63 @@ fn every_planted_bug_is_caught_and_shrunk_on_every_data_backend() {
     }
 }
 
+/// A recorded, checked run's recording analyzed in both walk orders:
+/// lowest-numbered ready processor first, then highest.
+fn both_walks<R>(run: &MidwayRun<R>) -> [CheckReport; 2] {
+    let spec = run
+        .blueprint
+        .as_ref()
+        .expect("recorded")
+        .build()
+        .check_spec();
+    [analyze, analyze_highest_first]
+        .map(|walk| walk(&spec, &run.traces).unwrap_or_else(|(_, e)| panic!("{e}")))
+}
+
+/// Which of two concurrent accesses the walk visits first decides whether
+/// a race shows as a stale read, so the order is pinned here: every
+/// clean cell is clean in both orders, and every planted bug kind is
+/// caught in both, within the seeds `catch_mutant` searches.
+#[test]
+fn verdicts_hold_in_both_walk_orders() {
+    for kind in AppKind::every() {
+        for backend in BackendKind::DATA {
+            let cfg = MidwayConfig::new(4, backend).record(true).check(true);
+            let run = run_app(kind, cfg, Scale::Small);
+            for (walk, report) in both_walks(&run).iter().enumerate() {
+                let cell = format!("{} under {}, walk {walk}", kind.label(), backend.label());
+                assert!(report.is_clean(), "{cell}: {}", report.summary());
+            }
+        }
+    }
+    for kind in MutantKind::ALL {
+        for backend in BackendKind::DATA {
+            let mut caught = [false; 2];
+            for seed in 0..25 {
+                let base = Schedule::generate(seed, FuzzParams::mutant());
+                let Some(s) = apply_mutation(&base, kind, seed) else {
+                    continue;
+                };
+                let cfg = MidwayConfig::new(s.params.procs, backend)
+                    .record(true)
+                    .check(true);
+                let run = execute(&s, cfg, None).expect("the mutant runs");
+                for (c, report) in caught.iter_mut().zip(both_walks(&run)) {
+                    *c |= caught_in(&s, &report);
+                }
+                if caught == [true; 2] {
+                    break;
+                }
+            }
+            let cell = format!("{} under {}", kind.label(), backend.label());
+            assert_eq!(
+                caught, [true; 2],
+                "{cell}: caught in [lowest, highest] first"
+            );
+        }
+    }
+}
+
 /// The planted schedule at seed 0, and the finding `check` must name:
 /// its kind's label and the mutant processor.
 fn planted(kind: MutantKind) -> (Schedule, [String; 2]) {
@@ -123,14 +203,18 @@ fn a_planted_schedule_fails_check_naming_the_finding() {
     }
 }
 
-/// Writes and synchronization are recorded, reads are not: a planted
-/// store or rebind survives into a trace, and replaying it with the
-/// checker attached fails `check` the same way.
+/// A planted bug survives into a recording, and replaying it with the
+/// checker attached fails `check` the same way. A recording holds reads
+/// only when it was made with the checker on, so the two read-ahead
+/// bugs are recorded that way and the store and rebind bugs without it.
 #[test]
 fn a_recorded_planted_bug_fails_check_naming_the_finding() {
-    for kind in [MutantKind::DropAcquire, MutantKind::RogueRebind] {
+    for kind in MutantKind::ALL {
         let (s, named) = planted(kind);
-        let cfg = MidwayConfig::new(s.params.procs, BackendKind::Rt).record(true);
+        let reads = kind.finding() == FindingKind::StaleRead;
+        let cfg = MidwayConfig::new(s.params.procs, BackendKind::Rt)
+            .record(true)
+            .check(reads);
         let run = execute(&s, cfg, None).expect("the mutant runs");
         let trace = Trace::from_run(kind.label(), "fuzz", false, &run);
         let decoded = Trace::decode(&trace.encode()).expect("round-trip");

@@ -377,4 +377,19 @@ cargo run --release -q -p midway-bench --bin sweep -- \
 cargo run --release -q -p midway-replay --bin trace -- \
     check "$smoke/sor-rt.mwt" --race
 
+echo "==> size"
+# Not a gate: the three counts ROADMAP's size trend records. Non-test
+# code lines (blank and // lines, and everything from a file's
+# #[cfg(test)] on, left out) and `pub` item lines over crates/*/src
+# outside the frozen benchmark, then every workspace .rs line.
+rust_src() {
+    find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/benchmark/*' -print0
+}
+code=$(rust_src | xargs -0 awk 'FNR==1{s=0} /^#\[cfg\(test\)\]/{s=1}
+    !s && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\//{c++} END{print c}')
+pubs=$(rust_src | xargs -0 cat |
+    grep -cE '^(    )?pub (fn|struct|enum|trait|type|const|static|mod|use)')
+all=$(find . -name '*.rs' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l)
+echo "non-test code lines: $code; pub lines: $pubs; workspace .rs lines: $all"
+
 echo "==> ci.sh: all green"

@@ -9,7 +9,9 @@
 //! all). The loss-0 row therefore isolates the pure channel overhead —
 //! framing bytes, acks, timers — and the remaining rows add real recovery
 //! work (retransmissions after drops). The check holds every point to the
-//! trusted run's final memory and counters.
+//! trusted run's final memory and to its counters outside the delivery
+//! rows; the retransmit, ack, duplicate-frame and data-frame columns are
+//! those delivery rows, summed over the cluster.
 
 use midway_apps::Scale;
 use midway_bench::{banner, run_cells, BenchArgs, Json, Record};
@@ -47,7 +49,8 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
             let (base, run) = (&verdict.baseline, &verdict.checked);
             let cost = base.cfg.cost;
             let base_ms = cost.cycles_to_millis(base.finish_time.cycles());
-            let link = run.link_totals();
+            let avg = run.avg_counters();
+            let t = avg.totals();
             let ms = cost.cycles_to_millis(run.finish_time.cycles());
             let slowdown = ms / base_ms.max(1e-12);
             let times = format!("{slowdown:.2}x");
@@ -59,10 +62,10 @@ pub(crate) fn run(mut args: BenchArgs) -> Result<Report, String> {
                 .f64("finish_ms", "finish (ms)", ms, 1)
                 .json("baseline_ms", Json::F64(base_ms))
                 .field("slowdown", "slowdown", Json::F64(slowdown), times)
-                .u64("retransmits", "retransmits", link.retransmits)
-                .u64("acks", "acks", link.acks_sent)
-                .u64("dup_frames", "dup frames", link.dup_frames_dropped)
-                .json("data_frames", Json::U64(link.data_frames_sent))
+                .u64("retransmits", "retransmits", t.retransmits)
+                .u64("acks", "acks", t.acks_sent)
+                .u64("dup_frames", "dup frames", t.dup_frames_dropped)
+                .json("data_frames", Json::U64(t.data_frames_sent))
         })
     });
     let points: Vec<Record> = sweeps.into_iter().flatten().collect();

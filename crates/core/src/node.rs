@@ -104,7 +104,7 @@ pub(crate) struct DsmNode {
     /// The lock this processor is waiting for in [`DsmNode::acquire`]: the
     /// only one a grant may name.
     acquiring: Option<LockId>,
-    pub(crate) link: LinkLayer,
+    link: LinkLayer,
     pub(crate) counters: Counters,
     /// Crash fence: messages and timers *delivered* before this cycle were
     /// in flight while the processor was dark and are dropped (0 = never
@@ -323,6 +323,11 @@ impl DsmNode {
         }
     }
 
+    /// Sends `msg` to `dst` through the link layer, which counts it.
+    pub(crate) fn send<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, dst: usize, msg: DsmMsg) {
+        self.link.send(h, &mut self.counters, dst, msg);
+    }
+
     /// Serves protocol messages until the whole cluster quiesces.
     pub(crate) fn finalize<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T) {
         while let Some((t, src, msg)) = h.drain_recv() {
@@ -354,7 +359,7 @@ impl DsmNode {
             NetMsg::Tick => {
                 self.tick_pending = false;
             }
-            NetMsg::RetxCheck { peer } => self.link.on_timer(h, peer),
+            NetMsg::RetxCheck { peer } => self.link.on_timer(h, &mut self.counters, peer),
             NetMsg::Raw(m) => self.handle_dsm(h, src, m),
             NetMsg::Data {
                 seq,
@@ -364,15 +369,16 @@ impl DsmNode {
             } => {
                 let mut deliver = Vec::new();
                 let header = link::FrameHeader { seq, ack, epoch };
-                self.link.on_data(h, src, header, msg, &mut deliver);
+                let c = &mut self.counters;
+                self.link.on_data(h, c, src, header, msg, &mut deliver);
                 for m in deliver {
                     self.handle_dsm(h, src, m);
                 }
                 // Any response the handlers sent to `src` carried the ack;
                 // otherwise acknowledge explicitly.
-                self.link.flush_ack(h, src);
+                self.link.flush_ack(h, &mut self.counters, src);
             }
-            NetMsg::Ack { ack, epoch } => self.link.on_ack(h, src, ack, epoch),
+            NetMsg::Ack { ack, epoch } => self.link.on_ack(h, &mut self.counters, src, ack, epoch),
             NetMsg::Crash { down } => self.on_crash(h, down),
         }
     }

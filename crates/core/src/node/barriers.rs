@@ -53,8 +53,7 @@ impl DsmNode {
                         Category::Protocol,
                         self.cfg.cost.copy_cycles(bytes as usize, true),
                     );
-                    self.link
-                        .send(h, mgr, DsmMsg::BarrierArrive { barrier, set, time });
+                    self.send(h, mgr, DsmMsg::BarrierArrive { barrier, set, time });
                 }
             }
             BarrierCoord::Tree(ref mut site) => {
@@ -145,7 +144,7 @@ impl DsmNode {
                                 set,
                                 time: now,
                             };
-                            self.link.send(h, q, msg);
+                            self.send(h, q, msg);
                         }
                     }
                     let own = own.expect("the manager is one of the barrier's processors");
@@ -181,8 +180,7 @@ impl DsmNode {
                     self.cfg.cost.copy_cycles(bytes as usize, true),
                 );
                 let time = self.clock.now();
-                self.link
-                    .send(h, parent, DsmMsg::BarrierArrive { barrier, set, time });
+                self.send(h, parent, DsmMsg::BarrierArrive { barrier, set, time });
             }
             TreeStep::Release { merged } => {
                 // The root: the whole cluster has arrived; start the
@@ -221,7 +219,7 @@ impl DsmNode {
                 set: set.clone(),
                 time,
             };
-            self.link.send(h, child, msg);
+            self.send(h, child, msg);
         }
         self.finish_barrier(h, barrier, &set.with_skip(&own_addrs), time);
     }
@@ -406,7 +404,7 @@ mod tests {
                             time,
                         };
                         let (node, h) = p.engine();
-                        node.link.send(h, 0, msg);
+                        node.send(h, 0, msg);
                     }
                 }
                 p.barrier(bar);
@@ -442,7 +440,7 @@ mod tests {
                             time,
                         };
                         let (node, h) = p.engine();
-                        node.link.send(h, 0, msg);
+                        node.send(h, 0, msg);
                     }
                 }
                 p.barrier(bar);

@@ -40,11 +40,16 @@
 //! period; and a stale timer armed for an older, since-acked exchange
 //! would otherwise cut a fresh frame's timeout short and retransmit it
 //! spuriously — the deadline makes such fires re-arm and wait.
+//!
+//! The layer keeps no tallies of its own: every method takes the node's
+//! [`Counters`] and counts its frames, acks, retransmits and timer fires
+//! there, with the fate the transport gave each message it sent.
 
 use midway_net::Transport;
-use midway_proto::channel::{Accept, LinkStats, RecvChannel, ReliableParams, SendChannel};
+use midway_proto::channel::{Accept, RecvChannel, ReliableParams, SendChannel};
 use midway_sim::Category;
 
+use crate::counters::Counters;
 use crate::msg::{DsmMsg, NetMsg};
 
 /// Reliable-channel state for one peer, allocated on first contact.
@@ -104,7 +109,6 @@ pub(crate) struct LinkLayer {
     /// wire) only once nonzero, so never-crashed traffic is byte-identical
     /// to the epoch-less format.
     pub(crate) epoch: u32,
-    pub(crate) stats: LinkStats,
 }
 
 /// Sequencing header of an incoming data frame: the per-pair sequence
@@ -122,7 +126,6 @@ impl LinkLayer {
             params,
             peers: (0..procs).map(|_| None).collect(),
             epoch: 0,
-            stats: LinkStats::default(),
         }
     }
 
@@ -132,10 +135,16 @@ impl LinkLayer {
     }
 
     /// Sends `msg` to `dst`, reliably when the network is untrusted.
-    pub(crate) fn send<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, dst: usize, msg: DsmMsg) {
+    pub(crate) fn send<T: Transport<Msg = NetMsg>>(
+        &mut self,
+        h: &mut T,
+        c: &mut Counters,
+        dst: usize,
+        msg: DsmMsg,
+    ) {
         let bytes = msg.wire_size();
         if !self.reliable {
-            h.send(dst, NetMsg::Raw(msg), bytes);
+            c.count_fate(h.send(dst, NetMsg::Raw(msg), bytes));
             return;
         }
         let rto = self.params.rto_cycles;
@@ -149,7 +158,7 @@ impl LinkLayer {
         let ack = p.rx.cum_ack();
         p.last_acked = ack;
         p.force_ack = false;
-        self.stats.data_frames_sent += 1;
+        c.data_frames_sent += 1;
         let epoch = self.epoch;
         let frame = NetMsg::Data {
             seq,
@@ -158,7 +167,7 @@ impl LinkLayer {
             msg,
         };
         let wire = frame.wire_size();
-        h.send(dst, frame, wire);
+        c.count_fate(h.send(dst, frame, wire));
         self.arm_timer(h, dst, rto);
     }
 
@@ -166,15 +175,15 @@ impl LinkLayer {
     /// pre-crash straggler (older than the sender's current incarnation)
     /// and must be discarded. Also tracks peer recoveries: a *newer*
     /// epoch is how this node learns the peer crashed and came back.
-    fn fence_stale_epoch(&mut self, src: usize, epoch: u32) -> bool {
+    fn fence_stale_epoch(&mut self, c: &mut Counters, src: usize, epoch: u32) -> bool {
         let p = self.peer(src);
         if epoch < p.peer_epoch {
-            self.stats.stale_epoch_fenced += 1;
+            c.stale_frames_fenced += 1;
             return true;
         }
         if epoch > p.peer_epoch {
             p.peer_epoch = epoch;
-            self.stats.peer_recoveries_observed += 1;
+            c.peer_recoveries_observed += 1;
         }
         false
     }
@@ -185,26 +194,27 @@ impl LinkLayer {
     pub(crate) fn on_data<T: Transport<Msg = NetMsg>>(
         &mut self,
         h: &mut T,
+        c: &mut Counters,
         src: usize,
         header: FrameHeader,
         msg: DsmMsg,
         deliver: &mut Vec<DsmMsg>,
     ) {
         let FrameHeader { seq, ack, epoch } = header;
-        if self.fence_stale_epoch(src, epoch) {
+        if self.fence_stale_epoch(c, src, epoch) {
             return;
         }
         self.apply_ack(h, src, ack);
         let p = self.peer(src);
         match p.rx.on_data(seq, msg, deliver) {
             Accept::InOrder => {}
-            Accept::Buffered => self.stats.out_of_order_buffered += 1,
+            Accept::Buffered => c.frames_buffered_out_of_order += 1,
             Accept::Duplicate => {
                 // The peer resent (or the network duplicated) a frame we
                 // already have; our ack may have been lost, so owe a fresh
                 // one even though the cumulative ack is unchanged.
                 p.force_ack = true;
-                self.stats.dup_frames_dropped += 1;
+                c.dup_frames_dropped += 1;
             }
         }
     }
@@ -213,11 +223,12 @@ impl LinkLayer {
     pub(crate) fn on_ack<T: Transport<Msg = NetMsg>>(
         &mut self,
         h: &mut T,
+        c: &mut Counters,
         src: usize,
         ack: u64,
         epoch: u32,
     ) {
-        if self.fence_stale_epoch(src, epoch) {
+        if self.fence_stale_epoch(c, src, epoch) {
             return;
         }
         self.apply_ack(h, src, ack);
@@ -238,7 +249,12 @@ impl LinkLayer {
     /// Sends an explicit ack to `src` if one is owed — called after the
     /// protocol engine has handled a delivered frame, so any reverse data
     /// frame it produced has already carried the ack.
-    pub(crate) fn flush_ack<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, src: usize) {
+    pub(crate) fn flush_ack<T: Transport<Msg = NetMsg>>(
+        &mut self,
+        h: &mut T,
+        c: &mut Counters,
+        src: usize,
+    ) {
         let now = h.now().cycles();
         let rto = self.params.rto_cycles;
         let p = self.peer(src);
@@ -248,21 +264,26 @@ impl LinkLayer {
         if cum > p.last_acked || forced {
             p.last_acked = cum;
             p.force_ack_ok_at = now + rto;
-            self.stats.acks_sent += 1;
+            c.acks_sent += 1;
             let frame = NetMsg::Ack {
                 ack: cum,
                 epoch: self.epoch,
             };
             let wire = frame.wire_size();
-            h.send(src, frame, wire);
+            c.count_fate(h.send(src, frame, wire));
         }
     }
 
     /// Handles a retransmit timer for the channel to `peer`: resends the
     /// oldest unacked frame (unless backoff says to sit this fire out),
     /// or disarms when everything has been acked.
-    pub(crate) fn on_timer<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, peer: usize) {
-        self.stats.timer_fires += 1;
+    pub(crate) fn on_timer<T: Transport<Msg = NetMsg>>(
+        &mut self,
+        h: &mut T,
+        c: &mut Counters,
+        peer: usize,
+    ) {
+        c.retransmit_timer_fires += 1;
         let timer_cost = self.params.timer_cost_cycles;
         let now = h.now().cycles();
         let params = self.params;
@@ -277,7 +298,7 @@ impl LinkLayer {
         if now < p.retx_deadline {
             // Too early — the timer was armed for an older exchange.
         } else if let Some((seq, msg, _bytes)) = p.tx.oldest_unacked() {
-            self.stats.retransmits += 1;
+            c.retransmits += 1;
             let p = self.peer(peer);
             let next_rto = p.tx.note_retransmit(&params);
             p.retx_deadline = now + next_rto;
@@ -291,7 +312,7 @@ impl LinkLayer {
                 msg,
             };
             let wire = frame.wire_size();
-            h.send(peer, frame, wire);
+            c.count_fate(h.send(peer, frame, wire));
         }
         self.arm_timer(h, peer, params.rto_cycles);
     }

@@ -32,8 +32,7 @@ impl DsmNode {
                 .acquire(self.me, mode, seen);
             self.do_transfers(h, lock, transfers);
         } else {
-            self.link
-                .send(h, home, DsmMsg::AcquireReq { lock, mode, seen });
+            self.send(h, home, DsmMsg::AcquireReq { lock, mode, seen });
         }
         self.pump_until(h, |n| n.locks[idx].held.is_some());
         self.acquiring = None;
@@ -68,8 +67,7 @@ impl DsmNode {
                 .release(self.me, mode);
             self.do_transfers(h, lock, transfers);
         } else {
-            self.link
-                .send(h, home, DsmMsg::ReleaseNotify { lock, mode });
+            self.send(h, home, DsmMsg::ReleaseNotify { lock, mode });
         }
         self.wal_lock(h, idx);
         // A release is a synchronization boundary: released update sets

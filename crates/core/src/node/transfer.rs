@@ -38,7 +38,7 @@ impl DsmNode {
                         mode: t.mode,
                         payload: GrantPayload::Current,
                     };
-                    self.link.send(h, t.requester, msg);
+                    self.send(h, t.requester, msg);
                 }
             } else if t.old_owner == self.me {
                 let payload = self.collect_for(h, lock, t.seen);
@@ -50,7 +50,7 @@ impl DsmNode {
                     mode: t.mode,
                     seen: t.seen,
                 };
-                self.link.send(h, t.old_owner, msg);
+                self.send(h, t.old_owner, msg);
             }
         }
     }
@@ -91,7 +91,7 @@ impl DsmNode {
             mode,
             payload,
         };
-        self.link.send(h, requester, msg);
+        self.send(h, requester, msg);
     }
 
     /// Applies a grant's payload and marks the lock held.
@@ -203,7 +203,7 @@ mod tests {
             if p.id() == 1 {
                 let msg = forge(lock, Binding::new(vec![data.full_range()]));
                 let (node, h) = p.engine();
-                node.link.send(h, 0, msg);
+                node.send(h, 0, msg);
             } else if acquiring {
                 p.acquire(lock);
                 p.release(lock);

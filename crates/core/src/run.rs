@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use midway_mem::LocalStore;
 use midway_net::{RealCluster, RealConfig, RealTransport, Transport};
-use midway_proto::LinkStats;
 use midway_sim::{Cluster, ClusterConfig, ProcReport, RunError, RunOutcome, VirtualTime};
 
 use crate::api::Proc;
@@ -22,17 +21,16 @@ use crate::trace::{OpStream, SpecBlueprint};
 pub struct MidwayRun<R> {
     /// Per-processor application results.
     pub results: Vec<R>,
-    /// Per-processor primitive-operation counters (Table 2's raw data).
+    /// Per-processor counters: Table 2's raw data, the crash recovery's
+    /// and the network's and reliable channel's (the delivery rows are all
+    /// zeros when the run's fault plan is disabled).
     pub counters: Vec<Counters>,
-    /// Per-processor simulator accounting (clock breakdowns, messages).
+    /// Per-processor clock accounting: final time and category breakdown.
     pub reports: Vec<ProcReport>,
     /// The run's finish time: the maximum final clock.
     pub finish_time: VirtualTime,
     /// Messages delivered cluster-wide.
     pub messages: u64,
-    /// Per-processor reliable-channel activity (all zeros when the run's
-    /// fault plan is disabled and messages travel unframed).
-    pub link: Vec<LinkStats>,
     /// Per-processor FNV-1a digests of the final local memory content —
     /// the final-state equivalence check for fault-tolerance oracles.
     pub store_digests: Vec<u64>,
@@ -70,16 +68,6 @@ impl<R> MidwayRun<R> {
         self.avg_counters().avg(|c| c.data_bytes_sent) / 1024.0
     }
 
-    /// Cluster-wide reliable-channel totals (all zeros on a trusted
-    /// network).
-    pub fn link_totals(&self) -> LinkStats {
-        let mut total = LinkStats::default();
-        for l in &self.link {
-            total.add(l);
-        }
-        total
-    }
-
     /// Application data transferred cluster-wide, in MB (Figure 2's right
     ///-hand axis).
     pub fn data_mb_total(&self) -> f64 {
@@ -99,7 +87,6 @@ impl<R> MidwayRun<R> {
             reports: self.reports,
             finish_time: self.finish_time,
             messages: self.messages,
-            link: self.link,
             store_digests: self.store_digests,
             cfg: self.cfg,
             traces: self.traces,
@@ -111,7 +98,7 @@ impl<R> MidwayRun<R> {
 
 /// What one processor's session produces, transport-independent: its
 /// final local store is digested with everyone else's, in lockstep.
-type SessionOut<R> = (R, Counters, LinkStats, LocalStore, Option<OpStream>);
+type SessionOut<R> = (R, Counters, LocalStore, Option<OpStream>);
 
 /// One processor's whole life, on any transport: build the node, run the
 /// application closure, serve the cluster until quiescence, report.
@@ -131,7 +118,7 @@ where
     let r = f(&mut proc);
     let mut node = proc.finish();
     node.finalize(h);
-    (r, node.counters, node.link.stats, node.store, node.rec)
+    (r, node.counters, node.store, node.rec)
 }
 
 /// Assembles a cluster run of per-processor sessions, on either transport,
@@ -150,13 +137,11 @@ fn assemble<R>(
     let procs = out.results.len();
     let mut results = Vec::with_capacity(procs);
     let mut counters = Vec::with_capacity(procs);
-    let mut link = Vec::with_capacity(procs);
     let mut stores = Vec::with_capacity(procs);
     let mut traces = Vec::new();
-    for (r, c, l, s, t) in out.results {
+    for (r, c, s, t) in out.results {
         results.push(r);
         counters.push(c);
-        link.push(l);
         stores.push(s);
         traces.extend(t);
     }
@@ -177,7 +162,6 @@ fn assemble<R>(
         reports: out.reports,
         finish_time: out.finish_time,
         messages: out.messages_delivered,
-        link,
         store_digests,
         cfg,
         traces,

@@ -507,7 +507,6 @@ impl<M: Wire> RealTransport<M> {
                     hub.take(self.me)
                 });
                 if let Some((now, src, msg)) = got {
-                    self.report.msgs_received += u64::from(src != self.me);
                     return Some((self.nanos_to_cycles(now), src, msg));
                 }
             }
@@ -540,32 +539,24 @@ impl<M: Wire> Transport for RealTransport<M> {
         self.report.breakdown[cat as usize] += cycles;
     }
 
-    fn send(&mut self, dst: usize, msg: M, bytes: u64) {
+    fn send(&mut self, dst: usize, msg: M, _bytes: u64) -> FaultDecision {
         assert!(dst < self.procs, "destination {dst} out of range");
         assert_ne!(
             dst, self.me,
             "self-send: local operations must not use the network"
         );
-        self.report.msgs_sent += 1;
-        self.report.bytes_sent += bytes;
         // The plan decides on a per-pair (src, dst, seq) identity, so a
         // given plan drops the same messages of a pair in every run.
         let seq = self.seqs[dst];
         self.seqs[dst] += 1;
-        let copies = match self.faults.decide(self.me, dst, seq) {
-            FaultDecision::Drop => 0,
-            FaultDecision::Duplicate { .. } => 2,
-            // Real sockets offer no delay hook; these deliver normally
-            // and are not counted as injected.
+        let (fate, copies) = match self.faults.decide(self.me, dst, seq) {
+            FaultDecision::Drop => return FaultDecision::Drop,
+            dup @ FaultDecision::Duplicate { .. } => (dup, 2),
+            // Real sockets offer no delay hook; these deliver normally.
             FaultDecision::Deliver
             | FaultDecision::Reorder { .. }
-            | FaultDecision::Delay { .. } => 1,
+            | FaultDecision::Delay { .. } => (FaultDecision::Deliver, 1),
         };
-        self.report.fault_stats.dropped += u64::from(copies == 0);
-        self.report.fault_stats.duplicated += u64::from(copies == 2);
-        if copies == 0 {
-            return;
-        }
         // A frame is `[u32 len]` and the encoded message.
         self.scratch.clear();
         self.scratch.extend_from_slice(&[0; 4]);
@@ -578,6 +569,7 @@ impl<M: Wire> Transport for RealTransport<M> {
                 self.die(e);
             }
         }
+        fate
     }
 
     fn post_self(&mut self, msg: M, delay: u64) {

@@ -1,7 +1,7 @@
 //! The transport seam: the exact message-passing surface the DSM protocol
 //! engine needs, abstracted from the virtual-time simulator.
 
-use midway_sim::{Category, ProcHandle, VirtualTime};
+use midway_sim::{Category, FaultDecision, ProcHandle, VirtualTime};
 
 /// The message-passing surface a processor's protocol engine runs against.
 ///
@@ -32,6 +32,10 @@ use midway_sim::{Category, ProcHandle, VirtualTime};
 ///   duplicated only where the run's `FaultPlan` decides so at the send
 ///   site, on either transport; with the plan disabled, every message
 ///   sent is delivered exactly once.
+/// * **The sender learns the fate.** [`send`](Transport::send) returns
+///   what the transport did to the message, and nothing else counts it.
+///   The simulator returns the plan's decision; sockets deliver a reorder
+///   or delay decision normally and return `Deliver` for it.
 /// * **Self-posts are local.** [`post_self`](Transport::post_self) never
 ///   touches the network and is delivered back to the poster (src = own
 ///   id) no earlier than `delay` cycles later.
@@ -64,12 +68,13 @@ pub trait Transport {
         self.charge(Category::Compute, cycles);
     }
 
-    /// Sends `msg` (declared wire size `bytes`) to processor `dst`.
+    /// Sends `msg` (declared wire size `bytes`) to processor `dst` and
+    /// returns the fate the run's fault plan gave it (see the contract).
     ///
     /// # Panics
     ///
     /// Panics if `dst` is this processor or out of range.
-    fn send(&mut self, dst: usize, msg: Self::Msg, bytes: u64);
+    fn send(&mut self, dst: usize, msg: Self::Msg, bytes: u64) -> FaultDecision;
 
     /// Schedules `msg` for delivery back to this processor after `delay`
     /// cycles, with no network charges. The deterministic timer primitive.
@@ -125,8 +130,8 @@ impl<M: Clone> Transport for ProcHandle<M> {
         ProcHandle::charge(self, cat, cycles);
     }
 
-    fn send(&mut self, dst: usize, msg: M, bytes: u64) {
-        ProcHandle::send(self, dst, msg, bytes);
+    fn send(&mut self, dst: usize, msg: M, bytes: u64) -> FaultDecision {
+        ProcHandle::send(self, dst, msg, bytes)
     }
 
     fn post_self(&mut self, msg: M, delay: u64) {

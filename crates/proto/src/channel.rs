@@ -75,44 +75,6 @@ impl Default for ReliableParams {
     }
 }
 
-/// Per-processor tallies of reliable-channel activity, aggregated over
-/// all peers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Data frames sent (first transmissions).
-    pub data_frames_sent: u64,
-    /// Explicit ack-only frames sent.
-    pub acks_sent: u64,
-    /// Data frames retransmitted after a timeout.
-    pub retransmits: u64,
-    /// Retransmit timers that fired (whether or not anything was resent).
-    pub timer_fires: u64,
-    /// Incoming duplicate frames discarded by sequence check.
-    pub dup_frames_dropped: u64,
-    /// Incoming frames that arrived ahead of sequence and were buffered.
-    pub out_of_order_buffered: u64,
-    /// Incoming frames fenced because they carried an incarnation epoch
-    /// older than the sender's current one (pre-crash stragglers).
-    pub stale_epoch_fenced: u64,
-    /// Peer epoch bumps observed: how many times a peer's frames revealed
-    /// it had crashed and recovered since we last heard from it.
-    pub peer_recoveries_observed: u64,
-}
-
-impl LinkStats {
-    /// Element-wise sum, for cluster-wide aggregation.
-    pub fn add(&mut self, other: &LinkStats) {
-        self.data_frames_sent += other.data_frames_sent;
-        self.acks_sent += other.acks_sent;
-        self.retransmits += other.retransmits;
-        self.timer_fires += other.timer_fires;
-        self.dup_frames_dropped += other.dup_frames_dropped;
-        self.out_of_order_buffered += other.out_of_order_buffered;
-        self.stale_epoch_fenced += other.stale_epoch_fenced;
-        self.peer_recoveries_observed += other.peer_recoveries_observed;
-    }
-}
-
 /// Sender side of one directed reliable channel.
 ///
 /// Frames are staged here before transmission and held until a cumulative
@@ -372,31 +334,5 @@ mod tests {
         assert_eq!(rx.cum_ack(), 4);
         assert!(tx.on_ack(rx.cum_ack()));
         assert!(!tx.has_inflight());
-    }
-
-    #[test]
-    fn stats_aggregate() {
-        let mut a = LinkStats {
-            data_frames_sent: 5,
-            acks_sent: 2,
-            retransmits: 1,
-            timer_fires: 3,
-            dup_frames_dropped: 1,
-            out_of_order_buffered: 2,
-            stale_epoch_fenced: 0,
-            peer_recoveries_observed: 0,
-        };
-        a.add(&LinkStats {
-            acks_sent: 1,
-            retransmits: 4,
-            stale_epoch_fenced: 2,
-            peer_recoveries_observed: 1,
-            ..LinkStats::default()
-        });
-        assert_eq!(a.acks_sent, 3);
-        assert_eq!(a.retransmits, 5);
-        assert_eq!(a.stale_epoch_fenced, 2);
-        assert_eq!(a.peer_recoveries_observed, 1);
-        assert_eq!(a.acks_sent + a.retransmits, 8);
     }
 }

@@ -42,9 +42,7 @@ mod update;
 pub mod vm;
 
 pub use binding::Binding;
-pub use channel::{
-    Accept, LinkStats, RecvChannel, ReliableParams, SendChannel, RELIABLE_HEADER_BYTES,
-};
+pub use channel::{Accept, RecvChannel, ReliableParams, SendChannel, RELIABLE_HEADER_BYTES};
 pub use clock::LamportClock;
 pub use home::{BarrierError, BarrierSite, HomeLock, SeenToken, Transfer};
 pub use sync_id::{BarrierId, HomeMap, LockId, Mode};

@@ -205,7 +205,8 @@ fn load(path: &str) -> Result<Trace, String> {
 }
 
 fn summarize(run: &MidwayRun<()>) {
-    let (cfg, avg) = (&run.cfg, Counters::average(&run.counters));
+    let (cfg, avg) = (&run.cfg, run.avg_counters());
+    let t = avg.totals();
     println!("backend:      {}", cfg.backend.label());
     println!("exec time:    {:.3} s (simulated)", run.exec_secs());
     println!("messages:     {}", run.messages);
@@ -216,16 +217,14 @@ fn summarize(run: &MidwayRun<()>) {
         report::collection_millis(cfg.backend, &avg, &cfg.cost).total()
     );
     if cfg.faults.enabled {
-        let link = run.link_totals();
-        let injected: u64 = run.reports.iter().map(|r| r.fault_stats.total()).sum();
+        let injected = t.msgs_dropped + t.msgs_duplicated + t.msgs_reordered + t.msgs_delayed;
         println!(
             "reliability:  {injected} faults injected, {} retransmits, {} acks, \
              {} dup frames dropped",
-            link.retransmits, link.acks_sent, link.dup_frames_dropped
+            t.retransmits, t.acks_sent, t.dup_frames_dropped
         );
     }
     if let Some(every) = cfg.effective_checkpoint_every() {
-        let t = avg.totals();
         println!(
             "recovery:     checkpoint every {every} boundaries; {} crash(es), {} cycles down, \
              {} messages fenced; {} checkpoints ({} KB) + {} KB WAL; replayed {} KB in {} cycles",
@@ -508,13 +507,8 @@ fn cmd_diff(args: &Args) -> Result<ExitCode, String> {
                 println!("meta.{what}: {va} != {vb}");
             }
         }
-        if ma.counters != mb.counters {
-            for (p, (ca, cb)) in ma.counters.iter().zip(&mb.counters).enumerate() {
-                if ca != cb {
-                    println!("meta.counters[{p}] differ: {ca:?} != {cb:?}");
-                    break;
-                }
-            }
+        for line in Counters::diff(&ma.counters, &mb.counters) {
+            println!("meta.counters: {line}");
         }
     }
     if a.blueprint != b.blueprint {

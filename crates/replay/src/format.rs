@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! magic   b"MWTR"                      (4 raw bytes)
-//! version 6                            (the only one the decoder accepts)
+//! version 7                            (the only one the decoder accepts)
 //! meta    app, scale (strings: length + UTF-8 bytes), verified (1 byte),
 //!         backend (1 byte: `BackendKind::wire_tag`), procs, history_cap,
 //!         cost model (mhz, page size, `CostModel::cycle_fields_mut`,
@@ -20,8 +20,9 @@
 //!         crash plan (count + count × (proc, at, down) varints),
 //!         checkpoint_every (1 varint),
 //!         finish_cycles, messages,
-//!         counters: procs × 24 varints (`Counters::fields_mut` order:
-//!         Table 2, then the crash/recovery counters)
+//!         counters: procs × `Counters::ROWS` varints (`Counters::NAMES`
+//!         order: Table 2, the crash/recovery rows, then the delivery
+//!         rows, which a fault-free run leaves zero)
 //! blueprint
 //!         allocs: n × (name, addr, len, private (1 byte), line_shift)
 //!         locks: n × ranges           (ranges: n × (start, len))
@@ -73,7 +74,7 @@ pub const MAGIC: [u8; 4] = *b"MWTR";
 /// The format version, and the only one the decoder accepts. Trace files
 /// are a re-recordable cache, not an archive: a file at any other version
 /// is [`TraceError::BadVersion`], which callers treat as a cache miss.
-pub const VERSION: u64 = 6;
+pub const VERSION: u64 = 7;
 
 /// The most bytes a blueprint may allocate in all: 1 TiB, far beyond any
 /// recorded workload (sor at datacenter scale allocates 512 MiB), and
@@ -276,9 +277,9 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
         m.cfg.procs,
         "one counter set per processor"
     );
-    for mut c in m.counters.iter().copied() {
-        for v in c.fields_mut() {
-            w.varint(*v);
+    for c in &m.counters {
+        for v in c.rows() {
+            w.varint(v);
         }
     }
 

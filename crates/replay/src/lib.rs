@@ -63,7 +63,7 @@ pub struct TraceMeta {
     pub finish_cycles: u64,
     /// Messages delivered cluster-wide in the recorded run.
     pub messages: u64,
-    /// Per-processor Table 2 counters of the recorded run.
+    /// Per-processor counters of the recorded run, every row.
     pub counters: Vec<Counters>,
 }
 
@@ -525,9 +525,11 @@ impl Program for App {
 ///    of a lock-order independent application,
 ///    [`AppKind::lock_order_independent`]: sor, matrix), a mismatch is an
 ///    error, and on the simulator so is any
-///    counter difference — compared after [`Counters::sans_recovery`] on
-///    both sides when a crash or a different checkpoint interval
-///    legitimately changes the recovery accounting. Otherwise shifted
+///    counter difference outside the delivery rows
+///    ([`Counters::sans_delivery`]) — compared after
+///    [`Counters::sans_recovery`] too on both sides when a crash or a
+///    different checkpoint interval legitimately changes the recovery
+///    accounting. Otherwise shifted
 ///    timing may reorder lock grants, and with them the last writer of a
 ///    contended word, so convergence is reported, not required.
 ///
@@ -674,8 +676,9 @@ fn same_run<R: PartialEq>(a: &MidwayRun<R>, b: &MidwayRun<R>) -> Result<(), Stri
             b.messages
         ));
     }
-    if a.counters != b.counters {
-        return Err("counters differ".into());
+    let rows = Counters::diff(&a.counters, &b.counters);
+    if !rows.is_empty() {
+        return Err(format!("counters differ: {}", rows.join("; ")));
     }
     if a.store_digests != b.store_digests {
         return Err("memory digests differ".into());
@@ -705,23 +708,25 @@ fn converges<R>(want: &MidwayRun<R>, got: &MidwayRun<R>, counters: bool) -> Resu
     if !counters {
         return Ok(());
     }
-    // A crash or another checkpoint interval changes the recovery
-    // accounting, and only that.
+    // The network's fate for each message and the channel's repair work
+    // are what the delivery axes change; a crash or another checkpoint
+    // interval changes the recovery accounting too.
     let recovery = got.cfg.faults.has_crashes()
         || got.cfg.effective_checkpoint_every() != want.cfg.effective_checkpoint_every();
-    for (p, (w, g)) in want.counters.iter().zip(&got.counters).enumerate() {
-        let (w, g) = match recovery {
-            true => (w.sans_recovery(), g.sans_recovery()),
-            false => (*w, *g),
-        };
-        if w != g {
-            return Err(format!(
-                "checked run diverged: processor {p} counters changed: baseline {w:?}, \
-                 checked {g:?}"
-            ));
-        }
+    let work = |c: &Counters| match recovery {
+        true => c.sans_delivery().sans_recovery(),
+        false => c.sans_delivery(),
+    };
+    let want: Vec<Counters> = want.counters.iter().map(work).collect();
+    let got: Vec<Counters> = got.counters.iter().map(work).collect();
+    let rows = Counters::diff(&want, &got);
+    match rows.is_empty() {
+        true => Ok(()),
+        false => Err(format!(
+            "checked run diverged: counters changed (baseline ≠ checked): {}",
+            rows.join("; ")
+        )),
     }
-    Ok(())
 }
 
 /// Asserts a replay is bit-for-bit identical to the recorded baseline.
@@ -739,12 +744,12 @@ fn check_meta(run: &MidwayRun<()>, m: &TraceMeta) -> Result<(), String> {
             m.messages, run.messages
         ));
     }
-    for (p, (rec, got)) in m.counters.iter().zip(&run.counters).enumerate() {
-        if rec != got {
-            return Err(format!(
-                "counters diverged on processor {p}: recorded {rec:?}, replayed {got:?}"
-            ));
-        }
+    let rows = Counters::diff(&m.counters, &run.counters);
+    match rows.is_empty() {
+        true => Ok(()),
+        false => Err(format!(
+            "counters diverged (recorded ≠ replayed): {}",
+            rows.join("; ")
+        )),
     }
-    Ok(())
 }

@@ -284,6 +284,34 @@ fn diff_names_each_processors_first_diverging_op() {
     }
 }
 
+/// `trace diff` names every counter row that differs, on every processor
+/// where one does, not just the first processor's two whole records.
+#[test]
+fn diff_names_every_differing_counter_row_on_every_processor() {
+    let a = record_app(
+        AppKind::Sor,
+        MidwayConfig::new(4, BackendKind::Rt),
+        Scale::Small,
+    );
+    let mut b = a.clone();
+    let set = a.meta.counters[1].dirtybits_set;
+    b.meta.counters[1].dirtybits_set += 1;
+    b.meta.counters[1].retransmits = 3;
+    b.meta.counters[3].acks_sent = 2;
+
+    let out = on_files(&["diff"], &[&a.encode(), &b.encode()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    let lines = [
+        format!(
+            "meta.counters: processor 1: dirtybits_set {set} ≠ {}, retransmits 0 ≠ 3\n",
+            set + 1
+        ),
+        "meta.counters: processor 3: acks_sent 0 ≠ 2\n".to_string(),
+    ];
+    assert_eq!(stdout, lines.concat());
+}
+
 /// `check --race` on a clean recording exits 0 and says there is no
 /// finding.
 #[test]

@@ -57,7 +57,7 @@ fn held_to<P: Program>(program: &P, axes: Axes, cell: &str) -> u64 {
             "{cell} under {axes:?}: a fault cannot make the run faster"
         );
     }
-    v.checked.link_totals().retransmits
+    v.checked.avg_counters().totals().retransmits
 }
 
 #[test]

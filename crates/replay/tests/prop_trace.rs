@@ -149,6 +149,18 @@ fn random_counters(rng: &mut SplitMix64) -> Counters {
         wal_bytes_logged: rng.next_below(1 << 24),
         recovery_replay_bytes: rng.next_below(1 << 24),
         recovery_cycles: rng.next_below(1 << 24),
+        msgs_dropped: rng.next_below(1000),
+        msgs_duplicated: rng.next_below(1000),
+        msgs_reordered: rng.next_below(1000),
+        msgs_delayed: rng.next_below(1000),
+        data_frames_sent: rng.next_below(1 << 24),
+        acks_sent: rng.next_below(1 << 24),
+        retransmits: rng.next_below(1000),
+        retransmit_timer_fires: rng.next_below(1 << 24),
+        dup_frames_dropped: rng.next_below(1000),
+        frames_buffered_out_of_order: rng.next_below(1000),
+        stale_frames_fenced: rng.next_below(1000),
+        peer_recoveries_observed: rng.next_below(8),
     }
 }
 

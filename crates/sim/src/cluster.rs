@@ -7,7 +7,7 @@ use std::rc::Rc;
 use crate::clock::{Category, CpuClock, CATEGORY_COUNT};
 use crate::coro::Coroutine;
 use crate::event::Event;
-use crate::fault::{FaultDecision, FaultPlan, FaultStats};
+use crate::fault::{FaultDecision, FaultPlan};
 use crate::net::NetModel;
 use crate::sched::Scheduler;
 use crate::time::VirtualTime;
@@ -157,14 +157,6 @@ pub struct ProcReport {
     pub final_time: VirtualTime,
     /// Cycle totals per [`Category`], indexed by `Category as usize`.
     pub breakdown: [u64; CATEGORY_COUNT],
-    /// Messages sent.
-    pub msgs_sent: u64,
-    /// Payload bytes sent (as declared by the callers of `send`).
-    pub bytes_sent: u64,
-    /// Messages received.
-    pub msgs_received: u64,
-    /// Faults the network injected on this processor's outgoing messages.
-    pub fault_stats: FaultStats,
 }
 
 /// The result of a successful cluster run: of [`Cluster::run`], and of
@@ -195,10 +187,6 @@ pub struct ProcHandle<M> {
     sched: Rc<Scheduler<M>>,
     clock: CpuClock,
     seq: u64,
-    msgs_sent: u64,
-    bytes_sent: u64,
-    msgs_received: u64,
-    fault_stats: FaultStats,
 }
 
 impl<M: Clone> ProcHandle<M> {
@@ -245,14 +233,14 @@ impl<M: Clone> ProcHandle<M> {
     /// may be silently dropped, duplicated, or delayed. The fault decision
     /// is a pure function of `(plan seed, src, dst, seq)`, so the same
     /// configuration always yields the same schedule. The sender is charged
-    /// and its counters advance identically in every case: faults are
-    /// invisible at the send site.
+    /// identically in every case and learns the message's fate only from
+    /// the returned decision, which a caller may tally.
     ///
     /// # Panics
     ///
     /// Panics if `dst` is this processor (protocols must short-circuit local
     /// operations) or out of range.
-    pub fn send(&mut self, dst: usize, msg: M, bytes: u64) {
+    pub fn send(&mut self, dst: usize, msg: M, bytes: u64) -> FaultDecision {
         assert!(dst < self.procs, "destination {dst} out of range");
         assert_ne!(
             dst, self.id,
@@ -263,18 +251,14 @@ impl<M: Clone> ProcHandle<M> {
         let deliver_at = self.clock.now() + self.net.wire_cycles(bytes);
         let seq = self.seq;
         self.seq += 1;
-        self.msgs_sent += 1;
-        self.bytes_sent += bytes;
-        match self.faults.decide(self.id, dst, seq) {
+        let fate = self.faults.decide(self.id, dst, seq);
+        match fate {
             FaultDecision::Deliver => self.post_event(deliver_at, seq, dst, msg),
-            FaultDecision::Drop => {
-                // The network ate it: the sender already paid, nothing is
-                // queued. `seq` stays consumed so later decisions on this
-                // link are independent of earlier fates.
-                self.fault_stats.dropped += 1;
-            }
+            // The network ate it: the sender already paid, nothing is
+            // queued. `seq` stays consumed so later decisions on this link
+            // are independent of earlier fates.
+            FaultDecision::Drop => {}
             FaultDecision::Duplicate { extra_delay } => {
-                self.fault_stats.duplicated += 1;
                 self.post_event(deliver_at, seq, dst, msg.clone());
                 // The extra copy takes its own seq so the scheduler's
                 // `(deliver_at, src, seq)` total order stays strict.
@@ -282,15 +266,11 @@ impl<M: Clone> ProcHandle<M> {
                 self.seq += 1;
                 self.post_event(deliver_at + extra_delay, dup_seq, dst, msg);
             }
-            FaultDecision::Reorder { extra_delay } => {
-                self.fault_stats.reordered += 1;
-                self.post_event(deliver_at + extra_delay, seq, dst, msg);
-            }
-            FaultDecision::Delay { extra_delay } => {
-                self.fault_stats.delayed += 1;
+            FaultDecision::Reorder { extra_delay } | FaultDecision::Delay { extra_delay } => {
                 self.post_event(deliver_at + extra_delay, seq, dst, msg);
             }
         }
+        fate
     }
 
     fn post_event(&mut self, deliver_at: VirtualTime, seq: u64, dst: usize, msg: M) {
@@ -379,7 +359,6 @@ impl<M: Clone> ProcHandle<M> {
                     // Self-posted timers carry no protocol cost.
                     self.clock
                         .charge(Category::Protocol, self.net.recv_overhead_cycles);
-                    self.msgs_received += 1;
                 }
                 Some((at, src, msg))
             }
@@ -422,10 +401,6 @@ impl<M: Clone> ProcHandle<M> {
         ProcReport {
             final_time: self.clock.now(),
             breakdown: self.clock.breakdown(),
-            msgs_sent: self.msgs_sent,
-            bytes_sent: self.bytes_sent,
-            msgs_received: self.msgs_received,
-            fault_stats: self.fault_stats,
         }
     }
 }
@@ -476,10 +451,6 @@ impl Cluster {
                         sched: Rc::clone(sched),
                         clock: CpuClock::new(),
                         seq: 0,
-                        msgs_sent: 0,
-                        bytes_sent: 0,
-                        msgs_received: 0,
-                        fault_stats: FaultStats::default(),
                     };
                     // Caught here, on the processor's own stack, so its
                     // frames unwind and its locals drop before the event
@@ -788,31 +759,38 @@ mod tests {
         assert_eq!(base.finish_time, zero.finish_time);
     }
 
+    /// Processor 0 sends `n` messages to processor 1 under `faults`.
+    /// Returns the fate `send` returned for each, and the messages
+    /// processor 1 drained, in order.
+    fn fates(faults: FaultPlan, n: u64) -> (Vec<FaultDecision>, Vec<Msg>) {
+        let cfg = ClusterConfig::new(2).faults(faults);
+        let mut out = Cluster::run(cfg, |p: &mut ProcHandle<Msg>| {
+            let fates: Vec<FaultDecision> = match p.id() {
+                0 => (0..n).map(|i| p.send(1, i, 8)).collect(),
+                _ => Vec::new(),
+            };
+            let mut got = Vec::new();
+            while let Some((_, _, m)) = p.drain_recv() {
+                got.push(m);
+            }
+            (fates, got)
+        })
+        .unwrap();
+        let got = std::mem::take(&mut out.results[1].1);
+        (std::mem::take(&mut out.results[0].0), got)
+    }
+
+    /// How many of `fates` `kind` picks out.
+    fn tally(fates: &[FaultDecision], kind: fn(&FaultDecision) -> bool) -> u64 {
+        fates.iter().filter(|f| kind(f)).count() as u64
+    }
+
     #[test]
     fn fault_schedule_is_deterministic_across_runs() {
-        let run = || {
-            let faults = crate::fault::FaultPlan::chaos(11, 150_000);
-            let cfg = ClusterConfig::new(2).faults(faults);
-            let out = Cluster::run(cfg, |p: &mut ProcHandle<Msg>| {
-                if p.id() == 0 {
-                    for i in 0..200 {
-                        p.send(1, i, 8);
-                    }
-                    0
-                } else {
-                    let mut sum = 0;
-                    while let Some((_, _, m)) = p.drain_recv() {
-                        sum += m;
-                    }
-                    sum
-                }
-            })
-            .unwrap();
-            let stats = out.reports[0].fault_stats;
-            (out.results.clone(), out.messages_delivered, stats)
-        };
+        let run = || fates(FaultPlan::chaos(11, 150_000), 200);
         let first = run();
-        assert!(first.2.total() > 0, "chaos plan should inject something");
+        let injected = tally(&first.0, |f| *f != FaultDecision::Deliver);
+        assert!(injected > 0, "chaos plan should inject something");
         for _ in 0..5 {
             assert_eq!(run(), first);
         }
@@ -820,55 +798,29 @@ mod tests {
 
     #[test]
     fn drops_and_duplicates_change_delivery_counts() {
-        let count = |faults: crate::fault::FaultPlan| {
-            let cfg = ClusterConfig::new(2).faults(faults);
-            let out = Cluster::run(cfg, |p: &mut ProcHandle<Msg>| {
-                if p.id() == 0 {
-                    for i in 0..500 {
-                        p.send(1, i, 8);
-                    }
-                }
-                let mut n = 0u64;
-                while p.drain_recv().is_some() {
-                    n += 1;
-                }
-                n
-            })
-            .unwrap();
-            (out.results[1], out.reports[0].fault_stats)
-        };
-        let (clean, _) = count(crate::fault::FaultPlan::seeded(3));
-        assert_eq!(clean, 500);
-        let (lossy, ls) = count(crate::fault::FaultPlan::lossy(3, 200_000));
-        assert_eq!(lossy, 500 - ls.dropped);
-        assert!(ls.dropped > 0);
-        let (dupped, ds) = count(crate::fault::FaultPlan::seeded(3).dup_ppm(200_000));
-        assert_eq!(dupped, 500 + ds.duplicated);
-        assert!(ds.duplicated > 0);
+        let (fs, clean) = fates(FaultPlan::seeded(3), 500);
+        assert_eq!(tally(&fs, |f| *f == FaultDecision::Deliver), 500);
+        assert_eq!(clean.len(), 500);
+        let (fs, lossy) = fates(FaultPlan::lossy(3, 200_000), 500);
+        let dropped = tally(&fs, |f| *f == FaultDecision::Drop);
+        assert_eq!(lossy.len() as u64, 500 - dropped);
+        assert!(dropped > 0);
+        let (fs, dupped) = fates(FaultPlan::seeded(3).dup_ppm(200_000), 500);
+        let duplicated = tally(&fs, |f| matches!(f, FaultDecision::Duplicate { .. }));
+        assert_eq!(dupped.len() as u64, 500 + duplicated);
+        assert!(duplicated > 0);
     }
 
     #[test]
     fn delayed_messages_arrive_late_but_arrive() {
-        let faults = crate::fault::FaultPlan::seeded(17).delay_ppm(300_000);
-        let cfg = ClusterConfig::new(2).net(NetModel::ideal()).faults(faults);
-        let out = Cluster::run(cfg, |p: &mut ProcHandle<Msg>| {
-            if p.id() == 0 {
-                for i in 0..100 {
-                    p.send(1, i, 8);
-                }
-                0
-            } else {
-                let mut got: Vec<u64> = Vec::new();
-                while let Some((_, _, m)) = p.drain_recv() {
-                    got.push(m);
-                }
-                got.sort_unstable();
-                got.len() as u64
-            }
-        })
-        .unwrap();
-        assert_eq!(out.results[1], 100, "delay must never lose a message");
-        assert!(out.reports[0].fault_stats.delayed > 0);
+        let (fs, mut got) = fates(FaultPlan::seeded(17).delay_ppm(300_000), 100);
+        got.sort_unstable();
+        assert_eq!(
+            got,
+            (0..100).collect::<Vec<_>>(),
+            "delay must never lose a message"
+        );
+        assert!(tally(&fs, |f| matches!(f, FaultDecision::Delay { .. })) > 0);
     }
 
     /// Folds one delivery into an FNV-1a-64 hash of a delivery order.

@@ -41,35 +41,6 @@ pub enum FaultDecision {
     },
 }
 
-/// Per-processor tallies of injected faults (published in
-/// [`ProcReport`](crate::ProcReport)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages this processor sent that the network discarded.
-    pub dropped: u64,
-    /// Messages delivered twice.
-    pub duplicated: u64,
-    /// Messages given reordering jitter.
-    pub reordered: u64,
-    /// Messages given a long stall.
-    pub delayed: u64,
-}
-
-impl FaultStats {
-    /// Element-wise sum, for cluster-wide aggregation.
-    pub fn add(&mut self, other: &FaultStats) {
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.reordered += other.reordered;
-        self.delayed += other.delayed;
-    }
-
-    /// Total faults injected.
-    pub fn total(&self) -> u64 {
-        self.dropped + self.duplicated + self.reordered + self.delayed
-    }
-}
-
 /// One scheduled processor crash: processor `proc` fails at virtual cycle
 /// `at` and restarts `down` cycles later. Between `at` and `at + down`
 /// the processor is dark — everything addressed to it in that window is
@@ -447,21 +418,5 @@ mod tests {
         let p = FaultPlan::none().with_crash(0, 0, 0);
         let c = p.crashes_for(0)[0];
         assert_eq!((c.at, c.down), (1, 1));
-    }
-
-    #[test]
-    fn stats_aggregate() {
-        let mut a = FaultStats {
-            dropped: 1,
-            duplicated: 2,
-            reordered: 3,
-            delayed: 4,
-        };
-        a.add(&FaultStats {
-            dropped: 10,
-            ..FaultStats::default()
-        });
-        assert_eq!(a.dropped, 11);
-        assert_eq!(a.total(), 20);
     }
 }

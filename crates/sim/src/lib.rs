@@ -79,7 +79,7 @@ pub use cluster::{
     panic_message, Cluster, ClusterConfig, ProcHandle, ProcReport, RunError, RunOutcome,
 };
 pub use coro::{suspend, Coroutine};
-pub use fault::{CrashEvent, FaultDecision, FaultPlan, FaultStats, MAX_CRASHES};
+pub use fault::{CrashEvent, FaultDecision, FaultPlan, MAX_CRASHES};
 pub use net::NetModel;
 pub use rng::SplitMix64;
 pub use time::VirtualTime;

@@ -115,10 +115,7 @@ fn recovery_composes_with_a_lossy_network() {
     let crash = one_crash(&app).crashes()[0];
     let plan = FaultPlan::lossy(7, 10_000).with_crash(1, crash.at, crash.at / 5);
     let v = check(&app, &sim(plan)).expect("loss + crash");
-    assert!(
-        v.checked.link_totals().retransmits > 0,
-        "1% loss must retransmit"
-    );
+    assert!(totals(&v).retransmits > 0, "1% loss must retransmit");
 }
 
 /// Task-queue applications recover deterministically; final state
@@ -152,7 +149,7 @@ fn live_runs_verify_output_and_account_for_recovery() {
     assert!(total.recovery_replay_bytes > 0);
     assert!(total.recovery_cycles > 0, "recovery must cost cycles");
     assert!(
-        v.checked.link_totals().peer_recoveries_observed > 0,
+        total.peer_recoveries_observed > 0,
         "peers must observe the recovered processor's new epoch"
     );
 }

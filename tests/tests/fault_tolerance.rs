@@ -12,7 +12,7 @@
 //! is in crates/replay/tests/product.rs.
 
 use midway_apps::{AppKind, Scale};
-use midway_core::{BackendKind, FaultPlan, MidwayConfig};
+use midway_core::{BackendKind, Counters, FaultPlan, MidwayConfig, MidwayRun};
 use midway_replay::{check, App, Axes, Comparison, Transport};
 
 /// The simulator under `plan`, every other axis as the reference.
@@ -51,9 +51,14 @@ fn order_independent_apps_converge_under_chaos() {
             let v = check(&app(kind, BackendKind::Rt), &sim(chaos(seed)))
                 .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", kind.label()));
             assert!(v.converged, "{} seed {seed}: final memory", kind.label());
+            // Every row but the delivery ones, which only the checked
+            // run's network moves.
+            let work = |r: &MidwayRun<()>| -> Vec<Counters> {
+                r.counters.iter().map(Counters::sans_delivery).collect()
+            };
             assert_eq!(
-                v.checked.counters,
-                v.baseline.counters,
+                work(&v.checked),
+                work(&v.baseline),
                 "{} seed {seed}: counters",
                 kind.label()
             );
@@ -94,12 +99,9 @@ fn enabled_channel_with_zero_rates_converges() {
         let v = check(&app(AppKind::Sor, backend), &sim(FaultPlan::seeded(3)))
             .unwrap_or_else(|e| panic!("{}: {e}", backend.label()));
         assert_eq!(v.comparison, Comparison::Converged);
-        let injected: u64 = v
-            .checked
-            .reports
-            .iter()
-            .map(|r| r.fault_stats.total())
-            .sum();
+        let avg = v.checked.avg_counters();
+        let t = avg.totals();
+        let injected = t.msgs_dropped + t.msgs_duplicated + t.msgs_reordered + t.msgs_delayed;
         assert_eq!(injected, 0, "zero rates must inject nothing");
     }
 }
@@ -115,7 +117,7 @@ fn heavy_loss_completes_without_deadlock() {
     )
     .expect("10% loss must still converge");
     assert!(
-        v.checked.link_totals().retransmits > 0,
+        v.checked.avg_counters().totals().retransmits > 0,
         "10% loss without a single retransmission is not credible"
     );
 }

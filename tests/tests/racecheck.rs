@@ -9,11 +9,12 @@
 //!   backend with its planted provenance, and shrunk; a planted schedule
 //!   and its recording fail `check` naming the finding.
 //! * **Either walk order** — both verdicts hold whichever ready processor
-//!   the analysis walks first, the lowest-numbered or the highest.
+//!   the analysis walks first, the lowest-numbered or the highest, on the
+//!   applications and on the fuzzer's fixed band of random programs.
 
 use midway_apps::fuzz::{
-    apply_mutation, catch_mutant, caught_in, execute, mutant_caught, FuzzParams, MutantKind,
-    Schedule,
+    apply_mutation, backends_for, catch_mutant, caught_in, execute, mutant_caught, FuzzParams,
+    MutantKind, Schedule,
 };
 use midway_apps::{run_app, AppKind, Scale};
 use midway_core::{
@@ -175,6 +176,26 @@ fn verdicts_hold_in_both_walk_orders() {
                 caught, [true; 2],
                 "{cell}: caught in [lowest, highest] first"
             );
+        }
+    }
+}
+
+/// The walk order is pinned on arbitrary programs too: every seed of the
+/// fuzzer's fixed clean band (`tests/fuzz.rs`) is clean in both walks on
+/// every backend its processor count admits.
+#[test]
+fn fixed_fuzz_seeds_are_clean_in_both_walk_orders() {
+    for seed in 0..20 {
+        let s = Schedule::generate(seed, FuzzParams::for_seed(seed));
+        for &backend in backends_for(s.params.procs) {
+            let cfg = MidwayConfig::new(s.params.procs, backend)
+                .record(true)
+                .check(true);
+            let run = execute(&s, cfg, None).expect("the schedule runs");
+            for (walk, report) in both_walks(&run).iter().enumerate() {
+                let cell = format!("seed {seed} under {}, walk {walk}", backend.label());
+                assert!(report.is_clean(), "{cell}: {}", report.summary());
+            }
         }
     }
 }

@@ -77,14 +77,12 @@ fn lossy_tcp_run_completes_and_still_satisfies_the_oracle() {
     };
     let v = check(&sor(BackendKind::Rt), &lossy).expect("lossy sor run");
     assert_eq!(v.comparison, Comparison::Converged);
-    let injected: u64 = v
-        .checked
-        .reports
-        .iter()
-        .map(|r| r.fault_stats.total())
-        .sum();
-    assert!(injected > 0, "the loss plan must actually inject faults");
-    let link = v.checked.link_totals();
+    let avg = v.checked.avg_counters();
+    let link = avg.totals();
+    assert!(
+        link.msgs_dropped + link.msgs_duplicated > 0,
+        "the loss plan must actually inject faults"
+    );
     assert!(
         link.data_frames_sent > 0,
         "a lossy plan must frame messages reliably"
@@ -98,13 +96,12 @@ fn lossy_tcp_run_completes_and_still_satisfies_the_oracle() {
     let recorded = Trace::from_run("sor", "small", true, &v.baseline);
     let v = check(&recorded, &lossy).expect("lossy trace check");
     assert_eq!(v.comparison, Comparison::Converged);
-    let injected: u64 = v
-        .checked
-        .reports
-        .iter()
-        .map(|r| r.fault_stats.total())
-        .sum();
-    assert!(injected > 0, "the checked run must be lossy too");
+    let avg = v.checked.avg_counters();
+    let t = avg.totals();
+    assert!(
+        t.msgs_dropped + t.msgs_duplicated > 0,
+        "the checked run must be lossy too"
+    );
 }
 
 /// A socket cell whose plan crashes a processor is refused up front, as an

@@ -8,8 +8,8 @@
 //! recorded shared-memory operation stream fully determines the run.
 
 use midway_apps::{run_app, AppKind, Scale};
-use midway_core::{BackendKind, MidwayConfig};
-use midway_replay::{record_app, replay, verify_replay, Trace};
+use midway_core::{BackendKind, FaultPlan, MidwayConfig};
+use midway_replay::{check, record_app, replay, verify_replay, Axes, Trace};
 
 /// Records `kind` under `backend`, round-trips the trace through the byte
 /// format, and checks the replay oracle.
@@ -130,4 +130,25 @@ fn replaying_with_recording_reproduces_the_trace() {
     assert_eq!(retrace.ops, trace.ops, "re-recorded op streams differ");
     assert_eq!(retrace.blueprint, trace.blueprint);
     assert_eq!(retrace.encode(), trace.encode(), "byte-identical files");
+}
+
+/// A recording made on a lossy network carries the network's and the
+/// reliable channel's rows in its header too: it checks clean, and a
+/// recorded retransmit count the replay does not reproduce fails the
+/// check, naming the processor and the row.
+#[test]
+fn a_lossy_recording_holds_its_delivery_rows() {
+    let cfg = MidwayConfig::new(4, BackendKind::Rt).faults(FaultPlan::lossy(7, 10_000));
+    let recorded = record_app(AppKind::Sor, cfg, Scale::Small);
+    let mut trace = Trace::decode(&recorded.encode()).expect("round-trip");
+    let lossy = |p: usize| trace.meta.counters[p].msgs_dropped > 0;
+    let p = (0..4).find(|&p| lossy(p)).expect("1% loss drops a message");
+    check(&trace, &Axes::default()).expect("the lossy recording checks clean");
+
+    trace.meta.counters[p].retransmits += 1;
+    let err = check(&trace, &Axes::default()).expect_err("a forged retransmit count");
+    assert!(
+        err.contains(&format!("processor {p}: retransmits")),
+        "{err}"
+    );
 }

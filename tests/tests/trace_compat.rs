@@ -4,8 +4,8 @@
 //! bench harnesses treat as a cache miss), never half-understood.
 
 use midway_apps::{AppKind, Scale};
-use midway_core::codec::{fnv1a64, seal};
-use midway_core::{BackendKind, MidwayConfig};
+use midway_core::codec::{fnv1a64, seal, Writer};
+use midway_core::{BackendKind, Counters, MidwayConfig};
 use midway_replay::{record_app, Trace, TraceError, VERSION};
 
 /// A valid trace re-labelled as `version` and re-sealed, so the version
@@ -20,20 +20,24 @@ fn relabelled(bytes: &[u8], version: u64) -> Vec<u8> {
     out
 }
 
+/// The plain sor recording both tests read.
+fn sor() -> Trace {
+    record_app(
+        AppKind::Sor,
+        MidwayConfig::new(4, BackendKind::Rt),
+        Scale::Small,
+    )
+}
+
 #[test]
 fn past_and_future_versions_are_rejected_as_bad_version() {
-    let cfg = MidwayConfig::new(4, BackendKind::Rt);
-    let trace = record_app(AppKind::Sor, cfg, Scale::Small);
+    let trace = sor();
     let bytes = trace.encode();
-    // The file this recorder writes for this run, by length and FNV; set
-    // back to version 5 it is the byte-for-byte file of the version 5
-    // recorder: a recording without the checker did not move when the
-    // format gained the ops only a checked one holds.
+    // The file this recorder writes for this run, by length and FNV.
     assert_eq!(
         (bytes.len(), fnv1a64(&bytes)),
-        (19_326, 0xce9f_d357_cf8c_8331)
+        (19_374, 0x262a_3bef_ee95_df91)
     );
-    assert_eq!(fnv1a64(&relabelled(&bytes, 5)), 0xae92_ef77_b44f_2611);
     assert_eq!(Trace::decode(&relabelled(&bytes, VERSION)), Ok(trace));
 
     for version in [VERSION - 1, VERSION + 1] {
@@ -42,4 +46,45 @@ fn past_and_future_versions_are_rejected_as_bad_version() {
             Err(TraceError::BadVersion(version))
         );
     }
+}
+
+/// Version 7 added the delivery rows, last in each processor's counters
+/// block. A fault-free run leaves them zero, so its file is the version 6
+/// recorder's file plus the version byte and one zero byte per new row
+/// per processor. Cut those out, and it is that file byte for byte (pinned
+/// by length and FNV at the version 6 parent commit); set back to version
+/// 5, the version 5 recorder's, as before: a recording without the
+/// checker did not move when version 6 gained the ops only a checked one
+/// holds.
+#[test]
+fn a_fault_free_file_is_the_version_6_file_plus_zero_delivery_rows() {
+    let trace = sor();
+    let bytes = trace.encode();
+    let counters = &trace.meta.counters;
+    assert!(counters.iter().all(|c| c.sans_delivery() == *c));
+    let v6_rows = Counters::NAMES
+        .iter()
+        .position(|&row| row == "msgs_dropped")
+        .expect("the delivery section opens with msgs_dropped");
+    let block = |rows: usize| {
+        let mut out = Vec::new();
+        for c in counters {
+            for v in &c.rows()[..rows] {
+                out.varint(*v);
+            }
+        }
+        out
+    };
+    let (v7, v6) = (block(Counters::ROWS), block(v6_rows));
+    let new_rows = Counters::ROWS - v6_rows;
+    assert_eq!(v7.len() - v6.len(), counters.len() * new_rows);
+    let at: Vec<usize> = (0..bytes.len() - v7.len())
+        .filter(|&i| bytes[i..i + v7.len()] == v7[..])
+        .collect();
+    assert_eq!(at.len(), 1, "the counters block occurs once");
+
+    let mut old = [&bytes[..at[0]], &v6[..], &bytes[at[0] + v7.len()..]].concat();
+    old = relabelled(&old, 6);
+    assert_eq!((old.len(), fnv1a64(&old)), (19_326, 0xce9f_d357_cf8c_8331));
+    assert_eq!(fnv1a64(&relabelled(&old, 5)), 0xae92_ef77_b44f_2611);
 }

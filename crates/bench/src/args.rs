@@ -67,7 +67,8 @@ impl BenchArgs {
     ///
     /// A usage message listing the accepted flags, on any other flag, a
     /// value flag with no value (or another flag where its value should
-    /// be), or a malformed `--scale` / `--procs` / `--jobs`.
+    /// be), or a malformed `--scale` / `--procs` / `--jobs` (`--procs 0`
+    /// too: a run needs a processor).
     ///
     /// # Panics
     ///
@@ -107,7 +108,14 @@ impl BenchArgs {
                 .find(|k| k.label() == s)
                 .ok_or_else(|| usage(format!("unknown scale {s:?}")))?;
         }
-        args.procs = args.num("--procs", args.procs).map_err(&usage)?;
+        args.procs = match args.num("--procs", args.procs).map_err(&usage)? {
+            0 => {
+                return Err(usage(
+                    "--procs takes a processor count of 1 or more".to_string(),
+                ))
+            }
+            n => n,
+        };
         let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         args.jobs = args.num("--jobs", host).map_err(&usage)?.max(1);
         Ok(args)
@@ -267,8 +275,12 @@ mod tests {
 
     #[test]
     fn malformed_values_name_their_flag() {
-        let err = BenchArgs::parse(&argv("--procs many"), &["--procs"]).unwrap_err();
-        assert!(err.contains("--procs"), "{err}");
+        for bad in ["--procs many", "--procs 0"] {
+            let err = BenchArgs::parse(&argv(bad), &["--procs", "--smoke"]).unwrap_err();
+            assert!(err.contains("--procs"), "{bad}: {err}");
+            assert!(err.contains("accepted flags:\n  --procs N"), "{bad}: {err}");
+            assert!(err.contains("--smoke"), "{bad}: {err}");
+        }
         let err = BenchArgs::parse(&argv("--scale huge"), &["--scale"]).unwrap_err();
         assert!(err.contains("unknown scale"), "{err}");
         let accepted = ["--apps", "--backends"];

@@ -4,6 +4,7 @@ use midway_apps::AppKind;
 use midway_bench::{banner, run_cells, BenchArgs, Json, Record};
 use midway_core::{
     BackendKind, Counters, Midway, MidwayConfig, MidwayRun, NetModel, Proc, SystemBuilder,
+    SystemSpec,
 };
 use midway_replay::{check, replay_on, Axes, Trace};
 use midway_stats::{fmt_f64, fmt_u64, TextTable};
@@ -156,7 +157,7 @@ pub(crate) fn linesize(args: &BenchArgs) -> Fields {
                     .baseline
             } else {
                 let line_shift = 3 + elems_per_line.trailing_zeros(); // 8 B elements
-                let spec = trace.blueprint.with_shared_line_shift(line_shift).build();
+                let spec = SystemSpec::new(trace.blueprint.with_shared_line_shift(line_shift));
                 replay_on(&trace, trace.recorded_cfg(), &spec)
                     .unwrap_or_else(|e| panic!("linesize replay failed: {e}"))
             };

@@ -9,6 +9,7 @@ use midway_apps::AppKind;
 use midway_bench::{banner, run_cells, BenchArgs, Json, Record};
 use midway_core::report::{collection_millis, memory_refs_thousands, trapping_millis};
 use midway_core::{BackendKind, Counters, MidwayConfig};
+use midway_mem::PAGE_SIZE;
 use midway_stats::{fmt_f64, fmt_u64, CostModel, FaultSweep, TextTable};
 
 use crate::suite::{live_run, run_suite, suite_table, SuiteRun};
@@ -27,7 +28,7 @@ fn table_json(t: &TextTable) -> Fields {
 pub(crate) fn table1(_: &BenchArgs) -> Fields {
     let c = CostModel::r3000_mach();
     println!("== Table 1: primitive operation costs (model inputs) ==");
-    println!("platform: {} MHz R3000, {} B pages\n", c.mhz, c.page_size);
+    println!("platform: {} MHz R3000, {PAGE_SIZE} B pages\n", c.mhz);
 
     // A row whose µs column derives from the cycle count, and one that
     // prints the paper's exact measured microseconds.
@@ -228,8 +229,7 @@ pub(crate) fn table5(args: &BenchArgs) -> Fields {
         args,
     );
     let suite = run_suite(args);
-    let cost = CostModel::r3000_mach();
-    let refs = |s: &SuiteRun, b| memory_refs_thousands(b, &s.avg(b), &cost);
+    let refs = |s: &SuiteRun, b| memory_refs_thousands(b, &s.avg(b));
     let total = |s: &SuiteRun, b| refs(s, b).0 + refs(s, b).1;
     let t = suite_table(
         &suite,

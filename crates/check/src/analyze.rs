@@ -61,11 +61,11 @@
 
 use std::collections::HashMap;
 
-use midway_mem::{Addr, AddrRange, MemClass};
+use midway_mem::{Addr, AddrRange, Layout, MemClass};
 
 use crate::clock::VClock;
 use crate::report::{CheckReport, Finding, FindingKind, Staleness, MAX_FINDINGS};
-use crate::spec::CheckSpec;
+use crate::spec::SpecBlueprint;
 use crate::stream::{OpStream, Ops, TraceOp};
 
 /// Everything the stale-read rule tracks about one cache line.
@@ -109,7 +109,8 @@ struct LockState {
 type DedupKey = (FindingKind, usize, u64, Option<u32>);
 
 struct Analysis<'a> {
-    spec: &'a CheckSpec,
+    layout: &'a Layout,
+    bp: &'a SpecBlueprint,
     procs: usize,
     vc: Vec<VClock>,
     locks: Vec<LockState>,
@@ -141,10 +142,10 @@ fn overlaps(ranges: &[AddrRange], addr: u64, end: u64) -> bool {
 }
 
 impl<'a> Analysis<'a> {
-    fn new(spec: &'a CheckSpec, streams: &[OpStream]) -> Analysis<'a> {
+    fn new(layout: &'a Layout, bp: &'a SpecBlueprint, streams: &[OpStream]) -> Analysis<'a> {
         let procs = streams.len();
-        let barriers = spec.barriers.iter();
-        let bound = (spec.locks.iter().flatten())
+        let barriers = bp.barriers.iter();
+        let bound = (bp.locks.iter().flatten())
             .chain(barriers.flat_map(|b| {
                 b.ranges
                     .iter()
@@ -152,7 +153,7 @@ impl<'a> Analysis<'a> {
             }))
             .cloned()
             .collect();
-        let mut locks: Vec<LockState> = spec
+        let mut locks: Vec<LockState> = bp
             .locks
             .iter()
             .map(|ranges| LockState {
@@ -187,13 +188,14 @@ impl<'a> Analysis<'a> {
             });
         }
         Analysis {
-            spec,
+            layout,
+            bp,
             procs,
             vc: (0..procs).map(|p| VClock::new(procs, p)).collect(),
             locks,
             held: vec![Vec::new(); procs],
-            episodes: (0..spec.barriers.len()).map(|_| Vec::new()).collect(),
-            crossed: vec![vec![0; spec.barriers.len()]; procs],
+            episodes: (0..bp.barriers.len()).map(|_| Vec::new()).collect(),
+            crossed: vec![vec![0; bp.barriers.len()]; procs],
             entered: vec![false; procs],
             lines: HashMap::new(),
             bound,
@@ -210,7 +212,9 @@ impl<'a> Analysis<'a> {
         let hit = self.dedup.get(&key).copied();
         // Past the cap a new finding is only counted, so it gets no index.
         if hit.is_none() && self.report.findings.len() < MAX_FINDINGS {
-            finding.alloc = self.spec.alloc_name(finding.addr).map(str::to_string);
+            finding.alloc = (self.layout.allocs().iter())
+                .find(|a| a.range().contains(&finding.addr))
+                .map(|a| a.name.clone());
             self.dedup.insert(key, self.report.findings.len());
         }
         self.report.record(finding, hit);
@@ -241,7 +245,7 @@ impl<'a> Analysis<'a> {
     }
 
     fn on_write(&mut self, p: usize, op: usize, addr: u64, len: u32) {
-        let Some(region) = self.spec.layout.region(Addr(addr).region_index()) else {
+        let Some(region) = self.layout.region(Addr(addr).region_index()) else {
             return;
         };
         if region.class == MemClass::Private {
@@ -253,7 +257,7 @@ impl<'a> Analysis<'a> {
         let covered = self.held[p]
             .iter()
             .any(|(l, exclusive, _)| *exclusive && covers(&self.locks[*l as usize].cur, addr, end))
-            || self.spec.barriers.iter().any(|b| match &b.partitions {
+            || self.bp.barriers.iter().any(|b| match &b.partitions {
                 Some(parts) => covers(&parts[p], addr, end),
                 None => covers(&b.ranges, addr, end),
             });
@@ -290,7 +294,7 @@ impl<'a> Analysis<'a> {
     }
 
     fn on_read(&mut self, p: usize, op: usize, addr: u64, len: u32) {
-        let Some(region) = self.spec.layout.region(Addr(addr).region_index()) else {
+        let Some(region) = self.layout.region(Addr(addr).region_index()) else {
             return;
         };
         if region.class == MemClass::Private {
@@ -332,7 +336,7 @@ impl<'a> Analysis<'a> {
             .iter()
             .any(|(l, _, _)| covers(&self.locks[*l as usize].cur, addr, end))
             || self
-                .spec
+                .bp
                 .barriers
                 .iter()
                 .any(|b| covers(&b.ranges, addr, end));
@@ -430,17 +434,21 @@ impl<'a> Analysis<'a> {
     }
 }
 
-/// Analyzes one run's recording against `spec`: `streams[p]` is
-/// processor `p`'s ops in program order, with the `Read`s and `Grant`s a
-/// checked run records.
+/// Analyzes one run's recording against its declaration `bp`, whose
+/// allocations `layout` holds: `streams[p]` is processor `p`'s ops in
+/// program order, with the `Read`s and `Grant`s a checked run records.
 ///
 /// # Errors
 ///
 /// When the streams admit no happens-before order: the first stuck
 /// processor, and a message naming each stuck processor and the op it
 /// waits at.
-pub fn analyze(spec: &CheckSpec, streams: &[OpStream]) -> Result<CheckReport, (usize, String)> {
-    walk(spec, streams, false)
+pub fn analyze(
+    bp: &SpecBlueprint,
+    layout: &Layout,
+    streams: &[OpStream],
+) -> Result<CheckReport, (usize, String)> {
+    walk(bp, layout, streams, false)
 }
 
 /// [`analyze`], walking the highest-numbered ready processor first
@@ -448,19 +456,21 @@ pub fn analyze(spec: &CheckSpec, streams: &[OpStream]) -> Result<CheckReport, (u
 /// may take, so tests can pin which verdicts do not depend on it.
 #[doc(hidden)]
 pub fn analyze_highest_first(
-    spec: &CheckSpec,
+    bp: &SpecBlueprint,
+    layout: &Layout,
     streams: &[OpStream],
 ) -> Result<CheckReport, (usize, String)> {
-    walk(spec, streams, true)
+    walk(bp, layout, streams, true)
 }
 
 fn walk(
-    spec: &CheckSpec,
+    bp: &SpecBlueprint,
+    layout: &Layout,
     streams: &[OpStream],
     highest_first: bool,
 ) -> Result<CheckReport, (usize, String)> {
     let procs = streams.len();
-    let mut a = Analysis::new(spec, streams);
+    let mut a = Analysis::new(layout, bp, streams);
     let mut ops: Vec<Ops<'_>> = streams.iter().map(OpStream::iter).collect();
     // Each processor's next op and its index in the stream.
     let mut at: Vec<(usize, Option<TraceOp<'_>>)> = ops.iter_mut().map(|o| (0, o.next())).collect();
@@ -504,22 +514,39 @@ fn walk(
 #[cfg(test)]
 #[allow(clippy::single_range_in_vec_init)] // one-range bindings are the intended type here
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::spec::BarrierRanges;
     use midway_mem::LayoutBuilder;
 
+    /// A declaration's bindings and the layout its allocations make (the
+    /// analysis reads no allocation off the declaration itself).
+    type Spec = (SpecBlueprint, Arc<Layout>);
+
+    fn analyze(spec: &Spec, streams: &[OpStream]) -> Result<CheckReport, (usize, String)> {
+        super::analyze(&spec.0, &spec.1, streams)
+    }
+
+    fn analyze_highest_first(
+        spec: &Spec,
+        streams: &[OpStream],
+    ) -> Result<CheckReport, (usize, String)> {
+        super::analyze_highest_first(&spec.0, &spec.1, streams)
+    }
+
     /// Two shared 64-byte arrays with 8-byte lines at known addresses,
     /// one private array; one lock over the first array's first half, one
     /// partitioned barrier over the second array.
-    fn spec(procs: usize) -> (CheckSpec, u64, u64, u64) {
+    fn spec(procs: usize) -> (Spec, u64, u64, u64) {
         let mut lb = LayoutBuilder::new();
         let a = lb.alloc("a", 64, MemClass::Shared, 3);
         let b = lb.alloc("b", 64, MemClass::Shared, 3);
         let p = lb.alloc("scratch", 64, MemClass::Private, 3);
         let (a0, b0, p0) = (a.addr.raw(), b.addr.raw(), p.addr.raw());
         let per = 64 / procs as u64;
-        let spec = CheckSpec {
-            layout: lb.build(),
+        let bp = SpecBlueprint {
+            allocs: Vec::new(),
             locks: vec![vec![a0..a0 + 32]],
             barriers: vec![BarrierRanges {
                 ranges: vec![b0..b0 + 64],
@@ -530,7 +557,7 @@ mod tests {
                 ),
             }],
         };
-        (spec, a0, b0, p0)
+        ((bp, lb.build()), a0, b0, p0)
     }
 
     const BYTES: [u8; 8] = [0; 8];
@@ -567,7 +594,7 @@ mod tests {
     }
 
     /// Both walk orders, which must agree on `streams`.
-    fn both(spec: &CheckSpec, streams: &[OpStream]) -> CheckReport {
+    fn both(spec: &Spec, streams: &[OpStream]) -> CheckReport {
         let low = analyze(spec, streams).expect("the streams are ordered");
         let high = analyze_highest_first(spec, streams).expect("the streams are ordered");
         assert_eq!(low.counts, high.counts);

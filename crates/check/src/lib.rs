@@ -4,7 +4,9 @@
 //! synchronization object and only touched while that object is held; the
 //! write-detection machinery silently ships wrong data when an
 //! application breaks the contract. This crate detects such breaks
-//! dynamically. Its input is the run's one recording, an [`OpStream`] per
+//! dynamically. Its input is the system's declaration, a
+//! [`SpecBlueprint`] — the one the engine builds its layout from and a
+//! trace stores — and the run's one recording, an [`OpStream`] per
 //! processor — the same stream a trace stores and a replay applies — which
 //! a checked run extends with coalesced reads and each lock home's
 //! grants. [`analyze`] walks the streams in a happens-before order built
@@ -35,5 +37,5 @@ mod stream;
 
 pub use analyze::{analyze, analyze_highest_first};
 pub use report::{CheckReport, Finding, FindingKind, Staleness};
-pub use spec::{BarrierRanges, CheckSpec};
+pub use spec::{AllocSpec, BarrierRanges, SpecBlueprint};
 pub use stream::{OpStream, Ops, TraceOp};

@@ -49,7 +49,7 @@ pub struct Staleness {
 }
 
 /// One deduplicated finding with full provenance.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
     /// What went wrong.
     pub kind: FindingKind,
@@ -103,7 +103,7 @@ impl fmt::Display for Finding {
 pub(crate) const MAX_FINDINGS: usize = 256;
 
 /// The result of analyzing one run's recording.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CheckReport {
     /// Deduplicated findings (at most 256), in the order the analysis
     /// first detected them.

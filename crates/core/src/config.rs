@@ -1,6 +1,6 @@
 //! System configuration.
 
-use midway_proto::{HomeMap, ReliableParams};
+use midway_proto::HomeMap;
 use midway_sim::{FaultPlan, NetModel};
 use midway_stats::CostModel;
 
@@ -121,7 +121,11 @@ impl BackendKind {
     }
 }
 
-/// Full configuration of a Midway run.
+/// Full configuration of a Midway run: what a caller may vary. What no
+/// caller varies is a constant of the layer that reads it — the VM
+/// backend's history cap, the reliable channel's timing
+/// (`ReliableParams::atm_cluster`), the page size (`midway_mem::PAGE_SIZE`)
+/// and the fault plan's jitter windows.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MidwayConfig {
     /// Number of processors (the paper's cluster has eight).
@@ -132,11 +136,6 @@ pub struct MidwayConfig {
     pub cost: CostModel,
     /// Interconnect model.
     pub net: NetModel,
-    /// VM-DSM: incarnations of update history retained per lock. Midway
-    /// keeps "the complete set of prior updates" and falls back to a full
-    /// send when their concatenation exceeds the bound data size; a large
-    /// cap makes that size rule — not pruning — the operative fallback.
-    pub history_cap: usize,
     /// Record each processor's shared-memory operation stream; the run's
     /// [`MidwayRun::traces`](crate::MidwayRun::traces) and
     /// [`MidwayRun::blueprint`](crate::MidwayRun::blueprint) are then
@@ -145,11 +144,9 @@ pub struct MidwayConfig {
     /// Deterministic network fault schedule. Disabled by default: the
     /// network is perfect and messages travel unframed, byte-for-byte as
     /// they did before the reliable channel existed. Enabling the plan
-    /// (even with all rates zero) turns on reliable delivery.
+    /// (even with all rates zero) turns on reliable delivery, with the ATM
+    /// cluster's retransmit timeout, backoff cap and timer cost.
     pub faults: FaultPlan,
-    /// Reliable-channel tuning (retransmit timeout, backoff cap, timer
-    /// cost). Only consulted when `faults` is enabled.
-    pub reliable: ReliableParams,
     /// Run the dynamic entry-consistency checker alongside the program.
     /// Strictly off-clock: every virtual clock, wire size, counter and
     /// trace is bit-for-bit identical with checking on or off; the run's
@@ -182,10 +179,8 @@ impl MidwayConfig {
             backend,
             cost: CostModel::r3000_mach(),
             net: NetModel::atm_cluster(),
-            history_cap: 512,
             record: false,
             faults: FaultPlan::none(),
-            reliable: ReliableParams::atm_cluster(),
             check: false,
             home_map: HomeMap::Modulo,
             barrier: BarrierShape::Flat,
@@ -286,7 +281,6 @@ mod tests {
         let c = MidwayConfig::new(8, BackendKind::Rt);
         assert_eq!(c.procs, 8);
         assert_eq!(c.cost.mhz, 25);
-        assert_eq!(c.cost.page_size, 4096);
     }
 
     #[test]

@@ -70,7 +70,7 @@ use midway_proto::{Binding, LamportClock, PackedSet, SeenToken, UpdateSet, Visib
 use midway_sim::Category;
 use midway_stats::CostModel;
 
-use crate::config::{BackendKind, MidwayConfig};
+use crate::config::BackendKind;
 use crate::counters::Counters;
 use crate::msg::GrantPayload;
 use crate::setup::SystemSpec;
@@ -311,14 +311,14 @@ pub trait WriteDetector {
 impl BackendKind {
     /// Constructs the write detector this backend uses — the single
     /// registry point mapping `BackendKind` to behavior.
-    pub fn new_detector(self, cfg: &MidwayConfig, spec: &SystemSpec) -> Box<dyn WriteDetector> {
+    pub fn new_detector(self, spec: &SystemSpec) -> Box<dyn WriteDetector> {
         match self {
             BackendKind::None => Box::new(NoneDetector),
             BackendKind::Rt => Box::new(RtDetector::new(spec)),
             BackendKind::Hybrid => Box::new(RtDetector::hybrid(spec)),
-            BackendKind::Vm => Box::new(VmDetector::new(cfg, spec)),
+            BackendKind::Vm => Box::new(VmDetector::new(spec)),
             BackendKind::Blast => Box::new(BlastDetector),
-            BackendKind::TwinAll => Box::new(TwinAllDetector::new(cfg, spec)),
+            BackendKind::TwinAll => Box::new(TwinAllDetector::new(spec)),
         }
     }
 }

@@ -44,8 +44,8 @@ struct Paged {
 
 impl Paged {
     fn new(spec: &SystemSpec) -> Paged {
-        let policy = (0..spec.layout.region_slots())
-            .map(|id| match spec.layout.region(id) {
+        let policy = (0..spec.layout().region_slots())
+            .map(|id| match spec.layout().region(id) {
                 Some(desc) if desc.class == MemClass::Shared && desc.used >= PAGING_THRESHOLD => {
                     Mechanism::Paging
                 }
@@ -54,7 +54,7 @@ impl Paged {
             .collect();
         Paged {
             policy,
-            pages: PageTable::new(std::sync::Arc::clone(&spec.layout)),
+            pages: PageTable::new(std::sync::Arc::clone(spec.layout())),
         }
     }
 
@@ -102,8 +102,8 @@ impl RtDetector {
     /// A fresh RT-DSM detector for one processor of `spec`'s system.
     pub(crate) fn new(spec: &SystemSpec) -> RtDetector {
         RtDetector {
-            dirty: rt::DirtyMap::new(&spec.layout),
-            last_seen: vec![EPOCH; spec.locks.len()],
+            dirty: rt::DirtyMap::new(spec.layout()),
+            last_seen: vec![EPOCH; spec.locks()],
             paged: None,
         }
     }
@@ -130,7 +130,7 @@ impl RtDetector {
         now: u64,
     ) -> S {
         if let Some(paged) = &mut self.paged {
-            let (dirty, layout) = (&mut self.dirty, &cx.spec.layout);
+            let (dirty, layout) = (&mut self.dirty, cx.spec.layout());
             collect_charged(cx, &mut paged.pages, binding, |addr, data| {
                 rt::mark_write(dirty, layout, Addr(addr), data.len());
             });
@@ -139,7 +139,7 @@ impl RtDetector {
         let reads = rt::collect_with(
             cx.store,
             &mut self.dirty,
-            &cx.spec.layout,
+            cx.spec.layout(),
             binding,
             last_seen,
             now,
@@ -155,7 +155,7 @@ impl RtDetector {
         let res = rt::apply_with(
             cx.store,
             &mut self.dirty,
-            &cx.spec.layout,
+            cx.spec.layout(),
             items,
             |addr, data| {
                 if let Some(paged) = paged {
@@ -174,8 +174,10 @@ impl WriteDetector for RtDetector {
                 return Trap::Paging(paged.pages.lend(desc.id));
             }
         }
-        let template = spec.templates[desc.id].expect("allocated region has template");
-        Trap::Template(template, self.dirty.lend(&spec.layout, desc.id))
+        let template = spec
+            .template(desc.id)
+            .expect("allocated region has template");
+        Trap::Template(template, self.dirty.lend(spec.layout(), desc.id))
     }
 
     fn restore_trap(&mut self, region: usize, trap: Trap) {

@@ -8,7 +8,6 @@ use midway_mem::{Addr, LocalStore, PAGE_SHIFT, PAGE_SIZE};
 use midway_proto::{Binding, Fill, ItemRef, SeenToken, UpdateSet, Visible};
 use midway_sim::Category;
 
-use crate::config::MidwayConfig;
 use crate::msg::GrantPayload;
 use crate::setup::SystemSpec;
 
@@ -30,10 +29,10 @@ pub(crate) struct TwinAllDetector {
 
 impl TwinAllDetector {
     /// A fresh detector for one processor of `spec`'s system.
-    pub(crate) fn new(cfg: &MidwayConfig, spec: &SystemSpec) -> TwinAllDetector {
+    pub(crate) fn new(spec: &SystemSpec) -> TwinAllDetector {
         TwinAllDetector {
             twins: HashMap::new(),
-            locks: LockState::fresh(cfg, spec),
+            locks: LockState::fresh(spec),
             scratch: DiffScratch::default(),
         }
     }
@@ -111,10 +110,10 @@ fn twin_all_collect<S: Fill + Default>(
     binding: &Binding,
 ) -> S {
     let mut set = S::default();
-    for (region_id, page_range) in binding.page_spans(&cx.spec.layout) {
+    for (region_id, page_range) in binding.page_spans(cx.spec.layout()) {
         let desc = cx
             .spec
-            .layout
+            .layout()
             .region(region_id)
             .expect("bound region exists");
         for page in page_range {
@@ -168,7 +167,7 @@ fn twin_all_apply<'a>(
             let in_page = PAGE_SIZE - addr.page_offset();
             let chunk = in_page.min(item.data.len() - pos);
             let plen = PAGE_SIZE.min(
-                spec.layout
+                spec.layout()
                     .region(region)
                     .expect("update region exists")
                     .used

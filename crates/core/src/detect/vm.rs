@@ -7,11 +7,16 @@ use midway_mem::{MemClass, PageTable, RegionDesc};
 use midway_proto::{vm, Binding, Fill, ItemRef, PackedSet, SeenToken, Update, UpdateSet, Visible};
 use midway_sim::Category;
 
-use crate::config::MidwayConfig;
 use crate::msg::GrantPayload;
 use crate::setup::SystemSpec;
 
 use super::{DetectCx, Trap, WriteDetector};
+
+/// Incarnations of update history retained per lock. Midway keeps "the
+/// complete set of prior updates" and falls back to a full send when
+/// their concatenation exceeds the bound data size; a cap this large
+/// makes that size rule — not pruning — the operative fallback.
+const HISTORY_CAP: usize = 512;
 
 /// Per-lock state of the VM protocol (VM-DSM and TwinAll): the last-seen
 /// token, the current incarnation, and the update history — and the
@@ -27,12 +32,12 @@ pub(super) struct LockState {
 }
 
 impl LockState {
-    pub(super) fn fresh(cfg: &MidwayConfig, spec: &SystemSpec) -> Vec<LockState> {
-        (0..spec.locks.len())
+    pub(super) fn fresh(spec: &SystemSpec) -> Vec<LockState> {
+        (0..spec.locks())
             .map(|_| LockState {
                 last_seen: (0, 0),
                 incarnation: 0,
-                history: vm::LockHistory::new(cfg.history_cap),
+                history: vm::LockHistory::new(HISTORY_CAP),
             })
             .collect()
     }
@@ -132,7 +137,7 @@ pub(super) fn collect_charged(
     let (diffed, cleaned) = vm::collect_with(
         cx.store,
         pages,
-        &cx.spec.layout,
+        cx.spec.layout(),
         binding,
         |runs, words| charge(Category::WriteCollect, cost.page_diff_cycles(runs, words)),
         on_item,
@@ -151,10 +156,10 @@ pub(crate) struct VmDetector {
 
 impl VmDetector {
     /// A fresh detector for one processor of `spec`'s system.
-    pub(crate) fn new(cfg: &MidwayConfig, spec: &SystemSpec) -> VmDetector {
+    pub(crate) fn new(spec: &SystemSpec) -> VmDetector {
         VmDetector {
-            pages: PageTable::new(Arc::clone(&spec.layout)),
-            locks: LockState::fresh(cfg, spec),
+            pages: PageTable::new(Arc::clone(spec.layout())),
+            locks: LockState::fresh(spec),
         }
     }
 }

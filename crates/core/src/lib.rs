@@ -71,12 +71,11 @@ pub use trace::{AllocSpec, OpStream, SpecBlueprint, TraceOp};
 
 // Re-export the identifiers applications need.
 pub use midway_check::{
-    analyze, analyze_highest_first, BarrierRanges, CheckReport, CheckSpec, Finding, FindingKind,
-    Staleness,
+    analyze, analyze_highest_first, BarrierRanges, CheckReport, Finding, FindingKind, Staleness,
 };
 pub use midway_mem::AddrRange;
 pub use midway_net::wire as codec;
 pub use midway_net::{RealConfig, RealTransport, Transport};
-pub use midway_proto::{BarrierId, HomeMap, LockId, Mode, ReliableParams};
+pub use midway_proto::{BarrierId, HomeMap, LockId, Mode};
 pub use midway_sim::{FaultPlan, NetModel, RunError, SplitMix64, VirtualTime};
 pub use midway_stats::CostModel;

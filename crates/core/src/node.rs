@@ -150,33 +150,30 @@ use with_detector;
 impl DsmNode {
     pub(crate) fn new(me: usize, cfg: MidwayConfig, spec: Arc<SystemSpec>) -> DsmNode {
         let procs = cfg.procs;
-        let detect = cfg.backend.new_detector(&cfg, &spec);
-        let locks: Vec<LockNode> = spec
-            .locks
-            .iter()
-            .map(|b| LockNode {
-                binding: b.clone(),
+        let detect = cfg.backend.new_detector(&spec);
+        let bp = spec.blueprint();
+        let locks: Vec<LockNode> = (bp.locks.iter())
+            .map(|ranges| LockNode {
+                binding: Binding::new(ranges.clone()),
                 held: None,
             })
             .collect();
-        let homes = (0..spec.locks.len())
+        let homes = (0..spec.locks())
             .map(|i| {
                 let home = cfg.home_map.lock_home(LockId(i as u32), procs);
                 (home == me).then(|| HomeLock::new(home))
             })
             .collect();
-        let barriers: Vec<BarrierNode> = spec
-            .barriers
-            .iter()
-            .map(|(b, parts)| BarrierNode {
-                binding: b.clone(),
-                partition: parts.as_ref().map(|p| p[me].clone()),
+        let barriers: Vec<BarrierNode> = (bp.barriers.iter())
+            .map(|b| BarrierNode {
+                binding: Binding::new(b.ranges.clone()),
+                partition: (b.partitions.as_ref()).map(|p| Binding::new(p[me].clone())),
                 episode: 0,
                 last_consist: midway_mem::EPOCH,
                 released: false,
             })
             .collect();
-        let sites = (0..spec.barriers.len())
+        let sites = (0..spec.barriers())
             .map(|i| {
                 let mgr = cfg.home_map.barrier_manager(BarrierId(i as u32), procs);
                 match cfg.barrier {
@@ -200,7 +197,7 @@ impl DsmNode {
             me,
             procs,
             cfg,
-            store: LocalStore::new(Arc::clone(&spec.layout)),
+            store: LocalStore::new(Arc::clone(spec.layout())),
             clock: LamportClock::new(),
             detect,
             locks,
@@ -209,7 +206,7 @@ impl DsmNode {
             sites,
             tick_pending: false,
             acquiring: None,
-            link: LinkLayer::new(procs, cfg.faults.enabled, cfg.reliable),
+            link: LinkLayer::new(procs, cfg.faults.enabled),
             counters: Counters::default(),
             fence_before: 0,
             recovery,
@@ -252,7 +249,7 @@ impl DsmNode {
     #[inline(never)]
     pub(crate) fn lend(&mut self, lent: &mut Lent, addr: Addr) {
         self.restore(lent);
-        let id = self.spec.layout.region_of(addr).id;
+        let id = self.spec.layout().region_of(addr).id;
         lent.region = id;
         lent.slab = self.store.lend_region(id);
     }
@@ -288,7 +285,7 @@ impl DsmNode {
     fn lend_trap(&mut self, region: usize) -> Trap {
         let desc = self
             .spec
-            .layout
+            .layout()
             .region(region)
             .expect("a lent region exists");
         self.detect.lend_trap(&self.spec, desc)

@@ -52,6 +52,10 @@ use midway_sim::Category;
 use crate::counters::Counters;
 use crate::msg::{DsmMsg, NetMsg};
 
+/// The reliable channel's timeout, backoff cap and timer cost: the ATM
+/// cluster's, on every run.
+const PARAMS: ReliableParams = ReliableParams::atm_cluster();
+
 /// Reliable-channel state for one peer, allocated on first contact.
 struct PeerLink {
     tx: SendChannel<DsmMsg>,
@@ -100,7 +104,6 @@ impl PeerLink {
 pub(crate) struct LinkLayer {
     /// Whether reliable framing is on (= the run's fault plan is enabled).
     reliable: bool,
-    params: ReliableParams,
     /// Per-peer channels, indexed by processor id; `None` until the first
     /// frame to or from that peer. Stays all-`None` on a trusted network.
     peers: Vec<Option<Box<PeerLink>>>,
@@ -120,10 +123,9 @@ pub(crate) struct FrameHeader {
 }
 
 impl LinkLayer {
-    pub(crate) fn new(procs: usize, reliable: bool, params: ReliableParams) -> LinkLayer {
+    pub(crate) fn new(procs: usize, reliable: bool) -> LinkLayer {
         LinkLayer {
             reliable,
-            params,
             peers: (0..procs).map(|_| None).collect(),
             epoch: 0,
         }
@@ -147,7 +149,7 @@ impl LinkLayer {
             c.count_fate(h.send(dst, NetMsg::Raw(msg), bytes));
             return;
         }
-        let rto = self.params.rto_cycles;
+        let rto = PARAMS.rto_cycles;
         let now = h.now().cycles();
         let p = self.peer(dst);
         if !p.tx.has_inflight() {
@@ -236,7 +238,7 @@ impl LinkLayer {
 
     fn apply_ack<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, src: usize, ack: u64) {
         let now = h.now().cycles();
-        let rto = self.params.rto_cycles;
+        let rto = PARAMS.rto_cycles;
         let p = self.peer(src);
         if p.tx.on_ack(ack) && p.tx.has_inflight() {
             // Progress with frames still waiting: restart the timeout for
@@ -256,7 +258,7 @@ impl LinkLayer {
         src: usize,
     ) {
         let now = h.now().cycles();
-        let rto = self.params.rto_cycles;
+        let rto = PARAMS.rto_cycles;
         let p = self.peer(src);
         let cum = p.rx.cum_ack();
         let forced = p.force_ack && now >= p.force_ack_ok_at;
@@ -284,9 +286,8 @@ impl LinkLayer {
         peer: usize,
     ) {
         c.retransmit_timer_fires += 1;
-        let timer_cost = self.params.timer_cost_cycles;
+        let timer_cost = PARAMS.timer_cost_cycles;
         let now = h.now().cycles();
-        let params = self.params;
         let p = self.peer(peer);
         p.timer_armed = false;
         h.charge(Category::Protocol, timer_cost);
@@ -300,7 +301,7 @@ impl LinkLayer {
         } else if let Some((seq, msg, _bytes)) = p.tx.oldest_unacked() {
             c.retransmits += 1;
             let p = self.peer(peer);
-            let next_rto = p.tx.note_retransmit(&params);
+            let next_rto = p.tx.note_retransmit(&PARAMS);
             p.retx_deadline = now + next_rto;
             let ack = p.rx.cum_ack();
             p.last_acked = ack;
@@ -314,7 +315,7 @@ impl LinkLayer {
             let wire = frame.wire_size();
             c.count_fate(h.send(peer, frame, wire));
         }
-        self.arm_timer(h, peer, params.rto_cycles);
+        self.arm_timer(h, peer, PARAMS.rto_cycles);
     }
 
     /// Post-recovery repair: stamps the new incarnation epoch on all
@@ -325,7 +326,7 @@ impl LinkLayer {
     pub(crate) fn on_recover<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, epoch: u32) {
         self.epoch = epoch;
         let now = h.now().cycles();
-        let rto = self.params.rto_cycles;
+        let rto = PARAMS.rto_cycles;
         for peer in 0..self.peers.len() {
             let Some(p) = self.peers[peer].as_deref_mut() else {
                 continue;

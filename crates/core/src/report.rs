@@ -101,8 +101,8 @@ pub fn collection_millis(
 /// read and a write per word of each twinned page. VM collection: a read
 /// of page and twin per word of each diffed page, plus the words applied
 /// to twins.
-pub fn memory_refs_thousands(kind: BackendKind, avg: &AvgCounters, cost: &CostModel) -> (f64, f64) {
-    let words_per_page = cost.page_size as f64 / 4.0;
+pub fn memory_refs_thousands(kind: BackendKind, avg: &AvgCounters) -> (f64, f64) {
+    let words_per_page = midway_mem::PAGE_SIZE as f64 / 4.0;
     match kind {
         BackendKind::Rt => {
             let trap = avg.avg(|c| c.dirtybits_set) + avg.avg(|c| c.dirtybits_misclassified);
@@ -178,11 +178,10 @@ mod tests {
 
     #[test]
     fn table5_water_row_reproduces() {
-        let cost = CostModel::r3000_mach();
-        let (trap, collect) = memory_refs_thousands(BackendKind::Rt, &water_rt(), &cost);
+        let (trap, collect) = memory_refs_thousands(BackendKind::Rt, &water_rt());
         assert!((trap - 43.2).abs() < 0.5, "paper: 43");
         assert!((collect - 95.5).abs() < 1.0, "paper: 96, got {collect}");
-        let (vtrap, vcollect) = memory_refs_thousands(BackendKind::Vm, &water_vm(), &cost);
+        let (vtrap, vcollect) = memory_refs_thousands(BackendKind::Vm, &water_vm());
         assert!((vtrap - 528.4).abs() < 1.0, "paper: 510 (approx)");
         assert!((vcollect - 768.1).abs() < 2.0, "paper: 768, got {vcollect}");
     }

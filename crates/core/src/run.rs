@@ -41,8 +41,9 @@ pub struct MidwayRun<R> {
     /// [`MidwayConfig::check`] too, they hold the reads and grants the
     /// checker analyzed.
     pub traces: Vec<OpStream>,
-    /// The system blueprint, captured when recording (everything the
-    /// `midway-replay` crate needs to rebuild the run's `SystemSpec`).
+    /// The system's declaration, cloned from the spec when recording
+    /// (everything the `midway-replay` crate needs to rebuild the run's
+    /// `SystemSpec`).
     pub blueprint: Option<SpecBlueprint>,
     /// The dynamic entry-consistency checker's report, present when the
     /// run was configured with [`MidwayConfig::check`]. Checking is
@@ -130,8 +131,7 @@ where
 /// happens-before order of the recorded ops.
 fn assemble<R>(
     cfg: MidwayConfig,
-    spec: &Arc<SystemSpec>,
-    blueprint: Option<SpecBlueprint>,
+    spec: &SystemSpec,
     out: RunOutcome<SessionOut<R>>,
 ) -> Result<MidwayRun<R>, RunError> {
     let procs = out.results.len();
@@ -148,7 +148,7 @@ fn assemble<R>(
     let store_digests = LocalStore::digests(&stores.iter().collect::<Vec<_>>());
     let check = match cfg.check {
         true => Some(
-            midway_check::analyze(&spec.check_spec(), &traces)
+            midway_check::analyze(spec.blueprint(), spec.layout(), &traces)
                 .map_err(|(proc, message)| RunError::ProtocolViolation { proc, message })?,
         ),
         false => None,
@@ -165,7 +165,7 @@ fn assemble<R>(
         store_digests,
         cfg,
         traces,
-        blueprint,
+        blueprint: cfg.record.then(|| spec.blueprint().clone()),
         check,
     })
 }
@@ -246,13 +246,12 @@ impl Midway {
         F: Fn(&mut Proc<'_>) -> R,
     {
         assert_backend_supported(&cfg);
-        let blueprint = cfg.record.then(|| SpecBlueprint::capture(spec));
         let run_spec = Arc::clone(spec);
         let out = Cluster::run(
             cluster(&cfg),
             move |h: &mut midway_sim::ProcHandle<NetMsg>| proc_session(cfg, &run_spec, h, &f),
         )?;
-        assemble(cfg, spec, blueprint, out)
+        assemble(cfg, spec, out)
     }
 
     /// Runs `f` once per processor over loopback TCP sockets, wall-clock
@@ -290,11 +289,10 @@ impl Midway {
             "crash injection is simulator-only: real transports have no deterministic \
              clock to schedule failures against (checkpointing itself works everywhere)"
         );
-        let blueprint = cfg.record.then(|| SpecBlueprint::capture(spec));
         let run_spec = Arc::clone(spec);
         let out = RealCluster::run(cluster(&cfg), real, move |h: &mut RealTransport<NetMsg>| {
             proc_session(cfg, &run_spec, h, &f)
         })?;
-        assemble(cfg, spec, blueprint, out)
+        assemble(cfg, spec, out)
     }
 }

@@ -11,7 +11,8 @@ use std::sync::Arc;
 use midway_mem::{Addr, AddrRange, Layout, LayoutBuilder, MemClass, Template};
 use midway_proto::{BarrierId, Binding, LockId};
 
-use crate::trace::SpecBlueprint;
+use crate::trace::{AllocSpec, SpecBlueprint};
+use crate::BarrierRanges;
 
 /// Scalar element types storable in a [`SharedArray`], kept in memory as
 /// their little-endian bytes.
@@ -97,11 +98,11 @@ impl<T: Scalar> SharedArray<T> {
     }
 }
 
-/// Declares the shared memory image and synchronization objects.
+/// Declares the shared memory image and synchronization objects,
+/// recording the declaration as the program makes it.
 pub struct SystemBuilder {
     layout: LayoutBuilder,
-    locks: Vec<Binding>,
-    barriers: Vec<(Binding, Option<Vec<Binding>>)>,
+    bp: SpecBlueprint,
 }
 
 impl SystemBuilder {
@@ -109,8 +110,37 @@ impl SystemBuilder {
     pub fn new() -> SystemBuilder {
         SystemBuilder {
             layout: LayoutBuilder::new(),
-            locks: Vec::new(),
-            barriers: Vec::new(),
+            bp: SpecBlueprint::default(),
+        }
+    }
+
+    /// Allocates `len` elements of `T`, recording the allocation.
+    fn alloc<T: Scalar>(
+        &mut self,
+        name: &str,
+        len: usize,
+        private: bool,
+        line_shift: u32,
+    ) -> SharedArray<T> {
+        let class = match private {
+            true => MemClass::Private,
+            false => MemClass::Shared,
+        };
+        let base = self
+            .layout
+            .alloc(name, len * T::SIZE, class, line_shift)
+            .addr;
+        self.bp.allocs.push(AllocSpec {
+            name: name.to_string(),
+            addr: base.raw(),
+            len: len * T::SIZE,
+            private,
+            line_shift,
+        });
+        SharedArray {
+            base,
+            len,
+            _t: PhantomData,
         }
     }
 
@@ -132,43 +162,29 @@ impl SystemBuilder {
             line.is_power_of_two(),
             "line size {line} must be a power of two"
         );
-        let alloc = self
-            .layout
-            .alloc(name, len * T::SIZE, MemClass::Shared, line.trailing_zeros());
-        SharedArray {
-            base: alloc.addr,
-            len,
-            _t: PhantomData,
-        }
+        self.alloc(name, len, false, line.trailing_zeros())
     }
 
     /// Allocates a *private* array: per-processor data that pays only the
     /// misclassification penalty when written through the shared path.
     pub fn private_array<T: Scalar>(&mut self, name: &str, len: usize) -> SharedArray<T> {
-        let alloc = self.layout.alloc(
-            name,
-            len * T::SIZE,
-            MemClass::Private,
-            3.max(T::SIZE.trailing_zeros()),
-        );
-        SharedArray {
-            base: alloc.addr,
-            len,
-            _t: PhantomData,
-        }
+        self.alloc(name, len, true, 3.max(T::SIZE.trailing_zeros()))
     }
 
     /// Declares a lock bound to `ranges`.
     pub fn lock(&mut self, ranges: Vec<AddrRange>) -> LockId {
-        let id = LockId(self.locks.len() as u32);
-        self.locks.push(Binding::new(ranges));
+        let id = LockId(self.bp.locks.len() as u32);
+        self.bp.locks.push(normalized(ranges));
         id
     }
 
     /// Declares a barrier bound to `ranges` (empty for pure synchronization).
     pub fn barrier(&mut self, ranges: Vec<AddrRange>) -> BarrierId {
-        let id = BarrierId(self.barriers.len() as u32);
-        self.barriers.push((Binding::new(ranges), None));
+        let id = BarrierId(self.bp.barriers.len() as u32);
+        self.bp.barriers.push(BarrierRanges {
+            ranges: normalized(ranges),
+            partitions: None,
+        });
         id
     }
 
@@ -182,27 +198,26 @@ impl SystemBuilder {
         ranges: Vec<AddrRange>,
         partitions: Vec<Vec<AddrRange>>,
     ) -> BarrierId {
-        let id = BarrierId(self.barriers.len() as u32);
-        self.barriers.push((
-            Binding::new(ranges),
-            Some(partitions.into_iter().map(Binding::new).collect()),
-        ));
+        let id = self.barrier(ranges);
+        self.bp.barriers[id.0 as usize].partitions =
+            Some(partitions.into_iter().map(normalized).collect());
         id
     }
 
     /// Finishes setup.
     pub fn build(self) -> Arc<SystemSpec> {
-        let layout = self.layout.build();
-        let templates = (0..layout.region_slots())
-            .map(|id| layout.region(id).map(Template::for_region))
-            .collect();
-        Arc::new(SystemSpec {
-            layout,
-            templates,
-            locks: self.locks,
-            barriers: self.barriers,
-        })
+        // Free the builder's own layout first: the spec's long-lived
+        // allocations then reuse its memory instead of sitting above a
+        // hole, which raised paper-size quicksort's peak RSS by 1 MB.
+        let SystemBuilder { layout, bp } = self;
+        drop(layout);
+        SystemSpec::new(bp)
     }
+}
+
+/// `ranges` as a binding holds them: sorted and merged.
+fn normalized(ranges: Vec<AddrRange>) -> Vec<AddrRange> {
+    Binding::new(ranges).ranges().to_vec()
 }
 
 impl Default for SystemBuilder {
@@ -211,15 +226,44 @@ impl Default for SystemBuilder {
     }
 }
 
-/// The immutable system description shared by every processor.
+/// The immutable system description shared by every processor: a
+/// declaration and the layout its allocations make.
 pub struct SystemSpec {
-    pub(crate) layout: Arc<Layout>,
-    pub(crate) templates: Vec<Option<Template>>,
-    pub(crate) locks: Vec<Binding>,
-    pub(crate) barriers: Vec<(Binding, Option<Vec<Binding>>)>,
+    bp: SpecBlueprint,
+    layout: Arc<Layout>,
+    templates: Vec<Option<Template>>,
 }
 
 impl SystemSpec {
+    /// Builds the system a declaration describes, replaying its
+    /// allocation sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an allocation is one the layout refuses or lands at a
+    /// different address than the declaration says (possible after
+    /// [`SpecBlueprint::with_shared_line_shift`] when several allocations
+    /// shared a region): a trace's addresses would be meaningless against
+    /// such a layout.
+    pub fn new(bp: SpecBlueprint) -> Arc<SystemSpec> {
+        let layout = bp
+            .layout()
+            .unwrap_or_else(|(what, value)| panic!("blueprint rebuild: {what} ({value:#x})"));
+        let templates = (0..layout.region_slots())
+            .map(|id| layout.region(id).map(Template::for_region))
+            .collect();
+        Arc::new(SystemSpec {
+            bp,
+            layout,
+            templates,
+        })
+    }
+
+    /// The declaration this system was built from.
+    pub fn blueprint(&self) -> &SpecBlueprint {
+        &self.bp
+    }
+
     /// The memory layout.
     pub fn layout(&self) -> &Arc<Layout> {
         &self.layout
@@ -227,26 +271,17 @@ impl SystemSpec {
 
     /// Number of declared locks.
     pub fn locks(&self) -> usize {
-        self.locks.len()
+        self.bp.locks.len()
     }
 
     /// Number of declared barriers.
     pub fn barriers(&self) -> usize {
-        self.barriers.len()
+        self.bp.barriers.len()
     }
 
-    /// The system description the dynamic entry-consistency checker
-    /// analyzes accesses against: the layout plus every initial lock and
-    /// barrier binding, as the blueprint captures them.
-    pub fn check_spec(&self) -> midway_check::CheckSpec {
-        let SpecBlueprint {
-            locks, barriers, ..
-        } = SpecBlueprint::capture(self);
-        midway_check::CheckSpec {
-            layout: Arc::clone(&self.layout),
-            locks,
-            barriers,
-        }
+    /// The dirtybit template of region `id`, if allocated.
+    pub(crate) fn template(&self, id: usize) -> Option<Template> {
+        self.templates[id]
     }
 }
 
@@ -269,7 +304,7 @@ mod tests {
         let mut b = SystemBuilder::new();
         let a = b.shared_array::<f64>("x", 16, 4); // 32-byte lines
         let spec = b.build();
-        let desc = spec.layout.region_of(a.addr(0));
+        let desc = spec.layout().region_of(a.addr(0));
         assert_eq!(desc.line_size(), 32);
     }
 
@@ -278,7 +313,7 @@ mod tests {
         let mut b = SystemBuilder::new();
         let p = b.private_array::<u64>("scratch", 8);
         let spec = b.build();
-        assert_eq!(spec.layout.region_of(p.addr(0)).class, MemClass::Private);
+        assert_eq!(spec.layout().region_of(p.addr(0)).class, MemClass::Private);
     }
 
     #[test]

@@ -1,175 +1,37 @@
-//! Trace capture: the system blueprint needed to replay a run, and the
+//! Trace capture: the system declaration needed to replay a run, and the
 //! per-processor operation stream it replays.
 //!
-//! The stream — [`OpStream`], whose ops are [`TraceOp`]s — is the
-//! checker's input too, so it lives in `midway-check` and is re-exported
-//! here: with [`record`](crate::MidwayConfig::record) or
-//! [`check`](crate::MidwayConfig::check) on, each processor records one,
-//! and reads and lock grants are in it only when checking. The simulator
-//! is conservative and deterministic, so replaying the recorded streams
-//! through the same protocol machinery reproduces the original run bit
-//! for bit; replaying them under a *different* backend, line size, fault
-//! cost or network model is the standard trace-driven way to evaluate a
-//! design point without re-running the application. The portable binary
-//! encoding lives in the `midway-replay` crate.
+//! Both are the checker's input too, so they live in `midway-check` and
+//! are re-exported here. The declaration — [`SpecBlueprint`] — is the one
+//! every [`SystemSpec`](crate::SystemSpec) is built from, and the stream —
+//! [`OpStream`], whose ops are [`TraceOp`]s — is what each processor
+//! records with [`record`](crate::MidwayConfig::record) or
+//! [`check`](crate::MidwayConfig::check) on; reads and lock grants are in
+//! it only when checking. The simulator is conservative and
+//! deterministic, so replaying the recorded streams through the same
+//! protocol machinery reproduces the original run bit for bit; replaying
+//! them under a *different* backend, line size, fault cost or network
+//! model is the standard trace-driven way to evaluate a design point
+//! without re-running the application. The portable binary encoding lives
+//! in the `midway-replay` crate.
 
-use std::sync::Arc;
-
-use midway_mem::{AddrRange, LayoutBuilder, MemClass, Template};
-use midway_proto::Binding;
-
-use midway_check::BarrierRanges;
-
-use crate::setup::SystemSpec;
-
-pub use midway_check::{OpStream, Ops, TraceOp};
-
-/// One allocation in a [`SpecBlueprint`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AllocSpec {
-    /// Allocation name, for reports.
-    pub name: String,
-    /// The base address the original run observed (rebuilds are verified
-    /// against it: trace addresses are only meaningful if it reproduces).
-    pub addr: u64,
-    /// Length in bytes.
-    pub len: usize,
-    /// Private allocations pay only the misclassification penalty.
-    pub private: bool,
-    /// Cache-line size as a shift (line is `1 << line_shift` bytes).
-    pub line_shift: u32,
-}
-
-/// Everything needed to rebuild a run's [`SystemSpec`] from a trace file:
-/// the allocation sequence plus the lock and barrier declarations.
-///
-/// The layout allocator is a deterministic bump allocator, so replaying
-/// the same allocation sequence reproduces the original base addresses —
-/// [`SpecBlueprint::build`] verifies this, making trace addresses valid
-/// against the rebuilt layout.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct SpecBlueprint {
-    /// Allocations, in the order the original program made them.
-    pub allocs: Vec<AllocSpec>,
-    /// Lock bindings, indexed by `LockId`.
-    pub locks: Vec<Vec<AddrRange>>,
-    /// Barrier declarations, indexed by `BarrierId`.
-    pub barriers: Vec<BarrierRanges>,
-}
-
-impl SpecBlueprint {
-    /// Captures the blueprint of an existing system description.
-    pub fn capture(spec: &SystemSpec) -> SpecBlueprint {
-        let layout = spec.layout();
-        let allocs = layout
-            .allocs()
-            .iter()
-            .map(|a| {
-                let desc = layout.region_of(a.addr);
-                AllocSpec {
-                    name: a.name.clone(),
-                    addr: a.addr.raw(),
-                    len: a.len,
-                    private: desc.class == MemClass::Private,
-                    line_shift: desc.line_shift,
-                }
-            })
-            .collect();
-        let locks = spec.locks.iter().map(|b| b.ranges().to_vec()).collect();
-        let barriers = spec
-            .barriers
-            .iter()
-            .map(|(b, parts)| BarrierRanges {
-                ranges: b.ranges().to_vec(),
-                partitions: parts
-                    .as_ref()
-                    .map(|ps| ps.iter().map(|p| p.ranges().to_vec()).collect()),
-            })
-            .collect();
-        SpecBlueprint {
-            allocs,
-            locks,
-            barriers,
-        }
-    }
-
-    /// Rebuilds the system description by replaying the allocation
-    /// sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any allocation lands at a different address than the
-    /// original run observed (possible after [`with_shared_line_shift`]
-    /// when several allocations shared a region): the trace's addresses
-    /// would be meaningless against such a layout.
-    ///
-    /// [`with_shared_line_shift`]: SpecBlueprint::with_shared_line_shift
-    pub fn build(&self) -> Arc<SystemSpec> {
-        let mut lb = LayoutBuilder::new();
-        for a in &self.allocs {
-            let class = if a.private {
-                MemClass::Private
-            } else {
-                MemClass::Shared
-            };
-            let alloc = lb.alloc(&a.name, a.len, class, a.line_shift);
-            assert_eq!(
-                alloc.addr.raw(),
-                a.addr,
-                "blueprint rebuild moved allocation `{}`: trace addresses would be invalid",
-                a.name
-            );
-        }
-        let layout = lb.build();
-        let templates = (0..layout.region_slots())
-            .map(|id| layout.region(id).map(Template::for_region))
-            .collect();
-        Arc::new(SystemSpec {
-            layout,
-            templates,
-            locks: self.locks.iter().cloned().map(Binding::new).collect(),
-            barriers: self
-                .barriers
-                .iter()
-                .map(|b| {
-                    (
-                        Binding::new(b.ranges.clone()),
-                        b.partitions
-                            .as_ref()
-                            .map(|ps| ps.iter().cloned().map(Binding::new).collect()),
-                    )
-                })
-                .collect(),
-        })
-    }
-
-    /// A copy with every *shared* allocation's cache-line size replaced
-    /// (the line-size ablation: replay one trace under many line sizes).
-    ///
-    /// Only valid when the change keeps every base address in place —
-    /// [`build`](SpecBlueprint::build) verifies; one shared allocation per
-    /// region (the common case) is always safe.
-    pub fn with_shared_line_shift(&self, line_shift: u32) -> SpecBlueprint {
-        let mut out = self.clone();
-        for a in &mut out.allocs {
-            if !a.private {
-                a.line_shift = line_shift;
-            }
-        }
-        out
-    }
-}
+pub use midway_check::{AllocSpec, OpStream, Ops, SpecBlueprint, TraceOp};
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use midway_mem::AddrRange;
+
     use super::*;
-    use crate::setup::SystemBuilder;
+    use crate::setup::{SystemBuilder, SystemSpec};
+    use crate::BarrierRanges;
 
     fn sample_spec() -> Arc<SystemSpec> {
         let mut b = SystemBuilder::new();
         let x = b.shared_array::<f64>("x", 64, 4);
         let s = b.private_array::<u64>("scratch", 16);
-        let _ = b.lock(vec![x.range(0..32)]);
+        let _ = b.lock(vec![x.range(32..64), x.range(0..32), x.range(8..16)]);
         let _ = b.barrier_partitioned(
             vec![x.full_range()],
             vec![vec![x.range(0..32)], vec![x.range(32..64)]],
@@ -178,14 +40,42 @@ mod tests {
         b.build()
     }
 
+    /// The builder records the declaration as the program makes it, with
+    /// each binding normalized as `Binding::new` normalizes it, and a
+    /// spec built from that record again has the same layout and
+    /// declaration.
     #[test]
-    fn capture_then_build_reproduces_layout_and_sync() {
+    fn the_builder_records_the_declaration_a_spec_is_rebuilt_from() {
         let spec = sample_spec();
-        let bp = SpecBlueprint::capture(&spec);
-        let rebuilt = bp.build();
-        assert_eq!(SpecBlueprint::capture(&rebuilt), bp);
-        assert_eq!(rebuilt.locks(), spec.locks());
-        assert_eq!(rebuilt.barriers(), spec.barriers());
+        let bp = spec.blueprint();
+        let x = spec.layout().allocs()[0].range();
+        let scratch = spec.layout().allocs()[1].range();
+        let alloc = |name: &str, r: &AddrRange, private, line_shift| AllocSpec {
+            name: name.to_string(),
+            addr: r.start,
+            len: (r.end - r.start) as usize,
+            private,
+            line_shift,
+        };
+        assert_eq!(
+            bp.allocs,
+            [
+                alloc("x", &x, false, 5),
+                alloc("scratch", &scratch, true, 3)
+            ]
+        );
+        assert_eq!(bp.locks, [vec![x.clone()]]);
+        let half = x.start + 256;
+        assert_eq!(
+            bp.barriers,
+            [BarrierRanges {
+                ranges: vec![x.clone()],
+                partitions: Some(vec![vec![x.start..half], vec![half..x.end]]),
+            }]
+        );
+        let rebuilt = SystemSpec::new(bp.clone());
+        assert_eq!(rebuilt.blueprint(), bp);
+        assert_eq!((rebuilt.locks(), rebuilt.barriers()), (1, 1));
         let allocs = spec.layout().allocs();
         for (a, b) in allocs.iter().zip(rebuilt.layout().allocs()) {
             assert_eq!(a.addr, b.addr);
@@ -196,8 +86,7 @@ mod tests {
     #[test]
     fn line_shift_override_rebuilds_with_new_lines() {
         let spec = sample_spec();
-        let bp = SpecBlueprint::capture(&spec).with_shared_line_shift(9);
-        let rebuilt = bp.build();
+        let rebuilt = SystemSpec::new(spec.blueprint().with_shared_line_shift(9));
         let a = &rebuilt.layout().allocs()[0];
         assert_eq!(rebuilt.layout().region_of(a.addr).line_size(), 512);
     }

@@ -29,7 +29,8 @@ use std::collections::BTreeMap;
 /// 8-byte cumulative ack on every data frame.
 pub const RELIABLE_HEADER_BYTES: u64 = 16;
 
-/// Tuning knobs of the reliable channel.
+/// The reliable channel's timing: one value, [`ReliableParams::atm_cluster`],
+/// which the DSM's link layer runs on; unit tests build others.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReliableParams {
     /// Base retransmit timeout, in cycles. Should comfortably exceed one
@@ -54,7 +55,7 @@ impl ReliableParams {
     /// Defaults tuned to the paper's ATM cluster model: the base timeout
     /// is ~15 round trips (10 ms at 25 MHz) so neither a healthy network
     /// nor an application compute stretch normally times out.
-    pub fn atm_cluster() -> ReliableParams {
+    pub const fn atm_cluster() -> ReliableParams {
         ReliableParams {
             rto_cycles: 250_000,
             backoff_cap: 6,
@@ -66,12 +67,6 @@ impl ReliableParams {
     /// of the same oldest frame.
     fn rto_after(&self, retries: u32) -> u64 {
         self.rto_cycles << retries.min(self.backoff_cap)
-    }
-}
-
-impl Default for ReliableParams {
-    fn default() -> ReliableParams {
-        ReliableParams::atm_cluster()
     }
 }
 

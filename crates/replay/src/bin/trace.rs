@@ -158,6 +158,14 @@ impl Args {
             };
             args.given.push((name, value));
         }
+        // A run needs a processor: setup panics on a zero-length allocation.
+        if let Some(v) = args.value("--procs") {
+            if !v.parse::<usize>().is_ok_and(|n| n > 0) {
+                return Err(format!(
+                    "--procs takes a processor count of 1 or more, got {v:?}"
+                ));
+            }
+        }
         Ok(args)
     }
 

@@ -7,14 +7,13 @@
 //!
 //! ```text
 //! magic   b"MWTR"                      (4 raw bytes)
-//! version 7                            (the only one the decoder accepts)
+//! version 8                            (the only one the decoder accepts)
 //! meta    app, scale (strings: length + UTF-8 bytes), verified (1 byte),
-//!         backend (1 byte: `BackendKind::wire_tag`), procs, history_cap,
-//!         cost model (mhz, page size, `CostModel::cycle_fields_mut`,
-//!         then `us_fields_mut` as little-endian f64 bit patterns),
+//!         backend (1 byte: `BackendKind::wire_tag`), procs,
+//!         cost model (mhz, `CostModel::cycle_fields_mut`, then
+//!         `us_fields_mut` as little-endian f64 bit patterns),
 //!         net model (4 varints),
-//!         fault plan (enabled (1 byte) + 7 varints),
-//!         reliable channel params (3 varints),
+//!         fault plan (enabled (1 byte) + seed + 4 rates),
 //!         home map (tag (1 byte), sharded adds a seed varint),
 //!         barrier shape (tag (1 byte), tree adds an arity varint),
 //!         crash plan (count + count × (proc, at, down) varints),
@@ -41,12 +40,18 @@
 //! footer  the codec's seal over every preceding byte (8 bytes)
 //! ```
 //!
+//! The header holds only what a caller may vary: the VM history cap, the
+//! page size, the fault plan's jitter windows and the reliable channel's
+//! timing are constants of the code, so no file can disagree with them.
+//!
 //! Decoding verifies the magic, checksum and version before anything
-//! else; every count is bounded by the bytes that remain, every id is
-//! narrowed with a check (and an op's lock or barrier id must name an
-//! object of the file's own blueprint) and every range end is computed
-//! with one, so truncated, corrupted or re-sealed hostile files are
-//! rejected rather than misread. The blueprint is checked against what a
+//! else; every count is bounded by the bytes that remain, every cost,
+//! network and crash time by what a replay can sum (see [`MAX_CHARGE`]),
+//! every id is narrowed with a check (and an op's lock or barrier id must
+//! name an object of the file's own blueprint, a crash one of its
+//! processors) and every range end is computed with one, so truncated,
+//! corrupted or re-sealed hostile files are rejected rather than
+//! misread. The blueprint is checked against what a
 //! replay will build from it: its allocations are replayed through the
 //! layout's allocator and must land where the file says, every `Write`
 //! and `Rebind` range must lie inside one of them (a `Write` inside one
@@ -61,9 +66,9 @@
 use midway_core::codec::{seal, unseal, Reader, WireError, Writer};
 use midway_core::{
     AllocSpec, BackendKind, BarrierRanges, BarrierShape, Counters, HomeMap, MidwayConfig, OpStream,
-    ReliableParams, SpecBlueprint, TraceOp,
+    SpecBlueprint, TraceOp,
 };
-use midway_mem::{AddrRange, LayoutBuilder, MemClass, PAGE_SHIFT, REGION_SHIFT};
+use midway_mem::{AddrRange, REGION_SHIFT};
 use midway_sim::{CrashEvent, FaultPlan, NetModel, MAX_CRASHES};
 use midway_stats::CostModel;
 
@@ -74,13 +79,32 @@ pub const MAGIC: [u8; 4] = *b"MWTR";
 /// The format version, and the only one the decoder accepts. Trace files
 /// are a re-recordable cache, not an archive: a file at any other version
 /// is [`TraceError::BadVersion`], which callers treat as a cache miss.
-pub const VERSION: u64 = 7;
+pub const VERSION: u64 = 8;
 
 /// The most bytes a blueprint may allocate in all: 1 TiB, far beyond any
 /// recorded workload (sor at datacenter scale allocates 512 MiB), and
 /// small enough that the decoder's rebuild of the layout stays cheap
 /// whatever the file claims (2^18 regions of data).
 const MAX_LAYOUT_BYTES: u64 = 1 << 40;
+
+/// The most a header may charge for one primitive: each cost-model cycle
+/// field and each network field, in cycles (the wire rate in millicycles
+/// a byte). 2^20 cycles is 42 ms at 25 MHz, over 20 times Table 1's
+/// largest cost; nothing in-repo comes near it (the Fig 3/4 sweep ends at
+/// 30 000, the network ablation scales the ATM model by at most 8).
+///
+/// This is why no sum a replay makes of the header's values can
+/// overflow: it charges each of these at most once per unit of work — a
+/// message sent or received, a byte on the wire, a line, page or kilobyte
+/// handled — so one charge, over data inside a layout of at most
+/// [`MAX_LAYOUT_BYTES`], stays below 2^61, and a processor's clock would
+/// have to do 2^44 units of work before the header's charges alone wrapped
+/// it. A crash comes and lasts at most [`MAX_CRASH_CYCLES`].
+const MAX_CHARGE: u64 = 1 << 20;
+
+/// The latest cycle a crash may come at, and the longest it may last:
+/// 12 hours at 25 MHz, far past any recorded run's finish.
+const MAX_CRASH_CYCLES: u64 = 1 << 40;
 
 /// Why a trace file was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -135,8 +159,7 @@ fn put_ranges(w: &mut Vec<u8>, ranges: &[AddrRange]) {
 
 fn put_cost(w: &mut Vec<u8>, mut c: CostModel) {
     w.varint(u64::from(c.mhz));
-    w.varint(c.page_size as u64);
-    for v in c.cycle_fields_mut() {
+    for (_, v) in c.cycle_fields_mut() {
         w.varint(*v);
     }
     for v in c.us_fields_mut() {
@@ -158,14 +181,6 @@ fn put_faults(w: &mut Vec<u8>, f: &FaultPlan) {
     w.varint(u64::from(f.dup_ppm));
     w.varint(u64::from(f.reorder_ppm));
     w.varint(u64::from(f.delay_ppm));
-    w.varint(f.max_delay_cycles);
-    w.varint(f.reorder_window_cycles);
-}
-
-fn put_reliable(w: &mut Vec<u8>, p: &ReliableParams) {
-    w.varint(p.rto_cycles);
-    w.varint(u64::from(p.backoff_cap));
-    w.varint(p.timer_cost_cycles);
 }
 
 fn put_home_map(w: &mut Vec<u8>, h: HomeMap) {
@@ -261,11 +276,9 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
     w.push(u8::from(m.verified));
     w.push(m.cfg.backend.wire_tag());
     w.varint(m.cfg.procs as u64);
-    w.varint(m.cfg.history_cap as u64);
     put_cost(&mut w, m.cfg.cost);
     put_net(&mut w, &m.cfg.net);
     put_faults(&mut w, &m.cfg.faults);
-    put_reliable(&mut w, &m.cfg.reliable);
     put_home_map(&mut w, m.cfg.home_map);
     put_barrier_shape(&mut w, m.cfg.barrier);
     put_crash_plan(&mut w, &m.cfg.faults);
@@ -358,12 +371,19 @@ fn ranges(r: &mut Reader) -> Result<Vec<AddrRange>, WireError> {
     })
 }
 
+/// A header value of at most `max`; above it, malformed naming `field`.
+fn at_most(r: &mut Reader, max: u64, field: &'static str) -> Result<u64, WireError> {
+    match r.varint()? {
+        v if v <= max => Ok(v),
+        v => malformed(field, v),
+    }
+}
+
 fn cost(r: &mut Reader) -> Result<CostModel, WireError> {
     let mut c = CostModel::r3000_mach();
     c.mhz = r.varint_u32()?;
-    c.page_size = r.varint()? as usize;
-    for f in c.cycle_fields_mut() {
-        *f = r.varint()?;
+    for (name, f) in c.cycle_fields_mut() {
+        *f = at_most(r, MAX_CHARGE, name)?;
     }
     for f in c.us_fields_mut() {
         *f = f64::from_bits(r.u64()?);
@@ -373,10 +393,10 @@ fn cost(r: &mut Reader) -> Result<CostModel, WireError> {
 
 fn net(r: &mut Reader) -> Result<NetModel, WireError> {
     Ok(NetModel {
-        latency_cycles: r.varint()?,
-        per_byte_millicycles: r.varint()?,
-        send_overhead_cycles: r.varint()?,
-        recv_overhead_cycles: r.varint()?,
+        latency_cycles: at_most(r, MAX_CHARGE, "latency_cycles")?,
+        per_byte_millicycles: at_most(r, MAX_CHARGE, "per_byte_millicycles")?,
+        send_overhead_cycles: at_most(r, MAX_CHARGE, "send_overhead_cycles")?,
+        recv_overhead_cycles: at_most(r, MAX_CHARGE, "recv_overhead_cycles")?,
     })
 }
 
@@ -388,17 +408,7 @@ fn faults(r: &mut Reader) -> Result<FaultPlan, WireError> {
     f.dup_ppm = r.varint_u32()?;
     f.reorder_ppm = r.varint_u32()?;
     f.delay_ppm = r.varint_u32()?;
-    f.max_delay_cycles = r.varint()?;
-    f.reorder_window_cycles = r.varint()?;
     Ok(f)
-}
-
-fn reliable(r: &mut Reader) -> Result<ReliableParams, WireError> {
-    Ok(ReliableParams {
-        rto_cycles: r.varint()?,
-        backoff_cap: r.varint_u32()?,
-        timer_cost_cycles: r.varint()?,
-    })
 }
 
 fn home_map(r: &mut Reader) -> Result<HomeMap, WireError> {
@@ -420,16 +430,16 @@ fn barrier_shape(r: &mut Reader) -> Result<BarrierShape, WireError> {
     }
 }
 
-fn crash_plan(r: &mut Reader, f: &mut FaultPlan) -> Result<(), WireError> {
+fn crash_plan(r: &mut Reader, procs: usize, f: &mut FaultPlan) -> Result<(), WireError> {
     let n = r.count(3)?;
     if n > MAX_CRASHES {
         return malformed("crash plan exceeds MAX_CRASHES", n as u64);
     }
     for i in 0..n {
         f.crashes[i] = CrashEvent {
-            proc: r.varint_u32()?,
-            at: r.varint()?,
-            down: r.varint()?,
+            proc: id(r, procs, "crash of a processor outside the trace")?,
+            at: at_most(r, MAX_CRASH_CYCLES, "crash at")?,
+            down: at_most(r, MAX_CRASH_CYCLES, "crash down")?,
         };
     }
     f.crash_len = n as u8;
@@ -457,34 +467,18 @@ fn id(r: &mut Reader, n: usize, what: &'static str) -> Result<u32, WireError> {
 /// Replays the blueprint's allocation sequence through the layout's bump
 /// allocator, as every replay will, and returns the allocations' address
 /// ranges sorted by start. Each allocation must be one the allocator
-/// accepts and must land where the file says it did; a replay would
-/// otherwise panic rebuilding the layout.
-fn extents(allocs: &[AllocSpec]) -> Result<Vec<AddrRange>, WireError> {
-    let mut layout = LayoutBuilder::new();
-    let mut total = 0u64;
-    let mut out = Vec::with_capacity(allocs.len());
-    for a in allocs {
-        let len = a.len as u64;
-        if len == 0 {
-            return malformed("zero-length allocation", len);
-        }
-        if !(2..=PAGE_SHIFT).contains(&a.line_shift) {
-            return malformed("allocation line shift out of range", a.line_shift.into());
-        }
-        total = total.saturating_add(len);
-        if total > MAX_LAYOUT_BYTES {
-            return malformed("allocations exceed the layout bound", total);
-        }
-        let class = match a.private {
-            true => MemClass::Private,
-            false => MemClass::Shared,
-        };
-        let at = layout.alloc(&a.name, a.len, class, a.line_shift).addr.raw();
-        if at != a.addr {
-            return malformed("allocation the layout does not reproduce", a.addr);
-        }
-        out.push(at..at + len);
+/// accepts and must land where the file says it did, and all of them
+/// must fit [`MAX_LAYOUT_BYTES`]; a replay would otherwise panic
+/// rebuilding the layout.
+fn extents(bp: &SpecBlueprint) -> Result<Vec<AddrRange>, WireError> {
+    let total = (bp.allocs.iter()).fold(0u64, |t, a| t.saturating_add(a.len as u64));
+    if total > MAX_LAYOUT_BYTES {
+        return malformed("allocations exceed the layout bound", total);
     }
+    let layout = bp
+        .layout()
+        .or_else(|(what, value)| malformed(what, value))?;
+    let mut out: Vec<AddrRange> = layout.allocs().iter().map(|a| a.range()).collect();
     out.sort_unstable_by_key(|e| e.start);
     Ok(out)
 }
@@ -677,14 +671,12 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
     if procs == 0 {
         return Err(TraceError::Malformed("zero processors"));
     }
-    let history_cap = r.varint()? as usize;
     let cost = cost(r)?;
     let net = net(r)?;
     let mut faults = faults(r)?;
-    let reliable = reliable(r)?;
     let home_map = home_map(r)?;
     let barrier = barrier_shape(r)?;
-    crash_plan(r, &mut faults)?;
+    crash_plan(r, procs, &mut faults)?;
     let checkpoint_every = r.varint_u32()?;
     let finish_cycles = r.varint()?;
     let messages = r.varint()?;
@@ -696,10 +688,8 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
         backend,
         cost,
         net,
-        history_cap,
         record: false,
         faults,
-        reliable,
         home_map,
         barrier,
         checkpoint_every,
@@ -707,18 +697,21 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
         check: false,
     };
 
-    let allocs = list(r, 4, |r| {
-        Ok(AllocSpec {
-            name: string(r)?,
-            addr: r.varint()?,
-            len: r.varint()? as usize,
-            private: r.u8()? != 0,
-            line_shift: r.varint_u32()?,
-        })
-    })?;
-    let extents = extents(&allocs)?;
-    let locks = list(r, 1, |r| bound(r, &extents))?;
-    let barriers = list(r, 1, |r| {
+    let mut blueprint = SpecBlueprint {
+        allocs: list(r, 4, |r| {
+            Ok(AllocSpec {
+                name: string(r)?,
+                addr: r.varint()?,
+                len: r.varint()? as usize,
+                private: r.u8()? != 0,
+                line_shift: r.varint_u32()?,
+            })
+        })?,
+        ..SpecBlueprint::default()
+    };
+    let extents = extents(&blueprint)?;
+    blueprint.locks = list(r, 1, |r| bound(r, &extents))?;
+    blueprint.barriers = list(r, 1, |r| {
         Ok(BarrierRanges {
             ranges: bound(r, &extents)?,
             partitions: match r.u8()? {
@@ -733,12 +726,6 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
             },
         })
     })?;
-
-    let blueprint = SpecBlueprint {
-        allocs,
-        locks,
-        barriers,
-    };
 
     let ops = (0..procs)
         .map(|_| stream(r, &blueprint, &extents, procs))

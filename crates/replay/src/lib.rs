@@ -73,7 +73,8 @@ pub struct TraceMeta {
 pub struct Trace {
     /// Header: identity, configuration and recorded baseline.
     pub meta: TraceMeta,
-    /// Everything needed to rebuild the run's [`SystemSpec`].
+    /// The run's declaration: everything needed to rebuild its
+    /// [`SystemSpec`], and with `ops` the checker's whole input.
     pub blueprint: SpecBlueprint,
     /// Recorded operation streams, indexed by processor id.
     pub ops: Vec<OpStream>,
@@ -214,7 +215,7 @@ pub fn record_app(kind: AppKind, cfg: MidwayConfig, scale: Scale) -> Trace {
 ///
 /// Panics if `cfg.procs` differs from the number of recorded streams.
 pub fn replay(trace: &Trace, cfg: MidwayConfig) -> Result<MidwayRun<()>, RunError> {
-    replay_on(trace, cfg, &trace.blueprint.build())
+    replay_on(trace, cfg, &SystemSpec::new(trace.blueprint.clone()))
 }
 
 /// Like [`replay`], but against a caller-built system description (e.g.
@@ -426,7 +427,7 @@ impl Program for Trace {
             return replay(self, cfg).map_err(|e| e.to_string());
         };
         let ops = &self.ops;
-        Midway::run_real(cfg, real, &self.blueprint.build(), |p| {
+        Midway::run_real(cfg, real, &SystemSpec::new(self.blueprint.clone()), |p| {
             for op in &ops[p.id()] {
                 p.apply_op(op);
             }

@@ -88,6 +88,20 @@ fn value_flag_followed_by_a_flag_is_a_usage_error() {
     assert_eq!(trace(&[]).status.code(), Some(2));
 }
 
+/// `--procs 0` used to panic setting up a zero-processor run (exit 101,
+/// "zero-length allocation"), and a `--procs` that is no number failed
+/// the command (exit 1): both are usage errors listing the flags.
+#[test]
+fn a_processor_count_below_one_is_a_usage_error() {
+    for procs in ["0", "eight"] {
+        let out = trace(&["record", "--app", "sor", "--procs", procs]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--procs {procs}: {err}");
+        assert!(err.contains("--procs takes a processor count"), "{err}");
+        assert!(err.contains("accepted flags: --app NAME"), "{err}");
+    }
+}
+
 /// A one-processor trace with `allocs` as its allocations, one lock bound
 /// to the first eight bytes of the first of them (to nothing if there are
 /// none) and `op` as its one operation. The encoder checks nothing, so

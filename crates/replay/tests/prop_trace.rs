@@ -8,8 +8,8 @@ mod mutate;
 
 use midway_core::codec::{seal, unseal};
 use midway_core::{
-    AllocSpec, BackendKind, BarrierRanges, Counters, FaultPlan, MidwayConfig, OpStream,
-    ReliableParams, SpecBlueprint, TraceOp,
+    AllocSpec, BackendKind, BarrierRanges, Counters, FaultPlan, MidwayConfig, NetModel, OpStream,
+    SpecBlueprint, TraceOp,
 };
 use midway_mem::{LayoutBuilder, MemClass};
 use midway_replay::{Trace, TraceError, TraceMeta};
@@ -180,25 +180,17 @@ fn random_trace(rng: &mut SplitMix64) -> Trace {
         BackendKind::None,
     ][rng.next_below(5) as usize];
     let mut cfg = MidwayConfig::new(procs, backend);
-    cfg.history_cap = rng.next_below(4096) as usize;
     cfg.cost.page_write_fault = rng.next_below(1 << 20);
     cfg.cost.dirtybit_read_clean_us = rng.next_f64() * 100.0;
     cfg.net = cfg.net.scaled(1 + rng.next_below(8), 1 + rng.next_below(8));
     if rng.next_below(2) == 1 {
-        // Version 3 header fields: a fault plan and channel tuning.
+        // Version 3 header fields: a fault plan.
         cfg.faults = FaultPlan::seeded(rng.next_u64())
             .drop_ppm(rng.next_below(100_000) as u32)
             .dup_ppm(rng.next_below(100_000) as u32)
             .reorder_ppm(rng.next_below(100_000) as u32)
             .delay_ppm(rng.next_below(100_000) as u32);
         cfg.faults.enabled = rng.next_below(4) != 0;
-        cfg.faults.max_delay_cycles = rng.next_below(1 << 20);
-        cfg.faults.reorder_window_cycles = rng.next_below(1 << 16);
-        cfg.reliable = ReliableParams {
-            rto_cycles: 1 + rng.next_below(1 << 21),
-            backoff_cap: rng.next_below(12) as u32,
-            timer_cost_cycles: rng.next_below(1 << 12),
-        };
     }
     if rng.next_below(2) == 1 {
         // Version 5 header fields: a crash plan and a checkpoint interval.
@@ -372,6 +364,12 @@ fn tiny_trace(lock_range: std::ops::Range<u64>, op: TraceOp<'_>) -> Trace {
     let mut trace = random_trace(&mut SplitMix64::new(0x7ace_0005));
     trace.meta.cfg.procs = 1;
     trace.meta.counters.truncate(1);
+    // The crashes drawn for more processors would name ones it lacks.
+    trace.meta.cfg.faults = FaultPlan {
+        crash_len: 0,
+        crashes: FaultPlan::none().crashes,
+        ..trace.meta.cfg.faults
+    };
     trace.blueprint = SpecBlueprint {
         allocs: vec![],
         locks: vec![vec![lock_range]],
@@ -526,6 +524,77 @@ fn allocations_a_replay_cannot_rebuild_are_malformed() {
             decoded(&with_alloc(alloc, work)),
             Err(TraceError::Malformed(what))
         );
+    }
+}
+
+/// The network model's fields, each beside its name.
+fn net_fields(n: &mut NetModel) -> [(&'static str, &mut u64); 4] {
+    [
+        ("latency_cycles", &mut n.latency_cycles),
+        ("per_byte_millicycles", &mut n.per_byte_millicycles),
+        ("send_overhead_cycles", &mut n.send_overhead_cycles),
+        ("recv_overhead_cycles", &mut n.recv_overhead_cycles),
+    ]
+}
+
+/// A header value a replay sums into a clock used to decode whatever it
+/// was: `u64::MAX` as the wire latency panicked a debug replay on the
+/// addition and wrapped a release one to a wrong finish time. Every cost
+/// and network field is bounded at 2^20 cycles (a crash's time and
+/// downtime at 2^40) and a crash must name one of the trace's
+/// processors; each bound holds at its limit and refuses one past it,
+/// naming the field.
+#[test]
+fn header_values_a_replay_cannot_sum_are_malformed() {
+    let base = with_alloc(first_alloc(), TraceOp::Work { cycles: 1 });
+    let crashed = |at, down| {
+        let mut t = base.clone();
+        t.meta.cfg.faults = FaultPlan::none().with_crash(0, at, down);
+        t
+    };
+    let mut limit = crashed(1 << 40, 1 << 40);
+    for (_, f) in limit.meta.cfg.cost.cycle_fields_mut() {
+        *f = 1 << 20;
+    }
+    for (_, f) in net_fields(&mut limit.meta.cfg.net) {
+        *f = 1 << 20;
+    }
+    assert_eq!(decoded(&limit), Ok(limit.clone()));
+
+    let mut cases = Vec::new();
+    for i in 0..16 {
+        for v in [(1 << 20) + 1, u64::MAX] {
+            let mut t = base.clone();
+            let (name, f) = t
+                .meta
+                .cfg
+                .cost
+                .cycle_fields_mut()
+                .into_iter()
+                .nth(i)
+                .unwrap();
+            *f = v;
+            cases.push((t, name));
+        }
+    }
+    for i in 0..4 {
+        for v in [(1 << 20) + 1, u64::MAX] {
+            let mut t = base.clone();
+            let (name, f) = net_fields(&mut t.meta.cfg.net).into_iter().nth(i).unwrap();
+            *f = v;
+            cases.push((t, name));
+        }
+    }
+    for v in [(1 << 40) + 1, u64::MAX] {
+        cases.push((crashed(v, 1), "crash at"));
+        cases.push((crashed(1, v), "crash down"));
+    }
+    let mut outside = base.clone();
+    outside.meta.cfg.faults = FaultPlan::none().with_crash(1, 1, 1);
+    cases.push((outside, "crash of a processor outside the trace"));
+    assert_eq!(cases.len(), 2 * 16 + 2 * 4 + 2 * 2 + 1);
+    for (trace, name) in cases {
+        assert_eq!(decoded(&trace), Err(TraceError::Malformed(name)), "{name}");
     }
 }
 

@@ -55,6 +55,14 @@ pub struct CrashEvent {
     pub down: u64,
 }
 
+/// Upper bound on a [`FaultDecision::Delay`] stall, in cycles.
+const MAX_DELAY_CYCLES: u64 = 100_000;
+
+/// Upper bound on [`FaultDecision::Reorder`] / [`FaultDecision::Duplicate`]
+/// jitter, in cycles. Sized around the wire latency so a jittered message
+/// lands after its successors.
+const REORDER_WINDOW_CYCLES: u64 = 5_000;
+
 /// Upper bound on scheduled crashes per plan. A fixed-size array keeps
 /// [`FaultPlan`] (and with it `MidwayConfig`) `Copy`; eight crashes per
 /// run is far beyond anything the sweeps schedule.
@@ -68,6 +76,9 @@ pub const MAX_CRASHES: usize = 8;
 /// injects nothing but signals to higher layers (the DSM's reliable
 /// delivery channel) that the network is untrusted, which is exactly the
 /// configuration used to measure the reliability overhead at 0% loss.
+///
+/// A plan sets rates, not magnitudes: a reorder or duplicate jitter is up
+/// to 5 000 cycles and a delay up to 100 000 on every plan.
 ///
 /// A plan can also schedule processor crashes ([`FaultPlan::with_crash`]):
 /// deterministic kill-and-restart events delivered through the scheduler,
@@ -86,12 +97,6 @@ pub struct FaultPlan {
     pub reorder_ppm: u32,
     /// Probability of a long stall, in parts per million.
     pub delay_ppm: u32,
-    /// Upper bound on a [`FaultDecision::Delay`] stall, in cycles.
-    pub max_delay_cycles: u64,
-    /// Upper bound on [`FaultDecision::Reorder`] /
-    /// [`FaultDecision::Duplicate`] jitter, in cycles. Sized around the
-    /// wire latency so a jittered message lands after its successors.
-    pub reorder_window_cycles: u64,
     /// Scheduled processor crashes; only the first `crash_len` entries
     /// are meaningful.
     pub crashes: [CrashEvent; MAX_CRASHES],
@@ -109,8 +114,6 @@ impl FaultPlan {
             dup_ppm: 0,
             reorder_ppm: 0,
             delay_ppm: 0,
-            max_delay_cycles: 0,
-            reorder_window_cycles: 0,
             crashes: [CrashEvent::default(); MAX_CRASHES],
             crash_len: 0,
         }
@@ -127,8 +130,6 @@ impl FaultPlan {
             dup_ppm: 0,
             reorder_ppm: 0,
             delay_ppm: 0,
-            max_delay_cycles: 100_000,
-            reorder_window_cycles: 5_000,
             crashes: [CrashEvent::default(); MAX_CRASHES],
             crash_len: 0,
         }
@@ -260,19 +261,19 @@ impl FaultPlan {
         threshold += u64::from(self.dup_ppm);
         if roll < threshold {
             return FaultDecision::Duplicate {
-                extra_delay: 1 + rng.next_below(self.reorder_window_cycles.max(1)),
+                extra_delay: 1 + rng.next_below(REORDER_WINDOW_CYCLES),
             };
         }
         threshold += u64::from(self.reorder_ppm);
         if roll < threshold {
             return FaultDecision::Reorder {
-                extra_delay: 1 + rng.next_below(self.reorder_window_cycles.max(1)),
+                extra_delay: 1 + rng.next_below(REORDER_WINDOW_CYCLES),
             };
         }
         threshold += u64::from(self.delay_ppm);
         if roll < threshold {
             return FaultDecision::Delay {
-                extra_delay: 1 + rng.next_below(self.max_delay_cycles.max(1)),
+                extra_delay: 1 + rng.next_below(MAX_DELAY_CYCLES),
             };
         }
         FaultDecision::Deliver
@@ -364,10 +365,10 @@ mod tests {
                 FaultDecision::Deliver | FaultDecision::Drop => {}
                 FaultDecision::Duplicate { extra_delay }
                 | FaultDecision::Reorder { extra_delay } => {
-                    assert!((1..=p.reorder_window_cycles).contains(&extra_delay));
+                    assert!((1..=REORDER_WINDOW_CYCLES).contains(&extra_delay));
                 }
                 FaultDecision::Delay { extra_delay } => {
-                    assert!((1..=p.max_delay_cycles).contains(&extra_delay));
+                    assert!((1..=MAX_DELAY_CYCLES).contains(&extra_delay));
                 }
             }
         }

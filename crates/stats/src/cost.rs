@@ -3,7 +3,8 @@
 /// Measured costs of the primitive operations, in cycles.
 ///
 /// These are the paper's Table 1 values for a 25 MHz MIPS R3000 running
-/// Mach 3.0 with a 4 KB page size. All simulation charging goes through
+/// Mach 3.0 with a 4 KB page size (the page size is the memory layer's
+/// `PAGE_SIZE`, not a cost). All simulation charging goes through
 /// this structure so that the Figure 3/4 sweeps (varying the page-fault
 /// service time between a fast exception handler at 122 µs and Mach's
 /// external pager at 1200 µs) are a one-field change.
@@ -11,8 +12,6 @@
 pub struct CostModel {
     /// Processor clock rate in MHz (paper: 25).
     pub mhz: u32,
-    /// Virtual-memory page size in bytes (paper: 4096).
-    pub page_size: usize,
 
     // --- RT-DSM primitives ---
     /// Dirtybit set for a word write (paper: 9 cycles / 0.360 µs).
@@ -84,7 +83,6 @@ impl CostModel {
     pub fn r3000_mach() -> CostModel {
         CostModel {
             mhz: 25,
-            page_size: 4096,
             dirtybit_set_word: 9,
             dirtybit_set_double: 9,
             dirtybit_set_private: 6,
@@ -108,27 +106,27 @@ impl CostModel {
         }
     }
 
-    /// The sixteen cycle costs a recorded trace carries, in the order the
-    /// trace format stores them. Both directions of the trace codec walk
-    /// this, so the order is spelled once.
-    pub fn cycle_fields_mut(&mut self) -> [&mut u64; 16] {
+    /// The sixteen cycle costs a recorded trace carries, each beside its
+    /// name, in the order the trace format stores them. Both directions of
+    /// the trace codec walk this, so the order is spelled once.
+    pub fn cycle_fields_mut(&mut self) -> [(&'static str, &mut u64); 16] {
         [
-            &mut self.dirtybit_set_word,
-            &mut self.dirtybit_set_double,
-            &mut self.dirtybit_set_private,
-            &mut self.dirtybit_set_area_base,
-            &mut self.dirtybit_read_clean,
-            &mut self.dirtybit_read_dirty,
-            &mut self.dirtybit_update,
-            &mut self.dirtybit_set_queue,
-            &mut self.dirtybit_set_two_level,
-            &mut self.page_write_fault,
-            &mut self.page_diff_uniform,
-            &mut self.page_diff_alternating,
-            &mut self.protect_rw,
-            &mut self.protect_ro,
-            &mut self.copy_per_kb_cold,
-            &mut self.copy_per_kb_warm,
+            ("dirtybit_set_word", &mut self.dirtybit_set_word),
+            ("dirtybit_set_double", &mut self.dirtybit_set_double),
+            ("dirtybit_set_private", &mut self.dirtybit_set_private),
+            ("dirtybit_set_area_base", &mut self.dirtybit_set_area_base),
+            ("dirtybit_read_clean", &mut self.dirtybit_read_clean),
+            ("dirtybit_read_dirty", &mut self.dirtybit_read_dirty),
+            ("dirtybit_update", &mut self.dirtybit_update),
+            ("dirtybit_set_queue", &mut self.dirtybit_set_queue),
+            ("dirtybit_set_two_level", &mut self.dirtybit_set_two_level),
+            ("page_write_fault", &mut self.page_write_fault),
+            ("page_diff_uniform", &mut self.page_diff_uniform),
+            ("page_diff_alternating", &mut self.page_diff_alternating),
+            ("protect_rw", &mut self.protect_rw),
+            ("protect_ro", &mut self.protect_ro),
+            ("copy_per_kb_cold", &mut self.copy_per_kb_cold),
+            ("copy_per_kb_warm", &mut self.copy_per_kb_warm),
         ]
     }
 
@@ -239,7 +237,7 @@ mod tests {
     #[test]
     fn field_walks_cover_every_cost_but_the_three_stored_apart() {
         let mut c = CostModel::r3000_mach();
-        for (i, f) in c.cycle_fields_mut().into_iter().enumerate() {
+        for (i, (_, f)) in c.cycle_fields_mut().into_iter().enumerate() {
             *f = 1_000_000 + i as u64;
         }
         for (i, f) in c.us_fields_mut().into_iter().enumerate() {
@@ -247,8 +245,16 @@ mod tests {
         }
         // No field is listed twice (a later store would have overwritten
         // an earlier one), and the order is the trace format's.
-        let cycles = c.cycle_fields_mut().map(|f| *f);
+        let cycles = c.cycle_fields_mut().map(|(_, f)| *f);
         assert!(cycles.iter().copied().eq(1_000_000..1_000_016));
+        // Each name is its field's.
+        let debug = format!("{c:?}");
+        for (i, (name, _)) in c.cycle_fields_mut().into_iter().enumerate() {
+            assert!(
+                debug.contains(&format!(" {name}: {}", 1_000_000 + i)),
+                "{name}"
+            );
+        }
         assert_eq!(
             c.us_fields_mut().map(|f| *f),
             [1e9, 1e9 + 1.0, 1e9 + 2.0, 1e9 + 3.0]
@@ -261,9 +267,9 @@ mod tests {
             (c.dirtybit_read_clean_us, c.page_diff_uniform_us),
             (1e9, 1e9 + 3.0)
         );
-        // A new field has to be put in a walk or beside mhz and page_size,
-        // which the trace stores on their own.
-        assert_eq!(format!("{c:?}").matches(": ").count(), 16 + 4 + 2);
+        // A new field has to be put in a walk or beside mhz, which the
+        // trace stores on its own.
+        assert_eq!(format!("{c:?}").matches(": ").count(), 16 + 4 + 1);
     }
 
     #[test]

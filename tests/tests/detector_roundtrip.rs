@@ -31,18 +31,13 @@ struct Node {
 }
 
 impl Node {
-    fn new(
-        backend: BackendKind,
-        cfg: &MidwayConfig,
-        spec: &Arc<SystemSpec>,
-        ranges: &Binding,
-    ) -> Node {
+    fn new(backend: BackendKind, spec: &Arc<SystemSpec>, ranges: &Binding) -> Node {
         Node {
             store: LocalStore::new(spec.layout().clone()),
             clock: LamportClock::new(),
             counters: Counters::default(),
             binding: ranges.clone(),
-            det: backend.new_detector(cfg, spec),
+            det: backend.new_detector(spec),
         }
     }
 
@@ -107,8 +102,8 @@ fn roundtrip(backend: BackendKind, seed: u64) {
     let cfg = MidwayConfig::new(2, backend);
     let (spec, shapes) = build_spec();
     let mut rng = SplitMix64::new(seed);
-    let mut a = Node::new(backend, &cfg, &spec, &shapes[0]);
-    let mut b = Node::new(backend, &cfg, &spec, &shapes[0]);
+    let mut a = Node::new(backend, &spec, &shapes[0]);
+    let mut b = Node::new(backend, &spec, &shapes[0]);
 
     for round in 0..9 {
         let (owner, requester) = if round % 2 == 0 {

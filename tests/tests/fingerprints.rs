@@ -118,7 +118,8 @@ fn store_path<R>(app: &str, run: &MidwayRun<R>, result: impl Fn(&R) -> u64) -> [
 /// the last two of each row, the trace and the report, again when a
 /// checked recording gained its reads and grants and a finding its op
 /// index. The trace column again when trace format 7 gave every
-/// processor's counters block its delivery rows (zero here: no faults).
+/// processor's counters block its delivery rows (zero here: no faults),
+/// and when format 8 dropped seven header varints that hold constants.
 #[test]
 fn store_path_fingerprints_match_the_parent_commit() {
     let cfg = |b| {
@@ -131,34 +132,34 @@ fn store_path_fingerprints_match_the_parent_commit() {
     let cells: [(&str, [u64; 8]); 10] = [
         ("quicksort rt",
          [0x11320f2, 0x6e2, 0xb40db1cf21152671, 0x309bcb8d2f155e5,
-          0x5b2fdf7e294348c, 0x9bd53f0ac511e404, 0x8ba88a028991ea94, 0x8f4fa8db18c61e83]),
+          0x5b2fdf7e294348c, 0x9bd53f0ac511e404, 0x950bb361da4a715c, 0x8f4fa8db18c61e83]),
         ("quicksort vm",
          [0x152b27e, 0x6a0, 0xc6100681d0c5408b, 0x52d91bc89d2f03d0,
-          0x33d0adadbfd7b623, 0xa606ee49860a1eed, 0x97f72e31e675eabf, 0x6fc090c2111a2d6a]),
+          0x33d0adadbfd7b623, 0xa606ee49860a1eed, 0x1df44eddbdd6b63a, 0x6fc090c2111a2d6a]),
         ("quicksort blast",
          [0x144726b, 0x6bb, 0xc16247c28419a801, 0x8cf95a5e800cdb5,
-          0x5830dc0ca75c4860, 0xde2bc237be764a92, 0x5727166ec2603e55, 0x1383ee0c89fcbe24]),
+          0x5830dc0ca75c4860, 0xde2bc237be764a92, 0xacafc9a32097cf65, 0x1383ee0c89fcbe24]),
         ("quicksort twinall",
          [0x12d750b, 0x65a, 0xf08ceb51e6fab009, 0xc6e53e15258899ba,
-          0x2728dbd0adc6d81e, 0x61f5ea8905463a5d, 0xe325b31d847cdefc, 0xb4f8765064713eda]),
+          0x2728dbd0adc6d81e, 0x61f5ea8905463a5d, 0xc8817a8bab6b3c2d, 0xb4f8765064713eda]),
         ("quicksort hybrid",
          [0x11320f2, 0x6e2, 0xb40db1cf21152671, 0x309bcb8d2f155e5,
-          0x5b2fdf7e294348c, 0x9bd53f0ac511e404, 0x499112249160ea5b, 0x8f4fa8db18c61e83]),
+          0x5b2fdf7e294348c, 0x9bd53f0ac511e404, 0xa672d0d74fb69033, 0x8f4fa8db18c61e83]),
         ("matrix rt",
          [0x3bd5e, 0xc, 0x2434b6e44ac2da35, 0xe69760e5108bd4a9,
-          0x7b306d491ba6b417, 0x77e1dfcb5470f6dd, 0x6ec8b38ccdfcc520, 0x8a21e9d94bb2605c]),
+          0x7b306d491ba6b417, 0x77e1dfcb5470f6dd, 0x64cc767c02e61080, 0x8a21e9d94bb2605c]),
         ("matrix vm",
          [0x61a1e, 0xc, 0x2434b6e44ac2da35, 0x9d3521df407dc3af,
-          0x7b306d491ba6b417, 0x5370d8f38b6cd74c, 0xdd9ae8eaf0bba2b7, 0x8a21e9d94bb2605c]),
+          0x7b306d491ba6b417, 0x5370d8f38b6cd74c, 0x13e96b00119a1133, 0x8a21e9d94bb2605c]),
         ("matrix blast",
          [0x3a2e8, 0xc, 0x2434b6e44ac2da35, 0xeb02d3cd99afa0eb,
-          0x7b306d491ba6b417, 0x2fb7c293720900dd, 0x7e23d8f9aa07961e, 0x8a21e9d94bb2605c]),
+          0x7b306d491ba6b417, 0x2fb7c293720900dd, 0xe26a3d00616f725a, 0x8a21e9d94bb2605c]),
         ("matrix twinall",
          [0x41633, 0xc, 0x2434b6e44ac2da35, 0xfc9696699a67dc27,
-          0x7b306d491ba6b417, 0xc062ca25f2a171e0, 0x75aeff79d5728e2, 0x8a21e9d94bb2605c]),
+          0x7b306d491ba6b417, 0xc062ca25f2a171e0, 0x4ad3ad93981e3aca, 0x8a21e9d94bb2605c]),
         ("matrix hybrid",
          [0x3bd5e, 0xc, 0x2434b6e44ac2da35, 0xe69760e5108bd4a9,
-          0x7b306d491ba6b417, 0x77e1dfcb5470f6dd, 0x26376bdd532661f2, 0x8a21e9d94bb2605c]),
+          0x7b306d491ba6b417, 0x77e1dfcb5470f6dd, 0xd48559a03648c095, 0x8a21e9d94bb2605c]),
     ];
     let got: Vec<[u64; 8]> = BackendKind::DATA
         .into_iter()
@@ -194,7 +195,7 @@ fn sor_word(o: &sor::Outcome) -> u64 {
 /// recorded by this same test run against the parent commit (5ecb0bc),
 /// before sor relaxed one colour per row pass and matrix computed several
 /// outputs per pass over a row of A; the last two of each row as there,
-/// and the trace column as there for trace format 7.
+/// and the trace column as there for trace formats 7 and 8.
 #[test]
 fn kernel_fingerprints_match_the_parent_commit() {
     let cfg = |b| {
@@ -207,22 +208,22 @@ fn kernel_fingerprints_match_the_parent_commit() {
     let cells: [(&str, [u64; 8]); 6] = [
         ("sor rt",
          [0xc0e28, 0x4e, 0x321f9e3609a3e22c, 0x4d05e5c4591bb64,
-          0x303c58d8216649bb, 0x5bb5b66bb85530a9, 0x8ed5792103551907, 0x904b3f377b4e137f]),
+          0x303c58d8216649bb, 0x5bb5b66bb85530a9, 0x80b4f60a09b7181f, 0x904b3f377b4e137f]),
         ("sor vm",
          [0x14c39e, 0x4e, 0x321f9e3609a3e22c, 0x64002e9983558ef0,
-          0x303c58d8216649bb, 0x428db077c8904d12, 0xff7788f35ce440f3, 0x904b3f377b4e137f]),
+          0x303c58d8216649bb, 0x428db077c8904d12, 0xa790580f4a8c9ce6, 0x904b3f377b4e137f]),
         ("sor blast",
          [0xc81df, 0x4e, 0x321f9e3609a3e22c, 0xdeb49accc806149a,
-          0x303c58d8216649bb, 0xb839e4fedec43386, 0x58c6305ff93c3d7b, 0x904b3f377b4e137f]),
+          0x303c58d8216649bb, 0xb839e4fedec43386, 0x447bd051d3f23, 0x904b3f377b4e137f]),
         ("sor twinall",
          [0xe3f5b, 0x4e, 0x321f9e3609a3e22c, 0xca0a32b9b7cf8e70,
-          0x303c58d8216649bb, 0xb7ae05e95b63b54a, 0xbb6078e6d7a7ddbe, 0x904b3f377b4e137f]),
+          0x303c58d8216649bb, 0xb7ae05e95b63b54a, 0xaaf2e4d50eaae9a0, 0x904b3f377b4e137f]),
         ("sor hybrid",
          [0xc0e28, 0x4e, 0x321f9e3609a3e22c, 0x4d05e5c4591bb64,
-          0x303c58d8216649bb, 0x5bb5b66bb85530a9, 0x8b3b010a03116648, 0x904b3f377b4e137f]),
+          0x303c58d8216649bb, 0x5bb5b66bb85530a9, 0x5a6812f3df88c17a, 0x904b3f377b4e137f]),
         ("matrix 37 rt",
          [0x75d6e, 0xc, 0x2cf9c7755da32445, 0xa0d238b4af845c24,
-          0xdc435cffe00097cc, 0x1955ac14800901bc, 0xa41fe43142881a73, 0xf4ca905a9de78606]),
+          0xdc435cffe00097cc, 0x1955ac14800901bc, 0x3fc9f0bfb1ed5868, 0xf4ca905a9de78606]),
     ];
     let got: Vec<[u64; 8]> = BackendKind::DATA
         .into_iter()
@@ -245,27 +246,27 @@ fn kernel_fingerprints_match_the_parent_commit() {
 
 /// The `MWTR` bytes of plain recordings: FNV-1a of `Trace::encode()` for
 /// sor and quicksort at `Scale::Small` on 4 processors, RT and VM, with
-/// the version byte set to 7 and the file resealed. A pin that moves
+/// the version byte set to 8 and the file resealed. A pin that moves
 /// means the encoding changed, not only a run. The values were recorded
-/// by this same test when version 7 gave every processor's counters block
-/// its delivery rows; `trace_compat.rs` shows what that added to a
-/// fault-free file, which is all that moved these pins.
+/// by this same test when version 8 dropped seven header varints that
+/// hold constants; `trace_compat.rs` shows that a file is the version 7
+/// file less exactly those, which is all that moved these pins.
 #[test]
 fn trace_bytes_match_the_parent_commit() {
     let cells: [(&str, AppKind, BackendKind, u64); 4] = [
-        ("sor rt", AppKind::Sor, BackendKind::Rt, 0x262a3befee95df91),
-        ("sor vm", AppKind::Sor, BackendKind::Vm, 0xa8af3b8c9afe1c94),
+        ("sor rt", AppKind::Sor, BackendKind::Rt, 0xf2bcef9682100353),
+        ("sor vm", AppKind::Sor, BackendKind::Vm, 0x0dab3026a2319fb7),
         (
             "quicksort rt",
             AppKind::Quicksort,
             BackendKind::Rt,
-            0x377d6f1bb75f78b4,
+            0x87f35b967c463cc1,
         ),
         (
             "quicksort vm",
             AppKind::Quicksort,
             BackendKind::Vm,
-            0x078e9e197f077da8,
+            0xe60e180d10a36697,
         ),
     ];
     let got: Vec<u64> = cells
@@ -273,7 +274,7 @@ fn trace_bytes_match_the_parent_commit() {
         .map(|&(_, app, b, _)| {
             let mut bytes = record_app(app, MidwayConfig::new(4, b), Scale::Small).encode();
             // The version is the single-byte varint after the 4-byte magic.
-            bytes[4] = 7;
+            bytes[4] = 8;
             bytes.truncate(bytes.len() - 8);
             codec::seal(&mut bytes);
             codec::fnv1a64(&bytes)

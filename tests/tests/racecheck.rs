@@ -126,14 +126,10 @@ fn every_planted_bug_is_caught_and_shrunk_on_every_data_backend() {
 /// A recorded, checked run's recording analyzed in both walk orders:
 /// lowest-numbered ready processor first, then highest.
 fn both_walks<R>(run: &MidwayRun<R>) -> [CheckReport; 2] {
-    let spec = run
-        .blueprint
-        .as_ref()
-        .expect("recorded")
-        .build()
-        .check_spec();
+    let bp = run.blueprint.as_ref().expect("recorded");
+    let layout = bp.layout().expect("a recorded layout rebuilds");
     [analyze, analyze_highest_first]
-        .map(|walk| walk(&spec, &run.traces).unwrap_or_else(|(_, e)| panic!("{e}")))
+        .map(|walk| walk(bp, &layout, &run.traces).unwrap_or_else(|(_, e)| panic!("{e}")))
 }
 
 /// Which of two concurrent accesses the walk visits first decides whether
@@ -242,6 +238,29 @@ fn a_recorded_planted_bug_fails_check_naming_the_finding() {
         let err = check(&decoded, &checked()).expect_err(kind.label());
         for text in named {
             assert!(err.contains(&text), "{}: {err}", kind.label());
+        }
+    }
+}
+
+/// A trace file is the checker's whole input: a checked recording,
+/// encoded and decoded, analyzed over the file's own declaration and
+/// streams, gives the report the run's own check gave.
+#[test]
+fn a_decoded_trace_alone_reproduces_the_runs_check_report() {
+    for kind in [AppKind::Quicksort, AppKind::Water] {
+        for backend in [BackendKind::Rt, BackendKind::Vm] {
+            let cfg = MidwayConfig::new(4, backend).record(true).check(true);
+            let run = run_app(kind, cfg, Scale::Small);
+            let bytes = Trace::from_run(kind.label(), "small", true, &run).encode();
+            let trace = Trace::decode(&bytes).expect("decodes");
+            let layout = trace
+                .blueprint
+                .layout()
+                .expect("the file's layout rebuilds");
+            let report = analyze(&trace.blueprint, &layout, &trace.ops).expect("ordered");
+            let cell = format!("{} under {}", kind.label(), backend.label());
+            assert!(report.events > 0, "{cell}: nothing analyzed");
+            assert_eq!(Some(report), run.check, "{cell}");
         }
     }
 }

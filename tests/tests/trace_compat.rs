@@ -20,7 +20,7 @@ fn relabelled(bytes: &[u8], version: u64) -> Vec<u8> {
     out
 }
 
-/// The plain sor recording both tests read.
+/// The plain sor recording every test here reads.
 fn sor() -> Trace {
     record_app(
         AppKind::Sor,
@@ -36,7 +36,7 @@ fn past_and_future_versions_are_rejected_as_bad_version() {
     // The file this recorder writes for this run, by length and FNV.
     assert_eq!(
         (bytes.len(), fnv1a64(&bytes)),
-        (19_374, 0x262a_3bef_ee95_df91)
+        (19_362, 0xf2bc_ef96_8210_0353)
     );
     assert_eq!(Trace::decode(&relabelled(&bytes, VERSION)), Ok(trace));
 
@@ -48,10 +48,87 @@ fn past_and_future_versions_are_rejected_as_bad_version() {
     }
 }
 
+/// Version 8 dropped seven header varints whose values no caller varies
+/// and the code now holds as constants: the VM history cap (512) after
+/// the processor count, the page size (4096) after the clock rate, and
+/// after the fault plan's rates its two jitter windows (0 and 0 on the
+/// disabled plan) and the reliable channel's timeout, backoff cap and
+/// timer cost (250 000, 6, 150). The version 7 file of a run is its
+/// version 8 file with those put back and the version byte set to 7.
+fn version_7(trace: &Trace, bytes: &[u8]) -> Vec<u8> {
+    let (m, mut cost) = (&trace.meta, trace.meta.cfg.cost);
+    let (net, faults) = (m.cfg.net, m.cfg.faults);
+    // The version 8 header up to each place a varint went.
+    let mut head = b"MWTR".to_vec();
+    head.varint(VERSION);
+    head.bytes(m.app.as_bytes());
+    head.bytes(m.scale.as_bytes());
+    head.extend([u8::from(m.verified), m.cfg.backend.wire_tag()]);
+    head.varint(m.cfg.procs as u64);
+    let after_procs = head.len();
+    head.varint(u64::from(cost.mhz));
+    let after_mhz = head.len();
+    for (_, v) in cost.cycle_fields_mut() {
+        head.varint(*v);
+    }
+    for v in cost.us_fields_mut() {
+        head.u64(v.to_bits());
+    }
+    for v in [
+        net.latency_cycles,
+        net.per_byte_millicycles,
+        net.send_overhead_cycles,
+        net.recv_overhead_cycles,
+    ] {
+        head.varint(v);
+    }
+    head.push(u8::from(faults.enabled));
+    head.varint(faults.seed);
+    for v in [
+        faults.drop_ppm,
+        faults.dup_ppm,
+        faults.reorder_ppm,
+        faults.delay_ppm,
+    ] {
+        head.varint(v.into());
+    }
+    assert_eq!(bytes[..head.len()], head[..], "the version 8 header");
+    let varints = |vs: &[u64]| {
+        let mut out = Vec::new();
+        for &v in vs {
+            out.varint(v);
+        }
+        out
+    };
+    let old = [
+        &bytes[..after_procs],
+        &varints(&[512]),
+        &bytes[after_procs..after_mhz],
+        &varints(&[4096]),
+        &bytes[after_mhz..head.len()],
+        &varints(&[0, 0, 250_000, 6, 150]),
+        &bytes[head.len()..],
+    ]
+    .concat();
+    relabelled(&old, 7)
+}
+
+/// The sor file is the version 7 recorder's byte for byte (pinned by
+/// length and FNV at the version 7 parent commit) once the seven varints
+/// — 12 bytes here — go back in.
+#[test]
+fn a_file_is_the_version_7_file_less_seven_constant_varints() {
+    let trace = sor();
+    let bytes = trace.encode();
+    let old = version_7(&trace, &bytes);
+    assert_eq!(old.len() - bytes.len(), 12);
+    assert_eq!((old.len(), fnv1a64(&old)), (19_374, 0x262a_3bef_ee95_df91));
+}
+
 /// Version 7 added the delivery rows, last in each processor's counters
-/// block. A fault-free run leaves them zero, so its file is the version 6
-/// recorder's file plus the version byte and one zero byte per new row
-/// per processor. Cut those out, and it is that file byte for byte (pinned
+/// block. A fault-free run leaves them zero, so its version 7 file is the
+/// version 6 recorder's file plus the version byte and one zero byte per
+/// new row per processor. Cut those out, and it is that file byte for byte (pinned
 /// by length and FNV at the version 6 parent commit); set back to version
 /// 5, the version 5 recorder's, as before: a recording without the
 /// checker did not move when version 6 gained the ops only a checked one
@@ -59,7 +136,7 @@ fn past_and_future_versions_are_rejected_as_bad_version() {
 #[test]
 fn a_fault_free_file_is_the_version_6_file_plus_zero_delivery_rows() {
     let trace = sor();
-    let bytes = trace.encode();
+    let bytes = version_7(&trace, &trace.encode());
     let counters = &trace.meta.counters;
     assert!(counters.iter().all(|c| c.sans_delivery() == *c));
     let v6_rows = Counters::NAMES

@@ -391,6 +391,10 @@ pubs=$(rust_src | xargs -0 cat |
     grep -cE '^(    )?pub (fn|struct|enum|trait|type|const|static|mod|use)')
 all=$(find . -name '*.rs' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l)
 echo "non-test code lines: $code; pub lines: $pubs; workspace .rs lines: $all"
+# The `unsafe` blocks, impls and fns in the same files, so moving or
+# adding mapping or switching code shows in the trend.
+unsafes=$(rust_src | xargs -0 cat | grep -v '^[[:space:]]*//' | grep -ow unsafe | wc -l)
+echo "unsafe: $unsafes"
 # What a caller can set: the pub fields of the four configuration records,
 # and the binaries (a src/bin file, or a directory with a main.rs).
 settable=$(awk '/^pub struct (MidwayConfig|FaultPlan|CostModel|ReliableParams) \{/{s=1; next}

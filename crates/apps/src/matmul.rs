@@ -206,6 +206,9 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
             drop(v);
             proc.work((n * n) as u64 * CYCLES_PER_MAC);
         }
+        // The panels are scratch for this stripe alone: freed before the
+        // barrier, they are not resident beside the copy of C it brings.
+        drop(panels);
         proc.barrier(h.all_done);
 
         // Verification: checksum the full matrix (identical everywhere)

@@ -4,6 +4,7 @@
 
 use midway_mem::{Addr, LocalStore};
 use midway_proto::{vm, Binding, ItemRef, SeenToken, UpdateSet, Visible};
+use midway_sim::Pages;
 
 use crate::msg::GrantPayload;
 
@@ -16,7 +17,10 @@ pub(crate) struct BlastDetector;
 
 /// Writes `items` into the store: no bookkeeping. Returns the bytes
 /// written.
-fn copy_items<'a>(store: &mut LocalStore, items: impl IntoIterator<Item = ItemRef<'a>>) -> u64 {
+fn copy_items<'a>(
+    store: &mut LocalStore<Pages>,
+    items: impl IntoIterator<Item = ItemRef<'a>>,
+) -> u64 {
     let mut bytes = 0;
     for item in items {
         store.write_bytes(Addr(item.addr), item.data);

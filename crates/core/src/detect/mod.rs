@@ -67,7 +67,7 @@ use midway_mem::{
 };
 use midway_proto::rt::RtApply;
 use midway_proto::{Binding, LamportClock, PackedSet, SeenToken, UpdateSet, Visible};
-use midway_sim::Category;
+use midway_sim::{Category, Pages};
 use midway_stats::CostModel;
 
 use crate::config::BackendKind;
@@ -96,7 +96,7 @@ pub(crate) use vm::VmDetector;
 /// simulator handle.
 pub struct DetectCx<'a> {
     /// This processor's local cache of the global address space.
-    pub store: &'a mut LocalStore,
+    pub store: &'a mut LocalStore<Pages>,
     /// The shared system description (layout, templates, bindings).
     pub spec: &'a SystemSpec,
     /// Primitive-operation costs (paper Table 1).

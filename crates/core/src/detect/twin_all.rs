@@ -7,6 +7,7 @@ use midway_mem::diff::{DiffScratch, PageDiff};
 use midway_mem::{Addr, LocalStore, PAGE_SHIFT, PAGE_SIZE};
 use midway_proto::{Binding, Fill, ItemRef, SeenToken, UpdateSet, Visible};
 use midway_sim::Category;
+use midway_sim::Pages;
 
 use crate::msg::GrantPayload;
 use crate::setup::SystemSpec;
@@ -149,7 +150,7 @@ fn twin_all_collect<S: Fill + Default>(
 
 fn twin_all_apply<'a>(
     twins: &mut HashMap<(usize, usize), Box<[u8]>>,
-    store: &mut LocalStore,
+    store: &mut LocalStore<Pages>,
     spec: &SystemSpec,
     items: impl IntoIterator<Item = ItemRef<'a>>,
 ) -> u64 {

@@ -14,12 +14,12 @@
 
 use std::sync::Arc;
 
-use midway_mem::{Addr, LocalStore};
+use midway_mem::{Addr, Layout, LocalStore};
 use midway_net::Transport;
 use midway_proto::{
     BarrierId, BarrierSite, Binding, HomeLock, LamportClock, LockId, Mode, TreeSite, TreeTopology,
 };
-use midway_sim::Category;
+use midway_sim::{Category, Pages};
 
 use crate::config::{BarrierShape, MidwayConfig};
 use crate::counters::Counters;
@@ -37,12 +37,19 @@ mod locks;
 mod recover;
 mod transfer;
 
+/// A processor's store over `layout`: each region materializes as an
+/// anonymous mapping, so only the pages the processor writes become
+/// resident, whatever the allocator did with the heap before.
+pub(crate) fn new_store(layout: &Arc<Layout>) -> LocalStore<Pages> {
+    LocalStore::with_slabs(Arc::clone(layout), Pages::zeroed)
+}
+
 /// The region a processor's store views work in, lent out of the store
 /// (and, from its first store on, the detector's trap body for it) until
 /// [`DsmNode::restore`] puts them back.
 pub(crate) struct Lent {
     pub region: usize,
-    pub slab: Box<[u8]>,
+    pub slab: Pages,
     /// `None` until something is stored in the region.
     pub trap: Option<Trap>,
 }
@@ -55,7 +62,7 @@ impl Lent {
     pub(crate) fn none() -> Lent {
         Lent {
             region: Lent::NONE,
-            slab: Box::default(),
+            slab: Pages::default(),
             trap: None,
         }
     }
@@ -93,7 +100,7 @@ pub(crate) struct DsmNode {
     procs: usize,
     cfg: MidwayConfig,
     spec: Arc<SystemSpec>,
-    pub(crate) store: LocalStore,
+    pub(crate) store: LocalStore<Pages>,
     clock: LamportClock,
     detect: Box<dyn WriteDetector>,
     locks: Vec<LockNode>,
@@ -197,7 +204,7 @@ impl DsmNode {
             me,
             procs,
             cfg,
-            store: LocalStore::new(Arc::clone(spec.layout())),
+            store: new_store(spec.layout()),
             clock: LamportClock::new(),
             detect,
             locks,

@@ -57,9 +57,10 @@
 use midway_mem::{Addr, AddrRange, Layout, LocalStore};
 use midway_net::wire::{seal, unseal, Reader, WireError, Writer};
 use midway_proto::Mode;
+use midway_sim::Pages;
 use std::sync::Arc;
 
-use super::{BarrierNode, LockNode};
+use super::{new_store, BarrierNode, LockNode};
 
 /// Checkpoint image magic.
 const MAGIC: &[u8; 4] = b"MWCK";
@@ -109,7 +110,7 @@ impl SyncSnapshot {
 /// What a reconstruction produced.
 pub(crate) struct Recovered {
     /// The rebuilt store.
-    pub store: LocalStore,
+    pub store: LocalStore<Pages>,
     /// The rebuilt synchronization state.
     pub sync: SyncSnapshot,
     /// Stable-storage bytes read back (image + replayed log segments).
@@ -245,7 +246,7 @@ impl RecoveryLog {
                         // corrupt: wal_prev still reaches back to the
                         // start of the run, so replay from zero.
                         None => (
-                            LocalStore::new(Arc::clone(layout)),
+                            new_store(layout),
                             self.initial.clone(),
                             vec![&self.wal_prev, &self.wal],
                         ),
@@ -253,7 +254,7 @@ impl RecoveryLog {
                 }
             },
             None => (
-                LocalStore::new(Arc::clone(layout)),
+                new_store(layout),
                 self.initial.clone(),
                 vec![&self.wal_prev, &self.wal],
             ),
@@ -299,7 +300,7 @@ fn ranges(r: &mut Reader) -> Result<Vec<AddrRange>, WireError> {
 pub(crate) fn encode_checkpoint(
     seq: u64,
     epoch: u32,
-    store: &LocalStore,
+    store: &LocalStore<Pages>,
     sync: &SyncSnapshot,
 ) -> Vec<u8> {
     let mut out = Vec::new();
@@ -333,7 +334,7 @@ pub(crate) fn encode_checkpoint(
 pub(crate) fn decode_checkpoint(
     img: &[u8],
     layout: &Arc<Layout>,
-) -> Result<(LocalStore, SyncSnapshot), WireError> {
+) -> Result<(LocalStore<Pages>, SyncSnapshot), WireError> {
     let body = unseal(img).ok_or(WireError::malformed(
         "image checksum mismatch",
         img.len() as u64,
@@ -344,7 +345,7 @@ pub(crate) fn decode_checkpoint(
     }
     let _seq = r.varint()?;
     let _epoch = r.varint_u32()?;
-    let mut store = LocalStore::new(Arc::clone(layout));
+    let mut store = new_store(layout);
     for _ in 0..r.count(2)? {
         let id = r.varint()?;
         let data = r.bytes()?;
@@ -371,7 +372,7 @@ pub(crate) fn decode_checkpoint(
 /// synchronization state.
 fn replay_log(
     seg: &[u8],
-    store: &mut LocalStore,
+    store: &mut LocalStore<Pages>,
     sync: &mut SyncSnapshot,
 ) -> Result<(), WireError> {
     let mut r = Reader::new(seg);
@@ -457,7 +458,7 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_store_and_sync() {
         let (layout, addrs) = layout_with(&[256, 1024]);
-        let mut store = LocalStore::new(Arc::clone(&layout));
+        let mut store = new_store(&layout);
         store.write_u64(addrs[0], 0xDEAD_BEEF);
         store.write_bytes(addrs[1] + 100, &[1, 2, 3, 4, 5]);
         let sync = sample_sync();
@@ -473,7 +474,7 @@ mod tests {
         // survive encode → decode bit-for-bit.
         for seed in 0..20u64 {
             let (layout, addrs) = layout_with(&[512, 300, 64]);
-            let mut store = LocalStore::new(Arc::clone(&layout));
+            let mut store = new_store(&layout);
             let mut rng = Lcg(seed.wrapping_mul(0x9E37_79B9) + 1);
             for _ in 0..(seed % 7) * 4 {
                 let which = (rng.next() % addrs.len() as u64) as usize;
@@ -506,7 +507,7 @@ mod tests {
     #[test]
     fn corrupt_images_are_detected_never_applied() {
         let (layout, addrs) = layout_with(&[128]);
-        let mut store = LocalStore::new(Arc::clone(&layout));
+        let mut store = new_store(&layout);
         store.write_u64(addrs[0], 42);
         let img = encode_checkpoint(1, 0, &store, &sample_sync());
         // Bit flip anywhere in the body fails the checksum.
@@ -529,9 +530,9 @@ mod tests {
 
     /// One write and a checkpoint image, then a write, a lock record and a
     /// barrier record in the log after it. Returns the live store too.
-    fn image_plus_log() -> (Arc<Layout>, LocalStore, RecoveryLog) {
+    fn image_plus_log() -> (Arc<Layout>, LocalStore<Pages>, RecoveryLog) {
         let (layout, addrs) = layout_with(&[256]);
-        let mut live = LocalStore::new(Arc::clone(&layout));
+        let mut live = new_store(&layout);
         let initial = SyncSnapshot {
             locks: vec![(0, vec![])],
             barriers: vec![(0, 0)],
@@ -637,7 +638,7 @@ mod tests {
         });
         assert!(accepted > 0 && accepted < 10_000, "image: {accepted}");
         let accepted = crate::mutate::sweep(0xc4ec_0002, &log.wal, 10_000, |b| {
-            let mut store = LocalStore::new(Arc::clone(&layout));
+            let mut store = new_store(&layout);
             let mut sync = log.initial.clone();
             replay_log(b, &mut store, &mut sync).is_ok()
         });
@@ -647,7 +648,7 @@ mod tests {
     #[test]
     fn corrupt_latest_image_falls_back_to_previous() {
         let (layout, addrs) = layout_with(&[64]);
-        let mut live = LocalStore::new(Arc::clone(&layout));
+        let mut live = new_store(&layout);
         let initial = SyncSnapshot::default();
         let mut log = RecoveryLog::new(1, initial);
         live.write_u64(addrs[0], 7);
@@ -671,7 +672,7 @@ mod tests {
     #[test]
     fn reconstruct_without_any_checkpoint_replays_from_zero() {
         let (layout, addrs) = layout_with(&[64]);
-        let mut live = LocalStore::new(Arc::clone(&layout));
+        let mut live = new_store(&layout);
         let initial = SyncSnapshot {
             locks: vec![(0, vec![1..2])],
             barriers: vec![],
@@ -687,7 +688,7 @@ mod tests {
     #[test]
     fn double_corruption_is_an_error_not_a_guess() {
         let (layout, addrs) = layout_with(&[64]);
-        let mut live = LocalStore::new(Arc::clone(&layout));
+        let mut live = new_store(&layout);
         let mut log = RecoveryLog::new(1, SyncSnapshot::default());
         for k in 0..2u64 {
             live.write_u64(addrs[0] + 8 * k, k + 1);

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use midway_mem::LocalStore;
 use midway_net::{RealCluster, RealConfig, RealTransport, Transport};
-use midway_sim::{Cluster, ClusterConfig, ProcReport, RunError, RunOutcome, VirtualTime};
+use midway_sim::{Cluster, ClusterConfig, Pages, ProcReport, RunError, RunOutcome, VirtualTime};
 
 use crate::api::Proc;
 use crate::config::{BackendKind, MidwayConfig};
@@ -99,7 +99,7 @@ impl<R> MidwayRun<R> {
 
 /// What one processor's session produces, transport-independent: its
 /// final local store is digested with everyone else's, in lockstep.
-type SessionOut<R> = (R, Counters, LocalStore, Option<OpStream>);
+type SessionOut<R> = (R, Counters, LocalStore<Pages>, Option<OpStream>);
 
 /// One processor's whole life, on any transport: build the node, run the
 /// application closure, serve the cluster until quiescence, report.

@@ -11,24 +11,35 @@
 //! The API speaks `u64` timestamps: [`DIRTY`] is 0, a fresh line reads
 //! [`EPOCH`] (1), and real Lamport times follow. The array stores each
 //! dirtybit as a `u32` holding `timestamp − 1`, wrapping, so [`EPOCH`] is
-//! stored as 0, time `t` as `t − 1` and [`DIRTY`] as `u32::MAX`. Two
-//! things follow:
+//! stored as 0, time `t` as `t − 1` and [`DIRTY`] as `u32::MAX`, and it
+//! stores them by the page: lines come in chunks of 1 024, one 4 KiB page
+//! of `u32`s, and a chunk whose lines all hold one stored value is just
+//! that value. Only a chunk whose lines differ owns a per-line array. A
+//! chunk splits when a store, a stamp or an applied update leaves its
+//! lines unequal, and joins back into one value when an operation over
+//! the whole chunk leaves them equal: [`DirtyBits::take_newer`] when
+//! every line ends at the update's stamp, or a scan that sends lines of
+//! the chunk (and stamps its DIRTY ones). Three things follow:
 //!
-//! * a fresh array is all zero bytes, which the allocator hands out as
-//!   untouched pages (`calloc`): a line costs memory only once it is
-//!   marked or stamped, and then at half the width of a `u64`;
+//! * a fresh array is a vector of chunks at zero, all zero bytes, which
+//!   the allocator hands out as untouched pages (`calloc`): a line costs
+//!   memory only once it is marked or stamped, and then at half the
+//!   width of a `u64`;
+//! * a page of lines under one stamp costs one word: the lines a lock or
+//!   barrier transfer stamps in runs (matrix's `B` and `C` once their
+//!   barriers have released) cost nothing per line;
 //! * timestamps are bounded by [`MAX_TIMESTAMP`]. The Lamport clock asserts
 //!   it never passes that bound, and the wire decoder rejects a timestamp
 //!   above it.
 //!
 //! Why: every processor holds one array per region it maps, a word per
 //! line, so at scale these arrays are most of a processor's memory (a
-//! 10 M-key quicksort at word lines is 10 M dirtybits per processor). Both
-//! halves are needed: zero-based alone leaves the arrays that barrier
-//! applies stamp end to end (sor's edges) at full width, and `u32` alone
-//! still writes every page at creation. A Lamport clock advances a few
-//! times per synchronization event; a run has millions of those, not
-//! billions.
+//! 10 M-key quicksort at word lines is 10 M dirtybits per processor).
+//! Zero-based keeps untouched arrays out of memory, `u32` halves the
+//! lines that differ (sor's edge rows interleave red and black stamps,
+//! so their chunks stay per-line) and the chunks drop the pages whose
+//! lines agree. A Lamport clock advances a few times per synchronization
+//! event; a run has millions of those, not billions.
 //!
 //! The encoding stays in this file: callers read [`DirtyBits::get`], write
 //! [`DirtyBits::stamp`] / [`DirtyBits::mark`], and apply an update through
@@ -112,37 +123,74 @@ impl StoreKind {
     }
 }
 
+/// Lines per chunk of a [`DirtyBits`]: one 4 KiB page of stored `u32`s.
+const CHUNK: usize = 1024;
+
+/// Lines per scan block: 16 lines are 64 bytes of stored values, and the
+/// fixed-size array view drops the per-lane bounds checks so the
+/// interesting-test reduction compiles to vector compares.
+const BLOCK: usize = 16;
+
+/// One chunk of a [`DirtyBits`]: its per-line array where its lines
+/// differ (the last chunk's may run past the array's lines; those slots
+/// mean nothing), else the one stored value all its lines hold. A pair,
+/// so that a vector of chunks at zero is zeroed memory.
+type Chunk = (Option<Box<[u32; CHUNK]>>, u32);
+
 /// The per-processor dirtybit array of one region.
 ///
-/// One `u32` per line, zero-based (see the module's *Encoding*): a new
-/// array is zeroed memory, resident only where a line has been marked or
-/// stamped.
+/// Stored zero-based in `u32`s, by the page (see the module's
+/// *Encoding*): a chunk of [`CHUNK_LINES`](Self::CHUNK_LINES) lines whose
+/// stored values are all equal is that one value; only a chunk whose lines
+/// differ owns a per-line array. A new array is every chunk at zero, in
+/// zeroed memory.
 #[derive(Clone, Debug)]
 pub struct DirtyBits {
-    bits: Vec<u32>,
+    lines: usize,
+    chunks: Vec<Chunk>,
 }
 
 impl DirtyBits {
+    /// Lines per chunk: a chunk whose lines all hold one timestamp costs
+    /// one word instead of a page.
+    pub const CHUNK_LINES: usize = CHUNK;
+
     /// Creates an array of `lines` dirtybits, all at [`EPOCH`].
     pub fn new(lines: usize) -> DirtyBits {
+        let chunks = lines.div_ceil(CHUNK);
         DirtyBits {
-            bits: vec![0; lines],
+            lines,
+            chunks: vec![(None, 0); chunks],
         }
     }
 
     /// Number of lines tracked.
     pub fn lines(&self) -> usize {
-        self.bits.len()
+        self.lines
+    }
+
+    /// How many chunks own a per-line array (the rest cost one word).
+    pub fn per_line_chunks(&self) -> usize {
+        self.chunks
+            .iter()
+            .filter(|(split, _)| split.is_some())
+            .count()
     }
 
     /// Marks `line` dirty (the template's store).
+    #[inline]
     pub fn mark(&mut self, line: usize) {
-        self.bits[line] = DIRTY_RAW;
+        self.set(line, DIRTY_RAW);
     }
 
     /// The timestamp of `line`: [`DIRTY`], [`EPOCH`] or a Lamport time.
+    #[inline]
     pub fn get(&self, line: usize) -> u64 {
-        decode(self.bits[line])
+        let (c, i) = self.locate(line);
+        decode(match &self.chunks[c] {
+            (Some(bits), _) => bits[i],
+            (None, same) => *same,
+        })
     }
 
     /// Stamps `line` with timestamp `ts` (requester side after applying an
@@ -151,8 +199,9 @@ impl DirtyBits {
     /// # Panics
     ///
     /// If `ts` exceeds [`MAX_TIMESTAMP`].
+    #[inline]
     pub fn stamp(&mut self, line: usize, ts: u64) {
-        self.bits[line] = encode(ts);
+        self.set(line, encode(ts));
     }
 
     /// Applies the timestamp of an update covering `lines`: a line takes
@@ -165,6 +214,7 @@ impl DirtyBits {
     /// # Panics
     ///
     /// If `ts` exceeds [`MAX_TIMESTAMP`].
+    #[inline]
     pub fn take_newer(
         &mut self,
         lines: Range<usize>,
@@ -175,19 +225,66 @@ impl DirtyBits {
         // DIRTY (`u32::MAX`) satisfies; the stamp is `ts − 1` itself. A
         // zero `ts` (VM items carry it) is newer than nothing.
         let stamp = encode(ts.max(EPOCH));
-        let base = lines.start;
-        let bits = &mut self.bits[lines];
-        let mut line = 0;
-        while line < bits.len() {
-            let run = line;
-            let take = bits[line] < stamp;
-            while line < bits.len() && (bits[line] < stamp) == take {
-                if take {
-                    bits[line] = stamp;
+        self.check(&lines);
+        // The open run: its first line and whether its lines take `ts`.
+        // A run that flips `take` closes it, if it holds any line.
+        let (mut start, mut take) = (lines.start, false);
+        let mut at = lines.start;
+        while at < lines.end {
+            let (c, lo, hi, whole) = self.piece(at, lines.end);
+            let base = c * CHUNK;
+            let chunk = &mut self.chunks[c];
+            match chunk {
+                (None, same) => {
+                    let t = *same < stamp;
+                    if t != take {
+                        if at > start {
+                            on_run(start..at, take);
+                        }
+                        (start, take) = (at, t);
+                    }
+                    if t && whole {
+                        *same = stamp;
+                    } else if t {
+                        split_out(chunk)[lo..hi].fill(stamp);
+                    }
                 }
-                line += 1;
+                (Some(bits), _) => {
+                    // Whether the chunk ends all at `stamp`.
+                    let mut equal = whole;
+                    let bits = &mut bits[lo..hi];
+                    let mut i = 0;
+                    while i < bits.len() {
+                        let from = i;
+                        let t = bits[i] < stamp;
+                        if t {
+                            while i < bits.len() && bits[i] < stamp {
+                                bits[i] = stamp;
+                                i += 1;
+                            }
+                        } else {
+                            while i < bits.len() && bits[i] >= stamp {
+                                equal &= bits[i] == stamp;
+                                i += 1;
+                            }
+                        }
+                        if t != take {
+                            let line = base + lo + from;
+                            if line > start {
+                                on_run(start..line, take);
+                            }
+                            (start, take) = (line, t);
+                        }
+                    }
+                    if equal {
+                        *chunk = (None, stamp);
+                    }
+                }
             }
-            on_run(base + run..base + line, take);
+            at = base + hi;
+        }
+        if lines.end > start {
+            on_run(start..lines.end, take);
         }
     }
 
@@ -200,12 +297,24 @@ impl DirtyBits {
     #[inline]
     pub fn take_newer_line(&mut self, line: usize, ts: u64) -> bool {
         let stamp = encode(ts.max(EPOCH));
-        let bit = &mut self.bits[line];
-        let take = *bit < stamp;
-        if take {
-            *bit = stamp;
+        let (c, i) = self.locate(line);
+        let chunk = &mut self.chunks[c];
+        match chunk {
+            (Some(bits), _) => {
+                let take = bits[i] < stamp;
+                if take {
+                    bits[i] = stamp;
+                }
+                take
+            }
+            (None, same) => {
+                let take = *same < stamp;
+                if take {
+                    split_out(chunk)[i] = stamp;
+                }
+                take
+            }
         }
-        take
     }
 
     /// Scans lines `range` on behalf of a requester that last saw time
@@ -228,14 +337,15 @@ impl DirtyBits {
     /// [`scan`](DirtyBits::scan) into a caller-owned outcome, so the `lines`
     /// vector's capacity survives across scans. Clears `out` first.
     ///
-    /// Scans blocks of lines at a time: a line is *interesting* iff
-    /// `t == DIRTY || t > last_seen`, which for the stored `raw = t − 1`
-    /// (DIRTY stored as `u32::MAX`) is exactly `u64::from(raw) >= last_seen`.
-    /// A `last_seen` above [`MAX_TIMESTAMP`] leaves only DIRTY interesting,
-    /// as does `last_seen == MAX_TIMESTAMP`, so the comparison runs in `u32`
-    /// against the saturated bound — one branch-free comparison per line
-    /// lets the all-clean block fast path skip the per-line work that
-    /// dominates steady-state scans.
+    /// A line is *interesting* iff `t == DIRTY || t > last_seen`, which
+    /// for the stored `raw = t − 1` (DIRTY stored as `u32::MAX`) is
+    /// exactly `u64::from(raw) >= last_seen`. A `last_seen` above
+    /// [`MAX_TIMESTAMP`] leaves only DIRTY interesting, as does
+    /// `last_seen == MAX_TIMESTAMP`, so the comparison runs in `u32`
+    /// against the saturated bound. A chunk of one value is decided once
+    /// for all its lines; a per-line chunk is scanned a block of lines at
+    /// a time, one branch-free comparison per line, so an all-clean block
+    /// skips the per-line work that dominates steady-state scans.
     pub fn scan_into(
         &mut self,
         out: &mut ScanOutcome,
@@ -248,47 +358,43 @@ impl DirtyBits {
         out.dirty_reads = 0;
         let seen = last_seen.min(MAX_TIMESTAMP) as u32;
         let now = encode(now);
-        // 16 lines = 64 bytes of timestamps per step; the fixed-size array
-        // view drops the per-lane bounds checks so the interesting-test
-        // reduction compiles to vector compares.
-        const BLOCK: usize = 16;
-        let mut line = range.start;
-        let end = range.end;
-        while line + BLOCK <= end {
-            let block: &[u32; BLOCK] = self.bits[line..line + BLOCK]
-                .try_into()
-                .expect("BLOCK lines");
-            let mut any = false;
-            for &v in block {
-                any |= v >= seen;
+        self.check(&range);
+        let mut at = range.start;
+        while at < range.end {
+            let (c, lo, hi, whole) = self.piece(at, range.end);
+            let base = c * CHUNK;
+            let chunk = &mut self.chunks[c];
+            match chunk {
+                (None, same) => {
+                    let raw = *same;
+                    let n = (hi - lo) as u64;
+                    if raw < seen {
+                        out.clean_reads += n;
+                    } else {
+                        out.dirty_reads += n;
+                        out.lines.extend(at..base + hi);
+                        if raw == DIRTY_RAW && whole {
+                            *same = now;
+                        } else if raw == DIRTY_RAW {
+                            split_out(chunk)[lo..hi].fill(now);
+                        }
+                    }
+                }
+                (Some(bits), _) => {
+                    // Only a chunk the scan sent lines of can have been
+                    // stamped.
+                    let sent = out.lines.len();
+                    scan_lines(&mut bits[lo..hi], at, out, seen, now);
+                    if whole && out.lines.len() > sent {
+                        let len = CHUNK.min(self.lines - base);
+                        let first = bits[0];
+                        if bits[..len].iter().all(|&raw| raw == first) {
+                            *chunk = (None, first);
+                        }
+                    }
+                }
             }
-            if !any {
-                out.clean_reads += BLOCK as u64;
-                line += BLOCK;
-                continue;
-            }
-            for i in line..line + BLOCK {
-                Self::scan_one(&mut self.bits, out, i, seen, now);
-            }
-            line += BLOCK;
-        }
-        for i in line..end {
-            Self::scan_one(&mut self.bits, out, i, seen, now);
-        }
-    }
-
-    #[inline]
-    fn scan_one(bits: &mut [u32], out: &mut ScanOutcome, line: usize, seen: u32, now: u32) {
-        let v = bits[line];
-        if v == DIRTY_RAW {
-            bits[line] = now;
-            out.dirty_reads += 1;
-            out.lines.push(line);
-        } else if v >= seen {
-            out.dirty_reads += 1;
-            out.lines.push(line);
-        } else {
-            out.clean_reads += 1;
+            at = base + hi;
         }
     }
 
@@ -313,6 +419,107 @@ impl DirtyBits {
             }
         }
         out
+    }
+
+    /// The chunk holding `line` and the line's index in it.
+    ///
+    /// # Panics
+    ///
+    /// If `line` is past the array.
+    #[inline]
+    fn locate(&self, line: usize) -> (usize, usize) {
+        if line >= self.lines {
+            outside(line..line + 1, self.lines);
+        }
+        (line / CHUNK, line % CHUNK)
+    }
+
+    /// Panics unless `range` is a range of this array's lines.
+    #[inline]
+    fn check(&self, range: &Range<usize>) {
+        if range.start > range.end || range.end > self.lines {
+            outside(range.clone(), self.lines);
+        }
+    }
+
+    /// The piece of lines `at..end` inside `at`'s chunk: the chunk, the
+    /// piece as indices into it, and whether the piece is the whole chunk.
+    #[inline]
+    fn piece(&self, at: usize, end: usize) -> (usize, usize, usize, bool) {
+        let (c, lo) = (at / CHUNK, at % CHUNK);
+        let base = c * CHUNK;
+        let hi = (end - base).min(CHUNK);
+        let whole = lo == 0 && hi == CHUNK.min(self.lines - base);
+        (c, lo, hi, whole)
+    }
+
+    /// Stores `raw` in `line`.
+    #[inline]
+    fn set(&mut self, line: usize, raw: u32) {
+        let (c, i) = self.locate(line);
+        let chunk = &mut self.chunks[c];
+        match chunk {
+            (Some(bits), _) => bits[i] = raw,
+            (None, same) if *same == raw => {}
+            (None, _) => split_out(chunk)[i] = raw,
+        }
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn outside(range: Range<usize>, lines: usize) -> ! {
+    panic!("lines {range:?} outside a {lines}-line dirtybit array")
+}
+
+/// `chunk`'s per-line array, made from its one value if it has none.
+fn split_out(chunk: &mut Chunk) -> &mut [u32; CHUNK] {
+    let (split, same) = chunk;
+    split.get_or_insert_with(|| {
+        vec![*same; CHUNK]
+            .into_boxed_slice()
+            .try_into()
+            .expect("CHUNK lines")
+    })
+}
+
+/// [`DirtyBits::scan_into`] over per-line stored values `bits`, the first
+/// of them line `first`: pushes the interesting lines onto `out` and
+/// stamps the DIRTY ones with `now`, a block of [`BLOCK`] lines at a time.
+fn scan_lines(bits: &mut [u32], first: usize, out: &mut ScanOutcome, seen: u32, now: u32) {
+    let mut at = 0;
+    while at + BLOCK <= bits.len() {
+        let block: &[u32; BLOCK] = bits[at..at + BLOCK].try_into().expect("BLOCK lines");
+        let mut any = false;
+        for &raw in block {
+            any |= raw >= seen;
+        }
+        if any {
+            for i in at..at + BLOCK {
+                scan_one(bits, i, first, out, seen, now);
+            }
+        } else {
+            out.clean_reads += BLOCK as u64;
+        }
+        at += BLOCK;
+    }
+    for i in at..bits.len() {
+        scan_one(bits, i, first, out, seen, now);
+    }
+}
+
+#[inline]
+fn scan_one(bits: &mut [u32], i: usize, first: usize, out: &mut ScanOutcome, seen: u32, now: u32) {
+    let raw = bits[i];
+    if raw == DIRTY_RAW {
+        bits[i] = now;
+        out.dirty_reads += 1;
+        out.lines.push(first + i);
+    } else if raw >= seen {
+        out.dirty_reads += 1;
+        out.lines.push(first + i);
+    } else {
+        out.clean_reads += 1;
     }
 }
 
@@ -540,7 +747,9 @@ mod tests {
             assert_eq!(got.lines, want.lines, "interesting {interesting:?}");
             assert_eq!(got.dirty_reads, want.dirty_reads);
             assert_eq!(got.clean_reads, want.clean_reads);
-            assert_eq!(a.bits, b.bits, "lazy stamping must match");
+            for line in 0..20 {
+                assert_eq!(a.get(line), b.get(line), "lazy stamping must match");
+            }
         }
     }
 

@@ -36,4 +36,4 @@ pub use dirty::{DirtyBits, ScanOutcome, StoreKind, Template, DIRTY, EPOCH, MAX_T
 pub use layout::{Alloc, Layout, LayoutBuilder, MemClass, RegionDesc, RegionId};
 pub use paging::{PageTable, RegionPages, WriteAccess};
 pub use pool::BufPool;
-pub use store::LocalStore;
+pub use store::{LocalStore, Slab};

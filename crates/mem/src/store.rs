@@ -1,9 +1,17 @@
 //! A processor's local cached copy of the address space.
 
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 use crate::addr::Addr;
 use crate::layout::Layout;
+
+/// The bytes of one materialized region: zero when made, then read and
+/// written in place. A `Box<[u8]>` is one; so is an anonymous mapping
+/// (`midway_sim::Pages`), which the engine's stores hold.
+pub trait Slab: DerefMut<Target = [u8]> {}
+
+impl<T: DerefMut<Target = [u8]>> Slab for T {}
 
 /// One processor's backing memory.
 ///
@@ -11,18 +19,41 @@ use crate::layout::Layout;
 /// keeps caches consistent at synchronization points), so a `LocalStore`
 /// holds a full copy of each region's used bytes, materialized lazily and
 /// zero-filled — matching the zero-initialized heap the applications assume.
-pub struct LocalStore {
+///
+/// A region materializes as one [`Slab`] of its used bytes, made by the
+/// function the store was built with. [`LocalStore::new`] makes heap
+/// slabs; the engine builds its stores with
+/// [`with_slabs`](LocalStore::with_slabs) over anonymous mappings, so a
+/// region's pages become resident only as they are written, and a page
+/// the processor never touches stays out of its memory however the
+/// allocator had used the heap before (a zeroed heap slab is
+/// `calloc`ed, which writes every page of reused memory). The mapping
+/// lives in `midway-sim`, beside the workspace's other `unsafe`, and this
+/// crate does not depend on that one, so a store takes its slab maker as
+/// a function.
+pub struct LocalStore<S = Box<[u8]>> {
     layout: Arc<Layout>,
-    regions: Vec<Option<Box<[u8]>>>,
+    regions: Vec<Option<S>>,
+    zeroed: fn(usize) -> S,
 }
 
 impl LocalStore {
-    /// Creates an empty store over `layout`.
+    /// Creates an empty store over `layout` whose regions materialize on
+    /// the heap.
     pub fn new(layout: Arc<Layout>) -> LocalStore {
+        LocalStore::with_slabs(layout, |len| vec![0u8; len].into_boxed_slice())
+    }
+}
+
+impl<S: Slab> LocalStore<S> {
+    /// Creates an empty store over `layout` whose regions materialize as
+    /// `zeroed(used bytes)`, which must read as zeros.
+    pub fn with_slabs(layout: Arc<Layout>, zeroed: fn(usize) -> S) -> LocalStore<S> {
         let slots = layout.region_slots();
         LocalStore {
             layout,
             regions: (0..slots).map(|_| None).collect(),
+            zeroed,
         }
     }
 
@@ -52,7 +83,8 @@ impl LocalStore {
             .region(id)
             .unwrap_or_else(|| panic!("no region {id}"))
             .used;
-        self.regions[id].get_or_insert_with(|| vec![0u8; used].into_boxed_slice())
+        let zeroed = self.zeroed;
+        self.regions[id].get_or_insert_with(|| zeroed(used))
     }
 
     /// Immutable bytes at `[addr, addr + len)`.
@@ -101,13 +133,13 @@ impl LocalStore {
     /// # Panics
     ///
     /// Panics if the layout has no region `id`.
-    pub fn lend_region(&mut self, id: usize) -> Box<[u8]> {
+    pub fn lend_region(&mut self, id: usize) -> S {
         self.region_mut(id);
         self.regions[id].take().expect("just materialized")
     }
 
     /// Puts back a region taken with [`lend_region`](Self::lend_region).
-    pub fn restore_region(&mut self, id: usize, slab: Box<[u8]>) {
+    pub fn restore_region(&mut self, id: usize, slab: S) {
         debug_assert!(self.regions[id].is_none(), "region {id} restored twice");
         self.regions[id] = Some(slab);
     }
@@ -133,7 +165,7 @@ impl LocalStore {
     /// # Panics
     ///
     /// Panics if the stores are not all built over the same layout.
-    pub fn digests(stores: &[&LocalStore]) -> Vec<u64> {
+    pub fn digests(stores: &[&LocalStore<S>]) -> Vec<u64> {
         let mut out = Vec::with_capacity(stores.len());
         for group in stores.chunks(4) {
             match *group {
@@ -179,7 +211,7 @@ impl LocalStore {
         hash
     }
 
-    fn locate(&mut self, addr: Addr, len: usize) -> (&mut Box<[u8]>, usize) {
+    fn locate(&mut self, addr: Addr, len: usize) -> (&mut S, usize) {
         let idx = addr.region_index();
         let desc = self.layout.region(idx).unwrap_or_else(|| {
             panic!("address {addr} is outside every region");
@@ -190,9 +222,8 @@ impl LocalStore {
             "access [{addr}, +{len}) overruns region {idx} (used {})",
             desc.used
         );
-        let used = desc.used;
-        let slot = &mut self.regions[idx];
-        let region = slot.get_or_insert_with(|| vec![0u8; used].into_boxed_slice());
+        let (used, zeroed) = (desc.used, self.zeroed);
+        let region = self.regions[idx].get_or_insert_with(|| zeroed(used));
         // A region may have been materialized when fewer bytes were used if
         // the layout were mutable; layouts are immutable so sizes agree.
         debug_assert_eq!(region.len(), used);
@@ -223,7 +254,7 @@ fn prime_pow(mut n: u64) -> u64 {
 /// one multiply; a 64-byte block that is zero in every lane costs each
 /// lane one multiply; any other block is folded byte by byte in every
 /// lane, the lanes interleaved so their multiplies overlap.
-fn lockstep<const N: usize>(stores: [&LocalStore; N]) -> [u64; N] {
+fn lockstep<S: Slab, const N: usize>(stores: [&LocalStore<S>; N]) -> [u64; N] {
     const PRIME64: u64 = {
         let mut p = 1u64;
         let mut i = 0;
@@ -295,7 +326,7 @@ fn fold<const N: usize>(hash: &mut [u64; N], bytes: [&[u8]; N]) {
     }
 }
 
-impl std::fmt::Debug for LocalStore {
+impl<S> std::fmt::Debug for LocalStore<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let materialized = self.regions.iter().filter(|r| r.is_some()).count();
         f.debug_struct("LocalStore")

@@ -506,3 +506,187 @@ fn restricted_is_the_per_byte_intersection() {
         assert_eq!(diff.covered_by(&ranges), want.len() == all, "case {case}");
     }
 }
+
+/// Random `mark` / `stamp` / `take_newer` / `take_newer_line` /
+/// `scan_into` sequences over arrays of two to four chunks, the last one
+/// partial, against a flat `u64` model: every line reads as the model
+/// says, every scan and every reported run is the model's (runs maximal
+/// across chunk boundaries), and the count of per-line chunks follows
+/// the rule chunks split and join by. A chunk of one value splits when
+/// an operation leaves its lines unequal, or a single line takes an
+/// update; a split chunk joins again when `take_newer` over the whole
+/// chunk leaves every line at the update's stamp, or a scan of the whole
+/// chunk sends a line and leaves all its lines equal.
+#[test]
+fn chunked_dirtybits_match_a_flat_model_across_chunk_boundaries() {
+    const CHUNK: usize = DirtyBits::CHUNK_LINES;
+    let mut rng = SplitMix64::new(0xd1ff_000e);
+    let (mut splits, mut joins) = (0, 0);
+    for case in 0..48 {
+        let lines = CHUNK * (1 + rng.next_below(3) as usize)
+            + 1
+            + rng.next_below(CHUNK as u64 - 1) as usize;
+        let chunks = lines.div_ceil(CHUNK);
+        let chunk_of = |c: usize| c * CHUNK..((c + 1) * CHUNK).min(lines);
+        let mut bits = DirtyBits::new(lines);
+        let mut model = vec![EPOCH; lines];
+        let mut split = vec![false; chunks];
+        // Few distinct timestamps, so lines often agree and chunks join.
+        let ts_of = |rng: &mut SplitMix64| match rng.next_below(8) {
+            0 => DIRTY,
+            1 => any_timestamp(rng),
+            k => k,
+        };
+        for step in 0..300 {
+            let at = format!("case {case}, step {step}");
+            // Whole chunks, the whole array, or a run of up to two chunks.
+            let range = match rng.next_below(4) {
+                0 => chunk_of(rng.next_below(chunks as u64) as usize),
+                1 => 0..lines,
+                _ => {
+                    let start = rng.next_below(lines as u64) as usize;
+                    let most = (lines - start).min(2 * CHUNK) as u64;
+                    start..start + rng.next_below(most + 1) as usize
+                }
+            };
+            let whole = |c: usize| range.start <= c * CHUNK && chunk_of(c).end <= range.end;
+            let piece = |c: usize| chunk_of(c).filter(|l| range.contains(l));
+            let all_at =
+                |model: &[u64], c: usize, ts: u64| model[chunk_of(c)].iter().all(|&t| t == ts);
+            let was = split.clone();
+            match rng.next_below(5) {
+                0 | 1 => {
+                    let line = rng.next_below(lines as u64) as usize;
+                    let ts = ts_of(&mut rng);
+                    if ts == DIRTY && rng.next_below(2) == 0 {
+                        bits.mark(line);
+                    } else {
+                        bits.stamp(line, ts);
+                    }
+                    let c = line / CHUNK;
+                    split[c] |= model[line] != ts;
+                    model[line] = ts;
+                }
+                2 => {
+                    let (ts, stamp) = {
+                        let ts = ts_of(&mut rng);
+                        (ts, ts.max(EPOCH))
+                    };
+                    let mut runs = Vec::new();
+                    bits.take_newer(range.clone(), ts, |run, take| runs.push((run, take)));
+                    let mut want: Vec<(std::ops::Range<usize>, bool)> = Vec::new();
+                    let mut took = vec![false; chunks];
+                    for line in range.clone() {
+                        let take = model[line] != DIRTY && stamp > model[line];
+                        if take {
+                            model[line] = stamp;
+                            took[line / CHUNK] = true;
+                        }
+                        match want.last_mut() {
+                            Some((run, t)) if *t == take => run.end = line + 1,
+                            _ => want.push((line..line + 1, take)),
+                        }
+                    }
+                    assert_eq!(runs, want, "{at}: runs");
+                    for c in range.start / CHUNK..range.end.div_ceil(CHUNK) {
+                        if !split[c] {
+                            split[c] = took[c] && !whole(c);
+                        } else if whole(c) && all_at(&model, c, stamp) {
+                            split[c] = false;
+                        }
+                    }
+                }
+                3 => {
+                    let line = rng.next_below(lines as u64) as usize;
+                    let ts = ts_of(&mut rng);
+                    let take = model[line] != DIRTY && ts.max(EPOCH) > model[line];
+                    assert_eq!(bits.take_newer_line(line, ts), take, "{at}: line {line}");
+                    if take {
+                        model[line] = ts.max(EPOCH);
+                        split[line / CHUNK] = true;
+                    }
+                }
+                _ => {
+                    let (last_seen, now) = (ts_of(&mut rng), 1 + rng.next_below(9));
+                    let mut out = ScanOutcome::default();
+                    bits.scan_into(&mut out, range.clone(), last_seen, now);
+                    let sent: Vec<usize> = range
+                        .clone()
+                        .filter(|&l| model[l] == DIRTY || model[l] > last_seen)
+                        .collect();
+                    assert_eq!(out.lines, sent, "{at}: scan");
+                    assert_eq!(out.dirty_reads, sent.len() as u64, "{at}");
+                    assert_eq!(out.clean_reads, (range.len() - sent.len()) as u64, "{at}");
+                    for c in range.start / CHUNK..range.end.div_ceil(CHUNK) {
+                        let stamped = piece(c).any(|l| model[l] == DIRTY);
+                        let sent = piece(c).any(|l| model[l] == DIRTY || model[l] > last_seen);
+                        for l in piece(c) {
+                            if model[l] == DIRTY {
+                                model[l] = now;
+                            }
+                        }
+                        if !split[c] {
+                            split[c] = stamped && !whole(c);
+                        } else if whole(c) && sent && all_at(&model, c, model[c * CHUNK]) {
+                            split[c] = false;
+                        }
+                    }
+                }
+            }
+            for (line, &want) in model.iter().enumerate() {
+                assert_eq!(bits.get(line), want, "{at}: line {line}");
+            }
+            let want = split.iter().filter(|&&s| s).count();
+            assert_eq!(bits.per_line_chunks(), want, "{at}: per-line chunks");
+            for (before, after) in was.iter().zip(&split) {
+                splits += usize::from(!before && *after);
+                joins += usize::from(*before && !after);
+            }
+        }
+    }
+    assert!(splits > 100 && joins > 50, "{splits} splits, {joins} joins");
+}
+
+/// Stamping every line of a chunk and scanning it, or applying one
+/// update over a whole chunk, leaves the chunk one value: a page of
+/// dirtybits under one stamp costs one word again.
+#[test]
+fn whole_chunk_stamps_collapse() {
+    const CHUNK: usize = DirtyBits::CHUNK_LINES;
+    let lines = 2 * CHUNK + 100;
+    let mut bits = DirtyBits::new(lines);
+    assert_eq!(bits.per_line_chunks(), 0);
+    // A store into every line of the first chunk and the partial last one.
+    for line in (0..CHUNK).chain(2 * CHUNK..lines) {
+        bits.mark(line);
+    }
+    bits.stamp(CHUNK + 5, 9);
+    assert_eq!(bits.per_line_chunks(), 3);
+    let out = bits.scan(0..lines, 20, 30);
+    assert_eq!(out.dirty_reads as usize, CHUNK + 100);
+    assert_eq!(bits.per_line_chunks(), 1, "the middle chunk still differs");
+    // An update newer than every line of the middle chunk.
+    let mut runs = Vec::new();
+    bits.take_newer(CHUNK..2 * CHUNK, 40, |run, take| runs.push((run, take)));
+    assert_eq!(runs, vec![(CHUNK..2 * CHUNK, true)]);
+    assert_eq!(bits.per_line_chunks(), 0);
+    for l in 0..lines {
+        let stamp = if (CHUNK..2 * CHUNK).contains(&l) {
+            40
+        } else {
+            30
+        };
+        assert_eq!(bits.get(l), stamp, "line {l}");
+    }
+    // Runs stay maximal across chunk boundaries.
+    let mut runs = Vec::new();
+    bits.take_newer(10..lines, 35, |run, take| runs.push((run, take)));
+    assert_eq!(
+        runs,
+        vec![
+            (10..CHUNK, true),
+            (CHUNK..2 * CHUNK, false),
+            (2 * CHUNK..lines, true)
+        ]
+    );
+}

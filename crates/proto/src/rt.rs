@@ -7,7 +7,7 @@
 //! the requester writes the data and records the timestamp, so "updates are
 //! never performed more than once at a processor".
 
-use midway_mem::{Addr, DirtyBits, Layout, LocalStore};
+use midway_mem::{Addr, DirtyBits, Layout, LocalStore, Slab};
 
 use crate::binding::Binding;
 use crate::update::{copy_payload, Fill, ItemRef, UpdateItem, UpdateSet};
@@ -87,7 +87,7 @@ pub struct RtApply {
 /// pool.
 #[allow(clippy::too_many_arguments)]
 pub fn collect_pooled(
-    store: &mut LocalStore,
+    store: &mut LocalStore<impl Slab>,
     dirty: &mut DirtyMap,
     layout: &Layout,
     binding: &Binding,
@@ -145,9 +145,10 @@ impl Fill for Pooled<'_> {
 /// waste five bytes of header per word line). A run that continues the
 /// previous span's last item (a region used to its end, followed by the
 /// next region) is appended to it. `out` is reserved once per span, for
-/// exactly the span's runs and bytes.
+/// exactly the span's runs and bytes: the span's runs are found once,
+/// into a buffer of the call's own.
 pub fn collect_with(
-    store: &mut LocalStore,
+    store: &mut LocalStore<impl Slab>,
     dirty: &mut DirtyMap,
     layout: &Layout,
     binding: &Binding,
@@ -156,10 +157,11 @@ pub fn collect_with(
     out: &mut impl Fill,
 ) -> (u64, u64) {
     let (mut clean_reads, mut dirty_reads) = (0, 0);
-    // One scan buffer reused across spans, dropped at the end of the
-    // pass; the dirtybit array and the region's bytes are resolved once
-    // per span, not once per line.
+    // One scan buffer and one run buffer reused across spans, dropped at
+    // the end of the pass; the dirtybit array and the region's bytes are
+    // resolved once per span, not once per line.
     let mut scan = midway_mem::ScanOutcome::default();
+    let mut spans = Vec::new();
     // Where the last item ends, and its timestamp.
     let mut last: Option<(u64, u64)> = None;
     for (region_id, lines) in binding.line_spans(layout) {
@@ -169,17 +171,16 @@ pub fn collect_with(
         bits.scan_into(&mut scan, lines, last_seen, now);
         clean_reads += scan.clean_reads;
         dirty_reads += scan.dirty_reads;
-        let bits = &*bits;
-        let slab = store.region_mut(region_id);
-        let item = |(first, n, ts): (usize, usize, u64)| {
+        spans.clear();
+        spans.extend(runs(&scan.lines, bits).map(|(first, n, ts)| {
             let (lo, hi) = (first << shift, ((first + n) << shift).min(desc.used));
-            (desc.base().raw() + lo as u64, &slab[lo..hi], ts)
-        };
-        let (items, bytes) = runs(&scan.lines, bits)
-            .map(item)
-            .fold((0, 0), |(k, b), (_, data, _)| (k + 1, b + data.len()));
-        out.reserve(items, bytes);
-        for (addr, data, ts) in runs(&scan.lines, bits).map(item) {
+            (lo, hi, ts)
+        }));
+        let bytes = spans.iter().map(|&(lo, hi, _)| hi - lo).sum();
+        out.reserve(spans.len(), bytes);
+        let slab = store.region_mut(region_id);
+        for &(lo, hi, ts) in &spans {
+            let (addr, data) = (desc.base().raw() + lo as u64, &slab[lo..hi]);
             if last == Some((addr, ts)) {
                 out.extend_last(data);
             } else {
@@ -213,7 +214,7 @@ fn runs<'a>(
 /// the lines' dirtybits stamped; lines no newer than the local copy are
 /// skipped.
 pub fn apply(
-    store: &mut LocalStore,
+    store: &mut LocalStore<impl Slab>,
     dirty: &mut DirtyMap,
     layout: &Layout,
     set: &UpdateSet,
@@ -233,7 +234,7 @@ struct RegionCursor<'a> {
 
 impl<'a> RegionCursor<'a> {
     fn new(
-        store: &'a mut LocalStore,
+        store: &'a mut LocalStore<impl Slab>,
         dirty: &'a mut DirtyMap,
         layout: &Layout,
         id: usize,
@@ -261,7 +262,7 @@ impl<'a> RegionCursor<'a> {
 /// word or doubleword lines — is one test-and-stamp of that line's
 /// dirtybit and one copy; longer items take the run loop.
 pub fn apply_with<'a>(
-    store: &mut LocalStore,
+    store: &mut LocalStore<impl Slab>,
     dirty: &mut DirtyMap,
     layout: &Layout,
     items: impl IntoIterator<Item = ItemRef<'a>>,

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use midway_mem::diff::{DiffScratch, PageDiff};
-use midway_mem::{Addr, Layout, LocalStore, PageTable, PAGE_SHIFT, PAGE_SIZE};
+use midway_mem::{Addr, Layout, LocalStore, PageTable, Slab, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::binding::Binding;
 use crate::update::{copy_payload, Fill, ItemRef, Update, UpdateSet};
@@ -41,7 +41,7 @@ pub struct VmApply {
 /// the current incarnation: [`collect_with`], its pieces copied into
 /// items.
 pub fn collect(
-    store: &mut LocalStore,
+    store: &mut LocalStore<impl Slab>,
     pages: &mut PageTable,
     layout: &Layout,
     binding: &Binding,
@@ -76,7 +76,7 @@ pub fn collect(
 /// The diff buffer and the per-page bound ranges are `pages.scratch`, so
 /// a pass allocates nothing of its own per run or per page.
 pub fn collect_with(
-    store: &mut LocalStore,
+    store: &mut LocalStore<impl Slab>,
     pages: &mut PageTable,
     layout: &Layout,
     binding: &Binding,
@@ -124,7 +124,7 @@ pub fn collect_with(
 /// Reads the full bound data, one item per bound range per region: the
 /// fallback when the incarnation history cannot serve a requester, and
 /// the §3.5 "blast" strawman's whole payload.
-pub fn snapshot<S: Fill + Default>(store: &mut LocalStore, binding: &Binding) -> S {
+pub fn snapshot<S: Fill + Default>(store: &mut LocalStore<impl Slab>, binding: &Binding) -> S {
     let mut set = S::default();
     set.reserve(binding.ranges().len(), binding.data_bytes() as usize);
     for range in binding.ranges() {
@@ -139,7 +139,7 @@ pub fn snapshot<S: Fill + Default>(store: &mut LocalStore, binding: &Binding) ->
 /// Applies an incoming update set; modifications landing on a locally
 /// dirty page are also applied to its twin, "so the update will not be
 /// treated as a new modification by the local processor".
-pub fn apply(store: &mut LocalStore, pages: &mut PageTable, set: &UpdateSet) -> VmApply {
+pub fn apply(store: &mut LocalStore<impl Slab>, pages: &mut PageTable, set: &UpdateSet) -> VmApply {
     apply_items(store, pages, set.items.iter().map(ItemRef::from))
 }
 
@@ -157,7 +157,7 @@ struct TwinCursor<'a> {
 /// but the longest diff runs — is one copy into the store and at most one
 /// into the twin; a word or doubleword is copied as one store.
 pub fn apply_items<'a>(
-    store: &mut LocalStore,
+    store: &mut LocalStore<impl Slab>,
     pages: &mut PageTable,
     items: impl IntoIterator<Item = ItemRef<'a>>,
 ) -> VmApply {

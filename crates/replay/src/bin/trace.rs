@@ -158,12 +158,14 @@ impl Args {
             };
             args.given.push((name, value));
         }
-        // A run needs a processor: setup panics on a zero-length allocation.
-        if let Some(v) = args.value("--procs") {
-            if !v.parse::<usize>().is_ok_and(|n| n > 0) {
-                return Err(format!(
-                    "--procs takes a processor count of 1 or more, got {v:?}"
-                ));
+        // Every number is read here, so a command never meets one it
+        // cannot use. A run needs a processor: setup panics on a
+        // zero-length allocation.
+        for (flag, ok, wants) in NUMBERS {
+            if let Some(v) = args.value(flag) {
+                if !ok(v) {
+                    return Err(format!("{flag} takes {wants}, got {v:?}"));
+                }
             }
         }
         Ok(args)
@@ -180,23 +182,45 @@ impl Args {
         v.as_deref()
     }
 
-    /// The number following flag `name`, if the flag was given.
-    fn number<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        self.value(name)
-            .map(|s| s.parse().map_err(|_| format!("{name} takes a number")))
-            .transpose()
+    /// The number following flag `name`, if the flag was given; `parse`
+    /// checked it against [`NUMBERS`].
+    fn number<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let v = self.value(name)?;
+        Some(
+            v.parse()
+                .unwrap_or_else(|_| panic!("{name} {v:?} passed parse")),
+        )
     }
 
     /// Builds the lossy-network plan `--loss PPM` / `--fault-seed N`
     /// describe; `None` when neither flag was given.
-    fn fault_plan(&self) -> Result<Option<FaultPlan>, String> {
-        let (loss, seed) = (self.number("--loss")?, self.number("--fault-seed")?);
+    fn fault_plan(&self) -> Option<FaultPlan> {
+        let (loss, seed) = (self.number("--loss"), self.number("--fault-seed"));
         if loss.is_none() && seed.is_none() {
-            return Ok(None);
+            return None;
         }
-        Ok(Some(FaultPlan::lossy(seed.unwrap_or(1), loss.unwrap_or(0))))
+        Some(FaultPlan::lossy(seed.unwrap_or(1), loss.unwrap_or(0)))
     }
 }
+
+/// The flags that take a number: what a value must parse as, and how the
+/// usage error says it.
+type NumberCheck = (&'static str, fn(&str) -> bool, &'static str);
+
+const NUMBERS: &[NumberCheck] = &[
+    (
+        "--procs",
+        |v| v.parse::<usize>().is_ok_and(|n| n > 0),
+        "a processor count of 1 or more",
+    ),
+    ("--loss", |v| v.parse::<u32>().is_ok(), "a drop rate in ppm"),
+    ("--fault-seed", |v| v.parse::<u64>().is_ok(), "a seed"),
+    (
+        "--interval",
+        |v| v.parse::<u32>().is_ok(),
+        "a checkpoint interval",
+    ),
+];
 
 fn parse_scale(s: &str) -> Result<Scale, String> {
     match s {
@@ -265,7 +289,7 @@ fn cmd_record(args: &Args) -> Result<ExitCode, String> {
         .map(parse_scale)
         .transpose()?
         .unwrap_or(Scale::Small);
-    let procs: usize = args.number("--procs")?.unwrap_or(8);
+    let procs: usize = args.number("--procs").unwrap_or(8);
     let out = args.value("--out");
     if out.is_some() && apps.len() > 1 {
         return Err("--out only makes sense with a single --app".to_string());
@@ -310,7 +334,7 @@ fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
     if let Some(b) = args.value("--backend") {
         cfg.backend = BackendKind::from_cli_name(b)?;
     }
-    if let Some(plan) = args.fault_plan()? {
+    if let Some(plan) = args.fault_plan() {
         cfg.faults = plan;
     }
     let t0 = Instant::now();
@@ -328,7 +352,7 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
         return Err("check takes exactly one trace file".to_string());
     };
     let trace = load(path)?;
-    let mut faults = args.fault_plan()?;
+    let mut faults = args.fault_plan();
     if args.flag("--crash") {
         // Sized by the recorded run so it always lands mid-computation:
         // processor 1 fails a third of the way in and stays down for 5%.
@@ -339,7 +363,7 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
     let axes = Axes {
         transport: Transport::Sim {
             faults,
-            checkpoint_every: args.number("--interval")?,
+            checkpoint_every: args.number("--interval"),
         },
         check: args.flag("--race"),
         ..Axes::default()

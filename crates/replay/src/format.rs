@@ -47,6 +47,8 @@
 //! Decoding verifies the magic, checksum and version before anything
 //! else; every count is bounded by the bytes that remain, every cost,
 //! network and crash time by what a replay can sum (see [`MAX_CHARGE`]),
+//! and so is each processor's total of `Work` and `Idle` cycles
+//! ([`MAX_STREAM_CYCLES`]),
 //! every id is narrowed with a check (and an op's lock or barrier id must
 //! name an object of the file's own blueprint, a crash one of its
 //! processors) and every range end is computed with one, so truncated,
@@ -106,6 +108,12 @@ const MAX_CHARGE: u64 = 1 << 20;
 /// 12 hours at 25 MHz, far past any recorded run's finish.
 const MAX_CRASH_CYCLES: u64 = 1 << 40;
 
+/// The most cycles one processor's `Work` and `Idle` ops may sum to:
+/// 130 days at 25 MHz. A replay adds them to the processor's clock, so
+/// they alone can never wrap it, and they leave the header's charges
+/// (see [`MAX_CHARGE`]) all but 2^48 of the clock's range.
+const MAX_STREAM_CYCLES: u64 = 1 << 48;
+
 /// Why a trace file was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceError {
@@ -119,6 +127,12 @@ pub enum TraceError {
     Truncated,
     /// A field holds a value the format does not allow.
     Malformed(&'static str),
+    /// Processor `proc`'s `Work` and `Idle` ops sum past 2^48 cycles,
+    /// which could overflow a replay's clock.
+    Overlong {
+        /// The processor whose stream it is.
+        proc: usize,
+    },
     /// The file could not be read at all.
     Io(String),
 }
@@ -131,6 +145,10 @@ impl std::fmt::Display for TraceError {
             TraceError::BadChecksum => write!(f, "trace checksum mismatch (corrupt file)"),
             TraceError::Truncated => write!(f, "trace file is truncated"),
             TraceError::Malformed(what) => write!(f, "malformed trace: {what}"),
+            TraceError::Overlong { proc } => write!(
+                f,
+                "malformed trace: processor {proc}'s work and idle cycles pass 2^48"
+            ),
             TraceError::Io(e) => write!(f, "cannot read trace: {e}"),
         }
     }
@@ -519,22 +537,26 @@ fn bound(r: &mut Reader, extents: &[AddrRange]) -> Result<Vec<AddrRange>, WireEr
 
 /// Decodes one op of a `procs`-processor trace onto the end of `stream`,
 /// as read: adjacent `Work` charges and `Read`s stay apart, so the stream
-/// re-encodes to the same bytes.
+/// re-encodes to the same bytes. Returns the cycles a `Work` or `Idle`
+/// op adds to the processor's clock, zero for any other.
 fn op(
     r: &mut Reader,
     bp: &SpecBlueprint,
     extents: &[AddrRange],
     procs: usize,
     stream: &mut OpStream,
-) -> Result<(), WireError> {
+) -> Result<u64, WireError> {
     let lock = |r: &mut Reader| id(r, bp.locks.len(), "lock id outside the blueprint");
-    stream.push(match r.u8()? {
-        0 => TraceOp::Work {
-            cycles: r.varint()?,
-        },
-        1 => TraceOp::Idle {
-            cycles: r.varint()?,
-        },
+    let tag = r.u8()?;
+    if tag <= 1 {
+        let cycles = r.varint()?;
+        stream.push(match tag {
+            0 => TraceOp::Work { cycles },
+            _ => TraceOp::Idle { cycles },
+        });
+        return Ok(cycles);
+    }
+    stream.push(match tag {
         2 => {
             let addr = r.varint()?;
             let data = r.bytes()?;
@@ -569,7 +591,7 @@ fn op(
                 lock,
                 ranges: &ranges,
             });
-            return Ok(());
+            return Ok(0);
         }
         6 => TraceOp::Barrier {
             barrier: id(r, bp.barriers.len(), "barrier id outside the blueprint")?,
@@ -588,7 +610,7 @@ fn op(
         },
         t => return malformed("unknown op tag", t.into()),
     });
-    Ok(())
+    Ok(0)
 }
 
 /// Reads past one op without checking its values, returning how many
@@ -620,17 +642,18 @@ fn skip_op(r: &mut Reader) -> Result<(usize, usize), WireError> {
     })
 }
 
-/// One processor's stream of `n` ops, reserved once at its exact size. A
-/// first pass counts the ops, written bytes and rebind ranges as far as
-/// their encoding reads; decoding, which also checks every value, stops
-/// no later, so the stream never grows and a count the file lies about
-/// reserves nothing.
+/// Processor `proc`'s stream of `n` ops, reserved once at its exact
+/// size. A first pass counts the ops, written bytes and rebind ranges as
+/// far as their encoding reads; decoding, which also checks every value,
+/// stops no later, so the stream never grows and a count the file lies
+/// about reserves nothing. Its `Work` and `Idle` cycles may sum to at
+/// most [`MAX_STREAM_CYCLES`].
 fn stream(
     r: &mut Reader,
     bp: &SpecBlueprint,
     extents: &[AddrRange],
-    procs: usize,
-) -> Result<OpStream, WireError> {
+    (proc, procs): (usize, usize),
+) -> Result<OpStream, TraceError> {
     let n = r.count(2)?;
     let (mut ahead, mut ops, mut bytes, mut ranges) = (r.clone(), 0, 0, 0);
     while ops < n {
@@ -640,8 +663,12 @@ fn stream(
         (ops, bytes, ranges) = (ops + 1, bytes + b, ranges + k);
     }
     let mut stream = OpStream::with_capacity(ops, bytes, ranges);
+    let mut cycles = 0u64;
     for _ in 0..n {
-        op(r, bp, extents, procs, &mut stream)?;
+        cycles = cycles.saturating_add(op(r, bp, extents, procs, &mut stream)?);
+        if cycles > MAX_STREAM_CYCLES {
+            return Err(TraceError::Overlong { proc });
+        }
     }
     Ok(stream)
 }
@@ -728,7 +755,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
     })?;
 
     let ops = (0..procs)
-        .map(|_| stream(r, &blueprint, &extents, procs))
+        .map(|proc| stream(r, &blueprint, &extents, (proc, procs)))
         .collect::<Result<Vec<_>, _>>()?;
     r.finish()?;
 

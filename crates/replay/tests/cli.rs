@@ -102,6 +102,29 @@ fn a_processor_count_below_one_is_a_usage_error() {
     }
 }
 
+/// A value no numeric flag can use — not a number, or past its type —
+/// used to reach the command, which failed only when it read the flag
+/// ("--loss takes a number", exit 1, no flags listed). It is a usage
+/// error, as `--procs x` is, before the file is even opened.
+#[test]
+fn a_malformed_number_is_a_usage_error() {
+    for (flag, v) in [
+        ("--loss", "abc"),
+        ("--loss", "-1"),
+        ("--fault-seed", "1e3"),
+        ("--interval", "4294967296"),
+    ] {
+        let out = trace(&["check", "x.mwt", flag, v]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {v}: {err}");
+        assert!(err.contains(&format!("{flag} takes")), "{flag} {v}: {err}");
+        assert!(err.contains(&format!("got {v:?}")), "{flag} {v}: {err}");
+        assert!(err.contains("accepted flags: --loss PPM"), "{err}");
+    }
+    let out = trace(&["replay", "x.mwt", "--fault-seed", "seven"]);
+    assert_eq!(out.status.code(), Some(2));
+}
+
 /// A one-processor trace with `allocs` as its allocations, one lock bound
 /// to the first eight bytes of the first of them (to nothing if there are
 /// none) and `op` as its one operation. The encoder checks nothing, so

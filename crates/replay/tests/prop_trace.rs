@@ -76,8 +76,10 @@ fn push_random_op(
         2 | 7 if allocs.is_empty() => TraceOp::Work { cycles: 1 },
         3..=5 | 8 if locks == 0 => TraceOp::Work { cycles: 1 },
         6 if barriers == 0 => TraceOp::Work { cycles: 1 },
+        // Under 2^42 each, so a stream's 39 ops at most stay under the
+        // decoder's 2^48 bound on a processor's work and idle cycles.
         0 => TraceOp::Work {
-            cycles: rng.next_u64() >> rng.next_below(64),
+            cycles: rng.next_u64() >> (22 + rng.next_below(42)),
         },
         1 => TraceOp::Idle {
             cycles: rng.next_below(1 << 20),
@@ -377,6 +379,34 @@ fn tiny_trace(lock_range: std::ops::Range<u64>, op: TraceOp<'_>) -> Trace {
     };
     trace.ops = vec![[op].into_iter().collect()];
     trace
+}
+
+/// One `Work { cycles: u64::MAX }` used to decode and then overflow the
+/// replay's clock: a debug build panicked adding it, a release build
+/// wrapped and reported the recorded finish. A processor's `Work` and
+/// `Idle` cycles together may reach 2^48 and no further, and the error
+/// names the processor.
+#[test]
+fn work_and_idle_past_the_stream_bound_are_malformed_naming_the_processor() {
+    const BOUND: u64 = 1 << 48;
+    let over = tiny_trace(0..0, TraceOp::Work { cycles: u64::MAX });
+    assert_eq!(decoded(&over), Err(TraceError::Overlong { proc: 0 }));
+    assert_eq!(
+        decoded(&over).unwrap_err().to_string(),
+        "malformed trace: processor 0's work and idle cycles pass 2^48"
+    );
+    let mut at = tiny_trace(0..0, TraceOp::Work { cycles: BOUND - 3 });
+    at.ops[0].push(TraceOp::Idle { cycles: 3 });
+    assert_eq!(decoded(&at), Ok(at.clone()));
+    // One cycle more on a second processor's stream, split across both
+    // kinds, is that processor's error.
+    let mut two = at.clone();
+    two.meta.cfg.procs = 2;
+    two.meta.counters.push(two.meta.counters[0]);
+    let mut second: OpStream = [TraceOp::Idle { cycles: BOUND - 7 }].into_iter().collect();
+    second.push(TraceOp::Work { cycles: 8 });
+    two.ops.push(second);
+    assert_eq!(decoded(&two), Err(TraceError::Overlong { proc: 1 }));
 }
 
 /// A sealed file whose lock range is `start = u64::MAX - 1, len = 0x7f`

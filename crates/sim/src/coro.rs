@@ -1,6 +1,8 @@
-//! Stackful coroutines: the only `unsafe` in the simulator.
+//! Stackful coroutines and anonymous mappings: the only `unsafe` in the
+//! simulator.
 //!
-//! A [`Coroutine`] is a closure running on its own `mmap`ed stack. Its
+//! A [`Coroutine`] is a closure running on its own `mmap`ed stack, a
+//! [`Pages`] mapping with a guard page at its foot. Its
 //! owner [`resume`](Coroutine::resume)s it; the closure hands control back
 //! with [`suspend`] from any call depth, and the next `resume` continues
 //! right there. Both directions are one `midway_coro_switch`: push the six
@@ -102,22 +104,39 @@ core::arch::global_asm!(
     ".size midway_coro_trampoline, . - midway_coro_trampoline",
 );
 
-/// An anonymous mapping: one guard page below [`STACK_BYTES`] of stack.
-struct Stack {
+/// An anonymous private mapping of `len` bytes: zero until written, and
+/// only the pages written ever become resident, whatever the allocator
+/// did with the process's heap before. Unmapped on drop.
+///
+/// [`Pages::zeroed`] maps readable and writable memory, which derefs to
+/// its bytes. A coroutine stack is the one other kind: a `PROT_NONE`
+/// mapping that the stack opens above its guard page and never derefs.
+pub struct Pages {
     base: *mut u8,
+    len: usize,
 }
 
-impl Stack {
-    const LEN: usize = GUARD_BYTES + STACK_BYTES;
+impl Pages {
+    /// `len` zero bytes, demand-paged. Zero bytes map nothing.
+    ///
+    /// # Panics
+    ///
+    /// If the kernel refuses the mapping.
+    pub fn zeroed(len: usize) -> Pages {
+        Pages::map(len, PROT_READ_WRITE)
+    }
 
-    fn new() -> Stack {
+    fn map(len: usize, prot: i32) -> Pages {
+        if len == 0 {
+            return Pages::default();
+        }
         // SAFETY: a fresh anonymous mapping at an address of the kernel's
         // choosing aliases nothing; the result is checked before use.
         let base = unsafe {
             mmap(
                 ptr::null_mut(),
-                Self::LEN,
-                PROT_NONE,
+                len,
+                prot,
                 MAP_PRIVATE_ANON_NORESERVE,
                 -1,
                 0,
@@ -125,16 +144,79 @@ impl Stack {
         };
         assert!(
             !base.is_null() && base as isize != -1,
-            "mmap of a {} KiB coroutine stack failed: {}",
-            Self::LEN / 1024,
+            "mmap of {} KiB failed: {}",
+            len.div_ceil(1024),
             std::io::Error::last_os_error()
         );
-        let stack = Stack { base: base.cast() };
+        Pages {
+            base: base.cast(),
+            len,
+        }
+    }
+}
+
+impl Default for Pages {
+    /// No bytes, and no mapping.
+    fn default() -> Pages {
+        Pages {
+            base: ptr::NonNull::dangling().as_ptr(),
+            len: 0,
+        }
+    }
+}
+
+impl std::ops::Deref for Pages {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        // SAFETY: `base..base+len` is a readable mapping `self` owns (or
+        // `len` is zero and `base` dangling but aligned), and `&self`
+        // keeps it mapped and unwritten for the borrow.
+        unsafe { std::slice::from_raw_parts(self.base, self.len) }
+    }
+}
+
+impl std::ops::DerefMut for Pages {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as for `deref`, and `&mut self` makes the borrow the
+        // only one.
+        unsafe { std::slice::from_raw_parts_mut(self.base, self.len) }
+    }
+}
+
+impl Drop for Pages {
+    fn drop(&mut self) {
+        if self.len > 0 {
+            // SAFETY: `base..base+len` is exactly the mapping `map`
+            // created, and no borrow of it outlives `self` (nor a frame:
+            // `Coroutine::drop` lets a stack drop only when none lives
+            // on it). A failure
+            // (there is none for a valid range) would leak the mapping,
+            // which is safe.
+            unsafe { munmap(self.base.cast(), self.len) };
+        }
+    }
+}
+
+/// A coroutine stack: one guard page below [`STACK_BYTES`] of stack.
+struct Stack {
+    pages: Pages,
+}
+
+impl Stack {
+    const LEN: usize = GUARD_BYTES + STACK_BYTES;
+
+    fn new() -> Stack {
+        let stack = Stack {
+            pages: Pages::map(Self::LEN, PROT_NONE),
+        };
         // SAFETY: the range lies inside the mapping created above, which
         // `stack` owns (and unmaps if the assert below unwinds).
         let rc = unsafe {
             mprotect(
-                stack.base.add(GUARD_BYTES).cast(),
+                stack.pages.base.add(GUARD_BYTES).cast(),
                 STACK_BYTES,
                 PROT_READ_WRITE,
             )
@@ -152,17 +234,7 @@ impl Stack {
     /// mapping is page aligned and its length a page multiple.
     fn top(&self) -> *mut u8 {
         // SAFETY: `base + LEN` is one past the end of the owned mapping.
-        unsafe { self.base.add(Self::LEN) }
-    }
-}
-
-impl Drop for Stack {
-    fn drop(&mut self) {
-        // SAFETY: `base..base+LEN` is exactly the mapping `new` created,
-        // and `Coroutine::drop` only lets a stack drop when no frame
-        // lives on it. A failure (there is none for a valid range) would
-        // leak the mapping, which is safe.
-        unsafe { munmap(self.base.cast(), Self::LEN) };
+        unsafe { self.pages.base.add(Self::LEN) }
     }
 }
 

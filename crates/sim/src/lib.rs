@@ -33,13 +33,16 @@
 //! `midway-net`, whose one loop drives the same [`Coroutine`]s over
 //! non-blocking sockets instead of an event queue.
 //!
-//! The switch and the stacks are the crate's only `unsafe`, confined to
+//! The switch and the mappings are the crate's only `unsafe`, confined to
 //! the `coro` module behind a safe interface: a panic is caught on
 //! the stack that raised it and never crosses a switch; when a run fails,
 //! every suspended processor is resumed once to unwind and drop its locals
 //! before its stack is unmapped; every stack ends in a guard page, so an
 //! overflow faults instead of corrupting memory. The switch is written for
-//! x86-64 Linux, and the crate refuses to compile anywhere else.
+//! x86-64 Linux, and the crate refuses to compile anywhere else. The same
+//! module's [`Pages`] is an anonymous mapping that derefs to its bytes:
+//! the engine keeps each region of a processor's store in one, so a page
+//! becomes resident only when written.
 //!
 //! # Examples
 //!
@@ -78,7 +81,7 @@ pub use clock::Category;
 pub use cluster::{
     panic_message, Cluster, ClusterConfig, ProcHandle, ProcReport, RunError, RunOutcome,
 };
-pub use coro::{suspend, Coroutine};
+pub use coro::{suspend, Coroutine, Pages};
 pub use fault::{CrashEvent, FaultDecision, FaultPlan, MAX_CRASHES};
 pub use net::NetModel;
 pub use rng::SplitMix64;

@@ -19,11 +19,11 @@ use midway_core::{
 };
 use midway_mem::{Addr, LocalStore};
 use midway_proto::{Binding, LamportClock};
-use midway_sim::{Category, SplitMix64};
+use midway_sim::{Category, Pages, SplitMix64};
 
 /// One processor's detector-facing state, as the engine would hold it.
 struct Node {
-    store: LocalStore,
+    store: LocalStore<Pages>,
     clock: LamportClock,
     counters: Counters,
     binding: Binding,
@@ -33,7 +33,7 @@ struct Node {
 impl Node {
     fn new(backend: BackendKind, spec: &Arc<SystemSpec>, ranges: &Binding) -> Node {
         Node {
-            store: LocalStore::new(spec.layout().clone()),
+            store: LocalStore::with_slabs(spec.layout().clone(), Pages::zeroed),
             clock: LamportClock::new(),
             counters: Counters::default(),
             binding: ranges.clone(),

@@ -24,8 +24,15 @@ cargo test -p midway-sim --release -q
 
 echo "==> cargo test -p midway-mem --release"
 # The page-diff and dirtybit-scan kernels are written for the
-# autovectorizer: the code that runs in the harnesses is the optimized
-# build, so their reference-equivalence tests run against that too.
+# autovectorizer, and the packed dirtybit chunks' kernels (scan, apply
+# and compaction over a palette and a 4-bit index per line) for the
+# optimized build: the code that runs in the harnesses is that build, so
+# their reference-equivalence tests run against it too. So do the two
+# residency tests, each its own process with a counting allocator:
+# tests/untouched_rss.rs (a fresh array is one zeroed allocation with
+# none of its pages resident past the allocator's header, and a mark
+# allocates at most a page) and tests/packed_rss.rs (sor's edge rows
+# hold a quarter of their per-line arrays' heap).
 cargo test -p midway-mem --release -q
 
 echo "==> cargo test -p midway-apps --release"

@@ -13,21 +13,37 @@
 //! dirtybit as a `u32` holding `timestamp − 1`, wrapping, so [`EPOCH`] is
 //! stored as 0, time `t` as `t − 1` and [`DIRTY`] as `u32::MAX`, and it
 //! stores them by the page: lines come in chunks of 1 024, one 4 KiB page
-//! of `u32`s, and a chunk whose lines all hold one stored value is just
-//! that value. Only a chunk whose lines differ owns a per-line array. A
-//! chunk splits when a store, a stamp or an applied update leaves its
-//! lines unequal, and joins back into one value when an operation over
-//! the whole chunk leaves them equal: [`DirtyBits::take_newer`] when
-//! every line ends at the update's stamp, or a scan that sends lines of
-//! the chunk (and stamps its DIRTY ones). Three things follow:
+//! of `u32`s, and each chunk is in one of three states:
+//!
+//! * *one value*: all its lines hold one stored value, and the chunk is
+//!   that word;
+//! * *packed*: its lines hold at most 16 distinct stored values, and the
+//!   chunk is that palette plus a 4-bit index into it per line (580
+//!   bytes);
+//! * *per-line*: a `u32` per line.
+//!
+//! A one-value chunk that a stamp, an applied update
+//! ([`DirtyBits::take_newer`], [`DirtyBits::take_newer_line`]) or a
+//! scan's lazy stamping leaves unequal becomes packed. A packed chunk
+//! that needs a seventeenth value first drops the values no line still
+//! holds, and becomes per-line if all sixteen are held. A chunk this
+//! processor [`mark`](DirtyBits::mark)s, the template's store, becomes
+//! per-line from either state. A packed or per-line chunk joins back into
+//! one value when an operation over the whole chunk leaves its lines
+//! equal: [`DirtyBits::take_newer`] when every line ends at the update's
+//! stamp, or a scan that sends lines of the chunk (and stamps its DIRTY
+//! ones). Four things follow:
 //!
 //! * a fresh array is a vector of chunks at zero, all zero bytes, which
 //!   the allocator hands out as untouched pages (`calloc`): a line costs
-//!   memory only once it is marked or stamped, and then at half the
-//!   width of a `u64`;
+//!   memory only once it is marked or stamped;
 //! * a page of lines under one stamp costs one word: the lines a lock or
 //!   barrier transfer stamps in runs (matrix's `B` and `C` once their
 //!   barriers have released) cost nothing per line;
+//! * a page whose lines only take other processors' stamps costs half a
+//!   byte a line: sor's edge rows, whose red and black lines take the
+//!   stamps of the two processors whose rows share a page, hold a few
+//!   stamps a page;
 //! * timestamps are bounded by [`MAX_TIMESTAMP`]. The Lamport clock asserts
 //!   it never passes that bound, and the wire decoder rejects a timestamp
 //!   above it.
@@ -36,10 +52,13 @@
 //! line, so at scale these arrays are most of a processor's memory (a
 //! 10 M-key quicksort at word lines is 10 M dirtybits per processor).
 //! Zero-based keeps untouched arrays out of memory, `u32` halves the
-//! lines that differ (sor's edge rows interleave red and black stamps,
-//! so their chunks stay per-line) and the chunks drop the pages whose
-//! lines agree. A Lamport clock advances a few times per synchronization
-//! event; a run has millions of those, not billions.
+//! lines that differ, the chunks drop the pages whose lines agree and
+//! the palettes shrink the pages whose lines take few stamps. The
+//! template marks a line on every store to shared memory, the hottest
+//! path of all, so a chunk it marks is per-line and the store stays one
+//! indexed word write, never a palette lookup. A Lamport clock advances a
+//! few times per synchronization event; a run has millions of those, not
+//! billions.
 //!
 //! The encoding stays in this file: callers read [`DirtyBits::get`], write
 //! [`DirtyBits::stamp`] / [`DirtyBits::mark`], and apply an update through
@@ -126,24 +145,194 @@ impl StoreKind {
 /// Lines per chunk of a [`DirtyBits`]: one 4 KiB page of stored `u32`s.
 const CHUNK: usize = 1024;
 
+/// Distinct stored values a packed chunk holds: a 4-bit index per line.
+const PALETTE: usize = 16;
+
 /// Lines per scan block: 16 lines are 64 bytes of stored values, and the
 /// fixed-size array view drops the per-lane bounds checks so the
 /// interesting-test reduction compiles to vector compares.
 const BLOCK: usize = 16;
 
-/// One chunk of a [`DirtyBits`]: its per-line array where its lines
-/// differ (the last chunk's may run past the array's lines; those slots
-/// mean nothing), else the one stored value all its lines hold. A pair,
-/// so that a vector of chunks at zero is zeroed memory.
-type Chunk = (Option<Box<[u32; CHUNK]>>, u32);
+/// One chunk of a [`DirtyBits`], in one of the three states of the
+/// module's *Encoding*: its per-line array (the last chunk's may run past
+/// the array's lines; those slots mean nothing), else its palette, else
+/// the one stored value all its lines hold. At most one of the boxes is
+/// present. A triple, so that a vector of chunks at zero is zeroed memory.
+type Chunk = (Option<Box<[u32; CHUNK]>>, Option<Box<Packed>>, u32);
+
+/// A packed chunk: at most [`PALETTE`] distinct stored values and, per
+/// line, the 4-bit index of the one it holds (580 bytes, not 4 KiB).
+#[derive(Clone, Debug)]
+struct Packed {
+    /// The palette: the first `len` values are in use and distinct.
+    values: [u32; PALETTE],
+    len: u8,
+    /// The index [`slot_of`](Self::slot_of) returned last: an update
+    /// stamps line after line with one value.
+    last: u8,
+    /// Line `i`'s index, in the low nibble of byte `i / 2` for an even
+    /// `i` and in the high one for an odd `i`.
+    index: [u8; CHUNK / 2],
+}
+
+impl Packed {
+    /// A chunk whose lines all hold `same`.
+    fn new(same: u32) -> Box<Packed> {
+        Box::new(Packed {
+            values: [same; PALETTE],
+            len: 1,
+            last: 0,
+            index: [0; CHUNK / 2],
+        })
+    }
+
+    /// The palette index of line `i`.
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        usize::from(self.index[i / 2] >> (i % 2 * 4) & 0xf)
+    }
+
+    /// The stored value of line `i`.
+    #[inline]
+    fn get(&self, i: usize) -> u32 {
+        self.values[self.slot(i)]
+    }
+
+    /// Points line `i` at palette index `k`.
+    #[inline]
+    fn put(&mut self, i: usize, k: usize) {
+        let shift = i % 2 * 4;
+        let byte = &mut self.index[i / 2];
+        *byte = *byte & !(0xf << shift) | (k as u8) << shift;
+    }
+
+    /// Points lines `lines` at palette index `k`.
+    fn fill(&mut self, lines: Range<usize>, k: usize) {
+        let (mut lo, mut hi) = (lines.start, lines.end);
+        if lo % 2 == 1 && lo < hi {
+            self.put(lo, k);
+            lo += 1;
+        }
+        if hi % 2 == 1 && lo < hi {
+            hi -= 1;
+            self.put(hi, k);
+        }
+        self.index[lo / 2..hi / 2].fill(k as u8 * 0x11);
+    }
+
+    /// [`DirtyBits::take_newer_line`]'s common case: stamps line `i`
+    /// with `raw` if it holds an older value and `raw` is the value
+    /// [`slot_of`](Self::slot_of) returned last, as it is while an update
+    /// stamps line after line. Whether the line took `raw`, or `None` if
+    /// it takes a value other than the last one.
+    #[inline]
+    fn take_line(&mut self, i: usize, raw: u32) -> Option<bool> {
+        let (at, shift) = (i / 2, i % 2 * 4);
+        let byte = self.index[at];
+        if self.values[usize::from(byte >> shift & 0xf)] >= raw {
+            return Some(false);
+        }
+        let last = self.last & 0xf;
+        if self.values[usize::from(last)] != raw {
+            return None;
+        }
+        self.index[at] = byte & !(0xf << shift) | last << shift;
+        Some(true)
+    }
+
+    /// The palette index of `raw`, if it is there.
+    #[inline]
+    fn find(&self, raw: u32) -> Option<usize> {
+        self.values[..usize::from(self.len)]
+            .iter()
+            .position(|&v| v == raw)
+    }
+
+    /// The palette indices whose values pass `test`, as a bit mask.
+    #[inline]
+    fn slots(&self, test: impl Fn(u32) -> bool) -> u32 {
+        let mut mask = 0;
+        for (k, &v) in self.values[..usize::from(self.len)].iter().enumerate() {
+            mask |= u32::from(test(v)) << k;
+        }
+        mask
+    }
+
+    /// The palette index of `raw`, added if absent. A full palette first
+    /// drops the values none of the chunk's `lines` lines hold; if it is
+    /// still full, `None`, and the chunk must go per-line.
+    #[inline]
+    fn slot_of(&mut self, raw: u32, lines: usize) -> Option<usize> {
+        let last = usize::from(self.last);
+        if self.values[last] == raw {
+            return Some(last);
+        }
+        let k = match self.find(raw) {
+            Some(k) => k,
+            None => self.add(raw, lines)?,
+        };
+        self.last = k as u8;
+        Some(k)
+    }
+
+    /// [`slot_of`](Self::slot_of) for a value not in the palette.
+    fn add(&mut self, raw: u32, lines: usize) -> Option<usize> {
+        if usize::from(self.len) == PALETTE {
+            self.compact(lines);
+            if usize::from(self.len) == PALETTE {
+                return None;
+            }
+        }
+        self.values[usize::from(self.len)] = raw;
+        self.len += 1;
+        Some(usize::from(self.len) - 1)
+    }
+
+    /// Drops the palette values none of the first `lines` lines hold and
+    /// renumbers the rest, in order.
+    fn compact(&mut self, lines: usize) {
+        let mut live = 0u32;
+        for &byte in &self.index[..lines / 2] {
+            live |= 1 << (byte & 0xf) | 1 << (byte >> 4);
+        }
+        if lines % 2 == 1 {
+            live |= 1 << self.slot(lines - 1);
+        }
+        let mut to = [0u8; PALETTE];
+        let mut len = 0;
+        for (k, new) in to.iter_mut().enumerate().take(usize::from(self.len)) {
+            if live >> k & 1 == 1 {
+                *new = len;
+                self.values[usize::from(len)] = self.values[k];
+                len += 1;
+            }
+        }
+        if len < self.len {
+            (self.len, self.last) = (len, 0);
+            for byte in &mut self.index {
+                *byte = to[usize::from(*byte & 0xf)] | to[usize::from(*byte >> 4)] << 4;
+            }
+        }
+    }
+
+    /// The same lines as a per-line array.
+    fn unpack(&self) -> Box<[u32; CHUNK]> {
+        let mut bits = Vec::with_capacity(CHUNK);
+        for &b in &self.index {
+            bits.extend([b & 0xf, b >> 4].map(|k| self.values[usize::from(k)]));
+        }
+        bits.into_boxed_slice().try_into().expect("CHUNK lines")
+    }
+}
 
 /// The per-processor dirtybit array of one region.
 ///
 /// Stored zero-based in `u32`s, by the page (see the module's
 /// *Encoding*): a chunk of [`CHUNK_LINES`](Self::CHUNK_LINES) lines whose
-/// stored values are all equal is that one value; only a chunk whose lines
-/// differ owns a per-line array. A new array is every chunk at zero, in
-/// zeroed memory.
+/// stored values are all equal is that one value; a chunk whose lines
+/// differ keeps a palette of at most 16 values and a 4-bit index per line,
+/// or, once this processor marks it or its values outgrow the palette, a
+/// per-line array. A new array is every chunk at zero, in zeroed memory.
 #[derive(Clone, Debug)]
 pub struct DirtyBits {
     lines: usize,
@@ -160,7 +349,7 @@ impl DirtyBits {
         let chunks = lines.div_ceil(CHUNK);
         DirtyBits {
             lines,
-            chunks: vec![(None, 0); chunks],
+            chunks: vec![(None, None, 0); chunks],
         }
     }
 
@@ -169,28 +358,33 @@ impl DirtyBits {
         self.lines
     }
 
-    /// How many chunks own a per-line array (the rest cost one word).
+    /// How many chunks' lines differ, packed or per-line (the rest cost
+    /// one word).
     pub fn per_line_chunks(&self) -> usize {
         self.chunks
             .iter()
-            .filter(|(split, _)| split.is_some())
+            .filter(|(bits, packed, _)| bits.is_some() || packed.is_some())
             .count()
     }
 
-    /// Marks `line` dirty (the template's store).
+    /// Marks `line` dirty (the template's store). A chunk this processor
+    /// stores into goes per-line.
     #[inline]
     pub fn mark(&mut self, line: usize) {
-        self.set(line, DIRTY_RAW);
+        let (c, i) = self.locate(line);
+        let chunk = &mut self.chunks[c];
+        match chunk {
+            (Some(bits), _, _) => bits[i] = DIRTY_RAW,
+            (None, None, same) if *same == DIRTY_RAW => {}
+            _ => split_out(chunk)[i] = DIRTY_RAW,
+        }
     }
 
     /// The timestamp of `line`: [`DIRTY`], [`EPOCH`] or a Lamport time.
     #[inline]
     pub fn get(&self, line: usize) -> u64 {
         let (c, i) = self.locate(line);
-        decode(match &self.chunks[c] {
-            (Some(bits), _) => bits[i],
-            (None, same) => *same,
-        })
+        decode(value(&self.chunks[c], i))
     }
 
     /// Stamps `line` with timestamp `ts` (requester side after applying an
@@ -201,7 +395,10 @@ impl DirtyBits {
     /// If `ts` exceeds [`MAX_TIMESTAMP`].
     #[inline]
     pub fn stamp(&mut self, line: usize, ts: u64) {
-        self.set(line, encode(ts));
+        let raw = encode(ts);
+        let (c, i) = self.locate(line);
+        let lines = self.span(c);
+        store(&mut self.chunks[c], i, raw, lines);
     }
 
     /// Applies the timestamp of an update covering `lines`: a line takes
@@ -233,9 +430,19 @@ impl DirtyBits {
         while at < lines.end {
             let (c, lo, hi, whole) = self.piece(at, lines.end);
             let base = c * CHUNK;
+            let len = self.span(c);
             let chunk = &mut self.chunks[c];
+            // A packed chunk takes the stamp into its palette, or goes
+            // per-line.
+            let mut to = 0;
+            if let (None, Some(packed), _) = chunk {
+                match packed.slot_of(stamp, len) {
+                    Some(k) => to = k,
+                    None => _ = split_out(chunk),
+                }
+            }
             match chunk {
-                (None, same) => {
+                (None, None, same) => {
                     let t = *same < stamp;
                     if t != take {
                         if at > start {
@@ -246,10 +453,46 @@ impl DirtyBits {
                     if t && whole {
                         *same = stamp;
                     } else if t {
-                        split_out(chunk)[lo..hi].fill(stamp);
+                        pack(chunk, lo..hi, stamp);
                     }
                 }
-                (Some(bits), _) => {
+                (None, Some(packed), _) => {
+                    // A piece whose lines all take the update is one fill.
+                    if (lo..hi).all(|i| packed.get(i) < stamp) {
+                        if !take {
+                            if at > start {
+                                on_run(start..at, take);
+                            }
+                            (start, take) = (at, true);
+                        }
+                        packed.fill(lo..hi, to);
+                        if whole {
+                            *chunk = (None, None, stamp);
+                        }
+                    } else {
+                        // Whether the chunk ends all at `stamp`.
+                        let mut equal = whole;
+                        for i in lo..hi {
+                            let raw = packed.get(i);
+                            let t = raw < stamp;
+                            if t {
+                                packed.put(i, to);
+                            }
+                            equal &= raw <= stamp;
+                            if t != take {
+                                let line = base + i;
+                                if line > start {
+                                    on_run(start..line, take);
+                                }
+                                (start, take) = (line, t);
+                            }
+                        }
+                        if equal {
+                            *chunk = (None, None, stamp);
+                        }
+                    }
+                }
+                (Some(bits), _, _) => {
                     // Whether the chunk ends all at `stamp`.
                     let mut equal = whole;
                     let bits = &mut bits[lo..hi];
@@ -277,7 +520,7 @@ impl DirtyBits {
                         }
                     }
                     if equal {
-                        *chunk = (None, stamp);
+                        *chunk = (None, None, stamp);
                     }
                 }
             }
@@ -298,23 +541,18 @@ impl DirtyBits {
     pub fn take_newer_line(&mut self, line: usize, ts: u64) -> bool {
         let stamp = encode(ts.max(EPOCH));
         let (c, i) = self.locate(line);
+        let lines = self.span(c);
         let chunk = &mut self.chunks[c];
-        match chunk {
-            (Some(bits), _) => {
-                let take = bits[i] < stamp;
-                if take {
-                    bits[i] = stamp;
-                }
-                take
-            }
-            (None, same) => {
-                let take = *same < stamp;
-                if take {
-                    split_out(chunk)[i] = stamp;
-                }
-                take
+        if let (None, Some(packed), _) = chunk {
+            if let Some(take) = packed.take_line(i, stamp) {
+                return take;
             }
         }
+        let take = value(chunk, i) < stamp;
+        if take {
+            store(chunk, i, stamp, lines);
+        }
+        take
     }
 
     /// Scans lines `range` on behalf of a requester that last saw time
@@ -343,9 +581,10 @@ impl DirtyBits {
     /// [`MAX_TIMESTAMP`] leaves only DIRTY interesting, as does
     /// `last_seen == MAX_TIMESTAMP`, so the comparison runs in `u32`
     /// against the saturated bound. A chunk of one value is decided once
-    /// for all its lines; a per-line chunk is scanned a block of lines at
-    /// a time, one branch-free comparison per line, so an all-clean block
-    /// skips the per-line work that dominates steady-state scans.
+    /// for all its lines, a packed chunk once per palette value; a
+    /// per-line chunk is scanned a block of lines at a time, one
+    /// branch-free comparison per line, so an all-clean block skips the
+    /// per-line work that dominates steady-state scans.
     pub fn scan_into(
         &mut self,
         out: &mut ScanOutcome,
@@ -363,9 +602,19 @@ impl DirtyBits {
         while at < range.end {
             let (c, lo, hi, whole) = self.piece(at, range.end);
             let base = c * CHUNK;
+            let len = self.span(c);
             let chunk = &mut self.chunks[c];
+            // A packed chunk that may hold DIRTY lines needs a palette
+            // index for `now`, or goes per-line.
+            if let (None, Some(packed), _) = chunk {
+                if packed.find(DIRTY_RAW).is_some() && packed.slot_of(now, len).is_none() {
+                    split_out(chunk);
+                }
+            }
+            // Only a chunk the scan sent lines of can have been stamped.
+            let sent = out.lines.len();
             match chunk {
-                (None, same) => {
+                (None, None, same) => {
                     let raw = *same;
                     let n = (hi - lo) as u64;
                     if raw < seen {
@@ -376,20 +625,41 @@ impl DirtyBits {
                         if raw == DIRTY_RAW && whole {
                             *same = now;
                         } else if raw == DIRTY_RAW {
-                            split_out(chunk)[lo..hi].fill(now);
+                            pack(chunk, lo..hi, now);
                         }
                     }
                 }
-                (Some(bits), _) => {
-                    // Only a chunk the scan sent lines of can have been
-                    // stamped.
-                    let sent = out.lines.len();
+                (None, Some(packed), _) => {
+                    let hot = packed.slots(|v| v >= seen);
+                    if hot != 0 {
+                        let interesting = (lo..hi).filter(|&i| hot >> packed.slot(i) & 1 == 1);
+                        out.lines.extend(interesting.map(|i| base + i));
+                        if let Some(dirty) = packed.find(DIRTY_RAW) {
+                            // Present whenever `dirty` is (see above).
+                            let to = packed.find(now).unwrap_or_default();
+                            for i in lo..hi {
+                                if packed.slot(i) == dirty {
+                                    packed.put(i, to);
+                                }
+                            }
+                        }
+                    }
+                    let sent = (out.lines.len() - sent) as u64;
+                    out.dirty_reads += sent;
+                    out.clean_reads += (hi - lo) as u64 - sent;
+                    if whole && sent > 0 {
+                        let k = packed.slot(0);
+                        if (0..len).all(|i| packed.slot(i) == k) {
+                            *chunk = (None, None, packed.values[k]);
+                        }
+                    }
+                }
+                (Some(bits), _, _) => {
                     scan_lines(&mut bits[lo..hi], at, out, seen, now);
                     if whole && out.lines.len() > sent {
-                        let len = CHUNK.min(self.lines - base);
                         let first = bits[0];
                         if bits[..len].iter().all(|&raw| raw == first) {
-                            *chunk = (None, first);
+                            *chunk = (None, None, first);
                         }
                     }
                 }
@@ -434,6 +704,12 @@ impl DirtyBits {
         (line / CHUNK, line % CHUNK)
     }
 
+    /// How many of the array's lines chunk `c` holds.
+    #[inline]
+    fn span(&self, c: usize) -> usize {
+        CHUNK.min(self.lines - c * CHUNK)
+    }
+
     /// Panics unless `range` is a range of this array's lines.
     #[inline]
     fn check(&self, range: &Range<usize>) {
@@ -447,22 +723,9 @@ impl DirtyBits {
     #[inline]
     fn piece(&self, at: usize, end: usize) -> (usize, usize, usize, bool) {
         let (c, lo) = (at / CHUNK, at % CHUNK);
-        let base = c * CHUNK;
-        let hi = (end - base).min(CHUNK);
-        let whole = lo == 0 && hi == CHUNK.min(self.lines - base);
+        let hi = (end - c * CHUNK).min(CHUNK);
+        let whole = lo == 0 && hi == self.span(c);
         (c, lo, hi, whole)
-    }
-
-    /// Stores `raw` in `line`.
-    #[inline]
-    fn set(&mut self, line: usize, raw: u32) {
-        let (c, i) = self.locate(line);
-        let chunk = &mut self.chunks[c];
-        match chunk {
-            (Some(bits), _) => bits[i] = raw,
-            (None, same) if *same == raw => {}
-            (None, _) => split_out(chunk)[i] = raw,
-        }
     }
 }
 
@@ -472,15 +735,56 @@ fn outside(range: Range<usize>, lines: usize) -> ! {
     panic!("lines {range:?} outside a {lines}-line dirtybit array")
 }
 
-/// `chunk`'s per-line array, made from its one value if it has none.
+/// `chunk`'s per-line array, made from its palette or its one value if it
+/// has none. Out of line: a chunk changes state once per many stores.
+#[cold]
 fn split_out(chunk: &mut Chunk) -> &mut [u32; CHUNK] {
-    let (split, same) = chunk;
-    split.get_or_insert_with(|| {
-        vec![*same; CHUNK]
+    let (bits, packed, same) = chunk;
+    bits.get_or_insert_with(|| match packed.take() {
+        Some(packed) => packed.unpack(),
+        None => vec![*same; CHUNK]
             .into_boxed_slice()
             .try_into()
-            .expect("CHUNK lines")
+            .expect("CHUNK lines"),
     })
+}
+
+/// The stored value of line `i` of `chunk`.
+#[inline]
+fn value(chunk: &Chunk, i: usize) -> u32 {
+    match chunk {
+        (Some(bits), _, _) => bits[i],
+        (None, Some(packed), _) => packed.get(i),
+        (None, None, same) => *same,
+    }
+}
+
+/// Packs the one-value `chunk`, storing `raw` in its lines `lines`.
+#[cold]
+fn pack(chunk: &mut Chunk, lines: Range<usize>, raw: u32) {
+    let (_, packed, same) = chunk;
+    let mut new = Packed::new(*same);
+    let k = new.slot_of(raw, 0).expect("a new palette has room");
+    new.fill(lines, k);
+    *packed = Some(new);
+}
+
+/// Stores `raw` in line `i` of `chunk`, whose lines `lines` are the
+/// array's, without unpacking it: a one-value chunk packs, and a packed
+/// one goes per-line only when `raw` overflows its palette.
+#[inline]
+fn store(chunk: &mut Chunk, i: usize, raw: u32, lines: usize) {
+    match chunk {
+        (Some(bits), _, _) => bits[i] = raw,
+        (None, None, same) if *same == raw => {}
+        (None, packed, same) => {
+            let packed = packed.get_or_insert_with(|| Packed::new(*same));
+            match packed.slot_of(raw, lines) {
+                Some(k) => packed.put(i, k),
+                None => split_out(chunk)[i] = raw,
+            }
+        }
+    }
 }
 
 /// [`DirtyBits::scan_into`] over per-line stored values `bits`, the first
@@ -765,6 +1069,26 @@ mod tests {
         assert!(out.lines.is_empty());
         assert_eq!(out.dirty_reads, 0);
         assert_eq!(out.clean_reads, 16);
+    }
+
+    #[test]
+    fn a_packed_chunk_is_a_palette_and_a_nibble_a_line() {
+        assert_eq!(std::mem::size_of::<Packed>(), 4 * PALETTE + CHUNK / 2 + 4);
+        let mut packed = Packed::new(7);
+        let k = packed.slot_of(9, CHUNK).expect("room");
+        packed.fill(3..8, k);
+        let lines: Vec<u32> = (0..10).map(|i| packed.get(i)).collect();
+        assert_eq!(lines, [7, 7, 7, 9, 9, 9, 9, 9, 7, 7]);
+        for v in 10..24 {
+            packed.slot_of(v, CHUNK).expect("room");
+        }
+        // A full palette drops the fourteen values no line holds.
+        assert_eq!(packed.slot_of(50, CHUNK), Some(2));
+        assert_eq!((packed.get(2), packed.get(3), packed.get(8)), (7, 9, 7));
+        packed.fill(1..CHUNK - 1, 2);
+        assert_eq!(packed.get(0), 7);
+        assert!((1..CHUNK - 1).all(|i| packed.get(i) == 50));
+        assert_eq!(packed.get(CHUNK - 1), 7);
     }
 
     #[test]

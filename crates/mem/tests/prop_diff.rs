@@ -516,7 +516,11 @@ fn restricted_is_the_per_byte_intersection() {
 /// an operation leaves its lines unequal, or a single line takes an
 /// update; a split chunk joins again when `take_newer` over the whole
 /// chunk leaves every line at the update's stamp, or a scan of the whole
-/// chunk sends a line and leaves all its lines equal.
+/// chunk sends a line and leaves all its lines equal. A split chunk is
+/// packed or per-line, and `per_line_chunks` counts both: stamps come
+/// from a pool of 24 values, so a packed chunk's palette fills, drops the
+/// values no line holds, and overflows to per-line, and marks land on
+/// packed chunks as well as on one-value and per-line ones.
 #[test]
 fn chunked_dirtybits_match_a_flat_model_across_chunk_boundaries() {
     const CHUNK: usize = DirtyBits::CHUNK_LINES;
@@ -531,8 +535,9 @@ fn chunked_dirtybits_match_a_flat_model_across_chunk_boundaries() {
         let mut bits = DirtyBits::new(lines);
         let mut model = vec![EPOCH; lines];
         let mut split = vec![false; chunks];
-        // Few distinct timestamps, so lines often agree and chunks join.
-        let ts_of = |rng: &mut SplitMix64| match rng.next_below(8) {
+        // 24 timestamps: more than a palette holds, few enough that lines
+        // still agree and chunks join.
+        let ts_of = |rng: &mut SplitMix64| match rng.next_below(26) {
             0 => DIRTY,
             1 => any_timestamp(rng),
             k => k,
@@ -556,16 +561,20 @@ fn chunked_dirtybits_match_a_flat_model_across_chunk_boundaries() {
             let was = split.clone();
             match rng.next_below(5) {
                 0 | 1 => {
-                    let line = rng.next_below(lines as u64) as usize;
-                    let ts = ts_of(&mut rng);
-                    if ts == DIRTY && rng.next_below(2) == 0 {
-                        bits.mark(line);
-                    } else {
-                        bits.stamp(line, ts);
+                    // Up to eight lines of one chunk, so palettes fill.
+                    let c = rng.next_below(chunks as u64) as usize;
+                    for _ in 0..1 + rng.next_below(8) {
+                        let line =
+                            chunk_of(c).start + rng.next_below(chunk_of(c).len() as u64) as usize;
+                        let ts = ts_of(&mut rng);
+                        if ts == DIRTY && rng.next_below(2) == 0 {
+                            bits.mark(line);
+                        } else {
+                            bits.stamp(line, ts);
+                        }
+                        split[c] |= model[line] != ts;
+                        model[line] = ts;
                     }
-                    let c = line / CHUNK;
-                    split[c] |= model[line] != ts;
-                    model[line] = ts;
                 }
                 2 => {
                     let (ts, stamp) = {
@@ -648,8 +657,9 @@ fn chunked_dirtybits_match_a_flat_model_across_chunk_boundaries() {
 }
 
 /// Stamping every line of a chunk and scanning it, or applying one
-/// update over a whole chunk, leaves the chunk one value: a page of
-/// dirtybits under one stamp costs one word again.
+/// update over a whole chunk, leaves the chunk one value, per-line or
+/// packed before: a page of dirtybits under one stamp costs one word
+/// again.
 #[test]
 fn whole_chunk_stamps_collapse() {
     const CHUNK: usize = DirtyBits::CHUNK_LINES;
@@ -689,4 +699,16 @@ fn whole_chunk_stamps_collapse() {
             (2 * CHUNK..lines, true)
         ]
     );
+    // A packed chunk joins the same way: its lines stamped DIRTY one at a
+    // time, then sent and stamped by a scan of the whole chunk.
+    let mut bits = DirtyBits::new(lines);
+    for line in 0..CHUNK {
+        bits.stamp(line, DIRTY);
+    }
+    bits.stamp(CHUNK, 7);
+    assert_eq!(bits.per_line_chunks(), 2);
+    let out = bits.scan(0..CHUNK, 20, 30);
+    assert_eq!(out.dirty_reads as usize, CHUNK);
+    assert_eq!(bits.per_line_chunks(), 1, "the second chunk still differs");
+    assert!((0..CHUNK).all(|l| bits.get(l) == 30));
 }
